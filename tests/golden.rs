@@ -1,0 +1,399 @@
+//! Golden regression oracle: pins the *bytes* of what the harness
+//! produces — exported qlog streams, MPTCP download times, A/B arm
+//! aggregates and fleet reports — so that a structural refactor is done
+//! when this file passes unchanged. The constants were recorded at the
+//! commit before the `Scenario` refactor (ROADMAP "Quality of design":
+//! "a simplification is done when qlog streams and `FleetReport`s are
+//! unchanged").
+//!
+//! On a mismatch every differing row is printed as a ready-to-paste table
+//! line before the test fails; update a constant only when the change is
+//! meant to move the simulation, and say why in CHANGES.md.
+
+use xlink::clock::{Duration, Instant};
+use xlink::harness::fleet::{run_fleet, FleetConfig};
+use xlink::harness::{handover_flaps, handover_paths, run_bulk_quic_flapped};
+use xlink::harness::{
+    run_ab, run_bulk_mptcp, run_bulk_mptcp_flapped, run_bulk_quic_chaos, run_bulk_quic_handover,
+    run_bulk_quic_traced, run_session_with_events, AbConfig, ChaosPlan, Scheme, SessionConfig,
+    TransportTuning,
+};
+use xlink::netsim::{FlapSchedule, LinkConfig, LinkState, Path, PathEvent};
+use xlink::obs::TraceLog;
+use xlink::video::Video;
+
+const SIZE: u64 = 2_500_000;
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// FNV-1a 64 over a byte string.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+fn lossy_paths() -> Vec<Path> {
+    let mk = |mbps: f64, delay_ms: u64, seed: u64| {
+        let mut cfg = LinkConfig::constant_rate(mbps, Duration::from_millis(delay_ms));
+        cfg.loss = 0.01;
+        cfg.seed = seed;
+        Path::symmetric(cfg)
+    };
+    vec![mk(18.0, 10, 21), mk(14.0, 27, 22)]
+}
+
+const OUTAGE: (u64, u64) = (300, 1500);
+
+/// Path 0 fades, dies and heals; path 1 takes a short fade meanwhile.
+fn degraded_flaps() -> Vec<(usize, FlapSchedule)> {
+    let at = Instant::from_millis;
+    vec![
+        (
+            0,
+            FlapSchedule::default()
+                .step(at(200), LinkState::Degraded { keep: 0.3, extra_loss: 0.05 })
+                .step(at(1200), LinkState::Down)
+                .step(at(1800), LinkState::Up),
+        ),
+        (
+            1,
+            FlapSchedule::default()
+                .step(at(500), LinkState::Degraded { keep: 0.5, extra_loss: 0.02 })
+                .step(at(900), LinkState::Up),
+        ),
+    ]
+}
+
+fn chaos_plan(seed: u64) -> ChaosPlan {
+    ChaosPlan {
+        start_after: Duration::from_millis(300),
+        min_down: Duration::from_millis(600),
+        max_down: Duration::from_millis(2000),
+        ..ChaosPlan::new(seed)
+    }
+}
+
+const HANDOVER: (Duration, Duration) = (Duration::from_millis(400), Duration::from_secs(3));
+
+#[derive(Clone, Copy)]
+enum Fault {
+    Clean,
+    Outage,
+    Degraded,
+    Chaos(u64),
+    Handover,
+}
+
+/// One traced bulk download; the hash of its exported qlog.
+fn bulk_qlog(scheme: Scheme, fault: Fault) -> u64 {
+    let tuning = TransportTuning::default();
+    let log = TraceLog::recording();
+    let seed = 7;
+    let r = match fault {
+        Fault::Clean => run_bulk_quic_traced(
+            scheme,
+            &tuning,
+            SIZE,
+            seed,
+            lossy_paths(),
+            Vec::new(),
+            DEADLINE,
+            &log,
+        ),
+        Fault::Outage => run_bulk_quic_traced(
+            scheme,
+            &tuning,
+            SIZE,
+            seed,
+            lossy_paths(),
+            vec![
+                PathEvent { at: Instant::from_millis(OUTAGE.0), path: 0, down: true },
+                PathEvent { at: Instant::from_millis(OUTAGE.1), path: 0, down: false },
+            ],
+            DEADLINE,
+            &log,
+        ),
+        // The flapped runner takes no tracer at this commit: the row pins
+        // the result's debug rendering instead of a qlog.
+        Fault::Degraded => {
+            let r = run_bulk_quic_flapped(
+                scheme,
+                &tuning,
+                SIZE,
+                seed,
+                lossy_paths(),
+                degraded_flaps(),
+                DEADLINE,
+            );
+            return fnv(format!("{r:?}").as_bytes());
+        }
+        Fault::Chaos(s) => run_bulk_quic_chaos(
+            scheme,
+            &tuning,
+            SIZE,
+            &chaos_plan(s),
+            lossy_paths(),
+            DEADLINE,
+            Some(&log),
+        ),
+        Fault::Handover => run_bulk_quic_handover(
+            scheme,
+            &tuning,
+            SIZE,
+            seed,
+            HANDOVER.0,
+            HANDOVER.1,
+            DEADLINE,
+            Some(&log),
+        ),
+    };
+    assert!(r.download_time.is_some(), "golden bulk run must complete");
+    fnv(log.to_qlog("golden").as_bytes())
+}
+
+/// A traced video session with a mid-play outage: (qlog hash, result hash).
+fn video_outage(scheme: Scheme) -> (u64, u64) {
+    let log = TraceLog::recording();
+    let mut cfg = SessionConfig::short_video(scheme, 77);
+    cfg.video = Video::synth(4, 25, 900_000, 8.0);
+    cfg.deadline = DEADLINE;
+    cfg.trace = Some(log.clone());
+    let events = vec![
+        PathEvent { at: Instant::from_millis(1500), path: 0, down: true },
+        PathEvent { at: Instant::from_millis(4000), path: 0, down: false },
+    ];
+    let r = run_session_with_events(&cfg, lossy_paths(), events);
+    assert!(r.completed);
+    (fnv(log.to_qlog("golden").as_bytes()), fnv(format!("{r:?}").as_bytes()))
+}
+
+/// MPTCP download times in microseconds: clean, degraded flaps, handover.
+fn mptcp_times() -> [u64; 3] {
+    let us = |r: xlink::harness::BulkResult| r.download_time.expect("mptcp completes").as_micros();
+    [
+        us(run_bulk_mptcp(SIZE, 2, lossy_paths(), Vec::new(), DEADLINE)),
+        us(run_bulk_mptcp_flapped(SIZE, 2, lossy_paths(), Vec::new(), degraded_flaps(), DEADLINE)),
+        us(run_bulk_mptcp_flapped(
+            SIZE,
+            2,
+            handover_paths(),
+            Vec::new(),
+            handover_flaps(HANDOVER.0, HANDOVER.1),
+            DEADLINE,
+        )),
+    ]
+}
+
+/// Digest of the streamed per-arm state of a two-day paired A/B study,
+/// folded from the public accumulators so it does not depend on which
+/// aggregate type carries them.
+fn ab_digests() -> [u64; 2] {
+    let mut cfg = AbConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
+    cfg.days = 2;
+    cfg.users_per_day = 3;
+    cfg.video = Video::synth(3, 25, 700_000, 8.0);
+    cfg.deadline = Duration::from_secs(45);
+    let days = run_ab(&cfg);
+    let mut out = [0xcbf2_9ce4_8422_2325u64; 2];
+    for d in &days {
+        for (h, arm) in out.iter_mut().zip([&d.a, &d.b]) {
+            for w in [
+                arm.rct.digest(),
+                arm.first_frame.digest(),
+                arm.rebuffer.digest(),
+                arm.play.digest(),
+                arm.redundancy.digest(),
+            ] {
+                *h = (*h ^ w).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    out
+}
+
+/// Fleet report at 240 sessions: (digest, hash of the shard-invariant
+/// JSON prefix).
+fn fleet(shards: u32) -> (u64, u64) {
+    let mut cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
+    cfg.users_per_day = 240;
+    cfg.shards = shards;
+    cfg.video = Video::synth(4, 25, 400_000, 8.0);
+    cfg.arrival_window = Duration::from_secs(3);
+    cfg.deadline = Duration::from_secs(45);
+    let r = run_fleet(&cfg);
+    let json = r.to_json();
+    let prefix = json.split("\"shards\"").next().expect("prefix");
+    (r.digest(), fnv(prefix.as_bytes()))
+}
+
+/// Compare computed rows against the recorded table; print every
+/// mismatch as a paste-ready line, then fail once.
+fn check(table: &str, rows: &[(String, u64, u64)]) {
+    let bad: Vec<_> = rows.iter().filter(|(_, got, want)| got != want).collect();
+    for (name, got, want) in &bad {
+        eprintln!("{table}: {name}: recorded 0x{want:016x}, now 0x{got:016x}");
+    }
+    assert!(bad.is_empty(), "{table}: {} of {} golden rows moved", bad.len(), rows.len());
+}
+
+const SCHEMES: [(&str, Scheme); 5] = [
+    ("sp", Scheme::Sp { path: 0 }),
+    ("cm", Scheme::Cm),
+    ("vanilla", Scheme::VanillaMp),
+    ("reinj", Scheme::ReinjNoQoe),
+    ("xlink", Scheme::Xlink),
+];
+
+const FAULTS: [(&str, Fault); 7] = [
+    ("clean", Fault::Clean),
+    ("outage", Fault::Outage),
+    ("degraded", Fault::Degraded),
+    ("chaos1", Fault::Chaos(1)),
+    ("chaos2", Fault::Chaos(2)),
+    ("chaos3", Fault::Chaos(3)),
+    ("handover", Fault::Handover),
+];
+
+/// Recorded qlog hashes, `BULK_QLOG[scheme][fault]` in the order of
+/// [`SCHEMES`] × [`FAULTS`] (the `degraded` column hashes the result's
+/// debug rendering, see [`bulk_qlog`]). A bulk client keeps nothing in
+/// flight and sends no QoE feedback, so CM rows equal SP rows and XLINK
+/// rows equal always-on re-injection; the video rows below tell them
+/// apart.
+const BULK_QLOG: [[u64; 7]; 5] = [
+    [
+        0xb0f5_b301_ee18_4b97,
+        0xb86a_1218_8363_ebf2,
+        0x3a58_39b1_b870_1eb6,
+        0xe2ff_2b1f_3e01_3853,
+        0x8f3a_d1bf_eabc_d5dc,
+        0xa7cf_1948_8212_8055,
+        0x9b54_112c_78bf_c916,
+    ],
+    [
+        0xb0f5_b301_ee18_4b97,
+        0xb86a_1218_8363_ebf2,
+        0x3a58_39b1_b870_1eb6,
+        0xe2ff_2b1f_3e01_3853,
+        0x8f3a_d1bf_eabc_d5dc,
+        0xa7cf_1948_8212_8055,
+        0x9b54_112c_78bf_c916,
+    ],
+    [
+        0x852b_ee8d_bf10_c4ae,
+        0xb96b_0eca_3cdb_07d9,
+        0x6e7d_cbbd_ae4f_9fd3,
+        0xd761_f545_aeed_9423,
+        0x6cb1_29cf_c667_9c01,
+        0xa585_ea73_230f_9df7,
+        0x17fd_8b80_3b29_b230,
+    ],
+    [
+        0xae03_5efd_d3fd_12cb,
+        0xbb90_a3e0_1cef_3357,
+        0xb8b5_371a_5277_f29b,
+        0xc022_e792_d713_51aa,
+        0x2cb4_441e_f767_15d8,
+        0x1faf_0cf5_724b_66a1,
+        0x03be_5ba8_3bab_df9e,
+    ],
+    [
+        0xae03_5efd_d3fd_12cb,
+        0xbb90_a3e0_1cef_3357,
+        0xb8b5_371a_5277_f29b,
+        0xc022_e792_d713_51aa,
+        0x2cb4_441e_f767_15d8,
+        0x1faf_0cf5_724b_66a1,
+        0x03be_5ba8_3bab_df9e,
+    ],
+];
+
+fn check_bulk_scheme(si: usize) {
+    let (sname, scheme) = SCHEMES[si];
+    let rows: Vec<_> = FAULTS
+        .iter()
+        .zip(BULK_QLOG[si])
+        .map(|((fname, fault), want)| (format!("{sname}/{fname}"), bulk_qlog(scheme, *fault), want))
+        .collect();
+    check("BULK_QLOG", &rows);
+}
+
+#[test]
+fn bulk_qlog_streams_are_pinned_sp() {
+    check_bulk_scheme(0);
+}
+
+#[test]
+fn bulk_qlog_streams_are_pinned_cm() {
+    check_bulk_scheme(1);
+}
+
+#[test]
+fn bulk_qlog_streams_are_pinned_vanilla_mp() {
+    check_bulk_scheme(2);
+}
+
+#[test]
+fn bulk_qlog_streams_are_pinned_reinj_no_qoe() {
+    check_bulk_scheme(3);
+}
+
+#[test]
+fn bulk_qlog_streams_are_pinned_xlink() {
+    check_bulk_scheme(4);
+}
+
+/// (qlog, result) hashes of the traced video session under XLINK and CM.
+const VIDEO_OUTAGE: [(u64, u64); 2] = [
+    (0x13af_9a6c_b676_8273, 0x93b2_3a0c_ee04_7b34),
+    (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
+];
+
+#[test]
+fn traced_video_sessions_are_pinned() {
+    let mut rows = Vec::new();
+    for ((name, scheme), want) in
+        [("xlink", Scheme::Xlink), ("cm", Scheme::Cm)].iter().zip(VIDEO_OUTAGE)
+    {
+        let (qlog, result) = video_outage(*scheme);
+        rows.push((format!("{name}/qlog"), qlog, want.0));
+        rows.push((format!("{name}/result"), result, want.1));
+    }
+    check("VIDEO_OUTAGE", &rows);
+}
+
+const MPTCP_US: [u64; 3] = [2_524_000, 4_450_000, 4_470_000];
+
+#[test]
+fn mptcp_download_times_are_pinned() {
+    let got = mptcp_times();
+    let rows: Vec<_> = ["clean", "degraded", "handover"]
+        .iter()
+        .zip(got)
+        .zip(MPTCP_US)
+        .map(|((n, g), w)| (n.to_string(), g, w))
+        .collect();
+    check("MPTCP_US", &rows);
+}
+
+const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0x2bf6_639e_9298_ec4d];
+
+#[test]
+fn ab_arm_digests_are_pinned() {
+    let got = ab_digests();
+    check(
+        "AB_DIGESTS",
+        &[("arm_a".into(), got[0], AB_DIGESTS[0]), ("arm_b".into(), got[1], AB_DIGESTS[1])],
+    );
+}
+
+const FLEET: (u64, u64) = (0x6ccc_a27d_fac4_e07c, 0x7105_c9de_aca4_30f8);
+
+#[test]
+fn fleet_report_is_pinned_for_one_and_four_shards() {
+    let mut rows = Vec::new();
+    for shards in [1, 4] {
+        let (digest, prefix) = fleet(shards);
+        rows.push((format!("digest/{shards}"), digest, FLEET.0));
+        rows.push((format!("json_prefix/{shards}"), prefix, FLEET.1));
+    }
+    check("FLEET", &rows);
+}
