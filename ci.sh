@@ -19,6 +19,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> crate unit tests: the whole workspace, not just the facade (release)"
+cargo test -q --offline --workspace --release
+
+echo "==> golden oracle: qlog streams, MPTCP times, A/B and fleet reports bit-identical (release)"
+cargo test -q --offline --release --test golden
+
 echo "==> impairment robustness sweep (8 seeds)"
 XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test impairments
 

@@ -59,11 +59,7 @@ fn hash64(data: &[u8], salt: u64) -> u64 {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    xlink_lab::rng::mix(h)
 }
 
 impl LoadBalancer {

@@ -42,13 +42,7 @@ pub enum TokenError {
     Expired,
 }
 
-pub(crate) fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub(crate) use xlink_lab::rng::mix as splitmix;
 
 fn mac(key: u64, time_us: u64, addr: u64, nonce: u64) -> u64 {
     // HMAC shape: inner pass absorbs the message under key⊕ipad, outer

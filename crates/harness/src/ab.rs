@@ -6,107 +6,13 @@
 //! played under both schemes, which exercises the identical code paths
 //! with far lower variance at simulation scale.
 
+use crate::fleet::ArmAgg;
 use crate::scenario::draw_user_paths;
-use crate::stats::{improvement_pct, percentile, secs};
 use crate::transport::{Scheme, TransportTuning};
-use crate::video_session::{run_session, SessionConfig, SessionResult};
+use crate::video_session::{run_session, SessionConfig};
 use xlink_clock::Duration;
-use xlink_lab::stream::{LogHistogram, StreamStat};
+use xlink_lab::stats::improvement_pct;
 use xlink_video::Video;
-
-/// Opt-in raw sample retention (see [`AbConfig::exact_samples`]): the
-/// pre-streaming representation, kept for studies that need exact
-/// percentiles or full distributions rather than histogram-resolution
-/// ones. Off by default — population runs should stream.
-#[derive(Debug, Clone, Default)]
-pub struct ExactSamples {
-    /// All chunk RCT samples (seconds).
-    pub rct_s: Vec<f64>,
-    /// First-frame latency samples (s).
-    pub first_frame_s: Vec<f64>,
-    /// Per-session rebuffer time (s).
-    pub rebuffer_s: Vec<f64>,
-}
-
-/// Aggregated results for one arm of one day — constant-memory streaming
-/// accumulators ([`xlink_lab::stream`]); day aggregates merge exactly.
-#[derive(Debug, Clone, Default)]
-pub struct ArmDay {
-    /// Chunk RCT distribution (seconds).
-    pub rct: LogHistogram,
-    /// First-frame latency distribution (seconds).
-    pub first_frame: LogHistogram,
-    /// Per-session rebuffer time (seconds).
-    pub rebuffer: StreamStat,
-    /// Per-session play time (seconds).
-    pub play: StreamStat,
-    /// Per-session redundancy ratio (server side).
-    pub redundancy: StreamStat,
-    /// Raw samples, retained only when the study asked for exact mode.
-    pub exact: Option<ExactSamples>,
-}
-
-impl ArmDay {
-    /// The paper's rebuffer rate: total stall over total play.
-    pub fn rebuffer_rate(&self) -> f64 {
-        let play = self.play.sum();
-        if play <= 0.0 {
-            return 0.0;
-        }
-        self.rebuffer.sum() / play
-    }
-
-    /// Exact integer merge with another aggregate (exact samples are
-    /// concatenated when both sides carry them).
-    pub fn merge(&mut self, other: &ArmDay) {
-        self.rct.merge(&other.rct);
-        self.first_frame.merge(&other.first_frame);
-        self.rebuffer.merge(&other.rebuffer);
-        self.play.merge(&other.play);
-        self.redundancy.merge(&other.redundancy);
-        if let (Some(mine), Some(theirs)) = (self.exact.as_mut(), other.exact.as_ref()) {
-            mine.rct_s.extend_from_slice(&theirs.rct_s);
-            mine.first_frame_s.extend_from_slice(&theirs.first_frame_s);
-            mine.rebuffer_s.extend_from_slice(&theirs.rebuffer_s);
-        }
-    }
-
-    /// Order-independent digest of the streamed state.
-    pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [
-            self.rct.digest(),
-            self.first_frame.digest(),
-            self.rebuffer.digest(),
-            self.play.digest(),
-            self.redundancy.digest(),
-        ] {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    fn absorb(&mut self, r: &SessionResult, video: &Video) {
-        for s in secs(&r.chunk_rct) {
-            self.rct.record(s);
-        }
-        self.rebuffer.record(r.player.rebuffer_time.as_secs_f64());
-        self.play.record(r.player.play_time.as_secs_f64().max(0.01));
-        if let Some(ff) = r.first_frame_latency {
-            self.first_frame.record(ff.as_secs_f64());
-        }
-        self.redundancy.record(r.server_transport.redundancy_ratio());
-        if let Some(exact) = self.exact.as_mut() {
-            exact.rct_s.extend(secs(&r.chunk_rct));
-            if let Some(ff) = r.first_frame_latency {
-                exact.first_frame_s.push(ff.as_secs_f64());
-            }
-            exact.rebuffer_s.push(r.player.rebuffer_time.as_secs_f64());
-        }
-        let _ = video;
-    }
-}
 
 /// One day's paired A/B outcome.
 #[derive(Debug, Clone)]
@@ -114,21 +20,17 @@ pub struct DayOutcome {
     /// Day index (1-based in printouts).
     pub day: u64,
     /// Arm A (baseline, e.g. SP).
-    pub a: ArmDay,
+    pub a: ArmAgg,
     /// Arm B (treatment, e.g. XLINK).
-    pub b: ArmDay,
+    pub b: ArmAgg,
 }
 
 impl DayOutcome {
-    /// RCT percentile for an arm. Reads the streaming histogram (within
-    /// one log-bin of exact); with [`AbConfig::exact_samples`] set, the
-    /// exact retained samples are used instead.
+    /// RCT percentile for an arm, read from the streaming histogram
+    /// (within one log-bin of exact).
     pub fn rct_pct(&self, arm_b: bool, p: f64) -> f64 {
         let arm = if arm_b { &self.b } else { &self.a };
-        match &arm.exact {
-            Some(exact) => percentile(&exact.rct_s, p),
-            None => arm.rct.percentile(p),
-        }
+        arm.rct.percentile(p)
     }
 
     /// Improvement of B over A at an RCT percentile (positive = B faster).
@@ -163,10 +65,6 @@ pub struct AbConfig {
     pub video: Video,
     /// Session deadline.
     pub deadline: Duration,
-    /// Retain raw per-session samples alongside the streaming
-    /// aggregates (exact percentiles at O(sessions) memory). Off by
-    /// default: population studies read the histograms.
-    pub exact_samples: bool,
 }
 
 impl AbConfig {
@@ -185,7 +83,6 @@ impl AbConfig {
             // react before the buffer drains.
             video: Video::synth(18, 25, 3_000_000, 10.0),
             deadline: Duration::from_secs(90),
-            exact_samples: false,
         }
     }
 }
@@ -194,12 +91,8 @@ impl AbConfig {
 pub fn run_ab(cfg: &AbConfig) -> Vec<DayOutcome> {
     (1..=cfg.days)
         .map(|day| {
-            let mut a = ArmDay::default();
-            let mut b = ArmDay::default();
-            if cfg.exact_samples {
-                a.exact = Some(ExactSamples::default());
-                b.exact = Some(ExactSamples::default());
-            }
+            let mut a = ArmAgg::default();
+            let mut b = ArmAgg::default();
             for user in 0..cfg.users_per_day {
                 let (wifi, lte) = draw_user_paths(day, user);
                 let seed = day * 10_000 + user;
@@ -213,8 +106,7 @@ pub fn run_ab(cfg: &AbConfig) -> Vec<DayOutcome> {
                     scfg.first_frame_accel = ffa;
                     scfg.deadline = cfg.deadline;
                     let paths = vec![wifi.build(), lte.build()];
-                    let r = run_session(&scfg, paths);
-                    arm.absorb(&r, &cfg.video);
+                    arm.absorb(&run_session(&scfg, paths));
                 }
             }
             DayOutcome { day, a, b }
@@ -244,8 +136,6 @@ mod tests {
         assert!(d.b.rct.count() > 0);
         assert_eq!(d.a.rebuffer.count(), 3);
         assert_eq!(d.b.rebuffer.count(), 3);
-        // Streaming mode retains no raw samples.
-        assert!(d.a.exact.is_none() && d.b.exact.is_none());
         // Improvement metrics are finite.
         assert!(d.rct_improvement(50.0).is_finite());
         assert!(d.rebuffer_improvement().is_finite());
@@ -257,24 +147,5 @@ mod tests {
         let b = run_ab(&tiny_ab(Scheme::Xlink));
         assert_eq!(a[0].a.digest(), b[0].a.digest());
         assert_eq!(a[0].b.digest(), b[0].b.digest());
-    }
-
-    #[test]
-    fn exact_mode_retains_samples_and_brackets_streamed_percentile() {
-        let mut cfg = tiny_ab(Scheme::Xlink);
-        cfg.exact_samples = true;
-        let out = run_ab(&cfg);
-        let d = &out[0];
-        let exact = d.a.exact.as_ref().expect("exact mode on");
-        assert_eq!(exact.rct_s.len() as u64, d.a.rct.count());
-        assert_eq!(exact.rebuffer_s.len(), 3);
-        // Streamed percentile is within one log-bin of the exact one.
-        let streamed = d.a.rct.percentile(50.0);
-        let precise = crate::stats::percentile(&exact.rct_s, 50.0);
-        let width = xlink_lab::stream::bin_width_factor();
-        assert!(
-            streamed <= precise * width && streamed >= precise / width,
-            "streamed {streamed} vs exact {precise}"
-        );
     }
 }

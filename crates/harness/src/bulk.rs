@@ -3,11 +3,13 @@
 //! the ACK-path study (Fig. 8), the extreme-mobility comparison (Fig. 13
 //! — which also needs the MPTCP baseline), and the energy study (Fig. 14).
 
+use crate::scenario::Scenario;
 use crate::transport::{Conn, Scheme, TransportStats, TransportTuning};
+use crate::video_session::VideoServerEndpoint;
 use xlink_clock::{Duration, Instant};
+use xlink_core::QoeSignal;
 use xlink_mptcp::{MptcpConfig, MptcpConnection};
-use xlink_netsim::{Endpoint, FlapSchedule, Path, PathEvent, Stats, Transmit, World};
-use xlink_obs::TraceLog;
+use xlink_netsim::{Endpoint, FlapSchedule, Path, Stats, Transmit};
 use xlink_video::{MediaStore, Request, Response, Video};
 
 /// Result of one bulk download.
@@ -40,7 +42,7 @@ struct BulkClient {
     done_at: Option<Instant>,
     /// Static QoE feedback to advertise (None = no feedback, which the
     /// server's controller treats as start-up urgency).
-    qoe: Option<xlink_core::QoeSignal>,
+    qoe: Option<QoeSignal>,
 }
 
 impl Endpoint for BulkClient {
@@ -93,195 +95,71 @@ impl Endpoint for BulkClient {
     }
 }
 
-/// QUIC-family bulk server.
-struct BulkServer {
-    conn: Conn,
-    store: MediaStore,
-    answered: Vec<u64>,
-    buffers: std::collections::HashMap<u64, Vec<u8>>,
-    first_frame_accel: bool,
-}
-
-impl Endpoint for BulkServer {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        for id in self.conn.readable_streams() {
-            if self.answered.contains(&id) {
-                continue;
-            }
-            let data = self.conn.stream_recv(id, usize::MAX);
-            let buf = self.buffers.entry(id).or_default();
-            buf.extend_from_slice(&data);
-            let Some(req) = Request::decode(buf) else { continue };
-            self.answered.push(id);
-            let body = self.store.body_range(&req.object, req.start, req.end).unwrap_or_default();
-            let ff = self.store.first_frame_end(&req.object);
-            let resp = Response { status: 200, body_len: body.len() as u64, first_frame_end: ff };
-            self.conn.stream_send(id, &resp.encode(), false);
-            if self.first_frame_accel && req.start < ff {
-                let split = (ff - req.start).min(body.len() as u64) as usize;
-                self.conn.stream_send_with_frame_priority(id, &body[..split], 0, false);
-                self.conn.stream_send(id, &body[split..], true);
-            } else {
-                self.conn.stream_send(id, &body, true);
-            }
-        }
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
-    }
-
-    fn is_done(&self) -> bool {
-        true // passive: session end is the client's call
-    }
-}
-
-/// Run a QUIC-family bulk download of `size` bytes.
+/// Run a QUIC-family bulk download of `size` bytes: the positional
+/// shorthand for `Scenario::new(paths, deadline).with_faults(faults)
+/// .bulk_quic(scheme, tuning, size, seed, None)`.
 pub fn run_bulk_quic(
     scheme: Scheme,
     tuning: &TransportTuning,
     size: u64,
     seed: u64,
     paths: Vec<Path>,
-    events: Vec<PathEvent>,
+    faults: Vec<(usize, FlapSchedule)>,
     deadline: Duration,
 ) -> BulkResult {
-    run_bulk_quic_full(scheme, tuning, size, seed, paths, events, Vec::new(), deadline, None, None)
+    Scenario::new(paths, deadline).with_faults(faults).bulk_quic(scheme, tuning, size, seed, None)
 }
 
-/// Like [`run_bulk_quic`] but emitting trace events into `log`
-/// (client under `client.*`, server under `server.*`, links under
-/// `netsim.*`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_bulk_quic_traced(
-    scheme: Scheme,
-    tuning: &TransportTuning,
-    size: u64,
-    seed: u64,
-    paths: Vec<Path>,
-    events: Vec<PathEvent>,
-    deadline: Duration,
-    log: &TraceLog,
-) -> BulkResult {
-    run_bulk_quic_full(
-        scheme,
-        tuning,
-        size,
-        seed,
-        paths,
-        events,
-        Vec::new(),
-        deadline,
-        None,
-        Some(log),
-    )
-}
-
-/// Like [`run_bulk_quic`] but with scripted flap schedules instead of
-/// simple up/down events.
-pub fn run_bulk_quic_flapped(
-    scheme: Scheme,
-    tuning: &TransportTuning,
-    size: u64,
-    seed: u64,
-    paths: Vec<Path>,
-    flaps: Vec<(usize, FlapSchedule)>,
-    deadline: Duration,
-) -> BulkResult {
-    run_bulk_quic_full(scheme, tuning, size, seed, paths, Vec::new(), flaps, deadline, None, None)
-}
-
-/// Like [`run_bulk_quic`] but advertising a fixed QoE snapshot (e.g. a
-/// huge buffer to pin re-injection off for the Fig. 8 ACK-policy study).
-#[allow(clippy::too_many_arguments)]
-pub fn run_bulk_quic_with_qoe(
-    scheme: Scheme,
-    tuning: &TransportTuning,
-    size: u64,
-    seed: u64,
-    paths: Vec<Path>,
-    events: Vec<PathEvent>,
-    deadline: Duration,
-    qoe: Option<xlink_core::QoeSignal>,
-) -> BulkResult {
-    run_bulk_quic_full(scheme, tuning, size, seed, paths, events, Vec::new(), deadline, qoe, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_bulk_quic_full(
-    scheme: Scheme,
-    tuning: &TransportTuning,
-    size: u64,
-    seed: u64,
-    paths: Vec<Path>,
-    events: Vec<PathEvent>,
-    flaps: Vec<(usize, FlapSchedule)>,
-    deadline: Duration,
-    qoe: Option<xlink_core::QoeSignal>,
-    trace: Option<&TraceLog>,
-) -> BulkResult {
-    let now = Instant::ZERO;
-    let mut client_conn = Conn::client(scheme, tuning, seed, now);
-    if let Some(log) = trace {
-        client_conn.set_tracer(&log.tracer("client"));
-    }
-    let client = BulkClient {
-        conn: client_conn,
-        size,
-        stream: None,
-        received: 0,
-        header_skipped: false,
-        pending: Vec::new(),
-        done_at: None,
-        qoe,
-    };
-    let mut store = MediaStore::new();
-    // A "blob" is a 1-frame video sized to the request: frame 0 spans the
-    // first ~64 KB (a realistic first-frame size) so frame-priority paths
-    // are exercised even for bulk fetches.
-    let ff = size.min(64 * 1024).max(1);
-    store
-        .insert("blob", Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]));
-    let mut server_conn = Conn::server(scheme, tuning, seed ^ 0xbeef, now);
-    if let Some(log) = trace {
-        server_conn.set_tracer(&log.tracer("server"));
-    }
-    let server = BulkServer {
-        conn: server_conn,
-        store,
-        answered: Vec::new(),
-        buffers: Default::default(),
-        first_frame_accel: true,
-    };
-    let mut world =
-        World::new(client, server, paths).with_path_events(events).with_flap_schedules(flaps);
-    if let Some(log) = trace {
-        world.set_tracer(log);
-    }
-    let end = world.run_until(Instant::ZERO + deadline);
-    BulkResult {
-        download_time: world.client.done_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
-        bytes_received: world.client.received,
-        client_transport: Some(world.client.conn.stats()),
-        server_transport: Some(world.server.conn.stats()),
-        server_bytes_per_path: world.server.conn.bytes_per_path(),
-        link_stats: world.paths.iter().map(|p| p.stats()).collect(),
-    }
-    .tap_end(end)
-}
-
-impl BulkResult {
-    fn tap_end(self, _end: Instant) -> Self {
-        self
+impl Scenario {
+    /// Download `size` bytes over a QUIC-family `scheme` in this scenario.
+    /// `qoe` pins the QoE feedback the client advertises (e.g. a huge
+    /// buffer to hold re-injection off for the Fig. 8 ACK-policy study);
+    /// `None` sends none, which the server's controller treats as start-up
+    /// urgency. A traced scenario records the client under `client.*` and
+    /// the server under `server.*`.
+    pub fn bulk_quic(
+        self,
+        scheme: Scheme,
+        tuning: &TransportTuning,
+        size: u64,
+        seed: u64,
+        qoe: Option<QoeSignal>,
+    ) -> BulkResult {
+        let now = Instant::ZERO;
+        let mut client_conn = Conn::client(scheme, tuning, seed, now);
+        let mut server_conn = Conn::server(scheme, tuning, seed ^ 0xbeef, now);
+        if let Some(log) = &self.trace {
+            client_conn.set_tracer(&log.tracer("client"));
+            server_conn.set_tracer(&log.tracer("server"));
+        }
+        let client = BulkClient {
+            conn: client_conn,
+            size,
+            stream: None,
+            received: 0,
+            header_skipped: false,
+            pending: Vec::new(),
+            done_at: None,
+            qoe,
+        };
+        let mut store = MediaStore::new();
+        // A "blob" is a 1-frame video sized to the request: frame 0 spans the
+        // first ~64 KB (a realistic first-frame size) so frame-priority paths
+        // are exercised even for bulk fetches.
+        let ff = size.min(64 * 1024).max(1);
+        store.insert(
+            "blob",
+            Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]),
+        );
+        let world = self.run(client, VideoServerEndpoint::serving(server_conn, store, true));
+        BulkResult {
+            download_time: world.client.done_at.map(|t| t.saturating_duration_since(now)),
+            bytes_received: world.client.received,
+            client_transport: Some(world.client.conn.stats()),
+            server_transport: Some(world.server.transport_stats()),
+            server_bytes_per_path: world.server.bytes_per_path(),
+            link_stats: world.paths.iter().map(|p| p.stats()).collect(),
+        }
     }
 }
 
@@ -290,13 +168,14 @@ struct MptcpClientEp {
     conn: MptcpConnection,
     size: u64,
     sent_request: bool,
+    received: u64,
     done_at: Option<Instant>,
 }
 
 impl Endpoint for MptcpClientEp {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         self.conn.handle_datagram(now, path, payload);
-        let _ = self.conn.recv(usize::MAX);
+        self.received += self.conn.recv(usize::MAX).len() as u64;
         if self.conn.recv_complete() && self.done_at.is_none() {
             self.done_at = Some(now);
         }
@@ -362,55 +241,34 @@ impl Endpoint for MptcpServerEp {
     }
 }
 
-/// Run an MPTCP bulk download.
-pub fn run_bulk_mptcp(
-    size: u64,
-    num_paths: usize,
-    paths: Vec<Path>,
-    events: Vec<PathEvent>,
-    deadline: Duration,
-) -> BulkResult {
-    run_bulk_mptcp_flapped(size, num_paths, paths, events, Vec::new(), deadline)
-}
-
-/// [`run_bulk_mptcp`] with scripted flap schedules.
-pub fn run_bulk_mptcp_flapped(
-    size: u64,
-    num_paths: usize,
-    paths: Vec<Path>,
-    events: Vec<PathEvent>,
-    flaps: Vec<(usize, FlapSchedule)>,
-    deadline: Duration,
-) -> BulkResult {
-    let client = MptcpClientEp {
-        conn: MptcpConnection::new(MptcpConfig {
-            is_client: true,
-            num_subflows: num_paths,
-            ..Default::default()
-        }),
-        size,
-        sent_request: false,
-        done_at: None,
-    };
-    let server = MptcpServerEp {
-        conn: MptcpConnection::new(MptcpConfig {
-            is_client: false,
-            num_subflows: num_paths,
-            ..Default::default()
-        }),
-        responded: false,
-        request_buf: Vec::new(),
-    };
-    let mut world =
-        World::new(client, server, paths).with_path_events(events).with_flap_schedules(flaps);
-    world.run_until(Instant::ZERO + deadline);
-    BulkResult {
-        download_time: world.client.done_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
-        bytes_received: world.client.conn.stats().bytes_sent, // unused for client
-        client_transport: None,
-        server_transport: None,
-        server_bytes_per_path: Vec::new(),
-        link_stats: world.paths.iter().map(|p| p.stats()).collect(),
+impl Scenario {
+    /// Download `size` bytes over the MPTCP baseline with `num_paths`
+    /// subflows in this scenario (a traced scenario records the links only).
+    pub fn bulk_mptcp(self, size: u64, num_paths: usize) -> BulkResult {
+        let conn = |is_client| {
+            MptcpConnection::new(MptcpConfig {
+                is_client,
+                num_subflows: num_paths,
+                ..Default::default()
+            })
+        };
+        let client = MptcpClientEp {
+            conn: conn(true),
+            size,
+            sent_request: false,
+            received: 0,
+            done_at: None,
+        };
+        let server = MptcpServerEp { conn: conn(false), responded: false, request_buf: Vec::new() };
+        let world = self.run(client, server);
+        BulkResult {
+            download_time: world.client.done_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
+            bytes_received: world.client.received,
+            client_transport: None,
+            server_transport: None,
+            server_bytes_per_path: Vec::new(),
+            link_stats: world.paths.iter().map(|p| p.stats()).collect(),
+        }
     }
 }
 
@@ -470,8 +328,9 @@ mod tests {
 
     #[test]
     fn mptcp_bulk_download_completes() {
-        let r = run_bulk_mptcp(500_000, 2, paths(), vec![], Duration::from_secs(60));
+        let r = Scenario::new(paths(), Duration::from_secs(60)).bulk_mptcp(500_000, 2);
         assert!(r.download_time.is_some());
+        assert_eq!(r.bytes_received, 500_000);
     }
 
     #[test]

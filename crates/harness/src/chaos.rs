@@ -1,20 +1,20 @@
-//! Deterministic chaos runner for the liveness/failover evaluation (§9).
+//! Deterministic fault scripts for the liveness/failover evaluation (§9).
 //!
 //! A [`ChaosPlan`] expands a seed into a scripted sequence of hard
 //! outages — one path down at a time, never overlapping — so at least
 //! one survivor always exists and a correct failover implementation can
-//! finish the transfer. The plan drives the netsim [`FlapSchedule`]
-//! machinery, which keeps the whole run on the virtual clock: the same
-//! seed replays the same outages, the same transitions, and (with a
-//! recording [`TraceLog`]) a bit-identical failover event stream.
+//! finish the transfer. The plan only *builds* a [`Scenario`] (paths +
+//! [`FlapSchedule`] faults), which keeps the whole run on the virtual
+//! clock: the same seed replays the same outages, the same transitions,
+//! and (traced into a recording [`TraceLog`]) a bit-identical failover
+//! event stream.
 //!
 //! A [`CrashPlan`] is the edge-tier sibling: instead of links going
 //! dark, PoP *shards* die — state destroyed, no drain — and optionally
 //! come back. It scripts `Pop::crash_shard` / `Pop::restart_shard`
 //! calls for `run_pop` (see `harness::pop`).
 
-use crate::bulk::{run_bulk_quic_full, BulkResult};
-use crate::transport::{Scheme, TransportTuning};
+use crate::scenario::Scenario;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
 use xlink_netsim::{FlapSchedule, FlapStep, LinkConfig, LinkState, Path, Rng};
@@ -90,6 +90,13 @@ impl ChaosPlan {
     pub fn horizon(&self) -> Duration {
         self.start_after + (self.max_down + self.min_gap + self.gap_jitter) * self.outages
     }
+
+    /// The plan's outages laid over `paths`. By convention transfers run
+    /// under a chaos plan seed their transport with [`ChaosPlan::seed`].
+    pub fn scenario(&self, paths: Vec<Path>, deadline: Duration) -> Scenario {
+        let faults = self.flap_schedules(paths.len());
+        Scenario::new(paths, deadline).with_faults(faults)
+    }
 }
 
 /// A scripted sequence of PoP shard crashes (and restarts) on the
@@ -152,36 +159,8 @@ impl CrashPlan {
     }
 }
 
-/// Run a QUIC-family bulk download of `size` bytes under the plan's
-/// scripted outages. Pass a recording [`TraceLog`] to capture the
-/// failover event stream (see [`failover_timeline`]).
-pub fn run_bulk_quic_chaos(
-    scheme: Scheme,
-    tuning: &TransportTuning,
-    size: u64,
-    plan: &ChaosPlan,
-    paths: Vec<Path>,
-    deadline: Duration,
-    log: Option<&TraceLog>,
-) -> BulkResult {
-    let flaps = plan.flap_schedules(paths.len());
-    run_bulk_quic_full(
-        scheme,
-        tuning,
-        size,
-        plan.seed,
-        paths,
-        Vec::new(),
-        flaps,
-        deadline,
-        None,
-        log,
-    )
-}
-
-/// The §9 handover scenario: a Wi-Fi-grade primary and an LTE-grade
-/// standby, with the primary blackholed mid-transfer — the subway ride
-/// the paper's failover machinery is tuned for.
+/// The §9 handover paths: a Wi-Fi-grade primary and an LTE-grade
+/// standby.
 pub fn handover_paths() -> Vec<Path> {
     vec![
         // Primary: fast and near (Wi-Fi).
@@ -191,38 +170,12 @@ pub fn handover_paths() -> Vec<Path> {
     ]
 }
 
-/// Flap schedule for [`handover_paths`]: the primary goes dark over
-/// `[start, start + down)` and then returns.
-pub fn handover_flaps(start: Duration, down: Duration) -> Vec<(usize, FlapSchedule)> {
-    vec![(0, FlapSchedule::outage(Instant::ZERO + start, Instant::ZERO + start + down))]
-}
-
-/// Run the handover scenario for one scheme: `size` bytes over
-/// [`handover_paths`] with the primary down for `down` starting at
-/// `start`. Returns the bulk result; pass `log` to capture transitions.
-#[allow(clippy::too_many_arguments)]
-pub fn run_bulk_quic_handover(
-    scheme: Scheme,
-    tuning: &TransportTuning,
-    size: u64,
-    seed: u64,
-    start: Duration,
-    down: Duration,
-    deadline: Duration,
-    log: Option<&TraceLog>,
-) -> BulkResult {
-    run_bulk_quic_full(
-        scheme,
-        tuning,
-        size,
-        seed,
-        handover_paths(),
-        Vec::new(),
-        handover_flaps(start, down),
-        deadline,
-        None,
-        log,
-    )
+/// The §9 handover scenario: [`handover_paths`] with the primary
+/// blackholed over `[start, start + down)` mid-transfer — the subway ride
+/// the paper's failover machinery is tuned for.
+pub fn handover_scenario(start: Duration, down: Duration, deadline: Duration) -> Scenario {
+    let from = Instant::ZERO + start;
+    Scenario::new(handover_paths(), deadline).with_outage(0, from, from + down)
 }
 
 /// Extract the deterministic failover timeline from a recorded trace:
@@ -254,6 +207,7 @@ pub fn failover_timeline(log: &TraceLog) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{Scheme, TransportTuning};
 
     #[test]
     fn plan_outages_never_overlap_and_spare_a_survivor() {
@@ -333,13 +287,11 @@ mod tests {
     #[test]
     fn chaos_run_completes_with_failover() {
         let plan = ChaosPlan::new(1);
-        let r = run_bulk_quic_chaos(
+        let r = plan.scenario(handover_paths(), Duration::from_secs(60)).bulk_quic(
             Scheme::Xlink,
             &TransportTuning::default(),
             1_500_000,
-            &plan,
-            handover_paths(),
-            Duration::from_secs(60),
+            plan.seed,
             None,
         );
         assert!(r.download_time.is_some(), "transfer must survive the chaos plan");
@@ -351,16 +303,13 @@ mod tests {
     #[test]
     fn handover_trace_records_transitions() {
         let log = TraceLog::recording();
-        let r = run_bulk_quic_handover(
-            Scheme::Xlink,
-            &TransportTuning::default(),
-            2_000_000,
-            3,
+        let r = handover_scenario(
             Duration::from_millis(500),
             Duration::from_secs(3),
             Duration::from_secs(60),
-            Some(&log),
-        );
+        )
+        .traced(&log)
+        .bulk_quic(Scheme::Xlink, &TransportTuning::default(), 2_000_000, 3, None);
         assert!(r.download_time.is_some());
         let timeline = failover_timeline(&log);
         assert!(

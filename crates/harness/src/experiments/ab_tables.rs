@@ -6,8 +6,8 @@
 //!   consistently at every percentile, most at the tail.
 
 use crate::ab::{run_ab, AbConfig, DayOutcome};
-use crate::stats::print_table;
 use crate::transport::Scheme;
+use xlink_lab::stats::print_table;
 
 /// Rows of an RCT-percentile A/B table (one per day).
 #[derive(Debug, Clone)]

@@ -4,11 +4,11 @@
 //! buys, beyond the paper's qualitative Fig. 4 walkthrough.
 
 use crate::scenario::PathSpec;
-use crate::stats::{mean, secs};
 use crate::transport::Scheme;
 use crate::video_session::{run_session, SessionConfig};
 use xlink_clock::Duration;
 use xlink_core::WirelessTech;
+use xlink_lab::stats::{mean, secs};
 use xlink_video::Video;
 
 /// One mode's aggregate outcome.
@@ -80,7 +80,7 @@ pub fn run(runs: u64) -> Vec<AblationRow> {
 
 /// Print the ablation table.
 pub fn print(rows: &[AblationRow]) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Ablation: re-injection queue-position modes (Fig. 4)",
         &["Mode", "First frame (ms)", "Mean RCT (s)", "Rebuffer (s)", "Redundancy (%)"],
         &rows

@@ -3,10 +3,10 @@
 //! server, plus the ISP delay matrix.
 
 use crate::scenario::{PathSpec, CROSS_ISP_DELAY_PCT};
-use crate::stats::percentile;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
 use xlink_core::WirelessTech;
+use xlink_lab::stats::percentile;
 use xlink_netsim::Rng;
 
 /// RTT statistics for one technology.
@@ -61,7 +61,7 @@ pub fn run(sessions_per_tech: u64) -> Vec<DelayRow> {
 
 /// Print the §3.2 summary and Table 4.
 pub fn print(rows: &[DelayRow]) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Sec 3.2: path delay by wireless technology",
         &["Technology", "Median RTT (ms)", "p90 RTT (ms)"],
         &rows
@@ -84,7 +84,7 @@ pub fn print(rows: &[DelayRow]) {
         lte.median_ms / sa.median_ms,
         lte.p90_ms / wifi.p90_ms
     );
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Table 4: relative increase of cross-ISP LTE delay (%)",
         &["Client\\Server", "A", "B", "C"],
         &["A", "B", "C"]

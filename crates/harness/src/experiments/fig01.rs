@@ -48,8 +48,7 @@ pub fn run(seed: u64) -> Fig01Result {
     cfg.deadline = Duration::from_secs(3);
     let now = Instant::ZERO;
     let client = super::super::video_session::client_endpoint_for_probe(&cfg, now);
-    let mut server = super::super::video_session::server_endpoint_for_probe(&cfg, now);
-    server.enable_cwnd_probe();
+    let server = super::super::video_session::server_endpoint_for_probe(&cfg, now);
     let mut world = World::new(client, server, vec![wifi.build(), lte.build()]);
     let mut samples_wifi = Vec::new();
     let mut samples_lte = Vec::new();

@@ -51,49 +51,23 @@ fn measure(seed: u64, size: u64, primary: usize) -> f64 {
     // Force the primary: wireless-aware policy naturally picks 5G SA; the
     // Wi-Fi-primary arm overrides the ranking.
     tuning.wireless_aware_primary = true;
-    let r = if primary == 0 {
+    tuning.primary_override = Some(if primary == 0 {
         // Rank Wi-Fi best to force a Wi-Fi start.
-        let mut t2 = tuning.clone();
-        t2.path_techs = vec![WirelessTech::Wifi, WirelessTech::FiveGSa];
-        run_bulk_with_policy(
-            t2,
-            PrimaryPathPolicy::default()
-                .with_rank(WirelessTech::Wifi, 0)
-                .with_rank(WirelessTech::FiveGSa, 9),
-            size,
-            seed,
-            vec![wifi.build(), fiveg.build()],
-        )
+        PrimaryPathPolicy::default()
+            .with_rank(WirelessTech::Wifi, 0)
+            .with_rank(WirelessTech::FiveGSa, 9)
     } else {
-        run_bulk_with_policy(
-            tuning,
-            PrimaryPathPolicy::default(),
-            size,
-            seed,
-            vec![wifi.build(), fiveg.build()],
-        )
-    };
-    r
-}
-
-fn run_bulk_with_policy(
-    tuning: TransportTuning,
-    policy: PrimaryPathPolicy,
-    size: u64,
-    seed: u64,
-    paths: Vec<xlink_netsim::Path>,
-) -> f64 {
-    // The bulk client uses the tuning's policy through MpConfig; plumb the
-    // override by building a custom tuning wrapper.
-    let mut t = tuning;
-    t.primary_override = Some(policy);
-    let r = run_bulk_quic(Scheme::Xlink, &t, size, seed, paths, vec![], Duration::from_secs(30));
+        PrimaryPathPolicy::default()
+    });
+    let paths = vec![wifi.build(), fiveg.build()];
+    let r =
+        run_bulk_quic(Scheme::Xlink, &tuning, size, seed, paths, vec![], Duration::from_secs(30));
     r.download_time.map(|d| d.as_secs_f64() * 1e3).unwrap_or(f64::INFINITY)
 }
 
 /// Print the figure's rows.
 pub fn print(rows: &[Fig07Row]) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Fig 7: first-video-frame delivery time vs primary path",
         &["Frame size", "WiFi primary (ms)", "5G primary (ms)"],
         &rows

@@ -6,7 +6,7 @@
 //! pulling ahead as the ratio grows ("faster ACK return helps the
 //! congestion window grow faster").
 
-use crate::bulk::run_bulk_quic_with_qoe;
+use crate::scenario::Scenario;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
 use xlink_core::{AckPathPolicy, WirelessTech};
@@ -64,14 +64,11 @@ fn measure(seed: u64, ratio: u64, policy: AckPathPolicy) -> f64 {
         bps: 1_000_000,
         fps: 30,
     };
-    let r = run_bulk_quic_with_qoe(
+    let r = Scenario::new(paths(ratio, seed), Duration::from_secs(120)).bulk_quic(
         Scheme::Xlink,
         &tuning,
         LOAD_BYTES,
         seed,
-        paths(ratio, seed),
-        vec![],
-        Duration::from_secs(120),
         Some(huge_buffer),
     );
     r.download_time.map(|d| d.as_secs_f64()).unwrap_or(f64::INFINITY)
@@ -79,7 +76,7 @@ fn measure(seed: u64, ratio: u64, policy: AckPathPolicy) -> f64 {
 
 /// Print the figure.
 pub fn print(rows: &[Fig08Row]) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Fig 8: ACK_MP path selection vs RTT ratio (4MB, Cubic)",
         &["RTT ratio", "minRTT path (s)", "Original path (s)"],
         &rows

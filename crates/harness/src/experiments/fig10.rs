@@ -8,10 +8,10 @@
 //! reduction of sub-50 ms buffer levels (the rebuffer danger zone).
 
 use crate::scenario::draw_user_paths;
-use crate::stats::{improvement_pct, percentile};
 use crate::transport::{Scheme, TransportTuning};
 use crate::video_session::SessionConfig;
 use xlink_clock::Duration;
+use xlink_lab::stats::{improvement_pct, percentile};
 use xlink_video::Video;
 
 /// Threshold settings from the paper's x-axis, as (X, Y) percentile pairs
@@ -101,20 +101,7 @@ fn run_session_probed(
             break;
         }
     }
-    let end = world.now();
-    let player = world.client.finish(end);
-    crate::video_session::SessionResult {
-        chunk_rct: Vec::new(),
-        first_frame_latency: player
-            .first_frame_at
-            .map(|x| x.saturating_duration_since(Instant::ZERO)),
-        player,
-        client_transport: world.client.transport_stats(),
-        server_transport: world.server.transport_stats(),
-        server_bytes_per_path: world.server.bytes_per_path(),
-        ended_at: end,
-        completed: player.finished_at.is_some(),
-    }
+    crate::video_session::session_result(world)
 }
 
 /// Fraction of samples below 50 ms (the danger level).
@@ -177,7 +164,7 @@ pub fn run(users: u64) -> Vec<Fig10Row> {
 
 /// Print Fig. 10 and Table 2.
 pub fn print(rows: &[Fig10Row]) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Fig 10: buffer-level improvement and cost vs double thresholds",
         &["Setting", "Buf p90 improv", "Buf p95 improv", "Buf p99 improv", "Cost (%)"],
         &rows
@@ -193,7 +180,7 @@ pub fn print(rows: &[Fig10Row]) {
             })
             .collect::<Vec<_>>(),
     );
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Table 2: reduction of buffer levels < 50ms",
         &["Setting", "Improv (%)"],
         &rows

@@ -6,10 +6,10 @@
 //! acceleration the improvement is positive and grows toward the tail.
 
 use crate::scenario::draw_user_paths;
-use crate::stats::{improvement_pct, percentile};
 use crate::transport::Scheme;
 use crate::video_session::{run_session, SessionConfig};
 use xlink_clock::Duration;
+use xlink_lab::stats::{improvement_pct, percentile};
 use xlink_video::Video;
 
 /// Percentiles the figure reports.
@@ -62,7 +62,7 @@ pub fn run(users: u64) -> Fig12Result {
 
 /// Print the figure.
 pub fn print(r: &Fig12Result) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Fig 12: first-video-frame latency improvement over SP",
         &["Percentile", "w/ first-frame accel", "w/o first-frame accel"],
         &r.rows

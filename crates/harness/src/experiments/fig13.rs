@@ -7,7 +7,8 @@
 //! vanilla-MP help sometimes but hit MP-HoL blocking; XLINK is
 //! consistently fastest in both median and max.
 
-use crate::bulk::{run_bulk_mptcp, run_bulk_quic};
+use crate::bulk::run_bulk_quic;
+use crate::scenario::Scenario;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
 use xlink_core::WirelessTech;
@@ -54,23 +55,13 @@ fn download_times(
     (0..CHUNKS_PER_TRACE)
         .map(|chunk| {
             let paths = build_paths(pair, seed + chunk * 31);
+            let deadline = Duration::from_secs(60);
             let t = match scheme {
                 Some(s) => {
-                    run_bulk_quic(
-                        s,
-                        &tuning,
-                        CHUNK_BYTES,
-                        seed + chunk,
-                        paths,
-                        vec![],
-                        Duration::from_secs(60),
-                    )
-                    .download_time
-                }
-                None => {
-                    run_bulk_mptcp(CHUNK_BYTES, 2, paths, vec![], Duration::from_secs(60))
+                    run_bulk_quic(s, &tuning, CHUNK_BYTES, seed + chunk, paths, vec![], deadline)
                         .download_time
                 }
+                None => Scenario::new(paths, deadline).bulk_mptcp(CHUNK_BYTES, 2).download_time,
             };
             t.map(|d| d.as_secs_f64()).unwrap_or(60.0)
         })

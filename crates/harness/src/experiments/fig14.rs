@@ -106,7 +106,7 @@ pub fn run(seed: u64) -> Vec<Fig14Point> {
 
 /// Print the figure (top-left corner is better).
 pub fn print(points: &[Fig14Point]) {
-    crate::stats::print_table(
+    xlink_lab::stats::print_table(
         "Fig 14: normalized energy/bit vs throughput (30 Mbps caps)",
         &["Config", "Norm energy/bit", "Norm throughput", "Mbps", "nJ/bit"],
         &points

@@ -152,13 +152,21 @@ impl ConcurrencyTrack {
 }
 
 /// Shard-local runtime counters (merged by addition, except maxima).
+///
+/// `events`, `peak_queue_depth` and `peak_live_sessions` date from the
+/// shared event heap and keep their meaning under the heap-free runner,
+/// where they are nearly constant: a shard runs its sessions one at a
+/// time, each as a single scheduling unit, and queues nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardCounters {
-    /// Discrete events processed (session steps).
+    /// Scheduling events processed: one per session, each run to
+    /// completion in one go.
     pub events: u64,
-    /// Peak event-queue depth observed in this shard.
+    /// Peak event-queue depth observed in this shard: always 0, there is
+    /// no queue.
     pub peak_queue_depth: u64,
-    /// Peak simultaneously-instantiated sessions in this shard.
+    /// Peak simultaneously-instantiated sessions in this shard: 1 once
+    /// any session ran (simulated overlap is `peak_concurrent`).
     pub peak_live_sessions: u64,
     /// Simulated packets enqueued across all links.
     pub packets: u64,
@@ -200,12 +208,12 @@ impl FleetReport {
 
     /// Improvement of B over A at an RCT percentile (positive = faster).
     pub fn rct_improvement(&self, p: f64) -> f64 {
-        crate::stats::improvement_pct(self.rct_pct(false, p), self.rct_pct(true, p))
+        xlink_lab::stats::improvement_pct(self.rct_pct(false, p), self.rct_pct(true, p))
     }
 
     /// Rebuffer-rate improvement of B over A (positive = better).
     pub fn rebuffer_improvement(&self) -> f64 {
-        crate::stats::improvement_pct(self.arm_a.rebuffer_rate(), self.arm_b.rebuffer_rate())
+        xlink_lab::stats::improvement_pct(self.arm_a.rebuffer_rate(), self.arm_b.rebuffer_rate())
     }
 
     /// Analytic 95% CI for the difference in mean chunk RCT,

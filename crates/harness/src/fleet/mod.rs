@@ -1,16 +1,17 @@
 //! `harness::fleet` — the population-scale A/B engine.
 //!
-//! One deterministic world hosting tens of thousands of concurrent video
-//! sessions: a shared time-ordered event queue interleaves independent
-//! client/server worlds ([`xlink_netsim::World::step_to`]), the
-//! population is sharded by a stable `(user, day)` hash, and per-arm
-//! results stream into constant-memory aggregates
-//! ([`xlink_lab::stream`]) whose shard partials merge exactly. The net
-//! guarantees, enforced by `tests/fleet.rs` and the invariants suite:
+//! A deterministic plan of tens of thousands of video sessions that
+//! overlap on one simulated timeline: each planned session is an
+//! independent [`Scenario`](crate::scenario::Scenario) run to completion
+//! (sessions share nothing, so nothing interleaves them), the population
+//! is sharded by a stable `(user, day)` hash, and per-arm results stream
+//! into constant-memory aggregates ([`xlink_lab::stream`]) whose shard
+//! partials merge exactly. The net guarantees, enforced by
+//! `tests/fleet.rs`, `tests/golden.rs` and the invariants suite:
 //!
 //! * **Bit-identical** reports across repeated runs *and* across shard
 //!   counts (1, 4, 16, …).
-//! * **Peak memory independent of population size**: O(live sessions +
+//! * **Peak memory independent of population size**: O(one session +
 //!   trace pool), with finished sessions reduced to histogram bins.
 //! * **Analytic confidence intervals** (normal/binomial) with no
 //!   bootstrap resampling and no retained samples.
@@ -23,8 +24,8 @@
 
 mod agg;
 mod plan;
-mod world;
+mod run;
 
 pub use agg::{ArmAgg, ConcurrencyTrack, FleetReport, ShardCounters, Z95};
 pub use plan::{shard_of, stable_hash, FleetConfig, PlanIter, SessionPlan, TracePool};
-pub use world::{fleet_metrics, run_fleet, run_fleet_profiled};
+pub use run::{fleet_metrics, run_fleet, run_fleet_profiled};

@@ -23,10 +23,7 @@ pub fn stable_hash(words: &[u64]) -> u64 {
     let mut h = 0x9e37_79b9_7f4a_7c15u64;
     for &w in words {
         h ^= w;
-        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
+        h = xlink_lab::rng::mix(h.wrapping_add(0x9e37_79b9_7f4a_7c15));
     }
     h
 }

@@ -12,7 +12,6 @@ pub mod chaos;
 pub mod fleet;
 pub mod pop;
 pub mod scenario;
-pub mod stats;
 pub mod transport;
 pub mod video_session;
 
@@ -23,22 +22,14 @@ pub use adversary::{
     run_attack, run_attack_mptcp, run_attack_traced, run_path_hijack, AdversaryOutcome, AttackKind,
     EdgeAttackKind, EdgeAttacker, HijackOutcome, MptcpAdversaryOutcome, QuicAttacker, VictimPeer,
 };
-pub use bulk::{
-    run_bulk_mptcp, run_bulk_mptcp_flapped, run_bulk_quic, run_bulk_quic_flapped,
-    run_bulk_quic_traced, BulkResult,
-};
-pub use chaos::{
-    failover_timeline, handover_flaps, handover_paths, run_bulk_quic_chaos, run_bulk_quic_handover,
-    ChaosPlan, CrashPlan,
-};
+pub use bulk::{run_bulk_quic, BulkResult};
+pub use chaos::{failover_timeline, handover_paths, handover_scenario, ChaosPlan, CrashPlan};
 pub use fleet::{run_fleet, run_fleet_profiled, FleetConfig, FleetReport};
 pub use pop::{
     run_crash_rct, run_edge_attack, run_pop, run_pop_traced, CrashRct, PopReport, PopRunConfig,
 };
-pub use scenario::{draw_user_paths, PathSpec};
+pub use scenario::{draw_user_paths, PathSpec, Scenario};
 pub use transport::{
     BoundedState, Conn, Scheme, TransportStats, TransportTuning, REINJECTION_COST_CAP,
 };
-pub use video_session::{
-    run_session, run_session_with_events, session_metrics, SessionConfig, SessionResult,
-};
+pub use video_session::{run_session, session_metrics, SessionConfig, SessionResult};

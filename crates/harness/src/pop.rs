@@ -38,12 +38,7 @@ use xlink_quic::error::ConnectionError;
 use xlink_quic::reset;
 
 fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    xlink_lab::rng::mix(a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One fleet-vs-PoP run.

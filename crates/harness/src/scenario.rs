@@ -1,11 +1,69 @@
-//! Network scenario construction: turn (technology, trace, quality)
-//! descriptions into simulator paths, including the cross-ISP delay
-//! inflation of Table 4 / §3.2.
+//! Network scenarios. A [`Scenario`] is the one way the harness runs a
+//! simulation: paths, scripted link faults, a deadline and an optional
+//! trace log, with one [`Scenario::run`] that builds, scripts, traces and
+//! drives the [`World`]. Bulk downloads (`bulk.rs`) and video sessions
+//! (`video_session.rs`) are thin functions on top of it; chaos plans and
+//! the handover script (`chaos.rs`) only *build* scenarios.
+//!
+//! The rest of the module turns (technology, trace, quality) descriptions
+//! into simulator paths, including the cross-ISP delay inflation of
+//! Table 4 / §3.2.
 
-use xlink_clock::Duration;
+use xlink_clock::{Duration, Instant};
 use xlink_core::WirelessTech;
-use xlink_netsim::{Impairments, LinkConfig, Path, Rng};
+use xlink_netsim::{Endpoint, FlapSchedule, Impairments, LinkConfig, Path, Rng, World};
+use xlink_obs::TraceLog;
 use xlink_traces::Trace;
+
+/// The same network, replayed under whatever endpoints the caller
+/// supplies: every comparison in the paper holds one of these fixed and
+/// varies the scheme.
+pub struct Scenario {
+    paths: Vec<Path>,
+    faults: Vec<(usize, FlapSchedule)>,
+    deadline: Duration,
+    /// Read by the runners built on top: endpoints attach their tracers
+    /// before the links do, which fixes the qlog source order.
+    pub(crate) trace: Option<TraceLog>,
+}
+
+impl Scenario {
+    /// Fault-free, untraced scenario over `paths`, cut off at `deadline`.
+    pub fn new(paths: Vec<Path>, deadline: Duration) -> Self {
+        Scenario { paths, faults: Vec::new(), deadline, trace: None }
+    }
+
+    /// Add scripted link faults: `(path index, schedule)` pairs.
+    pub fn with_faults(mut self, faults: Vec<(usize, FlapSchedule)>) -> Self {
+        self.faults.extend(faults);
+        self
+    }
+
+    /// Add a hard outage of `path` over `[start, end)`.
+    pub fn with_outage(self, path: usize, start: Instant, end: Instant) -> Self {
+        self.with_faults(vec![(path, FlapSchedule::outage(start, end))])
+    }
+
+    /// Record link events (`netsim.path<i>[.up|.down]`) into `log`, and
+    /// hand the same log to the runners built on top so endpoints trace
+    /// into it too.
+    pub fn traced(mut self, log: &TraceLog) -> Self {
+        self.trace = Some(log.clone());
+        self
+    }
+
+    /// Run `client` against `server` until both are done, the network is
+    /// quiescent, or the deadline. The returned world holds the endpoints,
+    /// the link counters and the end time ([`World::now`]).
+    pub fn run<C: Endpoint, S: Endpoint>(self, client: C, server: S) -> World<C, S> {
+        let mut world = World::new(client, server, self.paths).with_flap_schedules(self.faults);
+        if let Some(log) = &self.trace {
+            world.set_tracer(log);
+        }
+        world.run_until(Instant::ZERO + self.deadline);
+        world
+    }
+}
 
 /// The measured relative increase of cross-ISP LTE delay (Table 4), in
 /// percent: `CROSS_ISP_DELAY_PCT[client_isp][server_isp]`.

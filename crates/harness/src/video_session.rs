@@ -3,6 +3,7 @@
 //! frames and reports QoE feedback — the paper's end-to-end pipeline
 //! (Fig. 2) in miniature.
 
+use crate::scenario::Scenario;
 use crate::transport::{Conn, Scheme, TransportStats, TransportTuning};
 use std::collections::HashMap;
 use xlink_clock::{Duration, Instant};
@@ -235,13 +236,13 @@ impl VideoClientEndpoint {
         self.player.cached_bytes()
     }
 
-    /// Whether the video played to the end (fleet completion check —
-    /// [`Endpoint::is_done`] also fires on transport close).
+    /// Whether the video played to the end ([`Endpoint::is_done`] also
+    /// fires on transport close).
     pub fn video_finished(&self) -> bool {
         self.player.is_finished()
     }
 
-    /// Sorted per-chunk request completion times (fleet finalization).
+    /// Per-chunk request completion times in chunk order.
     pub fn sorted_chunk_rct(&self) -> Vec<Duration> {
         let mut rct = self.chunk_rct.clone();
         rct.sort_by_key(|&(i, _)| i);
@@ -307,10 +308,16 @@ impl VideoServerEndpoint {
         if let Some(log) = &cfg.trace {
             conn.set_tracer(&log.tracer("server"));
         }
+        Self::serving(conn, store, cfg.first_frame_accel)
+    }
+
+    /// Serve range requests for the objects in `store` over `conn` (the
+    /// bulk-download server is this with a one-object store).
+    pub(crate) fn serving(conn: Conn, store: MediaStore, first_frame_accel: bool) -> Self {
         VideoServerEndpoint {
             conn,
             store,
-            first_frame_accel: cfg.first_frame_accel,
+            first_frame_accel,
             answered: Vec::new(),
             buffers: HashMap::new(),
         }
@@ -368,10 +375,6 @@ impl VideoServerEndpoint {
             _ => false,
         }
     }
-
-    /// No-op placeholder kept for probe symmetry (per-path state is
-    /// sampled directly via [`VideoServerEndpoint::path_state`]).
-    pub fn enable_cwnd_probe(&mut self) {}
 
     /// Per-path (bytes in flight, cwnd) snapshot — the Fig. 1 series.
     pub fn path_state(&self) -> (Vec<u64>, Vec<u64>) {
@@ -441,31 +444,33 @@ pub struct SessionResult {
     pub completed: bool,
 }
 
-/// Run one session over the given network paths.
+/// Run one session over the given network paths, fault-free, until
+/// `cfg.deadline`.
 pub fn run_session(cfg: &SessionConfig, paths: Vec<Path>) -> SessionResult {
-    run_session_with_events(cfg, paths, Vec::new())
+    Scenario::new(paths, cfg.deadline).video(cfg)
 }
 
-/// Run one session with scripted path up/down events.
-pub fn run_session_with_events(
-    cfg: &SessionConfig,
-    paths: Vec<Path>,
-    events: Vec<xlink_netsim::PathEvent>,
-) -> SessionResult {
-    let now = Instant::ZERO;
-    let client = VideoClientEndpoint::new(cfg, now);
-    let server = VideoServerEndpoint::new(cfg, now);
-    let mut world = World::new(client, server, paths).with_path_events(events);
-    if let Some(log) = &cfg.trace {
-        world.set_tracer(log);
+impl Scenario {
+    /// Play `cfg`'s video in this scenario. Session tracing is configured
+    /// by `cfg.trace`: when set, the links trace into it as well.
+    pub fn video(self, cfg: &SessionConfig) -> SessionResult {
+        let scenario = match &cfg.trace {
+            Some(log) => self.traced(log),
+            None => self,
+        };
+        let client = VideoClientEndpoint::new(cfg, Instant::ZERO);
+        let server = VideoServerEndpoint::new(cfg, Instant::ZERO);
+        session_result(scenario.run(client, server))
     }
-    let ended_at = world.run_until(Instant::ZERO + cfg.deadline);
-    let completed = world.client.player.is_finished();
+}
+
+/// Tear a finished session world down into its [`SessionResult`].
+pub fn session_result(mut world: World<VideoClientEndpoint, VideoServerEndpoint>) -> SessionResult {
+    let ended_at = world.now();
+    let completed = world.client.video_finished();
     let player = world.client.finish(ended_at);
-    let mut rct: Vec<(u64, Duration)> = world.client.chunk_rct.clone();
-    rct.sort_by_key(|&(i, _)| i);
     SessionResult {
-        chunk_rct: rct.into_iter().map(|(_, d)| d).collect(),
+        chunk_rct: world.client.sorted_chunk_rct(),
         first_frame_latency: player
             .first_frame_at
             .map(|t| t.saturating_duration_since(Instant::ZERO)),
@@ -568,18 +573,14 @@ mod tests {
 
     #[test]
     fn outage_on_one_path_stalls_sp_but_not_xlink() {
-        use xlink_netsim::PathEvent;
         // Path 0 dies from 1s to 4s; path 1 stays up.
-        let events = vec![
-            PathEvent { at: Instant::from_secs(1), path: 0, down: true },
-            PathEvent { at: Instant::from_secs(4), path: 0, down: false },
-        ];
-        let sp = run_session_with_events(
-            &small_session(Scheme::Sp { path: 0 }, 4),
-            good_paths(),
-            events.clone(),
-        );
-        let xl = run_session_with_events(&small_session(Scheme::Xlink, 4), good_paths(), events);
+        let run = |scheme| {
+            let cfg = small_session(scheme, 4);
+            Scenario::new(good_paths(), cfg.deadline)
+                .with_outage(0, Instant::from_secs(1), Instant::from_secs(4))
+                .video(&cfg)
+        };
+        let (sp, xl) = (run(Scheme::Sp { path: 0 }), run(Scheme::Xlink));
         assert!(xl.completed);
         let sp_rebuffer = sp.player.rebuffer_time;
         let xl_rebuffer = xl.player.rebuffer_time;

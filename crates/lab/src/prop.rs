@@ -333,10 +333,7 @@ fn fnv1a(s: &str) -> u64 {
 
 /// Per-case seed: splitmix64 finalizer over (run seed, case index).
 fn case_seed(run_seed: u64, i: u32) -> u64 {
-    let mut z = run_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    crate::rng::mix(run_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// A falsified property: everything needed to report and replay it.

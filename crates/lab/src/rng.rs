@@ -3,6 +3,16 @@
 //! harness. Seeded explicitly everywhere so every experiment run and
 //! every test case is bit-reproducible.
 
+/// The splitmix64 finaliser: a bijective avalanche mix of one word. The
+/// workspace's one copy — seed expansion here, per-case seeds in `prop`,
+/// stable hashes, CIDs, reset tokens and Retry-token MACs all finish with
+/// it, each over its own combination of inputs.
+pub fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// xoshiro256** PRNG.
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -15,10 +25,7 @@ impl Rng {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            mix(sm)
         };
         Rng { s: [next(), next(), next(), next()] }
     }

@@ -285,9 +285,8 @@ pub struct FlapStep {
     pub state: LinkState,
 }
 
-/// A scripted per-path up/down/degrade sequence, generalizing the old
-/// single outage switch: handoffs, radio fades, and elevator rides become
-/// data instead of imperative `set_down` calls.
+/// A scripted per-path up/down/degrade sequence — the one link script:
+/// handoffs, outages, radio fades, and elevator rides are all data.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlapSchedule {
     steps: Vec<FlapStep>,
@@ -307,7 +306,7 @@ impl FlapSchedule {
         self
     }
 
-    /// A single outage in `[start, end)` — the legacy `PathEvent` pair.
+    /// A single outage in `[start, end)`.
     pub fn outage(start: Instant, end: Instant) -> Self {
         FlapSchedule::new(vec![
             FlapStep { at: start, state: LinkState::Down },

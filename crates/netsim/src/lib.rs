@@ -10,4 +10,4 @@ pub mod world;
 pub use impair::{FlapSchedule, FlapStep, GilbertElliott, Impairment, Impairments, LinkState};
 pub use link::{Delivered, Link, LinkConfig, Stats, OPPORTUNITY_BYTES};
 pub use rng::Rng;
-pub use world::{Endpoint, Path, PathEvent, StepOutcome, Transmit, World};
+pub use world::{Endpoint, Path, Transmit, World};

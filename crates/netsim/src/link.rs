@@ -204,16 +204,6 @@ impl Link {
         self.tracer = tracer;
     }
 
-    /// Set or clear an administrative outage (handoff emulation).
-    pub fn set_down(&mut self, down: bool) {
-        self.down = down;
-    }
-
-    /// True while administratively down.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// Apply a scripted [`LinkState`] (flap-schedule driven).
     pub fn set_state(&mut self, state: LinkState) {
         match state {
@@ -584,9 +574,9 @@ mod tests {
     fn outage_stalls_then_recovers() {
         let mut l = simple_link(0);
         l.send(ms(0), vec![0; 1000]);
-        l.set_down(true);
+        l.set_state(LinkState::Down);
         assert!(l.recv(ms(100)).is_empty());
-        l.set_down(false);
+        l.set_state(LinkState::Up);
         let got = l.recv(ms(101));
         assert_eq!(got.len(), 1);
         assert!(got[0].queue_delay >= Duration::from_millis(100));

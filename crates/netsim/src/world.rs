@@ -65,12 +65,6 @@ impl Path {
         Path { up: Link::new(cfg.clone()), down: Link::new(cfg) }
     }
 
-    /// Administratively bring both directions up or down.
-    pub fn set_down(&mut self, down: bool) {
-        self.up.set_down(down);
-        self.down.set_down(down);
-    }
-
     /// Apply a scripted [`LinkState`](crate::impair::LinkState) to both
     /// directions.
     pub fn set_state(&mut self, state: crate::impair::LinkState) {
@@ -84,17 +78,12 @@ impl Path {
     }
 }
 
-/// A scheduled path up/down flip (handoff scripting for the mobility
-/// experiments).
-#[derive(Debug, Clone, Copy)]
-pub struct PathEvent {
-    /// When the flip happens.
-    pub at: Instant,
-    /// Which path.
-    pub path: usize,
-    /// true = down, false = up.
-    pub down: bool,
-}
+/// Rounds with activity allowed at one instant before the run is declared
+/// livelocked. A round delivers, fires or sends something, so real bursts
+/// settle in hundreds of rounds; an endpoint whose due timer is never
+/// disarmed reaches this in seconds instead of exhausting the whole-run
+/// budget over minutes.
+const MAX_ROUNDS_PER_INSTANT: u64 = 1_000_000;
 
 /// The simulation world.
 pub struct World<C: Endpoint, S: Endpoint> {
@@ -106,9 +95,6 @@ pub struct World<C: Endpoint, S: Endpoint> {
     pub paths: Vec<Path>,
     /// Current virtual time.
     now: Instant,
-    /// Scripted path events, sorted by time.
-    events: Vec<PathEvent>,
-    next_event_idx: usize,
     /// Scripted flap schedules: (path index, schedule, next step index).
     flaps: Vec<(usize, FlapSchedule, usize)>,
     /// Per-path tracers for scripted link-state changes (index-aligned
@@ -126,8 +112,6 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
             server,
             paths,
             now: Instant::ZERO,
-            events: Vec::new(),
-            next_event_idx: 0,
             flaps: Vec::new(),
             path_tracers: Vec::new(),
             max_iterations: 50_000_000,
@@ -158,15 +142,8 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         t.emit(self.now, Event::LinkStateChange { state: label });
     }
 
-    /// Add scripted path up/down events (will be sorted by time).
-    pub fn with_path_events(mut self, mut events: Vec<PathEvent>) -> Self {
-        events.sort_by_key(|e| e.at);
-        self.events = events;
-        self
-    }
-
-    /// Add scripted up/down/degrade schedules per path (the generalized
-    /// form of [`with_path_events`](Self::with_path_events)).
+    /// Script the links: one up/down/degrade schedule per listed path.
+    /// This is the only way link state changes during a run.
     pub fn with_flap_schedules(mut self, flaps: Vec<(usize, FlapSchedule)>) -> Self {
         self.flaps = flaps.into_iter().map(|(p, s)| (p, s, 0)).collect();
         self
@@ -177,22 +154,11 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         self.now
     }
 
-    /// One scheduling round at the current instant: apply scripted path
-    /// events and flap steps due now, deliver arrived datagrams, fire
+    /// One scheduling round at the current instant: apply flap-schedule
+    /// steps due now, deliver arrived datagrams, fire
     /// timers, run housekeeping ticks, and drain up to 64 transmissions.
     /// Returns true if anything happened.
     fn round(&mut self) -> bool {
-        // Apply scripted path events due now.
-        while self.next_event_idx < self.events.len()
-            && self.events[self.next_event_idx].at <= self.now
-        {
-            let e = self.events[self.next_event_idx];
-            self.next_event_idx += 1;
-            if let Some(p) = self.paths.get_mut(e.path) {
-                p.set_down(e.down);
-                self.trace_link_state(e.path, if e.down { LinkState::Down } else { LinkState::Up });
-            }
-        }
         // Apply flap-schedule steps due now.
         let mut flapped: Vec<(usize, LinkState)> = Vec::new();
         for (path, sched, idx) in &mut self.flaps {
@@ -257,8 +223,8 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         activity
     }
 
-    /// Earliest future event across links, endpoint timers, scripted
-    /// events, and flap schedules. `None` means fully quiescent.
+    /// Earliest future event across links, endpoint timers and flap
+    /// schedules. `None` means fully quiescent.
     fn next_wake(&self) -> Option<Instant> {
         let mut next: Option<Instant> = None;
         let mut consider = |t: Option<Instant>| {
@@ -272,9 +238,6 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         }
         consider(self.client.poll_timeout());
         consider(self.server.poll_timeout());
-        if self.next_event_idx < self.events.len() {
-            consider(Some(self.events[self.next_event_idx].at));
-        }
         for (_, sched, idx) in &self.flaps {
             consider(sched.steps().get(*idx).map(|s| s.at));
         }
@@ -285,6 +248,7 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
     /// Returns the time the loop stopped.
     pub fn run_until(&mut self, deadline: Instant) -> Instant {
         let mut iterations = 0u64;
+        let mut rounds_here = 0u64;
         loop {
             iterations += 1;
             if iterations > self.max_iterations {
@@ -298,8 +262,13 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
                 return self.now;
             }
             if activity {
+                rounds_here += 1;
+                if rounds_here > MAX_ROUNDS_PER_INSTANT {
+                    panic!("simulation livelocked: {rounds_here} rounds at {}", self.now);
+                }
                 continue; // re-run at the same instant until quiescent
             }
+            rounds_here = 0;
             // Jump to the next interesting time.
             match self.next_wake() {
                 Some(t) if t > self.now => {
@@ -312,59 +281,6 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
                 }
                 None => return self.now, // fully quiescent
             }
-        }
-    }
-}
-
-/// Outcome of one externally-scheduled [`World::step_to`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// Both endpoints report done; the world needs no more steps.
-    Done,
-    /// Nothing is queued anywhere; the world is quiescent.
-    Quiescent,
-    /// The world next needs service at this instant.
-    NextAt(Instant),
-}
-
-impl<C: Endpoint, S: Endpoint> World<C, S> {
-    /// Multi-world scheduling hook: advance virtual time to `now`
-    /// (saturating at the current clock — time never runs backwards) and
-    /// run rounds until this world is quiescent at that instant. An
-    /// external scheduler (e.g. the fleet engine's shared event queue)
-    /// interleaves many worlds on one timeline by always servicing the
-    /// world with the earliest [`StepOutcome::NextAt`].
-    ///
-    /// Uses the same round/next-wake machinery as [`run_until`], so a
-    /// world stepped through `step_to` at its own wake times behaves
-    /// bit-identically to one driven by `run_until`.
-    ///
-    /// [`run_until`]: World::run_until
-    pub fn step_to(&mut self, now: Instant) -> StepOutcome {
-        let _prof = prof::span!("netsim/step_to");
-        if now > self.now {
-            self.now = now;
-        }
-        let mut iterations = 0u64;
-        loop {
-            iterations += 1;
-            if iterations > self.max_iterations {
-                panic!("step_to exceeded {} rounds at one instant", self.max_iterations);
-            }
-            let activity = self.round();
-            if self.client.is_done() && self.server.is_done() {
-                return StepOutcome::Done;
-            }
-            if !activity {
-                break;
-            }
-        }
-        match self.next_wake() {
-            Some(t) if t > self.now => StepOutcome::NextAt(t),
-            // An event at or before now that produced no activity: ask to
-            // be rescheduled one microsecond later (run_until's nudge).
-            Some(_) => StepOutcome::NextAt(self.now + Duration::from_micros(1)),
-            None => StepOutcome::Quiescent,
         }
     }
 
@@ -467,18 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn scripted_outage_delays_delivery() {
-        let mut w = World::new(blaster(1, 0, 0), blaster(0, 0, 1), vec![fast_path(0)])
-            .with_path_events(vec![
-                PathEvent { at: Instant::ZERO, path: 0, down: true },
-                PathEvent { at: Instant::from_millis(200), path: 0, down: false },
-            ]);
-        w.run_until(Instant::from_secs(5));
-        assert_eq!(w.server.received.len(), 1);
-        assert!(w.server.received[0].0 >= Instant::from_millis(200));
-    }
-
-    #[test]
     fn flap_schedule_delays_delivery() {
         use crate::impair::FlapSchedule;
         let sched = FlapSchedule::outage(Instant::ZERO, Instant::from_millis(200));
@@ -491,32 +395,26 @@ mod tests {
         assert!(up.is_conserved());
     }
 
-    #[test]
-    fn step_to_matches_run_until() {
-        // Drive one world with run_until and a twin via the external
-        // scheduling hook; both must see identical arrivals.
-        let mut a = World::new(blaster(10, 0, 0), blaster(0, 0, 10), vec![fast_path(5)]);
-        a.run_until(Instant::from_secs(10));
-        let mut b = World::new(blaster(10, 0, 0), blaster(0, 0, 10), vec![fast_path(5)]);
-        let mut t = Instant::ZERO;
-        loop {
-            match b.step_to(t) {
-                StepOutcome::Done | StepOutcome::Quiescent => break,
-                StepOutcome::NextAt(next) => t = next,
-            }
+    /// An endpoint whose timer is always due: the world must call the
+    /// livelock instead of spinning through its whole-run budget.
+    struct StuckTimer;
+
+    impl Endpoint for StuckTimer {
+        fn on_datagram(&mut self, _now: Instant, _path: usize, _payload: &[u8]) {}
+        fn poll_transmit(&mut self, _now: Instant) -> Option<Transmit> {
+            None
         }
-        assert_eq!(a.server.received, b.server.received);
-        assert_eq!(a.total_packets_enqueued(), b.total_packets_enqueued());
-        assert_eq!(b.server.received.len(), 10);
+        fn poll_timeout(&self) -> Option<Instant> {
+            Some(Instant::ZERO)
+        }
+        fn on_timeout(&mut self, _now: Instant) {}
     }
 
     #[test]
-    fn step_to_reports_done_and_quiescent() {
-        let mut w = World::new(blaster(0, 0, 1), blaster(0, 0, 1), vec![fast_path(1)]);
-        // Endpoints never receive anything: world is idle but not done.
-        assert_eq!(w.step_to(Instant::ZERO), StepOutcome::Quiescent);
-        let mut w = World::new(blaster(0, 0, 0), blaster(0, 0, 0), vec![fast_path(1)]);
-        assert_eq!(w.step_to(Instant::ZERO), StepOutcome::Done);
+    #[should_panic(expected = "livelocked")]
+    fn timer_that_stays_due_is_reported_as_livelock() {
+        World::new(StuckTimer, blaster(0, 0, 1), vec![fast_path(1)])
+            .run_until(Instant::from_secs(1));
     }
 
     #[test]

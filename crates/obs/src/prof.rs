@@ -387,7 +387,7 @@ fn collect_rows(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfRow {
     /// Folded stack path, components joined by `;`
-    /// (e.g. `netsim;step_to;quic;packet_decode`).
+    /// (e.g. `netsim;link_delivery;quic;packet_decode`).
     pub path: String,
     /// Times the span closed.
     pub calls: u64,

@@ -28,13 +28,7 @@ impl ConnectionId {
     /// Deterministically derive a CID from an endpoint seed and a sequence
     /// number (simple mixing; uniqueness is what matters, not secrecy).
     pub fn derive(seed: u64, seq: u64) -> Self {
-        let mut x = seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        // splitmix64 finalizer
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
+        let x = xlink_lab::rng::mix(seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         ConnectionId(x.to_be_bytes())
     }
 

@@ -118,10 +118,32 @@ fn mac_input(aad: &[u8], cipher: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::rfc8439::{hex, SUNSCREEN};
     use xlink_lab::prop::*;
 
     fn key() -> AeadKey {
         AeadKey::new([9u8; 32], [4u8; 12])
+    }
+
+    /// RFC 8439 §2.8.2. The vector's nonce (`07 00 00 00` ‖ IV) is what the
+    /// multipath construction yields for path 0, packet 0 under that IV.
+    #[test]
+    fn rfc8439_aead_vector() {
+        let key: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
+        let iv: [u8; 12] = hex("07 00 00 00 40 41 42 43 44 45 46 47").try_into().unwrap();
+        let aad = hex("50 51 52 53 c0 c1 c2 c3 c4 c5 c6 c7");
+        let mut expect = hex("d3 1a 8d 34 64 8e 60 db 7b 86 af bc 53 ef 7e c2
+             a4 ad ed 51 29 6e 08 fe a9 e2 b5 a7 36 ee 62 d6
+             3d be a4 5e 8c a9 67 12 82 fa fb 69 da 92 72 8b
+             1a 71 de 0a 9e 06 0b 29 05 d6 a5 b6 7e cd 3b 36
+             92 dd bd 7f 2d 77 8b 8c 98 03 ae e3 28 09 1b 58
+             fa b3 24 e4 fa d6 75 94 55 85 80 8b 48 31 d7 bc
+             3f f4 de f0 8e 4b 7a 9d e5 76 d2 65 86 ce c6 4b
+             61 16");
+        expect.extend(hex("1a e1 0b 59 4f 09 e2 6a 7e 90 2e cb d0 60 06 91"));
+        let k = AeadKey::new(key, iv);
+        assert_eq!(k.seal(0, 0, &aad, SUNSCREEN), expect);
+        assert_eq!(k.open(0, 0, &aad, &expect).unwrap(), SUNSCREEN);
     }
 
     #[test]

@@ -74,10 +74,41 @@ pub fn xor_keystream(key: &[u8; 32], mut counter: u32, nonce: &[u8; 12], data: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::rfc8439::{hex, SUNSCREEN};
     use xlink_lab::prop::*;
 
     const KEY: [u8; 32] = [7u8; 32];
     const NONCE: [u8; 12] = [3u8; 12];
+
+    /// RFC 8439 §2.3.2: the block function.
+    #[test]
+    fn rfc8439_block_function_vector() {
+        let key: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let nonce: [u8; 12] = hex("00 00 00 09 00 00 00 4a 00 00 00 00").try_into().unwrap();
+        let expect = hex("10 f1 e7 e4 d1 3b 59 15 50 0f dd 1f a3 20 71 c4
+             c7 d1 f4 c7 33 c0 68 03 04 22 aa 9a c3 d4 6c 4e
+             d2 82 64 46 07 9f aa 09 14 c2 d7 05 d9 8b 02 a2
+             b5 12 9c d1 de 16 4e b9 cb d0 83 e8 a2 50 3c 4e");
+        assert_eq!(block(&key, 1, &nonce).to_vec(), expect);
+    }
+
+    /// RFC 8439 §2.4.2: the cipher, counter starting at 1.
+    #[test]
+    fn rfc8439_cipher_vector() {
+        let key: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let nonce: [u8; 12] = hex("00 00 00 00 00 00 00 4a 00 00 00 00").try_into().unwrap();
+        let expect = hex("6e 2e 35 9a 25 68 f9 80 41 ba 07 28 dd 0d 69 81
+             e9 7e 7a ec 1d 43 60 c2 0a 27 af cc fd 9f ae 0b
+             f9 1b 65 c5 52 47 33 ab 8f 59 3d ab cd 62 b3 57
+             16 39 d6 24 e6 51 52 ab 8f 53 0c 35 9f 08 61 d8
+             07 ca 0d bf 50 0d 6a 61 56 a3 8e 08 8a 22 b6 5e
+             52 bc 51 4d 16 cc f8 06 81 8c e9 1a b7 79 37 36
+             5a f9 0b bf 74 a3 5b e6 b4 0b 8e ed f2 78 5e 42
+             87 4d");
+        let mut data = SUNSCREEN.to_vec();
+        xor_keystream(&key, 1, &nonce, &mut data);
+        assert_eq!(data, expect);
+    }
 
     #[test]
     fn encrypt_decrypt_roundtrip() {

@@ -174,9 +174,21 @@ pub fn verify(key: &[u8; 32], msg: &[u8], expect: &[u8; 16]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::rfc8439::hex;
     use xlink_lab::prop::*;
 
     const KEY: [u8; 32] = [0x42; 32];
+
+    /// RFC 8439 §2.5.2.
+    #[test]
+    fn rfc8439_poly1305_vector() {
+        let key: [u8; 32] = hex("85 d6 be 78 57 55 6d 33 7f 44 52 fe 42 d5 06 a8
+             01 03 80 8a fb 0d b2 fd 4a bf f6 af 41 49 f5 1b")
+        .try_into()
+        .unwrap();
+        let expect = hex("a8 06 1d c1 30 51 36 c6 c2 2b 8b af 0c 01 27 a9");
+        assert_eq!(tag(&key, b"Cryptographic Forum Research Group").to_vec(), expect);
+    }
 
     #[test]
     fn tag_is_deterministic() {

@@ -17,6 +17,7 @@
 //! plain arithmetic; determinism is what the simulation gates on.
 
 use crate::cid::{ConnectionId, CID_LEN};
+use xlink_lab::rng::mix;
 
 /// Length of a stateless reset token (RFC 9000 §10.3.2).
 pub const RESET_TOKEN_LEN: usize = 16;
@@ -26,16 +27,6 @@ pub const RESET_TOKEN_LEN: usize = 16;
 /// the 16-byte token. RFC 9000 §10.3 requires at least 21 bytes; 25 keeps
 /// the shape of a minimal short-header packet with an 8-byte CID.
 pub const RESET_DATAGRAM_LEN: usize = 1 + CID_LEN + RESET_TOKEN_LEN;
-
-/// splitmix64 finalizer — the same mixer used for CID derivation.
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
 
 /// Derive the stateless reset token for `cid` under `secret`.
 ///
@@ -47,9 +38,9 @@ pub fn reset_token(secret: u64, cid: &ConnectionId) -> [u8; RESET_TOKEN_LEN] {
     const IPAD: u64 = 0x3636_3636_3636_3636;
     const OPAD: u64 = 0x5c5c_5c5c_5c5c_5c5c;
     let c = u64::from_be_bytes(cid.0);
-    let inner = splitmix(splitmix(secret ^ IPAD) ^ c);
-    let hi = splitmix(splitmix(secret ^ OPAD) ^ inner);
-    let lo = splitmix(hi ^ c.rotate_left(17));
+    let inner = mix(mix(secret ^ IPAD) ^ c);
+    let hi = mix(mix(secret ^ OPAD) ^ inner);
+    let lo = mix(hi ^ c.rotate_left(17));
     let mut tok = [0u8; RESET_TOKEN_LEN];
     tok[..8].copy_from_slice(&hi.to_be_bytes());
     tok[8..].copy_from_slice(&lo.to_be_bytes());
@@ -63,8 +54,7 @@ pub fn reset_token(secret: u64, cid: &ConnectionId) -> [u8; RESET_TOKEN_LEN] {
 /// middleboxes (and our own [`plausible_reset`]) see a plausible packet.
 pub fn build_stateless_reset(secret: u64, dcid: &ConnectionId) -> [u8; RESET_DATAGRAM_LEN] {
     let token = reset_token(secret, dcid);
-    let scramble =
-        splitmix(u64::from_be_bytes(token[..8].try_into().unwrap()) ^ 0x7e5e_7da7_a6ea_0001);
+    let scramble = mix(u64::from_be_bytes(token[..8].try_into().unwrap()) ^ 0x7e5e_7da7_a6ea_0001);
     let mut out = [0u8; RESET_DATAGRAM_LEN];
     out[0] = 0b0100_0000 | (scramble as u8 & 0b0011_1111);
     out[1..1 + CID_LEN].copy_from_slice(&scramble.to_be_bytes());

@@ -1,5 +1,5 @@
 //! Population-scale randomized contrast trial: thousands of users split
-//! user-wise into SP and XLINK arms in one deterministic fleet world,
+//! user-wise into SP and XLINK arms of one deterministic fleet plan,
 //! reproducing the shape of the paper's Table 1 / Fig. 6 production
 //! results — with analytic 95% confidence intervals and constant-memory
 //! streaming aggregation.
@@ -72,10 +72,9 @@ fn main() {
     println!("  XLINK RCT p99 95% CI  [{plo:.3}, {phi:.3}] s");
 
     println!("\nFleet engine:");
-    println!("  peak concurrent sessions  {}", r.peak_concurrent);
-    println!("  events processed          {}", r.counters.events);
+    println!("  peak concurrent sessions  {} (simulated overlap)", r.peak_concurrent);
+    println!("  sessions run              {}", r.counters.events);
     println!("  simulated packets         {}", r.counters.packets);
-    println!("  peak event-queue depth    {}", r.counters.peak_queue_depth);
     println!("  trace pool                {} KiB", r.trace_pool_bytes / 1024);
     println!("  wall time                 {wall:.1} s  ({:.0} sessions/s)", users as f64 / wall);
     println!("  report digest             {:016x}", r.digest());

@@ -10,9 +10,7 @@
 //! ```
 
 use xlink::clock::{Duration, Instant};
-use xlink::harness::{
-    run_bulk_mptcp_flapped, run_bulk_quic_flapped, BulkResult, Scheme, TransportTuning,
-};
+use xlink::harness::{BulkResult, Scenario, Scheme, TransportTuning};
 use xlink::netsim::{FlapSchedule, FlapStep, Impairment, Impairments, LinkConfig, LinkState, Path};
 
 const SIZE: u64 = 300_000;
@@ -79,18 +77,10 @@ fn main() {
     println!("{:<12} {:>10} {:>10} {:>10}   conservation", "class", "sp", "mptcp", "xlink");
     let tuning = TransportTuning::default();
     for (name, imp, flaps) in classes {
-        let sp = run_bulk_quic_flapped(
-            Scheme::Sp { path: 0 },
-            &tuning,
-            SIZE,
-            SEED,
-            paths(&imp),
-            flaps.clone(),
-            DEADLINE,
-        );
-        let mp = run_bulk_mptcp_flapped(SIZE, 2, paths(&imp), Vec::new(), flaps.clone(), DEADLINE);
-        let xl =
-            run_bulk_quic_flapped(Scheme::Xlink, &tuning, SIZE, SEED, paths(&imp), flaps, DEADLINE);
+        let scenario = || Scenario::new(paths(&imp), DEADLINE).with_faults(flaps.clone());
+        let sp = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, SIZE, SEED, None);
+        let mp = scenario().bulk_mptcp(SIZE, 2);
+        let xl = scenario().bulk_quic(Scheme::Xlink, &tuning, SIZE, SEED, None);
         let conserved = [&sp, &mp, &xl]
             .iter()
             .all(|r| r.link_stats.iter().all(|(u, d)| u.is_conserved() && d.is_conserved()));

@@ -1,10 +1,10 @@
 //! Hot-path profile of a fleet run: where the wall-clock budget of N
 //! concurrent video sessions actually goes.
 //!
-//! Runs the fleet A/B world with `obs::prof` recording, then dumps the
+//! Runs the fleet A/B population with `obs::prof` recording, then dumps the
 //! merged per-span profile:
 //!
-//! * default: folded-stack lines (`netsim;step_to;quic;aead_open 1234`,
+//! * default: folded-stack lines (`netsim;link_delivery;quic;aead_open 1234`,
 //!   weight = exclusive nanoseconds) for flamegraph.pl-style tooling;
 //! * `--json`: the `xlink-prof-v1` document ci.sh commits as
 //!   `BENCH_prof.json`;

@@ -9,8 +9,7 @@
 use xlink::clock::Duration;
 use xlink::core::WirelessTech;
 use xlink::harness::{
-    failover_timeline, run_bulk_mptcp, run_bulk_quic, run_bulk_quic_traced, PathSpec, Scheme,
-    TransportTuning,
+    failover_timeline, run_bulk_quic, PathSpec, Scenario, Scheme, TransportTuning,
 };
 use xlink::obs::TraceLog;
 use xlink::traces::{hsr_onboard_wifi, subway_cellular};
@@ -43,23 +42,16 @@ fn main() {
             Some(s @ Scheme::Xlink) => {
                 // Trace the XLINK arm so the failover story is visible.
                 let log = TraceLog::recording();
-                let r = run_bulk_quic_traced(
-                    s,
-                    &tuning,
-                    CHUNK,
-                    seed,
-                    paths(seed),
-                    vec![],
-                    deadline,
-                    &log,
-                );
+                let r = Scenario::new(paths(seed), deadline)
+                    .traced(&log)
+                    .bulk_quic(s, &tuning, CHUNK, seed, None);
                 timeline = failover_timeline(&log);
                 r.download_time
             }
             Some(s) => {
                 run_bulk_quic(s, &tuning, CHUNK, seed, paths(seed), vec![], deadline).download_time
             }
-            None => run_bulk_mptcp(CHUNK, 2, paths(seed), vec![], deadline).download_time,
+            None => Scenario::new(paths(seed), deadline).bulk_mptcp(CHUNK, 2).download_time,
         };
         match t {
             Some(d) => println!("{label:<12} {:.2} s", d.as_secs_f64()),

@@ -35,22 +35,29 @@
 //! ## Quickstart
 //!
 //! ```
-//! use xlink::harness::{run_session, Scheme, SessionConfig};
+//! use xlink::harness::{Scenario, Scheme, SessionConfig};
 //! use xlink::netsim::{LinkConfig, Path};
-//! use xlink::clock::Duration;
+//! use xlink::clock::{Duration, Instant};
 //!
 //! // Two emulated wireless paths: Wi-Fi-ish and LTE-ish.
 //! let paths = vec![
 //!     Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
 //!     Path::symmetric(LinkConfig::constant_rate(15.0, Duration::from_millis(27))),
 //! ];
-//! // Play a short video over full XLINK.
+//! // The scenario: those paths, with Wi-Fi dark for the second half-second.
+//! let scenario = Scenario::new(paths, Duration::from_secs(60))
+//!     .with_outage(0, Instant::from_millis(500), Instant::from_millis(1000));
+//! // Play a short video in it over full XLINK.
 //! let mut cfg = SessionConfig::short_video(Scheme::Xlink, 42);
 //! cfg.video = xlink::video::Video::synth(2, 25, 600_000, 8.0);
-//! let result = run_session(&cfg, paths);
+//! let result = scenario.video(&cfg);
 //! assert!(result.completed);
 //! println!("rebuffer rate: {:.3}", result.player.rebuffer_rate());
 //! ```
+//!
+//! [`harness::Scenario`] is the one way to run a simulation;
+//! [`harness::run_session`] and [`harness::run_bulk_quic`] are shorthands
+//! for the fault-free case.
 
 pub use xlink_clock as clock;
 pub use xlink_core as core;

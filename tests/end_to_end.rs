@@ -3,8 +3,8 @@
 //! packet protection, streams, recovery, schedulers, QoE control, player).
 
 use xlink::clock::Duration;
-use xlink::harness::{run_session, run_session_with_events, Scheme, SessionConfig};
-use xlink::netsim::{LinkConfig, Path, PathEvent};
+use xlink::harness::{run_session, Scenario, Scheme, SessionConfig};
+use xlink::netsim::{LinkConfig, Path};
 use xlink::video::Video;
 
 fn dual_paths() -> Vec<Path> {
@@ -70,16 +70,12 @@ fn sessions_survive_random_loss() {
 
 #[test]
 fn xlink_beats_sp_through_a_path_outage() {
-    let events = vec![
-        PathEvent { at: xlink::clock::Instant::from_millis(1500), path: 0, down: true },
-        PathEvent { at: xlink::clock::Instant::from_millis(4500), path: 0, down: false },
-    ];
-    let sp = run_session_with_events(
-        &small_video_session(Scheme::Sp { path: 0 }, 7),
-        dual_paths(),
-        events.clone(),
-    );
-    let xl = run_session_with_events(&small_video_session(Scheme::Xlink, 7), dual_paths(), events);
+    let run = |scheme| {
+        let cfg = small_video_session(scheme, 7);
+        let at = xlink::clock::Instant::from_millis;
+        Scenario::new(dual_paths(), cfg.deadline).with_outage(0, at(1500), at(4500)).video(&cfg)
+    };
+    let (sp, xl) = (run(Scheme::Sp { path: 0 }), run(Scheme::Xlink));
     assert!(xl.completed, "XLINK must complete through the outage");
     assert!(
         xl.player.rebuffer_time <= sp.player.rebuffer_time,
@@ -175,4 +171,28 @@ fn session_completes_under_loss_and_reinjection_dedup() {
         r.server_transport.reinjected_bytes > 0,
         "the always-on arm must actually have duplicated data"
     );
+}
+
+/// Regression: CM used to livelock the world at the instant its stall
+/// timer fired (`last_recv + threshold` armed, migration waiting for
+/// strictly later). This mobility session — Wi-Fi dark from 5 s to 11 s, a
+/// subway-grade LTE standby — hit it at t = 7.35 s; it must now play out,
+/// migrating on the way.
+#[test]
+fn cm_survives_a_long_outage_without_livelock() {
+    use xlink::core::WirelessTech;
+    use xlink::harness::PathSpec;
+    use xlink::traces::{subway_cellular, walking_wifi_with_outage};
+    let mut cfg = SessionConfig::short_video(Scheme::Cm, 1);
+    cfg.video = Video::synth(14, 25, 4_000_000, 10.0);
+    cfg.chunk_bytes = 512 * 1024;
+    cfg.deadline = Duration::from_secs(60);
+    let wifi = walking_wifi_with_outage(103, 60_000, 5_000, 11_000);
+    let paths = vec![
+        PathSpec::new(WirelessTech::Wifi, wifi, 1).with_loss(0.002).build(),
+        PathSpec::new(WirelessTech::Lte, subway_cellular(3, 60_000), 2).with_loss(0.002).build(),
+    ];
+    let r = run_session(&cfg, paths);
+    assert!(r.completed, "CM must play to the end: {:?}", r.player);
+    assert!(r.client_transport.migrations >= 1, "the outage must trigger a migration");
 }

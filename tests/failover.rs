@@ -11,8 +11,7 @@
 
 use xlink::clock::{Duration, Instant};
 use xlink::harness::{
-    failover_timeline, handover_flaps, handover_paths, run_bulk_mptcp_flapped, run_bulk_quic_chaos,
-    run_bulk_quic_handover, BulkResult, ChaosPlan, Scheme, TransportTuning,
+    failover_timeline, handover_scenario, BulkResult, ChaosPlan, Scheme, TransportTuning,
 };
 use xlink::netsim::{LinkConfig, Path};
 use xlink::obs::TraceLog;
@@ -66,14 +65,12 @@ fn chaos_sweep_conserves_stream_bytes() {
             ..ChaosPlan::new(seed)
         };
         let log = TraceLog::recording();
-        let r = run_bulk_quic_chaos(
+        let r = plan.scenario(chaos_paths(), DEADLINE).traced(&log).bulk_quic(
             Scheme::Xlink,
             &TransportTuning::default(),
             CHAOS_SIZE,
-            &plan,
-            chaos_paths(),
-            DEADLINE,
-            Some(&log),
+            plan.seed,
+            None,
         );
         assert!(
             r.download_time.is_some(),
@@ -111,16 +108,9 @@ fn chaos_sweep_conserves_stream_bytes() {
 fn failover_event_stream_is_bit_reproducible() {
     for seed in 0..sweep_seeds() {
         let run = |log: &TraceLog| {
-            run_bulk_quic_handover(
-                Scheme::Xlink,
-                &TransportTuning::default(),
-                2_000_000,
-                seed,
-                Duration::from_millis(400),
-                Duration::from_secs(3),
-                DEADLINE,
-                Some(log),
-            )
+            handover_scenario(Duration::from_millis(400), Duration::from_secs(3), DEADLINE)
+                .traced(log)
+                .bulk_quic(Scheme::Xlink, &TransportTuning::default(), 2_000_000, seed, None)
         };
         let (log_a, log_b) = (TraceLog::recording(), TraceLog::recording());
         let ra = run(&log_a);
@@ -149,26 +139,10 @@ fn handover_xlink_stalls_strictly_less_than_baselines() {
     let size = 1_200_000;
     let (mut sp, mut mp, mut xl) = (Vec::new(), Vec::new(), Vec::new());
     for seed in 0..sweep_seeds() {
-        let sp_r = run_bulk_quic_handover(
-            Scheme::Sp { path: 0 },
-            &tuning,
-            size,
-            seed,
-            start,
-            down,
-            DEADLINE,
-            None,
-        );
-        let mp_r = run_bulk_mptcp_flapped(
-            size,
-            2,
-            handover_paths(),
-            Vec::new(),
-            handover_flaps(start, down),
-            DEADLINE,
-        );
-        let xl_r =
-            run_bulk_quic_handover(Scheme::Xlink, &tuning, size, seed, start, down, DEADLINE, None);
+        let scenario = || handover_scenario(start, down, DEADLINE);
+        let sp_r = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, size, seed, None);
+        let mp_r = scenario().bulk_mptcp(size, 2);
+        let xl_r = scenario().bulk_quic(Scheme::Xlink, &tuning, size, seed, None);
         for (scheme, r) in [("sp", &sp_r), ("mptcp", &mp_r), ("xlink", &xl_r)] {
             assert!(
                 r.download_time.is_some(),
@@ -194,16 +168,9 @@ fn handover_xlink_stalls_strictly_less_than_baselines() {
 fn auto_failover_off_emits_no_liveness_events() {
     let tuning = TransportTuning { auto_failover: false, ..TransportTuning::default() };
     let log = TraceLog::recording();
-    let r = run_bulk_quic_handover(
-        Scheme::Xlink,
-        &tuning,
-        600_000,
-        1,
-        Duration::from_millis(400),
-        Duration::from_secs(2),
-        DEADLINE,
-        Some(&log),
-    );
+    let r = handover_scenario(Duration::from_millis(400), Duration::from_secs(2), DEADLINE)
+        .traced(&log)
+        .bulk_quic(Scheme::Xlink, &tuning, 600_000, 1, None);
     assert!(r.download_time.is_some(), "transfer must still complete without liveness");
     let timeline = failover_timeline(&log);
     assert!(

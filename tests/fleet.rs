@@ -155,7 +155,8 @@ fn fleet_report_is_invariant_under_profiling_mode() {
     // The recorded profile itself is non-trivial: spans from every
     // instrumented layer, with sane nesting totals.
     assert!(profile.rows.len() >= 12, "expected ≥12 spans, got {}", profile.rows.len());
-    for span in ["fleet;session_step", "netsim;step_to", "quic;packet_encode", "core;sched_decide"]
+    for span in
+        ["fleet;session_step", "netsim;link_delivery", "quic;packet_encode", "core;sched_decide"]
     {
         assert!(profile.rows.iter().any(|r| r.path.contains(span)), "missing span {span}");
     }

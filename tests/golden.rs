@@ -2,7 +2,8 @@
 //! produces — exported qlog streams, MPTCP download times, A/B arm
 //! aggregates and fleet reports — so that a structural refactor is done
 //! when this file passes unchanged. The constants were recorded at the
-//! commit before the `Scenario` refactor (ROADMAP "Quality of design":
+//! commit before the `Scenario` refactor, through the runner family it
+//! replaced (ROADMAP "Quality of design":
 //! "a simplification is done when qlog streams and `FleetReport`s are
 //! unchanged").
 //!
@@ -12,13 +13,11 @@
 
 use xlink::clock::{Duration, Instant};
 use xlink::harness::fleet::{run_fleet, FleetConfig};
-use xlink::harness::{handover_flaps, handover_paths, run_bulk_quic_flapped};
 use xlink::harness::{
-    run_ab, run_bulk_mptcp, run_bulk_mptcp_flapped, run_bulk_quic_chaos, run_bulk_quic_handover,
-    run_bulk_quic_traced, run_session_with_events, AbConfig, ChaosPlan, Scheme, SessionConfig,
+    handover_scenario, run_ab, AbConfig, ChaosPlan, Scenario, Scheme, SessionConfig,
     TransportTuning,
 };
-use xlink::netsim::{FlapSchedule, LinkConfig, LinkState, Path, PathEvent};
+use xlink::netsim::{FlapSchedule, LinkConfig, LinkState, Path};
 use xlink::obs::TraceLog;
 use xlink::video::Video;
 
@@ -82,69 +81,28 @@ enum Fault {
     Handover,
 }
 
+fn lossy() -> Scenario {
+    Scenario::new(lossy_paths(), DEADLINE)
+}
+
 /// One traced bulk download; the hash of its exported qlog.
 fn bulk_qlog(scheme: Scheme, fault: Fault) -> u64 {
     let tuning = TransportTuning::default();
     let log = TraceLog::recording();
-    let seed = 7;
-    let r = match fault {
-        Fault::Clean => run_bulk_quic_traced(
-            scheme,
-            &tuning,
-            SIZE,
-            seed,
-            lossy_paths(),
-            Vec::new(),
-            DEADLINE,
-            &log,
-        ),
-        Fault::Outage => run_bulk_quic_traced(
-            scheme,
-            &tuning,
-            SIZE,
-            seed,
-            lossy_paths(),
-            vec![
-                PathEvent { at: Instant::from_millis(OUTAGE.0), path: 0, down: true },
-                PathEvent { at: Instant::from_millis(OUTAGE.1), path: 0, down: false },
-            ],
-            DEADLINE,
-            &log,
-        ),
-        // The flapped runner takes no tracer at this commit: the row pins
-        // the result's debug rendering instead of a qlog.
+    let at = Instant::from_millis;
+    let (scenario, seed) = match fault {
+        Fault::Clean => (lossy(), 7),
+        Fault::Outage => (lossy().with_outage(0, at(OUTAGE.0), at(OUTAGE.1)), 7),
+        // Recorded before flapped runs could be traced: the row pins the
+        // result's debug rendering instead of a qlog.
         Fault::Degraded => {
-            let r = run_bulk_quic_flapped(
-                scheme,
-                &tuning,
-                SIZE,
-                seed,
-                lossy_paths(),
-                degraded_flaps(),
-                DEADLINE,
-            );
+            let r = lossy().with_faults(degraded_flaps()).bulk_quic(scheme, &tuning, SIZE, 7, None);
             return fnv(format!("{r:?}").as_bytes());
         }
-        Fault::Chaos(s) => run_bulk_quic_chaos(
-            scheme,
-            &tuning,
-            SIZE,
-            &chaos_plan(s),
-            lossy_paths(),
-            DEADLINE,
-            Some(&log),
-        ),
-        Fault::Handover => run_bulk_quic_handover(
-            scheme,
-            &tuning,
-            SIZE,
-            seed,
-            HANDOVER.0,
-            HANDOVER.1,
-            DEADLINE,
-            Some(&log),
-        ),
+        Fault::Chaos(s) => (chaos_plan(s).scenario(lossy_paths(), DEADLINE), s),
+        Fault::Handover => (handover_scenario(HANDOVER.0, HANDOVER.1, DEADLINE), 7),
     };
+    let r = scenario.traced(&log).bulk_quic(scheme, &tuning, SIZE, seed, None);
     assert!(r.download_time.is_some(), "golden bulk run must complete");
     fnv(log.to_qlog("golden").as_bytes())
 }
@@ -156,11 +114,8 @@ fn video_outage(scheme: Scheme) -> (u64, u64) {
     cfg.video = Video::synth(4, 25, 900_000, 8.0);
     cfg.deadline = DEADLINE;
     cfg.trace = Some(log.clone());
-    let events = vec![
-        PathEvent { at: Instant::from_millis(1500), path: 0, down: true },
-        PathEvent { at: Instant::from_millis(4000), path: 0, down: false },
-    ];
-    let r = run_session_with_events(&cfg, lossy_paths(), events);
+    let at = Instant::from_millis;
+    let r = lossy().with_outage(0, at(1500), at(4000)).video(&cfg);
     assert!(r.completed);
     (fnv(log.to_qlog("golden").as_bytes()), fnv(format!("{r:?}").as_bytes()))
 }
@@ -169,16 +124,9 @@ fn video_outage(scheme: Scheme) -> (u64, u64) {
 fn mptcp_times() -> [u64; 3] {
     let us = |r: xlink::harness::BulkResult| r.download_time.expect("mptcp completes").as_micros();
     [
-        us(run_bulk_mptcp(SIZE, 2, lossy_paths(), Vec::new(), DEADLINE)),
-        us(run_bulk_mptcp_flapped(SIZE, 2, lossy_paths(), Vec::new(), degraded_flaps(), DEADLINE)),
-        us(run_bulk_mptcp_flapped(
-            SIZE,
-            2,
-            handover_paths(),
-            Vec::new(),
-            handover_flaps(HANDOVER.0, HANDOVER.1),
-            DEADLINE,
-        )),
+        us(lossy().bulk_mptcp(SIZE, 2)),
+        us(lossy().with_faults(degraded_flaps()).bulk_mptcp(SIZE, 2)),
+        us(handover_scenario(HANDOVER.0, HANDOVER.1, DEADLINE).bulk_mptcp(SIZE, 2)),
     ]
 }
 

@@ -10,9 +10,7 @@
 //! variable.
 
 use xlink::clock::{Duration, Instant};
-use xlink::harness::{
-    run_bulk_mptcp_flapped, run_bulk_quic_flapped, BulkResult, Scheme, TransportTuning,
-};
+use xlink::harness::{BulkResult, Scenario, Scheme, TransportTuning};
 use xlink::lab::prop::*;
 use xlink::lab::rng::Rng;
 use xlink::netsim::{
@@ -67,32 +65,11 @@ fn run_class(class: &str, imp: Impairments, flaps: &[(usize, FlapSchedule)]) {
     let tuning = TransportTuning::default();
     let (mut sp, mut mp, mut xl) = (Vec::new(), Vec::new(), Vec::new());
     for seed in 0..sweep_seeds() {
-        let sp_r = run_bulk_quic_flapped(
-            Scheme::Sp { path: 0 },
-            &tuning,
-            SIZE,
-            seed,
-            impaired_paths(&imp, seed),
-            flaps.to_vec(),
-            DEADLINE,
-        );
-        let mp_r = run_bulk_mptcp_flapped(
-            SIZE,
-            2,
-            impaired_paths(&imp, seed),
-            Vec::new(),
-            flaps.to_vec(),
-            DEADLINE,
-        );
-        let xl_r = run_bulk_quic_flapped(
-            Scheme::Xlink,
-            &tuning,
-            SIZE,
-            seed,
-            impaired_paths(&imp, seed),
-            flaps.to_vec(),
-            DEADLINE,
-        );
+        let scenario =
+            || Scenario::new(impaired_paths(&imp, seed), DEADLINE).with_faults(flaps.to_vec());
+        let sp_r = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, SIZE, seed, None);
+        let mp_r = scenario().bulk_mptcp(SIZE, 2);
+        let xl_r = scenario().bulk_quic(Scheme::Xlink, &tuning, SIZE, seed, None);
         for (scheme, r) in [("sp", &sp_r), ("mptcp", &mp_r), ("xlink", &xl_r)] {
             assert!(
                 r.download_time.is_some(),

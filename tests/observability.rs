@@ -9,10 +9,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use xlink::clock::Duration;
 use xlink::harness::{
-    run_bulk_quic, run_bulk_quic_traced, run_session_with_events, session_metrics, Scheme,
-    SessionConfig, SessionResult, TransportTuning,
+    run_bulk_quic, session_metrics, Scenario, Scheme, SessionConfig, SessionResult, TransportTuning,
 };
-use xlink::netsim::{LinkConfig, Path, PathEvent};
+use xlink::netsim::{LinkConfig, Path};
 use xlink::obs::json::{parse, Value};
 use xlink::obs::{Event, TraceEvent, TraceLog};
 use xlink::video::Video;
@@ -27,11 +26,10 @@ fn lossy_paths() -> Vec<Path> {
     vec![mk(18.0, 10, 0.01, 21), mk(14.0, 27, 0.01, 22)]
 }
 
-fn outage() -> Vec<PathEvent> {
-    vec![
-        PathEvent { at: xlink::clock::Instant::from_millis(1500), path: 0, down: true },
-        PathEvent { at: xlink::clock::Instant::from_millis(4000), path: 0, down: false },
-    ]
+/// A session over [`lossy_paths`] with path 0 dark from 1.5 s to 4 s.
+fn run_outage_session(cfg: &SessionConfig) -> SessionResult {
+    let at = xlink::clock::Instant::from_millis;
+    Scenario::new(lossy_paths(), cfg.deadline).with_outage(0, at(1500), at(4000)).video(cfg)
 }
 
 fn session_cfg(trace: Option<TraceLog>) -> SessionConfig {
@@ -58,7 +56,7 @@ fn summary(r: &SessionResult) -> String {
 
 fn traced_session() -> (TraceLog, SessionResult) {
     let log = TraceLog::recording();
-    let r = run_session_with_events(&session_cfg(Some(log.clone())), lossy_paths(), outage());
+    let r = run_outage_session(&session_cfg(Some(log.clone())));
     (log, r)
 }
 
@@ -67,9 +65,8 @@ fn traced_session() -> (TraceLog, SessionResult) {
 /// bit-identical in every output.
 #[test]
 fn tracing_is_behaviourally_invisible_for_video_sessions() {
-    let off = run_session_with_events(&session_cfg(None), lossy_paths(), outage());
-    let noop =
-        run_session_with_events(&session_cfg(Some(TraceLog::noop())), lossy_paths(), outage());
+    let off = run_outage_session(&session_cfg(None));
+    let noop = run_outage_session(&session_cfg(Some(TraceLog::noop())));
     let (log, rec) = traced_session();
     assert!(log.len() > 0, "recording run must actually have captured events");
     assert_eq!(summary(&off), summary(&noop), "noop sink changed behaviour");
@@ -89,16 +86,9 @@ fn tracing_is_behaviourally_invisible_for_bulk_downloads() {
         Duration::from_secs(60),
     );
     let log = TraceLog::recording();
-    let traced = run_bulk_quic_traced(
-        args.0,
-        &args.1,
-        args.2,
-        args.3,
-        lossy_paths(),
-        vec![],
-        Duration::from_secs(60),
-        &log,
-    );
+    let traced = Scenario::new(lossy_paths(), Duration::from_secs(60))
+        .traced(&log)
+        .bulk_quic(args.0, &args.1, args.2, args.3, None);
     assert!(log.len() > 0);
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing changed a bulk download");
 }
@@ -215,7 +205,7 @@ fn reinjection_events_match_byte_ledger() {
 #[test]
 fn session_metrics_capture_cost_and_stalls() {
     let cfg = session_cfg(None);
-    let r = run_session_with_events(&cfg, lossy_paths(), outage());
+    let r = run_outage_session(&cfg);
     let m = session_metrics(&r);
     assert_eq!(m.get_counter("session.completed"), Some(1));
     assert_eq!(
