@@ -43,7 +43,7 @@ XLINK_SWEEP_SEEDS=8 XLINK_POP_USERS=1000 cargo test -q --offline --release --tes
 echo "==> fleet engine: 10k concurrent sessions, bit-identical across shard counts (release)"
 XLINK_FLEET_SESSIONS=10000 cargo test -q --offline --release --test fleet
 
-echo "==> benches (smoke mode: 5 samples x 1 iteration), emitting BENCH_*.json"
+echo "==> benches (smoke mode: 5 samples of >= 1 ms), emitting BENCH_*.json"
 # Keep the committed ledgers as .prev so perfgate can diff against them.
 for f in BENCH_micro.json BENCH_end_to_end.json BENCH_obs_overhead.json BENCH_fleet.json \
     BENCH_prof.json; do

@@ -14,7 +14,9 @@
 //! (`--tolerance 0.30` = ±30%, the default). Regressions WARN and are
 //! listed; the exit code stays 0 unless `--strict` is given — timing on
 //! shared CI hosts is too noisy to hard-fail on, but the table makes
-//! every hot-path claim in a PR checkable.
+//! every hot-path claim in a PR checkable. A row whose `stddev_ns` exceeds
+//! its `median_ns` (on either side) measured noise, not the bench: it is
+//! reported as `unusable` and not compared.
 //!
 //! `BENCH_prof.json` (schema `xlink-prof-v1`) is recognised and rendered
 //! as a per-span cost table; span *calls* are compared exactly, since
@@ -26,7 +28,16 @@ use xlink_obs::prof::ProfReport;
 
 struct BenchRow {
     median_ns: f64,
+    stddev_ns: f64,
     rates: Vec<(String, f64)>, // (unit, per_sec)
+}
+
+impl BenchRow {
+    /// The samples spread wider than their own median: no comparison
+    /// against this row means anything.
+    fn unusable(&self) -> bool {
+        self.stddev_ns > self.median_ns
+    }
 }
 
 fn parse_bench_lines(doc: &str) -> Vec<(String, BenchRow)> {
@@ -42,6 +53,7 @@ fn parse_bench_lines(doc: &str) -> Vec<(String, BenchRow)> {
         }
         let Some(name) = v.get("name").and_then(Value::as_str) else { continue };
         let Some(median_ns) = v.get("median_ns").and_then(Value::as_f64) else { continue };
+        let stddev_ns = v.get("stddev_ns").and_then(Value::as_f64).unwrap_or(0.0);
         let mut rates = Vec::new();
         if let Value::Obj(fields) = &v {
             for (k, val) in fields {
@@ -52,7 +64,7 @@ fn parse_bench_lines(doc: &str) -> Vec<(String, BenchRow)> {
                 }
             }
         }
-        rows.push((name.to_string(), BenchRow { median_ns, rates }));
+        rows.push((name.to_string(), BenchRow { median_ns, stddev_ns, rates }));
     }
     rows
 }
@@ -89,6 +101,16 @@ fn gate_bench_file(file: &str, tolerance: f64, warnings: &mut Vec<String>) {
         let prev = previous.iter().find(|(n, _)| n == name).map(|(_, r)| r);
         match prev {
             None => println!("{:<44} {:>14.1} {:>14} {:>9}", name, row.median_ns, "-", "new"),
+            Some(p) if row.unusable() || p.unusable() => {
+                let side = if row.unusable() { "current" } else { "previous" };
+                println!(
+                    "{:<44} {:>14.1} {:>14.1} {:>9}",
+                    name, row.median_ns, p.median_ns, "unusable"
+                );
+                warnings.push(format!(
+                    "{file}: {name} unusable, not compared: {side} stddev exceeds its median"
+                ));
+            }
             Some(p) => {
                 let worse = rel_worse(row.median_ns, p.median_ns, false);
                 let mark = if worse > tolerance {

@@ -32,13 +32,14 @@ use xlink_quic::crypto::{derive_keys, KeyPair};
 use xlink_quic::error::{ConnectionError, TransportError};
 use xlink_quic::frame::{AckFrame, Frame, PathStatusKind};
 use xlink_quic::handshake::{Handshake, Hello};
-use xlink_quic::packet::{pn_decode, pn_encode_len, pn_truncate, Header, PacketType};
+use xlink_quic::packet::{
+    pn_decode, pn_encode_len, pn_truncate, Header, PacketBuilder, PacketType,
+};
 use xlink_quic::params::TransportParams;
 use xlink_quic::recovery::{Recovery, SentPacket, TimeoutOutcome};
 use xlink_quic::reset;
 use xlink_quic::rtt::RttEstimator;
 use xlink_quic::stream::{SendRange, Side, StreamMap};
-use xlink_quic::varint::Writer;
 
 /// Multipath endpoint configuration.
 #[derive(Debug, Clone)]
@@ -420,6 +421,12 @@ pub struct MpConnection {
     /// than the PTO/ack-silence heuristics, so the path skips Suspect
     /// dwell time and goes straight to probation.
     reset_tokens: Vec<([u8; 16], usize)>,
+    /// The datagram being ingested: copied here once, opened in place, and
+    /// the capacity kept for the next one.
+    recv_buf: Vec<u8>,
+    /// Scheduler candidates `(path, srtt, usable)`, rebuilt on every
+    /// [`MpConnection::poll_data`] in the same allocation.
+    sched_scratch: Vec<(usize, Duration, bool)>,
 }
 
 impl std::fmt::Debug for MpConnection {
@@ -521,6 +528,8 @@ impl MpConnection {
             gate_seen: None,
             probe_cwnd: None,
             reset_tokens: Vec::new(),
+            recv_buf: Vec::new(),
+            sched_scratch: Vec::new(),
             cfg,
         }
     }
@@ -825,6 +834,7 @@ impl MpConnection {
         self.close_replay = None;
         self.close_replay_pending = false;
         self.control_queue = Vec::new();
+        self.recv_buf = Vec::new();
         self.teardown_paths();
     }
 
@@ -1084,8 +1094,9 @@ impl MpConnection {
         let is_initial = header.ty.is_long();
         let largest = self.paths[path].recv_ranges.largest();
         let pn = pn_decode(header.pn, header.pn_len, largest);
-        let aad = &datagram[..payload_off];
-        let sealed = &datagram[payload_off..];
+        self.recv_buf.clear();
+        self.recv_buf.extend_from_slice(datagram);
+        let (aad, sealed) = self.recv_buf.split_at_mut(payload_off);
         let recv_is_client_data = self.cfg.side == Side::Server;
         let key = if is_initial {
             if recv_is_client_data {
@@ -1111,8 +1122,8 @@ impl MpConnection {
             }
         };
         // Multipath nonce: CID sequence number = path id (§6).
-        let plain = match key.open(path as u32, pn, aad, sealed) {
-            Ok(p) => p,
+        let plain_len = match key.open_in_place(path as u32, pn, aad, sealed) {
+            Ok(plain) => plain.len(),
             Err(_) => {
                 // Undecryptable: either noise or a §10.3 stateless reset
                 // (which is built to look like a short-header packet we
@@ -1143,7 +1154,8 @@ impl MpConnection {
                 Event::PathStatusChange { path: path as u8, from: "validating", to: "active" },
             );
         }
-        let frames = match Frame::decode_all(&plain) {
+        let plain = &self.recv_buf[payload_off..payload_off + plain_len];
+        let frames = match Frame::decode_all(plain) {
             Ok(f) => f,
             Err(_) => {
                 self.close(TransportError::FrameEncodingError, "bad frame");
@@ -1591,7 +1603,7 @@ impl MpConnection {
                 .emit(now, Event::ConnectionClosed { error_code: err.code(), locally: true });
             let path = self.primary;
             let initial = self.keys.is_none();
-            let datagram = self.build_packet(now, path, initial, vec![frame], vec![], false);
+            let datagram = self.build_packet(now, path, initial, &[frame], vec![], false);
             self.teardown_paths();
             return Some((path, datagram));
         }
@@ -1604,8 +1616,7 @@ impl MpConnection {
                 if let Some(frame) = self.close_replay.clone() {
                     let path = self.primary;
                     let initial = self.keys.is_none();
-                    let datagram =
-                        self.build_packet(now, path, initial, vec![frame], vec![], false);
+                    let datagram = self.build_packet(now, path, initial, &[frame], vec![], false);
                     return Some((path, datagram));
                 }
             }
@@ -1621,9 +1632,9 @@ impl MpConnection {
             self.hello_sends += 1;
             let hello = self.handshake.local_hello().encode();
             let path = self.primary;
-            let frames = vec![Frame::Crypto { offset: 0, data: hello }];
+            let frames = [Frame::Crypto { offset: 0, data: hello }];
             let infos = vec![FrameInfo::Crypto];
-            return Some((path, self.build_packet(now, path, true, frames, infos, true)));
+            return Some((path, self.build_packet(now, path, true, &frames, infos, true)));
         }
         if !self.is_established() {
             // Still ack initial packets.
@@ -1639,7 +1650,7 @@ impl MpConnection {
                     now,
                     path,
                     false,
-                    vec![Frame::HandshakeDone],
+                    &[Frame::HandshakeDone],
                     vec![FrameInfo::HandshakeDone],
                     true,
                 ),
@@ -1682,7 +1693,7 @@ impl MpConnection {
             let pending = std::mem::take(&mut self.paths[i].response_pending);
             let frames: Vec<Frame> = pending.iter().map(|&d| Frame::PathResponse(d)).collect();
             let infos: Vec<FrameInfo> = pending.iter().map(|&d| FrameInfo::Response(d)).collect();
-            return Some((i, self.build_packet(now, i, false, frames, infos, true)));
+            return Some((i, self.build_packet(now, i, false, &frames, infos, true)));
         }
         // 7. Probation revalidation probes (exponential backoff; §9).
         if self.liveness_active() {
@@ -1717,7 +1728,7 @@ impl MpConnection {
                         now,
                         i,
                         false,
-                        vec![Frame::PathChallenge(data)],
+                        &[Frame::PathChallenge(data)],
                         vec![FrameInfo::Challenge(data)],
                         false,
                     ),
@@ -1740,7 +1751,7 @@ impl MpConnection {
             }
             return Some((
                 i,
-                self.build_packet(now, i, false, vec![Frame::Ping], vec![FrameInfo::Ping], true),
+                self.build_packet(now, i, false, &[Frame::Ping], vec![FrameInfo::Ping], true),
             ));
         }
         // 9. Data (new data or re-injection) via the scheduler.
@@ -1775,7 +1786,7 @@ impl MpConnection {
         self.stats.acks_sent += 1;
         Some((
             send_path,
-            self.build_packet(now, send_path, initial_space, vec![frame], vec![info], false),
+            self.build_packet(now, send_path, initial_space, &[frame], vec![info], false),
         ))
     }
 
@@ -1812,7 +1823,7 @@ impl MpConnection {
                         now,
                         i,
                         false,
-                        vec![Frame::PathChallenge(data)],
+                        &[Frame::PathChallenge(data)],
                         vec![FrameInfo::Challenge(data)],
                         true,
                     ),
@@ -1825,24 +1836,33 @@ impl MpConnection {
     /// New-data / re-injection transmission.
     fn poll_data(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
         self.ledger.expire(now, Duration::from_secs(10));
-        // Redundant scheduler: send each fresh chunk on every path.
-        if self.cfg.scheduler == SchedulerKind::Redundant {
-            return self.poll_data_redundant(now);
-        }
+        // The candidate list is rebuilt on every poll, in one allocation
+        // the connection keeps.
+        let mut candidates = std::mem::take(&mut self.sched_scratch);
+        let tx = if self.cfg.scheduler == SchedulerKind::Redundant {
+            // Redundant scheduler: send each fresh chunk on every path.
+            self.poll_data_redundant(now, &mut candidates)
+        } else {
+            self.poll_data_scheduled(now, &mut candidates)
+        };
+        self.sched_scratch = candidates;
+        tx
+    }
+
+    /// [`MpConnection::poll_data`] for the schedulers that pick one path.
+    fn poll_data_scheduled(
+        &mut self,
+        now: Instant,
+        candidates: &mut Vec<(usize, Duration, bool)>,
+    ) -> Option<(usize, Vec<u8>)> {
         let sched_prof = prof::span!("core/sched_decide");
-        let candidates: Vec<(usize, Duration, bool)> = self
-            .paths
-            .iter()
-            .map(|p| {
-                (p.id, p.rtt.smoothed(), p.usable_for_data() && p.budget() >= MAX_DATAGRAM_SIZE)
-            })
-            .collect();
+        self.fill_candidates(candidates);
         let path = match self.cfg.scheduler {
-            SchedulerKind::MinRtt => min_rtt_choice(&candidates),
-            SchedulerKind::RoundRobin => self.rr.choose(&candidates),
-            SchedulerKind::Ecf => ecf_choice(&candidates),
-            // Invariant: the Redundant arm returned via
-            // poll_data_redundant() at the top of this function.
+            SchedulerKind::MinRtt => min_rtt_choice(candidates),
+            SchedulerKind::RoundRobin => self.rr.choose(candidates),
+            SchedulerKind::Ecf => ecf_choice(candidates),
+            // Invariant: poll_data() sends the Redundant arm to
+            // poll_data_redundant().
             SchedulerKind::Redundant => unreachable!(),
         }?;
         drop(sched_prof);
@@ -1890,7 +1910,7 @@ impl MpConnection {
         }
         // Other paths may still have new-data room (e.g. the min-RTT path
         // was flow-control-limited for its streams — rare, but cover it).
-        for &(i, _, ok) in &candidates {
+        for &(i, _, ok) in candidates.iter() {
             if ok && i != path {
                 if let Some(tx) = self.try_send_new_data(now, i) {
                     self.tr_core.emit(now, Event::SchedulerDecision { path: i as u8, policy });
@@ -1901,25 +1921,31 @@ impl MpConnection {
         None
     }
 
+    /// The scheduler's view of the paths: `(path, srtt, usable for a full
+    /// datagram now)`.
+    fn fill_candidates(&self, candidates: &mut Vec<(usize, Duration, bool)>) {
+        candidates.clear();
+        candidates.extend(self.paths.iter().map(|p| {
+            (p.id, p.rtt.smoothed(), p.usable_for_data() && p.budget() >= MAX_DATAGRAM_SIZE)
+        }));
+    }
+
     /// Build a datagram of fresh stream data + control frames for `path`.
     fn try_send_new_data(&mut self, now: Instant, path: usize) -> Option<(usize, Vec<u8>)> {
         let budget = self.paths[path].budget();
         if budget < MAX_DATAGRAM_SIZE / 2 {
             return None;
         }
-        let mut frames = Vec::new();
+        let mut packet = PacketBuilder::new(self.next_header(path, false));
         let mut infos = Vec::new();
         let mut remaining = MAX_DATAGRAM_SIZE as usize - 64;
         while let Some(f) = self.control_queue.pop() {
-            let mut w = Writer::new();
-            f.encode(&mut w);
-            if w.len() > remaining {
+            let Some(len) = packet.push_if_fits(&f, remaining) else {
                 self.control_queue.push(f);
                 break;
-            }
-            remaining -= w.len();
-            infos.push(FrameInfo::Control(f.clone()));
-            frames.push(f);
+            };
+            remaining -= len;
+            infos.push(FrameInfo::Control(f));
         }
         for id in self.streams.sendable_ids() {
             if remaining < 48 {
@@ -1930,17 +1956,12 @@ impl MpConnection {
             let stream = self.streams.get_mut(id).expect("sendable");
             let max_payload = remaining.saturating_sub(24);
             let before_largest = stream.send.largest_sent();
-            let Some((offset, data, fin)) = stream.send.take_chunk(max_payload) else {
+            let Some((range, fin)) = stream.send.take_range(max_payload) else {
                 // A data-less FIN is only legal once every byte has been
                 // sent; a flow-control-blocked stream must wait.
                 if stream.send.fin_pending() && stream.send.data_fully_sent() {
                     let offset = stream.send.len();
-                    frames.push(Frame::Stream {
-                        stream_id: id,
-                        offset,
-                        data: Vec::new(),
-                        fin: true,
-                    });
+                    Frame::encode_stream(packet.frames(), id, offset, &[], true);
                     infos.push(FrameInfo::Stream {
                         id,
                         range: SendRange { start: offset, end: offset },
@@ -1951,29 +1972,25 @@ impl MpConnection {
                 }
                 continue;
             };
-            let end = offset + data.len() as u64;
-            let new_bytes = end.saturating_sub(before_largest.max(offset));
+            let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
             if new_bytes > conn_credit {
-                stream.send.queue_range(SendRange { start: offset, end });
+                stream.send.queue_range(range);
                 break;
             }
+            // The payload goes from the stream's buffer straight into the
+            // datagram.
+            Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
             if new_bytes > 0 {
                 self.streams.consume_conn_credit(new_bytes);
                 self.stats.stream_bytes_sent += new_bytes;
             }
-            remaining = remaining.saturating_sub(data.len() + 24);
-            infos.push(FrameInfo::Stream {
-                id,
-                range: SendRange { start: offset, end },
-                fin,
-                reinjected: false,
-            });
-            frames.push(Frame::Stream { stream_id: id, offset, data, fin });
+            remaining = remaining.saturating_sub(range.len() as usize + 24);
+            infos.push(FrameInfo::Stream { id, range, fin, reinjected: false });
         }
-        if frames.is_empty() {
+        if infos.is_empty() {
             return None;
         }
-        Some((path, self.build_packet(now, path, false, frames, infos, true)))
+        Some((path, self.finish_packet(now, path, false, packet, infos, true)))
     }
 
     /// Candidate unacked ranges for re-injection onto `target`: stream
@@ -2127,7 +2144,7 @@ impl MpConnection {
             return None;
         }
         // Pack candidates into one datagram.
-        let mut frames = Vec::new();
+        let mut packet = PacketBuilder::new(self.next_header(path, false));
         let mut infos = Vec::new();
         let mut remaining =
             (MAX_DATAGRAM_SIZE as usize - 64).min(self.paths[path].budget() as usize);
@@ -2138,12 +2155,6 @@ impl MpConnection {
             let max_payload = (remaining - 24) as u64;
             let end = range.end.min(range.start + max_payload);
             let sub = SendRange { start: range.start, end };
-            let data = {
-                // Invariant: candidates come from the ledger scan over
-                // streams that existed this poll — never peer input.
-                let stream = self.streams.get(id).expect("stream exists");
-                stream.send.copy_range(sub)
-            };
             self.ledger.record(ReinjectKey { stream_id: id, start: sub.start, path }, now);
             self.stats.reinjected_bytes += sub.len();
             self.stats.reinjections += 1;
@@ -2156,36 +2167,37 @@ impl MpConnection {
                     len: sub.len(),
                 },
             );
-            remaining = remaining.saturating_sub(data.len() + 24);
+            remaining = remaining.saturating_sub(sub.len() as usize + 24);
             let fin_here = fin && end == range.end;
+            // Invariant: candidates come from the ledger scan over
+            // streams that existed this poll — never peer input.
+            let stream = self.streams.get(id).expect("stream exists");
+            Frame::encode_stream(packet.frames(), id, sub.start, stream.send.data(sub), fin_here);
             infos.push(FrameInfo::Stream { id, range: sub, fin: fin_here, reinjected: true });
-            frames.push(Frame::Stream { stream_id: id, offset: sub.start, data, fin: fin_here });
         }
-        if frames.is_empty() {
+        if infos.is_empty() {
             return None;
         }
-        Some((path, self.build_packet(now, path, false, frames, infos, true)))
+        Some((path, self.finish_packet(now, path, false, packet, infos, true)))
     }
 
     /// Redundant baseline: duplicate fresh data on all paths.
-    fn poll_data_redundant(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
+    fn poll_data_redundant(
+        &mut self,
+        now: Instant,
+        candidates: &mut Vec<(usize, Duration, bool)>,
+    ) -> Option<(usize, Vec<u8>)> {
         // Send new data on the fastest path; copies on the others follow
         // through the re-injection machinery (which, with AlwaysOn
         // control, will clone everything).
-        let candidates: Vec<(usize, Duration, bool)> = self
-            .paths
-            .iter()
-            .map(|p| {
-                (p.id, p.rtt.smoothed(), p.usable_for_data() && p.budget() >= MAX_DATAGRAM_SIZE)
-            })
-            .collect();
-        let path = min_rtt_choice(&candidates)?;
+        self.fill_candidates(candidates);
+        let path = min_rtt_choice(candidates)?;
         if let Some(tx) = self.try_send_new_data(now, path) {
             self.tr_core
                 .emit(now, Event::SchedulerDecision { path: path as u8, policy: "redundant" });
             return Some(tx);
         }
-        for &(i, _, ok) in &candidates {
+        for &(i, _, ok) in candidates.iter() {
             if ok {
                 if let Some(tx) = self.try_reinject(now, i) {
                     return Some(tx);
@@ -2195,12 +2207,14 @@ impl MpConnection {
         None
     }
 
+    /// A packet of owned frames; empty `infos` describes each frame to
+    /// recovery by its kind.
     fn build_packet(
         &mut self,
         now: Instant,
         path: usize,
         initial: bool,
-        frames: Vec<Frame>,
+        frames: &[Frame],
         mut infos: Vec<FrameInfo>,
         ack_eliciting: bool,
     ) -> Vec<u8> {
@@ -2218,42 +2232,51 @@ impl MpConnection {
                 })
                 .collect();
         }
-        let p = &mut self.paths[path];
+        let mut packet = PacketBuilder::new(self.next_header(path, initial));
+        for f in frames {
+            f.encode(packet.frames());
+        }
+        self.finish_packet(now, path, initial, packet, infos, ack_eliciting)
+    }
+
+    /// The header of the next packet to be sent on `path`.
+    fn next_header(&self, path: usize, initial: bool) -> Header {
+        let p = &self.paths[path];
         let pn = p.recovery.peek_pn();
         let pn_len = pn_encode_len(pn, p.recovery.largest_acked());
-        let header = Header {
+        Header {
             ty: if initial { PacketType::Initial } else { PacketType::OneRtt },
             dcid: p.dcid,
             scid: self.local_cid0,
             pn: pn_truncate(pn, pn_len),
             pn_len,
             token: Vec::new(),
-        };
-        let hdr = header.encode();
-        let mut payload = Writer::new();
-        for f in &frames {
-            f.encode(&mut payload);
         }
-        let send_is_client = self.cfg.side == Side::Client;
-        let key = if initial {
-            if send_is_client {
-                self.initial_keys.client.clone()
-            } else {
-                self.initial_keys.server.clone()
-            }
+    }
+
+    /// Seal `packet` (started from [`MpConnection::next_header`] of the same
+    /// `path` and `initial`) in place and account for it as sent.
+    fn finish_packet(
+        &mut self,
+        now: Instant,
+        path: usize,
+        initial: bool,
+        packet: PacketBuilder,
+        infos: Vec<FrameInfo>,
+        ack_eliciting: bool,
+    ) -> Vec<u8> {
+        let keys = if initial {
+            &self.initial_keys
         } else {
             // Invariant: every 1-RTT build site is gated on
             // is_established(), which requires keys.is_some().
-            let kp = self.keys.as_ref().expect("keys");
-            if send_is_client {
-                kp.client.clone()
-            } else {
-                kp.server.clone()
-            }
+            self.keys.as_ref().expect("keys")
         };
-        let sealed = key.seal(path as u32, pn, &hdr, payload.as_slice());
-        let mut datagram = hdr;
-        datagram.extend_from_slice(&sealed);
+        let key = if self.cfg.side == Side::Client { &keys.client } else { &keys.server };
+        let p = &mut self.paths[path];
+        let pn = p.recovery.peek_pn();
+        // Multipath nonce: CID sequence number = path id (§6).
+        let datagram = packet.seal(key, path as u32, pn);
         let size = datagram.len() as u64;
         p.recovery.on_packet_sent(now, size, ack_eliciting, PacketContent { frames: infos });
         p.bytes_sent += size;
@@ -2567,6 +2590,58 @@ mod tests {
         // Both paths carried traffic (min-RTT will spill over with equal
         // zero-delay paths as cwnd fills).
         assert!(s.paths()[0].bytes_sent > 0);
+    }
+
+    /// The single-buffer builder against the owned codec: a 1-RTT datagram
+    /// is `Header::encode() ‖ AeadKey::seal(path, header, Σ Frame::encode)`
+    /// under the path's nonce, and the in-place receive path reads the same
+    /// stream bytes out of it.
+    #[test]
+    fn one_rtt_datagram_equals_the_owned_codec() {
+        let (mut c, mut s, mut now) = pair();
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        let body: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        c.stream_send(id, &body, true);
+        let next_pn: Vec<(u64, u8)> = c
+            .paths
+            .iter()
+            .map(|p| {
+                let pn = p.recovery.peek_pn();
+                (pn, pn_encode_len(pn, p.recovery.largest_acked()))
+            })
+            .collect();
+        let (path, datagram) = c.poll_transmit(now).expect("stream data to send");
+        let (pn, pn_len) = next_pn[path];
+        let header = Header {
+            ty: PacketType::OneRtt,
+            dcid: c.paths[path].dcid,
+            scid: c.local_cid0,
+            pn: pn_truncate(pn, pn_len),
+            pn_len,
+            token: Vec::new(),
+        }
+        .encode();
+
+        let key = c.keys.as_ref().unwrap().client.clone();
+        assert_eq!(&datagram[..header.len()], &header[..]);
+        let plain =
+            key.open(path as u32, pn, &header, &datagram[header.len()..]).expect("authentic");
+        let frames = Frame::decode_all(&plain).unwrap();
+        let [Frame::Stream { stream_id, offset: 0, data, fin: false }] = &frames[..] else {
+            panic!("expected one STREAM frame, got {frames:?}");
+        };
+        assert_eq!(*stream_id, id);
+        assert!(data.len() > 1200, "a full-size packet");
+        assert_eq!(data[..], body[..data.len()]);
+
+        let mut payload = xlink_quic::varint::Writer::new();
+        frames.iter().for_each(|f| f.encode(&mut payload));
+        let sealed = key.seal(path as u32, pn, &header, payload.as_slice());
+        assert_eq!(datagram, [header.clone(), sealed].concat());
+
+        s.handle_datagram(now, path, &datagram);
+        assert_eq!(s.stream_recv(id, usize::MAX)[..], body[..data.len()]);
     }
 
     #[test]
@@ -3053,7 +3128,7 @@ mod tests {
             now,
             1,
             false,
-            vec![Frame::PathChallenge(data)],
+            &[Frame::PathChallenge(data)],
             vec![FrameInfo::Challenge(data)],
             true,
         );

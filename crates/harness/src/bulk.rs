@@ -216,9 +216,7 @@ impl Endpoint for MptcpServerEp {
             self.request_buf.extend(self.conn.recv(usize::MAX));
             if let Some(req) = Request::decode(&self.request_buf) {
                 self.responded = true;
-                let body: Vec<u8> =
-                    (req.start..req.end).map(|o| MediaStore::body_byte("blob", o)).collect();
-                self.conn.send(&body);
+                self.conn.send(&MediaStore::body_bytes("blob", req.start, req.end));
                 self.conn.finish();
             }
         }

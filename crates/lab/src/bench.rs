@@ -12,11 +12,13 @@
 //! `xlink-clock` virtual time arbitrarily fast) bench exactly like
 //! tight codec loops.
 //!
-//! Smoke mode (`--smoke` argv flag or `XLINK_BENCH_SMOKE=1`) runs one
-//! warmup-free iteration per sample over [`SMOKE_SAMPLES`] samples —
-//! enough for non-degenerate stddev/p95 in the committed ledger while
-//! still proving every bench body executes cheaply. `XLINK_BENCH_SAMPLES`
-//! overrides the sample count in either mode.
+//! Smoke mode (`--smoke` argv flag or `XLINK_BENCH_SMOKE=1`) takes
+//! [`SMOKE_SAMPLES`] samples of at least [`SMOKE_SAMPLE_NS`] each: a bench
+//! whose single call already lasts that long runs once per sample with no
+//! warmup (whole simulated sessions — CI smoke stays as cheap as it was),
+//! a shorter one is repeated until a sample does (a 4 µs codec call timed
+//! once is mostly timer and cache noise). `XLINK_BENCH_SAMPLES` overrides
+//! the sample count in either mode.
 
 use crate::stats::Summary;
 pub use std::hint::black_box;
@@ -26,6 +28,9 @@ use std::time::Instant;
 /// ledger's stddev/p95 columns carry real spread (a single sample made
 /// them structurally zero); small enough that CI smoke stays cheap.
 pub const SMOKE_SAMPLES: usize = 5;
+
+/// Shortest wall time of one smoke-mode sample.
+pub const SMOKE_SAMPLE_NS: u64 = 1_000_000;
 
 /// Measurement parameters.
 #[derive(Debug, Clone)]
@@ -37,7 +42,8 @@ pub struct BenchConfig {
     pub target_sample_ns: u64,
     /// Hard cap on calibrated iterations per sample.
     pub max_iters_per_sample: u64,
-    /// One iteration, one sample, no warmup.
+    /// Smoke mode: few, short samples; a call that fills a sample on its
+    /// own is never repeated and never warmed up.
     pub smoke: bool,
 }
 
@@ -54,7 +60,19 @@ impl Default for BenchConfig {
 
 impl BenchConfig {
     pub fn smoke() -> Self {
-        BenchConfig { samples: SMOKE_SAMPLES, smoke: true, ..BenchConfig::default() }
+        BenchConfig {
+            samples: SMOKE_SAMPLES,
+            target_sample_ns: SMOKE_SAMPLE_NS,
+            smoke: true,
+            ..BenchConfig::default()
+        }
+    }
+
+    /// Iterations that fill one sample, given that `calls` calls took
+    /// `elapsed`.
+    fn iters_for(&self, elapsed: std::time::Duration, calls: u64) -> u64 {
+        let one = (elapsed.as_nanos() as u64 / calls).max(1);
+        self.target_sample_ns.div_ceil(one).clamp(1, self.max_iters_per_sample)
     }
 
     /// Parse argv (`--smoke`, cargo's `--bench` flag is ignored) and the
@@ -223,18 +241,27 @@ fn run_bench<T>(
     rate: Option<(String, u64)>,
     f: &mut impl FnMut() -> T,
 ) -> BenchResult {
-    let iters = if cfg.smoke {
-        1
-    } else {
-        // Calibration doubles as warmup: time a single call, then size
-        // the per-sample loop to hit the target sample time.
-        let t0 = Instant::now();
-        black_box(f());
-        let one = t0.elapsed().as_nanos().max(1) as u64;
-        (cfg.target_sample_ns / one).clamp(1, cfg.max_iters_per_sample)
-    };
+    // Calibration doubles as warmup: time a single call, then size the
+    // per-sample loop to hit the target sample time. A short call is timed
+    // again over that loop, because the first call of anything is cold
+    // (it read 4.3 µs for a 2.5 µs `seal`).
+    let t0 = Instant::now();
+    black_box(f());
+    let one = t0.elapsed();
+    let mut iters = cfg.iters_for(one, 1);
+    if iters > 1 {
+        let t = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        iters = cfg.iters_for(t.elapsed(), iters);
+    }
     let mut sample_ns = Vec::with_capacity(cfg.samples);
-    for _ in 0..cfg.samples.max(1) {
+    if cfg.smoke && iters == 1 {
+        // The call filled a sample by itself: it is the first sample.
+        sample_ns.push(one.as_nanos() as f64);
+    }
+    while sample_ns.len() < cfg.samples.max(1) {
         let t = Instant::now();
         for _ in 0..iters {
             black_box(f());
@@ -265,13 +292,33 @@ mod tests {
     }
 
     #[test]
-    fn smoke_runs_exactly_one_iteration_per_sample() {
+    fn smoke_never_repeats_a_call_that_fills_a_sample() {
         let cfg = BenchConfig::smoke();
         let mut calls = 0u64;
-        let r = run_bench(&cfg, "count", None, None, &mut || calls += 1);
+        let r = run_bench(&cfg, "slow", None, None, &mut || {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_nanos(SMOKE_SAMPLE_NS));
+        });
         assert_eq!(r.iters_per_sample, 1);
         assert_eq!(r.sample_ns.len(), SMOKE_SAMPLES);
-        assert_eq!(calls, SMOKE_SAMPLES as u64, "no warmup/calibration call in smoke mode");
+        assert_eq!(calls, SMOKE_SAMPLES as u64, "the calibration call is the first sample");
+    }
+
+    #[test]
+    fn smoke_repeats_a_short_call_until_a_sample_is_long_enough() {
+        use std::time::Duration;
+        let cfg = BenchConfig::smoke();
+        // A 4 µs call is repeated 250 times; anything from 1 ms up, once.
+        assert_eq!(cfg.iters_for(Duration::from_micros(4), 1), 250);
+        assert_eq!(cfg.iters_for(Duration::from_micros(2_400), 1_000), 417);
+        assert_eq!(cfg.iters_for(Duration::from_micros(600), 1), 2);
+        assert_eq!(cfg.iters_for(Duration::from_millis(1), 1), 1);
+        assert_eq!(cfg.iters_for(Duration::from_secs(3), 1), 1);
+        assert_eq!(cfg.iters_for(Duration::ZERO, 1), cfg.max_iters_per_sample);
+        let mut calls = 0u64;
+        let r = run_bench(&cfg, "fast", None, None, &mut || calls += 1);
+        assert!(r.iters_per_sample > 1);
+        assert!(calls > SMOKE_SAMPLES as u64 * r.iters_per_sample, "calibration calls on top");
     }
 
     #[test]
@@ -285,7 +332,7 @@ mod tests {
             "\"schema\":\"xlink-bench-v1\"",
             "\"name\":\"group/case\"",
             "\"samples\":5",
-            "\"iters_per_sample\":1",
+            "\"iters_per_sample\":",
             "\"mean_ns\":",
             "\"median_ns\":",
             "\"p95_ns\":",

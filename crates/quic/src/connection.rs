@@ -14,13 +14,12 @@ use crate::crypto::{derive_keys, KeyPair, TAG_LEN};
 use crate::error::{ConnectionError, TransportError};
 use crate::frame::{AckFrame, Frame};
 use crate::handshake::{Handshake, Hello};
-use crate::packet::{pn_decode, pn_encode_len, pn_truncate, Header, PacketType};
+use crate::packet::{pn_decode, pn_encode_len, pn_truncate, Header, PacketBuilder, PacketType};
 use crate::params::TransportParams;
 use crate::recovery::{Recovery, SentPacket, TimeoutOutcome};
 use crate::reset;
 use crate::rtt::RttEstimator;
 use crate::stream::{SendRange, Side, StreamMap};
-use crate::varint::Writer;
 use xlink_clock::{Duration, Instant};
 use xlink_obs::{Event, Tracer};
 
@@ -231,6 +230,9 @@ pub struct Connection {
     /// transport parameters and NEW_CONNECTION_ID frames. Bounded by
     /// [`MAX_RESET_TOKENS`].
     reset_tokens: Vec<([u8; 16], ConnectionId)>,
+    /// The datagram being ingested: copied here once, opened in place, and
+    /// the capacity kept for the next one.
+    recv_buf: Vec<u8>,
     tracer: Tracer,
 }
 
@@ -347,6 +349,7 @@ impl Connection {
             initial_remote_bound: false,
             retired_local: Vec::new(),
             reset_tokens: Vec::new(),
+            recv_buf: Vec::new(),
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -534,6 +537,7 @@ impl Connection {
         self.close_replay = None;
         self.close_replay_pending = false;
         self.control_queue = Vec::new();
+        self.recv_buf = Vec::new();
         let _ = self.init_recovery.drain_all();
         let _ = self.app_recovery.drain_all();
     }
@@ -714,8 +718,9 @@ impl Connection {
             Space::App => self.app_recv.largest(),
         };
         let pn = pn_decode(header.pn, header.pn_len, largest);
-        let aad = &datagram[..payload_off];
-        let sealed = &datagram[payload_off..];
+        self.recv_buf.clear();
+        self.recv_buf.extend_from_slice(datagram);
+        let (aad, sealed) = self.recv_buf.split_at_mut(payload_off);
         // Select decryption keys by space and direction.
         let recv_is_client_data = self.cfg.side == Side::Server;
         let key = match space {
@@ -742,8 +747,8 @@ impl Connection {
                 }
             },
         };
-        let plain = match key.open(0, pn, aad, sealed) {
-            Ok(p) => p,
+        let plain_len = match key.open_in_place(0, pn, aad, sealed) {
+            Ok(plain) => plain.len(),
             Err(_) => {
                 // A stateless reset is designed to be indistinguishable
                 // from a short-header packet we cannot decrypt (§10.3) —
@@ -775,7 +780,8 @@ impl Connection {
                 self.cids.bind_initial_remote(header.scid);
             }
         }
-        let frames = match Frame::decode_all(&plain) {
+        let plain = &self.recv_buf[payload_off..payload_off + plain_len];
+        let frames = match Frame::decode_all(plain) {
             Ok(f) => f,
             Err(_) => {
                 self.close(TransportError::FrameEncodingError, "bad frame");
@@ -1153,7 +1159,7 @@ impl Connection {
             self.tracer
                 .emit(now, Event::ConnectionClosed { error_code: err.code(), locally: true });
             let space = if self.keys.is_some() { Space::App } else { Space::Initial };
-            return Some(self.build_packet(now, space, vec![frame], false));
+            return Some(self.build_packet(now, space, &[frame], false));
         }
         if self.is_closed() {
             // Replay the close if incoming packets warranted one; a
@@ -1162,7 +1168,7 @@ impl Connection {
                 self.close_replay_pending = false;
                 if let Some(frame) = self.close_replay.clone() {
                     let space = if self.keys.is_some() { Space::App } else { Space::Initial };
-                    return Some(self.build_packet(now, space, vec![frame], false));
+                    return Some(self.build_packet(now, space, &[frame], false));
                 }
             }
             return None;
@@ -1178,25 +1184,25 @@ impl Connection {
             self.hello_sends += 1;
             let hello = self.handshake.local_hello().encode();
             let frame = Frame::Crypto { offset: 0, data: hello };
-            return Some(self.build_packet(now, Space::Initial, vec![frame], true));
+            return Some(self.build_packet(now, Space::Initial, &[frame], true));
         }
         // Server HANDSHAKE_DONE.
         if self.cfg.side == Side::Server && self.is_established() && !self.handshake_done_sent {
             self.handshake_done_sent = true;
-            return Some(self.build_packet(now, Space::App, vec![Frame::HandshakeDone], true));
+            return Some(self.build_packet(now, Space::App, &[Frame::HandshakeDone], true));
         }
         // Pending ACKs (always allowed; not congestion controlled).
         if self.init_ack_pending {
             self.init_ack_pending = false;
             if let Some(ack) = AckFrame::from_ranges(0, &self.init_recv, now - self.last_recv_time)
             {
-                return Some(self.build_packet(now, Space::Initial, vec![Frame::Ack(ack)], false));
+                return Some(self.build_packet(now, Space::Initial, &[Frame::Ack(ack)], false));
             }
         }
         if self.app_ack_pending && self.keys.is_some() {
             self.app_ack_pending = false;
             if let Some(ack) = AckFrame::from_ranges(0, &self.app_recv, now - self.last_recv_time) {
-                return Some(self.build_packet(now, Space::App, vec![Frame::Ack(ack)], false));
+                return Some(self.build_packet(now, Space::App, &[Frame::Ack(ack)], false));
             }
         }
         if !self.is_established() {
@@ -1206,7 +1212,7 @@ impl Connection {
         if self.probe_pending {
             self.probe_pending = false;
             self.stats.probes_sent += 1;
-            return Some(self.build_packet(now, Space::App, vec![Frame::Ping], true));
+            return Some(self.build_packet(now, Space::App, &[Frame::Ping], true));
         }
         // Congestion check for new data.
         let budget = self.cc.window().saturating_sub(self.bytes_in_flight());
@@ -1214,19 +1220,16 @@ impl Connection {
             return None;
         }
         // Control frames first, bundled with stream data.
-        let mut frames = Vec::new();
+        let mut packet = PacketBuilder::new(self.next_header(Space::App));
         let mut infos = Vec::new();
         let mut remaining = MAX_DATAGRAM_SIZE as usize - 64; // header+tag slack
         while let Some(f) = self.control_queue.pop() {
-            let mut w = Writer::new();
-            f.encode(&mut w);
-            if w.len() > remaining {
+            let Some(len) = packet.push_if_fits(&f, remaining) else {
                 self.control_queue.push(f);
                 break;
-            }
-            remaining -= w.len();
-            infos.push(SentFrameInfo::Control(f.clone()));
-            frames.push(f);
+            };
+            remaining -= len;
+            infos.push(SentFrameInfo::Control(f));
         }
         // Stream data in (priority, id) order.
         for id in self.streams.sendable_ids() {
@@ -1243,17 +1246,12 @@ impl Connection {
                 break;
             }
             let before_largest = stream.send.largest_sent();
-            let Some((offset, data, fin)) = stream.send.take_chunk(max_payload) else {
+            let Some((range, fin)) = stream.send.take_range(max_payload) else {
                 // A data-less FIN is only legal once every byte has been
                 // sent; a flow-control-blocked stream must wait.
                 if stream.send.fin_pending() && stream.send.data_fully_sent() {
                     let offset = stream.send.len();
-                    frames.push(Frame::Stream {
-                        stream_id: id,
-                        offset,
-                        data: Vec::new(),
-                        fin: true,
-                    });
+                    Frame::encode_stream(packet.frames(), id, offset, &[], true);
                     infos.push(SentFrameInfo::Stream {
                         id,
                         range: SendRange { start: offset, end: offset },
@@ -1263,34 +1261,36 @@ impl Connection {
                 }
                 continue;
             };
-            let end = offset + data.len() as u64;
             // Connection flow control applies only to never-sent offsets.
-            let new_bytes = end.saturating_sub(before_largest.max(offset));
+            let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
             if new_bytes > conn_credit {
                 // Re-queue and stop: blocked at connection level.
-                stream.send.queue_range(SendRange { start: offset, end });
+                stream.send.queue_range(range);
                 self.control_queue.push(Frame::DataBlocked(self.streams.send_max_data));
                 break;
             }
+            // The payload goes from the stream's buffer straight into the
+            // datagram.
+            Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
             if new_bytes > 0 {
                 self.streams.consume_conn_credit(new_bytes);
                 self.stats.stream_bytes_sent += new_bytes;
             }
-            remaining = remaining.saturating_sub(data.len() + 24);
-            infos.push(SentFrameInfo::Stream { id, range: SendRange { start: offset, end }, fin });
-            frames.push(Frame::Stream { stream_id: id, offset, data, fin });
+            remaining = remaining.saturating_sub(range.len() as usize + 24);
+            infos.push(SentFrameInfo::Stream { id, range, fin });
         }
-        if frames.is_empty() {
+        if infos.is_empty() {
             return None;
         }
-        Some(self.build_packet_with_content(now, Space::App, frames, infos, true))
+        Some(self.finish_packet(now, Space::App, packet, infos, true))
     }
 
+    /// A packet of control frames, each described to recovery by its kind.
     fn build_packet(
         &mut self,
         now: Instant,
         space: Space,
-        frames: Vec<Frame>,
+        frames: &[Frame],
         ack_eliciting: bool,
     ) -> Vec<u8> {
         let infos = frames
@@ -1303,70 +1303,57 @@ impl Connection {
                 other => SentFrameInfo::Control(other.clone()),
             })
             .collect();
-        self.build_packet_with_content(now, space, frames, infos, ack_eliciting)
+        let mut packet = PacketBuilder::new(self.next_header(space));
+        for f in frames {
+            f.encode(packet.frames());
+        }
+        self.finish_packet(now, space, packet, infos, ack_eliciting)
     }
 
-    fn build_packet_with_content(
-        &mut self,
-        now: Instant,
-        space: Space,
-        frames: Vec<Frame>,
-        infos: Vec<SentFrameInfo>,
-        ack_eliciting: bool,
-    ) -> Vec<u8> {
-        let recovery = match space {
-            Space::Initial => &mut self.init_recovery,
-            Space::App => &mut self.app_recovery,
+    /// The header of the next packet to be sent in `space`.
+    fn next_header(&self, space: Space) -> Header {
+        let (recovery, ty) = match space {
+            Space::Initial => (&self.init_recovery, PacketType::Initial),
+            Space::App => (&self.app_recovery, PacketType::OneRtt),
         };
         let pn = recovery.peek_pn();
         let pn_len = pn_encode_len(pn, recovery.largest_acked());
-        let ty = match space {
-            Space::Initial => PacketType::Initial,
-            Space::App => PacketType::OneRtt,
-        };
         // Clients echo their address-validation token on every Initial.
         let token = if ty == PacketType::Initial && self.cfg.side == Side::Client {
             self.token.clone()
         } else {
             Vec::new()
         };
-        let header = Header {
+        Header {
             ty,
             dcid: self.remote_cid,
             scid: self.local_cid,
             pn: pn_truncate(pn, pn_len),
             pn_len,
             token,
-        };
-        let hdr_bytes = header.encode();
-        let mut payload = Writer::new();
-        for f in &frames {
-            f.encode(&mut payload);
         }
-        let send_is_client_data = self.cfg.side == Side::Client;
-        let key = match space {
-            Space::Initial => {
-                if send_is_client_data {
-                    self.initial_keys.client.clone()
-                } else {
-                    self.initial_keys.server.clone()
-                }
-            }
-            Space::App => {
-                // Invariant: every App-space send site is gated on
-                // is_established()/keys.is_some(); no peer input reaches
-                // here before the handshake completes.
-                let kp = self.keys.as_ref().expect("1-RTT keys");
-                if send_is_client_data {
-                    kp.client.clone()
-                } else {
-                    kp.server.clone()
-                }
-            }
+    }
+
+    /// Seal `packet` (started from [`Connection::next_header`] of `space`)
+    /// in place and account for it as sent.
+    fn finish_packet(
+        &mut self,
+        now: Instant,
+        space: Space,
+        packet: PacketBuilder,
+        infos: Vec<SentFrameInfo>,
+        ack_eliciting: bool,
+    ) -> Vec<u8> {
+        let (recovery, keys) = match space {
+            Space::Initial => (&mut self.init_recovery, &self.initial_keys),
+            // Invariant: every App-space send site is gated on
+            // is_established()/keys.is_some(); no peer input reaches
+            // here before the handshake completes.
+            Space::App => (&mut self.app_recovery, self.keys.as_ref().expect("1-RTT keys")),
         };
-        let sealed = key.seal(0, pn, &hdr_bytes, payload.as_slice());
-        let mut datagram = hdr_bytes;
-        datagram.extend_from_slice(&sealed);
+        let key = if self.cfg.side == Side::Client { &keys.client } else { &keys.server };
+        let pn = recovery.peek_pn();
+        let datagram = packet.seal(key, 0, pn);
         let size = datagram.len() as u64;
         recovery.on_packet_sent(now, size, ack_eliciting, PacketContent { frames: infos });
         self.tracer.emit(now, Event::PacketSent { path: 0, pn, bytes: size as u32, ack_eliciting });
@@ -1565,6 +1552,49 @@ mod tests {
         }
         assert_eq!(received.len(), body.len());
         assert_eq!(received, body);
+    }
+
+    /// The single-buffer builder against the owned codec: a 1-RTT datagram
+    /// is `Header::encode() ‖ AeadKey::seal(header, Σ Frame::encode)`, and
+    /// the in-place receive path reads the same stream bytes out of it.
+    #[test]
+    fn one_rtt_datagram_equals_the_owned_codec() {
+        let (mut c, mut s, mut now) = pair();
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        let body: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        c.stream_send(id, &body, true);
+        let pn = c.app_recovery.peek_pn();
+        let pn_len = pn_encode_len(pn, c.app_recovery.largest_acked());
+        let header = Header {
+            ty: PacketType::OneRtt,
+            dcid: c.remote_cid,
+            scid: c.local_cid,
+            pn: pn_truncate(pn, pn_len),
+            pn_len,
+            token: Vec::new(),
+        }
+        .encode();
+        let datagram = c.poll_transmit(now).expect("stream data to send");
+
+        let key = c.keys.as_ref().unwrap().client.clone();
+        assert_eq!(&datagram[..header.len()], &header[..]);
+        let plain = key.open(0, pn, &header, &datagram[header.len()..]).expect("authentic");
+        let frames = Frame::decode_all(&plain).unwrap();
+        let [Frame::Stream { stream_id, offset: 0, data, fin: false }] = &frames[..] else {
+            panic!("expected one STREAM frame, got {frames:?}");
+        };
+        assert_eq!(*stream_id, id);
+        assert!(data.len() > 1200, "a full-size packet");
+        assert_eq!(data[..], body[..data.len()]);
+
+        let mut payload = crate::varint::Writer::new();
+        frames.iter().for_each(|f| f.encode(&mut payload));
+        let rebuilt = [header.clone(), key.seal(0, pn, &header, payload.as_slice())].concat();
+        assert_eq!(datagram, rebuilt);
+
+        s.handle_datagram(now, &datagram);
+        assert_eq!(s.stream_recv(id, usize::MAX)[..], body[..data.len()]);
     }
 
     #[test]

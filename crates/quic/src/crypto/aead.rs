@@ -12,7 +12,7 @@
 //! CID sequence number occupying the top 32 bits.
 
 use super::chacha;
-use super::poly1305;
+use super::poly1305::{self, Poly1305};
 use crate::error::TransportError;
 use xlink_obs::prof;
 
@@ -51,20 +51,54 @@ impl AeadKey {
         n
     }
 
-    /// Encrypt `plain` in place semantics: returns ciphertext || tag.
-    /// `aad` is the packet header (authenticated but not encrypted).
-    pub fn seal(&self, path_cid_seq: u32, packet_number: u64, aad: &[u8], plain: &[u8]) -> Vec<u8> {
+    /// Encrypt `buf` in place and return the tag over `aad` (the packet
+    /// header: authenticated, not encrypted) and the ciphertext.
+    pub fn seal_in_place(
+        &self,
+        path_cid_seq: u32,
+        packet_number: u64,
+        aad: &[u8],
+        buf: &mut [u8],
+    ) -> [u8; TAG_LEN] {
         let _prof = prof::span!("quic/aead_seal");
         let nonce = self.nonce(path_cid_seq, packet_number);
-        let mut out = plain.to_vec();
-        chacha::xor_keystream(&self.key, 1, &nonce, &mut out);
-        let tag = self.mac(&nonce, aad, &out);
+        chacha::xor_keystream(&self.key, 1, &nonce, buf);
+        self.mac(&nonce, aad, buf)
+    }
+
+    /// Verify `sealed` (ciphertext ‖ tag) and decrypt it in place. Returns
+    /// the plaintext, a prefix of `sealed`; on `CryptoError` nothing was
+    /// decrypted and `sealed` is as it was received.
+    pub fn open_in_place<'a>(
+        &self,
+        path_cid_seq: u32,
+        packet_number: u64,
+        aad: &[u8],
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8], TransportError> {
+        let _prof = prof::span!("quic/aead_open");
+        let cipher_len = sealed.len().checked_sub(TAG_LEN).ok_or(TransportError::CryptoError)?;
+        let (cipher, tag) = sealed.split_at_mut(cipher_len);
+        let nonce = self.nonce(path_cid_seq, packet_number);
+        let expect: &[u8; TAG_LEN] = (&*tag).try_into().expect("split at TAG_LEN");
+        if !poly1305::tags_equal(&self.mac(&nonce, aad, cipher), expect) {
+            return Err(TransportError::CryptoError);
+        }
+        chacha::xor_keystream(&self.key, 1, &nonce, cipher);
+        Ok(cipher)
+    }
+
+    /// Owned [`AeadKey::seal_in_place`]: returns ciphertext ‖ tag.
+    pub fn seal(&self, path_cid_seq: u32, packet_number: u64, aad: &[u8], plain: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plain.len() + TAG_LEN);
+        out.extend_from_slice(plain);
+        let tag = self.seal_in_place(path_cid_seq, packet_number, aad, &mut out);
         out.extend_from_slice(&tag);
         out
     }
 
-    /// Verify and decrypt `sealed` (ciphertext || tag). Returns the
-    /// plaintext, or `CryptoError` if authentication fails.
+    /// Owned [`AeadKey::open_in_place`]: returns the plaintext, or
+    /// `CryptoError` if authentication fails.
     pub fn open(
         &self,
         path_cid_seq: u32,
@@ -72,47 +106,25 @@ impl AeadKey {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, TransportError> {
-        let _prof = prof::span!("quic/aead_open");
-        if sealed.len() < TAG_LEN {
-            return Err(TransportError::CryptoError);
-        }
-        let (cipher, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let nonce = self.nonce(path_cid_seq, packet_number);
-        let expect: [u8; 16] = tag.try_into().unwrap();
-        let mac_key = self.poly_key(&nonce);
-        let msg = mac_input(aad, cipher);
-        if !poly1305::verify(&mac_key, &msg, &expect) {
-            return Err(TransportError::CryptoError);
-        }
-        let mut out = cipher.to_vec();
-        chacha::xor_keystream(&self.key, 1, &nonce, &mut out);
+        let mut out = sealed.to_vec();
+        let plain_len = self.open_in_place(path_cid_seq, packet_number, aad, &mut out)?.len();
+        out.truncate(plain_len);
         Ok(out)
     }
 
-    /// One-time Poly1305 key: first 32 bytes of ChaCha20 block 0.
-    fn poly_key(&self, nonce: &[u8; 12]) -> [u8; 32] {
+    /// RFC 8439 §2.8 tag: Poly1305 under the first 32 bytes of ChaCha20
+    /// block 0 over aad ‖ pad16 ‖ cipher ‖ pad16 ‖ len(aad) ‖ len(cipher).
+    fn mac(&self, nonce: &[u8; 12], aad: &[u8], cipher: &[u8]) -> [u8; TAG_LEN] {
         let block = chacha::block(&self.key, 0, nonce);
-        let mut k = [0u8; 32];
-        k.copy_from_slice(&block[..32]);
-        k
+        let mut mac = Poly1305::new(block[..32].try_into().expect("32 of 64 bytes"));
+        mac.update_padded(aad);
+        mac.update_padded(cipher);
+        let mut lens = [0u8; 16];
+        lens[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lens[8..].copy_from_slice(&(cipher.len() as u64).to_le_bytes());
+        mac.update_padded(&lens);
+        mac.finish()
     }
-
-    fn mac(&self, nonce: &[u8; 12], aad: &[u8], cipher: &[u8]) -> [u8; 16] {
-        let mac_key = self.poly_key(nonce);
-        poly1305::tag(&mac_key, &mac_input(aad, cipher))
-    }
-}
-
-/// RFC 8439 §2.8 MAC input: aad ‖ pad16 ‖ cipher ‖ pad16 ‖ len(aad) ‖ len(cipher).
-fn mac_input(aad: &[u8], cipher: &[u8]) -> Vec<u8> {
-    let mut m = Vec::with_capacity(aad.len() + cipher.len() + 48);
-    m.extend_from_slice(aad);
-    m.resize(m.len().next_multiple_of(16), 0);
-    m.extend_from_slice(cipher);
-    m.resize(m.len().next_multiple_of(16), 0);
-    m.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    m.extend_from_slice(&(cipher.len() as u64).to_le_bytes());
-    m
 }
 
 #[cfg(test)]
@@ -144,6 +156,35 @@ mod tests {
         let k = AeadKey::new(key, iv);
         assert_eq!(k.seal(0, 0, &aad, SUNSCREEN), expect);
         assert_eq!(k.open(0, 0, &aad, &expect).unwrap(), SUNSCREEN);
+        // The same vector through the caller-buffer API the engines use.
+        let mut buf = SUNSCREEN.to_vec();
+        let tag = k.seal_in_place(0, 0, &aad, &mut buf);
+        buf.extend_from_slice(&tag);
+        assert_eq!(buf, expect);
+        assert_eq!(k.open_in_place(0, 0, &aad, &mut buf).unwrap(), SUNSCREEN);
+    }
+
+    /// A flipped bit anywhere — aad, ciphertext or tag — is a `CryptoError`
+    /// and the tag is checked before anything is decrypted: the buffer is
+    /// still byte for byte what was received.
+    #[test]
+    fn failed_open_in_place_leaves_the_buffer_as_received() {
+        let k = key();
+        let aad = *b"header bytes";
+        let plain: Vec<u8> = (0..300).map(|i| i as u8).collect();
+        let sealed = k.seal(2, 9, &aad, &plain);
+        for bit in 0..8 * (aad.len() + sealed.len()) {
+            let (mut aad, mut buf) = (aad, sealed.clone());
+            match bit / 8 {
+                i if i < aad.len() => aad[i] ^= 1 << (bit % 8),
+                i => buf[i - aad.len()] ^= 1 << (bit % 8),
+            }
+            let received = buf.clone();
+            assert_eq!(k.open_in_place(2, 9, &aad, &mut buf), Err(TransportError::CryptoError));
+            assert_eq!(buf, received, "bit {bit}");
+        }
+        let mut short = [0u8; TAG_LEN - 1];
+        assert_eq!(k.open_in_place(2, 9, &aad, &mut short), Err(TransportError::CryptoError));
     }
 
     #[test]

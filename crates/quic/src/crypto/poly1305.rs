@@ -1,174 +1,135 @@
-//! Poly1305 one-time authenticator (RFC 8439 construction), implemented
-//! with 64-bit limbs and 128-bit intermediate products.
+//! Poly1305 one-time authenticator (RFC 8439 construction) as an
+//! incremental state over three 44/44/42-bit limbs with 128-bit products
+//! (the poly1305-donna 64-bit layout: nine multiplies per 16-byte block).
+
+const M44: u64 = (1 << 44) - 1;
+const M42: u64 = (1 << 42) - 1;
+
+/// A Poly1305 computation in progress: the clamped `r`, the accumulator
+/// `h` (partially reduced mod 2^130 - 5 between blocks) and the final
+/// addend `s`. The two ways a message can end — the AEAD's zero padding
+/// and the bare MAC's `0x01` terminator — are [`Poly1305::update_padded`]
+/// and [`tag`].
+pub struct Poly1305 {
+    r: [u64; 3],
+    h: [u64; 3],
+    s: [u64; 2],
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8 bytes"))
+}
+
+impl Poly1305 {
+    /// Start a MAC under the 32-byte one-time key `r ‖ s`.
+    pub fn new(key: &[u8; 32]) -> Self {
+        let (t0, t1) = (le64(&key[0..8]), le64(&key[8..16]));
+        // The masks are the limb split and the RFC's clamp in one.
+        let r = [
+            t0 & 0xffc_0fff_ffff,
+            ((t0 >> 44) | (t1 << 20)) & 0xfff_ffc0_ffff,
+            (t1 >> 24) & 0x00f_ffff_fc0f,
+        ];
+        Poly1305 { r, h: [0; 3], s: [le64(&key[16..24]), le64(&key[24..32])] }
+    }
+
+    /// Absorb `data`, a whole number of 16-byte blocks, each with bit
+    /// 128 set to `hibit` (1 for message blocks; 0 for a final short block
+    /// that carries its own terminator byte).
+    fn blocks(&mut self, data: &[u8], hibit: u64) {
+        debug_assert!(data.len().is_multiple_of(16));
+        let [r0, r1, r2] = self.r.map(u128::from);
+        // 2^132 = 4·2^130 ≡ 20 (mod p): products that overflow limb 2 fold
+        // back multiplied by 20.
+        let (s1, s2) = (r1 * 20, r2 * 20);
+        let [mut h0, mut h1, mut h2] = self.h;
+        for m in data.chunks_exact(16) {
+            let (t0, t1) = (le64(&m[0..8]), le64(&m[8..16]));
+            h0 += t0 & M44;
+            h1 += ((t0 >> 44) | (t1 << 20)) & M44;
+            h2 += ((t1 >> 24) & M42) | (hibit << 40);
+            let (g0, g1, g2) = (u128::from(h0), u128::from(h1), u128::from(h2));
+            let d0 = g0 * r0 + g1 * s2 + g2 * s1;
+            let mut d1 = g0 * r1 + g1 * r0 + g2 * s2;
+            let mut d2 = g0 * r2 + g1 * r1 + g2 * r0;
+            d1 += d0 >> 44;
+            d2 += d1 >> 44;
+            h0 = (d0 as u64 & M44) + (d2 >> 42) as u64 * 5;
+            h1 = (d1 as u64 & M44) + (h0 >> 44);
+            h0 &= M44;
+            h2 = d2 as u64 & M42;
+        }
+        self.h = [h0, h1, h2];
+    }
+
+    /// Absorb `data`, whose last block may be short: `terminated` ends it
+    /// with the bare MAC's `0x01` byte in place of bit 128, otherwise it is
+    /// zero-padded to a full block.
+    fn absorb(&mut self, data: &[u8], terminated: bool) {
+        let (whole, rest) = data.split_at(data.len() & !15);
+        self.blocks(whole, 1);
+        if !rest.is_empty() {
+            let mut last = [0u8; 16];
+            last[..rest.len()].copy_from_slice(rest);
+            last[rest.len()] = u8::from(terminated);
+            self.blocks(&last, u64::from(!terminated));
+        }
+    }
+
+    /// Absorb `data` zero-padded to a 16-byte boundary — `data ‖ pad16` in
+    /// the AEAD construction of RFC 8439 §2.8.
+    pub fn update_padded(&mut self, data: &[u8]) {
+        self.absorb(data, false);
+    }
+
+    /// Reduce fully, add `s` and serialize the tag.
+    pub fn finish(self) -> [u8; 16] {
+        let [mut h0, mut h1, mut h2] = self.h;
+        // Full carry propagation.
+        h2 += h1 >> 44;
+        h1 &= M44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= M42;
+        h1 += h0 >> 44;
+        h0 &= M44;
+        h2 += h1 >> 44;
+        h1 &= M44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= M42;
+        h1 += h0 >> 44;
+        h0 &= M44;
+        // g = h - p = h + 5 - 2^130; keep it iff that did not underflow.
+        let mut g0 = h0 + 5;
+        let mut g1 = h1 + (g0 >> 44);
+        g0 &= M44;
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        g1 &= M44;
+        let keep_g = (g2 >> 63).wrapping_sub(1); // all-ones if h >= p
+        h0 = (h0 & !keep_g) | (g0 & keep_g);
+        h1 = (h1 & !keep_g) | (g1 & keep_g);
+        h2 = (h2 & !keep_g) | (g2 & keep_g);
+        // (h mod 2^128) + s mod 2^128.
+        let h = u128::from(h0) | u128::from(h1) << 44 | u128::from(h2) << 88;
+        let s = u128::from(self.s[0]) | u128::from(self.s[1]) << 64;
+        h.wrapping_add(s).to_le_bytes()
+    }
+}
 
 /// Compute the 16-byte Poly1305 tag of `msg` under the 32-byte one-time key.
 pub fn tag(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
-    // r with required bits cleared ("clamped"), split into 26-bit limbs.
-    let mut rb = [0u8; 16];
-    rb.copy_from_slice(&key[..16]);
-    rb[3] &= 0x0f;
-    rb[7] &= 0x0f;
-    rb[11] &= 0x0f;
-    rb[15] &= 0x0f;
-    rb[4] &= 0xfc;
-    rb[8] &= 0xfc;
-    rb[12] &= 0xfc;
-
-    let t0 = u32::from_le_bytes(rb[0..4].try_into().unwrap()) as u64;
-    let t1 = u32::from_le_bytes(rb[4..8].try_into().unwrap()) as u64;
-    let t2 = u32::from_le_bytes(rb[8..12].try_into().unwrap()) as u64;
-    let t3 = u32::from_le_bytes(rb[12..16].try_into().unwrap()) as u64;
-
-    let r0 = t0 & 0x3ff_ffff;
-    let r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
-    let r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
-    let r3 = ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
-    let r4 = t3 >> 8;
-
-    let s1 = r1 * 5;
-    let s2 = r2 * 5;
-    let s3 = r3 * 5;
-    let s4 = r4 * 5;
-
-    let mut h0: u64 = 0;
-    let mut h1: u64 = 0;
-    let mut h2: u64 = 0;
-    let mut h3: u64 = 0;
-    let mut h4: u64 = 0;
-
-    let mut chunks = msg.chunks_exact(16);
-    let process = |block: &[u8; 16], hibit: u64, h: &mut [u64; 5]| {
-        let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap()) as u64;
-        let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap()) as u64;
-        let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap()) as u64;
-        let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap()) as u64;
-
-        h[0] += t0 & 0x3ff_ffff;
-        h[1] += ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
-        h[2] += ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
-        h[3] += ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
-        h[4] += (t3 >> 8) | (hibit << 24);
-
-        let d0 = (h[0] as u128) * (r0 as u128)
-            + (h[1] as u128) * (s4 as u128)
-            + (h[2] as u128) * (s3 as u128)
-            + (h[3] as u128) * (s2 as u128)
-            + (h[4] as u128) * (s1 as u128);
-        let mut d1 = (h[0] as u128) * (r1 as u128)
-            + (h[1] as u128) * (r0 as u128)
-            + (h[2] as u128) * (s4 as u128)
-            + (h[3] as u128) * (s3 as u128)
-            + (h[4] as u128) * (s2 as u128);
-        let mut d2 = (h[0] as u128) * (r2 as u128)
-            + (h[1] as u128) * (r1 as u128)
-            + (h[2] as u128) * (r0 as u128)
-            + (h[3] as u128) * (s4 as u128)
-            + (h[4] as u128) * (s3 as u128);
-        let mut d3 = (h[0] as u128) * (r3 as u128)
-            + (h[1] as u128) * (r2 as u128)
-            + (h[2] as u128) * (r1 as u128)
-            + (h[3] as u128) * (r0 as u128)
-            + (h[4] as u128) * (s4 as u128);
-        let mut d4 = (h[0] as u128) * (r4 as u128)
-            + (h[1] as u128) * (r3 as u128)
-            + (h[2] as u128) * (r2 as u128)
-            + (h[3] as u128) * (r1 as u128)
-            + (h[4] as u128) * (r0 as u128);
-
-        let mut c = (d0 >> 26) as u64;
-        h[0] = (d0 as u64) & 0x3ff_ffff;
-        d1 += c as u128;
-        c = (d1 >> 26) as u64;
-        h[1] = (d1 as u64) & 0x3ff_ffff;
-        d2 += c as u128;
-        c = (d2 >> 26) as u64;
-        h[2] = (d2 as u64) & 0x3ff_ffff;
-        d3 += c as u128;
-        c = (d3 >> 26) as u64;
-        h[3] = (d3 as u64) & 0x3ff_ffff;
-        d4 += c as u128;
-        c = (d4 >> 26) as u64;
-        h[4] = (d4 as u64) & 0x3ff_ffff;
-        h[0] += c * 5;
-        let c2 = h[0] >> 26;
-        h[0] &= 0x3ff_ffff;
-        h[1] += c2;
-    };
-
-    let mut h = [h0, h1, h2, h3, h4];
-    for chunk in chunks.by_ref() {
-        let block: &[u8; 16] = chunk.try_into().unwrap();
-        process(block, 1, &mut h);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut block = [0u8; 16];
-        block[..rem.len()].copy_from_slice(rem);
-        block[rem.len()] = 1; // pad bit
-        process(&block, 0, &mut h);
-    }
-    [h0, h1, h2, h3, h4] = h;
-
-    // Full carry propagation.
-    let mut c = h1 >> 26;
-    h1 &= 0x3ff_ffff;
-    h2 += c;
-    c = h2 >> 26;
-    h2 &= 0x3ff_ffff;
-    h3 += c;
-    c = h3 >> 26;
-    h3 &= 0x3ff_ffff;
-    h4 += c;
-    c = h4 >> 26;
-    h4 &= 0x3ff_ffff;
-    h0 += c * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ff_ffff;
-    h1 += c;
-
-    // Compute h + -p and select.
-    let mut g0 = h0.wrapping_add(5);
-    c = g0 >> 26;
-    g0 &= 0x3ff_ffff;
-    let mut g1 = h1.wrapping_add(c);
-    c = g1 >> 26;
-    g1 &= 0x3ff_ffff;
-    let mut g2 = h2.wrapping_add(c);
-    c = g2 >> 26;
-    g2 &= 0x3ff_ffff;
-    let mut g3 = h3.wrapping_add(c);
-    c = g3 >> 26;
-    g3 &= 0x3ff_ffff;
-    let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
-
-    // If g4 didn't underflow, h >= p, use g; else keep h.
-    let mask = (g4 >> 63).wrapping_sub(1); // all-ones if h >= p
-    h0 = (h0 & !mask) | (g0 & mask);
-    h1 = (h1 & !mask) | (g1 & mask);
-    h2 = (h2 & !mask) | (g2 & mask);
-    h3 = (h3 & !mask) | (g3 & mask);
-    h4 = (h4 & !mask) | (g4 & 0x3ff_ffff & mask);
-
-    // Serialize h back to 128 bits.
-    let hh0 = (h0 | (h1 << 26)) as u32 as u64 | (((h1 >> 6) | (h2 << 20)) as u32 as u64) << 32;
-    let hh1 =
-        ((h2 >> 12) | (h3 << 14)) as u32 as u64 | (((h3 >> 18) | (h4 << 8)) as u32 as u64) << 32;
-    let acc = (hh0 as u128) | ((hh1 as u128) << 64);
-
-    // Add s (the second key half) mod 2^128.
-    let s = u128::from_le_bytes(key[16..32].try_into().unwrap());
-    let out = acc.wrapping_add(s);
-    out.to_le_bytes()
+    let mut p = Poly1305::new(key);
+    p.absorb(msg, true);
+    p.finish()
 }
 
-/// Constant-time tag comparison.
+/// Constant-time equality of two tags.
+pub fn tags_equal(a: &[u8; 16], b: &[u8; 16]) -> bool {
+    a.iter().zip(b).fold(0u8, |diff, (x, y)| diff | (x ^ y)) == 0
+}
+
+/// Constant-time check of `expect` against the tag of `msg`.
 pub fn verify(key: &[u8; 32], msg: &[u8], expect: &[u8; 16]) -> bool {
-    let got = tag(key, msg);
-    let mut diff = 0u8;
-    for (a, b) in got.iter().zip(expect.iter()) {
-        diff |= a ^ b;
-    }
-    diff == 0
+    tags_equal(&tag(key, msg), expect)
 }
 
 #[cfg(test)]
@@ -179,6 +140,167 @@ mod tests {
 
     const KEY: [u8; 32] = [0x42; 32];
 
+    /// The previous implementation (five 26-bit limbs, 25 multiplies per
+    /// block), kept as the reference the limb rewrite is checked against.
+    fn tag_ref26(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+        // r with required bits cleared ("clamped"), split into 26-bit limbs.
+        let mut rb = [0u8; 16];
+        rb.copy_from_slice(&key[..16]);
+        rb[3] &= 0x0f;
+        rb[7] &= 0x0f;
+        rb[11] &= 0x0f;
+        rb[15] &= 0x0f;
+        rb[4] &= 0xfc;
+        rb[8] &= 0xfc;
+        rb[12] &= 0xfc;
+
+        let t0 = u32::from_le_bytes(rb[0..4].try_into().unwrap()) as u64;
+        let t1 = u32::from_le_bytes(rb[4..8].try_into().unwrap()) as u64;
+        let t2 = u32::from_le_bytes(rb[8..12].try_into().unwrap()) as u64;
+        let t3 = u32::from_le_bytes(rb[12..16].try_into().unwrap()) as u64;
+
+        let r0 = t0 & 0x3ff_ffff;
+        let r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
+        let r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
+        let r3 = ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
+        let r4 = t3 >> 8;
+
+        let s1 = r1 * 5;
+        let s2 = r2 * 5;
+        let s3 = r3 * 5;
+        let s4 = r4 * 5;
+
+        let mut h0: u64 = 0;
+        let mut h1: u64 = 0;
+        let mut h2: u64 = 0;
+        let mut h3: u64 = 0;
+        let mut h4: u64 = 0;
+
+        let mut chunks = msg.chunks_exact(16);
+        let process = |block: &[u8; 16], hibit: u64, h: &mut [u64; 5]| {
+            let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap()) as u64;
+            let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap()) as u64;
+            let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap()) as u64;
+            let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap()) as u64;
+
+            h[0] += t0 & 0x3ff_ffff;
+            h[1] += ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
+            h[2] += ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
+            h[3] += ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
+            h[4] += (t3 >> 8) | (hibit << 24);
+
+            let d0 = (h[0] as u128) * (r0 as u128)
+                + (h[1] as u128) * (s4 as u128)
+                + (h[2] as u128) * (s3 as u128)
+                + (h[3] as u128) * (s2 as u128)
+                + (h[4] as u128) * (s1 as u128);
+            let mut d1 = (h[0] as u128) * (r1 as u128)
+                + (h[1] as u128) * (r0 as u128)
+                + (h[2] as u128) * (s4 as u128)
+                + (h[3] as u128) * (s3 as u128)
+                + (h[4] as u128) * (s2 as u128);
+            let mut d2 = (h[0] as u128) * (r2 as u128)
+                + (h[1] as u128) * (r1 as u128)
+                + (h[2] as u128) * (r0 as u128)
+                + (h[3] as u128) * (s4 as u128)
+                + (h[4] as u128) * (s3 as u128);
+            let mut d3 = (h[0] as u128) * (r3 as u128)
+                + (h[1] as u128) * (r2 as u128)
+                + (h[2] as u128) * (r1 as u128)
+                + (h[3] as u128) * (r0 as u128)
+                + (h[4] as u128) * (s4 as u128);
+            let mut d4 = (h[0] as u128) * (r4 as u128)
+                + (h[1] as u128) * (r3 as u128)
+                + (h[2] as u128) * (r2 as u128)
+                + (h[3] as u128) * (r1 as u128)
+                + (h[4] as u128) * (r0 as u128);
+
+            let mut c = (d0 >> 26) as u64;
+            h[0] = (d0 as u64) & 0x3ff_ffff;
+            d1 += c as u128;
+            c = (d1 >> 26) as u64;
+            h[1] = (d1 as u64) & 0x3ff_ffff;
+            d2 += c as u128;
+            c = (d2 >> 26) as u64;
+            h[2] = (d2 as u64) & 0x3ff_ffff;
+            d3 += c as u128;
+            c = (d3 >> 26) as u64;
+            h[3] = (d3 as u64) & 0x3ff_ffff;
+            d4 += c as u128;
+            c = (d4 >> 26) as u64;
+            h[4] = (d4 as u64) & 0x3ff_ffff;
+            h[0] += c * 5;
+            let c2 = h[0] >> 26;
+            h[0] &= 0x3ff_ffff;
+            h[1] += c2;
+        };
+
+        let mut h = [h0, h1, h2, h3, h4];
+        for chunk in chunks.by_ref() {
+            let block: &[u8; 16] = chunk.try_into().unwrap();
+            process(block, 1, &mut h);
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut block = [0u8; 16];
+            block[..rem.len()].copy_from_slice(rem);
+            block[rem.len()] = 1; // pad bit
+            process(&block, 0, &mut h);
+        }
+        [h0, h1, h2, h3, h4] = h;
+
+        // Full carry propagation.
+        let mut c = h1 >> 26;
+        h1 &= 0x3ff_ffff;
+        h2 += c;
+        c = h2 >> 26;
+        h2 &= 0x3ff_ffff;
+        h3 += c;
+        c = h3 >> 26;
+        h3 &= 0x3ff_ffff;
+        h4 += c;
+        c = h4 >> 26;
+        h4 &= 0x3ff_ffff;
+        h0 += c * 5;
+        c = h0 >> 26;
+        h0 &= 0x3ff_ffff;
+        h1 += c;
+
+        // Compute h + -p and select.
+        let mut g0 = h0.wrapping_add(5);
+        c = g0 >> 26;
+        g0 &= 0x3ff_ffff;
+        let mut g1 = h1.wrapping_add(c);
+        c = g1 >> 26;
+        g1 &= 0x3ff_ffff;
+        let mut g2 = h2.wrapping_add(c);
+        c = g2 >> 26;
+        g2 &= 0x3ff_ffff;
+        let mut g3 = h3.wrapping_add(c);
+        c = g3 >> 26;
+        g3 &= 0x3ff_ffff;
+        let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
+
+        // If g4 didn't underflow, h >= p, use g; else keep h.
+        let mask = (g4 >> 63).wrapping_sub(1); // all-ones if h >= p
+        h0 = (h0 & !mask) | (g0 & mask);
+        h1 = (h1 & !mask) | (g1 & mask);
+        h2 = (h2 & !mask) | (g2 & mask);
+        h3 = (h3 & !mask) | (g3 & mask);
+        h4 = (h4 & !mask) | (g4 & 0x3ff_ffff & mask);
+
+        // Serialize h back to 128 bits.
+        let hh0 = (h0 | (h1 << 26)) as u32 as u64 | (((h1 >> 6) | (h2 << 20)) as u32 as u64) << 32;
+        let hh1 = ((h2 >> 12) | (h3 << 14)) as u32 as u64
+            | (((h3 >> 18) | (h4 << 8)) as u32 as u64) << 32;
+        let acc = (hh0 as u128) | ((hh1 as u128) << 64);
+
+        // Add s (the second key half) mod 2^128.
+        let s = u128::from_le_bytes(key[16..32].try_into().unwrap());
+        let out = acc.wrapping_add(s);
+        out.to_le_bytes()
+    }
+
     /// RFC 8439 §2.5.2.
     #[test]
     fn rfc8439_poly1305_vector() {
@@ -188,6 +310,126 @@ mod tests {
         .unwrap();
         let expect = hex("a8 06 1d c1 30 51 36 c6 c2 2b 8b af 0c 01 27 a9");
         assert_eq!(tag(&key, b"Cryptographic Forum Research Group").to_vec(), expect);
+    }
+
+    const IETF: &[u8] = b"Any submission to the IETF intended by the Contributor for publication \
+as all or part of an IETF Internet-Draft or RFC and any statement made within the context of an \
+IETF activity is considered an \"IETF Contribution\". Such statements include oral statements in \
+IETF sessions, as well as written and electronic communications made at any time or place, which \
+are addressed to";
+
+    const JABBERWOCKY: &[u8] = b"'Twas brillig, and the slithy toves\nDid gyre and gimble in the \
+wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
+
+    /// RFC 8439 Appendix A.3, vectors #1–#11 as (r, s, message, tag).
+    /// #5–#11 are built to hit what a limb implementation gets wrong: the
+    /// 2^130 - 5 wrap, `h >= p` at the end, and carries out of the top limb.
+    #[test]
+    fn rfc8439_appendix_a3_vectors() {
+        let zero = "00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00";
+        let ones = "ff ff ff ff ff ff ff ff ff ff ff ff ff ff ff ff";
+        let one = "01 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00";
+        let two = "02 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00";
+        let r10 = "01 00 00 00 00 00 00 00 04 00 00 00 00 00 00 00";
+        let m11 = "e3 35 94 d7 50 5e 43 b9 00 00 00 00 00 00 00 00
+                   33 94 d7 50 5e 43 79 cd 01 00 00 00 00 00 00 00
+                   00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00";
+        let vectors: [(&str, &str, Vec<u8>, &str); 11] = [
+            (zero, zero, vec![0; 64], zero),
+            (
+                zero,
+                "36 e5 f6 b5 c5 e0 60 70 f0 ef ca 96 22 7a 86 3e",
+                IETF.to_vec(),
+                "36 e5 f6 b5 c5 e0 60 70 f0 ef ca 96 22 7a 86 3e",
+            ),
+            (
+                "36 e5 f6 b5 c5 e0 60 70 f0 ef ca 96 22 7a 86 3e",
+                zero,
+                IETF.to_vec(),
+                "f3 47 7e 7c d9 54 17 af 89 a6 b8 79 4c 31 0c f0",
+            ),
+            (
+                "1c 92 40 a5 eb 55 d3 8a f3 33 88 86 04 f6 b5 f0",
+                "47 39 17 c1 40 2b 80 09 9d ca 5c bc 20 70 75 c0",
+                JABBERWOCKY.to_vec(),
+                "45 41 66 9a 7e aa ee 61 e7 08 dc 7c bc c5 eb 62",
+            ),
+            (two, zero, hex(ones), "03 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00"),
+            (two, ones, hex(two), "03 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00"),
+            (
+                one,
+                zero,
+                hex(&format!(
+                    "{ones} f0 ff ff ff ff ff ff ff ff ff ff ff ff ff ff ff
+                              11 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00"
+                )),
+                "05 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00",
+            ),
+            (
+                one,
+                zero,
+                hex(&format!(
+                    "{ones} fb fe fe fe fe fe fe fe fe fe fe fe fe fe fe fe
+                              01 01 01 01 01 01 01 01 01 01 01 01 01 01 01 01"
+                )),
+                zero,
+            ),
+            (
+                two,
+                zero,
+                hex("fd ff ff ff ff ff ff ff ff ff ff ff ff ff ff ff"),
+                "fa ff ff ff ff ff ff ff ff ff ff ff ff ff ff ff",
+            ),
+            (
+                r10,
+                zero,
+                hex(&format!("{m11} {one}")),
+                "14 00 00 00 00 00 00 00 55 00 00 00 00 00 00 00",
+            ),
+            (r10, zero, hex(m11), "13 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00"),
+        ];
+        for (i, (r, s, msg, expect)) in vectors.iter().enumerate() {
+            let key: [u8; 32] = [hex(r), hex(s)].concat().try_into().unwrap();
+            assert_eq!(tag(&key, msg).to_vec(), hex(expect), "vector #{}", i + 1);
+            assert_eq!(tag_ref26(&key, msg).to_vec(), hex(expect), "reference, vector #{}", i + 1);
+        }
+    }
+
+    /// The 3-limb implementation against the 5-limb one it replaced.
+    #[test]
+    fn prop_matches_26_bit_reference() {
+        check("prop_matches_26_bit_reference", (any_array::<32>(), bytes(0..300)), |(key, msg)| {
+            prop_assert_eq!(tag(key, msg), tag_ref26(key, msg));
+            Ok(())
+        });
+    }
+
+    /// All-ones keys and messages keep every limb and carry at its maximum.
+    #[test]
+    fn saturated_inputs_match_26_bit_reference() {
+        for len in 0..=200 {
+            let msg = vec![0xff; len];
+            for key in [[0xff; 32], KEY] {
+                assert_eq!(tag(&key, &msg), tag_ref26(&key, &msg), "len {len}");
+            }
+        }
+    }
+
+    /// Feeding `aad ‖ pad16 ‖ cipher ‖ pad16 ‖ lengths` piecewise is the
+    /// same MAC as hashing that concatenation in one go.
+    #[test]
+    fn streaming_padded_matches_one_shot() {
+        check("streaming_padded_matches_one_shot", (bytes(0..40), bytes(0..100)), |(aad, ct)| {
+            let mut whole = aad.clone();
+            whole.resize(whole.len().next_multiple_of(16), 0);
+            whole.extend_from_slice(ct);
+            whole.resize(whole.len().next_multiple_of(16), 0);
+            let mut p = Poly1305::new(&KEY);
+            p.update_padded(aad);
+            p.update_padded(ct);
+            prop_assert_eq!(p.finish(), tag(&KEY, &whole));
+            Ok(())
+        });
     }
 
     #[test]

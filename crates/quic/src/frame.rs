@@ -273,15 +273,7 @@ impl Frame {
                 w.varint_bytes(data);
             }
             Frame::Stream { stream_id, offset, data, fin } => {
-                // Always use explicit offset + length; set FIN bit as needed.
-                let mut t = ty::STREAM_BASE | 0x04 /*OFF*/ | 0x02 /*LEN*/;
-                if *fin {
-                    t |= 0x01;
-                }
-                w.varint(t);
-                w.varint(*stream_id);
-                w.varint(*offset);
-                w.varint_bytes(data);
+                Frame::encode_stream(w, *stream_id, *offset, data, *fin)
             }
             Frame::MaxData(v) => {
                 w.varint(ty::MAX_DATA);
@@ -338,6 +330,21 @@ impl Frame {
                 q.encode(w);
             }
         }
+    }
+
+    /// Encode a STREAM frame whose payload is borrowed — what
+    /// `Frame::Stream { .. }.encode(w)` writes, for senders that copy
+    /// straight out of the stream's buffer.
+    pub fn encode_stream(w: &mut Writer, stream_id: u64, offset: u64, data: &[u8], fin: bool) {
+        // Always use explicit offset + length; set FIN bit as needed.
+        let mut t = ty::STREAM_BASE | 0x04 /*OFF*/ | 0x02 /*LEN*/;
+        if fin {
+            t |= 0x01;
+        }
+        w.varint(t);
+        w.varint(stream_id);
+        w.varint(offset);
+        w.varint_bytes(data);
     }
 
     /// Decode a single frame from `r`.

@@ -6,8 +6,11 @@
 //! risk of packets being blocked by middle-boxes" — so do we: multipath is
 //! entirely expressed through CIDs and extension frames, never the header.
 
+use crate::cc::MAX_DATAGRAM_SIZE;
 use crate::cid::{ConnectionId, CID_LEN};
+use crate::crypto::AeadKey;
 use crate::error::CodecError;
+use crate::frame::Frame;
 use crate::varint::{Reader, Writer};
 use xlink_obs::prof;
 
@@ -99,8 +102,14 @@ impl Header {
     /// payload extends to the end of the datagram (documented deviation
     /// that does not affect transport behaviour).
     pub fn encode(&self) -> Vec<u8> {
-        let _prof = prof::span!("quic/packet_encode");
         let mut w = Writer::with_capacity(32);
+        self.encode_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`Header::encode`], appending to `w`.
+    pub fn encode_to(&self, w: &mut Writer) {
+        let _prof = prof::span!("quic/packet_encode");
         match self.ty {
             PacketType::Initial | PacketType::Handshake => {
                 let ty_bits = if self.ty == PacketType::Initial { 0b00 } else { 0b10 };
@@ -125,7 +134,7 @@ impl Header {
                 w.u8(CID_LEN as u8);
                 w.bytes(&self.scid.0);
                 w.bytes(&self.token);
-                return w.into_bytes();
+                return;
             }
             PacketType::OneRtt => {
                 // Short header: 0 | fixed=1 | spin=0 | reserved(2) | key=0 | pn_len-1 (2)
@@ -137,7 +146,6 @@ impl Header {
         for i in (0..self.pn_len).rev() {
             w.u8((pn >> (8 * i)) as u8);
         }
-        w.into_bytes()
     }
 
     /// Decode a header from the start of a datagram. Returns the header
@@ -232,6 +240,64 @@ impl Header {
                 r.position(),
             ))
         }
+    }
+}
+
+/// One outgoing packet under construction in the buffer that becomes the
+/// datagram: header ‖ frames, sealed in place, ‖ tag. Both engines build
+/// every packet through this, so the bytes are written once and the only
+/// allocation is the datagram itself — made, and the header encoded, when
+/// the first frame goes in: a packet that turns out to have nothing to
+/// carry costs nothing.
+#[derive(Debug)]
+pub struct PacketBuilder {
+    header: Header,
+    /// Empty until the first frame; then `header_len` bytes of header
+    /// followed by the frames.
+    w: Writer,
+    header_len: usize,
+}
+
+impl PacketBuilder {
+    /// A packet that will start with `header`.
+    pub fn new(header: Header) -> Self {
+        PacketBuilder { header, w: Writer::new(), header_len: 0 }
+    }
+
+    /// Where the frames go.
+    pub fn frames(&mut self) -> &mut Writer {
+        if self.w.is_empty() {
+            self.w = Writer::with_capacity(MAX_DATAGRAM_SIZE as usize);
+            self.header.encode_to(&mut self.w);
+            self.header_len = self.w.len();
+        }
+        &mut self.w
+    }
+
+    /// Append `frame` if it encodes to at most `max_len` bytes; returns the
+    /// length it took, or `None` with the packet as it was.
+    pub fn push_if_fits(&mut self, frame: &Frame, max_len: usize) -> Option<usize> {
+        let w = self.frames();
+        let before = w.len();
+        frame.encode(w);
+        let len = w.len() - before;
+        if len > max_len {
+            w.truncate(before);
+            return None;
+        }
+        Some(len)
+    }
+
+    /// Protect the frames under `key` with the header as associated data
+    /// (multipath nonce: `path_cid_seq`, full `packet_number`) and return
+    /// the finished datagram.
+    pub fn seal(mut self, key: &AeadKey, path_cid_seq: u32, packet_number: u64) -> Vec<u8> {
+        self.frames(); // a packet of no frames still has its header
+        let mut datagram = self.w.into_bytes();
+        let (header, frames) = datagram.split_at_mut(self.header_len);
+        let tag = key.seal_in_place(path_cid_seq, packet_number, header, frames);
+        datagram.extend_from_slice(&tag);
+        datagram
     }
 }
 

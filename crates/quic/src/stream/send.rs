@@ -237,9 +237,10 @@ impl SendStream {
     }
 
     /// Take up to `max_len` bytes from the front of the pending queue for
-    /// transmission, bounded by flow control. Returns the data, its
-    /// offset, and whether this transmission carries the FIN.
-    pub fn take_chunk(&mut self, max_len: usize) -> Option<(u64, Vec<u8>, bool)> {
+    /// transmission, bounded by flow control. Returns the range taken and
+    /// whether this transmission carries the FIN; [`SendStream::data`]
+    /// lends its bytes.
+    pub fn take_range(&mut self, max_len: usize) -> Option<(SendRange, bool)> {
         let fc_limit = self.max_data;
         let (&start, &end) = self.pending.iter().next()?;
         if start >= fc_limit {
@@ -254,19 +255,26 @@ impl SendStream {
                 self.blocked_at = Some(fc_limit);
             }
         }
-        let data = self.buf[start as usize..end_allowed as usize].to_vec();
         self.largest_sent = self.largest_sent.max(end_allowed);
         let fin_here = self.fin && end_allowed == self.buf.len() as u64;
         if fin_here {
             self.fin_sent = true;
         }
-        Some((start, data, fin_here))
+        Some((SendRange { start, end: end_allowed }, fin_here))
     }
 
-    /// Copy bytes for a *re-injection* without consuming pending state:
-    /// the caller supplies the exact range (must be within written data).
-    pub fn copy_range(&self, range: SendRange) -> Vec<u8> {
-        self.buf[range.start as usize..range.end as usize].to_vec()
+    /// Owned [`SendStream::take_range`]: the offset, a copy of the bytes,
+    /// and the FIN flag.
+    pub fn take_chunk(&mut self, max_len: usize) -> Option<(u64, Vec<u8>, bool)> {
+        let (range, fin) = self.take_range(max_len)?;
+        Some((range.start, self.data(range).to_vec(), fin))
+    }
+
+    /// The written bytes of `range` (must be within written data) — for a
+    /// range just taken, or for a *re-injection*, which sends a range
+    /// again without touching pending state.
+    pub fn data(&self, range: SendRange) -> &[u8] {
+        &self.buf[range.start as usize..range.end as usize]
     }
 
     /// Record that a transmitted range was acknowledged. Returns true when
@@ -459,11 +467,11 @@ mod tests {
     }
 
     #[test]
-    fn copy_range_for_reinjection() {
+    fn data_lends_a_range_for_reinjection() {
         let mut s = SendStream::new(u64::MAX);
         s.write(b"abcdef");
         let _ = s.take_chunk(100);
-        assert_eq!(s.copy_range(SendRange { start: 2, end: 5 }), b"cde");
+        assert_eq!(s.data(SendRange { start: 2, end: 5 }), b"cde");
         // Copying does not consume pending or change state.
         assert!(s.unacked_in_flight().len() == 1);
     }

@@ -132,6 +132,11 @@ impl Writer {
         &self.buf
     }
 
+    /// Drop everything written after the first `len` bytes.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Append one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -34,12 +34,26 @@ impl MediaStore {
 
     /// Deterministic body byte for `object` at absolute offset `off`.
     pub fn body_byte(object: &str, off: u64) -> u8 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in object.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= off.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Self::byte_at(Self::name_hash(object), off)
+    }
+
+    /// The bytes `start..end` of `object`, each as [`MediaStore::body_byte`]
+    /// defines it, with the name hashed once for the whole range. No store
+    /// is consulted, so nothing is clamped.
+    pub fn body_bytes(object: &str, start: u64, end: u64) -> Vec<u8> {
+        let name = Self::name_hash(object);
+        (start..end).map(|off| Self::byte_at(name, off)).collect()
+    }
+
+    /// FNV-1a over the object name.
+    fn name_hash(object: &str) -> u64 {
+        object
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    fn byte_at(name_hash: u64, off: u64) -> u8 {
+        let mut h = name_hash ^ off.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         h ^= h >> 29;
         (h & 0xff) as u8
     }
@@ -48,11 +62,7 @@ impl MediaStore {
     /// for unknown objects; the range is clamped to the object size.
     pub fn body_range(&self, object: &str, start: u64, end: u64) -> Option<Vec<u8>> {
         let v = self.videos.get(object)?;
-        let end = end.min(v.total_bytes());
-        if start >= end {
-            return Some(Vec::new());
-        }
-        Some((start..end).map(|o| Self::body_byte(object, o)).collect())
+        Some(Self::body_bytes(object, start, end.min(v.total_bytes())))
     }
 
     /// End of the first video frame for an object (0 if unknown).
@@ -78,6 +88,19 @@ mod tests {
             .filter(|&o| MediaStore::body_byte("a", o) == MediaStore::body_byte("b", o))
             .count();
         assert!(same < 20, "objects should differ: {same}/64 equal");
+    }
+
+    #[test]
+    fn body_range_is_the_per_byte_definition() {
+        let s = store();
+        for (start, end) in [(0, 1), (7, 7), (13, 1_031), (4_095, 4_097), (9_990, 10_000)] {
+            let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
+            assert_eq!(s.body_range("v1", start, end).unwrap(), per_byte);
+            assert_eq!(MediaStore::body_bytes("v1", start, end), per_byte);
+        }
+        // Past the end: clamped by the store, not by the filler.
+        assert_eq!(s.body_range("v1", 9_990, 10_500).unwrap().len(), 10);
+        assert_eq!(MediaStore::body_bytes("v1", 9_990, 10_500).len(), 510);
     }
 
     #[test]
