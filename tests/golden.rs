@@ -7,6 +7,11 @@
 //! "a simplification is done when qlog streams and `FleetReport`s are
 //! unchanged").
 //!
+//! The `POP_*` tables pin the edge tier the same way — full qlog and
+//! report of six traced fleet-vs-PoP runs, and reports of the benchmark's
+//! `edge_churn` fault mix at 300 users — and were recorded at the commit
+//! before the PoP tier became event-driven.
+//!
 //! On a mismatch every differing row is printed as a ready-to-paste table
 //! line before the test fails; update a constant only when the change is
 //! meant to move the simulation, and say why in CHANGES.md.
@@ -14,8 +19,8 @@
 use xlink::clock::{Duration, Instant};
 use xlink::harness::fleet::{run_fleet, FleetConfig};
 use xlink::harness::{
-    handover_scenario, run_ab, AbConfig, ChaosPlan, Scenario, Scheme, SessionConfig,
-    TransportTuning,
+    handover_scenario, run_ab, run_pop, run_pop_traced, AbConfig, ChaosPlan, CrashPlan,
+    EdgeAttackKind, PopReport, PopRunConfig, Scenario, Scheme, SessionConfig, TransportTuning,
 };
 use xlink::netsim::{FlapSchedule, LinkConfig, LinkState, Path};
 use xlink::obs::TraceLog;
@@ -344,4 +349,115 @@ fn fleet_report_is_pinned_for_one_and_four_shards() {
         rows.push((format!("json_prefix/{shards}"), prefix, FLEET.1));
     }
     check("FLEET", &rows);
+}
+
+/// 60 users x 200 KB against three shards, 2 s idle timeout: long enough
+/// downloads that a fault at 150 ms lands on live connections.
+fn pop_base() -> PopRunConfig {
+    PopRunConfig {
+        users: 60,
+        addrs: 16,
+        shards: vec![1, 2, 3],
+        request_bytes: 200_000,
+        seed: 9,
+        idle_timeout: Some(Duration::from_secs(2)),
+        ..PopRunConfig::default()
+    }
+}
+
+const POP_FAULT_AT: Duration = Duration::from_millis(150);
+
+fn pop_crash() -> Option<CrashPlan> {
+    Some(CrashPlan::single(POP_FAULT_AT, 1, Some(Duration::from_millis(40))))
+}
+
+/// Hash of a report's simulated content: its debug rendering up to the
+/// work counters (`conn_polls`, `timer_fires`), which count what the
+/// runner did on the host and are last in the struct for this reason.
+fn pop_report_hash(r: &PopReport) -> u64 {
+    let text = format!("{r:?}");
+    let sim = text.split(", conn_polls:").next().expect("split yields a first piece");
+    fnv(sim.trim_end_matches(" }").as_bytes())
+}
+
+/// One traced fleet-vs-PoP run: (full qlog hash, report hash).
+fn pop_traced(cfg: &PopRunConfig) -> (u64, u64) {
+    let log = TraceLog::recording();
+    let r = run_pop_traced(cfg, &log);
+    assert!(r.bytes_ok && r.amp_ok, "golden PoP run must stay intact: {r:?}");
+    (fnv(log.to_qlog("golden").as_bytes()), pop_report_hash(&r))
+}
+
+/// The six traced runs, in the order of [`POP_TRACED`].
+fn pop_traced_cases() -> [(&'static str, PopRunConfig); 6] {
+    let base = pop_base();
+    [
+        ("clean", base.clone()),
+        ("drain", PopRunConfig { drain: Some((POP_FAULT_AT, 1)), ..base.clone() }),
+        ("crash", PopRunConfig { crash: pop_crash(), ..base.clone() }),
+        ("crash_mute", PopRunConfig { crash: pop_crash(), stateless_reset: false, ..base.clone() }),
+        (
+            "token_replay",
+            PopRunConfig { attack: Some((EdgeAttackKind::TokenReplay, 120)), ..base.clone() },
+        ),
+        (
+            "grind_drain",
+            PopRunConfig {
+                attack: Some((EdgeAttackKind::CidGrind, 300)),
+                drain: Some((POP_FAULT_AT, 2)),
+                ..base
+            },
+        ),
+    ]
+}
+
+/// (qlog, report) hashes of [`pop_traced_cases`].
+const POP_TRACED: [(u64, u64); 6] = [
+    (0x2d9c_ab5f_fdfa_11b4, 0x9b00_ec67_0864_e2c6),
+    (0xc5f5_156b_6071_08e9, 0x0d9b_79ac_2482_66ab),
+    (0x2cd7_fe93_00e8_85fb, 0xd953_ae23_f477_83aa),
+    (0xed9b_cd9f_02ea_0ab9, 0x95fe_8e3a_2b84_995f),
+    (0x6798_91c5_0a08_d399, 0xaa99_b03c_c73b_26bb),
+    (0xdaa6_df6f_5234_1c8c, 0x5371_a0b6_ae66_c68d),
+];
+
+#[test]
+fn pop_traced_runs_are_pinned() {
+    let mut rows = Vec::new();
+    for ((name, cfg), want) in pop_traced_cases().iter().zip(POP_TRACED) {
+        let (qlog, report) = pop_traced(cfg);
+        rows.push((format!("{name}/qlog"), qlog, want.0));
+        rows.push((format!("{name}/report"), report, want.1));
+    }
+    check("POP_TRACED", &rows);
+}
+
+/// The benchmark's `edge_churn` fault mix (Retry admission, a 10 000
+/// datagram Initial flood, shard 1 crash-restarted mid-fleet, 30 KB
+/// objects) at 300 users.
+fn pop_churn(seed: u64) -> u64 {
+    let mut cfg = PopRunConfig {
+        users: 300,
+        addrs: 16,
+        shards: vec![1, 2, 3],
+        request_bytes: 30_000,
+        seed,
+        deadline: Duration::from_secs(40),
+        attack: Some((EdgeAttackKind::InitialFlood, 10_000)),
+        idle_timeout: Some(Duration::from_secs(2)),
+        ..PopRunConfig::default()
+    };
+    let crash_at = cfg.stagger * 150 + Duration::from_millis(150);
+    cfg.crash = Some(CrashPlan::single(crash_at, 1, Some(Duration::from_millis(40))));
+    pop_report_hash(&run_pop(&cfg))
+}
+
+/// Report hashes of [`pop_churn`] for seeds 1, 2, 3.
+const POP_CHURN: [u64; 3] = [0xcd81_037f_c10d_57cd, 0x6f5a_e58f_1b37_5ff8, 0x5976_8ebd_c197_ebb0];
+
+#[test]
+fn pop_churn_reports_are_pinned() {
+    let rows: Vec<_> =
+        (1..=3u64).zip(POP_CHURN).map(|(s, w)| (format!("seed{s}"), pop_churn(s), w)).collect();
+    check("POP_CHURN", &rows);
 }
