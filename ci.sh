@@ -38,7 +38,13 @@ echo "==> adversary suite (8 seeds)"
 XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test adversary
 
 echo "==> edge tier: 1k-user PoP floods, drain + crash-restart sweep, 8 seeds (release)"
+edge_started=$(date +%s)
 XLINK_SWEEP_SEEDS=8 XLINK_POP_USERS=1000 cargo test -q --offline --release --test edge
+echo "    edge step wall time: $(($(date +%s) - edge_started)) s"
+
+echo "==> edge tier at scale: one 5000-user crash-restart run (wall time linear in users)"
+XLINK_SWEEP_SEEDS=1 XLINK_POP_USERS=5000 cargo test -q --offline --release --test edge \
+    mid_video_crash_sweep_resumes_with_zero_byte_loss
 
 echo "==> fleet engine: 10k concurrent sessions, bit-identical across shard counts (release)"
 XLINK_FLEET_SESSIONS=10000 cargo test -q --offline --release --test fleet

@@ -31,11 +31,11 @@
 //!   stateless resets minted from the pre-restart epoch secret, so
 //!   clients fail over to reconnection instead of idling out.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::{encode_cid, ServerId};
-use xlink_netsim::{Endpoint, Transmit};
-use xlink_obs::{Event, Tracer};
+use xlink_netsim::{Endpoint, Transmit, Wakeups};
+use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cid::ConnectionId;
 use xlink_quic::connection::{Config, Connection, ConnectionStats, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
@@ -269,6 +269,10 @@ struct Backend {
     /// rehash key for drain placement.
     client_scid: ConnectionId,
     streams: BTreeMap<u64, ReqState>,
+    /// [`Connection::cid_epoch`] the router's routes were last synced at.
+    cid_epoch: u64,
+    /// [`Connection::stream_epoch`] the request streams were last read at.
+    stream_epoch: u64,
 }
 
 fn mix(a: u64, b: u64) -> u64 {
@@ -294,6 +298,12 @@ pub struct Pop {
     /// Long-header demux: client SCID → slot (stable for a conn's life).
     client_map: BTreeMap<ConnectionId, usize>,
     conns: Vec<Option<Backend>>,
+    /// Vacant entries of `conns`; admission takes the lowest.
+    free: BTreeSet<usize>,
+    /// Which backends may have something to send, and every backend's
+    /// timer: what `poll_transmit`, `poll_timeout` and `on_timeout` consult
+    /// instead of asking each connection.
+    wake: Wakeups,
     /// Round-robin transmit cursor (slot order = admission order, which
     /// is shard-count independent — the trace-invariance property).
     rr: usize,
@@ -321,6 +331,8 @@ pub struct Pop {
     peak_live: usize,
     shard_stats: BTreeMap<ServerId, ShardStats>,
     stats: PopStats,
+    conn_polls: u64,
+    timer_fires: u64,
     tracer: Tracer,
 }
 
@@ -334,6 +346,8 @@ impl Pop {
             router,
             client_map: BTreeMap::new(),
             conns: Vec::new(),
+            free: BTreeSet::new(),
+            wake: Wakeups::default(),
             rr: 0,
             pending: VecDeque::new(),
             peak_pending: 0,
@@ -347,6 +361,8 @@ impl Pop {
             peak_live: 0,
             shard_stats,
             stats: PopStats::default(),
+            conn_polls: 0,
+            timer_fires: 0,
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -384,6 +400,19 @@ impl Pop {
     /// Monotone counters.
     pub fn stats(&self) -> &PopStats {
         &self.stats
+    }
+
+    /// Calls the PoP made into a backend's `Connection::poll_transmit`.
+    /// This and [`Pop::timer_fires`] count the runner's work, not the
+    /// simulation's: per datagram they must not grow with the number of
+    /// live connections.
+    pub fn conn_polls(&self) -> u64 {
+        self.conn_polls
+    }
+
+    /// Calls the PoP made into a backend's `Connection::on_timeout`.
+    pub fn timer_fires(&self) -> u64 {
+        self.timer_fires
     }
 
     /// Per-shard occupancy.
@@ -485,6 +514,7 @@ impl Pop {
             b.conn.issue_migration_cid(cid, tok);
             let from = b.shard;
             b.shard = target;
+            self.touched(slot);
             self.router.bind(cid, slot);
             if let Some(s) = self.shard_stats.get_mut(&from) {
                 s.live = s.live.saturating_sub(1);
@@ -519,9 +549,7 @@ impl Pop {
                 continue;
             }
             let b = self.conns[slot].take().expect("checked above");
-            self.router.unbind_slot(slot);
-            self.client_map.remove(&b.client_scid);
-            self.live -= 1;
+            self.vacate(slot, &b);
             destroyed += 1;
         }
         // The crashed shard's slice of the spent-token ledger dies with
@@ -582,6 +610,7 @@ impl Pop {
         dcid: &ConnectionId,
         trigger_len: usize,
     ) {
+        let _prof = prof::span!("edge/stateless_reset");
         if !self.cfg.stateless_reset {
             return;
         }
@@ -628,6 +657,7 @@ impl Pop {
     /// Queue a Retry for `scid` at `addr`, within the pre-validation
     /// amplification budget and the Retry-queue cap.
     fn queue_retry(&mut self, now: Instant, addr: usize, scid: ConnectionId) {
+        let _prof = prof::span!("edge/retry");
         let tok = self.token_key.mint(addr as u64, self.mint_counter, now);
         self.mint_counter += 1;
         let header = Header {
@@ -665,6 +695,7 @@ impl Pop {
         tok: &[u8],
         payload: &[u8],
     ) {
+        let _prof = prof::span!("edge/admit");
         // Account pre-validation bytes (bounded table; overflow = drop).
         if !self.addr_acct.contains_key(&addr) && self.addr_acct.len() >= self.cfg.max_addr_entries
         {
@@ -748,13 +779,10 @@ impl Pop {
         }
         conn.rebind_local_cid(cid);
 
-        let slot = match self.conns.iter().position(Option::is_none) {
-            Some(free) => free,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
-            }
-        };
+        let slot = self.free.pop_first().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
         self.router.bind(cid, slot);
         self.client_map.insert(scid, slot);
         self.live += 1;
@@ -764,14 +792,23 @@ impl Pop {
         st.admitted += 1;
         self.stats.admitted += 1;
         self.tracer.emit(now, Event::EdgeAdmit { shard });
-        self.conns[slot] =
-            Some(Backend { conn, shard, addr, client_scid: scid, streams: BTreeMap::new() });
+        self.conns[slot] = Some(Backend {
+            // The route of the one CID issued so far was bound above.
+            cid_epoch: conn.cid_epoch(),
+            stream_epoch: conn.stream_epoch(),
+            conn,
+            shard,
+            addr,
+            client_scid: scid,
+            streams: BTreeMap::new(),
+        });
         self.forward(now, slot, payload);
     }
 
     /// Hand a datagram to a backend, serve any completed requests, and
     /// sync CID issuance/retirement into the router.
     fn forward(&mut self, now: Instant, slot: usize, payload: &[u8]) {
+        let _prof = prof::span!("edge/forward");
         let Some(b) = self.conns[slot].as_mut() else { return };
         b.conn.handle_datagram(now, payload);
         // Serve the PoP's toy origin protocol: a 16-byte little-endian
@@ -779,47 +816,69 @@ impl Pop {
         // `length` bytes of the *absolute-position* pattern
         // `(offset + i) % 251` plus FIN — byte-identical regardless of
         // which shard serves it, and resumable at any verified offset
-        // after a crash reconnect (the zero-byte-loss check).
-        for id in b.conn.readable_streams() {
-            let st = b.streams.entry(id).or_default();
-            let data = b.conn.stream_recv(id, usize::MAX);
-            if st.answered {
-                continue;
+        // after a crash reconnect (the zero-byte-loss check). Every walk
+        // reads the streams empty, so there is nothing to find until the
+        // next stream frame arrives.
+        if b.stream_epoch != b.conn.stream_epoch() {
+            b.stream_epoch = b.conn.stream_epoch();
+            for id in b.conn.readable_streams() {
+                let st = b.streams.entry(id).or_default();
+                let data = b.conn.stream_recv(id, usize::MAX);
+                if st.answered {
+                    continue;
+                }
+                st.buf.extend_from_slice(&data);
+                if st.buf.len() >= 16 {
+                    let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
+                    let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
+                        .min(self.cfg.max_response_bytes);
+                    st.answered = true;
+                    st.buf = Vec::new();
+                    let body: Vec<u8> = (0..n).map(|i| ((off + i) % 251) as u8).collect();
+                    b.conn.stream_send(id, &body, true);
+                }
             }
-            st.buf.extend_from_slice(&data);
-            if st.buf.len() >= 16 {
-                let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
-                let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
-                    .min(self.cfg.max_response_bytes);
-                st.answered = true;
-                st.buf = Vec::new();
-                let body: Vec<u8> = (0..n).map(|i| ((off + i) % 251) as u8).collect();
-                b.conn.stream_send(id, &body, true);
+        }
+        // The router mirrors the connection's CID set, which moves only
+        // when the client retires a CID (and is issued a spare).
+        if b.cid_epoch != b.conn.cid_epoch() {
+            b.cid_epoch = b.conn.cid_epoch();
+            for cid in b.conn.local_cids() {
+                self.router.bind(cid, slot);
+            }
+            for cid in b.conn.take_retired_local() {
+                self.router.unbind(&cid);
             }
         }
-        let issued: Vec<ConnectionId> = b.conn.local_cids().collect();
-        let retired = b.conn.take_retired_local();
-        let drained = b.conn.is_drained();
-        for cid in issued {
-            self.router.bind(cid, slot);
-        }
-        for cid in retired {
-            self.router.unbind(&cid);
-        }
-        if drained {
-            self.reap(slot);
+        self.touched(slot);
+    }
+
+    /// The backend in `slot` just took an input (a datagram, a fired
+    /// timer, an application write, a migration CID): it may have
+    /// something to send and its timer may have moved — or it has drained
+    /// and is torn down.
+    fn touched(&mut self, slot: usize) {
+        let Some(b) = self.conns[slot].as_ref() else { return };
+        if b.conn.is_drained() {
+            let b = self.conns[slot].take().expect("checked above");
+            self.vacate(slot, &b);
+            if let Some(s) = self.shard_stats.get_mut(&b.shard) {
+                s.live = s.live.saturating_sub(1);
+            }
+        } else {
+            self.wake.mark_ready(slot);
+            self.wake.set_deadline(slot, b.conn.poll_timeout());
         }
     }
 
-    /// Tear down a fully drained backend and free its routes.
-    fn reap(&mut self, slot: usize) {
-        let Some(b) = self.conns[slot].take() else { return };
+    /// Free everything that pointed at the backend `b` just taken out of
+    /// `slot`: routes, wake-ups, the slot itself.
+    fn vacate(&mut self, slot: usize, b: &Backend) {
         self.router.unbind_slot(slot);
         self.client_map.remove(&b.client_scid);
+        self.wake.remove(slot);
+        self.free.insert(slot);
         self.live -= 1;
-        if let Some(s) = self.shard_stats.get_mut(&b.shard) {
-            s.live = s.live.saturating_sub(1);
-        }
     }
 }
 
@@ -860,36 +919,37 @@ impl Endpoint for Pop {
         if let Some((path, payload)) = self.pending.pop_front() {
             return Some(Transmit { path, payload });
         }
+        // Round-robin over the backends that took an input since they
+        // last said they had nothing to send; that answer holds until
+        // the next input, so the others are not asked.
         let n = self.conns.len();
-        for i in 0..n {
-            let slot = (self.rr + i) % n;
-            if let Some(b) = self.conns[slot].as_mut() {
-                if let Some(payload) = b.conn.poll_transmit(now) {
+        while let Some(slot) = self.wake.next_ready(self.rr) {
+            let _prof = prof::span!("edge/transmit");
+            let b = self.conns[slot].as_mut().expect("a ready slot holds a backend");
+            self.conn_polls += 1;
+            match b.conn.poll_transmit(now) {
+                Some(payload) => {
+                    // Sending arms the loss timers.
+                    self.wake.set_deadline(slot, b.conn.poll_timeout());
                     self.rr = (slot + 1) % n;
                     return Some(Transmit { path: b.addr, payload });
                 }
+                None => self.wake.sleep(slot),
             }
         }
         None
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        self.conns.iter().flatten().filter_map(|b| b.conn.poll_timeout()).min()
+        self.wake.next_deadline()
     }
 
     fn on_timeout(&mut self, now: Instant) {
-        let mut drained = Vec::new();
-        for (slot, b) in self.conns.iter_mut().enumerate() {
-            let Some(b) = b else { continue };
-            if b.conn.poll_timeout().is_some_and(|t| t <= now) {
-                b.conn.on_timeout(now);
-            }
-            if b.conn.is_drained() {
-                drained.push(slot);
-            }
-        }
-        for slot in drained {
-            self.reap(slot);
+        for slot in self.wake.due(now) {
+            let b = self.conns[slot].as_mut().expect("a filed deadline belongs to a backend");
+            b.conn.on_timeout(now);
+            self.timer_fires += 1;
+            self.touched(slot);
         }
     }
 

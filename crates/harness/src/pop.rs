@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
 use xlink_edge::{classify, Classified, Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
-use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit, World};
-use xlink_obs::{Event, TraceLog, Tracer};
+use xlink_netsim::{Deadlines, Endpoint, LinkConfig, Path, Transmit, Wakeups, World};
+use xlink_obs::{prof, Event, TraceLog, Tracer};
 use xlink_quic::cid::ConnectionId;
 use xlink_quic::connection::{Config, Connection};
 use xlink_quic::error::ConnectionError;
@@ -143,6 +143,14 @@ pub struct PopReport {
     pub recovery_times: Vec<Duration>,
     /// Virtual time when the run ended.
     pub end: Duration,
+    /// Calls into `Connection::poll_transmit` from both endpoints. This
+    /// and `timer_fires` are exact counts of what the runner did, not
+    /// simulated results (kept last so a rendering of the results can stop
+    /// before them): per PoP datagram they must not grow with the
+    /// population.
+    pub conn_polls: u64,
+    /// Calls into `Connection::on_timeout` from both endpoints.
+    pub timer_fires: u64,
 }
 
 impl PopReport {
@@ -204,6 +212,8 @@ struct Session {
     pending_resume: Option<(Instant, u32)>,
     /// (death-noticed, resumed-established) per successful reconnect.
     recoveries: Vec<(Instant, Instant)>,
+    /// [`Session::is_done`] as last counted into [`PopFleet::live`].
+    counted_done: bool,
     tracer: Tracer,
 }
 
@@ -268,16 +278,68 @@ impl Session {
 
 /// The client-side endpoint: every honest session plus the optional
 /// attacker, demuxed by client CID (sessions) or address (attacker).
+///
+/// Slot `i` is session `i`; the attacker, when there is one, is slot
+/// `sessions.len()` — its place in the round-robin transmit order.
 pub struct PopFleet {
     sessions: Vec<Session>,
     by_cid: BTreeMap<ConnectionId, usize>,
+    /// Sessions sharing each client address, ascending: who a stateless
+    /// reset arriving there is offered to.
+    by_addr: Vec<Vec<usize>>,
     attacker: Option<EdgeAttacker>,
     /// The attacker's dedicated world path.
     attack_addr: usize,
     rr: usize,
+    /// Which slots may have something to send, and every session's timer
+    /// (done sessions included: their connections keep firing, e.g.
+    /// keep-alive PINGs, whenever the world calls `on_timeout`).
+    wake: Wakeups,
+    /// The timers of the sessions that are not done — the only ones the
+    /// world is asked to wake up for.
+    live_timers: Deadlines,
+    /// Sessions before this one have reached their start time (starts
+    /// ascend with the slot).
+    next_start: usize,
+    /// Sessions that are not done.
+    live: usize,
+    /// Calls into a session's `Connection::poll_transmit`.
+    conn_polls: u64,
+    /// Calls into a session's `Connection::on_timeout`.
+    timer_fires: u64,
 }
 
 impl PopFleet {
+    /// Sessions spread over `addrs` client addresses; the attacker, if
+    /// any, sends from the address after them.
+    fn new(sessions: Vec<Session>, addrs: usize, attacker: Option<EdgeAttacker>) -> Self {
+        let mut fleet = PopFleet {
+            by_cid: BTreeMap::new(),
+            by_addr: vec![Vec::new(); addrs],
+            attacker,
+            attack_addr: addrs,
+            rr: 0,
+            wake: Wakeups::default(),
+            live_timers: Deadlines::default(),
+            next_start: 0,
+            live: sessions.len(),
+            conn_polls: 0,
+            timer_fires: 0,
+            sessions,
+        };
+        for slot in 0..fleet.sessions.len() {
+            let s = &fleet.sessions[slot];
+            let prev = fleet.by_cid.insert(s.conn.local_cid(), slot);
+            debug_assert!(prev.is_none(), "client CID collision");
+            fleet.by_addr[s.addr].push(slot);
+            fleet.refile(slot);
+        }
+        if fleet.attacker.is_some() {
+            fleet.wake.mark_ready(fleet.sessions.len());
+        }
+        fleet
+    }
+
     /// A session's connection died. Record the detection, and — if the
     /// object is unfinished and budget remains — replace the connection
     /// with a fresh incarnation that re-runs admission and resumes the
@@ -315,21 +377,39 @@ impl PopFleet {
         debug_assert!(prev.is_none(), "reconnect CID collision");
     }
 
-    /// Sweep every started session for an unnoticed connection death.
-    fn reconnect_pass(&mut self, now: Instant) {
-        for slot in 0..self.sessions.len() {
-            if now >= self.sessions[slot].start {
-                self.note_closed(now, slot);
+    /// File session `slot`'s timer in both views and keep the count of
+    /// live sessions. Call after anything that can move either: an input,
+    /// a send (which arms loss timers), a reconnect.
+    fn refile(&mut self, slot: usize) {
+        let s = &mut self.sessions[slot];
+        let (deadline, done) = (s.conn.poll_timeout(), s.is_done());
+        if done != s.counted_done {
+            s.counted_done = done;
+            if done {
+                self.live -= 1;
+            } else {
+                self.live += 1;
             }
         }
+        self.wake.set_deadline(slot, deadline);
+        self.live_timers.set(slot, if done { None } else { deadline });
+    }
+
+    /// Session `slot` took an input (a datagram, a fired timer, a fresh
+    /// incarnation): it may have something to send.
+    fn touched(&mut self, slot: usize) {
+        self.wake.mark_ready(slot);
+        self.refile(slot);
     }
 }
 
 impl Endpoint for PopFleet {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
+        let _prof = prof::span!("harness/pop_client");
         if path == self.attack_addr {
             if let Some(a) = self.attacker.as_mut() {
                 a.on_datagram(payload);
+                self.wake.mark_ready(self.sessions.len());
             }
             return;
         }
@@ -347,6 +427,7 @@ impl Endpoint for PopFleet {
             s.conn.handle_datagram(now, payload);
             s.absorb(now);
             self.note_closed(now, i);
+            self.touched(i);
             return;
         }
         // No session owns that CID. A §10.3 stateless reset is built to
@@ -354,71 +435,73 @@ impl Endpoint for PopFleet {
         // real client stack, offer it to the sessions sharing the
         // arrival address; only a token-oracle match kills anything.
         if reset::plausible_reset(payload) {
-            for i in 0..self.sessions.len() {
+            let hit = self.by_addr.get(path).into_iter().flatten().copied().find(|&i| {
                 let s = &mut self.sessions[i];
-                if s.addr != path || s.conn.is_closed() || now < s.start {
-                    continue;
-                }
-                if s.conn.probe_stateless_reset(now, payload) {
-                    self.note_closed(now, i);
-                    break;
-                }
+                !s.conn.is_closed() && now >= s.start && s.conn.probe_stateless_reset(now, payload)
+            });
+            if let Some(i) = hit {
+                self.note_closed(now, i);
+                self.touched(i);
             }
         }
     }
 
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
+        // A session begins here: on the first poll at or after its start
+        // time, not at that time — nothing wakes the world for a start.
+        while self.sessions.get(self.next_start).is_some_and(|s| s.start <= now) {
+            self.wake.mark_ready(self.next_start);
+            self.next_start += 1;
+        }
         let slots = self.sessions.len() + usize::from(self.attacker.is_some());
-        for i in 0..slots {
-            let slot = (self.rr + i) % slots;
-            if slot == self.sessions.len() {
-                if let Some(d) = self.attacker.as_mut().and_then(|a| a.next_datagram()) {
-                    self.rr = (slot + 1) % slots;
-                    return Some(Transmit { path: self.attack_addr, payload: d });
+        // Round-robin over the slots that took an input since they last
+        // had nothing to send; the others would still say so.
+        while let Some(slot) = self.wake.next_ready(self.rr) {
+            let _prof = prof::span!("harness/pop_client_send");
+            let sent = match self.sessions.get_mut(slot) {
+                Some(s) => {
+                    s.drive(now);
+                    self.conn_polls += 1;
+                    s.conn.poll_transmit(now).map(|d| Transmit { path: s.addr, payload: d })
                 }
-                continue;
-            }
-            let s = &mut self.sessions[slot];
-            if now < s.start {
-                continue;
-            }
-            s.drive(now);
-            if let Some(d) = s.conn.poll_transmit(now) {
+                // The slot after the sessions is the attacker's.
+                None => {
+                    let datagram = self.attacker.as_mut().and_then(|a| a.next_datagram());
+                    datagram.map(|d| Transmit { path: self.attack_addr, payload: d })
+                }
+            };
+            if sent.is_some() {
+                // Sending arms a connection's loss timers.
+                if slot < self.sessions.len() {
+                    self.refile(slot);
+                }
                 self.rr = (slot + 1) % slots;
-                return Some(Transmit { path: s.addr, payload: d });
+                return sent;
             }
+            self.wake.sleep(slot);
         }
         None
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        self.sessions
-            .iter()
-            .filter(|s| !s.is_done())
-            .filter_map(|s| {
-                // An unstarted session wakes the world at its start time.
-                if s.stream.is_none() && !s.conn.is_established() {
-                    Some(s.conn.poll_timeout().map_or(s.start, |t| t.max(s.start)))
-                } else {
-                    s.conn.poll_timeout()
-                }
-            })
-            .min()
+        self.live_timers.next()
     }
 
     fn on_timeout(&mut self, now: Instant) {
-        for s in &mut self.sessions {
-            if now >= s.start && s.conn.poll_timeout().is_some_and(|t| t <= now) {
-                s.conn.on_timeout(now);
-            }
+        let due = self.wake.due(now);
+        for &slot in &due {
+            self.sessions[slot].conn.on_timeout(now);
+            self.timer_fires += 1;
         }
         // Idle-timeout deaths surface here, not on a datagram.
-        self.reconnect_pass(now);
+        for slot in due {
+            self.note_closed(now, slot);
+            self.touched(slot);
+        }
     }
 
     fn is_done(&self) -> bool {
-        self.sessions.iter().all(Session::is_done)
-            && self.attacker.as_ref().is_none_or(EdgeAttacker::exhausted)
+        self.live == 0 && self.attacker.as_ref().is_none_or(EdgeAttacker::exhausted)
     }
 }
 
@@ -501,7 +584,6 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
         pop.set_tracer(log.tracer("edge.pop"));
     }
     let mut sessions = Vec::with_capacity(cfg.users);
-    let mut by_cid = BTreeMap::new();
     for i in 0..cfg.users {
         let tracer = log.map_or_else(Tracer::disabled, |log| log.tracer(&format!("client{i}")));
         let mut s = Session {
@@ -523,6 +605,7 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
             detects: Vec::new(),
             pending_resume: None,
             recoveries: Vec::new(),
+            counted_done: false,
             tracer,
         };
         // Birth the connection at its own staggered start, not the
@@ -531,13 +614,11 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
         // part-spent.
         let mut conn = Connection::new(s.client_config(0), s.start);
         conn.set_tracer(s.tracer.clone());
-        let prev = by_cid.insert(conn.local_cid(), i);
-        debug_assert!(prev.is_none(), "client CID collision");
         s.conn = conn;
         sessions.push(s);
     }
     let attacker = cfg.attack.map(|(kind, budget)| EdgeAttacker::new(kind, cfg.seed, budget));
-    let fleet = PopFleet { sessions, by_cid, attacker, attack_addr: cfg.addrs, rr: 0 };
+    let fleet = PopFleet::new(sessions, cfg.addrs, attacker);
     let n_paths = cfg.addrs + usize::from(cfg.attack.is_some());
     let paths = (0..n_paths)
         .map(|_| Path::symmetric(LinkConfig::constant_rate(cfg.link_mbps, cfg.link_delay)))
@@ -617,6 +698,8 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
         detect_times,
         recovery_times,
         end: end.saturating_duration_since(zero),
+        conn_polls: fleet.conn_polls + pop.conn_polls(),
+        timer_fires: fleet.timer_fires + pop.timer_fires(),
     }
 }
 

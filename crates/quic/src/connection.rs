@@ -110,7 +110,7 @@ pub struct PacketContent {
 }
 
 /// Counters exposed for experiments.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionStats {
     /// Datagrams transmitted.
     pub packets_sent: u64,
@@ -225,6 +225,14 @@ pub struct Connection {
     /// Local CID values retired at the peer's request — drained by the
     /// edge router to unmap stale routing entries.
     retired_local: Vec<ConnectionId>,
+    /// Bumped whenever the set of local CIDs changes (see
+    /// [`Connection::cid_epoch`]).
+    cid_epoch: u64,
+    /// Bumped whenever a STREAM or RESET_STREAM frame is accepted (see
+    /// [`Connection::stream_epoch`]).
+    stream_epoch: u64,
+    /// The connection-level send limit a DATA_BLOCKED was last sent for.
+    data_blocked_at: Option<u64>,
     /// The reset-token oracle (§10.3): tokens the peer told us it would
     /// use to stateless-reset the CIDs we send to, learned from its
     /// transport parameters and NEW_CONNECTION_ID frames. Bounded by
@@ -348,6 +356,9 @@ impl Connection {
             remote_cid_seq: 0,
             initial_remote_bound: false,
             retired_local: Vec::new(),
+            cid_epoch: 0,
+            stream_epoch: 0,
+            data_blocked_at: None,
             reset_tokens: Vec::new(),
             recv_buf: Vec::new(),
             tracer: Tracer::disabled(),
@@ -504,6 +515,15 @@ impl Connection {
         data
     }
 
+    /// Monotone count of accepted STREAM and RESET_STREAM frames. What
+    /// [`Connection::readable_streams`] and [`Connection::stream_recv`]
+    /// return changes only when this moves or the application reads, so an
+    /// application that has read everything need not look again until it
+    /// does.
+    pub fn stream_epoch(&self) -> u64 {
+        self.stream_epoch
+    }
+
     /// Streams with readable data.
     pub fn readable_streams(&self) -> Vec<u64> {
         self.streams
@@ -581,11 +601,20 @@ impl Connection {
         self.cids.local_cids().iter().map(|c| c.cid)
     }
 
+    /// Monotone count of changes to the local CID set: while it stands
+    /// still, [`Connection::local_cids`] yields what it yielded before and
+    /// [`Connection::take_retired_local`] has nothing new, so a router
+    /// mirrors the set only when this moves.
+    pub fn cid_epoch(&self) -> u64 {
+        self.cid_epoch
+    }
+
     /// Replace the handshake-era (seq 0) local CID before the peer has
     /// learned it — a server adopting a routable QUIC-LB encoded CID.
     pub fn rebind_local_cid(&mut self, cid: ConnectionId) {
         self.cids.rebind_initial_local(cid);
         self.local_cid = cid;
+        self.cid_epoch += 1;
     }
 
     /// Issue a caller-supplied CID that orders the peer to retire every
@@ -597,6 +626,7 @@ impl Connection {
         let issued = self.cids.issue_local_migration(cid, reset_token);
         // Future §19.16 in-use checks apply to the replacement.
         self.local_cid = cid;
+        self.cid_epoch += 1;
         self.control_queue.push(Frame::NewConnectionId(issued));
         issued.seq
     }
@@ -850,6 +880,7 @@ impl Connection {
                 self.close(TransportError::ProtocolViolation, "ACK_MP on single path");
             }
             Frame::Stream { stream_id, offset, data, fin } => {
+                self.stream_epoch += 1;
                 let prev_high;
                 {
                     let stream = match self.streams.get_or_open_peer(stream_id) {
@@ -885,6 +916,7 @@ impl Connection {
             Frame::MaxStreams(_) => {}
             Frame::DataBlocked(_) | Frame::StreamDataBlocked { .. } => {}
             Frame::ResetStream { stream_id, final_size, .. } => {
+                self.stream_epoch += 1;
                 if let Ok(s) = self.streams.get_or_open_peer(stream_id) {
                     let _ = s.recv.on_reset(final_size);
                 }
@@ -927,6 +959,7 @@ impl Connection {
                     self.close(TransportError::ProtocolViolation, "retire of cid in use");
                 } else if let Some(cid) = self.cids.retire_local(seq) {
                     self.retired_local.push(cid);
+                    self.cid_epoch += 1;
                     // Keep the peer supplied with a spare CID.
                     let issued = self.cids.issue_local();
                     self.control_queue.push(Frame::NewConnectionId(issued));
@@ -1264,9 +1297,19 @@ impl Connection {
             // Connection flow control applies only to never-sent offsets.
             let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
             if new_bytes > conn_credit {
-                // Re-queue and stop: blocked at connection level.
-                stream.send.queue_range(range);
-                self.control_queue.push(Frame::DataBlocked(self.streams.send_max_data));
+                // Put the range back and stop: blocked at connection
+                // level. Say so once per limit (RFC 9000 §19.12), in this
+                // very packet: a frame left on the queue would make the
+                // next poll send with no input in between.
+                stream.send.untake(range, before_largest);
+                let limit = self.streams.send_max_data;
+                let blocked = Frame::DataBlocked(limit);
+                if self.data_blocked_at != Some(limit)
+                    && packet.push_if_fits(&blocked, remaining).is_some()
+                {
+                    self.data_blocked_at = Some(limit);
+                    infos.push(SentFrameInfo::Control(blocked));
+                }
                 break;
             }
             // The payload goes from the stream's buffer straight into the
@@ -1936,5 +1979,88 @@ mod tests {
         let win = TransportParams::default().initial_max_stream_data;
         assert!(buffered <= win, "buffered {buffered} exceeds window {win}");
         assert!(buffered > 0);
+    }
+
+    /// Send until `conn` has nothing more, then poll once more at the same
+    /// instant: still nothing, and nothing moved. An endpoint multiplexing
+    /// many connections relies on this to stop asking a connection that
+    /// said `None` until that connection's next input.
+    fn assert_none_is_stable(what: &str, conn: &mut Connection, now: Instant) {
+        while conn.poll_transmit(now).is_some() {}
+        let before = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        assert!(conn.poll_transmit(now).is_none(), "{what}: sent again with no input");
+        let after = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        assert_eq!(before, after, "{what}: a poll that sent nothing changed state");
+    }
+
+    #[test]
+    fn none_from_poll_transmit_means_nothing_changes_until_the_next_input() {
+        // Blocked by the congestion window: far more to send than cwnd,
+        // and no ACK comes back.
+        let (mut c, mut s, mut now) = pair();
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        c.stream_send(id, &vec![7u8; 1_000_000], true);
+        assert_none_is_stable("cwnd", &mut c, now);
+        assert!(c.bytes_in_flight() + MAX_DATAGRAM_SIZE > c.cwnd(), "not cwnd-limited");
+
+        // Blocked by connection flow control: the client grants 20 KB in
+        // all and never reads, so the server runs out of credit with an
+        // open congestion window. It says DATA_BLOCKED once, not per poll.
+        // (Limits start at the endpoint's own and are only ever raised, so
+        // both sides get the small one.)
+        let mut now = Instant::ZERO;
+        let (mut client_cfg, mut server_cfg) = (Config::client(1), Config::server(2));
+        client_cfg.params.initial_max_data = 20_000;
+        server_cfg.params.initial_max_data = 20_000;
+        let mut c = Connection::new(client_cfg, now);
+        let mut s = Connection::new(server_cfg, now);
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        c.stream_send(id, b"r", true);
+        pump(&mut now, &mut c, &mut s);
+        s.stream_recv(id, 10);
+        s.stream_send(id, &vec![1u8; 100_000], true);
+        for _ in 0..20 {
+            pump(&mut now, &mut c, &mut s);
+            now += Duration::from_millis(2);
+        }
+        let credit = s.streams().conn_send_credit();
+        assert!(credit < MAX_DATAGRAM_SIZE, "not flow-control-limited: {credit} B of credit");
+        assert!(s.cwnd() > s.bytes_in_flight() + MAX_DATAGRAM_SIZE, "cwnd-limited instead");
+        assert_none_is_stable("flow control", &mut s, now);
+        assert_eq!(s.control_queue_len(), 0, "DATA_BLOCKED left on the queue");
+        assert!(!s.is_closed() && !c.is_closed(), "the limit was overrun: {:?}", c.state());
+        // Reading on the other side lifts the limit and the rest arrives.
+        let mut got = 0;
+        for _ in 0..200 {
+            got += c.stream_recv(id, usize::MAX).len();
+            pump(&mut now, &mut c, &mut s);
+            now += Duration::from_millis(2);
+        }
+        assert_eq!(got, 100_000, "transfer did not resume after MAX_DATA");
+
+        // Amplification-limited: an unvalidated server that has received
+        // too little to be allowed a full-size datagram.
+        let now = Instant::ZERO;
+        let mut s = Connection::new(Config::server(2), now);
+        s.set_address_unvalidated();
+        s.handle_datagram(now, &[0x40; 30]);
+        assert_none_is_stable("amplification", &mut s, now);
+        assert!(!s.is_address_validated() && s.stats().bytes_received == 30);
+
+        // Closing: the CONNECTION_CLOSE went out; no packet arrives to
+        // warrant a replay.
+        let (mut c, mut s, mut now) = pair();
+        pump(&mut now, &mut c, &mut s);
+        c.close(TransportError::NoError, "bye");
+        assert_none_is_stable("closing", &mut c, now);
+        assert!(c.is_closed() && !c.is_drained());
+
+        // Drained: the closing period ran out and the state was freed.
+        let end = c.poll_timeout().expect("drain deadline");
+        c.on_timeout(end);
+        assert!(c.is_drained());
+        assert_none_is_stable("drained", &mut c, end);
     }
 }

@@ -263,6 +263,15 @@ impl SendStream {
         Some((SendRange { start, end: end_allowed }, fin_here))
     }
 
+    /// Undo a [`SendStream::take_range`] whose bytes were not sent after
+    /// all: `range` is pending again and the largest offset sent is what it
+    /// was before the take, so the bytes still count as never sent when
+    /// connection flow control is applied to them on the next attempt.
+    pub fn untake(&mut self, range: SendRange, largest_sent_before: u64) {
+        self.queue_range(range);
+        self.largest_sent = largest_sent_before;
+    }
+
     /// Owned [`SendStream::take_range`]: the offset, a copy of the bytes,
     /// and the FIN flag.
     pub fn take_chunk(&mut self, max_len: usize) -> Option<(u64, Vec<u8>, bool)> {

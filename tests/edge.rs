@@ -314,3 +314,30 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(report_a, report_b, "repeated run changed the report");
     assert_eq!(qlog_a, qlog_b, "repeated run changed the traced event stream");
 }
+
+/// The PoP tier is event-driven: an endpoint asks a connection for a
+/// datagram only after that connection took an input, so the number of
+/// `Connection::poll_transmit` calls per datagram the PoP ingests is a
+/// small constant whatever the population. (A runner that walks every
+/// connection on every round makes it grow with the users: hundreds at
+/// 1000.) Exact counts, so the bound cannot flake.
+#[test]
+fn conn_polls_per_datagram_do_not_grow_with_the_population() {
+    let polls_per_datagram = |users: usize| {
+        let mut cfg = PopRunConfig {
+            request_bytes: 30_000,
+            idle_timeout: Some(Duration::from_secs(2)),
+            attack: Some((EdgeAttackKind::InitialFlood, 500)),
+            ..base(users, 7)
+        };
+        cfg.crash =
+            Some(CrashPlan::single(mid_fleet_crash(&cfg), 1, Some(Duration::from_millis(40))));
+        let r = run_pop(&cfg);
+        assert!(r.completion() >= 0.95 && r.bytes_ok, "{users} users: {r:?}");
+        assert!(r.timer_fires > 0, "{users} users: no timer ever fired: {r:?}");
+        r.conn_polls as f64 / r.stats.datagrams_in as f64
+    };
+    let (small, large) = (polls_per_datagram(250), polls_per_datagram(1000));
+    assert!(large <= small * 1.5, "polls per datagram grew with users: {small:.2} -> {large:.2}");
+    assert!(large < 8.0, "{large:.2} connection polls per PoP datagram");
+}
