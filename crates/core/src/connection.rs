@@ -289,7 +289,7 @@ impl MpPath {
 }
 
 /// Experiment counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MpStats {
     /// Datagrams sent across all paths.
     pub packets_sent: u64,
@@ -1974,7 +1974,9 @@ impl MpConnection {
             };
             let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
             if new_bytes > conn_credit {
-                stream.send.queue_range(range);
+                // Blocked at connection level: put the range back as never
+                // sent, so the next attempt still charges it to the limit.
+                stream.send.untake(range, before_largest);
                 break;
             }
             // The payload goes from the stream's buffer straight into the
@@ -2905,6 +2907,99 @@ mod tests {
         assert_eq!(c.path_responses_dropped(), 100 - MAX_PENDING_PATH_RESPONSES as u64);
         assert!(!c.is_closed());
         let _ = s;
+    }
+
+    /// A pair whose connection-level flow-control limit (both directions:
+    /// limits start at the endpoint's own and are only ever raised) is far
+    /// smaller than the 100 KB the server then queues on one stream, the
+    /// client not reading. Returns once the server has run into the limit.
+    fn flow_control_blocked_pair() -> (MpConnection, MpConnection, Instant, u64) {
+        let mut now = Instant::ZERO;
+        let (mut ccfg, mut scfg) = (client_cfg(1), server_cfg(2));
+        ccfg.params.initial_max_data = 20_000;
+        scfg.params.initial_max_data = 20_000;
+        let mut c = MpConnection::new(ccfg, now);
+        let mut s = MpConnection::new(scfg, now);
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        c.stream_send(id, b"r", true);
+        pump(&mut now, &mut c, &mut s);
+        s.stream_recv(id, 10);
+        s.stream_send(id, &vec![1u8; 100_000], true);
+        for _ in 0..20 {
+            pump(&mut now, &mut c, &mut s);
+            now += Duration::from_millis(2);
+        }
+        (c, s, now, id)
+    }
+
+    #[test]
+    fn connection_flow_control_limit_is_never_overrun() {
+        // The range that does not fit the peer's MAX_DATA must go back as
+        // never sent. Re-queued with `largest_sent` left advanced, the next
+        // poll sends it as already counted and the honest peer closes with
+        // FLOW_CONTROL_ERROR.
+        let (mut c, mut s, mut now, id) = flow_control_blocked_pair();
+        let credit = s.streams().conn_send_credit();
+        assert!(credit < MAX_DATAGRAM_SIZE, "not flow-control-limited: {credit} B of credit");
+        assert!(!c.is_closed() && !s.is_closed(), "the limit was overrun: {:?}", c.state());
+        assert!(s.streams().send_data_used <= s.streams().send_max_data);
+        // Reading on the other side lifts the limit and the rest arrives.
+        let mut got = 0;
+        for _ in 0..200 {
+            got += c.stream_recv(id, usize::MAX).len();
+            pump(&mut now, &mut c, &mut s);
+            now += Duration::from_millis(2);
+        }
+        assert_eq!(got, 100_000, "transfer did not resume after MAX_DATA");
+        assert!(!c.is_closed() && !s.is_closed());
+    }
+
+    /// Send until `conn` has nothing more, then poll once more at the same
+    /// instant: still nothing, and nothing moved (see the test of the same
+    /// name in `xlink_quic::connection`).
+    fn assert_none_is_stable(what: &str, conn: &mut MpConnection, now: Instant) {
+        while conn.poll_transmit(now).is_some() {}
+        let before = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        assert!(conn.poll_transmit(now).is_none(), "{what}: sent again with no input");
+        let after = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        assert_eq!(before, after, "{what}: a poll that sent nothing changed state");
+    }
+
+    #[test]
+    fn none_from_poll_transmit_means_nothing_changes_until_the_next_input() {
+        // Blocked by the congestion window on every path: far more to send
+        // than the windows hold, and no ACK comes back.
+        let (mut c, mut s, mut now) = pair();
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        c.stream_send(id, &vec![7u8; 1_000_000], true);
+        assert_none_is_stable("cwnd", &mut c, now);
+        for p in c.paths() {
+            assert!(p.bytes_in_flight() + MAX_DATAGRAM_SIZE > p.cwnd(), "path {} open", p.id);
+        }
+
+        // Blocked by connection flow control with open congestion windows.
+        let (c, mut s, now, _) = flow_control_blocked_pair();
+        assert!(s.streams().conn_send_credit() < MAX_DATAGRAM_SIZE, "not flow-control-limited");
+        assert!(s.paths().iter().any(|p| p.cwnd() > p.bytes_in_flight() + MAX_DATAGRAM_SIZE));
+        assert_none_is_stable("flow control", &mut s, now);
+        assert_eq!(s.control_queue_len(), 0, "a control frame left on the queue");
+        assert!(!s.is_closed() && !c.is_closed(), "the limit was overrun: {:?}", c.state());
+
+        // Closing: the CONNECTION_CLOSE went out; no packet arrives to
+        // warrant a replay.
+        let (mut c, mut s, mut now) = pair();
+        pump(&mut now, &mut c, &mut s);
+        c.close(TransportError::NoError, "bye");
+        assert_none_is_stable("closing", &mut c, now);
+        assert!(c.is_closed() && !c.is_drained());
+
+        // Drained: the closing period ran out and the state was freed.
+        let end = c.poll_timeout().expect("drain deadline");
+        c.on_timeout(end);
+        assert!(c.is_drained());
+        assert_none_is_stable("drained", &mut c, end);
     }
 
     #[test]
