@@ -16,7 +16,7 @@
 //! and managed with PATH_STATUS.
 
 use crate::liveness::{LivenessConfig, Probation};
-use crate::qoe::{reinjection_decision, QoeControl, QoeSignal};
+use crate::qoe::{redundancy_ratio, reinjection_decision, QoeControl, QoeSignal};
 use crate::sched::{
     ecf_choice, max_deliver_time, min_rtt_choice, AckPathPolicy, ReinjectKey, ReinjectLedger,
     ReinjectMode, RoundRobinState, SchedulerKind,
@@ -24,22 +24,23 @@ use crate::sched::{
 use crate::wireless::{PrimaryPathPolicy, WirelessTech};
 use xlink_clock::{Duration, Instant};
 use xlink_obs::{prof, Event, Tracer};
-use xlink_quic::ackranges::AckRanges;
 use xlink_quic::cc::{CcAlgorithm, CongestionController, MAX_DATAGRAM_SIZE};
 use xlink_quic::cid::{CidManager, ConnectionId};
-use xlink_quic::connection::{MAX_PENDING_PATH_RESPONSES, MAX_RESET_TOKENS};
-use xlink_quic::crypto::{derive_keys, KeyPair};
+use xlink_quic::connection::{
+    hello_random, trace_rtt, BoundedState, Expiry, Keys, Lifecycle, Opened, PnSpace, ResetOracle,
+    SentFrame, MAX_PENDING_PATH_RESPONSES,
+};
 use xlink_quic::error::{ConnectionError, TransportError};
 use xlink_quic::frame::{AckFrame, Frame, PathStatusKind};
-use xlink_quic::handshake::{Handshake, Hello};
-use xlink_quic::packet::{
-    pn_decode, pn_encode_len, pn_truncate, Header, PacketBuilder, PacketType,
-};
+use xlink_quic::packet::{Header, PacketBuilder, PacketType};
 use xlink_quic::params::TransportParams;
-use xlink_quic::recovery::{Recovery, SentPacket, TimeoutOutcome};
+use xlink_quic::recovery::{SentPacket, TimeoutOutcome};
 use xlink_quic::reset;
 use xlink_quic::rtt::RttEstimator;
 use xlink_quic::stream::{SendRange, Side, StreamMap};
+
+/// Connection lifecycle states: the one [`xlink_quic::connection::State`].
+pub use xlink_quic::connection::State as MpState;
 
 /// Multipath endpoint configuration.
 #[derive(Debug, Clone)]
@@ -145,34 +146,6 @@ pub enum PathState {
     Abandoned,
 }
 
-/// What a transmitted packet carried (per-path recovery metadata).
-#[derive(Debug, Clone)]
-enum FrameInfo {
-    Stream {
-        id: u64,
-        range: SendRange,
-        fin: bool,
-        reinjected: bool,
-    },
-    Crypto,
-    Ack {
-        path_id: u64,
-        largest: u64,
-    },
-    HandshakeDone,
-    Control(Frame),
-    Challenge([u8; 8]),
-    /// PATH_RESPONSE pinned to the path it was sent on (RFC 9000 §8.2.2:
-    /// responses must go out on the path the challenge arrived on).
-    Response([u8; 8]),
-    Ping,
-}
-
-#[derive(Debug, Clone, Default)]
-struct PacketContent {
-    frames: Vec<FrameInfo>,
-}
-
 /// Per-path transport state.
 pub struct MpPath {
     /// Path index == CID sequence number bound to this path.
@@ -181,13 +154,12 @@ pub struct MpPath {
     pub state: PathState,
     /// Wireless technology tag.
     pub tech: WirelessTech,
-    recovery: Recovery<PacketContent>,
+    /// The path's packet-number space (Initial packets on the primary
+    /// path number in it too).
+    space: PnSpace,
     /// RTT estimator for this path.
     pub rtt: RttEstimator,
     cc: Box<dyn CongestionController>,
-    /// Packet numbers received on this path.
-    recv_ranges: AckRanges,
-    ack_pending: bool,
     last_recv_time: Instant,
     /// Destination CID bound to this path.
     dcid: ConnectionId,
@@ -239,11 +211,9 @@ impl MpPath {
             id,
             state: PathState::Validating,
             tech,
-            recovery: Recovery::new(),
+            space: PnSpace::default(),
             rtt: RttEstimator::new(),
             cc,
-            recv_ranges: AckRanges::new(),
-            ack_pending: false,
             last_recv_time: now,
             dcid,
             probe_pending: false,
@@ -270,21 +240,29 @@ impl MpPath {
     /// pairs (robustness tests assert these stay sane under adversarial
     /// datagrams).
     pub fn recv_pn_ranges(&self) -> Vec<(u64, u64)> {
-        self.recv_ranges.iter().map(|r| (r.start, r.end)).collect()
+        self.space.recv.iter().map(|r| (r.start, r.end)).collect()
     }
 
     /// Bytes currently in flight on this path.
     pub fn bytes_in_flight(&self) -> u64 {
-        self.recovery.bytes_in_flight()
+        self.space.recovery.bytes_in_flight()
     }
 
     /// Spare congestion budget.
     fn budget(&self) -> u64 {
-        self.cc.window().saturating_sub(self.recovery.bytes_in_flight())
+        self.cc.window().saturating_sub(self.space.recovery.bytes_in_flight())
     }
 
     fn usable_for_data(&self) -> bool {
         self.state == PathState::Active
+    }
+
+    /// Since when the path has made no ack progress on what is in flight.
+    fn silent_since(&self) -> Instant {
+        self.space
+            .recovery
+            .oldest_unacked_time()
+            .map_or(self.last_ack_time, |t| t.max(self.last_ack_time))
     }
 }
 
@@ -330,39 +308,18 @@ pub struct MpStats {
 }
 
 impl MpStats {
-    /// The paper's redundancy ratio: re-injected bytes over total stream
-    /// payload bytes sent (first-time + retransmit + re-injected).
+    /// The paper's redundancy ratio (see [`redundancy_ratio`]).
     pub fn redundancy_ratio(&self) -> f64 {
-        let total =
-            self.stream_bytes_sent + self.stream_bytes_retransmitted + self.reinjected_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.reinjected_bytes as f64 / total as f64
-        }
+        let retransmitted = self.stream_bytes_retransmitted;
+        redundancy_ratio(self.stream_bytes_sent, retransmitted, self.reinjected_bytes)
     }
-}
-
-/// Connection lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpState {
-    /// Handshaking on the primary path.
-    Handshaking,
-    /// Established (single- or multi-path).
-    Established,
-    /// Closed.
-    Closed(ConnectionError),
 }
 
 /// The multipath connection.
 pub struct MpConnection {
     cfg: MpConfig,
-    state: MpState,
-    handshake: Handshake,
-    handshake_sent: bool,
-    handshake_done_sent: bool,
-    keys: Option<KeyPair>,
-    initial_keys: KeyPair,
+    life: Lifecycle,
+    keys: Keys,
     cids: CidManager,
     /// CID we address the peer with on the primary path before extra CIDs
     /// are exchanged.
@@ -384,28 +341,9 @@ pub struct MpConnection {
     /// Re-injection dedup ledger.
     ledger: ReinjectLedger,
     rr: RoundRobinState,
-    control_queue: Vec<Frame>,
-    close_frame_pending: Option<(TransportError, String)>,
-    /// The CONNECTION_CLOSE we sent, retained for rate-limited replay
-    /// while closing (RFC 9000 §10.2.1).
-    close_replay: Option<Frame>,
-    /// A replay is due (set at power-of-two received-packet counts).
-    close_replay_pending: bool,
-    /// Packets received since entering the closing state.
-    closing_recv_count: u64,
-    /// When the closing/draining period ends (3×PTO after entry).
-    drain_deadline: Option<Instant>,
-    /// Peer initiated the close: drain silently, never reply.
-    draining: bool,
-    /// The drain period ended and remaining state was freed.
-    drained: bool,
     /// PATH_RESPONSEs dropped by the per-path pending cap (§10 gauge).
     path_responses_dropped: u64,
-    last_activity: Instant,
-    idle_timeout: Duration,
     stats: MpStats,
-    /// Hello flights sent so far (first + retransmits).
-    hello_sends: u32,
     /// Transport-layer tracer (`<prefix>.quic`).
     tr_quic: Tracer,
     /// Scheduler / re-injection / path-management tracer (`<prefix>.core`).
@@ -415,15 +353,12 @@ pub struct MpConnection {
     /// Time-series probe: (time, path, cwnd, bytes_in_flight) recorded on
     /// each send when enabled (Fig. 1 dynamics experiment).
     pub probe_cwnd: Option<Vec<(Instant, usize, u64, u64)>>,
-    /// §10.3 oracle: (reset token, path) pairs the peer attached to the
-    /// CIDs in use per path. A matching unintelligible datagram is an
-    /// authoritative "that path's endpoint lost its state" — stronger
-    /// than the PTO/ack-silence heuristics, so the path skips Suspect
-    /// dwell time and goes straight to probation.
-    reset_tokens: Vec<([u8; 16], usize)>,
-    /// The datagram being ingested: copied here once, opened in place, and
-    /// the capacity kept for the next one.
-    recv_buf: Vec<u8>,
+    /// §10.3 oracle: the reset tokens the peer attached to the CIDs in use
+    /// per path. A matching unintelligible datagram is an authoritative
+    /// "that path's endpoint lost its state" — stronger than the
+    /// PTO/ack-silence heuristics, so the path skips Suspect dwell time
+    /// and goes straight to probation.
+    oracle: ResetOracle,
     /// Scheduler candidates `(path, srtt, usable)`, rebuilt on every
     /// [`MpConnection::poll_data`] in the same allocation.
     sched_scratch: Vec<(usize, Duration, bool)>,
@@ -433,7 +368,7 @@ impl std::fmt::Debug for MpConnection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MpConnection")
             .field("side", &self.cfg.side)
-            .field("state", &self.state)
+            .field("state", self.life.state())
             .field("paths", &self.paths.len())
             .finish_non_exhaustive()
     }
@@ -450,39 +385,19 @@ fn state_name(s: PathState) -> &'static str {
     }
 }
 
-fn seed_random(seed: u64, salt: u64) -> [u8; 16] {
-    let a = ConnectionId::derive(seed, salt).0;
-    let b = ConnectionId::derive(seed ^ 0x5a5a, salt.wrapping_add(7)).0;
-    let mut r = [0u8; 16];
-    r[..8].copy_from_slice(&a);
-    r[8..].copy_from_slice(&b);
-    r
-}
-
 impl MpConnection {
     /// Create an endpoint. `cfg.path_techs.len()` network paths exist;
     /// the client starts the handshake on the wireless-aware primary.
     pub fn new(mut cfg: MpConfig, now: Instant) -> Self {
         cfg.params.enable_multipath = cfg.enable_multipath;
-        let is_client = cfg.side == Side::Client;
-        let handshake =
-            Handshake::new(is_client, &cfg.psk, seed_random(cfg.seed, 0x4d50), cfg.params.clone());
-        let initial_keys = derive_keys(&cfg.psk, &[0x33; 16], &[0x44; 16]);
+        let random = hello_random(cfg.seed, 0x4d50, 0x5a5a, 7);
+        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, random, (0x33, 0x44));
         let mut cids = CidManager::new(cfg.seed);
         let local0 = cids.issue_local();
         let remote_cid0 = ConnectionId::derive(0x1318, 0);
         let candidates: Vec<(usize, WirelessTech)> =
             cfg.path_techs.iter().copied().enumerate().collect();
         let primary = cfg.primary_policy.select_primary(&candidates);
-        let p = &cfg.params;
-        let streams = StreamMap::new(
-            cfg.side,
-            p.initial_max_data,
-            p.initial_max_stream_data,
-            p.initial_max_data,
-            p.initial_max_stream_data,
-            p.initial_max_streams_bidi,
-        );
         let mut paths = Vec::new();
         for (i, &tech) in cfg.path_techs.iter().enumerate() {
             let mut path = MpPath::new(i, tech, cfg.cc.build(), remote_cid0, now);
@@ -490,45 +405,28 @@ impl MpConnection {
             path.state = if i == primary { PathState::Active } else { PathState::Validating };
             paths.push(path);
         }
-        let idle_timeout = cfg.params.max_idle_timeout;
         MpConnection {
-            state: MpState::Handshaking,
-            handshake,
-            handshake_sent: false,
-            handshake_done_sent: false,
-            keys: None,
-            initial_keys,
+            life: Lifecycle::new(now, cfg.params.max_idle_timeout),
+            keys,
             cids,
             remote_cid0,
             local_cid0: local0.cid,
             paths,
             primary,
-            streams,
+            streams: StreamMap::for_endpoint(cfg.side, &cfg.params),
             multipath: false,
             cids_advertised: false,
             local_qoe: None,
             peer_qoe: None,
             ledger: ReinjectLedger::default(),
             rr: RoundRobinState::default(),
-            control_queue: Vec::new(),
-            close_frame_pending: None,
-            close_replay: None,
-            close_replay_pending: false,
-            closing_recv_count: 0,
-            drain_deadline: None,
-            draining: false,
-            drained: false,
             path_responses_dropped: 0,
-            last_activity: now,
-            idle_timeout,
             stats: MpStats::default(),
-            hello_sends: 0,
             tr_quic: Tracer::disabled(),
             tr_core: Tracer::disabled(),
             gate_seen: None,
             probe_cwnd: None,
-            reset_tokens: Vec::new(),
-            recv_buf: Vec::new(),
+            oracle: ResetOracle::default(),
             sched_scratch: Vec::new(),
             cfg,
         }
@@ -538,82 +436,54 @@ impl MpConnection {
     // Introspection
     // ---------------------------------------------------------------
 
+    /// Lifecycle: states, closing/draining, the idle deadline.
+    pub fn lifecycle(&self) -> &Lifecycle {
+        &self.life
+    }
+
     /// Current lifecycle state.
     pub fn state(&self) -> &MpState {
-        &self.state
+        self.life.state()
     }
 
     /// True once established.
     pub fn is_established(&self) -> bool {
-        self.state == MpState::Established
+        self.life.is_established()
     }
 
     /// True when closed.
     pub fn is_closed(&self) -> bool {
-        matches!(self.state, MpState::Closed(_))
+        self.life.is_closed()
     }
 
     /// True once the closing/draining period has expired and all
     /// peer-growable state has been freed (§10.2 lifecycle).
     pub fn is_drained(&self) -> bool {
-        self.drained
+        self.life.is_drained()
     }
 
     /// The error this connection closed with, if closed.
     pub fn close_error(&self) -> Option<&ConnectionError> {
-        match &self.state {
-            MpState::Closed(e) => Some(e),
-            _ => None,
+        self.life.close_error()
+    }
+
+    /// Snapshot of the capped peer-growable state (§10 gauges): ranges and
+    /// pinned PATH_RESPONSEs are capped per path, so the largest counts.
+    pub fn bounded_state(&self) -> BoundedState {
+        let paths = self.paths.iter();
+        BoundedState {
+            recv_ranges: paths.clone().map(|p| p.space.recv.range_count()).max().unwrap_or(0),
+            recv_ranges_evicted: paths.clone().map(|p| p.space.recv.evicted()).sum(),
+            pending_path_responses: paths.map(|p| p.response_pending.len()).max().unwrap_or(0),
+            path_responses_dropped: self.path_responses_dropped,
+            stream_segments: self.streams.max_segments(),
+            buffered_recv_bytes: self.streams.buffered_recv_bytes(),
         }
-    }
-
-    /// Largest received-pn range count across paths (§10 gauge; bounded
-    /// by `xlink_quic::ackranges::MAX_ACK_RANGES` per path).
-    pub fn recv_range_count(&self) -> usize {
-        self.paths.iter().map(|p| p.recv_ranges.range_count()).max().unwrap_or(0)
-    }
-
-    /// Received-pn ranges evicted by the cap, summed over paths (§10).
-    pub fn recv_ranges_evicted(&self) -> u64 {
-        self.paths.iter().map(|p| p.recv_ranges.evicted()).sum()
-    }
-
-    /// Queued control frames (§10 gauge).
-    pub fn control_queue_len(&self) -> usize {
-        self.control_queue.len()
-    }
-
-    /// Largest per-path pending PATH_RESPONSE queue (§10 gauge; bounded
-    /// by [`MAX_PENDING_PATH_RESPONSES`]).
-    pub fn pending_responses(&self) -> usize {
-        self.paths.iter().map(|p| p.response_pending.len()).max().unwrap_or(0)
-    }
-
-    /// PATH_RESPONSEs dropped by the per-path pending cap (§10 gauge).
-    pub fn path_responses_dropped(&self) -> u64 {
-        self.path_responses_dropped
-    }
-
-    /// Largest out-of-order segment count over open streams (§10 gauge;
-    /// bounded by `xlink_quic::stream::MAX_STREAM_SEGMENTS`).
-    pub fn max_stream_segments(&self) -> usize {
-        self.streams.iter().map(|s| s.recv.segment_count()).max().unwrap_or(0)
-    }
-
-    /// Total buffered receive bytes over open streams (§10 gauge; bounded
-    /// by the advertised flow-control windows).
-    pub fn buffered_recv_bytes(&self) -> u64 {
-        self.streams.iter().map(|s| s.recv.buffered_bytes()).sum()
     }
 
     /// True once multipath was negotiated (vs single-path fallback).
     pub fn multipath_negotiated(&self) -> bool {
         self.multipath
-    }
-
-    /// Index of the primary (handshake) path.
-    pub fn primary_path(&self) -> usize {
-        self.primary
     }
 
     /// Per-path view.
@@ -634,9 +504,28 @@ impl MpConnection {
         self.tr_core = tracer.scoped("core");
     }
 
+    /// Report a path state transition to the tracer (nothing if none).
+    fn trace_path_state(&self, at: Instant, path: usize, from: PathState, to: PathState) {
+        if from != to {
+            let (path, from, to) = (path as u8, state_name(from), state_name(to));
+            self.tr_core.emit(at, Event::PathStatusChange { path, from, to });
+        }
+    }
+
+    fn trace_qoe(&self, at: Instant, sent: bool, q: QoeSignal) {
+        let QoeSignal { cached_frames, cached_bytes, bps, fps } = q;
+        self.tr_core.emit(at, Event::QoeSignal { sent, cached_frames, cached_bytes, bps, fps });
+    }
+
+    fn trace_cwnd(&self, now: Instant, path: usize) {
+        let p = &self.paths[path];
+        let (cwnd, bytes_in_flight) = (p.cc.window(), p.space.recovery.bytes_in_flight());
+        self.tr_quic.emit(now, Event::CwndUpdate { path: path as u8, cwnd, bytes_in_flight });
+    }
+
     /// Losses later proven spurious by a late ACK, summed across paths.
     pub fn spurious_losses(&self) -> u64 {
-        self.paths.iter().map(|p| p.recovery.spurious_losses()).sum()
+        self.paths.iter().map(|p| p.space.recovery.spurious_losses()).sum()
     }
 
     /// Latest peer QoE feedback (server side).
@@ -658,7 +547,7 @@ impl MpConnection {
     /// for the Fig. 6 dynamics probe).
     pub fn reinjection_enabled(&self) -> bool {
         let mdt = max_deliver_time(
-            self.paths.iter().map(|p| (&p.rtt, p.recovery.has_ack_eliciting_in_flight())),
+            self.paths.iter().map(|p| (&p.rtt, p.space.recovery.has_ack_eliciting_in_flight())),
         );
         reinjection_decision(self.cfg.qoe_control, self.peer_qoe.as_ref(), mdt)
     }
@@ -675,15 +564,7 @@ impl MpConnection {
 
     /// Plain stream write (the standard QUIC API).
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
-        // Invariant: `id` comes from open_stream()/readable_streams(), so a
-        // miss is a local application bug — never peer-reachable.
-        let s = self.streams.get_mut(id).expect("unknown stream");
-        if !data.is_empty() {
-            s.send.write(data);
-        }
-        if fin {
-            s.send.finish();
-        }
+        self.streams.write(id, data, None, fin);
     }
 
     /// The paper's `stream_send` API with video-frame priority: tags the
@@ -697,30 +578,12 @@ impl MpConnection {
         frame_priority: u8,
         fin: bool,
     ) {
-        // Invariant: same as stream_send — the id is app-provided from
-        // open_stream(), never taken off the wire.
-        let s = self.streams.get_mut(id).expect("unknown stream");
-        if !data.is_empty() {
-            s.send.write_with_priority(data, frame_priority);
-        }
-        if fin {
-            s.send.finish();
-        }
+        self.streams.write(id, data, Some(frame_priority), fin);
     }
 
     /// Read available data from a stream.
     pub fn stream_recv(&mut self, id: u64, max: usize) -> Vec<u8> {
-        let Some(s) = self.streams.get_mut(id) else {
-            return Vec::new();
-        };
-        let data = s.recv.read(max);
-        if let Some(new_max) = s.recv.wants_max_data_update() {
-            self.control_queue.push(Frame::MaxStreamData { stream_id: id, max: new_max });
-        }
-        if let Some(new_max) = self.streams.wants_conn_max_data_update() {
-            self.control_queue.push(Frame::MaxData(new_max));
-        }
-        data
+        self.streams.read(id, max)
     }
 
     /// Feed the latest player QoE snapshot (client side). By default it
@@ -732,19 +595,10 @@ impl MpConnection {
         let changed = self.local_qoe != Some(q);
         self.local_qoe = Some(q);
         if changed {
-            self.tr_core.emit(
-                self.last_activity,
-                Event::QoeSignal {
-                    sent: true,
-                    cached_frames: q.cached_frames,
-                    cached_bytes: q.cached_bytes,
-                    bps: q.bps,
-                    fps: q.fps,
-                },
-            );
+            self.trace_qoe(self.life.last_activity(), true, q);
         }
         if self.cfg.standalone_qoe_frames && changed && self.multipath && self.is_established() {
-            self.control_queue.push(Frame::QoeControlSignals(q));
+            self.streams.control.push(Frame::QoeControlSignals(q));
         }
     }
 
@@ -770,19 +624,9 @@ impl MpConnection {
                 }
             }
         }
-        let seq = p.status_seq;
-        let to = p.state;
-        if to != from {
-            self.tr_core.emit(
-                self.last_activity,
-                Event::PathStatusChange {
-                    path: path as u8,
-                    from: state_name(from),
-                    to: state_name(to),
-                },
-            );
-        }
-        self.control_queue.push(Frame::PathStatus { path_id: path as u64, seq, status });
+        let (seq, to) = (p.status_seq, p.state);
+        self.trace_path_state(self.life.last_activity(), path, from, to);
+        self.streams.control.push(Frame::PathStatus { path_id: path as u64, seq, status });
         if status == PathStatusKind::Abandon {
             self.requeue_path_inflight(path);
         }
@@ -792,25 +636,14 @@ impl MpConnection {
     /// [`MpConnection::poll_transmit`], which also starts the 3×PTO
     /// closing period and tears down every path (§10.2).
     pub fn close(&mut self, error: TransportError, reason: &str) {
-        if !self.is_closed() {
-            self.close_frame_pending = Some((error, reason.to_string()));
-            self.state = MpState::Closed(ConnectionError::LocallyClosed(error));
-        }
+        self.life.close(error, reason);
     }
 
-    /// Start the closing/draining countdown: 3×PTO from `now`, using the
-    /// slowest path's PTO so the peer's own timers have surely expired.
-    fn arm_drain(&mut self, now: Instant) {
-        if self.drain_deadline.is_none() {
-            let mad = self.cfg.params.max_ack_delay;
-            let pto = self
-                .paths
-                .iter()
-                .map(|p| p.rtt.pto(mad))
-                .max()
-                .unwrap_or(Duration::from_millis(999));
-            self.drain_deadline = Some(now + pto * 3);
-        }
+    /// The PTO the closing/draining countdown runs on: the slowest path's,
+    /// so the peer's own timers have surely expired.
+    fn drain_pto(&self) -> Duration {
+        let mad = self.cfg.params.max_ack_delay;
+        self.paths.iter().map(|p| p.rtt.pto(mad)).max().unwrap_or(Duration::from_millis(999))
     }
 
     /// Tear down every path: abandon, stop probing, and drop per-path
@@ -822,19 +655,17 @@ impl MpConnection {
             p.challenge = None;
             p.probe_pending = false;
             p.keepalive_pending = false;
-            p.ack_pending = false;
+            p.space.ack_pending = false;
             p.response_pending.clear();
-            let _ = p.recovery.drain_all();
+            let _ = p.space.recovery.drain_all();
         }
     }
 
-    /// Free remaining peer-growable state once the drain period ends.
+    /// Free remaining peer-growable state once the connection's life is
+    /// over.
     fn free_state(&mut self) {
-        self.drained = true;
-        self.close_replay = None;
-        self.close_replay_pending = false;
-        self.control_queue = Vec::new();
-        self.recv_buf = Vec::new();
+        self.streams.control = Vec::new();
+        self.keys.release();
         self.teardown_paths();
     }
 
@@ -853,11 +684,13 @@ impl MpConnection {
     /// When a path dies, its in-flight stream data must be requeued so
     /// other paths can carry it.
     fn requeue_path_inflight(&mut self, path: usize) {
-        let drained = self.paths[path].recovery.drain_all();
+        let drained = self.paths[path].space.recovery.drain_all();
         for pkt in drained {
-            for info in pkt.content.frames {
-                match info {
-                    FrameInfo::Stream { id, range, fin, .. } => {
+            for sent in pkt.content {
+                match sent {
+                    // Re-injected copies included: with the path gone, a
+                    // copy may be all that was left of the range.
+                    SentFrame::Stream { id, range, fin, .. } => {
                         if let Some(s) = self.streams.get_mut(id) {
                             s.send.on_range_lost(range, fin);
                         }
@@ -865,7 +698,7 @@ impl MpConnection {
                     // Replies stay pinned even across a drain — the peer
                     // may still be waiting on the (possibly recovering)
                     // path. Re-pinning goes through the §10 cap.
-                    FrameInfo::Response(data) => {
+                    SentFrame::Response(data) => {
                         self.pin_response(path, data);
                     }
                     _ => {}
@@ -896,15 +729,11 @@ impl MpConnection {
         self.paths[path].keepalive_pending = false;
         self.stats.path_suspects += 1;
         let p = &self.paths[path];
-        let silent_since =
-            p.recovery.oldest_unacked_time().map_or(p.last_ack_time, |t| t.max(p.last_ack_time));
+        let silent_since = p.silent_since();
         let silent_us = now.saturating_duration_since(silent_since).as_micros();
-        let pto_count = p.recovery.pto_count();
-        let stranded = p.recovery.bytes_in_flight();
-        self.tr_core.emit(
-            now,
-            Event::PathStatusChange { path: path as u8, from: state_name(from), to: "suspect" },
-        );
+        let pto_count = p.space.recovery.pto_count();
+        let stranded = p.space.recovery.bytes_in_flight();
+        self.trace_path_state(now, path, from, PathState::Suspect);
         self.tr_core.emit(now, Event::PathSuspected { path: path as u8, pto_count, silent_us });
         let to = self.fastest_active_path();
         self.tr_core.emit(
@@ -928,10 +757,7 @@ impl MpConnection {
         self.paths[path].probe_pending = false;
         self.paths[path].keepalive_pending = false;
         self.stats.path_probations += 1;
-        self.tr_core.emit(
-            now,
-            Event::PathStatusChange { path: path as u8, from: "suspect", to: "probation" },
-        );
+        self.trace_path_state(now, path, PathState::Suspect, PathState::Probation);
     }
 
     /// A probation path answered a challenge: rejoin with fresh
@@ -947,54 +773,24 @@ impl MpConnection {
         self.paths[path].state = back_to;
         self.paths[path].cc = self.cfg.cc.build();
         self.paths[path].rtt = RttEstimator::new();
-        self.paths[path].recovery.reset_pto_count();
+        self.paths[path].space.recovery.reset_pto_count();
         self.paths[path].last_ack_time = now;
         self.stats.path_revalidations += 1;
-        self.tr_core.emit(
-            now,
-            Event::PathStatusChange {
-                path: path as u8,
-                from: "probation",
-                to: state_name(back_to),
-            },
-        );
+        self.trace_path_state(now, path, PathState::Probation, back_to);
         self.tr_core.emit(now, Event::PathRevalidated { path: path as u8, probes });
-    }
-
-    /// Remember a §10.3 reset token for `path` (dedup'd, FIFO-capped).
-    /// Tokens usually arrive on NEW_CONNECTION_ID frames; this is also
-    /// public so a harness can arm the oracle out of band.
-    pub fn register_reset_token(&mut self, path: usize, token: [u8; 16]) {
-        if self.reset_tokens.iter().any(|(t, p)| *t == token && *p == path) {
-            return;
-        }
-        if self.reset_tokens.len() >= MAX_RESET_TOKENS {
-            self.reset_tokens.remove(0);
-        }
-        self.reset_tokens.push((token, path));
     }
 
     /// Reset tokens currently armed.
     pub fn reset_token_count(&self) -> usize {
-        self.reset_tokens.len()
+        self.oracle.count()
     }
 
-    /// §10.3 oracle check for an unintelligible datagram on `path`.
-    /// A match is an authoritative path-death signal: unlike a whole-
-    /// connection reset, losing one path's peer state kills only that
-    /// path, which is sent straight to probation (no Suspect dwell, no
-    /// PTO counting) while traffic fails over to the survivors.
-    fn probe_stateless_reset(&mut self, now: Instant, path: usize, datagram: &[u8]) -> bool {
-        if !reset::plausible_reset(datagram) {
-            return false;
-        }
-        let hit = self
-            .reset_tokens
-            .iter()
-            .any(|(token, p)| *p == path && reset::token_matches(token, datagram));
-        if !hit {
-            return false;
-        }
+    /// The §10.3 oracle recognised an unintelligible datagram on `path`:
+    /// an authoritative path-death signal. Unlike a whole-connection
+    /// reset, losing one path's peer state kills only that path, which is
+    /// sent straight to probation (no Suspect dwell, no PTO counting)
+    /// while traffic fails over to the survivors.
+    fn on_stateless_reset(&mut self, now: Instant, path: usize) {
         self.stats.stateless_resets += 1;
         self.tr_core.emit(now, Event::StatelessReset { path: path as u8 });
         match self.paths[path].state {
@@ -1005,13 +801,12 @@ impl MpConnection {
             PathState::Suspect => self.enter_probation(now, path),
             _ => {}
         }
-        true
     }
 
     /// Run the suspicion / escalation checks. Called from `on_timeout`
     /// after per-path recovery timers have fired.
     fn liveness_pass(&mut self, now: Instant) {
-        if !self.liveness_active() || self.keys.is_none() {
+        if !self.liveness_active() || self.keys.one_rtt().is_none() {
             return;
         }
         let lv = self.cfg.liveness;
@@ -1019,16 +814,13 @@ impl MpConnection {
             match self.paths[i].state {
                 PathState::Active | PathState::Standby => {
                     let p = &self.paths[i];
-                    let ptos = p.recovery.pto_count();
-                    let silent_since = p
-                        .recovery
-                        .oldest_unacked_time()
-                        .map_or(p.last_ack_time, |t| t.max(p.last_ack_time));
-                    let silent = p.recovery.has_ack_eliciting_in_flight()
+                    let ptos = p.space.recovery.pto_count();
+                    let silent_since = p.silent_since();
+                    let silent = p.space.recovery.has_ack_eliciting_in_flight()
                         && now.saturating_duration_since(silent_since) >= lv.ack_silence;
                     if ptos >= lv.suspect_after_ptos || silent {
                         self.suspect_path(now, i);
-                        if self.paths[i].recovery.pto_count() >= lv.blackhole_after_ptos {
+                        if self.paths[i].space.recovery.pto_count() >= lv.blackhole_after_ptos {
                             self.enter_probation(now, i);
                         }
                     }
@@ -1045,14 +837,14 @@ impl MpConnection {
                     let p = &mut self.paths[i];
                     if matches!(p.state, PathState::Active | PathState::Standby)
                         && !p.keepalive_pending
-                        && !p.recovery.has_ack_eliciting_in_flight()
+                        && !p.space.recovery.has_ack_eliciting_in_flight()
                         && now.saturating_duration_since(p.last_recv_time) >= lv.keepalive
                     {
                         p.keepalive_pending = true;
                     }
                 }
                 PathState::Suspect => {
-                    if self.paths[i].recovery.pto_count() >= lv.blackhole_after_ptos {
+                    if self.paths[i].space.recovery.pto_count() >= lv.blackhole_after_ptos {
                         self.enter_probation(now, i);
                     }
                 }
@@ -1073,146 +865,74 @@ impl MpConnection {
         }
         self.stats.bytes_received += datagram.len() as u64;
         self.paths[path].bytes_received += datagram.len() as u64;
-        if self.is_closed() {
-            // §10.2: a closing endpoint answers further packets with a
-            // rate-limited CONNECTION_CLOSE replay (at power-of-two
-            // received-packet counts); a draining endpoint stays silent.
-            if !self.draining && !self.drained && self.close_frame_pending.is_none() {
-                self.closing_recv_count += 1;
-                if self.closing_recv_count.is_power_of_two() {
-                    self.close_replay_pending = true;
-                }
-            }
+        if self.life.absorb_if_closed() {
             return;
         }
-        let Ok((header, payload_off)) = Header::decode(datagram) else {
-            if !self.probe_stateless_reset(now, path, datagram) {
+        let space = &mut self.paths[path].space;
+        let (header, frames) = match self.keys.open_datagram(datagram, space, path, &self.oracle) {
+            Opened::Packet { header, frames } => (header, frames),
+            Opened::Duplicate => return,
+            Opened::Undecryptable { reset: true } => return self.on_stateless_reset(now, path),
+            // Noise — or a Retry, which no multipath client asks for.
+            Opened::Undecryptable { reset: false } | Opened::Retry(_) => {
                 self.stats.packets_dropped += 1;
-            }
-            return;
-        };
-        let is_initial = header.ty.is_long();
-        let largest = self.paths[path].recv_ranges.largest();
-        let pn = pn_decode(header.pn, header.pn_len, largest);
-        self.recv_buf.clear();
-        self.recv_buf.extend_from_slice(datagram);
-        let (aad, sealed) = self.recv_buf.split_at_mut(payload_off);
-        let recv_is_client_data = self.cfg.side == Side::Server;
-        let key = if is_initial {
-            if recv_is_client_data {
-                self.initial_keys.client.clone()
-            } else {
-                self.initial_keys.server.clone()
-            }
-        } else {
-            match &self.keys {
-                Some(kp) => {
-                    if recv_is_client_data {
-                        kp.client.clone()
-                    } else {
-                        kp.server.clone()
-                    }
-                }
-                None => {
-                    if !self.probe_stateless_reset(now, path, datagram) {
-                        self.stats.packets_dropped += 1;
-                    }
-                    return;
-                }
-            }
-        };
-        // Multipath nonce: CID sequence number = path id (§6).
-        let plain_len = match key.open_in_place(path as u32, pn, aad, sealed) {
-            Ok(plain) => plain.len(),
-            Err(_) => {
-                // Undecryptable: either noise or a §10.3 stateless reset
-                // (which is built to look like a short-header packet we
-                // cannot decrypt).
-                if !self.probe_stateless_reset(now, path, datagram) {
-                    self.stats.packets_dropped += 1;
-                }
                 return;
             }
         };
-        if !self.paths[path].recv_ranges.insert(pn) {
-            return; // duplicate
-        }
         self.stats.packets_received += 1;
-        self.last_activity = now;
-        if is_initial {
+        self.life.touch(now);
+        if header.ty.is_long() {
             self.remote_cid0 = header.scid;
             // The primary path's DCID is the peer's handshake CID.
-            let primary = self.primary;
-            self.paths[primary].dcid = header.scid;
+            self.paths[self.primary].dcid = header.scid;
         }
         // Receiving anything valid on a validating path activates it for
         // the server side (the client waits for PATH_RESPONSE).
         if self.paths[path].state == PathState::Validating && self.cfg.side == Side::Server {
             self.paths[path].state = PathState::Active;
-            self.tr_core.emit(
-                now,
-                Event::PathStatusChange { path: path as u8, from: "validating", to: "active" },
-            );
+            self.trace_path_state(now, path, PathState::Validating, PathState::Active);
         }
-        let plain = &self.recv_buf[payload_off..payload_off + plain_len];
-        let frames = match Frame::decode_all(plain) {
-            Ok(f) => f,
-            Err(_) => {
-                self.close(TransportError::FrameEncodingError, "bad frame");
-                return;
-            }
+        let Some(frames) = frames else {
+            return self.close(TransportError::FrameEncodingError, "bad frame");
         };
         let mut ack_eliciting = false;
         for frame in frames {
-            if frame.is_ack_eliciting() {
-                ack_eliciting = true;
-            }
+            ack_eliciting |= frame.is_ack_eliciting();
             self.on_frame(now, path, frame);
-            if self.is_closed() && self.close_frame_pending.is_none() {
+            if self.life.is_silenced() {
                 return;
             }
         }
         if ack_eliciting {
-            self.paths[path].ack_pending = true;
+            self.paths[path].space.ack_pending = true;
             self.paths[path].last_recv_time = now;
         }
     }
 
     fn on_frame(&mut self, now: Instant, arrival_path: usize, frame: Frame) {
         match frame {
-            Frame::Padding(_) | Frame::Ping => {}
-            Frame::Crypto { data, .. } => {
-                if self.handshake.is_complete() {
-                    // A client retransmitting its hello means our reply
-                    // was lost (the client cannot finish without it), so
-                    // queue a resend instead of ignoring the duplicate.
-                    // Only the server reacts: the client recovers via PTO
-                    // while keyless, and reacting on both sides would let
-                    // a duplicated hello ping-pong forever.
-                    if self.cfg.side == Side::Server {
-                        self.handshake_sent = false;
-                        self.handshake_done_sent = false;
+            Frame::Crypto { data, .. } => match self.keys.on_peer_hello(&data) {
+                Ok(true) => {
+                    self.multipath = self.keys.handshake().multipath_negotiated();
+                    if let Some(p) = self.keys.handshake().peer_params() {
+                        self.streams.on_max_data(p.initial_max_data);
                     }
-                    return;
+                    self.life.establish();
+                    self.tr_quic.emit(now, Event::HandshakeComplete { multipath: self.multipath });
                 }
-                let Ok(hello) = Hello::decode(&data) else {
-                    self.close(TransportError::TransportParameterError, "bad hello");
-                    return;
-                };
-                match self.handshake.on_peer_hello(hello) {
-                    Ok(kp) => {
-                        self.keys = Some(kp);
-                        self.multipath = self.handshake.multipath_negotiated();
-                        if let Some(p) = self.handshake.peer_params() {
-                            self.streams.on_max_data(p.initial_max_data);
-                        }
-                        self.state = MpState::Established;
-                        self.tr_quic
-                            .emit(now, Event::HandshakeComplete { multipath: self.multipath });
-                    }
-                    Err(_) => self.close(TransportError::TransportParameterError, "hello rejected"),
+                // A client retransmitting its hello means our reply was
+                // lost (the client cannot finish without it), so queue a
+                // resend instead of ignoring the duplicate. Only the
+                // server reacts: the client recovers via PTO while keyless,
+                // and reacting on both sides would let a duplicated hello
+                // ping-pong forever.
+                Ok(false) if self.cfg.side == Side::Server => {
+                    self.keys.hello_sent = false;
+                    self.keys.done_sent = false;
                 }
-            }
+                Ok(false) => {}
+                Err((e, why)) => self.close(e, why),
+            },
             Frame::Ack(ack) => {
                 // Plain ACK: only valid pre-multipath on the primary path.
                 self.on_ack(now, self.primary, ack);
@@ -1229,73 +949,15 @@ impl MpConnection {
                 }
                 if let Some(q) = ack.qoe {
                     self.peer_qoe = Some(q);
-                    self.tr_core.emit(
-                        now,
-                        Event::QoeSignal {
-                            sent: false,
-                            cached_frames: q.cached_frames,
-                            cached_bytes: q.cached_bytes,
-                            bps: q.bps,
-                            fps: q.fps,
-                        },
-                    );
+                    self.trace_qoe(now, false, q);
                 }
                 self.on_ack(now, space, ack);
-            }
-            Frame::Stream { stream_id, offset, data, fin } => {
-                let prev_high;
-                {
-                    let s = match self.streams.get_or_open_peer(stream_id) {
-                        Ok(s) => s,
-                        // Propagate the map's verdict: STREAM_LIMIT_ERROR
-                        // for exhaustion, STREAM_STATE_ERROR for frames on
-                        // streams we never opened.
-                        Err(e) => {
-                            self.close(e, "bad stream");
-                            return;
-                        }
-                    };
-                    prev_high = s.recv.highest_recv();
-                    if let Err(e) = s.recv.on_data(offset, &data, fin) {
-                        self.close(e, "stream data");
-                        return;
-                    }
-                }
-                let new_high =
-                    self.streams.get(stream_id).map(|s| s.recv.highest_recv()).unwrap_or(prev_high);
-                if new_high > prev_high {
-                    if let Err(e) = self.streams.on_conn_data_received(new_high - prev_high) {
-                        self.close(e, "conn flow control");
-                    }
-                }
-            }
-            Frame::MaxData(v) => self.streams.on_max_data(v),
-            Frame::MaxStreamData { stream_id, max } => {
-                if let Some(s) = self.streams.get_mut(stream_id) {
-                    s.send.set_max_data(max);
-                }
-            }
-            Frame::MaxStreams(_) | Frame::DataBlocked(_) | Frame::StreamDataBlocked { .. } => {}
-            Frame::ResetStream { stream_id, final_size, .. } => {
-                if let Ok(s) = self.streams.get_or_open_peer(stream_id) {
-                    let _ = s.recv.on_reset(final_size);
-                }
-            }
-            Frame::StopSending { stream_id, .. } => {
-                if let Some(s) = self.streams.get_mut(stream_id) {
-                    let final_size = s.send.reset();
-                    self.control_queue.push(Frame::ResetStream {
-                        stream_id,
-                        error_code: 0,
-                        final_size,
-                    });
-                }
             }
             Frame::NewConnectionId(ic) => {
                 // Acknowledge any Retire Prior To the frame carries so the
                 // issuer can free the old routing entries.
                 for seq in self.cids.store_remote(ic) {
-                    self.control_queue.push(Frame::RetireConnectionId { seq });
+                    self.streams.control.push(Frame::RetireConnectionId { seq });
                 }
                 // Bind the CID with seq == path id to that path.
                 let seq = ic.seq as usize;
@@ -1304,11 +966,10 @@ impl MpConnection {
                     // Arm the per-path death oracle with the token the
                     // issuer bound to this CID.
                     if let Some(tok) = ic.reset_token {
-                        self.register_reset_token(seq, tok);
+                        self.oracle.remember(seq, tok);
                     }
                 }
             }
-            Frame::RetireConnectionId { .. } => {}
             Frame::PathChallenge(data) => {
                 // Respond on the same path: a challenge validates the
                 // path it travelled, so the reply is pinned to the
@@ -1321,42 +982,25 @@ impl MpConnection {
                 // A PATH_RESPONSE may return on a different path than the
                 // challenged one (especially with fastest-path ACK
                 // strategies on the peer); match by payload.
-                let mut revalidate = None;
-                for p in &mut self.paths {
-                    if p.challenge == Some(data) {
-                        p.challenge = None;
-                        if p.state == PathState::Validating {
-                            p.state = PathState::Active;
-                            self.tr_core.emit(
-                                now,
-                                Event::PathStatusChange {
-                                    path: p.id as u8,
-                                    from: "validating",
-                                    to: "active",
-                                },
-                            );
-                        } else if p.state == PathState::Probation {
-                            revalidate = Some(p.id);
-                        }
+                let Some(i) = self.paths.iter().position(|p| p.challenge == Some(data)) else {
+                    return;
+                };
+                self.paths[i].challenge = None;
+                match self.paths[i].state {
+                    PathState::Validating => {
+                        self.paths[i].state = PathState::Active;
+                        self.trace_path_state(now, i, PathState::Validating, PathState::Active);
                     }
-                }
-                if let Some(i) = revalidate {
-                    self.revalidate_path(now, i);
+                    PathState::Probation => self.revalidate_path(now, i),
+                    _ => {}
                 }
             }
-            Frame::HandshakeDone => {}
             Frame::ConnectionClose { error_code, .. } => {
                 // §10.2: a peer-initiated close moves us to draining —
                 // stay silent, tear down every path, and expire 3×PTO
                 // from now.
-                self.state = MpState::Closed(ConnectionError::PeerClosed(
-                    TransportError::from_code(error_code),
-                ));
-                self.close_frame_pending = None;
-                self.draining = true;
-                self.arm_drain(now);
+                self.life.on_peer_close(now, error_code, self.drain_pto(), &self.tr_quic);
                 self.teardown_paths();
-                self.tr_quic.emit(now, Event::ConnectionClosed { error_code, locally: false });
             }
             Frame::PathStatus { path_id, seq: _, status } => {
                 let pid = path_id as usize;
@@ -1364,77 +1008,41 @@ impl MpConnection {
                     return;
                 }
                 let from = self.paths[pid].state;
-                match status {
-                    PathStatusKind::Abandon => {
+                match (status, from) {
+                    (PathStatusKind::Abandon, _) => {
                         self.paths[pid].state = PathState::Abandoned;
                         self.paths[pid].probation = None;
                         self.requeue_path_inflight(pid);
                     }
-                    PathStatusKind::Standby => {
-                        if self.paths[pid].state == PathState::Active {
-                            self.paths[pid].state = PathState::Standby;
-                        }
+                    (PathStatusKind::Standby, PathState::Active) => {
+                        self.paths[pid].state = PathState::Standby;
                     }
-                    PathStatusKind::Available => {
-                        if self.paths[pid].state == PathState::Standby {
-                            self.paths[pid].state = PathState::Active;
-                        }
+                    (PathStatusKind::Available, PathState::Standby) => {
+                        self.paths[pid].state = PathState::Active;
                     }
+                    _ => {}
                 }
-                let to = self.paths[pid].state;
-                if to != from {
-                    self.tr_core.emit(
-                        now,
-                        Event::PathStatusChange {
-                            path: pid as u8,
-                            from: state_name(from),
-                            to: state_name(to),
-                        },
-                    );
-                }
+                self.trace_path_state(now, pid, from, self.paths[pid].state);
             }
             Frame::QoeControlSignals(q) => {
                 self.peer_qoe = Some(q);
-                self.tr_core.emit(
-                    now,
-                    Event::QoeSignal {
-                        sent: false,
-                        cached_frames: q.cached_frames,
-                        cached_bytes: q.cached_bytes,
-                        bps: q.bps,
-                        fps: q.fps,
-                    },
-                );
+                self.trace_qoe(now, false, q);
+            }
+            // Streams and flow control; PADDING, PING, HANDSHAKE_DONE,
+            // RETIRE_CONNECTION_ID and the rest need nothing done.
+            other => {
+                if let Err((e, why)) = self.streams.on_frame(other) {
+                    self.close(e, why);
+                }
             }
         }
     }
 
     fn on_ack(&mut self, now: Instant, space: usize, ack: AckFrame) {
-        if space >= self.paths.len() {
-            return;
-        }
-        // Protocol police (§10): an ACK covering a packet number this path
-        // never sent is the optimistic-ACK attack — close, never feed it to
-        // recovery or congestion control.
-        if self.paths[space]
-            .recovery
-            .validate_ack(ack.ranges_ascending().map(|r| (r.start, r.end)))
-            .is_err()
-        {
-            self.close(TransportError::ProtocolViolation, "optimistic ack");
-            return;
-        }
-        let rtt_before = self.paths[space].rtt.clone();
-        let outcome = {
-            let p = &mut self.paths[space];
-            p.recovery.on_ack_received(
-                now,
-                ack.ranges_ascending().map(|r| (r.start, r.end)),
-                &mut p.rtt,
-                ack.ack_delay,
-            )
+        let p = &mut self.paths[space];
+        let Ok(outcome) = p.space.on_ack(now, &ack, &mut p.rtt) else {
+            return self.close(TransportError::ProtocolViolation, "optimistic ack");
         };
-        let _ = rtt_before;
         if !outcome.acked.is_empty() {
             self.paths[space].last_ack_time = now;
             if self.paths[space].state == PathState::Suspect {
@@ -1445,27 +1053,11 @@ impl MpConnection {
                 let probes = self.paths[space].suspect_probes;
                 self.paths[space].suspect_probes = 0;
                 self.stats.path_revalidations += 1;
-                self.tr_core.emit(
-                    now,
-                    Event::PathStatusChange {
-                        path: space as u8,
-                        from: "suspect",
-                        to: state_name(back_to),
-                    },
-                );
+                self.trace_path_state(now, space, PathState::Suspect, back_to);
                 self.tr_core.emit(now, Event::PathRevalidated { path: space as u8, probes });
             }
         }
-        if let Some(sample) = outcome.rtt_sample {
-            self.tr_quic.emit(
-                now,
-                Event::RttUpdate {
-                    path: space as u8,
-                    latest_us: sample.as_micros(),
-                    smoothed_us: self.paths[space].rtt.smoothed().as_micros(),
-                },
-            );
-        }
+        trace_rtt(&self.tr_quic, now, space, outcome.rtt_sample, &self.paths[space].rtt);
         let mut cc_touched = false;
         for pkt in &outcome.acked {
             if pkt.ack_eliciting {
@@ -1474,40 +1066,24 @@ impl MpConnection {
                 cc_touched = true;
             }
             self.tr_quic.emit(now, Event::PacketAcked { path: space as u8, pn: pkt.pn });
-            let frames = pkt.content.frames.clone();
-            for info in frames {
-                match info {
-                    FrameInfo::Stream { id, range, fin, .. } => {
-                        if let Some(s) = self.streams.get_mut(id) {
-                            s.send.on_range_acked(range, fin);
+            for sent in &pkt.content {
+                match sent {
+                    // Prune acknowledged ack state.
+                    SentFrame::Ack { space: acked, largest } if *largest > 512 => {
+                        if let Some(p) = self.paths.get_mut(*acked as usize) {
+                            p.space.recv.forget_below(largest - 512);
                         }
                     }
-                    FrameInfo::Ack { path_id, largest } => {
-                        let pid = path_id as usize;
-                        if pid < self.paths.len() && largest > 512 {
-                            self.paths[pid].recv_ranges.forget_below(largest - 512);
-                        }
-                    }
-                    FrameInfo::HandshakeDone => {
-                        self.handshake_done_sent = true;
-                    }
-                    _ => {}
+                    SentFrame::HandshakeDone => self.keys.done_sent = true,
+                    other => self.streams.on_sent_frame_acked(other),
                 }
             }
         }
         if cc_touched {
-            let p = &self.paths[space];
-            self.tr_quic.emit(
-                now,
-                Event::CwndUpdate {
-                    path: space as u8,
-                    cwnd: p.cc.window(),
-                    bytes_in_flight: p.recovery.bytes_in_flight(),
-                },
-            );
+            self.trace_cwnd(now, space);
         }
         if !outcome.lost.is_empty() {
-            self.on_packets_lost(now, space, &outcome.lost);
+            self.on_packets_lost(now, space, outcome.lost);
         }
         if self.cfg.coupled_cc {
             self.recompute_coupling();
@@ -1527,7 +1103,12 @@ impl MpConnection {
         }
     }
 
-    fn on_packets_lost(&mut self, now: Instant, space: usize, lost: &[SentPacket<PacketContent>]) {
+    fn on_packets_lost(
+        &mut self,
+        now: Instant,
+        space: usize,
+        lost: Vec<SentPacket<Vec<SentFrame>>>,
+    ) {
         self.stats.packets_lost += lost.len() as u64;
         let mut newest: Option<Instant> = None;
         for pkt in lost {
@@ -1538,50 +1119,33 @@ impl MpConnection {
             if pkt.in_flight {
                 newest = Some(newest.map_or(pkt.time_sent, |t| t.max(pkt.time_sent)));
             }
-            for info in pkt.content.frames.clone() {
-                match info {
-                    FrameInfo::Stream { id, range, fin, reinjected } => {
-                        if let Some(s) = self.streams.get_mut(id) {
-                            // A lost re-injected copy is not retransmitted
-                            // on its own — the original (or another copy)
-                            // still covers it; only requeue originals.
-                            if !reinjected {
-                                s.send.on_range_lost(range, fin);
-                                self.stats.stream_bytes_retransmitted += range.len();
-                            }
-                        }
-                    }
-                    FrameInfo::Crypto => self.handshake_sent = false,
-                    FrameInfo::HandshakeDone => self.handshake_done_sent = false,
-                    FrameInfo::Control(f) => self.control_queue.push(f),
-                    FrameInfo::Challenge(data) => {
+            for sent in pkt.content {
+                match sent {
+                    SentFrame::Crypto => self.keys.hello_sent = false,
+                    SentFrame::HandshakeDone => self.keys.done_sent = false,
+                    SentFrame::Challenge(data) => {
                         // Re-arm the challenge for this path.
                         if self.paths[space].state == PathState::Validating {
                             self.paths[space].challenge = Some(data);
-                            self.control_queue.push(Frame::PathChallenge(data));
+                            self.streams.control.push(Frame::PathChallenge(data));
                         }
                     }
-                    FrameInfo::Response(data) => {
+                    SentFrame::Response(data) => {
                         // Stay pinned: the reply is only meaningful on
                         // the path the challenge arrived on. Goes through
                         // the §10 cap like a fresh challenge.
                         self.pin_response(space, data);
                     }
-                    FrameInfo::Ack { .. } | FrameInfo::Ping => {}
+                    other => {
+                        self.stats.stream_bytes_retransmitted +=
+                            self.streams.on_sent_frame_lost(other);
+                    }
                 }
             }
         }
         if let Some(t) = newest {
             self.paths[space].cc.on_congestion_event(now, t);
-            let p = &self.paths[space];
-            self.tr_quic.emit(
-                now,
-                Event::CwndUpdate {
-                    path: space as u8,
-                    cwnd: p.cc.window(),
-                    bytes_in_flight: p.recovery.bytes_in_flight(),
-                },
-            );
+            self.trace_cwnd(now, space);
         }
     }
 
@@ -1591,70 +1155,33 @@ impl MpConnection {
 
     /// Produce the next (network path, datagram) to transmit.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
-        if let Some((err, reason)) = self.close_frame_pending.take() {
-            // Enter closing (§10.2): retain the close frame for rate-limited
-            // replay, arm the 3×PTO drain timer, and tear every path down —
-            // the connection sends nothing but this frame from here on.
-            let frame =
-                Frame::ConnectionClose { error_code: err.code(), reason: reason.into_bytes() };
-            self.close_replay = Some(frame.clone());
-            self.arm_drain(now);
-            self.tr_quic
-                .emit(now, Event::ConnectionClosed { error_code: err.code(), locally: true });
-            let path = self.primary;
-            let initial = self.keys.is_none();
-            let datagram = self.build_packet(now, path, initial, &[frame], vec![], false);
-            self.teardown_paths();
-            return Some((path, datagram));
-        }
         if self.is_closed() {
-            // Closing endpoints answer continued peer traffic with a
-            // rate-limited replay of the CONNECTION_CLOSE; draining (or
-            // drained) endpoints stay silent.
-            if self.close_replay_pending && !self.drained {
-                self.close_replay_pending = false;
-                if let Some(frame) = self.close_replay.clone() {
-                    let path = self.primary;
-                    let initial = self.keys.is_none();
-                    let datagram = self.build_packet(now, path, initial, &[frame], vec![], false);
-                    return Some((path, datagram));
-                }
+            // Closing (§10.2): the CONNECTION_CLOSE — once sent, the 3×PTO
+            // drain timer runs and every path is torn down, the connection
+            // sending nothing but this frame from here on — then its
+            // rate-limited replays on continued peer traffic.
+            let (frame, first) = self.life.poll_close(now, self.drain_pto(), &self.tr_quic)?;
+            let initial = self.keys.one_rtt().is_none();
+            let tx = self.build_packet(now, self.primary, initial, &[frame], vec![], false);
+            if first {
+                self.teardown_paths();
             }
-            return None;
+            return Some(tx);
         }
         // 1. Handshake on the primary path.
-        if !self.handshake_sent && (self.cfg.side == Side::Client || self.handshake.is_complete()) {
-            self.handshake_sent = true;
-            if self.hello_sends > 0 {
-                self.stats.handshake_retransmits += 1;
-            }
-            self.tr_quic.emit(now, Event::HandshakeSent { retransmit: self.hello_sends > 0 });
-            self.hello_sends += 1;
-            let hello = self.handshake.local_hello().encode();
-            let path = self.primary;
-            let frames = [Frame::Crypto { offset: 0, data: hello }];
-            let infos = vec![FrameInfo::Crypto];
-            return Some((path, self.build_packet(now, path, true, &frames, infos, true)));
+        if let Some((hello, retransmit)) = self.keys.next_hello(now, &self.tr_quic) {
+            self.stats.handshake_retransmits += u64::from(retransmit);
+            return Some(self.build_packet(now, self.primary, true, &[hello], vec![], true));
         }
         if !self.is_established() {
             // Still ack initial packets.
             return self.poll_ack(now, true);
         }
         // 2. Server HANDSHAKE_DONE.
-        if self.cfg.side == Side::Server && !self.handshake_done_sent {
-            self.handshake_done_sent = true;
-            let path = self.primary;
-            return Some((
-                path,
-                self.build_packet(
-                    now,
-                    path,
-                    false,
-                    &[Frame::HandshakeDone],
-                    vec![FrameInfo::HandshakeDone],
-                    true,
-                ),
-            ));
+        if self.cfg.side == Side::Server && !self.keys.done_sent {
+            self.keys.done_sent = true;
+            let done = [Frame::HandshakeDone];
+            return Some(self.build_packet(now, self.primary, false, &done, vec![], true));
         }
         // 3. Advertise CIDs for the extra paths (both sides, once).
         if self.multipath && !self.cids_advertised {
@@ -1667,7 +1194,7 @@ impl MpConnection {
                 if let Some(secret) = self.cfg.reset_secret {
                     issued.reset_token = Some(reset::reset_token(secret, &issued.cid));
                 }
-                self.control_queue.push(Frame::NewConnectionId(issued));
+                self.streams.control.push(Frame::NewConnectionId(issued));
             }
         }
         // 4. Client: initiate validation of extra paths once the peer has
@@ -1692,47 +1219,26 @@ impl MpConnection {
             }
             let pending = std::mem::take(&mut self.paths[i].response_pending);
             let frames: Vec<Frame> = pending.iter().map(|&d| Frame::PathResponse(d)).collect();
-            let infos: Vec<FrameInfo> = pending.iter().map(|&d| FrameInfo::Response(d)).collect();
-            return Some((i, self.build_packet(now, i, false, &frames, infos, true)));
+            let infos: Vec<SentFrame> = pending.iter().map(|&d| SentFrame::Response(d)).collect();
+            return Some(self.build_packet(now, i, false, &frames, infos, true));
         }
         // 7. Probation revalidation probes (exponential backoff; §9).
         if self.liveness_active() {
+            let lv = self.cfg.liveness;
             for i in 0..self.paths.len() {
-                let due = match (&self.paths[i].state, &self.paths[i].probation) {
-                    (PathState::Probation, Some(pr)) => pr.next_probe_at <= now,
-                    _ => false,
+                let p = &mut self.paths[i];
+                let Some(pr) = p.probation.as_mut().filter(|pr| pr.next_probe_at <= now) else {
+                    continue;
                 };
-                if !due {
+                if p.state != PathState::Probation {
                     continue;
                 }
-                let probes = self.paths[i].probation.as_ref().map_or(0, |pr| pr.probes_sent);
-                let mut data = [0u8; 8];
-                data.copy_from_slice(
-                    &ConnectionId::derive(
-                        self.cfg.seed ^ 0x11fe,
-                        ((i as u64) << 32) | u64::from(probes),
-                    )
-                    .0,
-                );
-                self.paths[i].challenge = Some(data);
-                let lv = self.cfg.liveness;
-                if let Some(pr) = self.paths[i].probation.as_mut() {
-                    pr.on_probe_sent(now, &lv);
-                }
+                let nonce = ((i as u64) << 32) | u64::from(pr.probes_sent);
+                pr.on_probe_sent(now, &lv);
                 // Not ack-eliciting for *our* recovery: loss of the probe
                 // is handled by the backoff schedule itself, not by PTO
                 // (which would fight the quieting backoff).
-                return Some((
-                    i,
-                    self.build_packet(
-                        now,
-                        i,
-                        false,
-                        &[Frame::PathChallenge(data)],
-                        vec![FrameInfo::Challenge(data)],
-                        false,
-                    ),
-                ));
+                return Some(self.send_challenge(now, i, 0x11fe, nonce, false));
             }
         }
         // 8. PTO probes and keepalive PINGs.
@@ -1749,10 +1255,7 @@ impl MpConnection {
             if !probe {
                 self.stats.keepalives_sent += 1;
             }
-            return Some((
-                i,
-                self.build_packet(now, i, false, &[Frame::Ping], vec![FrameInfo::Ping], true),
-            ));
+            return Some(self.build_packet(now, i, false, &[Frame::Ping], vec![], true));
         }
         // 9. Data (new data or re-injection) via the scheduler.
         self.poll_data(now)
@@ -1760,34 +1263,29 @@ impl MpConnection {
 
     /// Pending-ACK transmission, honoring the ACK path policy.
     fn poll_ack(&mut self, now: Instant, initial_space: bool) -> Option<(usize, Vec<u8>)> {
-        let space = (0..self.paths.len()).find(|&i| self.paths[i].ack_pending)?;
-        self.paths[space].ack_pending = false;
+        let space = (0..self.paths.len()).find(|&i| self.paths[i].space.ack_pending)?;
         let delay = now - self.paths[space].last_recv_time;
-        let mut ack = AckFrame::from_ranges(space as u64, &self.paths[space].recv_ranges, delay)?;
+        let mut ack = self.paths[space].space.take_ack(space as u64, delay)?;
         // Before multipath negotiation (or on single-path fallback), use
         // plain ACK on the primary path.
-        let (frame, info, send_path) = if !self.multipath || initial_space {
+        let sent = vec![SentFrame::Ack { space: space as u64, largest: ack.largest }];
+        let (frame, send_path) = if !self.multipath || initial_space {
             ack.path_id = 0;
-            let largest = ack.largest;
-            (Frame::Ack(ack), FrameInfo::Ack { path_id: space as u64, largest }, space)
+            (Frame::Ack(ack), space)
         } else {
             // Attach the freshest QoE snapshot (client side) unless the
             // standalone-frame mode carries it separately.
             if !self.cfg.standalone_qoe_frames {
                 ack.qoe = self.local_qoe;
             }
-            let largest = ack.largest;
             let send_path = match self.cfg.ack_policy {
                 AckPathPolicy::OriginalPath => space,
                 AckPathPolicy::FastestPath => self.fastest_active_path().unwrap_or(space),
             };
-            (Frame::AckMp(ack), FrameInfo::Ack { path_id: space as u64, largest }, send_path)
+            (Frame::AckMp(ack), send_path)
         };
         self.stats.acks_sent += 1;
-        Some((
-            send_path,
-            self.build_packet(now, send_path, initial_space, &[frame], vec![info], false),
-        ))
+        Some(self.build_packet(now, send_path, initial_space, &[frame], sent, false))
     }
 
     fn fastest_active_path(&self) -> Option<usize> {
@@ -1807,30 +1305,31 @@ impl MpConnection {
             if i == self.primary {
                 continue;
             }
-            let needs_challenge = {
-                let p = &self.paths[i];
-                p.state == PathState::Validating
-                    && p.challenge.is_none()
-                    && p.dcid != self.remote_cid0
-            };
-            if needs_challenge {
-                let mut data = [0u8; 8];
-                data.copy_from_slice(&ConnectionId::derive(self.cfg.seed ^ 0xc4a1, i as u64).0);
-                self.paths[i].challenge = Some(data);
-                return Some((
-                    i,
-                    self.build_packet(
-                        now,
-                        i,
-                        false,
-                        &[Frame::PathChallenge(data)],
-                        vec![FrameInfo::Challenge(data)],
-                        true,
-                    ),
-                ));
+            let p = &self.paths[i];
+            if p.state == PathState::Validating
+                && p.challenge.is_none()
+                && p.dcid != self.remote_cid0
+            {
+                return Some(self.send_challenge(now, i, 0xc4a1, i as u64, true));
             }
         }
         None
+    }
+
+    /// A PATH_CHALLENGE on `path`, its payload derived from the seed, and
+    /// now the one the path waits on.
+    fn send_challenge(
+        &mut self,
+        now: Instant,
+        path: usize,
+        salt: u64,
+        nonce: u64,
+        ack_eliciting: bool,
+    ) -> (usize, Vec<u8>) {
+        let data = ConnectionId::derive(self.cfg.seed ^ salt, nonce).0;
+        self.paths[path].challenge = Some(data);
+        let (frames, sent) = ([Frame::PathChallenge(data)], vec![SentFrame::Challenge(data)]);
+        self.build_packet(now, path, false, &frames, sent, ack_eliciting)
     }
 
     /// New-data / re-injection transmission.
@@ -1937,62 +1436,12 @@ impl MpConnection {
             return None;
         }
         let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let mut infos = Vec::new();
-        let mut remaining = MAX_DATAGRAM_SIZE as usize - 64;
-        while let Some(f) = self.control_queue.pop() {
-            let Some(len) = packet.push_if_fits(&f, remaining) else {
-                self.control_queue.push(f);
-                break;
-            };
-            remaining -= len;
-            infos.push(FrameInfo::Control(f));
-        }
-        for id in self.streams.sendable_ids() {
-            if remaining < 48 {
-                break;
-            }
-            let conn_credit = self.streams.conn_send_credit();
-            // Invariant: sendable_ids() only yields ids present in the map.
-            let stream = self.streams.get_mut(id).expect("sendable");
-            let max_payload = remaining.saturating_sub(24);
-            let before_largest = stream.send.largest_sent();
-            let Some((range, fin)) = stream.send.take_range(max_payload) else {
-                // A data-less FIN is only legal once every byte has been
-                // sent; a flow-control-blocked stream must wait.
-                if stream.send.fin_pending() && stream.send.data_fully_sent() {
-                    let offset = stream.send.len();
-                    Frame::encode_stream(packet.frames(), id, offset, &[], true);
-                    infos.push(FrameInfo::Stream {
-                        id,
-                        range: SendRange { start: offset, end: offset },
-                        fin: true,
-                        reinjected: false,
-                    });
-                    stream.send.mark_fin_sent();
-                }
-                continue;
-            };
-            let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
-            if new_bytes > conn_credit {
-                // Blocked at connection level: put the range back as never
-                // sent, so the next attempt still charges it to the limit.
-                stream.send.untake(range, before_largest);
-                break;
-            }
-            // The payload goes from the stream's buffer straight into the
-            // datagram.
-            Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
-            if new_bytes > 0 {
-                self.streams.consume_conn_credit(new_bytes);
-                self.stats.stream_bytes_sent += new_bytes;
-            }
-            remaining = remaining.saturating_sub(range.len() as usize + 24);
-            infos.push(FrameInfo::Stream { id, range, fin, reinjected: false });
-        }
-        if infos.is_empty() {
+        let (content, first_time) = self.streams.pack(&mut packet, 48);
+        self.stats.stream_bytes_sent += first_time;
+        if content.is_empty() {
             return None;
         }
-        Some((path, self.finish_packet(now, path, false, packet, infos, true)))
+        Some(self.finish_packet(now, path, packet, content, true))
     }
 
     /// Candidate unacked ranges for re-injection onto `target`: stream
@@ -2003,9 +1452,9 @@ impl MpConnection {
             if p.id == target || p.state == PathState::Abandoned {
                 continue;
             }
-            for pkt in p.recovery.unacked() {
-                for info in &pkt.content.frames {
-                    let FrameInfo::Stream { id, range, fin, .. } = info else {
+            for pkt in p.space.recovery.unacked() {
+                for info in &pkt.content {
+                    let SentFrame::Stream { id, range, fin, .. } = info else {
                         continue;
                     };
                     if range.is_empty() && !fin {
@@ -2027,9 +1476,9 @@ impl MpConnection {
                         continue;
                     }
                     // Also skip if target already carries this range.
-                    let dup_on_target = self.paths[target].recovery.unacked().any(|tp| {
-                        tp.content.frames.iter().any(|ti| {
-                            matches!(ti, FrameInfo::Stream { id: tid, range: tr, .. }
+                    let dup_on_target = self.paths[target].space.recovery.unacked().any(|tp| {
+                        tp.content.iter().any(|ti| {
+                            matches!(ti, SentFrame::Stream { id: tid, range: tr, .. }
                                 if tid == id && tr.start < range.end && range.start < tr.end)
                         })
                     });
@@ -2044,43 +1493,39 @@ impl MpConnection {
         out
     }
 
+    /// Where data queues under the configured re-injection mode (Fig. 4),
+    /// lower first: by stream priority, within which frame-priority mode
+    /// also ranks by video-frame priority.
+    fn rank(&self, stream_id: u64, frame_priority: u8) -> (u8, u8) {
+        let stream = self.streams.get(stream_id).map_or(u8::MAX, |st| st.priority);
+        match self.cfg.reinject_mode {
+            ReinjectMode::FramePriority => (stream, frame_priority),
+            _ => (stream, 0),
+        }
+    }
+
+    /// The rank of the most urgent unsent data, if any stream has some.
+    fn best_pending_rank(&self) -> Option<(u8, u8)> {
+        self.streams
+            .iter()
+            .filter(|st| st.send.has_pending())
+            .map(|st| self.rank(st.id, st.send.next_pending_priority().unwrap_or(u8::MAX)))
+            .min()
+    }
+
     /// True when the best re-injection candidate outranks the best unsent
     /// data under the configured mode (the preemption rules of Fig. 4):
     /// appending never preempts; stream-priority preempts strictly
     /// lower-priority streams; frame-priority also preempts lower-priority
-    /// frames of the same stream.
+    /// frames of the same stream. With nothing unsent, re-injection is
+    /// trivially first.
     fn reinject_preempts_new_data(&self, path: usize) -> bool {
         if self.cfg.reinject_mode == ReinjectMode::Appending {
             return false;
         }
         let cands = self.reinject_candidates(path);
-        if cands.is_empty() {
-            return false;
-        }
-        let stream_prio = |id: u64| self.streams.get(id).map(|st| st.priority).unwrap_or(u8::MAX);
-        let best_pending: Option<(u8, u8)> = self
-            .streams
-            .iter()
-            .filter(|st| st.send.has_pending())
-            .map(|st| (st.priority, st.send.next_pending_priority().unwrap_or(u8::MAX)))
-            .min();
-        let Some((pend_sp, pend_fp)) = best_pending else {
-            return true; // nothing unsent: re-injection trivially first
-        };
-        // Invariant: callers only ask with a non-empty candidate list
-        // (guarded at the single call site in try_reinject).
-        let best_cand = cands
-            .iter()
-            .map(|&(id, _, _, fprio)| (stream_prio(id), fprio))
-            .min()
-            .expect("non-empty");
-        match self.cfg.reinject_mode {
-            ReinjectMode::Appending => false,
-            // Fig. 4b: only a strictly higher-priority *stream* jumps.
-            ReinjectMode::StreamPriority => best_cand.0 < pend_sp,
-            // Fig. 4c: frame priority breaks ties within the stream.
-            ReinjectMode::FramePriority => best_cand < (pend_sp, pend_fp),
-        }
+        let best = cands.iter().map(|&(id, _, _, fprio)| self.rank(id, fprio)).min();
+        best.is_some_and(|best| self.best_pending_rank().is_none_or(|pending| best < pending))
     }
 
     /// Re-inject unacked data from other paths onto `path`, ordered by the
@@ -2091,56 +1536,24 @@ impl MpConnection {
         if cands.is_empty() {
             return None;
         }
-        match self.cfg.reinject_mode {
-            ReinjectMode::Appending => {
-                // Appending mode: re-injection only allowed when no stream
-                // has unsent data at all (it sits at the queue tail).
-                if self.streams.iter().any(|s| s.send.has_pending()) {
-                    return None;
-                }
-                // FIFO by stream then offset.
-                cands.sort_by_key(|&(id, r, _, _)| (id, r.start));
+        if self.cfg.reinject_mode == ReinjectMode::Appending {
+            // Appending mode: re-injection only allowed when no stream
+            // has unsent data at all (it sits at the queue tail).
+            if self.streams.iter().any(|s| s.send.has_pending()) {
+                return None;
             }
-            ReinjectMode::StreamPriority => {
-                // Re-injected data of stream S may overtake unsent data of
-                // strictly lower-priority streams, but not unsent data of
-                // same-or-higher priority streams.
-                let stream_prio: std::collections::HashMap<u64, u8> =
-                    self.streams.iter().map(|s| (s.id, s.priority)).collect();
-                let highest_pending =
-                    self.streams.iter().filter(|s| s.send.has_pending()).map(|s| s.priority).min();
-                cands.retain(|&(id, _, _, _)| match highest_pending {
-                    Some(hp) => stream_prio.get(&id).copied().unwrap_or(u8::MAX) <= hp,
-                    None => true,
-                });
-                cands.sort_by_key(|&(id, r, _, _)| {
-                    (stream_prio.get(&id).copied().unwrap_or(u8::MAX), id, r.start)
-                });
-            }
-            ReinjectMode::FramePriority => {
-                // Frame-priority: a high-priority frame range (e.g. the
-                // first video frame) may overtake anything with a lower
-                // frame priority — including unsent data of its own
-                // stream (Fig. 4c).
-                let stream_prio: std::collections::HashMap<u64, u8> =
-                    self.streams.iter().map(|s| (s.id, s.priority)).collect();
-                let best_pending: Option<(u8, u8)> = self
-                    .streams
-                    .iter()
-                    .filter(|s| s.send.has_pending())
-                    .map(|s| (s.priority, s.send.next_pending_priority().unwrap_or(u8::MAX)))
-                    .min();
-                cands.retain(|&(id, _, _, fprio)| match best_pending {
-                    Some((sp, fp)) => {
-                        let this_sp = stream_prio.get(&id).copied().unwrap_or(u8::MAX);
-                        (this_sp, fprio) <= (sp, fp)
-                    }
-                    None => true,
-                });
-                cands.sort_by_key(|&(id, r, _, fprio)| {
-                    (stream_prio.get(&id).copied().unwrap_or(u8::MAX), fprio, id, r.start)
-                });
-            }
+            // FIFO by stream then offset.
+            cands.sort_by_key(|&(id, r, _, _)| (id, r.start));
+        } else {
+            // Re-injected data may overtake unsent data ranked strictly
+            // after it, never unsent data of the same or a better rank: a
+            // lower-priority stream's in stream-priority mode (Fig. 4b);
+            // in frame-priority mode also a lower-priority frame's of its
+            // own stream, which is how the first video frame gets ahead
+            // (Fig. 4c).
+            let pending = self.best_pending_rank();
+            cands.retain(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) <= p));
+            cands.sort_by_cached_key(|&(id, r, _, fprio)| (self.rank(id, fprio), id, r.start));
         }
         if cands.is_empty() {
             return None;
@@ -2175,12 +1588,12 @@ impl MpConnection {
             // streams that existed this poll — never peer input.
             let stream = self.streams.get(id).expect("stream exists");
             Frame::encode_stream(packet.frames(), id, sub.start, stream.send.data(sub), fin_here);
-            infos.push(FrameInfo::Stream { id, range: sub, fin: fin_here, reinjected: true });
+            infos.push(SentFrame::Stream { id, range: sub, fin: fin_here, reinjected: true });
         }
         if infos.is_empty() {
             return None;
         }
-        Some((path, self.finish_packet(now, path, false, packet, infos, true)))
+        Some(self.finish_packet(now, path, packet, infos, true))
     }
 
     /// Redundant baseline: duplicate fresh data on all paths.
@@ -2209,92 +1622,65 @@ impl MpConnection {
         None
     }
 
-    /// A packet of owned frames; empty `infos` describes each frame to
-    /// recovery by its kind.
+    /// A packet of owned frames, as the `(path, datagram)` to transmit; empty
+    /// `content` describes each frame to recovery by its kind.
     fn build_packet(
         &mut self,
         now: Instant,
         path: usize,
         initial: bool,
         frames: &[Frame],
-        mut infos: Vec<FrameInfo>,
+        mut content: Vec<SentFrame>,
         ack_eliciting: bool,
-    ) -> Vec<u8> {
-        if infos.is_empty() {
-            infos = frames
-                .iter()
-                .map(|f| match f {
-                    Frame::Crypto { .. } => FrameInfo::Crypto,
-                    Frame::Ack(a) | Frame::AckMp(a) => {
-                        FrameInfo::Ack { path_id: a.path_id, largest: a.largest }
-                    }
-                    Frame::HandshakeDone => FrameInfo::HandshakeDone,
-                    Frame::Ping => FrameInfo::Ping,
-                    other => FrameInfo::Control(other.clone()),
-                })
-                .collect();
+    ) -> (usize, Vec<u8>) {
+        if content.is_empty() {
+            content = frames.iter().map(SentFrame::describing).collect();
         }
         let mut packet = PacketBuilder::new(self.next_header(path, initial));
         for f in frames {
             f.encode(packet.frames());
         }
-        self.finish_packet(now, path, initial, packet, infos, ack_eliciting)
+        self.finish_packet(now, path, packet, content, ack_eliciting)
     }
 
     /// The header of the next packet to be sent on `path`.
     fn next_header(&self, path: usize, initial: bool) -> Header {
         let p = &self.paths[path];
-        let pn = p.recovery.peek_pn();
-        let pn_len = pn_encode_len(pn, p.recovery.largest_acked());
-        Header {
-            ty: if initial { PacketType::Initial } else { PacketType::OneRtt },
-            dcid: p.dcid,
-            scid: self.local_cid0,
-            pn: pn_truncate(pn, pn_len),
-            pn_len,
-            token: Vec::new(),
-        }
+        let ty = if initial { PacketType::Initial } else { PacketType::OneRtt };
+        p.space.next_header(ty, p.dcid, self.local_cid0, Vec::new())
     }
 
-    /// Seal `packet` (started from [`MpConnection::next_header`] of the same
-    /// `path` and `initial`) in place and account for it as sent.
+    /// Seal `packet` (started from [`MpConnection::next_header`] of the
+    /// same `path`) and account for it as sent.
     fn finish_packet(
         &mut self,
         now: Instant,
         path: usize,
-        initial: bool,
         packet: PacketBuilder,
-        infos: Vec<FrameInfo>,
+        content: Vec<SentFrame>,
         ack_eliciting: bool,
-    ) -> Vec<u8> {
-        let keys = if initial {
-            &self.initial_keys
-        } else {
-            // Invariant: every 1-RTT build site is gated on
-            // is_established(), which requires keys.is_some().
-            self.keys.as_ref().expect("keys")
-        };
-        let key = if self.cfg.side == Side::Client { &keys.client } else { &keys.server };
+    ) -> (usize, Vec<u8>) {
         let p = &mut self.paths[path];
-        let pn = p.recovery.peek_pn();
-        // Multipath nonce: CID sequence number = path id (§6).
-        let datagram = packet.seal(key, path as u32, pn);
+        let datagram = self.keys.finish_packet(
+            now,
+            &mut p.space,
+            path,
+            packet,
+            content,
+            ack_eliciting,
+            &self.tr_quic,
+        );
         let size = datagram.len() as u64;
-        p.recovery.on_packet_sent(now, size, ack_eliciting, PacketContent { frames: infos });
         p.bytes_sent += size;
         p.last_send_time = now;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += size;
-        self.last_activity = now;
-        self.tr_quic.emit(
-            now,
-            Event::PacketSent { path: path as u8, pn, bytes: size as u32, ack_eliciting },
-        );
+        // Unlike the single-path engine, sending restarts the idle timer.
+        self.life.touch(now);
         if let Some(probe) = &mut self.probe_cwnd {
-            let p = &self.paths[path];
-            probe.push((now, path, p.cc.window(), p.recovery.bytes_in_flight()));
+            probe.push((now, path, p.cc.window(), p.space.recovery.bytes_in_flight()));
         }
-        datagram
+        (path, datagram)
     }
 
     // ---------------------------------------------------------------
@@ -2304,14 +1690,12 @@ impl MpConnection {
     /// Earliest timer deadline.
     pub fn poll_timeout(&self) -> Option<Instant> {
         if self.is_closed() {
-            // Closing/draining endpoints keep exactly one timer: the 3×PTO
-            // drain deadline, after which remaining state is freed.
-            return if self.drained { None } else { self.drain_deadline };
+            return self.life.drain_deadline();
         }
         let mad = self.cfg.params.max_ack_delay;
-        let mut t = self.last_activity + self.idle_timeout;
+        let mut t = self.life.idle_deadline();
         for p in &self.paths {
-            if let Some(lt) = p.recovery.next_timeout(&p.rtt, mad) {
+            if let Some(lt) = p.space.recovery.next_timeout(&p.rtt, mad) {
                 t = t.min(lt);
             }
         }
@@ -2321,11 +1705,8 @@ impl MpConnection {
                 match p.state {
                     PathState::Active | PathState::Standby => {
                         // Ack-silence suspicion deadline.
-                        if p.recovery.has_ack_eliciting_in_flight() {
-                            let silent_since = p
-                                .recovery
-                                .oldest_unacked_time()
-                                .map_or(p.last_ack_time, |s| s.max(p.last_ack_time));
+                        if p.space.recovery.has_ack_eliciting_in_flight() {
+                            let silent_since = p.silent_since();
                             t = t.min(silent_since + lv.ack_silence);
                         }
                         // Keepalive refresh deadline (suppressed while a
@@ -2333,7 +1714,7 @@ impl MpConnection {
                         // undriven connection still reaches its idle
                         // deadline). Mirrors the receive-silence trigger
                         // in `liveness_pass`.
-                        if !p.keepalive_pending && !p.recovery.has_ack_eliciting_in_flight() {
+                        if !p.keepalive_pending && !p.space.recovery.has_ack_eliciting_in_flight() {
                             t = t.min(p.last_recv_time + lv.keepalive);
                         }
                     }
@@ -2351,42 +1732,22 @@ impl MpConnection {
 
     /// Handle a timer firing.
     pub fn on_timeout(&mut self, now: Instant) {
-        if self.is_closed() {
-            if let Some(deadline) = self.drain_deadline {
-                if now >= deadline && !self.drained {
-                    self.free_state();
-                }
-            }
-            return;
-        }
-        if now >= self.last_activity + self.idle_timeout {
-            // §10.1: on idle timeout state is discarded silently — there is
-            // no peer to replay a close to, so drain immediately.
-            self.state = MpState::Closed(ConnectionError::TimedOut);
-            self.tr_quic.emit(now, Event::ConnectionClosed { error_code: 0, locally: true });
-            self.free_state();
-            return;
+        match self.life.on_timeout(now, &self.tr_quic) {
+            Expiry::Open => {}
+            Expiry::Closed => return,
+            Expiry::Freed => return self.free_state(),
         }
         let mad = self.cfg.params.max_ack_delay;
         for i in 0..self.paths.len() {
-            let deadline = {
-                let p = &self.paths[i];
-                p.recovery.next_timeout(&p.rtt, mad)
-            };
-            let Some(deadline) = deadline else { continue };
-            if now < deadline {
+            let p = &mut self.paths[i];
+            if p.space.recovery.next_timeout(&p.rtt, mad).is_none_or(|deadline| now < deadline) {
                 continue;
             }
-            let outcome = {
-                let p = &mut self.paths[i];
-                let rtt = p.rtt.clone();
-                p.recovery.on_timeout(now, &rtt)
-            };
-            match outcome {
-                TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, i, &lost),
+            match p.space.recovery.on_timeout(now, &p.rtt) {
+                TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, i, lost),
                 TimeoutOutcome::SendProbe => {
-                    if self.keys.is_none() {
-                        self.handshake_sent = false;
+                    if self.keys.one_rtt().is_none() {
+                        self.keys.hello_sent = false;
                     } else {
                         self.paths[i].probe_pending = true;
                         if self.paths[i].state == PathState::Suspect {
@@ -2403,6 +1764,8 @@ impl MpConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlink_quic::ackranges::AckRanges;
+    use xlink_quic::packet::{pn_encode_len, pn_truncate};
 
     fn client_cfg(seed: u64) -> MpConfig {
         MpConfig::xlink_client(seed, vec![WirelessTech::Wifi, WirelessTech::Lte])
@@ -2609,8 +1972,8 @@ mod tests {
             .paths
             .iter()
             .map(|p| {
-                let pn = p.recovery.peek_pn();
-                (pn, pn_encode_len(pn, p.recovery.largest_acked()))
+                let pn = p.space.recovery.peek_pn();
+                (pn, pn_encode_len(pn, p.space.recovery.largest_acked()))
             })
             .collect();
         let (path, datagram) = c.poll_transmit(now).expect("stream data to send");
@@ -2625,7 +1988,7 @@ mod tests {
         }
         .encode();
 
-        let key = c.keys.as_ref().unwrap().client.clone();
+        let key = c.keys.one_rtt().unwrap().client.clone();
         assert_eq!(&datagram[..header.len()], &header[..]);
         let plain =
             key.open(path as u32, pn, &header, &datagram[header.len()..]).expect("authentic");
@@ -2826,7 +2189,7 @@ mod tests {
         // The close frame goes out once, and every path is abandoned.
         assert!(c.poll_transmit(now).is_some());
         assert!(c.paths.iter().all(|p| p.state == PathState::Abandoned));
-        assert!(c.paths.iter().all(|p| p.recovery.bytes_in_flight() == 0));
+        assert!(c.paths.iter().all(|p| p.space.recovery.bytes_in_flight() == 0));
         let _ = s;
     }
 
@@ -2903,8 +2266,8 @@ mod tests {
         for i in 0..100u64 {
             c.on_frame(now, 0, Frame::PathChallenge(i.to_be_bytes()));
         }
-        assert!(c.pending_responses() <= MAX_PENDING_PATH_RESPONSES);
-        assert_eq!(c.path_responses_dropped(), 100 - MAX_PENDING_PATH_RESPONSES as u64);
+        assert!(c.bounded_state().pending_path_responses <= MAX_PENDING_PATH_RESPONSES);
+        assert_eq!(c.path_responses_dropped, 100 - MAX_PENDING_PATH_RESPONSES as u64);
         assert!(!c.is_closed());
         let _ = s;
     }
@@ -2960,9 +2323,9 @@ mod tests {
     /// name in `xlink_quic::connection`).
     fn assert_none_is_stable(what: &str, conn: &mut MpConnection, now: Instant) {
         while conn.poll_transmit(now).is_some() {}
-        let before = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        let before = (conn.streams.control.len(), conn.poll_timeout(), conn.stats());
         assert!(conn.poll_transmit(now).is_none(), "{what}: sent again with no input");
-        let after = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        let after = (conn.streams.control.len(), conn.poll_timeout(), conn.stats());
         assert_eq!(before, after, "{what}: a poll that sent nothing changed state");
     }
 
@@ -2984,7 +2347,7 @@ mod tests {
         assert!(s.streams().conn_send_credit() < MAX_DATAGRAM_SIZE, "not flow-control-limited");
         assert!(s.paths().iter().any(|p| p.cwnd() > p.bytes_in_flight() + MAX_DATAGRAM_SIZE));
         assert_none_is_stable("flow control", &mut s, now);
-        assert_eq!(s.control_queue_len(), 0, "a control frame left on the queue");
+        assert_eq!(s.streams.control.len(), 0, "a control frame left on the queue");
         assert!(!s.is_closed() && !c.is_closed(), "the limit was overrun: {:?}", c.state());
 
         // Closing: the CONNECTION_CLOSE went out; no packet arrives to
@@ -3123,7 +2486,7 @@ mod tests {
         pump_blackhole(&mut now, &mut c, &mut s, &[], Duration::from_secs(10));
         assert!(s.stats().path_revalidations >= 1, "healed path should revalidate");
         assert_eq!(s.paths()[1].state, PathState::Active);
-        assert_eq!(s.paths[1].recovery.pto_count(), 0, "rejoin must reset PTO backoff");
+        assert_eq!(s.paths[1].space.recovery.pto_count(), 0, "rejoin must reset PTO backoff");
     }
 
     #[test]
@@ -3219,12 +2582,12 @@ mod tests {
         // §8.2.2 requires the response to leave on the same path.
         let data = [9u8; 8];
         c.paths[1].challenge = Some(data);
-        let d = c.build_packet(
+        let (_, d) = c.build_packet(
             now,
             1,
             false,
             &[Frame::PathChallenge(data)],
-            vec![FrameInfo::Challenge(data)],
+            vec![SentFrame::Challenge(data)],
             true,
         );
         s.handle_datagram(now, 1, &d);

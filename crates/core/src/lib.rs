@@ -26,6 +26,6 @@ pub mod wireless;
 
 pub use connection::{MpConfig, MpConnection, MpPath, MpState, MpStats, PathState};
 pub use liveness::LivenessConfig;
-pub use qoe::{play_time_left, reinjection_decision, QoeControl, QoeSignal};
+pub use qoe::{play_time_left, redundancy_ratio, reinjection_decision, QoeControl, QoeSignal};
 pub use sched::{AckPathPolicy, ReinjectMode, SchedulerKind};
 pub use wireless::{PrimaryPathPolicy, WirelessTech};

@@ -38,6 +38,15 @@ impl QoeControl {
     }
 }
 
+/// The paper's cost metric, the redundancy ratio: re-injected bytes over
+/// all stream payload bytes sent (first-time + retransmitted + re-injected).
+pub fn redundancy_ratio(first_time: u64, retransmitted: u64, reinjected: u64) -> f64 {
+    match first_time + retransmitted + reinjected {
+        0 => 0.0,
+        total => reinjected as f64 / total as f64,
+    }
+}
+
 /// Estimate the play-time left from a QoE snapshot (Alg. 1 step 1).
 ///
 /// "one should look at both the bit-rate and the frame-rate. This allows

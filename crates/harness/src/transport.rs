@@ -9,12 +9,9 @@ use xlink_core::{
     QoeSignal, ReinjectMode, SchedulerKind, WirelessTech,
 };
 use xlink_obs::{Event, Tracer};
-use xlink_quic::ackranges::MAX_ACK_RANGES;
-use xlink_quic::connection::{
-    Config as SpConfig, Connection as SpConnection, MAX_PENDING_PATH_RESPONSES,
-};
-use xlink_quic::error::ConnectionError;
-use xlink_quic::stream::{Side, MAX_STREAM_SEGMENTS};
+pub use xlink_quic::connection::BoundedState;
+use xlink_quic::connection::{Config as SpConfig, Connection as SpConnection, Lifecycle};
+use xlink_quic::stream::{Side, StreamMap};
 
 /// Which transport scheme a session runs (the paper's comparison arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,54 +123,8 @@ pub const REINJECTION_COST_CAP: f64 = 0.10;
 impl TransportStats {
     /// Redundancy ratio (the paper's cost metric).
     pub fn redundancy_ratio(&self) -> f64 {
-        let total =
-            self.stream_bytes_sent + self.stream_bytes_retransmitted + self.reinjected_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.reinjected_bytes as f64 / total as f64
-        }
-    }
-}
-
-/// Snapshot of every peer-growable resource a connection bounds (DESIGN
-/// §10 adversarial model). Each field mirrors a hard cap in the transport;
-/// the adversary suite asserts the caps hold under attack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoundedState {
-    /// Received-pn ranges tracked (cap: `MAX_ACK_RANGES` per space/path).
-    pub recv_ranges: usize,
-    /// Ranges evicted by the cap so far (growth counter, monotone).
-    pub recv_ranges_evicted: u64,
-    /// Queued PATH_RESPONSEs (cap: `MAX_PENDING_PATH_RESPONSES`).
-    pub pending_path_responses: usize,
-    /// PATH_RESPONSEs dropped by the cap (growth counter, monotone).
-    pub path_responses_dropped: u64,
-    /// Largest out-of-order segment count over streams (cap:
-    /// `MAX_STREAM_SEGMENTS`).
-    pub stream_segments: usize,
-    /// Buffered receive bytes (bounded by advertised flow control).
-    pub buffered_recv_bytes: u64,
-}
-
-impl BoundedState {
-    /// True when every capped resource is at or below its documented cap.
-    pub fn within_caps(&self) -> bool {
-        self.recv_ranges <= MAX_ACK_RANGES
-            && self.pending_path_responses <= MAX_PENDING_PATH_RESPONSES
-            && self.stream_segments <= MAX_STREAM_SEGMENTS
-    }
-
-    /// Field-wise maximum (peak tracking across samples).
-    pub fn peak(self, other: BoundedState) -> BoundedState {
-        BoundedState {
-            recv_ranges: self.recv_ranges.max(other.recv_ranges),
-            recv_ranges_evicted: self.recv_ranges_evicted.max(other.recv_ranges_evicted),
-            pending_path_responses: self.pending_path_responses.max(other.pending_path_responses),
-            path_responses_dropped: self.path_responses_dropped.max(other.path_responses_dropped),
-            stream_segments: self.stream_segments.max(other.stream_segments),
-            buffered_recv_bytes: self.buffered_recv_bytes.max(other.buffered_recv_bytes),
-        }
+        let retransmitted = self.stream_bytes_retransmitted;
+        xlink_core::redundancy_ratio(self.stream_bytes_sent, retransmitted, self.reinjected_bytes)
     }
 }
 
@@ -236,99 +187,50 @@ impl Conn {
         side: Side,
     ) -> Conn {
         let num_paths = tuning.path_techs.len();
-        match scheme {
-            Scheme::Sp { path } => {
-                let cfg = if side == Side::Client {
-                    SpConfig::client(seed)
-                } else {
-                    SpConfig::server(seed)
-                };
-                Conn::Sp {
-                    conn: SpConnection::new(cfg, now),
-                    active: path,
-                    num_paths,
-                    migrate: false,
-                    threshold: tuning.cm_threshold,
-                    last_recv: now,
-                    follow_peer_path: side == Side::Server,
-                    tracer: Tracer::disabled(),
-                }
-            }
-            Scheme::Cm => {
-                let cfg = if side == Side::Client {
-                    SpConfig::client(seed)
-                } else {
-                    SpConfig::server(seed)
-                };
-                Conn::Sp {
-                    conn: SpConnection::new(cfg, now),
-                    active: 0,
-                    num_paths,
-                    migrate: side == Side::Client,
-                    threshold: tuning.cm_threshold,
-                    last_recv: now,
-                    follow_peer_path: side == Side::Server,
-                    tracer: Tracer::disabled(),
-                }
-            }
-            mp => {
-                let mut cfg = if side == Side::Client {
-                    MpConfig::xlink_client(seed, tuning.path_techs.clone())
-                } else {
-                    MpConfig::xlink_server(seed, num_paths)
-                };
-                if side == Side::Server {
-                    cfg.path_techs = tuning.path_techs.clone();
-                }
-                if let Some(policy) = &tuning.primary_override {
-                    cfg.primary_policy = policy.clone();
-                } else if !tuning.wireless_aware_primary {
-                    cfg.primary_policy = PrimaryPathPolicy::unaware();
-                }
-                match mp {
-                    Scheme::VanillaMp => {
-                        cfg = cfg.vanilla();
-                    }
-                    Scheme::ReinjNoQoe => {
-                        cfg.qoe_control = QoeControl::AlwaysOn;
-                        cfg.reinject_mode = ReinjectMode::FramePriority;
-                        cfg.ack_policy = tuning.ack_policy;
-                    }
-                    Scheme::Xlink => {
-                        cfg.qoe_control = QoeControl::double_threshold_ms(
-                            tuning.thresholds_ms.0,
-                            tuning.thresholds_ms.1,
-                        );
-                        cfg.reinject_mode = ReinjectMode::FramePriority;
-                        cfg.ack_policy = tuning.ack_policy;
-                    }
-                    Scheme::XlinkNoFirstFrame => {
-                        cfg.qoe_control = QoeControl::double_threshold_ms(
-                            tuning.thresholds_ms.0,
-                            tuning.thresholds_ms.1,
-                        );
-                        cfg.reinject_mode = ReinjectMode::StreamPriority;
-                        cfg.ack_policy = tuning.ack_policy;
-                    }
-                    Scheme::XlinkAppending => {
-                        cfg.qoe_control = QoeControl::double_threshold_ms(
-                            tuning.thresholds_ms.0,
-                            tuning.thresholds_ms.1,
-                        );
-                        cfg.reinject_mode = ReinjectMode::Appending;
-                        cfg.ack_policy = tuning.ack_policy;
-                    }
-                    Scheme::Sp { .. } | Scheme::Cm => unreachable!(),
-                }
-                cfg.liveness = if tuning.auto_failover {
-                    LivenessConfig::default()
-                } else {
-                    LivenessConfig::disabled()
-                };
-                cfg.scheduler = SchedulerKind::MinRtt;
-                Conn::Mp(MpConnection::new(cfg, now))
-            }
+        if !scheme.is_multipath() {
+            let cfg = SpConfig { side, ..SpConfig::client(seed) };
+            return Conn::Sp {
+                conn: SpConnection::new(cfg, now),
+                active: if let Scheme::Sp { path } = scheme { path } else { 0 },
+                num_paths,
+                migrate: scheme == Scheme::Cm && side == Side::Client,
+                threshold: tuning.cm_threshold,
+                last_recv: now,
+                follow_peer_path: side == Side::Server,
+                tracer: Tracer::disabled(),
+            };
         }
+        let mut cfg = MpConfig { side, ..MpConfig::xlink_client(seed, tuning.path_techs.clone()) };
+        if let Some(policy) = &tuning.primary_override {
+            cfg.primary_policy = policy.clone();
+        } else if !tuning.wireless_aware_primary {
+            cfg.primary_policy = PrimaryPathPolicy::unaware();
+        }
+        if scheme == Scheme::VanillaMp {
+            cfg = cfg.vanilla();
+        } else {
+            // The re-injecting schemes differ in what gates re-injection and
+            // in where a re-injected range may jump the queue.
+            cfg.qoe_control = match scheme {
+                Scheme::ReinjNoQoe => QoeControl::AlwaysOn,
+                _ => {
+                    QoeControl::double_threshold_ms(tuning.thresholds_ms.0, tuning.thresholds_ms.1)
+                }
+            };
+            cfg.reinject_mode = match scheme {
+                Scheme::XlinkNoFirstFrame => ReinjectMode::StreamPriority,
+                Scheme::XlinkAppending => ReinjectMode::Appending,
+                _ => ReinjectMode::FramePriority,
+            };
+            cfg.ack_policy = tuning.ack_policy;
+        }
+        cfg.liveness = if tuning.auto_failover {
+            LivenessConfig::default()
+        } else {
+            LivenessConfig::disabled()
+        };
+        cfg.scheduler = SchedulerKind::MinRtt;
+        Conn::Mp(MpConnection::new(cfg, now))
     }
 
     /// Ingest a datagram from `path`.
@@ -398,119 +300,89 @@ impl Conn {
         }
     }
 
+    /// The engine's lifecycle part.
+    fn lifecycle(&self) -> &Lifecycle {
+        match self {
+            Conn::Sp { conn, .. } => conn.lifecycle(),
+            Conn::Mp(mp) => mp.lifecycle(),
+        }
+    }
+
+    /// The engine's stream table.
+    fn streams(&self) -> &StreamMap {
+        match self {
+            Conn::Sp { conn, .. } => conn.streams(),
+            Conn::Mp(mp) => mp.streams(),
+        }
+    }
+
+    fn streams_mut(&mut self) -> &mut StreamMap {
+        match self {
+            Conn::Sp { conn, .. } => conn.streams_mut(),
+            Conn::Mp(mp) => mp.streams_mut(),
+        }
+    }
+
     /// True once the handshake finished.
     pub fn is_established(&self) -> bool {
-        match self {
-            Conn::Sp { conn, .. } => conn.is_established(),
-            Conn::Mp(mp) => mp.is_established(),
-        }
+        self.lifecycle().is_established()
     }
 
     /// True when closed.
     pub fn is_closed(&self) -> bool {
-        match self {
-            Conn::Sp { conn, .. } => conn.is_closed(),
-            Conn::Mp(mp) => mp.is_closed(),
-        }
+        self.lifecycle().is_closed()
     }
 
     /// True once the closing/draining period expired and peer-growable
     /// state was freed (§10.2 lifecycle).
     pub fn is_drained(&self) -> bool {
-        match self {
-            Conn::Sp { conn, .. } => conn.is_drained(),
-            Conn::Mp(mp) => mp.is_drained(),
-        }
+        self.lifecycle().is_drained()
     }
 
     /// Wire error code the connection closed with, plus whether the peer
     /// initiated the close. `None` while open, after an idle timeout, or
     /// on a codec-level failure.
     pub fn close_code(&self) -> Option<(u64, bool)> {
-        let err = match self {
-            Conn::Sp { conn, .. } => conn.close_error(),
-            Conn::Mp(mp) => mp.close_error(),
-        }?;
-        match err {
-            ConnectionError::PeerClosed(e) => Some((e.code(), true)),
-            ConnectionError::LocallyClosed(e) => Some((e.code(), false)),
-            ConnectionError::TimedOut | ConnectionError::Reset | ConnectionError::Codec(_) => None,
-        }
+        self.lifecycle().close_code()
     }
 
     /// Snapshot of the capped peer-growable state (§10 gauges).
     pub fn bounded_state(&self) -> BoundedState {
         match self {
-            Conn::Sp { conn, .. } => BoundedState {
-                recv_ranges: conn.recv_range_count(),
-                recv_ranges_evicted: conn.recv_ranges_evicted(),
-                pending_path_responses: conn.pending_responses(),
-                path_responses_dropped: conn.path_responses_dropped(),
-                stream_segments: conn.max_stream_segments(),
-                buffered_recv_bytes: conn.buffered_recv_bytes(),
-            },
-            Conn::Mp(mp) => BoundedState {
-                recv_ranges: mp.recv_range_count(),
-                recv_ranges_evicted: mp.recv_ranges_evicted(),
-                pending_path_responses: mp.pending_responses(),
-                path_responses_dropped: mp.path_responses_dropped(),
-                stream_segments: mp.max_stream_segments(),
-                buffered_recv_bytes: mp.buffered_recv_bytes(),
-            },
+            Conn::Sp { conn, .. } => conn.bounded_state(),
+            Conn::Mp(mp) => mp.bounded_state(),
         }
     }
 
     /// Open a stream with a priority.
     pub fn open_stream(&mut self, priority: u8) -> u64 {
-        match self {
-            Conn::Sp { conn, .. } => conn.open_stream(priority),
-            Conn::Mp(mp) => mp.open_stream(priority),
-        }
+        self.streams_mut().open(priority)
     }
 
     /// Write stream data.
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
-        match self {
-            Conn::Sp { conn, .. } => conn.stream_send(id, data, fin),
-            Conn::Mp(mp) => mp.stream_send(id, data, fin),
-        }
+        self.streams_mut().write(id, data, None, fin);
     }
 
     /// Write stream data with a video-frame priority tag (no-op tag on SP).
     pub fn stream_send_with_frame_priority(&mut self, id: u64, data: &[u8], prio: u8, fin: bool) {
-        match self {
-            Conn::Sp { conn, .. } => conn.stream_send(id, data, fin),
-            Conn::Mp(mp) => mp.stream_send_with_frame_priority(id, data, prio, fin),
-        }
+        let prio = matches!(self, Conn::Mp(_)).then_some(prio);
+        self.streams_mut().write(id, data, prio, fin);
     }
 
     /// Read stream data.
     pub fn stream_recv(&mut self, id: u64, max: usize) -> Vec<u8> {
-        match self {
-            Conn::Sp { conn, .. } => conn.stream_recv(id, max),
-            Conn::Mp(mp) => mp.stream_recv(id, max),
-        }
+        self.streams_mut().read(id, max)
     }
 
     /// Streams with readable data or completed FINs.
     pub fn readable_streams(&self) -> Vec<u64> {
-        match self {
-            Conn::Sp { conn, .. } => conn.readable_streams(),
-            Conn::Mp(mp) => mp
-                .streams()
-                .iter()
-                .filter(|s| s.recv.readable() > 0 || s.recv.is_complete())
-                .map(|s| s.id)
-                .collect(),
-        }
+        self.streams().readable_ids()
     }
 
     /// True once a stream's receive side is complete.
     pub fn stream_complete(&self, id: u64) -> bool {
-        match self {
-            Conn::Sp { conn, .. } => conn.streams().get(id).is_some_and(|s| s.recv.is_complete()),
-            Conn::Mp(mp) => mp.streams().get(id).is_some_and(|s| s.recv.is_complete()),
-        }
+        self.streams().is_complete(id)
     }
 
     /// Feed a QoE snapshot (MP only; SP ignores).

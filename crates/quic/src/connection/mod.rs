@@ -1,25 +1,39 @@
-//! Single-path QUIC connection: the sans-I/O state machine combining the
-//! handshake, streams, loss recovery, congestion control, and packet
-//! protection. This is the **SP baseline** in the paper's experiments and
-//! the substrate for the connection-migration (CM) baseline (§7.3).
+//! The connection spine and the single-path engine built from it.
 //!
-//! Drive it with [`Connection::handle_datagram`] /
+//! The *spine* is what every connection does whichever engine drives it,
+//! as plain parts an engine owns and calls (DESIGN §16): [`Lifecycle`],
+//! [`PnSpace`], [`Keys`] (handshake, [`Keys::open_datagram`],
+//! [`Keys::finish_packet`]), [`ResetOracle`], and the stream receiver,
+//! packer and ack/loss handlers on [`StreamMap`]. The other engine is
+//! `xlink_core::MpConnection`.
+//!
+//! [`Connection`] is single-path QUIC: the **SP baseline** in the paper's
+//! experiments and the substrate for the connection-migration (CM)
+//! baseline (§7.3). Its own: two packet-number spaces on one RTT estimate
+//! and congestion controller, Retry, the amplification gate, CID rebinding
+//! and migration. Drive it with [`Connection::handle_datagram`] /
 //! [`Connection::poll_transmit`] / [`Connection::poll_timeout`] /
 //! [`Connection::on_timeout`], in the smoltcp poll-based idiom.
 
-use crate::ackranges::AckRanges;
+mod keys;
+mod lifecycle;
+mod space;
+
+pub use keys::{hello_random, Keys, Opened, ResetOracle, MAX_RESET_TOKENS};
+pub use lifecycle::{Expiry, Lifecycle, State};
+pub use space::{trace_rtt, PnSpace, SentFrame};
+
+use crate::ackranges::MAX_ACK_RANGES;
 use crate::cc::{CcAlgorithm, CongestionController, MAX_DATAGRAM_SIZE};
 use crate::cid::{CidManager, ConnectionId};
-use crate::crypto::{derive_keys, KeyPair, TAG_LEN};
+use crate::crypto::TAG_LEN;
 use crate::error::{ConnectionError, TransportError};
 use crate::frame::{AckFrame, Frame};
-use crate::handshake::{Handshake, Hello};
-use crate::packet::{pn_decode, pn_encode_len, pn_truncate, Header, PacketBuilder, PacketType};
+use crate::packet::{Header, PacketBuilder, PacketType};
 use crate::params::TransportParams;
-use crate::recovery::{Recovery, SentPacket, TimeoutOutcome};
-use crate::reset;
+use crate::recovery::{SentPacket, TimeoutOutcome, SUSPECT_AFTER_PTOS};
 use crate::rtt::RttEstimator;
-use crate::stream::{SendRange, Side, StreamMap};
+use crate::stream::{Side, StreamMap, MAX_STREAM_SEGMENTS};
 use xlink_clock::{Duration, Instant};
 use xlink_obs::{Event, Tracer};
 
@@ -65,50 +79,6 @@ impl Config {
     }
 }
 
-/// Connection lifecycle states.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum State {
-    /// Waiting for the handshake to complete.
-    Handshaking,
-    /// Handshake complete; application data flows.
-    Established,
-    /// Closed (locally or by peer).
-    Closed(ConnectionError),
-}
-
-/// What a transmitted packet contained (for ack/loss processing).
-#[derive(Debug, Clone)]
-pub enum SentFrameInfo {
-    /// A stream data range (possibly a re-injected duplicate).
-    Stream {
-        /// Stream ID.
-        id: u64,
-        /// Byte range sent.
-        range: SendRange,
-        /// FIN bit carried.
-        fin: bool,
-    },
-    /// Handshake bytes.
-    Crypto,
-    /// An ACK advertising ranges up to `largest` (for ack-state pruning).
-    Ack {
-        /// Largest acknowledged packet number in the sent ACK.
-        largest: u64,
-    },
-    /// HANDSHAKE_DONE signal.
-    HandshakeDone,
-    /// Anything retransmittable-as-is (MAX_DATA etc.).
-    Control(Frame),
-    /// A PTO probe.
-    Ping,
-}
-
-/// Per-packet content stored in the recovery tracker.
-#[derive(Debug, Clone, Default)]
-pub struct PacketContent {
-    frames: Vec<SentFrameInfo>,
-}
-
 /// Counters exposed for experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionStats {
@@ -136,7 +106,48 @@ pub struct ConnectionStats {
     pub handshake_retransmits: u64,
 }
 
-/// Packet number spaces.
+/// Snapshot of every peer-growable resource a connection bounds (DESIGN
+/// §10 adversarial model). Each field mirrors a hard cap in the transport;
+/// the adversary suite asserts the caps hold under attack.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BoundedState {
+    /// Received-pn ranges tracked (cap: `MAX_ACK_RANGES` per space/path).
+    pub recv_ranges: usize,
+    /// Ranges evicted by the cap so far (growth counter, monotone).
+    pub recv_ranges_evicted: u64,
+    /// Queued PATH_RESPONSEs (cap: `MAX_PENDING_PATH_RESPONSES`).
+    pub pending_path_responses: usize,
+    /// PATH_RESPONSEs dropped by the cap (growth counter, monotone).
+    pub path_responses_dropped: u64,
+    /// Largest out-of-order segment count over streams (cap:
+    /// `MAX_STREAM_SEGMENTS`).
+    pub stream_segments: usize,
+    /// Buffered receive bytes (bounded by advertised flow control).
+    pub buffered_recv_bytes: u64,
+}
+
+impl BoundedState {
+    /// True when every capped resource is at or below its documented cap.
+    pub fn within_caps(&self) -> bool {
+        self.recv_ranges <= MAX_ACK_RANGES
+            && self.pending_path_responses <= MAX_PENDING_PATH_RESPONSES
+            && self.stream_segments <= MAX_STREAM_SEGMENTS
+    }
+
+    /// Field-wise maximum (peak tracking across samples).
+    pub fn peak(self, other: BoundedState) -> BoundedState {
+        BoundedState {
+            recv_ranges: self.recv_ranges.max(other.recv_ranges),
+            recv_ranges_evicted: self.recv_ranges_evicted.max(other.recv_ranges_evicted),
+            pending_path_responses: self.pending_path_responses.max(other.pending_path_responses),
+            path_responses_dropped: self.path_responses_dropped.max(other.path_responses_dropped),
+            stream_segments: self.stream_segments.max(other.stream_segments),
+            buffered_recv_bytes: self.buffered_recv_bytes.max(other.buffered_recv_bytes),
+        }
+    }
+}
+
+/// Packet number spaces, in [`Connection::spaces`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Space {
     Initial,
@@ -146,41 +157,23 @@ enum Space {
 /// The single-path QUIC connection.
 pub struct Connection {
     cfg: Config,
-    state: State,
-    handshake: Handshake,
-    handshake_sent: bool,
-    handshake_done_sent: bool,
+    life: Lifecycle,
+    keys: Keys,
     handshake_confirmed: bool,
-    /// 1-RTT keys (post-handshake).
-    keys: Option<KeyPair>,
-    /// Keys for Initial packets (derived from the PSK alone).
-    initial_keys: KeyPair,
     pub(crate) cids: CidManager,
     /// CID the peer told us to use as destination.
     remote_cid: ConnectionId,
     /// Our CID (what the peer sends to).
     local_cid: ConnectionId,
     streams: StreamMap,
-    init_recovery: Recovery<PacketContent>,
-    app_recovery: Recovery<PacketContent>,
+    /// The Initial and the 1-RTT space, sharing `rtt` and `cc`.
+    spaces: [PnSpace; 2],
     rtt: RttEstimator,
     cc: Box<dyn CongestionController>,
-    /// Received packet numbers per space.
-    init_recv: AckRanges,
-    app_recv: AckRanges,
-    /// Ack needed per space.
-    init_ack_pending: bool,
-    app_ack_pending: bool,
     /// Time of most recent received ack-eliciting packet (for ack delay).
     last_recv_time: Instant,
-    /// Last *receipt* — the idle timeout tracks peer liveness, so sends
-    /// never refresh it (a sender PTO-probing a dead peer must still
-    /// idle out; a live peer's ACKs refresh this constantly).
-    last_activity: Instant,
     /// Last keep-alive PING sent (see [`Config::keepalive`]).
     last_keepalive: Instant,
-    /// Pending control frames to send (flow control updates etc.).
-    control_queue: Vec<Frame>,
     /// Probe requested by PTO.
     probe_pending: bool,
     /// Liveness parity hook (§9): true while consecutive PTOs suggest
@@ -190,26 +183,9 @@ pub struct Connection {
     suspected: bool,
     /// PTO probes sent while suspected (reported on revalidation).
     suspect_probes: u32,
-    close_frame_pending: Option<(TransportError, String)>,
-    /// The CONNECTION_CLOSE we sent, retained for rate-limited replay
-    /// while closing (RFC 9000 §10.2.1).
-    close_replay: Option<Frame>,
-    /// A replay is due (set at power-of-two received-packet counts).
-    close_replay_pending: bool,
-    /// Packets received since entering the closing state.
-    closing_recv_count: u64,
-    /// When the closing/draining period ends (3×PTO after entry).
-    drain_deadline: Option<Instant>,
-    /// Peer initiated the close: drain silently, never reply.
-    draining: bool,
-    /// The drain period ended and remaining state was freed.
-    drained: bool,
     /// PATH_RESPONSEs dropped by the pending-response cap (§10 gauge).
     path_responses_dropped: u64,
     stats: ConnectionStats,
-    idle_timeout: Duration,
-    /// How many hello flights have gone out (first + retransmissions).
-    hello_sends: u32,
     /// Address-validation state (§8.1). Servers reached through the edge
     /// tier may start unvalidated and then respect the 3× amplification
     /// limit until the client's address is proven (token or handshake).
@@ -228,19 +204,9 @@ pub struct Connection {
     /// Bumped whenever the set of local CIDs changes (see
     /// [`Connection::cid_epoch`]).
     cid_epoch: u64,
-    /// Bumped whenever a STREAM or RESET_STREAM frame is accepted (see
-    /// [`Connection::stream_epoch`]).
-    stream_epoch: u64,
-    /// The connection-level send limit a DATA_BLOCKED was last sent for.
-    data_blocked_at: Option<u64>,
-    /// The reset-token oracle (§10.3): tokens the peer told us it would
-    /// use to stateless-reset the CIDs we send to, learned from its
-    /// transport parameters and NEW_CONNECTION_ID frames. Bounded by
-    /// [`MAX_RESET_TOKENS`].
-    reset_tokens: Vec<([u8; 16], ConnectionId)>,
-    /// The datagram being ingested: copied here once, opened in place, and
-    /// the capacity kept for the next one.
-    recv_buf: Vec<u8>,
+    /// Tokens the peer will stateless-reset the CIDs we send to with,
+    /// learned from its transport parameters and NEW_CONNECTION_ID frames.
+    oracle: ResetOracle,
     tracer: Tracer,
 }
 
@@ -260,96 +226,44 @@ pub const AMP_HEADROOM: u64 = MAX_DATAGRAM_SIZE + 64;
 /// retransmits any challenge it still cares about.
 pub const MAX_PENDING_PATH_RESPONSES: usize = 8;
 
-/// Cap on stored stateless-reset tokens (§10.3.1 says an endpoint checks
-/// tokens for recently used CIDs; a peer cannot grow this without bound).
-pub const MAX_RESET_TOKENS: usize = 8;
-
 impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
             .field("side", &self.cfg.side)
-            .field("state", &self.state)
+            .field("state", self.life.state())
             .finish_non_exhaustive()
     }
-}
-
-fn seed_random(seed: u64, salt: u64) -> [u8; 16] {
-    let a = ConnectionId::derive(seed, salt).0;
-    let b = ConnectionId::derive(seed ^ 0xdead_beef, salt.wrapping_add(1)).0;
-    let mut r = [0u8; 16];
-    r[..8].copy_from_slice(&a);
-    r[8..].copy_from_slice(&b);
-    r
 }
 
 impl Connection {
     /// Create a connection endpoint.
     pub fn new(cfg: Config, now: Instant) -> Self {
-        let is_client = cfg.side == Side::Client;
-        let handshake = Handshake::new(
-            is_client,
-            &cfg.psk,
-            seed_random(cfg.seed, 0x48454c4f),
-            cfg.params.clone(),
-        );
-        let initial_keys = derive_keys(&cfg.psk, &[0x11; 16], &[0x22; 16]);
+        let random = hello_random(cfg.seed, 0x48454c4f, 0xdead_beef, 1);
+        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, random, (0x11, 0x22));
         let mut cids = CidManager::new(cfg.seed);
         let local = cids.issue_local();
-        // Until the peer's hello arrives, address packets to a
-        // deterministic placeholder derived from the PSK (both sides know
-        // it — stands in for the client's random initial DCID).
-        let remote_cid = ConnectionId::derive(0x1317, 0);
-        let idle_timeout = cfg.params.max_idle_timeout;
         let p = &cfg.params;
-        let streams = StreamMap::new(
-            cfg.side,
-            p.initial_max_data,
-            p.initial_max_stream_data,
-            // Peer limits are unknown pre-handshake; assume symmetric
-            // defaults and correct them when the peer's hello arrives.
-            p.initial_max_data,
-            p.initial_max_stream_data,
-            p.initial_max_streams_bidi,
-        );
-        let cc = cfg.cc.build();
         Connection {
-            handshake,
-            handshake_sent: false,
-            handshake_done_sent: false,
+            life: Lifecycle::new(now, p.max_idle_timeout),
+            keys,
             handshake_confirmed: false,
-            keys: None,
-            initial_keys,
             local_cid: local.cid,
-            remote_cid,
+            // Until the peer's hello arrives, address packets to a
+            // deterministic placeholder derived from the PSK (both sides
+            // know it — stands in for the client's random initial DCID).
+            remote_cid: ConnectionId::derive(0x1317, 0),
             cids,
-            streams,
-            init_recovery: Recovery::new(),
-            app_recovery: Recovery::new(),
+            streams: StreamMap::for_endpoint(cfg.side, p),
+            spaces: Default::default(),
             rtt: RttEstimator::new(),
-            cc,
-            init_recv: AckRanges::new(),
-            app_recv: AckRanges::new(),
-            init_ack_pending: false,
-            app_ack_pending: false,
+            cc: cfg.cc.build(),
             last_recv_time: now,
-            last_activity: now,
             last_keepalive: now,
-            control_queue: Vec::new(),
             probe_pending: false,
             suspected: false,
             suspect_probes: 0,
-            close_frame_pending: None,
-            close_replay: None,
-            close_replay_pending: false,
-            closing_recv_count: 0,
-            drain_deadline: None,
-            draining: false,
-            drained: false,
             path_responses_dropped: 0,
             stats: ConnectionStats::default(),
-            state: State::Handshaking,
-            idle_timeout,
-            hello_sends: 0,
             address_validated: true,
             token: Vec::new(),
             retry_done: false,
@@ -357,10 +271,7 @@ impl Connection {
             initial_remote_bound: false,
             retired_local: Vec::new(),
             cid_epoch: 0,
-            stream_epoch: 0,
-            data_blocked_at: None,
-            reset_tokens: Vec::new(),
-            recv_buf: Vec::new(),
+            oracle: ResetOracle::default(),
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -372,73 +283,53 @@ impl Connection {
         self.tracer = tracer;
     }
 
+    /// Lifecycle: states, closing/draining, the idle deadline.
+    pub fn lifecycle(&self) -> &Lifecycle {
+        &self.life
+    }
+
     /// Current state.
     pub fn state(&self) -> &State {
-        &self.state
+        self.life.state()
     }
 
     /// True once application data can flow.
     pub fn is_established(&self) -> bool {
-        self.state == State::Established
+        self.life.is_established()
     }
 
     /// True when closed.
     pub fn is_closed(&self) -> bool {
-        matches!(self.state, State::Closed(_))
+        self.life.is_closed()
     }
 
     /// True once the closing/draining period has expired and all
     /// peer-growable state has been freed (§10.2 lifecycle).
     pub fn is_drained(&self) -> bool {
-        self.drained
+        self.life.is_drained()
     }
 
     /// The error this connection closed with, if closed.
     pub fn close_error(&self) -> Option<&ConnectionError> {
-        match &self.state {
-            State::Closed(e) => Some(e),
-            _ => None,
+        self.life.close_error()
+    }
+
+    /// Snapshot of the capped peer-growable state (§10 gauges).
+    pub fn bounded_state(&self) -> BoundedState {
+        BoundedState {
+            recv_ranges: self.spaces.iter().map(|s| s.recv.range_count()).max().unwrap_or(0),
+            recv_ranges_evicted: self.spaces.iter().map(|s| s.recv.evicted()).sum(),
+            pending_path_responses: self.pending_responses(),
+            path_responses_dropped: self.path_responses_dropped,
+            stream_segments: self.streams.max_segments(),
+            buffered_recv_bytes: self.streams.buffered_recv_bytes(),
         }
     }
 
-    /// Largest received-pn range count across spaces (§10 gauge; bounded
-    /// by [`crate::ackranges::MAX_ACK_RANGES`]).
-    pub fn recv_range_count(&self) -> usize {
-        self.init_recv.range_count().max(self.app_recv.range_count())
-    }
-
-    /// Received-pn ranges evicted by the cap across spaces (§10 gauge).
-    pub fn recv_ranges_evicted(&self) -> u64 {
-        self.init_recv.evicted() + self.app_recv.evicted()
-    }
-
-    /// Queued control frames (§10 gauge; PATH_RESPONSE entries bounded by
+    /// Queued PATH_RESPONSE frames (bounded by
     /// [`MAX_PENDING_PATH_RESPONSES`]).
-    pub fn control_queue_len(&self) -> usize {
-        self.control_queue.len()
-    }
-
-    /// Queued PATH_RESPONSE frames (§10 gauge; bounded by
-    /// [`MAX_PENDING_PATH_RESPONSES`]).
-    pub fn pending_responses(&self) -> usize {
-        self.control_queue.iter().filter(|f| matches!(f, Frame::PathResponse(_))).count()
-    }
-
-    /// PATH_RESPONSEs dropped by the pending-response cap (§10 gauge).
-    pub fn path_responses_dropped(&self) -> u64 {
-        self.path_responses_dropped
-    }
-
-    /// Largest out-of-order segment count over open streams (§10 gauge;
-    /// bounded by [`crate::stream::MAX_STREAM_SEGMENTS`]).
-    pub fn max_stream_segments(&self) -> usize {
-        self.streams.iter().map(|s| s.recv.segment_count()).max().unwrap_or(0)
-    }
-
-    /// Total buffered receive bytes over open streams (§10 gauge; bounded
-    /// by the advertised flow-control windows).
-    pub fn buffered_recv_bytes(&self) -> u64 {
-        self.streams.iter().map(|s| s.recv.buffered_bytes()).sum()
+    fn pending_responses(&self) -> usize {
+        self.streams.control.iter().filter(|f| matches!(f, Frame::PathResponse(_))).count()
     }
 
     /// Statistics snapshot.
@@ -449,12 +340,7 @@ impl Connection {
     /// Losses later contradicted by an ACK (reordering, not loss),
     /// summed over both packet-number spaces.
     pub fn spurious_losses(&self) -> u64 {
-        self.init_recovery.spurious_losses() + self.app_recovery.spurious_losses()
-    }
-
-    /// RTT estimator (read-only).
-    pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
+        self.spaces.iter().map(|s| s.recovery.spurious_losses()).sum()
     }
 
     /// Current congestion window.
@@ -464,7 +350,7 @@ impl Connection {
 
     /// Bytes currently in flight.
     pub fn bytes_in_flight(&self) -> u64 {
-        self.app_recovery.bytes_in_flight() + self.init_recovery.bytes_in_flight()
+        self.spaces.iter().map(|s| s.recovery.bytes_in_flight()).sum()
     }
 
     /// Access the stream table.
@@ -479,7 +365,7 @@ impl Connection {
 
     /// Peer's transport parameters, once known.
     pub fn peer_params(&self) -> Option<&TransportParams> {
-        self.handshake.peer_params()
+        self.keys.handshake().peer_params()
     }
 
     /// Open a new bidirectional stream with a scheduling priority.
@@ -489,77 +375,43 @@ impl Connection {
 
     /// Write data on a stream; `fin` marks the end.
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
-        // Invariant: `id` came from open_stream/readable_streams on this
-        // connection — an application bug, never peer-reachable input.
-        let stream = self.streams.get_mut(id).expect("unknown stream");
-        if !data.is_empty() {
-            stream.send.write(data);
-        }
-        if fin {
-            stream.send.finish();
-        }
+        self.streams.write(id, data, None, fin);
     }
 
     /// Read available bytes from a stream.
     pub fn stream_recv(&mut self, id: u64, max: usize) -> Vec<u8> {
-        let Some(stream) = self.streams.get_mut(id) else {
-            return Vec::new();
-        };
-        let data = stream.recv.read(max);
-        if let Some(new_max) = stream.recv.wants_max_data_update() {
-            self.control_queue.push(Frame::MaxStreamData { stream_id: id, max: new_max });
-        }
-        if let Some(new_max) = self.streams.wants_conn_max_data_update() {
-            self.control_queue.push(Frame::MaxData(new_max));
-        }
-        data
+        self.streams.read(id, max)
     }
 
-    /// Monotone count of accepted STREAM and RESET_STREAM frames. What
-    /// [`Connection::readable_streams`] and [`Connection::stream_recv`]
-    /// return changes only when this moves or the application reads, so an
-    /// application that has read everything need not look again until it
-    /// does.
+    /// Monotone count of received STREAM and RESET_STREAM frames (see
+    /// [`StreamMap::epoch`]).
     pub fn stream_epoch(&self) -> u64 {
-        self.stream_epoch
+        self.streams.epoch()
     }
 
     /// Streams with readable data.
     pub fn readable_streams(&self) -> Vec<u64> {
-        self.streams
-            .iter()
-            .filter(|s| s.recv.readable() > 0 || s.recv.is_complete())
-            .map(|s| s.id)
-            .collect()
+        self.streams.readable_ids()
     }
 
     /// Begin closing the connection. The CONNECTION_CLOSE goes out on
     /// the next [`Connection::poll_transmit`], which also starts the
     /// 3×PTO closing period (§10.2).
     pub fn close(&mut self, error: TransportError, reason: &str) {
-        if !self.is_closed() {
-            self.close_frame_pending = Some((error, reason.to_string()));
-            self.state = State::Closed(ConnectionError::LocallyClosed(error));
-        }
+        self.life.close(error, reason);
     }
 
-    /// Start the closing/draining countdown: 3×PTO from `now` (§10.2).
-    fn arm_drain(&mut self, now: Instant) {
-        if self.drain_deadline.is_none() {
-            let pto = self.rtt.pto(self.cfg.params.max_ack_delay);
-            self.drain_deadline = Some(now + pto * 3);
-        }
+    fn pto(&self) -> Duration {
+        self.rtt.pto(self.cfg.params.max_ack_delay)
     }
 
-    /// Free peer-growable state once the closing/draining period ends.
+    /// Free peer-growable state once the connection's life is over.
     fn free_state(&mut self) {
-        self.drained = true;
-        self.close_replay = None;
-        self.close_replay_pending = false;
-        self.control_queue = Vec::new();
-        self.recv_buf = Vec::new();
-        let _ = self.init_recovery.drain_all();
-        let _ = self.app_recovery.drain_all();
+        self.streams.control = Vec::new();
+        self.keys.release();
+        for space in &mut self.spaces {
+            let _ = space.recovery.drain_all();
+        }
     }
 
     /// Connection migration (the CM baseline, §7.3): reset congestion
@@ -569,7 +421,7 @@ impl Connection {
         self.rtt = RttEstimator::new();
         // The backoff accumulated on the old path says nothing about the
         // new one; probing resumes at the base PTO.
-        self.app_recovery.reset_pto_count();
+        self.spaces[Space::App as usize].recovery.reset_pto_count();
         self.suspected = false;
         self.suspect_probes = 0;
         self.stats.migrations += 1;
@@ -627,7 +479,7 @@ impl Connection {
         // Future §19.16 in-use checks apply to the replacement.
         self.local_cid = cid;
         self.cid_epoch += 1;
-        self.control_queue.push(Frame::NewConnectionId(issued));
+        self.streams.control.push(Frame::NewConnectionId(issued));
         issued.seq
     }
 
@@ -653,12 +505,6 @@ impl Connection {
         self.address_validated
     }
 
-    /// Supply a token to echo in Initial packets (clients that learned
-    /// one out of band; a Retry installs it automatically).
-    pub fn set_token(&mut self, token: Vec<u8>) {
-        self.token = token;
-    }
-
     /// True once a Retry has been honoured (§17.2.5 allows at most one).
     pub fn retry_seen(&self) -> bool {
         self.retry_done
@@ -668,44 +514,28 @@ impl Connection {
     // Stateless reset (§10.3)
     // ------------------------------------------------------------------
 
-    /// Record a reset token the peer associated with `cid`. Bounded at
-    /// [`MAX_RESET_TOKENS`]: the oldest token is dropped first — recent
-    /// CIDs are the ones in use, so they are the ones worth matching.
-    fn remember_reset_token(&mut self, token: [u8; 16], cid: ConnectionId) {
-        if self.reset_tokens.iter().any(|(t, _)| *t == token) {
-            return;
-        }
-        if self.reset_tokens.len() >= MAX_RESET_TOKENS {
-            self.reset_tokens.remove(0);
-        }
-        self.reset_tokens.push((token, cid));
-    }
-
     /// Number of reset tokens currently held by the oracle (tests).
     pub fn reset_token_count(&self) -> usize {
-        self.reset_tokens.len()
+        self.oracle.count()
     }
 
-    /// Offer an undecryptable datagram to the reset oracle (§10.3.1): if
-    /// its trailing 16 bytes match, under a constant-time-shaped compare,
-    /// a token the peer registered for a CID we send to, the peer has
-    /// provably lost this connection's state. The connection closes as
-    /// [`ConnectionError::Reset`] immediately — no closing period, no
-    /// close frame (the peer has nothing to process it with) — instead of
-    /// idling into PTO/idle-timeout exhaustion. Returns whether it fired.
+    /// Offer an undecryptable datagram to the reset oracle (§10.3.1): on
+    /// a match the peer has provably lost this connection's state, and
+    /// the connection closes as [`ConnectionError::Reset`] immediately
+    /// instead of idling into PTO/idle-timeout exhaustion. Returns whether
+    /// it fired.
     pub fn probe_stateless_reset(&mut self, now: Instant, datagram: &[u8]) -> bool {
-        if self.is_closed() || !reset::plausible_reset(datagram) {
-            return false;
+        let hit = !self.is_closed() && self.oracle.matches(0, datagram);
+        if hit {
+            self.on_stateless_reset(now);
         }
-        let hit = self.reset_tokens.iter().any(|(token, _)| reset::token_matches(token, datagram));
-        if !hit {
-            return false;
-        }
-        self.state = State::Closed(ConnectionError::Reset);
-        self.draining = true;
+        hit
+    }
+
+    fn on_stateless_reset(&mut self, now: Instant) {
+        self.life.on_reset();
         self.free_state();
         self.tracer.emit(now, Event::StatelessReset { path: 0 });
-        true
     }
 
     // ------------------------------------------------------------------
@@ -715,91 +545,29 @@ impl Connection {
     /// Ingest one datagram.
     pub fn handle_datagram(&mut self, now: Instant, datagram: &[u8]) {
         self.stats.bytes_received += datagram.len() as u64;
-        if self.is_closed() {
-            // §10.2: a closing endpoint answers further packets with a
-            // rate-limited CONNECTION_CLOSE replay (here: at power-of-two
-            // received-packet counts); a draining endpoint stays silent.
-            if !self.draining && !self.drained && self.close_frame_pending.is_none() {
-                self.closing_recv_count += 1;
-                if self.closing_recv_count.is_power_of_two() {
-                    self.close_replay_pending = true;
-                }
-            }
+        if self.life.absorb_if_closed() {
             return;
         }
-        let Ok((header, payload_off)) = Header::decode(datagram) else {
-            if !self.probe_stateless_reset(now, datagram) {
+        // Long headers number in the Initial space, short ones in 1-RTT.
+        let long = datagram.first().is_some_and(|b| b & 0x80 != 0);
+        let space = if long { Space::Initial } else { Space::App };
+        let pn_space = &mut self.spaces[space as usize];
+        let (header, frames) = match self.keys.open_datagram(datagram, pn_space, 0, &self.oracle) {
+            Opened::Packet { header, frames } => (header, frames),
+            Opened::Retry(header) => return self.on_retry(now, header),
+            Opened::Duplicate => return,
+            Opened::Undecryptable { reset: true } => return self.on_stateless_reset(now),
+            Opened::Undecryptable { reset: false } => {
                 self.stats.packets_dropped += 1;
-            }
-            return;
-        };
-        if header.ty == PacketType::Retry {
-            // Retry carries no packet number and no AEAD payload; it is
-            // consumed entirely by the header parser.
-            self.on_retry(now, header);
-            return;
-        }
-        let space = match header.ty {
-            PacketType::Initial | PacketType::Handshake => Space::Initial,
-            PacketType::OneRtt | PacketType::Retry => Space::App,
-        };
-        let largest = match space {
-            Space::Initial => self.init_recv.largest(),
-            Space::App => self.app_recv.largest(),
-        };
-        let pn = pn_decode(header.pn, header.pn_len, largest);
-        self.recv_buf.clear();
-        self.recv_buf.extend_from_slice(datagram);
-        let (aad, sealed) = self.recv_buf.split_at_mut(payload_off);
-        // Select decryption keys by space and direction.
-        let recv_is_client_data = self.cfg.side == Side::Server;
-        let key = match space {
-            Space::Initial => {
-                if recv_is_client_data {
-                    self.initial_keys.client.clone()
-                } else {
-                    self.initial_keys.server.clone()
-                }
-            }
-            Space::App => match &self.keys {
-                Some(kp) => {
-                    if recv_is_client_data {
-                        kp.client.clone()
-                    } else {
-                        kp.server.clone()
-                    }
-                }
-                None => {
-                    if !self.probe_stateless_reset(now, datagram) {
-                        self.stats.packets_dropped += 1;
-                    }
-                    return;
-                }
-            },
-        };
-        let plain_len = match key.open_in_place(0, pn, aad, sealed) {
-            Ok(plain) => plain.len(),
-            Err(_) => {
-                // A stateless reset is designed to be indistinguishable
-                // from a short-header packet we cannot decrypt (§10.3) —
-                // this AEAD failure is exactly where one would surface.
-                if !self.probe_stateless_reset(now, datagram) {
-                    self.stats.packets_dropped += 1;
-                }
                 return;
             }
         };
-        // Duplicate suppression.
-        let fresh = match space {
-            Space::Initial => self.init_recv.insert(pn),
-            Space::App => self.app_recv.insert(pn),
-        };
-        if !fresh {
-            return;
-        }
         self.stats.packets_received += 1;
-        self.last_activity = now;
-        if header.ty.is_long() {
+        // The idle timeout tracks peer liveness: receipts refresh it,
+        // sends never do (a sender PTO-probing a dead peer must still idle
+        // out; a live peer's ACKs refresh it constantly).
+        self.life.touch(now);
+        if long {
             // Learn the peer's real CID from its SCID (both sides), and
             // record it as the implicit seq-0 peer CID so Retire Prior To
             // bookkeeping covers it during shard drain.
@@ -810,29 +578,19 @@ impl Connection {
                 self.cids.bind_initial_remote(header.scid);
             }
         }
-        let plain = &self.recv_buf[payload_off..payload_off + plain_len];
-        let frames = match Frame::decode_all(plain) {
-            Ok(f) => f,
-            Err(_) => {
-                self.close(TransportError::FrameEncodingError, "bad frame");
-                return;
-            }
+        let Some(frames) = frames else {
+            return self.close(TransportError::FrameEncodingError, "bad frame");
         };
         let mut ack_eliciting = false;
         for frame in frames {
-            if frame.is_ack_eliciting() {
-                ack_eliciting = true;
-            }
+            ack_eliciting |= frame.is_ack_eliciting();
             self.on_frame(now, space, frame);
-            if self.is_closed() && self.close_frame_pending.is_none() {
+            if self.life.is_silenced() {
                 return;
             }
         }
         if ack_eliciting {
-            match space {
-                Space::Initial => self.init_ack_pending = true,
-                Space::App => self.app_ack_pending = true,
-            }
+            self.spaces[space as usize].ack_pending = true;
             self.last_recv_time = now;
         }
     }
@@ -843,7 +601,7 @@ impl Connection {
     fn on_retry(&mut self, now: Instant, header: Header) {
         if self.cfg.side != Side::Client
             || self.retry_done
-            || self.handshake.is_complete()
+            || self.keys.handshake().is_complete()
             || header.token.is_empty()
         {
             self.stats.packets_dropped += 1;
@@ -853,91 +611,33 @@ impl Connection {
         self.token = header.token;
         self.remote_cid = header.scid;
         // Re-send the hello, now carrying the token.
-        self.handshake_sent = false;
-        self.last_activity = now;
+        self.keys.hello_sent = false;
+        self.life.touch(now);
     }
 
     fn on_frame(&mut self, now: Instant, space: Space, frame: Frame) {
         match frame {
-            Frame::Padding(_) | Frame::Ping => {}
-            Frame::Crypto { data, .. } => {
-                if self.handshake.is_complete() {
-                    return; // retransmitted hello
-                }
-                let Ok(hello) = Hello::decode(&data) else {
-                    self.close(TransportError::TransportParameterError, "bad hello");
-                    return;
-                };
-                match self.handshake.on_peer_hello(hello) {
-                    Ok(kp) => self.on_handshake_complete(now, kp),
-                    Err(_) => self.close(TransportError::TransportParameterError, "hello rejected"),
-                }
-            }
+            Frame::Crypto { data, .. } => match self.keys.on_peer_hello(&data) {
+                Ok(true) => self.on_handshake_complete(now),
+                Ok(false) => {} // a retransmitted hello
+                Err((e, why)) => self.close(e, why),
+            },
             Frame::Ack(ack) => self.on_ack(now, space, ack),
             Frame::AckMp(_) => {
                 // Multipath frames on a single-path connection are a
                 // protocol violation (negotiation never happened here).
                 self.close(TransportError::ProtocolViolation, "ACK_MP on single path");
             }
-            Frame::Stream { stream_id, offset, data, fin } => {
-                self.stream_epoch += 1;
-                let prev_high;
-                {
-                    let stream = match self.streams.get_or_open_peer(stream_id) {
-                        Ok(s) => s,
-                        // Propagate the map's verdict: STREAM_LIMIT_ERROR
-                        // for exhaustion, STREAM_STATE_ERROR for frames on
-                        // streams we never opened.
-                        Err(e) => {
-                            self.close(e, "bad stream");
-                            return;
-                        }
-                    };
-                    prev_high = stream.recv.highest_recv();
-                    if let Err(e) = stream.recv.on_data(offset, &data, fin) {
-                        self.close(e, "stream data");
-                        return;
-                    }
-                }
-                let new_high =
-                    self.streams.get(stream_id).map(|s| s.recv.highest_recv()).unwrap_or(prev_high);
-                if new_high > prev_high {
-                    if let Err(e) = self.streams.on_conn_data_received(new_high - prev_high) {
-                        self.close(e, "conn flow control");
-                    }
-                }
-            }
-            Frame::MaxData(v) => self.streams.on_max_data(v),
-            Frame::MaxStreamData { stream_id, max } => {
-                if let Some(s) = self.streams.get_mut(stream_id) {
-                    s.send.set_max_data(max);
-                }
-            }
-            Frame::MaxStreams(_) => {}
-            Frame::DataBlocked(_) | Frame::StreamDataBlocked { .. } => {}
-            Frame::ResetStream { stream_id, final_size, .. } => {
-                self.stream_epoch += 1;
-                if let Ok(s) = self.streams.get_or_open_peer(stream_id) {
-                    let _ = s.recv.on_reset(final_size);
-                }
-            }
-            Frame::StopSending { stream_id, .. } => {
-                if let Some(s) = self.streams.get_mut(stream_id) {
-                    let final_size = s.send.reset();
-                    self.control_queue.push(Frame::ResetStream {
-                        stream_id,
-                        error_code: 0,
-                        final_size,
-                    });
-                }
+            Frame::PathStatus { .. } | Frame::QoeControlSignals(_) => {
+                self.close(TransportError::ProtocolViolation, "MP frame on single path");
             }
             Frame::NewConnectionId(ic) => {
                 if let Some(tok) = ic.reset_token {
-                    self.remember_reset_token(tok, ic.cid);
+                    self.oracle.remember(0, tok);
                 }
                 let retired = self.cids.store_remote(ic);
                 for &seq in &retired {
-                    self.control_queue.push(Frame::RetireConnectionId { seq });
+                    self.streams.control.push(Frame::RetireConnectionId { seq });
                 }
                 if retired.contains(&self.remote_cid_seq) {
                     // Our destination CID was retired out from under us
@@ -962,7 +662,7 @@ impl Connection {
                     self.cid_epoch += 1;
                     // Keep the peer supplied with a spare CID.
                     let issued = self.cids.issue_local();
-                    self.control_queue.push(Frame::NewConnectionId(issued));
+                    self.streams.control.push(Frame::NewConnectionId(issued));
                 }
                 // Retiring an already-retired seq is a harmless duplicate.
             }
@@ -971,103 +671,59 @@ impl Connection {
                 // grow the control queue without bound. Drop the oldest
                 // pending response — an honest peer retransmits any
                 // challenge it still cares about.
-                let pending = self
-                    .control_queue
-                    .iter()
-                    .filter(|f| matches!(f, Frame::PathResponse(_)))
-                    .count();
-                if pending >= MAX_PENDING_PATH_RESPONSES {
+                let full = self.pending_responses() >= MAX_PENDING_PATH_RESPONSES;
+                let control = &mut self.streams.control;
+                if full {
                     if let Some(idx) =
-                        self.control_queue.iter().position(|f| matches!(f, Frame::PathResponse(_)))
+                        control.iter().position(|f| matches!(f, Frame::PathResponse(_)))
                     {
-                        self.control_queue.remove(idx);
+                        control.remove(idx);
                         self.path_responses_dropped += 1;
                     }
                 }
-                self.control_queue.push(Frame::PathResponse(data));
+                control.push(Frame::PathResponse(data));
             }
-            Frame::PathResponse(_) => {}
-            Frame::HandshakeDone => {
-                self.handshake_confirmed = true;
-            }
+            Frame::HandshakeDone => self.handshake_confirmed = true,
             Frame::ConnectionClose { error_code, .. } => {
-                // §10.2: a peer-initiated close moves us to draining —
-                // stay silent and expire 3×PTO from now.
-                self.state = State::Closed(ConnectionError::PeerClosed(TransportError::from_code(
-                    error_code,
-                )));
-                self.close_frame_pending = None;
-                self.draining = true;
-                self.arm_drain(now);
-                self.tracer.emit(now, Event::ConnectionClosed { error_code, locally: false });
+                self.life.on_peer_close(now, error_code, self.pto(), &self.tracer);
             }
-            Frame::PathStatus { .. } | Frame::QoeControlSignals(_) => {
-                self.close(TransportError::ProtocolViolation, "MP frame on single path");
+            // Streams and flow control; PADDING, PING and the rest need
+            // nothing done.
+            other => {
+                if let Err((e, why)) = self.streams.on_frame(other) {
+                    self.close(e, why);
+                }
             }
         }
-        let _ = now;
     }
 
-    fn on_handshake_complete(&mut self, now: Instant, kp: KeyPair) {
+    fn on_handshake_complete(&mut self, now: Instant) {
         self.tracer.emit(now, Event::HandshakeComplete { multipath: false });
-        self.keys = Some(kp);
         // Completing the handshake proves the peer can receive at its
         // address (§8.1): lift the amplification limit.
         self.address_validated = true;
         // Correct the peer-advertised limits now that we have them.
-        if let Some(p) = self.handshake.peer_params() {
+        if let Some(p) = self.keys.handshake().peer_params() {
             self.streams.on_max_data(p.initial_max_data);
             // §10.3.2: the server's handshake-CID reset token arrives in
-            // its transport parameters; bind it to the CID we send to.
-            if self.cfg.side == Side::Client {
-                if let Some(tok) = p.stateless_reset_token {
-                    self.remember_reset_token(tok, self.remote_cid);
-                }
+            // its transport parameters; it covers the CID we send to.
+            if let (Side::Client, Some(tok)) = (self.cfg.side, p.stateless_reset_token) {
+                self.oracle.remember(0, tok);
             }
         }
-        self.state = State::Established;
+        self.life.establish();
         if self.cfg.side == Side::Server {
-            // Confirm to the client.
-            self.handshake_done_sent = false;
+            self.keys.done_sent = false; // confirm to the client
         } else {
             self.handshake_confirmed = true;
         }
     }
 
     fn on_ack(&mut self, now: Instant, space: Space, ack: AckFrame) {
-        // Protocol police (§10): an ACK covering a packet number we never
-        // sent is the optimistic-ACK attack — close, never feed it to
-        // recovery or congestion control.
-        {
-            let recovery = match space {
-                Space::Initial => &self.init_recovery,
-                Space::App => &self.app_recovery,
-            };
-            if recovery.validate_ack(ack.ranges_ascending().map(|r| (r.start, r.end))).is_err() {
-                self.close(TransportError::ProtocolViolation, "optimistic ack");
-                return;
-            }
-        }
-        let recovery = match space {
-            Space::Initial => &mut self.init_recovery,
-            Space::App => &mut self.app_recovery,
+        let Ok(outcome) = self.spaces[space as usize].on_ack(now, &ack, &mut self.rtt) else {
+            return self.close(TransportError::ProtocolViolation, "optimistic ack");
         };
-        let outcome = recovery.on_ack_received(
-            now,
-            ack.ranges_ascending().map(|r| (r.start, r.end)),
-            &mut self.rtt,
-            ack.ack_delay,
-        );
-        if let Some(sample) = outcome.rtt_sample {
-            self.tracer.emit(
-                now,
-                Event::RttUpdate {
-                    path: 0,
-                    latest_us: sample.as_micros(),
-                    smoothed_us: self.rtt.smoothed().as_micros(),
-                },
-            );
-        }
+        trace_rtt(&self.tracer, now, 0, outcome.rtt_sample, &self.rtt);
         if self.suspected && !outcome.acked.is_empty() {
             // Ack progress contradicts the blackhole hypothesis.
             self.suspected = false;
@@ -1081,49 +737,42 @@ impl Connection {
                 self.cc.on_ack(now, p.time_sent, p.size, self.rtt.smoothed());
                 cc_touched = true;
             }
-            let frames = p.content.frames.clone();
-            self.on_packet_acked_content(&frames);
-        }
-        if cc_touched {
-            self.tracer.emit(
-                now,
-                Event::CwndUpdate {
-                    path: 0,
-                    cwnd: self.cc.window(),
-                    bytes_in_flight: self.bytes_in_flight(),
-                },
-            );
-        }
-        if !outcome.lost.is_empty() {
-            self.on_packets_lost(now, &outcome.lost);
-        }
-    }
-
-    fn on_packet_acked_content(&mut self, frames: &[SentFrameInfo]) {
-        for info in frames {
-            match info {
-                SentFrameInfo::Stream { id, range, fin } => {
-                    if let Some(s) = self.streams.get_mut(*id) {
-                        s.send.on_range_acked(*range, *fin);
+            for sent in &p.content {
+                match sent {
+                    // Prune acknowledged ack state (always the 1-RTT
+                    // space's: Initial ACKs never get this far).
+                    SentFrame::Ack { largest, .. } if *largest > 2 => self.spaces
+                        [Space::App as usize]
+                        .recv
+                        .forget_below(largest.saturating_sub(512)),
+                    SentFrame::HandshakeDone => {
+                        self.keys.done_sent = true;
+                        self.handshake_confirmed = true;
                     }
+                    other => self.streams.on_sent_frame_acked(other),
                 }
-                SentFrameInfo::Ack { largest } => {
-                    // Prune acknowledged ack state (both spaces share the
-                    // pattern; ACKs live in their own space).
-                    if *largest > 2 {
-                        self.app_recv.forget_below(largest.saturating_sub(512));
-                    }
-                }
-                SentFrameInfo::HandshakeDone => {
-                    self.handshake_done_sent = true;
-                    self.handshake_confirmed = true;
-                }
-                _ => {}
             }
         }
+        if cc_touched {
+            self.emit_cwnd(now);
+        }
+        if !outcome.lost.is_empty() {
+            self.on_packets_lost(now, outcome.lost);
+        }
     }
 
-    fn on_packets_lost(&mut self, now: Instant, lost: &[SentPacket<PacketContent>]) {
+    fn emit_cwnd(&self, now: Instant) {
+        self.tracer.emit(
+            now,
+            Event::CwndUpdate {
+                path: 0,
+                cwnd: self.cc.window(),
+                bytes_in_flight: self.bytes_in_flight(),
+            },
+        );
+    }
+
+    fn on_packets_lost(&mut self, now: Instant, lost: Vec<SentPacket<Vec<SentFrame>>>) {
         self.stats.packets_lost += lost.len() as u64;
         let mut newest_lost_sent: Option<Instant> = None;
         for p in lost {
@@ -1132,36 +781,20 @@ impl Connection {
                 newest_lost_sent =
                     Some(newest_lost_sent.map_or(p.time_sent, |t| t.max(p.time_sent)));
             }
-            let frames = p.content.frames.clone();
-            for info in frames {
-                match info {
-                    SentFrameInfo::Stream { id, range, fin } => {
-                        if let Some(s) = self.streams.get_mut(id) {
-                            s.send.on_range_lost(range, fin);
-                            self.stats.stream_bytes_retransmitted += range.len();
-                        }
+            for sent in p.content {
+                match sent {
+                    SentFrame::Crypto => self.keys.hello_sent = false, // resend hello
+                    SentFrame::HandshakeDone => self.keys.done_sent = false,
+                    other => {
+                        self.stats.stream_bytes_retransmitted +=
+                            self.streams.on_sent_frame_lost(other);
                     }
-                    SentFrameInfo::Crypto => {
-                        self.handshake_sent = false; // resend hello
-                    }
-                    SentFrameInfo::HandshakeDone => {
-                        self.handshake_done_sent = false;
-                    }
-                    SentFrameInfo::Control(f) => self.control_queue.push(f),
-                    SentFrameInfo::Ack { .. } | SentFrameInfo::Ping => {}
                 }
             }
         }
         if let Some(t) = newest_lost_sent {
             self.cc.on_congestion_event(now, t);
-            self.tracer.emit(
-                now,
-                Event::CwndUpdate {
-                    path: 0,
-                    cwnd: self.cc.window(),
-                    bytes_in_flight: self.bytes_in_flight(),
-                },
-            );
+            self.emit_cwnd(now);
         }
     }
 
@@ -1182,60 +815,27 @@ impl Connection {
         {
             return None;
         }
-        // Closing (§10.2): send the CONNECTION_CLOSE, start the 3×PTO
-        // closing period, and keep the frame for rate-limited replay.
-        if let Some((err, reason)) = self.close_frame_pending.take() {
-            let frame =
-                Frame::ConnectionClose { error_code: err.code(), reason: reason.into_bytes() };
-            self.close_replay = Some(frame.clone());
-            self.arm_drain(now);
-            self.tracer
-                .emit(now, Event::ConnectionClosed { error_code: err.code(), locally: true });
-            let space = if self.keys.is_some() { Space::App } else { Space::Initial };
+        if self.is_closed() {
+            // Closing (§10.2): the CONNECTION_CLOSE, then its replays.
+            let (frame, _) = self.life.poll_close(now, self.pto(), &self.tracer)?;
+            let space = if self.keys.one_rtt().is_some() { Space::App } else { Space::Initial };
             return Some(self.build_packet(now, space, &[frame], false));
         }
-        if self.is_closed() {
-            // Replay the close if incoming packets warranted one; a
-            // draining or drained endpoint stays silent.
-            if self.close_replay_pending && !self.drained {
-                self.close_replay_pending = false;
-                if let Some(frame) = self.close_replay.clone() {
-                    let space = if self.keys.is_some() { Space::App } else { Space::Initial };
-                    return Some(self.build_packet(now, space, &[frame], false));
-                }
-            }
-            return None;
-        }
-        // Handshake transmission. A server stays quiet until it has the
-        // client's hello.
-        if !self.handshake_sent && (self.cfg.side == Side::Client || self.handshake.is_complete()) {
-            self.handshake_sent = true;
-            if self.hello_sends > 0 {
-                self.stats.handshake_retransmits += 1;
-            }
-            self.tracer.emit(now, Event::HandshakeSent { retransmit: self.hello_sends > 0 });
-            self.hello_sends += 1;
-            let hello = self.handshake.local_hello().encode();
-            let frame = Frame::Crypto { offset: 0, data: hello };
-            return Some(self.build_packet(now, Space::Initial, &[frame], true));
+        // Handshake transmission.
+        if let Some((hello, retransmit)) = self.keys.next_hello(now, &self.tracer) {
+            self.stats.handshake_retransmits += u64::from(retransmit);
+            return Some(self.build_packet(now, Space::Initial, &[hello], true));
         }
         // Server HANDSHAKE_DONE.
-        if self.cfg.side == Side::Server && self.is_established() && !self.handshake_done_sent {
-            self.handshake_done_sent = true;
+        if self.cfg.side == Side::Server && self.is_established() && !self.keys.done_sent {
+            self.keys.done_sent = true;
             return Some(self.build_packet(now, Space::App, &[Frame::HandshakeDone], true));
         }
         // Pending ACKs (always allowed; not congestion controlled).
-        if self.init_ack_pending {
-            self.init_ack_pending = false;
-            if let Some(ack) = AckFrame::from_ranges(0, &self.init_recv, now - self.last_recv_time)
-            {
-                return Some(self.build_packet(now, Space::Initial, &[Frame::Ack(ack)], false));
-            }
-        }
-        if self.app_ack_pending && self.keys.is_some() {
-            self.app_ack_pending = false;
-            if let Some(ack) = AckFrame::from_ranges(0, &self.app_recv, now - self.last_recv_time) {
-                return Some(self.build_packet(now, Space::App, &[Frame::Ack(ack)], false));
+        for space in [Space::Initial, Space::App] {
+            let delay = now - self.last_recv_time;
+            if let Some(ack) = self.spaces[space as usize].take_ack(0, delay) {
+                return Some(self.build_packet(now, space, &[Frame::Ack(ack)], false));
             }
         }
         if !self.is_established() {
@@ -1254,78 +854,12 @@ impl Connection {
         }
         // Control frames first, bundled with stream data.
         let mut packet = PacketBuilder::new(self.next_header(Space::App));
-        let mut infos = Vec::new();
-        let mut remaining = MAX_DATAGRAM_SIZE as usize - 64; // header+tag slack
-        while let Some(f) = self.control_queue.pop() {
-            let Some(len) = packet.push_if_fits(&f, remaining) else {
-                self.control_queue.push(f);
-                break;
-            };
-            remaining -= len;
-            infos.push(SentFrameInfo::Control(f));
-        }
-        // Stream data in (priority, id) order.
-        for id in self.streams.sendable_ids() {
-            if remaining < 32 {
-                break;
-            }
-            let conn_credit = self.streams.conn_send_credit();
-            // Invariant: sendable_ids() only yields ids present in the
-            // map and nothing removes streams between the two calls.
-            let stream = self.streams.get_mut(id).expect("sendable id");
-            // Reserve frame header overhead ~ 1+8+8+4.
-            let max_payload = remaining.saturating_sub(24);
-            if max_payload == 0 {
-                break;
-            }
-            let before_largest = stream.send.largest_sent();
-            let Some((range, fin)) = stream.send.take_range(max_payload) else {
-                // A data-less FIN is only legal once every byte has been
-                // sent; a flow-control-blocked stream must wait.
-                if stream.send.fin_pending() && stream.send.data_fully_sent() {
-                    let offset = stream.send.len();
-                    Frame::encode_stream(packet.frames(), id, offset, &[], true);
-                    infos.push(SentFrameInfo::Stream {
-                        id,
-                        range: SendRange { start: offset, end: offset },
-                        fin: true,
-                    });
-                    stream.send.mark_fin_sent();
-                }
-                continue;
-            };
-            // Connection flow control applies only to never-sent offsets.
-            let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
-            if new_bytes > conn_credit {
-                // Put the range back and stop: blocked at connection
-                // level. Say so once per limit (RFC 9000 §19.12), in this
-                // very packet: a frame left on the queue would make the
-                // next poll send with no input in between.
-                stream.send.untake(range, before_largest);
-                let limit = self.streams.send_max_data;
-                let blocked = Frame::DataBlocked(limit);
-                if self.data_blocked_at != Some(limit)
-                    && packet.push_if_fits(&blocked, remaining).is_some()
-                {
-                    self.data_blocked_at = Some(limit);
-                    infos.push(SentFrameInfo::Control(blocked));
-                }
-                break;
-            }
-            // The payload goes from the stream's buffer straight into the
-            // datagram.
-            Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
-            if new_bytes > 0 {
-                self.streams.consume_conn_credit(new_bytes);
-                self.stats.stream_bytes_sent += new_bytes;
-            }
-            remaining = remaining.saturating_sub(range.len() as usize + 24);
-            infos.push(SentFrameInfo::Stream { id, range, fin });
-        }
-        if infos.is_empty() {
+        let (content, first_time) = self.streams.pack(&mut packet, 32);
+        self.stats.stream_bytes_sent += first_time;
+        if content.is_empty() {
             return None;
         }
-        Some(self.finish_packet(now, Space::App, packet, infos, true))
+        Some(self.finish_packet(now, Space::App, packet, content, true))
     }
 
     /// A packet of control frames, each described to recovery by its kind.
@@ -1336,72 +870,39 @@ impl Connection {
         frames: &[Frame],
         ack_eliciting: bool,
     ) -> Vec<u8> {
-        let infos = frames
-            .iter()
-            .map(|f| match f {
-                Frame::Crypto { .. } => SentFrameInfo::Crypto,
-                Frame::Ack(a) => SentFrameInfo::Ack { largest: a.largest },
-                Frame::HandshakeDone => SentFrameInfo::HandshakeDone,
-                Frame::Ping => SentFrameInfo::Ping,
-                other => SentFrameInfo::Control(other.clone()),
-            })
-            .collect();
         let mut packet = PacketBuilder::new(self.next_header(space));
         for f in frames {
             f.encode(packet.frames());
         }
-        self.finish_packet(now, space, packet, infos, ack_eliciting)
+        let content = frames.iter().map(SentFrame::describing).collect();
+        self.finish_packet(now, space, packet, content, ack_eliciting)
     }
 
     /// The header of the next packet to be sent in `space`.
     fn next_header(&self, space: Space) -> Header {
-        let (recovery, ty) = match space {
-            Space::Initial => (&self.init_recovery, PacketType::Initial),
-            Space::App => (&self.app_recovery, PacketType::OneRtt),
-        };
-        let pn = recovery.peek_pn();
-        let pn_len = pn_encode_len(pn, recovery.largest_acked());
+        let initial = space == Space::Initial;
+        let ty = if initial { PacketType::Initial } else { PacketType::OneRtt };
         // Clients echo their address-validation token on every Initial.
-        let token = if ty == PacketType::Initial && self.cfg.side == Side::Client {
-            self.token.clone()
-        } else {
-            Vec::new()
-        };
-        Header {
-            ty,
-            dcid: self.remote_cid,
-            scid: self.local_cid,
-            pn: pn_truncate(pn, pn_len),
-            pn_len,
-            token,
-        }
+        let echo = initial && self.cfg.side == Side::Client;
+        let token = if echo { self.token.clone() } else { Vec::new() };
+        self.spaces[space as usize].next_header(ty, self.remote_cid, self.local_cid, token)
     }
 
     /// Seal `packet` (started from [`Connection::next_header`] of `space`)
-    /// in place and account for it as sent.
+    /// and account for it as sent.
     fn finish_packet(
         &mut self,
         now: Instant,
         space: Space,
         packet: PacketBuilder,
-        infos: Vec<SentFrameInfo>,
+        content: Vec<SentFrame>,
         ack_eliciting: bool,
     ) -> Vec<u8> {
-        let (recovery, keys) = match space {
-            Space::Initial => (&mut self.init_recovery, &self.initial_keys),
-            // Invariant: every App-space send site is gated on
-            // is_established()/keys.is_some(); no peer input reaches
-            // here before the handshake completes.
-            Space::App => (&mut self.app_recovery, self.keys.as_ref().expect("1-RTT keys")),
-        };
-        let key = if self.cfg.side == Side::Client { &keys.client } else { &keys.server };
-        let pn = recovery.peek_pn();
-        let datagram = packet.seal(key, 0, pn);
-        let size = datagram.len() as u64;
-        recovery.on_packet_sent(now, size, ack_eliciting, PacketContent { frames: infos });
-        self.tracer.emit(now, Event::PacketSent { path: 0, pn, bytes: size as u32, ack_eliciting });
+        let pn_space = &mut self.spaces[space as usize];
+        let datagram =
+            self.keys.finish_packet(now, pn_space, 0, packet, content, ack_eliciting, &self.tracer);
         self.stats.packets_sent += 1;
-        self.stats.bytes_sent += size;
+        self.stats.bytes_sent += datagram.len() as u64;
         debug_assert!(datagram.len() <= MAX_DATAGRAM_SIZE as usize + TAG_LEN + 40);
         datagram
     }
@@ -1413,49 +914,33 @@ impl Connection {
     /// Earliest time at which [`Connection::on_timeout`] must be called.
     pub fn poll_timeout(&self) -> Option<Instant> {
         if self.is_closed() {
-            // Closing/draining: the only timer left is the drain
-            // deadline (armed when the close frame goes out or the
-            // peer's close arrives).
-            return if self.drained { None } else { self.drain_deadline };
+            return self.life.drain_deadline();
         }
         let mad = self.cfg.params.max_ack_delay;
-        let mut t = self.last_activity + self.idle_timeout; // idle
+        let mut t = self.life.idle_deadline();
         if let Some(k) = self.cfg.keepalive {
-            if matches!(self.state, State::Established) {
-                t = t.min(self.last_activity.max(self.last_keepalive) + k);
+            if self.is_established() {
+                t = t.min(self.life.last_activity().max(self.last_keepalive) + k);
             }
         }
-        if let Some(lt) = self.init_recovery.next_timeout(&self.rtt, mad) {
-            t = t.min(lt);
-        }
-        if let Some(lt) = self.app_recovery.next_timeout(&self.rtt, mad) {
-            t = t.min(lt);
+        for space in &self.spaces {
+            if let Some(lt) = space.recovery.next_timeout(&self.rtt, mad) {
+                t = t.min(lt);
+            }
         }
         Some(t)
     }
 
     /// Handle a timer expiry.
     pub fn on_timeout(&mut self, now: Instant) {
-        if self.is_closed() {
-            // End of the closing/draining period: free remaining state.
-            if let Some(d) = self.drain_deadline {
-                if now >= d && !self.drained {
-                    self.free_state();
-                }
-            }
-            return;
-        }
-        if now >= self.last_activity + self.idle_timeout {
-            // Idle timeout (§10.1): discard state silently — there is no
-            // close frame to replay, so drain immediately.
-            self.state = State::Closed(ConnectionError::TimedOut);
-            self.tracer.emit(now, Event::ConnectionClosed { error_code: 0, locally: true });
-            self.free_state();
-            return;
+        match self.life.on_timeout(now, &self.tracer) {
+            Expiry::Open => {}
+            Expiry::Closed => return,
+            Expiry::Freed => return self.free_state(),
         }
         if let Some(k) = self.cfg.keepalive {
-            if matches!(self.state, State::Established)
-                && now >= self.last_activity.max(self.last_keepalive) + k
+            if self.is_established()
+                && now >= self.life.last_activity().max(self.last_keepalive) + k
             {
                 self.probe_pending = true;
                 self.last_keepalive = now;
@@ -1463,43 +948,35 @@ impl Connection {
         }
         let mad = self.cfg.params.max_ack_delay;
         for space in [Space::Initial, Space::App] {
-            let recovery = match space {
-                Space::Initial => &mut self.init_recovery,
-                Space::App => &mut self.app_recovery,
-            };
-            let Some(deadline) = recovery.next_timeout(&self.rtt, mad) else {
-                continue;
-            };
-            if now < deadline {
+            let recovery = &mut self.spaces[space as usize].recovery;
+            if recovery.next_timeout(&self.rtt, mad).is_none_or(|deadline| now < deadline) {
                 continue;
             }
             match recovery.on_timeout(now, &self.rtt) {
-                TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, &lost),
+                TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, lost),
+                // Initial space: re-fire the hello.
+                TimeoutOutcome::SendProbe if space == Space::Initial => {
+                    self.keys.hello_sent = false;
+                }
                 TimeoutOutcome::SendProbe => {
-                    if space == Space::Initial {
-                        self.handshake_sent = false; // re-fire the hello
-                    } else {
-                        self.probe_pending = true;
-                        if self.suspected {
-                            self.suspect_probes += 1;
-                        } else if self.app_recovery.pto_count()
-                            >= crate::recovery::SUSPECT_AFTER_PTOS
-                        {
-                            self.suspected = true;
-                            self.suspect_probes = 0;
-                            let silent = self
-                                .app_recovery
-                                .oldest_unacked_time()
-                                .map_or(Duration::ZERO, |t| now.saturating_duration_since(t));
-                            self.tracer.emit(
-                                now,
-                                Event::PathSuspected {
-                                    path: 0,
-                                    pto_count: self.app_recovery.pto_count(),
-                                    silent_us: silent.as_micros(),
-                                },
-                            );
-                        }
+                    self.probe_pending = true;
+                    let pto_count = recovery.pto_count();
+                    if self.suspected {
+                        self.suspect_probes += 1;
+                    } else if pto_count >= SUSPECT_AFTER_PTOS {
+                        self.suspected = true;
+                        self.suspect_probes = 0;
+                        let silent = recovery
+                            .oldest_unacked_time()
+                            .map_or(Duration::ZERO, |t| now.saturating_duration_since(t));
+                        self.tracer.emit(
+                            now,
+                            Event::PathSuspected {
+                                path: 0,
+                                pto_count,
+                                silent_us: silent.as_micros(),
+                            },
+                        );
                     }
                 }
             }
@@ -1510,6 +987,9 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ackranges::AckRanges;
+    use crate::packet::{pn_encode_len, pn_truncate};
+    use crate::reset;
 
     /// Drive two connections until quiescent, shuttling datagrams
     /// directly (zero-latency "wire"): enough for state machine tests.
@@ -1607,8 +1087,8 @@ mod tests {
         let id = c.open_stream(0);
         let body: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
         c.stream_send(id, &body, true);
-        let pn = c.app_recovery.peek_pn();
-        let pn_len = pn_encode_len(pn, c.app_recovery.largest_acked());
+        let pn = c.spaces[1].recovery.peek_pn();
+        let pn_len = pn_encode_len(pn, c.spaces[1].recovery.largest_acked());
         let header = Header {
             ty: PacketType::OneRtt,
             dcid: c.remote_cid,
@@ -1620,7 +1100,7 @@ mod tests {
         .encode();
         let datagram = c.poll_transmit(now).expect("stream data to send");
 
-        let key = c.keys.as_ref().unwrap().client.clone();
+        let key = c.keys.one_rtt().unwrap().client.clone();
         assert_eq!(&datagram[..header.len()], &header[..]);
         let plain = key.open(0, pn, &header, &datagram[header.len()..]).expect("authentic");
         let frames = Frame::decode_all(&plain).unwrap();
@@ -1683,7 +1163,7 @@ mod tests {
         // Ack-eliciting and in flight: the silent server now causes
         // PTO probes, so its death is detectable before the idle timer.
         assert!(ping.len() > crate::reset::RESET_DATAGRAM_LEN);
-        assert!(c.poll_timeout().expect("PTO armed") < c.last_activity + c.idle_timeout);
+        assert!(c.poll_timeout().expect("PTO armed") < c.life.idle_deadline());
         // A server answering keeps the connection alive and re-arms.
         s.handle_datagram(ka, &ping);
         let mut t2 = ka;
@@ -1779,8 +1259,8 @@ mod tests {
         for i in 0..100u64 {
             c.on_frame(now, Space::App, Frame::PathChallenge(i.to_le_bytes()));
         }
-        assert!(c.control_queue_len() <= MAX_PENDING_PATH_RESPONSES);
-        assert_eq!(c.path_responses_dropped(), 100 - MAX_PENDING_PATH_RESPONSES as u64);
+        assert!(c.streams.control.len() <= MAX_PENDING_PATH_RESPONSES);
+        assert_eq!(c.path_responses_dropped, 100 - MAX_PENDING_PATH_RESPONSES as u64);
         assert!(!c.is_closed());
         let _ = s;
     }
@@ -1833,7 +1313,7 @@ mod tests {
         c.on_migrate(now);
         assert_eq!(c.cwnd(), crate::cc::INITIAL_WINDOW);
         assert_eq!(c.stats().migrations, 1);
-        assert!(!c.rtt().has_samples());
+        assert!(!c.rtt.has_samples());
         let _ = s;
     }
 
@@ -1987,9 +1467,9 @@ mod tests {
     /// said `None` until that connection's next input.
     fn assert_none_is_stable(what: &str, conn: &mut Connection, now: Instant) {
         while conn.poll_transmit(now).is_some() {}
-        let before = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        let before = (conn.streams.control.len(), conn.poll_timeout(), conn.stats());
         assert!(conn.poll_transmit(now).is_none(), "{what}: sent again with no input");
-        let after = (conn.control_queue_len(), conn.poll_timeout(), conn.stats());
+        let after = (conn.streams.control.len(), conn.poll_timeout(), conn.stats());
         assert_eq!(before, after, "{what}: a poll that sent nothing changed state");
     }
 
@@ -2029,7 +1509,7 @@ mod tests {
         assert!(credit < MAX_DATAGRAM_SIZE, "not flow-control-limited: {credit} B of credit");
         assert!(s.cwnd() > s.bytes_in_flight() + MAX_DATAGRAM_SIZE, "cwnd-limited instead");
         assert_none_is_stable("flow control", &mut s, now);
-        assert_eq!(s.control_queue_len(), 0, "DATA_BLOCKED left on the queue");
+        assert_eq!(s.streams.control.len(), 0, "DATA_BLOCKED left on the queue");
         assert!(!s.is_closed() && !c.is_closed(), "the limit was overrun: {:?}", c.state());
         // Reading on the other side lifts the limit and the rest arrives.
         let mut got = 0;

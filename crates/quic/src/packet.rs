@@ -264,6 +264,11 @@ impl PacketBuilder {
         PacketBuilder { header, w: Writer::new(), header_len: 0 }
     }
 
+    /// True when the packet has a long header (Initial-level protection).
+    pub fn is_long(&self) -> bool {
+        self.header.ty.is_long()
+    }
+
     /// Where the frames go.
     pub fn frames(&mut self) -> &mut Writer {
         if self.w.is_empty() {

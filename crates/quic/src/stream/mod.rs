@@ -1,5 +1,8 @@
 //! Stream multiplexing: send/recv halves, stream-ID allocation, and the
-//! per-connection stream map with connection-level flow control.
+//! per-connection stream map with connection-level flow control — which is
+//! also where both connection engines get their stream-frame receiver, the
+//! flow-control-aware packer of data packets, and what an acked or lost
+//! stream range means.
 
 pub mod recv;
 pub mod send;
@@ -7,7 +10,12 @@ pub mod send;
 pub use recv::{RecvState, RecvStream, MAX_STREAM_SEGMENTS};
 pub use send::{FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PRIORITY};
 
+use crate::cc::MAX_DATAGRAM_SIZE;
+use crate::connection::SentFrame;
 use crate::error::TransportError;
+use crate::frame::Frame;
+use crate::packet::PacketBuilder;
+use crate::params::TransportParams;
 use std::collections::BTreeMap;
 
 /// Which endpoint a connection is (stream-ID allocation parity).
@@ -74,6 +82,14 @@ pub struct StreamMap {
     peer_stream_window: u64,
     /// Max concurrent bidi streams the peer may open.
     max_streams: u64,
+    /// Control frames waiting to ride the next data packet, last in first
+    /// out: this map's flow-control updates and resets, plus whatever the
+    /// engine queues (CID management, path status, …).
+    pub control: Vec<Frame>,
+    /// The connection-level send limit a DATA_BLOCKED was last sent for.
+    data_blocked_at: Option<u64>,
+    /// Bumped whenever a STREAM or RESET_STREAM frame arrives.
+    epoch: u64,
 }
 
 impl StreamMap {
@@ -102,7 +118,18 @@ impl StreamMap {
             stream_recv_window,
             peer_stream_window,
             max_streams,
+            control: Vec::new(),
+            data_blocked_at: None,
+            epoch: 0,
         }
+    }
+
+    /// The table of an endpoint advertising `params`. The peer's limits
+    /// are unknown before its hello: assume them symmetric until
+    /// [`StreamMap::on_max_data`] corrects them.
+    pub fn for_endpoint(side: Side, params: &TransportParams) -> Self {
+        let (data, stream_data) = (params.initial_max_data, params.initial_max_stream_data);
+        Self::new(side, data, stream_data, data, stream_data, params.initial_max_streams_bidi)
     }
 
     /// This endpoint's side.
@@ -223,6 +250,212 @@ impl StreamMap {
         if max > self.send_max_data {
             self.send_max_data = max;
         }
+    }
+
+    /// Write `data` on a stream, tagged with a video-frame priority if one
+    /// is given (§5.1: what frame-priority re-injection accelerates);
+    /// `fin` marks the end.
+    pub fn write(
+        &mut self,
+        id: u64,
+        data: &[u8],
+        frame_priority: Option<FramePriority>,
+        fin: bool,
+    ) {
+        // Invariant: `id` came from open()/readable_ids() on this map — an
+        // application bug, never peer-reachable input.
+        let send = &mut self.streams.get_mut(&id).expect("unknown stream").send;
+        if !data.is_empty() {
+            match frame_priority {
+                Some(p) => send.write_with_priority(data, p),
+                None => send.write(data),
+            };
+        }
+        if fin {
+            send.finish();
+        }
+    }
+
+    /// Read up to `max` available bytes from a stream, queueing the
+    /// flow-control updates the freed window calls for.
+    pub fn read(&mut self, id: u64, max: usize) -> Vec<u8> {
+        let Some(stream) = self.streams.get_mut(&id) else {
+            return Vec::new();
+        };
+        let data = stream.recv.read(max);
+        if let Some(new_max) = stream.recv.wants_max_data_update() {
+            self.control.push(Frame::MaxStreamData { stream_id: id, max: new_max });
+        }
+        if let Some(new_max) = self.wants_conn_max_data_update() {
+            self.control.push(Frame::MaxData(new_max));
+        }
+        data
+    }
+
+    /// Streams with readable data or a completed FIN.
+    pub fn readable_ids(&self) -> Vec<u64> {
+        self.iter()
+            .filter(|s| s.recv.readable() > 0 || s.recv.is_complete())
+            .map(|s| s.id)
+            .collect()
+    }
+
+    /// True once a stream's receive side is complete.
+    pub fn is_complete(&self, id: u64) -> bool {
+        self.get(id).is_some_and(|s| s.recv.is_complete())
+    }
+
+    /// Monotone count of STREAM and RESET_STREAM frames received: what
+    /// [`StreamMap::readable_ids`] and [`StreamMap::read`] return changes
+    /// only when this moves or the application reads.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Largest out-of-order segment count over open streams (§10 gauge;
+    /// bounded by [`MAX_STREAM_SEGMENTS`]).
+    pub fn max_segments(&self) -> usize {
+        self.iter().map(|s| s.recv.segment_count()).max().unwrap_or(0)
+    }
+
+    /// Total buffered receive bytes over open streams (§10 gauge; bounded
+    /// by the advertised flow-control windows).
+    pub fn buffered_recv_bytes(&self) -> u64 {
+        self.iter().map(|s| s.recv.buffered_bytes()).sum()
+    }
+
+    /// Apply a received stream or flow-control frame; any other frame is
+    /// not this map's and is ignored. An error is what to close with.
+    pub fn on_frame(&mut self, frame: Frame) -> Result<(), (TransportError, &'static str)> {
+        match frame {
+            Frame::Stream { stream_id, offset, data, fin } => {
+                self.epoch += 1;
+                // The map's verdict propagates: STREAM_LIMIT_ERROR for
+                // exhaustion, STREAM_STATE_ERROR for frames on streams we
+                // never opened.
+                let recv =
+                    &mut self.get_or_open_peer(stream_id).map_err(|e| (e, "bad stream"))?.recv;
+                let prev_high = recv.highest_recv();
+                recv.on_data(offset, &data, fin).map_err(|e| (e, "stream data"))?;
+                let new_high = recv.highest_recv();
+                if new_high > prev_high {
+                    self.on_conn_data_received(new_high - prev_high)
+                        .map_err(|e| (e, "conn flow control"))?;
+                }
+            }
+            Frame::MaxData(v) => self.on_max_data(v),
+            Frame::MaxStreamData { stream_id, max } => {
+                if let Some(s) = self.get_mut(stream_id) {
+                    s.send.set_max_data(max);
+                }
+            }
+            Frame::ResetStream { stream_id, final_size, .. } => {
+                self.epoch += 1;
+                if let Ok(s) = self.get_or_open_peer(stream_id) {
+                    let _ = s.recv.on_reset(final_size);
+                }
+            }
+            Frame::StopSending { stream_id, .. } => {
+                if let Some(s) = self.get_mut(stream_id) {
+                    let final_size = s.send.reset();
+                    self.control.push(Frame::ResetStream { stream_id, error_code: 0, final_size });
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Fill `packet` with the queued control frames, then stream data in
+    /// (priority, id) order under both flow-control limits, a stream
+    /// getting room while `min_room` bytes are left. Returns what went in
+    /// and how many stream bytes were sent for the first time. A range
+    /// that does not fit the connection limit goes back as never sent, and
+    /// DATA_BLOCKED is said once per limit (RFC 9000 §19.12), in this very
+    /// packet: left on the queue it would make the next poll send with no
+    /// input in between.
+    pub fn pack(&mut self, packet: &mut PacketBuilder, min_room: usize) -> (Vec<SentFrame>, u64) {
+        let mut sent = Vec::new();
+        let mut first_time = 0;
+        let mut remaining = MAX_DATAGRAM_SIZE as usize - 64; // header+tag slack
+        while let Some(f) = self.control.pop() {
+            let Some(len) = packet.push_if_fits(&f, remaining) else {
+                self.control.push(f);
+                break;
+            };
+            remaining -= len;
+            sent.push(SentFrame::Control(f));
+        }
+        for id in self.sendable_ids() {
+            if remaining < min_room {
+                break;
+            }
+            let conn_credit = self.conn_send_credit();
+            // Invariant: sendable_ids() only yields ids present in the map.
+            let send = &mut self.streams.get_mut(&id).expect("sendable id").send;
+            // Reserve frame header overhead ~ 1+8+8+4.
+            let max_payload = remaining.saturating_sub(24);
+            let before_largest = send.largest_sent();
+            let Some((range, fin)) = send.take_range(max_payload) else {
+                // A data-less FIN is only legal once every byte has been
+                // sent; a flow-control-blocked stream must wait.
+                if send.fin_pending() && send.data_fully_sent() {
+                    let range = SendRange { start: send.len(), end: send.len() };
+                    Frame::encode_stream(packet.frames(), id, range.start, &[], true);
+                    sent.push(SentFrame::Stream { id, range, fin: true, reinjected: false });
+                    send.mark_fin_sent();
+                }
+                continue;
+            };
+            // Connection flow control applies only to never-sent offsets.
+            let new_bytes = range.end.saturating_sub(before_largest.max(range.start));
+            if new_bytes > conn_credit {
+                send.untake(range, before_largest);
+                let blocked = Frame::DataBlocked(self.send_max_data);
+                if self.data_blocked_at != Some(self.send_max_data)
+                    && packet.push_if_fits(&blocked, remaining).is_some()
+                {
+                    self.data_blocked_at = Some(self.send_max_data);
+                    sent.push(SentFrame::Control(blocked));
+                }
+                break;
+            }
+            // The payload goes from the stream's buffer straight into the
+            // datagram.
+            Frame::encode_stream(packet.frames(), id, range.start, send.data(range), fin);
+            self.consume_conn_credit(new_bytes);
+            first_time += new_bytes;
+            remaining = remaining.saturating_sub(range.len() as usize + 24);
+            sent.push(SentFrame::Stream { id, range, fin, reinjected: false });
+        }
+        (sent, first_time)
+    }
+
+    /// A sent frame was acknowledged: a stream range is delivered. Every
+    /// other kind is the engine's to interpret.
+    pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) {
+        if let SentFrame::Stream { id, range, fin, .. } = frame {
+            if let Some(s) = self.streams.get_mut(id) {
+                s.send.on_range_acked(*range, *fin);
+            }
+        }
+    }
+
+    /// A sent frame was lost: an original stream range is pending again
+    /// (returns the bytes to retransmit), a control frame goes back on the
+    /// queue. A lost re-injected copy is left alone; every other kind is
+    /// the engine's to interpret.
+    pub fn on_sent_frame_lost(&mut self, frame: SentFrame) -> u64 {
+        match frame {
+            SentFrame::Stream { id, range, fin, reinjected: false } => {
+                let Some(s) = self.streams.get_mut(&id) else { return 0 };
+                s.send.on_range_lost(range, fin);
+                return range.len();
+            }
+            SentFrame::Control(f) => self.control.push(f),
+            _ => {}
+        }
+        0
     }
 }
 
