@@ -114,6 +114,8 @@ pub struct QuicAttacker {
     queue: VecDeque<(usize, Vec<u8>)>,
     /// Next 1-RTT packet number we send.
     app_pn: u64,
+    /// Last Initial packet number we sent (SP victims: a space of its own).
+    init_pn: u64,
     /// Largest pn received, per decode slot (MP: per path; SP: per space).
     largest: [Option<u64>; 4],
     /// Error code of a CONNECTION_CLOSE the victim sent us, if any.
@@ -142,6 +144,7 @@ impl QuicAttacker {
             // MP victims keep one pn space per path, shared with the
             // Initial (pn 0); SP victims split Initial and 1-RTT spaces.
             app_pn: if mp { 1 } else { 0 },
+            init_pn: 0,
             largest: [None; 4],
             observed_close: None,
         }
@@ -195,6 +198,35 @@ impl QuicAttacker {
         let mut dg = hdr.encode();
         dg.extend_from_slice(&kp.client.seal(seq, pn, &dg, payload));
         (path, dg)
+    }
+
+    /// Seal an arbitrary (possibly malformed) payload as this client's next
+    /// authentic packet — an Initial under the Initial keys, or a 1-RTT
+    /// packet under the handshake's (`None` before it completed) — for
+    /// fuzzing a victim's receive path past the AEAD.
+    pub fn seal_payload(&mut self, initial: bool, payload: &[u8]) -> Option<Vec<u8>> {
+        if !initial {
+            self.keys.as_ref()?;
+            return Some(self.seal_raw(0, payload).1);
+        }
+        let pn = if self.mp {
+            self.app_pn += 1;
+            self.app_pn - 1
+        } else {
+            self.init_pn += 1;
+            self.init_pn
+        };
+        let hdr = Header {
+            ty: PacketType::Initial,
+            dcid: self.dcid(),
+            scid: ConnectionId::derive(0xad5a, 0),
+            pn,
+            pn_len: 4,
+            token: Vec::new(),
+        };
+        let mut dg = hdr.encode();
+        dg.extend_from_slice(&self.initial_keys.client.seal(0, pn, &dg, payload));
+        Some(dg)
     }
 
     fn seal_frames(&mut self, path: usize, frames: &[Frame]) -> (usize, Vec<u8>) {

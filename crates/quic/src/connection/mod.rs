@@ -332,6 +332,12 @@ impl Connection {
         self.streams.control.iter().filter(|f| matches!(f, Frame::PathResponse(_))).count()
     }
 
+    /// Received packet numbers of the Initial and of the 1-RTT space, as
+    /// ascending inclusive ranges (the final ACK state; differential tests).
+    pub fn recv_pn_ranges(&self) -> [Vec<(u64, u64)>; 2] {
+        self.spaces.each_ref().map(|s| s.recv.iter().map(|r| (r.start, r.end)).collect())
+    }
+
     /// Statistics snapshot.
     pub fn stats(&self) -> ConnectionStats {
         self.stats

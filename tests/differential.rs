@@ -1,0 +1,619 @@
+//! Differential oracle for the two connection engines (ROADMAP item 1b).
+//!
+//! `xlink_core::MpConnection` with one path, `enable_multipath: false` and
+//! re-injection off is run against `xlink_quic::Connection` over the same
+//! scripted link, scenario by scenario, and what the application and the
+//! peer can observe is compared: delivered stream bytes, final ACK ranges,
+//! close codes, when each side reported closed and drained, and the capped
+//! state. Since both engines are built from the same spine (DESIGN §16)
+//! almost everything must be *equal*; every place it is not is asserted
+//! here as the explicit difference it is, each one a row of DESIGN §16's
+//! residue table. A later change that merges a row makes its assertion
+//! fail — by becoming an equality.
+
+use xlink::clock::{Duration, Instant};
+use xlink::core::{MpConfig, MpConnection, WirelessTech};
+use xlink::harness::adversary::{AttackKind, QuicAttacker};
+use xlink::lab::prop::*;
+use xlink::netsim::Endpoint;
+use xlink::quic::connection::{BoundedState, Config, Connection, Lifecycle};
+use xlink::quic::error::{ConnectionError, TransportError};
+use xlink::quic::frame::Frame;
+use xlink::quic::stream::StreamMap;
+
+/// One-way delay of the scripted link.
+const DELAY: Duration = Duration::from_millis(10);
+/// Body the server sends in the transfer scenarios.
+const BODY: usize = 300_000;
+
+/// Anything the scripted link can carry datagrams for.
+trait Peer {
+    fn recv(&mut self, now: Instant, datagram: &[u8]);
+    fn send(&mut self, now: Instant) -> Option<Vec<u8>>;
+    fn timer(&self) -> Option<Instant>;
+    fn fire(&mut self, now: Instant);
+}
+
+/// What the comparison reads off either engine.
+trait Engine: Peer {
+    fn life(&self) -> &Lifecycle;
+    fn streams(&mut self) -> &mut StreamMap;
+    fn bounded(&self) -> BoundedState;
+    /// Packet numbers received, ascending inclusive ranges, per space.
+    fn ranges(&self) -> Vec<Vec<(u64, u64)>>;
+    fn close(&mut self, error: TransportError);
+    /// (packets sent, packets declared lost).
+    fn counters(&self) -> (u64, u64);
+}
+
+impl Peer for Connection {
+    fn recv(&mut self, now: Instant, datagram: &[u8]) {
+        self.handle_datagram(now, datagram);
+    }
+    fn send(&mut self, now: Instant) -> Option<Vec<u8>> {
+        self.poll_transmit(now)
+    }
+    fn timer(&self) -> Option<Instant> {
+        self.poll_timeout()
+    }
+    fn fire(&mut self, now: Instant) {
+        self.on_timeout(now);
+    }
+}
+
+impl Engine for Connection {
+    fn life(&self) -> &Lifecycle {
+        self.lifecycle()
+    }
+    fn streams(&mut self) -> &mut StreamMap {
+        self.streams_mut()
+    }
+    fn bounded(&self) -> BoundedState {
+        self.bounded_state()
+    }
+    fn ranges(&self) -> Vec<Vec<(u64, u64)>> {
+        self.recv_pn_ranges().to_vec()
+    }
+    fn close(&mut self, error: TransportError) {
+        Connection::close(self, error, "done");
+    }
+    fn counters(&self) -> (u64, u64) {
+        (self.stats().packets_sent, self.stats().packets_lost)
+    }
+}
+
+impl Peer for MpConnection {
+    fn recv(&mut self, now: Instant, datagram: &[u8]) {
+        self.handle_datagram(now, 0, datagram);
+    }
+    fn send(&mut self, now: Instant) -> Option<Vec<u8>> {
+        self.poll_transmit(now).map(|(path, datagram)| {
+            assert_eq!(path, 0, "a one-path connection sends on its one path");
+            datagram
+        })
+    }
+    fn timer(&self) -> Option<Instant> {
+        self.poll_timeout()
+    }
+    fn fire(&mut self, now: Instant) {
+        self.on_timeout(now);
+    }
+}
+
+impl Engine for MpConnection {
+    fn life(&self) -> &Lifecycle {
+        self.lifecycle()
+    }
+    fn streams(&mut self) -> &mut StreamMap {
+        self.streams_mut()
+    }
+    fn bounded(&self) -> BoundedState {
+        self.bounded_state()
+    }
+    fn ranges(&self) -> Vec<Vec<(u64, u64)>> {
+        vec![self.paths()[0].recv_pn_ranges()]
+    }
+    fn close(&mut self, error: TransportError) {
+        MpConnection::close(self, error, "done");
+    }
+    fn counters(&self) -> (u64, u64) {
+        (self.stats().packets_sent, self.stats().packets_lost)
+    }
+}
+
+impl Peer for QuicAttacker {
+    fn recv(&mut self, now: Instant, datagram: &[u8]) {
+        self.on_datagram(now, 0, datagram);
+    }
+    fn send(&mut self, now: Instant) -> Option<Vec<u8>> {
+        Endpoint::poll_transmit(self, now).map(|tx| tx.payload)
+    }
+    fn timer(&self) -> Option<Instant> {
+        Endpoint::poll_timeout(self)
+    }
+    fn fire(&mut self, now: Instant) {
+        Endpoint::on_timeout(self, now);
+    }
+}
+
+fn sp_pair() -> (Connection, Connection) {
+    (
+        Connection::new(Config::client(1), Instant::ZERO),
+        Connection::new(Config::server(2), Instant::ZERO),
+    )
+}
+
+/// The multipath engine configured down to single-path QUIC: one path,
+/// multipath not offered, min-RTT, no re-injection, original-path ACKs.
+fn mp_cfg(cfg: MpConfig) -> MpConfig {
+    MpConfig { enable_multipath: false, ..cfg.vanilla() }
+}
+
+fn mp_pair() -> (MpConnection, MpConnection) {
+    let client = mp_cfg(MpConfig::xlink_client(1, vec![WirelessTech::Wifi]));
+    let server = mp_cfg(MpConfig::xlink_server(2, 1));
+    (MpConnection::new(client, Instant::ZERO), MpConnection::new(server, Instant::ZERO))
+}
+
+/// Which datagrams the link loses: by direction (`up` = client → server),
+/// position in that direction's sequence, and send time.
+type Loss = fn(up: bool, index: u64, now: Instant) -> bool;
+
+fn clean(_: bool, _: u64, _: Instant) -> bool {
+    false
+}
+
+/// A point-to-point link with a fixed one-way delay and scripted loss, and
+/// the event loop that drives two peers over it.
+struct Link<'a, C: Peer, S: Peer> {
+    now: Instant,
+    client: &'a mut C,
+    server: &'a mut S,
+    loss: Loss,
+    /// In flight, in send order: (arrival, towards the server?, datagram).
+    wire: std::collections::VecDeque<(Instant, bool, Vec<u8>)>,
+    sent: [u64; 2],
+}
+
+impl<'a, C: Peer, S: Peer> Link<'a, C, S> {
+    fn new(client: &'a mut C, server: &'a mut S, loss: Loss) -> Self {
+        Link { now: Instant::ZERO, client, server, loss, wire: Default::default(), sent: [0; 2] }
+    }
+
+    /// Run until `until`, calling `app` once per instant after deliveries
+    /// and timers and before the peers are polled for output; it returns
+    /// true to stop early.
+    fn run(&mut self, until: Instant, mut app: impl FnMut(&mut C, &mut S, Instant) -> bool) {
+        loop {
+            while self.wire.front().is_some_and(|(at, ..)| *at <= self.now) {
+                let (_, up, datagram) = self.wire.pop_front().unwrap();
+                if up {
+                    self.server.recv(self.now, &datagram);
+                } else {
+                    self.client.recv(self.now, &datagram);
+                }
+            }
+            if self.client.timer().is_some_and(|t| t <= self.now) {
+                self.client.fire(self.now);
+            }
+            if self.server.timer().is_some_and(|t| t <= self.now) {
+                self.server.fire(self.now);
+            }
+            if app(self.client, self.server, self.now) {
+                return;
+            }
+            for up in [true, false] {
+                while let Some(datagram) =
+                    if up { self.client.send(self.now) } else { self.server.send(self.now) }
+                {
+                    let index = self.sent[usize::from(up)];
+                    self.sent[usize::from(up)] += 1;
+                    if !(self.loss)(up, index, self.now) {
+                        self.wire.push_back((self.now + DELAY, up, datagram));
+                    }
+                }
+            }
+            let next =
+                [self.wire.front().map(|(at, ..)| *at), self.client.timer(), self.server.timer()]
+                    .into_iter()
+                    .flatten()
+                    .min();
+            match next {
+                Some(t) if t <= until => self.now = t.max(self.now + Duration::from_micros(1)),
+                _ => return,
+            }
+        }
+    }
+}
+
+/// Everything observable about one run of a scenario on one engine.
+#[derive(Debug, Clone, PartialEq)]
+struct Outcome {
+    /// Body bytes the client application read, and whether it saw the FIN.
+    delivered: Vec<u8>,
+    complete: bool,
+    /// When the client had the whole body, and when the follow-up
+    /// exchange was over.
+    finished_at: Option<Instant>,
+    followed_up_at: Option<Instant>,
+    /// Per side (client, server): close error, wire code, when it first
+    /// reported closed, when it reported drained.
+    errors: [Option<ConnectionError>; 2],
+    codes: [Option<(u64, bool)>; 2],
+    closed_at: [Option<Instant>; 2],
+    drained_at: [Option<Instant>; 2],
+    /// Peak capped state per side.
+    peak: [BoundedState; 2],
+    /// Final received packet-number ranges per side, per space.
+    ranges: [Vec<Vec<(u64, u64)>>; 2],
+    /// (packets sent, packets lost) per side.
+    counters: [(u64, u64); 2],
+}
+
+fn body() -> Vec<u8> {
+    (0..BODY as u32).map(|i| (i % 251) as u8).collect()
+}
+
+/// What the scenario has the client do at the end.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Then {
+    /// Nothing: both sides sit there until the idle timeout.
+    Idle,
+    /// Close gracefully.
+    Close,
+}
+
+/// Handshake; a request and a [`BODY`]-byte response; a second, small
+/// request and response (so that the client's ACK-only packets get
+/// acknowledged too); then `then` — over a link losing what `loss` says,
+/// observed until `horizon`.
+fn transfer<E: Engine>(pair: (E, E), loss: Loss, then: Then, horizon: Duration) -> Outcome {
+    let (mut client, mut server) = pair;
+    let mut out = Outcome {
+        delivered: Vec::new(),
+        complete: false,
+        finished_at: None,
+        followed_up_at: None,
+        errors: [None, None],
+        codes: [None, None],
+        closed_at: [None, None],
+        drained_at: [None, None],
+        peak: [BoundedState::default(); 2],
+        ranges: [Vec::new(), Vec::new()],
+        counters: [(0, 0); 2],
+    };
+    let (mut get, mut ping) = (None, None);
+    let mut link = Link::new(&mut client, &mut server, loss);
+    link.run(Instant::ZERO + horizon, |c, s, now| {
+        if get.is_none() && c.life().is_established() {
+            let id = c.streams().open(0);
+            c.streams().write(id, b"GET /body", None, true);
+            get = Some(id);
+        }
+        for id in s.streams().readable_ids() {
+            if s.streams().is_complete(id) {
+                match &s.streams().read(id, usize::MAX)[..] {
+                    b"GET /body" => s.streams().write(id, &body(), None, true),
+                    b"PING" => s.streams().write(id, b"PONG", None, true),
+                    _ => {}
+                }
+            }
+        }
+        if let Some(id) = get {
+            out.delivered.extend(c.streams().read(id, usize::MAX));
+            if !out.complete && c.streams().is_complete(id) {
+                (out.complete, out.finished_at) = (true, Some(now));
+                let id = c.streams().open(0);
+                c.streams().write(id, b"PING", None, true);
+                ping = Some(id);
+            }
+        }
+        if let Some(id) = ping.filter(|&id| c.streams().is_complete(id)) {
+            if out.followed_up_at.is_none() && c.streams().read(id, usize::MAX) == b"PONG" {
+                out.followed_up_at = Some(now);
+                if then == Then::Close {
+                    c.close(TransportError::NoError);
+                }
+            }
+        }
+        for (i, life) in [c.life(), s.life()].into_iter().enumerate() {
+            out.closed_at[i] = out.closed_at[i].or(life.is_closed().then_some(now));
+            out.drained_at[i] = out.drained_at[i].or(life.is_drained().then_some(now));
+        }
+        out.peak = [out.peak[0].peak(c.bounded()), out.peak[1].peak(s.bounded())];
+        false
+    });
+    out.errors = [client.life().close_error().cloned(), server.life().close_error().cloned()];
+    out.codes = [client.life().close_code(), server.life().close_code()];
+    out.ranges = [client.ranges(), server.ranges()];
+    out.counters = [client.counters(), server.counters()];
+    out
+}
+
+/// Residue row "Initial packet-number space", seen by a receiver. The
+/// single-path engine numbers Initial and 1-RTT packets separately, the
+/// multipath engine numbers a path's Initials in the path's one space —
+/// so the multipath ranges are the single-path 1-RTT ranges moved up by
+/// the Initial packets received. `folded` of those have no multipath
+/// counterpart: the client owes the server's hello an ACK in the Initial
+/// space and its HANDSHAKE_DONE one in the 1-RTT space, two packets where
+/// the multipath engine's one space owes one, so the *server* receives one
+/// packet fewer.
+///
+/// Residue row "ACK-state pruning": once one of its ACKs reporting more
+/// than 2 packets is itself acknowledged, the single-path engine prunes
+/// its received set below `largest − 512` saturating at 0 — and pruning
+/// below 0 forgets packet number 0. The multipath engine prunes only past
+/// 512. `sp_forgot_zero` says whether this side's single-path run got
+/// there.
+fn assert_same_packets_received(
+    what: &str,
+    sp: &[Vec<(u64, u64)>],
+    mp: &[Vec<(u64, u64)>],
+    folded: u64,
+    sp_forgot_zero: bool,
+) {
+    let [sp_initial, sp_app] = sp else { panic!("{what}: SP has two spaces") };
+    let [mp_path] = mp else { panic!("{what}: MP has one space per path") };
+    assert_eq!(sp_initial[..], [(0, 1)], "{what}: a hello and an ACK of ours, as Initials");
+    let shift = 2 - folded;
+    assert_eq!(sp_app[0].0, u64::from(sp_forgot_zero), "{what}: SP's first 1-RTT packet number");
+    let mut expect: Vec<(u64, u64)> = sp_app.iter().map(|&(a, b)| (a + shift, b + shift)).collect();
+    expect[0].0 = 0;
+    assert_eq!(mp_path[..], expect[..], "{what}: same packets received, renumbered");
+}
+
+/// What every transfer scenario asserts: the same bytes delivered, and the
+/// same packets received up to the numbering.
+fn assert_same_delivery(what: &str, sp: &Outcome, mp: &Outcome, then: Then) {
+    assert!(sp.complete && mp.complete, "{what}: both complete");
+    assert_eq!(sp.delivered, body(), "{what}: SP delivered the body");
+    assert_eq!(mp.delivered, sp.delivered, "{what}: same stream bytes");
+    assert!(sp.followed_up_at.is_some() && mp.followed_up_at.is_some());
+    assert!(sp.peak.iter().chain(&mp.peak).all(BoundedState::within_caps));
+    // The client's ACK-only packets were acknowledged along with its PING.
+    // The server's ACK of the PING is acknowledged along with the PONG —
+    // unless the client closes the moment it has the PONG.
+    assert_same_packets_received(what, &sp.ranges[0], &mp.ranges[0], 0, true);
+    assert_same_packets_received(what, &sp.ranges[1], &mp.ranges[1], 1, then == Then::Idle);
+    // The folded ACK, seen from the sender: the SP client sent one more.
+    assert_eq!(mp.counters[0].0 + 1, sp.counters[0].0, "{what}: packets the client sent");
+}
+
+/// On a link that loses nothing the engines are in lockstep: the same
+/// instants, the same packet counts, the same peak state.
+fn assert_lockstep(what: &str, sp: &Outcome, mp: &Outcome, then: Then) {
+    assert_same_delivery(what, sp, mp, then);
+    assert_eq!((mp.finished_at, mp.followed_up_at), (sp.finished_at, sp.followed_up_at), "{what}");
+    assert_eq!(mp.counters[1], sp.counters[1], "{what}: packets the server sent");
+    assert_eq!(sp.counters[0].1 + sp.counters[1].1 + mp.counters[0].1, 0, "{what}: none lost");
+    assert_eq!(mp.peak, sp.peak, "{what}: same peak bounded state");
+}
+
+#[test]
+fn clean_link_and_graceful_close() {
+    let horizon = Duration::from_secs(5);
+    let sp = transfer(sp_pair(), clean, Then::Close, horizon);
+    let mp = transfer(mp_pair(), clean, Then::Close, horizon);
+    assert_lockstep("clean", &sp, &mp, Then::Close);
+    // Peer close: same codes, closed and drained at the same instants.
+    assert_eq!(sp.codes, [Some((0, false)), Some((0, true))]);
+    assert_eq!((&mp.codes, &mp.errors, mp.closed_at), (&sp.codes, &sp.errors, sp.closed_at));
+    assert!(sp.drained_at[0] > sp.closed_at[0], "closing lasts 3×PTO, not zero");
+    assert_eq!(mp.drained_at[0], sp.drained_at[0], "the closing client: same instant");
+    // Residue row "Initial packet-number space", third consequence: the SP
+    // server took an RTT sample from each of the two handshake ACKs it was
+    // owed (its hello's, HANDSHAKE_DONE's), the MP server one from the
+    // folded ACK. Its RTT variance has decayed one step less, so its PTO
+    // is longer, and so is its 3×PTO draining period.
+    let (sp_end, mp_end) = (sp.drained_at[1].unwrap(), mp.drained_at[1].unwrap());
+    assert!(mp_end > sp_end, "MP server drained at {mp_end:?}, SP at {sp_end:?}");
+    assert!(mp_end - sp_end < Duration::from_millis(30), "a few ms of RTT variance ×3");
+}
+
+/// Every 100th datagram towards the client, from the 30th on.
+fn one_percent(up: bool, index: u64, _: Instant) -> bool {
+    !up && index >= 30 && index % 100 == 30
+}
+
+#[test]
+fn one_percent_loss() {
+    let horizon = Duration::from_secs(10);
+    let sp = transfer(sp_pair(), one_percent, Then::Close, horizon);
+    let mp = transfer(mp_pair(), one_percent, Then::Close, horizon);
+    assert_same_delivery("1% loss", &sp, &mp, Then::Close);
+    assert_eq!(sp.counters[1].1, 3, "the server declared 3 packets lost");
+    assert_eq!(mp.counters[1], sp.counters[1], "same packets sent and lost by the server");
+    assert_eq!(mp.finished_at, sp.finished_at, "recovered by the same instant");
+    assert_eq!((&mp.codes, mp.closed_at), (&sp.codes, sp.closed_at));
+    // Residue row "congestion gate": the single-path engine sends while
+    // half a datagram of window is left, the multipath scheduler only
+    // offers a path with a whole one, so SP flights run one packet longer
+    // and one more packet piles up behind each hole at the receiver.
+    assert_eq!((sp.peak[0].stream_segments, mp.peak[0].stream_segments), (16, 13));
+    let same_otherwise =
+        |b: BoundedState| BoundedState { stream_segments: 0, buffered_recv_bytes: 0, ..b };
+    assert_eq!(mp.peak.map(same_otherwise), sp.peak.map(same_otherwise));
+}
+
+/// Nothing gets through in either direction for 200 ms mid-transfer.
+fn blackout(_: bool, _: u64, now: Instant) -> bool {
+    (Instant::from_millis(50)..Instant::from_millis(250)).contains(&now)
+}
+
+#[test]
+fn blackout_of_200_ms() {
+    let horizon = Duration::from_secs(10);
+    let sp = transfer(sp_pair(), blackout, Then::Close, horizon);
+    let mp = transfer(mp_pair(), blackout, Then::Close, horizon);
+    assert_same_delivery("blackout", &sp, &mp, Then::Close);
+    assert!(sp.counters[1].1 > 0 && mp.counters[1].1 > 0, "the blackout cost the server packets");
+    assert_eq!(mp.codes, sp.codes);
+    // Residue row "Initial packet-number space" again: with one RTT sample
+    // fewer (see the clean run) the MP server's PTO is 85 ms at this point
+    // where the SP server's is 75 ms. Both probe into the blackout once; the backed-off
+    // second probe leaves at 275 ms on SP and 305 ms on MP, and is what
+    // restarts the transfer — which therefore finishes 30 ms later on MP.
+    let (sp_done, mp_done) = (sp.finished_at.unwrap(), mp.finished_at.unwrap());
+    assert!(sp_done > Instant::from_millis(250), "the transfer spans the blackout");
+    assert_eq!(mp_done, sp_done + Duration::from_millis(30));
+}
+
+#[test]
+fn idle_out() {
+    // Nobody closes: both sides sit idle after the exchange. On a live
+    // link the last thing either side does is at the same instant in both
+    // engines, so they idle out together, silently, freed at once.
+    let horizon = Duration::from_secs(60);
+    let sp = transfer(sp_pair(), clean, Then::Idle, horizon);
+    let mp = transfer(mp_pair(), clean, Then::Idle, horizon);
+    assert_lockstep("idle", &sp, &mp, Then::Idle);
+    assert_eq!(sp.errors, [Some(ConnectionError::TimedOut), Some(ConnectionError::TimedOut)]);
+    assert_eq!(sp.codes, [None, None], "an idle timeout has no wire code");
+    assert_eq!(sp.drained_at, sp.closed_at, "nothing to replay: drained at once");
+    assert_eq!((&mp.errors, &mp.codes, mp.drained_at), (&sp.errors, &sp.codes, sp.drained_at));
+    // The client idles out 30 s after its last receipt, the PONG. The two
+    // engines agree because its last send, the ACK, is at that instant too.
+    assert_eq!(sp.closed_at[0], sp.followed_up_at.map(|t| t + Duration::from_secs(30)));
+    assert_eq!(mp.closed_at, sp.closed_at);
+}
+
+/// The link dies for good at 50 ms, the server mid-transfer.
+fn dead_from_50_ms(_: bool, _: u64, now: Instant) -> bool {
+    now >= Instant::from_millis(50)
+}
+
+#[test]
+fn idle_out_facing_a_dead_peer() {
+    // Residue row "idle refresh on send": the single-path engine's idle
+    // timer tracks receipts only, so a server PTO-probing a dead client
+    // idles out 30 s after the last thing it heard. The multipath engine
+    // restarts the timer on every send, and its capped PTO keeps probing
+    // (every 2 s at most) — it never idles out while it has data in
+    // flight.
+    let horizon = Duration::from_secs(120);
+    let sp = transfer(sp_pair(), dead_from_50_ms, Then::Idle, horizon);
+    let mp = transfer(mp_pair(), dead_from_50_ms, Then::Idle, horizon);
+    assert!(!sp.complete && !mp.complete);
+    assert_eq!(sp.delivered, mp.delivered, "same bytes before the link died");
+    // The pure receiver has nothing to send: both engines agree.
+    assert_eq!(sp.errors[0], Some(ConnectionError::TimedOut));
+    assert_eq!((&mp.errors[0], mp.closed_at[0]), (&sp.errors[0], sp.closed_at[0]));
+    // The sender does not.
+    assert_eq!(sp.errors[1], Some(ConnectionError::TimedOut));
+    let last_heard = sp.closed_at[1].unwrap() - Duration::from_secs(30);
+    assert!(last_heard < Instant::from_millis(50 + 10), "SP: 30 s after the last receipt");
+    assert_eq!(mp.errors[1], None, "MP: still probing at the horizon");
+    assert!(mp.counters[1].0 > sp.counters[1].0 + 30, "…every 2 s: {:?}", mp.counters);
+}
+
+/// What a hostile client's script does to a victim server of either
+/// engine: (close code, closed at, drained at, peak state).
+type Verdict = (Option<(u64, bool)>, Option<Instant>, Option<Instant>, BoundedState);
+
+fn attacked<E: Engine>(mut victim: E, kind: AttackKind, mp: bool) -> (Verdict, Option<u64>) {
+    let mut attacker = QuicAttacker::new(kind, mp, 7);
+    let (mut closed_at, mut drained_at, mut peak) = (None, None, BoundedState::default());
+    let mut link = Link::new(&mut attacker, &mut victim, clean);
+    link.run(Instant::ZERO + Duration::from_secs(10), |_, v, now| {
+        closed_at = closed_at.or(v.life().is_closed().then_some(now));
+        drained_at = drained_at.or(v.life().is_drained().then_some(now));
+        peak = peak.peak(v.bounded());
+        false
+    });
+    ((victim.life().close_code(), closed_at, drained_at, peak), attacker.observed_close)
+}
+
+#[test]
+fn optimistic_ack() {
+    let kind = AttackKind::OptimisticAck;
+    let (sp, sp_saw) = attacked(sp_pair().1, kind, false);
+    let (mp, mp_saw) = attacked(mp_pair().1, kind, true);
+    let violation = TransportError::ProtocolViolation.code();
+    assert_eq!(sp.0, Some((violation, false)), "the ACK police close, locally");
+    assert_eq!(sp_saw, Some(violation), "…and say so to the peer");
+    assert!(sp.2 > sp.1, "closing lasts 3×PTO");
+    assert_eq!((mp, mp_saw), (sp, sp_saw), "same police, same verdict, same instants");
+}
+
+#[test]
+fn path_challenge_flood() {
+    let kind = AttackKind::PathChallengeFlood;
+    let (sp, _) = attacked(sp_pair().1, kind, false);
+    let (mp, _) = attacked(mp_pair().1, kind, true);
+    // The flood ends in the attacker's graceful close: both drain.
+    assert_eq!(sp.0, Some((0, true)));
+    assert_eq!((mp.0, mp.1, mp.2), (sp.0, sp.1, sp.2), "same close, same instants");
+    assert!(sp.3.within_caps() && mp.3.within_caps());
+    // All 104 challenges and the close land in one instant: both engines
+    // cap the responses at 8 and drop the 96 oldest. Residue row
+    // "PATH_RESPONSE routing": the single-path engine keeps its 8 on the
+    // control queue until the drain period ends; the multipath engine pins
+    // them to the arrival path, and tearing the paths down on the peer's
+    // close discards them at once — the link never sees 8 pending.
+    assert_eq!((sp.3.pending_path_responses, sp.3.path_responses_dropped), (8, 104 - 8));
+    assert_eq!((mp.3.pending_path_responses, mp.3.path_responses_dropped), (0, 104 - 8));
+    let same_otherwise = |b: BoundedState| BoundedState { pending_path_responses: 0, ..b };
+    assert_eq!(same_otherwise(mp.3), same_otherwise(sp.3));
+}
+
+/// One fuzz case: datagrams in arrival order, each Initial-or-1-RTT and a
+/// payload of chunks, a chunk a small first byte (frame types are small)
+/// and arbitrary bytes after it.
+type FuzzCase = Vec<(bool, Vec<(u8, Vec<u8>)>)>;
+
+/// Payload bytes the frames of one datagram own on the heap.
+fn owned_bytes(frames: &[Frame]) -> usize {
+    let owned = |f: &Frame| match f {
+        Frame::Stream { data, .. } | Frame::Crypto { data, .. } => data.len(),
+        Frame::ConnectionClose { reason, .. } => reason.len(),
+        Frame::Ack(a) | Frame::AckMp(a) => a.ranges.len(),
+        _ => 0,
+    };
+    frames.iter().map(owned).sum()
+}
+
+/// Feed `case`, every datagram authentic, to a freshly established server
+/// of one engine: whatever the payloads decode to, nothing panics and the
+/// caps hold, through the receive path, the transmit path and the timers.
+fn fuzz_receive_path<E: Engine>(server: E, mp: bool, case: &FuzzCase) -> Result<(), String> {
+    let (mut server, now) = (server, Instant::ZERO);
+    let mut fuzzer = QuicAttacker::new(AttackKind::OptimisticAck, mp, 11);
+    let hello = fuzzer.send(now).expect("client hello");
+    server.recv(now, &hello);
+    while let Some(d) = server.send(now) {
+        fuzzer.recv(now, &d);
+    }
+    prop_assert!(server.life().is_established());
+    for (initial, chunks) in case {
+        let payload: Vec<u8> = chunks
+            .iter()
+            .flat_map(|(ty, rest)| std::iter::once(*ty).chain(rest.iter().copied()))
+            .collect();
+        let datagram = fuzzer.seal_payload(*initial, &payload).expect("keys after the handshake");
+        if let Ok(frames) = Frame::decode_all(&payload) {
+            prop_assert!(owned_bytes(&frames) <= datagram.len(), "{frames:?} from {payload:?}");
+        }
+        server.recv(now, &datagram);
+        prop_assert!(server.bounded().within_caps(), "after receiving {payload:?}");
+        while server.send(now).is_some() {}
+        prop_assert!(server.bounded().within_caps(), "after answering {payload:?}");
+    }
+    for _ in 0..4 {
+        let Some(t) = server.timer() else { break };
+        server.fire(t);
+        while server.send(t).is_some() {}
+        prop_assert!(server.bounded().within_caps());
+    }
+    Ok(())
+}
+
+#[test]
+fn decoder_totality_through_open_datagram_into_both_engines() {
+    let chunk = (0u8..=0x20, bytes(0..48));
+    let datagram = (any_bool(), vec_of(chunk, 0..6));
+    check("decoder totality", vec_of(datagram, 1..8), |case: &FuzzCase| {
+        fuzz_receive_path(sp_pair().1, false, case)?;
+        fuzz_receive_path(mp_pair().1, true, case)
+    });
+}
