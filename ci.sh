@@ -32,8 +32,10 @@ step "crate unit tests: the whole workspace, not just the facade (release)" \
 step "golden oracle: qlog streams, MPTCP times, A/B and fleet reports bit-identical (release)" \
     cargo test -q --offline --release --test golden
 
-step "differential oracle: MP engine configured down to one path vs SP engine, + decoder totality (release)" \
-    env XLINK_PROP_CASES=2000 cargo test -q --offline --release --test differential
+# Debug profile on purpose: overflow checks are on, and a wrap on a
+# peer-controlled value is what the decoder-totality property is after.
+step "differential oracle: MP engine configured down to one path vs SP engine; decoder totality" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline --test differential
 
 step "impairment robustness sweep (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test impairments

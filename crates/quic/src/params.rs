@@ -4,6 +4,7 @@
 //! parameter... If not, they fall back to single-path QUIC").
 
 use crate::error::CodecError;
+use crate::frame::wire_millis;
 use crate::varint::{Reader, Writer};
 use xlink_clock::Duration;
 
@@ -92,11 +93,11 @@ impl TransportParams {
             let body = r.varint_bytes()?;
             let mut br = Reader::new(body);
             match pid {
-                id::MAX_IDLE_TIMEOUT => p.max_idle_timeout = Duration::from_millis(br.varint()?),
+                id::MAX_IDLE_TIMEOUT => p.max_idle_timeout = wire_millis(br.varint()?),
                 id::INITIAL_MAX_DATA => p.initial_max_data = br.varint()?,
                 id::INITIAL_MAX_STREAM_DATA => p.initial_max_stream_data = br.varint()?,
                 id::INITIAL_MAX_STREAMS_BIDI => p.initial_max_streams_bidi = br.varint()?,
-                id::MAX_ACK_DELAY => p.max_ack_delay = Duration::from_millis(br.varint()?),
+                id::MAX_ACK_DELAY => p.max_ack_delay = wire_millis(br.varint()?),
                 id::ACTIVE_CID_LIMIT => p.active_cid_limit = br.varint()?,
                 id::ENABLE_MULTIPATH => p.enable_multipath = br.varint()? == 1,
                 id::STATELESS_RESET_TOKEN => {
@@ -146,6 +147,23 @@ mod tests {
         let bytes = w.into_bytes();
         let got = TransportParams::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(got.stateless_reset_token, Some([0xab; 16]));
+    }
+
+    #[test]
+    fn huge_durations_saturate_instead_of_overflowing() {
+        let mut w = Writer::new();
+        for pid in [id::MAX_IDLE_TIMEOUT, id::MAX_ACK_DELAY] {
+            let mut body = Writer::new();
+            body.varint((1 << 62) - 1);
+            w.varint(pid);
+            w.varint_bytes(body.as_slice());
+        }
+        let bytes = w.into_bytes();
+        let got = TransportParams::decode(&mut Reader::new(&bytes)).unwrap();
+        assert!(
+            got.max_idle_timeout > Duration::from_secs(1 << 40)
+                && got.max_ack_delay > Duration::ZERO
+        );
     }
 
     #[test]
