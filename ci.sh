@@ -40,8 +40,11 @@ step "differential oracle: MP engine configured down to one path vs SP engine; d
 step "impairment robustness sweep (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test impairments
 
-step "failover robustness sweep (8 seeds)" \
-    env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test failover
+# Release: in debug this step took 359 s of the sweeps' 404 s (impairments
+# 10 s, adversary 35 s); the debug run of the same tests at the default seed
+# count is part of `cargo test -q --offline` above.
+step "failover robustness sweep (8 seeds, release)" \
+    env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --release --test failover
 
 step "observability: A/B bit-determinism + qlog validity" \
     cargo test -q --offline --test observability

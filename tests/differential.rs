@@ -411,6 +411,35 @@ fn clean_link_and_graceful_close() {
     assert!(mp_end - sp_end < Duration::from_millis(30), "a few ms of RTT variance ×3");
 }
 
+/// The server's first datagram: its hello.
+fn server_hello(up: bool, index: u64, _: Instant) -> bool {
+    !up && index == 0
+}
+
+#[test]
+fn lost_server_hello() {
+    let horizon = Duration::from_secs(10);
+    let sp = transfer(sp_pair(), server_hello, Then::Close, horizon);
+    let mp = transfer(mp_pair(), server_hello, Then::Close, horizon);
+    assert!(sp.complete && mp.complete && sp.delivered == body());
+    assert_eq!(mp.delivered, sp.delivered, "same stream bytes");
+    assert_eq!(mp.codes, sp.codes);
+    // The keyless client can only wait out its 999 ms initial PTO and send
+    // its hello again. Residue rows "PTO before the 1-RTT keys exist" and
+    // "a hello that arrives after the handshake completed": the SP server,
+    // whose Initial space still holds the unacknowledged hello, re-fires it
+    // on that space's own PTO and ignores the client's duplicate; the MP
+    // server has keys, so its PTO sends a PING the client cannot read, and
+    // it re-fires the hello only when the duplicate arrives — one 20 ms
+    // round trip later. (Packet numbering is not compared here: the
+    // retransmitted Initials renumber differently, row 1.)
+    let (sp_done, mp_done) = (sp.finished_at.unwrap(), mp.finished_at.unwrap());
+    assert!(sp_done > Instant::from_millis(999), "recovery waits for the initial PTO");
+    assert_eq!(mp_done, sp_done + DELAY * 2);
+    assert_eq!((sp.counters[0], mp.counters[0]), ((29, 0), (29, 0)), "client: sent, lost");
+    assert_eq!((sp.counters[1], mp.counters[1]), ((248, 2), (250, 3)), "server: sent, lost");
+}
+
 /// Every 100th datagram towards the client, from the 30th on.
 fn one_percent(up: bool, index: u64, _: Instant) -> bool {
     !up && index >= 30 && index % 100 == 30
