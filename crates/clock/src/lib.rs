@@ -84,14 +84,16 @@ impl Duration {
         Duration(us)
     }
 
-    /// Construct from milliseconds.
+    /// Construct from milliseconds, saturating at [`Duration::MAX`] like
+    /// the type's arithmetic does (wire decoders feed this peer-controlled
+    /// 62-bit counts).
     pub const fn from_millis(ms: u64) -> Self {
-        Duration(ms * 1_000)
+        Duration(ms.saturating_mul(1_000))
     }
 
-    /// Construct from seconds.
+    /// Construct from seconds, saturating at [`Duration::MAX`].
     pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000)
+        Duration(s.saturating_mul(1_000_000))
     }
 
     /// Construct from fractional seconds (rounding to the nearest µs).
@@ -294,6 +296,8 @@ mod tests {
         assert_eq!(Duration::MAX + Duration::from_secs(1), Duration::MAX);
         assert_eq!(Duration::MAX.mul_f64(2.0), Duration::MAX);
         assert_eq!(Instant::ZERO - Duration::from_secs(1), Instant::ZERO);
+        assert_eq!(Duration::from_millis((1 << 62) - 1), Duration::MAX);
+        assert_eq!(Duration::from_secs(u64::MAX), Duration::MAX);
     }
 
     #[test]

@@ -491,16 +491,10 @@ fn encode_ack(w: &mut Writer, ack: &AckFrame, mp: bool) {
 /// rejected before allocating range storage.
 pub const MAX_WIRE_ACK_RANGES: u64 = 256;
 
-/// A millisecond count off the wire as a [`Duration`]. Peer-controlled:
-/// 2^62 ms must saturate, not overflow.
-pub(crate) fn wire_millis(ms: u64) -> Duration {
-    Duration::from_micros(ms.saturating_mul(1_000))
-}
-
 fn decode_ack(r: &mut Reader, mp: bool, with_qoe: bool) -> Result<AckFrame, CodecError> {
     let path_id = if mp { r.varint()? } else { 0 };
     let largest = r.varint()?;
-    let ack_delay = wire_millis(r.varint()?);
+    let ack_delay = Duration::from_millis(r.varint()?);
     let extra_ranges = r.varint()?;
     if extra_ranges >= MAX_WIRE_ACK_RANGES {
         return Err(CodecError::InvalidValue);

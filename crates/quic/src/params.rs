@@ -4,7 +4,6 @@
 //! parameter... If not, they fall back to single-path QUIC").
 
 use crate::error::CodecError;
-use crate::frame::wire_millis;
 use crate::varint::{Reader, Writer};
 use xlink_clock::Duration;
 
@@ -93,11 +92,11 @@ impl TransportParams {
             let body = r.varint_bytes()?;
             let mut br = Reader::new(body);
             match pid {
-                id::MAX_IDLE_TIMEOUT => p.max_idle_timeout = wire_millis(br.varint()?),
+                id::MAX_IDLE_TIMEOUT => p.max_idle_timeout = Duration::from_millis(br.varint()?),
                 id::INITIAL_MAX_DATA => p.initial_max_data = br.varint()?,
                 id::INITIAL_MAX_STREAM_DATA => p.initial_max_stream_data = br.varint()?,
                 id::INITIAL_MAX_STREAMS_BIDI => p.initial_max_streams_bidi = br.varint()?,
-                id::MAX_ACK_DELAY => p.max_ack_delay = wire_millis(br.varint()?),
+                id::MAX_ACK_DELAY => p.max_ack_delay = Duration::from_millis(br.varint()?),
                 id::ACTIVE_CID_LIMIT => p.active_cid_limit = br.varint()?,
                 id::ENABLE_MULTIPATH => p.enable_multipath = br.varint()? == 1,
                 id::STATELESS_RESET_TOKEN => {

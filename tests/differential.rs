@@ -227,7 +227,7 @@ impl<'a, C: Peer, S: Peer> Link<'a, C, S> {
 }
 
 /// Everything observable about one run of a scenario on one engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct Outcome {
     /// Body bytes the client application read, and whether it saw the FIN.
     delivered: Vec<u8>,
