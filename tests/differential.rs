@@ -4,18 +4,24 @@
 //! re-injection off is run against `xlink_quic::Connection` over the same
 //! scripted link, scenario by scenario, and what the application and the
 //! peer can observe is compared: delivered stream bytes, final ACK ranges,
-//! close codes, when each side reported closed and drained, and the capped
-//! state. Since both engines are built from the same spine (DESIGN §16)
+//! close codes, when each side reported closed and drained, the capped
+//! state — and, datagram by datagram and event by event, what each engine
+//! put on the wire and into the trace. Since both engines are built from
+//! the same spine (DESIGN §16)
 //! almost everything must be *equal*; every place it is not is asserted
 //! here as the explicit difference it is, each one a row of DESIGN §16's
 //! residue table. A later change that merges a row makes its assertion
 //! fail — by becoming an equality.
 
+use std::collections::{BTreeMap, BTreeSet};
 use xlink::clock::{Duration, Instant};
 use xlink::core::{MpConfig, MpConnection, WirelessTech};
+use xlink::edge::{Pop, PopConfig, ShardOutcome};
 use xlink::harness::adversary::{AttackKind, QuicAttacker};
 use xlink::lab::prop::*;
 use xlink::netsim::Endpoint;
+use xlink::obs::{Event, TraceLog, Tracer};
+use xlink::quic::cid::ConnectionId;
 use xlink::quic::connection::{BoundedState, Config, Connection, Lifecycle};
 use xlink::quic::error::{ConnectionError, TransportError};
 use xlink::quic::frame::Frame;
@@ -44,6 +50,8 @@ trait Engine: Peer {
     fn close(&mut self, error: TransportError);
     /// (packets sent, packets declared lost).
     fn counters(&self) -> (u64, u64);
+    /// Attach `tracer` the way `harness::Conn::set_tracer` does.
+    fn trace(&mut self, tracer: &Tracer);
 }
 
 impl Peer for Connection {
@@ -79,6 +87,9 @@ impl Engine for Connection {
     }
     fn counters(&self) -> (u64, u64) {
         (self.stats().packets_sent, self.stats().packets_lost)
+    }
+    fn trace(&mut self, tracer: &Tracer) {
+        self.set_tracer(tracer.scoped("quic"));
     }
 }
 
@@ -118,6 +129,9 @@ impl Engine for MpConnection {
     }
     fn counters(&self) -> (u64, u64) {
         (self.stats().packets_sent, self.stats().packets_lost)
+    }
+    fn trace(&mut self, tracer: &Tracer) {
+        self.set_tracer(tracer);
     }
 }
 
@@ -173,11 +187,23 @@ struct Link<'a, C: Peer, S: Peer> {
     /// In flight, in send order: (arrival, towards the server?, datagram).
     wire: std::collections::VecDeque<(Instant, bool, Vec<u8>)>,
     sent: [u64; 2],
+    /// Every datagram either peer sent, lost ones included, in send order.
+    log: Vec<Datagram>,
+}
+
+/// One datagram as a peer handed it to the link.
+#[derive(Debug, Clone, PartialEq)]
+struct Datagram {
+    at: Instant,
+    /// Client → server.
+    up: bool,
+    bytes: Vec<u8>,
 }
 
 impl<'a, C: Peer, S: Peer> Link<'a, C, S> {
     fn new(client: &'a mut C, server: &'a mut S, loss: Loss) -> Self {
-        Link { now: Instant::ZERO, client, server, loss, wire: Default::default(), sent: [0; 2] }
+        let (wire, log) = Default::default();
+        Link { now: Instant::ZERO, client, server, loss, wire, sent: [0; 2], log }
     }
 
     /// Run until `until`, calling `app` once per instant after deliveries
@@ -208,6 +234,7 @@ impl<'a, C: Peer, S: Peer> Link<'a, C, S> {
                 {
                     let index = self.sent[usize::from(up)];
                     self.sent[usize::from(up)] += 1;
+                    self.log.push(Datagram { at: self.now, up, bytes: datagram.clone() });
                     if !(self.loss)(up, index, self.now) {
                         self.wire.push_back((self.now + DELAY, up, datagram));
                     }
@@ -248,6 +275,11 @@ struct Outcome {
     ranges: [Vec<Vec<(u64, u64)>>; 2],
     /// (packets sent, packets lost) per side.
     counters: [(u64, u64); 2],
+    /// Every datagram put on the link, in send order.
+    wire: Vec<Datagram>,
+    /// Every traced event of both sides, in emission order: (time, source,
+    /// event).
+    events: Vec<(Instant, String, Event)>,
 }
 
 fn body() -> Vec<u8> {
@@ -281,7 +313,12 @@ fn transfer<E: Engine>(pair: (E, E), loss: Loss, then: Then, horizon: Duration) 
         peak: [BoundedState::default(); 2],
         ranges: [Vec::new(), Vec::new()],
         counters: [(0, 0); 2],
+        wire: Vec::new(),
+        events: Vec::new(),
     };
+    let log = TraceLog::recording();
+    client.trace(&log.tracer("client"));
+    server.trace(&log.tracer("server"));
     let (mut get, mut ping) = (None, None);
     let mut link = Link::new(&mut client, &mut server, loss);
     link.run(Instant::ZERO + horizon, |c, s, now| {
@@ -323,11 +360,65 @@ fn transfer<E: Engine>(pair: (E, E), loss: Loss, then: Then, horizon: Duration) 
         out.peak = [out.peak[0].peak(c.bounded()), out.peak[1].peak(s.bounded())];
         false
     });
+    out.wire = std::mem::take(&mut link.log);
+    out.events = recorded(&log);
     out.errors = [client.life().close_error().cloned(), server.life().close_error().cloned()];
     out.codes = [client.life().close_code(), server.life().close_code()];
     out.ranges = [client.ranges(), server.ranges()];
     out.counters = [client.counters(), server.counters()];
     out
+}
+
+/// The events `log` recorded, in emission order, sources by name.
+fn recorded(log: &TraceLog) -> Vec<(Instant, String, Event)> {
+    log.events().into_iter().map(|e| (e.time, log.source_name(e.source), e.body)).collect()
+}
+
+/// What a run put on the wire and into the trace: (datagrams up, bytes up,
+/// datagrams down, bytes down, events traced).
+type Shape = (usize, usize, usize, usize, usize);
+
+fn shape(wire: &[Datagram], events: usize) -> Shape {
+    let side = |up: bool| {
+        let sizes = wire.iter().filter(|d| d.up == up).map(|d| d.bytes.len());
+        (sizes.clone().count(), sizes.sum::<usize>())
+    };
+    (side(true).0, side(true).1, side(false).0, side(false).1, events)
+}
+
+/// Both engines' shapes against the recorded ones; a mismatch prints the
+/// line to paste. The two columns differ wherever a residue row reaches the
+/// wire or the trace, and converge as rows are merged.
+fn assert_shapes(what: &str, got: [Shape; 2], recorded: [Shape; 2]) {
+    if got != recorded {
+        eprintln!("{what}: shapes now [{:?}, {:?}]", got[0], got[1]);
+    }
+    assert_eq!(got[0], recorded[0], "{what}: SP wire and trace shape moved");
+    assert_eq!(got[1], recorded[1], "{what}: MP wire and trace shape moved");
+}
+
+/// How often each event kind was traced, and by which layer.
+fn histogram(o: &Outcome) -> BTreeMap<(&'static str, &str), isize> {
+    let mut h = BTreeMap::new();
+    for (_, source, event) in &o.events {
+        let layer = source.rsplit('.').next().expect("endpoint.layer");
+        *h.entry((event.name(), layer)).or_insert(0) += 1;
+    }
+    h
+}
+
+/// Trace-level residue (DESIGN §16 rows 19–21 and the trace side of rows 1,
+/// 3, 4 and 6): per (event kind, source layer), how many more the multipath
+/// engine traced than the single-path engine, zero differences left out.
+fn assert_trace_residue(what: &str, sp: &Outcome, mp: &Outcome, recorded: &[(&str, &str, isize)]) {
+    let (sp, mp) = (histogram(sp), histogram(mp));
+    let keys: BTreeSet<_> = sp.keys().chain(mp.keys()).copied().collect();
+    let got: Vec<_> = keys
+        .into_iter()
+        .map(|k| (k.0, k.1, mp.get(&k).unwrap_or(&0) - sp.get(&k).unwrap_or(&0)))
+        .filter(|(.., d)| *d != 0)
+        .collect();
+    assert_eq!(got, recorded, "{what}: (event, layer, MP count − SP count)");
 }
 
 /// Residue row "Initial packet-number space", seen by a receiver. The
@@ -396,6 +487,26 @@ fn clean_link_and_graceful_close() {
     let sp = transfer(sp_pair(), clean, Then::Close, horizon);
     let mp = transfer(mp_pair(), clean, Then::Close, horizon);
     assert_lockstep("clean", &sp, &mp, Then::Close);
+    assert_shapes(
+        "clean",
+        [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
+        [(11, 426, 244, 308316, 531), (10, 384, 244, 308305, 771)],
+    );
+    assert_trace_residue(
+        "clean",
+        &sp,
+        &mp,
+        &[
+            // Row 1: the folded handshake ACK — one packet, and with it one
+            // RTT sample and one congestion-window report, fewer.
+            ("cwnd_update", "quic", -1),
+            ("packet_sent", "quic", -1),
+            // Row 21: policy events on a connection that negotiated nothing.
+            ("reinjection_gate", "core", 2),
+            ("rtt_update", "quic", -1),
+            ("scheduler_decision", "core", 241),
+        ],
+    );
     // Peer close: same codes, closed and drained at the same instants.
     assert_eq!(sp.codes, [Some((0, false)), Some((0, true))]);
     assert_eq!((&mp.codes, &mp.errors, mp.closed_at), (&sp.codes, &sp.errors, sp.closed_at));
@@ -438,6 +549,27 @@ fn lost_server_hello() {
     assert_eq!(mp_done, sp_done + DELAY * 2);
     assert_eq!((sp.counters[0], mp.counters[0]), ((29, 0), (29, 0)), "client: sent, lost");
     assert_eq!((sp.counters[1], mp.counters[1]), ((248, 2), (250, 3)), "server: sent, lost");
+    assert_shapes(
+        "lost hello",
+        [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
+        [(29, 1019, 248, 308542, 615), (29, 1055, 250, 308589, 862)],
+    );
+    assert_trace_residue(
+        "lost hello",
+        &sp,
+        &mp,
+        &[
+            // Rows 1, 4 and 18 together: the retransmitted handshake.
+            ("cwnd_update", "quic", -2),
+            ("handshake_sent", "quic", 1),
+            ("packet_acked", "quic", 3),
+            ("packet_lost", "quic", 1),
+            ("packet_sent", "quic", 2),
+            ("reinjection_gate", "core", 2),
+            ("rtt_update", "quic", -1),
+            ("scheduler_decision", "core", 241),
+        ],
+    );
 }
 
 /// Every 100th datagram towards the client, from the 30th on.
@@ -463,6 +595,23 @@ fn one_percent_loss() {
     let same_otherwise =
         |b: BoundedState| BoundedState { stream_segments: 0, buffered_recv_bytes: 0, ..b };
     assert_eq!(mp.peak.map(same_otherwise), sp.peak.map(same_otherwise));
+    assert_shapes(
+        "1% loss",
+        [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
+        [(18, 698, 247, 312204, 568), (17, 656, 247, 312193, 811)],
+    );
+    assert_trace_residue(
+        "1% loss",
+        &sp,
+        &mp,
+        &[
+            ("cwnd_update", "quic", -1),
+            ("packet_sent", "quic", -1),
+            ("reinjection_gate", "core", 2),
+            ("rtt_update", "quic", -1),
+            ("scheduler_decision", "core", 244),
+        ],
+    );
 }
 
 /// Nothing gets through in either direction for 200 ms mid-transfer.
@@ -486,6 +635,28 @@ fn blackout_of_200_ms() {
     let (sp_done, mp_done) = (sp.finished_at.unwrap(), mp.finished_at.unwrap());
     assert!(sp_done > Instant::from_millis(250), "the transfer spans the blackout");
     assert_eq!(mp_done, sp_done + Duration::from_millis(30));
+    assert_shapes(
+        "blackout",
+        [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
+        [(22, 813, 266, 334284, 622), (21, 771, 266, 334273, 880)],
+    );
+    assert_trace_residue(
+        "blackout",
+        &sp,
+        &mp,
+        &[
+            ("cwnd_update", "quic", -1),
+            ("packet_sent", "quic", -1),
+            // Row 6: the single-path engine's parity flag reports the
+            // blackout (two PTOs) and its end; a multipath engine that
+            // negotiated nothing runs no liveness machine.
+            ("path_revalidated", "quic", -1),
+            ("path_suspected", "quic", -1),
+            ("reinjection_gate", "core", 2),
+            ("rtt_update", "quic", -1),
+            ("scheduler_decision", "core", 261),
+        ],
+    );
 }
 
 #[test]
@@ -505,6 +676,23 @@ fn idle_out() {
     // engines agree because its last send, the ACK, is at that instant too.
     assert_eq!(sp.closed_at[0], sp.followed_up_at.map(|t| t + Duration::from_secs(30)));
     assert_eq!(mp.closed_at, sp.closed_at);
+    assert_shapes(
+        "idle",
+        [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
+        [(11, 426, 244, 308316, 535), (10, 384, 244, 308305, 775)],
+    );
+    assert_trace_residue(
+        "idle",
+        &sp,
+        &mp,
+        &[
+            ("cwnd_update", "quic", -1),
+            ("packet_sent", "quic", -1),
+            ("reinjection_gate", "core", 2),
+            ("rtt_update", "quic", -1),
+            ("scheduler_decision", "core", 241),
+        ],
+    );
 }
 
 /// The link dies for good at 50 ms, the server mid-transfer.
@@ -534,14 +722,47 @@ fn idle_out_facing_a_dead_peer() {
     assert!(last_heard < Instant::from_millis(50 + 10), "SP: 30 s after the last receipt");
     assert_eq!(mp.errors[1], None, "MP: still probing at the horizon");
     assert!(mp.counters[1].0 > sp.counters[1].0 + 30, "…every 2 s: {:?}", mp.counters);
+    assert_shapes(
+        "dead peer",
+        [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
+        [(5, 229, 52, 39525, 90), (4, 187, 97, 40729, 163)],
+    );
+    assert_trace_residue(
+        "dead peer",
+        &sp,
+        &mp,
+        &[
+            // Row 3: the MP server never closes, and keeps probing.
+            ("connection_closed", "quic", -1),
+            ("cwnd_update", "quic", -1),
+            ("packet_sent", "quic", 44),
+            ("path_suspected", "quic", -1),
+            ("reinjection_gate", "core", 2),
+            ("rtt_update", "quic", -1),
+            ("scheduler_decision", "core", 31),
+        ],
+    );
 }
 
 /// What a hostile client's script does to a victim server of either
-/// engine: (close code, closed at, drained at, peak state).
-type Verdict = (Option<(u64, bool)>, Option<Instant>, Option<Instant>, BoundedState);
+/// engine.
+#[derive(Debug, PartialEq)]
+struct Verdict {
+    code: Option<(u64, bool)>,
+    closed_at: Option<Instant>,
+    drained_at: Option<Instant>,
+    peak: BoundedState,
+    /// The error code the attacker was told.
+    saw: Option<u64>,
+    /// What the victim sent, and what it traced.
+    wire: Vec<Datagram>,
+    events: Vec<(Instant, String, Event)>,
+}
 
-fn attacked<E: Engine>(mut victim: E, kind: AttackKind, mp: bool) -> (Verdict, Option<u64>) {
+fn attacked<E: Engine>(mut victim: E, kind: AttackKind, mp: bool) -> Verdict {
     let mut attacker = QuicAttacker::new(kind, mp, 7);
+    let log = TraceLog::recording();
+    victim.trace(&log.tracer("victim"));
     let (mut closed_at, mut drained_at, mut peak) = (None, None, BoundedState::default());
     let mut link = Link::new(&mut attacker, &mut victim, clean);
     link.run(Instant::ZERO + Duration::from_secs(10), |_, v, now| {
@@ -550,40 +771,207 @@ fn attacked<E: Engine>(mut victim: E, kind: AttackKind, mp: bool) -> (Verdict, O
         peak = peak.peak(v.bounded());
         false
     });
-    ((victim.life().close_code(), closed_at, drained_at, peak), attacker.observed_close)
+    let wire = link.log.iter().filter(|d| !d.up).cloned().collect();
+    let (code, saw) = (victim.life().close_code(), attacker.observed_close);
+    Verdict { code, closed_at, drained_at, peak, saw, wire, events: recorded(&log) }
 }
 
 #[test]
 fn optimistic_ack() {
     let kind = AttackKind::OptimisticAck;
-    let (sp, sp_saw) = attacked(sp_pair().1, kind, false);
-    let (mp, mp_saw) = attacked(mp_pair().1, kind, true);
+    let sp = attacked(sp_pair().1, kind, false);
+    let mp = attacked(mp_pair().1, kind, true);
     let violation = TransportError::ProtocolViolation.code();
-    assert_eq!(sp.0, Some((violation, false)), "the ACK police close, locally");
-    assert_eq!(sp_saw, Some(violation), "…and say so to the peer");
-    assert!(sp.2 > sp.1, "closing lasts 3×PTO");
-    assert_eq!((mp, mp_saw), (sp, sp_saw), "same police, same verdict, same instants");
+    assert_eq!(sp.code, Some((violation, false)), "the ACK police close, locally");
+    assert_eq!(sp.saw, Some(violation), "…and say so to the peer");
+    assert!(sp.drained_at > sp.closed_at, "closing lasts 3×PTO");
+    // Same police, same verdict, same instants.
+    let verdict = |v: &Verdict| (v.code, v.saw, v.closed_at, v.drained_at, v.peak);
+    assert_eq!(verdict(&mp), verdict(&sp));
+    // The victim's hello, HANDSHAKE_DONE, the hello's ACK (row 1: an Initial
+    // on SP, 11 bytes longer) and the CONNECTION_CLOSE.
+    let shapes = [&sp, &mp].map(|v| shape(&v.wire, v.events.len()));
+    assert_shapes("optimistic ACK", shapes, [(0, 0, 4, 198, 7), (0, 0, 4, 187, 8)]);
 }
 
 #[test]
 fn path_challenge_flood() {
     let kind = AttackKind::PathChallengeFlood;
-    let (sp, _) = attacked(sp_pair().1, kind, false);
-    let (mp, _) = attacked(mp_pair().1, kind, true);
+    let sp = attacked(sp_pair().1, kind, false);
+    let mp = attacked(mp_pair().1, kind, true);
     // The flood ends in the attacker's graceful close: both drain.
-    assert_eq!(sp.0, Some((0, true)));
-    assert_eq!((mp.0, mp.1, mp.2), (sp.0, sp.1, sp.2), "same close, same instants");
-    assert!(sp.3.within_caps() && mp.3.within_caps());
+    assert_eq!(sp.code, Some((0, true)));
+    assert_eq!((mp.code, mp.closed_at, mp.drained_at), (sp.code, sp.closed_at, sp.drained_at));
+    assert!(sp.peak.within_caps() && mp.peak.within_caps());
     // All 104 challenges and the close land in one instant: both engines
     // cap the responses at 8 and drop the 96 oldest. Residue row
     // "PATH_RESPONSE routing": the single-path engine keeps its 8 on the
     // control queue until the drain period ends; the multipath engine pins
     // them to the arrival path, and tearing the paths down on the peer's
     // close discards them at once — the link never sees 8 pending.
-    assert_eq!((sp.3.pending_path_responses, sp.3.path_responses_dropped), (8, 104 - 8));
-    assert_eq!((mp.3.pending_path_responses, mp.3.path_responses_dropped), (0, 104 - 8));
+    assert_eq!((sp.peak.pending_path_responses, sp.peak.path_responses_dropped), (8, 104 - 8));
+    assert_eq!((mp.peak.pending_path_responses, mp.peak.path_responses_dropped), (0, 104 - 8));
     let same_otherwise = |b: BoundedState| BoundedState { pending_path_responses: 0, ..b };
-    assert_eq!(same_otherwise(mp.3), same_otherwise(sp.3));
+    assert_eq!(same_otherwise(mp.peak), same_otherwise(sp.peak));
+    let shapes = [&sp, &mp].map(|v| shape(&v.wire, v.events.len()));
+    assert_shapes("PATH_CHALLENGE flood", shapes, [(0, 0, 3, 155, 6), (0, 0, 3, 144, 7)]);
+}
+
+impl Peer for Pop {
+    fn recv(&mut self, now: Instant, datagram: &[u8]) {
+        self.on_datagram(now, 0, datagram);
+    }
+    fn send(&mut self, now: Instant) -> Option<Vec<u8>> {
+        Endpoint::poll_transmit(self, now).map(|tx| tx.payload)
+    }
+    fn timer(&self) -> Option<Instant> {
+        Endpoint::poll_timeout(self)
+    }
+    fn fire(&mut self, now: Instant) {
+        Endpoint::on_timeout(self, now);
+    }
+}
+
+/// What a client of the edge tier needs beyond [`Engine`] — residue rows
+/// 13, 14 and 16: Retry, CID migration and the connection-level stateless
+/// reset exist in the single-path engine only, so it alone runs
+/// [`through_the_pop`] until the merge gives them to the other.
+trait EdgeClient: Engine {
+    /// A client as `harness::pop` configures it: a 2 s idle timeout and a
+    /// keep-alive PING at an eighth of it.
+    fn edge_client(seed: u64) -> Self;
+    fn retry_seen(&self) -> bool;
+    /// (the CID the PoP routes to us by, the CID we address the PoP by).
+    fn cids(&self) -> (ConnectionId, ConnectionId);
+}
+
+const EDGE_IDLE: Duration = Duration::from_secs(2);
+
+impl EdgeClient for Connection {
+    fn edge_client(seed: u64) -> Self {
+        let mut cfg = Config::client(seed);
+        cfg.params.max_idle_timeout = EDGE_IDLE;
+        cfg.keepalive = Some(EDGE_IDLE / 8);
+        Connection::new(cfg, Instant::ZERO)
+    }
+    fn retry_seen(&self) -> bool {
+        Connection::retry_seen(self)
+    }
+    fn cids(&self) -> (ConnectionId, ConnectionId) {
+        (self.local_cid(), self.remote_cid())
+    }
+}
+
+/// Everything observable about one client's life behind the PoP.
+#[derive(Debug, PartialEq)]
+struct EdgeOutcome {
+    retry_seen: bool,
+    established_at: Option<Instant>,
+    /// The PoP's drain steered the client onto a CID of the other shard.
+    migrated_at: Option<Instant>,
+    /// All 200 KB read, every byte the pattern's.
+    completed_at: Option<Instant>,
+    closed_at: Option<Instant>,
+    error: Option<ConnectionError>,
+    counters: (u64, u64),
+    wire: Vec<Datagram>,
+    events: Vec<(Instant, String, Event)>,
+}
+
+/// One client through `edge::Pop` (two shards, Retry admission): admitted
+/// by echoing the Retry token; 200 KB requested; at 60 ms its shard is
+/// drained (NEW_CONNECTION_ID + Retire Prior To) and it follows; once it has
+/// the body it goes quiet, only keep-alives flowing; 300 ms later its new
+/// shard is crash-restarted, and the next keep-alive is answered with a
+/// stateless reset.
+fn through_the_pop<C: EdgeClient>() -> EdgeOutcome {
+    const BYTES: u64 = 200_000;
+    let mut client = C::edge_client(0x51);
+    let mut pop = Pop::new(PopConfig { shards: vec![1, 2], ..PopConfig::default() });
+    let log = TraceLog::recording();
+    client.trace(&log.tracer("client"));
+    pop.set_tracer(log.tracer("pop"));
+    let mut out = EdgeOutcome {
+        retry_seen: false,
+        established_at: None,
+        migrated_at: None,
+        completed_at: None,
+        closed_at: None,
+        error: None,
+        counters: (0, 0),
+        wire: Vec::new(),
+        events: Vec::new(),
+    };
+    let (mut stream, mut got, mut drained, mut crashed) = (None, 0u64, false, false);
+    let mut first_route = None;
+    let mut link = Link::new(&mut client, &mut pop, clean);
+    link.run(Instant::ZERO + Duration::from_secs(5), |c, pop, now| {
+        if stream.is_none() && c.life().is_established() {
+            out.established_at = Some(now);
+            first_route = Some(c.cids().1);
+            let id = c.streams().open(0);
+            let request = [0u64.to_le_bytes(), BYTES.to_le_bytes()].concat();
+            c.streams().write(id, &request, None, true);
+            stream = Some(id);
+        }
+        if let Some(id) = stream {
+            for b in c.streams().read(id, usize::MAX) {
+                assert_eq!(b, (got % 251) as u8, "byte {got} of the pattern");
+                got += 1;
+            }
+            if out.completed_at.is_none() && got == BYTES && c.streams().is_complete(id) {
+                out.completed_at = Some(now);
+            }
+        }
+        let serving = pop.shard_of(&c.cids().0);
+        if !drained && now >= Instant::from_millis(60) {
+            drained = true;
+            let outcome = pop.drain_shard(now, serving.expect("admitted by now"));
+            assert_eq!(outcome, ShardOutcome::Drained { migrated: 1 });
+        }
+        if out.migrated_at.is_none() && first_route.is_some_and(|cid| cid != c.cids().1) {
+            out.migrated_at = Some(now);
+        }
+        if !crashed && out.completed_at.is_some_and(|t| now >= t + Duration::from_millis(300)) {
+            crashed = true;
+            let outcome = pop.crash_restart_shard(now, serving.expect("still served"));
+            assert_eq!(outcome, ShardOutcome::Crashed { conns: 1 });
+        }
+        out.closed_at = out.closed_at.or(c.life().is_closed().then_some(now));
+        false
+    });
+    out.wire = std::mem::take(&mut link.log);
+    out.events = recorded(&log);
+    out.retry_seen = client.retry_seen();
+    out.error = client.life().close_error().cloned();
+    out.counters = client.counters();
+    out
+}
+
+#[test]
+fn retry_drain_and_stateless_reset_through_the_pop() {
+    let sp = through_the_pop::<Connection>();
+    let at = |ms| Some(Instant::from_millis(ms));
+    // One round trip for the Retry, one for the handshake.
+    assert!(sp.retry_seen);
+    assert_eq!(sp.established_at, at(40));
+    // The NEW_CONNECTION_ID rides the next data packet, which the window
+    // allows at 70 ms, and is obeyed on arrival.
+    assert_eq!(sp.migrated_at, at(80));
+    assert!(sp.events.iter().any(|(t, source, e)| {
+        (*t, &source[..]) == (Instant::from_millis(80), "client.quic")
+            && matches!(e, Event::ConnMigrated { .. })
+    }));
+    assert_eq!(sp.completed_at, at(140));
+    // Row 14: keep-alives after every 250 ms of silence; the one at 390 ms
+    // is answered, the shard crashes at 440 ms, the one at 660 ms draws the
+    // stateless reset. Row 13: that kills the connection the instant it
+    // arrives, not the 2 s idle timeout.
+    assert_eq!(sp.error, Some(ConnectionError::Reset));
+    assert_eq!(sp.closed_at, at(680));
+    // The one packet lost is the first hello, which the Retry replaced.
+    assert_eq!(sp.counters, (14, 1));
+    assert_eq!(shape(&sp.wire, sp.events.len()), (14, 710, 168, 205818, 51));
 }
 
 /// One fuzz case: datagrams in arrival order, each Initial-or-1-RTT and a
