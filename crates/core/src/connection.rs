@@ -27,8 +27,8 @@ use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cc::{CcAlgorithm, CongestionController, MAX_DATAGRAM_SIZE};
 use xlink_quic::cid::{CidManager, ConnectionId};
 use xlink_quic::connection::{
-    hello_random, trace_rtt, BoundedState, Expiry, Keys, Lifecycle, Opened, PnSpace, ResetOracle,
-    SentFrame, MAX_PENDING_PATH_RESPONSES,
+    hello_random, placeholder_dcid, trace_rtt, BoundedState, Expiry, Keys, Lifecycle, Opened,
+    PnSpace, ResetOracle, SentFrame, MAX_PENDING_PATH_RESPONSES,
 };
 use xlink_quic::error::{ConnectionError, TransportError};
 use xlink_quic::frame::{AckFrame, Frame, PathStatusKind};
@@ -390,11 +390,10 @@ impl MpConnection {
     /// the client starts the handshake on the wireless-aware primary.
     pub fn new(mut cfg: MpConfig, now: Instant) -> Self {
         cfg.params.enable_multipath = cfg.enable_multipath;
-        let random = hello_random(cfg.seed, 0x4d50, 0x5a5a, 7);
-        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, random, (0x33, 0x44));
+        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, hello_random(cfg.seed));
         let mut cids = CidManager::new(cfg.seed);
         let local0 = cids.issue_local();
-        let remote_cid0 = ConnectionId::derive(0x1318, 0);
+        let remote_cid0 = placeholder_dcid();
         let candidates: Vec<(usize, WirelessTech)> =
             cfg.path_techs.iter().copied().enumerate().collect();
         let primary = cfg.primary_policy.select_primary(&candidates);

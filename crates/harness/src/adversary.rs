@@ -104,7 +104,8 @@ impl AttackKind {
 /// obtain 1-RTT keys), then runs its attack script from raw encoders.
 pub struct QuicAttacker {
     kind: AttackKind,
-    /// Victim is a multipath connection (MP key salts + per-path nonces).
+    /// Victim is a multipath connection (one packet-number space per path,
+    /// Initials included, and per-path nonces).
     mp: bool,
     hs: Handshake,
     initial_keys: KeyPair,
@@ -132,12 +133,11 @@ impl QuicAttacker {
         random[8..].copy_from_slice(&ConnectionId::derive(seed ^ 0xffff, 0xa77b).0);
         let params = TransportParams { enable_multipath: mp, ..Default::default() };
         let psk: &[u8] = b"xlink-demo-psk";
-        let (cs, ss) = if mp { ([0x33u8; 16], [0x44u8; 16]) } else { ([0x11u8; 16], [0x22u8; 16]) };
         QuicAttacker {
             kind,
             mp,
             hs: Handshake::new(true, psk, random, params),
-            initial_keys: derive_keys(psk, &cs, &ss),
+            initial_keys: derive_keys(psk, &[0x11; 16], &[0x22; 16]),
             keys: None,
             hello_sent: false,
             queue: VecDeque::new(),

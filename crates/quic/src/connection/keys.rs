@@ -81,12 +81,19 @@ pub enum Opened {
 }
 
 /// A hello random derived from the endpoint's `seed` (stands in for an
-/// RNG draw; each engine passes its own salt, twist and step).
-pub fn hello_random(seed: u64, salt: u64, twist: u64, step: u64) -> [u8; 16] {
+/// RNG draw).
+pub fn hello_random(seed: u64) -> [u8; 16] {
     let mut r = [0u8; 16];
-    r[..8].copy_from_slice(&ConnectionId::derive(seed, salt).0);
-    r[8..].copy_from_slice(&ConnectionId::derive(seed ^ twist, salt.wrapping_add(step)).0);
+    r[..8].copy_from_slice(&ConnectionId::derive(seed, 0x48454c4f).0);
+    r[8..].copy_from_slice(&ConnectionId::derive(seed ^ 0xdead_beef, 0x48454c50).0);
     r
+}
+
+/// The destination CID of a client's first Initials, before the server's
+/// hello tells it the real one: a placeholder both sides know (it stands
+/// in for the client's random initial DCID).
+pub fn placeholder_dcid() -> ConnectionId {
+    ConnectionId::derive(0x1317, 0)
 }
 
 /// Handshake progress and packet-protection keys of one endpoint.
@@ -112,15 +119,9 @@ pub struct Keys {
 impl Keys {
     /// An endpoint about to handshake under `psk`, offering `params` in a
     /// hello carrying `random`; Initials are protected by keys derived
-    /// from `psk` and the two salt bytes alone.
-    pub fn new(
-        side: Side,
-        psk: &[u8],
-        params: &TransportParams,
-        random: [u8; 16],
-        initial_salts: (u8, u8),
-    ) -> Self {
-        let initial = derive_keys(psk, &[initial_salts.0; 16], &[initial_salts.1; 16]);
+    /// from `psk` and two fixed salts alone.
+    pub fn new(side: Side, psk: &[u8], params: &TransportParams, random: [u8; 16]) -> Self {
+        let initial = derive_keys(psk, &[0x11; 16], &[0x22; 16]);
         Keys {
             side,
             handshake: Handshake::new(side == Side::Client, psk, random, params.clone()),
@@ -257,7 +258,7 @@ mod tests {
     use super::*;
 
     fn keys(side: Side) -> Keys {
-        Keys::new(side, b"psk", &TransportParams::default(), [7; 16], (1, 2))
+        Keys::new(side, b"psk", &TransportParams::default(), [7; 16])
     }
 
     fn initial(from: &Keys, space: &mut PnSpace, frames: &[Frame]) -> Vec<u8> {

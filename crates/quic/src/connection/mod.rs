@@ -19,7 +19,7 @@ mod keys;
 mod lifecycle;
 mod space;
 
-pub use keys::{hello_random, Keys, Opened, ResetOracle, MAX_RESET_TOKENS};
+pub use keys::{hello_random, placeholder_dcid, Keys, Opened, ResetOracle, MAX_RESET_TOKENS};
 pub use lifecycle::{Expiry, Lifecycle, State};
 pub use space::{trace_rtt, PnSpace, SentFrame};
 
@@ -238,8 +238,7 @@ impl std::fmt::Debug for Connection {
 impl Connection {
     /// Create a connection endpoint.
     pub fn new(cfg: Config, now: Instant) -> Self {
-        let random = hello_random(cfg.seed, 0x48454c4f, 0xdead_beef, 1);
-        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, random, (0x11, 0x22));
+        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, hello_random(cfg.seed));
         let mut cids = CidManager::new(cfg.seed);
         let local = cids.issue_local();
         let p = &cfg.params;
@@ -248,10 +247,8 @@ impl Connection {
             keys,
             handshake_confirmed: false,
             local_cid: local.cid,
-            // Until the peer's hello arrives, address packets to a
-            // deterministic placeholder derived from the PSK (both sides
-            // know it — stands in for the client's random initial DCID).
-            remote_cid: ConnectionId::derive(0x1317, 0),
+            // Until the peer's hello arrives.
+            remote_cid: placeholder_dcid(),
             cids,
             streams: StreamMap::for_endpoint(cfg.side, p),
             spaces: Default::default(),
