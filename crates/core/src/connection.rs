@@ -154,8 +154,7 @@ pub struct MpPath {
     pub state: PathState,
     /// Wireless technology tag.
     pub tech: WirelessTech,
-    /// The path's packet-number space (Initial packets on the primary
-    /// path number in it too).
+    /// The path's 1-RTT packet-number space.
     space: PnSpace,
     /// RTT estimator for this path.
     pub rtt: RttEstimator,
@@ -248,11 +247,6 @@ impl MpPath {
         self.space.recovery.bytes_in_flight()
     }
 
-    /// Spare congestion budget.
-    fn budget(&self) -> u64 {
-        self.cc.window().saturating_sub(self.space.recovery.bytes_in_flight())
-    }
-
     fn usable_for_data(&self) -> bool {
         self.state == PathState::Active
     }
@@ -325,6 +319,9 @@ pub struct MpConnection {
     /// are exchanged.
     remote_cid0: ConnectionId,
     local_cid0: ConnectionId,
+    /// The Initial packet-number space: the handshake's, on the primary
+    /// path's RTT estimate and congestion window.
+    initial: PnSpace,
     /// Paths indexed by path id (== network path index == CID seq).
     paths: Vec<MpPath>,
     /// The wireless-aware primary path (handshake path).
@@ -410,6 +407,7 @@ impl MpConnection {
             cids,
             remote_cid0,
             local_cid0: local0.cid,
+            initial: PnSpace::default(),
             paths,
             primary,
             streams: StreamMap::for_endpoint(cfg.side, &cfg.params),
@@ -470,9 +468,10 @@ impl MpConnection {
     /// pinned PATH_RESPONSEs are capped per path, so the largest counts.
     pub fn bounded_state(&self) -> BoundedState {
         let paths = self.paths.iter();
+        let spaces = || paths.clone().map(|p| &p.space).chain([&self.initial]);
         BoundedState {
-            recv_ranges: paths.clone().map(|p| p.space.recv.range_count()).max().unwrap_or(0),
-            recv_ranges_evicted: paths.clone().map(|p| p.space.recv.evicted()).sum(),
+            recv_ranges: spaces().map(|s| s.recv.range_count()).max().unwrap_or(0),
+            recv_ranges_evicted: spaces().map(|s| s.recv.evicted()).sum(),
             pending_path_responses: paths.map(|p| p.response_pending.len()).max().unwrap_or(0),
             path_responses_dropped: self.path_responses_dropped,
             stream_segments: self.streams.max_segments(),
@@ -488,6 +487,26 @@ impl MpConnection {
     /// Per-path view.
     pub fn paths(&self) -> &[MpPath] {
         &self.paths
+    }
+
+    /// Received packet numbers of the Initial space, then of each path's
+    /// space, as ascending inclusive ranges (the final ACK state).
+    pub fn recv_pn_ranges(&self) -> Vec<Vec<(u64, u64)>> {
+        let initial = self.initial.recv.iter().map(|r| (r.start, r.end)).collect();
+        [initial].into_iter().chain(self.paths.iter().map(MpPath::recv_pn_ranges)).collect()
+    }
+
+    /// Bytes in flight that count against `path`'s congestion window: its
+    /// own, and on the primary path the handshake's.
+    fn in_flight(&self, path: usize) -> u64 {
+        let handshake =
+            if path == self.primary { self.initial.recovery.bytes_in_flight() } else { 0 };
+        self.paths[path].space.recovery.bytes_in_flight() + handshake
+    }
+
+    /// Spare congestion budget of `path`.
+    fn budget(&self, path: usize) -> u64 {
+        self.paths[path].cc.window().saturating_sub(self.in_flight(path))
     }
 
     /// Statistics snapshot.
@@ -517,14 +536,14 @@ impl MpConnection {
     }
 
     fn trace_cwnd(&self, now: Instant, path: usize) {
-        let p = &self.paths[path];
-        let (cwnd, bytes_in_flight) = (p.cc.window(), p.space.recovery.bytes_in_flight());
+        let (cwnd, bytes_in_flight) = (self.paths[path].cc.window(), self.in_flight(path));
         self.tr_quic.emit(now, Event::CwndUpdate { path: path as u8, cwnd, bytes_in_flight });
     }
 
     /// Losses later proven spurious by a late ACK, summed across paths.
     pub fn spurious_losses(&self) -> u64 {
-        self.paths.iter().map(|p| p.space.recovery.spurious_losses()).sum()
+        let paths = self.paths.iter().map(|p| &p.space);
+        paths.chain([&self.initial]).map(|s| s.recovery.spurious_losses()).sum()
     }
 
     /// Latest peer QoE feedback (server side).
@@ -648,6 +667,8 @@ impl MpConnection {
     /// Tear down every path: abandon, stop probing, and drop per-path
     /// tracked state (terminal; only called once closed).
     fn teardown_paths(&mut self) {
+        self.initial.ack_pending = false;
+        let _ = self.initial.recovery.drain_all();
         for p in &mut self.paths {
             p.state = PathState::Abandoned;
             p.probation = None;
@@ -867,7 +888,10 @@ impl MpConnection {
         if self.life.absorb_if_closed() {
             return;
         }
-        let space = &mut self.paths[path].space;
+        // Long headers number in the Initial space, short ones in the
+        // arrival path's.
+        let long = datagram.first().is_some_and(|b| b & 0x80 != 0);
+        let space = if long { &mut self.initial } else { &mut self.paths[path].space };
         let (header, frames) = match self.keys.open_datagram(datagram, space, path, &self.oracle) {
             Opened::Packet { header, frames } => (header, frames),
             Opened::Duplicate => return,
@@ -880,7 +904,7 @@ impl MpConnection {
         };
         self.stats.packets_received += 1;
         self.life.touch(now);
-        if header.ty.is_long() {
+        if long {
             self.remote_cid0 = header.scid;
             // The primary path's DCID is the peer's handshake CID.
             self.paths[self.primary].dcid = header.scid;
@@ -897,18 +921,21 @@ impl MpConnection {
         let mut ack_eliciting = false;
         for frame in frames {
             ack_eliciting |= frame.is_ack_eliciting();
-            self.on_frame(now, path, frame);
+            self.on_frame(now, path, long, frame);
             if self.life.is_silenced() {
                 return;
             }
         }
         if ack_eliciting {
-            self.paths[path].space.ack_pending = true;
+            let space = if long { &mut self.initial } else { &mut self.paths[path].space };
+            space.ack_pending = true;
             self.paths[path].last_recv_time = now;
         }
     }
 
-    fn on_frame(&mut self, now: Instant, arrival_path: usize, frame: Frame) {
+    /// One frame of a packet that arrived on `arrival_path`, in the Initial
+    /// space (`initial`) or the path's own.
+    fn on_frame(&mut self, now: Instant, arrival_path: usize, initial: bool, frame: Frame) {
         match frame {
             Frame::Crypto { data, .. } => match self.keys.on_peer_hello(&data) {
                 Ok(true) => {
@@ -933,8 +960,9 @@ impl MpConnection {
                 Err((e, why)) => self.close(e, why),
             },
             Frame::Ack(ack) => {
-                // Plain ACK: only valid pre-multipath on the primary path.
-                self.on_ack(now, self.primary, ack);
+                // Plain ACK: the Initial space's, or (before multipath is
+                // negotiated, or without it) the primary path's.
+                self.on_ack(now, self.primary, initial, ack);
             }
             Frame::AckMp(ack) => {
                 if !self.multipath && self.is_established() {
@@ -950,7 +978,7 @@ impl MpConnection {
                     self.peer_qoe = Some(q);
                     self.trace_qoe(now, false, q);
                 }
-                self.on_ack(now, space, ack);
+                self.on_ack(now, space, false, ack);
             }
             Frame::NewConnectionId(ic) => {
                 // Acknowledge any Retire Prior To the frame carries so the
@@ -1037,9 +1065,12 @@ impl MpConnection {
         }
     }
 
-    fn on_ack(&mut self, now: Instant, space: usize, ack: AckFrame) {
+    /// An ACK of path `space`'s packets — or, `initial`, of the Initial
+    /// space's, which run on that (the primary) path's RTT and window.
+    fn on_ack(&mut self, now: Instant, space: usize, initial: bool, ack: AckFrame) {
         let p = &mut self.paths[space];
-        let Ok(outcome) = p.space.on_ack(now, &ack, &mut p.rtt) else {
+        let pn_space = if initial { &mut self.initial } else { &mut p.space };
+        let Ok(outcome) = pn_space.on_ack(now, &ack, &mut p.rtt) else {
             return self.close(TransportError::ProtocolViolation, "optimistic ack");
         };
         if !outcome.acked.is_empty() {
@@ -1174,7 +1205,7 @@ impl MpConnection {
         }
         if !self.is_established() {
             // Still ack initial packets.
-            return self.poll_ack(now, true);
+            return self.poll_ack(now);
         }
         // 2. Server HANDSHAKE_DONE.
         if self.cfg.side == Side::Server && !self.keys.done_sent {
@@ -1204,7 +1235,7 @@ impl MpConnection {
             }
         }
         // 5. ACKs.
-        if let Some(tx) = self.poll_ack(now, false) {
+        if let Some(tx) = self.poll_ack(now) {
             return Some(tx);
         }
         // 6. PATH_RESPONSEs, pinned to the path the challenge arrived on
@@ -1260,15 +1291,23 @@ impl MpConnection {
         self.poll_data(now)
     }
 
-    /// Pending-ACK transmission, honoring the ACK path policy.
-    fn poll_ack(&mut self, now: Instant, initial_space: bool) -> Option<(usize, Vec<u8>)> {
+    /// Pending-ACK transmission: the Initial space's in an Initial packet
+    /// on the primary path, then the paths', honoring the ACK path policy.
+    fn poll_ack(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
+        let primary = self.primary;
+        let delay = now - self.paths[primary].last_recv_time;
+        if let Some(ack) = self.initial.take_ack(0, delay) {
+            self.stats.acks_sent += 1;
+            let sent = vec![SentFrame::Ack { space: primary as u64, largest: ack.largest }];
+            return Some(self.build_packet(now, primary, true, &[Frame::Ack(ack)], sent, false));
+        }
         let space = (0..self.paths.len()).find(|&i| self.paths[i].space.ack_pending)?;
         let delay = now - self.paths[space].last_recv_time;
         let mut ack = self.paths[space].space.take_ack(space as u64, delay)?;
         // Before multipath negotiation (or on single-path fallback), use
         // plain ACK on the primary path.
         let sent = vec![SentFrame::Ack { space: space as u64, largest: ack.largest }];
-        let (frame, send_path) = if !self.multipath || initial_space {
+        let (frame, send_path) = if !self.multipath {
             ack.path_id = 0;
             (Frame::Ack(ack), space)
         } else {
@@ -1284,7 +1323,7 @@ impl MpConnection {
             (Frame::AckMp(ack), send_path)
         };
         self.stats.acks_sent += 1;
-        Some(self.build_packet(now, send_path, initial_space, &[frame], sent, false))
+        Some(self.build_packet(now, send_path, false, &[frame], sent, false))
     }
 
     fn fastest_active_path(&self) -> Option<usize> {
@@ -1424,14 +1463,14 @@ impl MpConnection {
     fn fill_candidates(&self, candidates: &mut Vec<(usize, Duration, bool)>) {
         candidates.clear();
         candidates.extend(self.paths.iter().map(|p| {
-            (p.id, p.rtt.smoothed(), p.usable_for_data() && p.budget() >= MAX_DATAGRAM_SIZE)
+            let usable = p.usable_for_data() && self.budget(p.id) >= MAX_DATAGRAM_SIZE;
+            (p.id, p.rtt.smoothed(), usable)
         }));
     }
 
     /// Build a datagram of fresh stream data + control frames for `path`.
     fn try_send_new_data(&mut self, now: Instant, path: usize) -> Option<(usize, Vec<u8>)> {
-        let budget = self.paths[path].budget();
-        if budget < MAX_DATAGRAM_SIZE / 2 {
+        if self.budget(path) < MAX_DATAGRAM_SIZE / 2 {
             return None;
         }
         let mut packet = PacketBuilder::new(self.next_header(path, false));
@@ -1560,8 +1599,7 @@ impl MpConnection {
         // Pack candidates into one datagram.
         let mut packet = PacketBuilder::new(self.next_header(path, false));
         let mut infos = Vec::new();
-        let mut remaining =
-            (MAX_DATAGRAM_SIZE as usize - 64).min(self.paths[path].budget() as usize);
+        let mut remaining = (MAX_DATAGRAM_SIZE as usize - 64).min(self.budget(path) as usize);
         for (id, range, fin, _) in cands {
             if remaining < 48 {
                 break;
@@ -1645,8 +1683,12 @@ impl MpConnection {
     /// The header of the next packet to be sent on `path`.
     fn next_header(&self, path: usize, initial: bool) -> Header {
         let p = &self.paths[path];
-        let ty = if initial { PacketType::Initial } else { PacketType::OneRtt };
-        p.space.next_header(ty, p.dcid, self.local_cid0, Vec::new())
+        let (ty, space) = if initial {
+            (PacketType::Initial, &self.initial)
+        } else {
+            (PacketType::OneRtt, &p.space)
+        };
+        space.next_header(ty, p.dcid, self.local_cid0, Vec::new())
     }
 
     /// Seal `packet` (started from [`MpConnection::next_header`] of the
@@ -1660,9 +1702,10 @@ impl MpConnection {
         ack_eliciting: bool,
     ) -> (usize, Vec<u8>) {
         let p = &mut self.paths[path];
+        let space = if packet.is_long() { &mut self.initial } else { &mut p.space };
         let datagram = self.keys.finish_packet(
             now,
-            &mut p.space,
+            space,
             path,
             packet,
             content,
@@ -1676,8 +1719,9 @@ impl MpConnection {
         self.stats.bytes_sent += size;
         // Unlike the single-path engine, sending restarts the idle timer.
         self.life.touch(now);
+        let (cwnd, in_flight) = (p.cc.window(), self.in_flight(path));
         if let Some(probe) = &mut self.probe_cwnd {
-            probe.push((now, path, p.cc.window(), p.space.recovery.bytes_in_flight()));
+            probe.push((now, path, cwnd, in_flight));
         }
         (path, datagram)
     }
@@ -1693,6 +1737,9 @@ impl MpConnection {
         }
         let mad = self.cfg.params.max_ack_delay;
         let mut t = self.life.idle_deadline();
+        if let Some(lt) = self.initial.recovery.next_timeout(&self.paths[self.primary].rtt, mad) {
+            t = t.min(lt);
+        }
         for p in &self.paths {
             if let Some(lt) = p.space.recovery.next_timeout(&p.rtt, mad) {
                 t = t.min(lt);
@@ -1737,6 +1784,15 @@ impl MpConnection {
             Expiry::Freed => return self.free_state(),
         }
         let mad = self.cfg.params.max_ack_delay;
+        let (primary, handshake) = (self.primary, &mut self.initial.recovery);
+        let rtt = &self.paths[primary].rtt;
+        if handshake.next_timeout(rtt, mad).is_some_and(|deadline| now >= deadline) {
+            match handshake.on_timeout(now, rtt) {
+                TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, primary, lost),
+                // The Initial space's probe is the hello again.
+                TimeoutOutcome::SendProbe => self.keys.hello_sent = false,
+            }
+        }
         for i in 0..self.paths.len() {
             let p = &mut self.paths[i];
             if p.space.recovery.next_timeout(&p.rtt, mad).is_none_or(|deadline| now < deadline) {
@@ -2250,7 +2306,7 @@ mod tests {
         let mut ranges = AckRanges::new();
         ranges.insert_range(900, 1000);
         let ack = AckFrame::from_ranges(1, &ranges, Duration::ZERO).expect("non-empty ranges");
-        c.on_ack(now, 1, ack);
+        c.on_ack(now, 1, false, ack);
         assert_eq!(
             c.close_error(),
             Some(&ConnectionError::LocallyClosed(TransportError::ProtocolViolation))
@@ -2263,7 +2319,7 @@ mod tests {
         let (mut c, mut s, mut now) = pair();
         pump(&mut now, &mut c, &mut s);
         for i in 0..100u64 {
-            c.on_frame(now, 0, Frame::PathChallenge(i.to_be_bytes()));
+            c.on_frame(now, 0, false, Frame::PathChallenge(i.to_be_bytes()));
         }
         assert!(c.bounded_state().pending_path_responses <= MAX_PENDING_PATH_RESPONSES);
         assert_eq!(c.path_responses_dropped, 100 - MAX_PENDING_PATH_RESPONSES as u64);

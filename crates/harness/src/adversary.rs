@@ -104,8 +104,8 @@ impl AttackKind {
 /// obtain 1-RTT keys), then runs its attack script from raw encoders.
 pub struct QuicAttacker {
     kind: AttackKind,
-    /// Victim is a multipath connection (one packet-number space per path,
-    /// Initials included, and per-path nonces).
+    /// Victim is a multipath connection (multipath offered, per-path
+    /// nonces).
     mp: bool,
     hs: Handshake,
     initial_keys: KeyPair,
@@ -115,10 +115,10 @@ pub struct QuicAttacker {
     queue: VecDeque<(usize, Vec<u8>)>,
     /// Next 1-RTT packet number we send.
     app_pn: u64,
-    /// Last Initial packet number we sent (SP victims: a space of its own).
+    /// Last Initial packet number we sent (a space of its own).
     init_pn: u64,
-    /// Largest pn received, per decode slot (MP: per path; SP: per space).
-    largest: [Option<u64>; 4],
+    /// Largest pn received: per path, then the Initial space's.
+    largest: [Option<u64>; 3],
     /// Error code of a CONNECTION_CLOSE the victim sent us, if any.
     pub observed_close: Option<u64>,
 }
@@ -141,20 +141,18 @@ impl QuicAttacker {
             keys: None,
             hello_sent: false,
             queue: VecDeque::new(),
-            // MP victims keep one pn space per path, shared with the
-            // Initial (pn 0); SP victims split Initial and 1-RTT spaces.
-            app_pn: if mp { 1 } else { 0 },
+            app_pn: 0,
             init_pn: 0,
-            largest: [None; 4],
+            largest: [None; 3],
             observed_close: None,
         }
     }
 
     fn slot(&self, path: usize, is_long: bool) -> usize {
-        if self.mp {
-            path.min(1)
+        if is_long {
+            2
         } else {
-            2 + usize::from(is_long)
+            path.min(1)
         }
     }
 
@@ -209,13 +207,8 @@ impl QuicAttacker {
             self.keys.as_ref()?;
             return Some(self.seal_raw(0, payload).1);
         }
-        let pn = if self.mp {
-            self.app_pn += 1;
-            self.app_pn - 1
-        } else {
-            self.init_pn += 1;
-            self.init_pn
-        };
+        self.init_pn += 1;
+        let pn = self.init_pn;
         let hdr = Header {
             ty: PacketType::Initial,
             dcid: self.dcid(),

@@ -231,31 +231,31 @@ const BULK_QLOG: [[u64; 7]; 5] = [
         0x9b54_112c_78bf_c916,
     ],
     [
-        0x852b_ee8d_bf10_c4ae,
-        0xb96b_0eca_3cdb_07d9,
-        0x6e7d_cbbd_ae4f_9fd3,
-        0xd761_f545_aeed_9423,
-        0x6cb1_29cf_c667_9c01,
-        0xa585_ea73_230f_9df7,
-        0x17fd_8b80_3b29_b230,
+        0x3e77_7621_2427_8524,
+        0x9f4b_728c_6c67_b411,
+        0xdeab_bc36_1c5a_d4ed,
+        0xe11b_6892_163a_67d5,
+        0x5b9a_6fb7_c844_d285,
+        0x516e_f136_d23e_146c,
+        0x2e4d_3a87_c340_5055,
     ],
     [
-        0xae03_5efd_d3fd_12cb,
-        0xbb90_a3e0_1cef_3357,
-        0xb8b5_371a_5277_f29b,
-        0xc022_e792_d713_51aa,
-        0x2cb4_441e_f767_15d8,
-        0x1faf_0cf5_724b_66a1,
-        0x03be_5ba8_3bab_df9e,
+        0x3346_8683_e04e_6072,
+        0x897f_a8df_8223_4415,
+        0x3200_6ee3_e9bd_c603,
+        0xebde_2a2e_6229_7ed1,
+        0x0b74_e6d0_1f69_636c,
+        0xaf9e_1733_49d8_6e77,
+        0xf782_b32f_8ee6_4ab4,
     ],
     [
-        0xae03_5efd_d3fd_12cb,
-        0xbb90_a3e0_1cef_3357,
-        0xb8b5_371a_5277_f29b,
-        0xc022_e792_d713_51aa,
-        0x2cb4_441e_f767_15d8,
-        0x1faf_0cf5_724b_66a1,
-        0x03be_5ba8_3bab_df9e,
+        0x3346_8683_e04e_6072,
+        0x897f_a8df_8223_4415,
+        0x3200_6ee3_e9bd_c603,
+        0xebde_2a2e_6229_7ed1,
+        0x0b74_e6d0_1f69_636c,
+        0xaf9e_1733_49d8_6e77,
+        0xf782_b32f_8ee6_4ab4,
     ],
 ];
 
@@ -296,7 +296,7 @@ fn bulk_qlog_streams_are_pinned_xlink() {
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0x13af_9a6c_b676_8273, 0x93b2_3a0c_ee04_7b34),
+    (0x1693_4b2a_8b61_04df, 0xf991_e1da_ef9b_3dfb),
     (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
 ];
 
@@ -338,7 +338,7 @@ fn ab_arm_digests_are_pinned() {
     );
 }
 
-const FLEET: (u64, u64) = (0x6ccc_a27d_fac4_e07c, 0x7105_c9de_aca4_30f8);
+const FLEET: (u64, u64) = (0x4a16_0fe7_4dd4_c278, 0xab1d_a632_7ba2_6469);
 
 #[test]
 fn fleet_report_is_pinned_for_one_and_four_shards() {
