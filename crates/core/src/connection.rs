@@ -1801,13 +1801,9 @@ impl MpConnection {
             match p.space.recovery.on_timeout(now, &p.rtt) {
                 TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, i, lost),
                 TimeoutOutcome::SendProbe => {
-                    if self.keys.one_rtt().is_none() {
-                        self.keys.hello_sent = false;
-                    } else {
-                        self.paths[i].probe_pending = true;
-                        if self.paths[i].state == PathState::Suspect {
-                            self.paths[i].suspect_probes += 1;
-                        }
+                    self.paths[i].probe_pending = true;
+                    if self.paths[i].state == PathState::Suspect {
+                        self.paths[i].suspect_probes += 1;
                     }
                 }
             }
