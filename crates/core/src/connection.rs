@@ -946,16 +946,8 @@ impl MpConnection {
                     self.life.establish();
                     self.tr_quic.emit(now, Event::HandshakeComplete { multipath: self.multipath });
                 }
-                // A client retransmitting its hello means our reply was
-                // lost (the client cannot finish without it), so queue a
-                // resend instead of ignoring the duplicate. Only the
-                // server reacts: the client recovers via PTO while keyless,
-                // and reacting on both sides would let a duplicated hello
-                // ping-pong forever.
-                Ok(false) if self.cfg.side == Side::Server => {
-                    self.keys.hello_sent = false;
-                    self.keys.done_sent = false;
-                }
+                // A retransmitted hello: the Initial space's own PTO and
+                // loss detection re-fire ours if it was lost.
                 Ok(false) => {}
                 Err((e, why)) => self.close(e, why),
             },

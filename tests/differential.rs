@@ -583,30 +583,31 @@ fn lost_server_flight() {
     // The keyless client waits out its 999 ms initial PTO and sends its
     // hello again; the server's Initial space, which still holds its own
     // unacknowledged hello, re-fires that on a PTO of the same length, and
-    // its 1-RTT space probes. Row 4 on the wire: to the duplicate hello,
-    // which arrives in that very instant, the MP server also re-fires its
-    // HANDSHAKE_DONE (27 B), ahead of the ACK (42 B) both owe; SP ignores it.
-    assert_eq!(first_divergence(&sp, &mp), Some(6));
+    // its 1-RTT space probes. The duplicate hello, which arrives in that
+    // very instant, is ignored by both.
     let at_1034 = |o: &Outcome| -> Vec<usize> {
         let now = |d: &&Datagram| d.at == Instant::from_millis(1034);
         o.wire.iter().filter(now).map(|d| d.bytes.len()).collect()
     };
-    assert_eq!((at_1034(&sp), at_1034(&mp)), (vec![86, 42, 27], vec![86, 27, 42, 27]));
+    assert_eq!((at_1034(&sp), at_1034(&mp)), (vec![86, 42, 27], vec![86, 42, 27]));
+    // Row 9 on the wire: identical up to the first flight that fills the
+    // window.
+    assert_eq!(first_divergence(&sp, &mp), Some(38));
+    assert_eq!((sp.wire[38].at, sp.wire[38].up), (Instant::from_millis(1094), false));
     assert_shapes(
         "lost flight",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
-        [(30, 1105, 249, 308584, 619), (31, 1138, 250, 308611, 868)],
+        [(30, 1105, 249, 308584, 619), (31, 1138, 249, 308584, 866)],
     );
     assert_trace_residue(
         "lost flight",
         &sp,
         &mp,
         &[
-            // Row 4: the extra HANDSHAKE_DONE, sent and acknowledged; rows 9
-            // and 21 as everywhere.
+            // Rows 9 and 21, as after a lost hello.
             ("cwnd_update", "quic", 1),
-            ("packet_acked", "quic", 2),
-            ("packet_sent", "quic", 2),
+            ("packet_acked", "quic", 1),
+            ("packet_sent", "quic", 1),
             ("reinjection_gate", "core", 2),
             ("rtt_update", "quic", 1),
             ("scheduler_decision", "core", 241),

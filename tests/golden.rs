@@ -338,7 +338,7 @@ fn ab_arm_digests_are_pinned() {
     );
 }
 
-const FLEET: (u64, u64) = (0x4a16_0fe7_4dd4_c278, 0xab1d_a632_7ba2_6469);
+const FLEET: (u64, u64) = (0x577d_0e60_80f4_ac96, 0x2e34_e18a_beec_7250);
 
 #[test]
 fn fleet_report_is_pinned_for_one_and_four_shards() {
