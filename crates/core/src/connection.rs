@@ -903,6 +903,9 @@ impl MpConnection {
             }
         };
         self.stats.packets_received += 1;
+        // The idle timeout tracks peer liveness: receipts refresh it,
+        // sends never do (a sender PTO-probing a dead peer must still idle
+        // out; a live peer's ACKs refresh it constantly).
         self.life.touch(now);
         if long {
             self.remote_cid0 = header.scid;
@@ -1709,8 +1712,6 @@ impl MpConnection {
         p.last_send_time = now;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += size;
-        // Unlike the single-path engine, sending restarts the idle timer.
-        self.life.touch(now);
         let (cwnd, in_flight) = (p.cc.window(), self.in_flight(path));
         if let Some(probe) = &mut self.probe_cwnd {
             probe.push((now, path, cwnd, in_flight));
@@ -2213,6 +2214,39 @@ mod tests {
         }
         assert!(c.is_closed());
         let _ = s;
+    }
+
+    /// Residue row 3: the idle timer measures the peer's liveness, so only
+    /// receipts restart it. A sender PTO-probing a dead peer (every 2 s at
+    /// most, for ever) must still idle out `max_idle_timeout` after the last
+    /// thing it heard.
+    #[test]
+    fn a_one_path_connection_probing_a_dead_peer_idles_out() {
+        let now0 = Instant::ZERO;
+        let one_path = |cfg: MpConfig| MpConfig { enable_multipath: false, ..cfg.vanilla() };
+        let mut c =
+            MpConnection::new(one_path(MpConfig::xlink_client(1, vec![WirelessTech::Wifi])), now0);
+        let mut s = MpConnection::new(one_path(MpConfig::xlink_server(2, 1)), now0);
+        let mut now = now0;
+        pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        c.stream_send(id, b"r", true);
+        pump(&mut now, &mut c, &mut s);
+        s.stream_recv(id, 10);
+        s.stream_send(id, &vec![5u8; 100_000], true);
+        let last_heard = s.lifecycle().last_activity();
+        // The client is gone: everything the server sends vanishes.
+        let idle = s.cfg.params.max_idle_timeout;
+        let mut probes = 0;
+        while !s.is_closed() && now < last_heard + idle * 3 {
+            while s.poll_transmit(now).is_some() {
+                probes += 1;
+            }
+            now = s.poll_timeout().expect("an open connection has a timer").max(now);
+            s.on_timeout(now);
+        }
+        assert_eq!(s.close_error(), Some(&ConnectionError::TimedOut), "after {probes} packets");
+        assert_eq!(now, last_heard + idle, "idled out when the silence reached the timeout");
     }
 
     #[test]

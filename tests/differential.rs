@@ -398,9 +398,12 @@ fn assert_shapes(what: &str, got: [Shape; 2], recorded: [Shape; 2]) {
 }
 
 /// What the transport itself traced (`<endpoint>.quic`), the policy
-/// layer's events (`.core`) left out.
+/// layer's events (`.core`, row 21) left out — and row 6's, the single-path
+/// engine's liveness parity events, which [`assert_trace_residue`] counts.
 fn transport_events(events: &[(Instant, String, Event)]) -> Vec<&(Instant, String, Event)> {
-    events.iter().filter(|(_, source, _)| source.ends_with(".quic")).collect()
+    let parity =
+        |e: &Event| matches!(e, Event::PathSuspected { .. } | Event::PathRevalidated { .. });
+    events.iter().filter(|(_, source, e)| source.ends_with(".quic") && !parity(e)).collect()
 }
 
 /// Position of the first datagram the two engines did not send alike
@@ -730,44 +733,36 @@ fn dead_from_50_ms(_: bool, _: u64, now: Instant) -> bool {
 
 #[test]
 fn idle_out_facing_a_dead_peer() {
-    // Residue row "idle refresh on send": the single-path engine's idle
-    // timer tracks receipts only, so a server PTO-probing a dead client
-    // idles out 30 s after the last thing it heard. The multipath engine
-    // restarts the timer on every send, and its capped PTO keeps probing
-    // (every 2 s at most) — it never idles out while it has data in
-    // flight.
+    // The idle timer tracks receipts only, so a server PTO-probing a dead
+    // client (every 2 s at most) idles out 30 s after the last thing it
+    // heard.
     let horizon = Duration::from_secs(120);
     let sp = transfer(sp_pair(), dead_from_50_ms, Then::Idle, horizon);
     let mp = transfer(mp_pair(), dead_from_50_ms, Then::Idle, horizon);
     assert!(!sp.complete && !mp.complete);
     assert_eq!(sp.delivered, mp.delivered, "same bytes before the link died");
-    // The pure receiver has nothing to send: both engines agree.
-    assert_eq!(sp.errors[0], Some(ConnectionError::TimedOut));
-    assert_eq!((&mp.errors[0], mp.closed_at[0]), (&sp.errors[0], sp.closed_at[0]));
-    // The sender does not.
-    assert_eq!(sp.errors[1], Some(ConnectionError::TimedOut));
+    assert_eq!(sp.errors, [Some(ConnectionError::TimedOut), Some(ConnectionError::TimedOut)]);
     let last_heard = sp.closed_at[1].unwrap() - Duration::from_secs(30);
-    assert!(last_heard < Instant::from_millis(50 + 10), "SP: 30 s after the last receipt");
-    assert_eq!(mp.errors[1], None, "MP: still probing at the horizon");
-    assert!(mp.counters[1].0 > sp.counters[1].0 + 30, "…every 2 s: {:?}", mp.counters);
+    assert!(last_heard < Instant::from_millis(50 + 10), "30 s after the last receipt");
+    assert_eq!((&mp.errors, mp.closed_at), (&sp.errors, sp.closed_at));
     assert_shapes(
         "dead peer",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
-        [(5, 229, 52, 39525, 90), (5, 229, 97, 40740, 166)],
+        [(5, 229, 52, 39525, 90), (5, 229, 52, 39525, 122)],
     );
     assert_trace_residue(
         "dead peer",
         &sp,
         &mp,
         &[
-            // Row 3: the MP server never closes, and keeps probing.
-            ("connection_closed", "quic", -1),
-            ("packet_sent", "quic", 45),
+            // Row 6: the single-path engine's parity flag reports the
+            // second PTO.
             ("path_suspected", "quic", -1),
             ("reinjection_gate", "core", 2),
             ("scheduler_decision", "core", 31),
         ],
     );
+    assert_identical_transport("dead peer", &sp, &mp, &[]);
 }
 
 /// What a hostile client's script does to a victim server of either
