@@ -1453,12 +1453,12 @@ impl MpConnection {
         None
     }
 
-    /// The scheduler's view of the paths: `(path, srtt, usable for a full
-    /// datagram now)`.
+    /// The scheduler's view of the paths: `(path, srtt, usable now)` — a
+    /// path sends while half a datagram of its window is left.
     fn fill_candidates(&self, candidates: &mut Vec<(usize, Duration, bool)>) {
         candidates.clear();
         candidates.extend(self.paths.iter().map(|p| {
-            let usable = p.usable_for_data() && self.budget(p.id) >= MAX_DATAGRAM_SIZE;
+            let usable = p.usable_for_data() && self.budget(p.id) >= MAX_DATAGRAM_SIZE / 2;
             (p.id, p.rtt.smoothed(), usable)
         }));
     }

@@ -231,31 +231,31 @@ const BULK_QLOG: [[u64; 7]; 5] = [
         0x9b54_112c_78bf_c916,
     ],
     [
-        0x3e77_7621_2427_8524,
-        0x9f4b_728c_6c67_b411,
-        0xdeab_bc36_1c5a_d4ed,
-        0xe11b_6892_163a_67d5,
-        0x5b9a_6fb7_c844_d285,
-        0x516e_f136_d23e_146c,
-        0x2e4d_3a87_c340_5055,
+        0xb4bc_bc8a_6fcb_3311,
+        0xe673_5d85_53c4_5d43,
+        0x11a2_a27b_1ed2_97fd,
+        0x76db_7096_58fe_1a05,
+        0x776f_46fd_ebe6_3ccb,
+        0xe748_3847_3b18_9e12,
+        0x758a_72eb_77e6_4445,
     ],
     [
-        0x3346_8683_e04e_6072,
-        0x897f_a8df_8223_4415,
-        0x3200_6ee3_e9bd_c603,
-        0xebde_2a2e_6229_7ed1,
-        0x0b74_e6d0_1f69_636c,
-        0xaf9e_1733_49d8_6e77,
-        0xf782_b32f_8ee6_4ab4,
+        0x9635_05f5_3f48_ae12,
+        0x7a60_0071_8b2c_bfd8,
+        0xd072_71fb_e8f0_91bc,
+        0xae84_769b_93d3_f2c5,
+        0x58da_8d7f_fe14_9dfa,
+        0x0eb7_81c1_f0b1_4ef0,
+        0xf7da_8551_21c4_1b9b,
     ],
     [
-        0x3346_8683_e04e_6072,
-        0x897f_a8df_8223_4415,
-        0x3200_6ee3_e9bd_c603,
-        0xebde_2a2e_6229_7ed1,
-        0x0b74_e6d0_1f69_636c,
-        0xaf9e_1733_49d8_6e77,
-        0xf782_b32f_8ee6_4ab4,
+        0x9635_05f5_3f48_ae12,
+        0x7a60_0071_8b2c_bfd8,
+        0xd072_71fb_e8f0_91bc,
+        0xae84_769b_93d3_f2c5,
+        0x58da_8d7f_fe14_9dfa,
+        0x0eb7_81c1_f0b1_4ef0,
+        0xf7da_8551_21c4_1b9b,
     ],
 ];
 
@@ -296,7 +296,7 @@ fn bulk_qlog_streams_are_pinned_xlink() {
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0x1693_4b2a_8b61_04df, 0xf991_e1da_ef9b_3dfb),
+    (0x0629_76c5_d78f_ef03, 0x3632_e5d1_ba73_7cc0),
     (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
 ];
 
@@ -327,7 +327,7 @@ fn mptcp_download_times_are_pinned() {
     check("MPTCP_US", &rows);
 }
 
-const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0x2bf6_639e_9298_ec4d];
+const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0xf979_5db6_192e_ea4d];
 
 #[test]
 fn ab_arm_digests_are_pinned() {
@@ -338,7 +338,7 @@ fn ab_arm_digests_are_pinned() {
     );
 }
 
-const FLEET: (u64, u64) = (0x577d_0e60_80f4_ac96, 0x2e34_e18a_beec_7250);
+const FLEET: (u64, u64) = (0x3034_584a_18f4_6d1a, 0xde09_1cb4_410c_9ae1);
 
 #[test]
 fn fleet_report_is_pinned_for_one_and_four_shards() {
