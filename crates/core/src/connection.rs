@@ -1469,7 +1469,7 @@ impl MpConnection {
             return None;
         }
         let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let (content, first_time) = self.streams.pack(&mut packet, 48);
+        let (content, first_time) = self.streams.pack(&mut packet);
         self.stats.stream_bytes_sent += first_time;
         if content.is_empty() {
             return None;

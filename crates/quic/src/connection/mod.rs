@@ -857,7 +857,7 @@ impl Connection {
         }
         // Control frames first, bundled with stream data.
         let mut packet = PacketBuilder::new(self.next_header(Space::App));
-        let (content, first_time) = self.streams.pack(&mut packet, 32);
+        let (content, first_time) = self.streams.pack(&mut packet);
         self.stats.stream_bytes_sent += first_time;
         if content.is_empty() {
             return None;

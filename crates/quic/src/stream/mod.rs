@@ -368,13 +368,13 @@ impl StreamMap {
 
     /// Fill `packet` with the queued control frames, then stream data in
     /// (priority, id) order under both flow-control limits, a stream
-    /// getting room while `min_room` bytes are left. Returns what went in
+    /// getting room while 32 bytes are left. Returns what went in
     /// and how many stream bytes were sent for the first time. A range
     /// that does not fit the connection limit goes back as never sent, and
     /// DATA_BLOCKED is said once per limit (RFC 9000 §19.12), in this very
     /// packet: left on the queue it would make the next poll send with no
     /// input in between.
-    pub fn pack(&mut self, packet: &mut PacketBuilder, min_room: usize) -> (Vec<SentFrame>, u64) {
+    pub fn pack(&mut self, packet: &mut PacketBuilder) -> (Vec<SentFrame>, u64) {
         let mut sent = Vec::new();
         let mut first_time = 0;
         let mut remaining = MAX_DATAGRAM_SIZE as usize - 64; // header+tag slack
@@ -387,7 +387,7 @@ impl StreamMap {
             sent.push(SentFrame::Control(f));
         }
         for id in self.sendable_ids() {
-            if remaining < min_room {
+            if remaining < 32 {
                 break;
             }
             let conn_credit = self.conn_send_credit();

@@ -338,7 +338,7 @@ fn ab_arm_digests_are_pinned() {
     );
 }
 
-const FLEET: (u64, u64) = (0x3034_584a_18f4_6d1a, 0xde09_1cb4_410c_9ae1);
+const FLEET: (u64, u64) = (0x75e9_8e71_1963_6df8, 0x841a_517f_3c2b_8a06);
 
 #[test]
 fn fleet_report_is_pinned_for_one_and_four_shards() {
