@@ -1093,10 +1093,13 @@ impl MpConnection {
             self.tr_quic.emit(now, Event::PacketAcked { path: space as u8, pn: pkt.pn });
             for sent in &pkt.content {
                 match sent {
-                    // Prune acknowledged ack state.
-                    SentFrame::Ack { space: acked, largest } if *largest > 512 => {
+                    // Prune acknowledged ack state: once the peer has seen
+                    // an ACK, what lies 512 below its largest need not be
+                    // reported again (an ACK of no more than three packets
+                    // prunes nothing; any other forgets packet number 0).
+                    SentFrame::Ack { space: acked, largest } if *largest > 2 => {
                         if let Some(p) = self.paths.get_mut(*acked as usize) {
-                            p.space.recv.forget_below(largest - 512);
+                            p.space.recv.forget_below(largest.saturating_sub(512));
                         }
                     }
                     SentFrame::HandshakeDone => self.keys.done_sent = true,

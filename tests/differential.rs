@@ -406,13 +406,6 @@ fn transport_events(events: &[(Instant, String, Event)]) -> Vec<&(Instant, Strin
     events.iter().filter(|(_, source, e)| source.ends_with(".quic") && !parity(e)).collect()
 }
 
-/// Position of the first datagram the two engines did not send alike
-/// (instant, direction or bytes), if there is one.
-fn first_divergence(sp: &Outcome, mp: &Outcome) -> Option<usize> {
-    let same = sp.wire.iter().zip(&mp.wire).take_while(|(a, b)| a == b).count();
-    (same < sp.wire.len().max(mp.wire.len())).then_some(same)
-}
-
 /// How often each event kind was traced, and by which layer.
 fn histogram(o: &Outcome) -> BTreeMap<(&'static str, &str), isize> {
     let mut h = BTreeMap::new();
@@ -437,25 +430,6 @@ fn assert_trace_residue(what: &str, sp: &Outcome, mp: &Outcome, recorded: &[(&st
     assert_eq!(got, recorded, "{what}: (event, layer, MP count − SP count)");
 }
 
-/// The same packets were received in the same spaces — up to residue row
-/// "ACK-state pruning": once one of its ACKs reporting more than 2 packets
-/// is itself acknowledged, the single-path engine prunes its received set
-/// below `largest − 512` saturating at 0 — and pruning below 0 forgets
-/// packet number 0. The multipath engine prunes only past 512.
-fn assert_same_packets_received(what: &str, sp: &[Vec<(u64, u64)>], mp: &[Vec<(u64, u64)>]) {
-    let ([sp_initial, sp_app], [mp_initial, mp_app]) = (sp, mp) else {
-        panic!("{what}: an Initial and a 1-RTT space each")
-    };
-    assert_eq!(mp_initial, sp_initial, "{what}: same Initials received");
-    let but_zero = |ranges: &Vec<(u64, u64)>| {
-        let mut ranges = ranges.clone();
-        ranges[0].0 = ranges[0].0.max(1);
-        ranges
-    };
-    assert_eq!(but_zero(mp_app), but_zero(sp_app), "{what}: same 1-RTT packets received");
-    assert!(mp_app[0].0 <= sp_app[0].0, "{what}: only SP forgets packet number 0");
-}
-
 /// What every transfer scenario asserts: the same bytes delivered, and the
 /// same packets received.
 fn assert_same_delivery(what: &str, sp: &Outcome, mp: &Outcome) {
@@ -464,32 +438,28 @@ fn assert_same_delivery(what: &str, sp: &Outcome, mp: &Outcome) {
     assert_eq!(mp.delivered, sp.delivered, "{what}: same stream bytes");
     assert!(sp.followed_up_at.is_some() && mp.followed_up_at.is_some());
     assert!(sp.peak.iter().chain(&mp.peak).all(BoundedState::within_caps));
-    assert_same_packets_received(what, &sp.ranges[0], &mp.ranges[0]);
-    assert_same_packets_received(what, &sp.ranges[1], &mp.ranges[1]);
+    assert_eq!(mp.ranges, sp.ranges, "{what}: same packets received, per side and space");
     assert_eq!(mp.counters[0].0, sp.counters[0].0, "{what}: packets the client sent");
 }
 
 /// The two engines ran the scenario alike: the same instants, close
-/// codes, packet counts and peak state, the same bytes on the wire (but for
-/// the `differing` datagrams, by position), the same transport trace.
-fn assert_same_run(what: &str, sp: &Outcome, mp: &Outcome, differing: &[usize]) {
+/// codes, packet counts and peak state, the same bytes on the wire, the same
+/// transport trace.
+fn assert_same_run(what: &str, sp: &Outcome, mp: &Outcome) {
     assert_same_delivery(what, sp, mp);
     assert_eq!((mp.finished_at, mp.followed_up_at), (sp.finished_at, sp.followed_up_at), "{what}");
     assert_eq!(mp.counters, sp.counters, "{what}: packets sent and lost");
     assert_eq!((&mp.codes, &mp.errors), (&sp.codes, &sp.errors), "{what}: how each side closed");
     assert_eq!((mp.closed_at, mp.drained_at), (sp.closed_at, sp.drained_at), "{what}: and when");
     assert_eq!(mp.peak, sp.peak, "{what}: same peak bounded state");
-    assert_identical_transport(what, sp, mp, differing);
+    assert_identical_transport(what, sp, mp);
 }
 
-/// Byte for byte the same datagrams at the same instants — the ones at the
-/// `differing` positions the same but for their bytes — and event for
+/// Byte for byte the same datagrams at the same instants, and event for
 /// event the same transport trace.
-fn assert_identical_transport(what: &str, sp: &Outcome, mp: &Outcome, differing: &[usize]) {
-    let shell = |d: &Datagram| (d.at, d.up, d.bytes.len());
+fn assert_identical_transport(what: &str, sp: &Outcome, mp: &Outcome) {
     for (i, (a, b)) in sp.wire.iter().zip(&mp.wire).enumerate() {
-        assert_eq!(shell(b), shell(a), "{what}: datagram {i}");
-        assert_eq!(b.bytes != a.bytes, differing.contains(&i), "{what}: datagram {i}, {a:?}");
+        assert_eq!(b, a, "{what}: datagram {i}");
     }
     assert_eq!(mp.wire.len(), sp.wire.len(), "{what}: datagrams sent");
     let (sp, mp) = (transport_events(&sp.events), transport_events(&mp.events));
@@ -504,7 +474,7 @@ fn clean_link_and_graceful_close() {
     let horizon = Duration::from_secs(5);
     let sp = transfer(sp_pair(), clean, Then::Close, horizon);
     let mp = transfer(mp_pair(), clean, Then::Close, horizon);
-    assert_same_run("clean", &sp, &mp, &[]);
+    assert_same_run("clean", &sp, &mp);
     assert_eq!(sp.counters[0].1 + sp.counters[1].1, 0, "none lost");
     assert_eq!(sp.ranges[0][0], [(0, 1)], "a hello and an ACK of ours, as Initials");
     assert_shapes(
@@ -538,7 +508,7 @@ fn lost_server_hello() {
     // backoff after the first.
     assert!(sp.finished_at.unwrap() > Instant::from_millis(999), "waits for the initial PTO");
     assert_eq!(sp.counters, [(29, 0), (248, 2)], "(sent, lost): client, server");
-    assert_same_run("lost hello", &sp, &mp, &[]);
+    assert_same_run("lost hello", &sp, &mp);
     assert_shapes(
         "lost hello",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
@@ -571,7 +541,7 @@ fn lost_server_flight() {
         .map(|d| d.bytes.len())
         .collect();
     assert_eq!(at_1034, [86, 42, 27]);
-    assert_same_run("lost flight", &sp, &mp, &[]);
+    assert_same_run("lost flight", &sp, &mp);
     assert_shapes(
         "lost flight",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
@@ -593,7 +563,7 @@ fn one_percent_loss() {
     let mp = transfer(mp_pair(), one_percent, Then::Close, horizon);
     assert_eq!(sp.counters[1].1, 3, "the server declared 3 packets lost");
     assert_eq!(sp.peak[0].stream_segments, 16, "packets piled up behind a hole");
-    assert_same_run("1% loss", &sp, &mp, &[]);
+    assert_same_run("1% loss", &sp, &mp);
     assert_shapes(
         "1% loss",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
@@ -618,7 +588,7 @@ fn blackout_of_200_ms() {
     // once; the backed-off second probe leaves at 275 ms and is what
     // restarts the transfer.
     assert!(sp.finished_at.unwrap() > Instant::from_millis(250), "the transfer spans the blackout");
-    assert_same_run("blackout", &sp, &mp, &[]);
+    assert_same_run("blackout", &sp, &mp);
     assert_shapes(
         "blackout",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
@@ -648,9 +618,10 @@ fn idle_out() {
     let horizon = Duration::from_secs(60);
     let sp = transfer(sp_pair(), clean, Then::Idle, horizon);
     let mp = transfer(mp_pair(), clean, Then::Idle, horizon);
-    // Row 8 on the wire: by the time it acknowledges the PONG, its last
-    // datagram, the SP client has forgotten packet number 0.
-    assert_same_run("idle", &sp, &mp, &[254]);
+    assert_same_run("idle", &sp, &mp);
+    // ACK-state pruning on the wire: by the time it acknowledges the PONG,
+    // its last datagram, the client has forgotten packet number 0.
+    assert_eq!(sp.ranges[0][1][0].0, 1, "the client's first 1-RTT packet number on record");
     assert_eq!(sp.errors, [Some(ConnectionError::TimedOut), Some(ConnectionError::TimedOut)]);
     assert_eq!(sp.codes, [None, None], "an idle timeout has no wire code");
     assert_eq!(sp.drained_at, sp.closed_at, "nothing to replay: drained at once");
@@ -704,7 +675,7 @@ fn idle_out_facing_a_dead_peer() {
             ("scheduler_decision", "core", 31),
         ],
     );
-    assert_identical_transport("dead peer", &sp, &mp, &[]);
+    assert_identical_transport("dead peer", &sp, &mp);
 }
 
 /// What a hostile client's script does to a victim server of either
