@@ -652,7 +652,7 @@ impl MpConnection {
 
     /// Close the connection. The CONNECTION_CLOSE goes out on the next
     /// [`MpConnection::poll_transmit`], which also starts the 3×PTO
-    /// closing period and tears down every path (§10.2).
+    /// closing period (§10.2).
     pub fn close(&mut self, error: TransportError, reason: &str) {
         self.life.close(error, reason);
     }
@@ -664,29 +664,17 @@ impl MpConnection {
         self.paths.iter().map(|p| p.rtt.pto(mad)).max().unwrap_or(Duration::from_millis(999))
     }
 
-    /// Tear down every path: abandon, stop probing, and drop per-path
-    /// tracked state (terminal; only called once closed).
-    fn teardown_paths(&mut self) {
-        self.initial.ack_pending = false;
-        let _ = self.initial.recovery.drain_all();
-        for p in &mut self.paths {
-            p.state = PathState::Abandoned;
-            p.probation = None;
-            p.challenge = None;
-            p.probe_pending = false;
-            p.keepalive_pending = false;
-            p.space.ack_pending = false;
-            p.response_pending.clear();
-            let _ = p.space.recovery.drain_all();
-        }
-    }
-
-    /// Free remaining peer-growable state once the connection's life is
-    /// over.
+    /// Free peer-growable state once the connection's life is over (a
+    /// closed connection sends nothing but its CONNECTION_CLOSE and runs no
+    /// timer but the drain deadline, so until then the state just sits).
     fn free_state(&mut self) {
         self.streams.control = Vec::new();
         self.keys.release();
-        self.teardown_paths();
+        let _ = self.initial.recovery.drain_all();
+        for p in &mut self.paths {
+            p.response_pending = Vec::new();
+            let _ = p.space.recovery.drain_all();
+        }
     }
 
     /// Pin a PATH_RESPONSE to `path`, enforcing the per-path pending cap
@@ -1019,10 +1007,8 @@ impl MpConnection {
             }
             Frame::ConnectionClose { error_code, .. } => {
                 // §10.2: a peer-initiated close moves us to draining —
-                // stay silent, tear down every path, and expire 3×PTO
-                // from now.
+                // stay silent and expire 3×PTO from now.
                 self.life.on_peer_close(now, error_code, self.drain_pto(), &self.tr_quic);
-                self.teardown_paths();
             }
             Frame::PathStatus { path_id, seq: _, status } => {
                 let pid = path_id as usize;
@@ -1185,16 +1171,12 @@ impl MpConnection {
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
         if self.is_closed() {
             // Closing (§10.2): the CONNECTION_CLOSE — once sent, the 3×PTO
-            // drain timer runs and every path is torn down, the connection
-            // sending nothing but this frame from here on — then its
-            // rate-limited replays on continued peer traffic.
-            let (frame, first) = self.life.poll_close(now, self.drain_pto(), &self.tr_quic)?;
+            // drain timer runs, the connection sending nothing but this
+            // frame from here on — then its rate-limited replays on
+            // continued peer traffic.
+            let (frame, _) = self.life.poll_close(now, self.drain_pto(), &self.tr_quic)?;
             let initial = self.keys.one_rtt().is_none();
-            let tx = self.build_packet(now, self.primary, initial, &[frame], vec![], false);
-            if first {
-                self.teardown_paths();
-            }
-            return Some(tx);
+            return Some(self.build_packet(now, self.primary, initial, &[frame], vec![], false));
         }
         // 1. Handshake on the primary path.
         if let Some((hello, retransmit)) = self.keys.next_hello(now, &self.tr_quic) {
@@ -2262,14 +2244,25 @@ mod tests {
     }
 
     #[test]
-    fn close_tears_down_all_paths() {
+    fn state_sits_through_the_closing_period_and_is_freed_when_it_ends() {
         let (mut c, mut s, mut now) = pair();
         pump(&mut now, &mut c, &mut s);
+        let id = c.open_stream(0);
+        c.stream_send(id, &vec![1u8; 30_000], true);
+        while c.poll_transmit(now).is_some() {}
+        c.on_frame(now, 1, false, Frame::PathChallenge([7; 8]));
         c.close(TransportError::NoError, "done");
-        // The close frame goes out once, and every path is abandoned.
+        // The close frame goes out once; what was in flight or pinned is
+        // neither sent nor dropped while the closing period runs.
         assert!(c.poll_transmit(now).is_some());
-        assert!(c.paths.iter().all(|p| p.state == PathState::Abandoned));
+        assert!(c.poll_transmit(now).is_none());
+        assert!(c.paths.iter().any(|p| p.space.recovery.bytes_in_flight() > 0));
+        assert_eq!(c.bounded_state().pending_path_responses, 1);
+        let end = c.poll_timeout().expect("drain deadline");
+        c.on_timeout(end);
+        assert!(c.is_drained());
         assert!(c.paths.iter().all(|p| p.space.recovery.bytes_in_flight() == 0));
+        assert_eq!(c.bounded_state().pending_path_responses, 0);
         let _ = s;
     }
 
@@ -2310,7 +2303,6 @@ mod tests {
         let (path, d) = c.poll_transmit(now).expect("close frame");
         s.handle_datagram(now, path, &d);
         assert_eq!(s.close_error(), Some(&ConnectionError::PeerClosed(TransportError::NoError)));
-        assert!(s.paths.iter().all(|p| p.state == PathState::Abandoned));
         // Draining endpoints never answer.
         for _ in 0..5 {
             s.handle_datagram(now, 0, &[0u8; 48]);

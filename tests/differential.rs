@@ -738,15 +738,10 @@ fn path_challenge_flood() {
     assert_eq!((mp.code, mp.closed_at, mp.drained_at), (sp.code, sp.closed_at, sp.drained_at));
     assert!(sp.peak.within_caps() && mp.peak.within_caps());
     // All 104 challenges and the close land in one instant: both engines
-    // cap the responses at 8 and drop the 96 oldest. Residue row
-    // "PATH_RESPONSE routing": the single-path engine keeps its 8 on the
-    // control queue until the drain period ends; the multipath engine pins
-    // them to the arrival path, and tearing the paths down on the peer's
-    // close discards them at once — the link never sees 8 pending.
+    // cap the responses at 8 and drop the 96 oldest, and keep the 8 until
+    // the drain period ends.
     assert_eq!((sp.peak.pending_path_responses, sp.peak.path_responses_dropped), (8, 104 - 8));
-    assert_eq!((mp.peak.pending_path_responses, mp.peak.path_responses_dropped), (0, 104 - 8));
-    let same_otherwise = |b: BoundedState| BoundedState { pending_path_responses: 0, ..b };
-    assert_eq!(same_otherwise(mp.peak), same_otherwise(sp.peak));
+    assert_eq!(mp.peak, sp.peak);
     let shapes = [&sp, &mp].map(|v| shape(&v.wire, v.events.len()));
     assert_shapes("PATH_CHALLENGE flood", shapes, [(0, 0, 3, 155, 6), (0, 0, 3, 155, 7)]);
 }
