@@ -183,6 +183,9 @@ pub struct Connection {
     suspected: bool,
     /// PTO probes sent while suspected (reported on revalidation).
     suspect_probes: u32,
+    /// PATH_RESPONSE payloads owed (the peer's challenges), oldest first;
+    /// they leave in a packet of their own.
+    response_pending: Vec<[u8; 8]>,
     /// PATH_RESPONSEs dropped by the pending-response cap (§10 gauge).
     path_responses_dropped: u64,
     stats: ConnectionStats,
@@ -259,6 +262,7 @@ impl Connection {
             probe_pending: false,
             suspected: false,
             suspect_probes: 0,
+            response_pending: Vec::new(),
             path_responses_dropped: 0,
             stats: ConnectionStats::default(),
             address_validated: true,
@@ -316,17 +320,11 @@ impl Connection {
         BoundedState {
             recv_ranges: self.spaces.iter().map(|s| s.recv.range_count()).max().unwrap_or(0),
             recv_ranges_evicted: self.spaces.iter().map(|s| s.recv.evicted()).sum(),
-            pending_path_responses: self.pending_responses(),
+            pending_path_responses: self.response_pending.len(),
             path_responses_dropped: self.path_responses_dropped,
             stream_segments: self.streams.max_segments(),
             buffered_recv_bytes: self.streams.buffered_recv_bytes(),
         }
-    }
-
-    /// Queued PATH_RESPONSE frames (bounded by
-    /// [`MAX_PENDING_PATH_RESPONSES`]).
-    fn pending_responses(&self) -> usize {
-        self.streams.control.iter().filter(|f| matches!(f, Frame::PathResponse(_))).count()
     }
 
     /// Received packet numbers of the Initial and of the 1-RTT space, as
@@ -411,6 +409,7 @@ impl Connection {
     /// Free peer-growable state once the connection's life is over.
     fn free_state(&mut self) {
         self.streams.control = Vec::new();
+        self.response_pending = Vec::new();
         self.keys.release();
         for space in &mut self.spaces {
             let _ = space.recovery.drain_all();
@@ -669,23 +668,7 @@ impl Connection {
                 }
                 // Retiring an already-retired seq is a harmless duplicate.
             }
-            Frame::PathChallenge(data) => {
-                // §10: cap queued responses so a challenge flood cannot
-                // grow the control queue without bound. Drop the oldest
-                // pending response — an honest peer retransmits any
-                // challenge it still cares about.
-                let full = self.pending_responses() >= MAX_PENDING_PATH_RESPONSES;
-                let control = &mut self.streams.control;
-                if full {
-                    if let Some(idx) =
-                        control.iter().position(|f| matches!(f, Frame::PathResponse(_)))
-                    {
-                        control.remove(idx);
-                        self.path_responses_dropped += 1;
-                    }
-                }
-                control.push(Frame::PathResponse(data));
-            }
+            Frame::PathChallenge(data) => self.pin_response(data),
             Frame::HandshakeDone => self.handshake_confirmed = true,
             Frame::ConnectionClose { error_code, .. } => {
                 self.life.on_peer_close(now, error_code, self.pto(), &self.tracer);
@@ -698,6 +681,17 @@ impl Connection {
                 }
             }
         }
+    }
+
+    /// Owe the peer a PATH_RESPONSE, enforcing the pending cap (§10): past
+    /// [`MAX_PENDING_PATH_RESPONSES`] the oldest reply is dropped — an
+    /// honest peer retransmits challenges it still needs.
+    fn pin_response(&mut self, data: [u8; 8]) {
+        if self.response_pending.len() >= MAX_PENDING_PATH_RESPONSES {
+            self.response_pending.remove(0);
+            self.path_responses_dropped += 1;
+        }
+        self.response_pending.push(data);
     }
 
     fn on_handshake_complete(&mut self, now: Instant) {
@@ -788,6 +782,7 @@ impl Connection {
                 match sent {
                     SentFrame::Crypto => self.keys.hello_sent = false, // resend hello
                     SentFrame::HandshakeDone => self.keys.done_sent = false,
+                    SentFrame::Response(data) => self.pin_response(data),
                     other => {
                         self.stats.stream_bytes_retransmitted +=
                             self.streams.on_sent_frame_lost(other);
@@ -843,6 +838,14 @@ impl Connection {
         }
         if !self.is_established() {
             return None;
+        }
+        // PATH_RESPONSEs owed.
+        if !self.response_pending.is_empty() {
+            let pending = std::mem::take(&mut self.response_pending);
+            let mut packet = PacketBuilder::new(self.next_header(Space::App));
+            pending.iter().for_each(|&d| Frame::PathResponse(d).encode(packet.frames()));
+            let content = pending.into_iter().map(SentFrame::Response).collect();
+            return Some(self.finish_packet(now, Space::App, packet, content, true));
         }
         // PTO probe.
         if self.probe_pending {
@@ -1262,7 +1265,7 @@ mod tests {
         for i in 0..100u64 {
             c.on_frame(now, Space::App, Frame::PathChallenge(i.to_le_bytes()));
         }
-        assert!(c.streams.control.len() <= MAX_PENDING_PATH_RESPONSES);
+        assert!(c.response_pending.len() <= MAX_PENDING_PATH_RESPONSES);
         assert_eq!(c.path_responses_dropped, 100 - MAX_PENDING_PATH_RESPONSES as u64);
         assert!(!c.is_closed());
         let _ = s;

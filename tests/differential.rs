@@ -746,6 +746,60 @@ fn path_challenge_flood() {
     assert_shapes("PATH_CHALLENGE flood", shapes, [(0, 0, 3, 155, 6), (0, 0, 3, 155, 7)]);
 }
 
+/// Three PATH_CHALLENGEs in one datagram to a freshly established server of
+/// one engine, the answer lost, an ACK that proves it lost: everything the
+/// server sent, in order, as (instant, bytes).
+fn challenged<E: Engine>(mut server: E, mp: bool) -> Vec<(Instant, Vec<u8>)> {
+    let mut now = Instant::ZERO;
+    let mut peer = QuicAttacker::new(AttackKind::OptimisticAck, mp, 11);
+    let hello = peer.send(now).expect("client hello");
+    server.recv(now, &hello);
+    while let Some(d) = server.send(now) {
+        peer.recv(now, &d);
+    }
+    let mut sent = Vec::new();
+    let mut deliver = |server: &mut E, now: Instant, frames: &[Frame]| {
+        let mut payload = xlink::quic::varint::Writer::new();
+        frames.iter().for_each(|f| f.encode(&mut payload));
+        server.recv(now, &peer.seal_payload(false, payload.as_slice()).expect("keys"));
+    };
+    let mut drain = |server: &mut E, now: Instant| {
+        while let Some(d) = server.send(now) {
+            sent.push((now, d));
+        }
+    };
+    let challenges = [1u64, 2, 3].map(|i| Frame::PathChallenge(i.to_be_bytes()));
+    deliver(&mut server, now, &challenges);
+    drain(&mut server, now);
+    // The answer (1-RTT packet number 2, after HANDSHAKE_DONE and the ACK
+    // owed) is lost; the PTO probe that follows it is acknowledged, and
+    // everything before the answer.
+    now = server.timer().expect("PTO armed");
+    server.fire(now);
+    drain(&mut server, now);
+    now += Duration::from_millis(300);
+    let mut ranges = xlink::quic::ackranges::AckRanges::new();
+    ranges.insert_range(0, 1);
+    ranges.insert(3);
+    let ack = xlink::quic::frame::AckFrame::from_ranges(0, &ranges, Duration::ZERO).unwrap();
+    deliver(&mut server, now, &[Frame::Ack(ack)]);
+    drain(&mut server, now);
+    assert!(!server.life().is_closed(), "{:?}", server.life().close_error());
+    sent
+}
+
+#[test]
+fn path_challenges_are_answered_and_the_answer_retransmitted() {
+    let sp = challenged(sp_pair().1, false);
+    let mp = challenged(mp_pair().1, true);
+    // The ACK owed and the three responses in a packet of their own; at the
+    // PTO a PING (and the hello again, which this peer never acknowledged);
+    // the responses again once the ACK of the PING proves them lost.
+    let shape: Vec<_> = sp.iter().map(|(t, d)| (t.as_micros() / 1000, d.len())).collect();
+    assert_eq!(shape, [(0, 31), (0, 53), (1024, 86), (1024, 27), (1324, 53)]);
+    assert_eq!(mp, sp, "byte for byte");
+}
+
 impl Peer for Pop {
     fn recv(&mut self, now: Instant, datagram: &[u8]) {
         self.on_datagram(now, 0, datagram);
