@@ -947,11 +947,17 @@ impl MpConnection {
                 // negotiated, or without it) the primary path's.
                 self.on_ack(now, self.primary, initial, ack);
             }
+            // The extension's frames on a connection that did not negotiate
+            // it are a protocol violation.
+            Frame::AckMp(_) | Frame::PathStatus { .. } | Frame::QoeControlSignals(_)
+                if !self.multipath =>
+            {
+                self.close(
+                    TransportError::ProtocolViolation,
+                    "multipath frame without negotiation",
+                );
+            }
             Frame::AckMp(ack) => {
-                if !self.multipath && self.is_established() {
-                    self.close(TransportError::ProtocolViolation, "ACK_MP without negotiation");
-                    return;
-                }
                 let space = ack.path_id as usize;
                 if space >= self.paths.len() {
                     self.close(TransportError::MultipathError, "unknown path in ACK_MP");
@@ -2232,6 +2238,37 @@ mod tests {
         }
         assert_eq!(s.close_error(), Some(&ConnectionError::TimedOut), "after {probes} packets");
         assert_eq!(now, last_heard + idle, "idled out when the silence reached the timeout");
+    }
+
+    /// Residue row 17: the extension's frames are legal only once both
+    /// sides offered it (paper §6: a negotiated extension). On any other
+    /// connection they are a PROTOCOL_VIOLATION — not state to apply.
+    #[test]
+    fn multipath_frames_without_negotiation_close_the_connection() {
+        let qoe = QoeSignal { cached_bytes: 1, cached_frames: 300, bps: 1, fps: 30 };
+        let frames = [
+            Frame::PathStatus { path_id: 1, seq: 1, status: PathStatusKind::Abandon },
+            Frame::QoeControlSignals(qoe),
+        ];
+        for frame in frames {
+            let now = Instant::ZERO;
+            let mut c = MpConnection::new(client_cfg(1), now);
+            let mut srv_cfg = server_cfg(2);
+            srv_cfg.enable_multipath = false;
+            let mut s = MpConnection::new(srv_cfg, now);
+            let mut now = now;
+            pump(&mut now, &mut c, &mut s);
+            assert!(s.is_established() && !s.multipath_negotiated());
+            let (path, d) = c.build_packet(now, 0, false, &[frame.clone()], vec![], true);
+            s.handle_datagram(now, path, &d);
+            assert_eq!(
+                s.close_error(),
+                Some(&ConnectionError::LocallyClosed(TransportError::ProtocolViolation)),
+                "{frame:?}"
+            );
+            assert_eq!(s.paths()[1].state, PathState::Validating, "{frame:?} was applied");
+            assert!(s.peer_qoe().is_none(), "{frame:?} was applied");
+        }
     }
 
     #[test]

@@ -625,13 +625,13 @@ impl Connection {
                 Err((e, why)) => self.close(e, why),
             },
             Frame::Ack(ack) => self.on_ack(now, space, ack),
-            Frame::AckMp(_) => {
-                // Multipath frames on a single-path connection are a
-                // protocol violation (negotiation never happened here).
-                self.close(TransportError::ProtocolViolation, "ACK_MP on single path");
-            }
-            Frame::PathStatus { .. } | Frame::QoeControlSignals(_) => {
-                self.close(TransportError::ProtocolViolation, "MP frame on single path");
+            // Multipath frames on a single-path connection are a protocol
+            // violation (negotiation never happened here).
+            Frame::AckMp(_) | Frame::PathStatus { .. } | Frame::QoeControlSignals(_) => {
+                self.close(
+                    TransportError::ProtocolViolation,
+                    "multipath frame without negotiation",
+                );
             }
             Frame::NewConnectionId(ic) => {
                 if let Some(tok) = ic.reset_token {

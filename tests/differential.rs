@@ -15,16 +15,18 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use xlink::clock::{Duration, Instant};
+use xlink::core::QoeSignal;
 use xlink::core::{MpConfig, MpConnection, WirelessTech};
 use xlink::edge::{Pop, PopConfig, ShardOutcome};
 use xlink::harness::adversary::{AttackKind, QuicAttacker};
 use xlink::lab::prop::*;
 use xlink::netsim::Endpoint;
 use xlink::obs::{Event, TraceLog, Tracer};
+use xlink::quic::ackranges::AckRanges;
 use xlink::quic::cid::ConnectionId;
 use xlink::quic::connection::{BoundedState, Config, Connection, Lifecycle};
 use xlink::quic::error::{ConnectionError, TransportError};
-use xlink::quic::frame::Frame;
+use xlink::quic::frame::{AckFrame, Frame, PathStatusKind};
 use xlink::quic::stream::StreamMap;
 
 /// One-way delay of the scripted link.
@@ -778,10 +780,10 @@ fn challenged<E: Engine>(mut server: E, mp: bool) -> Vec<(Instant, Vec<u8>)> {
     server.fire(now);
     drain(&mut server, now);
     now += Duration::from_millis(300);
-    let mut ranges = xlink::quic::ackranges::AckRanges::new();
+    let mut ranges = AckRanges::new();
     ranges.insert_range(0, 1);
     ranges.insert(3);
-    let ack = xlink::quic::frame::AckFrame::from_ranges(0, &ranges, Duration::ZERO).unwrap();
+    let ack = AckFrame::from_ranges(0, &ranges, Duration::ZERO).unwrap();
     deliver(&mut server, now, &[Frame::Ack(ack)]);
     drain(&mut server, now);
     assert!(!server.life().is_closed(), "{:?}", server.life().close_error());
@@ -798,6 +800,43 @@ fn path_challenges_are_answered_and_the_answer_retransmitted() {
     let shape: Vec<_> = sp.iter().map(|(t, d)| (t.as_micros() / 1000, d.len())).collect();
     assert_eq!(shape, [(0, 31), (0, 53), (1024, 86), (1024, 27), (1324, 53)]);
     assert_eq!(mp, sp, "byte for byte");
+}
+
+/// One authentic 1-RTT datagram of `frames` to a freshly established server
+/// of one engine: (what the server sent in answer, how it closed).
+fn answered<E: Engine>(mut server: E, mp: bool, frames: &[Frame]) -> (Vec<Vec<u8>>, Option<u64>) {
+    let now = Instant::ZERO;
+    let mut peer = QuicAttacker::new(AttackKind::OptimisticAck, mp, 11);
+    let hello = peer.send(now).expect("client hello");
+    server.recv(now, &hello);
+    while let Some(d) = server.send(now) {
+        peer.recv(now, &d);
+    }
+    let mut payload = xlink::quic::varint::Writer::new();
+    frames.iter().for_each(|f| f.encode(&mut payload));
+    server.recv(now, &peer.seal_payload(false, payload.as_slice()).expect("keys"));
+    let sent = std::iter::from_fn(|| server.send(now)).collect();
+    (sent, server.life().close_code().map(|(code, _)| code))
+}
+
+#[test]
+fn multipath_frames_without_negotiation_close_with_protocol_violation() {
+    let qoe = QoeSignal { cached_bytes: 1, cached_frames: 2, bps: 3, fps: 4 };
+    let mut ranges = AckRanges::new();
+    ranges.insert(0);
+    let frames = [
+        Frame::AckMp(AckFrame::from_ranges(0, &ranges, Duration::ZERO).unwrap()),
+        Frame::PathStatus { path_id: 0, seq: 1, status: PathStatusKind::Standby },
+        Frame::QoeControlSignals(qoe),
+    ];
+    for frame in frames {
+        let (sp_sent, sp_code) = answered(sp_pair().1, false, std::slice::from_ref(&frame));
+        // The attacker offers multipath here; the server under test does not.
+        let (mp_sent, mp_code) = answered(mp_pair().1, true, std::slice::from_ref(&frame));
+        assert_eq!(sp_code, Some(TransportError::ProtocolViolation.code()), "{frame:?}");
+        assert_eq!(sp_sent.len(), 1, "{frame:?}: the CONNECTION_CLOSE and nothing else");
+        assert_eq!((mp_sent, mp_code), (sp_sent, sp_code), "{frame:?}");
+    }
 }
 
 impl Peer for Pop {
