@@ -159,7 +159,6 @@ pub struct Connection {
     cfg: Config,
     life: Lifecycle,
     keys: Keys,
-    handshake_confirmed: bool,
     pub(crate) cids: CidManager,
     /// CID the peer told us to use as destination.
     remote_cid: ConnectionId,
@@ -248,7 +247,6 @@ impl Connection {
         Connection {
             life: Lifecycle::new(now, p.max_idle_timeout),
             keys,
-            handshake_confirmed: false,
             local_cid: local.cid,
             // Until the peer's hello arrives.
             remote_cid: placeholder_dcid(),
@@ -669,12 +667,11 @@ impl Connection {
                 // Retiring an already-retired seq is a harmless duplicate.
             }
             Frame::PathChallenge(data) => self.pin_response(data),
-            Frame::HandshakeDone => self.handshake_confirmed = true,
             Frame::ConnectionClose { error_code, .. } => {
                 self.life.on_peer_close(now, error_code, self.pto(), &self.tracer);
             }
-            // Streams and flow control; PADDING, PING and the rest need
-            // nothing done.
+            // Streams and flow control; PADDING, PING, HANDSHAKE_DONE and
+            // the rest need nothing done.
             other => {
                 if let Err((e, why)) = self.streams.on_frame(other) {
                     self.close(e, why);
@@ -709,11 +706,6 @@ impl Connection {
             }
         }
         self.life.establish();
-        if self.cfg.side == Side::Server {
-            self.keys.done_sent = false; // confirm to the client
-        } else {
-            self.handshake_confirmed = true;
-        }
     }
 
     fn on_ack(&mut self, now: Instant, space: Space, ack: AckFrame) {
@@ -742,10 +734,7 @@ impl Connection {
                         [Space::App as usize]
                         .recv
                         .forget_below(largest.saturating_sub(512)),
-                    SentFrame::HandshakeDone => {
-                        self.keys.done_sent = true;
-                        self.handshake_confirmed = true;
-                    }
+                    SentFrame::HandshakeDone => self.keys.done_sent = true,
                     other => self.streams.on_sent_frame_acked(other),
                 }
             }
@@ -1040,7 +1029,6 @@ mod tests {
         pump(&mut now, &mut c, &mut s);
         assert!(c.is_established(), "client state: {:?}", c.state());
         assert!(s.is_established(), "server state: {:?}", s.state());
-        assert!(c.handshake_confirmed);
     }
 
     #[test]
