@@ -794,12 +794,19 @@ impl MpConnection {
     }
 
     /// The §10.3 oracle recognised an unintelligible datagram on `path`:
-    /// an authoritative path-death signal. Unlike a whole-connection
-    /// reset, losing one path's peer state kills only that path, which is
-    /// sent straight to probation (no Suspect dwell, no PTO counting)
-    /// while traffic fails over to the survivors.
+    /// the peer provably lost the state behind it. Without multipath that
+    /// is the connection: it closes as [`ConnectionError::Reset`] at once
+    /// instead of idling into PTO / idle-timeout exhaustion. With it,
+    /// losing one path's peer state kills only that path, which is sent
+    /// straight to probation (no Suspect dwell, no PTO counting) while
+    /// traffic fails over to the survivors.
     fn on_stateless_reset(&mut self, now: Instant, path: usize) {
         self.stats.stateless_resets += 1;
+        if !self.multipath {
+            self.life.on_reset();
+            self.free_state();
+            return self.tr_quic.emit(now, Event::StatelessReset { path: path as u8 });
+        }
         self.tr_core.emit(now, Event::StatelessReset { path: path as u8 });
         match self.paths[path].state {
             PathState::Active | PathState::Standby => {
@@ -1945,6 +1952,28 @@ mod tests {
         c.handle_datagram(now, 0, &dgram);
         assert_eq!(c.stats().stateless_resets, 1);
         assert_eq!(c.paths()[0].state, PathState::Active);
+    }
+
+    /// Residue row 13: with nothing negotiated there is no other path to
+    /// fail over to, and a stateless reset means what RFC 9000 §10.3.1 says.
+    #[test]
+    fn stateless_reset_closes_a_connection_that_negotiated_nothing() {
+        let now = Instant::ZERO;
+        let mut c = MpConnection::new(client_cfg(1), now);
+        let mut srv_cfg = server_cfg(2);
+        srv_cfg.enable_multipath = false;
+        let mut s = MpConnection::new(srv_cfg, now);
+        let mut now = now;
+        pump(&mut now, &mut c, &mut s);
+        assert!(c.is_established() && !c.multipath_negotiated());
+        let (secret, dcid) = (0x5eed, c.paths()[0].dcid);
+        c.oracle.remember(0, reset::reset_token(secret, &dcid));
+        c.handle_datagram(now, 0, &reset::build_stateless_reset(secret ^ 1, &dcid));
+        assert!(!c.is_closed(), "a reset under another secret is noise");
+        c.handle_datagram(now, 0, &reset::build_stateless_reset(secret, &dcid));
+        assert_eq!(c.close_error(), Some(&ConnectionError::Reset));
+        assert!(c.is_drained() && c.poll_transmit(now).is_none(), "dead at once, and silent");
+        assert_eq!(c.stats().stateless_resets, 1);
     }
 
     #[test]
