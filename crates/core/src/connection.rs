@@ -341,9 +341,10 @@ pub struct MpConnection {
     /// PATH_RESPONSEs dropped by the per-path pending cap (§10 gauge).
     path_responses_dropped: u64,
     stats: MpStats,
-    /// Transport-layer tracer (`<prefix>.quic`).
+    /// Transport-layer tracer (`<prefix>.quic`): packets, recovery, paths
+    /// and their liveness.
     tr_quic: Tracer,
-    /// Scheduler / re-injection / path-management tracer (`<prefix>.core`).
+    /// Scheduler / re-injection / QoE-gate tracer (`<prefix>.core`).
     tr_core: Tracer,
     /// Last re-injection gate decision reported to the tracer.
     gate_seen: Option<bool>,
@@ -514,9 +515,9 @@ impl MpConnection {
         self.stats
     }
 
-    /// Attach a tracer; transport events are emitted under
-    /// `<tracer>.quic` and scheduling/path-management events under
-    /// `<tracer>.core`. Pass [`Tracer::disabled`] to detach.
+    /// Attach a tracer; transport events (path management included) are
+    /// emitted under `<tracer>.quic` and scheduling / re-injection events
+    /// under `<tracer>.core`. Pass [`Tracer::disabled`] to detach.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.tr_quic = tracer.scoped("quic");
         self.tr_core = tracer.scoped("core");
@@ -526,13 +527,16 @@ impl MpConnection {
     fn trace_path_state(&self, at: Instant, path: usize, from: PathState, to: PathState) {
         if from != to {
             let (path, from, to) = (path as u8, state_name(from), state_name(to));
-            self.tr_core.emit(at, Event::PathStatusChange { path, from, to });
+            self.tr_quic.emit(at, Event::PathStatusChange { path, from, to });
         }
     }
 
+    /// Report a QoE snapshot: the local player's under the policy layer's
+    /// source, the peer's (it arrived in a frame) under the transport's.
     fn trace_qoe(&self, at: Instant, sent: bool, q: QoeSignal) {
         let QoeSignal { cached_frames, cached_bytes, bps, fps } = q;
-        self.tr_core.emit(at, Event::QoeSignal { sent, cached_frames, cached_bytes, bps, fps });
+        let tracer = if sent { &self.tr_core } else { &self.tr_quic };
+        tracer.emit(at, Event::QoeSignal { sent, cached_frames, cached_bytes, bps, fps });
     }
 
     fn trace_cwnd(&self, now: Instant, path: usize) {
@@ -742,9 +746,9 @@ impl MpConnection {
         let pto_count = p.space.recovery.pto_count();
         let stranded = p.space.recovery.bytes_in_flight();
         self.trace_path_state(now, path, from, PathState::Suspect);
-        self.tr_core.emit(now, Event::PathSuspected { path: path as u8, pto_count, silent_us });
+        self.tr_quic.emit(now, Event::PathSuspected { path: path as u8, pto_count, silent_us });
         let to = self.fastest_active_path();
-        self.tr_core.emit(
+        self.tr_quic.emit(
             now,
             Event::PathFailover {
                 from: path as u8,
@@ -785,7 +789,7 @@ impl MpConnection {
         self.paths[path].last_ack_time = now;
         self.stats.path_revalidations += 1;
         self.trace_path_state(now, path, PathState::Probation, back_to);
-        self.tr_core.emit(now, Event::PathRevalidated { path: path as u8, probes });
+        self.tr_quic.emit(now, Event::PathRevalidated { path: path as u8, probes });
     }
 
     /// Reset tokens currently armed.
@@ -802,12 +806,11 @@ impl MpConnection {
     /// traffic fails over to the survivors.
     fn on_stateless_reset(&mut self, now: Instant, path: usize) {
         self.stats.stateless_resets += 1;
+        self.tr_quic.emit(now, Event::StatelessReset { path: path as u8 });
         if !self.multipath {
             self.life.on_reset();
-            self.free_state();
-            return self.tr_quic.emit(now, Event::StatelessReset { path: path as u8 });
+            return self.free_state();
         }
-        self.tr_core.emit(now, Event::StatelessReset { path: path as u8 });
         match self.paths[path].state {
             PathState::Active | PathState::Standby => {
                 self.suspect_path(now, path);
@@ -1078,7 +1081,7 @@ impl MpConnection {
                 self.paths[space].suspect_probes = 0;
                 self.stats.path_revalidations += 1;
                 self.trace_path_state(now, space, PathState::Suspect, back_to);
-                self.tr_core.emit(now, Event::PathRevalidated { path: space as u8, probes });
+                self.tr_quic.emit(now, Event::PathRevalidated { path: space as u8, probes });
             }
         }
         trace_rtt(&self.tr_quic, now, space, outcome.rtt_sample, &self.paths[space].rtt);

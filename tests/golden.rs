@@ -231,31 +231,31 @@ const BULK_QLOG: [[u64; 7]; 5] = [
         0x9b54_112c_78bf_c916,
     ],
     [
-        0xb4bc_bc8a_6fcb_3311,
-        0xe673_5d85_53c4_5d43,
+        0x25a2_3155_978e_3a80,
+        0x6a84_c6a8_ab6b_7c74,
         0x11a2_a27b_1ed2_97fd,
-        0x76db_7096_58fe_1a05,
-        0x776f_46fd_ebe6_3ccb,
-        0xe748_3847_3b18_9e12,
-        0x758a_72eb_77e6_4445,
+        0x5d35_1f81_e979_d9b0,
+        0xd77c_ee74_5ed8_0d70,
+        0xff04_8da9_bc4b_d54a,
+        0x6d30_5d00_67e5_02ea,
     ],
     [
-        0x9635_05f5_3f48_ae12,
-        0x7a60_0071_8b2c_bfd8,
+        0xdb2b_8de0_c5fa_e2bd,
+        0x6933_315f_8e7e_d86e,
         0xd072_71fb_e8f0_91bc,
-        0xae84_769b_93d3_f2c5,
-        0x58da_8d7f_fe14_9dfa,
-        0x0eb7_81c1_f0b1_4ef0,
-        0xf7da_8551_21c4_1b9b,
+        0xd3ae_e888_cda1_d25f,
+        0x92e8_3bb4_0507_5f18,
+        0x7407_116b_64b5_1d06,
+        0x6ad3_f4a2_2f1a_fa6d,
     ],
     [
-        0x9635_05f5_3f48_ae12,
-        0x7a60_0071_8b2c_bfd8,
+        0xdb2b_8de0_c5fa_e2bd,
+        0x6933_315f_8e7e_d86e,
         0xd072_71fb_e8f0_91bc,
-        0xae84_769b_93d3_f2c5,
-        0x58da_8d7f_fe14_9dfa,
-        0x0eb7_81c1_f0b1_4ef0,
-        0xf7da_8551_21c4_1b9b,
+        0xd3ae_e888_cda1_d25f,
+        0x92e8_3bb4_0507_5f18,
+        0x7407_116b_64b5_1d06,
+        0x6ad3_f4a2_2f1a_fa6d,
     ],
 ];
 
@@ -296,7 +296,7 @@ fn bulk_qlog_streams_are_pinned_xlink() {
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0x0629_76c5_d78f_ef03, 0x3632_e5d1_ba73_7cc0),
+    (0x73bd_673c_625e_e521, 0x3632_e5d1_ba73_7cc0),
     (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
 ];
 
