@@ -1070,6 +1070,7 @@ impl MpConnection {
         let Ok(outcome) = pn_space.on_ack(now, &ack, &mut p.rtt) else {
             return self.close(TransportError::ProtocolViolation, "optimistic ack");
         };
+        trace_rtt(&self.tr_quic, now, space, outcome.rtt_sample, &self.paths[space].rtt);
         if !outcome.acked.is_empty() {
             self.paths[space].last_ack_time = now;
             if self.paths[space].state == PathState::Suspect {
@@ -1084,7 +1085,6 @@ impl MpConnection {
                 self.tr_quic.emit(now, Event::PathRevalidated { path: space as u8, probes });
             }
         }
-        trace_rtt(&self.tr_quic, now, space, outcome.rtt_sample, &self.paths[space].rtt);
         let mut cc_touched = false;
         for pkt in &outcome.acked {
             if pkt.ack_eliciting {

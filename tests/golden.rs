@@ -231,31 +231,31 @@ const BULK_QLOG: [[u64; 7]; 5] = [
         0x9b54_112c_78bf_c916,
     ],
     [
-        0x25a2_3155_978e_3a80,
-        0x6a84_c6a8_ab6b_7c74,
+        0x2cfd_313d_87b3_186a,
+        0x267a_f05f_3ff9_b66e,
         0x11a2_a27b_1ed2_97fd,
-        0x5d35_1f81_e979_d9b0,
-        0xd77c_ee74_5ed8_0d70,
-        0xff04_8da9_bc4b_d54a,
-        0x6d30_5d00_67e5_02ea,
+        0x76ff_2d4c_217a_1fb6,
+        0xdd3b_ef9c_80ad_2a3a,
+        0xeef4_92c5_fd2b_49bc,
+        0x16b0_3395_9235_2836,
     ],
     [
-        0xdb2b_8de0_c5fa_e2bd,
-        0x6933_315f_8e7e_d86e,
+        0xa582_6efd_e388_6043,
+        0xe8ee_0881_a1dd_c06c,
         0xd072_71fb_e8f0_91bc,
-        0xd3ae_e888_cda1_d25f,
-        0x92e8_3bb4_0507_5f18,
-        0x7407_116b_64b5_1d06,
-        0x6ad3_f4a2_2f1a_fa6d,
+        0xce08_1a24_3f7c_c781,
+        0xd85e_48da_1390_66fa,
+        0x105f_8433_87f1_33cc,
+        0xac94_7715_35ec_9b39,
     ],
     [
-        0xdb2b_8de0_c5fa_e2bd,
-        0x6933_315f_8e7e_d86e,
+        0xa582_6efd_e388_6043,
+        0xe8ee_0881_a1dd_c06c,
         0xd072_71fb_e8f0_91bc,
-        0xd3ae_e888_cda1_d25f,
-        0x92e8_3bb4_0507_5f18,
-        0x7407_116b_64b5_1d06,
-        0x6ad3_f4a2_2f1a_fa6d,
+        0xce08_1a24_3f7c_c781,
+        0xd85e_48da_1390_66fa,
+        0x105f_8433_87f1_33cc,
+        0xac94_7715_35ec_9b39,
     ],
 ];
 
