@@ -34,7 +34,7 @@ use xlink_quic::error::{ConnectionError, TransportError};
 use xlink_quic::frame::{AckFrame, Frame, PathStatusKind};
 use xlink_quic::packet::{Header, PacketBuilder, PacketType};
 use xlink_quic::params::TransportParams;
-use xlink_quic::recovery::{SentPacket, TimeoutOutcome};
+use xlink_quic::recovery::{SentPacket, TimeoutOutcome, SUSPECT_AFTER_PTOS};
 use xlink_quic::reset;
 use xlink_quic::rtt::RttEstimator;
 use xlink_quic::stream::{SendRange, Side, StreamMap};
@@ -178,7 +178,12 @@ pub struct MpPath {
     probation: Option<Probation>,
     /// State to restore on revalidation (Active or Standby).
     suspect_from: PathState,
-    /// PTO probes sent since the path was marked Suspect.
+    /// Without multipath there is nowhere to fail over to, so consecutive
+    /// PTOs change nothing — but the suspicion and its end are still
+    /// reported, which keeps single-path traces comparable with multipath
+    /// ones. True between the two reports.
+    suspected: bool,
+    /// PTO probes sent since the path was marked Suspect (or suspected).
     suspect_probes: u32,
     /// PATH_STATUS sequence number we last sent.
     status_seq: u64,
@@ -223,6 +228,7 @@ impl MpPath {
             keepalive_pending: false,
             probation: None,
             suspect_from: PathState::Active,
+            suspected: false,
             suspect_probes: 0,
             status_seq: 0,
             bytes_sent: 0,
@@ -740,13 +746,9 @@ impl MpConnection {
         self.paths[path].suspect_probes = 0;
         self.paths[path].keepalive_pending = false;
         self.stats.path_suspects += 1;
-        let p = &self.paths[path];
-        let silent_since = p.silent_since();
-        let silent_us = now.saturating_duration_since(silent_since).as_micros();
-        let pto_count = p.space.recovery.pto_count();
-        let stranded = p.space.recovery.bytes_in_flight();
+        let stranded = self.paths[path].space.recovery.bytes_in_flight();
         self.trace_path_state(now, path, from, PathState::Suspect);
-        self.tr_quic.emit(now, Event::PathSuspected { path: path as u8, pto_count, silent_us });
+        self.trace_suspected(now, path);
         let to = self.fastest_active_path();
         self.tr_quic.emit(
             now,
@@ -756,6 +758,16 @@ impl MpConnection {
                 stranded_bytes: stranded,
             },
         );
+    }
+
+    /// Report that `path` is under suspicion: after how many PTOs, and how
+    /// long its oldest unacknowledged packet has been out.
+    fn trace_suspected(&self, now: Instant, path: usize) {
+        let recovery = &self.paths[path].space.recovery;
+        let sent = recovery.oldest_unacked_time();
+        let silent_us = sent.map_or(0, |t| now.saturating_duration_since(t).as_micros());
+        let (path, pto_count) = (path as u8, recovery.pto_count());
+        self.tr_quic.emit(now, Event::PathSuspected { path, pto_count, silent_us });
     }
 
     /// Escalate a Suspect path to Probation: declare it blackholed,
@@ -1073,6 +1085,10 @@ impl MpConnection {
         trace_rtt(&self.tr_quic, now, space, outcome.rtt_sample, &self.paths[space].rtt);
         if !outcome.acked.is_empty() {
             self.paths[space].last_ack_time = now;
+            if std::mem::take(&mut self.paths[space].suspected) {
+                let probes = std::mem::take(&mut self.paths[space].suspect_probes);
+                self.tr_quic.emit(now, Event::PathRevalidated { path: space as u8, probes });
+            }
             if self.paths[space].state == PathState::Suspect {
                 // Ack progress contradicts the blackhole hypothesis: the
                 // path rejoins in the state suspicion interrupted.
@@ -1795,9 +1811,14 @@ impl MpConnection {
             match p.space.recovery.on_timeout(now, &p.rtt) {
                 TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, i, lost),
                 TimeoutOutcome::SendProbe => {
-                    self.paths[i].probe_pending = true;
-                    if self.paths[i].state == PathState::Suspect {
-                        self.paths[i].suspect_probes += 1;
+                    let p = &mut self.paths[i];
+                    p.probe_pending = true;
+                    if p.state == PathState::Suspect || p.suspected {
+                        p.suspect_probes += 1;
+                    } else if !self.multipath && p.space.recovery.pto_count() >= SUSPECT_AFTER_PTOS
+                    {
+                        p.suspected = true;
+                        self.trace_suspected(now, i);
                     }
                 }
             }

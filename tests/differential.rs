@@ -400,12 +400,9 @@ fn assert_shapes(what: &str, got: [Shape; 2], recorded: [Shape; 2]) {
 }
 
 /// What the transport itself traced (`<endpoint>.quic`), the policy
-/// layer's events (`.core`, row 21) left out — and row 6's, the single-path
-/// engine's liveness parity events, which [`assert_trace_residue`] counts.
+/// layer's events (`.core`, row 21) left out.
 fn transport_events(events: &[(Instant, String, Event)]) -> Vec<&(Instant, String, Event)> {
-    let parity =
-        |e: &Event| matches!(e, Event::PathSuspected { .. } | Event::PathRevalidated { .. });
-    events.iter().filter(|(_, source, e)| source.ends_with(".quic") && !parity(e)).collect()
+    events.iter().filter(|(_, source, _)| source.ends_with(".quic")).collect()
 }
 
 /// How often each event kind was traced, and by which layer.
@@ -594,22 +591,14 @@ fn blackout_of_200_ms() {
     assert_shapes(
         "blackout",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
-        [(22, 813, 266, 334284, 622), (22, 813, 266, 334284, 883)],
+        [(22, 813, 266, 334284, 622), (22, 813, 266, 334284, 885)],
     );
-    assert_trace_residue(
-        "blackout",
-        &sp,
-        &mp,
-        &[
-            // Row 6: the single-path engine's parity flag reports the
-            // blackout (two PTOs) and its end; a multipath engine that
-            // negotiated nothing runs no liveness machine.
-            ("path_revalidated", "quic", -1),
-            ("path_suspected", "quic", -1),
-            ("reinjection_gate", "core", 2),
-            ("scheduler_decision", "core", 261),
-        ],
-    );
+    // Both report the blackout (two PTOs) and its end.
+    let suspected =
+        |(_, _, e): &&(Instant, String, Event)| matches!(e, Event::PathSuspected { .. });
+    assert_eq!(sp.events.iter().filter(suspected).count(), 1);
+    let policy = [("reinjection_gate", "core", 2), ("scheduler_decision", "core", 261)];
+    assert_trace_residue("blackout", &sp, &mp, &policy);
 }
 
 #[test]
@@ -663,20 +652,10 @@ fn idle_out_facing_a_dead_peer() {
     assert_shapes(
         "dead peer",
         [&sp, &mp].map(|o| shape(&o.wire, o.events.len())),
-        [(5, 229, 52, 39525, 90), (5, 229, 52, 39525, 122)],
+        [(5, 229, 52, 39525, 90), (5, 229, 52, 39525, 123)],
     );
-    assert_trace_residue(
-        "dead peer",
-        &sp,
-        &mp,
-        &[
-            // Row 6: the single-path engine's parity flag reports the
-            // second PTO.
-            ("path_suspected", "quic", -1),
-            ("reinjection_gate", "core", 2),
-            ("scheduler_decision", "core", 31),
-        ],
-    );
+    let policy = [("reinjection_gate", "core", 2), ("scheduler_decision", "core", 31)];
+    assert_trace_residue("dead peer", &sp, &mp, &policy);
     assert_identical_transport("dead peer", &sp, &mp);
 }
 

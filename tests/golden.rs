@@ -232,30 +232,30 @@ const BULK_QLOG: [[u64; 7]; 5] = [
     ],
     [
         0x2cfd_313d_87b3_186a,
-        0x267a_f05f_3ff9_b66e,
+        0x66bd_a052_ee1a_f303,
         0x11a2_a27b_1ed2_97fd,
-        0x76ff_2d4c_217a_1fb6,
-        0xdd3b_ef9c_80ad_2a3a,
-        0xeef4_92c5_fd2b_49bc,
-        0x16b0_3395_9235_2836,
+        0x68ca_6600_cf00_917d,
+        0x2904_14b6_9b80_f8f3,
+        0x7946_455e_0555_04ed,
+        0x0e9b_9d7f_afee_18fe,
     ],
     [
         0xa582_6efd_e388_6043,
-        0xe8ee_0881_a1dd_c06c,
+        0xd46c_9786_6a91_e807,
         0xd072_71fb_e8f0_91bc,
-        0xce08_1a24_3f7c_c781,
-        0xd85e_48da_1390_66fa,
-        0x105f_8433_87f1_33cc,
-        0xac94_7715_35ec_9b39,
+        0x4b38_85fe_7d66_c12a,
+        0x266f_e548_caba_ff9b,
+        0x2f3e_ed85_4444_cc6c,
+        0x874e_cb92_1ad3_344b,
     ],
     [
         0xa582_6efd_e388_6043,
-        0xe8ee_0881_a1dd_c06c,
+        0xd46c_9786_6a91_e807,
         0xd072_71fb_e8f0_91bc,
-        0xce08_1a24_3f7c_c781,
-        0xd85e_48da_1390_66fa,
-        0x105f_8433_87f1_33cc,
-        0xac94_7715_35ec_9b39,
+        0x4b38_85fe_7d66_c12a,
+        0x266f_e548_caba_ff9b,
+        0x2f3e_ed85_4444_cc6c,
+        0x874e_cb92_1ad3_344b,
     ],
 ];
 
