@@ -1299,7 +1299,11 @@ impl MpConnection {
             }
             return Some(self.build_packet(now, i, false, &[Frame::Ping], vec![], true));
         }
-        // 9. Data (new data or re-injection) via the scheduler.
+        // 9. Data. Without multipath there is one path and nothing to
+        // decide; with it, new data or re-injection via the scheduler.
+        if !self.multipath {
+            return self.try_send_new_data(now, self.primary);
+        }
         self.poll_data(now)
     }
 
