@@ -79,6 +79,14 @@ pub struct MpConfig {
     pub standalone_qoe_frames: bool,
     /// Blackhole detection / automatic failover tunables (§9).
     pub liveness: LivenessConfig,
+    /// Send a keep-alive PING on a path after this long with nothing
+    /// received on it (local behavior, not a transport parameter): an idle
+    /// backup path stays usable and measurable for failover, and a pure
+    /// receiver — which has nothing in flight when its peer dies, no PTO
+    /// to fire, no ACK to send — keeps an elicitable packet on the wire, so
+    /// a dead peer's silence (or its stateless reset) surfaces within about
+    /// one interval instead of at the idle timeout.
+    pub keepalive: Option<Duration>,
     /// When set, CIDs advertised for extra paths carry RFC 9000 §10.3
     /// stateless-reset tokens derived from this secret, giving the peer
     /// a per-path death oracle (crash detection without PTO exhaustion).
@@ -104,6 +112,7 @@ impl MpConfig {
             coupled_cc: false,
             standalone_qoe_frames: false,
             liveness: LivenessConfig::default(),
+            keepalive: Some(Duration::from_secs(5)),
             reset_secret: None,
         }
     }
@@ -172,8 +181,10 @@ pub struct MpPath {
     last_ack_time: Instant,
     /// Last time anything was transmitted on this path.
     last_send_time: Instant,
-    /// Keepalive PING requested (idle refresh; see LivenessConfig).
-    keepalive_pending: bool,
+    /// Last time anything was received on this path.
+    last_heard: Instant,
+    /// Last keep-alive PING requested (see [`MpConfig::keepalive`]).
+    last_keepalive: Instant,
     /// Revalidation probing state while `state == Probation`.
     probation: Option<Probation>,
     /// State to restore on revalidation (Active or Standby).
@@ -225,7 +236,8 @@ impl MpPath {
             response_pending: Vec::new(),
             last_ack_time: now,
             last_send_time: now,
-            keepalive_pending: false,
+            last_heard: now,
+            last_keepalive: now,
             probation: None,
             suspect_from: PathState::Active,
             suspected: false,
@@ -255,6 +267,12 @@ impl MpPath {
 
     fn usable_for_data(&self) -> bool {
         self.state == PathState::Active
+    }
+
+    /// Keep-alives refresh the paths in service, preferred or not; a
+    /// suspect or probation path has its own probing.
+    fn hears_keepalives(&self) -> bool {
+        matches!(self.state, PathState::Active | PathState::Standby)
     }
 
     /// Since when the path has made no ack progress on what is in flight.
@@ -300,7 +318,7 @@ pub struct MpStats {
     pub path_probations: u64,
     /// Paths that rejoined service after suspicion or probation.
     pub path_revalidations: u64,
-    /// Keepalive PINGs sent to refresh idle paths.
+    /// Keep-alive PINGs requested to refresh quiet paths.
     pub keepalives_sent: u64,
     /// Stateless resets recognised (each is an authoritative per-path
     /// death signal; the path went straight to probation).
@@ -744,7 +762,6 @@ impl MpConnection {
         self.paths[path].suspect_from = from;
         self.paths[path].state = PathState::Suspect;
         self.paths[path].suspect_probes = 0;
-        self.paths[path].keepalive_pending = false;
         self.stats.path_suspects += 1;
         let stranded = self.paths[path].space.recovery.bytes_in_flight();
         self.trace_path_state(now, path, from, PathState::Suspect);
@@ -779,7 +796,6 @@ impl MpConnection {
         self.paths[path].probation = Some(Probation::start(now, &self.cfg.liveness));
         self.paths[path].challenge = None;
         self.paths[path].probe_pending = false;
-        self.paths[path].keepalive_pending = false;
         self.stats.path_probations += 1;
         self.trace_path_state(now, path, PathState::Suspect, PathState::Probation);
     }
@@ -854,24 +870,6 @@ impl MpConnection {
                             self.enter_probation(now, i);
                         }
                     }
-                    // Keepalive: probe a path we have not *heard from*
-                    // lately so the backup stays alive for failover.
-                    // Keyed on receive silence, not send idleness: an
-                    // ack-only path (pure receiver) transmits plenty but
-                    // none of it is ack-eliciting, so without this probe
-                    // it would never notice its peer going dark and would
-                    // keep routing ACKs into the blackhole. Gated on
-                    // nothing ack-eliciting in flight — an outstanding
-                    // probe or data already drives the PTO/ack-silence
-                    // machinery.
-                    let p = &mut self.paths[i];
-                    if matches!(p.state, PathState::Active | PathState::Standby)
-                        && !p.keepalive_pending
-                        && !p.space.recovery.has_ack_eliciting_in_flight()
-                        && now.saturating_duration_since(p.last_recv_time) >= lv.keepalive
-                    {
-                        p.keepalive_pending = true;
-                    }
                 }
                 PathState::Suspect => {
                     if self.paths[i].space.recovery.pto_count() >= lv.blackhole_after_ptos {
@@ -917,6 +915,7 @@ impl MpConnection {
         // sends never do (a sender PTO-probing a dead peer must still idle
         // out; a live peer's ACKs refresh it constantly).
         self.life.touch(now);
+        self.paths[path].last_heard = now;
         if long {
             self.remote_cid0 = header.scid;
             // The primary path's DCID is the peer's handshake CID.
@@ -1283,21 +1282,13 @@ impl MpConnection {
                 return Some(self.send_challenge(now, i, 0x11fe, nonce, false));
             }
         }
-        // 8. PTO probes and keepalive PINGs.
+        // 8. PTO probes and keep-alive PINGs.
         for i in 0..self.paths.len() {
-            let p = &self.paths[i];
-            let probe = p.probe_pending && p.state != PathState::Abandoned;
-            let keepalive =
-                p.keepalive_pending && matches!(p.state, PathState::Active | PathState::Standby);
-            if !(probe || keepalive) {
-                continue;
+            let p = &mut self.paths[i];
+            if p.probe_pending && p.state != PathState::Abandoned {
+                p.probe_pending = false;
+                return Some(self.build_packet(now, i, false, &[Frame::Ping], vec![], true));
             }
-            self.paths[i].probe_pending = false;
-            self.paths[i].keepalive_pending = false;
-            if !probe {
-                self.stats.keepalives_sent += 1;
-            }
-            return Some(self.build_packet(now, i, false, &[Frame::Ping], vec![], true));
         }
         // 9. Data. Without multipath there is one path and nothing to
         // decide; with it, new data or re-injection via the scheduler.
@@ -1759,6 +1750,11 @@ impl MpConnection {
                 t = t.min(lt);
             }
         }
+        if let Some(k) = self.cfg.keepalive.filter(|_| self.is_established()) {
+            for p in self.paths.iter().filter(|p| p.hears_keepalives()) {
+                t = t.min(p.last_heard.max(p.last_keepalive) + k);
+            }
+        }
         if self.liveness_active() {
             let lv = &self.cfg.liveness;
             for p in &self.paths {
@@ -1768,14 +1764,6 @@ impl MpConnection {
                         if p.space.recovery.has_ack_eliciting_in_flight() {
                             let silent_since = p.silent_since();
                             t = t.min(silent_since + lv.ack_silence);
-                        }
-                        // Keepalive refresh deadline (suppressed while a
-                        // PING is already owed or in flight, so an
-                        // undriven connection still reaches its idle
-                        // deadline). Mirrors the receive-silence trigger
-                        // in `liveness_pass`.
-                        if !p.keepalive_pending && !p.space.recovery.has_ack_eliciting_in_flight() {
-                            t = t.min(p.last_recv_time + lv.keepalive);
                         }
                     }
                     PathState::Probation => {
@@ -1796,6 +1784,15 @@ impl MpConnection {
             Expiry::Open => {}
             Expiry::Closed => return,
             Expiry::Freed => return self.free_state(),
+        }
+        if let Some(k) = self.cfg.keepalive.filter(|_| self.is_established()) {
+            for p in self.paths.iter_mut().filter(|p| p.hears_keepalives()) {
+                if now >= p.last_heard.max(p.last_keepalive) + k {
+                    p.probe_pending = true;
+                    p.last_keepalive = now;
+                    self.stats.keepalives_sent += 1;
+                }
+            }
         }
         let mad = self.cfg.params.max_ack_delay;
         let (primary, handshake) = (self.primary, &mut self.initial.recovery);
@@ -2738,6 +2735,38 @@ mod tests {
         assert!(!c.is_closed() && !s.is_closed(), "keepalives should defeat the idle timeout");
         assert!(c.stats().keepalives_sent > 0, "client should have refreshed idle paths");
         assert_eq!(c.paths()[1].state, PathState::Standby, "standby must survive keepalives");
+    }
+
+    /// Residue row 14: the keep-alive is the connection's, not the
+    /// failover machine's — a pure receiver without multipath keeps an
+    /// elicitable packet on the wire too.
+    #[test]
+    fn keepalive_pings_a_quiet_connection_that_negotiated_nothing() {
+        let now0 = Instant::ZERO;
+        let one_path = |cfg: MpConfig| MpConfig {
+            enable_multipath: false,
+            keepalive: Some(Duration::from_millis(250)),
+            ..cfg
+        };
+        let mut c =
+            MpConnection::new(one_path(MpConfig::xlink_client(1, vec![WirelessTech::Wifi])), now0);
+        let mut s = MpConnection::new(one_path(MpConfig::xlink_server(2, 1)), now0);
+        let mut now = now0;
+        pump(&mut now, &mut c, &mut s);
+        assert!(c.is_established() && !c.multipath_negotiated());
+        // Quiescent: the next client timer is the keep-alive, 250 ms after
+        // the last receipt and well before the idle deadline.
+        let ka = c.poll_timeout().expect("keep-alive armed");
+        assert_eq!(ka, c.lifecycle().last_activity() + Duration::from_millis(250));
+        c.on_timeout(ka);
+        let (_, ping) = c.poll_transmit(ka).expect("keep-alive PING goes out");
+        assert!(c.paths()[0].space.recovery.has_ack_eliciting_in_flight(), "elicits an ACK");
+        assert!(c.poll_timeout().expect("PTO armed") < c.lifecycle().idle_deadline());
+        // A server answering keeps the connection alive and re-arms.
+        s.handle_datagram(ka, 0, &ping);
+        let mut t = ka;
+        pump(&mut t, &mut c, &mut s);
+        assert!(c.is_established() && c.stats().keepalives_sent >= 1);
     }
 
     #[test]

@@ -50,10 +50,6 @@ pub struct LivenessConfig {
     pub probe_initial: Duration,
     /// Ceiling for the exponentially-backed-off probe interval.
     pub probe_max: Duration,
-    /// Idle span after which an Active/Standby path is refreshed with a
-    /// keepalive PING so the backup stays usable (and measurable) when
-    /// failover needs it.
-    pub keepalive: Duration,
 }
 
 impl Default for LivenessConfig {
@@ -65,7 +61,6 @@ impl Default for LivenessConfig {
             ack_silence: Duration::from_millis(1000),
             probe_initial: Duration::from_millis(250),
             probe_max: Duration::from_secs(4),
-            keepalive: Duration::from_secs(5),
         }
     }
 }

@@ -224,11 +224,9 @@ impl Conn {
             };
             cfg.ack_policy = tuning.ack_policy;
         }
-        cfg.liveness = if tuning.auto_failover {
-            LivenessConfig::default()
-        } else {
-            LivenessConfig::disabled()
-        };
+        if !tuning.auto_failover {
+            (cfg.liveness, cfg.keepalive) = (LivenessConfig::disabled(), None);
+        }
         cfg.scheduler = SchedulerKind::MinRtt;
         Conn::Mp(MpConnection::new(cfg, now))
     }

@@ -158,11 +158,12 @@ fn sp_pair() -> (Connection, Connection) {
     )
 }
 
-/// The multipath engine configured down to single-path QUIC: one path,
-/// multipath not offered. The policy stays XLINK's — scheduler,
+/// The multipath engine configured down to single-path QUIC as
+/// `Config::client` / `Config::server` default it: one path, multipath not
+/// offered, no keep-alive. The policy stays XLINK's — scheduler,
 /// re-injection, QoE gate — and must do nothing.
 fn mp_cfg(cfg: MpConfig) -> MpConfig {
-    MpConfig { enable_multipath: false, ..cfg }
+    MpConfig { enable_multipath: false, keepalive: None, ..cfg }
 }
 
 fn mp_pair() -> (MpConnection, MpConnection) {
@@ -552,6 +553,32 @@ fn idle_out() {
     // The client idles out 30 s after its last receipt, the PONG.
     assert_eq!(sp.closed_at[0], sp.followed_up_at.map(|t| t + Duration::from_secs(30)));
     assert_shape("idle", &sp.wire, sp.events.len(), (11, 426, 244, 308316, 535));
+}
+
+#[test]
+fn quiet_connection_with_keepalives() {
+    // Both sides PING after every second of silence, so neither idles out:
+    // at the horizon both are open and the same 2 × 14 keep-alives and
+    // their ACKs have crossed.
+    let every = Some(Duration::from_secs(1));
+    let (sp_client, sp_server) = (Config::client(1), Config::server(2));
+    let sp_pair = (
+        Connection::new(Config { keepalive: every, ..sp_client }, Instant::ZERO),
+        Connection::new(Config { keepalive: every, ..sp_server }, Instant::ZERO),
+    );
+    let mp_client = mp_cfg(MpConfig::xlink_client(1, vec![WirelessTech::Wifi]));
+    let mp_server = mp_cfg(MpConfig::xlink_server(2, 1));
+    let mp_pair = (
+        MpConnection::new(MpConfig { keepalive: every, ..mp_client }, Instant::ZERO),
+        MpConnection::new(MpConfig { keepalive: every, ..mp_server }, Instant::ZERO),
+    );
+    let horizon = Duration::from_secs(15);
+    let sp = transfer(sp_pair, clean, Then::Idle, horizon);
+    let mp = transfer(mp_pair, clean, Then::Idle, horizon);
+    assert_same_run("keep-alives", &sp, &mp);
+    assert_delivered("keep-alives", &sp);
+    assert_eq!(sp.errors, [None, None], "kept alive");
+    assert_shape("keep-alives", &sp.wire, sp.events.len(), (25, 846, 258, 308722, 617));
 }
 
 /// The link dies for good at 50 ms, the server mid-transfer.
