@@ -638,12 +638,17 @@ impl MpConnection {
     /// QOE_CONTROL_SIGNALS frame whenever the snapshot changes — the
     /// draft's variant that is "not restricted by ACK frequency" (§6).
     pub fn set_qoe(&mut self, q: QoeSignal) {
+        // Feedback is the extension's: until it is negotiated there is no
+        // frame to carry a snapshot and nobody to act on it.
+        if !self.multipath {
+            return;
+        }
         let changed = self.local_qoe != Some(q);
         self.local_qoe = Some(q);
         if changed {
             self.trace_qoe(self.life.last_activity(), true, q);
         }
-        if self.cfg.standalone_qoe_frames && changed && self.multipath && self.is_established() {
+        if self.cfg.standalone_qoe_frames && changed {
             self.streams.control.push(Frame::QoeControlSignals(q));
         }
     }

@@ -296,7 +296,7 @@ fn bulk_qlog_streams_are_pinned_xlink() {
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0x73bd_673c_625e_e521, 0x3632_e5d1_ba73_7cc0),
+    (0x8b30_1430_9d81_0b77, 0x3632_e5d1_ba73_7cc0),
     (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
 ];
 
