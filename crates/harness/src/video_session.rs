@@ -166,7 +166,7 @@ impl VideoClientEndpoint {
         let ids: Vec<u64> = self.inflight.keys().copied().collect();
         for id in ids {
             let data = self.conn.stream_recv(id, usize::MAX);
-            let complete = self.conn.stream_complete(id);
+            let complete = self.conn.inner().conn().streams().is_complete(id);
             let req = self.inflight.get_mut(&id).expect("tracked stream");
             if !data.is_empty() {
                 req.body.extend_from_slice(&data);
@@ -276,7 +276,7 @@ impl Endpoint for VideoClientEndpoint {
     fn on_tick(&mut self, now: Instant) {
         self.player.advance(now);
         // Refresh QoE feedback (the TNET query of §5.2.1).
-        self.conn.set_qoe(self.player.qoe_signal());
+        self.conn.inner_mut().set_qoe(self.player.qoe_signal());
         if self.player.is_finished() {
             self.finished = true;
         }
@@ -324,7 +324,7 @@ impl VideoServerEndpoint {
     }
 
     fn serve_requests(&mut self) {
-        for id in self.conn.readable_streams() {
+        for id in self.conn.inner().conn().streams().readable_ids() {
             if self.answered.contains(&id) {
                 continue;
             }
@@ -350,7 +350,7 @@ impl VideoServerEndpoint {
             // priority (paper §5.1 stream_send with position+size).
             if self.first_frame_accel && req.start < ff_end {
                 let split = (ff_end - req.start).min(body.len() as u64) as usize;
-                self.conn.stream_send_with_frame_priority(id, &body[..split], 0, false);
+                self.conn.inner_mut().stream_send_with_frame_priority(id, &body[..split], 0, false);
                 self.conn.stream_send(id, &body[split..], true);
             } else {
                 self.conn.stream_send(id, &body, true);
@@ -370,21 +370,13 @@ impl VideoServerEndpoint {
 
     /// Whether re-injection is currently enabled (Fig. 6 probe).
     pub fn reinjection_enabled(&self) -> bool {
-        match &self.conn {
-            Conn::Mp(mp) => mp.reinjection_enabled(),
-            _ => false,
-        }
+        let mp = self.conn.inner();
+        mp.conn().multipath_negotiated() && mp.reinjection_enabled()
     }
 
     /// Per-path (bytes in flight, cwnd) snapshot — the Fig. 1 series.
     pub fn path_state(&self) -> (Vec<u64>, Vec<u64>) {
-        match &self.conn {
-            Conn::Mp(mp) => (
-                mp.paths().iter().map(|p| p.bytes_in_flight()).collect(),
-                mp.paths().iter().map(|p| p.cwnd()).collect(),
-            ),
-            Conn::Sp { conn, .. } => (vec![conn.bytes_in_flight()], vec![conn.cwnd()]),
-        }
+        self.conn.path_state()
     }
 }
 

@@ -12,7 +12,6 @@ use crate::recovery::{AckOutcome, Recovery};
 use crate::rtt::RttEstimator;
 use crate::stream::SendRange;
 use xlink_clock::{Duration, Instant};
-use xlink_obs::{Event, Tracer};
 
 /// What a transmitted packet carried, kept until it is acked or lost.
 #[derive(Debug, Clone)]
@@ -65,20 +64,6 @@ impl SentFrame {
             Frame::Ping => SentFrame::Ping,
             other => SentFrame::Control(other.clone()),
         }
-    }
-}
-
-/// Report the RTT sample an ACK on `path` produced, if it produced one.
-pub fn trace_rtt(
-    tr: &Tracer,
-    now: Instant,
-    path: usize,
-    sample: Option<Duration>,
-    rtt: &RttEstimator,
-) {
-    if let Some(sample) = sample {
-        let (latest_us, smoothed_us) = (sample.as_micros(), rtt.smoothed().as_micros());
-        tr.emit(now, Event::RttUpdate { path: path as u8, latest_us, smoothed_us });
     }
 }
 

@@ -114,22 +114,22 @@ impl Peer for MpConnection {
 
 impl Engine for MpConnection {
     fn life(&self) -> &Lifecycle {
-        self.lifecycle()
+        self.conn().lifecycle()
     }
     fn streams(&mut self) -> &mut StreamMap {
-        self.streams_mut()
+        self.conn_mut().streams_mut()
     }
     fn bounded(&self) -> BoundedState {
-        self.bounded_state()
+        self.conn().bounded_state()
     }
     fn ranges(&self) -> Vec<Vec<(u64, u64)>> {
-        self.recv_pn_ranges()
+        self.conn().recv_pn_ranges()
     }
     fn close(&mut self, error: TransportError) {
-        MpConnection::close(self, error, "done");
+        self.conn_mut().close(error, "done");
     }
     fn counters(&self) -> (u64, u64) {
-        (self.stats().packets_sent, self.stats().packets_lost)
+        (self.conn().stats().packets_sent, self.conn().stats().packets_lost)
     }
     fn trace(&mut self, tracer: &Tracer) {
         self.set_tracer(tracer);
@@ -162,8 +162,9 @@ fn sp_pair() -> (Connection, Connection) {
 /// `Config::client` / `Config::server` default it: one path, multipath not
 /// offered, no keep-alive. The policy stays XLINK's — scheduler,
 /// re-injection, QoE gate — and must do nothing.
-fn mp_cfg(cfg: MpConfig) -> MpConfig {
-    MpConfig { enable_multipath: false, keepalive: None, ..cfg }
+fn mp_cfg(mut cfg: MpConfig) -> MpConfig {
+    (cfg.conn.params.enable_multipath, cfg.conn.keepalive) = (false, None);
+    cfg
 }
 
 fn mp_pair() -> (MpConnection, MpConnection) {
@@ -566,12 +567,11 @@ fn quiet_connection_with_keepalives() {
         Connection::new(Config { keepalive: every, ..sp_client }, Instant::ZERO),
         Connection::new(Config { keepalive: every, ..sp_server }, Instant::ZERO),
     );
-    let mp_client = mp_cfg(MpConfig::xlink_client(1, vec![WirelessTech::Wifi]));
-    let mp_server = mp_cfg(MpConfig::xlink_server(2, 1));
-    let mp_pair = (
-        MpConnection::new(MpConfig { keepalive: every, ..mp_client }, Instant::ZERO),
-        MpConnection::new(MpConfig { keepalive: every, ..mp_server }, Instant::ZERO),
-    );
+    let mut mp_client = mp_cfg(MpConfig::xlink_client(1, vec![WirelessTech::Wifi]));
+    let mut mp_server = mp_cfg(MpConfig::xlink_server(2, 1));
+    (mp_client.conn.keepalive, mp_server.conn.keepalive) = (every, every);
+    let mp_pair =
+        (MpConnection::new(mp_client, Instant::ZERO), MpConnection::new(mp_server, Instant::ZERO));
     let horizon = Duration::from_secs(15);
     let sp = transfer(sp_pair, clean, Then::Idle, horizon);
     let mp = transfer(mp_pair, clean, Then::Idle, horizon);
@@ -801,6 +801,21 @@ impl EdgeClient for Connection {
     }
 }
 
+impl EdgeClient for MpConnection {
+    fn edge_client(seed: u64) -> Self {
+        let mut cfg = mp_cfg(MpConfig::xlink_client(seed, vec![WirelessTech::Wifi]));
+        cfg.conn.params.max_idle_timeout = EDGE_IDLE;
+        cfg.conn.keepalive = Some(EDGE_IDLE / 8);
+        MpConnection::new(cfg, Instant::ZERO)
+    }
+    fn retry_seen(&self) -> bool {
+        self.conn().retry_seen()
+    }
+    fn cids(&self) -> (ConnectionId, ConnectionId) {
+        (self.conn().local_cid(), self.conn().remote_cid())
+    }
+}
+
 /// Everything observable about one client's life behind the PoP.
 #[derive(Debug, PartialEq)]
 struct EdgeOutcome {
@@ -911,6 +926,66 @@ fn retry_drain_and_stateless_reset_through_the_pop() {
     // The one packet lost is the first hello, which the Retry replaced.
     assert_eq!(sp.counters, (14, 1));
     assert_eq!(shape(&sp.wire, sp.events.len()), (14, 710, 168, 205818, 51));
+    // The capability whose absence was "why the PoP cannot serve an XLINK
+    // session": a client under the XLINK policy is admitted through Retry,
+    // follows the drain and dies of the reset, datagram for datagram alike.
+    assert_eq!(through_the_pop::<MpConnection>(), sp);
+}
+
+#[test]
+fn retire_connection_id_of_an_unissued_or_in_use_sequence_number_closes() {
+    // §19.16. Sequence number 0 is the CID the peer's packets are routed by;
+    // 7 was never issued.
+    for seq in [0, 7] {
+        let frame = [Frame::RetireConnectionId { seq }];
+        let (sp_sent, sp_code) = answered(sp_pair().1, false, &frame);
+        let (mp_sent, mp_code) = answered(mp_pair().1, true, &frame);
+        assert_eq!(sp_code, Some(TransportError::ProtocolViolation.code()), "seq {seq}");
+        assert_eq!((mp_sent, mp_code), (sp_sent, sp_code), "seq {seq}");
+    }
+}
+
+#[test]
+fn an_address_unvalidated_server_never_sends_more_than_three_times_what_it_received() {
+    // §8.1 on a two-path server under the XLINK policy (the single-path
+    // engine's property is in tests/invariants.rs): however the client's
+    // first flight is sliced — the prefix fragments are garbage that still
+    // counts as received — and however often transmit is polled, the server
+    // stays within 3×; validation lifts the gate and the handshake completes.
+    let case = (1u64..10_000, 1usize..5, 0usize..8);
+    check("MpConnection amplification budget", case, |&(seed, slices, extra_polls)| {
+        let now = Instant::ZERO;
+        let mut c =
+            MpConnection::new(MpConfig::xlink_client(seed, vec![WirelessTech::Wifi; 2]), now);
+        let mut s = MpConnection::new(MpConfig::xlink_server(seed ^ 0x5e7, 2), now);
+        s.conn_mut().set_address_unvalidated();
+        let (path, hello) = c.poll_transmit(now).expect("client first flight");
+        let cut = hello.len() / slices;
+        let (mut received, mut sent) = (0, 0);
+        for i in 0..slices - 1 {
+            s.handle_datagram(now, path, &hello[i * cut..(i + 1) * cut]);
+            received += cut;
+        }
+        s.handle_datagram(now, path, &hello);
+        received += hello.len();
+        for _ in 0..=extra_polls {
+            while let Some((_, d)) = s.poll_transmit(now) {
+                sent += d.len();
+            }
+            prop_assert!(sent <= 3 * received, "sent {sent} on {received} received");
+        }
+        s.conn_mut().mark_address_validated();
+        for _ in 0..200 {
+            while let Some((path, d)) = s.poll_transmit(now) {
+                c.handle_datagram(now, path, &d);
+            }
+            while let Some((path, d)) = c.poll_transmit(now) {
+                s.handle_datagram(now, path, &d);
+            }
+        }
+        prop_assert!(s.is_established() && s.conn().multipath_negotiated(), "handshake dead");
+        Ok(())
+    });
 }
 
 /// One fuzz case: datagrams in arrival order, each Initial-or-1-RTT and a

@@ -42,9 +42,9 @@ fn full_multipath_setup_via_public_api() {
     let (mut c, mut s, mut now) = pair();
     pump(&mut now, &mut c, &mut s);
     assert!(c.is_established() && s.is_established());
-    assert!(c.multipath_negotiated());
-    assert!(c.paths().iter().all(|p| p.state == PathState::Active));
-    assert!(s.paths().iter().all(|p| p.state == PathState::Active));
+    assert!(c.conn().multipath_negotiated());
+    assert!(c.conn().paths().iter().all(|p| p.state == PathState::Active));
+    assert!(s.conn().paths().iter().all(|p| p.state == PathState::Active));
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn qoe_rides_ack_mp_end_to_end() {
     pump(&mut now, &mut c, &mut s);
     s.stream_send(id, b"pong", true);
     pump(&mut now, &mut c, &mut s);
-    let q = s.peer_qoe().expect("QoE delivered");
+    let q = s.conn().peer_qoe().expect("QoE delivered");
     assert_eq!(q.cached_bytes, 123);
     assert_eq!(q.cached_frames, 4);
 }
@@ -67,15 +67,15 @@ fn path_abandon_and_recovery_via_status_frames() {
     let (mut c, mut s, mut now) = pair();
     pump(&mut now, &mut c, &mut s);
     // Client stands path 1 down, then abandons it entirely.
-    c.set_path_status(1, PathStatusKind::Standby);
+    c.conn_mut().set_path_status(1, PathStatusKind::Standby);
     pump(&mut now, &mut c, &mut s);
-    assert_eq!(s.paths()[1].state, PathState::Standby);
-    c.set_path_status(1, PathStatusKind::Available);
+    assert_eq!(s.conn().paths()[1].state, PathState::Standby);
+    c.conn_mut().set_path_status(1, PathStatusKind::Available);
     pump(&mut now, &mut c, &mut s);
-    assert_eq!(s.paths()[1].state, PathState::Active);
-    c.set_path_status(1, PathStatusKind::Abandon);
+    assert_eq!(s.conn().paths()[1].state, PathState::Active);
+    c.conn_mut().set_path_status(1, PathStatusKind::Abandon);
     pump(&mut now, &mut c, &mut s);
-    assert_eq!(s.paths()[1].state, PathState::Abandoned);
+    assert_eq!(s.conn().paths()[1].state, PathState::Abandoned);
     // Traffic still flows on path 0.
     let id = c.open_stream(0);
     c.stream_send(id, &vec![9u8; 30_000], true);
@@ -113,7 +113,7 @@ fn garbage_datagrams_never_crash_or_close() {
         s.handle_datagram(now, 1, &junk);
         s.handle_datagram(now, 99, &junk); // unknown path
     }
-    assert!(!s.is_closed(), "garbage must be dropped, not fatal");
+    assert!(!s.conn().is_closed(), "garbage must be dropped, not fatal");
     // Connection still works.
     let id = c.open_stream(0);
     c.stream_send(id, b"still alive", true);
@@ -141,8 +141,7 @@ fn mutated_datagrams_never_crash_or_corrupt_ack_state() {
         corpus.push((p, d));
     }
     assert!(corpus.len() >= 4, "need a real corpus to mutate (got {})", corpus.len());
-    let baseline: Vec<Vec<(u64, u64)>> =
-        s.borrow().paths().iter().map(|p| p.recv_pn_ranges()).collect();
+    let baseline: Vec<Vec<(u64, u64)>> = s.borrow().conn().recv_pn_ranges();
 
     check(
         "mutated_datagrams_never_crash_or_corrupt_ack_state",
@@ -183,9 +182,8 @@ fn mutated_datagrams_never_crash_or_corrupt_ack_state() {
             let mut srv = s.borrow_mut();
             srv.handle_datagram(now, *path, &mutant);
             srv.handle_datagram(now, 99, &mutant); // unknown path too
-            prop_assert!(!srv.is_closed(), "mutant closed the connection");
-            let ranges: Vec<Vec<(u64, u64)>> =
-                srv.paths().iter().map(|p| p.recv_pn_ranges()).collect();
+            prop_assert!(!srv.conn().is_closed(), "mutant closed the connection");
+            let ranges: Vec<Vec<(u64, u64)>> = srv.conn().recv_pn_ranges();
             prop_assert_eq!(
                 &ranges,
                 &baseline,
@@ -222,7 +220,7 @@ fn replayed_datagrams_are_no_ops() {
     }
     assert_eq!(s.stream_recv(id, 100), b"idempotent");
     // Duplicate suppression: only the first delivery counted.
-    let dup: u64 = s.streams().iter().map(|st| st.recv.duplicate_bytes()).sum();
+    let dup: u64 = s.conn().streams().iter().map(|st| st.recv.duplicate_bytes()).sum();
     assert_eq!(dup, 0, "pn-level dedup should reject replays before streams");
 }
 
@@ -294,8 +292,8 @@ fn retire_connection_id_retires_replaces_and_unbinds() {
 fn graceful_close_propagates_both_ways() {
     let (mut c, mut s, mut now) = pair();
     pump(&mut now, &mut c, &mut s);
-    s.close(TransportError::NoError, "server done");
+    s.conn_mut().close(TransportError::NoError, "server done");
     pump(&mut now, &mut c, &mut s);
-    assert!(c.is_closed());
-    assert!(s.is_closed());
+    assert!(c.conn().is_closed());
+    assert!(s.conn().is_closed());
 }
