@@ -210,6 +210,7 @@ impl Keys {
         let keys = if header.ty.is_long() { &self.initial } else { self.one_rtt.as_ref()? };
         let key = if self.side == Side::Server { &keys.client } else { &keys.server };
         self.buf.clear();
+        self.buf.reserve_exact(datagram.len()); // never more than a datagram's worth
         self.buf.extend_from_slice(datagram);
         let (aad, sealed) = self.buf.split_at_mut(payload_off);
         // Multipath nonce: CID sequence number = path id (paper §6).
@@ -256,6 +257,13 @@ impl Keys {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Keys {
+        /// Capacity of the receive buffer (decoder-totality property).
+        pub(in crate::connection) fn buffer_capacity(&self) -> usize {
+            self.buf.capacity()
+        }
+    }
 
     fn keys(side: Side) -> Keys {
         Keys::new(side, b"psk", &TransportParams::default(), [7; 16])

@@ -1956,6 +1956,114 @@ mod tests {
         assert!(buffered > 0);
     }
 
+    /// What an unauthenticated datagram must leave alone: everything but the
+    /// byte and drop counters.
+    fn observable(c: &Connection) -> impl PartialEq + std::fmt::Debug {
+        let stats = ConnectionStats { bytes_received: 0, packets_dropped: 0, ..c.stats() };
+        let path = |p: &Path| (p.state, p.dcid, p.probe_pending, p.space.ack_pending, p.cwnd());
+        (
+            (c.life.state().clone(), c.multipath, c.retry_done, c.oracle.count(), stats),
+            (c.bounded_state(), c.poll_timeout(), c.recv_pn_ranges(), c.streams.control.len()),
+            (c.initial.ack_pending, c.paths.iter().map(path).collect::<Vec<_>>()),
+        )
+    }
+
+    /// Decoder totality at the one receive path: arbitrary *unauthenticated*
+    /// bytes — noise, truncated, spliced and bit-flipped real datagrams,
+    /// forced long / short / Retry forms, real headers on noise, on any path
+    /// index — into client and server, before and after the handshake, over
+    /// 1 and 2 paths. No panic (the debug profile checks overflow), the caps
+    /// hold, nothing is answered, nothing but the byte and drop counters
+    /// changes, and the receive buffer never holds more than the largest
+    /// datagram it was offered.
+    #[test]
+    fn unauthenticated_bytes_change_nothing_but_the_counters() {
+        use xlink_lab::prop::*;
+        // Real datagrams of another pair (other 1-RTT keys, the same Initial
+        // keys — so none is ever offered intact), and a Retry.
+        let mut corpus = Vec::new();
+        let (mut a, mut b, now) = pair_over(2);
+        (a.cfg.seed, b.cfg.seed) = (77, 78);
+        let id = a.open_stream(0);
+        a.stream_send(id, &[3u8; 4000], true);
+        for _ in 0..6 {
+            while let Some((path, d)) = a.poll_transmit_on(now) {
+                b.handle_datagram_on(now, path, &d);
+                corpus.push(d);
+            }
+            while let Some((path, d)) = b.poll_transmit_on(now) {
+                a.handle_datagram_on(now, path, &d);
+                corpus.push(d);
+            }
+        }
+        let cid = ConnectionId::derive(9, 9);
+        let retry = Header {
+            ty: PacketType::Retry,
+            dcid: cid,
+            scid: cid,
+            pn: 0,
+            pn_len: 1,
+            token: vec![7; 32],
+        };
+        corpus.push(retry.encode());
+        assert!(corpus.iter().any(|d| d[0] & 0x80 != 0) && corpus.iter().any(|d| d[0] & 0x80 == 0));
+
+        // The eight connections under test, quiescent. The client still
+        // handshaking has honoured its one Retry (a Retry carries no proof
+        // beyond the token the server will check, and is taken once).
+        let mut fixtures = Vec::new();
+        for paths in [1, 2] {
+            let (mut c, s, now) = pair_over(paths);
+            while c.poll_transmit_on(now).is_some() {}
+            c.handle_datagram_on(now, 0, corpus.last().expect("the Retry"));
+            assert!(c.retry_seen());
+            while c.poll_transmit_on(now).is_some() {}
+            let (ec, es, at) = established(paths);
+            fixtures.extend([(c, now), (s, now), (ec, at), (es, at)]);
+        }
+        let largest: Vec<usize> = fixtures.iter().map(|(c, _)| c.keys.buffer_capacity()).collect();
+        // Shared across cases (the runner's closure is `Fn`): what holds for
+        // one datagram must hold for all of them in a row.
+        let state = std::cell::RefCell::new((fixtures, largest));
+
+        let datagram = ((0u8..6, 0usize..4), 0usize..10_000, 0usize..10_000, bytes(0..1500));
+        check("unauthenticated bytes", vec_of(datagram, 1..12), |case| {
+            let (fixtures, largest) = &mut *state.borrow_mut();
+            for ((kind, path), x, y, noise) in case {
+                let (one, other) = (&corpus[x % corpus.len()], &corpus[y % corpus.len()]);
+                let offered: Vec<u8> = match kind {
+                    0 => noise.clone(),
+                    1 => one[..y % one.len()].to_vec(),
+                    2 if one != other => {
+                        let cut = 1 + noise.len() % (one.len().min(other.len()) - 1);
+                        [&one[..cut], &other[cut..]].concat()
+                    }
+                    2 | 3 => {
+                        let mut flipped = one.clone();
+                        flipped[y % one.len()] ^= 1 << (noise.len() % 8);
+                        flipped
+                    }
+                    4 => [&[[0xc0, 0x40, 0xf0, 0xe0][x % 4] | (y % 16) as u8][..], noise].concat(),
+                    _ => [&one[..one.len().min(20)], &noise[..]].concat(),
+                };
+                if corpus.contains(&offered) {
+                    continue; // a flip that undid itself: authentic after all
+                }
+                for (i, (conn, now)) in fixtures.iter_mut().enumerate() {
+                    let before = observable(conn);
+                    conn.handle_datagram_on(*now, *path, &offered);
+                    largest[i] = largest[i].max(offered.len());
+                    prop_assert_eq!(observable(conn), before, "fixture {}: {:?}", i, offered);
+                    prop_assert!(conn.poll_transmit_on(*now).is_none(), "fixture {i} answered");
+                    prop_assert!(conn.bounded_state().within_caps());
+                    let held = conn.keys.buffer_capacity();
+                    prop_assert!(held <= largest[i], "fixture {i} holds {held} > {}", largest[i]);
+                }
+            }
+            Ok(())
+        });
+    }
+
     /// Send until `conn` has nothing more, then poll once more at the same
     /// instant: still nothing, and nothing moved. An endpoint multiplexing
     /// many connections relies on this to stop asking a connection that

@@ -401,6 +401,55 @@ fn assert_shape(what: &str, wire: &[Datagram], events: usize, recorded: Shape) {
     assert_eq!(got, recorded, "{what}: wire and trace shape moved");
 }
 
+/// The engine's absolute expectations per transfer scenario, as
+/// [`summary`] renders them: the wire and trace shape; when the body was
+/// complete and the follow-up answered; when client and server closed and
+/// drained; their (sent, lost) packet counts; the final received
+/// packet-number ranges per side and space; the peak capped state per side
+/// as (ranges, PATH_RESPONSEs pending, stream segments, bytes buffered).
+const PINNED: [(&str, &str); 8] = [
+    ("clean", "wire (11, 426, 244, 308316, 531) done 120000/140000 closed 140000/150000 drained 342500/313464 sent/lost [(11, 0), (244, 0)] ranges [[[(0, 1)], [(1, 241)]], [[(0, 1)], [(0, 8)]]] peak [(1, 0, 0, 0), (1, 0, 0, 0)]"),
+    ("lost hello", "wire (29, 1019, 248, 308542, 615) done 1484000/1504000 closed 1504000/1514000 drained 1706500/1652000 sent/lost [(29, 0), (248, 2)] ranges [[[(1, 3)], [(1, 243)]], [[(0, 2)], [(0, 25)]]] peak [(1, 0, 0, 0), (1, 0, 0, 0)]"),
+    ("lost flight", "wire (30, 1105, 249, 308584, 619) done 1484000/1504000 closed 1504000/1514000 drained 1706500/1652000 sent/lost [(30, 0), (249, 3)] ranges [[[(2, 4)], [(1, 243)]], [[(0, 3)], [(0, 25)]]] peak [(1, 0, 0, 0), (1, 0, 0, 0)]"),
+("1% loss", "wire (18, 698, 247, 312204, 568) done 260000/280000 closed 280000/290000 drained 482500/428780 sent/lost [(18, 0), (247, 3)] ranges [[[(0, 1)], [(1, 27), (29, 127), (129, 227), (229, 244)]], [[(0, 1)], [(0, 15)]]] peak [(4, 0, 16, 20192), (1, 0, 0, 0)]"),
+    ("blackout", "wire (22, 813, 266, 334284, 622) done 565000/585000 closed 585000/595000 drained 787500/733000 sent/lost [(22, 0), (266, 21)] ranges [[[(0, 1)], [(1, 11), (33, 263)]], [[(0, 1)], [(0, 19)]]] peak [(2, 0, 0, 0), (1, 0, 0, 0)]"),
+    ("idle", "wire (11, 426, 244, 308316, 535) done 120000/140000 closed 30140000/30150000 drained 30140000/30150000 sent/lost [(11, 0), (244, 0)] ranges [[[(0, 1)], [(1, 241)]], [[(0, 1)], [(1, 8)]]] peak [(1, 0, 0, 0), (1, 0, 0, 0)]"),
+    ("keep-alives", "wire (25, 846, 258, 308722, 617) done 120000/140000 closed -/- drained -/- sent/lost [(25, 0), (258, 0)] ranges [[[(0, 1)], [(1, 255)]], [[(0, 1)], [(1, 22)]]] peak [(1, 0, 0, 0), (1, 0, 0, 0)]"),
+    ("dead peer", "wire (5, 229, 52, 39525, 90) done -/- closed 30040000/30050000 drained 30040000/30050000 sent/lost [(5, 0), (52, 0)] ranges [[[(0, 1)], [(0, 11)]], [[(0, 1)], [(0, 2)]]] peak [(1, 0, 0, 0), (1, 0, 0, 0)]"),
+];
+
+fn us(t: Option<Instant>) -> String {
+    t.map_or("-".into(), |t| t.as_micros().to_string())
+}
+
+fn summary(o: &Outcome) -> String {
+    let peak = o.peak.map(|b| {
+        (b.recv_ranges, b.pending_path_responses, b.stream_segments, b.buffered_recv_bytes)
+    });
+    format!(
+        "wire {:?} done {}/{} closed {}/{} drained {}/{} sent/lost {:?} ranges {:?} peak {:?}",
+        shape(&o.wire, o.events.len()),
+        us(o.finished_at),
+        us(o.followed_up_at),
+        us(o.closed_at[0]),
+        us(o.closed_at[1]),
+        us(o.drained_at[0]),
+        us(o.drained_at[1]),
+        o.counters,
+        o.ranges,
+        peak,
+    )
+}
+
+/// A run against its row of [`PINNED`]; a mismatch prints the row to paste.
+fn assert_pinned(what: &str, o: &Outcome) {
+    let (got, row) = (summary(o), PINNED.iter().find(|(name, _)| *name == what));
+    if row.map(|(_, want)| *want) != Some(&got[..]) {
+        eprintln!("    ({what:?}, {got:?}),");
+    }
+    assert_eq!(row.map(|(_, want)| *want), Some(&got[..]), "{what}: the pinned outcome moved");
+}
+
 /// The two engines ran the scenario alike: the same bytes delivered, the
 /// same instants, close codes, packet counts, received packet numbers and
 /// peak state, byte for byte the same datagrams at the same instants, event
@@ -440,7 +489,7 @@ fn clean_link_and_graceful_close() {
     assert_delivered("clean", &sp);
     assert_eq!(sp.counters[0].1 + sp.counters[1].1, 0, "none lost");
     assert_eq!(sp.ranges[0][0], [(0, 1)], "a hello and an ACK of ours, as Initials");
-    assert_shape("clean", &sp.wire, sp.events.len(), (11, 426, 244, 308316, 531));
+    assert_pinned("clean", &sp);
     assert_eq!(sp.codes, [Some((0, false)), Some((0, true))], "closed here, by the peer there");
     assert!(sp.drained_at[0] > sp.closed_at[0], "closing lasts 3×PTO, not zero");
 }
@@ -463,7 +512,7 @@ fn lost_server_hello() {
     assert_eq!(sp.counters, [(29, 0), (248, 2)], "(sent, lost): client, server");
     assert_same_run("lost hello", &sp, &mp);
     assert_delivered("lost hello", &sp);
-    assert_shape("lost hello", &sp.wire, sp.events.len(), (29, 1019, 248, 308542, 615));
+    assert_pinned("lost hello", &sp);
 }
 
 /// The server's first flight: its hello, HANDSHAKE_DONE and the ACK of the
@@ -491,7 +540,7 @@ fn lost_server_flight() {
     assert_eq!(at_1034, [86, 42, 27]);
     assert_same_run("lost flight", &sp, &mp);
     assert_delivered("lost flight", &sp);
-    assert_shape("lost flight", &sp.wire, sp.events.len(), (30, 1105, 249, 308584, 619));
+    assert_pinned("lost flight", &sp);
 }
 
 /// Every 100th datagram towards the client, from the 30th on.
@@ -508,7 +557,7 @@ fn one_percent_loss() {
     assert_eq!(sp.peak[0].stream_segments, 16, "packets piled up behind a hole");
     assert_same_run("1% loss", &sp, &mp);
     assert_delivered("1% loss", &sp);
-    assert_shape("1% loss", &sp.wire, sp.events.len(), (18, 698, 247, 312204, 568));
+    assert_pinned("1% loss", &sp);
 }
 
 /// Nothing gets through in either direction for 200 ms mid-transfer.
@@ -528,7 +577,7 @@ fn blackout_of_200_ms() {
     assert!(sp.finished_at.unwrap() > Instant::from_millis(250), "the transfer spans the blackout");
     assert_same_run("blackout", &sp, &mp);
     assert_delivered("blackout", &sp);
-    assert_shape("blackout", &sp.wire, sp.events.len(), (22, 813, 266, 334284, 622));
+    assert_pinned("blackout", &sp);
     // The blackout (two PTOs) and its end are reported.
     let suspected =
         |(_, _, e): &&(Instant, String, Event)| matches!(e, Event::PathSuspected { .. });
@@ -553,7 +602,7 @@ fn idle_out() {
     assert_eq!(sp.drained_at, sp.closed_at, "nothing to replay: drained at once");
     // The client idles out 30 s after its last receipt, the PONG.
     assert_eq!(sp.closed_at[0], sp.followed_up_at.map(|t| t + Duration::from_secs(30)));
-    assert_shape("idle", &sp.wire, sp.events.len(), (11, 426, 244, 308316, 535));
+    assert_pinned("idle", &sp);
 }
 
 #[test]
@@ -578,7 +627,7 @@ fn quiet_connection_with_keepalives() {
     assert_same_run("keep-alives", &sp, &mp);
     assert_delivered("keep-alives", &sp);
     assert_eq!(sp.errors, [None, None], "kept alive");
-    assert_shape("keep-alives", &sp.wire, sp.events.len(), (25, 846, 258, 308722, 617));
+    assert_pinned("keep-alives", &sp);
 }
 
 /// The link dies for good at 50 ms, the server mid-transfer.
@@ -599,7 +648,7 @@ fn idle_out_facing_a_dead_peer() {
     assert_eq!(sp.errors, [Some(ConnectionError::TimedOut), Some(ConnectionError::TimedOut)]);
     let last_heard = sp.closed_at[1].unwrap() - Duration::from_secs(30);
     assert!(last_heard < Instant::from_millis(50 + 10), "30 s after the last receipt");
-    assert_shape("dead peer", &sp.wire, sp.events.len(), (5, 229, 52, 39525, 90));
+    assert_pinned("dead peer", &sp);
 }
 
 /// What a hostile client's script does to a victim server of either
