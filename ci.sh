@@ -24,7 +24,12 @@ step "cargo fmt --check" cargo fmt --check
 
 step "cargo build --release --offline" cargo build --release --offline
 
-step "cargo test -q --offline" cargo test -q --offline
+# Debug profile: overflow checks are on for every code path the suite
+# reaches. One seed per sweep here (tests/failover.rs and tests/end_to_end.rs
+# at their default seed counts were most of this step's 587-755 s); the full
+# seed counts run in the release steps below.
+step "cargo test -q --offline (debug, one seed per sweep)" \
+    env XLINK_SWEEP_SEEDS=1 cargo test -q --offline
 
 step "crate unit tests: the whole workspace, not just the facade (release)" \
     cargo test -q --offline --workspace --release
@@ -34,8 +39,11 @@ step "golden oracle: qlog streams, MPTCP times, A/B and fleet reports bit-identi
 
 # Debug profile on purpose: overflow checks are on, and a wrap on a
 # peer-controlled value is what the decoder-totality property is after.
-step "differential oracle: MP engine configured down to one path vs SP engine; decoder totality" \
+step "differential oracle: the engine driven directly vs under the XLINK policy at one path, pinned" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline --test differential
+
+step "decoder totality: unauthenticated bytes into the one receive path (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib unauthenticated_bytes
 
 step "impairment robustness sweep (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test impairments

@@ -107,8 +107,10 @@ fn xlink_reinjection_cost_stays_capped_across_seeds_and_loss() {
     // The QoE controller must hold the paper's cost envelope not just on
     // one lucky seed: sweep seeds over clean and mildly lossy paths and
     // assert the per-session cost ratio (from the unified counters)
-    // never degenerates toward always-on re-injection.
-    for seed in [23, 24, 25, 26] {
+    // never degenerates toward always-on re-injection. (Four seeds unless
+    // `XLINK_SWEEP_SEEDS` says otherwise: ci.sh's debug pass runs one.)
+    let seeds = std::env::var("XLINK_SWEEP_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
+    for seed in (23..).take(seeds) {
         for (label, paths) in [("clean", dual_paths()), ("lossy", lossy_paths(0.01))] {
             let cfg = small_video_session(Scheme::Xlink, seed);
             let r = run_session(&cfg, paths);
