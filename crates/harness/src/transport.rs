@@ -6,7 +6,7 @@
 use xlink_clock::{Duration, Instant};
 use xlink_core::{
     AckPathPolicy, LivenessConfig, MpConfig, MpConnection, MpPath, PrimaryPathPolicy, QoeControl,
-    ReinjectMode, SchedulerKind, WirelessTech,
+    ReinjectMode, WirelessTech,
 };
 use xlink_obs::{Event, Tracer};
 pub use xlink_quic::connection::BoundedState;
@@ -170,24 +170,16 @@ impl Conn {
         now: Instant,
         side: Side,
     ) -> Conn {
-        let techs = match scheme.is_multipath() {
-            true => tuning.path_techs.clone(),
-            false => vec![WirelessTech::Wifi],
-        };
+        let multipath = scheme.is_multipath();
+        let techs = if multipath { tuning.path_techs.clone() } else { vec![WirelessTech::Wifi] };
         let mut cfg = MpConfig::xlink_client(seed, techs);
-        cfg.conn.side = side;
-        if !scheme.is_multipath() {
-            // Single-path QUIC as `Config::client` defaults it.
-            cfg.conn = SpConfig { side, ..SpConfig::client(seed) };
-        }
-        if let Some(policy) = &tuning.primary_override {
-            cfg.primary_policy = policy.clone();
-        } else if !tuning.wireless_aware_primary {
-            cfg.primary_policy = PrimaryPathPolicy::unaware();
-        }
-        if scheme == Scheme::VanillaMp {
+        if !multipath {
+            // Single-path QUIC as `Config::client` defaults it; the policy
+            // has nothing to act on.
+            cfg.conn = SpConfig::client(seed);
+        } else if scheme == Scheme::VanillaMp {
             cfg = cfg.vanilla();
-        } else if scheme.is_multipath() {
+        } else {
             // The re-injecting schemes differ in what gates re-injection and
             // in where a re-injected range may jump the queue.
             cfg.qoe_control = match scheme {
@@ -203,10 +195,15 @@ impl Conn {
             };
             cfg.conn.ack_policy = tuning.ack_policy;
         }
-        if scheme.is_multipath() && !tuning.auto_failover {
+        cfg.conn.side = side;
+        if let Some(policy) = &tuning.primary_override {
+            cfg.primary_policy = policy.clone();
+        } else if !tuning.wireless_aware_primary {
+            cfg.primary_policy = PrimaryPathPolicy::unaware();
+        }
+        if multipath && !tuning.auto_failover {
             (cfg.conn.liveness, cfg.conn.keepalive) = (LivenessConfig::disabled(), None);
         }
-        cfg.scheduler = SchedulerKind::MinRtt;
         Conn {
             mp: MpConnection::new(cfg, now),
             carrier: match scheme {
@@ -249,19 +246,17 @@ impl Conn {
 
     /// Next datagram to send: (network path, bytes).
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
-        let Some(carrier) = self.carrier else {
+        let Some(mut carrier) = self.carrier else {
             return self.mp.poll_transmit(now);
         };
         // CM: if we're awaiting data and the path has been silent for the
         // threshold, rotate and reset (RFC 9000 §9.4).
-        let mut carrier = carrier;
         if self.cm_stall_deadline().is_some_and(|stall| now >= stall) {
-            let from = carrier;
+            let from = carrier as u8;
             carrier = (carrier + 1) % self.num_paths.max(1);
             self.carrier = Some(carrier);
             let stranded_bytes = self.mp.conn().in_flight(0);
-            let (from, to) = (from as u8, carrier as u8);
-            self.tracer.emit(now, Event::PathFailover { from, to, stranded_bytes });
+            self.tracer.emit(now, Event::PathFailover { from, to: carrier as u8, stranded_bytes });
             self.mp.conn_mut().on_migrate(now);
             self.last_recv = now; // restart the stall clock
         }

@@ -60,7 +60,7 @@ impl ResetOracle {
 #[derive(Debug)]
 pub enum Opened {
     /// Authentic and not seen before, its packet number now recorded.
-    /// `frames` is `None` when the payload does not parse (the engine
+    /// `frames` is `None` when the payload does not parse (the connection
     /// closes with FRAME_ENCODING_ERROR).
     Packet {
         /// The decoded header.
@@ -179,7 +179,7 @@ impl Keys {
         Ok(true)
     }
 
-    /// Open `datagram` as a packet of `space` (the engine's pick, from the
+    /// Open `datagram` as a packet of `space` (the connection's pick, from the
     /// arrival path and the header form): decode the header, reconstruct
     /// the packet number, pick the key by packet type and direction, open
     /// in place under `path`'s nonce, refuse duplicates, decode the

@@ -1,9 +1,9 @@
-//! The life of one connection, whichever engine drives it (RFC 9000 §10):
+//! The life of one connection (RFC 9000 §10):
 //! handshaking → established → closed, and once closed either *closing*
 //! (we said CONNECTION_CLOSE: replay it at power-of-two received-packet
 //! counts) or *draining* (the peer said it: stay silent), both for 3×PTO,
 //! then *drained* (state freed). Also the idle deadline, which tracks what
-//! the engine reports through [`Lifecycle::touch`]. Every way a connection
+//! the connection reports through [`Lifecycle::touch`]. Every way a connection
 //! ends is reported to the tracer from here (`ConnectionClosed`).
 
 use crate::error::{ConnectionError, TransportError};
@@ -26,7 +26,7 @@ pub enum State {
 /// What a timer expiry meant for the connection's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expiry {
-    /// Still open: the engine's own timers run.
+    /// Still open: the connection's own timers run.
     Open,
     /// Closed before; nothing ended now.
     Closed,

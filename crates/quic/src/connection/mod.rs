@@ -969,7 +969,7 @@ impl Connection {
                 p.state == PathState::Validating && p.challenge.is_none() && p.dcid != handshake_cid
             };
             let extra = self.paths.iter().filter(|p| p.id != primary).find(unchallenged);
-            if let Some(i) = extra.map(|p| p.id).filter(|_| self.cfg.side == Side::Client) {
+            if let (Side::Client, Some(i)) = (self.cfg.side, extra.map(|p| p.id)) {
                 return Some(self.send_challenge(now, i, 0xc4a1, i as u64, true));
             }
         }

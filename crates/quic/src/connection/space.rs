@@ -1,7 +1,6 @@
 //! One packet-number space: what was sent in it and is still unaccounted
 //! for, which packet numbers arrived in it, and whether they are owed an
-//! ACK. The single-path engine has two (Initial, 1-RTT), the multipath
-//! engine one per path.
+//! ACK. A connection has one for its Initials and one per path.
 
 use crate::ackranges::AckRanges;
 use crate::cid::ConnectionId;
@@ -31,8 +30,8 @@ pub enum SentFrame {
     },
     /// Handshake bytes.
     Crypto,
-    /// An ACK of `space` (the multipath path id; the single-path engine's
-    /// space index) up to `largest`, for pruning acknowledged ACK state.
+    /// An ACK of path `space`'s packets (the Initial space's count as the
+    /// primary path's) up to `largest`, for pruning acknowledged ACK state.
     Ack {
         /// Which received-packet space the ACK reported on.
         space: u64,
@@ -81,7 +80,7 @@ pub struct PnSpace {
 impl PnSpace {
     /// The peer acknowledged packets of this space. Protocol police first
     /// (§10): an ACK covering a packet number never sent is the
-    /// optimistic-ACK attack — an error the engine closes on with
+    /// optimistic-ACK attack — an error the connection closes on with
     /// PROTOCOL_VIOLATION, and nothing reaches recovery or congestion
     /// control. Otherwise: what was newly acked and what is thereby lost.
     pub fn on_ack(

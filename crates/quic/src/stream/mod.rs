@@ -1,6 +1,6 @@
 //! Stream multiplexing: send/recv halves, stream-ID allocation, and the
 //! per-connection stream map with connection-level flow control — which is
-//! also where both connection engines get their stream-frame receiver, the
+//! also where the connection gets its stream-frame receiver, the
 //! flow-control-aware packer of data packets, and what an acked or lost
 //! stream range means.
 
@@ -84,7 +84,7 @@ pub struct StreamMap {
     max_streams: u64,
     /// Control frames waiting to ride the next data packet, last in first
     /// out: this map's flow-control updates and resets, plus whatever the
-    /// engine queues (CID management, path status, …).
+    /// connection queues (CID management, path status, …).
     pub control: Vec<Frame>,
     /// The connection-level send limit a DATA_BLOCKED was last sent for.
     data_blocked_at: Option<u64>,
@@ -432,7 +432,7 @@ impl StreamMap {
     }
 
     /// A sent frame was acknowledged: a stream range is delivered. Every
-    /// other kind is the engine's to interpret.
+    /// other kind is the connection's to interpret.
     pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) {
         if let SentFrame::Stream { id, range, fin, .. } = frame {
             if let Some(s) = self.streams.get_mut(id) {
@@ -444,7 +444,7 @@ impl StreamMap {
     /// A sent frame was lost: an original stream range is pending again
     /// (returns the bytes to retransmit), a control frame goes back on the
     /// queue. A lost re-injected copy is left alone; every other kind is
-    /// the engine's to interpret.
+    /// the connection's to interpret.
     pub fn on_sent_frame_lost(&mut self, frame: SentFrame) -> u64 {
         match frame {
             SentFrame::Stream { id, range, fin, reinjected: false } => {

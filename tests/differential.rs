@@ -1,17 +1,21 @@
-//! Differential oracle for the two connection engines (ROADMAP item 1).
+//! Differential oracle for the connection engine and its two drivers.
 //!
-//! `xlink_core::MpConnection` with one path and `enable_multipath: false`
-//! (the XLINK policy otherwise: it has nothing to act on) is run against
-//! `xlink_quic::Connection` over the same scripted link, scenario by
-//! scenario, and everything the application, the peer and the trace can
-//! observe is compared for *equality*: delivered stream bytes, final ACK
-//! ranges, close codes, when each side reported closed and drained, the
-//! capped state, every datagram byte for byte at its instant, every traced
-//! event. DESIGN §16 tells how each of the differences this file used to
-//! assert was settled. What is left for the merge is what the multipath
-//! engine lacks outright — Retry, CID migration, keep-alives without
-//! multipath, the reset token from the transport parameters: the edge-tier
-//! scenario, which only the single-path engine can run yet.
+//! Until the merge (DESIGN §16 tells it row by row) this file ran
+//! `xlink_core::MpConnection`, then an engine of its own, against
+//! `xlink_quic::Connection`, and its assertions of their differences became
+//! equalities one residue row at a time. There is one engine now, and the
+//! comparison that is left is between its two drivers: `Connection` driven
+//! directly through the one-path shorthands (`sp_*` below: how `edge::Pop`,
+//! `harness::pop` and the benchmark use it) and the same engine under
+//! `MpConnection` with one path and `enable_multipath: false` (`mp_*`: how
+//! `harness::Conn` runs the SP and CM arms — the XLINK policy is configured,
+//! and must do nothing). Scenario by scenario, over the same scripted link,
+//! everything the application, the peer and the trace can observe is compared
+//! for *equality*: delivered stream bytes, final ACK ranges, close codes, when
+//! each side reported closed and drained, the capped state, every datagram
+//! byte for byte at its instant, every traced event — through `edge::Pop`
+//! too (Retry admission, a shard drain, a stateless reset). The absolute
+//! expectations behind the equalities are pinned in [`PINNED`].
 
 use xlink::clock::{Duration, Instant};
 use xlink::core::QoeSignal;
@@ -41,7 +45,7 @@ trait Peer {
     fn fire(&mut self, now: Instant);
 }
 
-/// What the comparison reads off either engine.
+/// What the comparison reads off either driver.
 trait Engine: Peer {
     fn life(&self) -> &Lifecycle;
     fn streams(&mut self) -> &mut StreamMap;
@@ -158,10 +162,10 @@ fn sp_pair() -> (Connection, Connection) {
     )
 }
 
-/// The multipath engine configured down to single-path QUIC as
-/// `Config::client` / `Config::server` default it: one path, multipath not
-/// offered, no keep-alive. The policy stays XLINK's — scheduler,
-/// re-injection, QoE gate — and must do nothing.
+/// `MpConnection` configured down to single-path QUIC as `Config::client` /
+/// `Config::server` default it: one path, multipath not offered, no
+/// keep-alive. The policy stays XLINK's — scheduler, re-injection, QoE gate
+/// — and must do nothing.
 fn mp_cfg(mut cfg: MpConfig) -> MpConfig {
     (cfg.conn.params.enable_multipath, cfg.conn.keepalive) = (false, None);
     cfg
@@ -257,7 +261,7 @@ impl<'a, C: Peer, S: Peer> Link<'a, C, S> {
     }
 }
 
-/// Everything observable about one run of a scenario on one engine.
+/// Everything observable about one run of a scenario under one driver.
 #[derive(Debug)]
 struct Outcome {
     /// Body bytes the client application read, and whether it saw the FIN.
@@ -380,7 +384,7 @@ fn recorded(log: &TraceLog) -> Vec<(Instant, String, Event)> {
 
 /// What a run put on the wire and into the trace: (datagrams up, bytes up,
 /// datagrams down, bytes down, events traced) — the absolute expectations
-/// behind the engine-against-engine equalities.
+/// behind the driver-against-driver equalities.
 type Shape = (usize, usize, usize, usize, usize);
 
 fn shape(wire: &[Datagram], events: usize) -> Shape {
@@ -450,7 +454,7 @@ fn assert_pinned(what: &str, o: &Outcome) {
     assert_eq!(row.map(|(_, want)| *want), Some(&got[..]), "{what}: the pinned outcome moved");
 }
 
-/// The two engines ran the scenario alike: the same bytes delivered, the
+/// The two drivers ran the scenario alike: the same bytes delivered, the
 /// same instants, close codes, packet counts, received packet numbers and
 /// peak state, byte for byte the same datagrams at the same instants, event
 /// for event the same trace.
@@ -587,8 +591,8 @@ fn blackout_of_200_ms() {
 #[test]
 fn idle_out() {
     // Nobody closes: both sides sit idle after the exchange. On a live
-    // link the last thing either side does is at the same instant in both
-    // engines, so they idle out together, silently, freed at once.
+    // link both sides idle out 30 s after their last receipt, silently,
+    // freed at once.
     let horizon = Duration::from_secs(60);
     let sp = transfer(sp_pair(), clean, Then::Idle, horizon);
     let mp = transfer(mp_pair(), clean, Then::Idle, horizon);
@@ -651,8 +655,8 @@ fn idle_out_facing_a_dead_peer() {
     assert_pinned("dead peer", &sp);
 }
 
-/// What a hostile client's script does to a victim server of either
-/// engine.
+/// What a hostile client's script does to a victim server under either
+/// driver.
 #[derive(Debug, PartialEq)]
 struct Verdict {
     code: Option<(u64, bool)>,
@@ -706,8 +710,8 @@ fn path_challenge_flood() {
     // The flood ends in the attacker's graceful close: both drain.
     assert_eq!(sp.code, Some((0, true)));
     assert!(sp.peak.within_caps());
-    // All 104 challenges and the close land in one instant: both engines
-    // cap the responses at 8 and drop the 96 oldest, and keep the 8 until
+    // All 104 challenges and the close land in one instant: the server
+    // caps the responses at 8, drops the 96 oldest, and keeps the 8 until
     // the drain period ends.
     assert_eq!((sp.peak.pending_path_responses, sp.peak.path_responses_dropped), (8, 104 - 8));
     assert_shape("PATH_CHALLENGE flood", &sp.wire, sp.events.len(), (0, 0, 3, 155, 6));
@@ -715,7 +719,7 @@ fn path_challenge_flood() {
 }
 
 /// Three PATH_CHALLENGEs in one datagram to a freshly established server of
-/// one engine, the answer lost, an ACK that proves it lost: everything the
+/// one driver, the answer lost, an ACK that proves it lost: everything the
 /// server sent, in order, as (instant, bytes).
 fn challenged<E: Engine>(mut server: E, mp: bool) -> Vec<(Instant, Vec<u8>)> {
     let mut now = Instant::ZERO;
@@ -769,7 +773,7 @@ fn path_challenges_are_answered_and_the_answer_retransmitted() {
 }
 
 /// One authentic 1-RTT datagram of `frames` to a freshly established server
-/// of one engine: (what the server sent in answer, how it closed).
+/// under one driver: (what the server sent in answer, how it closed).
 fn answered<E: Engine>(mut server: E, mp: bool, frames: &[Frame]) -> (Vec<Vec<u8>>, Option<u64>) {
     let now = Instant::ZERO;
     let mut peer = QuicAttacker::new(AttackKind::OptimisticAck, mp, 11);
@@ -820,10 +824,8 @@ impl Peer for Pop {
     }
 }
 
-/// What a client of the edge tier needs beyond [`Engine`] — residue rows
-/// 13, 14 and 16: Retry, CID migration and the connection-level stateless
-/// reset exist in the single-path engine only, so it alone runs
-/// [`through_the_pop`] until the merge gives them to the other.
+/// What a client of the edge tier needs beyond [`Engine`]: Retry, CID
+/// migration and the connection-level stateless reset.
 trait EdgeClient: Engine {
     /// A client as `harness::pop` configures it: a 2 s idle timeout and a
     /// keep-alive PING at an eighth of it.
@@ -996,8 +998,8 @@ fn retire_connection_id_of_an_unissued_or_in_use_sequence_number_closes() {
 
 #[test]
 fn an_address_unvalidated_server_never_sends_more_than_three_times_what_it_received() {
-    // §8.1 on a two-path server under the XLINK policy (the single-path
-    // engine's property is in tests/invariants.rs): however the client's
+    // §8.1 on a two-path server under the XLINK policy (the one-path
+    // connection's property is in tests/invariants.rs): however the client's
     // first flight is sliced — the prefix fragments are garbage that still
     // counts as received — and however often transmit is polled, the server
     // stays within 3×; validation lifts the gate and the handshake completes.
@@ -1054,7 +1056,7 @@ fn owned_bytes(frames: &[Frame]) -> usize {
 }
 
 /// Feed `case`, every datagram authentic, to a freshly established server
-/// of one engine: whatever the payloads decode to, nothing panics and the
+/// under one driver: whatever the payloads decode to, nothing panics and the
 /// caps hold, through the receive path, the transmit path and the timers.
 fn fuzz_receive_path<E: Engine>(server: E, mp: bool, case: &FuzzCase) -> Result<(), String> {
     let (mut server, now) = (server, Instant::ZERO);
