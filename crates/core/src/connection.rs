@@ -313,12 +313,16 @@ impl MpConnection {
         None
     }
 
-    /// The scheduler's view of the paths: `(path, srtt, usable now)` — a
-    /// path sends while half a datagram of its window is left.
+    /// The scheduler's view of the paths: `(path, srtt, usable now)`. The
+    /// connection would send on a path while half a datagram of its window
+    /// is left; the scheduler offers one only with room for a whole
+    /// datagram — picking the fastest path for its last half datagram
+    /// concentrates in-flight there, and with it re-injection: a fifth more
+    /// re-injected bytes and candidate scans on outage traces.
     fn fill_candidates(&self, candidates: &mut Vec<(usize, Duration, bool)>) {
         candidates.clear();
         candidates.extend(self.conn.paths().iter().map(|p| {
-            let usable = p.usable_for_data() && self.conn.budget(p.id) >= MAX_DATAGRAM_SIZE / 2;
+            let usable = p.usable_for_data() && self.conn.budget(p.id) >= MAX_DATAGRAM_SIZE;
             (p.id, p.rtt.smoothed(), usable)
         }));
     }

@@ -3,16 +3,16 @@
 //! The paper's primary contribution, reimplemented in Rust on top of the
 //! `xlink-quic` substrate:
 //!
-//! * [`connection::MpConnection`] — multipath connection with per-path
-//!   packet-number spaces, ACK_MP (carrying QoE feedback), path
-//!   validation and PATH_STATUS lifecycle.
-//! * [`sched`] — min-RTT / round-robin / redundant schedulers and the
+//! * [`connection::MpConnection`] — the policy over one
+//!   `xlink_quic::connection::Connection` (which owns the paths, ACK_MP,
+//!   path validation and PATH_STATUS): primary path selection, path choice
+//!   for new data, re-injection and its QoE gate.
+//! * [`sched`] — min-RTT / round-robin / ECF path choice and the
 //!   priority-based re-injection modes of Fig. 4.
 //! * [`qoe`] — QoE signals and the double-thresholding controller
 //!   (Algorithm 1).
-//! * [`liveness`] — blackhole detection and automatic failover: the
-//!   `Active → Suspect → Probation` machine driven by consecutive-PTO
-//!   and ack-silence signals (§9).
+//! * [`liveness`] — the tunables of blackhole detection and automatic
+//!   failover (§9); the machine itself runs in the connection.
 //! * [`wireless`] — wireless-aware primary path selection (§5.3).
 //! * [`lb`] — QUIC-LB-style CID routing for load balancers and
 //!   multi-process CDN servers (§6).

@@ -32,7 +32,7 @@ pub use path::{AckPathPolicy, Path, PathState};
 pub use space::{PnSpace, SentFrame};
 
 use crate::ackranges::MAX_ACK_RANGES;
-use crate::cc::{CcAlgorithm, MAX_DATAGRAM_SIZE};
+use crate::cc::{CcAlgorithm, CoupledLia, MAX_DATAGRAM_SIZE};
 use crate::cid::{CidManager, ConnectionId};
 use crate::crypto::TAG_LEN;
 use crate::error::{ConnectionError, TransportError};
@@ -55,7 +55,8 @@ pub struct Config {
     pub psk: Vec<u8>,
     /// Our transport parameters; `enable_multipath` offers the extension.
     pub params: TransportParams,
-    /// Congestion controller algorithm, per path.
+    /// Congestion controller algorithm, per path (`CoupledLia` couples
+    /// them across paths).
     pub cc: CcAlgorithm,
     /// Seed for CID derivation and handshake randoms.
     pub seed: u64,
@@ -834,6 +835,13 @@ impl Connection {
         }
         if !outcome.lost.is_empty() {
             self.on_packets_lost(now, path, outcome.lost);
+        }
+        if self.cfg.cc == CcAlgorithm::CoupledLia {
+            // LIA (§9): one aggressiveness for all paths, from their windows.
+            let usable = self.paths.iter().filter(|p| p.usable_for_data());
+            let snapshot: Vec<_> = usable.map(|p| (p.cc.window(), p.rtt.smoothed())).collect();
+            let alpha = CoupledLia::compute_alpha(&snapshot);
+            self.paths.iter_mut().for_each(|p| p.cc.set_coupling(alpha));
         }
     }
 

@@ -1,4 +1,6 @@
-//! Single-path QUIC substrate for the XLINK reproduction.
+//! The QUIC stack of the XLINK reproduction: codecs, crypto, streams,
+//! recovery, and the one connection engine ([`connection::Connection`]) —
+//! single-path QUIC and, once negotiated, its multipath extension.
 pub mod ackranges;
 pub mod cc;
 pub mod cid;

@@ -8,12 +8,13 @@
 //! This facade crate re-exports the workspace so applications can depend
 //! on a single crate:
 //!
-//! * [`core`] (`xlink-core`) — the paper's contribution: the multipath
-//!   connection, schedulers, priority-based re-injection, the
+//! * [`core`] (`xlink-core`) — the paper's contribution, a policy over the
+//!   connection: schedulers, priority-based re-injection, the
 //!   double-thresholding controller (Algorithm 1), wireless-aware primary
 //!   path selection, and QUIC-LB CID routing.
-//! * [`quic`] (`xlink-quic`) — the single-path QUIC substrate: frames,
-//!   packets, ChaCha20-Poly1305 packet protection with the multipath
+//! * [`quic`] (`xlink-quic`) — QUIC and its multipath extension in one
+//!   connection engine (paths, ACK_MP, failover, Retry, CID migration), on
+//!   frames, packets, ChaCha20-Poly1305 packet protection with the multipath
 //!   nonce, streams, loss recovery, Cubic/NewReno/LIA congestion control.
 //! * [`netsim`] (`xlink-netsim`) — the Mahimahi-semantics trace-driven
 //!   network emulator the controlled experiments run on.

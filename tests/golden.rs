@@ -231,31 +231,31 @@ const BULK_QLOG: [[u64; 7]; 5] = [
         0x9b54_112c_78bf_c916,
     ],
     [
-        0x2cfd_313d_87b3_186a,
-        0x66bd_a052_ee1a_f303,
-        0x11a2_a27b_1ed2_97fd,
-        0x68ca_6600_cf00_917d,
-        0x2904_14b6_9b80_f8f3,
-        0x7946_455e_0555_04ed,
-        0x0e9b_9d7f_afee_18fe,
+        0x5cfe_9ba9_9b28_be7f,
+        0x5559_9635_a9a7_b2a5,
+        0xdeab_bc36_1c5a_d4ed,
+        0xd574_2ea6_dd66_2d27,
+        0x6307_eb2e_067a_a71d,
+        0x5eda_d6af_71fb_5671,
+        0xcf34_27a6_12ac_32c9,
     ],
     [
-        0xa582_6efd_e388_6043,
-        0xd46c_9786_6a91_e807,
-        0xd072_71fb_e8f0_91bc,
-        0x4b38_85fe_7d66_c12a,
-        0x266f_e548_caba_ff9b,
-        0x2f3e_ed85_4444_cc6c,
-        0x874e_cb92_1ad3_344b,
+        0x4517_7986_901d_9705,
+        0x1d22_2d50_341c_d418,
+        0x3200_6ee3_e9bd_c603,
+        0x07b3_905e_d67a_0b14,
+        0x6ab3_cedb_a75f_657d,
+        0x4535_75ca_c34e_b8c0,
+        0x01a9_aa00_9726_01c3,
     ],
     [
-        0xa582_6efd_e388_6043,
-        0xd46c_9786_6a91_e807,
-        0xd072_71fb_e8f0_91bc,
-        0x4b38_85fe_7d66_c12a,
-        0x266f_e548_caba_ff9b,
-        0x2f3e_ed85_4444_cc6c,
-        0x874e_cb92_1ad3_344b,
+        0x4517_7986_901d_9705,
+        0x1d22_2d50_341c_d418,
+        0x3200_6ee3_e9bd_c603,
+        0x07b3_905e_d67a_0b14,
+        0x6ab3_cedb_a75f_657d,
+        0x4535_75ca_c34e_b8c0,
+        0x01a9_aa00_9726_01c3,
     ],
 ];
 
@@ -296,7 +296,7 @@ fn bulk_qlog_streams_are_pinned_xlink() {
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0x8b30_1430_9d81_0b77, 0x3632_e5d1_ba73_7cc0),
+    (0xb9e7_9754_5cf3_968b, 0xf991_e1da_ef9b_3dfb),
     (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
 ];
 
@@ -327,7 +327,7 @@ fn mptcp_download_times_are_pinned() {
     check("MPTCP_US", &rows);
 }
 
-const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0xf979_5db6_192e_ea4d];
+const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0x2bf6_639e_9298_ec4d];
 
 #[test]
 fn ab_arm_digests_are_pinned() {
@@ -338,7 +338,7 @@ fn ab_arm_digests_are_pinned() {
     );
 }
 
-const FLEET: (u64, u64) = (0x75e9_8e71_1963_6df8, 0x841a_517f_3c2b_8a06);
+const FLEET: (u64, u64) = (0x2d13_5bf2_c320_0be2, 0x7f24_2b2b_4786_b059);
 
 #[test]
 fn fleet_report_is_pinned_for_one_and_four_shards() {
