@@ -313,12 +313,10 @@ impl MpConnection {
         None
     }
 
-    /// The scheduler's view of the paths: `(path, srtt, usable now)`. The
-    /// connection would send on a path while half a datagram of its window
-    /// is left; the scheduler offers one only with room for a whole
-    /// datagram — picking the fastest path for its last half datagram
-    /// concentrates in-flight there, and with it re-injection: a fifth more
-    /// re-injected bytes and candidate scans on outage traces.
+    /// The scheduler's view of the paths: `(path, srtt, usable now)`. It
+    /// offers a path only with room for a whole datagram (the connection
+    /// would send on half): taking the fastest path for its last half
+    /// datagram concentrates in-flight, and with it re-injection, there.
     fn fill_candidates(&self, candidates: &mut Vec<(usize, Duration, bool)>) {
         candidates.clear();
         candidates.extend(self.conn.paths().iter().map(|p| {

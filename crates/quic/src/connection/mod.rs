@@ -1862,7 +1862,7 @@ mod tests {
     #[test]
     fn stateless_reset_closes_a_connection_that_negotiated_nothing() {
         let (mut c, _s, now) = refused_pair();
-        let (secret, dcid) = (0x5eed, c.paths()[0].dcid());
+        let (secret, dcid) = (0x5eed, c.paths[0].dcid);
         c.oracle.remember(0, reset::reset_token(secret, &dcid));
         c.handle_datagram(now, &reset::build_stateless_reset(secret ^ 1, &dcid));
         assert!(!c.is_closed(), "a reset under another secret is noise");
@@ -1887,7 +1887,7 @@ mod tests {
         // The server's path-1 state evaporates (say, its shard was
         // crash-restarted): it answers the client's next path-1 packet
         // with a stateless reset built from that path's DCID.
-        let dcid = c.paths()[1].dcid();
+        let dcid = c.paths[1].dcid;
         let dgram = reset::build_stateless_reset(secret, &dcid);
         let before = c.stats().packets_dropped;
         c.handle_datagram_on(now, 1, &dgram);

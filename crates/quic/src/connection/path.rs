@@ -139,11 +139,6 @@ impl Path {
         self.cc.window()
     }
 
-    /// The CID packets on this path are addressed to.
-    pub fn dcid(&self) -> ConnectionId {
-        self.dcid
-    }
-
     /// True while consecutive PTOs mark the path suspect.
     pub fn is_suspected(&self) -> bool {
         self.suspected || self.state == PathState::Suspect
