@@ -34,11 +34,11 @@ pub struct AckRanges {
     /// Ranges evicted by the [`MAX_ACK_RANGES`] cap (adversarial-load
     /// gauge; 0 in any honest exchange).
     evicted: u64,
-    /// Replay floor: every pn below this was once tracked and then
-    /// evicted by the cap. Such pns must keep reporting "duplicate" on
-    /// re-insert — otherwise a replayed old datagram (same nonce, same
-    /// pn) would be accepted and processed a second time once its range
-    /// fell out of the set.
+    /// Replay floor: every pn below this was forgotten, evicted by the
+    /// cap or pruned by [`forget_below`](AckRanges::forget_below). Such
+    /// pns must keep reporting "duplicate" on re-insert — otherwise a
+    /// replayed old datagram (same nonce, same pn) would be accepted and
+    /// processed a second time once its range fell out of the set.
     floor: u64,
 }
 
@@ -162,8 +162,10 @@ impl AckRanges {
     }
 
     /// Drop state for packet numbers `<= upto` (used once the peer has
-    /// confirmed it no longer needs older acknowledgements).
+    /// confirmed it no longer needs older acknowledgements). They stay
+    /// duplicates: the replay floor rises past them.
     pub fn forget_below(&mut self, upto: u64) {
+        self.floor = self.floor.max(upto.saturating_add(1));
         self.ranges.retain_mut(|r| {
             if r.end <= upto {
                 return false;
@@ -273,8 +275,13 @@ mod tests {
         assert!(s.contains(6));
         assert!(s.contains(20));
         assert_eq!(s.len(), 5);
+        // Forgotten is not unseen: neither the pn next to the lowest range
+        // kept nor one further down is accepted again.
+        assert!(!s.insert(5) && !s.insert(2));
+        assert_eq!(s.len(), 5);
         s.forget_below(100);
         assert!(s.is_empty());
+        assert!(!s.insert(20) && s.insert(101));
     }
 
     #[test]

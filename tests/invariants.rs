@@ -379,23 +379,36 @@ fn ackranges_bounded_under_adversarial_gaps() {
 #[test]
 fn ackranges_replay_is_idempotent() {
     use xlink::quic::ackranges::AckRanges;
-    check("ackranges_replay_is_idempotent", vec_of(0u64..10_000, 1..300), |pns: &Vec<u64>| {
-        let mut set = AckRanges::new();
-        for &pn in pns {
-            set.insert(pn);
-        }
-        let before: Vec<_> = set.iter().collect();
-        let evicted = set.evicted();
-        for &pn in pns {
-            if set.contains(pn) {
-                prop_assert!(!set.insert(pn), "covered pn {pn} accepted twice");
+    check(
+        "ackranges_replay_is_idempotent",
+        (vec_of(0u64..10_000, 1..300), 0u64..10_000),
+        |(pns, cut): &(Vec<u64>, u64)| {
+            let mut set = AckRanges::new();
+            for &pn in pns {
+                set.insert(pn);
             }
-        }
-        let after: Vec<_> = set.iter().collect();
-        prop_assert_eq!(before, after);
-        prop_assert_eq!(evicted, set.evicted());
-        Ok(())
-    });
+            let before: Vec<_> = set.iter().collect();
+            let evicted = set.evicted();
+            for &pn in pns {
+                if set.contains(pn) {
+                    prop_assert!(!set.insert(pn), "covered pn {pn} accepted twice");
+                }
+            }
+            let after: Vec<_> = set.iter().collect();
+            prop_assert_eq!(before, after);
+            prop_assert_eq!(evicted, set.evicted());
+
+            // Pruned acknowledgement state is forgotten, not unseen: what
+            // was inserted at or below the cut stays a duplicate.
+            set.forget_below(*cut);
+            let pruned: Vec<_> = set.iter().collect();
+            for &pn in pns.iter().filter(|&&pn| pn <= *cut) {
+                prop_assert!(!set.insert(pn), "pn {pn} pruned at {cut} accepted again");
+            }
+            prop_assert_eq!(pruned, set.iter().collect::<Vec<_>>());
+            Ok(())
+        },
+    );
 }
 
 /// Streaming percentiles agree with exact order statistics to within
