@@ -7,6 +7,7 @@
 //! with far lower variance at simulation scale.
 
 use crate::fleet::ArmAgg;
+use crate::par;
 use crate::scenario::draw_user_paths;
 use crate::transport::{Scheme, TransportTuning};
 use crate::video_session::{run_session, SessionConfig};
@@ -87,31 +88,31 @@ impl AbConfig {
     }
 }
 
-/// Run the study; one `DayOutcome` per day.
+/// Run the study; one `DayOutcome` per day. Days share nothing, so they
+/// run side by side ([`par::map`]); inside a day users play in order.
 pub fn run_ab(cfg: &AbConfig) -> Vec<DayOutcome> {
-    (1..=cfg.days)
-        .map(|day| {
-            let mut a = ArmAgg::default();
-            let mut b = ArmAgg::default();
-            for user in 0..cfg.users_per_day {
-                let (wifi, lte) = draw_user_paths(day, user);
-                let seed = day * 10_000 + user;
-                for (arm, scheme, tuning, ffa) in [
-                    (&mut a, cfg.scheme_a, &cfg.tuning_a, true),
-                    (&mut b, cfg.scheme_b, &cfg.tuning_b, cfg.first_frame_accel_b),
-                ] {
-                    let mut scfg = SessionConfig::short_video(scheme, seed);
-                    scfg.video = cfg.video.clone();
-                    scfg.tuning = tuning.clone();
-                    scfg.first_frame_accel = ffa;
-                    scfg.deadline = cfg.deadline;
-                    let paths = vec![wifi.build(), lte.build()];
-                    arm.absorb(&run_session(&scfg, paths));
-                }
+    par::map(cfg.days as usize, |i| {
+        let day = i as u64 + 1;
+        let mut a = ArmAgg::default();
+        let mut b = ArmAgg::default();
+        for user in 0..cfg.users_per_day {
+            let (wifi, lte) = draw_user_paths(day, user);
+            let seed = day * 10_000 + user;
+            for (arm, scheme, tuning, ffa) in [
+                (&mut a, cfg.scheme_a, &cfg.tuning_a, true),
+                (&mut b, cfg.scheme_b, &cfg.tuning_b, cfg.first_frame_accel_b),
+            ] {
+                let mut scfg = SessionConfig::short_video(scheme, seed);
+                scfg.video = cfg.video.clone();
+                scfg.tuning = tuning.clone();
+                scfg.first_frame_accel = ffa;
+                scfg.deadline = cfg.deadline;
+                let paths = vec![wifi.build(), lte.build()];
+                arm.absorb(&run_session(&scfg, paths));
             }
-            DayOutcome { day, a, b }
-        })
-        .collect()
+        }
+        DayOutcome { day, a, b }
+    })
 }
 
 #[cfg(test)]

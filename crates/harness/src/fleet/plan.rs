@@ -9,6 +9,7 @@
 //! the paper's randomized contrast groups (§7.1: users are split into
 //! contrast groups at the granularity of a user, not a request).
 
+use crate::par;
 use crate::scenario::PathSpec;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::{Duration, Instant};
@@ -209,6 +210,52 @@ impl Iterator for PlanIter {
     }
 }
 
+/// The drawn parameters of one pool trace.
+enum Archetype {
+    /// Walking Wi-Fi, out of service over `outage_ms` (a window past the
+    /// end of the trace: no outage).
+    Wifi { seed: u64, outage_ms: (u64, u64) },
+    /// Degraded (HSR-style) cellular.
+    Hsr { seed: u64 },
+    /// Stable LTE.
+    Lte { seed: u64 },
+}
+
+impl Archetype {
+    /// `size` (at least one) Wi-Fi and cellular archetypes, alternating.
+    fn draw_all(seed: u64, size: usize, dur: u64) -> Vec<Archetype> {
+        let mut rng = Rng::new(stable_hash(&[seed, 0x7ace_b00c]));
+        let mut draws = Vec::with_capacity(2 * size.max(1));
+        for _ in 0..size.max(1) {
+            let wifi_seed = rng.next_u64();
+            let outage_ms = if rng.chance(0.6) {
+                let start = 1_500 + rng.below(dur.saturating_sub(9_000).max(1));
+                let len = 2_000 + rng.below(6_000);
+                (start, start + len)
+            } else {
+                (dur + 1, dur + 2)
+            };
+            draws.push(Archetype::Wifi { seed: wifi_seed, outage_ms });
+            draws.push(if rng.chance(0.2) {
+                Archetype::Hsr { seed: rng.next_u64() }
+            } else {
+                Archetype::Lte { seed: rng.next_u64() }
+            });
+        }
+        draws
+    }
+
+    fn generate(&self, dur: u64) -> Trace {
+        match *self {
+            Archetype::Wifi { seed, outage_ms: (from, to) } => {
+                xlink_traces::walking_wifi_with_outage(seed, dur, from, to)
+            }
+            Archetype::Hsr { seed } => xlink_traces::hsr_cellular(seed, dur),
+            Archetype::Lte { seed } => xlink_traces::stable_lte(seed, dur),
+        }
+    }
+}
+
 /// The shared trace library: a bounded set of Wi-Fi and LTE archetypes
 /// every user's paths are drawn from. Traces are `Arc`-backed, so 10k
 /// concurrent links replay O(pool) trace memory, not O(sessions) — the
@@ -225,26 +272,16 @@ impl TracePool {
     /// per-user mix of [`draw_user_paths`](crate::scenario::draw_user_paths):
     /// 60% of Wi-Fi archetypes carry a mid-session outage, 20% of
     /// cellular archetypes are degraded (HSR-style) rather than stable.
+    ///
+    /// Every archetype's parameters come from the pool's one RNG, in order;
+    /// the traces themselves, each a function of its own drawn seed, are
+    /// then generated side by side.
     pub fn generate(seed: u64, size: usize, duration_ms: u64) -> TracePool {
-        let mut rng = Rng::new(stable_hash(&[seed, 0x7ace_b00c]));
-        let dur = duration_ms;
-        let mut wifi = Vec::with_capacity(size);
-        let mut lte = Vec::with_capacity(size);
-        for _ in 0..size.max(1) {
-            let wifi_seed = rng.next_u64();
-            let t = if rng.chance(0.6) {
-                let start = 1_500 + rng.below(dur.saturating_sub(9_000).max(1));
-                let len = 2_000 + rng.below(6_000);
-                xlink_traces::walking_wifi_with_outage(wifi_seed, dur, start, start + len)
-            } else {
-                xlink_traces::walking_wifi_with_outage(wifi_seed, dur, dur + 1, dur + 2)
-            };
-            wifi.push(t);
-            let l = if rng.chance(0.2) {
-                xlink_traces::hsr_cellular(rng.next_u64(), dur)
-            } else {
-                xlink_traces::stable_lte(rng.next_u64(), dur)
-            };
+        let draws = Archetype::draw_all(seed, size, duration_ms);
+        let mut traces = par::map(draws.len(), |i| draws[i].generate(duration_ms)).into_iter();
+        let (mut wifi, mut lte) = (Vec::with_capacity(size), Vec::with_capacity(size));
+        while let (Some(w), Some(l)) = (traces.next(), traces.next()) {
+            wifi.push(w);
             lte.push(l);
         }
         TracePool { wifi, lte }
@@ -275,5 +312,53 @@ impl TracePool {
             lte_spec = lte_spec.with_cross_isp(rng.below(3) as usize, rng.below(3) as usize);
         }
         (wifi_spec, lte_spec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pool as it was generated before the traces went through
+    /// [`par::map`]: one loop, parameters drawn and each trace generated in
+    /// turn. Kept as the reference [`TracePool::generate`] must equal.
+    fn generate_in_turn(seed: u64, size: usize, duration_ms: u64) -> TracePool {
+        let mut rng = Rng::new(stable_hash(&[seed, 0x7ace_b00c]));
+        let dur = duration_ms;
+        let mut wifi = Vec::with_capacity(size);
+        let mut lte = Vec::with_capacity(size);
+        for _ in 0..size.max(1) {
+            let wifi_seed = rng.next_u64();
+            let t = if rng.chance(0.6) {
+                let start = 1_500 + rng.below(dur.saturating_sub(9_000).max(1));
+                let len = 2_000 + rng.below(6_000);
+                xlink_traces::walking_wifi_with_outage(wifi_seed, dur, start, start + len)
+            } else {
+                xlink_traces::walking_wifi_with_outage(wifi_seed, dur, dur + 1, dur + 2)
+            };
+            wifi.push(t);
+            let l = if rng.chance(0.2) {
+                xlink_traces::hsr_cellular(rng.next_u64(), dur)
+            } else {
+                xlink_traces::stable_lte(rng.next_u64(), dur)
+            };
+            lte.push(l);
+        }
+        TracePool { wifi, lte }
+    }
+
+    #[test]
+    fn trace_pool_equals_the_pool_generated_in_turn() {
+        for seed in [1, 7, 0xfeed_f00d] {
+            for size in 0..=33 {
+                let (pool, want) =
+                    (TracePool::generate(seed, size, 3_000), generate_in_turn(seed, size, 3_000));
+                assert_eq!(pool.wifi, want.wifi, "seed {seed}, size {size}");
+                assert_eq!(pool.lte, want.lte, "seed {seed}, size {size}");
+            }
+        }
+        // The fleet's own duration, where outages fall inside the trace.
+        let (pool, want) = (TracePool::generate(1, 32, 30_000), generate_in_turn(1, 32, 30_000));
+        assert!(pool.wifi == want.wifi && pool.lte == want.lte);
     }
 }

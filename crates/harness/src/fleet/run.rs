@@ -5,19 +5,25 @@
 //! pair of paths — so there is no shared event queue: every planned
 //! session is one [`Scenario::run`] to completion on its own local clock,
 //! folded into constant-memory aggregates and dropped. The population is
-//! partitioned across worker shards by a stable `(user, day)` hash; each
-//! shard replays the same canonical arrival stream, keeps only its own
-//! sessions, and the shard partials merge exactly — so fleet results are
-//! bit-identical for any shard count.
+//! partitioned into shards by a stable `(user, day)` hash; each shard
+//! replays the same canonical arrival stream, keeps only its own sessions,
+//! and the shard partials merge exactly — so fleet results are
+//! bit-identical for any shard count. Shards run concurrently, on as many
+//! threads as the host has cores ([`par::map`]); the partition is static,
+//! not a queue of sessions, so what a shard computes — its aggregates and
+//! every span and allocation count of its profile — does not depend on
+//! which thread ran it or when.
 //!
-//! Memory is O(one session + trace pool): link traces come from the
-//! bounded shared [`TracePool`], and a finished session leaves behind only
-//! histogram-bin increments. *Simulated* concurrency (how many sessions
-//! overlap on the fleet timeline) is still reported, from each session's
-//! arrival and duration.
+//! Memory is O(workers × one session + trace pool): link traces come from
+//! the bounded shared [`TracePool`], a worker holds one live session at a
+//! time, and a finished session leaves behind only histogram-bin
+//! increments. *Simulated* concurrency (how many sessions overlap on the
+//! fleet timeline) is still reported, from each session's arrival and
+//! duration.
 
 use super::agg::{ArmAgg, ConcurrencyTrack, FleetReport, ShardCounters};
 use super::plan::{shard_of, FleetConfig, PlanIter, SessionPlan, TracePool};
+use crate::par;
 use crate::scenario::Scenario;
 use crate::video_session::{
     client_endpoint_for_probe, server_endpoint_for_probe, session_result, SessionConfig,
@@ -93,60 +99,41 @@ fn run_shard(cfg: &FleetConfig, pool: &TracePool, shard: u32) -> ShardResult {
     out
 }
 
-/// Run the whole fleet: every shard in turn, then an exact merge of the
-/// shard partials. The merged report is bit-identical for any
-/// `cfg.shards ≥ 1` (see `tests/fleet.rs` and the `invariants` suite).
+/// Run the whole fleet: the shards side by side on [`par::map`]'s workers,
+/// then an exact merge of the shard partials in shard order. The merged
+/// report is bit-identical for any `cfg.shards ≥ 1`, any worker count and
+/// any schedule (see `tests/fleet.rs` and the `invariants` suite).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    run_fleet_inner(cfg, None)
-}
-
-/// [`run_fleet`] with hot-path profiling: runs the fleet in
-/// [`prof::Mode::Record`], draining this thread's span tree after each
-/// shard and folding the per-shard profiles with the same exact integer
-/// merge as the fleet aggregates. The simulation outcome is bit-identical
-/// to an unprofiled run (the off/noop/record gate in `tests/fleet.rs`);
-/// the previous profiling mode is restored on return.
-pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetReport, ProfReport) {
-    let prev = prof::mode();
-    prof::set_mode(prof::Mode::Record);
-    let _stale = prof::take_report(); // drop spans recorded before the run
-    let mut profile = ProfReport::default();
-    let report = run_fleet_inner(cfg, Some(&mut profile));
-    prof::set_mode(prev);
-    (report, profile)
-}
-
-fn run_fleet_inner(cfg: &FleetConfig, mut profile: Option<&mut ProfReport>) -> FleetReport {
     let pool = TracePool::generate(cfg.seed, cfg.trace_pool, 30_000);
+    let shards = cfg.shards.max(1);
+    let partials = par::map(shards as usize, |shard| run_shard(cfg, &pool, shard as u32));
     let mut arm_a = ArmAgg::default();
     let mut arm_b = ArmAgg::default();
     let mut concurrency = ConcurrencyTrack::new(cfg.horizon(), CONCURRENCY_BIN);
     let mut counters = ShardCounters::default();
-    for shard in 0..cfg.shards.max(1) {
-        let r = run_shard(cfg, &pool, shard);
-        if let Some(p) = profile.as_deref_mut() {
-            // Per-shard drain: the final profile is a merge of shard
-            // partials, exercising the same partition-invariance
-            // discipline as the aggregates below.
-            p.merge(&prof::take_report());
-        }
+    for r in &partials {
         let _prof = prof::span!("fleet/merge");
         arm_a.merge(&r.arm_a);
         arm_b.merge(&r.arm_b);
         concurrency.merge(&r.concurrency);
         counters.merge(&r.counters);
     }
-    if let Some(p) = profile.as_deref_mut() {
-        p.merge(&prof::take_report()); // merge-phase spans
-    }
     FleetReport {
         arm_a,
         arm_b,
         peak_concurrent: concurrency.peak(),
         counters,
-        shards: cfg.shards.max(1),
+        shards,
         trace_pool_bytes: pool.approx_bytes(),
     }
+}
+
+/// [`run_fleet`] with hot-path profiling: the fleet under
+/// [`prof::with_recording`], the workers' span trees grafted into the
+/// caller's by [`par::map`]. The simulation outcome is bit-identical to an
+/// unprofiled run (the off/noop/record gate in `tests/fleet.rs`).
+pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetReport, ProfReport) {
+    prof::with_recording(|| run_fleet(cfg))
 }
 
 /// Fleet gauges for the observability registry: simulated concurrency,

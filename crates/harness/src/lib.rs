@@ -10,6 +10,7 @@ pub mod adversary;
 pub mod bulk;
 pub mod chaos;
 pub mod fleet;
+pub mod par;
 pub mod pop;
 pub mod scenario;
 pub mod transport;

@@ -48,9 +48,23 @@
 //!   so the numbers measure churn, not live footprint.
 //! * Profiler-internal bookkeeping pauses the counters, so growing the
 //!   span tree never pollutes the numbers it reports.
-//! * Counters are per-thread. The fleet runs shards on one thread and
-//!   takes a report per shard; a future multi-threaded driver would
-//!   take one report per worker and [`merge`](ProfReport::merge) them.
+//!
+//! ## Threads
+//!
+//! Span trees and allocation counters are per-thread, and a span never
+//! sees another thread's work by itself. Code that fans work out (the
+//! fleet runs its shards on scoped worker threads) hands the profiler
+//! across: a worker runs under [`on_worker`] in the spawning thread's
+//! [`Mode`] and records into a tree of its own, and once it is joined
+//! the spawning thread [`graft`]s that tree under its innermost open
+//! span — exact integer sums, so calls, allocations and allocated bytes
+//! read as if the work had been done on the spawning thread, whatever
+//! the worker count and schedule. Time does not: a span that fanned work
+//! out holds its own *wall* time while the children grafted under it sum
+//! to the workers' *CPU* time, which with two busy workers is twice as
+//! much. Such a span's `excl_ns` saturates at 0 and no longer means
+//! "time in no child"; the ratio of its children's `incl_ns` to its own
+//! is how many cores the fan-out kept busy.
 
 use crate::json::{parse, JsonWriter, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -232,6 +246,21 @@ pub fn mode() -> Mode {
     PROF.with(|p| p.mode.get())
 }
 
+/// The child of `parent` for span name `name`, created on first use.
+#[inline]
+fn child_named(nodes: &mut Vec<Node>, parent: u32, name: u32) -> u32 {
+    let found = nodes[parent as usize].children.iter().find(|&&c| nodes[c as usize].name == name);
+    match found {
+        Some(&c) => c,
+        None => {
+            let c = nodes.len() as u32;
+            nodes.push(Node::new(name));
+            nodes[parent as usize].children.push(c);
+            c
+        }
+    }
+}
+
 /// RAII span guard: closes (and attributes cost) on drop.
 #[must_use = "a span guard dropped immediately measures nothing"]
 pub struct SpanGuard {
@@ -267,17 +296,8 @@ pub fn span_interned(name: &'static str, cache: &AtomicU32) -> SpanGuard {
                 nodes.push(Node::new(u32::MAX));
             }
             let mut stack = p.stack.borrow_mut();
-            let parent = stack.last().map_or(0, |f| f.node) as usize;
-            let node = match nodes[parent].children.iter().find(|&&c| nodes[c as usize].name == id)
-            {
-                Some(&c) => c,
-                None => {
-                    let c = nodes.len() as u32;
-                    nodes.push(Node::new(id));
-                    nodes[parent].children.push(c);
-                    c
-                }
-            };
+            let parent = stack.last().map_or(0, |f| f.node);
+            let node = child_named(&mut nodes, parent, id);
             let (allocs0, bytes0) = alloc_snapshot();
             stack.push(Frame { node, start: WallInstant::now(), allocs0, bytes0 });
             set_alloc_tracking(true);
@@ -343,6 +363,79 @@ pub fn with_recording<T>(f: impl FnOnce() -> T) -> (T, ProfReport) {
     (out, report)
 }
 
+/// What a worker thread recorded under [`on_worker`], on its way to the
+/// thread that spawned it (see [`graft`]). Empty unless the worker ran in
+/// [`Mode::Record`].
+pub struct WorkerProfile {
+    nodes: Vec<Node>,
+    allocs: u64,
+    alloc_bytes: u64,
+}
+
+/// Run `f` on a worker thread the way the thread that spawned it would
+/// have: in that thread's `mode` (read there with [`mode`] before
+/// spawning), recording into this thread's own tree. Returns what `f`
+/// returned and what was recorded — every span `f` closed, and every
+/// allocation it made inside a span or outside — for the spawning thread
+/// to [`graft`] after the join. Call with no spans open, on a thread that
+/// has recorded nothing it still wants; the previous mode is restored.
+pub fn on_worker<T>(mode: Mode, f: impl FnOnce() -> T) -> (T, WorkerProfile) {
+    let prev = self::mode();
+    set_mode(mode);
+    let (allocs0, bytes0) = alloc_snapshot();
+    let out = f();
+    let (allocs1, bytes1) = alloc_snapshot();
+    pause_alloc_tracking();
+    let nodes = PROF.with(|p| {
+        debug_assert!(p.stack.borrow().is_empty(), "on_worker left spans open");
+        std::mem::take(&mut *p.nodes.borrow_mut())
+    });
+    set_mode(prev);
+    let (allocs, alloc_bytes) = (allocs1.wrapping_sub(allocs0), bytes1.wrapping_sub(bytes0));
+    (out, WorkerProfile { nodes, allocs, alloc_bytes })
+}
+
+/// Fold a joined worker's profile into this thread's, as if this thread
+/// had done the work where it stands: the worker's root spans become
+/// children of the innermost open span (of the root when none is open),
+/// counters summing exactly, and the worker's allocations are added to
+/// this thread's running count, so that every span open here includes
+/// them when it closes. Nothing happens unless this thread is recording.
+pub fn graft(worker: WorkerProfile) {
+    if worker.nodes.is_empty() || mode() != Mode::Record {
+        return;
+    }
+    PROF.with(|p| {
+        pause_alloc_tracking();
+        {
+            let mut nodes = p.nodes.borrow_mut();
+            if nodes.is_empty() {
+                nodes.push(Node::new(u32::MAX));
+            }
+            let under = p.stack.borrow().last().map_or(0, |f| f.node);
+            graft_children(&mut nodes, under, &worker.nodes, 0);
+        }
+        ALLOCS.with(|a| {
+            a.allocs.set(a.allocs.get().wrapping_add(worker.allocs));
+            a.bytes.set(a.bytes.get().wrapping_add(worker.alloc_bytes));
+        });
+        set_alloc_tracking(true);
+    });
+}
+
+fn graft_children(into: &mut Vec<Node>, under: u32, from: &[Node], node: usize) {
+    for &c in &from[node].children {
+        let src = &from[c as usize];
+        let dst = child_named(into, under, src.name);
+        let d = &mut into[dst as usize];
+        d.calls += src.calls;
+        d.incl_ns += src.incl_ns;
+        d.allocs += src.allocs;
+        d.alloc_bytes += src.alloc_bytes;
+        graft_children(into, dst, from, c as usize);
+    }
+}
+
 fn collect_rows(
     tree: &[Node],
     names: &[&'static str],
@@ -391,11 +484,14 @@ pub struct ProfRow {
     pub path: String,
     /// Times the span closed.
     pub calls: u64,
-    /// Wall nanoseconds inside the span, children included.
+    /// Wall nanoseconds inside the span, children included (summed over
+    /// the threads that closed it).
     pub incl_ns: u64,
-    /// Wall nanoseconds not attributed to any child span.
+    /// Wall nanoseconds not attributed to any child span; 0 for a span
+    /// whose children ran on several threads at once and so sum to more
+    /// than its own wall time.
     pub excl_ns: u64,
-    /// Heap allocation requests while the span was innermost.
+    /// Heap allocation requests while the span was open.
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
@@ -444,7 +540,8 @@ impl ProfReport {
     }
 
     /// Total inclusive time of root spans (nodes with no `;` ancestor
-    /// among the rows) — the profiled wall clock.
+    /// among the rows) — the profiled wall clock, or the CPU time of what
+    /// ran under root spans grafted from worker threads.
     pub fn total_incl_ns(&self) -> u64 {
         self.rows
             .iter()
@@ -707,6 +804,109 @@ mod tests {
         assert_eq!(a.counts_digest(), b.counts_digest());
         b.rows[0].calls = 3;
         assert_ne!(a.counts_digest(), b.counts_digest());
+    }
+
+    /// A fixed piece of work: nested spans, allocations inside them and
+    /// one outside any span of its own.
+    fn handoff_work() {
+        for _ in 0..3 {
+            let _outer = span!("test/hand_outer");
+            let _v: Vec<u64> = std::hint::black_box(Vec::with_capacity(16));
+            let _inner = span!("test/hand_inner");
+            let _w: Vec<u64> = std::hint::black_box(Vec::with_capacity(100));
+        }
+        let _loose: Vec<u64> = std::hint::black_box(Vec::with_capacity(7));
+    }
+
+    /// `f` on a thread of its own, under [`on_worker`] in `mode`. The
+    /// thread is joined before anything is grafted, so the tests below can
+    /// keep the spawn (which allocates) out of the spans they compare.
+    fn worker_profile(mode: Mode, f: impl FnOnce() + Send + 'static) -> WorkerProfile {
+        let worker = std::thread::Builder::new().spawn(move || on_worker(mode, f).1);
+        worker.expect("spawn worker").join().expect("worker panicked")
+    }
+
+    /// Everything but time.
+    fn counts(r: &ProfReport) -> Vec<(String, u64, u64, u64)> {
+        r.rows.iter().map(|r| (r.path.clone(), r.calls, r.allocs, r.alloc_bytes)).collect()
+    }
+
+    #[test]
+    fn worker_profile_grafts_under_the_open_span_as_if_run_here() {
+        let _g = locked();
+        let ((), serial) = with_recording(|| {
+            let _fan = span!("test/hand_fan");
+            handoff_work();
+            handoff_work();
+        });
+        let worker = worker_profile(Mode::Record, handoff_work);
+        let ((), fanned) = with_recording(|| {
+            let _fan = span!("test/hand_fan");
+            handoff_work();
+            graft(worker);
+        });
+        let inner = fanned.get("test;hand_fan;test;hand_outer;test;hand_inner").expect("nested");
+        assert_eq!((inner.calls, inner.allocs, inner.alloc_bytes), (6, 6, 4800));
+        // The open span counts the worker's allocations too, the one made
+        // outside any span of the worker's included.
+        assert_eq!(fanned.get("test;hand_fan").expect("open span").allocs, 14);
+        assert_eq!(counts(&fanned), counts(&serial));
+        assert_eq!(fanned.counts_digest(), serial.counts_digest());
+    }
+
+    #[test]
+    fn graft_with_no_span_open_lands_at_the_root() {
+        let _g = locked();
+        let worker = worker_profile(Mode::Record, handoff_work);
+        let ((), grafted) = with_recording(|| graft(worker));
+        let ((), serial) = with_recording(handoff_work);
+        assert_eq!(grafted.get("test;hand_outer").expect("root span").calls, 3);
+        assert_eq!(counts(&grafted), counts(&serial));
+    }
+
+    #[test]
+    fn workers_of_a_caller_that_does_not_record_record_nothing() {
+        let _g = locked();
+        for caller in [Mode::Off, Mode::Noop] {
+            set_mode(caller);
+            let worker = worker_profile(mode(), || {
+                assert_ne!(mode(), Mode::Record);
+                handoff_work();
+            });
+            assert!(worker.nodes.is_empty() && worker.allocs == 0 && worker.alloc_bytes == 0);
+            graft(worker);
+            assert!(take_report().rows.is_empty());
+        }
+        set_mode(Mode::Off);
+        // Nor does a recording thread take anything from such a worker.
+        let worker = worker_profile(Mode::Off, handoff_work);
+        let ((), r) = with_recording(|| graft(worker));
+        assert!(r.rows.is_empty());
+    }
+
+    #[test]
+    fn nested_fan_out_grafts_through_every_level() {
+        let _g = locked();
+        let ((), serial) = with_recording(|| {
+            let _fan = span!("test/hand_fan");
+            let _mid = span!("test/hand_mid");
+            handoff_work();
+            handoff_work();
+        });
+        let leaf = worker_profile(Mode::Record, handoff_work);
+        // A worker that fans out again: it grafts its own worker under the
+        // span it has open, and hands the whole of it up.
+        let mid = worker_profile(Mode::Record, move || {
+            let _mid = span!("test/hand_mid");
+            handoff_work();
+            graft(leaf);
+        });
+        let ((), fanned) = with_recording(|| {
+            let _fan = span!("test/hand_fan");
+            graft(mid);
+        });
+        assert_eq!(counts(&fanned), counts(&serial));
+        assert_eq!(fanned.counts_digest(), serial.counts_digest());
     }
 
     #[test]

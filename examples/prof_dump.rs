@@ -12,7 +12,9 @@
 //!   (`sessions_per_sec`, `sim_packets_per_sec` at this population) to
 //!   FILE, so the perf ledger tracks throughput at the scale CI gates.
 //!
-//! A top-10 span table always goes to stderr for humans.
+//! A top-10 span table always goes to stderr for humans, under a line that
+//! says how many worker threads the shards ran on and how many cores the
+//! recorded spans kept busy.
 //!
 //! ```sh
 //! cargo run --release --example prof_dump
@@ -22,7 +24,7 @@
 use std::io::Write as _;
 use xlink::clock::Duration;
 use xlink::harness::fleet::{run_fleet_profiled, FleetConfig};
-use xlink::harness::Scheme;
+use xlink::harness::{par, Scheme};
 use xlink::lab::bench::BenchResult;
 use xlink::lab::stats::Summary;
 use xlink::video::Video;
@@ -61,11 +63,17 @@ fn main() {
     // Human summary: top spans by inclusive time.
     let mut by_incl: Vec<_> = profile.rows.iter().collect();
     by_incl.sort_by(|a, b| b.incl_ns.cmp(&a.incl_ns));
+    // Root spans are grafted from the workers, so their inclusive times sum
+    // to CPU time: well under `workers` busy means the gate did not get the
+    // cores it counted on.
     eprintln!(
-        "prof_dump: {} sessions, {} shards, {:.1} s wall, {} spans",
+        "prof_dump: {} sessions, {} shards on {} workers, {:.1} s wall, {:.2} cores busy \
+         (span CPU time / wall), {} spans",
         users,
         shards,
+        par::workers(shards as usize),
         wall_ns / 1e9,
+        profile.total_incl_ns() as f64 / wall_ns,
         profile.rows.len()
     );
     eprintln!(

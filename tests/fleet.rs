@@ -192,3 +192,26 @@ fn profile_counts_are_deterministic_and_shard_invariant() {
     };
     assert_eq!(shard_free(&p1), shard_free(&p8), "span calls must not depend on shard count");
 }
+
+/// Shards run on worker threads whose span trees are grafted into the
+/// caller's; one shard runs on the calling thread and spawns nothing. Both
+/// profiles must read the same — calls, allocations and allocated bytes of
+/// every span — or the hand-off lost or invented work. Only `fleet;merge`
+/// (one call per shard) differs.
+#[test]
+fn threaded_profile_equals_the_profile_of_one_thread() {
+    let users = sessions_env().min(1_000);
+    let (one_report, one) = run_fleet_profiled(&fleet_cfg(users, 1));
+    let (four_report, four) = run_fleet_profiled(&fleet_cfg(users, 4));
+    assert_eq!(one_report.digest(), four_report.digest());
+    let counts = |p: &prof::ProfReport| {
+        p.rows
+            .iter()
+            .filter(|r| !r.path.starts_with("fleet;merge"))
+            .map(|r| (r.path.clone(), r.calls, r.allocs, r.alloc_bytes))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(counts(&one), counts(&four));
+    assert_eq!(four.get("fleet;merge").expect("merge span").calls, 4);
+    assert_eq!(prof::mode(), prof::Mode::Off, "profiling mode restored");
+}
