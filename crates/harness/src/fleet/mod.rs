@@ -4,15 +4,17 @@
 //! overlap on one simulated timeline: each planned session is an
 //! independent [`Scenario`](crate::scenario::Scenario) run to completion
 //! (sessions share nothing, so nothing interleaves them), the population
-//! is sharded by a stable `(user, day)` hash, and per-arm results stream
+//! is sharded by a stable `(user, day)` hash, the shards run side by side
+//! on the host's cores ([`par`](crate::par)), and per-arm results stream
 //! into constant-memory aggregates ([`xlink_lab::stream`]) whose shard
 //! partials merge exactly. The net guarantees, enforced by
 //! `tests/fleet.rs`, `tests/golden.rs` and the invariants suite:
 //!
 //! * **Bit-identical** reports across repeated runs *and* across shard
-//!   counts (1, 4, 16, …).
-//! * **Peak memory independent of population size**: O(one session +
-//!   trace pool), with finished sessions reduced to histogram bins.
+//!   counts (1, 4, 16, …), worker counts and schedules.
+//! * **Peak memory independent of population size**: O(workers × one
+//!   session + trace pool), with finished sessions reduced to histogram
+//!   bins.
 //! * **Analytic confidence intervals** (normal/binomial) with no
 //!   bootstrap resampling and no retained samples.
 //!

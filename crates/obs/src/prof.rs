@@ -366,6 +366,7 @@ pub fn with_recording<T>(f: impl FnOnce() -> T) -> (T, ProfReport) {
 /// What a worker thread recorded under [`on_worker`], on its way to the
 /// thread that spawned it (see [`graft`]). Empty unless the worker ran in
 /// [`Mode::Record`].
+#[must_use = "graft it on the spawning thread, or what the worker recorded is lost"]
 pub struct WorkerProfile {
     nodes: Vec<Node>,
     allocs: u64,
@@ -407,14 +408,9 @@ pub fn graft(worker: WorkerProfile) {
     }
     PROF.with(|p| {
         pause_alloc_tracking();
-        {
-            let mut nodes = p.nodes.borrow_mut();
-            if nodes.is_empty() {
-                nodes.push(Node::new(u32::MAX));
-            }
-            let under = p.stack.borrow().last().map_or(0, |f| f.node);
-            graft_children(&mut nodes, under, &worker.nodes, 0);
-        }
+        // A recording thread always has its root node (`set_mode`).
+        let under = p.stack.borrow().last().map_or(0, |f| f.node);
+        graft_children(&mut p.nodes.borrow_mut(), under, &worker.nodes, 0);
         ALLOCS.with(|a| {
             a.allocs.set(a.allocs.get().wrapping_add(worker.allocs));
             a.bytes.set(a.bytes.get().wrapping_add(worker.alloc_bytes));

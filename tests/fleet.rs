@@ -213,5 +213,4 @@ fn threaded_profile_equals_the_profile_of_one_thread() {
     };
     assert_eq!(counts(&one), counts(&four));
     assert_eq!(four.get("fleet;merge").expect("merge span").calls, 4);
-    assert_eq!(prof::mode(), prof::Mode::Off, "profiling mode restored");
 }
