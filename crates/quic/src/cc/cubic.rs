@@ -251,4 +251,77 @@ mod tests {
         }
         assert!(cc.window() >= MIN_WINDOW);
     }
+
+    /// Characterisation: one scripted life of a controller (slow start, a
+    /// congestion event, cubic growth over several RTTs, persistent
+    /// congestion, reset, then a small window where the Reno-friendly
+    /// estimate leads) with the exact window after every step. Recorded
+    /// through `Box<dyn CongestionController>`.
+    #[test]
+    fn scripted_sequence_pins_every_window() {
+        let mut cc: Box<dyn CongestionController> = Box::new(Cubic::new());
+        let mut seen = vec![cc.window()];
+        // Slow start: four flights, each acked one RTT after it was sent.
+        for i in 0..4u64 {
+            let w = cc.window();
+            cc.on_ack(t(50 * (i + 1)), t(50 * i), w, rtt());
+            seen.push(cc.window());
+        }
+        // One loss event; a second loss from the same flight changes nothing.
+        cc.on_congestion_event(t(260), t(240));
+        seen.push(cc.window());
+        cc.on_congestion_event(t(262), t(250));
+        seen.push(cc.window());
+        // An ack of a packet sent before recovery began is ignored.
+        cc.on_ack(t(270), t(255), 10 * MAX_DATAGRAM_SIZE, rtt());
+        seen.push(cc.window());
+        // Concave region: twelve RTTs of ten full-size packets each.
+        for i in 0..12u64 {
+            let now = 320 + 50 * i;
+            cc.on_ack(t(now), t(now - 50), 10 * MAX_DATAGRAM_SIZE, rtt());
+            seen.push(cc.window());
+        }
+        // A second loss below the previous maximum (fast convergence); the
+        // cubic target is then below the window and growth is minimal.
+        cc.on_congestion_event(t(930), t(920));
+        seen.push(cc.window());
+        for i in 0..4u64 {
+            let now = 1000 + 50 * i;
+            cc.on_ack(t(now), t(now - 50), 10 * MAX_DATAGRAM_SIZE, rtt());
+            seen.push(cc.window());
+        }
+        // Out of the collapse the window regrows from the minimum.
+        cc.on_persistent_congestion();
+        seen.push(cc.window());
+        for i in 0..3u64 {
+            let now = 1300 + 50 * i;
+            cc.on_ack(t(now), t(now - 50), 2 * MAX_DATAGRAM_SIZE, rtt());
+            seen.push(cc.window());
+        }
+        cc.reset(t(1500));
+        seen.push(cc.window());
+        cc.on_ack(t(1550), t(1500), INITIAL_WINDOW, rtt());
+        seen.push(cc.window());
+        // A small window after a loss: the Reno-friendly estimate leads.
+        cc.on_congestion_event(t(1600), t(1590));
+        seen.push(cc.window());
+        for i in 0..6u64 {
+            let now = 1700 + 50 * i;
+            let w = cc.window();
+            cc.on_ack(t(now), t(now - 50), w, rtt());
+            seen.push(cc.window());
+        }
+        assert_eq!(seen, SCRIPTED_WINDOWS);
+    }
+
+    #[rustfmt::skip]
+    const SCRIPTED_WINDOWS: [u64; 38] = [
+        13500, 27000, 54000, 108000, 216000,
+        151200, 151200, 151200,
+        151578, 152087, 152712, 153437, 154249, 155135, 156085, 157088, 158136, 159222, 160338, 161478,
+        113034, 113035, 113036, 113037, 113038,
+        2700, 5400, 8100, 10800,
+        13500, 27000,
+        18900, 20289, 20715, 21122, 21641, 22290, 22906,
+    ];
 }
