@@ -22,7 +22,7 @@
 use crate::qoe::{reinjection_decision, QoeControl, QoeSignal};
 use crate::sched::{
     ecf_choice, max_deliver_time, min_rtt_choice, ReinjectKey, ReinjectLedger, ReinjectMode,
-    RoundRobinState, SchedulerKind,
+    SchedulerKind,
 };
 use crate::wireless::{PrimaryPathPolicy, WirelessTech};
 use xlink_clock::{Duration, Instant};
@@ -39,9 +39,8 @@ pub use xlink_quic::connection::{
 #[derive(Debug, Clone)]
 pub struct MpConfig {
     /// The connection: side, keys, transport parameters (`enable_multipath`
-    /// offers the extension), congestion control, ACK_MP routing, liveness,
-    /// keep-alive. `paths` and `primary` are set from `path_techs` and
-    /// `primary_policy`.
+    /// offers the extension), ACK_MP routing, liveness, keep-alive. `paths`
+    /// and `primary` are set from `path_techs` and `primary_policy`.
     pub conn: Config,
     /// New-data path selection policy.
     pub scheduler: SchedulerKind,
@@ -98,7 +97,6 @@ pub struct MpConnection {
     qoe_control: QoeControl,
     /// Re-injection dedup ledger.
     ledger: ReinjectLedger,
-    rr: RoundRobinState,
     /// Scheduler / re-injection / QoE-gate tracer (`<prefix>.core`); the
     /// connection traces under `<prefix>.quic`.
     tracer: Tracer,
@@ -125,7 +123,6 @@ impl MpConnection {
             reinject_mode: cfg.reinject_mode,
             qoe_control: cfg.qoe_control,
             ledger: ReinjectLedger::default(),
-            rr: RoundRobinState::default(),
             tracer: Tracer::disabled(),
             gate_seen: None,
             sched_scratch: Vec::new(),
@@ -260,7 +257,6 @@ impl MpConnection {
         self.fill_candidates(candidates);
         let (path, policy) = match self.scheduler {
             SchedulerKind::MinRtt => (min_rtt_choice(candidates), "minrtt"),
-            SchedulerKind::RoundRobin => (self.rr.choose(candidates), "roundrobin"),
             SchedulerKind::Ecf => (ecf_choice(candidates), "ecf"),
         };
         let path = path?;
@@ -284,8 +280,12 @@ impl MpConnection {
             self.tracer.emit(now, Event::ReinjectionGate { enabled: reinjection_on });
         }
         drop(gate_prof);
-        if reinjection_on && (failover || self.reinject_preempts_new_data(path)) {
-            if let Some(tx) = self.try_reinject(now, path) {
+        // One scan serves both decisions below: nothing it reads changes
+        // until a datagram is built.
+        let (queue, preempts) =
+            if reinjection_on { self.reinject_queue(path) } else { (Vec::new(), false) };
+        if failover || preempts {
+            if let Some(tx) = self.reinject(now, path, &queue) {
                 return Some(tx);
             }
         }
@@ -295,10 +295,8 @@ impl MpConnection {
             return Some(tx);
         }
         // No new data eligible: consider re-injection (XLINK §5.1-5.2).
-        if reinjection_on {
-            if let Some(tx) = self.try_reinject(now, path) {
-                return Some(tx);
-            }
+        if let Some(tx) = self.reinject(now, path, &queue) {
+            return Some(tx);
         }
         // Other paths may still have new-data room (e.g. the min-RTT path
         // was flow-control-limited for its streams — rare, but cover it).
@@ -392,56 +390,53 @@ impl MpConnection {
         pending.map(|st| self.rank(st.id, st.send.next_pending_priority().unwrap_or(u8::MAX))).min()
     }
 
-    /// True when the best re-injection candidate outranks the best unsent
-    /// data under the configured mode (the preemption rules of Fig. 4):
-    /// appending never preempts; stream-priority preempts strictly
-    /// lower-priority streams; frame-priority also preempts lower-priority
-    /// frames of the same stream. With nothing unsent, re-injection is
-    /// trivially first.
-    fn reinject_preempts_new_data(&self, path: usize) -> bool {
-        if self.reinject_mode == ReinjectMode::Appending {
-            return false;
-        }
-        let cands = self.reinject_candidates(path);
-        let best = cands.iter().map(|&(id, _, _, fprio)| self.rank(id, fprio)).min();
-        best.is_some_and(|best| self.best_pending_rank().is_none_or(|pending| best < pending))
-    }
-
-    /// Re-inject unacked data from other paths onto `path`, ordered by the
-    /// configured mode (paper Fig. 4).
-    fn try_reinject(&mut self, now: Instant, path: usize) -> Option<(usize, Vec<u8>)> {
+    /// What may be re-injected onto `path` now, in sending order under the
+    /// configured mode (paper Fig. 4), and whether its head goes out ahead
+    /// of the unsent data. Appending mode puts re-injected data at the
+    /// queue tail: it goes only when no stream has unsent data at all, and
+    /// never preempts. The priority modes let it overtake unsent data
+    /// ranked strictly after it, never unsent data of the same or a better
+    /// rank: a lower-priority stream's in stream-priority mode (Fig. 4b);
+    /// in frame-priority mode also a lower-priority frame's of its own
+    /// stream, which is how the first video frame gets ahead (Fig. 4c).
+    /// With nothing unsent, re-injection is trivially first.
+    fn reinject_queue(&self, path: usize) -> (Vec<(u64, SendRange, bool, u8)>, bool) {
         let _prof = prof::span!("core/reinject");
-        let mut cands = self.reinject_candidates(path);
-        if cands.is_empty() {
-            return None;
-        }
         if self.reinject_mode == ReinjectMode::Appending {
-            // Appending mode: re-injection only allowed when no stream
-            // has unsent data at all (it sits at the queue tail).
             if self.conn.streams().iter().any(|s| s.send.has_pending()) {
-                return None;
+                return (Vec::new(), false);
             }
+            let mut cands = self.reinject_candidates(path);
             // FIFO by stream then offset.
             cands.sort_by_key(|&(id, r, _, _)| (id, r.start));
-        } else {
-            // Re-injected data may overtake unsent data ranked strictly
-            // after it, never unsent data of the same or a better rank: a
-            // lower-priority stream's in stream-priority mode (Fig. 4b);
-            // in frame-priority mode also a lower-priority frame's of its
-            // own stream, which is how the first video frame gets ahead
-            // (Fig. 4c).
-            let pending = self.best_pending_rank();
-            cands.retain(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) <= p));
-            cands.sort_by_cached_key(|&(id, r, _, fprio)| (self.rank(id, fprio), id, r.start));
+            return (cands, false);
         }
-        if cands.is_empty() {
+        let pending = self.best_pending_rank();
+        let mut cands = self.reinject_candidates(path);
+        cands.retain(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) <= p));
+        cands.sort_by_cached_key(|&(id, r, _, fprio)| (self.rank(id, fprio), id, r.start));
+        let preempts = cands
+            .first()
+            .is_some_and(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) < p));
+        (cands, preempts)
+    }
+
+    /// Re-inject the head of `queue` (from [`MpConnection::reinject_queue`])
+    /// onto `path`: one datagram within the path's budget.
+    fn reinject(
+        &mut self,
+        now: Instant,
+        path: usize,
+        queue: &[(u64, SendRange, bool, u8)],
+    ) -> Option<(usize, Vec<u8>)> {
+        if queue.is_empty() {
             return None;
         }
-        // Cut the candidates to one datagram within the path's budget.
+        let _prof = prof::span!("core/reinject");
         let mut copies = std::mem::take(&mut self.copies_scratch);
         copies.clear();
         let mut remaining = (MAX_DATAGRAM_SIZE as usize - 64).min(self.conn.budget(path) as usize);
-        for (stream_id, range, fin, _) in cands {
+        for &(stream_id, range, fin, _) in queue {
             if remaining < 48 {
                 break;
             }
@@ -465,7 +460,7 @@ mod tests {
     use super::*;
     use crate::qoe::redundancy_ratio;
     use xlink_quic::error::TransportError;
-    use xlink_quic::frame::PathStatusKind;
+    use xlink_quic::frame::{Frame, PathStatusKind};
 
     fn client_cfg(seed: u64) -> MpConfig {
         MpConfig::xlink_client(seed, vec![WirelessTech::Wifi, WirelessTech::Lte])
@@ -850,25 +845,18 @@ mod tests {
         assert_none_is_stable("drained", &mut c, end);
     }
 
+    /// Receiving the draft's standalone QOE_CONTROL_SIGNALS frame is peer
+    /// input: a client that sends one (ours never does, the snapshot rides
+    /// on ACK_MP) is heard.
     #[test]
-    fn standalone_qoe_frames_reach_server() {
-        let now = Instant::ZERO;
-        let mut ccfg = client_cfg(1);
-        ccfg.conn.standalone_qoe_frames = true;
-        let mut c = MpConnection::new(ccfg, now);
-        let mut s = MpConnection::new(server_cfg(2), now);
-        let mut now = now;
+    fn qoe_control_signals_frame_reaches_server() {
+        let (mut c, mut s, mut now) = pair();
         pump(&mut now, &mut c, &mut s);
         assert!(c.is_established());
-        c.set_qoe(QoeSignal { cached_bytes: 9, cached_frames: 8, bps: 7, fps: 6 });
+        let q = QoeSignal { cached_bytes: 9, cached_frames: 8, bps: 7, fps: 6 };
+        c.conn_mut().streams_mut().control.push(Frame::QoeControlSignals(q));
         pump(&mut now, &mut c, &mut s);
-        let q = s.conn().peer_qoe().expect("standalone frame should deliver QoE");
-        assert_eq!((q.cached_bytes, q.cached_frames, q.bps, q.fps), (9, 8, 7, 6));
-        // Unchanged snapshots are not re-sent (no frame spam).
-        let frames_before = c.conn().stats().packets_sent;
-        c.set_qoe(QoeSignal { cached_bytes: 9, cached_frames: 8, bps: 7, fps: 6 });
-        pump(&mut now, &mut c, &mut s);
-        assert!(c.conn().stats().packets_sent <= frames_before + 1);
+        assert_eq!(s.conn().peer_qoe(), Some(&q));
     }
 
     #[test]

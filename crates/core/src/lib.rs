@@ -7,7 +7,7 @@
 //!   `xlink_quic::connection::Connection` (which owns the paths, ACK_MP,
 //!   path validation and PATH_STATUS): primary path selection, path choice
 //!   for new data, re-injection and its QoE gate.
-//! * [`sched`] — min-RTT / round-robin / ECF path choice and the
+//! * [`sched`] — min-RTT / ECF path choice and the
 //!   priority-based re-injection modes of Fig. 4.
 //! * [`qoe`] — QoE signals and the double-thresholding controller
 //!   (Algorithm 1).

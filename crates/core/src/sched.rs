@@ -3,7 +3,9 @@
 //! The multipath connection is policy-parameterized: the same state
 //! machine runs vanilla-MP (min-RTT, no re-injection), the redundant
 //! baseline, and XLINK (min-RTT + priority-based re-injection under QoE
-//! control). Which policy is active is an experiment knob.
+//! control). Which policy is active is an experiment knob. Every scheme of
+//! the paper's evaluation schedules new data by min-RTT; ECF is the one
+//! other choice, a related-work baseline (DESIGN §5).
 
 use xlink_clock::{Duration, Instant};
 use xlink_quic::rtt::RttEstimator;
@@ -14,8 +16,6 @@ pub enum SchedulerKind {
     /// Pick the available path with the lowest smoothed RTT — the
     /// MPQUIC/MPTCP default the paper calls "vanilla-MP" (§3 footnote 4).
     MinRtt,
-    /// Rotate across available paths (diagnostic baseline).
-    RoundRobin,
     /// Earliest-completion-first in the style of ECF (Lim et al.,
     /// CoNEXT'17 — reference [18] of the paper): when the fastest path's
     /// window is full, use a slower path only if sending there is
@@ -74,26 +74,6 @@ pub fn min_rtt_choice(candidates: &[(usize, Duration, bool)]) -> Option<usize> {
         .filter(|&&(_, _, has_cwnd)| has_cwnd)
         .min_by_key(|&&(i, rtt, _)| (rtt, i))
         .map(|&(i, _, _)| i)
-}
-
-/// Round-robin choice state.
-#[derive(Debug, Default, Clone)]
-pub struct RoundRobinState {
-    next: usize,
-}
-
-impl RoundRobinState {
-    /// Pick the next available path after the previously chosen one.
-    pub fn choose(&mut self, candidates: &[(usize, Duration, bool)]) -> Option<usize> {
-        let avail: Vec<usize> =
-            candidates.iter().filter(|&&(_, _, c)| c).map(|&(i, _, _)| i).collect();
-        if avail.is_empty() {
-            return None;
-        }
-        let pick = avail.iter().copied().find(|&i| i >= self.next).unwrap_or(avail[0]);
-        self.next = pick + 1;
-        Some(pick)
-    }
 }
 
 /// The paper's Eq. 1: worst-case delivery time over paths that still have
@@ -174,25 +154,6 @@ mod tests {
     fn min_rtt_tie_breaks_low_index() {
         let c = [(1, ms(20), true), (0, ms(20), true)];
         assert_eq!(min_rtt_choice(&c), Some(0));
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut rr = RoundRobinState::default();
-        let c = [(0, ms(1), true), (1, ms(1), true), (2, ms(1), true)];
-        assert_eq!(rr.choose(&c), Some(0));
-        assert_eq!(rr.choose(&c), Some(1));
-        assert_eq!(rr.choose(&c), Some(2));
-        assert_eq!(rr.choose(&c), Some(0));
-    }
-
-    #[test]
-    fn round_robin_skips_blocked() {
-        let mut rr = RoundRobinState::default();
-        let c = [(0, ms(1), true), (1, ms(1), false), (2, ms(1), true)];
-        assert_eq!(rr.choose(&c), Some(0));
-        assert_eq!(rr.choose(&c), Some(2));
-        assert_eq!(rr.choose(&c), Some(0));
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub struct TransportTuning {
     pub ack_policy: AckPathPolicy,
     /// Wireless technology per path.
     pub path_techs: Vec<WirelessTech>,
-    /// CM stall threshold before migrating.
-    pub cm_threshold: Duration,
     /// Wireless-aware primary selection on/off.
     pub wireless_aware_primary: bool,
     /// Explicit primary-path policy override (beats `wireless_aware_primary`).
@@ -84,7 +82,6 @@ impl Default for TransportTuning {
             thresholds_ms: (300, 1500),
             ack_policy: AckPathPolicy::FastestPath,
             path_techs: vec![WirelessTech::Wifi, WirelessTech::Lte],
-            cm_threshold: Duration::from_millis(700),
             wireless_aware_primary: true,
             primary_override: None,
             auto_failover: true,
@@ -142,8 +139,6 @@ pub struct Conn {
     num_paths: usize,
     /// CM client: migration enabled.
     migrate: bool,
-    /// CM stall threshold.
-    threshold: Duration,
     /// Last time any datagram was received (the CM stall clock).
     last_recv: Instant,
     /// One-path servers: reply on the network path the client last used.
@@ -213,12 +208,14 @@ impl Conn {
             },
             num_paths: tuning.path_techs.len(),
             migrate: scheme == Scheme::Cm && side == Side::Client,
-            threshold: tuning.cm_threshold,
             last_recv: now,
             follow_peer_path: side == Side::Server,
             tracer: Tracer::disabled(),
         }
     }
+
+    /// How long a CM client goes without receiving before it migrates.
+    const CM_STALL_THRESHOLD: Duration = Duration::from_millis(700);
 
     /// When a CM client's stall clock runs out, if it is running: only an
     /// established connection with data awaiting acknowledgement migrates.
@@ -229,7 +226,7 @@ impl Conn {
     fn cm_stall_deadline(&self) -> Option<Instant> {
         let conn = self.mp.conn();
         (self.migrate && conn.is_established() && conn.in_flight(0) > 0)
-            .then(|| self.last_recv + self.threshold)
+            .then(|| self.last_recv + Self::CM_STALL_THRESHOLD)
     }
 
     /// Ingest a datagram from `path`.
@@ -257,7 +254,7 @@ impl Conn {
             self.carrier = Some(carrier);
             let stranded_bytes = self.mp.conn().in_flight(0);
             self.tracer.emit(now, Event::PathFailover { from, to: carrier as u8, stranded_bytes });
-            self.mp.conn_mut().on_migrate(now);
+            self.mp.conn_mut().on_migrate();
             self.last_recv = now; // restart the stall clock
         }
         self.mp.poll_transmit(now).map(|(_, d)| (carrier, d))

@@ -5,7 +5,7 @@ use crate::wire::{Kind, Segment, HEADER_LEN};
 use std::collections::BTreeMap;
 use xlink_clock::{Duration, Instant};
 use xlink_obs::{Event, Tracer};
-use xlink_quic::cc::{CcAlgorithm, CongestionController, MAX_DATAGRAM_SIZE};
+use xlink_quic::cc::{Cubic, MAX_DATAGRAM_SIZE};
 use xlink_quic::recovery::{MAX_PTO, SUSPECT_AFTER_PTOS};
 use xlink_quic::rtt::RttEstimator;
 
@@ -33,24 +33,13 @@ pub struct MptcpConfig {
     pub is_client: bool,
     /// Number of subflows (== netsim paths).
     pub num_subflows: usize,
-    /// Congestion controller per subflow.
-    pub cc: CcAlgorithm,
     /// Receive window advertised to the peer.
     pub recv_window: u32,
-    /// Enable opportunistic retransmission + penalization (the Linux
-    /// default HoL mitigation; disable to see raw min-RTT behaviour).
-    pub opportunistic_retx: bool,
 }
 
 impl Default for MptcpConfig {
     fn default() -> Self {
-        MptcpConfig {
-            is_client: true,
-            num_subflows: 2,
-            cc: CcAlgorithm::Cubic,
-            recv_window: 4 << 20,
-            opportunistic_retx: true,
-        }
+        MptcpConfig { is_client: true, num_subflows: 2, recv_window: 4 << 20 }
     }
 }
 
@@ -89,7 +78,7 @@ struct Subflow {
     /// When the (last) SYN went out, for handshake retransmission.
     syn_time: Option<Instant>,
     rtt: RttEstimator,
-    cc: Box<dyn CongestionController>,
+    cc: Cubic,
     /// Unacked segments on this subflow, keyed by data-level seq.
     inflight: BTreeMap<u64, SentSeg>,
     inflight_bytes: u64,
@@ -111,13 +100,13 @@ struct Subflow {
 }
 
 impl Subflow {
-    fn new(cc: Box<dyn CongestionController>) -> Self {
+    fn new() -> Self {
         Subflow {
             established: false,
             syn_sent: false,
             syn_time: None,
             rtt: RttEstimator::new(),
-            cc,
+            cc: Cubic::new(),
             inflight: BTreeMap::new(),
             inflight_bytes: 0,
             rto_count: 0,
@@ -197,7 +186,7 @@ pub struct MptcpConnection {
 impl MptcpConnection {
     /// New endpoint.
     pub fn new(cfg: MptcpConfig) -> Self {
-        let subflows = (0..cfg.num_subflows).map(|_| Subflow::new(cfg.cc.build())).collect();
+        let subflows = (0..cfg.num_subflows).map(|_| Subflow::new()).collect();
         MptcpConnection {
             ack_pending: vec![false; cfg.num_subflows],
             subflows,
@@ -453,13 +442,11 @@ impl MptcpConnection {
                 self.fin_acked = true;
             }
         }
-        // Opportunistic retransmission + penalization: if the data-level
-        // head (snd_una) is in flight on a *different*, slower subflow
-        // while this one is idle-ish, retransmit the head here and
-        // penalize the holder.
-        if self.cfg.opportunistic_retx {
-            self.maybe_opportunistic_retx(now, path);
-        }
+        // Opportunistic retransmission + penalization (the Linux default
+        // HoL mitigation): if the data-level head (snd_una) is in flight on
+        // a *different*, slower subflow while this one is idle-ish,
+        // retransmit the head here and penalize the holder.
+        self.maybe_opportunistic_retx(now, path);
     }
 
     fn maybe_opportunistic_retx(&mut self, now: Instant, fast: usize) {

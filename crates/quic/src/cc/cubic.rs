@@ -3,7 +3,7 @@
 //! function of the time since the last congestion event, anchored at the
 //! pre-loss window, with a Reno-friendly region for low-BDP paths.
 
-use super::{CongestionController, INITIAL_WINDOW, MAX_DATAGRAM_SIZE, MIN_WINDOW};
+use super::{INITIAL_WINDOW, MAX_DATAGRAM_SIZE, MIN_WINDOW};
 use xlink_clock::{Duration, Instant};
 
 /// Cubic scaling constant C in (MSS-normalized) windows per second cubed.
@@ -54,16 +54,9 @@ impl Cubic {
         let dt = t - self.k;
         (C * dt * dt * dt) * mss + self.w_max
     }
-}
 
-impl Default for Cubic {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CongestionController for Cubic {
-    fn on_ack(&mut self, now: Instant, sent_time: Instant, bytes: u64, rtt: Duration) {
+    /// A packet of `bytes` is newly acknowledged.
+    pub fn on_ack(&mut self, now: Instant, sent_time: Instant, bytes: u64, rtt: Duration) {
         if self.in_recovery(sent_time) {
             return;
         }
@@ -97,7 +90,9 @@ impl CongestionController for Cubic {
         self.window = (next.max(MIN_WINDOW as f64)) as u64;
     }
 
-    fn on_congestion_event(&mut self, now: Instant, sent_time: Instant) {
+    /// One loss *event* (not one lost packet); `sent_time` is the send time
+    /// of the newest lost packet.
+    pub fn on_congestion_event(&mut self, now: Instant, sent_time: Instant) {
         if self.in_recovery(sent_time) {
             return;
         }
@@ -114,7 +109,8 @@ impl CongestionController for Cubic {
         self.acked_since_epoch = 0;
     }
 
-    fn on_persistent_congestion(&mut self) {
+    /// Persistent congestion is declared: collapse to the minimum.
+    pub fn on_persistent_congestion(&mut self) {
         self.window = MIN_WINDOW;
         self.recovery_start = None;
         self.epoch_start = None;
@@ -122,21 +118,15 @@ impl CongestionController for Cubic {
         self.k = 0.0;
     }
 
-    fn window(&self) -> u64 {
+    /// Current congestion window in bytes.
+    pub fn window(&self) -> u64 {
         self.window
     }
+}
 
-    fn reset(&mut self, now: Instant) {
-        let _ = now;
-        *self = Cubic::new();
-    }
-
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionController> {
-        Box::new(self.clone())
+impl Default for Cubic {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -152,21 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn slow_start_grows_exponentially() {
-        let mut cc = Cubic::new();
-        let w0 = cc.window();
-        cc.on_ack(t(50), t(0), w0, rtt());
-        assert_eq!(cc.window(), 2 * w0);
-    }
-
-    #[test]
-    fn loss_reduces_by_beta() {
-        let mut cc = Cubic::new();
-        cc.on_ack(t(50), t(0), 200_000, rtt());
-        let before = cc.window();
-        cc.on_congestion_event(t(100), t(90));
-        let after = cc.window();
-        assert!((after as f64 - before as f64 * BETA).abs() < MAX_DATAGRAM_SIZE as f64);
+    fn starts_at_the_initial_window() {
+        assert_eq!(Cubic::new().window(), INITIAL_WINDOW);
     }
 
     #[test]
@@ -206,16 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn one_reduction_per_recovery() {
-        let mut cc = Cubic::new();
-        cc.on_ack(t(50), t(0), 500_000, rtt());
-        cc.on_congestion_event(t(100), t(90));
-        let w = cc.window();
-        cc.on_congestion_event(t(101), t(95));
-        assert_eq!(cc.window(), w);
-    }
-
-    #[test]
     fn fast_convergence_shrinks_anchor() {
         let mut cc = Cubic::new();
         cc.on_ack(t(50), t(0), 1_000_000, rtt());
@@ -227,39 +194,24 @@ mod tests {
     }
 
     #[test]
-    fn persistent_congestion_collapses() {
-        let mut cc = Cubic::new();
-        cc.on_ack(t(50), t(0), 500_000, rtt());
-        cc.on_persistent_congestion();
-        assert_eq!(cc.window(), MIN_WINDOW);
-    }
-
-    #[test]
-    fn reset_for_migration_restores_initial() {
-        let mut cc = Cubic::new();
-        cc.on_ack(t(50), t(0), 500_000, rtt());
-        cc.reset(t(100));
-        assert_eq!(cc.window(), INITIAL_WINDOW);
-        assert_eq!(cc.ssthresh, u64::MAX);
-    }
-
-    #[test]
     fn window_floor_holds_under_repeated_loss() {
         let mut cc = Cubic::new();
         for i in 0..30 {
             cc.on_congestion_event(t(100 + i * 100), t(50 + i * 100));
+            assert!(cc.window() >= MIN_WINDOW);
         }
-        assert!(cc.window() >= MIN_WINDOW);
+        assert_eq!(cc.window(), MIN_WINDOW);
     }
 
     /// Characterisation: one scripted life of a controller (slow start, a
     /// congestion event, cubic growth over several RTTs, persistent
-    /// congestion, reset, then a small window where the Reno-friendly
-    /// estimate leads) with the exact window after every step. Recorded
-    /// through `Box<dyn CongestionController>`.
+    /// congestion, a fresh start, then a small window where the Reno-friendly
+    /// estimate leads) with the exact window after every step. The
+    /// constants were recorded through a trait object, before the controller
+    /// trait was removed, and pass unedited through the direct calls.
     #[test]
     fn scripted_sequence_pins_every_window() {
-        let mut cc: Box<dyn CongestionController> = Box::new(Cubic::new());
+        let mut cc = Cubic::new();
         let mut seen = vec![cc.window()];
         // Slow start: four flights, each acked one RTT after it was sent.
         for i in 0..4u64 {
@@ -298,7 +250,8 @@ mod tests {
             cc.on_ack(t(now), t(now - 50), 2 * MAX_DATAGRAM_SIZE, rtt());
             seen.push(cc.window());
         }
-        cc.reset(t(1500));
+        // A migrated or revalidated path starts over with a fresh controller.
+        cc = Cubic::new();
         seen.push(cc.window());
         cc.on_ack(t(1550), t(1500), INITIAL_WINDOW, rtt());
         seen.push(cc.window());

@@ -1,19 +1,10 @@
-//! Congestion control.
-//!
-//! The paper's experiments run Cubic with "decoupled" control per path
-//! (§7, §9); the coupled LIA variant is provided for the fairness
-//! discussion in §9. NewReno is included as the simplest reference
-//! controller and for tests.
+//! Congestion control: Cubic, one controller per path ("decoupled"), which
+//! is what the paper's evaluation runs (§7, §9). [`Cubic`] is a concrete
+//! type called directly by `Path` and by the MPTCP baseline's subflows.
 
 mod cubic;
-mod lia;
-mod newreno;
 
 pub use cubic::Cubic;
-pub use lia::CoupledLia;
-pub use newreno::NewReno;
-
-use xlink_clock::{Duration, Instant};
 
 /// Maximum datagram payload size used for cwnd accounting.
 pub const MAX_DATAGRAM_SIZE: u64 = 1350;
@@ -23,93 +14,3 @@ pub const INITIAL_WINDOW: u64 = 10 * MAX_DATAGRAM_SIZE;
 
 /// Minimum congestion window.
 pub const MIN_WINDOW: u64 = 2 * MAX_DATAGRAM_SIZE;
-
-/// The interface every congestion controller implements. All quantities
-/// are in bytes.
-pub trait CongestionController: std::fmt::Debug + Send {
-    /// Called when a packet of `bytes` is newly acknowledged.
-    fn on_ack(&mut self, now: Instant, sent_time: Instant, bytes: u64, rtt: Duration);
-
-    /// Called once per loss *event* (not per lost packet); `sent_time` is
-    /// the send time of the newest lost packet.
-    fn on_congestion_event(&mut self, now: Instant, sent_time: Instant);
-
-    /// Called when persistent congestion is declared: collapse to minimum.
-    fn on_persistent_congestion(&mut self);
-
-    /// Current congestion window in bytes.
-    fn window(&self) -> u64;
-
-    /// Reset to the initial state (used by QUIC connection migration,
-    /// which must restart from slow start — paper §2 "Better mobility").
-    fn reset(&mut self, now: Instant);
-
-    /// Controller name for logs and experiment output.
-    fn name(&self) -> &'static str;
-
-    /// Push a cross-path coupling coefficient (coupled multipath CC).
-    /// Decoupled controllers ignore this (default no-op).
-    fn set_coupling(&mut self, alpha: f64) {
-        let _ = alpha;
-    }
-
-    /// Clone into a box (controllers are per-path and paths are dynamic).
-    fn clone_box(&self) -> Box<dyn CongestionController>;
-}
-
-impl Clone for Box<dyn CongestionController> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Which congestion controller to instantiate (experiment configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcAlgorithm {
-    /// RFC 9002 NewReno.
-    NewReno,
-    /// RFC 8312-style Cubic (the paper's default).
-    Cubic,
-    /// Coupled multipath increase (LIA); per-path instances share via a
-    /// scaling factor set by the connection.
-    CoupledLia,
-}
-
-impl CcAlgorithm {
-    /// Instantiate a fresh controller.
-    pub fn build(self) -> Box<dyn CongestionController> {
-        match self {
-            CcAlgorithm::NewReno => Box::new(NewReno::new()),
-            CcAlgorithm::Cubic => Box::new(Cubic::new()),
-            CcAlgorithm::CoupledLia => Box::new(CoupledLia::new()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builders_produce_named_controllers() {
-        assert_eq!(CcAlgorithm::NewReno.build().name(), "newreno");
-        assert_eq!(CcAlgorithm::Cubic.build().name(), "cubic");
-        assert_eq!(CcAlgorithm::CoupledLia.build().name(), "lia");
-    }
-
-    #[test]
-    fn all_start_at_initial_window() {
-        for alg in [CcAlgorithm::NewReno, CcAlgorithm::Cubic, CcAlgorithm::CoupledLia] {
-            assert_eq!(alg.build().window(), INITIAL_WINDOW);
-        }
-    }
-
-    #[test]
-    fn boxed_clone_preserves_state() {
-        let mut cc = CcAlgorithm::NewReno.build();
-        let t = Instant::from_millis(1);
-        cc.on_ack(t, Instant::ZERO, 5000, Duration::from_millis(50));
-        let copy = cc.clone();
-        assert_eq!(copy.window(), cc.window());
-    }
-}

@@ -32,7 +32,7 @@ pub use path::{AckPathPolicy, Path, PathState};
 pub use space::{PnSpace, SentFrame};
 
 use crate::ackranges::MAX_ACK_RANGES;
-use crate::cc::{CcAlgorithm, CoupledLia, MAX_DATAGRAM_SIZE};
+use crate::cc::{Cubic, MAX_DATAGRAM_SIZE};
 use crate::cid::{CidManager, ConnectionId};
 use crate::crypto::TAG_LEN;
 use crate::error::{ConnectionError, TransportError};
@@ -55,9 +55,6 @@ pub struct Config {
     pub psk: Vec<u8>,
     /// Our transport parameters; `enable_multipath` offers the extension.
     pub params: TransportParams,
-    /// Congestion controller algorithm, per path (`CoupledLia` couples
-    /// them across paths).
-    pub cc: CcAlgorithm,
     /// Seed for CID derivation and handshake randoms.
     pub seed: u64,
     /// Send a keep-alive PING on a path after this long with nothing
@@ -74,11 +71,6 @@ pub struct Config {
     pub primary: usize,
     /// ACK_MP return-path policy.
     pub ack_policy: AckPathPolicy,
-    /// Send QoE feedback as the draft's standalone QOE_CONTROL_SIGNALS
-    /// frame (decoupled from ACK cadence) instead of the ACK_MP field the
-    /// paper's experiments used (§6: "the current XLINK implementation
-    /// sends QoE feedback as an additional field in ACK_MP frame").
-    pub standalone_qoe_frames: bool,
     /// Blackhole detection / automatic failover tunables (§9); the machine
     /// runs once multipath is negotiated.
     pub liveness: LivenessConfig,
@@ -95,13 +87,11 @@ impl Config {
             side: Side::Client,
             psk: b"xlink-demo-psk".to_vec(),
             params: TransportParams::default(),
-            cc: CcAlgorithm::Cubic,
             seed,
             keepalive: None,
             paths: 1,
             primary: 0,
             ack_policy: AckPathPolicy::OriginalPath,
-            standalone_qoe_frames: false,
             liveness: LivenessConfig::default(),
             reset_secret: None,
         }
@@ -282,9 +272,8 @@ impl Connection {
         // The primary path is implicitly validated by the handshake. Until
         // the peer's hello arrives every path addresses the placeholder.
         let state = |i| if i == cfg.primary { PathState::Active } else { PathState::Validating };
-        let paths = (0..cfg.paths)
-            .map(|i| Path::new(i, state(i), cfg.cc.build(), placeholder_dcid(), now))
-            .collect();
+        let paths =
+            (0..cfg.paths).map(|i| Path::new(i, state(i), placeholder_dcid(), now)).collect();
         Connection {
             life: Lifecycle::new(now, cfg.params.max_idle_timeout),
             keys,
@@ -431,20 +420,14 @@ impl Connection {
         self.peer_qoe.as_ref()
     }
 
-    /// Feed the latest player QoE snapshot (client side). By default it
-    /// rides on the next ACK_MP (paper Fig. 16); with
-    /// `standalone_qoe_frames` it is sent immediately in its own
-    /// QOE_CONTROL_SIGNALS frame whenever the snapshot changes — the
-    /// draft's variant that is "not restricted by ACK frequency" (§6).
+    /// Feed the latest player QoE snapshot (client side). It rides on the
+    /// next ACK_MP (paper Fig. 16; §6: "the current XLINK implementation
+    /// sends QoE feedback as an additional field in ACK_MP frame").
     /// Feedback is the extension's: until it is negotiated there is no
     /// frame to carry a snapshot, and it is dropped. Returns whether the
     /// snapshot was taken and differs from the last one.
     pub fn set_qoe(&mut self, q: QoeSignal) -> bool {
-        let changed = self.multipath && self.local_qoe.replace(q) != Some(q);
-        if changed && self.cfg.standalone_qoe_frames {
-            self.streams.control.push(Frame::QoeControlSignals(q));
-        }
-        changed
+        self.multipath && self.local_qoe.replace(q) != Some(q)
     }
 
     /// Begin closing the connection. The CONNECTION_CLOSE goes out on
@@ -477,9 +460,9 @@ impl Connection {
     /// Connection migration (the CM baseline, §7.3): the one path now runs
     /// over another network path, so congestion state and RTT start over as
     /// RFC 9000 §9.4 requires.
-    pub fn on_migrate(&mut self, now: Instant) {
+    pub fn on_migrate(&mut self) {
         let p = &mut self.paths[self.cfg.primary];
-        p.cc.reset(now);
+        p.cc = Cubic::new();
         p.rtt = RttEstimator::new();
         // The backoff accumulated on the old path says nothing about the
         // new one; probing resumes at the base PTO.
@@ -836,13 +819,6 @@ impl Connection {
         if !outcome.lost.is_empty() {
             self.on_packets_lost(now, path, outcome.lost);
         }
-        if self.cfg.cc == CcAlgorithm::CoupledLia {
-            // LIA (§9): one aggressiveness for all paths, from their windows.
-            let usable = self.paths.iter().filter(|p| p.usable_for_data());
-            let snapshot: Vec<_> = usable.map(|p| (p.cc.window(), p.rtt.smoothed())).collect();
-            let alpha = CoupledLia::compute_alpha(&snapshot);
-            self.paths.iter_mut().for_each(|p| p.cc.set_coupling(alpha));
-        }
     }
 
     fn trace_cwnd(&self, now: Instant, path: usize) {
@@ -1044,11 +1020,8 @@ impl Connection {
             ack.path_id = 0;
             (Frame::Ack(ack), space)
         } else {
-            // Attach the freshest QoE snapshot (client side) unless the
-            // standalone-frame mode carries it separately.
-            if !self.cfg.standalone_qoe_frames {
-                ack.qoe = self.local_qoe;
-            }
+            // Attach the freshest QoE snapshot (client side).
+            ack.qoe = self.local_qoe;
             let send_path = match self.cfg.ack_policy {
                 AckPathPolicy::OriginalPath => space,
                 AckPathPolicy::FastestPath => self.fastest_active_path().unwrap_or(space),
@@ -1758,7 +1731,7 @@ mod tests {
         pump(&mut now, &mut c, &mut s);
         let grown = c.paths()[0].cwnd();
         assert!(grown >= crate::cc::INITIAL_WINDOW);
-        c.on_migrate(now);
+        c.on_migrate();
         assert_eq!(c.paths()[0].cwnd(), crate::cc::INITIAL_WINDOW);
         assert_eq!(c.stats().migrations, 1);
         assert!(!c.paths()[0].rtt.has_samples());

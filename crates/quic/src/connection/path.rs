@@ -6,7 +6,7 @@
 
 use super::liveness::Probation;
 use super::{Connection, PnSpace, SentFrame, MAX_PENDING_PATH_RESPONSES};
-use crate::cc::CongestionController;
+use crate::cc::Cubic;
 use crate::cid::ConnectionId;
 use crate::frame::{Frame, PathStatusKind};
 use crate::rtt::RttEstimator;
@@ -66,7 +66,7 @@ pub struct Path {
     /// RTT estimator for this path (the primary path's also serves the
     /// Initial space).
     pub rtt: RttEstimator,
-    pub(super) cc: Box<dyn CongestionController>,
+    pub(super) cc: Cubic,
     /// Time of the most recent ack-eliciting packet (for ack delay).
     pub(super) last_recv_time: Instant,
     /// Destination CID bound to this path, and its sequence number.
@@ -103,19 +103,13 @@ pub struct Path {
 }
 
 impl Path {
-    pub(super) fn new(
-        id: usize,
-        state: PathState,
-        cc: Box<dyn CongestionController>,
-        dcid: ConnectionId,
-        now: Instant,
-    ) -> Self {
+    pub(super) fn new(id: usize, state: PathState, dcid: ConnectionId, now: Instant) -> Self {
         Path {
             id,
             state,
             space: PnSpace::default(),
             rtt: RttEstimator::new(),
-            cc,
+            cc: Cubic::new(),
             last_recv_time: now,
             dcid,
             dcid_seq: 0,
@@ -364,7 +358,7 @@ impl Connection {
         let p = &mut self.paths[path];
         let back_to = p.suspect_from;
         p.state = back_to;
-        p.cc = self.cfg.cc.build();
+        p.cc = Cubic::new();
         p.rtt = RttEstimator::new();
         p.space.recovery.reset_pto_count();
         p.last_ack_time = now;

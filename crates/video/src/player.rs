@@ -19,13 +19,11 @@ use xlink_quic::frame::QoeSignal;
 pub struct PlayerConfig {
     /// Frames that must be buffered before (re)starting playback.
     pub startup_frames: u64,
-    /// Playback rate scale (1.0 = real time).
-    pub speed: f64,
 }
 
 impl Default for PlayerConfig {
     fn default() -> Self {
-        PlayerConfig { startup_frames: 5, speed: 1.0 }
+        PlayerConfig { startup_frames: 5 }
     }
 }
 
@@ -164,7 +162,7 @@ impl Player {
             return;
         }
         // Frames consumable in `elapsed`.
-        let frame_dur = Duration::from_secs_f64(1.0 / (self.video.fps as f64 * self.cfg.speed));
+        let frame_dur = Duration::from_secs_f64(1.0 / self.video.fps as f64);
         if frame_dur == Duration::ZERO {
             return;
         }
@@ -298,7 +296,7 @@ mod tests {
 
     #[test]
     fn startup_waits_for_buffer() {
-        let mut p = Player::new(video(), PlayerConfig { startup_frames: 5, speed: 1.0 });
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 5 });
         p.on_bytes(ms(10), 3000); // 3 frames
         p.advance(ms(50));
         assert!(p.stats().playback_started_at.is_none());
@@ -320,7 +318,7 @@ mod tests {
 
     #[test]
     fn smooth_playback_no_rebuffer() {
-        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2, speed: 1.0 });
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2 });
         p.on_bytes(ms(0), 20_000); // everything at once
         let mut t = 0;
         while !p.is_finished() && t < 10_000 {
@@ -338,7 +336,7 @@ mod tests {
 
     #[test]
     fn stall_and_recovery_accounting() {
-        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2, speed: 1.0 });
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2 });
         p.on_bytes(ms(0), 5000); // 5 frames: plays 0-500ms
         p.advance(ms(100));
         p.advance(ms(500)); // buffer empty at 500ms
@@ -363,7 +361,7 @@ mod tests {
 
     #[test]
     fn qoe_signal_tracks_buffer() {
-        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2, speed: 1.0 });
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2 });
         p.on_bytes(ms(0), 7500); // 7 complete frames + half
         let q = p.qoe_signal();
         assert_eq!(q.cached_frames, 7);
@@ -378,7 +376,7 @@ mod tests {
 
     #[test]
     fn partial_interval_consumption() {
-        let mut p = Player::new(video(), PlayerConfig { startup_frames: 1, speed: 1.0 });
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 1 });
         p.on_bytes(ms(0), 20_000);
         // Advance by 250ms = 2.5 frames → 2 frames consumed.
         p.advance(ms(250));
@@ -390,7 +388,7 @@ mod tests {
 
     #[test]
     fn finish_accounting_charges_open_stall() {
-        let mut p = Player::new(video(), PlayerConfig { startup_frames: 1, speed: 1.0 });
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 1 });
         p.on_bytes(ms(0), 2000);
         p.advance(ms(200)); // both frames played by 200ms
         p.advance(ms(350)); // stall detected (needs a full frame interval), backdated to 200ms
