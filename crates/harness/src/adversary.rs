@@ -16,12 +16,13 @@
 //! never a panic, never unbounded state growth, never a hang past the
 //! 3×PTO draining period.
 
+use crate::scenario::Scenario;
 use crate::transport::{BoundedState, Conn, Scheme, TransportTuning};
 use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
 use xlink_mptcp::wire::{Kind, Segment};
 use xlink_mptcp::{MptcpConfig, MptcpConnection};
-use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit, World};
+use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_quic::ackranges::PnRange;
 use xlink_quic::cid::{ConnectionId, CID_LEN};
@@ -534,8 +535,7 @@ pub fn run_attack_traced(
         Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
         Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
     ];
-    let mut world = World::new(attacker, VictimPeer::new(victim), paths);
-    world.run_until(Instant::ZERO + ATTACK_DEADLINE);
+    let mut world = Scenario::new(paths, ATTACK_DEADLINE).run(attacker, VictimPeer::new(victim));
     let end = world.now();
     let victim = &mut world.server;
     victim.sample(end);
@@ -714,13 +714,12 @@ pub fn run_path_hijack(scheme: Scheme, seed: u64, attacked_path: usize) -> Hijac
         Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
         Path::symmetric(LinkConfig::constant_rate(12.0, Duration::from_millis(35))),
     ];
-    let mut world = World::new(client, server, paths);
-    let end = world.run_until(Instant::ZERO + Duration::from_secs(20));
+    let world = Scenario::new(paths, Duration::from_secs(20)).run(client, server);
     let receiver = &world.server.inner;
     HijackOutcome {
         completed: receiver.done_at.is_some(),
         delivered_bytes: receiver.delivered,
-        elapsed: receiver.done_at.unwrap_or(end).saturating_duration_since(Instant::ZERO),
+        elapsed: receiver.done_at.unwrap_or(world.now()).saturating_duration_since(Instant::ZERO),
     }
 }
 

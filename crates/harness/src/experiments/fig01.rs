@@ -6,12 +6,11 @@
 //! CWND cannot follow; the scheduler keeps sending, so Wi-Fi in-flight
 //! bytes *rise* during the outage while LTE stays orderly.
 
-use crate::scenario::PathSpec;
+use crate::scenario::{PathSpec, Scenario};
 use crate::transport::Scheme;
-use crate::video_session::SessionConfig;
+use crate::video_session::{client_endpoint_for_probe, server_endpoint_for_probe, SessionConfig};
 use xlink_clock::{Duration, Instant};
 use xlink_core::WirelessTech;
-use xlink_netsim::World;
 use xlink_video::Video;
 
 /// One 100 ms sample of a path's state.
@@ -47,29 +46,27 @@ pub fn run(seed: u64) -> Fig01Result {
     cfg.prefetch = 4;
     cfg.deadline = Duration::from_secs(3);
     let now = Instant::ZERO;
-    let client = super::super::video_session::client_endpoint_for_probe(&cfg, now);
-    let server = super::super::video_session::server_endpoint_for_probe(&cfg, now);
-    let mut world = World::new(client, server, vec![wifi.build(), lte.build()]);
-    let mut samples_wifi = Vec::new();
-    let mut samples_lte = Vec::new();
+    let client = client_endpoint_for_probe(&cfg, now);
+    let server = server_endpoint_for_probe(&cfg, now);
+    let (mut samples_wifi, mut samples_lte) = (Vec::new(), Vec::new());
     let window = Duration::from_millis(100);
-    for step in 1..=30u64 {
-        let t = Instant::from_millis(step * 100);
-        world.run_until(t);
-        let (inflight, cwnd) = world.server.path_state();
-        samples_wifi.push(DynSample {
-            t_ms: t.as_millis(),
-            capacity_mbps: world.paths[0].down.capacity_mbps(t, window),
-            inflight: inflight[0],
-            cwnd: cwnd[0],
-        });
-        samples_lte.push(DynSample {
-            t_ms: t.as_millis(),
-            capacity_mbps: world.paths[1].down.capacity_mbps(t, window),
-            inflight: inflight[1],
-            cwnd: cwnd[1],
-        });
-    }
+    Scenario::new(vec![wifi.build(), lte.build()], cfg.deadline).run_sampled(
+        client,
+        server,
+        window,
+        |world| {
+            let t = world.now();
+            let (inflight, cwnd) = world.server.path_state();
+            for (path, samples) in [&mut samples_wifi, &mut samples_lte].into_iter().enumerate() {
+                samples.push(DynSample {
+                    t_ms: t.as_millis(),
+                    capacity_mbps: world.paths[path].down.capacity_mbps(t, window),
+                    inflight: inflight[path],
+                    cwnd: cwnd[path],
+                });
+            }
+        },
+    );
     Fig01Result { wifi: samples_wifi, lte: samples_lte }
 }
 

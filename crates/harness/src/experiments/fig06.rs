@@ -4,11 +4,11 @@
 //! (d) re-injection with QoE control, replayed on the same trace pair
 //! where path 1 deteriorates midway.
 
+use crate::scenario::{PathSpec, Scenario};
 use crate::transport::Scheme;
 use crate::video_session::{client_endpoint_for_probe, server_endpoint_for_probe, SessionConfig};
 use xlink_clock::{Duration, Instant};
 use xlink_core::WirelessTech;
-use xlink_netsim::World;
 use xlink_video::Video;
 
 /// One 100-ms sample.
@@ -49,8 +49,8 @@ pub fn run(seed: u64) -> Vec<Fig06Series> {
 
 fn run_one(label: &'static str, scheme: Scheme, seed: u64) -> Fig06Series {
     let (t1, t2) = xlink_traces::fig6_paths(seed);
-    let p1 = crate::scenario::PathSpec::new(WirelessTech::Wifi, t1, seed).build();
-    let p2 = crate::scenario::PathSpec::new(WirelessTech::Lte, t2, seed + 1).build();
+    let p1 = PathSpec::new(WirelessTech::Wifi, t1, seed).build();
+    let p2 = PathSpec::new(WirelessTech::Lte, t2, seed + 1).build();
     let mut cfg = SessionConfig::short_video(scheme, seed);
     // A 6-second, ~2 Mbps video so the buffer is genuinely contested when
     // path 1 collapses.
@@ -60,17 +60,16 @@ fn run_one(label: &'static str, scheme: Scheme, seed: u64) -> Fig06Series {
     let now = Instant::ZERO;
     let client = client_endpoint_for_probe(&cfg, now);
     let server = server_endpoint_for_probe(&cfg, now);
-    let mut world = World::new(client, server, vec![p1, p2]);
     let mut samples = Vec::new();
-    for step in 1..=60u64 {
-        let t = Instant::from_millis(step * 100);
-        world.run_until(t);
+    let every = Duration::from_millis(100);
+    let scenario = Scenario::new(vec![p1, p2], cfg.deadline);
+    let mut world = scenario.run_sampled(client, server, every, |world| {
         samples.push(Fig06Sample {
-            t_ms: t.as_millis(),
+            t_ms: world.now().as_millis(),
             buffer_bytes: world.client.player_cached_bytes(),
             reinject_bytes: world.server.transport_stats().reinjected_bytes,
         });
-    }
+    });
     let end = world.now();
     let stats = world.client.finish(end);
     Fig06Series {

@@ -7,7 +7,7 @@
 //! report tail buffer-level improvement over SP, cost overhead, and the
 //! reduction of sub-50 ms buffer levels (the rebuffer danger zone).
 
-use crate::scenario::draw_user_paths;
+use crate::scenario::{draw_user_paths, Scenario};
 use crate::transport::{Scheme, TransportTuning};
 use crate::video_session::SessionConfig;
 use xlink_clock::Duration;
@@ -74,33 +74,29 @@ fn run_session_probed(
     out: &mut Vec<f64>,
 ) -> crate::video_session::SessionResult {
     use crate::video_session::{client_endpoint_for_probe, server_endpoint_for_probe};
-    use xlink_clock::Instant;
-    use xlink_netsim::World;
-    let now = Instant::ZERO;
+    let now = xlink_clock::Instant::ZERO;
     let client = client_endpoint_for_probe(cfg, now);
     let server = server_endpoint_for_probe(cfg, now);
-    let mut world = World::new(client, server, paths);
     let fps = cfg.video.fps.max(1);
     let mut started = false;
-    let deadline = Instant::ZERO + cfg.deadline;
-    let mut t = Instant::ZERO;
-    while t < deadline {
-        t += Duration::from_millis(100);
-        world.run_until(t);
-        let stats = world.client.player_stats();
-        if stats.playback_started_at.is_some() {
-            started = true;
-        }
-        if started && stats.finished_at.is_none() {
-            // Play-time left ≈ cached frames / fps ("we measured the
-            // buffer level after the video start-up phases").
-            let q = world.client.player_mut().qoe_signal();
-            out.push(q.cached_frames as f64 / fps as f64);
-        }
-        if xlink_netsim::Endpoint::is_done(&world.client) {
-            break;
-        }
-    }
+    // The session ends with the client: the server is done from the start.
+    let world = Scenario::new(paths, cfg.deadline).run_sampled(
+        client,
+        server,
+        Duration::from_millis(100),
+        |world| {
+            let stats = world.client.player_stats();
+            if stats.playback_started_at.is_some() {
+                started = true;
+            }
+            if started && stats.finished_at.is_none() {
+                // Play-time left ≈ cached frames / fps ("we measured the
+                // buffer level after the video start-up phases").
+                let q = world.client.player_mut().qoe_signal();
+                out.push(q.cached_frames as f64 / fps as f64);
+            }
+        },
+    );
     crate::video_session::session_result(world)
 }
 

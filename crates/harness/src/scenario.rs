@@ -1,9 +1,14 @@
 //! Network scenarios. A [`Scenario`] is the one way the harness runs a
 //! simulation: paths, scripted link faults, a deadline and an optional
 //! trace log, with one [`Scenario::run`] that builds, scripts, traces and
-//! drives the [`World`]. Bulk downloads (`bulk.rs`) and video sessions
-//! (`video_session.rs`) are thin functions on top of it; chaos plans and
-//! the handover script (`chaos.rs`) only *build* scenarios.
+//! drives the [`World`] ([`Scenario::run_sampled`] is the same run, looked
+//! at every so often). Bulk downloads (`bulk.rs`), video sessions
+//! (`video_session.rs`), the adversary runs (`adversary.rs`) and the
+//! sampling experiments (Fig. 1, 6, 10) are thin functions on top of it;
+//! chaos plans and the handover script (`chaos.rs`) only *build*
+//! scenarios. The one other builder of a `World` is `pop.rs`, which
+//! injects PoP faults (shard drain, crash, restart) into the server
+//! endpoint between two stretches of one run.
 //!
 //! The rest of the module turns (technology, trace, quality) descriptions
 //! into simulator paths, including the cross-ISP delay inflation of
@@ -56,12 +61,34 @@ impl Scenario {
     /// quiescent, or the deadline. The returned world holds the endpoints,
     /// the link counters and the end time ([`World::now`]).
     pub fn run<C: Endpoint, S: Endpoint>(self, client: C, server: S) -> World<C, S> {
+        let whole = self.deadline;
+        self.run_sampled(client, server, whole, |_| {})
+    }
+
+    /// [`Scenario::run`] in stretches of `every`, showing the world to
+    /// `sample` after each (at `every`, `2 × every`, … and the deadline,
+    /// [`World::now`] telling which) until both endpoints are done.
+    pub fn run_sampled<C: Endpoint, S: Endpoint>(
+        self,
+        client: C,
+        server: S,
+        every: Duration,
+        mut sample: impl FnMut(&mut World<C, S>),
+    ) -> World<C, S> {
         let mut world = World::new(client, server, self.paths).with_flap_schedules(self.faults);
         if let Some(log) = &self.trace {
             world.set_tracer(log);
         }
-        world.run_until(Instant::ZERO + self.deadline);
-        world
+        let end = Instant::ZERO + self.deadline;
+        let mut t = Instant::ZERO;
+        loop {
+            t = (t + every).min(end);
+            world.run_until(t);
+            sample(&mut world);
+            if t >= end || (world.client.is_done() && world.server.is_done()) {
+                return world;
+            }
+        }
     }
 }
 

@@ -404,8 +404,9 @@ impl Endpoint for VideoServerEndpoint {
     }
 }
 
-/// Build a client endpoint directly (experiment probes that drive the
-/// world loop themselves, e.g. the Fig. 1 dynamics sampler).
+/// Build a client endpoint directly (experiment probes that look into the
+/// world while it runs, e.g. the Fig. 1 dynamics sampler over
+/// [`Scenario::run_sampled`]).
 pub fn client_endpoint_for_probe(cfg: &SessionConfig, now: Instant) -> VideoClientEndpoint {
     VideoClientEndpoint::new(cfg, now)
 }
