@@ -31,11 +31,10 @@ step "cargo build --release --offline" cargo build --release --offline
 step "cargo test -q --offline (debug, one seed per sweep)" \
     env XLINK_SWEEP_SEEDS=1 cargo test -q --offline
 
-step "crate unit tests: the whole workspace, not just the facade (release)" \
+# Includes the golden oracle (tests/golden.rs: qlog streams, MPTCP times,
+# A/B and fleet reports bit-identical) at the profile it was recorded in.
+step "whole workspace, crate unit tests and the golden oracle included (release)" \
     cargo test -q --offline --workspace --release
-
-step "golden oracle: qlog streams, MPTCP times, A/B and fleet reports bit-identical (release)" \
-    cargo test -q --offline --release --test golden
 
 # Debug profile on purpose: overflow checks are on, and a wrap on a
 # peer-controlled value is what the decoder-totality property is after.
@@ -53,9 +52,6 @@ step "impairment robustness sweep (8 seeds)" \
 # count is part of `cargo test -q --offline` above.
 step "failover robustness sweep (8 seeds, release)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --release --test failover
-
-step "observability: A/B bit-determinism + qlog validity" \
-    cargo test -q --offline --test observability
 
 step "adversary suite (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test adversary

@@ -15,7 +15,7 @@
 //! * [`quic`] (`xlink-quic`) — QUIC and its multipath extension in one
 //!   connection engine (paths, ACK_MP, failover, Retry, CID migration), on
 //!   frames, packets, ChaCha20-Poly1305 packet protection with the multipath
-//!   nonce, streams, loss recovery, Cubic/NewReno/LIA congestion control.
+//!   nonce, streams, loss recovery, Cubic congestion control.
 //! * [`netsim`] (`xlink-netsim`) — the Mahimahi-semantics trace-driven
 //!   network emulator the controlled experiments run on.
 //! * [`traces`] (`xlink-traces`) — Mahimahi trace I/O plus seeded
