@@ -282,10 +282,10 @@ impl MpConnection {
         drop(gate_prof);
         // One scan serves both decisions below: nothing it reads changes
         // until a datagram is built.
-        let (queue, preempts) =
+        let (mut queue, preempts) =
             if reinjection_on { self.reinject_queue(path) } else { (Vec::new(), false) };
         if failover || preempts {
-            if let Some(tx) = self.reinject(now, path, &queue) {
+            if let Some(tx) = self.reinject(now, path, &mut queue) {
                 return Some(tx);
             }
         }
@@ -295,7 +295,7 @@ impl MpConnection {
             return Some(tx);
         }
         // No new data eligible: consider re-injection (XLINK §5.1-5.2).
-        if let Some(tx) = self.reinject(now, path, &queue) {
+        if let Some(tx) = self.reinject(now, path, &mut queue) {
             return Some(tx);
         }
         // Other paths may still have new-data room (e.g. the min-RTT path
@@ -390,11 +390,11 @@ impl MpConnection {
         pending.map(|st| self.rank(st.id, st.send.next_pending_priority().unwrap_or(u8::MAX))).min()
     }
 
-    /// What may be re-injected onto `path` now, in sending order under the
-    /// configured mode (paper Fig. 4), and whether its head goes out ahead
-    /// of the unsent data. Appending mode puts re-injected data at the
-    /// queue tail: it goes only when no stream has unsent data at all, and
-    /// never preempts. The priority modes let it overtake unsent data
+    /// What may be re-injected onto `path` now under the configured mode
+    /// (paper Fig. 4), in scan order, and whether the most urgent of it goes
+    /// out ahead of the unsent data. Appending mode puts re-injected data at
+    /// the queue tail: it goes only when no stream has unsent data at all,
+    /// and never preempts. The priority modes let it overtake unsent data
     /// ranked strictly after it, never unsent data of the same or a better
     /// rank: a lower-priority stream's in stream-priority mode (Fig. 4b);
     /// in frame-priority mode also a lower-priority frame's of its own
@@ -403,40 +403,38 @@ impl MpConnection {
     fn reinject_queue(&self, path: usize) -> (Vec<(u64, SendRange, bool, u8)>, bool) {
         let _prof = prof::span!("core/reinject");
         if self.reinject_mode == ReinjectMode::Appending {
-            if self.conn.streams().iter().any(|s| s.send.has_pending()) {
-                return (Vec::new(), false);
-            }
-            let mut cands = self.reinject_candidates(path);
-            // FIFO by stream then offset.
-            cands.sort_by_key(|&(id, r, _, _)| (id, r.start));
-            return (cands, false);
+            let blocked = self.conn.streams().iter().any(|s| s.send.has_pending());
+            return (if blocked { Vec::new() } else { self.reinject_candidates(path) }, false);
         }
         let pending = self.best_pending_rank();
         let mut cands = self.reinject_candidates(path);
         cands.retain(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) <= p));
-        cands.sort_by_cached_key(|&(id, r, _, fprio)| (self.rank(id, fprio), id, r.start));
-        let preempts = cands
-            .first()
-            .is_some_and(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) < p));
-        (cands, preempts)
+        let best = cands.iter().map(|&(id, _, _, fprio)| self.rank(id, fprio)).min();
+        (cands, best.is_some_and(|best| pending.is_none_or(|p| best < p)))
     }
 
-    /// Re-inject the head of `queue` (from [`MpConnection::reinject_queue`])
-    /// onto `path`: one datagram within the path's budget.
+    /// Re-inject from `queue` (of [`MpConnection::reinject_queue`]) onto
+    /// `path`: its most urgent ranges, one datagram within the path's budget.
     fn reinject(
         &mut self,
         now: Instant,
         path: usize,
-        queue: &[(u64, SendRange, bool, u8)],
+        queue: &mut [(u64, SendRange, bool, u8)],
     ) -> Option<(usize, Vec<u8>)> {
         if queue.is_empty() {
             return None;
         }
         let _prof = prof::span!("core/reinject");
+        if self.reinject_mode == ReinjectMode::Appending {
+            // FIFO by stream then offset.
+            queue.sort_by_key(|&(id, r, _, _)| (id, r.start));
+        } else {
+            queue.sort_by_cached_key(|&(id, r, _, fprio)| (self.rank(id, fprio), id, r.start));
+        }
         let mut copies = std::mem::take(&mut self.copies_scratch);
         copies.clear();
         let mut remaining = (MAX_DATAGRAM_SIZE as usize - 64).min(self.conn.budget(path) as usize);
-        for &(stream_id, range, fin, _) in queue {
+        for &(stream_id, range, fin, _) in queue.iter() {
             if remaining < 48 {
                 break;
             }

@@ -50,23 +50,19 @@ pub fn run(seed: u64) -> Fig01Result {
     let server = server_endpoint_for_probe(&cfg, now);
     let (mut samples_wifi, mut samples_lte) = (Vec::new(), Vec::new());
     let window = Duration::from_millis(100);
-    Scenario::new(vec![wifi.build(), lte.build()], cfg.deadline).run_sampled(
-        client,
-        server,
-        window,
-        |world| {
-            let t = world.now();
-            let (inflight, cwnd) = world.server.path_state();
-            for (path, samples) in [&mut samples_wifi, &mut samples_lte].into_iter().enumerate() {
-                samples.push(DynSample {
-                    t_ms: t.as_millis(),
-                    capacity_mbps: world.paths[path].down.capacity_mbps(t, window),
-                    inflight: inflight[path],
-                    cwnd: cwnd[path],
-                });
-            }
-        },
-    );
+    let scenario = Scenario::new(vec![wifi.build(), lte.build()], cfg.deadline);
+    scenario.run_sampled(client, server, window, |world| {
+        let t = world.now();
+        let (inflight, cwnd) = world.server.path_state();
+        for (path, samples) in [&mut samples_wifi, &mut samples_lte].into_iter().enumerate() {
+            samples.push(DynSample {
+                t_ms: t.as_millis(),
+                capacity_mbps: world.paths[path].down.capacity_mbps(t, window),
+                inflight: inflight[path],
+                cwnd: cwnd[path],
+            });
+        }
+    });
     Fig01Result { wifi: samples_wifi, lte: samples_lte }
 }
 

@@ -80,23 +80,20 @@ fn run_session_probed(
     let fps = cfg.video.fps.max(1);
     let mut started = false;
     // The session ends with the client: the server is done from the start.
-    let world = Scenario::new(paths, cfg.deadline).run_sampled(
-        client,
-        server,
-        Duration::from_millis(100),
-        |world| {
-            let stats = world.client.player_stats();
-            if stats.playback_started_at.is_some() {
-                started = true;
-            }
-            if started && stats.finished_at.is_none() {
-                // Play-time left ≈ cached frames / fps ("we measured the
-                // buffer level after the video start-up phases").
-                let q = world.client.player_mut().qoe_signal();
-                out.push(q.cached_frames as f64 / fps as f64);
-            }
-        },
-    );
+    let every = Duration::from_millis(100);
+    let scenario = Scenario::new(paths, cfg.deadline);
+    let world = scenario.run_sampled(client, server, every, |world| {
+        let stats = world.client.player_stats();
+        if stats.playback_started_at.is_some() {
+            started = true;
+        }
+        if started && stats.finished_at.is_none() {
+            // Play-time left ≈ cached frames / fps ("we measured the
+            // buffer level after the video start-up phases").
+            let q = world.client.player_mut().qoe_signal();
+            out.push(q.cached_frames as f64 / fps as f64);
+        }
+    });
     crate::video_session::session_result(world)
 }
 

@@ -65,9 +65,9 @@ impl Scenario {
         self.run_sampled(client, server, whole, |_| {})
     }
 
-    /// [`Scenario::run`] in stretches of `every`, showing the world to
-    /// `sample` after each (at `every`, `2 × every`, … and the deadline,
-    /// [`World::now`] telling which) until both endpoints are done.
+    /// [`Scenario::run`] in stretches of `every`: after each stretch, the
+    /// last one cut at the deadline, `sample` looks at the world
+    /// ([`World::now`] is the sample time), until both endpoints are done.
     pub fn run_sampled<C: Endpoint, S: Endpoint>(
         self,
         client: C,
