@@ -13,20 +13,27 @@
 
 use xlink_harness::experiments as e;
 
+/// How a row is run: the population scale, and whether it was asked for
+/// by name; then it may write files too, under `all` every row only prints.
+struct Run {
+    scale: u64,
+    by_name: bool,
+}
+
 /// One experiment: its name on the command line, what it reproduces,
 /// whether it belongs to the paper's evaluation (and so to `all`), and
-/// run-and-print at a population scale.
-type Row = (&'static str, &'static str, bool, fn(u64));
+/// run-and-print.
+type Row = (&'static str, &'static str, bool, fn(&Run));
 
 const TABLE: [Row; 13] = [
     ("fig01", "Fig. 1a/1b: vanilla-MP in-flight/CWND on walking Wi-Fi + LTE", true, |_| {
         e::fig01::print(&e::fig01::run(7))
     }),
-    ("sec32", "§3.2 path delays by technology + Table 4 cross-ISP delay matrix", true, |scale| {
-        e::delays::print(&e::delays::run(16 * scale))
+    ("sec32", "§3.2 path delays by technology + Table 4 cross-ISP delay matrix", true, |r| {
+        e::delays::print(&e::delays::run(16 * r.scale))
     }),
-    ("fig01c", "Fig. 1c + Table 1: A/B test of vanilla-MP vs SP over 7 days", true, |scale| {
-        e::ab_tables::print(&e::ab_tables::run_vanilla_ab(7, 12 * scale))
+    ("fig01c", "Fig. 1c + Table 1: A/B test of vanilla-MP vs SP over 7 days", true, |r| {
+        e::ab_tables::print(&e::ab_tables::run_vanilla_ab(7, 12 * r.scale))
     }),
     ("fig06", "Fig. 6: buffer level + re-injected bytes, three control modes", true, |_| {
         e::fig06::print(&e::fig06::run(3))
@@ -37,14 +44,14 @@ const TABLE: [Row; 13] = [
     ("fig08", "Fig. 8: ACK_MP path policy vs RTT ratio (4 MB load, Cubic)", true, |_| {
         e::fig08::print(&e::fig08::run(5))
     }),
-    ("fig10", "Fig. 10 + Table 2: buffer level & cost vs double thresholds", true, |scale| {
-        e::fig10::print(&e::fig10::run(6 * scale))
+    ("fig10", "Fig. 10 + Table 2: buffer level & cost vs double thresholds", true, |r| {
+        e::fig10::print(&e::fig10::run(6 * r.scale))
     }),
-    ("fig11", "Fig. 11 + Table 3: A/B test of XLINK vs SP over 14 days", true, |scale| {
-        e::ab_tables::print(&e::ab_tables::run_xlink_ab(14, 12 * scale))
+    ("fig11", "Fig. 11 + Table 3: A/B test of XLINK vs SP over 14 days", true, |r| {
+        e::ab_tables::print(&e::ab_tables::run_xlink_ab(14, 12 * r.scale))
     }),
-    ("fig12", "Fig. 12: first-frame latency improvement, w/ and w/o acceleration", true, |scale| {
-        e::fig12::print(&e::fig12::run(20 * scale))
+    ("fig12", "Fig. 12: first-frame latency improvement, w/ and w/o acceleration", true, |r| {
+        e::fig12::print(&e::fig12::run(20 * r.scale))
     }),
     ("fig13", "Fig. 13: extreme mobility, five transports on ten traces", true, |_| {
         e::fig13::print(&e::fig13::run(10))
@@ -52,16 +59,17 @@ const TABLE: [Row; 13] = [
     ("fig14", "Fig. 14: normalized energy/bit vs throughput across radio configs", true, |_| {
         e::fig14::print(&e::fig14::run(9))
     }),
-    ("fig15", "Fig. 15: example HSR traces + Mahimahi export to traces-out/", true, |_| {
+    ("fig15", "Fig. 15: example HSR traces + Mahimahi export to traces-out/", true, |r| {
         let (cell, wifi) = e::fig15::print(&e::fig15::run(5));
-        std::fs::create_dir_all("traces-out").expect("create traces-out/");
-        std::fs::write("traces-out/hsr-cellular.trace", cell).expect("write trace");
-        std::fs::write("traces-out/hsr-onboard-wifi.trace", wifi).expect("write trace");
-        // Not on stdout: `all > experiments_output.txt` holds figures only.
-        eprintln!("Mahimahi traces written to traces-out/");
+        if r.by_name {
+            std::fs::create_dir_all("traces-out").ok();
+            std::fs::write("traces-out/hsr-cellular.trace", cell).expect("write trace");
+            std::fs::write("traces-out/hsr-onboard-wifi.trace", wifi).expect("write trace");
+            println!("\nMahimahi traces written to traces-out/");
+        }
     }),
-    ("ablation", "Extension: the re-injection queue-position modes of Fig. 4", false, |scale| {
-        e::ablation::print(&e::ablation::run(4 * scale))
+    ("ablation", "Extension: the re-injection queue-position modes of Fig. 4", false, |r| {
+        e::ablation::print(&e::ablation::run(4 * r.scale))
     }),
 ];
 
@@ -83,6 +91,6 @@ fn main() {
         println!("# XLINK reproduction — full experiment sweep\n");
     }
     for (.., run) in rows {
-        run(scale);
+        run(&Run { scale, by_name: !all });
     }
 }

@@ -35,6 +35,10 @@ pub use xlink_quic::connection::{
     ConnectionStats as MpStats, Path as MpPath, PathState, State as MpState,
 };
 
+/// A stream range that may be re-injected: `(rank, stream, range, fin)`,
+/// the rank being its queue position under the re-injection mode.
+type ReinjectCandidate = ((u8, u8), u64, SendRange, bool);
+
 /// Multipath endpoint configuration: the connection's, and the policy's.
 #[derive(Debug, Clone)]
 pub struct MpConfig {
@@ -323,9 +327,9 @@ impl MpConnection {
         }));
     }
 
-    /// Candidate unacked ranges for re-injection onto `target`: stream
-    /// ranges in flight on *other* paths, not yet copied to `target`.
-    fn reinject_candidates(&self, target: usize) -> Vec<(u64, SendRange, bool, u8)> {
+    /// Candidate unacked ranges for re-injection onto `target`, ranked:
+    /// stream ranges in flight on *other* paths, not yet copied to `target`.
+    fn reinject_candidates(&self, target: usize) -> Vec<ReinjectCandidate> {
         let (paths, streams) = (self.conn.paths(), self.conn.streams());
         let mut out = Vec::new();
         for p in paths {
@@ -365,8 +369,8 @@ impl MpConnection {
                     if dup_on_target {
                         continue;
                     }
-                    let prio = stream.send.priority_of(range.start);
-                    out.push((*id, *range, *fin, prio));
+                    let rank = self.rank(stream.priority, stream.send.priority_of(range.start));
+                    out.push((rank, *id, *range, *fin));
                 }
             }
         }
@@ -374,67 +378,69 @@ impl MpConnection {
     }
 
     /// Where data queues under the configured re-injection mode (Fig. 4),
-    /// lower first: by stream priority, within which frame-priority mode
+    /// lower first: appending mode ranks nothing (one FIFO), the priority
+    /// modes rank by stream priority, within which frame-priority mode
     /// also ranks by video-frame priority.
-    fn rank(&self, stream_id: u64, frame_priority: u8) -> (u8, u8) {
-        let stream = self.conn.streams().get(stream_id).map_or(u8::MAX, |st| st.priority);
+    fn rank(&self, stream_priority: u8, frame_priority: u8) -> (u8, u8) {
         match self.reinject_mode {
-            ReinjectMode::FramePriority => (stream, frame_priority),
-            _ => (stream, 0),
+            ReinjectMode::Appending => (0, 0),
+            ReinjectMode::StreamPriority => (stream_priority, 0),
+            ReinjectMode::FramePriority => (stream_priority, frame_priority),
         }
     }
 
     /// The rank of the most urgent unsent data, if any stream has some.
     fn best_pending_rank(&self) -> Option<(u8, u8)> {
         let pending = self.conn.streams().iter().filter(|st| st.send.has_pending());
-        pending.map(|st| self.rank(st.id, st.send.next_pending_priority().unwrap_or(u8::MAX))).min()
+        pending
+            .map(|st| self.rank(st.priority, st.send.next_pending_priority().unwrap_or(u8::MAX)))
+            .min()
     }
 
     /// What may be re-injected onto `path` now under the configured mode
     /// (paper Fig. 4), in scan order, and whether the most urgent of it goes
-    /// out ahead of the unsent data. Appending mode puts re-injected data at
-    /// the queue tail: it goes only when no stream has unsent data at all,
-    /// and never preempts. The priority modes let it overtake unsent data
-    /// ranked strictly after it, never unsent data of the same or a better
-    /// rank: a lower-priority stream's in stream-priority mode (Fig. 4b);
-    /// in frame-priority mode also a lower-priority frame's of its own
-    /// stream, which is how the first video frame gets ahead (Fig. 4c).
-    /// With nothing unsent, re-injection is trivially first.
-    fn reinject_queue(&self, path: usize) -> (Vec<(u64, SendRange, bool, u8)>, bool) {
-        let _prof = prof::span!("core/reinject");
-        if self.reinject_mode == ReinjectMode::Appending {
-            let blocked = self.conn.streams().iter().any(|s| s.send.has_pending());
-            return (if blocked { Vec::new() } else { self.reinject_candidates(path) }, false);
-        }
+    /// out ahead of the unsent data.
+    fn reinject_queue(&self, path: usize) -> (Vec<ReinjectCandidate>, bool) {
+        let _prof = prof::span!("core/reinject_scan");
         let pending = self.best_pending_rank();
-        let mut cands = self.reinject_candidates(path);
-        cands.retain(|&(id, _, _, fprio)| pending.is_none_or(|p| self.rank(id, fprio) <= p));
-        let best = cands.iter().map(|&(id, _, _, fprio)| self.rank(id, fprio)).min();
-        (cands, best.is_some_and(|best| pending.is_none_or(|p| best < p)))
+        match self.reinject_mode {
+            // Re-injected data sits at the queue tail: it goes only when
+            // no stream has unsent data at all, and never preempts.
+            ReinjectMode::Appending if pending.is_some() => (Vec::new(), false),
+            ReinjectMode::Appending => (self.reinject_candidates(path), false),
+            // Re-injected data may overtake unsent data ranked strictly
+            // after it, never unsent data of the same or a better rank: a
+            // lower-priority stream's in stream-priority mode (Fig. 4b);
+            // in frame-priority mode also a lower-priority frame's of its
+            // own stream, which is how the first video frame gets ahead
+            // (Fig. 4c). With nothing unsent it is trivially first.
+            ReinjectMode::StreamPriority | ReinjectMode::FramePriority => {
+                let mut queue = self.reinject_candidates(path);
+                queue.retain(|&(rank, ..)| pending.is_none_or(|p| rank <= p));
+                let best = queue.iter().map(|&(rank, ..)| rank).min();
+                (queue, best.is_some_and(|best| pending.is_none_or(|p| best < p)))
+            }
+        }
     }
 
     /// Re-inject from `queue` (of [`MpConnection::reinject_queue`]) onto
-    /// `path`: its most urgent ranges, one datagram within the path's budget.
+    /// `path`: its most urgent ranges, in stream and offset order within a
+    /// rank, one datagram within the path's budget.
     fn reinject(
         &mut self,
         now: Instant,
         path: usize,
-        queue: &mut [(u64, SendRange, bool, u8)],
+        queue: &mut [ReinjectCandidate],
     ) -> Option<(usize, Vec<u8>)> {
         if queue.is_empty() {
             return None;
         }
         let _prof = prof::span!("core/reinject");
-        if self.reinject_mode == ReinjectMode::Appending {
-            // FIFO by stream then offset.
-            queue.sort_by_key(|&(id, r, _, _)| (id, r.start));
-        } else {
-            queue.sort_by_cached_key(|&(id, r, _, fprio)| (self.rank(id, fprio), id, r.start));
-        }
+        queue.sort_by_key(|&(rank, id, r, _)| (rank, id, r.start));
         let mut copies = std::mem::take(&mut self.copies_scratch);
         copies.clear();
         let mut remaining = (MAX_DATAGRAM_SIZE as usize - 64).min(self.conn.budget(path) as usize);
-        for &(stream_id, range, fin, _) in queue.iter() {
+        for &(_, stream_id, range, fin) in queue.iter() {
             if remaining < 48 {
                 break;
             }

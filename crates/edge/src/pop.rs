@@ -37,7 +37,7 @@ use xlink_core::lb::{encode_cid, ServerId};
 use xlink_netsim::{Endpoint, Transmit, Wakeups};
 use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cid::ConnectionId;
-use xlink_quic::connection::{Config, Connection, ConnectionStats, AMP_FACTOR};
+use xlink_quic::connection::{Config, Connection, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
 
 use crate::router::{classify, Classified, EdgeRouter};
@@ -456,12 +456,6 @@ impl Pop {
     pub fn shard_of(&self, client_scid: &ConnectionId) -> Option<ServerId> {
         let slot = *self.client_map.get(client_scid)?;
         self.conns[slot].as_ref().map(|b| b.shard)
-    }
-
-    /// Transport counters of a client's backend connection.
-    pub fn backend_stats(&self, client_scid: &ConnectionId) -> Option<ConnectionStats> {
-        let slot = *self.client_map.get(client_scid)?;
-        self.conns[slot].as_ref().map(|b| b.conn.stats())
     }
 
     /// True once a client's backend finished the handshake.

@@ -145,11 +145,6 @@ impl EdgeRouter {
         }
     }
 
-    /// Shards currently accepting new connections.
-    pub fn active_shards(&self) -> &[ServerId] {
-        &self.active
-    }
-
     /// Remove a shard from new-connection placement (drain or crash).
     /// Existing table entries are untouched — live connections keep
     /// routing until they are migrated and their old CIDs retired.

@@ -51,8 +51,7 @@ pub fn run(seed: u64) -> Fig01Result {
     let (mut samples_wifi, mut samples_lte) = (Vec::new(), Vec::new());
     let window = Duration::from_millis(100);
     let scenario = Scenario::new(vec![wifi.build(), lte.build()], cfg.deadline);
-    scenario.run_sampled(client, server, window, |world| {
-        let t = world.now();
+    scenario.run_sampled(client, server, window, |t, world| {
         let (inflight, cwnd) = world.server.path_state();
         for (path, samples) in [&mut samples_wifi, &mut samples_lte].into_iter().enumerate() {
             samples.push(DynSample {

@@ -63,9 +63,9 @@ fn run_one(label: &'static str, scheme: Scheme, seed: u64) -> Fig06Series {
     let mut samples = Vec::new();
     let every = Duration::from_millis(100);
     let scenario = Scenario::new(vec![p1, p2], cfg.deadline);
-    let mut world = scenario.run_sampled(client, server, every, |world| {
+    let mut world = scenario.run_sampled(client, server, every, |t, world| {
         samples.push(Fig06Sample {
-            t_ms: world.now().as_millis(),
+            t_ms: t.as_millis(),
             buffer_bytes: world.client.player_cached_bytes(),
             reinject_bytes: world.server.transport_stats().reinjected_bytes,
         });

@@ -82,7 +82,7 @@ fn run_session_probed(
     // The session ends with the client: the server is done from the start.
     let every = Duration::from_millis(100);
     let scenario = Scenario::new(paths, cfg.deadline);
-    let world = scenario.run_sampled(client, server, every, |world| {
+    let world = scenario.run_sampled(client, server, every, |_, world| {
         let stats = world.client.player_stats();
         if stats.playback_started_at.is_some() {
             started = true;

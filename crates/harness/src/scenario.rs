@@ -62,18 +62,21 @@ impl Scenario {
     /// the link counters and the end time ([`World::now`]).
     pub fn run<C: Endpoint, S: Endpoint>(self, client: C, server: S) -> World<C, S> {
         let whole = self.deadline;
-        self.run_sampled(client, server, whole, |_| {})
+        self.run_sampled(client, server, whole, |_, _| {})
     }
 
     /// [`Scenario::run`] in stretches of `every`: after each stretch, the
-    /// last one cut at the deadline, `sample` looks at the world
-    /// ([`World::now`] is the sample time), until both endpoints are done.
+    /// last one cut at the deadline, `sample` gets the instant the stretch
+    /// was run to and the world. The instants stay on the grid of `every`;
+    /// the run, and the samples with it, ends early once both endpoints
+    /// are done, and the world's clock ([`World::now`]) then stands at
+    /// that moment, before the last sample's instant.
     pub fn run_sampled<C: Endpoint, S: Endpoint>(
         self,
         client: C,
         server: S,
         every: Duration,
-        mut sample: impl FnMut(&mut World<C, S>),
+        mut sample: impl FnMut(Instant, &mut World<C, S>),
     ) -> World<C, S> {
         let mut world = World::new(client, server, self.paths).with_flap_schedules(self.faults);
         if let Some(log) = &self.trace {
@@ -84,7 +87,7 @@ impl Scenario {
         loop {
             t = (t + every).min(end);
             world.run_until(t);
-            sample(&mut world);
+            sample(t, &mut world);
             if t >= end || (world.client.is_done() && world.server.is_done()) {
                 return world;
             }

@@ -256,11 +256,6 @@ impl MptcpConnection {
         self.stats
     }
 
-    /// Smoothed RTT of a subflow.
-    pub fn subflow_rtt(&self, i: usize) -> Duration {
-        self.subflows[i].rtt.smoothed()
-    }
-
     /// Buffered out-of-order segments (§10 gauge; bounded by
     /// [`MAX_OOO_SEGMENTS`]).
     pub fn ooo_count(&self) -> usize {

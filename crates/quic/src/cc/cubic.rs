@@ -147,6 +147,24 @@ mod tests {
     }
 
     #[test]
+    fn slow_start_grows_exponentially() {
+        let mut cc = Cubic::new();
+        let w0 = cc.window();
+        cc.on_ack(t(50), t(0), w0, rtt());
+        assert_eq!(cc.window(), 2 * w0);
+    }
+
+    #[test]
+    fn loss_reduces_by_beta() {
+        let mut cc = Cubic::new();
+        cc.on_ack(t(50), t(0), 200_000, rtt());
+        let before = cc.window();
+        cc.on_congestion_event(t(100), t(90));
+        let after = cc.window();
+        assert!((after as f64 - before as f64 * BETA).abs() < MAX_DATAGRAM_SIZE as f64);
+    }
+
+    #[test]
     fn cubic_growth_accelerates_past_k() {
         let mut cc = Cubic::new();
         // Build a large window, then lose.
@@ -183,6 +201,16 @@ mod tests {
     }
 
     #[test]
+    fn one_reduction_per_recovery() {
+        let mut cc = Cubic::new();
+        cc.on_ack(t(50), t(0), 500_000, rtt());
+        cc.on_congestion_event(t(100), t(90));
+        let w = cc.window();
+        cc.on_congestion_event(t(101), t(95));
+        assert_eq!(cc.window(), w);
+    }
+
+    #[test]
     fn fast_convergence_shrinks_anchor() {
         let mut cc = Cubic::new();
         cc.on_ack(t(50), t(0), 1_000_000, rtt());
@@ -191,6 +219,14 @@ mod tests {
         // Second loss at a lower window → anchor shrinks below current w_max.
         cc.on_congestion_event(t(200), t(190));
         assert!(cc.w_max < w_max_1);
+    }
+
+    #[test]
+    fn persistent_congestion_collapses() {
+        let mut cc = Cubic::new();
+        cc.on_ack(t(50), t(0), 500_000, rtt());
+        cc.on_persistent_congestion();
+        assert_eq!(cc.window(), MIN_WINDOW);
     }
 
     #[test]

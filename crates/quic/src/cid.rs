@@ -147,16 +147,6 @@ impl CidManager {
         issued
     }
 
-    /// Issue a local CID whose value is supplied by the caller (used by
-    /// servers embedding a QUIC-LB server ID).
-    pub fn issue_local_with(&mut self, cid: ConnectionId) -> IssuedCid {
-        let seq = self.next_local_seq;
-        self.next_local_seq += 1;
-        let issued = IssuedCid { seq, retire_prior_to: 0, cid, reset_token: None };
-        self.local.push(issued);
-        issued
-    }
-
     /// Issue a caller-supplied local CID that orders the peer to retire
     /// every earlier CID (`retire_prior_to` = the new CID's own sequence
     /// number). Used for shard drain: the replacement CID routes to a

@@ -210,11 +210,6 @@ impl RecvStream {
         self.state == RecvState::DataRecvd
     }
 
-    /// True when the FIN offset is known.
-    pub fn size_known(&self) -> bool {
-        self.final_size.is_some()
-    }
-
     /// The final size if known.
     pub fn final_size(&self) -> Option<u64> {
         self.final_size
