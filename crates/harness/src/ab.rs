@@ -9,7 +9,7 @@
 use crate::fleet::ArmAgg;
 use crate::par;
 use crate::scenario::draw_user_paths;
-use crate::transport::{Scheme, TransportTuning};
+use crate::transport::Scheme;
 use crate::video_session::{run_session, SessionConfig};
 use xlink_clock::Duration;
 use xlink_lab::stats::improvement_pct;
@@ -52,16 +52,10 @@ pub struct AbConfig {
     pub scheme_a: Scheme,
     /// Treatment scheme (arm B).
     pub scheme_b: Scheme,
-    /// Tuning for arm A.
-    pub tuning_a: TransportTuning,
-    /// Tuning for arm B.
-    pub tuning_b: TransportTuning,
     /// Days to simulate.
     pub days: u64,
     /// Users per day.
     pub users_per_day: u64,
-    /// First-frame acceleration in arm B sessions.
-    pub first_frame_accel_b: bool,
     /// Video parameters.
     pub video: Video,
     /// Session deadline.
@@ -74,11 +68,8 @@ impl AbConfig {
         AbConfig {
             scheme_a,
             scheme_b,
-            tuning_a: TransportTuning::default(),
-            tuning_b: TransportTuning::default(),
             days: 7,
             users_per_day: 24,
-            first_frame_accel_b: true,
             // 18 s at 3 Mbps with a 5 s bounded buffer: a multi-second
             // Wi-Fi outage lands mid-play and forces the transport to
             // react before the buffer drains.
@@ -98,14 +89,9 @@ pub fn run_ab(cfg: &AbConfig) -> Vec<DayOutcome> {
         for user in 0..cfg.users_per_day {
             let (wifi, lte) = draw_user_paths(day, user);
             let seed = day * 10_000 + user;
-            for (arm, scheme, tuning, ffa) in [
-                (&mut a, cfg.scheme_a, &cfg.tuning_a, true),
-                (&mut b, cfg.scheme_b, &cfg.tuning_b, cfg.first_frame_accel_b),
-            ] {
+            for (arm, scheme) in [(&mut a, cfg.scheme_a), (&mut b, cfg.scheme_b)] {
                 let mut scfg = SessionConfig::short_video(scheme, seed);
                 scfg.video = cfg.video.clone();
-                scfg.tuning = tuning.clone();
-                scfg.first_frame_accel = ffa;
                 scfg.deadline = cfg.deadline;
                 let paths = vec![wifi.build(), lte.build()];
                 arm.absorb(&run_session(&scfg, paths));

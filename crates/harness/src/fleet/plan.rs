@@ -11,7 +11,7 @@
 
 use crate::par;
 use crate::scenario::PathSpec;
-use crate::transport::{Scheme, TransportTuning};
+use crate::transport::Scheme;
 use xlink_clock::{Duration, Instant};
 use xlink_core::WirelessTech;
 use xlink_netsim::Rng;
@@ -44,13 +44,6 @@ pub struct FleetConfig {
     pub scheme_a: Scheme,
     /// Treatment scheme (arm B).
     pub scheme_b: Scheme,
-    /// Tuning for arm A.
-    pub tuning_a: TransportTuning,
-    /// Tuning for arm B.
-    pub tuning_b: TransportTuning,
-    /// First-frame acceleration in arm B (arm A always has it, matching
-    /// [`AbConfig`](crate::ab::AbConfig)).
-    pub first_frame_accel_b: bool,
     /// Days simulated (each day is a disjoint span of the timeline).
     pub days: u64,
     /// Sessions started per day.
@@ -81,9 +74,6 @@ impl FleetConfig {
         FleetConfig {
             scheme_a,
             scheme_b,
-            tuning_a: TransportTuning::default(),
-            tuning_b: TransportTuning::default(),
-            first_frame_accel_b: true,
             days: 1,
             users_per_day: 1000,
             // 12 s at 400 kbps with the default 5 s bounded buffer: the

@@ -45,15 +45,9 @@ struct ShardResult {
 }
 
 fn session_config(cfg: &FleetConfig, plan: &SessionPlan) -> SessionConfig {
-    let (scheme, tuning, ffa) = if plan.arm_b {
-        (cfg.scheme_b, cfg.tuning_b.clone(), cfg.first_frame_accel_b)
-    } else {
-        (cfg.scheme_a, cfg.tuning_a.clone(), true)
-    };
+    let scheme = if plan.arm_b { cfg.scheme_b } else { cfg.scheme_a };
     let mut s = SessionConfig::short_video(scheme, plan.seed);
     s.video = cfg.video.clone();
-    s.tuning = tuning;
-    s.first_frame_accel = ffa;
     s.deadline = cfg.deadline;
     s.chunk_bytes = cfg.chunk_bytes;
     s

@@ -76,12 +76,8 @@ pub struct PopRunConfig {
     /// resets. `false` = the detection baseline the crash experiments
     /// compare against (clients must idle out on their own).
     pub stateless_reset: bool,
-    /// Reconnection budget per session after its connection dies.
-    pub max_reconnects: u32,
     /// Per-path link rate.
     pub link_mbps: f64,
-    /// Per-path one-way delay.
-    pub link_delay: Duration,
 }
 
 impl Default for PopRunConfig {
@@ -100,9 +96,7 @@ impl Default for PopRunConfig {
             attack: None,
             idle_timeout: None,
             stateless_reset: true,
-            max_reconnects: 3,
             link_mbps: 50.0,
-            link_delay: Duration::from_millis(10),
         }
     }
 }
@@ -201,7 +195,6 @@ struct Session {
     idle_timeout: Option<Duration>,
     /// Reconnections performed so far.
     attempts: u32,
-    max_reconnects: u32,
     /// Reconnection budget exhausted with bytes still missing.
     gave_up: bool,
     /// Deaths recognised via the reset oracle.
@@ -272,7 +265,7 @@ impl Session {
     }
 
     fn exhausted(&self) -> bool {
-        self.attempts >= self.max_reconnects
+        self.attempts >= MAX_RECONNECTS
     }
 }
 
@@ -569,6 +562,12 @@ enum Fault {
     Restart(ServerId),
 }
 
+/// Reconnection budget per session after its connection dies.
+const MAX_RECONNECTS: u32 = 3;
+
+/// Per-path one-way delay.
+const LINK_DELAY: Duration = Duration::from_millis(10);
+
 fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
     assert!(cfg.addrs > 0 && !cfg.shards.is_empty());
     let zero = Instant::ZERO;
@@ -599,7 +598,6 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
             salt: 0xc11e_0000 + i as u64,
             idle_timeout: cfg.idle_timeout,
             attempts: 0,
-            max_reconnects: cfg.max_reconnects,
             gave_up: false,
             resets_seen: 0,
             detects: Vec::new(),
@@ -621,7 +619,7 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
     let fleet = PopFleet::new(sessions, cfg.addrs, attacker);
     let n_paths = cfg.addrs + usize::from(cfg.attack.is_some());
     let paths = (0..n_paths)
-        .map(|_| Path::symmetric(LinkConfig::constant_rate(cfg.link_mbps, cfg.link_delay)))
+        .map(|_| Path::symmetric(LinkConfig::constant_rate(cfg.link_mbps, LINK_DELAY)))
         .collect();
     let mut world = World::new(fleet, pop, paths);
     if let Some(log) = log {

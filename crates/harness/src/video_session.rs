@@ -11,6 +11,9 @@ use xlink_netsim::{Endpoint, Path, Transmit, World};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
 
+/// How often the client refreshes QoE feedback / player state.
+const TICK: Duration = Duration::from_millis(50);
+
 /// Session configuration.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -33,8 +36,6 @@ pub struct SessionConfig {
     pub deadline: Duration,
     /// RNG seed (propagates to transports).
     pub seed: u64,
-    /// How often the client refreshes QoE feedback / player state.
-    pub tick: Duration,
     /// Stop issuing chunk requests while at least this much play-time is
     /// already buffered (the MediaCacheService caches a bounded window —
     /// an unbounded prefetch would make rebuffering impossible and the
@@ -60,7 +61,6 @@ impl SessionConfig {
             first_frame_accel: true,
             deadline: Duration::from_secs(120),
             seed,
-            tick: Duration::from_millis(50),
             max_buffer_ahead: Duration::from_secs(5),
             trace: None,
         }
@@ -96,7 +96,6 @@ pub struct VideoClientEndpoint {
     done: HashMap<u64, u64>,
     player: Player,
     last_tick: Instant,
-    tick: Duration,
     object: String,
     /// RCT per chunk (request → full body), by chunk index.
     pub chunk_rct: Vec<(u64, Duration)>,
@@ -123,7 +122,6 @@ impl VideoClientEndpoint {
             done: HashMap::new(),
             player,
             last_tick: now,
-            tick: cfg.tick,
             object: "video".to_string(),
             chunk_rct: Vec::new(),
             finished: false,
@@ -262,13 +260,13 @@ impl Endpoint for VideoClientEndpoint {
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        let tick = self.last_tick + self.tick;
+        let tick = self.last_tick + TICK;
         Some(self.conn.poll_timeout().map_or(tick, |t| t.min(tick)))
     }
 
     fn on_timeout(&mut self, now: Instant) {
         self.conn.on_timeout(now);
-        if now >= self.last_tick + self.tick {
+        if now >= self.last_tick + TICK {
             self.last_tick = now;
         }
     }

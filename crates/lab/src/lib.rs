@@ -1,7 +1,6 @@
 //! `xlink-lab` — the workspace's self-contained deterministic
 //! testing-and-measurement subsystem. Everything the repo previously
-//! pulled from the registry (`rand`, `proptest`, `criterion`) lives
-//! here instead, built on the same seeded xoshiro RNG the simulator
+//! pulled from the registry (`rand`, `proptest`) lives here instead, built on the same seeded xoshiro RNG the simulator
 //! uses, so the whole workspace builds and tests with zero network
 //! access.
 //!
@@ -9,14 +8,11 @@
 //!   for compatibility).
 //! * [`prop`] — property-testing harness: strategies, bounded
 //!   shrinking, per-case seeds, replay via `XLINK_PROP_SEED`.
-//! * [`bench`] — micro-bench harness: calibrated wall-time sampling,
-//!   one-line-JSON output per bench, `--smoke` mode for CI.
-//! * [`stats`] — percentiles/means/spreads shared by the experiment
-//!   harness and the bench harness.
+//! * [`stats`] — percentiles, means and improvement ratios for the
+//!   experiment harness.
 //! * [`stream`] — constant-memory streaming aggregation (log-scale
 //!   histograms, exactly-mergeable moments) for fleet-scale runs.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 pub mod stats;

@@ -1,6 +1,5 @@
-//! Summary statistics shared by the experiment harness and the bench
-//! harness: percentiles (the paper reports medians, p90/p95/p99 tails),
-//! means, spreads, and improvement ratios.
+//! Summary statistics of the experiment harness: percentiles (the paper
+//! reports medians, p90/p95/p99 tails), means and improvement ratios.
 
 use xlink_clock::Duration;
 
@@ -19,27 +18,12 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     v[rank.min(v.len() - 1)]
 }
 
-/// Median (50th percentile).
-pub fn median(samples: &[f64]) -> f64 {
-    percentile(samples, 50.0)
-}
-
 /// Arithmetic mean (0 for empty input).
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
     samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Population standard deviation (0 for fewer than two samples).
-pub fn stddev(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(samples);
-    let var = samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / samples.len() as f64;
-    var.sqrt()
 }
 
 /// Relative improvement of `new` over `base` in percent: positive when
@@ -63,35 +47,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("|{}|", headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
     for row in rows {
         println!("| {} |", row.join(" | "));
-    }
-}
-
-/// Five-number-ish summary of a sample set, used by the bench harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub n: usize,
-    pub mean: f64,
-    pub median: f64,
-    pub p95: f64,
-    pub stddev: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarise `samples`; all fields are 0 for empty input.
-    pub fn of(samples: &[f64]) -> Summary {
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Summary {
-            n: samples.len(),
-            mean: mean(samples),
-            median: median(samples),
-            p95: percentile(samples, 95.0),
-            stddev: stddev(samples),
-            min: if min.is_finite() { min } else { 0.0 },
-            max: if max.is_finite() { max } else { 0.0 },
-        }
     }
 }
 
@@ -131,29 +86,6 @@ mod tests {
         assert_eq!(improvement_pct(2.0, 1.0), 50.0);
         assert_eq!(improvement_pct(1.0, 2.0), -100.0);
         assert_eq!(improvement_pct(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn stddev_basics() {
-        assert_eq!(stddev(&[]), 0.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        assert_eq!(stddev(&[2.0, 2.0, 2.0]), 0.0);
-        // Population stddev of {1, 3} is 1.
-        assert_eq!(stddev(&[1.0, 3.0]), 1.0);
-    }
-
-    #[test]
-    fn summary_of_samples() {
-        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(s.n, 4);
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!(s.median >= 2.0 && s.median <= 3.0);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.n, 0);
-        assert_eq!(empty.min, 0.0);
-        assert_eq!(empty.max, 0.0);
     }
 
     #[test]

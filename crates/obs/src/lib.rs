@@ -17,7 +17,8 @@
 //! * **Profiling** ([`prof`]): a hierarchical wall-clock + allocation
 //!   profiler (`prof::span!("quic/aead_open")`) whose monotonic-clock
 //!   measurements live entirely outside the simulated clock, feeding
-//!   the `BENCH_prof.json` perf ledger.
+//!   the `BENCH_prof.json` perf ledger ([`ledger`]: its row format and
+//!   the equality gate over the exact fields).
 //!
 //! ## Determinism contract
 //!
@@ -31,6 +32,7 @@
 
 pub mod event;
 pub mod json;
+pub mod ledger;
 pub mod metrics;
 pub mod prof;
 pub mod qlog;

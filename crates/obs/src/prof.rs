@@ -66,7 +66,7 @@
 //! "time in no child"; the ratio of its children's `incl_ns` to its own
 //! is how many cores the fan-out kept busy.
 
-use crate::json::{parse, JsonWriter, Value};
+use crate::json::JsonWriter;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -535,20 +535,33 @@ impl ProfReport {
         self.rows.iter().find(|r| r.path == path)
     }
 
-    /// Total inclusive time of root spans (nodes with no `;` ancestor
-    /// among the rows) — the profiled wall clock, or the CPU time of what
-    /// ran under root spans grafted from worker threads.
+    /// Root spans: rows with no ancestor among the rows.
+    fn top_level(&self) -> impl Iterator<Item = &ProfRow> {
+        self.rows.iter().filter(|r| !self.rows.iter().any(|p| is_stack_prefix(&p.path, &r.path)))
+    }
+
+    /// Total inclusive time of root spans — the profiled wall clock, or the
+    /// CPU time of what ran under root spans grafted from worker threads.
     pub fn total_incl_ns(&self) -> u64 {
-        self.rows
-            .iter()
-            .filter(|r| {
-                !self
-                    .rows
-                    .iter()
-                    .any(|p| r.path.len() > p.path.len() && is_stack_prefix(&p.path, &r.path))
-            })
-            .map(|r| r.incl_ns)
-            .sum()
+        self.top_level().map(|r| r.incl_ns).sum()
+    }
+
+    /// The perf ledger's derived counters for a run of `packets` simulated
+    /// packets in `sessions` sessions, each an exact `(name, numerator,
+    /// denominator)`. A row's allocation counts include its children's, so
+    /// the three allocation counters sum the root spans only and a span
+    /// added deeper in the tree cannot raise them; `calls` are a row's own,
+    /// so spans per packet sums every row.
+    pub fn per_unit(&self, packets: u64, sessions: u64) -> [(&'static str, u64, u64); 4] {
+        let (allocs, bytes) =
+            self.top_level().fold((0, 0), |(a, b), r| (a + r.allocs, b + r.alloc_bytes));
+        let spans = self.rows.iter().map(|r| r.calls).sum();
+        [
+            ("allocs_per_packet", allocs, packets),
+            ("alloc_bytes_per_packet", bytes, packets),
+            ("allocs_per_session", allocs, sessions),
+            ("spans_per_packet", spans, packets),
+        ]
     }
 
     /// Folded-stack output (`path excl_ns` per line, flamegraph.pl
@@ -565,8 +578,7 @@ impl ProfReport {
         out
     }
 
-    /// JSON document (schema `xlink-prof-v1`) — the `BENCH_prof.json`
-    /// payload.
+    /// JSON document (schema `xlink-prof-v1`).
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::with_capacity(64 + self.rows.len() * 128);
         w.begin_object();
@@ -586,29 +598,6 @@ impl ProfReport {
         w.end_array();
         w.end_object();
         w.finish()
-    }
-
-    /// Parse a `to_json` document back (perfgate's reader).
-    pub fn from_json(doc: &str) -> Result<ProfReport, String> {
-        let v = parse(doc).map_err(|e| e.to_string())?;
-        if v.get("schema").and_then(Value::as_str) != Some("xlink-prof-v1") {
-            return Err("not an xlink-prof-v1 document".into());
-        }
-        let spans = v.get("spans").and_then(Value::as_arr).ok_or("missing spans array")?;
-        let mut rows = Vec::with_capacity(spans.len());
-        for s in spans {
-            let field = |k: &str| s.get(k).and_then(Value::as_u64).ok_or(format!("missing {k}"));
-            rows.push(ProfRow {
-                path: s.get("path").and_then(Value::as_str).ok_or("missing path")?.to_string(),
-                calls: field("calls")?,
-                incl_ns: field("incl_ns")?,
-                excl_ns: field("excl_ns")?,
-                allocs: field("allocs")?,
-                alloc_bytes: field("alloc_bytes")?,
-            });
-        }
-        rows.sort_by(|a, b| a.path.cmp(&b.path));
-        Ok(ProfReport { rows })
     }
 
     /// Order-independent digest over the run-deterministic part of the
@@ -657,6 +646,7 @@ pub use crate::prof_span as span;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Value};
 
     /// Serialize the (process-global, thread-local) profiler tests.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -778,8 +768,57 @@ mod tests {
             assert!(!path.is_empty() && path.split(';').all(|c| !c.is_empty()));
             ns.parse::<u64>().expect("numeric weight");
         }
-        let back = ProfReport::from_json(&r.to_json()).expect("parses");
-        assert_eq!(back, r);
+        let doc = parse(&r.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("xlink-prof-v1"));
+        let spans = doc.get("spans").and_then(Value::as_arr).expect("spans array");
+        assert_eq!(spans.len(), r.rows.len());
+        for (span, row) in spans.iter().zip(&r.rows) {
+            assert_eq!(span.get("path").and_then(Value::as_str), Some(row.path.as_str()));
+            for (key, value) in [
+                ("calls", row.calls),
+                ("incl_ns", row.incl_ns),
+                ("excl_ns", row.excl_ns),
+                ("allocs", row.allocs),
+                ("alloc_bytes", row.alloc_bytes),
+            ] {
+                assert_eq!(span.get(key).and_then(Value::as_u64), Some(value), "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_unit_counters_sum_root_allocations_and_every_call() {
+        let row = |path: &str, calls, allocs, alloc_bytes| ProfRow {
+            path: path.into(),
+            calls,
+            incl_ns: 0,
+            excl_ns: 0,
+            allocs,
+            alloc_bytes,
+        };
+        // `fleet;step`'s 10 allocations include the 4 under `quic;open`,
+        // which include the 1 under `quic;open;lab;hist`.
+        let mut r = ProfReport {
+            rows: vec![
+                row("fleet;admit", 2, 3, 30),
+                row("fleet;step", 2, 10, 100),
+                row("fleet;step;quic;open", 5, 4, 40),
+                row("fleet;step;quic;open;lab;hist", 7, 1, 8),
+            ],
+        };
+        let expected = [
+            ("allocs_per_packet", 13, 50),
+            ("alloc_bytes_per_packet", 130, 50),
+            ("allocs_per_session", 13, 2),
+            ("spans_per_packet", 16, 50),
+        ];
+        assert_eq!(r.per_unit(50, 2), expected);
+        // One more span inside `fleet;step`: its allocations were in the
+        // root's count all along, only the number of spans moves.
+        r.rows.insert(2, row("fleet;step;core;sched", 9, 6, 60));
+        let mut deeper = expected;
+        deeper[3].1 += 9;
+        assert_eq!(r.per_unit(50, 2), deeper);
     }
 
     #[test]

@@ -5,30 +5,25 @@
 //! comparing completion, reconnections, and the detection/recovery
 //! latency distributions that justify answering resets at all.
 //!
-//! * default: human scorecard + recovery-time histogram;
-//! * `--gate-out FILE`: additionally append `xlink-bench-v1` lines
-//!   (`crash_rct/detect_time`, `crash_rct/recovery_time`, and the
-//!   mute-PoP `detect_time_no_reset` baseline at this population) to
-//!   FILE so perfgate tracks the recovery percentiles. The sim is
-//!   deterministic, so these gate at machine-independent exactness.
+//! The scorecard and the histograms go to stderr. Stdout carries three
+//! perf-ledger rows (`xlink::obs::ledger`): `crash_rct/detect_time`,
+//! `crash_rct/recovery_time` and the mute-PoP `detect_time_no_reset`
+//! baseline at this population, as sample count, min, median, p95 and max
+//! in simulated microseconds. The sim is deterministic, so every field is
+//! exact; ci.sh appends them to `BENCH_fleet.json` for perfgate to hold.
 //!
 //! ```sh
 //! cargo run --release --example crash_rct
-//! XLINK_POP_USERS=1000 cargo run --release --example crash_rct -- --gate-out BENCH_fleet.json
+//! XLINK_POP_USERS=1000 cargo run --release --example crash_rct >> BENCH_fleet.json
 //! ```
 
-use std::io::Write as _;
 use xlink::clock::Duration;
 use xlink::harness::{run_crash_rct, CrashRct, PopRunConfig};
-use xlink::lab::bench::BenchResult;
-use xlink::lab::stats::Summary;
+use xlink::lab::stats::percentile;
+use xlink::obs::ledger::Row;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn nanos(samples: &[Duration]) -> Vec<f64> {
-    samples.iter().map(|d| d.as_micros() as f64 * 1000.0).collect()
 }
 
 fn histogram(label: &str, samples: &[Duration]) {
@@ -38,12 +33,12 @@ fn histogram(label: &str, samples: &[Duration]) {
     let ms: Vec<u64> = samples.iter().map(|d| d.as_millis()).collect();
     let hi = *ms.iter().max().unwrap();
     let bucket = (hi / 8).max(1);
-    println!("  {label} histogram ({} samples, {bucket}ms buckets):", ms.len());
+    eprintln!("  {label} histogram ({} samples, {bucket}ms buckets):", ms.len());
     for b in 0..=hi / bucket {
         let lo = b * bucket;
         let n = ms.iter().filter(|&&m| m >= lo && m < lo + bucket).count();
         if n > 0 {
-            println!("    {:>5}-{:<5}ms {:>4}  {}", lo, lo + bucket, n, "#".repeat(n.min(60)));
+            eprintln!("    {:>5}-{:<5}ms {:>4}  {}", lo, lo + bucket, n, "#".repeat(n.min(60)));
         }
     }
 }
@@ -51,16 +46,6 @@ fn histogram(label: &str, samples: &[Duration]) {
 fn main() {
     let users = env_u64("XLINK_POP_USERS", 30) as usize;
     let seed = env_u64("XLINK_POP_SEED", 7);
-    let gate_out = {
-        let mut args = std::env::args();
-        let mut out = None;
-        while let Some(a) = args.next() {
-            if a == "--gate-out" {
-                out = args.next();
-            }
-        }
-        out
-    };
 
     let cfg = PopRunConfig {
         users,
@@ -78,14 +63,14 @@ fn main() {
     let down = Duration::from_millis(40);
     let rct = run_crash_rct(&cfg, at, 1, down);
 
-    println!(
+    eprintln!(
         "crash-recovery RCT ({users} users, 3 shards, shard 1 {} at {}ms for {}ms)",
         "crash-restarted",
         at.as_millis(),
         down.as_millis(),
     );
-    println!();
-    println!(
+    eprintln!();
+    eprintln!(
         "{:<16} {:>10} {:>8} {:>10} {:>8} {:>12} {:>12}",
         "arm", "completed", "bytes", "reconnect", "resumed", "detect-ms", "recover-ms"
     );
@@ -99,7 +84,7 @@ fn main() {
         let fmt = |d: Option<Duration>| {
             d.map_or("-".to_string(), |d| format!("{:.1}", d.as_micros() as f64 / 1000.0))
         };
-        println!(
+        eprintln!(
             "{:<16} {:>7}/{:<2} {:>8} {:>10} {:>8} {:>12} {:>12}",
             label,
             r.completed,
@@ -111,7 +96,7 @@ fn main() {
             fmt(r.mean_recovery()),
         );
     }
-    println!();
+    eprintln!();
     histogram("detect (reset)", &rct.crash.detect_times);
     histogram("detect (mute PoP)", &rct.crash_no_reset.detect_times);
     histogram("recovery", &rct.crash.recovery_times);
@@ -120,8 +105,8 @@ fn main() {
 
     let fast = rct.crash.mean_detect().expect("crash arm saw no detections");
     let slow = rct.crash_no_reset.mean_detect().expect("mute arm saw no detections");
-    println!();
-    println!(
+    eprintln!();
+    eprintln!(
         "stateless resets cut mean death-detection from {:.1}ms to {:.1}ms ({:.1}x); \
          every reconnecting session resumed at its verified offset.",
         slow.as_micros() as f64 / 1000.0,
@@ -129,32 +114,20 @@ fn main() {
         slow.as_micros() as f64 / fast.as_micros().max(1) as f64,
     );
 
-    if let Some(path) = gate_out {
-        let mut lines = String::new();
-        for (name, samples) in [
-            ("crash_rct/detect_time", &rct.crash.detect_times),
-            ("crash_rct/detect_time_no_reset", &rct.crash_no_reset.detect_times),
-            ("crash_rct/recovery_time", &rct.crash.recovery_times),
-        ] {
-            let ns = nanos(samples);
-            let r = BenchResult {
-                name: format!("{name}@{users}"),
-                iters_per_sample: 1,
-                summary: Summary::of(&ns),
-                sample_ns: ns,
-                bytes_per_iter: None,
-                rate: None,
-            };
-            lines.push_str(&r.json_line());
-            lines.push('\n');
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .expect("open --gate-out file");
-        f.write_all(lines.as_bytes()).expect("append gate lines");
-        eprintln!("crash_rct: appended recovery percentile lines to {path}");
+    for (name, samples) in [
+        ("crash_rct/detect_time", &rct.crash.detect_times),
+        ("crash_rct/detect_time_no_reset", &rct.crash_no_reset.detect_times),
+        ("crash_rct/recovery_time", &rct.crash.recovery_times),
+    ] {
+        let us: Vec<f64> = samples.iter().map(|d| d.as_micros() as f64).collect();
+        let at = |p: f64| percentile(&us, p) as u64;
+        let row = Row::new(format!("{name}@{users}"))
+            .exact("samples", us.len() as u64)
+            .exact("min_us", at(0.0))
+            .exact("median_us", at(50.0))
+            .exact("p95_us", at(95.0))
+            .exact("max_us", at(100.0));
+        println!("{}", row.to_json());
     }
 }
 

@@ -6,11 +6,12 @@
 //!
 //! * default: folded-stack lines (`netsim;link_delivery;quic;aead_open 1234`,
 //!   weight = exclusive nanoseconds) for flamegraph.pl-style tooling;
-//! * `--json`: the `xlink-prof-v1` document ci.sh commits as
-//!   `BENCH_prof.json`;
-//! * `--gate-out FILE`: additionally append two `xlink-bench-v1` lines
-//!   (`sessions_per_sec`, `sim_packets_per_sec` at this population) to
-//!   FILE, so the perf ledger tracks throughput at the scale CI gates.
+//! * `--json`: the perf-ledger rows (`xlink::obs::ledger`) ci.sh records:
+//!   the `fleet_gate@N` row (sessions and simulated packets exact, wall time
+//!   and rates advisory) that opens `BENCH_fleet.json`, then
+//!   `BENCH_prof.json` — one row per span (calls and allocations exact,
+//!   nanoseconds advisory) and the four per-packet / per-session counters
+//!   as exact fractions.
 //!
 //! A top-10 span table always goes to stderr for humans, under a line that
 //! says how many worker threads the shards ran on and how many cores the
@@ -18,15 +19,13 @@
 //!
 //! ```sh
 //! cargo run --release --example prof_dump
-//! XLINK_FLEET_SESSIONS=10000 cargo run --release --example prof_dump -- --json > BENCH_prof.json
+//! XLINK_FLEET_SESSIONS=10000 cargo run --release --example prof_dump -- --json
 //! ```
 
-use std::io::Write as _;
 use xlink::clock::Duration;
 use xlink::harness::fleet::{run_fleet_profiled, FleetConfig};
 use xlink::harness::{par, Scheme};
-use xlink::lab::bench::BenchResult;
-use xlink::lab::stats::Summary;
+use xlink::obs::ledger::Row;
 use xlink::video::Video;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -37,16 +36,6 @@ fn main() {
     let users = env_u64("XLINK_FLEET_SESSIONS", 2_000);
     let shards = env_u64("XLINK_FLEET_SHARDS", 4) as u32;
     let json = std::env::args().any(|a| a == "--json");
-    let gate_out = {
-        let mut args = std::env::args();
-        let mut out = None;
-        while let Some(a) = args.next() {
-            if a == "--gate-out" {
-                out = args.next();
-            }
-        }
-        out
-    };
 
     // Same population shape as the fleet_rct example / tests/fleet.rs.
     let mut cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
@@ -92,35 +81,34 @@ fn main() {
         );
     }
 
-    if let Some(path) = gate_out {
-        let sessions = report.arm_a.sessions + report.arm_b.sessions;
-        let mut lines = String::new();
-        for (name, unit, count) in [
-            ("fleet_gate/sessions", "sessions", sessions),
-            ("fleet_gate/sim_packets", "sim_packets", report.counters.packets),
-        ] {
-            let r = BenchResult {
-                name: format!("{name}@{users}"),
-                iters_per_sample: 1,
-                summary: Summary::of(&[wall_ns]),
-                sample_ns: vec![wall_ns],
-                bytes_per_iter: None,
-                rate: Some((unit.to_string(), count)),
-            };
-            lines.push_str(&r.json_line());
-            lines.push('\n');
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .expect("open --gate-out file");
-        f.write_all(lines.as_bytes()).expect("append gate lines");
-        eprintln!("prof_dump: appended fleet_gate lines to {path}");
-    }
-
     if json {
-        println!("{}", profile.to_json());
+        let sessions = report.arm_a.sessions + report.arm_b.sessions;
+        let packets = report.counters.packets;
+        let milli = |x: f64| (x * 1e3).round() / 1e3;
+        let per_sec = |count: u64| milli(count as f64 * 1e9 / wall_ns);
+        let gate = Row::new(format!("fleet_gate@{users}"))
+            .exact("sessions", sessions)
+            .exact("sim_packets", packets)
+            .advisory("wall_ns", wall_ns)
+            .advisory("sessions_per_sec", per_sec(sessions))
+            .advisory("sim_packets_per_sec", per_sec(packets));
+        println!("{}", gate.to_json());
+        for r in &profile.rows {
+            let span = Row::new(r.path.as_str())
+                .exact("calls", r.calls)
+                .exact("allocs", r.allocs)
+                .exact("alloc_bytes", r.alloc_bytes)
+                .advisory("incl_ns", r.incl_ns as f64)
+                .advisory("excl_ns", r.excl_ns as f64);
+            println!("{}", span.to_json());
+        }
+        for (name, num, den) in profile.per_unit(packets, sessions) {
+            let counter = Row::new(name)
+                .exact("num", num)
+                .exact("den", den)
+                .advisory("value", milli(num as f64 / den as f64));
+            println!("{}", counter.to_json());
+        }
     } else {
         print!("{}", profile.folded());
     }

@@ -29,7 +29,7 @@
 //! * [`harness`] (`xlink-harness`) — sessions, A/B populations, and one
 //!   module per paper table/figure.
 //! * [`lab`] (`xlink-lab`) — deterministic lab tooling: seeded RNG,
-//!   property-testing harness, micro-bench harness, shared statistics.
+//!   property-testing harness, shared statistics.
 //! * [`obs`] (`xlink-obs`) — deterministic qlog-style event tracing and
 //!   the per-run metrics registry (see DESIGN.md §8).
 //!
