@@ -20,7 +20,8 @@
 //!   exclusive nanoseconds, allocations, allocated bytes) with an
 //!   exact integer [`merge`](ProfReport::merge) — the same
 //!   partition-invariance discipline as the fleet aggregates — plus
-//!   folded-stack and JSON export for flamegraph tooling and the
+//!   folded-stack and JSON export for flamegraph tooling and the exact
+//!   per-packet counters ([`per_unit`](ProfReport::per_unit)) of the
 //!   `BENCH_prof.json` perf ledger.
 //!
 //! ## Determinism contract
