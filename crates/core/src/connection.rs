@@ -11,6 +11,8 @@
 //!
 //! * **vanilla-MP** — min-RTT scheduler, no re-injection, original-path
 //!   ACKs (the MPQUIC default, §3).
+//! * **MPTCP** — vanilla-MP plus opportunistic retransmission of a blocked
+//!   stream head with penalisation of the path holding it (§8, Fig. 13).
 //! * **re-injection w/o QoE** — re-injection always on (Fig. 6c).
 //! * **XLINK** — min-RTT + stream/frame priority-based re-injection under
 //!   double-thresholding QoE control + fastest-path ACK_MP (§5).
@@ -35,9 +37,21 @@ pub use xlink_quic::connection::{
     ConnectionStats as MpStats, Path as MpPath, PathState, State as MpState,
 };
 
-/// A stream range that may be re-injected: `(rank, stream, range, fin)`,
-/// the rank being its queue position under the re-injection mode.
-type ReinjectCandidate = ((u8, u8), u64, SendRange, bool);
+/// A stream range that may be re-injected. `holder` is a `u8` (as path ids
+/// are in trace events) so the record stays the 32 bytes the perf ledger's
+/// exact allocation counts were recorded with.
+#[derive(Clone, Copy)]
+struct ReinjectCandidate {
+    /// Queue position under the re-injection mode.
+    rank: (u8, u8),
+    stream_id: u64,
+    range: SendRange,
+    fin: bool,
+    /// The path the range is in flight on.
+    holder: u8,
+    /// The range holds its stream's lowest offset in flight.
+    head: bool,
+}
 
 /// Multipath endpoint configuration: the connection's, and the policy's.
 #[derive(Debug, Clone)]
@@ -370,7 +384,11 @@ impl MpConnection {
                         continue;
                     }
                     let rank = self.rank(stream.priority, stream.send.priority_of(range.start));
-                    out.push((rank, *id, *range, *fin));
+                    let head = unacked
+                        .first()
+                        .is_some_and(|u| range.start <= u.start && u.start < range.end);
+                    let (stream_id, range, fin, holder) = (*id, *range, *fin, p.id as u8);
+                    out.push(ReinjectCandidate { rank, stream_id, range, fin, holder, head });
                 }
             }
         }
@@ -378,12 +396,12 @@ impl MpConnection {
     }
 
     /// Where data queues under the configured re-injection mode (Fig. 4),
-    /// lower first: appending mode ranks nothing (one FIFO), the priority
-    /// modes rank by stream priority, within which frame-priority mode
-    /// also ranks by video-frame priority.
+    /// lower first: appending mode and the MPTCP arm's byte stream rank
+    /// nothing (one FIFO), the priority modes rank by stream priority,
+    /// within which frame-priority mode also ranks by video-frame priority.
     fn rank(&self, stream_priority: u8, frame_priority: u8) -> (u8, u8) {
         match self.reinject_mode {
-            ReinjectMode::Appending => (0, 0),
+            ReinjectMode::Appending | ReinjectMode::OpportunisticHead => (0, 0),
             ReinjectMode::StreamPriority => (stream_priority, 0),
             ReinjectMode::FramePriority => (stream_priority, frame_priority),
         }
@@ -416,9 +434,20 @@ impl MpConnection {
             // (Fig. 4c). With nothing unsent it is trivially first.
             ReinjectMode::StreamPriority | ReinjectMode::FramePriority => {
                 let mut queue = self.reinject_candidates(path);
-                queue.retain(|&(rank, ..)| pending.is_none_or(|p| rank <= p));
-                let best = queue.iter().map(|&(rank, ..)| rank).min();
+                queue.retain(|c| pending.is_none_or(|p| c.rank <= p));
+                let best = queue.iter().map(|c| c.rank).min();
                 (queue, best.is_some_and(|best| pending.is_none_or(|p| best < p)))
+            }
+            // Only a stream's blocked head, and only off a path at least
+            // twice as slow as this one; it always goes first. That `path`
+            // has room for it is the scheduler's condition for offering it
+            // (a whole datagram of budget, and no range is longer).
+            ReinjectMode::OpportunisticHead => {
+                let srtt = |p: usize| self.conn.paths()[p].rtt.smoothed();
+                let mut queue = self.reinject_candidates(path);
+                queue.retain(|c| c.head && srtt(c.holder as usize) >= srtt(path) * 2);
+                let blocked = !queue.is_empty();
+                (queue, blocked)
             }
         }
     }
@@ -436,11 +465,11 @@ impl MpConnection {
             return None;
         }
         let _prof = prof::span!("core/reinject");
-        queue.sort_by_key(|&(rank, id, r, _)| (rank, id, r.start));
+        queue.sort_by_key(|c| (c.rank, c.stream_id, c.range.start));
         let mut copies = std::mem::take(&mut self.copies_scratch);
         copies.clear();
         let mut remaining = (MAX_DATAGRAM_SIZE as usize - 64).min(self.conn.budget(path) as usize);
-        for &(_, stream_id, range, fin) in queue.iter() {
+        for &ReinjectCandidate { stream_id, range, fin, .. } in queue.iter() {
             if remaining < 48 {
                 break;
             }
@@ -454,6 +483,12 @@ impl MpConnection {
             copies.push((stream_id, sub, fin && end == range.end));
         }
         let tx = self.conn.send_copies(now, path, &copies);
+        if tx.is_some() && self.reinject_mode == ReinjectMode::OpportunisticHead {
+            // Penalisation: the path that held a copied head up gives way.
+            for c in &queue[..copies.len()] {
+                self.conn.penalize_path(now, c.holder as usize);
+            }
+        }
         self.copies_scratch = copies;
         tx
     }
@@ -904,6 +939,145 @@ mod tests {
         let st = s.conn().stats();
         assert!(cost(&st) >= 0.0 && cost(&st) <= 1.0);
         assert_eq!(st.reinjections > 0, st.reinjected_bytes > 0, "counters must agree");
+    }
+
+    // ---- the MPTCP arm: opportunistic retransmission (§8) -------------
+
+    /// The multipath connection as the harness builds `Scheme::Mptcp`.
+    fn mptcp(cfg: MpConfig) -> MpConfig {
+        let mut cfg = cfg.vanilla();
+        cfg.qoe_control = QoeControl::AlwaysOn;
+        cfg.reinject_mode = ReinjectMode::OpportunisticHead;
+        cfg
+    }
+
+    /// Two paths with a fixed round-trip time each (half of it each way).
+    struct Wire {
+        rtt: [Duration; 2],
+        /// `(arrival, to the server, path, datagram)`.
+        in_flight: Vec<(Instant, bool, usize, Vec<u8>)>,
+    }
+
+    impl Wire {
+        /// Put everything `conn` has to send now on the wire.
+        fn send_all(&mut self, now: Instant, to_server: bool, conn: &mut MpConnection) {
+            while let Some((path, d)) = conn.poll_transmit(now) {
+                self.in_flight.push((now + self.rtt[path] / 2, to_server, path, d));
+            }
+        }
+
+        /// Advance to `until`, delivering datagrams and serving timers in
+        /// time order. The client sends whenever it can; the server only
+        /// if `server_sends` (a test holds it back to look at one poll).
+        fn run(
+            &mut self,
+            now: &mut Instant,
+            until: Instant,
+            c: &mut MpConnection,
+            s: &mut MpConnection,
+            server_sends: bool,
+        ) {
+            loop {
+                self.send_all(*now, true, c);
+                if server_sends {
+                    self.send_all(*now, false, s);
+                }
+                let arrivals = self.in_flight.iter().map(|e| e.0);
+                let next = arrivals.chain(c.poll_timeout()).chain(s.poll_timeout()).min();
+                let Some(next) = next.filter(|&t| t <= until) else {
+                    *now = until;
+                    return;
+                };
+                *now = next.max(*now + Duration::from_micros(1));
+                let (due, later) = self.in_flight.drain(..).partition(|e| e.0 <= *now);
+                self.in_flight = later;
+                for (_, to_server, path, d) in due {
+                    let to = if to_server { &mut *s } else { &mut *c };
+                    to.handle_datagram(*now, path, &d);
+                }
+                c.on_timeout(*now);
+                s.on_timeout(*now);
+            }
+        }
+    }
+
+    /// An MPTCP-arm pair over paths of the given round-trip times, stopped
+    /// where the mode has its decision to make: the server filled both
+    /// congestion windows from one stream, fastest path first, path 0's
+    /// share has been acknowledged, and path 1 — whose acknowledgements
+    /// are still on their way — holds the stream's head. The server has
+    /// not been polled since, and has more to send.
+    fn blocked_head_pair(rtt: [u64; 2]) -> (MpConnection, MpConnection, Instant, Wire, u64) {
+        let mut now = Instant::ZERO;
+        let mut c = MpConnection::new(mptcp(client_cfg(1)), now);
+        let mut s = MpConnection::new(mptcp(server_cfg(2)), now);
+        let mut wire = Wire { rtt: rtt.map(Duration::from_millis), in_flight: Vec::new() };
+        wire.run(&mut now, Instant::from_millis(1500), &mut c, &mut s, true);
+        let id = c.open_stream(0);
+        c.stream_send(id, b"r", true);
+        wire.run(&mut now, Instant::from_millis(3000), &mut c, &mut s, true);
+        s.stream_recv(id, 10);
+        for (p, want) in s.conn().paths().iter().zip(wire.rtt) {
+            let srtt = p.rtt.smoothed();
+            assert!(srtt >= want && srtt < want + want / 2, "path {}: srtt {srtt}", p.id);
+        }
+        s.stream_send(id, &vec![5u8; 400_000], true);
+        wire.send_all(now, false, &mut s);
+        assert!(s.conn().in_flight(0) > 0 && s.conn().in_flight(1) > 0);
+        // The head is on the fast path, the slow one was scheduled after
+        // it: twice as slow in the wrong direction, nothing to do.
+        assert_eq!(s.conn().stats().reinjections, 0, "copied the fast path's head");
+        let acked = now + wire.rtt[0] + Duration::from_millis(5);
+        assert!(acked < now + wire.rtt[1], "path 1 answers too early for this fixture");
+        wire.run(&mut now, acked, &mut c, &mut s, false);
+        assert_eq!(s.conn().in_flight(0), 0, "path 0's share not acknowledged");
+        assert!(s.conn().in_flight(1) > 0);
+        (c, s, now, wire, id)
+    }
+
+    /// Cubic's multiplicative decrease (`xlink_quic::cc`).
+    const BETA: f64 = 0.7;
+
+    #[test]
+    fn opportunistic_head_goes_first_once_and_penalises_the_holder() {
+        let (_c, mut s, now, mut wire, _) = blocked_head_pair([20, 200]);
+        let cwnd = |s: &MpConnection| s.conn().paths().iter().map(MpPath::cwnd).collect::<Vec<_>>();
+        let (before, cwnd_before) = (s.conn().stats(), cwnd(&s));
+        let (path, _) = s.poll_transmit(now).expect("a copy of the blocked head");
+        let after = s.conn().stats();
+        assert_eq!(path, 0, "the copy goes to the fast path");
+        assert_eq!(after.reinjections, before.reinjections + 1);
+        assert_eq!(after.stream_bytes_sent, before.stream_bytes_sent, "new data went first");
+        // One congestion event on the holder, none on the target.
+        assert_eq!(cwnd(&s)[1], (cwnd_before[1] as f64 * BETA) as u64);
+        assert_eq!(cwnd(&s)[0], cwnd_before[0]);
+        // The head has not moved: the same range is not copied to the same
+        // path again, the window fills with new data.
+        wire.send_all(now, false, &mut s);
+        let filled = s.conn().stats();
+        assert_eq!(filled.reinjections, after.reinjections, "copied twice");
+        assert!(filled.stream_bytes_sent > after.stream_bytes_sent);
+        assert_eq!(cwnd(&s)[1], (cwnd_before[1] as f64 * BETA) as u64, "penalised twice");
+    }
+
+    #[test]
+    fn opportunistic_head_needs_a_holder_twice_as_slow() {
+        let (_c, mut s, now, mut wire, _) = blocked_head_pair([20, 30]);
+        let before = s.conn().stats();
+        wire.send_all(now, false, &mut s);
+        let after = s.conn().stats();
+        assert_eq!(after.reinjections, 0);
+        assert!(after.stream_bytes_sent > before.stream_bytes_sent, "nothing was sent at all");
+    }
+
+    #[test]
+    fn opportunistic_head_needs_room_on_the_target() {
+        let (_c, mut s, now, ..) = blocked_head_pair([20, 200]);
+        // Fill the fast path behind the policy's back.
+        while s.conn_mut().send_new_data(now, 0).is_some() {}
+        assert!(s.conn().budget(0) < MAX_DATAGRAM_SIZE);
+        assert!(s.poll_transmit(now).is_none(), "sent with both windows full");
+        assert_eq!(s.conn().stats().reinjections, 0);
     }
 
     // ---- liveness / failover (§9) -------------------------------------

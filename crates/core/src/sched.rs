@@ -36,6 +36,12 @@ pub enum ReinjectMode {
     /// *within* a stream, so a first-video-frame packet overtakes other
     /// frames of its own stream (Fig. 4c) — first-frame acceleration.
     FramePriority,
+    /// MPTCP's opportunistic retransmission with penalisation (the paper's
+    /// §8 baseline): the only candidate is the range holding a stream's
+    /// lowest offset in flight, and only while the path holding it is at
+    /// least twice as slow (smoothed RTT) as the scheduled one. It goes
+    /// ahead of unsent data, and the holder takes one congestion event.
+    OpportunisticHead,
 }
 
 /// ACK_MP return-path policy (paper §5.3 and Fig. 8): routed by the

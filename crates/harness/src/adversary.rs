@@ -7,9 +7,7 @@
 //! write stream data past the advertised window, claim a million ACK
 //! ranges, contradict a stream's final size, or flood PATH_CHALLENGEs.
 //! Each [`AttackKind`] is a deterministic, seeded script runnable against
-//! the single-path and multipath QUIC victims under `xlink-netsim`, and
-//! (where the attack has a TCP analog) against the MPTCP baseline via
-//! [`run_attack_mptcp`].
+//! any scheme's victim under `xlink-netsim`.
 //!
 //! The contract verified by `tests/adversary.rs`: every attack either
 //! ends in a clean close with the RFC-correct error code or is absorbed —
@@ -20,8 +18,6 @@ use crate::scenario::Scenario;
 use crate::transport::{BoundedState, Conn, Scheme, TransportTuning};
 use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
-use xlink_mptcp::wire::{Kind, Segment};
-use xlink_mptcp::{MptcpConfig, MptcpConnection};
 use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_quic::ackranges::PnRange;
@@ -723,93 +719,6 @@ pub fn run_path_hijack(scheme: Scheme, seed: u64, attacked_path: usize) -> Hijac
     }
 }
 
-/// Outcome of an MPTCP attack run ([`run_attack_mptcp`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MptcpAdversaryOutcome {
-    /// The victim absorbed the attack (TCP has no close-with-code
-    /// machinery here; absorption without state damage is the contract).
-    pub absorbed: bool,
-    /// Peak out-of-order store size (cap: `MAX_OOO_SEGMENTS`).
-    pub ooo_peak: usize,
-}
-
-/// Run the MPTCP analog of `kind` against a server endpoint by speaking
-/// raw [`Segment`]s. Attacks without a TCP analog degenerate to probe
-/// floods; the contract is always absorption within caps.
-pub fn run_attack_mptcp(kind: AttackKind, seed: u64) -> MptcpAdversaryOutcome {
-    let now = Instant::ZERO;
-    let mut victim = MptcpConnection::new(MptcpConfig { is_client: false, ..Default::default() });
-    let window = 1u32 << 20;
-    let seg = |kind: Kind, seq: u64, ack: u64, payload: Vec<u8>| {
-        Segment { kind, subflow: 0, seq, ack, window, payload }.encode()
-    };
-    // Subflow 0 handshake by hand.
-    victim.handle_datagram(now, 0, &seg(Kind::Syn, 0, 0, Vec::new()));
-    while victim.poll_transmit(now).is_some() {}
-    let mut ooo_peak = victim.ooo_count();
-    let mut absorbed = true;
-    match kind {
-        AttackKind::OptimisticAck => {
-            // Victim sends data; attacker acks far beyond it. The bogus
-            // ack must not complete the victim's send side.
-            victim.send(&vec![(seed & 0xff) as u8; 10_000]);
-            victim.finish();
-            while victim.poll_transmit(now).is_some() {}
-            victim.handle_datagram(now, 0, &seg(Kind::Ack, 0, 1 << 40, Vec::new()));
-            absorbed = !victim.send_complete();
-        }
-        AttackKind::FlowControlOverrun => {
-            // Data far beyond the 4 MiB receive window: dropped, never
-            // buffered (the challenge ACK restates the victim's state).
-            victim.handle_datagram(now, 0, &seg(Kind::Data, 64 << 20, 0, vec![0xaa; 512]));
-            absorbed = victim.ooo_count() == 0 && victim.readable() == 0;
-        }
-        AttackKind::AckRangeFlood | AttackKind::StreamIdExhaustion => {
-            // Gap spray: 6000 one-byte segments at odd offsets (plus, for
-            // the exhaustion variant, bogus subflow indices — ignored
-            // because delivery path indexes the subflow table).
-            let subflow = if kind == AttackKind::StreamIdExhaustion { 200 } else { 0 };
-            for i in 0..6000u64 {
-                let s = Segment {
-                    kind: Kind::Data,
-                    subflow,
-                    seq: 2 * i + 1,
-                    ack: 0,
-                    window,
-                    payload: vec![0xbb],
-                };
-                victim.handle_datagram(now, 0, &s.encode());
-                ooo_peak = ooo_peak.max(victim.ooo_count());
-            }
-            absorbed = victim.ooo_count() <= xlink_mptcp::MAX_OOO_SEGMENTS;
-        }
-        AttackKind::StreamOffsetContradiction => {
-            // Overlapping segments with contradictory bytes; reassembly
-            // must stay contiguous and never crash.
-            victim.handle_datagram(now, 0, &seg(Kind::Data, 0, 0, b"hello world".to_vec()));
-            victim.handle_datagram(now, 0, &seg(Kind::Data, 4, 0, b"XXXX".to_vec()));
-            victim.handle_datagram(now, 0, &seg(Kind::Data, 2, 0, b"yyyyyyyyyyyy".to_vec()));
-            absorbed = victim.readable() >= b"hello world".len();
-        }
-        AttackKind::PathChallengeFlood => {
-            // No path challenges in TCP: a pure-ACK probe flood instead.
-            for _ in 0..1000 {
-                victim.handle_datagram(now, 0, &seg(Kind::Ack, 0, 0, Vec::new()));
-            }
-        }
-        AttackKind::ReinjectionAmplifier => {
-            // The same data segment replayed 50×: delivered once.
-            let dup = seg(Kind::Data, 0, 0, b"dup".to_vec());
-            for _ in 0..50 {
-                victim.handle_datagram(now, 0, &dup);
-            }
-            absorbed = victim.readable() == b"dup".len();
-        }
-    }
-    ooo_peak = ooo_peak.max(victim.ooo_count());
-    MptcpAdversaryOutcome { absorbed, ooo_peak }
-}
-
 /// Edge-tier attack catalogue: floods aimed at the CDN PoP's admission
 /// and routing layers rather than an established connection. Run via
 /// `crate::pop::run_edge_attack`, which mixes one of these into an
@@ -987,15 +896,6 @@ mod tests {
             assert!(!kind.label().is_empty());
             // expected_close is total (compile-time exhaustive match).
             let _ = kind.expected_close();
-        }
-    }
-
-    #[test]
-    fn mptcp_absorbs_all_attacks() {
-        for kind in AttackKind::all() {
-            let out = run_attack_mptcp(kind, 7);
-            assert!(out.absorbed, "{kind:?}: {out:?}");
-            assert!(out.ooo_peak <= xlink_mptcp::MAX_OOO_SEGMENTS, "{kind:?}: {out:?}");
         }
     }
 

@@ -1,14 +1,13 @@
 //! Bulk-download sessions: fetch one object of a given size and measure
 //! the request download time. Used by the primary-path study (Fig. 7),
-//! the ACK-path study (Fig. 8), the extreme-mobility comparison (Fig. 13
-//! — which also needs the MPTCP baseline), and the energy study (Fig. 14).
+//! the ACK-path study (Fig. 8), the extreme-mobility comparison (Fig. 13),
+//! and the energy study (Fig. 14).
 
 use crate::scenario::Scenario;
 use crate::transport::{Conn, Scheme, TransportStats, TransportTuning};
 use crate::video_session::VideoServerEndpoint;
 use xlink_clock::{Duration, Instant};
 use xlink_core::QoeSignal;
-use xlink_mptcp::{MptcpConfig, MptcpConnection};
 use xlink_netsim::{Endpoint, FlapSchedule, Path, Stats, Transmit};
 use xlink_video::{MediaStore, Request, Response, Video};
 
@@ -20,9 +19,9 @@ pub struct BulkResult {
     pub download_time: Option<Duration>,
     /// Bytes received by the deadline.
     pub bytes_received: u64,
-    /// Client transport stats (QUIC schemes only).
+    /// Client transport stats (always `Some`: ROADMAP item 9).
     pub client_transport: Option<TransportStats>,
-    /// Server transport stats (QUIC schemes only).
+    /// Server transport stats (always `Some`).
     pub server_transport: Option<TransportStats>,
     /// Server per-path wire-byte split.
     pub server_bytes_per_path: Vec<(usize, u64)>,
@@ -163,113 +162,6 @@ impl Scenario {
     }
 }
 
-/// MPTCP endpoints for the Fig. 13 comparison.
-struct MptcpClientEp {
-    conn: MptcpConnection,
-    size: u64,
-    sent_request: bool,
-    received: u64,
-    done_at: Option<Instant>,
-}
-
-impl Endpoint for MptcpClientEp {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        self.received += self.conn.recv(usize::MAX).len() as u64;
-        if self.conn.recv_complete() && self.done_at.is_none() {
-            self.done_at = Some(now);
-        }
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        if !self.sent_request {
-            self.sent_request = true;
-            self.conn.send(format!("GET blob range=0-{}\n", self.size).as_bytes());
-            self.conn.finish();
-        }
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
-    }
-
-    fn is_done(&self) -> bool {
-        self.done_at.is_some()
-    }
-}
-
-struct MptcpServerEp {
-    conn: MptcpConnection,
-    responded: bool,
-    request_buf: Vec<u8>,
-}
-
-impl Endpoint for MptcpServerEp {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        if !self.responded {
-            self.request_buf.extend(self.conn.recv(usize::MAX));
-            if let Some(req) = Request::decode(&self.request_buf) {
-                self.responded = true;
-                self.conn.send(&MediaStore::body_bytes("blob", req.start, req.end));
-                self.conn.finish();
-            }
-        }
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
-    }
-
-    fn is_done(&self) -> bool {
-        true // passive: session end is the client's call
-    }
-}
-
-impl Scenario {
-    /// Download `size` bytes over the MPTCP baseline with `num_paths`
-    /// subflows in this scenario (a traced scenario records the links only).
-    pub fn bulk_mptcp(self, size: u64, num_paths: usize) -> BulkResult {
-        let conn = |is_client| {
-            MptcpConnection::new(MptcpConfig {
-                is_client,
-                num_subflows: num_paths,
-                ..Default::default()
-            })
-        };
-        let client = MptcpClientEp {
-            conn: conn(true),
-            size,
-            sent_request: false,
-            received: 0,
-            done_at: None,
-        };
-        let server = MptcpServerEp { conn: conn(false), responded: false, request_buf: Vec::new() };
-        let world = self.run(client, server);
-        BulkResult {
-            download_time: world.client.done_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
-            bytes_received: world.client.received,
-            client_transport: None,
-            server_transport: None,
-            server_bytes_per_path: Vec::new(),
-            link_stats: world.paths.iter().map(|p| p.stats()).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,13 +214,6 @@ mod tests {
         let (sp_t, xl_t) = (sp.download_time.unwrap(), xl.download_time.unwrap());
         // Two 20 Mbps paths should beat one.
         assert!(xl_t < sp_t, "xlink {xl_t} vs sp {sp_t}");
-    }
-
-    #[test]
-    fn mptcp_bulk_download_completes() {
-        let r = Scenario::new(paths(), Duration::from_secs(60)).bulk_mptcp(500_000, 2);
-        assert!(r.download_time.is_some());
-        assert_eq!(r.bytes_received, 500_000);
     }
 
     #[test]

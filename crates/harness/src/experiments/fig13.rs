@@ -8,7 +8,6 @@
 //! consistently fastest in both median and max.
 
 use crate::bulk::run_bulk_quic;
-use crate::scenario::Scenario;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
 use xlink_core::WirelessTech;
@@ -19,6 +18,10 @@ use xlink_netsim::Path;
 pub const CHUNK_BYTES: u64 = 2 << 20;
 /// Chunks fetched per trace.
 pub const CHUNKS_PER_TRACE: u64 = 3;
+
+/// The figure's columns, in print order.
+const ARMS: [Scheme; 5] =
+    [Scheme::Sp { path: 0 }, Scheme::VanillaMp, Scheme::Mptcp, Scheme::Cm, Scheme::Xlink];
 
 /// One trace's outcome for one scheme.
 #[derive(Debug, Clone)]
@@ -47,7 +50,7 @@ fn build_paths(pair: &(xlink_traces::Trace, xlink_traces::Trace), seed: u64) -> 
 }
 
 fn download_times(
-    scheme: Option<Scheme>,
+    scheme: Scheme,
     pair: &(xlink_traces::Trace, xlink_traces::Trace),
     seed: u64,
 ) -> Vec<f64> {
@@ -56,14 +59,9 @@ fn download_times(
         .map(|chunk| {
             let paths = build_paths(pair, seed + chunk * 31);
             let deadline = Duration::from_secs(60);
-            let t = match scheme {
-                Some(s) => {
-                    run_bulk_quic(s, &tuning, CHUNK_BYTES, seed + chunk, paths, vec![], deadline)
-                        .download_time
-                }
-                None => Scenario::new(paths, deadline).bulk_mptcp(CHUNK_BYTES, 2).download_time,
-            };
-            t.map(|d| d.as_secs_f64()).unwrap_or(60.0)
+            let r =
+                run_bulk_quic(scheme, &tuning, CHUNK_BYTES, seed + chunk, paths, vec![], deadline);
+            r.download_time.map(|d| d.as_secs_f64()).unwrap_or(60.0)
         })
         .collect()
 }
@@ -77,20 +75,13 @@ pub fn run(n_traces: usize) -> Vec<Fig13Row> {
         .enumerate()
         .map(|(i, pair)| {
             let seed = 1000 + i as u64 * 97;
-            let arms: Vec<(&'static str, Option<Scheme>)> = vec![
-                ("SP", Some(Scheme::Sp { path: 0 })),
-                ("Vanilla-MP", Some(Scheme::VanillaMp)),
-                ("MPTCP", None),
-                ("CM", Some(Scheme::Cm)),
-                ("XLINK", Some(Scheme::Xlink)),
-            ];
-            let outcomes = arms
+            let outcomes = ARMS
                 .into_iter()
-                .map(|(label, scheme)| {
+                .map(|scheme| {
                     let mut times = download_times(scheme, pair, seed);
                     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
                     SchemeOutcome {
-                        scheme: label,
+                        scheme: scheme.label(),
                         median_s: times[times.len() / 2],
                         max_s: *times.last().expect("non-empty"),
                     }
@@ -104,7 +95,7 @@ pub fn run(n_traces: usize) -> Vec<Fig13Row> {
 /// Print the figure.
 pub fn print(rows: &[Fig13Row]) {
     println!("\n## Fig 13: extreme mobility — request download time (s), median/max");
-    println!("| Trace | SP | Vanilla-MP | MPTCP | CM | XLINK |");
+    println!("| Trace | {} |", ARMS.map(Scheme::label).join(" | "));
     println!("|---|---|---|---|---|---|");
     for r in rows {
         let cells: Vec<String> =

@@ -20,8 +20,8 @@ pub mod experiments;
 
 pub use ab::{run_ab, AbConfig, DayOutcome};
 pub use adversary::{
-    run_attack, run_attack_mptcp, run_attack_traced, run_path_hijack, AdversaryOutcome, AttackKind,
-    EdgeAttackKind, EdgeAttacker, HijackOutcome, MptcpAdversaryOutcome, QuicAttacker, VictimPeer,
+    run_attack, run_attack_traced, run_path_hijack, AdversaryOutcome, AttackKind, EdgeAttackKind,
+    EdgeAttacker, HijackOutcome, QuicAttacker, VictimPeer,
 };
 pub use bulk::{run_bulk_quic, BulkResult};
 pub use chaos::{failover_timeline, handover_paths, handover_scenario, ChaosPlan, CrashPlan};

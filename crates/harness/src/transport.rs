@@ -1,7 +1,7 @@
 //! A uniform wrapper over every transport scheme in the evaluation so
 //! session code is scheme-agnostic: single-path QUIC (SP), SP with
 //! connection migration (CM), and the multipath connection in its
-//! vanilla-MP / re-injection / XLINK configurations.
+//! vanilla-MP / MPTCP / re-injection / XLINK configurations.
 
 use xlink_clock::{Duration, Instant};
 use xlink_core::{
@@ -26,6 +26,11 @@ pub enum Scheme {
     Cm,
     /// Multipath QUIC, min-RTT, no re-injection, original-path ACKs.
     VanillaMp,
+    /// The MPTCP baseline (Fig. 13) as a policy of the same engine:
+    /// vanilla-MP plus opportunistic retransmission of a blocked stream
+    /// head with penalisation of the path holding it, no QoE gate
+    /// (DESIGN §2 says what of TCP this does not model).
+    Mptcp,
     /// Multipath with re-injection always on (no QoE control, Fig. 6c).
     ReinjNoQoe,
     /// Full XLINK (double-threshold QoE control, frame-priority
@@ -45,6 +50,7 @@ impl Scheme {
             Scheme::Sp { .. } => "SP",
             Scheme::Cm => "CM",
             Scheme::VanillaMp => "Vanilla-MP",
+            Scheme::Mptcp => "MPTCP",
             Scheme::ReinjNoQoe => "Reinj-w/o-QoE",
             Scheme::Xlink => "XLINK",
             Scheme::XlinkNoFirstFrame => "XLINK-no-ffa",
@@ -174,6 +180,10 @@ impl Conn {
             cfg.conn = SpConfig::client(seed);
         } else if scheme == Scheme::VanillaMp {
             cfg = cfg.vanilla();
+        } else if scheme == Scheme::Mptcp {
+            cfg = cfg.vanilla();
+            cfg.qoe_control = QoeControl::AlwaysOn;
+            cfg.reinject_mode = ReinjectMode::OpportunisticHead;
         } else {
             // The re-injecting schemes differ in what gates re-injection and
             // in where a re-injected range may jump the queue.
@@ -363,6 +373,8 @@ mod tests {
         assert!(!Scheme::Sp { path: 0 }.is_multipath());
         assert!(!Scheme::Cm.is_multipath());
         assert!(Scheme::VanillaMp.is_multipath());
+        assert_eq!(Scheme::Mptcp.label(), "MPTCP");
+        assert!(Scheme::Mptcp.is_multipath());
     }
 
     /// Shuttle datagrams both ways over perfect zero-delay paths until

@@ -2,8 +2,8 @@
 //!
 //! One enum covers every layer of the stack so a single sink sees the
 //! whole story of a run in time order: transport packets (quic), XLINK
-//! scheduling and re-injection (core), MPTCP segments, emulated link
-//! behaviour (netsim), and player state (video). Each event carries
+//! scheduling and re-injection (core), emulated link behaviour
+//! (netsim), and player state (video). Each event carries
 //! only plain integers/strings — building one never allocates beyond
 //! what the variant itself holds, and never touches clocks or RNGs.
 
@@ -171,33 +171,6 @@ pub enum Event {
         fps: u64,
     },
 
-    // ---- mptcp ----
-    /// A subflow finished its handshake.
-    SubflowEstablished {
-        /// Subflow (path) index.
-        path: u8,
-    },
-    /// A data segment went out on a subflow.
-    SegmentSent {
-        /// Subflow index.
-        path: u8,
-        /// Data-level sequence number.
-        seq: u64,
-        /// Payload length.
-        len: u32,
-        /// True for RTO/opportunistic retransmissions.
-        retransmit: bool,
-    },
-    /// An RTO declared a segment lost.
-    SegmentLost {
-        /// Subflow index.
-        path: u8,
-        /// Data-level sequence number.
-        seq: u64,
-        /// Payload length.
-        len: u32,
-    },
-
     // ---- netsim (link ledger + impairment stages) ----
     /// A scripted flap / path event changed the link state.
     LinkStateChange {
@@ -323,7 +296,6 @@ impl Event {
             | PathFailover { .. }
             | PathRevalidated { .. }
             | QoeSignal { .. } => "xlink",
-            SubflowEstablished { .. } | SegmentSent { .. } | SegmentLost { .. } => "mptcp",
             LinkStateChange { .. } | LinkDrop { .. } | ImpairmentHit { .. } => "netsim",
             EdgeAdmit { .. }
             | EdgeReject { .. }
@@ -361,9 +333,6 @@ impl Event {
             PathFailover { .. } => "path_failover",
             PathRevalidated { .. } => "path_revalidated",
             QoeSignal { .. } => "qoe_signal",
-            SubflowEstablished { .. } => "subflow_established",
-            SegmentSent { .. } => "segment_sent",
-            SegmentLost { .. } => "segment_lost",
             LinkStateChange { .. } => "link_state_change",
             LinkDrop { .. } => "link_drop",
             ImpairmentHit { .. } => "impairment_hit",
@@ -398,9 +367,6 @@ impl Event {
             | PathStatusChange { path, .. }
             | PathSuspected { path, .. }
             | PathRevalidated { path, .. }
-            | SubflowEstablished { path }
-            | SegmentSent { path, .. }
-            | SegmentLost { path, .. }
             | StatelessReset { path } => Some(*path),
             // A failover is attributed to the path traffic left.
             PathFailover { from, .. } => Some(*from),
@@ -480,18 +446,6 @@ impl Event {
                 w.field_u64("cached_bytes", *cached_bytes);
                 w.field_u64("bps", *bps);
                 w.field_u64("fps", *fps);
-            }
-            SubflowEstablished { path } => w.field_u64("path", u64::from(*path)),
-            SegmentSent { path, seq, len, retransmit } => {
-                w.field_u64("path", u64::from(*path));
-                w.field_u64("seq", *seq);
-                w.field_u64("len", u64::from(*len));
-                w.field_bool("retransmit", *retransmit);
-            }
-            SegmentLost { path, seq, len } => {
-                w.field_u64("path", u64::from(*path));
-                w.field_u64("seq", *seq);
-                w.field_u64("len", u64::from(*len));
             }
             LinkStateChange { state } => w.field_str("state", state),
             LinkDrop { reason, bytes } => {

@@ -1,6 +1,6 @@
 //! Congestion control: Cubic, one controller per path ("decoupled"), which
 //! is what the paper's evaluation runs (§7, §9). [`Cubic`] is a concrete
-//! type called directly by `Path` and by the MPTCP baseline's subflows.
+//! type called directly by `Path`.
 
 mod cubic;
 

@@ -1092,6 +1092,14 @@ impl Connection {
         Some(self.finish_packet(now, path, packet, content, true))
     }
 
+    /// One congestion event on `path` that no loss caused: a policy's
+    /// penalisation of the path that holds up a stream's head (MPTCP's
+    /// opportunistic retransmission, `xlink_core::ReinjectMode`).
+    pub fn penalize_path(&mut self, now: Instant, path: usize) {
+        self.paths[path].cc.on_congestion_event(now, now);
+        self.trace_cwnd(now, path);
+    }
+
     /// A packet of owned frames, as the `(path, datagram)` to transmit; empty
     /// `content` describes each frame to recovery by its kind.
     fn build_packet(

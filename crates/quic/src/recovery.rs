@@ -35,11 +35,11 @@ pub const GRANULARITY: Duration = Duration::from_millis(1);
 /// means a path that comes back after a long outage would wait minutes
 /// before probing again; liveness detection upstream wants a bounded
 /// probe cadence instead.
-pub const MAX_PTO: Duration = Duration::from_secs(2);
+pub(crate) const MAX_PTO: Duration = Duration::from_secs(2);
 /// Consecutive PTOs (without any ack progress) after which liveness
 /// detection marks a path suspect (§9). Shared by the single-path
 /// parity hook and the multipath failover machine's default config.
-pub const SUSPECT_AFTER_PTOS: u32 = 2;
+pub(crate) const SUSPECT_AFTER_PTOS: u32 = 2;
 
 /// Metadata the connection wants back when a packet is acked or lost.
 /// The generic parameter carries per-packet content (e.g. which stream

@@ -1,6 +1,6 @@
 //! The adversary outcome matrix: run every scripted hostile-peer attack
-//! from `harness::adversary` against single-path QUIC, XLINK multipath,
-//! and the MPTCP baseline, and print one row per attack × transport —
+//! from `harness::adversary` against single-path QUIC, the MPTCP arm and
+//! XLINK multipath, and print one row per attack × transport —
 //! close code (or "absorbed"), time to close, drain status, and the peak
 //! of the §10 bounded-state gauges. A second section runs the edge-tier
 //! floods (DESIGN §13) against a CID-routed PoP with an honest fleet in
@@ -12,7 +12,7 @@
 //! ```
 
 use xlink::harness::{
-    run_attack, run_attack_mptcp, run_edge_attack, AttackKind, EdgeAttackKind, PopRunConfig, Scheme,
+    run_attack, run_edge_attack, AttackKind, EdgeAttackKind, PopRunConfig, Scheme,
 };
 
 const SEED: u64 = 7;
@@ -36,7 +36,7 @@ fn main() {
         "attack", "transport", "outcome", "close-ms", "drained", "peak-gauge"
     );
     for kind in AttackKind::all() {
-        for scheme in [Scheme::Sp { path: 0 }, Scheme::Xlink] {
+        for scheme in [Scheme::Sp { path: 0 }, Scheme::Mptcp, Scheme::Xlink] {
             let out = run_attack(kind, scheme, SEED);
             let outcome = match out.close_code {
                 Some((code, by_peer)) => {
@@ -68,16 +68,6 @@ fn main() {
             );
             assert!(out.matches_expectation(), "{}: contract violated: {out:?}", kind.label());
         }
-        let m = run_attack_mptcp(kind, SEED);
-        println!(
-            "{:<28} {:<10} {:>24} {:>12} {:>8} {:>12}",
-            kind.label(),
-            "mptcp",
-            if m.absorbed { "absorbed" } else { "NOT ABSORBED" },
-            "-",
-            "-",
-            format!("{} ooo", m.ooo_peak),
-        );
     }
 
     // ---- edge tier: floods against the PoP with an honest fleet ----

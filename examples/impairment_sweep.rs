@@ -79,7 +79,7 @@ fn main() {
     for (name, imp, flaps) in classes {
         let scenario = || Scenario::new(paths(&imp), DEADLINE).with_faults(flaps.clone());
         let sp = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, SIZE, SEED, None);
-        let mp = scenario().bulk_mptcp(SIZE, 2);
+        let mp = scenario().bulk_quic(Scheme::Mptcp, &tuning, SIZE, SEED, None);
         let xl = scenario().bulk_quic(Scheme::Xlink, &tuning, SIZE, SEED, None);
         let conserved = [&sp, &mp, &xl]
             .iter()

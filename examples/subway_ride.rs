@@ -29,29 +29,21 @@ fn main() {
     let seed = 33;
     let tuning = TransportTuning::default();
     let deadline = Duration::from_secs(60);
-    let arms: Vec<(&str, Option<Scheme>)> = vec![
-        ("SP", Some(Scheme::Sp { path: 0 })),
-        ("CM", Some(Scheme::Cm)),
-        ("Vanilla-MP", Some(Scheme::VanillaMp)),
-        ("MPTCP", None),
-        ("XLINK", Some(Scheme::Xlink)),
-    ];
-    for (label, scheme) in arms {
+    let arms =
+        [Scheme::Sp { path: 0 }, Scheme::Cm, Scheme::VanillaMp, Scheme::Mptcp, Scheme::Xlink];
+    for scheme in arms {
+        let label = scheme.label();
         let mut timeline = Vec::new();
-        let t = match scheme {
-            Some(s @ Scheme::Xlink) => {
-                // Trace the XLINK arm so the failover story is visible.
-                let log = TraceLog::recording();
-                let r = Scenario::new(paths(seed), deadline)
-                    .traced(&log)
-                    .bulk_quic(s, &tuning, CHUNK, seed, None);
-                timeline = failover_timeline(&log);
-                r.download_time
-            }
-            Some(s) => {
-                run_bulk_quic(s, &tuning, CHUNK, seed, paths(seed), vec![], deadline).download_time
-            }
-            None => Scenario::new(paths(seed), deadline).bulk_mptcp(CHUNK, 2).download_time,
+        let t = if scheme == Scheme::Xlink {
+            // Trace the XLINK arm so the failover story is visible.
+            let log = TraceLog::recording();
+            let r = Scenario::new(paths(seed), deadline)
+                .traced(&log)
+                .bulk_quic(scheme, &tuning, CHUNK, seed, None);
+            timeline = failover_timeline(&log);
+            r.download_time
+        } else {
+            run_bulk_quic(scheme, &tuning, CHUNK, seed, paths(seed), vec![], deadline).download_time
         };
         match t {
             Some(d) => println!("{label:<12} {:.2} s", d.as_secs_f64()),

@@ -24,7 +24,6 @@
 //!   server with QoE signal capture.
 //! * [`edge`] (`xlink-edge`) — the CDN edge tier: a CID-routed PoP with
 //!   Retry-token admission, graceful shard drain, and flood resilience.
-//! * [`mptcp`] (`xlink-mptcp`) — the MPTCP-like baseline.
 //! * [`energy`] (`xlink-energy`) — the radio energy model.
 //! * [`harness`] (`xlink-harness`) — sessions, A/B populations, and one
 //!   module per paper table/figure.
@@ -66,7 +65,6 @@ pub use xlink_edge as edge;
 pub use xlink_energy as energy;
 pub use xlink_harness as harness;
 pub use xlink_lab as lab;
-pub use xlink_mptcp as mptcp;
 pub use xlink_netsim as netsim;
 pub use xlink_obs as obs;
 pub use xlink_quic as quic;

@@ -131,7 +131,8 @@ fn failover_event_stream_is_bit_reproducible() {
 /// Differential handover: with the primary blackholed mid-transfer,
 /// XLINK's stall (completion time) must be strictly below both the SP
 /// baseline (which can only wait out the outage under PTO backoff) and
-/// the MPTCP baseline (RTO-driven subflow failover, no re-injection).
+/// the MPTCP arm (only the blocked head is copied; the rest of the
+/// stranded window waits for PTO and the probation requeue).
 #[test]
 fn handover_xlink_stalls_strictly_less_than_baselines() {
     let tuning = TransportTuning::default();
@@ -141,7 +142,7 @@ fn handover_xlink_stalls_strictly_less_than_baselines() {
     for seed in 0..sweep_seeds() {
         let scenario = || handover_scenario(start, down, DEADLINE);
         let sp_r = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, size, seed, None);
-        let mp_r = scenario().bulk_mptcp(size, 2);
+        let mp_r = scenario().bulk_quic(Scheme::Mptcp, &tuning, size, seed, None);
         let xl_r = scenario().bulk_quic(Scheme::Xlink, &tuning, size, seed, None);
         for (scheme, r) in [("sp", &sp_r), ("mptcp", &mp_r), ("xlink", &xl_r)] {
             assert!(

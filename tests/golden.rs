@@ -1,6 +1,6 @@
 //! Golden regression oracle: pins the *bytes* of what the harness
-//! produces — exported qlog streams, MPTCP download times, A/B arm
-//! aggregates and fleet reports — so that a structural refactor is done
+//! produces — exported qlog streams, A/B arm aggregates and fleet
+//! reports — so that a structural refactor is done
 //! when this file passes unchanged. The constants were recorded at the
 //! commit before the `Scenario` refactor, through the runner family it
 //! replaced (ROADMAP "Quality of design":
@@ -125,16 +125,6 @@ fn video_outage(scheme: Scheme) -> (u64, u64) {
     (fnv(log.to_qlog("golden").as_bytes()), fnv(format!("{r:?}").as_bytes()))
 }
 
-/// MPTCP download times in microseconds: clean, degraded flaps, handover.
-fn mptcp_times() -> [u64; 3] {
-    let us = |r: xlink::harness::BulkResult| r.download_time.expect("mptcp completes").as_micros();
-    [
-        us(lossy().bulk_mptcp(SIZE, 2)),
-        us(lossy().with_faults(degraded_flaps()).bulk_mptcp(SIZE, 2)),
-        us(handover_scenario(HANDOVER.0, HANDOVER.1, DEADLINE).bulk_mptcp(SIZE, 2)),
-    ]
-}
-
 /// Digest of the streamed per-arm state of a two-day paired A/B study,
 /// folded from the public accumulators so it does not depend on which
 /// aggregate type carries them.
@@ -187,12 +177,13 @@ fn check(table: &str, rows: &[(String, u64, u64)]) {
     assert!(bad.is_empty(), "{table}: {} of {} golden rows moved", bad.len(), rows.len());
 }
 
-const SCHEMES: [(&str, Scheme); 5] = [
+const SCHEMES: [(&str, Scheme); 6] = [
     ("sp", Scheme::Sp { path: 0 }),
     ("cm", Scheme::Cm),
     ("vanilla", Scheme::VanillaMp),
     ("reinj", Scheme::ReinjNoQoe),
     ("xlink", Scheme::Xlink),
+    ("mptcp", Scheme::Mptcp),
 ];
 
 const FAULTS: [(&str, Fault); 7] = [
@@ -211,7 +202,7 @@ const FAULTS: [(&str, Fault); 7] = [
 /// flight and sends no QoE feedback, so CM rows equal SP rows and XLINK
 /// rows equal always-on re-injection; the video rows below tell them
 /// apart.
-const BULK_QLOG: [[u64; 7]; 5] = [
+const BULK_QLOG: [[u64; 7]; 6] = [
     [
         0xb0f5_b301_ee18_4b97,
         0xb86a_1218_8363_ebf2,
@@ -257,6 +248,15 @@ const BULK_QLOG: [[u64; 7]; 5] = [
         0x4535_75ca_c34e_b8c0,
         0x01a9_aa00_9726_01c3,
     ],
+    [
+        0x9b82_77c6_98b5_b8b8,
+        0xf77d_4321_8799_ae14,
+        0xcccd_eda5_bd2b_8023,
+        0xee75_4269_83bb_f78e,
+        0x15ea_8306_8243_6b3a,
+        0x13c4_246f_db5b_9724,
+        0x67ba_b2ea_4b94_a136,
+    ],
 ];
 
 fn check_bulk_scheme(si: usize) {
@@ -294,6 +294,11 @@ fn bulk_qlog_streams_are_pinned_xlink() {
     check_bulk_scheme(4);
 }
 
+#[test]
+fn bulk_qlog_streams_are_pinned_mptcp() {
+    check_bulk_scheme(5);
+}
+
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
     (0xb9e7_9754_5cf3_968b, 0xf991_e1da_ef9b_3dfb),
@@ -311,20 +316,6 @@ fn traced_video_sessions_are_pinned() {
         rows.push((format!("{name}/result"), result, want.1));
     }
     check("VIDEO_OUTAGE", &rows);
-}
-
-const MPTCP_US: [u64; 3] = [2_524_000, 4_450_000, 4_470_000];
-
-#[test]
-fn mptcp_download_times_are_pinned() {
-    let got = mptcp_times();
-    let rows: Vec<_> = ["clean", "degraded", "handover"]
-        .iter()
-        .zip(got)
-        .zip(MPTCP_US)
-        .map(|((n, g), w)| (n.to_string(), g, w))
-        .collect();
-    check("MPTCP_US", &rows);
 }
 
 const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0x2bf6_639e_9298_ec4d];

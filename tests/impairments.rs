@@ -68,7 +68,7 @@ fn run_class(class: &str, imp: Impairments, flaps: &[(usize, FlapSchedule)]) {
         let scenario =
             || Scenario::new(impaired_paths(&imp, seed), DEADLINE).with_faults(flaps.to_vec());
         let sp_r = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, SIZE, seed, None);
-        let mp_r = scenario().bulk_mptcp(SIZE, 2);
+        let mp_r = scenario().bulk_quic(Scheme::Mptcp, &tuning, SIZE, seed, None);
         let xl_r = scenario().bulk_quic(Scheme::Xlink, &tuning, SIZE, seed, None);
         for (scheme, r) in [("sp", &sp_r), ("mptcp", &mp_r), ("xlink", &xl_r)] {
             assert!(
