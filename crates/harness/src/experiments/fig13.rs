@@ -1,6 +1,8 @@
 //! Fig. 13: extreme mobility — request download time (median and max)
 //! for SP, vanilla-MP, MPTCP, CM, and XLINK across ten trace pairs
-//! collected in subways and on high-speed rail.
+//! collected in subways and on high-speed rail. Every arm is a policy of
+//! the one connection engine ([`Scheme`]); the chunks of a trace are
+//! fetched at evenly spaced points of the ride.
 //!
 //! Expected shape (§7.3): SP suffers badly (no mobility support); CM
 //! helps sometimes but resets cwnd and reacts slowly; MPTCP and
@@ -12,12 +14,15 @@ use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
 use xlink_core::WirelessTech;
 use xlink_netsim::Path;
+use xlink_traces::Trace;
 
 /// Chunk size downloaded repeatedly per trace (the paper uses video-chunk
 /// sized requests; median/max are over the per-chunk times).
 pub const CHUNK_BYTES: u64 = 2 << 20;
-/// Chunks fetched per trace.
+/// Chunks fetched per trace, evenly spaced along the ride.
 pub const CHUNKS_PER_TRACE: u64 = 3;
+/// Length of each (looping) mobility trace.
+const TRACE_MS: u64 = 60_000;
 
 /// The figure's columns, in print order.
 const ARMS: [Scheme; 5] =
@@ -43,21 +48,24 @@ pub struct Fig13Row {
     pub outcomes: Vec<SchemeOutcome>,
 }
 
-fn build_paths(pair: &(xlink_traces::Trace, xlink_traces::Trace), seed: u64) -> Vec<Path> {
-    let cellular = crate::scenario::PathSpec::new(WirelessTech::Lte, pair.0.clone(), seed);
-    let wifi = crate::scenario::PathSpec::new(WirelessTech::Wifi, pair.1.clone(), seed + 1);
+/// The pair's paths for a download that starts `start_ms` into the ride:
+/// both looping traces rotated by that much.
+fn build_paths(pair: &(Trace, Trace), start_ms: u64, seed: u64) -> Vec<Path> {
+    let from = |trace: &Trace| {
+        let rotated = trace.opportunities_ms.iter().map(|t| (t + TRACE_MS - start_ms) % TRACE_MS);
+        Trace::new(&trace.label, rotated.collect())
+    };
+    let cellular = crate::scenario::PathSpec::new(WirelessTech::Lte, from(&pair.0), seed);
+    let wifi = crate::scenario::PathSpec::new(WirelessTech::Wifi, from(&pair.1), seed + 1);
     vec![wifi.build(), cellular.build()]
 }
 
-fn download_times(
-    scheme: Scheme,
-    pair: &(xlink_traces::Trace, xlink_traces::Trace),
-    seed: u64,
-) -> Vec<f64> {
+fn download_times(scheme: Scheme, pair: &(Trace, Trace), seed: u64) -> Vec<f64> {
     let tuning = TransportTuning::default();
     (0..CHUNKS_PER_TRACE)
         .map(|chunk| {
-            let paths = build_paths(pair, seed + chunk * 31);
+            let start_ms = chunk * TRACE_MS / CHUNKS_PER_TRACE;
+            let paths = build_paths(pair, start_ms, seed + chunk * 31);
             let deadline = Duration::from_secs(60);
             let r =
                 run_bulk_quic(scheme, &tuning, CHUNK_BYTES, seed + chunk, paths, vec![], deadline);
@@ -68,7 +76,7 @@ fn download_times(
 
 /// Run over `n_traces` of the ten mobility trace pairs.
 pub fn run(n_traces: usize) -> Vec<Fig13Row> {
-    let pairs = xlink_traces::mobility_trace_pairs(60_000);
+    let pairs = xlink_traces::mobility_trace_pairs(TRACE_MS);
     pairs
         .iter()
         .take(n_traces)
@@ -108,19 +116,30 @@ pub fn print(rows: &[Fig13Row]) {
 mod tests {
     use super::*;
 
+    /// EXPERIMENTS.md's shape criteria for the figure, and the decision
+    /// rule the MPTCP arm was folded into the engine under (ROADMAP item 8).
     #[test]
-    fn xlink_beats_sp_under_mobility() {
-        let rows = run(2);
+    fn figure_has_the_papers_shape() {
+        let rows = run(10);
+        let arm = |r: &Fig13Row, s: Scheme| {
+            r.outcomes.iter().find(|o| o.scheme == s.label()).expect("arm").clone()
+        };
+        let (mut mptcp_ahead, mut mptcp_behind) = (0, 0);
         for r in &rows {
-            let sp = r.outcomes.iter().find(|o| o.scheme == "SP").unwrap();
-            let xl = r.outcomes.iter().find(|o| o.scheme == "XLINK").unwrap();
-            assert!(
-                xl.median_s <= sp.median_s * 1.1,
-                "trace {}: XLINK median {} vs SP {}",
-                r.trace_id,
-                xl.median_s,
-                sp.median_s
-            );
+            let (sp, xl) = (arm(r, Scheme::Sp { path: 0 }), arm(r, Scheme::Xlink));
+            assert!(xl.median_s <= sp.median_s, "trace {}: {xl:?} vs {sp:?}", r.trace_id);
+            let others = r.outcomes.iter().filter(|o| o.scheme != xl.scheme);
+            let worst = others.map(|o| o.max_s).fold(0.0, f64::max);
+            assert!(xl.max_s < worst, "trace {}: XLINK's max is the worst: {r:?}", r.trace_id);
+            let mptcp = arm(r, Scheme::Mptcp);
+            mptcp_ahead += usize::from(mptcp.median_s < sp.median_s);
+            mptcp_behind += usize::from(mptcp.median_s > sp.median_s);
         }
+        assert!(
+            mptcp_ahead >= 2 && mptcp_behind >= 2,
+            "MPTCP helps on {mptcp_ahead} traces and hurts on {mptcp_behind}: no MP-HoL contrast"
+        );
+        let cells = rows.iter().flat_map(|r| &r.outcomes);
+        assert!(cells.into_iter().any(|o| o.median_s != o.max_s), "the chunks are one run thrice");
     }
 }
