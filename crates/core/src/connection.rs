@@ -22,10 +22,7 @@
 //! CM baselines run.
 
 use crate::qoe::{reinjection_decision, QoeControl, QoeSignal};
-use crate::sched::{
-    ecf_choice, max_deliver_time, min_rtt_choice, ReinjectKey, ReinjectLedger, ReinjectMode,
-    SchedulerKind,
-};
+use crate::sched::{max_deliver_time, min_rtt_choice, ReinjectKey, ReinjectLedger, ReinjectMode};
 use crate::wireless::{PrimaryPathPolicy, WirelessTech};
 use xlink_clock::{Duration, Instant};
 use xlink_obs::{prof, Event, Tracer};
@@ -60,8 +57,6 @@ pub struct MpConfig {
     /// offers the extension), ACK_MP routing, liveness, keep-alive. `paths`
     /// and `primary` are set from `path_techs` and `primary_policy`.
     pub conn: Config,
-    /// New-data path selection policy.
-    pub scheduler: SchedulerKind,
     /// Re-injection queue-position policy.
     pub reinject_mode: ReinjectMode,
     /// Re-injection on/off controller.
@@ -82,7 +77,6 @@ impl MpConfig {
         conn.keepalive = Some(Duration::from_secs(5));
         MpConfig {
             conn,
-            scheduler: SchedulerKind::MinRtt,
             reinject_mode: ReinjectMode::FramePriority,
             qoe_control: QoeControl::double_threshold_ms(300, 1500),
             path_techs,
@@ -99,7 +93,6 @@ impl MpConfig {
 
     /// vanilla-MP policy set (min-RTT, no re-injection, original-path ACK).
     pub fn vanilla(mut self) -> Self {
-        self.scheduler = SchedulerKind::MinRtt;
         self.qoe_control = QoeControl::AlwaysOff;
         self.conn.ack_policy = AckPathPolicy::OriginalPath;
         self.reinject_mode = ReinjectMode::Appending;
@@ -110,7 +103,6 @@ impl MpConfig {
 /// The multipath connection under XLINK's policy.
 pub struct MpConnection {
     conn: Connection,
-    scheduler: SchedulerKind,
     reinject_mode: ReinjectMode,
     qoe_control: QoeControl,
     /// Re-injection dedup ledger.
@@ -137,7 +129,6 @@ impl MpConnection {
         cfg.conn.primary = cfg.primary_policy.select_primary(&candidates);
         MpConnection {
             conn: Connection::new(cfg.conn, now),
-            scheduler: cfg.scheduler,
             reinject_mode: cfg.reinject_mode,
             qoe_control: cfg.qoe_control,
             ledger: ReinjectLedger::default(),
@@ -273,11 +264,8 @@ impl MpConnection {
     ) -> Option<(usize, Vec<u8>)> {
         let sched_prof = prof::span!("core/sched_decide");
         self.fill_candidates(candidates);
-        let (path, policy) = match self.scheduler {
-            SchedulerKind::MinRtt => (min_rtt_choice(candidates), "minrtt"),
-            SchedulerKind::Ecf => (ecf_choice(candidates), "ecf"),
-        };
-        let path = path?;
+        let path = min_rtt_choice(candidates)?;
+        let policy = "minrtt";
         drop(sched_prof);
         // Priority preemption (Fig. 4b/4c): a re-injection candidate whose
         // (stream, frame) priority beats the best *unsent* data jumps the
@@ -896,34 +884,6 @@ mod tests {
         c.conn_mut().streams_mut().control.push(Frame::QoeControlSignals(q));
         pump(&mut now, &mut c, &mut s);
         assert_eq!(s.conn().peer_qoe(), Some(&q));
-    }
-
-    #[test]
-    fn ecf_scheduler_completes_transfers() {
-        let now = Instant::ZERO;
-        let mut ccfg = client_cfg(1);
-        ccfg.scheduler = SchedulerKind::Ecf;
-        let mut scfg = server_cfg(2);
-        scfg.scheduler = SchedulerKind::Ecf;
-        let mut c = MpConnection::new(ccfg, now);
-        let mut s = MpConnection::new(scfg, now);
-        let mut now = now;
-        pump(&mut now, &mut c, &mut s);
-        let id = c.open_stream(0);
-        c.stream_send(id, b"req", true);
-        pump(&mut now, &mut c, &mut s);
-        s.stream_recv(id, 10);
-        s.stream_send(id, &vec![4u8; 60_000], true);
-        let mut got = Vec::new();
-        for _ in 0..200 {
-            pump(&mut now, &mut c, &mut s);
-            got.extend(c.stream_recv(id, usize::MAX));
-            if got.len() == 60_000 {
-                break;
-            }
-            now += Duration::from_millis(2);
-        }
-        assert_eq!(got.len(), 60_000);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   `xlink_quic::connection::Connection` (which owns the paths, ACK_MP,
 //!   path validation and PATH_STATUS): primary path selection, path choice
 //!   for new data, re-injection and its QoE gate.
-//! * [`sched`] — min-RTT / ECF path choice and the
-//!   priority-based re-injection modes of Fig. 4.
+//! * [`sched`] — min-RTT path choice and the re-injection modes
+//!   (Fig. 4's three, and the MPTCP baseline's).
 //! * [`qoe`] — QoE signals and the double-thresholding controller
 //!   (Algorithm 1).
 //! * [`liveness`] — the tunables of blackhole detection and automatic
@@ -27,5 +27,5 @@ pub mod wireless;
 pub use connection::{MpConfig, MpConnection, MpPath, MpState, MpStats, PathState};
 pub use liveness::LivenessConfig;
 pub use qoe::{play_time_left, redundancy_ratio, reinjection_decision, QoeControl, QoeSignal};
-pub use sched::{AckPathPolicy, ReinjectMode, SchedulerKind};
+pub use sched::{AckPathPolicy, ReinjectMode};
 pub use wireless::{PrimaryPathPolicy, WirelessTech};

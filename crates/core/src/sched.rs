@@ -1,27 +1,13 @@
 //! Scheduler and re-injection configuration.
 //!
 //! The multipath connection is policy-parameterized: the same state
-//! machine runs vanilla-MP (min-RTT, no re-injection), the redundant
-//! baseline, and XLINK (min-RTT + priority-based re-injection under QoE
-//! control). Which policy is active is an experiment knob. Every scheme of
-//! the paper's evaluation schedules new data by min-RTT; ECF is the one
-//! other choice, a related-work baseline (DESIGN §5).
+//! machine runs vanilla-MP (min-RTT, no re-injection), the MPTCP and
+//! redundant baselines, and XLINK (min-RTT + priority-based re-injection
+//! under QoE control). Which policy is active is an experiment knob. Every
+//! scheme schedules new data by [`min_rtt_choice`].
 
 use xlink_clock::{Duration, Instant};
 use xlink_quic::rtt::RttEstimator;
-
-/// Path selection policy for *new* data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Pick the available path with the lowest smoothed RTT — the
-    /// MPQUIC/MPTCP default the paper calls "vanilla-MP" (§3 footnote 4).
-    MinRtt,
-    /// Earliest-completion-first in the style of ECF (Lim et al.,
-    /// CoNEXT'17 — reference [18] of the paper): when the fastest path's
-    /// window is full, use a slower path only if sending there is
-    /// expected to finish before waiting a fast-path round trip.
-    Ecf,
-}
 
 /// Re-injection queue-position policy (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +34,12 @@ pub enum ReinjectMode {
 /// connection, chosen here.
 pub use xlink_quic::connection::AckPathPolicy;
 
-/// ECF-style choice over `(path_index, rtt, has_cwnd)` candidates: the
+/// ECF-style choice (Lim et al., CoNEXT'17 — reference [18] of the paper)
+/// over `(path_index, rtt, has_cwnd)` candidates: the
 /// fastest path when it has window; otherwise the fastest *available*
 /// path, but only if its RTT beats waiting roughly one fast-path RTT for
-/// the window to reopen (with a small hysteresis factor).
+/// the window to reopen (with a small hysteresis factor). No scheme
+/// selects it; the benchmark times it next to [`min_rtt_choice`].
 pub fn ecf_choice(candidates: &[(usize, Duration, bool)]) -> Option<usize> {
     let fastest = candidates.iter().min_by_key(|&&(i, rtt, _)| (rtt, i))?;
     if fastest.2 {
@@ -70,7 +58,8 @@ pub fn ecf_choice(candidates: &[(usize, Duration, bool)]) -> Option<usize> {
     }
 }
 
-/// Pick the min-RTT path among candidates `(path_index, rtt, has_cwnd)`.
+/// Pick the min-RTT path among candidates `(path_index, rtt, has_cwnd)` —
+/// the MPQUIC/MPTCP default the paper calls "vanilla-MP" (§3 footnote 4).
 /// Paths without congestion window space are skipped; validated paths
 /// without RTT samples use the initial estimate (so fresh paths are
 /// probed). Returns None when every path is blocked.
