@@ -24,15 +24,14 @@ step "cargo fmt --check" cargo fmt --check
 
 step "cargo build --release --offline" cargo build --release --offline
 
-# Debug profile: overflow checks are on for every code path the suite
-# reaches. One seed per sweep here (tests/failover.rs and tests/end_to_end.rs
-# at their default seed counts were most of this step's 587-755 s); the full
+# Test profile (debug assertions and overflow checks on, opt-level 1): every
+# code path the suite reaches is checked. One seed per sweep here; the full
 # seed counts run in the release steps below.
 step "cargo test -q --offline (debug, one seed per sweep)" \
     env XLINK_SWEEP_SEEDS=1 cargo test -q --offline
 
-# Includes the golden oracle (tests/golden.rs: qlog streams, MPTCP times,
-# A/B and fleet reports bit-identical) at the profile it was recorded in.
+# Includes the golden oracle (tests/golden.rs: qlog streams, A/B and fleet
+# reports bit-identical) at the profile it was recorded in.
 step "whole workspace, crate unit tests and the golden oracle included (release)" \
     cargo test -q --offline --workspace --release
 
