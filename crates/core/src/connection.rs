@@ -967,7 +967,7 @@ mod tests {
     /// share has been acknowledged, and path 1 — whose acknowledgements
     /// are still on their way — holds the stream's head. The server has
     /// not been polled since, and has more to send.
-    fn blocked_head_pair(rtt: [u64; 2]) -> (MpConnection, MpConnection, Instant, Wire, u64) {
+    fn blocked_head_pair(rtt: [u64; 2]) -> (MpConnection, Instant, Wire) {
         let mut now = Instant::ZERO;
         let mut c = MpConnection::new(mptcp(client_cfg(1)), now);
         let mut s = MpConnection::new(mptcp(server_cfg(2)), now);
@@ -992,7 +992,7 @@ mod tests {
         wire.run(&mut now, acked, &mut c, &mut s, false);
         assert_eq!(s.conn().in_flight(0), 0, "path 0's share not acknowledged");
         assert!(s.conn().in_flight(1) > 0);
-        (c, s, now, wire, id)
+        (s, now, wire)
     }
 
     /// Cubic's multiplicative decrease (`xlink_quic::cc`).
@@ -1000,7 +1000,7 @@ mod tests {
 
     #[test]
     fn opportunistic_head_goes_first_once_and_penalises_the_holder() {
-        let (_c, mut s, now, mut wire, _) = blocked_head_pair([20, 200]);
+        let (mut s, now, mut wire) = blocked_head_pair([20, 200]);
         let cwnd = |s: &MpConnection| s.conn().paths().iter().map(MpPath::cwnd).collect::<Vec<_>>();
         let (before, cwnd_before) = (s.conn().stats(), cwnd(&s));
         let (path, _) = s.poll_transmit(now).expect("a copy of the blocked head");
@@ -1022,7 +1022,7 @@ mod tests {
 
     #[test]
     fn opportunistic_head_needs_a_holder_twice_as_slow() {
-        let (_c, mut s, now, mut wire, _) = blocked_head_pair([20, 30]);
+        let (mut s, now, mut wire) = blocked_head_pair([20, 30]);
         let before = s.conn().stats();
         wire.send_all(now, false, &mut s);
         let after = s.conn().stats();
@@ -1032,7 +1032,7 @@ mod tests {
 
     #[test]
     fn opportunistic_head_needs_room_on_the_target() {
-        let (_c, mut s, now, ..) = blocked_head_pair([20, 200]);
+        let (mut s, now, _) = blocked_head_pair([20, 200]);
         // Fill the fast path behind the policy's back.
         while s.conn_mut().send_new_data(now, 0).is_some() {}
         assert!(s.conn().budget(0) < MAX_DATAGRAM_SIZE);

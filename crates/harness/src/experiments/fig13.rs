@@ -139,7 +139,7 @@ mod tests {
             mptcp_ahead >= 2 && mptcp_behind >= 2,
             "MPTCP helps on {mptcp_ahead} traces and hurts on {mptcp_behind}: no MP-HoL contrast"
         );
-        let cells = rows.iter().flat_map(|r| &r.outcomes);
-        assert!(cells.into_iter().any(|o| o.median_s != o.max_s), "the chunks are one run thrice");
+        let mut cells = rows.iter().flat_map(|r| &r.outcomes);
+        assert!(cells.any(|o| o.median_s != o.max_s), "the chunks are one run thrice");
     }
 }
