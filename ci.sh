@@ -80,9 +80,13 @@ step "hot-path profile at 10k sessions, recording BENCH_prof.json + the fleet ga
         grep "$gate_row" target/prof_dump.rows > BENCH_fleet.json
         grep -v "$gate_row" target/prof_dump.rows > BENCH_prof.json'
 
+# The crash_rct row's population is 25 users per unit of --scale.
 step "crash-recovery RCT at 1k users, appending recovery percentiles to BENCH_fleet.json" \
-    sh -c 'XLINK_POP_USERS=1000 cargo run -q --release --offline --example crash_rct \
-        >> BENCH_fleet.json'
+    sh -ec 'cargo run -q --release --offline -p xlink-bench --bin experiments -- \
+        crash_rct --scale 40 > target/crash_rct.out
+        ledger_row="^{\"name\":\"crash_rct/"
+        grep -v "$ledger_row" target/crash_rct.out
+        grep "$ledger_row" target/crash_rct.out >> BENCH_fleet.json'
 
 step "perfgate: every exact ledger field equals the committed one (timings printed, not judged)" \
     cargo run -q --release --offline -p xlink-bench --bin perfgate -- \

@@ -1,14 +1,18 @@
-//! The paper's tables and figures, one row of [`TABLE`] each:
+//! The paper's tables and figures and the experiments beyond them, one
+//! row of [`TABLE`] each:
 //!
 //! ```sh
 //! cargo run --release -p xlink-bench --bin experiments -- fig13
 //! cargo run --release -p xlink-bench --bin experiments -- fig11 --scale 2
+//! cargo run --release -p xlink-bench --bin experiments -- fleet_rct --scale 5
 //! cargo run --release -p xlink-bench --bin experiments -- all > experiments_output.txt
 //! ```
 //!
 //! `all` runs the paper's evaluation (every row but the extensions) in the
 //! paper's order, through the same rows as the single runs. `--scale N`
-//! multiplies the populations of the rows that have one (default 1).
+//! multiplies the populations of the rows that have one (default 1); no row
+//! reads the environment. An extension that makes claims asserts them after
+//! it has printed, so a run that breaks one exits non-zero.
 //! DESIGN.md §4 has the index, EXPERIMENTS.md the paper-vs-measured record.
 
 use xlink_harness::experiments as e;
@@ -25,7 +29,7 @@ struct Run {
 /// run-and-print.
 type Row = (&'static str, &'static str, bool, fn(&Run));
 
-const TABLE: [Row; 13] = [
+const TABLE: [Row; 21] = [
     ("fig01", "Fig. 1a/1b: vanilla-MP in-flight/CWND on walking Wi-Fi + LTE", true, |_| {
         e::fig01::print(&e::fig01::run(7))
     }),
@@ -71,20 +75,60 @@ const TABLE: [Row; 13] = [
     ("ablation", "Extension: the re-injection queue-position modes of Fig. 4", false, |r| {
         e::ablation::print(&e::ablation::run(4 * r.scale))
     }),
+    ("threshold_tuning", "Extension: absolute (T_th1, T_th2) sweep, stalls vs cost", false, |r| {
+        e::fig10::print_threshold_tuning(&e::fig10::threshold_tuning(4 * r.scale))
+    }),
+    (
+        "wifi_outage",
+        "Extension: §3.1 walk out of Wi-Fi coverage, SP + Fig. 6 modes",
+        false,
+        |_| e::fig06::print_wifi_outage(&e::fig06::wifi_outage(21)),
+    ),
+    ("subway_ride", "Extension: 8 MB chunk through tunnel outages, Fig. 13's arms", false, |_| {
+        e::fig13::print_subway_ride(&e::fig13::subway_ride(33))
+    }),
+    ("impairment_sweep", "Extension: bulk download under each impairment class", false, |r| {
+        let sweeps = e::impairment_sweep::run(3 * r.scale);
+        e::impairment_sweep::print(&sweeps);
+        sweeps.iter().for_each(e::impairment_sweep::check);
+    }),
+    ("attack_matrix", "Extension: every attack × transport, then the edge floods", false, |r| {
+        let matrix = e::attack_matrix::run(40 * r.scale as usize, 7);
+        e::attack_matrix::print(&matrix);
+        e::attack_matrix::check(&matrix);
+    }),
+    ("fleet_rct", "Extension: SP vs XLINK over a user-randomized fleet, 95% CIs", false, |r| {
+        let (report, wall_s) = e::fleet_rct::run(2_000 * r.scale);
+        e::fleet_rct::print(&report, wall_s)
+    }),
+    ("pop_drain", "Extension: shard drain under load, edge-event timeline", false, |r| {
+        let (report, timeline) = e::pop_drain::run(30 * r.scale as usize, 42);
+        e::pop_drain::print(&report, &timeline);
+        e::pop_drain::check(&report);
+    }),
+    ("crash_rct", "Extension: shard crash, resets vs mute PoP vs drain; ledger rows", false, |r| {
+        let rct = e::crash_rct::run(25 * r.scale as usize, 7);
+        e::crash_rct::print(&rct);
+        e::crash_rct::check(&rct);
+    }),
 ];
+
+/// The rows `name` selects: the paper's evaluation under `all`, else the
+/// row so named (none if there is no such row).
+fn select(name: &str) -> Vec<&'static Row> {
+    let all = name == "all";
+    TABLE.iter().filter(|&&(row, _, paper, _)| if all { paper } else { row == name }).collect()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map(String::as_str);
+    let name = args.first().map_or("", String::as_str);
     let scale = args.windows(2).find(|w| w[0] == "--scale").map_or(Ok(1), |w| w[1].parse::<u64>());
-    let all = name == Some("all");
-    let rows: Vec<&Row> = TABLE
-        .iter()
-        .filter(|&&(row, _, paper, _)| if all { paper } else { Some(row) == name })
-        .collect();
+    let all = name == "all";
+    let rows = select(name);
     let (Ok(scale), false) = (scale, rows.is_empty()) else {
         eprintln!("usage: experiments <name|all> [--scale N]\n");
-        TABLE.iter().for_each(|(name, about, ..)| eprintln!("  {name:<9} {about}"));
+        TABLE.iter().for_each(|(name, about, ..)| eprintln!("  {name:<16} {about}"));
         std::process::exit(2);
     };
     if all {

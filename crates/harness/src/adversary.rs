@@ -721,8 +721,8 @@ pub fn run_path_hijack(scheme: Scheme, seed: u64, attacked_path: usize) -> Hijac
 
 /// Edge-tier attack catalogue: floods aimed at the CDN PoP's admission
 /// and routing layers rather than an established connection. Run via
-/// `crate::pop::run_edge_attack`, which mixes one of these into an
-/// honest client fleet.
+/// `PopRunConfig::attack`, which mixes one of these into an honest client
+/// fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeAttackKind {
     /// Tokenless Initials with a fresh SCID each — a handshake flood

@@ -8,12 +8,19 @@
 //! helps sometimes but resets cwnd and reacts slowly; MPTCP and
 //! vanilla-MP help sometimes but hit MP-HoL blocking; XLINK is
 //! consistently fastest in both median and max.
+//!
+//! [`subway_ride`] is the same comparison as one story: one 8 MB chunk
+//! through the tunnel outages of a single subway trace pair, each arm's
+//! failover timeline printed under its download time.
 
 use crate::bulk::run_bulk_quic;
+use crate::chaos::failover_timeline;
+use crate::scenario::Scenario;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
 use xlink_core::WirelessTech;
 use xlink_netsim::Path;
+use xlink_obs::TraceLog;
 use xlink_traces::Trace;
 
 /// Chunk size downloaded repeatedly per trace (the paper uses video-chunk
@@ -110,6 +117,44 @@ pub fn print(rows: &[Fig13Row]) {
             r.outcomes.iter().map(|o| format!("{:.1}/{:.1}", o.median_s, o.max_s)).collect();
         println!("| {} | {} |", r.trace_id, cells.join(" | "));
     }
+}
+
+/// Big enough that the download rides through at least one tunnel outage
+/// (the cellular trace's first hole opens between 3 and 11 s).
+const RIDE_CHUNK_BYTES: u64 = 8 << 20;
+
+/// Fetch one chunk under every arm on the subway pair drawn from `seed`:
+/// per arm, the download time (`None`: not within 60 s) and the liveness
+/// transitions (§9) with the link ground truth, one line each.
+pub fn subway_ride(seed: u64) -> Vec<(Scheme, Option<Duration>, Vec<String>)> {
+    let pair = (
+        xlink_traces::subway_cellular(seed, TRACE_MS),
+        xlink_traces::hsr_onboard_wifi(seed + 1, TRACE_MS),
+    );
+    let ride = |scheme| {
+        let log = TraceLog::recording();
+        let r = Scenario::new(build_paths(&pair, 0, seed), Duration::from_secs(60))
+            .traced(&log)
+            .bulk_quic(scheme, &TransportTuning::default(), RIDE_CHUNK_BYTES, seed, None);
+        (scheme, r.download_time, failover_timeline(&log))
+    };
+    ARMS.into_iter().map(ride).collect()
+}
+
+/// Print the ride.
+pub fn print_subway_ride(arms: &[(Scheme, Option<Duration>, Vec<String>)]) {
+    println!("Subway ride: fetching an 8 MB chunk through tunnel outages\n");
+    for (scheme, download_time, timeline) in arms {
+        match download_time {
+            Some(d) => println!("{:<12} {:.2} s", scheme.label(), d.as_secs_f64()),
+            None => println!("{:<12} did not finish within 60 s", scheme.label()),
+        }
+        timeline.iter().for_each(|line| println!("    {line}"));
+    }
+    println!(
+        "\nXLINK adapts its packet distribution to the surviving path\n\
+         (and re-injects stranded bytes), so it degrades the least."
+    );
 }
 
 #[cfg(test)]

@@ -1,42 +1,44 @@
-//! Population-scale randomized contrast trial: thousands of users split
-//! user-wise into SP and XLINK arms of one deterministic fleet plan,
-//! reproducing the shape of the paper's Table 1 / Fig. 6 production
+//! Population-scale randomized contrast trial (DESIGN §11): thousands of
+//! users split user-wise into SP and XLINK arms of one deterministic fleet
+//! plan, reproducing the shape of the paper's Table 1 / Fig. 6 production
 //! results — with analytic 95% confidence intervals and constant-memory
 //! streaming aggregation.
-//!
-//! ```sh
-//! cargo run --release --example fleet_rct
-//! XLINK_FLEET_SESSIONS=10000 cargo run --release --example fleet_rct
-//! ```
 
-use xlink::clock::Duration;
-use xlink::harness::fleet::{run_fleet, FleetConfig, Z95};
-use xlink::harness::Scheme;
-use xlink::video::Video;
+use crate::fleet::{run_fleet, FleetConfig, FleetReport, Z95};
+use crate::transport::Scheme;
+use xlink_clock::Duration;
+use xlink_video::Video;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn main() {
-    let users = env_u64("XLINK_FLEET_SESSIONS", 2_000);
-    let shards = env_u64("XLINK_FLEET_SHARDS", 4) as u32;
-
+/// The fleet shape of this row, `prof_dump`, `tests/fleet.rs` and the
+/// 10k-session gate: SP vs XLINK on a short drain-limited video, arrivals
+/// packed into a window shorter than any session, so the whole population
+/// is concurrently live.
+pub fn population(users: u64, shards: u32) -> FleetConfig {
     let mut cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
     cfg.users_per_day = users;
     cfg.shards = shards;
     cfg.video = Video::synth(4, 25, 400_000, 8.0);
     cfg.arrival_window = Duration::from_secs(3);
     cfg.deadline = Duration::from_secs(45);
+    cfg
+}
 
+/// Run `users` sessions on four shards; the merged report and the
+/// wall-clock seconds it took on this host.
+pub fn run(users: u64) -> (FleetReport, f64) {
+    let started = std::time::Instant::now();
+    let report = run_fleet(&population(users, 4));
+    (report, started.elapsed().as_secs_f64())
+}
+
+/// Print the per-arm table, the population differential and the engine's
+/// own counters.
+pub fn print(r: &FleetReport, wall_s: f64) {
+    let users = r.arm_a.sessions + r.arm_b.sessions;
     println!(
-        "XLINK fleet RCT: {} users, SP vs XLINK (user-randomized arms), {} shards\n",
-        users, shards
+        "XLINK fleet RCT: {users} users, SP vs XLINK (user-randomized arms), {} shards\n",
+        r.shards
     );
-    let t0 = std::time::Instant::now();
-    let r = run_fleet(&cfg);
-    let wall = t0.elapsed().as_secs_f64();
-
     let row = |label: &str, a: f64, b: f64, unit: &str| {
         println!("{label:<26} {a:>10.3} {b:>10.3}  {unit}");
     };
@@ -76,6 +78,9 @@ fn main() {
     println!("  sessions run              {}", r.counters.events);
     println!("  simulated packets         {}", r.counters.packets);
     println!("  trace pool                {} KiB", r.trace_pool_bytes / 1024);
-    println!("  wall time                 {wall:.1} s  ({:.0} sessions/s)", users as f64 / wall);
+    println!(
+        "  wall time                 {wall_s:.1} s  ({:.0} sessions/s)",
+        users as f64 / wall_s
+    );
     println!("  report digest             {:016x}", r.digest());
 }

@@ -26,9 +26,7 @@ pub use adversary::{
 pub use bulk::{run_bulk_quic, BulkResult};
 pub use chaos::{failover_timeline, handover_paths, handover_scenario, ChaosPlan, CrashPlan};
 pub use fleet::{run_fleet, run_fleet_profiled, FleetConfig, FleetReport};
-pub use pop::{
-    run_crash_rct, run_edge_attack, run_pop, run_pop_traced, CrashRct, PopReport, PopRunConfig,
-};
+pub use pop::{run_pop, run_pop_traced, PopReport, PopRunConfig};
 pub use scenario::{draw_user_paths, PathSpec, Scenario};
 pub use transport::{
     BoundedState, Conn, Scheme, TransportStats, TransportTuning, REINJECTION_COST_CAP,

@@ -509,52 +509,6 @@ pub fn run_pop_traced(cfg: &PopRunConfig, log: &TraceLog) -> PopReport {
     run_pop_full(cfg, Some(log))
 }
 
-/// Run `kind` with `budget` datagrams mixed into an otherwise honest
-/// population (the flood-resilience experiments).
-pub fn run_edge_attack(kind: EdgeAttackKind, budget: u64, base: &PopRunConfig) -> PopReport {
-    let cfg = PopRunConfig { attack: Some((kind, budget)), ..base.clone() };
-    run_pop_full(&cfg, None)
-}
-
-/// The four arms of the crash randomized controlled trial, all sharing
-/// one seed/population so differences are attributable to the fault
-/// model alone.
-#[derive(Debug, Clone)]
-pub struct CrashRct {
-    /// Shard crash-restarted mid-run; clients recover via stateless
-    /// resets and reconnection.
-    pub crash: PopReport,
-    /// Same crash, but the PoP stays mute (no §10.3 resets): clients
-    /// must exhaust their idle timeout before reconnecting.
-    pub crash_no_reset: PopReport,
-    /// The shard is gracefully drained instead (connection migration,
-    /// no reconnects needed).
-    pub drain: PopReport,
-    /// No fault at all.
-    pub baseline: PopReport,
-}
-
-/// Run the crash RCT: crash (with and without stateless resets) vs
-/// graceful drain vs no-fault, over the shared `base` population, with
-/// shard `shard` failing at `at` and restarting `down` later.
-pub fn run_crash_rct(
-    base: &PopRunConfig,
-    at: Duration,
-    shard: ServerId,
-    down: Duration,
-) -> CrashRct {
-    let crash =
-        PopRunConfig { crash: Some(CrashPlan::single(at, shard, Some(down))), ..base.clone() };
-    let crash_no_reset = PopRunConfig { stateless_reset: false, ..crash.clone() };
-    let drain = PopRunConfig { drain: Some((at, shard)), ..base.clone() };
-    CrashRct {
-        crash: run_pop(&crash),
-        crash_no_reset: run_pop(&crash_no_reset),
-        drain: run_pop(&drain),
-        baseline: run_pop(base),
-    }
-}
-
 /// A scheduled PoP fault.
 enum Fault {
     Drain(ServerId),
@@ -737,7 +691,8 @@ mod tests {
 
     #[test]
     fn initial_flood_leaves_fleet_standing() {
-        let r = run_edge_attack(EdgeAttackKind::InitialFlood, 400, &small());
+        let r =
+            run_pop(&PopRunConfig { attack: Some((EdgeAttackKind::InitialFlood, 400)), ..small() });
         assert_eq!(r.completed, 12, "{r:?}");
         assert!(r.bounded.within_caps() && r.amp_ok, "{r:?}");
         assert_eq!(r.stats.rejected("no_token"), 12 + 400);

@@ -22,28 +22,17 @@
 //! XLINK_FLEET_SESSIONS=10000 cargo run --release --example prof_dump -- --json
 //! ```
 
-use xlink::clock::Duration;
-use xlink::harness::fleet::{run_fleet_profiled, FleetConfig};
-use xlink::harness::{par, Scheme};
+use xlink::harness::experiments::fleet_rct;
+use xlink::harness::fleet::run_fleet_profiled;
+use xlink::harness::par;
 use xlink::obs::ledger::Row;
-use xlink::video::Video;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn main() {
-    let users = env_u64("XLINK_FLEET_SESSIONS", 2_000);
-    let shards = env_u64("XLINK_FLEET_SHARDS", 4) as u32;
+    let sessions = std::env::var("XLINK_FLEET_SESSIONS").ok().and_then(|v| v.parse().ok());
+    let users: u64 = sessions.unwrap_or(2_000);
+    let shards = 4;
     let json = std::env::args().any(|a| a == "--json");
-
-    // Same population shape as the fleet_rct example / tests/fleet.rs.
-    let mut cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
-    cfg.users_per_day = users;
-    cfg.shards = shards;
-    cfg.video = Video::synth(4, 25, 400_000, 8.0);
-    cfg.arrival_window = Duration::from_secs(3);
-    cfg.deadline = Duration::from_secs(45);
+    let cfg = fleet_rct::population(users, shards);
 
     let t0 = std::time::Instant::now();
     let (report, profile) = run_fleet_profiled(&cfg);

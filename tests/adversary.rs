@@ -7,10 +7,12 @@
 //! under a single-path attack, XLINK's honest path finishes the transfer
 //! while single-path QUIC pinned to the attacked path does not.
 //!
-//! Sweep width defaults to 2 seeds for plain `cargo test`; CI pins
-//! `XLINK_SWEEP_SEEDS=8`.
+//! The attack × transport matrix is the `attack_matrix` row's
+//! (`harness::experiments::attack_matrix`). Sweep width defaults to 2
+//! seeds for plain `cargo test`; CI pins `XLINK_SWEEP_SEEDS=8`.
 
 use xlink::clock::Duration;
+use xlink::harness::experiments::attack_matrix::{attacks, VICTIMS};
 use xlink::harness::{run_attack, run_attack_traced, run_path_hijack, AttackKind, Scheme};
 use xlink::obs::TraceLog;
 use xlink::quic::ackranges::MAX_ACK_RANGES;
@@ -21,59 +23,53 @@ fn sweep_seeds() -> u64 {
     std::env::var("XLINK_SWEEP_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(2)
 }
 
-fn victim_schemes() -> [Scheme; 3] {
-    [Scheme::Sp { path: 0 }, Scheme::Mptcp, Scheme::Xlink]
-}
-
 /// Every attack × transport × seed: the victim ends in the documented
 /// terminal state (RFC-correct close code + full drain, or absorbed and
 /// still operating), never panics, and never hangs past the drain budget.
 #[test]
 fn every_attack_terminates_cleanly() {
     for seed in 0..sweep_seeds() {
-        for scheme in victim_schemes() {
-            for kind in AttackKind::all() {
-                let out = run_attack(kind, scheme, seed);
-                assert!(
-                    out.victim_established,
-                    "{}/{} seed {seed}: handshake never completed: {out:?}",
-                    kind.label(),
-                    out.transport,
-                );
-                match kind.expected_close() {
-                    Some((code, by_peer)) => {
-                        assert_eq!(
-                            out.close_code,
-                            Some((code, by_peer)),
-                            "{}/{} seed {seed}: wrong close code: {out:?}",
-                            kind.label(),
-                            out.transport,
-                        );
-                        assert!(
-                            out.drained,
-                            "{}/{} seed {seed}: never finished draining: {out:?}",
-                            kind.label(),
-                            out.transport,
-                        );
-                        // The close itself must happen promptly after the
-                        // hostile packet — well inside the run deadline —
-                        // and the 3×PTO drain follows within it too.
-                        let ttc = out.time_to_close.expect("closed implies a close time");
-                        assert!(
-                            ttc < Duration::from_secs(10),
-                            "{}/{} seed {seed}: close took {ttc}: {out:?}",
-                            kind.label(),
-                            out.transport,
-                        );
-                    }
-                    None => {
-                        assert!(
-                            !out.closed,
-                            "{}/{} seed {seed}: absorbable attack closed the victim: {out:?}",
-                            kind.label(),
-                            out.transport,
-                        );
-                    }
+        for out in attacks(seed) {
+            let kind = out.attack;
+            assert!(
+                out.victim_established,
+                "{}/{} seed {seed}: handshake never completed: {out:?}",
+                kind.label(),
+                out.transport,
+            );
+            match kind.expected_close() {
+                Some((code, by_peer)) => {
+                    assert_eq!(
+                        out.close_code,
+                        Some((code, by_peer)),
+                        "{}/{} seed {seed}: wrong close code: {out:?}",
+                        kind.label(),
+                        out.transport,
+                    );
+                    assert!(
+                        out.drained,
+                        "{}/{} seed {seed}: never finished draining: {out:?}",
+                        kind.label(),
+                        out.transport,
+                    );
+                    // The close itself must happen promptly after the
+                    // hostile packet — well inside the run deadline —
+                    // and the 3×PTO drain follows within it too.
+                    let ttc = out.time_to_close.expect("closed implies a close time");
+                    assert!(
+                        ttc < Duration::from_secs(10),
+                        "{}/{} seed {seed}: close took {ttc}: {out:?}",
+                        kind.label(),
+                        out.transport,
+                    );
+                }
+                None => {
+                    assert!(
+                        !out.closed,
+                        "{}/{} seed {seed}: absorbable attack closed the victim: {out:?}",
+                        kind.label(),
+                        out.transport,
+                    );
                 }
             }
         }
@@ -85,22 +81,19 @@ fn every_attack_terminates_cleanly() {
 #[test]
 fn caps_hold_across_attacks() {
     for seed in 0..sweep_seeds() {
-        for scheme in victim_schemes() {
-            for kind in AttackKind::all() {
-                let out = run_attack(kind, scheme, seed);
-                let m = out.metrics();
-                let label = format!("{}/{} seed {seed}", kind.label(), out.transport);
-                let ranges = m.get_gauge("adversary.peak_recv_ranges").unwrap();
-                assert!(ranges <= MAX_ACK_RANGES as f64, "{label}: recv_ranges {ranges}");
-                let pending = m.get_gauge("adversary.peak_pending_path_responses").unwrap();
-                assert!(
-                    pending <= MAX_PENDING_PATH_RESPONSES as f64,
-                    "{label}: pending path responses {pending}"
-                );
-                let segs = m.get_gauge("adversary.peak_stream_segments").unwrap();
-                assert!(segs <= MAX_STREAM_SEGMENTS as f64, "{label}: stream segments {segs}");
-                assert!(out.peak.within_caps(), "{label}: {:?}", out.peak);
-            }
+        for out in attacks(seed) {
+            let m = out.metrics();
+            let label = format!("{}/{} seed {seed}", out.attack.label(), out.transport);
+            let ranges = m.get_gauge("adversary.peak_recv_ranges").unwrap();
+            assert!(ranges <= MAX_ACK_RANGES as f64, "{label}: recv_ranges {ranges}");
+            let pending = m.get_gauge("adversary.peak_pending_path_responses").unwrap();
+            assert!(
+                pending <= MAX_PENDING_PATH_RESPONSES as f64,
+                "{label}: pending path responses {pending}"
+            );
+            let segs = m.get_gauge("adversary.peak_stream_segments").unwrap();
+            assert!(segs <= MAX_STREAM_SEGMENTS as f64, "{label}: stream segments {segs}");
+            assert!(out.peak.within_caps(), "{label}: {:?}", out.peak);
         }
     }
 }
@@ -110,7 +103,7 @@ fn caps_hold_across_attacks() {
 /// attack quietly staying under the limit.
 #[test]
 fn ack_range_flood_reaches_the_cap() {
-    for scheme in victim_schemes() {
+    for scheme in VICTIMS {
         let out = run_attack(AttackKind::AckRangeFlood, scheme, 0);
         assert!(
             out.peak.recv_ranges_evicted > 0,
@@ -125,7 +118,7 @@ fn ack_range_flood_reaches_the_cap() {
 /// (drop-oldest), not fit inside it.
 #[test]
 fn path_challenge_flood_overflows_the_queue() {
-    for scheme in victim_schemes() {
+    for scheme in VICTIMS {
         let out = run_attack(AttackKind::PathChallengeFlood, scheme, 0);
         assert!(
             out.peak.path_responses_dropped > 0,
@@ -139,7 +132,7 @@ fn path_challenge_flood_overflows_the_queue() {
 /// victim event streams (and qlog serialisations).
 #[test]
 fn attack_event_streams_are_bit_deterministic() {
-    for scheme in victim_schemes() {
+    for scheme in VICTIMS {
         for kind in AttackKind::all() {
             let (a, b) = (TraceLog::recording(), TraceLog::recording());
             let oa = run_attack_traced(kind, scheme, 42, Some(&a));

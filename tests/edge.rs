@@ -18,14 +18,20 @@
 //!    is bit-identical across runs AND across shard counts — even when
 //!    every shard crash-restarts mid-run.
 //!
-//! Population size scales with `XLINK_POP_USERS` (default 48 so plain
-//! debug `cargo test` stays quick); ci.sh re-runs this suite in release
-//! at 1,000 users over an 8-seed sweep.
+//! The population, the floods with their budgets and common contract,
+//! the drain and the crash-RCT arms with their claims are the
+//! `attack_matrix`, `pop_drain` and `crash_rct` rows' (`harness::experiments`). Population size scales with
+//! `XLINK_POP_USERS` (default 48 so plain debug `cargo test` stays
+//! quick); ci.sh re-runs this suite in release at 1,000 users over an
+//! 8-seed sweep.
 
 use xlink::clock::Duration;
-use xlink::harness::{
-    run_edge_attack, run_pop, run_pop_traced, CrashPlan, EdgeAttackKind, PopRunConfig,
+use xlink::harness::experiments::attack_matrix::{check_flood, flood};
+use xlink::harness::experiments::crash_rct::{
+    self, mid_fleet as mid_fleet_crash, population as base,
 };
+use xlink::harness::experiments::pop_drain;
+use xlink::harness::{run_pop, run_pop_traced, CrashPlan, EdgeAttackKind, PopRunConfig};
 use xlink::obs::TraceLog;
 
 fn sweep_seeds() -> u64 {
@@ -34,16 +40,6 @@ fn sweep_seeds() -> u64 {
 
 fn users_env() -> usize {
     std::env::var("XLINK_POP_USERS").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
-}
-
-fn base(users: usize, seed: u64) -> PopRunConfig {
-    PopRunConfig {
-        users,
-        addrs: 16.min(users.max(1)),
-        shards: vec![1, 2, 3],
-        seed,
-        ..PopRunConfig::default()
-    }
 }
 
 /// Admission at fleet scale: every honest session eats exactly one
@@ -74,16 +70,8 @@ fn honest_fleet_completes_through_admission() {
 fn initial_flood_sweep_keeps_gauges_capped_and_fleet_standing() {
     let users = users_env();
     for seed in 0..sweep_seeds() {
-        let r = run_edge_attack(EdgeAttackKind::InitialFlood, 500, &base(users, seed));
-        assert!(
-            r.completion() >= 0.95,
-            "seed {seed}: only {}/{} honest sessions completed: {r:?}",
-            r.completed,
-            r.users
-        );
-        assert!(r.bytes_ok, "seed {seed}: corrupt bytes: {r:?}");
-        assert!(r.bounded.within_caps(), "seed {seed}: gauges out of cap: {:?}", r.bounded);
-        assert!(r.amp_ok, "seed {seed}: amplification budget violated: {r:?}");
+        let r = flood(EdgeAttackKind::InitialFlood, &base(users, seed));
+        check_flood(EdgeAttackKind::InitialFlood, seed, &r);
         // Every flood datagram bounced at admission; none grew a conn.
         assert!(r.stats.rejected("no_token") >= 500, "seed {seed}: {r:?}");
         assert!(r.stats.admitted as usize <= users, "seed {seed}: flood admitted: {r:?}");
@@ -100,51 +88,26 @@ fn initial_flood_sweep_keeps_gauges_capped_and_fleet_standing() {
 fn replay_and_grind_floods_are_absorbed() {
     let users = users_env();
     for seed in 0..sweep_seeds() {
-        let replay = run_edge_attack(EdgeAttackKind::TokenReplay, 120, &base(users, seed));
-        assert!(replay.completion() >= 0.95, "seed {seed}: {replay:?}");
-        assert!(replay.bounded.within_caps() && replay.amp_ok, "seed {seed}: {replay:?}");
+        let replay = flood(EdgeAttackKind::TokenReplay, &base(users, seed));
+        check_flood(EdgeAttackKind::TokenReplay, seed, &replay);
         // One probe admission may slip through (the token's first spend
         // is valid by construction); every other spend is a replay.
         assert!(replay.stats.rejected("replayed_token") >= 119, "seed {seed}: {replay:?}");
         assert!(replay.stats.admitted as usize <= users + 1, "seed {seed}: {replay:?}");
 
-        let grind = run_edge_attack(EdgeAttackKind::CidGrind, 300, &base(users, seed));
-        assert!(grind.completion() >= 0.95, "seed {seed}: {grind:?}");
-        assert!(grind.bounded.within_caps() && grind.amp_ok, "seed {seed}: {grind:?}");
+        let grind = flood(EdgeAttackKind::CidGrind, &base(users, seed));
+        check_flood(EdgeAttackKind::CidGrind, seed, &grind);
         assert!(grind.stats.rejected("no_route") >= 300, "seed {seed}: {grind:?}");
         assert_eq!(grind.stats.admitted as usize, grind.completed, "seed {seed}: {grind:?}");
     }
 }
 
 /// Mid-video drain: with downloads still in flight, draining a shard
-/// migrates every live connection on it to a survivor — the drained
-/// shard empties, the migration ledgers agree, and every session still
-/// finishes with every byte matching the pattern.
+/// migrates every live connection on it to a survivor with zero
+/// stream-byte loss. Every claim is the `pop_drain` row's own `check`.
 #[test]
 fn mid_video_drain_migrates_every_conn_with_zero_byte_loss() {
-    let users = users_env().min(24);
-    let cfg = PopRunConfig {
-        request_bytes: 400_000,
-        drain: Some((Duration::from_millis(150), 1)),
-        ..base(users, 11)
-    };
-    let r = run_pop(&cfg);
-    assert_eq!(r.completed, users, "drain lost a session: {r:?}");
-    assert!(r.bytes_ok, "drain corrupted a stream: {r:?}");
-    let drained = r.shard_stats[&1];
-    assert!(drained.draining, "{drained:?}");
-    assert_eq!(drained.live, 0, "drained shard still owns conns: {drained:?}");
-    assert_eq!(r.stats.migrations, u64::from(drained.migrated_out), "{r:?}");
-    assert!(r.stats.migrations > 0, "drain fired before any conn was live: {r:?}");
-    // Survivors absorbed exactly what the drained shard shed.
-    let migrated_in: u64 = r.shard_stats.values().map(|s| u64::from(s.migrated_in)).sum();
-    assert_eq!(migrated_in, u64::from(drained.migrated_out), "{:?}", r.shard_stats);
-}
-
-/// A crash time that lands mid-fleet at any population size: half the
-/// stagger window plus enough for the early sessions to be mid-download.
-fn mid_fleet_crash(cfg: &PopRunConfig) -> Duration {
-    cfg.stagger * (cfg.users as u32 / 2) + Duration::from_millis(150)
+    pop_drain::check(&pop_drain::run(users_env().min(24), 11).0);
 }
 
 /// Mid-video crash sweep: crash-restarting a shard with downloads in
@@ -189,32 +152,10 @@ fn mid_video_crash_sweep_resumes_with_zero_byte_loss() {
 /// PoP muted (no §10.3 resets), a client only learns its server died by
 /// idling into its own timeout; with resets on, detection is a network
 /// round-trip. Both arms still finish byte-exact — resets buy *time*,
-/// not correctness.
+/// not correctness. Every claim is the row's own `check`.
 #[test]
 fn crash_detection_beats_pto_idle_baseline() {
-    let users = users_env().min(24);
-    let mut cfg = PopRunConfig {
-        request_bytes: 200_000,
-        idle_timeout: Some(Duration::from_secs(2)),
-        ..base(users, 13)
-    };
-    cfg.crash = Some(CrashPlan::single(mid_fleet_crash(&cfg), 1, Some(Duration::from_millis(40))));
-    let with = run_pop(&cfg);
-    let without = run_pop(&PopRunConfig { stateless_reset: false, ..cfg });
-    for (label, r) in [("reset", &with), ("idle", &without)] {
-        assert!(r.completion() >= 0.95, "{label} arm lost sessions: {r:?}");
-        assert!(r.bytes_ok, "{label} arm corrupted a stream: {r:?}");
-        assert!(r.reconnects > 0, "{label} arm: crash hit nobody: {r:?}");
-    }
-    assert!(with.resets_detected > 0, "{with:?}");
-    assert_eq!(without.resets_detected, 0, "mute PoP cannot be reset-detected: {without:?}");
-    let fast = with.mean_detect().expect("reset arm detects");
-    let slow = without.mean_detect().expect("idle arm detects");
-    assert!(fast < slow, "reset detection must beat idle exhaustion: {fast:?} vs {slow:?}");
-    // And not marginally: resets land within a PTO or two of the
-    // restart, idle exhaustion burns the full 2 s budget.
-    assert!(fast < Duration::from_secs(1), "reset detection too slow: {fast:?}");
-    assert!(slow >= Duration::from_secs(1), "idle arm detected implausibly fast: {slow:?}");
+    crash_rct::check(&crash_rct::run(users_env().min(24), 13));
 }
 
 /// Everything a *client* observes — handshake, packet, and stream

@@ -6,27 +6,12 @@
 //! plain debug `cargo test` stays quick); ci.sh re-runs this suite in
 //! release mode at 10,000 sessions for the full-scale guarantee.
 
-use xlink::clock::Duration;
-use xlink::harness::fleet::{run_fleet, run_fleet_profiled, shard_of, FleetConfig, PlanIter};
-use xlink::harness::Scheme;
+use xlink::harness::experiments::fleet_rct::population as fleet_cfg;
+use xlink::harness::fleet::{run_fleet, run_fleet_profiled, shard_of, PlanIter};
 use xlink::obs::prof;
-use xlink::video::Video;
 
 fn sessions_env() -> u64 {
     std::env::var("XLINK_FLEET_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(240)
-}
-
-/// The example/ci fleet shape: a short drain-limited video, arrivals
-/// packed into a window shorter than any session, so the whole
-/// population is concurrently live.
-fn fleet_cfg(users: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
-    cfg.users_per_day = users;
-    cfg.shards = shards;
-    cfg.video = Video::synth(4, 25, 400_000, 8.0);
-    cfg.arrival_window = Duration::from_secs(3);
-    cfg.deadline = Duration::from_secs(45);
-    cfg
 }
 
 /// The headline guarantee: a seeded fleet completes every session with

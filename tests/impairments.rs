@@ -3,162 +3,67 @@
 //! SP vs MPTCP-mode vs XLINK bulk downloads across a seed sweep and
 //! assert (a) no panic/close/stall, (b) the link-level packet
 //! conservation invariant, and (c) the paper's completion-time ordering
-//! (XLINK no slower than single-path) survives the pathology.
+//! (XLINK no slower than single-path) survives the pathology. The
+//! classes, the paths and the three assertions are the
+//! `impairment_sweep` row's (`harness::experiments::impairment_sweep`).
 //!
 //! Sweep width defaults to 3 seeds for plain `cargo test`; CI pins
 //! `XLINK_SWEEP_SEEDS=8`, and larger sweeps are opt-in via the same
 //! variable.
 
 use xlink::clock::{Duration, Instant};
-use xlink::harness::{BulkResult, Scenario, Scheme, TransportTuning};
+use xlink::harness::experiments::impairment_sweep::{self, classes, run_class};
 use xlink::lab::prop::*;
 use xlink::lab::rng::Rng;
-use xlink::netsim::{
-    FlapSchedule, FlapStep, GilbertElliott, Impairment, Impairments, LinkConfig, LinkState, Path,
-};
-
-const SIZE: u64 = 300_000;
-const DEADLINE: Duration = Duration::from_secs(60);
+use xlink::netsim::{GilbertElliott, Impairment, Impairments, LinkConfig};
 
 fn sweep_seeds() -> u64 {
     std::env::var("XLINK_SWEEP_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(3)
 }
 
-/// Two asymmetric paths (Wi-Fi-ish and LTE-ish) with the impairment
-/// applied to all four link directions, seeded per sweep iteration.
-fn impaired_paths(imp: &Impairments, seed: u64) -> Vec<Path> {
-    let mk = |mbps: f64, delay_ms: u64, s: u64| {
-        let mut up = LinkConfig::constant_rate(mbps, Duration::from_millis(delay_ms));
-        up.seed = s;
-        up.impairments = imp.clone();
-        let mut down = up.clone();
-        down.seed = s ^ 0xd0;
-        Path::new(up, down)
-    };
-    vec![
-        mk(20.0, 10, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1)),
-        mk(16.0, 30, seed.wrapping_mul(0x85eb_ca6b).wrapping_add(2)),
-    ]
-}
-
-fn assert_conserved(class: &str, scheme: &str, seed: u64, r: &BulkResult) {
-    for (i, (up, down)) in r.link_stats.iter().enumerate() {
-        assert!(
-            up.is_conserved(),
-            "{class}/{scheme} seed {seed}: path {i} uplink violates conservation: {up:?}"
-        );
-        assert!(
-            down.is_conserved(),
-            "{class}/{scheme} seed {seed}: path {i} downlink violates conservation: {down:?}"
-        );
-    }
-}
-
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
-}
-
 /// Run the three schemes across the sweep for one impairment class and
 /// enforce the three differential assertions.
-fn run_class(class: &str, imp: Impairments, flaps: &[(usize, FlapSchedule)]) {
-    let tuning = TransportTuning::default();
-    let (mut sp, mut mp, mut xl) = (Vec::new(), Vec::new(), Vec::new());
-    for seed in 0..sweep_seeds() {
-        let scenario =
-            || Scenario::new(impaired_paths(&imp, seed), DEADLINE).with_faults(flaps.to_vec());
-        let sp_r = scenario().bulk_quic(Scheme::Sp { path: 0 }, &tuning, SIZE, seed, None);
-        let mp_r = scenario().bulk_quic(Scheme::Mptcp, &tuning, SIZE, seed, None);
-        let xl_r = scenario().bulk_quic(Scheme::Xlink, &tuning, SIZE, seed, None);
-        for (scheme, r) in [("sp", &sp_r), ("mptcp", &mp_r), ("xlink", &xl_r)] {
-            assert!(
-                r.download_time.is_some(),
-                "{class}/{scheme} seed {seed}: download stalled (no completion by {DEADLINE})"
-            );
-            assert_conserved(class, scheme, seed, r);
-        }
-        sp.push(sp_r.download_time.unwrap());
-        mp.push(mp_r.download_time.unwrap());
-        xl.push(xl_r.download_time.unwrap());
-    }
-    // (c) The paper's ordering: multipath with QoE-driven re-injection is
-    // never meaningfully slower than pinning to one path, whatever the
-    // pathology (small tolerance absorbs per-seed noise at the median).
-    let (sp_med, mp_med, xl_med) = (median(sp), median(mp), median(xl));
-    assert!(
-        xl_med <= sp_med.mul_f64(1.15),
-        "{class}: xlink median {xl_med} worse than sp median {sp_med}"
-    );
-    eprintln!("{class}: medians sp={sp_med} mptcp={mp_med} xlink={xl_med}");
+fn sweep(class: &str) {
+    let class = classes().into_iter().find(|c| c.name == class).expect("a class of the sweep");
+    let sweep = run_class(&class, sweep_seeds());
+    impairment_sweep::check(&sweep);
+    let median = |arm| sweep.median(arm).expect("no stall");
+    eprintln!("{}: medians sp={} mptcp={} xlink={}", sweep.class, median(0), median(1), median(2));
 }
 
 #[test]
 fn bursty_loss_differential() {
-    // ~9% average loss in geometric bursts of mean 2 packets.
-    run_class("bursty_loss", Impairments::from(Impairment::bursty_loss(0.05, 0.5)), &[]);
+    sweep("bursty_loss");
 }
 
 #[test]
 fn reordering_differential() {
-    run_class(
-        "reorder",
-        Impairments::from(Impairment::Reorder { prob: 0.3, window: Duration::from_millis(40) }),
-        &[],
-    );
+    sweep("reorder");
 }
 
 #[test]
 fn duplication_differential() {
-    run_class("duplicate", Impairments::from(Impairment::Duplicate { prob: 0.2 }), &[]);
+    sweep("duplicate");
 }
 
 #[test]
 fn corruption_differential() {
-    run_class("corrupt", Impairments::from(Impairment::Corrupt { prob: 0.1 }), &[]);
+    sweep("corrupt");
 }
 
 #[test]
 fn jitter_differential() {
-    run_class(
-        "jitter",
-        Impairments::from(Impairment::Jitter { sigma: Duration::from_millis(8) }),
-        &[],
-    );
+    sweep("jitter");
 }
 
 #[test]
 fn path_flapping_differential() {
-    // Path 0 goes dark early in the transfer, limps back on a degraded
-    // radio, recovers, then blinks once more; path 1 stays healthy.
-    // XLINK must ride through without stalling.
-    run_class("flap", Impairments::none(), &[(0, transfer_window_flap())]);
-}
-
-/// A flap schedule whose pathology lands inside a sub-second transfer:
-/// down at 50ms, degraded from 200ms, healthy at 600ms, one more blink.
-fn transfer_window_flap() -> FlapSchedule {
-    FlapSchedule::new(vec![
-        FlapStep { at: Instant::from_millis(50), state: LinkState::Down },
-        FlapStep {
-            at: Instant::from_millis(200),
-            state: LinkState::Degraded { keep: 0.3, extra_loss: 0.05 },
-        },
-        FlapStep { at: Instant::from_millis(600), state: LinkState::Up },
-        FlapStep { at: Instant::from_millis(900), state: LinkState::Down },
-        FlapStep { at: Instant::from_millis(1100), state: LinkState::Up },
-    ])
+    sweep("flap");
 }
 
 #[test]
 fn combined_pathologies_differential() {
-    // Everything at once, mildly: the "worst day on a train" scenario.
-    let imp = Impairments::none()
-        .with(Impairment::bursty_loss(0.02, 0.5))
-        .with(Impairment::Reorder { prob: 0.15, window: Duration::from_millis(25) })
-        .with(Impairment::Duplicate { prob: 0.05 })
-        .with(Impairment::Corrupt { prob: 0.03 })
-        .with(Impairment::Jitter { sigma: Duration::from_millis(4) });
-    run_class("combined", imp, &[]);
+    sweep("combined");
 }
 
 // ---------------------------------------------------------------------
