@@ -138,3 +138,38 @@ fn main() {
         run(&Run { scale, by_name: !all });
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(rows: &[&Row]) -> Vec<&'static str> {
+        rows.iter().map(|(name, ..)| *name).collect()
+    }
+
+    #[test]
+    fn row_names_are_unique_and_select_their_row() {
+        for (name, ..) in &TABLE {
+            assert_eq!(names(&select(name)), [*name], "{name} names one row");
+        }
+        assert!(select("").is_empty() && select("fig99").is_empty());
+    }
+
+    #[test]
+    fn all_is_the_papers_rows_in_table_order() {
+        let paper: Vec<&Row> = TABLE.iter().filter(|(_, _, paper, _)| *paper).collect();
+        assert_eq!(names(&select("all")), names(&paper));
+        assert_eq!(paper.len(), 12, "ablation and the eight former examples are extensions");
+    }
+
+    #[test]
+    fn every_row_is_in_the_design_index() {
+        let design = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(design).expect("DESIGN.md at the repo root");
+        let index = design.split("\n## ").find(|s| s.starts_with("4. ")).expect("DESIGN §4");
+        for (name, ..) in &TABLE {
+            let command = format!("`experiments {name}`");
+            assert!(index.contains(&command), "{command} is missing from DESIGN.md §4");
+        }
+    }
+}
