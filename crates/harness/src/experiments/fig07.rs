@@ -50,7 +50,6 @@ fn measure(seed: u64, size: u64, primary: usize) -> f64 {
     };
     // Force the primary: wireless-aware policy naturally picks 5G SA; the
     // Wi-Fi-primary arm overrides the ranking.
-    tuning.wireless_aware_primary = true;
     tuning.primary_override = Some(if primary == 0 {
         // Rank Wi-Fi best to force a Wi-Fi start.
         PrimaryPathPolicy::default()

@@ -30,4 +30,4 @@ mod run;
 
 pub use agg::{ArmAgg, ConcurrencyTrack, FleetReport, ShardCounters, Z95};
 pub use plan::{shard_of, stable_hash, FleetConfig, PlanIter, SessionPlan, TracePool};
-pub use run::{fleet_metrics, run_fleet, run_fleet_profiled};
+pub use run::{run_fleet, run_fleet_profiled};

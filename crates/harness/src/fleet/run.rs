@@ -30,7 +30,6 @@ use crate::video_session::{
 };
 use xlink_clock::{Duration, Instant};
 use xlink_obs::prof::{self, ProfReport};
-use xlink_obs::MetricsRegistry;
 
 /// Concurrency-track bin width: fine enough to resolve arrival windows,
 /// coarse enough that a multi-minute horizon stays a few KB.
@@ -130,23 +129,6 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetReport, ProfReport) {
     prof::with_recording(|| run_fleet(cfg))
 }
 
-/// Fleet gauges for the observability registry: simulated concurrency,
-/// the runtime counters (see [`ShardCounters`]) and the trace-pool size.
-pub fn fleet_metrics(report: &FleetReport) -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    let mut f = m.scope("fleet");
-    f.counter("sessions", report.arm_a.sessions + report.arm_b.sessions);
-    f.counter("peak_concurrent", report.peak_concurrent);
-    f.counter("events", report.counters.events);
-    f.counter("packets", report.counters.packets);
-    f.counter("shards", report.shards as u64);
-    f.gauge("peak_queue_depth", report.counters.peak_queue_depth as f64);
-    f.gauge("peak_live_sessions", report.counters.peak_live_sessions as f64);
-    f.gauge("trace_pool_bytes", report.trace_pool_bytes as f64);
-    drop(f);
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,14 +165,5 @@ mod tests {
             one.to_json().split("\"shards\"").next(),
             three.to_json().split("\"shards\"").next()
         );
-    }
-
-    #[test]
-    fn fleet_metrics_registry_has_gauges() {
-        let r = run_fleet(&tiny_fleet(1));
-        let m = fleet_metrics(&r);
-        let json = m.to_json();
-        assert!(json.contains("fleet.peak_concurrent"));
-        assert!(json.contains("fleet.trace_pool_bytes"));
     }
 }

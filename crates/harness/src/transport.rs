@@ -73,9 +73,7 @@ pub struct TransportTuning {
     pub ack_policy: AckPathPolicy,
     /// Wireless technology per path.
     pub path_techs: Vec<WirelessTech>,
-    /// Wireless-aware primary selection on/off.
-    pub wireless_aware_primary: bool,
-    /// Explicit primary-path policy override (beats `wireless_aware_primary`).
+    /// Primary-path policy in place of the wireless-aware default (§5.3).
     pub primary_override: Option<PrimaryPathPolicy>,
     /// Per-path liveness detection and automatic failover (§9) for the
     /// multipath schemes; off restores the pre-liveness baselines.
@@ -88,7 +86,6 @@ impl Default for TransportTuning {
             thresholds_ms: (300, 1500),
             ack_policy: AckPathPolicy::FastestPath,
             path_techs: vec![WirelessTech::Wifi, WirelessTech::Lte],
-            wireless_aware_primary: true,
             primary_override: None,
             auto_failover: true,
         }
@@ -203,8 +200,6 @@ impl Conn {
         cfg.conn.side = side;
         if let Some(policy) = &tuning.primary_override {
             cfg.primary_policy = policy.clone();
-        } else if !tuning.wireless_aware_primary {
-            cfg.primary_policy = PrimaryPathPolicy::unaware();
         }
         if multipath && !tuning.auto_failover {
             (cfg.conn.liveness, cfg.conn.keepalive) = (LivenessConfig::disabled(), None);
