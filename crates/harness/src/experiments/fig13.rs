@@ -15,6 +15,7 @@
 
 use crate::bulk::run_bulk_quic;
 use crate::chaos::failover_timeline;
+use crate::par;
 use crate::scenario::Scenario;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
@@ -81,30 +82,26 @@ fn download_times(scheme: Scheme, pair: &(Trace, Trace), seed: u64) -> Vec<f64> 
         .collect()
 }
 
-/// Run over `n_traces` of the ten mobility trace pairs.
+/// Run over `n_traces` of the ten mobility trace pairs, side by side: a
+/// pair's row is a pure function of its index.
 pub fn run(n_traces: usize) -> Vec<Fig13Row> {
     let pairs = xlink_traces::mobility_trace_pairs(TRACE_MS);
-    pairs
-        .iter()
-        .take(n_traces)
-        .enumerate()
-        .map(|(i, pair)| {
-            let seed = 1000 + i as u64 * 97;
-            let outcomes = ARMS
-                .into_iter()
-                .map(|scheme| {
-                    let mut times = download_times(scheme, pair, seed);
-                    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                    SchemeOutcome {
-                        scheme: scheme.label(),
-                        median_s: times[times.len() / 2],
-                        max_s: *times.last().expect("non-empty"),
-                    }
-                })
-                .collect();
-            Fig13Row { trace_id: i + 1, outcomes }
-        })
-        .collect()
+    par::map(n_traces.min(pairs.len()), |i| {
+        let seed = 1000 + i as u64 * 97;
+        let outcomes = ARMS
+            .into_iter()
+            .map(|scheme| {
+                let mut times = download_times(scheme, &pairs[i], seed);
+                times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                SchemeOutcome {
+                    scheme: scheme.label(),
+                    median_s: times[times.len() / 2],
+                    max_s: *times.last().expect("non-empty"),
+                }
+            })
+            .collect();
+        Fig13Row { trace_id: i + 1, outcomes }
+    })
 }
 
 /// Print the figure.
