@@ -223,14 +223,19 @@ impl Conn {
     const CM_STALL_THRESHOLD: Duration = Duration::from_millis(700);
 
     /// When a CM client's stall clock runs out, if it is running: only an
-    /// established connection with data awaiting acknowledgement migrates.
-    /// `poll_timeout` arms exactly this instant and `poll_transmit` migrates
-    /// from exactly this instant on, which restarts the clock — a due timer
-    /// that the transmit path would not act on spins the world at one
-    /// instant forever.
+    /// established connection that is waiting for the peer migrates — for
+    /// an acknowledgement of data in flight, or for the rest of a response
+    /// on a stream it opened (a download's request is long acknowledged
+    /// when the path under it dies). `poll_timeout` arms exactly this
+    /// instant and `poll_transmit` migrates from exactly this instant on,
+    /// which restarts the clock — a due timer that the transmit path would
+    /// not act on spins the world at one instant forever.
     fn cm_stall_deadline(&self) -> Option<Instant> {
         let conn = self.mp.conn();
-        (self.migrate && conn.is_established() && conn.in_flight(0) > 0)
+        let streams = conn.streams();
+        let awaiting_response =
+            || streams.iter().any(|s| streams.side().opened_by_us(s.id) && !s.recv.is_complete());
+        (self.migrate && conn.is_established() && (conn.in_flight(0) > 0 || awaiting_response()))
             .then(|| self.last_recv + Self::CM_STALL_THRESHOLD)
     }
 

@@ -459,7 +459,9 @@ impl Connection {
 
     /// Connection migration (the CM baseline, §7.3): the one path now runs
     /// over another network path, so congestion state and RTT start over as
-    /// RFC 9000 §9.4 requires.
+    /// RFC 9000 §9.4 requires, and a PING goes out on it — the peer learns
+    /// where to send from a packet arriving there (§9.2), and a migrating
+    /// receiver may have nothing else to say.
     pub fn on_migrate(&mut self) {
         let p = &mut self.paths[self.cfg.primary];
         p.cc = Cubic::new();
@@ -468,6 +470,7 @@ impl Connection {
         // new one; probing resumes at the base PTO.
         p.space.recovery.reset_pto_count();
         (p.suspected, p.suspect_probes) = (false, 0);
+        p.probe_pending = true;
         self.stats.migrations += 1;
     }
 

@@ -198,3 +198,26 @@ fn cm_survives_a_long_outage_without_livelock() {
     assert!(r.completed, "CM must play to the end: {:?}", r.player);
     assert!(r.client_transport.migrations >= 1, "the outage must trigger a migration");
 }
+
+/// Regression: the CM stall clock ran only while the *client* had bytes in
+/// flight, so a download — request long acked, response outstanding —
+/// never migrated and CM equalled SP to the microsecond (Fig. 13).
+#[test]
+fn cm_migrates_on_a_download_and_beats_sp_through_an_outage() {
+    use xlink::harness::{handover_scenario, TransportTuning};
+    let (start, down) = (Duration::from_millis(500), Duration::from_secs(3));
+    let download = |scheme| {
+        let r = handover_scenario(start, down, Duration::from_secs(60)).bulk_quic(
+            scheme,
+            &TransportTuning::default(),
+            2_000_000,
+            3,
+            None,
+        );
+        (r.download_time.expect("finishes"), r.client_transport.expect("one engine").migrations)
+    };
+    let (cm, migrations) = download(Scheme::Cm);
+    let (sp, _) = download(Scheme::Sp { path: 0 });
+    assert!(migrations >= 1, "the outage on path 0 must trigger a migration");
+    assert!(cm < sp, "CM {cm} must finish before SP pinned to the dark path {sp}");
+}

@@ -198,10 +198,10 @@ const FAULTS: [(&str, Fault); 7] = [
 
 /// Recorded qlog hashes, `BULK_QLOG[scheme][fault]` in the order of
 /// [`SCHEMES`] × [`FAULTS`] (the `degraded` column hashes the result's
-/// debug rendering, see [`bulk_qlog`]). A bulk client keeps nothing in
-/// flight and sends no QoE feedback, so CM rows equal SP rows and XLINK
-/// rows equal always-on re-injection; the video rows below tell them
-/// apart.
+/// debug rendering, see [`bulk_qlog`]). A bulk client sends no QoE
+/// feedback, so XLINK rows equal always-on re-injection (the video rows
+/// below tell them apart), and CM rows equal SP rows where no outage
+/// outlasts CM's 700 ms stall clock.
 const BULK_QLOG: [[u64; 7]; 6] = [
     [
         0xb0f5_b301_ee18_4b97,
@@ -214,12 +214,12 @@ const BULK_QLOG: [[u64; 7]; 6] = [
     ],
     [
         0xb0f5_b301_ee18_4b97,
-        0xb86a_1218_8363_ebf2,
+        0xc483_0265_d833_8798,
         0x3a58_39b1_b870_1eb6,
-        0xe2ff_2b1f_3e01_3853,
-        0x8f3a_d1bf_eabc_d5dc,
+        0x5b3e_223a_765e_0816,
+        0xa0d3_aa64_1dda_1d02,
         0xa7cf_1948_8212_8055,
-        0x9b54_112c_78bf_c916,
+        0x80b5_ef7d_93ec_f43f,
     ],
     [
         0x5cfe_9ba9_9b28_be7f,
