@@ -10,7 +10,7 @@ use crate::scenario::Scenario;
 use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::{Duration, Instant};
 use xlink_lab::stats::print_table;
-use xlink_netsim::{FlapSchedule, FlapStep, Impairment, Impairments, LinkConfig, LinkState, Path};
+use xlink_netsim::{FlapSchedule, Impairment, Impairments, LinkConfig, LinkState, Path};
 
 const SIZE: u64 = 300_000;
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -36,16 +36,13 @@ pub fn classes() -> Vec<Class> {
     let stage = |name, imp: Impairment| Class { name, impairments: imp.into(), flaps: vec![] };
     // Path 0 goes dark early in the sub-second transfer, limps back on a
     // degraded radio, recovers, then blinks once more; path 1 stays healthy.
-    let flap = FlapSchedule::new(vec![
-        FlapStep { at: Instant::from_millis(50), state: LinkState::Down },
-        FlapStep {
-            at: Instant::from_millis(200),
-            state: LinkState::Degraded { keep: 0.3, extra_loss: 0.05 },
-        },
-        FlapStep { at: Instant::from_millis(600), state: LinkState::Up },
-        FlapStep { at: Instant::from_millis(900), state: LinkState::Down },
-        FlapStep { at: Instant::from_millis(1100), state: LinkState::Up },
-    ]);
+    let at = Instant::from_millis;
+    let flap = FlapSchedule::default()
+        .step(at(50), LinkState::Down)
+        .step(at(200), LinkState::Degraded { keep: 0.3, extra_loss: 0.05 })
+        .step(at(600), LinkState::Up)
+        .step(at(900), LinkState::Down)
+        .step(at(1100), LinkState::Up);
     // Everything at once, mildly: the "worst day on a train" scenario.
     let combined = Impairments::none()
         .with(Impairment::bursty_loss(0.02, 0.5))

@@ -1,22 +1,21 @@
 //! Graceful shard-drain timeline (DESIGN §13): a fleet of honest
 //! video-sized downloads against a 3-shard CID-routed PoP, one shard
-//! drained mid-transfer, and the traced edge-event timeline — every
-//! admission, the drain announcement, and each live connection's
-//! migration onto a surviving shard — followed by the zero-loss scorecard.
+//! drained mid-transfer, and the traced edge-event timeline — the drain
+//! announcement and each live connection's migration onto a surviving
+//! shard — followed by the zero-loss scorecard.
 
 use super::crash_rct::population;
 use crate::pop::{run_pop_traced, PopReport, PopRunConfig};
 use xlink_clock::Duration;
 use xlink_core::lb::ServerId;
-use xlink_obs::{Event, TraceLog};
+use xlink_obs::TraceLog;
 
 /// The shard that is drained, and when.
 const SHARD: ServerId = 1;
 const AT: Duration = Duration::from_millis(150);
 
 /// Drain shard 1 at 150 ms under `users` sessions of 400 KB each: the
-/// scorecard and the `edge.pop` source's timeline, one `time-ms  event`
-/// line per event.
+/// scorecard and the drain's timeline, one `time-ms  event` line per event.
 pub fn run(users: usize, seed: u64) -> (PopReport, Vec<String>) {
     let cfg = PopRunConfig {
         request_bytes: 400_000,
@@ -25,35 +24,12 @@ pub fn run(users: usize, seed: u64) -> (PopReport, Vec<String>) {
     };
     let log = TraceLog::recording();
     let report = run_pop_traced(&cfg, &log);
-    let mut timeline = Vec::new();
-    let mut admits = 0u32;
-    for ev in log.events() {
-        if log.source_name(ev.source) != "edge.pop" {
-            continue;
-        }
-        let what = match ev.body {
-            Event::EdgeAdmit { shard } => {
-                admits += 1;
-                // The full admission log is long; elide the middle.
-                (admits <= 5 || admits.is_multiple_of(10))
-                    .then(|| format!("admit #{admits} -> shard {shard}"))
-            }
-            Event::EdgeReject { reason } => {
-                (reason != "no_token").then(|| format!("reject ({reason})"))
-            }
-            Event::ShardDrain { shard, conns } => {
-                Some(format!("DRAIN shard {shard}: {conns} live conns to migrate"))
-            }
-            Event::ConnMigrated { from_shard, to_shard } => {
-                Some(format!("migrate shard {from_shard} -> shard {to_shard}"))
-            }
-            _ => None,
-        };
-        if let Some(what) = what {
-            timeline.push(format!("{:>10.1}  {what}", ev.time.as_micros() as f64 / 1000.0));
-        }
-    }
-    (report, timeline)
+    let events = log.events().into_iter().filter(|e| log.source_name(e.source) == "edge.pop");
+    let drain = events.filter(|e| matches!(e.body.name(), "shard_drain" | "conn_migrated"));
+    let line = |e: xlink_obs::TraceEvent| {
+        format!("{:>10.1}  {:?}", e.time.as_micros() as f64 / 1000.0, e.body)
+    };
+    (report, drain.map(line).collect())
 }
 
 /// With downloads still in flight, the drain migrates every live
