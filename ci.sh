@@ -92,6 +92,14 @@ step "perfgate: every exact ledger field equals the committed one (timings print
     cargo run -q --release --offline -p xlink-bench --bin perfgate -- \
     BENCH_prof.json BENCH_fleet.json
 
+# The gate passed, so the fresh files differ from the committed ones in
+# advisory readings only, and perfgate has printed those: put the committed
+# files back and a green run leaves the tree as it found it. (A failed gate
+# stops above with the fresh files in place, ready to commit if the move is
+# meant.)
+mv BENCH_prof.json.prev BENCH_prof.json
+mv BENCH_fleet.json.prev BENCH_fleet.json
+
 # The repository's benchmark is its own package with its own target
 # directory; a PR that breaks a `pub` item it imports, or one of its own
 # checks (conservation, sim_digest across repetitions, bytes_ok), fails
