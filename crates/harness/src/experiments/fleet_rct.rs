@@ -23,11 +23,14 @@ pub fn population(users: u64, shards: u32) -> FleetConfig {
     cfg
 }
 
-/// Run `users` sessions on four shards; the merged report and the
-/// wall-clock seconds it took on this host.
+/// Shards of the row and of `prof_dump` (reports do not depend on it).
+pub const SHARDS: u32 = 4;
+
+/// Run `users` sessions; the merged report and the wall-clock seconds it
+/// took on this host.
 pub fn run(users: u64) -> (FleetReport, f64) {
     let started = std::time::Instant::now();
-    let report = run_fleet(&population(users, 4));
+    let report = run_fleet(&population(users, SHARDS));
     (report, started.elapsed().as_secs_f64())
 }
 

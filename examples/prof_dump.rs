@@ -30,7 +30,7 @@ use xlink::obs::ledger::Row;
 fn main() {
     let sessions = std::env::var("XLINK_FLEET_SESSIONS").ok().and_then(|v| v.parse().ok());
     let users: u64 = sessions.unwrap_or(2_000);
-    let shards = 4;
+    let shards = fleet_rct::SHARDS;
     let json = std::env::args().any(|a| a == "--json");
     let cfg = fleet_rct::population(users, shards);
 

@@ -20,10 +20,10 @@
 //!
 //! The population, the floods with their budgets and common contract,
 //! the drain and the crash-RCT arms with their claims are the
-//! `attack_matrix`, `pop_drain` and `crash_rct` rows' (`harness::experiments`). Population size scales with
-//! `XLINK_POP_USERS` (default 48 so plain debug `cargo test` stays
-//! quick); ci.sh re-runs this suite in release at 1,000 users over an
-//! 8-seed sweep.
+//! `attack_matrix`, `pop_drain` and `crash_rct` rows'
+//! (`harness::experiments`). Population size scales with `XLINK_POP_USERS`
+//! (default 48 so plain debug `cargo test` stays quick); ci.sh re-runs
+//! this suite in release at 1,000 users over an 8-seed sweep.
 
 use xlink::clock::Duration;
 use xlink::harness::experiments::attack_matrix::{check_flood, flood};
