@@ -84,6 +84,8 @@ pub struct Recovery<T> {
     loss_time: Option<Instant>,
     pto_count: u32,
     bytes_in_flight: u64,
+    /// Ack-eliciting packets in `sent`.
+    ack_eliciting_in_flight: usize,
     /// Current (adaptive) packet-reordering threshold.
     packet_threshold: u64,
     /// Recently declared-lost packets → reorder gap at declaration, kept
@@ -110,6 +112,7 @@ impl<T> Recovery<T> {
             loss_time: None,
             pto_count: 0,
             bytes_in_flight: 0,
+            ack_eliciting_in_flight: 0,
             packet_threshold: PACKET_THRESHOLD,
             recent_lost: BTreeMap::new(),
             spurious_losses: 0,
@@ -149,7 +152,15 @@ impl<T> Recovery<T> {
 
     /// True if any ack-eliciting packet is outstanding.
     pub fn has_ack_eliciting_in_flight(&self) -> bool {
-        self.sent.values().any(|p| p.ack_eliciting)
+        self.ack_eliciting_in_flight > 0
+    }
+
+    /// `packet` left `sent` (acked or declared lost): the counters follow.
+    fn on_left_flight(&mut self, packet: &SentPacket<T>) {
+        if packet.in_flight {
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(packet.size);
+        }
+        self.ack_eliciting_in_flight -= usize::from(packet.ack_eliciting);
     }
 
     /// Current PTO backoff exponent.
@@ -177,6 +188,7 @@ impl<T> Recovery<T> {
         if ack_eliciting {
             self.time_of_last_ack_eliciting = Some(now);
             self.bytes_in_flight += size;
+            self.ack_eliciting_in_flight += 1;
         }
         self.sent.insert(
             pn,
@@ -240,9 +252,7 @@ impl<T> Recovery<T> {
             let keys: Vec<u64> = self.sent.range(start..=end).map(|(k, _)| *k).collect();
             for k in keys {
                 let p = self.sent.remove(&k).expect("key just seen");
-                if p.in_flight {
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(p.size);
-                }
+                self.on_left_flight(&p);
                 match largest_newly_acked {
                     Some((pn, _, _)) if pn >= p.pn => {}
                     _ => largest_newly_acked = Some((p.pn, p.time_sent, p.ack_eliciting)),
@@ -305,9 +315,7 @@ impl<T> Recovery<T> {
         }
         for pn in to_remove {
             let p = self.sent.remove(&pn).expect("key just seen");
-            if p.in_flight {
-                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(p.size);
-            }
+            self.on_left_flight(&p);
             self.recent_lost.insert(pn, largest_acked.saturating_sub(pn));
             while self.recent_lost.len() > LOST_HISTORY_CAP {
                 let oldest = *self.recent_lost.keys().next().expect("non-empty");
@@ -360,7 +368,7 @@ impl<T> Recovery<T> {
     /// Drain every tracked packet (used when abandoning a path: its
     /// in-flight data must be re-queued elsewhere).
     pub fn drain_all(&mut self) -> Vec<SentPacket<T>> {
-        self.bytes_in_flight = 0;
+        (self.bytes_in_flight, self.ack_eliciting_in_flight) = (0, 0);
         let sent = std::mem::take(&mut self.sent);
         sent.into_values().collect()
     }
@@ -550,6 +558,45 @@ mod tests {
         assert!(!rec.has_ack_eliciting_in_flight());
         let rtt = rtt_with(50);
         assert!(rec.next_timeout(&rtt, Duration::ZERO).is_none());
+    }
+
+    /// The ack-eliciting counter against a walk of `sent`, after every step
+    /// of a random sent / acked / lost / drained sequence.
+    #[test]
+    fn prop_ack_eliciting_counter_matches_the_walk() {
+        use xlink_lab::prop::*;
+        check(
+            "prop_ack_eliciting_counter_matches_the_walk",
+            vec_of((0u8..8, 0u64..40, 0u64..12), 0..60),
+            |ops| {
+                let mut rec: Recovery<()> = Recovery::new();
+                let mut rtt = rtt_with(20);
+                let mut now = t(0);
+                for &(kind, a, b) in ops {
+                    now += Duration::from_millis(b);
+                    match kind {
+                        0..=2 => drop(rec.on_packet_sent(now, 1200, true, ())),
+                        3 => drop(rec.on_packet_sent(now, 60, false, ())),
+                        // Acks with gaps declare the packets below them lost.
+                        4 | 5 if rec.peek_pn() > 0 => {
+                            let start = a % rec.peek_pn();
+                            let end = (start + b).min(rec.peek_pn() - 1);
+                            let ranges = [(start, end)].into_iter();
+                            drop(rec.on_ack_received(now, ranges, &mut rtt, Duration::ZERO));
+                        }
+                        6 => drop(rec.on_timeout(now + Duration::from_millis(a * 10), &rtt)),
+                        7 if a < 4 => drop(rec.drain_all()),
+                        _ => {}
+                    }
+                    let walked = rec.unacked().any(|p| p.ack_eliciting);
+                    prop_assert_eq!(rec.has_ack_eliciting_in_flight(), walked);
+                    let in_flight: u64 =
+                        rec.unacked().filter(|p| p.in_flight).map(|p| p.size).sum();
+                    prop_assert_eq!(rec.bytes_in_flight(), in_flight);
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
