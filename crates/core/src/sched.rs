@@ -6,8 +6,12 @@
 //! under QoE control). Which policy is active is an experiment knob. Every
 //! scheme schedules new data by [`min_rtt_choice`].
 
-use xlink_clock::{Duration, Instant};
+use xlink_clock::Duration;
 use xlink_quic::rtt::RttEstimator;
+
+/// The record of what was re-injected where, which the connection keeps as
+/// part of its index of re-injection candidates.
+pub use xlink_quic::connection::{ReinjectKey, ReinjectLedger};
 
 /// Re-injection queue-position policy (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +32,21 @@ pub enum ReinjectMode {
     /// least twice as slow (smoothed RTT) as the scheduled one. It goes
     /// ahead of unsent data, and the holder takes one congestion event.
     OpportunisticHead,
+}
+
+impl ReinjectMode {
+    /// Where data queues under the mode (Fig. 4), lower first, given its
+    /// stream's priority and its video frame's: appending mode and the
+    /// MPTCP arm's byte stream rank nothing (one FIFO), the priority modes
+    /// rank by stream priority, within which frame-priority mode also ranks
+    /// by video-frame priority.
+    pub fn rank(self) -> fn(u8, u8) -> (u8, u8) {
+        match self {
+            ReinjectMode::Appending | ReinjectMode::OpportunisticHead => |_, _| (0, 0),
+            ReinjectMode::StreamPriority => |stream, _| (stream, 0),
+            ReinjectMode::FramePriority => |stream, frame| (stream, frame),
+        }
+    }
 }
 
 /// ACK_MP return-path policy (paper §5.3 and Fig. 8): routed by the
@@ -79,55 +98,10 @@ pub fn max_deliver_time<'a>(
     paths.filter(|&(_, has_unacked)| has_unacked).map(|(rtt, _)| rtt.deliver_time()).max()
 }
 
-/// Bookkeeping for one re-injected range so the same bytes are not
-/// re-injected onto the same path twice while still in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReinjectKey {
-    /// Stream carrying the bytes.
-    pub stream_id: u64,
-    /// Start offset of the re-injected range.
-    pub start: u64,
-    /// Path the copy was sent on.
-    pub path: usize,
-}
-
-/// Tracks outstanding re-injections with expiry (entries are dropped once
-/// older than a few RTTs so state stays bounded).
-#[derive(Debug, Default)]
-pub struct ReinjectLedger {
-    entries: Vec<(ReinjectKey, Instant)>,
-}
-
-impl ReinjectLedger {
-    /// Record a re-injection at `now`.
-    pub fn record(&mut self, key: ReinjectKey, now: Instant) {
-        self.entries.push((key, now));
-    }
-
-    /// True if this (stream, start, path) was already re-injected.
-    pub fn contains(&self, key: &ReinjectKey) -> bool {
-        self.entries.iter().any(|(k, _)| k == key)
-    }
-
-    /// Drop entries older than `ttl`.
-    pub fn expire(&mut self, now: Instant, ttl: Duration) {
-        self.entries.retain(|&(_, t)| now.saturating_duration_since(t) < ttl);
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no re-injections are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlink_clock::Instant;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)

@@ -129,6 +129,12 @@ impl AckRanges {
         self.enforce_cap();
     }
 
+    /// The first range that ends at or after `pn`: the one holding `pn`, or
+    /// else the next one above it.
+    pub fn first_ending_from(&self, pn: u64) -> Option<PnRange> {
+        self.ranges.get(self.ranges.partition_point(|r| r.end < pn)).copied()
+    }
+
     /// True if `pn` is in the set.
     pub fn contains(&self, pn: u64) -> bool {
         let idx = self.ranges.partition_point(|r| r.start <= pn);

@@ -23,12 +23,14 @@ mod keys;
 mod lifecycle;
 pub mod liveness;
 mod path;
+mod reinject;
 mod space;
 
 pub use keys::{hello_random, placeholder_dcid, Keys, Opened, ResetOracle, MAX_RESET_TOKENS};
 pub use lifecycle::{Expiry, Lifecycle, State};
 pub use liveness::LivenessConfig;
 pub use path::{AckPathPolicy, Path, PathState};
+pub use reinject::{Rank, ReinjectCandidate, ReinjectIndex, ReinjectKey, ReinjectLedger};
 pub use space::{PnSpace, SentFrame};
 
 use crate::ackranges::MAX_ACK_RANGES;
@@ -232,6 +234,9 @@ pub struct Connection {
     /// to, learned from its transport parameters and NEW_CONNECTION_ID
     /// frames, each for the path whose destination CID it covers.
     oracle: ResetOracle,
+    /// Which stream frames in flight may be copied onto which other path,
+    /// if a policy re-injects ([`Connection::track_reinjection`]).
+    reinject: Option<ReinjectIndex>,
     tracer: Tracer,
 }
 
@@ -295,6 +300,7 @@ impl Connection {
             retired_local: Vec::new(),
             cid_epoch: 0,
             oracle: ResetOracle::default(),
+            reinject: None,
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -449,6 +455,7 @@ impl Connection {
     /// timer but the drain deadline, so until then the state just sits).
     fn free_state(&mut self) {
         self.streams.control = Vec::new();
+        self.reinject = None;
         self.keys.release();
         let _ = self.initial.recovery.drain_all();
         for p in &mut self.paths {
@@ -744,8 +751,17 @@ impl Connection {
             // Streams and flow control; PADDING, PING, HANDSHAKE_DONE and
             // the rest need nothing done.
             other => {
+                // A STOP_SENDING resets the stream: what was queued again no
+                // longer is.
+                let reset = match other {
+                    Frame::StopSending { stream_id, .. } => Some(stream_id),
+                    _ => None,
+                };
                 if let Err((e, why)) = self.streams.on_frame(other) {
                     self.close(e, why);
+                }
+                if let (Some(id), Some(index)) = (reset, &mut self.reinject) {
+                    index.refresh_stream(&self.streams, id);
                 }
             }
         }
@@ -800,7 +816,7 @@ impl Connection {
                 cc_touched = true;
             }
             self.tracer.emit(now, Event::PacketAcked { path: path as u8, pn: pkt.pn });
-            for sent in &pkt.content {
+            for (nth, sent) in pkt.content.iter().enumerate() {
                 match sent {
                     // Prune acknowledged ack state: once the peer has seen
                     // an ACK, what lies 512 below its largest need not be
@@ -812,7 +828,11 @@ impl Connection {
                         }
                     }
                     SentFrame::HandshakeDone => self.keys.done_sent = true,
-                    other => self.streams.on_sent_frame_acked(other),
+                    SentFrame::Stream { id, range, fin, .. } => {
+                        let forgot = self.streams.on_sent_frame_acked(sent);
+                        self.on_range_gone((path, pkt.pn, nth), *id, *range, *fin, forgot);
+                    }
+                    _ => {}
                 }
             }
         }
@@ -844,7 +864,7 @@ impl Connection {
                 newest_lost_sent =
                     Some(newest_lost_sent.map_or(pkt.time_sent, |t| t.max(pkt.time_sent)));
             }
-            for sent in pkt.content {
+            for (nth, sent) in pkt.content.into_iter().enumerate() {
                 match sent {
                     SentFrame::Crypto => self.keys.hello_sent = false, // resend hello
                     SentFrame::HandshakeDone => self.keys.done_sent = false,
@@ -859,10 +879,12 @@ impl Connection {
                     // the challenge arrived on. Goes through the §10 cap
                     // like a fresh challenge.
                     SentFrame::Response(data) => self.pin_response(path, data),
-                    other => {
+                    frame @ SentFrame::Stream { id, range, fin, .. } => {
                         self.stats.stream_bytes_retransmitted +=
-                            self.streams.on_sent_frame_lost(other);
+                            self.streams.on_sent_frame_lost(frame);
+                        self.on_range_gone((path, pn, nth), id, range, fin, false);
                     }
+                    other => drop(self.streams.on_sent_frame_lost(other)),
                 }
             }
         }
@@ -1067,22 +1089,22 @@ impl Connection {
     }
 
     /// A datagram of copies, on `path`, of stream ranges in flight on other
-    /// paths (multipath re-injection): each `(stream, range, fin)` goes out
-    /// again as it stands in the stream's send buffer, marked so that its
-    /// loss is not retransmitted — the original, or another copy, still
-    /// covers it. The caller sizes the ranges to the path's budget.
+    /// paths (multipath re-injection): each range goes out again as it
+    /// stands in the stream's send buffer, marked so that its loss is not
+    /// retransmitted — the original, or another copy, still covers it. The
+    /// caller sizes the ranges to the path's budget.
     pub fn send_copies(
         &mut self,
         now: Instant,
         path: usize,
-        ranges: &[(u64, SendRange, bool)],
+        copies: &[ReinjectCandidate],
     ) -> Option<(usize, Vec<u8>)> {
         if !self.is_established() {
             return None;
         }
         let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let mut content = Vec::with_capacity(ranges.len());
-        for &(id, range, fin) in ranges {
+        let mut content = Vec::with_capacity(copies.len());
+        for &ReinjectCandidate { stream_id: id, range, fin, .. } in copies {
             let Some(stream) = self.streams.get(id) else { continue };
             Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
             content.push(SentFrame::Stream { id, range, fin, reinjected: true });
@@ -1101,6 +1123,50 @@ impl Connection {
     pub fn penalize_path(&mut self, now: Instant, path: usize) {
         self.paths[path].cc.on_congestion_event(now, now);
         self.trace_cwnd(now, path);
+    }
+
+    /// Keep the index of re-injection candidates, for a policy that queues
+    /// ranges by `rank(stream priority, frame priority)`. Before any stream
+    /// data is sent.
+    pub fn track_reinjection(&mut self, rank: fn(u8, u8) -> Rank) {
+        self.reinject = Some(ReinjectIndex::new(self.paths.len(), rank));
+    }
+
+    /// Stream frames in flight on other paths that may be copied onto
+    /// `target`, most urgent first (within a rank by stream and offset):
+    /// none unless [`Connection::track_reinjection`] was called. As of the
+    /// last [`Connection::expire_copies`].
+    pub fn reinject_candidates(
+        &self,
+        target: usize,
+    ) -> impl Iterator<Item = ReinjectCandidate> + '_ {
+        self.reinject.iter().flat_map(move |index| index.candidates(target))
+    }
+
+    /// Copies sent [`reinject::COPY_LIFETIME`] before `now` no longer keep
+    /// their ranges from being copied onto the same path again.
+    pub fn expire_copies(&mut self, now: Instant) {
+        if let Some(index) = &mut self.reinject {
+            index.expire_copies(&self.streams, now);
+        }
+    }
+
+    /// The `nth` frame of packet `pn` of `path` — `range` of stream `id` —
+    /// was acknowledged, lost or drained, and the stream has been told
+    /// (`forgot`: and lost track of older acknowledgements over it).
+    fn on_range_gone(
+        &mut self,
+        (path, pn, nth): (usize, u64, usize),
+        id: u64,
+        range: SendRange,
+        fin: bool,
+        forgot: bool,
+    ) {
+        let Some(index) = &mut self.reinject else { return };
+        index.on_gone(&self.streams, (path, pn, nth), id, range, fin);
+        if forgot {
+            index.refresh_stream(&self.streams, id);
+        }
     }
 
     /// A packet of owned frames, as the `(path, datagram)` to transmit; empty
@@ -1148,6 +1214,12 @@ impl Connection {
     ) -> (usize, Vec<u8>) {
         let p = &mut self.paths[path];
         let space = if packet.is_long() { &mut self.initial } else { &mut p.space };
+        if let Some(index) = &mut self.reinject {
+            let pn = space.recovery.peek_pn();
+            for (nth, frame) in content.iter().enumerate() {
+                index.on_sent(&self.streams, now, (path, pn, nth), frame);
+            }
+        }
         let datagram =
             self.keys.finish_packet(now, space, path, packet, content, ack_eliciting, &self.tracer);
         let size = datagram.len() as u64;

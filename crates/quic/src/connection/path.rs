@@ -257,7 +257,7 @@ impl Connection {
     /// other paths can carry it.
     fn requeue_path_inflight(&mut self, path: usize) {
         for pkt in self.paths[path].space.recovery.drain_all() {
-            for sent in pkt.content {
+            for (nth, sent) in pkt.content.into_iter().enumerate() {
                 match sent {
                     // Re-injected copies included: with the path gone, a
                     // copy may be all that was left of the range.
@@ -265,6 +265,7 @@ impl Connection {
                         if let Some(s) = self.streams.get_mut(id) {
                             s.send.on_range_lost(range, fin);
                         }
+                        self.on_range_gone((path, pkt.pn, nth), id, range, fin, false);
                     }
                     // Replies stay pinned even across a drain — the peer
                     // may still be waiting on the (possibly recovering)

@@ -432,13 +432,15 @@ impl StreamMap {
     }
 
     /// A sent frame was acknowledged: a stream range is delivered. Every
-    /// other kind is the connection's to interpret.
-    pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) {
-        if let SentFrame::Stream { id, range, fin, .. } = frame {
-            if let Some(s) = self.streams.get_mut(id) {
-                s.send.on_range_acked(*range, *fin);
-            }
-        }
+    /// other kind is the connection's to interpret. Returns whether the
+    /// stream thereby forgot older acknowledgements (the cap on its acked
+    /// ranges; never in an honest exchange).
+    pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) -> bool {
+        let SentFrame::Stream { id, range, fin, .. } = frame else { return false };
+        let Some(s) = self.streams.get_mut(id) else { return false };
+        let evicted = s.send.acked_evicted();
+        s.send.on_range_acked(*range, *fin);
+        s.send.acked_evicted() != evicted
     }
 
     /// A sent frame was lost: an original stream range is pending again

@@ -326,19 +326,34 @@ impl SendStream {
         self.buf.len() as u64
     }
 
-    /// Unacked byte ranges that have been transmitted at least once but
-    /// not yet acknowledged and are *not* currently queued — i.e. the
-    /// stream-level view of the paper's `unacked_q`, eligible for
-    /// re-injection. Computed by interval subtraction (acked ∪ pending
-    /// removed from `[0, largest_sent)`), never byte-by-byte.
-    pub fn unacked_in_flight(&self) -> Vec<SendRange> {
-        let whole = SendRange { start: 0, end: self.largest_sent };
-        // Merge the two sorted half-open interval streams.
-        let acked = self.acked.iter().map(|r| (r.start, r.end + 1));
-        let pending = self.pending.iter().map(|(&s, &e)| (s, e));
-        let mut merged: Vec<(u64, u64)> = acked.chain(pending).collect();
-        merged.sort_unstable();
-        subtract_ranges(whole, merged.into_iter())
+    /// The first run of bytes at or after `from` that are in flight:
+    /// transmitted at least once, not acknowledged and *not* currently
+    /// queued — the stream-level view of the paper's `unacked_q`, what
+    /// re-injection may copy. Hops over the acked and the pending ranges,
+    /// never byte by byte.
+    pub fn in_flight_from(&self, from: u64) -> Option<SendRange> {
+        let mut start = from;
+        while start < self.largest_sent {
+            let acked = self.acked.first_ending_from(start);
+            let queued = self.pending.range(..=start).next_back().filter(|(_, &e)| e > start);
+            if let Some(r) = acked.filter(|r| r.start <= start) {
+                start = r.end + 1;
+            } else if let Some((_, &end)) = queued {
+                start = end;
+            } else {
+                let next_acked = acked.map_or(u64::MAX, |r| r.start);
+                let next_queued = self.pending.range(start..).next().map_or(u64::MAX, |(&s, _)| s);
+                let end = self.largest_sent.min(next_acked).min(next_queued);
+                return Some(SendRange { start, end });
+            }
+        }
+        None
+    }
+
+    /// Acked ranges the cap on their number has made the stream forget
+    /// (those bytes count as in flight again; 0 in any honest exchange).
+    pub fn acked_evicted(&self) -> u64 {
+        self.acked.evicted()
     }
 }
 
@@ -371,6 +386,15 @@ fn subtract_ranges(range: SendRange, holes: impl Iterator<Item = (u64, u64)>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SendStream {
+        /// Every in-flight run, ascending.
+        fn unacked_in_flight(&self) -> Vec<SendRange> {
+            let runs =
+                std::iter::successors(self.in_flight_from(0), |r| self.in_flight_from(r.end));
+            runs.collect()
+        }
+    }
 
     #[test]
     fn write_and_take() {
