@@ -248,9 +248,7 @@ impl<T> Recovery<T> {
                 self.packet_threshold =
                     self.packet_threshold.max(gap + 1).min(MAX_PACKET_THRESHOLD);
             }
-            // Collect keys in range first (BTreeMap range + remove).
-            let keys: Vec<u64> = self.sent.range(start..=end).map(|(k, _)| *k).collect();
-            for k in keys {
+            while let Some((&k, _)) = self.sent.range(start..=end).next() {
                 let p = self.sent.remove(&k).expect("key just seen");
                 self.on_left_flight(&p);
                 match largest_newly_acked {
