@@ -40,6 +40,9 @@ step "whole workspace, crate unit tests and the golden oracle included (release)
 step "differential oracle: the engine driven directly vs under the XLINK policy at one path, pinned" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline --test differential
 
+step "re-injection index vs the reference scan: random programs, every target path and mode (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-core --lib index_matches_the_reference_scan
+
 step "decoder totality: unauthenticated bytes into the one receive path (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib unauthenticated_bytes
 
