@@ -81,11 +81,6 @@ impl ReinjectLedger {
         }
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
     /// True when no re-injections are outstanding.
     pub fn is_empty(&self) -> bool {
         self.live.is_empty()
@@ -234,13 +229,11 @@ impl ReinjectIndex {
         self.refresh_window(streams, id, range.start.saturating_sub(self.longest), until);
     }
 
-    /// Re-evaluate the frames of stream `id` that start in `[from, until)`.
+    /// Re-evaluate the frames of stream `id` that start in `[from, until)`
+    /// (no stream is `u64::MAX` bytes long).
     fn refresh_window(&mut self, streams: &StreamMap, id: u64, from: u64, until: u64) {
         let mut after = Bound::Included(FrameAt::floor(id, from));
-        let end = match until {
-            u64::MAX => Bound::Excluded(FrameAt::floor(id.saturating_add(1), 0)),
-            _ => Bound::Excluded(FrameAt::floor(id, until)),
-        };
+        let end = Bound::Excluded(FrameAt::floor(id, until));
         while let Some((&at, &flight)) = self.frames.range((after, end)).next() {
             let eligible = self.eligible_for(streams, at, flight);
             self.set_eligible(at, flight, eligible);
