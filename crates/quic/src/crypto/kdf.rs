@@ -40,14 +40,9 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 pub fn expand<const N: usize>(prk: &[u8; 32], label: &[u8]) -> [u8; N] {
     assert!(N <= 255 * 32, "expand output too large");
     let mut out = [0u8; N];
-    let mut written = 0;
-    let mut counter = 1u8;
-    while written < N {
-        let block = prf(prk, label, counter);
-        let take = (N - written).min(32);
-        out[written..written + take].copy_from_slice(&block[..take]);
-        written += take;
-        counter += 1;
+    // Counters 1..=255, one per 32 bytes: the assert leaves enough of them.
+    for (chunk, counter) in out.chunks_mut(32).zip(1..=u8::MAX) {
+        chunk.copy_from_slice(&prf(prk, label, counter)[..chunk.len()]);
     }
     out
 }
@@ -129,5 +124,15 @@ mod tests {
         let b: [u8; 64] = expand(&prk, b"l");
         // A shorter expansion is a prefix of a longer one with the same label.
         assert_eq!(&a[..], &b[..12]);
+    }
+
+    /// The longest expansion the assert allows uses counter 255 for its last
+    /// 32 bytes and stops there: the counter is never stepped past 255.
+    #[test]
+    fn longest_expansion_ends_on_counter_255() {
+        let prk = extract(b"s", b"i");
+        let out: [u8; 255 * 32] = expand(&prk, b"l");
+        assert_eq!(&out[..32], &prf(&prk, b"l", 1)[..32]);
+        assert_eq!(&out[254 * 32..], &prf(&prk, b"l", 255)[..32]);
     }
 }
