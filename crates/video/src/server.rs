@@ -10,6 +10,9 @@
 use crate::model::Video;
 use std::collections::HashMap;
 
+/// The body byte at offset `o` mixes in `o · GOLDEN` (wrapping).
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// A named collection of video objects.
 #[derive(Debug, Default)]
 pub struct MediaStore {
@@ -38,11 +41,19 @@ impl MediaStore {
     }
 
     /// The bytes `start..end` of `object`, each as [`MediaStore::body_byte`]
-    /// defines it, with the name hashed once for the whole range. No store
-    /// is consulted, so nothing is clamped.
+    /// defines it, with the name hashed once for the whole range and the
+    /// offset's product stepped by addition. No store is consulted, so
+    /// nothing is clamped.
     pub fn body_bytes(object: &str, start: u64, end: u64) -> Vec<u8> {
         let name = Self::name_hash(object);
-        (start..end).map(|off| Self::byte_at(name, off)).collect()
+        let mut product = start.wrapping_mul(GOLDEN);
+        (start..end)
+            .map(|_| {
+                let byte = Self::mix(name ^ product);
+                product = product.wrapping_add(GOLDEN);
+                byte
+            })
+            .collect()
     }
 
     /// FNV-1a over the object name.
@@ -53,9 +64,11 @@ impl MediaStore {
     }
 
     fn byte_at(name_hash: u64, off: u64) -> u8 {
-        let mut h = name_hash ^ off.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 29;
-        (h & 0xff) as u8
+        Self::mix(name_hash ^ off.wrapping_mul(GOLDEN))
+    }
+
+    fn mix(h: u64) -> u8 {
+        ((h ^ (h >> 29)) & 0xff) as u8
     }
 
     /// Materialize the body bytes for a range of an object. Returns None
@@ -101,6 +114,12 @@ mod tests {
         // Past the end: clamped by the store, not by the filler.
         assert_eq!(s.body_range("v1", 9_990, 10_500).unwrap().len(), 10);
         assert_eq!(MediaStore::body_bytes("v1", 9_990, 10_500).len(), 510);
+        // The stepped product wraps where the per-byte one does: across 2^32
+        // and up to the last offset a u64 range reaches.
+        for (start, end) in [((1 << 32) - 300, (1 << 32) + 300), (u64::MAX - 15, u64::MAX)] {
+            let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
+            assert_eq!(MediaStore::body_bytes("v1", start, end), per_byte);
+        }
     }
 
     #[test]
