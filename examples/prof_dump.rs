@@ -14,8 +14,9 @@
 //!   as exact fractions.
 //!
 //! A top-10 span table always goes to stderr for humans, under a line that
-//! says how many worker threads the shards ran on and how many cores the
-//! recorded spans kept busy.
+//! says how many worker threads the shards ran on, how many cores the
+//! recorded spans kept busy and which ChaCha20 kernel the AEAD ran on
+//! (timings are comparable only under the same one).
 //!
 //! ```sh
 //! cargo run --release --example prof_dump
@@ -26,6 +27,7 @@ use xlink::harness::experiments::fleet_rct;
 use xlink::harness::fleet::run_fleet_profiled;
 use xlink::harness::par;
 use xlink::obs::ledger::Row;
+use xlink::quic::crypto::chacha;
 
 fn main() {
     let sessions = std::env::var("XLINK_FLEET_SESSIONS").ok().and_then(|v| v.parse().ok());
@@ -46,13 +48,14 @@ fn main() {
     // cores it counted on.
     eprintln!(
         "prof_dump: {} sessions, {} shards on {} workers, {:.1} s wall, {:.2} cores busy \
-         (span CPU time / wall), {} spans",
+         (span CPU time / wall), {} spans, chacha kernel {}",
         users,
         shards,
         par::workers(shards as usize),
         wall_ns / 1e9,
         profile.total_incl_ns() as f64 / wall_ns,
-        profile.rows.len()
+        profile.rows.len(),
+        chacha::kernel()
     );
     eprintln!(
         "{:<44} {:>10} {:>12} {:>12} {:>12} {:>14}",
