@@ -4,7 +4,7 @@
 //! results — with analytic 95% confidence intervals and constant-memory
 //! streaming aggregation.
 
-use crate::fleet::{run_fleet, FleetConfig, FleetReport, Z95};
+use crate::fleet::{run_fleet, ArmAgg, FleetConfig, FleetReport, Z95};
 use crate::transport::Scheme;
 use xlink_clock::Duration;
 use xlink_video::Video;
@@ -63,6 +63,9 @@ pub fn print(r: &FleetReport, wall_s: f64) {
         "s",
     );
     row("rebuffer rate", r.arm_a.rebuffer_rate(), r.arm_b.rebuffer_rate(), "stall/play");
+    let buffer = |a: &ArmAgg| [1.0, 5.0, 50.0].map(|p| format!("{:.2}", a.buffer.percentile(p)));
+    let (a, b) = (buffer(&r.arm_a).join("/"), buffer(&r.arm_b).join("/"));
+    println!("{:<26} {a:>10} {b:>10}  s", "buffer level p1/p5/p50");
     row("redundancy mean", r.arm_a.redundancy.mean(), r.arm_b.redundancy.mean(), "ratio");
 
     println!("\nPopulation differential (A − B, positive favors XLINK):");

@@ -35,6 +35,12 @@ pub struct ArmAgg {
     pub server_bytes: u64,
     /// Server packets lost across sessions.
     pub packets_lost: u64,
+    /// Play time left (seconds of cached frames), sampled every 100 ms
+    /// of each session after start-up and before the end: Fig. 10's
+    /// buffer level. Filled by the runner, not by [`ArmAgg::absorb`], and
+    /// left out of [`ArmAgg::digest`] and [`FleetReport::to_json`], so
+    /// those still pin exactly what they pinned before it existed.
+    pub buffer: LogHistogram,
 }
 
 impl ArmAgg {
@@ -66,6 +72,7 @@ impl ArmAgg {
         self.redundancy.merge(&other.redundancy);
         self.server_bytes += other.server_bytes;
         self.packets_lost += other.packets_lost;
+        self.buffer.merge(&other.buffer);
     }
 
     /// The paper's rebuffer rate: total stall time over total play time.

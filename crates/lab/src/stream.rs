@@ -224,6 +224,21 @@ impl LogHistogram {
         &self.stat
     }
 
+    /// Samples at or below `x`, counted in whole bins: the samples of
+    /// `x`'s own bin all count. That is exact when no sample lies in that
+    /// bin above `x`, as with values on a grid coarser than a bin (whole
+    /// frames of play time against a 50 ms danger level).
+    pub fn count_at_or_below(&self, x: f64) -> u64 {
+        if x <= 0.0 {
+            return self.zero;
+        }
+        let i = Self::bin_index(x);
+        if i >= HIST_BINS {
+            return self.count();
+        }
+        self.zero + self.bins[..=i].iter().sum::<u64>()
+    }
+
     /// Value at (0-based) rank `r` among the sorted samples, estimated
     /// by geometric interpolation inside the containing bin.
     fn value_at_rank(&self, r: f64) -> f64 {
@@ -372,6 +387,20 @@ mod tests {
         assert!(h.percentile(99.0) > 0.5);
         h.record(1e9); // beyond the top edge
         assert!(h.percentile(100.0) >= LogHistogram::bin_lo(HIST_BINS) * 0.99);
+    }
+
+    #[test]
+    fn count_at_or_below_is_exact_on_a_frame_grid() {
+        // Play time left at 25 fps: whole multiples of 40 ms.
+        let xs: Vec<f64> = (0..2_000u64).map(|i| (i * 7 % 60) as f64 / 25.0).collect();
+        let mut h = LogHistogram::new();
+        for &x in &xs {
+            h.record(x);
+        }
+        for level in [0.0, 0.04, 0.05, 0.1, 0.3, 1e9] {
+            let exact = xs.iter().filter(|&&x| x <= level).count() as u64;
+            assert_eq!(h.count_at_or_below(level), exact, "at or below {level}");
+        }
     }
 
     #[test]
