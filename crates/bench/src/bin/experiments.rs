@@ -16,6 +16,7 @@
 //! DESIGN.md §4 has the index, EXPERIMENTS.md the paper-vs-measured record.
 
 use xlink_harness::experiments as e;
+use xlink_harness::Scheme;
 
 /// How a row is run: the population scale, and whether it was asked for
 /// by name; then it may write files too, under `all` every row only prints.
@@ -37,7 +38,7 @@ const TABLE: [Row; 21] = [
         e::delays::print(&e::delays::run(16 * r.scale))
     }),
     ("fig01c", "Fig. 1c + Table 1: A/B test of vanilla-MP vs SP over 7 days", true, |r| {
-        e::ab_tables::print(&e::ab_tables::run_vanilla_ab(7, 12 * r.scale))
+        e::ab_tables::print(&e::ab_tables::run(Scheme::VanillaMp, 7, 12 * r.scale))
     }),
     ("fig06", "Fig. 6: buffer level + re-injected bytes, three control modes", true, |_| {
         e::fig06::print(&e::fig06::run(3))
@@ -52,7 +53,7 @@ const TABLE: [Row; 21] = [
         e::fig10::print(&e::fig10::run(6 * r.scale))
     }),
     ("fig11", "Fig. 11 + Table 3: A/B test of XLINK vs SP over 14 days", true, |r| {
-        e::ab_tables::print(&e::ab_tables::run_xlink_ab(14, 12 * r.scale))
+        e::ab_tables::print(&e::ab_tables::run(Scheme::Xlink, 14, 12 * r.scale))
     }),
     ("fig12", "Fig. 12: first-frame latency improvement, w/ and w/o acceleration", true, |r| {
         e::fig12::print(&e::fig12::run(20 * r.scale))

@@ -17,10 +17,11 @@
 //! meant to move the simulation, and say why in CHANGES.md.
 
 use xlink::clock::{Duration, Instant};
+use xlink::harness::experiments::ab_tables;
 use xlink::harness::fleet::{run_fleet, FleetConfig};
 use xlink::harness::{
-    handover_scenario, run_ab, run_pop, run_pop_traced, AbConfig, ChaosPlan, CrashPlan,
-    EdgeAttackKind, PopReport, PopRunConfig, Scenario, Scheme, SessionConfig, TransportTuning,
+    handover_scenario, run_pop, run_pop_traced, ChaosPlan, CrashPlan, EdgeAttackKind, PopReport,
+    PopRunConfig, Scenario, Scheme, SessionConfig, TransportTuning,
 };
 use xlink::netsim::{FlapSchedule, LinkConfig, LinkState, Path};
 use xlink::obs::TraceLog;
@@ -129,15 +130,13 @@ fn video_outage(scheme: Scheme) -> (u64, u64) {
 /// folded from the public accumulators so it does not depend on which
 /// aggregate type carries them.
 fn ab_digests() -> [u64; 2] {
-    let mut cfg = AbConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
-    cfg.days = 2;
-    cfg.users_per_day = 3;
-    cfg.video = Video::synth(3, 25, 700_000, 8.0);
-    cfg.deadline = Duration::from_secs(45);
-    let days = run_ab(&cfg);
     let mut out = [0xcbf2_9ce4_8422_2325u64; 2];
-    for d in &days {
-        for (h, arm) in out.iter_mut().zip([&d.a, &d.b]) {
+    for day in 1..=2 {
+        let mut cfg = ab_tables::day(Scheme::Xlink, day, 3);
+        cfg.video = Video::synth(3, 25, 700_000, 8.0);
+        cfg.deadline = Duration::from_secs(45);
+        let r = run_fleet(&cfg);
+        for (h, arm) in out.iter_mut().zip([&r.arm_a, &r.arm_b]) {
             for w in [
                 arm.rct.digest(),
                 arm.first_frame.digest(),
@@ -318,7 +317,9 @@ fn traced_video_sessions_are_pinned() {
     check("VIDEO_OUTAGE", &rows);
 }
 
-const AB_DIGESTS: [u64; 2] = [0xbb90_9a8d_696b_6c97, 0x2bf6_639e_9298_ec4d];
+/// Re-recorded when the A/B studies moved from their own runner onto
+/// paired fleet runs: users are drawn from the fleet's trace pool.
+const AB_DIGESTS: [u64; 2] = [0x5f57_2021_0053_7de1, 0xda3c_64b7_f2c9_61bb];
 
 #[test]
 fn ab_arm_digests_are_pinned() {
