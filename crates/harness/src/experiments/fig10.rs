@@ -6,18 +6,22 @@
 //! percentiles of that distribution, then run each (X, Y) setting and
 //! report tail buffer-level improvement over SP, cost overhead, and the
 //! reduction of sub-50 ms buffer levels (the rebuffer danger zone).
+//! Every setting is one paired fleet run against SP on the same users;
+//! the buffer level is the fleet's sampled play time left
+//! ([`ArmAgg::buffer`]).
 //!
 //! [`threshold_tuning`] is the operator's view of the same knob (§5.2.2:
 //! "one can easily tune these thresholds to trade performance with
 //! cost"): absolute (T_th1, T_th2) settings on a video with a mid-play
 //! Wi-Fi outage, rebuffer time against redundancy.
 
+use super::ab_tables;
 use super::fig06::walk_out_paths;
-use crate::scenario::{draw_user_paths, Scenario};
+use crate::fleet::{run_fleet, ArmAgg, FleetConfig};
 use crate::transport::{Scheme, TransportTuning};
 use crate::video_session::{run_session, SessionConfig, SessionResult};
 use xlink_clock::Duration;
-use xlink_lab::stats::{improvement_pct, percentile};
+use xlink_lab::stats::improvement_pct;
 use xlink_video::Video;
 
 /// Threshold settings from the paper's x-axis, as (X, Y) percentile pairs
@@ -40,123 +44,63 @@ pub struct Fig10Row {
     /// Buffer-level improvement over SP at p90/p95/p99 of the *low* tail
     /// (positive = higher buffer = better).
     pub buf_improv_pct: [f64; 3],
-    /// Redundant-traffic cost (percent of stream bytes).
+    /// Redundant-traffic cost: the mean session redundancy ratio, in
+    /// percent (Table 3's cost).
     pub cost_pct: f64,
     /// Reduction in the fraction of buffer levels below 50 ms (Table 2).
     pub danger_reduction_pct: f64,
 }
 
-/// Collect buffer-level samples (play-time-left in seconds) for a scheme.
-fn buffer_samples(
-    scheme: Scheme,
-    thresholds_ms: Option<(u64, u64)>,
-    users: u64,
-    video: &Video,
-) -> (Vec<f64>, f64) {
-    let mut samples = Vec::new();
-    let mut reinj = 0u64;
-    let mut total = 0u64;
-    for user in 0..users {
-        let (wifi, lte) = draw_user_paths(77, user);
-        let mut cfg = SessionConfig::short_video(scheme, 500 + user);
-        cfg.video = video.clone();
-        cfg.deadline = Duration::from_secs(60);
-        if let Some((t1, t2)) = thresholds_ms {
-            cfg.tuning = TransportTuning { thresholds_ms: (t1, t2), ..Default::default() };
-        }
-        let r = run_session_probed(&cfg, vec![wifi.build(), lte.build()], &mut samples);
-        reinj += r.server_transport.reinjected_bytes;
-        total += r.server_transport.stream_bytes_sent + r.server_transport.reinjected_bytes;
-    }
-    let cost = if total == 0 { 0.0 } else { reinj as f64 / total as f64 * 100.0 };
-    (samples, cost)
+/// The low tail of the buffer-level distribution the figure reads: p10,
+/// p5 and p1 (its "p90/95/99" counted from the top).
+const TAIL: [f64; 3] = [10.0, 5.0, 1.0];
+
+/// The rebuffer danger level of Table 2, in seconds of play time left.
+const DANGER_S: f64 = 0.050;
+
+/// Share of an arm's buffer-level samples at or below the danger level.
+/// Play time left is whole frames (40 ms at 25 fps), so counting the
+/// histogram's bins is exact here.
+fn danger_share(arm: &ArmAgg) -> f64 {
+    arm.buffer.count_at_or_below(DANGER_S) as f64 / arm.buffer.count().max(1) as f64
 }
 
-/// Run a session collecting post-startup buffer levels (in seconds of
-/// play-time left) at the player's QoE cadence.
-fn run_session_probed(
-    cfg: &SessionConfig,
-    paths: Vec<xlink_netsim::Path>,
-    out: &mut Vec<f64>,
-) -> crate::video_session::SessionResult {
-    use crate::video_session::{client_endpoint_for_probe, server_endpoint_for_probe};
-    let now = xlink_clock::Instant::ZERO;
-    let client = client_endpoint_for_probe(cfg, now);
-    let server = server_endpoint_for_probe(cfg, now);
-    let fps = cfg.video.fps.max(1);
-    let mut started = false;
-    // The session ends with the client: the server is done from the start.
-    let every = Duration::from_millis(100);
-    let scenario = Scenario::new(paths, cfg.deadline);
-    let world = scenario.run_sampled(client, server, every, |_, world| {
-        let stats = world.client.player_stats();
-        if stats.playback_started_at.is_some() {
-            started = true;
-        }
-        if started && stats.finished_at.is_none() {
-            // Play-time left ≈ cached frames / fps ("we measured the
-            // buffer level after the video start-up phases").
-            let q = world.client.player_mut().qoe_signal();
-            out.push(q.cached_frames as f64 / fps as f64);
-        }
-    });
-    crate::video_session::session_result(world)
-}
-
-/// Fraction of samples below 50 ms (the danger level).
-fn danger_fraction(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().filter(|&&s| s < 0.050).count() as f64 / samples.len() as f64
-}
-
-/// Run the sweep with `users` sessions per setting.
+/// Run the sweep with `users` users per setting, each playing SP and the
+/// setting's scheme in a pair.
 pub fn run(users: u64) -> Vec<Fig10Row> {
-    // Same contested workload as the A/B studies: long enough that
-    // mid-play outages land while the bounded buffer is the only slack.
-    let video = Video::synth(18, 25, 3_000_000, 10.0);
-    // Step 1: play-time-left distribution with control OFF (reinj off).
-    let (baseline_dist, _) = buffer_samples(Scheme::VanillaMp, None, users, &video);
-    // SP reference for the improvement metric.
-    let (sp_dist, _) = buffer_samples(Scheme::Sp { path: 0 }, None, users, &video);
-    let sp_tail =
-        [percentile(&sp_dist, 10.0), percentile(&sp_dist, 5.0), percentile(&sp_dist, 1.0)];
-    let sp_danger = danger_fraction(&sp_dist);
+    // The A/B studies' contested workload: long enough that mid-play
+    // outages land while the bounded buffer is the only slack.
+    let population = |scheme_b, tuning| {
+        let deadline = Duration::from_secs(60);
+        run_fleet(&FleetConfig { tuning, deadline, ..ab_tables::day(scheme_b, 77, users) })
+    };
+    // Step 1: SP, the reference, against vanilla-MP: re-injection off, the
+    // play-time-left distribution the thresholds are read from.
+    let base = population(Scheme::VanillaMp, TransportTuning::default());
+    let sp_tail = TAIL.map(|p| base.arm_a.buffer.percentile(p).max(1e-3));
+    let sp_danger = danger_share(&base.arm_a).max(1e-6);
+    let row = |setting, arm: &ArmAgg| Fig10Row {
+        setting,
+        // Larger buffer = better, at the low tail.
+        buf_improv_pct: [0, 1, 2]
+            .map(|i| -improvement_pct(sp_tail[i], arm.buffer.percentile(TAIL[i]))),
+        cost_pct: arm.redundancy.mean() * 100.0,
+        danger_reduction_pct: improvement_pct(sp_danger, danger_share(arm)),
+    };
     SETTINGS
         .iter()
         .map(|&(label, setting)| {
-            let (dist, cost) = match setting {
-                None => {
-                    let (d, _) = buffer_samples(Scheme::VanillaMp, None, users, &video);
-                    (d, 0.0)
-                }
-                Some((x, y)) => {
-                    // th(X): X% of play-time-left values are ABOVE it → the
-                    // X-th percentile from the top = (100-X) from the bottom.
-                    let t1 = percentile(&baseline_dist, 100.0 - x).max(0.02);
-                    let t2 = percentile(&baseline_dist, 100.0 - y).max(t1);
-                    let t = (
-                        (t1 * 1000.0) as u64,
-                        ((t2 * 1000.0) as u64).max((t1 * 1000.0) as u64 + 1),
-                    );
-                    buffer_samples(Scheme::Xlink, Some(t), users, &video)
-                }
+            let Some((x, y)) = setting else {
+                return row(label, &base.arm_b);
             };
-            // Buffer improvement at the low tail: larger buffer = better.
-            let tail = [percentile(&dist, 10.0), percentile(&dist, 5.0), percentile(&dist, 1.0)];
-            let buf_improv = [
-                -improvement_pct(sp_tail[0].max(1e-3), tail[0]),
-                -improvement_pct(sp_tail[1].max(1e-3), tail[1]),
-                -improvement_pct(sp_tail[2].max(1e-3), tail[2]),
-            ];
-            let danger = danger_fraction(&dist);
-            Fig10Row {
-                setting: label,
-                buf_improv_pct: buf_improv,
-                cost_pct: cost,
-                danger_reduction_pct: improvement_pct(sp_danger.max(1e-6), danger),
-            }
+            // th(X): X% of play-time-left values are ABOVE it → the X-th
+            // percentile from the top = (100-X) from the bottom.
+            let t1 = base.arm_b.buffer.percentile(100.0 - x).max(0.02);
+            let t2 = base.arm_b.buffer.percentile(100.0 - y).max(t1);
+            let t1_ms = (t1 * 1000.0) as u64;
+            let thresholds_ms = (t1_ms, ((t2 * 1000.0) as u64).max(t1_ms + 1));
+            let tuning = TransportTuning { thresholds_ms, ..Default::default() };
+            row(label, &population(Scheme::Xlink, tuning).arm_b)
         })
         .collect()
 }
