@@ -4,12 +4,13 @@
 //! Expected shape (§7.2): without acceleration the tail *degrades* vs SP
 //! (the slow path's in-flight first-frame packets block start-up); with
 //! acceleration the improvement is positive and grows toward the tail.
+//! Each arm is read from a paired fleet run against SP on the same users.
 
-use crate::scenario::draw_user_paths;
+use super::ab_tables;
+use crate::fleet::{run_fleet, FleetConfig, FleetReport};
 use crate::transport::Scheme;
-use crate::video_session::{run_session, SessionConfig};
 use xlink_clock::Duration;
-use xlink_lab::stats::{improvement_pct, percentile};
+use xlink_lab::stats::improvement_pct;
 use xlink_video::Video;
 
 /// Percentiles the figure reports.
@@ -22,38 +23,33 @@ pub struct Fig12Result {
     pub rows: Vec<(f64, f64, f64)>,
 }
 
-fn first_frame_samples(scheme: Scheme, accel: bool, users: u64) -> Vec<f64> {
-    let mut out = Vec::new();
-    for user in 0..users {
-        let (wifi, lte) = draw_user_paths(55, user);
-        // Large-delay-difference scenario: inflate LTE delay further so
-        // the video-frame blocking effect is visible.
-        let lte = lte.with_extra_delay(Duration::from_millis(60));
-        let mut cfg = SessionConfig::short_video(scheme, 900 + user);
-        cfg.video = Video::synth(6, 25, 1_000_000, 14.0); // big first frame
-        cfg.first_frame_accel = accel;
-        cfg.deadline = Duration::from_secs(40);
-        let r = run_session(&cfg, vec![wifi.build(), lte.build()]);
-        if let Some(ff) = r.first_frame_latency {
-            out.push(ff.as_secs_f64());
-        }
-    }
-    out
+/// SP against `scheme_b` for `users` users in pairs, on the A/B studies'
+/// paths with a large delay difference: LTE 60 ms further away, so the
+/// video-frame blocking effect is visible.
+fn population(scheme_b: Scheme, users: u64) -> FleetReport {
+    run_fleet(&FleetConfig {
+        video: Video::synth(6, 25, 1_000_000, 14.0), // big first frame
+        deadline: Duration::from_secs(40),
+        lte_extra_delay: Duration::from_millis(60),
+        ..ab_tables::day(scheme_b, 55, users)
+    })
 }
 
-/// Run with `users` sessions per arm.
+/// Run with `users` users, each playing SP and both XLINK arms. The arm
+/// without acceleration is [`Scheme::XlinkNoFirstFrame`]: the server still
+/// tags the first frame, but that scheme's re-injection rank ignores it.
 pub fn run(users: u64) -> Fig12Result {
-    let sp = first_frame_samples(Scheme::Sp { path: 0 }, false, users);
-    let with_accel = first_frame_samples(Scheme::Xlink, true, users);
-    let without = first_frame_samples(Scheme::XlinkNoFirstFrame, false, users);
+    let with_accel = population(Scheme::Xlink, users);
+    let without = population(Scheme::XlinkNoFirstFrame, users);
+    let sp = &with_accel.arm_a.first_frame;
     let rows = PERCENTILES
         .iter()
         .map(|&p| {
-            let base = percentile(&sp, p);
+            let base = sp.percentile(p);
             (
                 p,
-                improvement_pct(base, percentile(&with_accel, p)),
-                improvement_pct(base, percentile(&without, p)),
+                improvement_pct(base, with_accel.arm_b.first_frame.percentile(p)),
+                improvement_pct(base, without.arm_b.first_frame.percentile(p)),
             )
         })
         .collect();
