@@ -22,7 +22,8 @@
 //! loop (§7): users are randomized into contrast arms at user
 //! granularity, each day's cohort arrives Poisson-style, and the
 //! population differential (Table 1 / Fig. 6) is read off the merged
-//! aggregates.
+//! aggregates. It is the one population runner: the small A/B studies
+//! (Fig. 1c, 10, 11, 12) run it *paired*, every user under both arms.
 
 mod agg;
 mod plan;

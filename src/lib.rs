@@ -25,8 +25,9 @@
 //! * [`edge`] (`xlink-edge`) — the CDN edge tier: a CID-routed PoP with
 //!   Retry-token admission, graceful shard drain, and flood resilience.
 //! * [`energy`] (`xlink-energy`) — the radio energy model.
-//! * [`harness`] (`xlink-harness`) — sessions, A/B populations, and one
-//!   module per paper table/figure.
+//! * [`harness`] (`xlink-harness`) — sessions, the one population runner
+//!   (`harness::fleet`: randomized or paired A/B arms), and one module per
+//!   paper table/figure.
 //! * [`lab`] (`xlink-lab`) — deterministic lab tooling: seeded RNG,
 //!   property-testing harness, shared statistics.
 //! * [`obs`] (`xlink-obs`) — deterministic qlog-style event tracing and
