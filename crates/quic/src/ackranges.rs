@@ -158,7 +158,7 @@ impl AckRanges {
 
     /// Iterate ranges in *descending* order (the order ACK frames encode
     /// them: largest range first).
-    pub fn iter_descending(&self) -> impl Iterator<Item = PnRange> + '_ {
+    pub fn iter_descending(&self) -> impl ExactSizeIterator<Item = PnRange> + Clone + '_ {
         self.ranges.iter().rev().copied()
     }
 

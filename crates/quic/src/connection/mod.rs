@@ -33,15 +33,15 @@ pub use path::{AckPathPolicy, Path, PathState};
 pub use reinject::{Rank, ReinjectCandidate, ReinjectIndex, ReinjectKey, ReinjectLedger};
 pub use space::{PnSpace, SentFrame};
 
-use crate::ackranges::MAX_ACK_RANGES;
+use crate::ackranges::{PnRange, MAX_ACK_RANGES};
 use crate::cc::{Cubic, MAX_DATAGRAM_SIZE};
 use crate::cid::{CidManager, ConnectionId};
 use crate::crypto::TAG_LEN;
 use crate::error::{ConnectionError, TransportError};
-use crate::frame::{AckFrame, Frame, QoeSignal};
+use crate::frame::{Frame, QoeSignal};
 use crate::packet::{Header, PacketBuilder, PacketType};
 use crate::params::TransportParams;
-use crate::recovery::{SentPacket, TimeoutOutcome, SUSPECT_AFTER_PTOS};
+use crate::recovery::{AckOutcome, SentPacket, TimeoutOutcome, SUSPECT_AFTER_PTOS};
 use crate::reset;
 use crate::rtt::RttEstimator;
 use crate::stream::{SendRange, Side, StreamMap, MAX_STREAM_SEGMENTS};
@@ -237,6 +237,13 @@ pub struct Connection {
     /// Which stream frames in flight may be copied onto which other path,
     /// if a policy re-injects ([`Connection::track_reinjection`]).
     reinject: Option<ReinjectIndex>,
+    /// What the last ACK acknowledged and declared lost, emptied and
+    /// refilled by the next one.
+    ack_outcome: AckOutcome<Vec<SentFrame>>,
+    /// Emptied descriptions of packets that left flight, for the next
+    /// packets sent: a packet's `Vec<SentFrame>` is allocated once, not per
+    /// packet.
+    spare_content: Vec<Vec<SentFrame>>,
     tracer: Tracer,
 }
 
@@ -301,6 +308,8 @@ impl Connection {
             cid_epoch: 0,
             oracle: ResetOracle::default(),
             reinject: None,
+            ack_outcome: AckOutcome::default(),
+            spare_content: Vec::new(),
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -456,6 +465,7 @@ impl Connection {
     fn free_state(&mut self) {
         self.streams.control = Vec::new();
         self.reinject = None;
+        (self.ack_outcome, self.spare_content) = Default::default();
         self.keys.release();
         let _ = self.initial.recovery.drain_all();
         for p in &mut self.paths {
@@ -672,7 +682,10 @@ impl Connection {
             },
             // Plain ACK: the Initial space's, or (before multipath is
             // negotiated, or without it) the primary path's.
-            Frame::Ack(ack) => self.on_ack(now, self.cfg.primary, initial, ack),
+            Frame::Ack(ack) => {
+                let ranges = ack.ranges.iter().copied();
+                self.on_ack(now, self.cfg.primary, initial, ranges, ack.ack_delay)
+            }
             // The extension's frames on a connection that did not negotiate
             // it are a protocol violation.
             Frame::AckMp(_) | Frame::PathStatus { .. } | Frame::QoeControlSignals(_)
@@ -689,7 +702,7 @@ impl Connection {
                 if let Some(q) = ack.qoe {
                     self.on_peer_qoe(now, q);
                 }
-                self.on_ack(now, space, false, ack);
+                self.on_ack(now, space, false, ack.ranges.iter().copied(), ack.ack_delay);
             }
             Frame::QoeControlSignals(q) => self.on_peer_qoe(now, q),
             Frame::PathStatus { path_id, seq: _, status } => {
@@ -792,14 +805,24 @@ impl Connection {
         self.life.establish();
     }
 
-    /// An ACK of path `path`'s packets — or, `initial`, of the Initial
-    /// space's, which run on that (the primary) path's RTT and window.
-    fn on_ack(&mut self, now: Instant, path: usize, initial: bool, ack: AckFrame) {
+    /// An ACK of `ranges` (in any order) of path `path`'s packets — or,
+    /// `initial`, of the Initial space's, which run on that (the primary)
+    /// path's RTT and window.
+    fn on_ack(
+        &mut self,
+        now: Instant,
+        path: usize,
+        initial: bool,
+        ranges: impl Iterator<Item = PnRange> + Clone,
+        ack_delay: Duration,
+    ) {
+        let mut outcome = std::mem::take(&mut self.ack_outcome);
         let p = &mut self.paths[path];
         let space = if initial { &mut self.initial } else { &mut p.space };
-        let Ok(outcome) = space.on_ack(now, &ack, &mut p.rtt) else {
+        if space.on_ack(now, ranges, ack_delay, &mut p.rtt, &mut outcome).is_err() {
+            self.ack_outcome = outcome;
             return self.close(TransportError::ProtocolViolation, "optimistic ack");
-        };
+        }
         if let Some(sample) = outcome.rtt_sample {
             let (latest_us, smoothed_us) = (sample.as_micros(), p.rtt.smoothed().as_micros());
             self.tracer.emit(now, Event::RttUpdate { path: path as u8, latest_us, smoothed_us });
@@ -809,7 +832,7 @@ impl Connection {
             self.on_ack_progress(now, path);
         }
         let mut cc_touched = false;
-        for pkt in &outcome.acked {
+        for pkt in outcome.acked.drain(..) {
             if pkt.ack_eliciting {
                 let p = &mut self.paths[path];
                 p.cc.on_ack(now, pkt.time_sent, pkt.size, p.rtt.smoothed());
@@ -835,13 +858,21 @@ impl Connection {
                     _ => {}
                 }
             }
+            self.recycle_content(pkt.content);
         }
         if cc_touched {
             self.trace_cwnd(now, path);
         }
         if !outcome.lost.is_empty() {
-            self.on_packets_lost(now, path, outcome.lost);
+            self.on_packets_lost(now, path, &mut outcome.lost);
         }
+        self.ack_outcome = outcome;
+    }
+
+    /// A packet description whose packet left flight, emptied for reuse.
+    fn recycle_content(&mut self, mut content: Vec<SentFrame>) {
+        content.clear();
+        self.spare_content.push(content);
     }
 
     fn trace_cwnd(&self, now: Instant, path: usize) {
@@ -849,22 +880,23 @@ impl Connection {
         self.tracer.emit(now, Event::CwndUpdate { path: path as u8, cwnd, bytes_in_flight });
     }
 
+    /// `lost` (emptied) were declared lost on `path`.
     fn on_packets_lost(
         &mut self,
         now: Instant,
         path: usize,
-        lost: Vec<SentPacket<Vec<SentFrame>>>,
+        lost: &mut Vec<SentPacket<Vec<SentFrame>>>,
     ) {
         self.stats.packets_lost += lost.len() as u64;
         let mut newest_lost_sent: Option<Instant> = None;
-        for pkt in lost {
+        for mut pkt in lost.drain(..) {
             let (pn, bytes) = (pkt.pn, pkt.size as u32);
             self.tracer.emit(now, Event::PacketLost { path: path as u8, pn, bytes });
             if pkt.in_flight {
                 newest_lost_sent =
                     Some(newest_lost_sent.map_or(pkt.time_sent, |t| t.max(pkt.time_sent)));
             }
-            for (nth, sent) in pkt.content.into_iter().enumerate() {
+            for (nth, sent) in pkt.content.drain(..).enumerate() {
                 match sent {
                     SentFrame::Crypto => self.keys.hello_sent = false, // resend hello
                     SentFrame::HandshakeDone => self.keys.done_sent = false,
@@ -887,6 +919,7 @@ impl Connection {
                     other => drop(self.streams.on_sent_frame_lost(other)),
                 }
             }
+            self.recycle_content(pkt.content);
         }
         if let Some(t) = newest_lost_sent {
             self.paths[path].cc.on_congestion_event(now, t);
@@ -939,12 +972,12 @@ impl Connection {
             // continued peer traffic.
             let (frame, _) = self.life.poll_close(now, self.drain_pto(), &self.tracer)?;
             let initial = self.keys.one_rtt().is_none();
-            return Some(self.build_packet(now, primary, initial, &[frame], vec![], false));
+            return Some(self.build_packet(now, primary, initial, &[frame], false));
         }
         // 1. Handshake on the primary path.
         if let Some((hello, retransmit)) = self.keys.next_hello(now, &self.tracer) {
             self.stats.handshake_retransmits += u64::from(retransmit);
-            return Some(self.build_packet(now, primary, true, &[hello], vec![], true));
+            return Some(self.build_packet(now, primary, true, &[hello], true));
         }
         if !self.is_established() {
             // Still ack initial packets.
@@ -954,7 +987,7 @@ impl Connection {
         if self.cfg.side == Side::Server && !self.keys.done_sent {
             self.keys.done_sent = true;
             let done = [Frame::HandshakeDone];
-            return Some(self.build_packet(now, primary, false, &done, vec![], true));
+            return Some(self.build_packet(now, primary, false, &done, true));
         }
         if self.multipath {
             // 3. Advertise CIDs for the extra paths (both sides, once).
@@ -992,9 +1025,8 @@ impl Connection {
         let owing = |p: &&Path| !p.response_pending.is_empty() && p.state != PathState::Abandoned;
         if let Some(i) = self.paths.iter().find(owing).map(|p| p.id) {
             let pending = std::mem::take(&mut self.paths[i].response_pending);
-            let frames: Vec<Frame> = pending.iter().map(|&d| Frame::PathResponse(d)).collect();
-            let content = pending.into_iter().map(SentFrame::Response).collect();
-            return Some(self.build_packet(now, i, false, &frames, content, true));
+            let frames: Vec<Frame> = pending.into_iter().map(Frame::PathResponse).collect();
+            return Some(self.build_packet(now, i, false, &frames, true));
         }
         // 7. Probation revalidation probes (exponential backoff; §9).
         if self.liveness_active() {
@@ -1021,7 +1053,7 @@ impl Connection {
             if p.probe_pending && p.state != PathState::Abandoned {
                 p.probe_pending = false;
                 self.stats.probes_sent += 1;
-                return Some(self.build_packet(now, i, false, &[Frame::Ping], vec![], true));
+                return Some(self.build_packet(now, i, false, &[Frame::Ping], true));
             }
         }
         None
@@ -1029,31 +1061,50 @@ impl Connection {
 
     /// Pending-ACK transmission: the Initial space's in an Initial packet
     /// on the primary path, then the paths', honoring the ACK path policy.
+    /// The frame is encoded straight from the space's received set.
     fn poll_ack(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
         let primary = self.cfg.primary;
         let delay = now - self.paths[primary].last_recv_time;
-        if let Some(ack) = self.initial.take_ack(0, delay) {
-            let sent = vec![SentFrame::Ack { space: primary as u64, largest: ack.largest }];
-            return Some(self.build_packet(now, primary, true, &[Frame::Ack(ack)], sent, false));
+        if let Some(largest) = self.initial.take_ack() {
+            let mut packet = PacketBuilder::new(self.next_header(primary, true));
+            let ranges = self.initial.recv.iter_descending();
+            Frame::encode_ack(packet.frames(), None, largest, delay, ranges, None);
+            return Some(self.finish_ack(now, primary, packet, primary, largest));
         }
         let space = self.paths.iter().position(|p| p.space.ack_pending)?;
         let delay = now - self.paths[space].last_recv_time;
-        let mut ack = self.paths[space].space.take_ack(space as u64, delay)?;
-        let sent = vec![SentFrame::Ack { space: space as u64, largest: ack.largest }];
+        let largest = self.paths[space].space.take_ack()?;
         // Without multipath (or before it is negotiated): a plain ACK.
-        let (frame, send_path) = if !self.multipath {
-            ack.path_id = 0;
-            (Frame::Ack(ack), space)
+        // With it: an ACK_MP carrying the freshest QoE snapshot (client
+        // side), on the path the policy picks.
+        let (path_id, send_path, qoe) = if !self.multipath {
+            (None, space, None)
         } else {
-            // Attach the freshest QoE snapshot (client side).
-            ack.qoe = self.local_qoe;
             let send_path = match self.cfg.ack_policy {
                 AckPathPolicy::OriginalPath => space,
                 AckPathPolicy::FastestPath => self.fastest_active_path().unwrap_or(space),
             };
-            (Frame::AckMp(ack), send_path)
+            (Some(space as u64), send_path, self.local_qoe)
         };
-        Some(self.build_packet(now, send_path, false, &[frame], sent, false))
+        let mut packet = PacketBuilder::new(self.next_header(send_path, false));
+        let ranges = self.paths[space].space.recv.iter_descending();
+        Frame::encode_ack(packet.frames(), path_id, largest, delay, ranges, qoe.as_ref());
+        Some(self.finish_ack(now, send_path, packet, space, largest))
+    }
+
+    /// Seal an ACK-only `packet` on `path` reporting path `space`'s packets
+    /// (the Initial space's count as the primary path's) up to `largest`.
+    fn finish_ack(
+        &mut self,
+        now: Instant,
+        path: usize,
+        packet: PacketBuilder,
+        space: usize,
+        largest: u64,
+    ) -> (usize, Vec<u8>) {
+        let mut content = self.spare_content.pop().unwrap_or_default();
+        content.push(SentFrame::Ack { space: space as u64, largest });
+        self.finish_packet(now, path, packet, content, false)
     }
 
     /// A PATH_CHALLENGE on `path`, its payload derived from the seed, and
@@ -1068,8 +1119,7 @@ impl Connection {
     ) -> (usize, Vec<u8>) {
         let data = ConnectionId::derive(self.cfg.seed ^ salt, nonce).0;
         self.paths[path].challenge = Some(data);
-        let (frames, sent) = ([Frame::PathChallenge(data)], vec![SentFrame::Challenge(data)]);
-        self.build_packet(now, path, false, &frames, sent, ack_eliciting)
+        self.build_packet(now, path, false, &[Frame::PathChallenge(data)], ack_eliciting)
     }
 
     /// A datagram of queued control frames and fresh stream data on `path`,
@@ -1080,9 +1130,10 @@ impl Connection {
             return None;
         }
         let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let (content, first_time) = self.streams.pack(&mut packet);
-        self.stats.stream_bytes_sent += first_time;
+        let mut content = self.spare_content.pop().unwrap_or_default();
+        self.stats.stream_bytes_sent += self.streams.pack(&mut packet, &mut content);
         if content.is_empty() {
+            self.spare_content.push(content);
             return None;
         }
         Some(self.finish_packet(now, path, packet, content, true))
@@ -1103,7 +1154,7 @@ impl Connection {
             return None;
         }
         let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let mut content = Vec::with_capacity(copies.len());
+        let mut content = self.spare_content.pop().unwrap_or_default();
         for &ReinjectCandidate { stream_id: id, range, fin, .. } in copies {
             let Some(stream) = self.streams.get(id) else { continue };
             Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
@@ -1112,6 +1163,7 @@ impl Connection {
             self.stats.reinjections += 1;
         }
         if content.is_empty() {
+            self.spare_content.push(content);
             return None;
         }
         Some(self.finish_packet(now, path, packet, content, true))
@@ -1169,20 +1221,18 @@ impl Connection {
         }
     }
 
-    /// A packet of owned frames, as the `(path, datagram)` to transmit; empty
-    /// `content` describes each frame to recovery by its kind.
+    /// A packet of owned frames, each described to recovery by its kind,
+    /// as the `(path, datagram)` to transmit.
     fn build_packet(
         &mut self,
         now: Instant,
         path: usize,
         initial: bool,
         frames: &[Frame],
-        mut content: Vec<SentFrame>,
         ack_eliciting: bool,
     ) -> (usize, Vec<u8>) {
-        if content.is_empty() {
-            content = frames.iter().map(SentFrame::describing).collect();
-        }
+        let mut content = self.spare_content.pop().unwrap_or_default();
+        content.extend(frames.iter().map(SentFrame::describing));
         let mut packet = PacketBuilder::new(self.next_header(path, initial));
         for f in frames {
             f.encode(packet.frames());
@@ -1305,7 +1355,7 @@ impl Connection {
             return;
         }
         match space.recovery.on_timeout(now, &p.rtt) {
-            TimeoutOutcome::Lost(lost) => self.on_packets_lost(now, path, lost),
+            TimeoutOutcome::Lost(mut lost) => self.on_packets_lost(now, path, &mut lost),
             // The Initial space's probe is the hello again.
             TimeoutOutcome::SendProbe if initial => self.keys.hello_sent = false,
             TimeoutOutcome::SendProbe => {
@@ -1326,7 +1376,7 @@ impl Connection {
 mod tests {
     use super::*;
     use crate::ackranges::AckRanges;
-    use crate::frame::PathStatusKind;
+    use crate::frame::{AckFrame, PathStatusKind};
     use crate::packet::{pn_encode_len, pn_truncate};
 
     /// Drive two connections until quiescent, shuttling datagrams
@@ -1692,8 +1742,7 @@ mod tests {
             // the connection, not inflate the congestion window.
             let mut set = AckRanges::new();
             set.insert_range(900, 1000);
-            let ack = AckFrame::from_ranges(paths as u64 - 1, &set, Duration::ZERO).unwrap();
-            c.on_ack(now, paths - 1, false, ack);
+            c.on_ack(now, paths - 1, false, set.iter_descending(), Duration::ZERO);
             let violation = ConnectionError::LocallyClosed(TransportError::ProtocolViolation);
             assert_eq!(c.close_error(), Some(&violation), "{paths} paths");
         }
@@ -1746,7 +1795,7 @@ mod tests {
         ];
         for frame in frames {
             let (mut c, mut s, now) = refused_pair();
-            let (path, d) = c.build_packet(now, 0, false, &[frame.clone()], vec![], true);
+            let (path, d) = c.build_packet(now, 0, false, &[frame.clone()], true);
             s.handle_datagram_on(now, path, &d);
             let violation = ConnectionError::LocallyClosed(TransportError::ProtocolViolation);
             assert_eq!(s.close_error(), Some(&violation), "{frame:?}");

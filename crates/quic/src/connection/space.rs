@@ -2,10 +2,10 @@
 //! for, which packet numbers arrived in it, and whether they are owed an
 //! ACK. A connection has one for its Initials and one per path.
 
-use crate::ackranges::AckRanges;
+use crate::ackranges::{AckRanges, PnRange};
 use crate::cid::ConnectionId;
 use crate::error::TransportError;
-use crate::frame::{AckFrame, Frame};
+use crate::frame::Frame;
 use crate::packet::{pn_encode_len, pn_truncate, Header, PacketType};
 use crate::recovery::{AckOutcome, Recovery};
 use crate::rtt::RttEstimator;
@@ -52,7 +52,7 @@ pub enum SentFrame {
 }
 
 impl SentFrame {
-    /// How a control frame sent as is gets remembered.
+    /// How a frame sent in a packet of its own kind gets remembered.
     pub fn describing(frame: &Frame) -> SentFrame {
         match frame {
             Frame::Crypto { .. } => SentFrame::Crypto,
@@ -61,6 +61,8 @@ impl SentFrame {
             }
             Frame::HandshakeDone => SentFrame::HandshakeDone,
             Frame::Ping => SentFrame::Ping,
+            Frame::PathChallenge(data) => SentFrame::Challenge(*data),
+            Frame::PathResponse(data) => SentFrame::Response(*data),
             other => SentFrame::Control(other.clone()),
         }
     }
@@ -78,29 +80,34 @@ pub struct PnSpace {
 }
 
 impl PnSpace {
-    /// The peer acknowledged packets of this space. Protocol police first
-    /// (§10): an ACK covering a packet number never sent is the
-    /// optimistic-ACK attack — an error the connection closes on with
-    /// PROTOCOL_VIOLATION, and nothing reaches recovery or congestion
-    /// control. Otherwise: what was newly acked and what is thereby lost.
+    /// The peer acknowledged `ranges` (in any order) of this space.
+    /// Protocol police first (§10): an ACK covering a packet number never
+    /// sent is the optimistic-ACK attack — an error the connection closes
+    /// on with PROTOCOL_VIOLATION, and nothing reaches recovery or
+    /// congestion control. Otherwise `out` holds what was newly acked and
+    /// what is thereby lost.
     pub fn on_ack(
         &mut self,
         now: Instant,
-        ack: &AckFrame,
+        ranges: impl Iterator<Item = PnRange> + Clone,
+        ack_delay: Duration,
         rtt: &mut RttEstimator,
-    ) -> Result<AckOutcome<Vec<SentFrame>>, TransportError> {
-        let ranges = || ack.ranges_ascending().map(|r| (r.start, r.end));
-        self.recovery.validate_ack(ranges())?;
-        Ok(self.recovery.on_ack_received(now, ranges(), rtt, ack.ack_delay))
+        out: &mut AckOutcome<Vec<SentFrame>>,
+    ) -> Result<(), TransportError> {
+        let pairs = ranges.map(|r| (r.start, r.end));
+        self.recovery.validate_ack(pairs.clone())?;
+        self.recovery.on_ack_received_into(now, pairs, rtt, ack_delay, out);
+        Ok(())
     }
 
-    /// The ACK this space owes, if it owes one.
-    pub fn take_ack(&mut self, path_id: u64, delay: Duration) -> Option<AckFrame> {
+    /// The largest packet number of the ACK this space owes, if it owes
+    /// one: the ACK reports [`PnSpace::recv`].
+    pub fn take_ack(&mut self) -> Option<u64> {
         if !self.ack_pending {
             return None;
         }
         self.ack_pending = false;
-        AckFrame::from_ranges(path_id, &self.recv, delay)
+        self.recv.largest()
     }
 
     /// The header of the next packet to be sent in this space.
@@ -123,29 +130,30 @@ mod tests {
 
     #[test]
     fn optimistic_ack_is_refused_before_recovery_sees_it() {
-        let (t0, mut rtt) = (Instant::ZERO, RttEstimator::new());
+        let (t0, mut rtt, mut out) = (Instant::ZERO, RttEstimator::new(), AckOutcome::default());
         let mut space = PnSpace::default();
         space.recovery.on_packet_sent(t0, 1200, true, vec![SentFrame::Ping]);
         let mut never_sent = AckRanges::new();
         never_sent.insert_range(0, 5);
-        let ack = AckFrame::from_ranges(0, &never_sent, Duration::ZERO).unwrap();
-        assert_eq!(space.on_ack(t0, &ack, &mut rtt).err(), Some(TransportError::ProtocolViolation));
+        let ranges = never_sent.iter_descending();
+        let refused = space.on_ack(t0, ranges, Duration::ZERO, &mut rtt, &mut out);
+        assert_eq!(refused, Err(TransportError::ProtocolViolation));
         assert_eq!(space.recovery.in_flight_count(), 1, "recovery untouched");
         let mut sent = AckRanges::new();
         sent.insert(0);
-        let ack = AckFrame::from_ranges(0, &sent, Duration::ZERO).unwrap();
-        assert_eq!(space.on_ack(t0, &ack, &mut rtt).unwrap().acked.len(), 1);
+        space.on_ack(t0, sent.iter_descending(), Duration::ZERO, &mut rtt, &mut out).unwrap();
+        assert_eq!(out.acked.len(), 1);
     }
 
     #[test]
     fn an_ack_is_owed_once_per_elicitation() {
         let mut space = PnSpace::default();
-        assert!(space.take_ack(0, Duration::ZERO).is_none());
+        assert!(space.take_ack().is_none());
         space.recv.insert(3);
         space.ack_pending = true;
-        let ack = space.take_ack(2, Duration::ZERO).expect("owed");
-        assert_eq!((ack.path_id, ack.largest), (2, 3));
-        assert!(space.take_ack(2, Duration::ZERO).is_none());
+        assert_eq!(space.take_ack(), Some(3), "owed");
+        assert!(space.take_ack().is_none());
+        let ack = crate::frame::AckFrame::from_ranges(2, &space.recv, Duration::ZERO).unwrap();
         let sent = SentFrame::describing(&Frame::AckMp(ack));
         assert!(matches!(sent, SentFrame::Ack { space: 2, largest: 3 }));
     }

@@ -448,37 +448,52 @@ impl Frame {
     }
 }
 
-/// Encode ACK delay with millisecond granularity (exponent fixed at 3,
-/// i.e. units of 1 ms ≈ 2^3 × 125 µs — we simply use whole milliseconds).
 fn encode_ack(w: &mut Writer, ack: &AckFrame, mp: bool) {
-    assert!(!ack.ranges.is_empty(), "ACK must carry at least one range");
-    debug_assert_eq!(ack.ranges[0].end, ack.largest, "first range must contain largest");
-    if mp {
-        if ack.qoe.is_some() {
-            w.varint(ty::ACK_MP_QOE);
+    let path_id = mp.then_some(ack.path_id);
+    let ranges = ack.ranges.iter().copied();
+    Frame::encode_ack(w, path_id, ack.largest, ack.ack_delay, ranges, ack.qoe.as_ref());
+}
+
+impl Frame {
+    /// Encode an ACK — an ACK_MP of `path_id` if there is one, carrying
+    /// `qoe` if given — of `ranges` (descending, non-adjacent, the first
+    /// one ending at `largest`): what `Frame::Ack` / `Frame::AckMp`
+    /// `.encode(w)` writes, for senders that report straight from their
+    /// [`AckRanges`] without building the frame. The ACK delay has
+    /// millisecond granularity (exponent fixed at 3, i.e. units of 1 ms ≈
+    /// 2^3 × 125 µs — we simply use whole milliseconds); a plain ACK
+    /// carries no QoE field.
+    pub fn encode_ack(
+        w: &mut Writer,
+        path_id: Option<u64>,
+        largest: u64,
+        ack_delay: Duration,
+        mut ranges: impl ExactSizeIterator<Item = PnRange>,
+        qoe: Option<&QoeSignal>,
+    ) {
+        let count = ranges.len() as u64;
+        let first = ranges.next().expect("ACK must carry at least one range");
+        debug_assert_eq!(first.end, largest, "first range must contain largest");
+        if let Some(path_id) = path_id {
+            w.varint(if qoe.is_some() { ty::ACK_MP_QOE } else { ty::ACK_MP });
+            w.varint(path_id);
         } else {
-            w.varint(ty::ACK_MP);
+            w.varint(ty::ACK);
         }
-        w.varint(ack.path_id);
-    } else {
-        w.varint(ty::ACK);
-    }
-    w.varint(ack.largest);
-    w.varint(ack.ack_delay.as_millis());
-    w.varint(ack.ranges.len() as u64 - 1);
-    // First range: gap from largest down.
-    let first = ack.ranges[0];
-    w.varint(first.end - first.start);
-    let mut prev_start = first.start;
-    for r in &ack.ranges[1..] {
-        debug_assert!(r.end + 1 < prev_start, "ranges must be descending, non-adjacent");
-        // Gap: number of missing packets between ranges, minus 1.
-        w.varint(prev_start - r.end - 2);
-        w.varint(r.end - r.start);
-        prev_start = r.start;
-    }
-    if mp {
-        if let Some(q) = &ack.qoe {
+        w.varint(largest);
+        w.varint(ack_delay.as_millis());
+        w.varint(count - 1);
+        // First range: gap from largest down.
+        w.varint(first.end - first.start);
+        let mut prev_start = first.start;
+        for r in ranges {
+            debug_assert!(r.end + 1 < prev_start, "ranges must be descending, non-adjacent");
+            // Gap: number of missing packets between ranges, minus 1.
+            w.varint(prev_start - r.end - 2);
+            w.varint(r.end - r.start);
+            prev_start = r.start;
+        }
+        if let (Some(_), Some(q)) = (path_id, qoe) {
             q.encode(w);
         }
     }

@@ -11,7 +11,7 @@
 
 use crate::error::TransportError;
 use crate::rtt::RttEstimator;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use xlink_clock::{Duration, Instant};
 use xlink_obs::prof;
 
@@ -62,7 +62,7 @@ pub struct SentPacket<T> {
 }
 
 /// Outcome of processing an ACK frame.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AckOutcome<T> {
     /// Packets newly acknowledged, ascending by packet number.
     pub acked: Vec<SentPacket<T>>,
@@ -72,11 +72,26 @@ pub struct AckOutcome<T> {
     pub rtt_sample: Option<Duration>,
 }
 
+impl<T> Default for AckOutcome<T> {
+    fn default() -> Self {
+        AckOutcome { acked: Vec::new(), lost: Vec::new(), rtt_sample: None }
+    }
+}
+
 /// Per-packet-number-space loss recovery state.
 #[derive(Debug)]
 pub struct Recovery<T> {
-    /// In-flight (sent, not acked, not lost) packets by packet number.
-    sent: BTreeMap<u64, SentPacket<T>>,
+    /// In-flight (sent, not acked, not lost) packets by packet number:
+    /// slot `i` is packet `first_pn + i`, `None` once it left. Packet
+    /// numbers are dense, so this is the send order; the front slot is
+    /// occupied whenever the deque is not empty, and the back one is the
+    /// packet numbered `next_pn - 1`. A sliding window in one ring buffer:
+    /// sending and acknowledging allocate nothing once it has grown.
+    sent: VecDeque<Option<SentPacket<T>>>,
+    /// Packet number of `sent[0]` (`next_pn` when empty).
+    first_pn: u64,
+    /// Occupied slots of `sent`.
+    tracked: usize,
     next_pn: u64,
     largest_acked: Option<u64>,
     /// Time the latest ack-eliciting packet was sent (for PTO arming).
@@ -105,7 +120,9 @@ impl<T> Recovery<T> {
     /// Fresh, empty space.
     pub fn new() -> Self {
         Recovery {
-            sent: BTreeMap::new(),
+            sent: VecDeque::new(),
+            first_pn: 0,
+            tracked: 0,
             next_pn: 0,
             largest_acked: None,
             time_of_last_ack_eliciting: None,
@@ -147,7 +164,25 @@ impl<T> Recovery<T> {
 
     /// Number of tracked (unacked) packets.
     pub fn in_flight_count(&self) -> usize {
-        self.sent.len()
+        self.tracked
+    }
+
+    /// Take packet `pn` out of the window if it is still tracked. The
+    /// caller trims the front ([`Recovery::trim`]) once done taking.
+    fn take(&mut self, pn: u64) -> Option<SentPacket<T>> {
+        let slot = self.sent.get_mut(usize::try_from(pn.checked_sub(self.first_pn)?).ok()?)?;
+        let packet = slot.take()?;
+        self.tracked -= 1;
+        self.on_left_flight(&packet);
+        Some(packet)
+    }
+
+    /// Drop the vacated slots at the front of the window.
+    fn trim(&mut self) {
+        while self.sent.front().is_some_and(Option::is_none) {
+            self.sent.pop_front();
+            self.first_pn += 1;
+        }
     }
 
     /// True if any ack-eliciting packet is outstanding.
@@ -190,17 +225,10 @@ impl<T> Recovery<T> {
             self.bytes_in_flight += size;
             self.ack_eliciting_in_flight += 1;
         }
-        self.sent.insert(
-            pn,
-            SentPacket {
-                pn,
-                time_sent: now,
-                size,
-                ack_eliciting,
-                in_flight: ack_eliciting,
-                content,
-            },
-        );
+        let in_flight = ack_eliciting;
+        let packet = SentPacket { pn, time_sent: now, size, ack_eliciting, in_flight, content };
+        self.sent.push_back(Some(packet));
+        self.tracked += 1;
         pn
     }
 
@@ -224,8 +252,8 @@ impl<T> Recovery<T> {
         Ok(())
     }
 
-    /// Process acknowledged ranges (ascending iterator of inclusive
-    /// (start, end) pairs). Detects newly acked and threshold-lost packets.
+    /// Process acknowledged ranges (inclusive (start, end) pairs, in any
+    /// order). Detects newly acked and threshold-lost packets.
     pub fn on_ack_received(
         &mut self,
         now: Instant,
@@ -233,24 +261,42 @@ impl<T> Recovery<T> {
         rtt: &mut RttEstimator,
         ack_delay: Duration,
     ) -> AckOutcome<T> {
+        let mut out = AckOutcome::default();
+        self.on_ack_received_into(now, ranges, rtt, ack_delay, &mut out);
+        out
+    }
+
+    /// [`Recovery::on_ack_received`] into `out`, whose vectors are emptied
+    /// first and keep their capacity: a sender that keeps one outcome
+    /// allocates nothing per ACK.
+    pub fn on_ack_received_into(
+        &mut self,
+        now: Instant,
+        ranges: impl Iterator<Item = (u64, u64)>,
+        rtt: &mut RttEstimator,
+        ack_delay: Duration,
+        out: &mut AckOutcome<T>,
+    ) {
         let _prof = prof::span!("quic/recovery_ack");
-        let mut out = AckOutcome { acked: Vec::new(), lost: Vec::new(), rtt_sample: None };
+        out.acked.clear();
+        out.lost.clear();
+        out.rtt_sample = None;
         let mut largest_newly_acked: Option<(u64, Instant, bool)> = None;
         for (start, end) in ranges {
             // A late ACK for a packet we already declared lost means the
             // packet was reordered, not lost: widen the reordering
             // threshold to the observed gap so the path's skew stops
             // triggering spurious retransmits.
-            let spurious: Vec<u64> = self.recent_lost.range(start..=end).map(|(k, _)| *k).collect();
-            for pn in spurious {
-                let gap = self.recent_lost.remove(&pn).expect("key just seen");
+            while let Some((&pn, &gap)) = self.recent_lost.range(start..=end).next() {
+                self.recent_lost.remove(&pn);
                 self.spurious_losses += 1;
                 self.packet_threshold =
                     self.packet_threshold.max(gap + 1).min(MAX_PACKET_THRESHOLD);
             }
-            while let Some((&k, _)) = self.sent.range(start..=end).next() {
-                let p = self.sent.remove(&k).expect("key just seen");
-                self.on_left_flight(&p);
+            // Only the window's packet numbers can still be tracked.
+            let window_end = self.first_pn + self.sent.len() as u64;
+            for pn in start.max(self.first_pn)..=end.min(window_end.saturating_sub(1)) {
+                let Some(p) = self.take(pn) else { continue };
                 match largest_newly_acked {
                     Some((pn, _, _)) if pn >= p.pn => {}
                     _ => largest_newly_acked = Some((p.pn, p.time_sent, p.ack_eliciting)),
@@ -259,7 +305,10 @@ impl<T> Recovery<T> {
             }
             self.largest_acked = Some(self.largest_acked.map_or(end, |l| l.max(end)));
         }
-        out.acked.sort_by_key(|p| p.pn);
+        self.trim();
+        // Ranges arrive largest first: packet numbers are unique, so the
+        // unstable sort is the stable one, without its scratch buffer.
+        out.acked.sort_unstable_by_key(|p| p.pn);
         if let Some((pn, time_sent, ack_eliciting)) = largest_newly_acked {
             // RTT sample only if the largest newly acked is the overall
             // largest acked and was ack-eliciting.
@@ -271,20 +320,29 @@ impl<T> Recovery<T> {
         if !out.acked.is_empty() {
             self.pto_count = 0;
             // Run loss detection now that largest_acked may have advanced.
-            let lost = self.detect_lost(now, rtt);
-            out.lost = lost;
+            self.detect_lost_into(now, rtt, &mut out.lost);
         }
-        out
     }
 
     /// Detect lost packets by packet threshold and time threshold, and
     /// re-arm the loss timer.
     pub fn detect_lost(&mut self, now: Instant, rtt: &RttEstimator) -> Vec<SentPacket<T>> {
-        let _prof = prof::span!("quic/recovery_detect_lost");
         let mut lost = Vec::new();
+        self.detect_lost_into(now, rtt, &mut lost);
+        lost
+    }
+
+    /// [`Recovery::detect_lost`], appending to `lost`.
+    fn detect_lost_into(
+        &mut self,
+        now: Instant,
+        rtt: &RttEstimator,
+        lost: &mut Vec<SentPacket<T>>,
+    ) {
+        let _prof = prof::span!("quic/recovery_detect_lost");
         self.loss_time = None;
         let Some(largest_acked) = self.largest_acked else {
-            return lost;
+            return;
         };
         let loss_delay = rtt
             .latest()
@@ -295,15 +353,22 @@ impl<T> Recovery<T> {
         // otherwise (early in a simulation) no packet can be time-lost.
         let lost_send_time =
             if now.as_micros() >= loss_delay.as_micros() { Some(now - loss_delay) } else { None };
-        let mut to_remove = Vec::new();
-        for (&pn, p) in self.sent.iter() {
+        for i in 0..self.sent.len() {
+            let pn = self.first_pn + i as u64;
             if pn > largest_acked {
                 break; // only packets older than the largest ack can be lost
             }
+            let Some(p) = &self.sent[i] else { continue };
             if largest_acked >= pn + self.packet_threshold
                 || lost_send_time.is_some_and(|t| p.time_sent <= t)
             {
-                to_remove.push(pn);
+                let p = self.take(pn).expect("slot just seen");
+                self.recent_lost.insert(pn, largest_acked.saturating_sub(pn));
+                while self.recent_lost.len() > LOST_HISTORY_CAP {
+                    let oldest = *self.recent_lost.keys().next().expect("non-empty");
+                    self.recent_lost.remove(&oldest);
+                }
+                lost.push(p);
             } else {
                 // Earliest future time at which this packet would be
                 // declared lost by the time threshold.
@@ -311,17 +376,7 @@ impl<T> Recovery<T> {
                 self.loss_time = Some(self.loss_time.map_or(t, |lt: Instant| lt.min(t)));
             }
         }
-        for pn in to_remove {
-            let p = self.sent.remove(&pn).expect("key just seen");
-            self.on_left_flight(&p);
-            self.recent_lost.insert(pn, largest_acked.saturating_sub(pn));
-            while self.recent_lost.len() > LOST_HISTORY_CAP {
-                let oldest = *self.recent_lost.keys().next().expect("non-empty");
-                self.recent_lost.remove(&oldest);
-            }
-            lost.push(p);
-        }
-        lost
+        self.trim();
     }
 
     /// Next loss-detection timer: the earlier of the loss time and the PTO.
@@ -354,21 +409,21 @@ impl<T> Recovery<T> {
 
     /// Iterate unacked packets ascending (XLINK's `unacked_q` view).
     pub fn unacked(&self) -> impl Iterator<Item = &SentPacket<T>> {
-        self.sent.values()
+        self.sent.iter().flatten()
     }
 
     /// Oldest unacked send time (used for persistent-congestion checks and
     /// scheduler introspection).
     pub fn oldest_unacked_time(&self) -> Option<Instant> {
-        self.sent.values().map(|p| p.time_sent).min()
+        self.unacked().map(|p| p.time_sent).min()
     }
 
     /// Drain every tracked packet (used when abandoning a path: its
     /// in-flight data must be re-queued elsewhere).
     pub fn drain_all(&mut self) -> Vec<SentPacket<T>> {
-        (self.bytes_in_flight, self.ack_eliciting_in_flight) = (0, 0);
-        let sent = std::mem::take(&mut self.sent);
-        sent.into_values().collect()
+        (self.bytes_in_flight, self.ack_eliciting_in_flight, self.tracked) = (0, 0, 0);
+        self.first_pn = self.next_pn;
+        std::mem::take(&mut self.sent).into_iter().flatten().collect()
     }
 }
 

@@ -90,6 +90,9 @@ pub struct StreamMap {
     data_blocked_at: Option<u64>,
     /// Bumped whenever a STREAM or RESET_STREAM frame arrives.
     epoch: u64,
+    /// `(priority, id)` of the streams [`StreamMap::pack`] visits, rebuilt
+    /// by every pack in the same allocation.
+    sendable: Vec<(u8, u64)>,
 }
 
 impl StreamMap {
@@ -121,6 +124,7 @@ impl StreamMap {
             control: Vec::new(),
             data_blocked_at: None,
             epoch: 0,
+            sendable: Vec::new(),
         }
     }
 
@@ -198,18 +202,16 @@ impl StreamMap {
         self.streams.values_mut()
     }
 
-    /// Streams with pending data, sorted by (priority, id) — the transmit
-    /// order XLINK's stream-priority rules require (earlier/higher-priority
-    /// streams first).
-    pub fn sendable_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<(u8, u64)> = self
-            .streams
-            .values()
-            .filter(|s| s.send.has_pending())
-            .map(|s| (s.priority, s.id))
-            .collect();
-        ids.sort();
-        ids.into_iter().map(|(_, id)| id).collect()
+    /// `(priority, id)` of the streams with pending data, sorted — the
+    /// transmit order XLINK's stream-priority rules require
+    /// (earlier/higher-priority streams first).
+    fn sendable(&mut self) -> &[(u8, u64)] {
+        let pending = self.streams.values().filter(|s| s.send.has_pending());
+        self.sendable.clear();
+        self.sendable.extend(pending.map(|s| (s.priority, s.id)));
+        // Ids are unique: the unstable sort is the stable one.
+        self.sendable.sort_unstable();
+        &self.sendable
     }
 
     /// Connection-level send credit remaining.
@@ -368,14 +370,13 @@ impl StreamMap {
 
     /// Fill `packet` with the queued control frames, then stream data in
     /// (priority, id) order under both flow-control limits, a stream
-    /// getting room while 32 bytes are left. Returns what went in
-    /// and how many stream bytes were sent for the first time. A range
+    /// getting room while 32 bytes are left. What went in is appended to
+    /// `sent`; returns how many stream bytes were sent for the first time. A range
     /// that does not fit the connection limit goes back as never sent, and
     /// DATA_BLOCKED is said once per limit (RFC 9000 §19.12), in this very
     /// packet: left on the queue it would make the next poll send with no
     /// input in between.
-    pub fn pack(&mut self, packet: &mut PacketBuilder) -> (Vec<SentFrame>, u64) {
-        let mut sent = Vec::new();
+    pub fn pack(&mut self, packet: &mut PacketBuilder, sent: &mut Vec<SentFrame>) -> u64 {
         let mut first_time = 0;
         let mut remaining = MAX_DATAGRAM_SIZE as usize - 64; // header+tag slack
         while let Some(f) = self.control.pop() {
@@ -386,12 +387,13 @@ impl StreamMap {
             remaining -= len;
             sent.push(SentFrame::Control(f));
         }
-        for id in self.sendable_ids() {
+        for i in 0..self.sendable().len() {
             if remaining < 32 {
                 break;
             }
+            let id = self.sendable[i].1;
             let conn_credit = self.conn_send_credit();
-            // Invariant: sendable_ids() only yields ids present in the map.
+            // Invariant: sendable() only yields ids present in the map.
             let send = &mut self.streams.get_mut(&id).expect("sendable id").send;
             // Reserve frame header overhead ~ 1+8+8+4.
             let max_payload = remaining.saturating_sub(24);
@@ -428,7 +430,7 @@ impl StreamMap {
             remaining = remaining.saturating_sub(range.len() as usize + 24);
             sent.push(SentFrame::Stream { id, range, fin, reinjected: false });
         }
-        (sent, first_time)
+        first_time
     }
 
     /// A sent frame was acknowledged: a stream range is delivered. Every
@@ -516,7 +518,7 @@ mod tests {
         m.get_mut(a).unwrap().send.write(b"a");
         m.get_mut(b).unwrap().send.write(b"b");
         m.get_mut(c).unwrap().send.write(b"c");
-        assert_eq!(m.sendable_ids(), vec![b, a, c]);
+        assert_eq!(m.sendable(), [(1, b), (5, a), (5, c)]);
     }
 
     #[test]
