@@ -207,7 +207,13 @@ impl MpConnection {
         self.conn.streams_mut().write(id, data, Some(frame_priority), fin);
     }
 
-    /// Read available data from a stream.
+    /// Read available data from a stream, lent until the next arrival on
+    /// it ([`Connection::stream_consume`]).
+    pub fn stream_consume(&mut self, id: u64, max: usize) -> &[u8] {
+        self.conn.stream_consume(id, max)
+    }
+
+    /// [`MpConnection::stream_consume`], copied out.
     pub fn stream_recv(&mut self, id: u64, max: usize) -> Vec<u8> {
         self.conn.stream_recv(id, max)
     }
@@ -226,6 +232,12 @@ impl MpConnection {
     /// Ingest a datagram that arrived on network path `path`.
     pub fn handle_datagram(&mut self, now: Instant, path: usize, datagram: &[u8]) {
         self.conn.handle_datagram_on(now, path, datagram);
+    }
+
+    /// [`MpConnection::handle_datagram`], opened and read where it lies
+    /// ([`Connection::handle_datagram_in_place`]).
+    pub fn handle_datagram_in_place(&mut self, now: Instant, path: usize, datagram: &mut [u8]) {
+        self.conn.handle_datagram_in_place(now, path, datagram);
     }
 
     /// Earliest timer deadline.

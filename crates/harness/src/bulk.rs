@@ -37,35 +37,40 @@ struct BulkClient {
     stream: Option<u64>,
     received: u64,
     header_skipped: bool,
-    pending: Vec<u8>,
+    /// The response header's bytes until it is complete (the body is only
+    /// counted).
+    header: Vec<u8>,
     done_at: Option<Instant>,
     /// Static QoE feedback to advertise (None = no feedback, which the
     /// server's controller treats as start-up urgency).
     qoe: Option<QoeSignal>,
 }
 
+impl BulkClient {
+    /// Read what arrived of the response through the consuming read: the
+    /// header is copied until it is complete, the body only counted.
+    fn read_response(&mut self, now: Instant) {
+        let Some(id) = self.stream else { return };
+        let mut data = self.conn.stream_consume(id, usize::MAX);
+        if !self.header_skipped && !data.is_empty() {
+            let line = data.iter().position(|&b| b == b'\n').map_or(data.len(), |i| i + 1);
+            self.header.extend_from_slice(&data[..line]);
+            data = &data[line..];
+            self.header_skipped = Response::decode(&self.header).is_some();
+        }
+        if self.header_skipped {
+            self.received += data.len() as u64;
+        }
+        if self.received >= self.size && self.done_at.is_none() {
+            self.done_at = Some(now);
+        }
+    }
+}
+
 impl Endpoint for BulkClient {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         self.conn.handle_datagram(now, path, payload);
-        if let Some(id) = self.stream {
-            let data = self.conn.stream_recv(id, usize::MAX);
-            if !data.is_empty() {
-                self.pending.extend_from_slice(&data);
-                if !self.header_skipped {
-                    if let Some((_, used)) = Response::decode(&self.pending) {
-                        self.pending.drain(..used);
-                        self.header_skipped = true;
-                    }
-                }
-                if self.header_skipped {
-                    self.received += self.pending.len() as u64;
-                    self.pending.clear();
-                }
-            }
-            if self.received >= self.size && self.done_at.is_none() {
-                self.done_at = Some(now);
-            }
-        }
+        self.read_response(now);
     }
 
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
@@ -137,7 +142,7 @@ impl Scenario {
             stream: None,
             received: 0,
             header_skipped: false,
-            pending: Vec::new(),
+            header: Vec::new(),
             done_at: None,
             qoe,
         };

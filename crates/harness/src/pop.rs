@@ -246,10 +246,11 @@ impl Session {
         }
     }
 
-    /// Read and byte-verify response data against the absolute pattern.
+    /// Read and byte-verify response data against the absolute pattern,
+    /// through the consuming read.
     fn absorb(&mut self, now: Instant) {
         let Some(id) = self.stream else { return };
-        for b in self.conn.stream_recv(id, usize::MAX) {
+        for &b in self.conn.stream_consume(id, usize::MAX) {
             if b != (self.received % 251) as u8 {
                 self.ok = false;
             }

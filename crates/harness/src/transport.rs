@@ -241,14 +241,25 @@ impl Conn {
 
     /// Ingest a datagram from `path`.
     pub fn handle_datagram(&mut self, now: Instant, path: usize, data: &[u8]) {
+        let path = self.arrived_on(now, path);
+        self.mp.handle_datagram(now, path, data);
+    }
+
+    /// [`Conn::handle_datagram`], opened and read where it lies.
+    pub fn handle_datagram_in_place(&mut self, now: Instant, path: usize, data: &mut [u8]) {
+        let path = self.arrived_on(now, path);
+        self.mp.handle_datagram_in_place(now, path, data);
+    }
+
+    /// A datagram arrived on network path `path`: the connection's path it
+    /// belongs to.
+    fn arrived_on(&mut self, now: Instant, path: usize) -> usize {
         self.last_recv = now;
-        let Some(carrier) = &mut self.carrier else {
-            return self.mp.handle_datagram(now, path, data);
-        };
+        let Some(carrier) = &mut self.carrier else { return path };
         if self.follow_peer_path {
             *carrier = path; // reply where the client is
         }
-        self.mp.handle_datagram(now, 0, data);
+        0
     }
 
     /// Next datagram to send: (network path, bytes).
@@ -316,6 +327,11 @@ impl Conn {
     /// Write stream data.
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
         self.mp.stream_send(id, data, fin);
+    }
+
+    /// Read stream data, lent until the next arrival on the stream.
+    pub fn stream_consume(&mut self, id: u64, max: usize) -> &[u8] {
+        self.mp.stream_consume(id, max)
     }
 
     /// Read stream data.

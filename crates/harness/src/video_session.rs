@@ -75,8 +75,22 @@ struct ChunkReq {
     completed_at: Option<Instant>,
     /// Response header parsed?
     header: Option<Response>,
-    /// Body bytes received so far (contiguous on the stream).
-    body: Vec<u8>,
+    /// The response header's bytes until it parses.
+    head: Vec<u8>,
+    /// Body bytes received after the header (contiguous on the stream).
+    body: u64,
+}
+
+impl ChunkReq {
+    /// Response bytes received so far: the body's once the header parsed,
+    /// the header's before.
+    fn received(&self) -> u64 {
+        if self.header.is_some() {
+            self.body
+        } else {
+            self.head.len() as u64
+        }
+    }
 }
 
 /// The client endpoint: issues chunk requests, feeds the player, sends
@@ -154,38 +168,40 @@ impl VideoClientEndpoint {
                     requested_at: now,
                     completed_at: None,
                     header: None,
-                    body: Vec::new(),
+                    head: Vec::new(),
+                    body: 0,
                 },
             );
         }
     }
 
+    /// Read every response stream through the consuming read (only the
+    /// headers are copied), retire the completed chunks and feed the player.
     fn drain_streams(&mut self, now: Instant) {
-        let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        for id in ids {
-            let data = self.conn.stream_recv(id, usize::MAX);
-            let complete = self.conn.inner().conn().streams().is_complete(id);
-            let req = self.inflight.get_mut(&id).expect("tracked stream");
-            if !data.is_empty() {
-                req.body.extend_from_slice(&data);
-                if req.header.is_none() {
-                    if let Some((hdr, used)) = Response::decode(&req.body) {
-                        req.body.drain(..used);
-                        req.header = Some(hdr);
-                    }
-                }
+        let (conn, chunk_rct, done) = (&mut self.conn, &mut self.chunk_rct, &mut self.done);
+        self.inflight.retain(|&id, req| {
+            let complete = conn.inner().conn().streams().is_complete(id);
+            let mut data = conn.stream_consume(id, usize::MAX);
+            if req.header.is_none() && !data.is_empty() {
+                let line = data.iter().position(|&b| b == b'\n').map_or(data.len(), |i| i + 1);
+                req.head.extend_from_slice(&data[..line]);
+                data = &data[line..];
+                req.header = Response::decode(&req.head).map(|(hdr, _)| hdr);
+            }
+            if req.header.is_some() {
+                req.body += data.len() as u64;
             }
             let header_len = req.header.as_ref().map(|h| h.body_len).unwrap_or(u64::MAX);
-            if complete || req.body.len() as u64 >= header_len {
-                if req.completed_at.is_none() {
-                    req.completed_at = Some(now);
-                    self.chunk_rct
-                        .push((req.chunk_index, now.saturating_duration_since(req.requested_at)));
-                }
-                let req = self.inflight.remove(&id).expect("present");
-                self.done.insert(req.chunk_index, req.body.len() as u64);
+            if !(complete || req.received() >= header_len) {
+                return true;
             }
-        }
+            if req.completed_at.is_none() {
+                req.completed_at = Some(now);
+                chunk_rct.push((req.chunk_index, now.saturating_duration_since(req.requested_at)));
+            }
+            done.insert(req.chunk_index, req.received());
+            false
+        });
         // Feed the player the contiguous video prefix.
         let prefix = self.contiguous_prefix();
         self.player.on_bytes(now, prefix);
@@ -202,7 +218,7 @@ impl VideoClientEndpoint {
             }
             // Partial in-flight body still counts toward the prefix.
             if let Some(req) = self.inflight.values().find(|r| r.chunk_index == i as u64) {
-                prefix = c.start + req.body.len() as u64;
+                prefix = c.start + req.received();
             }
             break;
         }
@@ -296,6 +312,9 @@ pub struct VideoServerEndpoint {
     answered: Vec<u64>,
     /// Request reassembly buffers per stream.
     buffers: HashMap<u64, Vec<u8>>,
+    /// The stream epoch requests were last looked for at: what they read
+    /// changes only when it moves.
+    stream_epoch: u64,
 }
 
 impl VideoServerEndpoint {
@@ -318,41 +337,53 @@ impl VideoServerEndpoint {
             first_frame_accel,
             answered: Vec::new(),
             buffers: HashMap::new(),
+            stream_epoch: 0,
         }
     }
 
     fn serve_requests(&mut self) {
+        // Requests arrive in STREAM frames: nothing new to read before one
+        // did (the acknowledgements a sending server mostly receives).
+        let epoch = self.conn.inner().conn().streams().epoch();
+        if std::mem::replace(&mut self.stream_epoch, epoch) == epoch {
+            return;
+        }
         for id in self.conn.inner().conn().streams().readable_ids() {
             if self.answered.contains(&id) {
                 continue;
             }
-            let data = self.conn.stream_recv(id, usize::MAX);
+            let data = self.conn.stream_consume(id, usize::MAX);
             let buf = self.buffers.entry(id).or_default();
-            buf.extend_from_slice(&data);
+            buf.extend_from_slice(data);
             let Some(req) = Request::decode(buf) else {
                 continue;
             };
             self.answered.push(id);
             self.buffers.remove(&id);
-            let Some(body) = self.store.body_range(&req.object, req.start, req.end) else {
+            let Some(body) = self.store.clamp_range(&req.object, req.start, req.end) else {
                 let resp = Response { status: 404, body_len: 0, first_frame_end: 0 };
                 self.conn.stream_send(id, &resp.encode(), true);
                 continue;
             };
             let ff_end = self.store.first_frame_end(&req.object);
-            let resp =
-                Response { status: 200, body_len: body.len() as u64, first_frame_end: ff_end };
+            let body_len = body.end - body.start;
+            let resp = Response { status: 200, body_len, first_frame_end: ff_end };
             self.conn.stream_send(id, &resp.encode(), false);
             // First-video-frame acceleration: the byte span of the first
             // frame inside this response is written at the highest frame
-            // priority (paper §5.1 stream_send with position+size).
-            if self.first_frame_accel && req.start < ff_end {
-                let split = (ff_end - req.start).min(body.len() as u64) as usize;
-                self.conn.inner_mut().stream_send_with_frame_priority(id, &body[..split], 0, false);
-                self.conn.stream_send(id, &body[split..], true);
-            } else {
-                self.conn.stream_send(id, &body, true);
-            }
+            // priority (paper §5.1 stream_send with position+size). The
+            // body is generated straight into the stream's send buffer.
+            let accelerated = self.first_frame_accel && req.start < ff_end;
+            let split =
+                body.start + if accelerated { (ff_end - req.start).min(body_len) } else { 0 };
+            let streams = self.conn.inner_mut().conn_mut().streams_mut();
+            let object = &req.object;
+            streams.write_with(id, Some(0), false, |buf| {
+                MediaStore::extend_body(object, body.start..split, buf)
+            });
+            streams.write_with(id, None, true, |buf| {
+                MediaStore::extend_body(object, split..body.end, buf)
+            });
         }
     }
 

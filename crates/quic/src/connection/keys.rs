@@ -13,6 +13,7 @@ use crate::packet::{pn_decode, Header, PacketBuilder, PacketType};
 use crate::params::TransportParams;
 use crate::reset;
 use crate::stream::Side;
+use std::ops::Range;
 use xlink_clock::Instant;
 use xlink_obs::{Event, Tracer};
 
@@ -59,14 +60,13 @@ impl ResetOracle {
 /// What [`Keys::open_datagram`] made of a datagram.
 #[derive(Debug)]
 pub enum Opened {
-    /// Authentic and not seen before, its packet number now recorded.
-    /// `frames` is `None` when the payload does not parse (the connection
-    /// closes with FRAME_ENCODING_ERROR).
+    /// Authentic and not seen before, its packet number now recorded, and
+    /// decrypted where it lies.
     Packet {
         /// The decoded header.
         header: Header,
-        /// The frames carried.
-        frames: Option<Vec<Frame>>,
+        /// Where in the datagram the plaintext frames now are.
+        payload: Range<usize>,
     },
     /// A Retry: no packet number, no protected payload (§17.2.5).
     Retry(Header),
@@ -111,9 +111,6 @@ pub struct Keys {
     initial: KeyPair,
     /// 1-RTT keys (post-handshake).
     one_rtt: Option<KeyPair>,
-    /// The datagram being ingested: copied here once, opened in place, and
-    /// the capacity kept for the next one.
-    buf: Vec<u8>,
 }
 
 impl Keys {
@@ -130,7 +127,6 @@ impl Keys {
             done_sent: false,
             initial,
             one_rtt: None,
-            buf: Vec::new(),
         }
     }
 
@@ -142,11 +138,6 @@ impl Keys {
     /// The 1-RTT keys, once the handshake produced them.
     pub fn one_rtt(&self) -> Option<&KeyPair> {
         self.one_rtt.as_ref()
-    }
-
-    /// Give back the receive buffer (the connection is over).
-    pub fn release(&mut self) {
-        self.buf = Vec::new();
     }
 
     /// The hello to send now, if one is owed, and whether it is a
@@ -182,11 +173,12 @@ impl Keys {
     /// Open `datagram` as a packet of `space` (the connection's pick, from the
     /// arrival path and the header form): decode the header, reconstruct
     /// the packet number, pick the key by packet type and direction, open
-    /// in place under `path`'s nonce, refuse duplicates, decode the
-    /// frames. What cannot be opened is offered to `oracle`.
+    /// in place under `path`'s nonce, refuse duplicates. What cannot be
+    /// opened is left as it arrived (the tag is checked before anything is
+    /// decrypted) and offered to `oracle`.
     pub fn open_datagram(
-        &mut self,
-        datagram: &[u8],
+        &self,
+        datagram: &mut [u8],
         space: &mut PnSpace,
         path: usize,
         oracle: &ResetOracle,
@@ -197,8 +189,8 @@ impl Keys {
 
     /// [`Keys::open_datagram`] short of the oracle: `None` is undecryptable.
     fn try_open(
-        &mut self,
-        datagram: &[u8],
+        &self,
+        datagram: &mut [u8],
         space: &mut PnSpace,
         nonce_path: u32,
     ) -> Option<Opened> {
@@ -209,16 +201,13 @@ impl Keys {
         let pn = pn_decode(header.pn, header.pn_len, space.recv.largest());
         let keys = if header.ty.is_long() { &self.initial } else { self.one_rtt.as_ref()? };
         let key = if self.side == Side::Server { &keys.client } else { &keys.server };
-        self.buf.clear();
-        self.buf.reserve_exact(datagram.len()); // never more than a datagram's worth
-        self.buf.extend_from_slice(datagram);
-        let (aad, sealed) = self.buf.split_at_mut(payload_off);
+        let (aad, sealed) = datagram.split_at_mut(payload_off);
         // Multipath nonce: CID sequence number = path id (paper §6).
-        let plain = key.open_in_place(nonce_path, pn, aad, sealed).ok()?;
+        let plain = key.open_in_place(nonce_path, pn, aad, sealed).ok()?.len();
         if !space.recv.insert(pn) {
             return Some(Opened::Duplicate);
         }
-        Some(Opened::Packet { header, frames: Frame::decode_all(plain).ok() })
+        Some(Opened::Packet { header, payload: payload_off..payload_off + plain })
     }
 
     /// Seal `packet` (begun from [`PnSpace::next_header`] of the same
@@ -257,13 +246,6 @@ impl Keys {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Keys {
-        /// Capacity of the receive buffer (decoder-totality property).
-        pub(in crate::connection) fn buffer_capacity(&self) -> usize {
-            self.buf.capacity()
-        }
-    }
 
     fn keys(side: Side) -> Keys {
         Keys::new(side, b"psk", &TransportParams::default(), [7; 16])
@@ -304,35 +286,43 @@ mod tests {
 
     #[test]
     fn open_datagram_sorts_fresh_duplicate_noise_and_resets() {
-        let (c, mut s) = (keys(Side::Client), keys(Side::Server));
+        use crate::frame::FrameRef;
+        let (c, s) = (keys(Side::Client), keys(Side::Server));
         let (mut tx, mut rx) = (PnSpace::default(), PnSpace::default());
         let mut oracle = ResetOracle::default();
+        // Opened in a copy: what `open` made of it, and the copy after.
+        let open = |datagram: &[u8], rx: &mut PnSpace, path, oracle: &ResetOracle| {
+            let mut buf = datagram.to_vec();
+            (s.open_datagram(&mut buf, rx, path, oracle), buf)
+        };
         let datagram = initial(&c, &mut tx, &[Frame::Ping]);
         assert_eq!(tx.recovery.in_flight_count(), 1, "booked as sent");
-        let Opened::Packet { frames: Some(frames), .. } =
-            s.open_datagram(&datagram, &mut rx, 0, &oracle)
-        else {
+        let (Opened::Packet { payload, .. }, plain) = open(&datagram, &mut rx, 0, &oracle) else {
             panic!("authentic and fresh");
         };
-        assert_eq!(frames, [Frame::Ping]);
-        assert!(matches!(s.open_datagram(&datagram, &mut rx, 0, &oracle), Opened::Duplicate));
+        assert_eq!(Frame::decode_all(&plain[payload]).unwrap(), [Frame::Ping]);
+        assert!(matches!(open(&datagram, &mut rx, 0, &oracle).0, Opened::Duplicate));
         // The wrong path's nonce, a flipped bit and a keyless short header
-        // are all the same thing: undecryptable, and not a reset.
+        // are all the same thing: undecryptable, not a reset, and left as
+        // they arrived.
         let next = initial(&c, &mut tx, &[Frame::Ping]);
-        let noise = |o| matches!(o, Opened::Undecryptable { reset: false });
-        assert!(noise(s.open_datagram(&next, &mut rx, 1, &oracle)));
+        let noise = |(o, left): (Opened, Vec<u8>), arrived: &[u8]| {
+            matches!(o, Opened::Undecryptable { reset: false }) && left == arrived
+        };
+        assert!(noise(open(&next, &mut rx, 1, &oracle), &next));
         let mut bent = next.clone();
         *bent.last_mut().unwrap() ^= 1;
-        assert!(noise(s.open_datagram(&bent, &mut rx, 0, &oracle)));
+        assert!(noise(open(&bent, &mut rx, 0, &oracle), &bent));
         let reset = reset::build_stateless_reset(9, &ConnectionId::derive(1, 0));
-        assert!(noise(s.open_datagram(&reset, &mut rx, 0, &oracle)));
+        assert!(noise(open(&reset, &mut rx, 0, &oracle), &reset));
         assert_eq!(rx.recv.len(), 1, "only the authentic packet was recorded");
         // Armed for path 0 only.
         oracle.remember(0, reset::reset_token(9, &ConnectionId::derive(1, 0)));
-        assert!(noise(s.open_datagram(&reset, &mut rx, 1, &oracle)));
-        let hit = s.open_datagram(&reset, &mut rx, 0, &oracle);
+        assert!(noise(open(&reset, &mut rx, 1, &oracle), &reset));
+        let (hit, _) = open(&reset, &mut rx, 0, &oracle);
         assert!(matches!(hit, Opened::Undecryptable { reset: true }));
-        // An authentic packet whose payload is not frames.
+        // An authentic packet whose payload is not frames: opened, and the
+        // frame parser refuses it.
         let mut packet = PacketBuilder::new(tx.next_header(
             PacketType::Initial,
             ConnectionId::derive(1, 0),
@@ -342,8 +332,10 @@ mod tests {
         packet.frames().bytes(&[0x3f, 0xff]);
         let junk =
             c.finish_packet(Instant::ZERO, &mut tx, 0, packet, vec![], false, &Tracer::disabled());
-        let opened = s.open_datagram(&junk, &mut rx, 0, &oracle);
-        assert!(matches!(opened, Opened::Packet { frames: None, .. }));
+        let (Opened::Packet { payload, .. }, plain) = open(&junk, &mut rx, 0, &oracle) else {
+            panic!("authentic");
+        };
+        assert!(FrameRef::decode_payload(&plain[payload]).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::cc::{Cubic, MAX_DATAGRAM_SIZE};
 use crate::cid::{CidManager, ConnectionId};
 use crate::crypto::TAG_LEN;
 use crate::error::{ConnectionError, TransportError};
-use crate::frame::{Frame, QoeSignal};
+use crate::frame::{Frame, FrameRef, QoeSignal};
 use crate::packet::{Header, PacketBuilder, PacketType};
 use crate::params::TransportParams;
 use crate::recovery::{AckOutcome, SentPacket, TimeoutOutcome, SUSPECT_AFTER_PTOS};
@@ -244,6 +244,10 @@ pub struct Connection {
     /// packets sent: a packet's `Vec<SentFrame>` is allocated once, not per
     /// packet.
     spare_content: Vec<Vec<SentFrame>>,
+    /// A datagram handed over by reference ([`Connection::handle_datagram_on`]):
+    /// copied here once and opened in place, the capacity kept for the next
+    /// one.
+    rx_buf: Vec<u8>,
     tracer: Tracer,
 }
 
@@ -310,6 +314,7 @@ impl Connection {
             reinject: None,
             ack_outcome: AckOutcome::default(),
             spare_content: Vec::new(),
+            rx_buf: Vec::new(),
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -425,9 +430,15 @@ impl Connection {
         self.streams.write(id, data, None, fin);
     }
 
-    /// Read available bytes from a stream.
+    /// Read available bytes from a stream, lent until the next arrival on
+    /// it ([`StreamMap::consume`]).
+    pub fn stream_consume(&mut self, id: u64, max: usize) -> &[u8] {
+        self.streams.consume(id, max)
+    }
+
+    /// [`Connection::stream_consume`], copied out.
     pub fn stream_recv(&mut self, id: u64, max: usize) -> Vec<u8> {
-        self.streams.read(id, max)
+        self.stream_consume(id, max).to_vec()
     }
 
     /// Latest peer QoE feedback (server side).
@@ -465,8 +476,7 @@ impl Connection {
     fn free_state(&mut self) {
         self.streams.control = Vec::new();
         self.reinject = None;
-        (self.ack_outcome, self.spare_content) = Default::default();
-        self.keys.release();
+        (self.ack_outcome, self.spare_content, self.rx_buf) = Default::default();
         let _ = self.initial.recovery.drain_all();
         for p in &mut self.paths {
             p.response_pending = Vec::new();
@@ -584,8 +594,25 @@ impl Connection {
         self.handle_datagram_on(now, 0, datagram);
     }
 
-    /// Ingest a datagram that arrived on network path `path`.
+    /// Ingest a datagram that arrived on network path `path`: copied into
+    /// the connection's receive buffer, then
+    /// [`Connection::handle_datagram_in_place`].
     pub fn handle_datagram_on(&mut self, now: Instant, path: usize, datagram: &[u8]) {
+        let mut buf = std::mem::take(&mut self.rx_buf);
+        buf.clear();
+        buf.reserve_exact(datagram.len()); // never more than a datagram's worth
+        buf.extend_from_slice(datagram);
+        self.handle_datagram_in_place(now, path, &mut buf);
+        // A connection whose state was freed keeps no buffer either.
+        if !self.is_drained() {
+            self.rx_buf = buf;
+        }
+    }
+
+    /// Ingest a datagram that arrived on network path `path`, opened and
+    /// read where it lies: the plaintext overwrites it, and every frame is
+    /// decoded in place. What does not authenticate is left as it arrived.
+    pub fn handle_datagram_in_place(&mut self, now: Instant, path: usize, datagram: &mut [u8]) {
         if path >= self.paths.len() {
             self.stats.packets_dropped += 1;
             return;
@@ -598,8 +625,8 @@ impl Connection {
         // arrival path's.
         let long = datagram.first().is_some_and(|b| b & 0x80 != 0);
         let space = if long { &mut self.initial } else { &mut self.paths[path].space };
-        let (header, frames) = match self.keys.open_datagram(datagram, space, path, &self.oracle) {
-            Opened::Packet { header, frames } => (header, frames),
+        let (header, payload) = match self.keys.open_datagram(datagram, space, path, &self.oracle) {
+            Opened::Packet { header, payload } => (header, payload),
             Opened::Retry(header) => return self.on_retry(now, header),
             Opened::Duplicate => return,
             Opened::Undecryptable { reset: true } => return self.on_stateless_reset(now, path),
@@ -631,7 +658,8 @@ impl Connection {
             self.paths[path].state = PathState::Active;
             self.trace_path_state(now, path, PathState::Validating, PathState::Active);
         }
-        let Some(frames) = frames else {
+        // Every frame decodes before any is acted on.
+        let Ok(frames) = FrameRef::decode_payload(&datagram[payload]) else {
             return self.close(TransportError::FrameEncodingError, "bad frame");
         };
         let mut ack_eliciting = false;
@@ -671,9 +699,9 @@ impl Connection {
 
     /// One frame of a packet that arrived on `arrival_path`, in the Initial
     /// space (`initial`) or the path's own.
-    fn on_frame(&mut self, now: Instant, arrival_path: usize, initial: bool, frame: Frame) {
+    fn on_frame(&mut self, now: Instant, arrival_path: usize, initial: bool, frame: FrameRef<'_>) {
         match frame {
-            Frame::Crypto { data, .. } => match self.keys.on_peer_hello(&data) {
+            FrameRef::Crypto { data, .. } => match self.keys.on_peer_hello(data) {
                 Ok(true) => self.on_handshake_complete(now),
                 // A retransmitted hello: the Initial space's own PTO and
                 // loss detection re-fire ours if it was lost.
@@ -682,19 +710,19 @@ impl Connection {
             },
             // Plain ACK: the Initial space's, or (before multipath is
             // negotiated, or without it) the primary path's.
-            Frame::Ack(ack) => {
-                let ranges = ack.ranges.iter().copied();
-                self.on_ack(now, self.cfg.primary, initial, ranges, ack.ack_delay)
+            FrameRef::Ack(ack) => {
+                self.on_ack(now, self.cfg.primary, initial, ack.ranges(), ack.ack_delay)
             }
             // The extension's frames on a connection that did not negotiate
             // it are a protocol violation.
-            Frame::AckMp(_) | Frame::PathStatus { .. } | Frame::QoeControlSignals(_)
+            FrameRef::AckMp(_)
+            | FrameRef::Other(Frame::PathStatus { .. } | Frame::QoeControlSignals(_))
                 if !self.multipath =>
             {
                 let why = "multipath frame without negotiation";
                 self.close(TransportError::ProtocolViolation, why);
             }
-            Frame::AckMp(ack) => {
+            FrameRef::AckMp(ack) => {
                 let space = ack.path_id as usize;
                 if space >= self.paths.len() {
                     return self.close(TransportError::MultipathError, "unknown path in ACK_MP");
@@ -702,13 +730,13 @@ impl Connection {
                 if let Some(q) = ack.qoe {
                     self.on_peer_qoe(now, q);
                 }
-                self.on_ack(now, space, false, ack.ranges.iter().copied(), ack.ack_delay);
+                self.on_ack(now, space, false, ack.ranges(), ack.ack_delay);
             }
-            Frame::QoeControlSignals(q) => self.on_peer_qoe(now, q),
-            Frame::PathStatus { path_id, seq: _, status } => {
+            FrameRef::Other(Frame::QoeControlSignals(q)) => self.on_peer_qoe(now, q),
+            FrameRef::Other(Frame::PathStatus { path_id, seq: _, status }) => {
                 self.on_path_status(now, path_id as usize, status)
             }
-            Frame::NewConnectionId(ic) => {
+            FrameRef::Other(Frame::NewConnectionId(ic)) => {
                 // Acknowledge any Retire Prior To the frame carries so the
                 // issuer can free the old routing entries.
                 let retired = self.cids.store_remote(ic);
@@ -736,7 +764,7 @@ impl Connection {
                     }
                 }
             }
-            Frame::RetireConnectionId { seq } => {
+            FrameRef::Other(Frame::RetireConnectionId { seq }) => {
                 // §19.16: the peer cannot retire the CID its packets are
                 // currently routed by, nor a sequence never issued.
                 if seq >= self.cids.next_local_seq() {
@@ -754,9 +782,9 @@ impl Connection {
             }
             // A challenge validates the path it travelled, so the reply is
             // pinned to the arrival path (RFC 9000 §8.2.2).
-            Frame::PathChallenge(data) => self.pin_response(arrival_path, data),
-            Frame::PathResponse(data) => self.on_path_response(now, data),
-            Frame::ConnectionClose { error_code, .. } => {
+            FrameRef::Other(Frame::PathChallenge(data)) => self.pin_response(arrival_path, data),
+            FrameRef::Other(Frame::PathResponse(data)) => self.on_path_response(now, data),
+            FrameRef::ConnectionClose { error_code, .. } => {
                 // §10.2: a peer-initiated close moves us to draining —
                 // stay silent and expire 3×PTO from now.
                 self.life.on_peer_close(now, error_code, self.drain_pto(), &self.tracer);
@@ -767,7 +795,7 @@ impl Connection {
                 // A STOP_SENDING resets the stream: what was queued again no
                 // longer is.
                 let reset = match other {
-                    Frame::StopSending { stream_id, .. } => Some(stream_id),
+                    FrameRef::Other(Frame::StopSending { stream_id, .. }) => Some(stream_id),
                     _ => None,
                 };
                 if let Err((e, why)) = self.streams.on_frame(other) {
@@ -1719,7 +1747,7 @@ mod tests {
         let id = c.open_stream(0);
         c.stream_send(id, &vec![1u8; 30_000], true);
         while c.poll_transmit_on(now).is_some() {}
-        c.on_frame(now, 1, false, Frame::PathChallenge([7; 8]));
+        c.on_frame(now, 1, false, FrameRef::Other(Frame::PathChallenge([7; 8])));
         c.close(TransportError::NoError, "done");
         // The close frame goes out once; what was in flight or pinned is
         // neither sent nor dropped while the closing period runs.
@@ -1753,7 +1781,12 @@ mod tests {
         for paths in [1, 2] {
             let (mut c, _s, now) = established(paths);
             for i in 0..100u64 {
-                c.on_frame(now, paths - 1, false, Frame::PathChallenge(i.to_le_bytes()));
+                c.on_frame(
+                    now,
+                    paths - 1,
+                    false,
+                    FrameRef::Other(Frame::PathChallenge(i.to_le_bytes())),
+                );
             }
             assert_eq!(c.bounded_state().pending_path_responses, MAX_PENDING_PATH_RESPONSES);
             assert_eq!(c.path_responses_dropped, 100 - MAX_PENDING_PATH_RESPONSES as u64);
@@ -1811,7 +1844,7 @@ mod tests {
         for paths in [1, 2] {
             for seq in [0, 99] {
                 let (mut c, _s, now) = established(paths);
-                c.on_frame(now, 0, false, Frame::RetireConnectionId { seq });
+                c.on_frame(now, 0, false, FrameRef::Other(Frame::RetireConnectionId { seq }));
                 let violation = ConnectionError::LocallyClosed(TransportError::ProtocolViolation);
                 assert_eq!(c.close_error(), Some(&violation), "{paths} paths, seq {seq}");
             }
@@ -2134,7 +2167,7 @@ mod tests {
             let (ec, es, at) = established(paths);
             fixtures.extend([(c, now), (s, now), (ec, at), (es, at)]);
         }
-        let largest: Vec<usize> = fixtures.iter().map(|(c, _)| c.keys.buffer_capacity()).collect();
+        let largest: Vec<usize> = fixtures.iter().map(|(c, _)| c.rx_buf.capacity()).collect();
         // Shared across cases (the runner's closure is `Fn`): what holds for
         // one datagram must hold for all of them in a row.
         let state = std::cell::RefCell::new((fixtures, largest));
@@ -2169,7 +2202,7 @@ mod tests {
                     prop_assert_eq!(observable(conn), before, "fixture {}: {:?}", i, offered);
                     prop_assert!(conn.poll_transmit_on(*now).is_none(), "fixture {i} answered");
                     prop_assert!(conn.bounded_state().within_caps());
-                    let held = conn.keys.buffer_capacity();
+                    let held = conn.rx_buf.capacity();
                     prop_assert!(held <= largest[i], "fixture {i} holds {held} > {}", largest[i]);
                 }
             }

@@ -146,6 +146,216 @@ impl AckFrame {
     }
 }
 
+/// An ACK or ACK_MP decoded in place: [`AckFrame`] with its ranges left
+/// on the wire, every one of them checked when the frame was decoded and
+/// read again, allocation-free, by [`AckRef::ranges`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckRef<'a> {
+    /// See [`AckFrame::path_id`].
+    pub path_id: u64,
+    /// Largest packet number acknowledged.
+    pub largest: u64,
+    /// Host delay between receiving `largest` and sending this ACK.
+    pub ack_delay: Duration,
+    /// QoE feedback piggybacked on the ACK_MP (paper's deployed variant).
+    pub qoe: Option<QoeSignal>,
+    /// Length of the first range, down from `largest`.
+    first_len: u64,
+    /// The further ranges as encoded: (gap, length) varint pairs.
+    gaps: &'a [u8],
+    /// How many ranges the frame carries (1 + the pairs in `gaps`).
+    count: u64,
+}
+
+impl<'a> AckRef<'a> {
+    /// The acknowledged ranges, descending (largest first, as on the wire).
+    pub fn ranges(&self) -> impl Iterator<Item = PnRange> + Clone + 'a {
+        let mut prev_start = self.largest - self.first_len;
+        let first = PnRange { start: prev_start, end: self.largest };
+        let mut r = Reader::new(self.gaps);
+        // Every pair was decoded once already: this cannot end early.
+        let rest = std::iter::from_fn(move || next_ack_range(&mut r, &mut prev_start).ok());
+        std::iter::once(first).chain(rest)
+    }
+
+    /// The owned frame: the ranges copied out.
+    pub fn into_owned(self) -> AckFrame {
+        let AckRef { path_id, largest, ack_delay, qoe, .. } = self;
+        let mut ranges = Vec::with_capacity(self.count as usize);
+        ranges.extend(self.ranges());
+        AckFrame { path_id, largest, ack_delay, ranges, qoe }
+    }
+}
+
+/// A frame decoded in place from a packet payload: [`Frame`] with every
+/// byte string and range list borrowed from the payload. Frames that own
+/// nothing on the heap are the [`Frame`] itself. [`FrameRef::decode`] is
+/// the stack's one frame parser; [`Frame::decode`] is it plus a copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameRef<'a> {
+    /// Single-path acknowledgement.
+    Ack(AckRef<'a>),
+    /// Multipath acknowledgement (per-path packet number space).
+    AckMp(AckRef<'a>),
+    /// Handshake payload bytes at an offset.
+    Crypto {
+        /// Offset in the handshake byte stream.
+        offset: u64,
+        /// Handshake bytes.
+        data: &'a [u8],
+    },
+    /// Application stream data.
+    Stream {
+        /// Stream identifier.
+        stream_id: u64,
+        /// Byte offset of `data` within the stream.
+        offset: u64,
+        /// Payload bytes.
+        data: &'a [u8],
+        /// True if this is the final byte range of the stream.
+        fin: bool,
+    },
+    /// Close the connection.
+    ConnectionClose {
+        /// Transport error code.
+        error_code: u64,
+        /// UTF-8 reason phrase (possibly empty).
+        reason: &'a [u8],
+    },
+    /// Any other frame: it owns nothing on the heap.
+    Other(Frame),
+}
+
+impl<'a> FrameRef<'a> {
+    /// Decode a single frame from `r`, borrowing from its buffer.
+    pub fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let t = r.varint()?;
+        let other = match t {
+            ty::PADDING => {
+                // Coalesce any run of padding bytes.
+                let mut n = 1usize;
+                while r.remaining() > 0 && r.peek_u8()? == 0 {
+                    r.u8()?;
+                    n += 1;
+                }
+                Frame::Padding(n)
+            }
+            ty::PING => Frame::Ping,
+            ty::ACK => return decode_ack(r, false, false).map(FrameRef::Ack),
+            ty::ACK_MP => return decode_ack(r, true, false).map(FrameRef::AckMp),
+            ty::ACK_MP_QOE => return decode_ack(r, true, true).map(FrameRef::AckMp),
+            ty::RESET_STREAM => Frame::ResetStream {
+                stream_id: r.varint()?,
+                error_code: r.varint()?,
+                final_size: r.varint()?,
+            },
+            ty::STOP_SENDING => {
+                Frame::StopSending { stream_id: r.varint()?, error_code: r.varint()? }
+            }
+            ty::CRYPTO => {
+                let offset = r.varint()?;
+                return Ok(FrameRef::Crypto { offset, data: r.varint_bytes()? });
+            }
+            t if (ty::STREAM_BASE..ty::STREAM_BASE + 8).contains(&t) => {
+                let has_off = t & 0x04 != 0;
+                let has_len = t & 0x02 != 0;
+                let fin = t & 0x01 != 0;
+                let stream_id = r.varint()?;
+                let offset = if has_off { r.varint()? } else { 0 };
+                let data = if has_len { r.varint_bytes()? } else { r.bytes(r.remaining())? };
+                return Ok(FrameRef::Stream { stream_id, offset, data, fin });
+            }
+            ty::MAX_DATA => Frame::MaxData(r.varint()?),
+            ty::MAX_STREAM_DATA => {
+                Frame::MaxStreamData { stream_id: r.varint()?, max: r.varint()? }
+            }
+            ty::MAX_STREAMS_BIDI => Frame::MaxStreams(r.varint()?),
+            ty::DATA_BLOCKED => Frame::DataBlocked(r.varint()?),
+            ty::STREAM_DATA_BLOCKED => {
+                Frame::StreamDataBlocked { stream_id: r.varint()?, limit: r.varint()? }
+            }
+            ty::NEW_CONNECTION_ID => Frame::NewConnectionId(IssuedCid::decode(r)?),
+            ty::RETIRE_CONNECTION_ID => Frame::RetireConnectionId { seq: r.varint()? },
+            ty::PATH_CHALLENGE => Frame::PathChallenge(eight_bytes(r)?),
+            ty::PATH_RESPONSE => Frame::PathResponse(eight_bytes(r)?),
+            ty::CONNECTION_CLOSE => {
+                let error_code = r.varint()?;
+                return Ok(FrameRef::ConnectionClose { error_code, reason: r.varint_bytes()? });
+            }
+            ty::HANDSHAKE_DONE => Frame::HandshakeDone,
+            ty::PATH_STATUS => Frame::PathStatus {
+                path_id: r.varint()?,
+                seq: r.varint()?,
+                status: PathStatusKind::from_code(r.varint()?)?,
+            },
+            ty::QOE_CONTROL_SIGNALS => Frame::QoeControlSignals(QoeSignal::decode(r)?),
+            other => return Err(CodecError::UnknownFrame(other)),
+        };
+        Ok(FrameRef::Other(other))
+    }
+
+    /// The frames of a packet payload, each decoded in place — once every
+    /// one of them is known to decode: a malformed frame anywhere refuses
+    /// the whole packet before any frame of it is acted on.
+    pub fn decode_payload(payload: &'a [u8]) -> Result<Frames<'a>, CodecError> {
+        let mut r = Reader::new(payload);
+        while !r.is_empty() {
+            FrameRef::decode(&mut r)?;
+        }
+        Ok(Frames(Reader::new(payload)))
+    }
+
+    /// True if a packet containing this frame must be acknowledged
+    /// (everything except ACK/ACK_MP/PADDING/CONNECTION_CLOSE).
+    pub fn is_ack_eliciting(&self) -> bool {
+        !matches!(
+            self,
+            FrameRef::Ack(_)
+                | FrameRef::AckMp(_)
+                | FrameRef::ConnectionClose { .. }
+                | FrameRef::Other(Frame::Padding(_))
+        )
+    }
+
+    /// The owned frame: every borrowed byte string and range list copied.
+    pub fn into_owned(self) -> Frame {
+        match self {
+            FrameRef::Ack(ack) => Frame::Ack(ack.into_owned()),
+            FrameRef::AckMp(ack) => Frame::AckMp(ack.into_owned()),
+            FrameRef::Crypto { offset, data } => Frame::Crypto { offset, data: data.to_vec() },
+            FrameRef::Stream { stream_id, offset, data, fin } => {
+                Frame::Stream { stream_id, offset, data: data.to_vec(), fin }
+            }
+            FrameRef::ConnectionClose { error_code, reason } => {
+                Frame::ConnectionClose { error_code, reason: reason.to_vec() }
+            }
+            FrameRef::Other(frame) => frame,
+        }
+    }
+}
+
+/// The frames of a payload that [`FrameRef::decode_payload`] checked.
+#[derive(Debug, Clone)]
+pub struct Frames<'a>(Reader<'a>);
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = FrameRef<'a>;
+
+    fn next(&mut self) -> Option<FrameRef<'a>> {
+        if self.0.is_empty() {
+            return None;
+        }
+        // Decoded once already: this cannot fail.
+        FrameRef::decode(&mut self.0).ok()
+    }
+}
+
+fn eight_bytes(r: &mut Reader) -> Result<[u8; 8], CodecError> {
+    let mut data = [0u8; 8];
+    data.copy_from_slice(r.bytes(8)?);
+    Ok(data)
+}
+
 /// Any frame this stack understands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -347,85 +557,9 @@ impl Frame {
         w.varint_bytes(data);
     }
 
-    /// Decode a single frame from `r`.
+    /// Decode a single frame from `r`: [`FrameRef::decode`], copied out.
     pub fn decode(r: &mut Reader) -> Result<Frame, CodecError> {
-        let t = r.varint()?;
-        match t {
-            ty::PADDING => {
-                // Coalesce any run of padding bytes.
-                let mut n = 1usize;
-                while r.remaining() > 0 && r.peek_u8()? == 0 {
-                    r.u8()?;
-                    n += 1;
-                }
-                Ok(Frame::Padding(n))
-            }
-            ty::PING => Ok(Frame::Ping),
-            ty::ACK => decode_ack(r, false, false).map(Frame::Ack),
-            ty::ACK_MP => decode_ack(r, true, false).map(Frame::AckMp),
-            ty::ACK_MP_QOE => decode_ack(r, true, true).map(Frame::AckMp),
-            ty::RESET_STREAM => Ok(Frame::ResetStream {
-                stream_id: r.varint()?,
-                error_code: r.varint()?,
-                final_size: r.varint()?,
-            }),
-            ty::STOP_SENDING => {
-                Ok(Frame::StopSending { stream_id: r.varint()?, error_code: r.varint()? })
-            }
-            ty::CRYPTO => {
-                let offset = r.varint()?;
-                let data = r.varint_bytes()?.to_vec();
-                Ok(Frame::Crypto { offset, data })
-            }
-            t if (ty::STREAM_BASE..ty::STREAM_BASE + 8).contains(&t) => {
-                let has_off = t & 0x04 != 0;
-                let has_len = t & 0x02 != 0;
-                let fin = t & 0x01 != 0;
-                let stream_id = r.varint()?;
-                let offset = if has_off { r.varint()? } else { 0 };
-                let data = if has_len {
-                    r.varint_bytes()?.to_vec()
-                } else {
-                    r.bytes(r.remaining())?.to_vec()
-                };
-                Ok(Frame::Stream { stream_id, offset, data, fin })
-            }
-            ty::MAX_DATA => Ok(Frame::MaxData(r.varint()?)),
-            ty::MAX_STREAM_DATA => {
-                Ok(Frame::MaxStreamData { stream_id: r.varint()?, max: r.varint()? })
-            }
-            ty::MAX_STREAMS_BIDI => Ok(Frame::MaxStreams(r.varint()?)),
-            ty::DATA_BLOCKED => Ok(Frame::DataBlocked(r.varint()?)),
-            ty::STREAM_DATA_BLOCKED => {
-                Ok(Frame::StreamDataBlocked { stream_id: r.varint()?, limit: r.varint()? })
-            }
-            ty::NEW_CONNECTION_ID => Ok(Frame::NewConnectionId(IssuedCid::decode(r)?)),
-            ty::RETIRE_CONNECTION_ID => Ok(Frame::RetireConnectionId { seq: r.varint()? }),
-            ty::PATH_CHALLENGE => {
-                let b = r.bytes(8)?;
-                let mut data = [0u8; 8];
-                data.copy_from_slice(b);
-                Ok(Frame::PathChallenge(data))
-            }
-            ty::PATH_RESPONSE => {
-                let b = r.bytes(8)?;
-                let mut data = [0u8; 8];
-                data.copy_from_slice(b);
-                Ok(Frame::PathResponse(data))
-            }
-            ty::CONNECTION_CLOSE => Ok(Frame::ConnectionClose {
-                error_code: r.varint()?,
-                reason: r.varint_bytes()?.to_vec(),
-            }),
-            ty::HANDSHAKE_DONE => Ok(Frame::HandshakeDone),
-            ty::PATH_STATUS => Ok(Frame::PathStatus {
-                path_id: r.varint()?,
-                seq: r.varint()?,
-                status: PathStatusKind::from_code(r.varint()?)?,
-            }),
-            ty::QOE_CONTROL_SIGNALS => Ok(Frame::QoeControlSignals(QoeSignal::decode(r)?)),
-            other => Err(CodecError::UnknownFrame(other)),
-        }
+        FrameRef::decode(r).map(FrameRef::into_owned)
     }
 
     /// True if a packet containing this frame must be acknowledged
@@ -439,12 +573,7 @@ impl Frame {
 
     /// Decode every frame in a packet payload.
     pub fn decode_all(payload: &[u8]) -> Result<Vec<Frame>, CodecError> {
-        let mut r = Reader::new(payload);
-        let mut frames = Vec::new();
-        while !r.is_empty() {
-            frames.push(Frame::decode(&mut r)?);
-        }
-        Ok(frames)
+        Ok(FrameRef::decode_payload(payload)?.map(FrameRef::into_owned).collect())
     }
 }
 
@@ -506,7 +635,7 @@ impl Frame {
 /// rejected before allocating range storage.
 pub const MAX_WIRE_ACK_RANGES: u64 = 256;
 
-fn decode_ack(r: &mut Reader, mp: bool, with_qoe: bool) -> Result<AckFrame, CodecError> {
+fn decode_ack<'a>(r: &mut Reader<'a>, mp: bool, with_qoe: bool) -> Result<AckRef<'a>, CodecError> {
     let path_id = if mp { r.varint()? } else { 0 };
     let largest = r.varint()?;
     let ack_delay = Duration::from_millis(r.varint()?);
@@ -518,20 +647,26 @@ fn decode_ack(r: &mut Reader, mp: bool, with_qoe: bool) -> Result<AckFrame, Code
     if first_len > largest {
         return Err(CodecError::InvalidValue);
     }
-    let mut ranges = Vec::with_capacity(extra_ranges as usize + 1);
-    ranges.push(PnRange { start: largest - first_len, end: largest });
+    let gaps = r.rest();
     let mut prev_start = largest - first_len;
     for _ in 0..extra_ranges {
-        let gap = r.varint()?;
-        let len = r.varint()?;
-        // end = prev_start - gap - 2; start = end - len
-        let end = prev_start.checked_sub(gap + 2).ok_or(CodecError::InvalidValue)?;
-        let start = end.checked_sub(len).ok_or(CodecError::InvalidValue)?;
-        ranges.push(PnRange { start, end });
-        prev_start = start;
+        next_ack_range(r, &mut prev_start)?;
     }
+    let gaps = &gaps[..gaps.len() - r.remaining()];
     let qoe = if with_qoe { Some(QoeSignal::decode(r)?) } else { None };
-    Ok(AckFrame { path_id, largest, ack_delay, ranges, qoe })
+    Ok(AckRef { path_id, largest, ack_delay, qoe, first_len, gaps, count: extra_ranges + 1 })
+}
+
+/// The next range of an ACK below one starting at `prev_start`, which
+/// moves down to it.
+fn next_ack_range(r: &mut Reader, prev_start: &mut u64) -> Result<PnRange, CodecError> {
+    let gap = r.varint()?;
+    let len = r.varint()?;
+    // end = prev_start - gap - 2; start = end - len
+    let end = prev_start.checked_sub(gap + 2).ok_or(CodecError::InvalidValue)?;
+    let start = end.checked_sub(len).ok_or(CodecError::InvalidValue)?;
+    *prev_start = start;
+    Ok(PnRange { start, end })
 }
 
 #[cfg(test)]

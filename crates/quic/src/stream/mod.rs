@@ -13,7 +13,7 @@ pub use send::{FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PR
 use crate::cc::MAX_DATAGRAM_SIZE;
 use crate::connection::SentFrame;
 use crate::error::TransportError;
-use crate::frame::Frame;
+use crate::frame::{Frame, FrameRef};
 use crate::packet::PacketBuilder;
 use crate::params::TransportParams;
 use std::collections::BTreeMap;
@@ -264,34 +264,47 @@ impl StreamMap {
         frame_priority: Option<FramePriority>,
         fin: bool,
     ) {
+        self.write_with(id, frame_priority, fin, |buf| buf.extend_from_slice(data));
+    }
+
+    /// [`StreamMap::write`] of what `fill` appends to the stream's send
+    /// buffer ([`SendStream::write_with`]).
+    pub fn write_with(
+        &mut self,
+        id: u64,
+        frame_priority: Option<FramePriority>,
+        fin: bool,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) {
         // Invariant: `id` came from open()/readable_ids() on this map — an
         // application bug, never peer-reachable input.
         let send = &mut self.streams.get_mut(&id).expect("unknown stream").send;
-        if !data.is_empty() {
-            match frame_priority {
-                Some(p) => send.write_with_priority(data, p),
-                None => send.write(data),
-            };
-        }
+        send.write_with(frame_priority, fill);
         if fin {
             send.finish();
         }
     }
 
-    /// Read up to `max` available bytes from a stream, queueing the
-    /// flow-control updates the freed window calls for.
-    pub fn read(&mut self, id: u64, max: usize) -> Vec<u8> {
+    /// Read up to `max` available bytes from a stream, lent until the next
+    /// arrival on it (the consuming read, [`RecvStream::consume`]),
+    /// queueing the flow-control updates the freed window calls for.
+    pub fn consume(&mut self, id: u64, max: usize) -> &[u8] {
         let Some(stream) = self.streams.get_mut(&id) else {
-            return Vec::new();
+            return &[];
         };
-        let data = stream.recv.read(max);
+        let read = stream.recv.consume(max).len();
         if let Some(new_max) = stream.recv.wants_max_data_update() {
             self.control.push(Frame::MaxStreamData { stream_id: id, max: new_max });
         }
         if let Some(new_max) = self.wants_conn_max_data_update() {
             self.control.push(Frame::MaxData(new_max));
         }
-        data
+        self.streams[&id].recv.just_read(read)
+    }
+
+    /// [`StreamMap::consume`], copied out.
+    pub fn read(&mut self, id: u64, max: usize) -> Vec<u8> {
+        self.consume(id, max).to_vec()
     }
 
     /// Streams with readable data or a completed FIN.
@@ -328,9 +341,9 @@ impl StreamMap {
 
     /// Apply a received stream or flow-control frame; any other frame is
     /// not this map's and is ignored. An error is what to close with.
-    pub fn on_frame(&mut self, frame: Frame) -> Result<(), (TransportError, &'static str)> {
+    pub fn on_frame(&mut self, frame: FrameRef<'_>) -> Result<(), (TransportError, &'static str)> {
         match frame {
-            Frame::Stream { stream_id, offset, data, fin } => {
+            FrameRef::Stream { stream_id, offset, data, fin } => {
                 self.epoch += 1;
                 // The map's verdict propagates: STREAM_LIMIT_ERROR for
                 // exhaustion, STREAM_STATE_ERROR for frames on streams we
@@ -338,26 +351,26 @@ impl StreamMap {
                 let recv =
                     &mut self.get_or_open_peer(stream_id).map_err(|e| (e, "bad stream"))?.recv;
                 let prev_high = recv.highest_recv();
-                recv.on_data(offset, &data, fin).map_err(|e| (e, "stream data"))?;
+                recv.on_data(offset, data, fin).map_err(|e| (e, "stream data"))?;
                 let new_high = recv.highest_recv();
                 if new_high > prev_high {
                     self.on_conn_data_received(new_high - prev_high)
                         .map_err(|e| (e, "conn flow control"))?;
                 }
             }
-            Frame::MaxData(v) => self.on_max_data(v),
-            Frame::MaxStreamData { stream_id, max } => {
+            FrameRef::Other(Frame::MaxData(v)) => self.on_max_data(v),
+            FrameRef::Other(Frame::MaxStreamData { stream_id, max }) => {
                 if let Some(s) = self.get_mut(stream_id) {
                     s.send.set_max_data(max);
                 }
             }
-            Frame::ResetStream { stream_id, final_size, .. } => {
+            FrameRef::Other(Frame::ResetStream { stream_id, final_size, .. }) => {
                 self.epoch += 1;
                 if let Ok(s) = self.get_or_open_peer(stream_id) {
                     let _ = s.recv.on_reset(final_size);
                 }
             }
-            Frame::StopSending { stream_id, .. } => {
+            FrameRef::Other(Frame::StopSending { stream_id, .. }) => {
                 if let Some(s) = self.get_mut(stream_id) {
                     let final_size = s.send.reset();
                     self.control.push(Frame::ResetStream { stream_id, error_code: 0, final_size });

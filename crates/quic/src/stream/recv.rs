@@ -35,8 +35,11 @@ pub struct RecvStream {
     segments: BTreeMap<u64, Vec<u8>>,
     /// All bytes below this offset have been delivered to the application.
     read_offset: u64,
-    /// Contiguous bytes ready to be read.
+    /// Contiguous bytes received: `ready[head..]` are ready to be read, the
+    /// ones before `head` were lent to the reader and go at the next
+    /// arrival (the capacity stays).
     ready: Vec<u8>,
+    head: usize,
     /// Highest offset received (exclusive).
     highest_recv: u64,
     /// Final size once FIN is seen.
@@ -58,6 +61,7 @@ impl RecvStream {
             segments: BTreeMap::new(),
             read_offset: 0,
             ready: Vec::new(),
+            head: 0,
             highest_recv: 0,
             final_size: None,
             state: RecvState::Recv,
@@ -89,13 +93,15 @@ impl RecvStream {
             }
         }
         self.highest_recv = self.highest_recv.max(end);
+        self.ready.drain(..self.head);
+        self.head = 0;
         self.ingest(offset, data);
         self.drain_contiguous();
         if self.segments.len() > MAX_STREAM_SEGMENTS {
             return Err(TransportError::FlowControlError);
         }
         if let Some(fs) = self.final_size {
-            if self.read_offset + self.ready.len() as u64 == fs
+            if self.contiguous_offset() == fs
                 && self.segments.is_empty()
                 && matches!(self.state, RecvState::Recv | RecvState::SizeKnown)
             {
@@ -106,9 +112,11 @@ impl RecvStream {
     }
 
     /// Store a segment, trimming parts already received (duplicates are
-    /// counted, not stored).
+    /// counted, not stored): what continues the contiguous bytes is
+    /// appended to them, what lies beyond a gap is stored once, as a
+    /// segment of its own.
     fn ingest(&mut self, offset: u64, data: &[u8]) {
-        let delivered = self.read_offset + self.ready.len() as u64;
+        let delivered = self.contiguous_offset();
         let mut start = offset;
         let mut bytes = data;
         // Trim below the contiguous delivered prefix.
@@ -142,40 +150,51 @@ impl RecvStream {
             let next_start = self.segments.range(cur..).next().map(|(&s, _)| s).unwrap_or(u64::MAX);
             let gap_end = next_start.min(end);
             let slice = &bytes[(cur - start) as usize..(gap_end - start) as usize];
-            self.segments.insert(cur, slice.to_vec());
+            if cur == self.contiguous_offset() {
+                self.ready.extend_from_slice(slice);
+            } else {
+                self.segments.insert(cur, slice.to_vec());
+            }
             cur = gap_end;
         }
     }
 
     /// Move contiguous segments into the ready buffer.
     fn drain_contiguous(&mut self) {
-        loop {
-            let next = self.read_offset + self.ready.len() as u64;
-            match self.segments.remove(&next) {
-                Some(seg) => self.ready.extend_from_slice(&seg),
-                None => break,
-            }
+        while let Some(seg) = self.segments.remove(&self.contiguous_offset()) {
+            self.ready.extend_from_slice(&seg);
         }
     }
 
-    /// Read up to `max` contiguous bytes. Returns the bytes and extends
-    /// the peer's flow-control credit (caller should check
+    /// Read up to `max` contiguous bytes, lent until the next arrival on
+    /// the stream: the consuming read. The bytes count as read at once,
+    /// extending the peer's flow-control credit (caller should check
     /// [`RecvStream::wants_max_data_update`] afterwards).
+    pub fn consume(&mut self, max: usize) -> &[u8] {
+        let n = max.min(self.readable());
+        self.head += n;
+        self.read_offset += n as u64;
+        self.just_read(n)
+    }
+
+    /// The last `n` bytes read, still held until the next arrival.
+    pub(crate) fn just_read(&self, n: usize) -> &[u8] {
+        &self.ready[self.head - n..self.head]
+    }
+
+    /// [`RecvStream::consume`], copied out.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.ready.len());
-        let out: Vec<u8> = self.ready.drain(..n).collect();
-        self.read_offset += out.len() as u64;
-        out
+        self.consume(max).to_vec()
     }
 
     /// Bytes available for immediate reading.
     pub fn readable(&self) -> usize {
-        self.ready.len()
+        self.ready.len() - self.head
     }
 
     /// The application-visible contiguous offset (read + buffered).
     pub fn contiguous_offset(&self) -> u64 {
-        self.read_offset + self.ready.len() as u64
+        self.read_offset + self.readable() as u64
     }
 
     /// Highest received offset (possibly non-contiguous).
@@ -192,7 +211,7 @@ impl RecvStream {
     /// Bytes buffered for this stream (ready + out-of-order), bounded by
     /// the advertised flow-control window.
     pub fn buffered_bytes(&self) -> u64 {
-        self.ready.len() as u64 + self.segments.values().map(|v| v.len() as u64).sum::<u64>()
+        self.readable() as u64 + self.segments.values().map(|v| v.len() as u64).sum::<u64>()
     }
 
     /// Total duplicate bytes received (receiver-side redundancy metric).

@@ -105,23 +105,34 @@ impl SendStream {
     /// Append application data; returns the byte range it occupies.
     /// Panics if called after `finish`.
     pub fn write(&mut self, data: &[u8]) -> SendRange {
-        assert!(!self.fin, "write after finish");
-        assert_eq!(self.state, SendState::Ready);
-        let start = self.buf.len() as u64;
-        self.buf.extend_from_slice(data);
-        let end = self.buf.len() as u64;
-        if end > start {
-            self.queue_range(SendRange { start, end });
-        }
-        SendRange { start, end }
+        self.write_with(None, |buf| buf.extend_from_slice(data))
     }
 
     /// Append data tagged with a frame priority (the `stream_send` API
     /// with position/size from the paper).
     pub fn write_with_priority(&mut self, data: &[u8], priority: FramePriority) -> SendRange {
-        let range = self.write(data);
+        self.write_with(Some(priority), |buf| buf.extend_from_slice(data))
+    }
+
+    /// Append what `fill` appends to the stream's buffer, tagged with a
+    /// frame priority if one is given: [`SendStream::write`] for a producer
+    /// that generates its bytes where they will be sent from. Returns the
+    /// byte range they occupy. Panics if it appends after `finish`.
+    pub fn write_with(
+        &mut self,
+        priority: Option<FramePriority>,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> SendRange {
+        let start = self.buf.len() as u64;
+        fill(&mut self.buf);
+        let range = SendRange { start, end: self.buf.len() as u64 };
         if !range.is_empty() {
-            self.priorities.insert(range.start, (range.end, priority));
+            assert!(!self.fin, "write after finish");
+            assert_eq!(self.state, SendState::Ready);
+            self.queue_range(range);
+            if let Some(priority) = priority {
+                self.priorities.insert(range.start, (range.end, priority));
+            }
         }
         range
     }

@@ -10,7 +10,7 @@ use crate::error::CodecError;
 pub const VARINT_MAX: u64 = (1 << 62) - 1;
 
 /// A cursor over a byte slice used by all frame/packet decoders.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -35,6 +35,11 @@ impl<'a> Reader<'a> {
     /// Current offset from the start of the underlying slice.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Read a single byte.

@@ -9,6 +9,7 @@
 
 use crate::model::Video;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// The body byte at offset `o` mixes in `o · GOLDEN` (wrapping).
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -41,19 +42,26 @@ impl MediaStore {
     }
 
     /// The bytes `start..end` of `object`, each as [`MediaStore::body_byte`]
-    /// defines it, with the name hashed once for the whole range and the
-    /// offset's product stepped by addition. No store is consulted, so
-    /// nothing is clamped.
+    /// defines it. No store is consulted, so nothing is clamped.
     pub fn body_bytes(object: &str, start: u64, end: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        Self::extend_body(object, start..end, &mut out);
+        out
+    }
+
+    /// Append the bytes `range` of `object` to `out`, each as
+    /// [`MediaStore::body_byte`] defines it, with the name hashed once for
+    /// the whole range and the offset's product stepped by addition: a
+    /// server generates a response body straight into the stream it is
+    /// sent from.
+    pub fn extend_body(object: &str, range: Range<u64>, out: &mut Vec<u8>) {
         let name = Self::name_hash(object);
-        let mut product = start.wrapping_mul(GOLDEN);
-        (start..end)
-            .map(|_| {
-                let byte = Self::mix(name ^ product);
-                product = product.wrapping_add(GOLDEN);
-                byte
-            })
-            .collect()
+        let mut product = range.start.wrapping_mul(GOLDEN);
+        out.extend(range.map(|_| {
+            let byte = Self::mix(name ^ product);
+            product = product.wrapping_add(GOLDEN);
+            byte
+        }));
     }
 
     /// FNV-1a over the object name.
@@ -71,11 +79,19 @@ impl MediaStore {
         ((h ^ (h >> 29)) & 0xff) as u8
     }
 
-    /// Materialize the body bytes for a range of an object. Returns None
-    /// for unknown objects; the range is clamped to the object size.
-    pub fn body_range(&self, object: &str, start: u64, end: u64) -> Option<Vec<u8>> {
+    /// The bytes of `object` a request for `start..end` gets: the range
+    /// clamped to the object size (empty if it starts past the end). None
+    /// for unknown objects.
+    pub fn clamp_range(&self, object: &str, start: u64, end: u64) -> Option<Range<u64>> {
         let v = self.videos.get(object)?;
-        Some(Self::body_bytes(object, start, end.min(v.total_bytes())))
+        Some(start..end.min(v.total_bytes()).max(start))
+    }
+
+    /// Materialize the body bytes for a range of an object: the bytes of
+    /// [`MediaStore::clamp_range`]. Returns None for unknown objects.
+    pub fn body_range(&self, object: &str, start: u64, end: u64) -> Option<Vec<u8>> {
+        let range = self.clamp_range(object, start, end)?;
+        Some(Self::body_bytes(object, range.start, range.end))
     }
 
     /// End of the first video frame for an object (0 if unknown).
