@@ -240,6 +240,12 @@ impl MpConnection {
         self.conn.handle_datagram_in_place(now, path, datagram);
     }
 
+    /// A datagram this endpoint sent came back delivered
+    /// ([`Connection::recycle_datagram`]).
+    pub fn recycle_datagram(&mut self, buffer: Vec<u8>) {
+        self.conn.recycle_datagram(buffer);
+    }
+
     /// Earliest timer deadline.
     pub fn poll_timeout(&self) -> Option<Instant> {
         self.conn.poll_timeout()

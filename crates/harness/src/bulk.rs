@@ -73,6 +73,15 @@ impl Endpoint for BulkClient {
         self.read_response(now);
     }
 
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
+        self.conn.handle_datagram_in_place(now, path, payload);
+        self.read_response(now);
+    }
+
+    fn recycle(&mut self, buffer: Vec<u8>) {
+        self.conn.recycle_datagram(buffer);
+    }
+
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
         if self.conn.is_established() && self.stream.is_none() {
             let id = self.conn.open_stream(0);

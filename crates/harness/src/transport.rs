@@ -251,6 +251,12 @@ impl Conn {
         self.mp.handle_datagram_in_place(now, path, data);
     }
 
+    /// A datagram this side sent came back delivered: its buffer, for the
+    /// next one.
+    pub fn recycle_datagram(&mut self, buffer: Vec<u8>) {
+        self.mp.recycle_datagram(buffer);
+    }
+
     /// A datagram arrived on network path `path`: the connection's path it
     /// belongs to.
     fn arrived_on(&mut self, now: Instant, path: usize) -> usize {

@@ -270,6 +270,15 @@ impl Endpoint for VideoClientEndpoint {
         self.drain_streams(now);
     }
 
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
+        self.conn.handle_datagram_in_place(now, path, payload);
+        self.drain_streams(now);
+    }
+
+    fn recycle(&mut self, buffer: Vec<u8>) {
+        self.conn.recycle_datagram(buffer);
+    }
+
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
         self.maybe_issue_requests(now);
         self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
@@ -379,6 +388,7 @@ impl VideoServerEndpoint {
             let streams = self.conn.inner_mut().conn_mut().streams_mut();
             let object = &req.object;
             streams.write_with(id, Some(0), false, |buf| {
+                buf.reserve(body_len as usize); // room for the whole body at once
                 MediaStore::extend_body(object, body.start..split, buf)
             });
             streams.write_with(id, None, true, |buf| {
@@ -413,6 +423,15 @@ impl Endpoint for VideoServerEndpoint {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         self.conn.handle_datagram(now, path, payload);
         self.serve_requests();
+    }
+
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
+        self.conn.handle_datagram_in_place(now, path, payload);
+        self.serve_requests();
+    }
+
+    fn recycle(&mut self, buffer: Vec<u8>) {
+        self.conn.recycle_datagram(buffer);
     }
 
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {

@@ -367,21 +367,17 @@ impl Link {
         }
     }
 
-    /// Pop packets that have arrived at the far end by `now`.
-    pub fn recv(&mut self, now: Instant) -> Vec<Delivered> {
+    /// Pop packets that have arrived at the far end by `now`, in arrival
+    /// order, by value: they are counted as delivered at once, and the
+    /// ones the caller does not take are dropped with the drain.
+    pub fn recv(&mut self, now: Instant) -> std::collections::vec_deque::Drain<'_, Delivered> {
         self.poll(now);
-        let mut out = Vec::new();
-        while let Some(front) = self.in_flight.front() {
-            if front.at <= now {
-                let d = self.in_flight.pop_front().expect("front exists");
-                self.recv_packets += 1;
-                self.recv_bytes += d.payload.len() as u64;
-                out.push(d);
-            } else {
-                break;
-            }
+        let arrived = self.in_flight.partition_point(|d| d.at <= now);
+        for d in self.in_flight.range(..arrived) {
+            self.recv_packets += 1;
+            self.recv_bytes += d.payload.len() as u64;
         }
-        out
+        self.in_flight.drain(..arrived)
     }
 
     /// Next instant at which something observable happens: a queued packet
@@ -445,6 +441,13 @@ mod tests {
         Instant::from_millis(v)
     }
 
+    impl Link {
+        /// What [`Link::recv`] delivers by `now`, collected.
+        fn arrivals(&mut self, now: Instant) -> Vec<Delivered> {
+            self.recv(now).collect()
+        }
+    }
+
     fn simple_cfg(delay_ms: u64) -> LinkConfig {
         // One opportunity per ms → 12 Mbps.
         LinkConfig {
@@ -469,8 +472,8 @@ mod tests {
     fn delivers_after_propagation_delay() {
         let mut l = simple_link(10);
         l.send(ms(0), vec![0xab; 1000]);
-        assert!(l.recv(ms(9)).is_empty());
-        let got = l.recv(ms(10));
+        assert!(l.arrivals(ms(9)).is_empty());
+        let got = l.arrivals(ms(10));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload.len(), 1000);
         assert_eq!(got[0].at, ms(10));
@@ -481,9 +484,9 @@ mod tests {
         let mut l = simple_link(0);
         // 3000 bytes = 2 full opportunities ship it at t=1ms (0:1500,1:1500).
         l.send(ms(0), vec![1; 3000]);
-        let got = l.recv(ms(0));
+        let got = l.arrivals(ms(0));
         assert!(got.is_empty());
-        let got = l.recv(ms(1));
+        let got = l.arrivals(ms(1));
         assert_eq!(got.len(), 1);
     }
 
@@ -494,7 +497,7 @@ mod tests {
             l.send(ms(0), vec![2; 400]);
         }
         // 1200 bytes fits one 1500-byte opportunity at t=0.
-        let got = l.recv(ms(0));
+        let got = l.arrivals(ms(0));
         assert_eq!(got.len(), 3);
     }
 
@@ -513,7 +516,7 @@ mod tests {
         for _ in 0..n {
             l.send(ms(0), vec![0; OPPORTUNITY_BYTES]);
         }
-        let got = l.recv(ms(799));
+        let got = l.arrivals(ms(799));
         assert_eq!(got.len(), n);
         assert_eq!(got.last().unwrap().at, ms(799));
     }
@@ -532,7 +535,7 @@ mod tests {
         for _ in 0..4 {
             l.send(ms(0), vec![0; OPPORTUNITY_BYTES]);
         }
-        let times: Vec<u64> = l.recv(ms(3000)).iter().map(|d| d.at.as_millis()).collect();
+        let times: Vec<u64> = l.arrivals(ms(3000)).iter().map(|d| d.at.as_millis()).collect();
         assert_eq!(times, vec![0, 500, 501, 1001]);
     }
 
@@ -575,9 +578,9 @@ mod tests {
         let mut l = simple_link(0);
         l.send(ms(0), vec![0; 1000]);
         l.set_state(LinkState::Down);
-        assert!(l.recv(ms(100)).is_empty());
+        assert!(l.arrivals(ms(100)).is_empty());
         l.set_state(LinkState::Up);
-        let got = l.recv(ms(101));
+        let got = l.arrivals(ms(101));
         assert_eq!(got.len(), 1);
         assert!(got[0].queue_delay >= Duration::from_millis(100));
     }
@@ -588,7 +591,7 @@ mod tests {
         let mut l = simple_link(0);
         l.send(ms(0), vec![0; OPPORTUNITY_BYTES]); // ships at 0
         l.send(ms(0), vec![0; OPPORTUNITY_BYTES]); // ships at 1
-        let got = l.recv(ms(10));
+        let got = l.arrivals(ms(10));
         assert_eq!(got[0].queue_delay, Duration::ZERO);
         assert_eq!(got[1].queue_delay, Duration::from_millis(1));
     }
@@ -623,7 +626,7 @@ mod tests {
             impairments: Impairments::none(),
         });
         l.send(ms(0), vec![0; 100]);
-        assert!(l.recv(ms(10_000)).is_empty());
+        assert!(l.arrivals(ms(10_000)).is_empty());
         assert_eq!(l.dropped_packets, 1);
         assert!(l.next_event(ms(0)).is_none());
         assert!(l.stats().is_conserved());
@@ -635,7 +638,7 @@ mod tests {
         for i in 0..10u8 {
             l.send(ms(0), vec![i; 200]);
         }
-        let got = l.recv(ms(60_000));
+        let got = l.arrivals(ms(60_000));
         assert_eq!(got.len(), 20, "every packet doubled");
         let s = l.stats();
         assert_eq!(s.duplicated, 10);
@@ -648,7 +651,7 @@ mod tests {
         for _ in 0..10 {
             l.send(ms(0), vec![0x5a; 300]);
         }
-        let got = l.recv(ms(60_000));
+        let got = l.arrivals(ms(60_000));
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(|d| d.payload.iter().any(|&b| b != 0x5a)));
         let s = l.stats();
@@ -664,7 +667,7 @@ mod tests {
         for i in 0..40u8 {
             l.send(ms(i as u64), vec![i; 1200]);
         }
-        let got = l.recv(ms(60_000));
+        let got = l.arrivals(ms(60_000));
         assert_eq!(got.len(), 40);
         assert!(got.windows(2).all(|w| w[0].at <= w[1].at), "recv must be time-sorted");
         let first_bytes: Vec<u8> = got.iter().map(|d| d.payload[0]).collect();
@@ -702,11 +705,11 @@ mod tests {
             healthy.send(ms(0), vec![0; OPPORTUNITY_BYTES]);
             degraded.send(ms(0), vec![0; OPPORTUNITY_BYTES]);
         }
-        let h = healthy.recv(ms(500)).len();
-        let d = degraded.recv(ms(500)).len();
+        let h = healthy.arrivals(ms(500)).len();
+        let d = degraded.arrivals(ms(500)).len();
         assert!(d * 2 < h, "degraded link should ship far fewer ({d} vs {h})");
         degraded.set_state(LinkState::Up);
-        let drained = degraded.recv(ms(60_000)).len();
+        let drained = degraded.arrivals(ms(60_000)).len();
         assert_eq!(d + drained, 500, "recovery drains the backlog");
     }
 
@@ -735,7 +738,7 @@ mod tests {
             for i in 0..200u64 {
                 l.send(ms(i), vec![(i % 251) as u8; 700]);
             }
-            let got = l.recv(ms(60_000));
+            let got = l.arrivals(ms(60_000));
             (got.len(), got.iter().map(|d| d.at.as_micros()).sum::<u64>(), l.stats())
         };
         assert_eq!(run(), run());

@@ -24,6 +24,20 @@ pub trait Endpoint {
     /// A datagram arrived on `path`.
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]);
 
+    /// A datagram arrived on `path`, lent mutably: an endpoint that
+    /// decrypts may open it where it lies. This is how the world delivers.
+    /// Default: [`Endpoint::on_datagram`].
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
+        self.on_datagram(now, path, payload);
+    }
+
+    /// A datagram this endpoint sent has been delivered and read: its
+    /// buffer comes back to send from again, the way a NIC completes a
+    /// transmit. Default: dropped.
+    fn recycle(&mut self, buffer: Vec<u8>) {
+        drop(buffer);
+    }
+
     /// Produce the next datagram to send, if any.
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit>;
 
@@ -177,13 +191,17 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         let mut activity = false;
         {
             let _prof = prof::span!("netsim/link_delivery");
+            // Each datagram is read where it lies, and its buffer goes back
+            // to the endpoint that sent it.
             for (i, path) in self.paths.iter_mut().enumerate() {
-                for d in path.up.recv(self.now) {
-                    self.server.on_datagram(self.now, i, &d.payload);
+                for mut d in path.up.recv(self.now) {
+                    self.server.on_datagram_in_place(self.now, i, &mut d.payload);
+                    self.client.recycle(d.payload);
                     activity = true;
                 }
-                for d in path.down.recv(self.now) {
-                    self.client.on_datagram(self.now, i, &d.payload);
+                for mut d in path.down.recv(self.now) {
+                    self.client.on_datagram_in_place(self.now, i, &mut d.payload);
+                    self.server.recycle(d.payload);
                     activity = true;
                 }
             }

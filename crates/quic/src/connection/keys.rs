@@ -3,7 +3,7 @@
 //! the one way a packet is sealed and booked as sent — plus the
 //! stateless-reset oracle that gets the datagrams no key opens.
 
-use super::space::{PnSpace, SentFrame};
+use super::space::{PnSpace, SentFrames};
 use crate::cid::ConnectionId;
 use crate::crypto::{derive_keys, KeyPair};
 use crate::error::TransportError;
@@ -219,7 +219,7 @@ impl Keys {
         space: &mut PnSpace,
         path: usize,
         packet: PacketBuilder,
-        content: Vec<SentFrame>,
+        content: SentFrames,
         ack_eliciting: bool,
         tracer: &Tracer,
     ) -> Vec<u8> {
@@ -256,7 +256,7 @@ mod tests {
         let mut packet =
             PacketBuilder::new(space.next_header(PacketType::Initial, cid, cid, Vec::new()));
         frames.iter().for_each(|f| f.encode(packet.frames()));
-        let content = frames.iter().map(SentFrame::describing).collect();
+        let content = frames.iter().map(crate::connection::SentFrame::describing).collect();
         from.finish_packet(Instant::ZERO, space, 0, packet, content, true, &Tracer::disabled())
     }
 
@@ -330,8 +330,15 @@ mod tests {
             Vec::new(),
         ));
         packet.frames().bytes(&[0x3f, 0xff]);
-        let junk =
-            c.finish_packet(Instant::ZERO, &mut tx, 0, packet, vec![], false, &Tracer::disabled());
+        let junk = c.finish_packet(
+            Instant::ZERO,
+            &mut tx,
+            0,
+            packet,
+            SentFrames::default(),
+            false,
+            &Tracer::disabled(),
+        );
         let (Opened::Packet { payload, .. }, plain) = open(&junk, &mut rx, 0, &oracle) else {
             panic!("authentic");
         };

@@ -31,7 +31,7 @@ pub use lifecycle::{Expiry, Lifecycle, State};
 pub use liveness::LivenessConfig;
 pub use path::{AckPathPolicy, Path, PathState};
 pub use reinject::{Rank, ReinjectCandidate, ReinjectIndex, ReinjectKey, ReinjectLedger};
-pub use space::{PnSpace, SentFrame};
+pub use space::{PnSpace, SentFrame, SentFrames};
 
 use crate::ackranges::{PnRange, MAX_ACK_RANGES};
 use crate::cc::{Cubic, MAX_DATAGRAM_SIZE};
@@ -239,15 +239,15 @@ pub struct Connection {
     reinject: Option<ReinjectIndex>,
     /// What the last ACK acknowledged and declared lost, emptied and
     /// refilled by the next one.
-    ack_outcome: AckOutcome<Vec<SentFrame>>,
-    /// Emptied descriptions of packets that left flight, for the next
-    /// packets sent: a packet's `Vec<SentFrame>` is allocated once, not per
-    /// packet.
-    spare_content: Vec<Vec<SentFrame>>,
+    ack_outcome: AckOutcome<SentFrames>,
     /// A datagram handed over by reference ([`Connection::handle_datagram_on`]):
     /// copied here once and opened in place, the capacity kept for the next
     /// one.
     rx_buf: Vec<u8>,
+    /// Buffers of datagrams this connection sent, delivered and handed back
+    /// ([`Connection::recycle_datagram`]): what the next packets are
+    /// written into.
+    spare_datagrams: Vec<Vec<u8>>,
     tracer: Tracer,
 }
 
@@ -313,8 +313,8 @@ impl Connection {
             oracle: ResetOracle::default(),
             reinject: None,
             ack_outcome: AckOutcome::default(),
-            spare_content: Vec::new(),
             rx_buf: Vec::new(),
+            spare_datagrams: Vec::new(),
             tracer: Tracer::disabled(),
             cfg,
         }
@@ -476,7 +476,8 @@ impl Connection {
     fn free_state(&mut self) {
         self.streams.control = Vec::new();
         self.reinject = None;
-        (self.ack_outcome, self.spare_content, self.rx_buf) = Default::default();
+        (self.ack_outcome, self.rx_buf) = Default::default();
+        self.spare_datagrams = Vec::new();
         let _ = self.initial.recovery.drain_all();
         for p in &mut self.paths {
             p.response_pending = Vec::new();
@@ -886,7 +887,6 @@ impl Connection {
                     _ => {}
                 }
             }
-            self.recycle_content(pkt.content);
         }
         if cc_touched {
             self.trace_cwnd(now, path);
@@ -895,12 +895,6 @@ impl Connection {
             self.on_packets_lost(now, path, &mut outcome.lost);
         }
         self.ack_outcome = outcome;
-    }
-
-    /// A packet description whose packet left flight, emptied for reuse.
-    fn recycle_content(&mut self, mut content: Vec<SentFrame>) {
-        content.clear();
-        self.spare_content.push(content);
     }
 
     fn trace_cwnd(&self, now: Instant, path: usize) {
@@ -913,18 +907,18 @@ impl Connection {
         &mut self,
         now: Instant,
         path: usize,
-        lost: &mut Vec<SentPacket<Vec<SentFrame>>>,
+        lost: &mut Vec<SentPacket<SentFrames>>,
     ) {
         self.stats.packets_lost += lost.len() as u64;
         let mut newest_lost_sent: Option<Instant> = None;
-        for mut pkt in lost.drain(..) {
+        for pkt in lost.drain(..) {
             let (pn, bytes) = (pkt.pn, pkt.size as u32);
             self.tracer.emit(now, Event::PacketLost { path: path as u8, pn, bytes });
             if pkt.in_flight {
                 newest_lost_sent =
                     Some(newest_lost_sent.map_or(pkt.time_sent, |t| t.max(pkt.time_sent)));
             }
-            for (nth, sent) in pkt.content.drain(..).enumerate() {
+            for (nth, sent) in pkt.content.into_iter().enumerate() {
                 match sent {
                     SentFrame::Crypto => self.keys.hello_sent = false, // resend hello
                     SentFrame::HandshakeDone => self.keys.done_sent = false,
@@ -947,7 +941,6 @@ impl Connection {
                     other => drop(self.streams.on_sent_frame_lost(other)),
                 }
             }
-            self.recycle_content(pkt.content);
         }
         if let Some(t) = newest_lost_sent {
             self.paths[path].cc.on_congestion_event(now, t);
@@ -1094,7 +1087,7 @@ impl Connection {
         let primary = self.cfg.primary;
         let delay = now - self.paths[primary].last_recv_time;
         if let Some(largest) = self.initial.take_ack() {
-            let mut packet = PacketBuilder::new(self.next_header(primary, true));
+            let mut packet = self.packet(primary, true);
             let ranges = self.initial.recv.iter_descending();
             Frame::encode_ack(packet.frames(), None, largest, delay, ranges, None);
             return Some(self.finish_ack(now, primary, packet, primary, largest));
@@ -1114,7 +1107,7 @@ impl Connection {
             };
             (Some(space as u64), send_path, self.local_qoe)
         };
-        let mut packet = PacketBuilder::new(self.next_header(send_path, false));
+        let mut packet = self.packet(send_path, false);
         let ranges = self.paths[space].space.recv.iter_descending();
         Frame::encode_ack(packet.frames(), path_id, largest, delay, ranges, qoe.as_ref());
         Some(self.finish_ack(now, send_path, packet, space, largest))
@@ -1130,8 +1123,7 @@ impl Connection {
         space: usize,
         largest: u64,
     ) -> (usize, Vec<u8>) {
-        let mut content = self.spare_content.pop().unwrap_or_default();
-        content.push(SentFrame::Ack { space: space as u64, largest });
+        let content = [SentFrame::Ack { space: space as u64, largest }].into_iter().collect();
         self.finish_packet(now, path, packet, content, false)
     }
 
@@ -1157,11 +1149,11 @@ impl Connection {
         if !self.is_established() || self.budget(path) < MAX_DATAGRAM_SIZE / 2 {
             return None;
         }
-        let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let mut content = self.spare_content.pop().unwrap_or_default();
+        let mut packet = self.packet(path, false);
+        let mut content = SentFrames::default();
         self.stats.stream_bytes_sent += self.streams.pack(&mut packet, &mut content);
         if content.is_empty() {
-            self.spare_content.push(content);
+            self.recycle_datagram(packet.into_buffer());
             return None;
         }
         Some(self.finish_packet(now, path, packet, content, true))
@@ -1181,8 +1173,8 @@ impl Connection {
         if !self.is_established() {
             return None;
         }
-        let mut packet = PacketBuilder::new(self.next_header(path, false));
-        let mut content = self.spare_content.pop().unwrap_or_default();
+        let mut packet = self.packet(path, false);
+        let mut content = SentFrames::default();
         for &ReinjectCandidate { stream_id: id, range, fin, .. } in copies {
             let Some(stream) = self.streams.get(id) else { continue };
             Frame::encode_stream(packet.frames(), id, range.start, stream.send.data(range), fin);
@@ -1191,7 +1183,7 @@ impl Connection {
             self.stats.reinjections += 1;
         }
         if content.is_empty() {
-            self.spare_content.push(content);
+            self.recycle_datagram(packet.into_buffer());
             return None;
         }
         Some(self.finish_packet(now, path, packet, content, true))
@@ -1259,13 +1251,29 @@ impl Connection {
         frames: &[Frame],
         ack_eliciting: bool,
     ) -> (usize, Vec<u8>) {
-        let mut content = self.spare_content.pop().unwrap_or_default();
-        content.extend(frames.iter().map(SentFrame::describing));
-        let mut packet = PacketBuilder::new(self.next_header(path, initial));
+        let content = frames.iter().map(SentFrame::describing).collect();
+        let mut packet = self.packet(path, initial);
         for f in frames {
             f.encode(packet.frames());
         }
         self.finish_packet(now, path, packet, content, ack_eliciting)
+    }
+
+    /// The next packet to be sent on `path`, in the Initial space
+    /// (`initial`) or the path's own, written into a handed-back datagram
+    /// buffer if there is one.
+    fn packet(&mut self, path: usize, initial: bool) -> PacketBuilder {
+        let header = self.next_header(path, initial);
+        PacketBuilder::with_buffer(header, self.spare_datagrams.pop().unwrap_or_default())
+    }
+
+    /// A datagram this connection sent, delivered and read: its buffer is
+    /// the connection's again, for the next packet. One that could not
+    /// hold a full-size packet is dropped.
+    pub fn recycle_datagram(&mut self, buffer: Vec<u8>) {
+        if buffer.capacity() >= MAX_DATAGRAM_SIZE as usize && !self.is_drained() {
+            self.spare_datagrams.push(buffer);
+        }
     }
 
     /// The header of the next packet to be sent on `path`, in the Initial
@@ -1287,7 +1295,7 @@ impl Connection {
         now: Instant,
         path: usize,
         packet: PacketBuilder,
-        content: Vec<SentFrame>,
+        content: SentFrames,
         ack_eliciting: bool,
     ) -> (usize, Vec<u8>) {
         let p = &mut self.paths[path];

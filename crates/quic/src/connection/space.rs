@@ -40,8 +40,9 @@ pub enum SentFrame {
     },
     /// HANDSHAKE_DONE signal.
     HandshakeDone,
-    /// Anything retransmittable as is (MAX_DATA etc.).
-    Control(Frame),
+    /// Anything retransmittable as is (MAX_DATA etc.). Boxed: the rare
+    /// kind keeps every other one small.
+    Control(Box<Frame>),
     /// A PATH_CHALLENGE this endpoint is waiting on (multipath).
     Challenge([u8; 8]),
     /// A PATH_RESPONSE pinned to the path it was sent on (RFC 9000 §8.2.2:
@@ -63,8 +64,66 @@ impl SentFrame {
             Frame::Ping => SentFrame::Ping,
             Frame::PathChallenge(data) => SentFrame::Challenge(*data),
             Frame::PathResponse(data) => SentFrame::Response(*data),
-            other => SentFrame::Control(other.clone()),
+            other => SentFrame::Control(Box::new(other.clone())),
         }
+    }
+}
+
+/// What a sent packet carried, in order: the first frame inline — most
+/// packets carry one, so remembering them allocates nothing — and any
+/// further ones in a `Vec`.
+#[derive(Debug, Clone, Default)]
+pub struct SentFrames {
+    first: Option<SentFrame>,
+    /// Empty unless `first` is there.
+    rest: Vec<SentFrame>,
+}
+
+impl SentFrames {
+    /// Append a frame.
+    pub fn push(&mut self, frame: SentFrame) {
+        match self.first {
+            None => self.first = Some(frame),
+            Some(_) => self.rest.push(frame),
+        }
+    }
+
+    /// True for a packet of no frames.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The frames in order.
+    pub fn iter(&self) -> impl Iterator<Item = &SentFrame> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl IntoIterator for SentFrames {
+    type Item = SentFrame;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<SentFrame>, std::vec::IntoIter<SentFrame>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+impl<'a> IntoIterator for &'a SentFrames {
+    type Item = &'a SentFrame;
+    type IntoIter =
+        std::iter::Chain<std::option::Iter<'a, SentFrame>, std::slice::Iter<'a, SentFrame>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl FromIterator<SentFrame> for SentFrames {
+    fn from_iter<I: IntoIterator<Item = SentFrame>>(frames: I) -> Self {
+        let mut sent = SentFrames::default();
+        frames.into_iter().for_each(|f| sent.push(f));
+        sent
     }
 }
 
@@ -72,7 +131,7 @@ impl SentFrame {
 #[derive(Debug, Default)]
 pub struct PnSpace {
     /// Sent packets awaiting acknowledgement, and loss detection.
-    pub recovery: Recovery<Vec<SentFrame>>,
+    pub recovery: Recovery<SentFrames>,
     /// Packet numbers received.
     pub recv: AckRanges,
     /// An ack-eliciting packet arrived since the last ACK went out.
@@ -92,7 +151,7 @@ impl PnSpace {
         ranges: impl Iterator<Item = PnRange> + Clone,
         ack_delay: Duration,
         rtt: &mut RttEstimator,
-        out: &mut AckOutcome<Vec<SentFrame>>,
+        out: &mut AckOutcome<SentFrames>,
     ) -> Result<(), TransportError> {
         let pairs = ranges.map(|r| (r.start, r.end));
         self.recovery.validate_ack(pairs.clone())?;
@@ -132,7 +191,7 @@ mod tests {
     fn optimistic_ack_is_refused_before_recovery_sees_it() {
         let (t0, mut rtt, mut out) = (Instant::ZERO, RttEstimator::new(), AckOutcome::default());
         let mut space = PnSpace::default();
-        space.recovery.on_packet_sent(t0, 1200, true, vec![SentFrame::Ping]);
+        space.recovery.on_packet_sent(t0, 1200, true, [SentFrame::Ping].into_iter().collect());
         let mut never_sent = AckRanges::new();
         never_sent.insert_range(0, 5);
         let ranges = never_sent.iter_descending();

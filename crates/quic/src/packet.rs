@@ -245,10 +245,10 @@ impl Header {
 
 /// One outgoing packet under construction in the buffer that becomes the
 /// datagram: header ‖ frames, sealed in place, ‖ tag. Both engines build
-/// every packet through this, so the bytes are written once and the only
-/// allocation is the datagram itself — made, and the header encoded, when
-/// the first frame goes in: a packet that turns out to have nothing to
-/// carry costs nothing.
+/// every packet through this, so the bytes are written once. The buffer is
+/// a fresh one or a recycled datagram's; the header is encoded, and a fresh
+/// buffer allocated, when the first frame goes in: a packet that turns out
+/// to have nothing to carry costs nothing.
 #[derive(Debug)]
 pub struct PacketBuilder {
     header: Header,
@@ -261,7 +261,19 @@ pub struct PacketBuilder {
 impl PacketBuilder {
     /// A packet that will start with `header`.
     pub fn new(header: Header) -> Self {
-        PacketBuilder { header, w: Writer::new(), header_len: 0 }
+        Self::with_buffer(header, Vec::new())
+    }
+
+    /// A packet that will start with `header`, written into `buffer`
+    /// (emptied first, its capacity reused).
+    pub fn with_buffer(header: Header, mut buffer: Vec<u8>) -> Self {
+        buffer.clear();
+        PacketBuilder { header, w: Writer::from_vec(buffer), header_len: 0 }
+    }
+
+    /// The buffer back, for a packet that is not sent after all.
+    pub fn into_buffer(self) -> Vec<u8> {
+        self.w.into_bytes()
     }
 
     /// True when the packet has a long header (Initial-level protection).
@@ -271,8 +283,8 @@ impl PacketBuilder {
 
     /// Where the frames go.
     pub fn frames(&mut self) -> &mut Writer {
-        if self.w.is_empty() {
-            self.w = Writer::with_capacity(MAX_DATAGRAM_SIZE as usize);
+        if self.header_len == 0 {
+            self.w.reserve(MAX_DATAGRAM_SIZE as usize);
             self.header.encode_to(&mut self.w);
             self.header_len = self.w.len();
         }

@@ -11,7 +11,7 @@ pub use recv::{RecvState, RecvStream, MAX_STREAM_SEGMENTS};
 pub use send::{FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PRIORITY};
 
 use crate::cc::MAX_DATAGRAM_SIZE;
-use crate::connection::SentFrame;
+use crate::connection::{SentFrame, SentFrames};
 use crate::error::TransportError;
 use crate::frame::{Frame, FrameRef};
 use crate::packet::PacketBuilder;
@@ -389,7 +389,7 @@ impl StreamMap {
     /// DATA_BLOCKED is said once per limit (RFC 9000 §19.12), in this very
     /// packet: left on the queue it would make the next poll send with no
     /// input in between.
-    pub fn pack(&mut self, packet: &mut PacketBuilder, sent: &mut Vec<SentFrame>) -> u64 {
+    pub fn pack(&mut self, packet: &mut PacketBuilder, sent: &mut SentFrames) -> u64 {
         let mut first_time = 0;
         let mut remaining = MAX_DATAGRAM_SIZE as usize - 64; // header+tag slack
         while let Some(f) = self.control.pop() {
@@ -398,7 +398,7 @@ impl StreamMap {
                 break;
             };
             remaining -= len;
-            sent.push(SentFrame::Control(f));
+            sent.push(SentFrame::Control(Box::new(f)));
         }
         for i in 0..self.sendable().len() {
             if remaining < 32 {
@@ -431,7 +431,7 @@ impl StreamMap {
                     && packet.push_if_fits(&blocked, remaining).is_some()
                 {
                     self.data_blocked_at = Some(self.send_max_data);
-                    sent.push(SentFrame::Control(blocked));
+                    sent.push(SentFrame::Control(Box::new(blocked)));
                 }
                 break;
             }
@@ -469,7 +469,7 @@ impl StreamMap {
                 s.send.on_range_lost(range, fin);
                 return range.len();
             }
-            SentFrame::Control(f) => self.control.push(f),
+            SentFrame::Control(f) => self.control.push(*f),
             _ => {}
         }
         0

@@ -117,6 +117,16 @@ impl Writer {
         Writer { buf: Vec::with_capacity(n) }
     }
 
+    /// Writer appending to `buf` (its capacity is reused).
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
+    /// Make room for at least `n` more bytes.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.buf.reserve(n);
+    }
+
     /// Consume the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -141,7 +141,7 @@ fn reorder_delay_stays_within_window() {
             // Exactly one MTU per opportunity, tagged with its index.
             link.send(Instant::from_millis(i), vec![i as u8; 1500]);
         }
-        let got = link.recv(Instant::from_secs(120));
+        let got: Vec<_> = link.recv(Instant::from_secs(120)).collect();
         prop_assert_eq!(got.len() as u64, n, "reordering must not drop packets");
         prop_assert!(
             got.windows(2).all(|w| w[0].at <= w[1].at),

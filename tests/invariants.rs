@@ -151,7 +151,7 @@ fn link_preserves_order_and_content() {
         for i in 0..n {
             link.send(Instant::ZERO, vec![i as u8; 100 + i]);
         }
-        let got = link.recv(Instant::from_secs(60));
+        let got: Vec<_> = link.recv(Instant::from_secs(60)).collect();
         prop_assert_eq!(got.len(), n);
         for (i, d) in got.iter().enumerate() {
             prop_assert_eq!(d.payload.len(), 100 + i);
