@@ -43,8 +43,9 @@ pub struct Delivered {
 /// Configuration of one direction of a path.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
-    /// Delivery-opportunity timestamps in ms (one MTU each); loops.
-    /// An empty trace means the link never delivers. Shared (`Arc`) so
+    /// Delivery-opportunity timestamps in ms (one MTU each), non-decreasing
+    /// (repeats are several opportunities in one millisecond); loops. An
+    /// empty trace means the link never delivers. Shared (`Arc`) so
     /// thousands of concurrent links can replay one trace allocation.
     pub trace_ms: std::sync::Arc<[u64]>,
     /// One-way propagation delay.
@@ -168,6 +169,7 @@ pub struct Link {
 impl Link {
     /// Build a link from its configuration.
     pub fn new(cfg: LinkConfig) -> Self {
+        debug_assert!(cfg.trace_ms.is_sorted(), "a trace's opportunities are in time order");
         let period_ms = cfg.trace_ms.last().map(|l| l + 1).unwrap_or(1).max(1);
         let mut rng = Rng::new(cfg.seed ^ 0x11ce);
         let pipeline = Pipeline::new(&cfg.impairments, &mut rng);
@@ -315,6 +317,31 @@ impl Link {
         if self.cfg.trace_ms.is_empty() {
             return;
         }
+        // With nothing to ship and no per-opportunity draw to make (a
+        // degraded link draws for each one), the opportunities up to `now`
+        // move the cursor and nothing else: jump over them.
+        if self.down || (self.queue.is_empty() && self.degrade_keep >= 1.0) {
+            return self.skip_to(now);
+        }
+        self.walk(now);
+    }
+
+    /// Put the cursor on the first opportunity after `now` by arithmetic
+    /// over the trace: the one the walk would stop at.
+    fn skip_to(&mut self, now: Instant) {
+        if self.opportunity_time(self.cursor, self.loops) > now {
+            return;
+        }
+        // An opportunity at millisecond `t` is due iff `t <= now_ms`.
+        let now_ms = now.as_millis();
+        let (loops, within) = (now_ms / self.period_ms, now_ms % self.period_ms);
+        let cursor = self.cfg.trace_ms.partition_point(|&t| t <= within);
+        (self.cursor, self.loops) =
+            if cursor == self.cfg.trace_ms.len() { (0, loops + 1) } else { (cursor, loops) };
+    }
+
+    /// [`Link::poll`] one opportunity at a time.
+    fn walk(&mut self, now: Instant) {
         loop {
             let opp_time = self.opportunity_time(self.cursor, self.loops);
             if opp_time > now {
@@ -446,6 +473,64 @@ mod tests {
         fn arrivals(&mut self, now: Instant) -> Vec<Delivered> {
             self.recv(now).collect()
         }
+    }
+
+    /// The idle-link jump against the walk it shortcuts: random traces
+    /// (repeated timestamps, one entry, many periods crossed in one step),
+    /// clocks that move by random steps, interleaved with sends and every
+    /// link state. The link that jumps and the one walked one opportunity
+    /// at a time deliver the same packets at the same instants after the
+    /// same queueing, count the same, expect the same next event and stand
+    /// on the same opportunity.
+    #[test]
+    fn prop_the_idle_jump_is_the_walk() {
+        use xlink_lab::prop::*;
+        let op = (0u8..9, 0u64..5_000, 1usize..4_000);
+        let case = (vec_of(0u64..40, 1..12), vec_of(op, 1..80), 0u64..1_000);
+        check("prop_the_idle_jump_is_the_walk", case, |(trace, ops, seed)| {
+            let mut trace = trace.clone();
+            trace.sort_unstable();
+            let cfg = LinkConfig {
+                trace_ms: trace.into(),
+                delay: Duration::from_millis(3),
+                queue_bytes: 12_000,
+                loss: 0.05,
+                seed: *seed,
+                impairments: Impairments::none(),
+            };
+            let (mut jumps, mut walks) = (Link::new(cfg.clone()), Link::new(cfg));
+            let arrived = |d: Delivered| (d.at, d.queue_delay, d.payload);
+            let mut now = Instant::ZERO;
+            for &(kind, step, len) in ops {
+                let state = [
+                    LinkState::Down,
+                    LinkState::Up,
+                    LinkState::Degraded { keep: 0.5, extra_loss: 0.1 },
+                    LinkState::Degraded { keep: 1.0, extra_loss: 0.2 },
+                ];
+                match kind {
+                    0..=3 => {
+                        jumps.set_state(state[kind as usize]);
+                        walks.set_state(state[kind as usize]);
+                    }
+                    4 | 5 => {
+                        jumps.send(now, vec![kind; len]);
+                        walks.send(now, vec![kind; len]);
+                    }
+                    // Now and then across many periods of the trace.
+                    6 => now += Duration::from_micros(step * 997),
+                    _ => now += Duration::from_micros(step % 200 * 7),
+                }
+                walks.walk(now);
+                let jumped: Vec<_> = jumps.recv(now).map(arrived).collect();
+                let walked: Vec<_> = walks.recv(now).map(arrived).collect();
+                prop_assert_eq!(jumped, walked);
+                prop_assert_eq!(jumps.stats(), walks.stats());
+                prop_assert_eq!(jumps.next_event(now), walks.next_event(now));
+                prop_assert_eq!((jumps.cursor, jumps.loops), (walks.cursor, walks.loops));
+            }
+            Ok(())
+        });
     }
 
     fn simple_cfg(delay_ms: u64) -> LinkConfig {
