@@ -47,6 +47,13 @@ struct BulkClient {
 }
 
 impl BulkClient {
+    /// A client about to ask for `size` bytes over `conn`, advertising `qoe`.
+    fn new(conn: Conn, size: u64, qoe: Option<QoeSignal>) -> Self {
+        let (stream, received, header_skipped, header, done_at) =
+            (None, 0, false, Vec::new(), None);
+        BulkClient { conn, size, stream, received, header_skipped, header, done_at, qoe }
+    }
+
     /// Read what arrived of the response through the consuming read: the
     /// header is copied until it is complete, the body only counted.
     fn read_response(&mut self, now: Instant) {
@@ -145,26 +152,8 @@ impl Scenario {
             client_conn.set_tracer(&log.tracer("client"));
             server_conn.set_tracer(&log.tracer("server"));
         }
-        let client = BulkClient {
-            conn: client_conn,
-            size,
-            stream: None,
-            received: 0,
-            header_skipped: false,
-            header: Vec::new(),
-            done_at: None,
-            qoe,
-        };
-        let mut store = MediaStore::new();
-        // A "blob" is a 1-frame video sized to the request: frame 0 spans the
-        // first ~64 KB (a realistic first-frame size) so frame-priority paths
-        // are exercised even for bulk fetches.
-        let ff = size.min(64 * 1024).max(1);
-        store.insert(
-            "blob",
-            Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]),
-        );
-        let world = self.run(client, VideoServerEndpoint::serving(server_conn, store, true));
+        let client = BulkClient::new(client_conn, size, qoe);
+        let world = self.run(client, VideoServerEndpoint::serving(server_conn, blob(size), true));
         BulkResult {
             download_time: world.client.done_at.map(|t| t.saturating_duration_since(now)),
             bytes_received: world.client.received,
@@ -174,6 +163,17 @@ impl Scenario {
             link_stats: world.paths.iter().map(|p| p.stats()).collect(),
         }
     }
+}
+
+/// A store of one "blob": a 1-frame video sized to the request. Frame 0
+/// spans the first ~64 KB (a realistic first-frame size) so frame-priority
+/// paths are exercised even for bulk fetches.
+fn blob(size: u64) -> MediaStore {
+    let mut store = MediaStore::new();
+    let ff = size.min(64 * 1024).max(1);
+    store
+        .insert("blob", Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]));
+    store
 }
 
 #[cfg(test)]
@@ -254,5 +254,34 @@ mod tests {
             Duration::from_secs(5),
         );
         assert!(r.download_time.is_none());
+    }
+
+    /// The only allocations a two-path XLINK download makes once under way
+    /// are the out-of-order segments its client stores, one each: bytes
+    /// that arrive on the faster path ahead of those still on the slower.
+    #[test]
+    fn a_two_path_transfer_allocates_only_for_out_of_order_segments() {
+        use xlink_netsim::World;
+        use xlink_obs::prof;
+        let (tuning, now, size) = (TransportTuning::default(), Instant::ZERO, 64 << 20);
+        let client = BulkClient::new(Conn::client(Scheme::Xlink, &tuning, 1, now), size, None);
+        let server_conn = Conn::server(Scheme::Xlink, &tuning, 2, now);
+        let server = VideoServerEndpoint::serving(server_conn, blob(size), true);
+        let mut world = World::new(client, server, paths());
+        world.run_until(Instant::from_secs(4));
+        let stored = |w: &World<BulkClient, VideoServerEndpoint>| {
+            let id = w.client.stream.expect("asked");
+            w.client.conn.inner().conn().streams().get(id).expect("open").recv.segments_stored()
+        };
+        let before = stored(&world);
+        let (_, report) = prof::with_recording(|| {
+            let _span = prof::span!("test/transfer");
+            world.run_until(Instant::from_secs(8))
+        });
+        assert!(world.client.done_at.is_none(), "the transfer ended in the recording");
+        let segments = stored(&world) - before;
+        let allocs = report.get("test;transfer").expect("recorded").allocs;
+        assert!(segments > 1_000, "{segments} segments out of order");
+        assert!(allocs <= segments, "{allocs} allocations for {segments} segments");
     }
 }

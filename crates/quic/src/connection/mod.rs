@@ -1951,6 +1951,98 @@ mod tests {
         }
     }
 
+    /// One exchange of a transfer over a lossless path with no delay that
+    /// carries at most `capacity` datagrams from `s` to `c`: each opened where
+    /// it lies and handed back to its sender, as the simulator does; `c`
+    /// reads stream `id` through the consuming read and answers. Returns the
+    /// datagrams `s` sent.
+    fn exchange(
+        now: Instant,
+        (c, s): (&mut Connection, &mut Connection),
+        id: u64,
+        capacity: usize,
+    ) -> usize {
+        let mut sent = 0;
+        while let Some((path, mut d)) = (sent < capacity).then(|| s.poll_transmit_on(now)).flatten()
+        {
+            c.handle_datagram_in_place(now, path, &mut d);
+            s.recycle_datagram(d);
+            c.stream_consume(id, usize::MAX);
+            sent += 1;
+        }
+        while let Some((path, mut d)) = c.poll_transmit_on(now) {
+            s.handle_datagram_in_place(now, path, &mut d);
+            c.recycle_datagram(d);
+        }
+        sent
+    }
+
+    /// A steady-state packet allocates nothing: once a single-path transfer
+    /// has grown its buffers, its server sends two thousand full-size data
+    /// packets (2.5 MB, so a MAX_STREAM_DATA is among the client's answers),
+    /// and its client reads and acknowledges them, without one allocation.
+    #[test]
+    fn a_steady_transfer_allocates_nothing() {
+        use xlink_obs::prof;
+        let (mut c, mut s, mut now) = established(1);
+        let id = c.open_stream(0);
+        c.stream_send(id, b"GET", true);
+        pump(&mut now, &mut c, &mut s);
+        s.stream_recv(id, 10);
+        s.stream_send(id, &vec![7u8; 24 << 20], true);
+        // Warm-up: windows open, buffers and free lists grow, and the
+        // client's flow-control updates make the server acknowledge its
+        // ACK-only packets.
+        for _ in 0..1_000 {
+            now += Duration::from_millis(1);
+            exchange(now, (&mut c, &mut s), id, 16);
+        }
+        let credit = |s: &Connection| s.streams().get(id).expect("open").send.max_data();
+        let granted = credit(&s);
+        let (sent, report) = prof::with_recording(|| {
+            let _span = prof::span!("test/transfer");
+            let mut sent = 0;
+            while sent < 2_000 {
+                now += Duration::from_millis(1);
+                sent += exchange(now, (&mut c, &mut s), id, 16);
+            }
+            sent
+        });
+        assert!(sent >= 2_000 && s.stats().stream_bytes_retransmitted == 0);
+        assert!(credit(&s) > granted, "no flow-control update in the run");
+        assert_eq!(report.get("test;transfer").expect("recorded").allocs, 0, "{}", report.folded());
+    }
+
+    /// Every frame of a packet decodes before any is acted on: a STREAM
+    /// frame followed by a malformed one closes the connection with
+    /// FRAME_ENCODING_ERROR and applies nothing, neither the stream's bytes
+    /// nor its flow control.
+    #[test]
+    fn a_malformed_frame_anywhere_applies_nothing_of_its_packet() {
+        for junk in [&[0x3f][..], &[0x40], &[0x0a, 0x00], &[0x1a, 1, 2]] {
+            let (mut c, mut s, mut now) = established(1);
+            let id = c.open_stream(0);
+            c.stream_send(id, b"hello", false);
+            pump(&mut now, &mut c, &mut s);
+            let state = |s: &Connection| {
+                let map = s.streams();
+                let recv = &map.get(id).expect("opened by the client").recv;
+                let stream = (recv.readable(), recv.highest_recv(), recv.buffered_bytes());
+                (stream, map.recv_data_used, map.recv_max_data, map.epoch(), map.control.len())
+            };
+            let before = state(&s);
+            assert_eq!(before.0, (5, 5, 5));
+            let mut packet = c.packet(0, false);
+            Frame::encode_stream(packet.frames(), id, 5, b" world", false);
+            packet.frames().bytes(junk);
+            let (path, d) = c.finish_packet(now, 0, packet, SentFrames::default(), true);
+            s.handle_datagram_on(now, path, &d);
+            let closed = ConnectionError::LocallyClosed(TransportError::FrameEncodingError);
+            assert_eq!(s.close_error(), Some(&closed), "junk {junk:?}");
+            assert_eq!(state(&s), before, "junk {junk:?}: the STREAM frame was applied");
+        }
+    }
+
     #[test]
     fn reset_token_param_reaches_client_oracle() {
         let now = Instant::ZERO;

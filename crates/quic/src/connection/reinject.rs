@@ -13,8 +13,9 @@
 //! path sorted the way re-injection consumes them.
 
 use super::SentFrame;
+use crate::sorted::SortedMap;
 use crate::stream::{SendRange, StreamMap};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Bound;
 use xlink_clock::{Duration, Instant};
 
@@ -43,7 +44,7 @@ pub struct ReinjectKey {
 #[derive(Debug, Default)]
 pub struct ReinjectLedger {
     /// When each key was last recorded.
-    live: BTreeMap<ReinjectKey, Instant>,
+    live: SortedMap<ReinjectKey, Instant>,
     /// Every record, oldest first.
     by_age: VecDeque<(Instant, ReinjectKey)>,
 }
@@ -137,9 +138,9 @@ pub struct ReinjectIndex {
     /// (stream priority, frame priority) → queue position.
     rank: fn(u8, u8) -> Rank,
     /// Every stream frame in flight, on any path.
-    frames: BTreeMap<FrameAt, Flight>,
+    frames: SortedMap<FrameAt, Flight>,
     /// Per target path, its candidates in the order they are consumed.
-    candidates: Vec<BTreeMap<(Rank, FrameAt), (u64, bool)>>,
+    candidates: Vec<SortedMap<(Rank, FrameAt), (u64, bool)>>,
     ledger: ReinjectLedger,
     /// The longest frame ever tracked: a frame that overlaps offset `x`
     /// starts after `x - longest`.
@@ -151,8 +152,8 @@ impl ReinjectIndex {
     /// ranges by `rank(stream priority, frame priority)`.
     pub fn new(paths: usize, rank: fn(u8, u8) -> Rank) -> Self {
         assert!(paths < u32::BITS as usize, "one bit per path");
-        let candidates = (0..paths).map(|_| BTreeMap::new()).collect();
-        let (frames, ledger) = (BTreeMap::new(), ReinjectLedger::default());
+        let candidates = (0..paths).map(|_| SortedMap::default()).collect();
+        let (frames, ledger) = (SortedMap::default(), ReinjectLedger::default());
         ReinjectIndex { rank, frames, candidates, ledger, longest: 0 }
     }
 
@@ -234,7 +235,8 @@ impl ReinjectIndex {
     fn refresh_window(&mut self, streams: &StreamMap, id: u64, from: u64, until: u64) {
         let mut after = Bound::Included(FrameAt::floor(id, from));
         let end = Bound::Excluded(FrameAt::floor(id, until));
-        while let Some((&at, &flight)) = self.frames.range((after, end)).next() {
+        loop {
+            let Some((&at, &flight)) = self.frames.range((after, end)).next() else { break };
             let eligible = self.eligible_for(streams, at, flight);
             self.set_eligible(at, flight, eligible);
             after = Bound::Excluded(at);

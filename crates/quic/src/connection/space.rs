@@ -40,8 +40,18 @@ pub enum SentFrame {
     },
     /// HANDSHAKE_DONE signal.
     HandshakeDone,
-    /// Anything retransmittable as is (MAX_DATA etc.). Boxed: the rare
-    /// kind keeps every other one small.
+    /// A MAX_DATA, retransmittable as is.
+    MaxData(u64),
+    /// A MAX_STREAM_DATA, retransmittable as is.
+    MaxStreamData {
+        /// Stream granted credit.
+        stream_id: u64,
+        /// New absolute limit.
+        max: u64,
+    },
+    /// Any other frame retransmittable as is (CID management, path status,
+    /// resets, …). Boxed: the rare kinds keep every other one small, and
+    /// the flow-control updates a transfer sends all along have their own.
     Control(Box<Frame>),
     /// A PATH_CHALLENGE this endpoint is waiting on (multipath).
     Challenge([u8; 8]),
@@ -64,7 +74,29 @@ impl SentFrame {
             Frame::Ping => SentFrame::Ping,
             Frame::PathChallenge(data) => SentFrame::Challenge(*data),
             Frame::PathResponse(data) => SentFrame::Response(*data),
-            other => SentFrame::Control(Box::new(other.clone())),
+            other => SentFrame::control(other.clone()),
+        }
+    }
+
+    /// How a frame retransmittable as is gets remembered.
+    pub fn control(frame: Frame) -> SentFrame {
+        match frame {
+            Frame::MaxData(max) => SentFrame::MaxData(max),
+            Frame::MaxStreamData { stream_id, max } => SentFrame::MaxStreamData { stream_id, max },
+            other => SentFrame::Control(Box::new(other)),
+        }
+    }
+
+    /// The frame to send again if this one is lost, if it is one sent as
+    /// is.
+    pub fn into_control(self) -> Option<Frame> {
+        match self {
+            SentFrame::MaxData(max) => Some(Frame::MaxData(max)),
+            SentFrame::MaxStreamData { stream_id, max } => {
+                Some(Frame::MaxStreamData { stream_id, max })
+            }
+            SentFrame::Control(frame) => Some(*frame),
+            _ => None,
         }
     }
 }

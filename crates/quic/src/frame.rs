@@ -972,4 +972,72 @@ mod tests {
             Ok(())
         });
     }
+
+    /// The borrowed decoder against [`Frame::decode`] on arbitrary bytes
+    /// and on truncations of valid frames (ACKs of random ranges, STREAM,
+    /// CRYPTO, CONNECTION_CLOSE, NEW_CONNECTION_ID, …): neither panics (the
+    /// debug profile checks overflow), both consume the same bytes and
+    /// agree, frame after frame; an ACK read again yields as many ranges
+    /// as it declares, descending and apart, the first ending at its
+    /// largest; and the checked payload yields what that frame-by-frame
+    /// decoding yields, or is refused exactly when it stops on an error.
+    #[test]
+    fn prop_the_borrowed_decoder_is_frame_decode() {
+        use crate::cid::ConnectionId;
+        let case = (any_bool(), bytes(0..64), arb_ranges(), 0usize..4096);
+        check("prop_the_borrowed_decoder_is_frame_decode", case, |(valid, noise, set, cut)| {
+            let bytes = if *valid {
+                let mut ack = AckFrame::from_ranges(3, set, Duration::from_millis(7)).unwrap();
+                let plain = Frame::Ack(ack.clone());
+                ack.qoe = Some(QoeSignal { cached_bytes: 9, cached_frames: 8, bps: 7, fps: 6 });
+                let issued = IssuedCid {
+                    seq: 2,
+                    retire_prior_to: 1,
+                    cid: ConnectionId::derive(5, 2),
+                    reset_token: Some([4; 16]),
+                };
+                let mut w = Writer::new();
+                for f in [
+                    Frame::AckMp(ack),
+                    Frame::Stream { stream_id: 4, offset: 99, data: noise.clone(), fin: true },
+                    plain,
+                    Frame::Crypto { offset: 0, data: noise.clone() },
+                    Frame::NewConnectionId(issued),
+                    Frame::ConnectionClose { error_code: 7, reason: b"bye".to_vec() },
+                    Frame::MaxStreamData { stream_id: 4, max: 1 << 40 },
+                ] {
+                    f.encode(&mut w);
+                }
+                let mut bytes = w.into_bytes();
+                bytes.truncate(cut % (bytes.len() + 1));
+                bytes
+            } else {
+                noise.clone()
+            };
+            let (mut borrowed, mut owned) = (Reader::new(&bytes), Reader::new(&bytes));
+            let mut frames = Vec::new();
+            let all = loop {
+                if owned.is_empty() {
+                    break Ok(frames);
+                }
+                let (b, o) = (FrameRef::decode(&mut borrowed), Frame::decode(&mut owned));
+                prop_assert_eq!(b.clone().map(FrameRef::into_owned), o.clone());
+                prop_assert_eq!(borrowed.position(), owned.position());
+                if let Ok(FrameRef::Ack(ack) | FrameRef::AckMp(ack)) = &b {
+                    let ranges: Vec<PnRange> = ack.ranges().collect();
+                    prop_assert_eq!(ranges.len() as u64, ack.count);
+                    prop_assert_eq!(ranges[0].end, ack.largest);
+                    prop_assert!(ranges.iter().all(|r| r.start <= r.end));
+                    prop_assert!(ranges.windows(2).all(|w| w[1].end + 1 < w[0].start));
+                }
+                match o {
+                    Ok(frame) => frames.push(frame),
+                    Err(e) => break Err(e),
+                }
+            };
+            let checked = FrameRef::decode_payload(&bytes);
+            prop_assert_eq!(checked.map(|fs| fs.map(FrameRef::into_owned).collect()), all);
+            Ok(())
+        });
+    }
 }

@@ -14,5 +14,6 @@ pub mod params;
 pub mod recovery;
 pub mod reset;
 pub mod rtt;
+pub mod sorted;
 pub mod stream;
 pub mod varint;

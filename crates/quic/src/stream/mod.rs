@@ -398,7 +398,7 @@ impl StreamMap {
                 break;
             };
             remaining -= len;
-            sent.push(SentFrame::Control(Box::new(f)));
+            sent.push(SentFrame::control(f));
         }
         for i in 0..self.sendable().len() {
             if remaining < 32 {
@@ -431,7 +431,7 @@ impl StreamMap {
                     && packet.push_if_fits(&blocked, remaining).is_some()
                 {
                     self.data_blocked_at = Some(self.send_max_data);
-                    sent.push(SentFrame::Control(Box::new(blocked)));
+                    sent.push(SentFrame::control(blocked));
                 }
                 break;
             }
@@ -469,8 +469,7 @@ impl StreamMap {
                 s.send.on_range_lost(range, fin);
                 return range.len();
             }
-            SentFrame::Control(f) => self.control.push(*f),
-            _ => {}
+            other => self.control.extend(other.into_control()),
         }
         0
     }

@@ -3,7 +3,7 @@
 //! credit, and final-size enforcement.
 
 use crate::error::TransportError;
-use std::collections::BTreeMap;
+use crate::sorted::SortedMap;
 
 /// Hard cap on buffered out-of-order segments per stream (§10 adversarial
 /// bound). An honest sender is limited by the stream flow-control window:
@@ -32,7 +32,7 @@ pub enum RecvState {
 pub struct RecvStream {
     /// Out-of-order segments not yet contiguous with the read offset,
     /// keyed by start offset.
-    segments: BTreeMap<u64, Vec<u8>>,
+    segments: SortedMap<u64, Vec<u8>>,
     /// All bytes below this offset have been delivered to the application.
     read_offset: u64,
     /// Contiguous bytes received: `ready[head..]` are ready to be read, the
@@ -48,6 +48,8 @@ pub struct RecvStream {
     /// Bytes that arrived more than once (re-injection redundancy shows up
     /// here; the paper's "cost" metric counts these at the receiver).
     duplicate_bytes: u64,
+    /// Out-of-order segments stored so far.
+    segments_stored: u64,
     /// Flow-control limit we advertised to the peer.
     max_data: u64,
     /// Window size to maintain ahead of the read offset.
@@ -58,7 +60,7 @@ impl RecvStream {
     /// New receive stream granting the peer `window` bytes of credit.
     pub fn new(window: u64) -> Self {
         RecvStream {
-            segments: BTreeMap::new(),
+            segments: SortedMap::default(),
             read_offset: 0,
             ready: Vec::new(),
             head: 0,
@@ -66,6 +68,7 @@ impl RecvStream {
             final_size: None,
             state: RecvState::Recv,
             duplicate_bytes: 0,
+            segments_stored: 0,
             max_data: window,
             window,
         }
@@ -154,6 +157,7 @@ impl RecvStream {
                 self.ready.extend_from_slice(slice);
             } else {
                 self.segments.insert(cur, slice.to_vec());
+                self.segments_stored += 1;
             }
             cur = gap_end;
         }
@@ -217,6 +221,12 @@ impl RecvStream {
     /// Total duplicate bytes received (receiver-side redundancy metric).
     pub fn duplicate_bytes(&self) -> u64 {
         self.duplicate_bytes
+    }
+
+    /// Out-of-order segments stored so far, each in an allocation of its
+    /// own (the in-order bytes are appended to the ready ones).
+    pub fn segments_stored(&self) -> u64 {
+        self.segments_stored
     }
 
     /// Current state.
@@ -444,6 +454,120 @@ mod tests {
                 s.on_data(0, msg, false).unwrap();
             }
             prop_assert_eq!(s.duplicate_bytes(), ((k - 1) * msg.len()) as u64);
+            Ok(())
+        });
+    }
+
+    /// Reassembly as a byte array: per offset, whether it arrived and, if
+    /// so, which run of new bytes of one arrival stored it — what the
+    /// stream keeps as one out-of-order segment until it is contiguous.
+    #[derive(Default)]
+    struct Model {
+        runs: Vec<Option<u32>>,
+        read: usize,
+        duplicate: u64,
+        last_run: u32,
+    }
+
+    impl Model {
+        fn arrive(&mut self, offset: usize, len: usize) {
+            if self.runs.len() < offset + len {
+                self.runs.resize(offset + len, None);
+            }
+            let mut in_run = false;
+            for slot in &mut self.runs[offset..offset + len] {
+                if slot.is_some() {
+                    self.duplicate += 1;
+                    in_run = false;
+                    continue;
+                }
+                if !in_run {
+                    self.last_run += 1;
+                }
+                (*slot, in_run) = (Some(self.last_run), true);
+            }
+        }
+
+        /// The first offset not received.
+        fn contiguous(&self) -> usize {
+            self.runs[self.read..]
+                .iter()
+                .position(Option::is_none)
+                .map_or(self.runs.len(), |i| self.read + i)
+        }
+
+        /// Runs received beyond the contiguous bytes.
+        fn segments(&self) -> usize {
+            let beyond = &self.runs[self.contiguous()..];
+            let starts = beyond.windows(2).filter(|w| w[1].is_some() && w[1] != w[0]).count();
+            starts + usize::from(beyond.first().is_some_and(Option::is_some))
+        }
+
+        fn buffered(&self) -> u64 {
+            self.runs[self.read..].iter().flatten().count() as u64
+        }
+    }
+
+    fn byte(offset: usize) -> u8 {
+        (offset % 251) as u8
+    }
+
+    /// A receive stream against the byte-array model: random in-order,
+    /// out-of-order, overlapping and duplicate segments (and sprays of
+    /// one-byte segments that reach the segment cap), consuming and copying
+    /// reads. The bytes read, `readable`, `duplicate_bytes`,
+    /// `segment_count` and `buffered_bytes` match after every step, and
+    /// the stream refuses exactly the segment that takes the model past
+    /// [`MAX_STREAM_SEGMENTS`].
+    #[test]
+    fn prop_reassembly_matches_a_byte_array_model() {
+        let ops = vec_of((0u8..8, 0usize..6_000, 1usize..400), 1..60);
+        check("prop_reassembly_matches_a_byte_array_model", ops, |ops| {
+            let (mut s, mut model) = (RecvStream::new(1 << 30), Model::default());
+            for &(kind, at, len) in ops {
+                if kind == 4 {
+                    // One-byte segments every other byte past everything
+                    // received: each a segment of its own, up to the cap.
+                    let (first, stored) = (model.runs.len() + 1, model.segments());
+                    for k in 0..at {
+                        let got = s.on_data((first + 2 * k) as u64, &[byte(first + 2 * k)], false);
+                        model.arrive(first + 2 * k, 1);
+                        if stored + k + 1 > MAX_STREAM_SEGMENTS {
+                            prop_assert_eq!(got, Err(TransportError::FlowControlError));
+                            return Ok(());
+                        }
+                        prop_assert_eq!(got, Ok(()));
+                    }
+                }
+                let segment = match kind {
+                    0..=2 => Some((at, len)),
+                    3 => Some((model.contiguous(), len)),
+                    _ => None,
+                };
+                if let Some((offset, len)) = segment {
+                    let data: Vec<u8> = (offset..offset + len).map(byte).collect();
+                    let got = s.on_data(offset as u64, &data, false);
+                    model.arrive(offset, len);
+                    if model.segments() > MAX_STREAM_SEGMENTS {
+                        prop_assert_eq!(got, Err(TransportError::FlowControlError));
+                        return Ok(());
+                    }
+                    prop_assert_eq!(got, Ok(()));
+                }
+                if kind >= 5 {
+                    let want: Vec<u8> =
+                        (model.read..model.contiguous().min(model.read + len)).map(byte).collect();
+                    match kind {
+                        5 | 6 => prop_assert_eq!(s.consume(len), &want[..]),
+                        _ => prop_assert_eq!(s.read(len), want.clone()),
+                    }
+                    model.read += want.len();
+                }
+                prop_assert_eq!(s.readable(), model.contiguous() - model.read);
+                prop_assert_eq!(s.duplicate_bytes(), model.duplicate);
+                prop_assert_eq!(s.segment_count(), model.segments());
+                prop_assert_eq!(s.buffered_bytes(), model.buffered());
+            }
             Ok(())
         });
     }

@@ -103,6 +103,7 @@ impl MediaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlink_quic::stream::{SendRange, SendStream};
 
     fn store() -> MediaStore {
         let mut s = MediaStore::new();
@@ -135,6 +136,32 @@ mod tests {
         for (start, end) in [((1 << 32) - 300, (1 << 32) + 300), (u64::MAX - 15, u64::MAX)] {
             let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
             assert_eq!(MediaStore::body_bytes("v1", start, end), per_byte);
+        }
+        // Generated straight into a stream's send buffer the way a server
+        // answers: a header, then the body of each chunk request in two
+        // writes split at the end of the first frame (1 000 bytes here).
+        // Chunks shorter and longer than the first frame, and a last one
+        // the store clamps: every body byte is still the per-byte one.
+        let first_frame = s.first_frame_end("v1");
+        for chunk in [700, 2_500, 4_096] {
+            for start in (0..10_000).step_by(chunk) {
+                let body = s.clamp_range("v1", start, start + chunk as u64).unwrap();
+                let split = body.start.max(first_frame.min(body.end));
+                let mut stream = SendStream::new(u64::MAX);
+                stream.write(b"200 0 1000\n");
+                let head = stream.len();
+                stream.write_with(Some(0), |buf| {
+                    MediaStore::extend_body("v1", body.start..split, buf)
+                });
+                stream.write_with(None, |buf| MediaStore::extend_body("v1", split..body.end, buf));
+                let sent = stream.data(SendRange { start: head, end: stream.len() });
+                let per_byte: Vec<u8> =
+                    body.clone().map(|o| MediaStore::body_byte("v1", o)).collect();
+                assert_eq!(sent, per_byte, "chunk {chunk} at {start}");
+                let offset = |o: u64| head + o - body.start;
+                assert!((body.start..split).all(|o| stream.priority_of(offset(o)) == 0));
+                assert!((split..body.end).all(|o| stream.priority_of(offset(o)) != 0));
+            }
         }
     }
 
