@@ -170,7 +170,7 @@ impl Scenario {
 /// paths are exercised even for bulk fetches.
 fn blob(size: u64) -> MediaStore {
     let mut store = MediaStore::new();
-    let ff = size.min(64 * 1024).max(1);
+    let ff = size.clamp(1, 64 * 1024);
     store
         .insert("blob", Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]));
     store

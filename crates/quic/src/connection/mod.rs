@@ -1836,7 +1836,7 @@ mod tests {
         ];
         for frame in frames {
             let (mut c, mut s, now) = refused_pair();
-            let (path, d) = c.build_packet(now, 0, false, &[frame.clone()], true);
+            let (path, d) = c.build_packet(now, 0, false, std::slice::from_ref(&frame), true);
             s.handle_datagram_on(now, path, &d);
             let violation = ConnectionError::LocallyClosed(TransportError::ProtocolViolation);
             assert_eq!(s.close_error(), Some(&violation), "{frame:?}");

@@ -139,11 +139,6 @@ impl AckFrame {
             qoe: None,
         })
     }
-
-    /// Iterate acknowledged ranges ascending.
-    pub fn ranges_ascending(&self) -> impl Iterator<Item = PnRange> + '_ {
-        self.ranges.iter().rev().copied()
-    }
 }
 
 /// An ACK or ACK_MP decoded in place: [`AckFrame`] with its ranges left
@@ -464,8 +459,20 @@ impl Frame {
                 }
             }
             Frame::Ping => w.varint(ty::PING),
-            Frame::Ack(ack) => encode_ack(w, ack, false),
-            Frame::AckMp(ack) => encode_ack(w, ack, true),
+            Frame::Ack(a) => {
+                Frame::encode_ack(w, None, a.largest, a.ack_delay, a.ranges.iter().copied(), None)
+            }
+            Frame::AckMp(a) => {
+                let ranges = a.ranges.iter().copied();
+                Frame::encode_ack(
+                    w,
+                    Some(a.path_id),
+                    a.largest,
+                    a.ack_delay,
+                    ranges,
+                    a.qoe.as_ref(),
+                )
+            }
             Frame::ResetStream { stream_id, error_code, final_size } => {
                 w.varint(ty::RESET_STREAM);
                 w.varint(*stream_id);
@@ -557,33 +564,6 @@ impl Frame {
         w.varint_bytes(data);
     }
 
-    /// Decode a single frame from `r`: [`FrameRef::decode`], copied out.
-    pub fn decode(r: &mut Reader) -> Result<Frame, CodecError> {
-        FrameRef::decode(r).map(FrameRef::into_owned)
-    }
-
-    /// True if a packet containing this frame must be acknowledged
-    /// (everything except ACK/ACK_MP/PADDING/CONNECTION_CLOSE).
-    pub fn is_ack_eliciting(&self) -> bool {
-        !matches!(
-            self,
-            Frame::Ack(_) | Frame::AckMp(_) | Frame::Padding(_) | Frame::ConnectionClose { .. }
-        )
-    }
-
-    /// Decode every frame in a packet payload.
-    pub fn decode_all(payload: &[u8]) -> Result<Vec<Frame>, CodecError> {
-        Ok(FrameRef::decode_payload(payload)?.map(FrameRef::into_owned).collect())
-    }
-}
-
-fn encode_ack(w: &mut Writer, ack: &AckFrame, mp: bool) {
-    let path_id = mp.then_some(ack.path_id);
-    let ranges = ack.ranges.iter().copied();
-    Frame::encode_ack(w, path_id, ack.largest, ack.ack_delay, ranges, ack.qoe.as_ref());
-}
-
-impl Frame {
     /// Encode an ACK — an ACK_MP of `path_id` if there is one, carrying
     /// `qoe` if given — of `ranges` (descending, non-adjacent, the first
     /// one ending at `largest`): what `Frame::Ack` / `Frame::AckMp`
@@ -625,6 +605,16 @@ impl Frame {
         if let (Some(_), Some(q)) = (path_id, qoe) {
             q.encode(w);
         }
+    }
+
+    /// Decode a single frame from `r`: [`FrameRef::decode`], copied out.
+    pub fn decode(r: &mut Reader) -> Result<Frame, CodecError> {
+        FrameRef::decode(r).map(FrameRef::into_owned)
+    }
+
+    /// Decode every frame in a packet payload.
+    pub fn decode_all(payload: &[u8]) -> Result<Vec<Frame>, CodecError> {
+        Ok(FrameRef::decode_payload(payload)?.map(FrameRef::into_owned).collect())
     }
 }
 
@@ -759,7 +749,7 @@ mod tests {
         let got = roundtrip(&f);
         assert_eq!(got, f);
         if let Frame::AckMp(a) = got {
-            let asc: Vec<_> = a.ranges_ascending().collect();
+            let asc: Vec<_> = a.ranges.iter().rev().copied().collect();
             assert_eq!(asc[0], PnRange { start: 0, end: 2 });
             assert_eq!(asc[3], PnRange { start: 15, end: 15 });
         }
@@ -833,14 +823,18 @@ mod tests {
         let mut set = AckRanges::new();
         set.insert(0);
         let ack = AckFrame::from_ranges(0, &set, Duration::ZERO).unwrap();
-        assert!(!Frame::Ack(ack.clone()).is_ack_eliciting());
-        assert!(!Frame::AckMp(ack).is_ack_eliciting());
-        assert!(!Frame::Padding(3).is_ack_eliciting());
-        assert!(!Frame::ConnectionClose { error_code: 0, reason: vec![] }.is_ack_eliciting());
-        assert!(Frame::Ping.is_ack_eliciting());
-        assert!(
-            Frame::Stream { stream_id: 0, offset: 0, data: vec![], fin: true }.is_ack_eliciting()
-        );
+        let eliciting = |f: Frame| {
+            let mut w = Writer::new();
+            f.encode(&mut w);
+            let bytes = w.into_bytes();
+            FrameRef::decode(&mut Reader::new(&bytes)).unwrap().is_ack_eliciting()
+        };
+        assert!(!eliciting(Frame::Ack(ack.clone())));
+        assert!(!eliciting(Frame::AckMp(ack)));
+        assert!(!eliciting(Frame::Padding(3)));
+        assert!(!eliciting(Frame::ConnectionClose { error_code: 0, reason: vec![] }));
+        assert!(eliciting(Frame::Ping));
+        assert!(eliciting(Frame::Stream { stream_id: 0, offset: 0, data: vec![], fin: true }));
     }
 
     #[test]
