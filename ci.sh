@@ -43,11 +43,12 @@ step "differential oracle: the engine driven directly vs under the XLINK policy 
 step "re-injection index vs the reference scan: random programs, every target path and mode (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-core --lib index_matches_the_reference_scan
 
-# The crypto tests ride along: the vector kernels against their scalar
-# references with overflow checks on the Poly1305 limb arithmetic.
-step "decoder totality: unauthenticated bytes into the one receive path; crypto vs scalar (debug)" \
+# The borrowed frame decoder against Frame::decode on arbitrary and truncated
+# bytes, and the crypto tests, ride along: the vector kernels against their
+# scalar references with overflow checks on the Poly1305 limb arithmetic.
+step "decoder totality: unauthenticated bytes into the one receive path; the borrowed frame decoder; crypto vs scalar (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
-    unauthenticated_bytes crypto::
+    unauthenticated_bytes prop_the_borrowed_decoder crypto::
 
 step "impairment robustness sweep (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test impairments
