@@ -41,19 +41,11 @@ impl MediaStore {
         Self::byte_at(Self::name_hash(object), off)
     }
 
-    /// The bytes `start..end` of `object`, each as [`MediaStore::body_byte`]
-    /// defines it. No store is consulted, so nothing is clamped.
-    pub fn body_bytes(object: &str, start: u64, end: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        Self::extend_body(object, start..end, &mut out);
-        out
-    }
-
     /// Append the bytes `range` of `object` to `out`, each as
     /// [`MediaStore::body_byte`] defines it, with the name hashed once for
     /// the whole range and the offset's product stepped by addition: a
     /// server generates a response body straight into the stream it is
-    /// sent from.
+    /// sent from. No store is consulted, so nothing is clamped.
     pub fn extend_body(object: &str, range: Range<u64>, out: &mut Vec<u8>) {
         let name = Self::name_hash(object);
         let mut product = range.start.wrapping_mul(GOLDEN);
@@ -90,8 +82,9 @@ impl MediaStore {
     /// Materialize the body bytes for a range of an object: the bytes of
     /// [`MediaStore::clamp_range`]. Returns None for unknown objects.
     pub fn body_range(&self, object: &str, start: u64, end: u64) -> Option<Vec<u8>> {
-        let range = self.clamp_range(object, start, end)?;
-        Some(Self::body_bytes(object, range.start, range.end))
+        let mut body = Vec::new();
+        Self::extend_body(object, self.clamp_range(object, start, end)?, &mut body);
+        Some(body)
     }
 
     /// End of the first video frame for an object (0 if unknown).
@@ -111,6 +104,13 @@ mod tests {
         s
     }
 
+    /// `start..end` of "v1" generated, unclamped.
+    fn generated(start: u64, end: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        MediaStore::extend_body("v1", start..end, &mut out);
+        out
+    }
+
     #[test]
     fn body_bytes_deterministic_and_object_specific() {
         assert_eq!(MediaStore::body_byte("a", 5), MediaStore::body_byte("a", 5));
@@ -126,16 +126,16 @@ mod tests {
         for (start, end) in [(0, 1), (7, 7), (13, 1_031), (4_095, 4_097), (9_990, 10_000)] {
             let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
             assert_eq!(s.body_range("v1", start, end).unwrap(), per_byte);
-            assert_eq!(MediaStore::body_bytes("v1", start, end), per_byte);
+            assert_eq!(generated(start, end), per_byte);
         }
         // Past the end: clamped by the store, not by the filler.
         assert_eq!(s.body_range("v1", 9_990, 10_500).unwrap().len(), 10);
-        assert_eq!(MediaStore::body_bytes("v1", 9_990, 10_500).len(), 510);
+        assert_eq!(generated(9_990, 10_500).len(), 510);
         // The stepped product wraps where the per-byte one does: across 2^32
         // and up to the last offset a u64 range reaches.
         for (start, end) in [((1 << 32) - 300, (1 << 32) + 300), (u64::MAX - 15, u64::MAX)] {
             let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
-            assert_eq!(MediaStore::body_bytes("v1", start, end), per_byte);
+            assert_eq!(generated(start, end), per_byte);
         }
         // Generated straight into a stream's send buffer the way a server
         // answers: a header, then the body of each chunk request in two
