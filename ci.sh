@@ -44,8 +44,9 @@ step "re-injection index vs the reference scan: random programs, every target pa
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-core --lib index_matches_the_reference_scan
 
 # The borrowed frame decoder against Frame::decode on arbitrary and truncated
-# bytes, and the crypto tests, ride along: the vector kernels against their
-# scalar references with overflow checks on the Poly1305 limb arithmetic.
+# bytes, and the crypto tests, ride along: every vector kernel the host has,
+# called directly, against its scalar reference, with overflow checks on the
+# scalar Poly1305 limb arithmetic.
 step "decoder totality: unauthenticated bytes into the one receive path; the borrowed frame decoder; crypto vs scalar (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
     unauthenticated_bytes prop_the_borrowed_decoder crypto::
@@ -80,8 +81,8 @@ cp BENCH_fleet.json BENCH_fleet.json.prev
 # One profiled run feeds both files: its fleet_gate row (wall time and rates
 # at this population) opens BENCH_fleet.json, the spans and the per-packet
 # counters are BENCH_prof.json. prof_dump's first stderr line names the
-# workers, the cores kept busy and the ChaCha20 kernel; the advisory timings
-# compare only across runs on the same kernel.
+# workers, the cores kept busy and the AEAD kernels (crypto::kernel); the
+# advisory timings compare only across runs on the same kernels.
 step "hot-path profile at 10k sessions, recording BENCH_prof.json + the fleet gate row" \
     sh -ec 'XLINK_FLEET_SESSIONS=10000 cargo run -q --release --offline --example prof_dump -- \
         --json > target/prof_dump.rows

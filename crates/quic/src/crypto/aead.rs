@@ -214,8 +214,9 @@ mod tests {
 
     /// The construction composed from its scalar parts, as RFC 8439 §2.8
     /// writes it: block 0 for the Poly1305 key, the scalar keystream from
-    /// block 1, and the one-shot tag over aad ‖ pad16 ‖ cipher ‖ pad16 ‖
-    /// len(aad) ‖ len(cipher). Returns ciphertext ‖ tag.
+    /// block 1, and the scalar one-shot tag over aad ‖ pad16 ‖ cipher ‖
+    /// pad16 ‖ len(aad) ‖ len(cipher) — no vector kernel on any host.
+    /// Returns ciphertext ‖ tag.
     fn seal_scalar(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plain: &[u8]) -> Vec<u8> {
         let block0 = chacha::block(key, 0, nonce);
         let mut cipher = plain.to_vec();
@@ -226,7 +227,7 @@ mod tests {
         msg.resize(msg.len().next_multiple_of(16), 0);
         msg.extend_from_slice(&(aad.len() as u64).to_le_bytes());
         msg.extend_from_slice(&(cipher.len() as u64).to_le_bytes());
-        let tag = poly1305::tag(block0.first_chunk().unwrap(), &msg);
+        let tag = poly1305::tag_scalar(block0.first_chunk().unwrap(), &msg);
         cipher.extend_from_slice(&tag);
         cipher
     }
@@ -237,8 +238,8 @@ mod tests {
     /// last batch and a scalar last block — under aad lengths on both sides
     /// of the 16-byte padding, for an everyday nonce and the all-ones one.
     /// (The AEAD's block counter starts at 0 and a datagram ends before
-    /// block 24, so counter lanes wrapping inside a batch is
-    /// `chacha::tests::xor_keystream_matches_scalar_blocks`'s case.)
+    /// block 24, so counter lanes wrapping inside a batch is the case of
+    /// the `chacha` tests, which also call each kernel directly.)
     #[test]
     fn in_place_matches_the_scalar_composition() {
         let raw = [9u8; 32];

@@ -10,6 +10,34 @@ pub mod poly1305;
 pub use aead::{AeadKey, TAG_LEN};
 pub use kdf::{derive_keys, KeyPair};
 
+/// The AEAD kernels this host runs: `"avx512+ifma"` (the 16-block ChaCha20
+/// and the 8-lane IFMA Poly1305), `"avx2"` (the 8-block ChaCha20 and the
+/// scalar Poly1305) or `"scalar"` (both scalar, everywhere else). CPUID
+/// alone decides; timings are comparable only under the same name.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        return "avx512+ifma";
+    } else if has_avx2() {
+        return "avx2";
+    }
+    "scalar"
+}
+
+/// The features both AVX-512 kernels need. A host with AVX-512F but without
+/// IFMA runs the AVX2 pair.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512ifma")
+}
+
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
 /// Shared fixtures for the RFC 8439 known-answer tests.
 #[cfg(test)]
 pub(crate) mod rfc8439 {

@@ -1,6 +1,8 @@
 //! Poly1305 one-time authenticator (RFC 8439 construction) as an
 //! incremental state over three 44/44/42-bit limbs with 128-bit products
-//! (the poly1305-donna 64-bit layout), absorbing two 16-byte blocks per step.
+//! (the poly1305-donna 64-bit layout), absorbing two 16-byte blocks per
+//! step — or, on hosts with AVX-512 IFMA, eight blocks per step in eight
+//! lanes of the same limbs ([`crate::crypto::kernel`] names the one in use).
 
 const M44: u64 = (1 << 44) - 1;
 const M42: u64 = (1 << 42) - 1;
@@ -67,8 +69,37 @@ impl Poly1305 {
 
     /// Absorb `data`, a whole number of 16-byte blocks, each with bit
     /// 128 set to `hibit` (1 for message blocks; 0 for a final short block
-    /// that carries its own terminator byte).
+    /// that carries its own terminator byte). With IFMA, 256 bytes or more
+    /// go eight blocks per step as far as whole steps reach; the pair step
+    /// takes the rest and every shorter input.
     fn blocks(&mut self, data: &[u8], hibit: u64) {
+        #[cfg(target_arch = "x86_64")]
+        let data = if data.len() >= 2 * ifma::STEP && super::has_avx512() {
+            let (lanes, rest) = data.split_at(data.len() - data.len() % ifma::STEP);
+            // SAFETY: the one requirement of `ifma::blocks` is the AVX-512F
+            // and AVX-512 IFMA target features, and the host has them:
+            // detected just above.
+            self.h = unsafe { ifma::blocks(self.h, &self.powers(), lanes, hibit) };
+            rest
+        } else {
+            data
+        };
+        self.blocks_scalar(data, hibit);
+    }
+
+    /// `r¹ … r⁸`, each through the carry chain (limbs below 2^44, 2^45 and
+    /// 2^42): six products on top of `r` and `r²`.
+    #[cfg(target_arch = "x86_64")]
+    fn powers(&self) -> [[u64; 3]; 8] {
+        let mul = |a, b| carry(columns(a, b));
+        let (r1, r2) = (self.r, self.rr);
+        let (r3, r4) = (mul(r2, r1), mul(r2, r2));
+        [r1, r2, r3, r4, mul(r4, r1), mul(r4, r2), mul(r4, r3), mul(r4, r4)]
+    }
+
+    /// [`Poly1305::blocks`] two blocks per step on every host: the IFMA
+    /// kernel's tail and its reference.
+    fn blocks_scalar(&mut self, data: &[u8], hibit: u64) {
         debug_assert!(data.len().is_multiple_of(16));
         let (r, rr) = (self.r, self.rr);
         let mut h = self.h;
@@ -99,11 +130,17 @@ impl Poly1305 {
     fn absorb(&mut self, data: &[u8], terminated: bool) {
         let (whole, rest) = data.split_at(data.len() & !15);
         self.blocks(whole, 1);
+        self.last_block(rest, terminated);
+    }
+
+    /// Absorb the 0..16 bytes after a message's last whole block, ended as
+    /// [`Poly1305::absorb`] says.
+    fn last_block(&mut self, rest: &[u8], terminated: bool) {
         if !rest.is_empty() {
             let mut last = [0u8; 16];
             last[..rest.len()].copy_from_slice(rest);
             last[rest.len()] = u8::from(terminated);
-            self.blocks(&last, u64::from(!terminated));
+            self.blocks_scalar(&last, u64::from(!terminated));
         }
     }
 
@@ -115,35 +152,37 @@ impl Poly1305 {
 
     /// Reduce fully, add `s` and serialize the tag.
     pub fn finish(self) -> [u8; 16] {
-        let [mut h0, mut h1, mut h2] = self.h;
-        // Full carry propagation.
-        h2 += h1 >> 44;
-        h1 &= M44;
-        h0 += (h2 >> 42) * 5;
-        h2 &= M42;
-        h1 += h0 >> 44;
-        h0 &= M44;
-        h2 += h1 >> 44;
-        h1 &= M44;
-        h0 += (h2 >> 42) * 5;
-        h2 &= M42;
-        h1 += h0 >> 44;
-        h0 &= M44;
-        // g = h - p = h + 5 - 2^130; keep it iff that did not underflow.
-        let mut g0 = h0 + 5;
-        let mut g1 = h1 + (g0 >> 44);
-        g0 &= M44;
-        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
-        g1 &= M44;
-        let keep_g = (g2 >> 63).wrapping_sub(1); // all-ones if h >= p
-        h0 = (h0 & !keep_g) | (g0 & keep_g);
-        h1 = (h1 & !keep_g) | (g1 & keep_g);
-        h2 = (h2 & !keep_g) | (g2 & keep_g);
+        let [h0, h1, h2] = reduce(self.h);
         // (h mod 2^128) + s mod 2^128.
         let h = u128::from(h0) | u128::from(h1) << 44 | u128::from(h2) << 88;
         let s = u128::from(self.s[0]) | u128::from(self.s[1]) << 64;
         h.wrapping_add(s).to_le_bytes()
     }
+}
+
+/// `h` fully reduced mod 2^130 - 5, as limbs below 2^44, 2^44 and 2^42.
+fn reduce([mut h0, mut h1, mut h2]: [u64; 3]) -> [u64; 3] {
+    // Full carry propagation.
+    h2 += h1 >> 44;
+    h1 &= M44;
+    h0 += (h2 >> 42) * 5;
+    h2 &= M42;
+    h1 += h0 >> 44;
+    h0 &= M44;
+    h2 += h1 >> 44;
+    h1 &= M44;
+    h0 += (h2 >> 42) * 5;
+    h2 &= M42;
+    h1 += h0 >> 44;
+    h0 &= M44;
+    // g = h - p = h + 5 - 2^130; keep it iff that did not underflow.
+    let mut g0 = h0 + 5;
+    let mut g1 = h1 + (g0 >> 44);
+    g0 &= M44;
+    let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+    g1 &= M44;
+    let keep_g = (g2 >> 63).wrapping_sub(1); // all-ones if h >= p
+    [(h0 & !keep_g) | (g0 & keep_g), (h1 & !keep_g) | (g1 & keep_g), (h2 & !keep_g) | (g2 & keep_g)]
 }
 
 /// Compute the 16-byte Poly1305 tag of `msg` under the 32-byte one-time key.
@@ -156,6 +195,161 @@ pub fn tag(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
 /// Constant-time equality of two tags.
 pub fn tags_equal(a: &[u8; 16], b: &[u8; 16]) -> bool {
     a.iter().zip(b).fold(0u8, |diff, (x, y)| diff | (x ^ y)) == 0
+}
+
+/// [`tag`] with every block through the scalar pair step on every host: the
+/// reference the IFMA kernel and the AEAD are tested against.
+#[cfg(test)]
+pub(crate) fn tag_scalar(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let mut p = Poly1305::new(key);
+    let (whole, rest) = msg.split_at(msg.len() & !15);
+    p.blocks_scalar(whole, 1);
+    p.last_block(rest, true);
+    p.finish()
+}
+
+/// Eight blocks per step in eight lanes of the scalar code's 44/44/42-bit
+/// limbs, each limb a 64-bit lane of one `__m512i`, multiplied with the
+/// 52-bit multiply-add of AVX-512 IFMA (`vpmadd52luq` / `vpmadd52huq`).
+///
+/// A 128-byte step puts block `j` of it in one lane, and each lane runs
+/// `h ← h·r⁸ + m` on its own. Lane `j` then holds `Σ mⱼ₊₈ₛ·r^(8(t−1−s))`
+/// over the `t` steps, so multiplying it by `r^(8−j)` once at the end and
+/// summing the lanes gives Horner's `Σ mᵢ·r^(n−i+1)`; the accumulator the
+/// kernel starts from rides in block 0's lane.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::{carry, M42, M44};
+    use std::arch::x86_64::*;
+
+    /// Message bytes per step: one block per lane.
+    pub const STEP: usize = 8 * 16;
+
+    /// Eight lanes of limbs.
+    type Lanes = [__m512i; 3];
+
+    /// A multiplier for eight lanes: its three limbs, then limbs 1 and 2
+    /// times 20 for the products that fold back past 2^130.
+    type Factor = [__m512i; 5];
+
+    /// The accumulator `h` after absorbing `data` (a positive whole number
+    /// of steps, each block with bit 128 set to `hibit`) starting from `h`,
+    /// given `powers` = `r¹ … r⁸`: below 2^44, 2^45 and 2^42 by limb, as the
+    /// pair step leaves it. Outside code with these target features the
+    /// compiler makes the call `unsafe`: the caller must have detected them.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub fn blocks(h: [u64; 3], powers: &[[u64; 3]; 8], data: &[u8], hibit: u64) -> [u64; 3] {
+        let (steps, rest) = data.as_chunks::<STEP>();
+        debug_assert!(rest.is_empty(), "whole steps only");
+        let (first, steps) = steps.split_first().expect("at least one step");
+        let hibit = _mm512_set1_epi64((hibit << 40) as i64);
+        let mut acc = load(first, hibit);
+        for (limb, h) in acc.iter_mut().zip(h) {
+            *limb = _mm512_add_epi64(*limb, _mm512_maskz_set1_epi64(1, h as i64));
+        }
+        let r8 = factor([powers[7]; 8]);
+        for m in steps {
+            let m = load(m, hibit);
+            acc = mul(acc, &r8);
+            for (limb, m) in acc.iter_mut().zip(m) {
+                *limb = _mm512_add_epi64(*limb, m);
+            }
+        }
+        // Lanes 0..8 hold blocks 0, 4, 1, 5, 2, 6, 3, 7 of a step (the
+        // order `load` leaves them in): block j's lane takes r^(8-j).
+        let [a, b, c, d, e, f, g, k] = [7, 3, 6, 2, 5, 1, 4, 0].map(|i| powers[i]);
+        let acc = mul(acc, &factor([a, b, c, d, e, f, g, k]));
+        let mut sum = [0u128; 3];
+        for (s, limb) in sum.iter_mut().zip(acc) {
+            *s = _mm512_reduce_add_epi64(limb) as u64 as u128;
+        }
+        carry(sum)
+    }
+
+    /// One step's eight blocks as limbs (`t₀`, `t₁` the block's two
+    /// little-endian words, as in the scalar `limbs`), in lane order 0, 4,
+    /// 1, 5, 2, 6, 3, 7: `vpunpck{l,h}qdq` pair the 64-bit words of the two
+    /// 64-byte halves within each 128-bit lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(m: &[u8; STEP], hibit: __m512i) -> Lanes {
+        let at = m.as_ptr().cast::<__m512i>();
+        // SAFETY: `m` is 128 bytes long, the width of two loads from `at`
+        // and `at + 1`; the unaligned form has no alignment requirement.
+        let (lo, hi) = unsafe { (_mm512_loadu_si512(at), _mm512_loadu_si512(at.add(1))) };
+        let (t0, t1) = (_mm512_unpacklo_epi64(lo, hi), _mm512_unpackhi_epi64(lo, hi));
+        let m44 = _mm512_set1_epi64(M44 as i64);
+        let mid = _mm512_or_si512(_mm512_srli_epi64::<44>(t0), _mm512_slli_epi64::<20>(t1));
+        // t₁ >> 24 is below 2^40: the 42-bit mask of the scalar code is a no-op.
+        [
+            _mm512_and_si512(t0, m44),
+            _mm512_and_si512(mid, m44),
+            _mm512_or_si512(_mm512_srli_epi64::<24>(t1), hibit),
+        ]
+    }
+
+    /// Eight lane multipliers as a [`Factor`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn factor(r: [[u64; 3]; 8]) -> Factor {
+        let limb = |k: usize, times: u64| {
+            let [a, b, c, d, e, f, g, h] = r.map(|r| (r[k] * times) as i64);
+            _mm512_setr_epi64(a, b, c, d, e, f, g, h)
+        };
+        [limb(0, 1), limb(1, 1), limb(2, 1), limb(1, 20), limb(2, 20)]
+    }
+
+    /// `a · r` in every lane, carried back to limbs below 2^44, 2^45 and
+    /// 2^42. A 52 × 52-bit product is a low half (bits 0..52) and a high
+    /// half (bits 52..104). Column `k` of the product has weight 2^(44k), so
+    /// its high halves have weight 2^(44(k+1)+8): they join column `k + 1`
+    /// shifted left by 8, and column 2's, at 2^140 ≡ 5·2^10 (mod p), join
+    /// column 0 times 5 120 = 20·2^8. Nine products, eighteen multiplies.
+    ///
+    /// The bound: every IFMA input is below 2^52 and every lane sum below
+    /// 2^64. `a` is `h + m`, below 2^45, 2^46, 2^43 by limb (h below 2^44,
+    /// 2^45, 2^42 between steps, m below 2^44, 2^44, 2^41); a power of r is
+    /// below 2^44, 2^45, 2^42 and its folded limbs 20·r₁ < 2^50, 20·r₂ <
+    /// 2^47. A column's three low halves sum below 3·2^52 < 2^53.6. The high
+    /// halves of a product below 2^b are below 2^(b−52): column 0's three
+    /// below 2^37 + 2^41 + 2^41 < 2^42.1 (shifted by 8: < 2^50.1), column
+    /// 1's below 3·2^38 < 2^39.6 (shifted: < 2^47.6), column 2's below
+    /// 2^35 + 2^39 + 2^35 < 2^39.2. So columns 1 and 2 are below 2^54 and the
+    /// carries into them add less than 2^10. The carry out of column 2 plus
+    /// column 2's high halves shifted by 10 is below 2^12 + 2^49.2, five
+    /// times that below 2^51.6, so limb 0 before its own carry is below
+    /// 2^44 + 2^51.6 < 2^52, limb 1 gets less than 2^8 from it, and h is
+    /// below 2^44, 2^45, 2^42 again.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul([a0, a1, a2]: Lanes, &[r0, r1, r2, s1, s2]: &Factor) -> Lanes {
+        let z = _mm512_setzero_si512();
+        let lo = |x, a, b| _mm512_madd52lo_epu64(x, a, b);
+        let hi = |x, a, b| _mm512_madd52hi_epu64(x, a, b);
+        let lo0 = lo(lo(lo(z, a0, r0), a1, s2), a2, s1);
+        let hi0 = hi(hi(hi(z, a0, r0), a1, s2), a2, s1);
+        let lo1 = lo(lo(lo(z, a0, r1), a1, r0), a2, s2);
+        let hi1 = hi(hi(hi(z, a0, r1), a1, r0), a2, s2);
+        let lo2 = lo(lo(lo(z, a0, r2), a1, r1), a2, r0);
+        let hi2 = hi(hi(hi(z, a0, r2), a1, r1), a2, r0);
+        let d1 = _mm512_add_epi64(lo1, _mm512_slli_epi64::<8>(hi0));
+        let d2 = _mm512_add_epi64(lo2, _mm512_slli_epi64::<8>(hi1));
+        // The scalar `carry`, lane by lane. Column 2's high halves join what
+        // column 2 carries past 2^130, where their 5 120 = 5·2^10 is a shift
+        // by 10 and the chain's multiply by 5: added to column 0 up front,
+        // they would cost a 64-bit multiply (there is no `vpmullq` without
+        // AVX-512DQ) ahead of the whole chain.
+        let m44 = _mm512_set1_epi64(M44 as i64);
+        let d1 = _mm512_add_epi64(d1, _mm512_srli_epi64::<44>(lo0));
+        let d2 = _mm512_add_epi64(d2, _mm512_srli_epi64::<44>(d1));
+        let c = _mm512_add_epi64(_mm512_srli_epi64::<42>(d2), _mm512_slli_epi64::<10>(hi2));
+        let h0 = _mm512_add_epi64(
+            _mm512_and_si512(lo0, m44),
+            _mm512_add_epi64(c, _mm512_slli_epi64::<2>(c)),
+        );
+        let h1 = _mm512_add_epi64(_mm512_and_si512(d1, m44), _mm512_srli_epi64::<44>(h0));
+        [_mm512_and_si512(h0, m44), h1, _mm512_and_si512(d2, _mm512_set1_epi64(M42 as i64))]
+    }
 }
 
 #[cfg(test)]
@@ -421,8 +615,9 @@ wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
         }
     }
 
-    /// The 3-limb, two-blocks-per-step implementation against the 5-limb,
-    /// one-block one it replaced, up to full-size datagrams.
+    /// The 3-limb implementation — the path this host takes and the
+    /// pair step alone — against the 5-limb, one-block one it replaced, up
+    /// to full-size datagrams.
     #[test]
     fn prop_matches_26_bit_reference() {
         check(
@@ -430,6 +625,7 @@ wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
             (any_array::<32>(), bytes(0..1500)),
             |(key, msg)| {
                 prop_assert_eq!(tag(key, msg), tag_ref26(key, msg));
+                prop_assert_eq!(tag_scalar(key, msg), tag_ref26(key, msg));
                 Ok(())
             },
         );
@@ -443,8 +639,97 @@ wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
             let msg = vec![0xff; len];
             for key in [[0xff; 32], KEY] {
                 assert_eq!(tag(&key, &msg), tag_ref26(&key, &msg), "len {len}");
+                assert_eq!(tag_scalar(&key, &msg), tag_ref26(&key, &msg), "scalar, len {len}");
             }
         }
+    }
+
+    /// Whether the IFMA tests can run here; says so when they cannot.
+    #[cfg(target_arch = "x86_64")]
+    fn host_has_ifma() -> bool {
+        let has = crate::crypto::has_avx512();
+        if !has {
+            eprintln!("skipped: this host lacks AVX-512F, AVX-512VL or AVX-512 IFMA");
+        }
+        has
+    }
+
+    /// Absorb `data` (whole blocks) into `p` through the IFMA kernel as far
+    /// as whole steps reach — from one step, below the 256 bytes
+    /// `Poly1305::blocks` asks for — and the pair step for the rest.
+    ///
+    /// # Safety
+    ///
+    /// The host must have AVX-512F and AVX-512 IFMA.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn ifma_then_pairs(p: &mut Poly1305, data: &[u8]) {
+        let (lanes, rest) = data.split_at(data.len() - data.len() % ifma::STEP);
+        if !lanes.is_empty() {
+            // SAFETY: the host has the features (this function's contract).
+            p.h = unsafe { ifma::blocks(p.h, &p.powers(), lanes, 1) };
+        }
+        p.blocks_scalar(rest, 1);
+    }
+
+    /// The IFMA kernel against the pair step from the same accumulator, for
+    /// every message length 0..=1 500 (its whole blocks), an everyday and
+    /// an all-ones key and message, and the accumulator at zero and at the
+    /// bound the pair step keeps it below (2^44, 2^45, 2^42 by limb). The
+    /// two accumulators may differ in form, not in value mod 2^130 - 5.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn ifma_blocks_match_the_pair_step() {
+        if !host_has_ifma() {
+            return;
+        }
+        let at_bound = [M44, (1 << 45) - 1, M42];
+        for key in [KEY, [0xff; 32]] {
+            for h in [[0; 3], at_bound] {
+                for len in 0..=1500usize {
+                    let whole = len & !15;
+                    for msg in
+                        [(0..whole).map(|i| (i * 7 + len) as u8).collect(), vec![0xff; whole]]
+                    {
+                        let (mut fast, mut slow) = (Poly1305::new(&key), Poly1305::new(&key));
+                        (fast.h, slow.h) = (h, h);
+                        // SAFETY: `host_has_ifma` checked the features.
+                        unsafe { ifma_then_pairs(&mut fast, &msg) };
+                        slow.blocks_scalar(&msg, 1);
+                        assert_eq!(reduce(fast.h), reduce(slow.h), "len {len}, h {h:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A message fed to the IFMA kernel in pieces — a step, several, a
+    /// piece whose tail goes to the pair step and then a step again — is
+    /// the message fed to the pair step whole.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn ifma_blocks_fed_in_pieces_match_the_pair_step() {
+        if !host_has_ifma() {
+            return;
+        }
+        check(
+            "ifma_blocks_fed_in_pieces_match_the_pair_step",
+            (any_array::<32>(), bytes(0..1500), bytes(0..8)),
+            |(key, msg, cuts)| {
+                let msg = &msg[..msg.len() & !15];
+                let mut at: Vec<usize> =
+                    cuts.iter().map(|&c| (c as usize * 16) % (msg.len() + 16)).collect();
+                at.extend([0, msg.len()]);
+                at.sort_unstable();
+                let (mut fast, mut slow) = (Poly1305::new(key), Poly1305::new(key));
+                for piece in at.windows(2) {
+                    // SAFETY: `host_has_ifma` checked the features.
+                    unsafe { ifma_then_pairs(&mut fast, &msg[piece[0]..piece[1]]) };
+                }
+                slow.blocks_scalar(msg, 1);
+                prop_assert_eq!(reduce(fast.h), reduce(slow.h));
+                Ok(())
+            },
+        );
     }
 
     /// Feeding `aad ‖ pad16 ‖ cipher ‖ pad16 ‖ lengths` piecewise is the
