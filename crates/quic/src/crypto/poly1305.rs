@@ -212,11 +212,12 @@ pub(crate) fn tag_scalar(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
 /// limbs, each limb a 64-bit lane of one `__m512i`, multiplied with the
 /// 52-bit multiply-add of AVX-512 IFMA (`vpmadd52luq` / `vpmadd52huq`).
 ///
-/// A 128-byte step puts block `j` of it in one lane, and each lane runs
-/// `h ← h·r⁸ + m` on its own. Lane `j` then holds `Σ mⱼ₊₈ₛ·r^(8(t−1−s))`
-/// over the `t` steps, so multiplying it by `r^(8−j)` once at the end and
-/// summing the lanes gives Horner's `Σ mᵢ·r^(n−i+1)`; the accumulator the
-/// kernel starts from rides in block 0's lane.
+/// A 128-byte step puts each of its eight blocks in a lane of its own, and
+/// each lane runs `h ← h·r⁸ + m` on its own. The lane of block `j` then
+/// holds `Σ mⱼ₊₈ₛ·r^(8(t−1−s))` over the `t` steps, so multiplying it by
+/// `r^(8−j)` once at the end and summing the lanes gives Horner's
+/// `Σ mᵢ·r^(n−i+1)`; the accumulator the kernel starts from rides in block
+/// 0's lane.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::{carry, M42, M44};
