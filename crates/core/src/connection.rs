@@ -19,7 +19,10 @@
 //!
 //! Until multipath is negotiated the policy does nothing of its own: a
 //! one-path `MpConnection` *is* single-path QUIC, which is how the SP and
-//! CM baselines run.
+//! CM baselines run. CM is the one one-path policy that does act, and it
+//! needs no negotiation: its client moves the connection to another network
+//! path when the peer goes silent. [`MpConnection::client`] and
+//! [`MpConnection::server`] build every arm of the evaluation.
 
 use crate::qoe::{reinjection_decision, QoeControl, QoeSignal};
 use crate::sched::{max_deliver_time, min_rtt_choice, ReinjectMode};
@@ -30,9 +33,12 @@ use xlink_quic::cc::MAX_DATAGRAM_SIZE;
 use xlink_quic::connection::{AckPathPolicy, Config, Connection, Rank, ReinjectCandidate};
 use xlink_quic::stream::{SendRange, Side};
 
+pub use scheme::{Scheme, TransportTuning};
 pub use xlink_quic::connection::{
     ConnectionStats as MpStats, Path as MpPath, PathState, State as MpState,
 };
+
+mod scheme;
 
 /// Which of the connection's re-injection candidates one poll may take
 /// (paper Fig. 4).
@@ -121,11 +127,25 @@ pub struct MpConnection {
     sched_scratch: Vec<(usize, Duration, bool)>,
     /// The ranges of one re-injection datagram, likewise.
     copies: Vec<ReinjectCandidate>,
+    /// One-path schemes: the network path that carries the connection's
+    /// path 0 now. `None` for the multipath schemes, whose paths are the
+    /// network paths, and for a connection built by [`MpConnection::new`].
+    carrier: Option<usize>,
+    /// Network paths a CM client rotates through.
+    num_paths: usize,
+    /// CM client: migrate when the stall clock runs out.
+    migrate: bool,
+    /// One-path servers: reply on the network path the client last used.
+    follow_peer_path: bool,
+    /// Last time any datagram was received (the CM stall clock).
+    last_recv: Instant,
 }
 
 impl MpConnection {
     /// Create an endpoint. `cfg.path_techs.len()` network paths exist;
-    /// the client starts the handshake on the wireless-aware primary.
+    /// the client starts the handshake on the wireless-aware primary. Its
+    /// paths are the network paths; [`MpConnection::client`] and
+    /// [`MpConnection::server`] build the arms whose one path rides one.
     pub fn new(mut cfg: MpConfig, now: Instant) -> Self {
         let candidates: Vec<(usize, WirelessTech)> =
             cfg.path_techs.iter().copied().enumerate().collect();
@@ -144,6 +164,11 @@ impl MpConnection {
             gate_seen: None,
             sched_scratch: Vec::new(),
             copies: Vec::new(),
+            carrier: None,
+            num_paths: 0,
+            migrate: false,
+            follow_peer_path: false,
+            last_recv: now,
         }
     }
 
@@ -231,12 +256,14 @@ impl MpConnection {
 
     /// Ingest a datagram that arrived on network path `path`.
     pub fn handle_datagram(&mut self, now: Instant, path: usize, datagram: &[u8]) {
+        let path = self.arrived_on(now, path);
         self.conn.handle_datagram_on(now, path, datagram);
     }
 
     /// [`MpConnection::handle_datagram`], opened and read where it lies
     /// ([`Connection::handle_datagram_in_place`]).
     pub fn handle_datagram_in_place(&mut self, now: Instant, path: usize, datagram: &mut [u8]) {
+        let path = self.arrived_on(now, path);
         self.conn.handle_datagram_in_place(now, path, datagram);
     }
 
@@ -246,9 +273,16 @@ impl MpConnection {
         self.conn.recycle_datagram(buffer);
     }
 
-    /// Earliest timer deadline.
+    /// Earliest timer deadline: the connection's, and a CM client's stall.
     pub fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
+        // A plain match on purpose: the world polls this every round, and an
+        // `into_iter().chain(..).min()` form measured 9 % slower on the
+        // benchmark's bulk_fatpipe.
+        let base = self.conn.poll_timeout();
+        match self.cm_stall_deadline() {
+            Some(stall) => Some(base.map_or(stall, |b| b.min(stall))),
+            None => base,
+        }
     }
 
     /// Handle a timer firing.
@@ -256,11 +290,15 @@ impl MpConnection {
         self.conn.on_timeout(now);
     }
 
-    /// Produce the next (network path, datagram) to transmit. Without
-    /// multipath there is one path and nothing to decide; with it, what the
+    /// Produce the next (network path, datagram) to transmit. A one-path
+    /// scheme sends on the network path that carries it; without multipath
+    /// there is one path and nothing to decide; with it, what the
     /// connection owes first, then new data or re-injection via the
     /// scheduler.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
+        if let Some(carrier) = self.carrier {
+            return self.poll_carried(now, carrier);
+        }
         if !(self.conn.multipath_negotiated() && self.conn.is_established()) {
             return self.conn.poll_transmit_on(now);
         }

@@ -6,7 +6,9 @@
 //! * [`connection::MpConnection`] — the policy over one
 //!   `xlink_quic::connection::Connection` (which owns the paths, ACK_MP,
 //!   path validation and PATH_STATUS): primary path selection, path choice
-//!   for new data, re-injection and its QoE gate.
+//!   for new data, re-injection and its QoE gate; and every arm of the
+//!   evaluation ([`Scheme`]), the single-path ones as its one-path
+//!   configuration.
 //! * [`sched`] — min-RTT path choice and the re-injection modes
 //!   (Fig. 4's three, and the MPTCP baseline's).
 //! * [`qoe`] — QoE signals and the double-thresholding controller
@@ -24,7 +26,9 @@ pub mod qoe;
 pub mod sched;
 pub mod wireless;
 
-pub use connection::{MpConfig, MpConnection, MpPath, MpState, MpStats, PathState};
+pub use connection::{
+    MpConfig, MpConnection, MpPath, MpState, MpStats, PathState, Scheme, TransportTuning,
+};
 pub use liveness::LivenessConfig;
 pub use qoe::{play_time_left, redundancy_ratio, reinjection_decision, QoeControl, QoeSignal};
 pub use sched::{AckPathPolicy, ReinjectMode};

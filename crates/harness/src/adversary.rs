@@ -15,13 +15,14 @@
 //! 3×PTO draining period.
 
 use crate::scenario::Scenario;
-use crate::transport::{BoundedState, Conn, Scheme, TransportTuning};
 use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
+use xlink_core::{MpConnection, Scheme, TransportTuning};
 use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_quic::ackranges::PnRange;
 use xlink_quic::cid::{ConnectionId, CID_LEN};
+use xlink_quic::connection::BoundedState;
 use xlink_quic::crypto::{derive_keys, KeyPair};
 use xlink_quic::frame::{ty, AckFrame, Frame};
 use xlink_quic::handshake::{Handshake, Hello};
@@ -402,12 +403,12 @@ impl Endpoint for QuicAttacker {
     fn on_timeout(&mut self, _now: Instant) {}
 }
 
-/// The victim under attack: a scheme-erased [`Conn`] plus peak tracking
+/// The victim under attack: any scheme's [`MpConnection`] plus peak tracking
 /// of its capped state and the time it reached closed.
 pub struct VictimPeer {
     /// The connection under attack.
-    pub conn: Conn,
-    /// Field-wise peak of [`Conn::bounded_state`] over the run.
+    pub conn: MpConnection,
+    /// Field-wise peak of its connection's `bounded_state` over the run.
     pub peak: BoundedState,
     /// When the connection first reported closed.
     pub closed_at: Option<Instant>,
@@ -415,13 +416,13 @@ pub struct VictimPeer {
 
 impl VictimPeer {
     /// Wrap a connection.
-    pub fn new(conn: Conn) -> Self {
+    pub fn new(conn: MpConnection) -> Self {
         VictimPeer { conn, peak: BoundedState::default(), closed_at: None }
     }
 
     fn sample(&mut self, now: Instant) {
-        self.peak = self.peak.peak(self.conn.inner().conn().bounded_state());
-        if self.closed_at.is_none() && self.conn.is_closed() {
+        self.peak = self.peak.peak(self.conn.conn().bounded_state());
+        if self.closed_at.is_none() && self.conn.conn().is_closed() {
             self.closed_at = Some(now);
         }
     }
@@ -522,7 +523,7 @@ pub fn run_attack_traced(
     log: Option<&TraceLog>,
 ) -> AdversaryOutcome {
     let tuning = TransportTuning::default();
-    let mut victim = Conn::server(scheme, &tuning, seed, Instant::ZERO);
+    let mut victim = MpConnection::server(scheme, &tuning, seed, Instant::ZERO);
     if let Some(log) = log {
         victim.set_tracer(&log.tracer("victim"));
     }
@@ -538,13 +539,13 @@ pub fn run_attack_traced(
     AdversaryOutcome {
         attack: kind,
         transport: scheme.label(),
-        close_code: victim.conn.inner().conn().lifecycle().close_code(),
-        drained: victim.conn.inner().conn().is_drained(),
-        closed: victim.conn.is_closed(),
+        close_code: victim.conn.conn().lifecycle().close_code(),
+        drained: victim.conn.conn().is_drained(),
+        closed: victim.conn.conn().is_closed(),
         time_to_close: victim.closed_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
         peak: victim.peak,
         attacker_saw_close: world.client.observed_close,
-        victim_established: victim.conn.is_established() || victim.conn.is_closed(),
+        victim_established: victim.conn.is_established() || victim.conn.conn().is_closed(),
     }
 }
 
@@ -615,7 +616,7 @@ impl<E: Endpoint> Endpoint for Tampered<E> {
 /// Sender side of the hijack differential: opens one stream and pushes
 /// the body as soon as the handshake completes.
 struct HijackSender {
-    conn: Conn,
+    conn: MpConnection,
     sent: bool,
 }
 
@@ -647,7 +648,7 @@ impl Endpoint for HijackSender {
 
 /// Receiver side: drains readable streams and records completion time.
 struct HijackReceiver {
-    conn: Conn,
+    conn: MpConnection,
     delivered: usize,
     done_at: Option<Instant>,
 }
@@ -655,9 +656,9 @@ struct HijackReceiver {
 impl Endpoint for HijackReceiver {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         self.conn.handle_datagram(now, path, payload);
-        for id in self.conn.inner().conn().streams().readable_ids() {
+        for id in self.conn.conn().streams().readable_ids() {
             self.delivered += self.conn.stream_recv(id, 1 << 20).len();
-            if self.conn.inner().conn().streams().is_complete(id) && self.done_at.is_none() {
+            if self.conn.conn().streams().is_complete(id) && self.done_at.is_none() {
                 self.done_at = Some(now);
             }
         }
@@ -691,7 +692,7 @@ pub fn run_path_hijack(scheme: Scheme, seed: u64, attacked_path: usize) -> Hijac
     let from = Instant::ZERO + HIJACK_START;
     let client = Tampered {
         inner: HijackSender {
-            conn: Conn::client(scheme, &tuning, seed, Instant::ZERO),
+            conn: MpConnection::client(scheme, &tuning, seed, Instant::ZERO),
             sent: false,
         },
         path: attacked_path,
@@ -699,7 +700,7 @@ pub fn run_path_hijack(scheme: Scheme, seed: u64, attacked_path: usize) -> Hijac
     };
     let server = Tampered {
         inner: HijackReceiver {
-            conn: Conn::server(scheme, &tuning, seed ^ 0x5a5a_a5a5, Instant::ZERO),
+            conn: MpConnection::server(scheme, &tuning, seed ^ 0x5a5a_a5a5, Instant::ZERO),
             delivered: 0,
             done_at: None,
         },

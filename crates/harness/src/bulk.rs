@@ -4,10 +4,10 @@
 //! and the energy study (Fig. 14).
 
 use crate::scenario::Scenario;
-use crate::transport::{Conn, Scheme, TransportStats, TransportTuning};
+use crate::transport::TransportStats;
 use crate::video_session::VideoServerEndpoint;
 use xlink_clock::{Duration, Instant};
-use xlink_core::QoeSignal;
+use xlink_core::{MpConnection, QoeSignal, Scheme, TransportTuning};
 use xlink_netsim::{Endpoint, FlapSchedule, Path, Stats, Transmit};
 use xlink_video::{MediaStore, Request, Response, Video};
 
@@ -32,7 +32,7 @@ pub struct BulkResult {
 
 /// QUIC-family bulk client.
 struct BulkClient {
-    conn: Conn,
+    conn: MpConnection,
     size: u64,
     stream: Option<u64>,
     received: u64,
@@ -48,7 +48,7 @@ struct BulkClient {
 
 impl BulkClient {
     /// A client about to ask for `size` bytes over `conn`, advertising `qoe`.
-    fn new(conn: Conn, size: u64, qoe: Option<QoeSignal>) -> Self {
+    fn new(conn: MpConnection, size: u64, qoe: Option<QoeSignal>) -> Self {
         let (stream, received, header_skipped, header, done_at) =
             (None, 0, false, Vec::new(), None);
         BulkClient { conn, size, stream, received, header_skipped, header, done_at, qoe }
@@ -97,7 +97,7 @@ impl Endpoint for BulkClient {
             self.stream = Some(id);
         }
         if let Some(q) = self.qoe {
-            self.conn.inner_mut().set_qoe(q);
+            self.conn.set_qoe(q);
         }
         self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
     }
@@ -111,7 +111,7 @@ impl Endpoint for BulkClient {
     }
 
     fn is_done(&self) -> bool {
-        self.done_at.is_some() || self.conn.is_closed()
+        self.done_at.is_some() || self.conn.conn().is_closed()
     }
 }
 
@@ -146,8 +146,8 @@ impl Scenario {
         qoe: Option<QoeSignal>,
     ) -> BulkResult {
         let now = Instant::ZERO;
-        let mut client_conn = Conn::client(scheme, tuning, seed, now);
-        let mut server_conn = Conn::server(scheme, tuning, seed ^ 0xbeef, now);
+        let mut client_conn = MpConnection::client(scheme, tuning, seed, now);
+        let mut server_conn = MpConnection::server(scheme, tuning, seed ^ 0xbeef, now);
         if let Some(log) = &self.trace {
             client_conn.set_tracer(&log.tracer("client"));
             server_conn.set_tracer(&log.tracer("server"));
@@ -157,7 +157,7 @@ impl Scenario {
         BulkResult {
             download_time: world.client.done_at.map(|t| t.saturating_duration_since(now)),
             bytes_received: world.client.received,
-            client_transport: Some(world.client.conn.stats()),
+            client_transport: Some(TransportStats::from(&world.client.conn)),
             server_transport: Some(world.server.transport_stats()),
             server_bytes_per_path: world.server.bytes_per_path(),
             link_stats: world.paths.iter().map(|p| p.stats()).collect(),
@@ -264,14 +264,15 @@ mod tests {
         use xlink_netsim::World;
         use xlink_obs::prof;
         let (tuning, now, size) = (TransportTuning::default(), Instant::ZERO, 64 << 20);
-        let client = BulkClient::new(Conn::client(Scheme::Xlink, &tuning, 1, now), size, None);
-        let server_conn = Conn::server(Scheme::Xlink, &tuning, 2, now);
+        let client =
+            BulkClient::new(MpConnection::client(Scheme::Xlink, &tuning, 1, now), size, None);
+        let server_conn = MpConnection::server(Scheme::Xlink, &tuning, 2, now);
         let server = VideoServerEndpoint::serving(server_conn, blob(size), true);
         let mut world = World::new(client, server, paths());
         world.run_until(Instant::from_secs(4));
         let stored = |w: &World<BulkClient, VideoServerEndpoint>| {
             let id = w.client.stream.expect("asked");
-            w.client.conn.inner().conn().streams().get(id).expect("open").recv.segments_stored()
+            w.client.conn.conn().streams().get(id).expect("open").recv.segments_stored()
         };
         let before = stored(&world);
         let (_, report) = prof::with_recording(|| {

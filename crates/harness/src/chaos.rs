@@ -207,7 +207,7 @@ pub fn failover_timeline(log: &TraceLog) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{Scheme, TransportTuning};
+    use xlink_core::{Scheme, TransportTuning};
 
     #[test]
     fn plan_outages_never_overlap_and_spare_a_survivor() {

@@ -11,8 +11,8 @@
 //! lower variance at simulation scale.
 
 use crate::fleet::{run_fleet, FleetConfig, FleetReport};
-use crate::transport::Scheme;
 use xlink_clock::Duration;
+use xlink_core::Scheme;
 use xlink_lab::stats::print_table;
 use xlink_video::Video;
 

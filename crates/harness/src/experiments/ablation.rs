@@ -4,10 +4,9 @@
 //! buys, beyond the paper's qualitative Fig. 4 walkthrough.
 
 use crate::scenario::PathSpec;
-use crate::transport::Scheme;
 use crate::video_session::{run_session, SessionConfig};
 use xlink_clock::Duration;
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, WirelessTech};
 use xlink_lab::stats::{mean, secs};
 use xlink_video::Video;
 

@@ -9,7 +9,7 @@
 use super::crash_rct::population;
 use crate::adversary::{run_attack, AdversaryOutcome, AttackKind, EdgeAttackKind};
 use crate::pop::{run_pop, PopReport, PopRunConfig};
-use crate::transport::Scheme;
+use xlink_core::Scheme;
 use xlink_lab::stats::print_table;
 use xlink_quic::error::TransportError;
 

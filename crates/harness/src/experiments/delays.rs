@@ -3,9 +3,8 @@
 //! server, plus the ISP delay matrix.
 
 use crate::scenario::{PathSpec, CROSS_ISP_DELAY_PCT};
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_lab::stats::percentile;
 use xlink_netsim::Rng;
 

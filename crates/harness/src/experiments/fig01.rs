@@ -7,10 +7,9 @@
 //! bytes *rise* during the outage while LTE stays orderly.
 
 use crate::scenario::{PathSpec, Scenario};
-use crate::transport::Scheme;
 use crate::video_session::{client_endpoint_for_probe, server_endpoint_for_probe, SessionConfig};
 use xlink_clock::{Duration, Instant};
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, WirelessTech};
 use xlink_video::Video;
 
 /// One 100 ms sample of a path's state.

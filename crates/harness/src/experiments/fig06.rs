@@ -10,12 +10,11 @@
 
 use crate::chaos::failover_timeline;
 use crate::scenario::{PathSpec, Scenario};
-use crate::transport::Scheme;
 use crate::video_session::{
     client_endpoint_for_probe, run_session, server_endpoint_for_probe, SessionConfig, SessionResult,
 };
 use xlink_clock::{Duration, Instant};
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, WirelessTech};
 use xlink_netsim::Path;
 use xlink_obs::TraceLog;
 use xlink_video::Video;

@@ -8,9 +8,8 @@
 
 use crate::bulk::run_bulk_quic;
 use crate::scenario::PathSpec;
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
-use xlink_core::{PrimaryPathPolicy, WirelessTech};
+use xlink_core::{PrimaryPathPolicy, Scheme, TransportTuning, WirelessTech};
 
 /// One row: first-frame size and delivery time per primary choice.
 #[derive(Debug, Clone)]

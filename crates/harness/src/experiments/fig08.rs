@@ -7,9 +7,8 @@
 //! congestion window grow faster").
 
 use crate::scenario::Scenario;
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
-use xlink_core::{AckPathPolicy, WirelessTech};
+use xlink_core::{AckPathPolicy, Scheme, TransportTuning, WirelessTech};
 use xlink_netsim::Path;
 
 /// One row of the sweep.

@@ -18,9 +18,9 @@
 use super::ab_tables;
 use super::fig06::walk_out_paths;
 use crate::fleet::{run_fleet, ArmAgg, FleetConfig};
-use crate::transport::{Scheme, TransportTuning};
 use crate::video_session::{run_session, SessionConfig, SessionResult};
 use xlink_clock::Duration;
+use xlink_core::{Scheme, TransportTuning};
 use xlink_lab::stats::improvement_pct;
 use xlink_video::Video;
 

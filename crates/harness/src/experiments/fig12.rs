@@ -8,8 +8,8 @@
 
 use super::ab_tables;
 use crate::fleet::{run_fleet, FleetConfig, FleetReport};
-use crate::transport::Scheme;
 use xlink_clock::Duration;
+use xlink_core::Scheme;
 use xlink_lab::stats::improvement_pct;
 use xlink_video::Video;
 

@@ -17,9 +17,8 @@ use crate::bulk::run_bulk_quic;
 use crate::chaos::failover_timeline;
 use crate::par;
 use crate::scenario::Scenario;
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_netsim::Path;
 use xlink_obs::TraceLog;
 use xlink_traces::Trace;

@@ -3,9 +3,8 @@
 //! each link capped at 30 Mbps, run through the radio power model.
 
 use crate::bulk::run_bulk_quic;
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::Duration;
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_energy::{profiles, transfer_energy, RadioProfile};
 use xlink_netsim::Path;
 

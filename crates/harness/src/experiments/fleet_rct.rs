@@ -5,8 +5,8 @@
 //! streaming aggregation.
 
 use crate::fleet::{run_fleet, ArmAgg, FleetConfig, FleetReport, Z95};
-use crate::transport::Scheme;
 use xlink_clock::Duration;
+use xlink_core::Scheme;
 use xlink_video::Video;
 
 /// The fleet shape of this row, `prof_dump`, `tests/fleet.rs` and the

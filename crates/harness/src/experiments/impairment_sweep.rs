@@ -7,8 +7,8 @@
 
 use crate::bulk::BulkResult;
 use crate::scenario::Scenario;
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::{Duration, Instant};
+use xlink_core::{Scheme, TransportTuning};
 use xlink_lab::stats::print_table;
 use xlink_netsim::{FlapSchedule, Impairment, Impairments, LinkConfig, LinkState, Path};
 

@@ -12,9 +12,8 @@
 
 use crate::par;
 use crate::scenario::PathSpec;
-use crate::transport::{Scheme, TransportTuning};
 use xlink_clock::{Duration, Instant};
-use xlink_core::WirelessTech;
+use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_netsim::Rng;
 use xlink_traces::Trace;
 use xlink_video::Video;

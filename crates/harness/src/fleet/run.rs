@@ -27,11 +27,11 @@ use super::agg::{ArmAgg, ConcurrencyTrack, FleetReport, ShardCounters};
 use super::plan::{shard_of, FleetConfig, PlanIter, SessionPlan, TracePool};
 use crate::par;
 use crate::scenario::Scenario;
-use crate::transport::TransportTuning;
 use crate::video_session::{
     client_endpoint_for_probe, server_endpoint_for_probe, session_result, SessionConfig,
 };
 use xlink_clock::{Duration, Instant};
+use xlink_core::TransportTuning;
 use xlink_obs::prof::{self, ProfReport};
 
 /// Concurrency-track bin width: fine enough to resolve arrival windows,
@@ -157,7 +157,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetReport, ProfReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Scheme;
+    use xlink_core::Scheme;
     use xlink_video::Video;
 
     fn tiny_fleet(shards: u32) -> FleetConfig {

@@ -27,7 +27,10 @@ pub use chaos::{failover_timeline, handover_paths, handover_scenario, ChaosPlan,
 pub use fleet::{run_fleet, run_fleet_profiled, FleetConfig, FleetReport};
 pub use pop::{run_pop, run_pop_traced, PopReport, PopRunConfig};
 pub use scenario::{PathSpec, Scenario};
-pub use transport::{
-    BoundedState, Conn, Scheme, TransportStats, TransportTuning, REINJECTION_COST_CAP,
-};
+pub use transport::{TransportStats, REINJECTION_COST_CAP};
 pub use video_session::{run_session, session_metrics, SessionConfig, SessionResult};
+pub use xlink_quic::connection::BoundedState;
+
+/// The names the repository's benchmark imports from here; every arm is an
+/// `MpConnection` built by `MpConnection::client` / `server`.
+pub use xlink_core::{MpConnection as Conn, Scheme, TransportTuning};

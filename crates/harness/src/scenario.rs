@@ -216,8 +216,8 @@ mod tests {
     #[test]
     fn sampling_leaves_the_run_unchanged() {
         use crate::fleet::TracePool;
-        use crate::transport::Scheme;
         use crate::video_session::*;
+        use xlink_core::Scheme;
         let schemes = [
             Scheme::Sp { path: 0 },
             Scheme::Cm,

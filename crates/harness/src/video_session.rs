@@ -4,9 +4,10 @@
 //! (Fig. 2) in miniature.
 
 use crate::scenario::Scenario;
-use crate::transport::{Conn, Scheme, TransportStats, TransportTuning};
+use crate::transport::TransportStats;
 use std::collections::HashMap;
 use xlink_clock::{Duration, Instant};
+use xlink_core::{MpConnection, Scheme, TransportTuning};
 use xlink_netsim::{Endpoint, Path, Transmit, World};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
@@ -96,7 +97,7 @@ impl ChunkReq {
 /// The client endpoint: issues chunk requests, feeds the player, sends
 /// QoE feedback.
 pub struct VideoClientEndpoint {
-    conn: Conn,
+    conn: MpConnection,
     chunks: Vec<xlink_video::VideoChunk>,
     max_buffer_ahead: Duration,
     fps: u64,
@@ -118,7 +119,7 @@ pub struct VideoClientEndpoint {
 
 impl VideoClientEndpoint {
     fn new(cfg: &SessionConfig, now: Instant) -> Self {
-        let mut conn = Conn::client(cfg.scheme, &cfg.tuning, cfg.seed, now);
+        let mut conn = MpConnection::client(cfg.scheme, &cfg.tuning, cfg.seed, now);
         let mut player = Player::new(cfg.video.clone(), cfg.player.clone());
         if let Some(log) = &cfg.trace {
             conn.set_tracer(&log.tracer("client"));
@@ -180,7 +181,7 @@ impl VideoClientEndpoint {
     fn drain_streams(&mut self, now: Instant) {
         let (conn, chunk_rct, done) = (&mut self.conn, &mut self.chunk_rct, &mut self.done);
         self.inflight.retain(|&id, req| {
-            let complete = conn.inner().conn().streams().is_complete(id);
+            let complete = conn.conn().streams().is_complete(id);
             let mut data = conn.stream_consume(id, usize::MAX);
             if req.header.is_none() && !data.is_empty() {
                 let line = data.iter().position(|&b| b == b'\n').map_or(data.len(), |i| i + 1);
@@ -237,7 +238,7 @@ impl VideoClientEndpoint {
 
     /// Transport statistics.
     pub fn transport_stats(&self) -> TransportStats {
-        self.conn.stats()
+        TransportStats::from(&self.conn)
     }
 
     /// Borrow the player (probes).
@@ -299,14 +300,14 @@ impl Endpoint for VideoClientEndpoint {
     fn on_tick(&mut self, now: Instant) {
         self.player.advance(now);
         // Refresh QoE feedback (the TNET query of §5.2.1).
-        self.conn.inner_mut().set_qoe(self.player.qoe_signal());
+        self.conn.set_qoe(self.player.qoe_signal());
         if self.player.is_finished() {
             self.finished = true;
         }
     }
 
     fn is_done(&self) -> bool {
-        self.finished || self.conn.is_closed()
+        self.finished || self.conn.conn().is_closed()
     }
 }
 
@@ -314,7 +315,7 @@ impl Endpoint for VideoClientEndpoint {
 /// tagging first-video-frame bytes with the top frame priority when
 /// acceleration is on.
 pub struct VideoServerEndpoint {
-    conn: Conn,
+    conn: MpConnection,
     store: MediaStore,
     first_frame_accel: bool,
     /// Streams already answered.
@@ -330,7 +331,7 @@ impl VideoServerEndpoint {
     fn new(cfg: &SessionConfig, now: Instant) -> Self {
         let mut store = MediaStore::new();
         store.insert("video", cfg.video.clone());
-        let mut conn = Conn::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
+        let mut conn = MpConnection::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
         if let Some(log) = &cfg.trace {
             conn.set_tracer(&log.tracer("server"));
         }
@@ -339,7 +340,7 @@ impl VideoServerEndpoint {
 
     /// Serve range requests for the objects in `store` over `conn` (the
     /// bulk-download server is this with a one-object store).
-    pub(crate) fn serving(conn: Conn, store: MediaStore, first_frame_accel: bool) -> Self {
+    pub(crate) fn serving(conn: MpConnection, store: MediaStore, first_frame_accel: bool) -> Self {
         VideoServerEndpoint {
             conn,
             store,
@@ -353,11 +354,11 @@ impl VideoServerEndpoint {
     fn serve_requests(&mut self) {
         // Requests arrive in STREAM frames: nothing new to read before one
         // did (the acknowledgements a sending server mostly receives).
-        let epoch = self.conn.inner().conn().streams().epoch();
+        let epoch = self.conn.conn().streams().epoch();
         if std::mem::replace(&mut self.stream_epoch, epoch) == epoch {
             return;
         }
-        for id in self.conn.inner().conn().streams().readable_ids() {
+        for id in self.conn.conn().streams().readable_ids() {
             if self.answered.contains(&id) {
                 continue;
             }
@@ -385,7 +386,7 @@ impl VideoServerEndpoint {
             let accelerated = self.first_frame_accel && req.start < ff_end;
             let split =
                 body.start + if accelerated { (ff_end - req.start).min(body_len) } else { 0 };
-            let streams = self.conn.inner_mut().conn_mut().streams_mut();
+            let streams = self.conn.conn_mut().streams_mut();
             let object = &req.object;
             streams.write_with(id, Some(0), false, |buf| {
                 buf.reserve(body_len as usize); // room for the whole body at once
@@ -399,7 +400,7 @@ impl VideoServerEndpoint {
 
     /// Transport statistics.
     pub fn transport_stats(&self) -> TransportStats {
-        self.conn.stats()
+        TransportStats::from(&self.conn)
     }
 
     /// Per-path bytes (for energy accounting and path-usage checks).
@@ -409,8 +410,7 @@ impl VideoServerEndpoint {
 
     /// Whether re-injection is currently enabled (Fig. 6 probe).
     pub fn reinjection_enabled(&self) -> bool {
-        let mp = self.conn.inner();
-        mp.conn().multipath_negotiated() && mp.reinjection_enabled()
+        self.conn.conn().multipath_negotiated() && self.conn.reinjection_enabled()
     }
 
     /// Per-path (bytes in flight, cwnd) snapshot — the Fig. 1 series.

@@ -489,8 +489,11 @@ impl Connection {
     /// over another network path, so congestion state and RTT start over as
     /// RFC 9000 §9.4 requires, and a PING goes out on it — the peer learns
     /// where to send from a packet arriving there (§9.2), and a migrating
-    /// receiver may have nothing else to say.
-    pub fn on_migrate(&mut self) {
+    /// receiver may have nothing else to say. `from` and `to` name the
+    /// network paths left and joined, for the `PathFailover` event.
+    pub fn on_migrate(&mut self, now: Instant, from: u8, to: u8) {
+        let stranded_bytes = self.in_flight(self.cfg.primary);
+        self.tracer.emit(now, Event::PathFailover { from, to, stranded_bytes });
         let p = &mut self.paths[self.cfg.primary];
         p.cc = Cubic::new();
         p.rtt = RttEstimator::new();
@@ -1904,7 +1907,7 @@ mod tests {
         pump(&mut now, &mut c, &mut s);
         let grown = c.paths()[0].cwnd();
         assert!(grown >= crate::cc::INITIAL_WINDOW);
-        c.on_migrate();
+        c.on_migrate(now, 0, 1);
         assert_eq!(c.paths()[0].cwnd(), crate::cc::INITIAL_WINDOW);
         assert_eq!(c.stats().migrations, 1);
         assert!(!c.paths()[0].rtt.has_samples());
