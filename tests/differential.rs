@@ -7,19 +7,20 @@
 //! comparison that is left is between its two drivers: `Connection` driven
 //! directly through the one-path shorthands (`sp_*` below: how `edge::Pop`,
 //! `harness::pop` and the benchmark use it) and the same engine under
-//! `MpConnection` with one path and `enable_multipath: false` (`mp_*`: how
-//! `harness::Conn` runs the SP and CM arms — the XLINK policy is configured,
-//! and must do nothing). Scenario by scenario, over the same scripted link,
-//! everything the application, the peer and the trace can observe is compared
-//! for *equality*: delivered stream bytes, final ACK ranges, close codes, when
-//! each side reported closed and drained, the capped state, every datagram
-//! byte for byte at its instant, every traced event — through `edge::Pop`
-//! too (Retry admission, a shard drain, a stateless reset). The absolute
-//! expectations behind the equalities are pinned in [`PINNED`].
+//! `MpConnection` as the SP arm builds it (`mp_*`: `MpConnection::client` /
+//! `server` of `Scheme::Sp`, one path, multipath not offered — the policy
+//! has nothing to act on, and must do nothing). Scenario by scenario, over
+//! the same scripted link, everything the application, the peer and the
+//! trace can observe is compared for *equality*: delivered stream bytes,
+//! final ACK ranges, close codes, when each side reported closed and
+//! drained, the capped state, every datagram byte for byte at its instant,
+//! every traced event — through `edge::Pop` too (Retry admission, a shard
+//! drain, a stateless reset). The absolute expectations behind the
+//! equalities are pinned in [`PINNED`].
 
 use xlink::clock::{Duration, Instant};
 use xlink::core::QoeSignal;
-use xlink::core::{MpConfig, MpConnection, WirelessTech};
+use xlink::core::{MpConfig, MpConnection, Scheme, TransportTuning, WirelessTech};
 use xlink::edge::{Pop, PopConfig, ShardOutcome};
 use xlink::harness::adversary::{AttackKind, QuicAttacker};
 use xlink::lab::prop::*;
@@ -30,7 +31,7 @@ use xlink::quic::cid::ConnectionId;
 use xlink::quic::connection::{BoundedState, Config, Connection, Lifecycle};
 use xlink::quic::error::{ConnectionError, TransportError};
 use xlink::quic::frame::{AckFrame, Frame, PathStatusKind};
-use xlink::quic::stream::StreamMap;
+use xlink::quic::stream::{Side, StreamMap};
 
 /// One-way delay of the scripted link.
 const DELAY: Duration = Duration::from_millis(10);
@@ -55,7 +56,7 @@ trait Engine: Peer {
     fn close(&mut self, error: TransportError);
     /// (packets sent, packets declared lost).
     fn counters(&self) -> (u64, u64);
-    /// Attach `tracer` the way `harness::Conn::set_tracer` does.
+    /// Attach `tracer` the way the harness's endpoints do.
     fn trace(&mut self, tracer: &Tracer);
 }
 
@@ -162,19 +163,20 @@ fn sp_pair() -> (Connection, Connection) {
     )
 }
 
-/// `MpConnection` configured down to single-path QUIC as `Config::client` /
-/// `Config::server` default it: one path, multipath not offered, no
-/// keep-alive. The policy stays XLINK's — scheduler, re-injection, QoE gate
-/// — and must do nothing.
-fn mp_cfg(mut cfg: MpConfig) -> MpConfig {
-    (cfg.conn.params.enable_multipath, cfg.conn.keepalive) = (false, None);
-    cfg
-}
+/// The SP arm on network path 0, the one the scripted link stands for.
+const SP: Scheme = Scheme::Sp { path: 0 };
 
 fn mp_pair() -> (MpConnection, MpConnection) {
-    let client = mp_cfg(MpConfig::xlink_client(1, vec![WirelessTech::Wifi]));
-    let server = mp_cfg(MpConfig::xlink_server(2, 1));
-    (MpConnection::new(client, Instant::ZERO), MpConnection::new(server, Instant::ZERO))
+    let tuning = TransportTuning::default();
+    (
+        MpConnection::client(SP, &tuning, 1, Instant::ZERO),
+        MpConnection::server(SP, &tuning, 2, Instant::ZERO),
+    )
+}
+
+/// The SP arm's configuration of `side`, for a scenario that changes it.
+fn sp_arm(seed: u64, side: Side) -> MpConfig {
+    MpConfig::for_scheme(SP, &TransportTuning::default(), seed, side)
 }
 
 /// Which datagrams the link loses: by direction (`up` = client → server),
@@ -620,8 +622,7 @@ fn quiet_connection_with_keepalives() {
         Connection::new(Config { keepalive: every, ..sp_client }, Instant::ZERO),
         Connection::new(Config { keepalive: every, ..sp_server }, Instant::ZERO),
     );
-    let mut mp_client = mp_cfg(MpConfig::xlink_client(1, vec![WirelessTech::Wifi]));
-    let mut mp_server = mp_cfg(MpConfig::xlink_server(2, 1));
+    let (mut mp_client, mut mp_server) = (sp_arm(1, Side::Client), sp_arm(2, Side::Server));
     (mp_client.conn.keepalive, mp_server.conn.keepalive) = (every, every);
     let mp_pair =
         (MpConnection::new(mp_client, Instant::ZERO), MpConnection::new(mp_server, Instant::ZERO));
@@ -854,7 +855,7 @@ impl EdgeClient for Connection {
 
 impl EdgeClient for MpConnection {
     fn edge_client(seed: u64) -> Self {
-        let mut cfg = mp_cfg(MpConfig::xlink_client(seed, vec![WirelessTech::Wifi]));
+        let mut cfg = sp_arm(seed, Side::Client);
         cfg.conn.params.max_idle_timeout = EDGE_IDLE;
         cfg.conn.keepalive = Some(EDGE_IDLE / 8);
         MpConnection::new(cfg, Instant::ZERO)
