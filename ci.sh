@@ -24,6 +24,9 @@ step "cargo fmt --check" cargo fmt --check
 
 step "cargo build --release --offline" cargo build --release --offline
 
+step "cargo clippy: every target, warnings are errors" \
+    cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
 # Test profile (debug assertions and overflow checks on, opt-level 1): every
 # code path the suite reaches is checked. One seed per sweep here; the full
 # seed counts run in the release steps below.

@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn cid_encoding_roundtrip() {
-        let cid = encode_cid(0x1234, 7, 0xdead_beef_99);
+        let cid = encode_cid(0x1234, 7, 0x00de_adbe_ef99);
         assert_eq!(server_id(&cid), 0x1234);
         assert_eq!(process_id(&cid), 7);
     }

@@ -53,16 +53,9 @@ pub fn redundancy_ratio(first_time: u64, retransmitted: u64, reinjected: u64) ->
 /// us to get a more conservative estimate" — we take the minimum of the
 /// two estimates that are computable.
 pub fn play_time_left(q: &QoeSignal) -> Option<Duration> {
-    let by_frames = if q.fps > 0 {
-        Some(Duration::from_micros(q.cached_frames * 1_000_000 / q.fps))
-    } else {
-        None
-    };
-    let by_bytes = if q.bps > 0 {
-        Some(Duration::from_micros(q.cached_bytes * 8 * 1_000_000 / q.bps))
-    } else {
-        None
-    };
+    let by_frames = (q.fps > 0).then(|| Duration::from_micros(q.cached_frames * 1_000_000 / q.fps));
+    let by_bytes =
+        (q.bps > 0).then(|| Duration::from_micros(q.cached_bytes * 8 * 1_000_000 / q.bps));
     match (by_frames, by_bytes) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (Some(a), None) => Some(a),

@@ -539,7 +539,7 @@ impl Pop {
         self.router.deactivate_shard(shard);
         let mut destroyed = 0u32;
         for slot in 0..self.conns.len() {
-            if !self.conns[slot].as_ref().is_some_and(|b| b.shard == shard) {
+            if self.conns[slot].as_ref().is_none_or(|b| b.shard != shard) {
                 continue;
             }
             let b = self.conns[slot].take().expect("checked above");
@@ -996,7 +996,7 @@ mod tests {
                     }
                 }
             }
-            *now = *now + Duration::from_millis(5);
+            *now += Duration::from_millis(5);
             for (_, c) in clients.iter_mut() {
                 if c.poll_timeout().is_some_and(|t| t <= *now) {
                     c.on_timeout(*now);

@@ -65,8 +65,8 @@ impl ChaosPlan {
         let mut rng = Rng::new(self.seed ^ 0xc4a0_5bad);
         let mut steps: Vec<Vec<FlapStep>> = vec![Vec::new(); num_paths];
         let mut t = Instant::ZERO + self.start_after;
-        let down_range = self.max_down.saturating_sub(self.min_down).as_micros() as u64;
-        let jitter = self.gap_jitter.as_micros() as u64;
+        let down_range = self.max_down.saturating_sub(self.min_down).as_micros();
+        let jitter = self.gap_jitter.as_micros();
         for _ in 0..self.outages {
             let victim = rng.below(num_paths as u64) as usize;
             let down = self.min_down
@@ -140,7 +140,7 @@ impl CrashPlan {
     ) -> Self {
         assert!(!shards.is_empty(), "a crash plan needs shards to crash");
         let mut rng = Rng::new(seed ^ 0x0c4a_54ed);
-        let span = window.as_micros() as u64;
+        let span = window.as_micros();
         let crashes = (0..count)
             .map(|_| {
                 let at =

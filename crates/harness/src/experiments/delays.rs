@@ -88,12 +88,10 @@ pub fn print(rows: &[DelayRow]) {
         &["Client\\Server", "A", "B", "C"],
         &["A", "B", "C"]
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
+            .zip(CROSS_ISP_DELAY_PCT)
+            .map(|(name, pcts)| {
                 let mut row = vec![name.to_string()];
-                for j in 0..3 {
-                    row.push(format!("{:.0}%", CROSS_ISP_DELAY_PCT[i][j]));
-                }
+                row.extend(pcts.iter().map(|p| format!("{p:.0}%")));
                 row
             })
             .collect::<Vec<_>>(),
@@ -119,8 +117,8 @@ mod tests {
 
     #[test]
     fn cross_isp_matrix_diagonal_is_zero() {
-        for i in 0..3 {
-            assert_eq!(CROSS_ISP_DELAY_PCT[i][i], 0.0);
+        for (i, row) in CROSS_ISP_DELAY_PCT.iter().enumerate() {
+            assert_eq!(row[i], 0.0);
         }
     }
 }

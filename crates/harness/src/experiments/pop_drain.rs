@@ -42,11 +42,11 @@ pub fn check(r: &PopReport) {
     let drained = r.shard_stats[&SHARD];
     assert!(drained.draining, "{drained:?}");
     assert_eq!(drained.live, 0, "drained shard still owns conns: {drained:?}");
-    assert_eq!(r.stats.migrations, u64::from(drained.migrated_out), "{r:?}");
+    assert_eq!(r.stats.migrations, drained.migrated_out, "{r:?}");
     assert!(r.stats.migrations > 0, "drain fired before any conn was live: {r:?}");
     // Survivors absorbed exactly what the drained shard shed.
-    let migrated_in: u64 = r.shard_stats.values().map(|s| u64::from(s.migrated_in)).sum();
-    assert_eq!(migrated_in, u64::from(drained.migrated_out), "{:?}", r.shard_stats);
+    let migrated_in: u64 = r.shard_stats.values().map(|s| s.migrated_in).sum();
+    assert_eq!(migrated_in, drained.migrated_out, "{:?}", r.shard_stats);
 }
 
 /// Print the timeline and the scorecard.

@@ -161,7 +161,7 @@ impl PopReport {
         if xs.is_empty() {
             return None;
         }
-        let total: u64 = xs.iter().map(|d| d.as_micros() as u64).sum();
+        let total: u64 = xs.iter().map(|d| d.as_micros()).sum();
         Some(Duration::from_micros(total / xs.len() as u64))
     }
 
@@ -624,7 +624,7 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
     let mut recovery_times = Vec::new();
     for s in &fleet.sessions {
         for &d in &s.detects {
-            if let Some(&c) = crash_times.iter().filter(|&&c| c <= d).last() {
+            if let Some(&c) = crash_times.iter().rev().find(|&&c| c <= d) {
                 detect_times.push(d.saturating_duration_since(c));
             }
         }
@@ -687,7 +687,7 @@ mod tests {
         assert!(r.bytes_ok, "drain corrupted a stream: {r:?}");
         let drained = r.shard_stats[&1];
         assert!(drained.draining && drained.live == 0, "{drained:?}");
-        assert_eq!(r.stats.migrations, u64::from(drained.migrated_out));
+        assert_eq!(r.stats.migrations, drained.migrated_out);
     }
 
     #[test]

@@ -239,8 +239,9 @@ impl Pipeline {
         for stage in &mut self.stages {
             match stage {
                 Stage::Reorder { prob, window, rng } => {
-                    if window.as_micros() > 0 && rng.chance(*prob) {
-                        extra += Duration::from_micros(1 + rng.below(window.as_micros()));
+                    let window = window.as_micros();
+                    if window > 0 && rng.chance(*prob) {
+                        extra += Duration::from_micros(1 + rng.below(window));
                     }
                 }
                 Stage::Jitter { sigma, rng } => {
@@ -256,7 +257,7 @@ impl Pipeline {
 
 /// Stage-label salt for RNG forking, distinct from the link's own
 /// `0x11ce` loss stream.
-const IMPAIR_SALT: u64 = 0x1a9a_11;
+const IMPAIR_SALT: u64 = 0x001a_9a11;
 
 /// Administrative state of a link at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq)]

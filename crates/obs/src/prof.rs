@@ -728,7 +728,7 @@ mod tests {
         let inner = r.get("test;alloc_outer;test;alloc_inner").expect("inner");
         assert!(inner.allocs >= 1, "inner saw its Vec");
         assert!(inner.alloc_bytes >= 8000, "inner bytes {}", inner.alloc_bytes);
-        assert!(outer.allocs >= inner.allocs + 1, "outer includes inner plus its own");
+        assert!(outer.allocs > inner.allocs, "outer includes inner plus its own");
     }
 
     #[test]

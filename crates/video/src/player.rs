@@ -223,9 +223,9 @@ impl Player {
     }
 
     fn record_probe(&mut self, now: Instant) {
-        if self.buffer_probe.is_some() {
-            let cached = self.cached_bytes();
-            self.buffer_probe.as_mut().expect("just checked").push((now, cached));
+        let cached = self.cached_bytes();
+        if let Some(probe) = &mut self.buffer_probe {
+            probe.push((now, cached));
         }
     }
 

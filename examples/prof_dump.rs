@@ -43,7 +43,7 @@ fn main() {
 
     // Human summary: top spans by inclusive time.
     let mut by_incl: Vec<_> = profile.rows.iter().collect();
-    by_incl.sort_by(|a, b| b.incl_ns.cmp(&a.incl_ns));
+    by_incl.sort_by_key(|r| std::cmp::Reverse(r.incl_ns));
     // Root spans are grafted from the workers, so their inclusive times sum
     // to CPU time: well under `workers` busy means the gate did not get the
     // cores it counted on.

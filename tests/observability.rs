@@ -68,7 +68,7 @@ fn tracing_is_behaviourally_invisible_for_video_sessions() {
     let off = run_outage_session(&session_cfg(None));
     let noop = run_outage_session(&session_cfg(Some(TraceLog::noop())));
     let (log, rec) = traced_session();
-    assert!(log.len() > 0, "recording run must actually have captured events");
+    assert!(!log.is_empty(), "recording run must actually have captured events");
     assert_eq!(summary(&off), summary(&noop), "noop sink changed behaviour");
     assert_eq!(summary(&off), summary(&rec), "recording sink changed behaviour");
 }
@@ -89,7 +89,7 @@ fn tracing_is_behaviourally_invisible_for_bulk_downloads() {
     let traced = Scenario::new(lossy_paths(), Duration::from_secs(60))
         .traced(&log)
         .bulk_quic(args.0, &args.1, args.2, args.3, None);
-    assert!(log.len() > 0);
+    assert!(!log.is_empty());
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing changed a bulk download");
 }
 
@@ -292,7 +292,7 @@ fn tracing_is_behaviourally_invisible_for_edge_pop_runs() {
     let noop = run_pop_traced(&cfg, &TraceLog::noop());
     let log = TraceLog::recording();
     let rec = run_pop_traced(&cfg, &log);
-    assert!(log.len() > 0, "recording run captured nothing");
+    assert!(!log.is_empty(), "recording run captured nothing");
     assert_eq!(format!("{off:?}"), format!("{noop:?}"), "noop sink changed an edge run");
     assert_eq!(format!("{off:?}"), format!("{rec:?}"), "recording sink changed an edge run");
 
