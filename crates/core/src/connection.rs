@@ -139,6 +139,10 @@ pub struct MpConnection {
     follow_peer_path: bool,
     /// Last time any datagram was received (the CM stall clock).
     last_recv: Instant,
+    /// One-path schemes: each network path that carried the connection
+    /// before `carrier`, with the wire bytes sent while it did, in order.
+    /// Empty (unallocated) until the carrier first moves.
+    carried: Vec<(usize, u64)>,
 }
 
 impl MpConnection {
@@ -169,6 +173,7 @@ impl MpConnection {
             migrate: false,
             follow_peer_path: false,
             last_recv: now,
+            carried: Vec::new(),
         }
     }
 

@@ -194,11 +194,21 @@ impl MpConnection {
     /// belongs to.
     pub(super) fn arrived_on(&mut self, now: Instant, path: usize) -> usize {
         self.last_recv = now;
-        let Some(carrier) = &mut self.carrier else { return path };
+        let Some(carrier) = self.carrier else { return path };
         if self.follow_peer_path {
-            *carrier = path; // reply where the client is
+            self.hand_over(carrier, path); // reply where the client is
         }
         0
+    }
+
+    /// The connection's path 0 moves from network path `from` to `to`:
+    /// what it sent since the last move stays counted on `from`.
+    fn hand_over(&mut self, from: usize, to: usize) {
+        self.carrier = Some(to);
+        if from != to {
+            let earlier: u64 = self.carried.iter().map(|&(_, bytes)| bytes).sum();
+            self.carried.push((from, self.conn.stats().bytes_sent - earlier));
+        }
     }
 
     /// A one-path connection's next datagram, on the network path that
@@ -212,18 +222,30 @@ impl MpConnection {
         if self.cm_stall_deadline().is_some_and(|stall| now >= stall) {
             let from = carrier;
             carrier = (carrier + 1) % self.num_paths.max(1);
-            self.carrier = Some(carrier);
+            self.hand_over(from, carrier);
             self.conn.on_migrate(now, from as u8, carrier as u8);
             self.last_recv = now; // restart the stall clock
         }
         self.conn.poll_transmit_on(now).map(|(_, d)| (carrier, d))
     }
 
-    /// Per-path (network path, wire bytes sent) breakdown (one-path
-    /// schemes: all on the path that carries the connection now).
+    /// Per-path (network path, wire bytes sent) breakdown. A one-path
+    /// scheme's bytes are counted on the network path they went out on, the
+    /// paths in the order they first carried the connection.
     pub fn bytes_per_path(&self) -> Vec<(usize, u64)> {
-        let network = |p: &MpPath| (self.carrier.unwrap_or(p.id), p.bytes_sent);
-        self.conn.paths().iter().map(network).collect()
+        let Some(carrier) = self.carrier else {
+            return self.conn.paths().iter().map(|p| (p.id, p.bytes_sent)).collect();
+        };
+        let earlier: u64 = self.carried.iter().map(|&(_, bytes)| bytes).sum();
+        let current = (carrier, self.conn.stats().bytes_sent - earlier);
+        let mut split = Vec::with_capacity(self.carried.len() + 1);
+        for (path, bytes) in self.carried.iter().copied().chain([current]) {
+            match split.iter_mut().find(|(p, _)| *p == path) {
+                Some((_, total)) => *total += bytes,
+                None => split.push((path, bytes)),
+            }
+        }
+        split
     }
 
     /// Per-path (bytes in flight, congestion window) — the Fig. 1 series.
@@ -310,6 +332,22 @@ mod tests {
         let (path, _) = c.poll_transmit(now).expect("probe or retransmit");
         assert_eq!(path, 1, "CM should have migrated");
         assert_eq!(c.conn().stats().migrations, 1);
+    }
+
+    #[test]
+    fn cm_counts_bytes_on_the_network_path_they_went_out_on() {
+        let (mut c, _s, mut now) = established_pair(Scheme::Cm);
+        let id = c.open_stream(0);
+        c.stream_send(id, &vec![0u8; 5000], true);
+        while c.poll_transmit(now).is_some() {}
+        let before = c.conn().stats().bytes_sent;
+        now += Duration::from_secs(2);
+        c.on_timeout(now);
+        while c.poll_transmit(now).is_some() {}
+        let after = c.conn().stats().bytes_sent;
+        assert_eq!(c.conn().stats().migrations, 1);
+        assert!(after > before, "nothing went out after the migration");
+        assert_eq!(c.bytes_per_path(), [(0, before), (1, after - before)]);
     }
 
     /// Serve `c`'s timers at exactly the instants it asks for, the peer

@@ -197,6 +197,10 @@ fn cm_survives_a_long_outage_without_livelock() {
     let r = run_session(&cfg, paths);
     assert!(r.completed, "CM must play to the end: {:?}", r.player);
     assert!(r.client_transport.migrations >= 1, "the outage must trigger a migration");
+    // The server followed the client: its bytes are split where they went.
+    let split = &r.server_bytes_per_path;
+    assert!(split.len() == 2 && split.iter().all(|&(_, bytes)| bytes > 0), "{split:?}");
+    assert_eq!(split.iter().map(|&(_, bytes)| bytes).sum::<u64>(), r.server_transport.bytes_sent);
 }
 
 /// Regression: the CM stall clock ran only while the *client* had bytes in
