@@ -19,9 +19,9 @@
 //!
 //! Until multipath is negotiated the policy does nothing of its own: a
 //! one-path `MpConnection` *is* single-path QUIC, which is how the SP and
-//! CM baselines run. CM is the one one-path policy that does act, and it
-//! needs no negotiation: its client moves the connection to another network
-//! path when the peer goes silent. [`MpConnection::client`] and
+//! CM baselines run. CM is the one-path arm whose policy does act, and it
+//! acts without negotiation: its client moves the connection to another
+//! network path when the peer goes silent. [`MpConnection::client`] and
 //! [`MpConnection::server`] build every arm of the evaluation.
 
 use crate::qoe::{reinjection_decision, QoeControl, QoeSignal};
