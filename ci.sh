@@ -27,6 +27,10 @@ step "cargo build --release --offline" cargo build --release --offline
 step "cargo clippy: every target, warnings are errors" \
     cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# A doc link to a renamed, deleted or private item fails here.
+step "cargo doc: every crate, warnings are errors" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
+
 # Test profile (debug assertions and overflow checks on, opt-level 1): every
 # code path the suite reaches is checked. One seed per sweep here; the full
 # seed counts run in the release steps below.

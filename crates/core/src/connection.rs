@@ -1176,16 +1176,7 @@ mod tests {
 
     #[test]
     fn transient_stall_recovers_suspect_on_ack_progress() {
-        let now0 = Instant::ZERO;
-        let mut ccfg = client_cfg(1);
-        let mut scfg = server_cfg(2);
-        // Disable escalation so the stall exercises Suspect → Active via
-        // ack progress rather than probation timing.
-        ccfg.conn.liveness.blackhole_after_ptos = 1000;
-        scfg.conn.liveness.blackhole_after_ptos = 1000;
-        let mut c = MpConnection::new(ccfg, now0);
-        let mut s = MpConnection::new(scfg, now0);
-        let mut now = now0;
+        let (mut c, mut s, mut now) = pair();
         pump(&mut now, &mut c, &mut s);
         let id = c.open_stream(0);
         c.stream_send(id, b"r", true);
@@ -1197,7 +1188,11 @@ mod tests {
                 c.handle_datagram(now, path, &d);
             }
         }
-        pump_blackhole(&mut now, &mut c, &mut s, &[1], Duration::from_secs(3));
+        // Long enough for the second PTO (Suspect); healed before the
+        // third, whose probe is then acknowledged before a fourth could
+        // escalate. Over these zero-delay links the second, third and
+        // fourth PTO fire about 80, 190 and 400 ms into the stall.
+        pump_blackhole(&mut now, &mut c, &mut s, &[1], Duration::from_millis(150));
         assert_eq!(s.conn().paths()[1].state, PathState::Suspect, "stall should mark path suspect");
         assert!(s.conn().stats().path_suspects >= 1);
         // Link heals; retransmissions get acked and the path recovers

@@ -9,7 +9,6 @@
 //! path the client's latest datagram arrived on.
 
 use super::{MpConfig, MpConnection, MpPath};
-use crate::liveness::LivenessConfig;
 use crate::qoe::QoeControl;
 use crate::sched::ReinjectMode;
 use crate::wireless::{PrimaryPathPolicy, WirelessTech};
@@ -79,9 +78,6 @@ pub struct TransportTuning {
     pub path_techs: Vec<WirelessTech>,
     /// Primary-path policy in place of the wireless-aware default (§5.3).
     pub primary_override: Option<PrimaryPathPolicy>,
-    /// Per-path liveness detection and automatic failover (§9) for the
-    /// multipath schemes; off restores the pre-liveness baselines.
-    pub auto_failover: bool,
 }
 
 impl Default for TransportTuning {
@@ -91,7 +87,6 @@ impl Default for TransportTuning {
             ack_policy: AckPathPolicy::FastestPath,
             path_techs: vec![WirelessTech::Wifi, WirelessTech::Lte],
             primary_override: None,
-            auto_failover: true,
         }
     }
 }
@@ -134,9 +129,6 @@ impl MpConfig {
         cfg.conn.side = side;
         if let Some(policy) = &tuning.primary_override {
             cfg.primary_policy = policy.clone();
-        }
-        if multipath && !tuning.auto_failover {
-            (cfg.conn.liveness, cfg.conn.keepalive) = (LivenessConfig::disabled(), None);
         }
         cfg
     }

@@ -53,7 +53,7 @@ impl ReinjectMode {
 /// connection, chosen here.
 pub use xlink_quic::connection::AckPathPolicy;
 
-/// ECF-style choice (Lim et al., CoNEXT'17 — reference [18] of the paper)
+/// ECF-style choice (Lim et al., CoNEXT'17 — reference \[18\] of the paper)
 /// over `(path_index, rtt, has_cwnd)` candidates: the
 /// fastest path when it has window; otherwise the fastest *available*
 /// path, but only if its RTT beats waiting roughly one fast-path RTT for

@@ -51,27 +51,13 @@ impl WirelessTech {
 
 /// A ranking function for primary path selection. The default follows the
 /// paper's ordering; deployments can override with local statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PrimaryPathPolicy {
     /// Ranks per technology (lower wins). Missing techs use default_rank.
     overrides: Vec<(WirelessTech, u8)>,
-    /// When true, ignore technology and pick path 0 (the "unaware"
-    /// baseline for the Fig. 7 comparison).
-    pub wireless_aware: bool,
-}
-
-impl Default for PrimaryPathPolicy {
-    fn default() -> Self {
-        PrimaryPathPolicy { overrides: Vec::new(), wireless_aware: true }
-    }
 }
 
 impl PrimaryPathPolicy {
-    /// Policy that ignores wireless technology (always path 0).
-    pub fn unaware() -> Self {
-        PrimaryPathPolicy { overrides: Vec::new(), wireless_aware: false }
-    }
-
     /// Override the rank of one technology.
     pub fn with_rank(mut self, tech: WirelessTech, rank: u8) -> Self {
         self.overrides.retain(|(t, _)| *t != tech);
@@ -92,14 +78,7 @@ impl PrimaryPathPolicy {
     /// Ties break toward the lower path index. Returns 0 for an empty
     /// candidate list (the conventional default path).
     pub fn select_primary(&self, candidates: &[(usize, WirelessTech)]) -> usize {
-        if !self.wireless_aware || candidates.is_empty() {
-            return candidates.first().map(|&(i, _)| i).unwrap_or(0);
-        }
-        candidates
-            .iter()
-            .min_by_key(|&&(i, t)| (self.rank(t), i))
-            .map(|&(i, _)| i)
-            .expect("non-empty")
+        candidates.iter().min_by_key(|&&(i, t)| (self.rank(t), i)).map_or(0, |&(i, _)| i)
     }
 }
 
@@ -129,13 +108,6 @@ mod tests {
         let p = PrimaryPathPolicy::default();
         let cands = [(3, WirelessTech::Wifi), (1, WirelessTech::Wifi)];
         assert_eq!(p.select_primary(&cands), 1);
-    }
-
-    #[test]
-    fn unaware_policy_picks_first() {
-        let p = PrimaryPathPolicy::unaware();
-        let cands = [(0, WirelessTech::Lte), (1, WirelessTech::FiveGSa)];
-        assert_eq!(p.select_primary(&cands), 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod reject {
     pub const NO_TOKEN: &str = "no_token";
     /// Token MAC/address mismatch: forged or stolen cross-address.
     pub const BAD_TOKEN: &str = "bad_token";
-    /// Token older than the configured lifetime.
+    /// Token older than [`TOKEN_LIFETIME`](super::TOKEN_LIFETIME).
     pub const EXPIRED_TOKEN: &str = "expired_token";
     /// Token already spent once.
     pub const REPLAYED_TOKEN: &str = "replayed_token";
@@ -64,7 +64,24 @@ pub mod reject {
     pub const NO_ROUTE: &str = "no_route";
 }
 
-/// PoP configuration. Every table is explicitly capped; the caps are
+/// Retry-token MAC key (shared by nothing — the PoP is the only minter).
+pub const TOKEN_KEY: u64 = 0xed6e_70b5_0bad_cafe;
+/// Retry-token validity window.
+pub const TOKEN_LIFETIME: Duration = Duration::from_secs(2);
+/// Cap on queued outbound Retry (and stateless-reset) datagrams.
+pub const MAX_PENDING_RETRIES: usize = 256;
+/// Cap on the spent-token replay ring.
+pub const MAX_REPLAY_ENTRIES: usize = 8192;
+/// Cap on tracked per-address byte accounts.
+pub const MAX_ADDR_ENTRIES: usize = 4096;
+/// Per-request response-body cap (a hostile but admitted client cannot
+/// ask the PoP to materialise unbounded bytes).
+pub const MAX_RESPONSE_BYTES: u64 = 4 * 1024 * 1024;
+/// Base secret for per-shard, per-epoch stateless-reset tokens.
+pub const RESET_SECRET: u64 = 0x0dd5_ec4e_77e1_1ef7;
+
+/// PoP configuration. Every table is explicitly capped — the connection
+/// table by `max_conns`, the rest by the constants above; the caps are
 /// what the flood experiments audit via [`Pop::bounded_state`].
 #[derive(Debug, Clone)]
 pub struct PopConfig {
@@ -72,25 +89,10 @@ pub struct PopConfig {
     pub shards: Vec<ServerId>,
     /// Retry-token admission control for new connections.
     pub admission: bool,
-    /// Token MAC key (shared by nothing — the PoP is the only minter).
-    pub token_key: u64,
-    /// Token validity window.
-    pub token_lifetime: Duration,
     /// Seed for backend CID/handshake derivation.
     pub seed: u64,
     /// Concurrent backend connections.
     pub max_conns: usize,
-    /// Queued outbound Retry datagrams.
-    pub max_pending_retries: usize,
-    /// Spent-token replay ring entries.
-    pub max_replay_entries: usize,
-    /// Tracked per-address byte accounts.
-    pub max_addr_entries: usize,
-    /// Per-request response-body cap (a hostile but admitted client
-    /// cannot ask the PoP to materialise unbounded bytes).
-    pub max_response_bytes: u64,
-    /// Base secret for per-shard, per-epoch stateless-reset tokens.
-    pub reset_secret: u64,
     /// Answer unroutable short-header datagrams with stateless resets
     /// (§10.3). Off = the PTO/idle-exhaustion baseline the crash
     /// experiments compare against.
@@ -102,15 +104,8 @@ impl Default for PopConfig {
         PopConfig {
             shards: vec![1, 2],
             admission: true,
-            token_key: 0xed6e_70b5_0bad_cafe,
-            token_lifetime: Duration::from_secs(2),
             seed: 1,
             max_conns: 2048,
-            max_pending_retries: 256,
-            max_replay_entries: 8192,
-            max_addr_entries: 4096,
-            max_response_bytes: 4 * 1024 * 1024,
-            reset_secret: 0x0dd5_ec4e_77e1_1ef7,
             stateless_reset: true,
         }
     }
@@ -353,7 +348,7 @@ impl Pop {
             peak_pending: 0,
             replay_order: VecDeque::new(),
             replay_seen: BTreeMap::new(),
-            token_key: TokenKey::new(cfg.token_key),
+            token_key: TokenKey::new(TOKEN_KEY),
             addr_acct: BTreeMap::new(),
             cid_counter: 0,
             mint_counter: 0,
@@ -388,7 +383,7 @@ impl Pop {
 
     /// Reset secret for `shard` under an explicit epoch.
     fn secret_for(&self, shard: ServerId, epoch: u64) -> u64 {
-        mix(self.cfg.reset_secret, mix(shard as u64, epoch))
+        mix(RESET_SECRET, mix(shard as u64, epoch))
     }
 
     /// Reset secret a shard's *current* incarnation issues under.
@@ -438,11 +433,11 @@ impl Pop {
             max_demux: 4 * self.cfg.max_conns,
             pending_retries: self.pending.len(),
             peak_pending_retries: self.peak_pending,
-            max_pending_retries: self.cfg.max_pending_retries,
+            max_pending_retries: MAX_PENDING_RETRIES,
             replay_entries: self.replay_seen.len(),
-            max_replay_entries: self.cfg.max_replay_entries,
+            max_replay_entries: MAX_REPLAY_ENTRIES,
             addr_entries: self.addr_acct.len(),
-            max_addr_entries: self.cfg.max_addr_entries,
+            max_addr_entries: MAX_ADDR_ENTRIES,
         }
     }
 
@@ -632,7 +627,7 @@ impl Pop {
             self.reject(now, reject::AMPLIFICATION);
             return;
         }
-        if self.pending.len() >= self.cfg.max_pending_retries {
+        if self.pending.len() >= MAX_PENDING_RETRIES {
             self.reject(now, reject::TABLE_FULL);
             return;
         }
@@ -670,7 +665,7 @@ impl Pop {
             self.reject(now, reject::AMPLIFICATION);
             return;
         }
-        if self.pending.len() >= self.cfg.max_pending_retries {
+        if self.pending.len() >= MAX_PENDING_RETRIES {
             self.reject(now, reject::TABLE_FULL);
             return;
         }
@@ -691,8 +686,7 @@ impl Pop {
     ) {
         let _prof = prof::span!("edge/admit");
         // Account pre-validation bytes (bounded table; overflow = drop).
-        if !self.addr_acct.contains_key(&addr) && self.addr_acct.len() >= self.cfg.max_addr_entries
-        {
+        if !self.addr_acct.contains_key(&addr) && self.addr_acct.len() >= MAX_ADDR_ENTRIES {
             self.reject(now, reject::TABLE_FULL);
             return;
         }
@@ -704,7 +698,7 @@ impl Pop {
                 self.queue_retry(now, addr, scid);
                 return;
             }
-            match self.token_key.verify(addr as u64, now, self.cfg.token_lifetime, tok) {
+            match self.token_key.verify(addr as u64, now, TOKEN_LIFETIME, tok) {
                 Err(TokenError::Malformed) | Err(TokenError::BadMac) => {
                     self.reject(now, reject::BAD_TOKEN);
                     return;
@@ -743,7 +737,7 @@ impl Pop {
             let key = replay_key(tok);
             self.replay_seen.insert(key, shard);
             self.replay_order.push_back(key);
-            if self.replay_order.len() > self.cfg.max_replay_entries {
+            if self.replay_order.len() > MAX_REPLAY_ENTRIES {
                 if let Some(old) = self.replay_order.pop_front() {
                     self.replay_seen.remove(&old);
                 }
@@ -825,7 +819,7 @@ impl Pop {
                 if st.buf.len() >= 16 {
                     let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
                     let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
-                        .min(self.cfg.max_response_bytes);
+                        .min(MAX_RESPONSE_BYTES);
                     st.answered = true;
                     st.buf = Vec::new();
                     let body: Vec<u8> = (0..n).map(|i| ((off + i) % 251) as u8).collect();
@@ -958,8 +952,6 @@ mod tests {
     use crate::token;
     use xlink_core::lb::server_id;
 
-    const LIFE: Duration = Duration::from_secs(2);
-
     /// A toy-origin request: `len` bytes starting at `offset`.
     fn req(offset: u64, len: u64) -> [u8; 16] {
         let mut r = [0u8; 16];
@@ -969,12 +961,7 @@ mod tests {
     }
 
     fn pop(admission: bool, shards: &[ServerId]) -> Pop {
-        Pop::new(PopConfig {
-            shards: shards.to_vec(),
-            admission,
-            token_lifetime: LIFE,
-            ..PopConfig::default()
-        })
+        Pop::new(PopConfig { shards: shards.to_vec(), admission, ..PopConfig::default() })
     }
 
     /// Drive one client against the PoP until quiescent or `rounds` out.

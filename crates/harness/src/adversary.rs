@@ -19,10 +19,10 @@ use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, Scheme, TransportTuning};
 use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit};
-use xlink_obs::{MetricsRegistry, TraceLog};
+use xlink_obs::TraceLog;
 use xlink_quic::ackranges::PnRange;
 use xlink_quic::cid::{ConnectionId, CID_LEN};
-use xlink_quic::connection::BoundedState;
+use xlink_quic::connection::{BoundedState, PSK};
 use xlink_quic::crypto::{derive_keys, KeyPair};
 use xlink_quic::frame::{ty, AckFrame, Frame};
 use xlink_quic::handshake::{Handshake, Hello};
@@ -130,12 +130,11 @@ impl QuicAttacker {
         random[..8].copy_from_slice(&ConnectionId::derive(seed, 0xa77a).0);
         random[8..].copy_from_slice(&ConnectionId::derive(seed ^ 0xffff, 0xa77b).0);
         let params = TransportParams { enable_multipath: mp, ..Default::default() };
-        let psk: &[u8] = b"xlink-demo-psk";
         QuicAttacker {
             kind,
             mp,
-            hs: Handshake::new(true, psk, random, params),
-            initial_keys: derive_keys(psk, &[0x11; 16], &[0x22; 16]),
+            hs: Handshake::new(true, PSK, random, params),
+            initial_keys: derive_keys(PSK, &[0x11; 16], &[0x22; 16]),
             keys: None,
             hello_sent: false,
             queue: VecDeque::new(),
@@ -481,24 +480,6 @@ impl AdversaryOutcome {
             None => !self.closed,
         };
         close_ok && self.victim_established && self.peak.within_caps()
-    }
-
-    /// Export the peak gauges as a [`MetricsRegistry`] snapshot.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        let mut s = m.scope("adversary");
-        s.gauge("peak_recv_ranges", self.peak.recv_ranges as f64);
-        s.gauge("recv_ranges_evicted", self.peak.recv_ranges_evicted as f64);
-        s.gauge("peak_pending_path_responses", self.peak.pending_path_responses as f64);
-        s.gauge("path_responses_dropped", self.peak.path_responses_dropped as f64);
-        s.gauge("peak_stream_segments", self.peak.stream_segments as f64);
-        s.gauge("peak_buffered_recv_bytes", self.peak.buffered_recv_bytes as f64);
-        s.counter("closed", u64::from(self.closed));
-        s.counter("drained", u64::from(self.drained));
-        if let Some((code, _)) = self.close_code {
-            s.counter("close_code", code);
-        }
-        m
     }
 }
 

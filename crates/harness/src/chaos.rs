@@ -17,43 +17,38 @@
 use crate::scenario::Scenario;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
-use xlink_netsim::{FlapSchedule, FlapStep, LinkConfig, LinkState, Path, Rng};
+use xlink_lab::Rng;
+use xlink_netsim::{FlapSchedule, FlapStep, LinkConfig, LinkState, Path};
 use xlink_obs::TraceLog;
 
-/// A seeded script of non-overlapping single-path outages.
+/// Outages a [`ChaosPlan`] scripts.
+pub const OUTAGES: u32 = 3;
+/// Earliest time the first outage may start: the handshake is left alone,
+/// and the first outage lands inside even a short transfer.
+pub const START_AFTER: Duration = Duration::from_millis(300);
+/// Shortest outage.
+pub const MIN_DOWN: Duration = Duration::from_millis(600);
+/// Longest outage.
+pub const MAX_DOWN: Duration = Duration::from_millis(2000);
+/// Minimum healthy gap between consecutive outages (lets the failed path
+/// revalidate and rejoin before the next path dies).
+pub const MIN_GAP: Duration = Duration::from_millis(2500);
+/// Extra random slack added to the gap, up to this much.
+pub const GAP_JITTER: Duration = Duration::from_millis(1500);
+
+/// A seeded script of non-overlapping single-path outages: [`OUTAGES`]
+/// outages of [`MIN_DOWN`]–[`MAX_DOWN`] from [`START_AFTER`] on, each
+/// followed by [`MIN_GAP`] plus up to [`GAP_JITTER`] of recovery.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// Seed for outage placement (path choice, start, length).
     pub seed: u64,
-    /// Number of outages to script.
-    pub outages: u32,
-    /// Earliest time the first outage may start (leave the handshake
-    /// alone so every scheme reaches steady state first).
-    pub start_after: Duration,
-    /// Shortest outage.
-    pub min_down: Duration,
-    /// Longest outage.
-    pub max_down: Duration,
-    /// Minimum healthy gap between consecutive outages (lets the failed
-    /// path revalidate and rejoin before the next path dies).
-    pub min_gap: Duration,
-    /// Extra random slack added to the gap, up to this much.
-    pub gap_jitter: Duration,
 }
 
 impl ChaosPlan {
-    /// A moderately hostile default: three outages of 1–3 s separated by
-    /// multi-second recovery windows.
+    /// The plan of `seed`.
     pub fn new(seed: u64) -> Self {
-        ChaosPlan {
-            seed,
-            outages: 3,
-            start_after: Duration::from_millis(800),
-            min_down: Duration::from_millis(1000),
-            max_down: Duration::from_millis(3000),
-            min_gap: Duration::from_millis(2500),
-            gap_jitter: Duration::from_millis(1500),
-        }
+        ChaosPlan { seed }
     }
 
     /// Expand the plan into per-path flap schedules over `num_paths`
@@ -64,19 +59,14 @@ impl ChaosPlan {
         assert!(num_paths >= 2, "chaos needs a survivor path");
         let mut rng = Rng::new(self.seed ^ 0xc4a0_5bad);
         let mut steps: Vec<Vec<FlapStep>> = vec![Vec::new(); num_paths];
-        let mut t = Instant::ZERO + self.start_after;
-        let down_range = self.max_down.saturating_sub(self.min_down).as_micros();
-        let jitter = self.gap_jitter.as_micros();
-        for _ in 0..self.outages {
+        let mut t = Instant::ZERO + START_AFTER;
+        let down_range = (MAX_DOWN - MIN_DOWN).as_micros();
+        for _ in 0..OUTAGES {
             let victim = rng.below(num_paths as u64) as usize;
-            let down = self.min_down
-                + Duration::from_micros(if down_range > 0 { rng.below(down_range + 1) } else { 0 });
+            let down = MIN_DOWN + Duration::from_micros(rng.below(down_range + 1));
             steps[victim].push(FlapStep { at: t, state: LinkState::Down });
             steps[victim].push(FlapStep { at: t + down, state: LinkState::Up });
-            t = t
-                + down
-                + self.min_gap
-                + Duration::from_micros(if jitter > 0 { rng.below(jitter + 1) } else { 0 });
+            t = t + down + MIN_GAP + Duration::from_micros(rng.below(GAP_JITTER.as_micros() + 1));
         }
         steps
             .into_iter()
@@ -84,11 +74,6 @@ impl ChaosPlan {
             .filter(|(_, s)| !s.is_empty())
             .map(|(i, s)| (i, FlapSchedule::new(s)))
             .collect()
-    }
-
-    /// Virtual time at which the last scripted outage has healed.
-    pub fn horizon(&self) -> Duration {
-        self.start_after + (self.max_down + self.min_gap + self.gap_jitter) * self.outages
     }
 
     /// The plan's outages laid over `paths`. By convention transfers run
@@ -125,37 +110,6 @@ impl CrashPlan {
     /// is what the trace-invariance experiments script.
     pub fn total_outage(at: Duration, shards: &[ServerId], down: Duration) -> Self {
         CrashPlan { crashes: shards.iter().map(|&s| (at, s)).collect(), restart_after: Some(down) }
-    }
-
-    /// Seed-derived plan: `count` crashes of shards drawn from `shards`,
-    /// spread over `[start_after, start_after + window)`, each restarted
-    /// after `down`. Same seed → same crash script.
-    pub fn seeded(
-        seed: u64,
-        shards: &[ServerId],
-        count: u32,
-        start_after: Duration,
-        window: Duration,
-        down: Duration,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a crash plan needs shards to crash");
-        let mut rng = Rng::new(seed ^ 0x0c4a_54ed);
-        let span = window.as_micros();
-        let crashes = (0..count)
-            .map(|_| {
-                let at =
-                    start_after + Duration::from_micros(if span > 0 { rng.below(span) } else { 0 });
-                let shard = shards[rng.below(shards.len() as u64) as usize];
-                (at, shard)
-            })
-            .collect();
-        CrashPlan { crashes, restart_after: Some(down) }
-    }
-
-    /// Virtual time by which every scripted crash has restarted.
-    pub fn horizon(&self) -> Duration {
-        let last = self.crashes.iter().map(|&(at, _)| at).max().unwrap_or(Duration::ZERO);
-        last + self.restart_after.unwrap_or(Duration::ZERO)
     }
 }
 
@@ -212,8 +166,7 @@ mod tests {
     #[test]
     fn plan_outages_never_overlap_and_spare_a_survivor() {
         for seed in 0..20 {
-            let plan = ChaosPlan { outages: 6, ..ChaosPlan::new(seed) };
-            let flaps = plan.flap_schedules(3);
+            let flaps = ChaosPlan::new(seed).flap_schedules(3);
             // Collect all (start, end) windows across paths.
             let mut windows: Vec<(Instant, Instant)> = Vec::new();
             for (_, sched) in &flaps {
@@ -226,14 +179,14 @@ mod tests {
                     i += 2;
                 }
             }
-            assert_eq!(windows.iter().len(), 6, "all outages placed");
+            assert_eq!(windows.len(), OUTAGES as usize, "all outages placed");
             windows.sort();
             for w in windows.windows(2) {
-                assert!(w[0].1 <= w[1].0, "outages must not overlap: {windows:?}");
+                assert!(w[0].1 + MIN_GAP <= w[1].0, "outages must not overlap: {windows:?}");
             }
             for (start, end) in &windows {
-                assert!(*end > *start);
-                assert!(*start >= Instant::ZERO + plan.start_after);
+                assert!(*end >= *start + MIN_DOWN && *end <= *start + MAX_DOWN);
+                assert!(*start >= Instant::ZERO + START_AFTER);
             }
         }
     }
@@ -248,40 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn crash_plan_is_deterministic_and_bounded() {
-        let mk = || {
-            CrashPlan::seeded(
-                5,
-                &[1, 2, 3],
-                4,
-                Duration::from_millis(200),
-                Duration::from_secs(1),
-                Duration::from_millis(50),
-            )
-        };
-        let (a, b) = (mk(), mk());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "same seed, same script");
-        assert_eq!(a.crashes.len(), 4);
-        for &(at, shard) in &a.crashes {
-            assert!(at >= Duration::from_millis(200) && at < Duration::from_millis(1200));
-            assert!([1, 2, 3].contains(&shard));
-        }
-        let c = CrashPlan::seeded(
-            6,
-            &[1, 2, 3],
-            4,
-            Duration::from_millis(200),
-            Duration::from_secs(1),
-            Duration::from_millis(50),
-        );
-        assert_ne!(format!("{a:?}"), format!("{c:?}"), "different seed, different script");
+    fn total_outage_crashes_every_shard_at_once() {
         let total =
             CrashPlan::total_outage(Duration::from_millis(300), &[1, 2], Duration::from_millis(80));
         assert_eq!(
             total.crashes,
             vec![(Duration::from_millis(300), 1), (Duration::from_millis(300), 2)]
         );
-        assert_eq!(total.horizon(), Duration::from_millis(380));
+        assert_eq!(total.restart_after, Some(Duration::from_millis(80)));
     }
 
     #[test]

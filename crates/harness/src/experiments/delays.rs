@@ -6,7 +6,7 @@ use crate::scenario::{PathSpec, CROSS_ISP_DELAY_PCT};
 use xlink_clock::Duration;
 use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_lab::stats::percentile;
-use xlink_netsim::Rng;
+use xlink_lab::Rng;
 
 /// RTT statistics for one technology.
 #[derive(Debug, Clone)]

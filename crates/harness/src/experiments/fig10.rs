@@ -138,7 +138,7 @@ pub fn print(rows: &[Fig10Row]) {
 /// always-on.
 const TUNING_MS: [(u64, u64); 5] = [(0, 1), (100, 500), (300, 1500), (800, 3000), (5000, 20000)];
 
-/// Under each of [`TUNING_MS`], `runs` seeded sessions, the outage sliding
+/// Under each of `TUNING_MS`, `runs` seeded sessions, the outage sliding
 /// half a second later with each.
 pub fn threshold_tuning(runs: u64) -> Vec<((u64, u64), Vec<SessionResult>)> {
     let session = |thresholds_ms, s: u64| {

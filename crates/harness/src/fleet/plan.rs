@@ -14,7 +14,7 @@ use crate::par;
 use crate::scenario::PathSpec;
 use xlink_clock::{Duration, Instant};
 use xlink_core::{Scheme, TransportTuning, WirelessTech};
-use xlink_netsim::Rng;
+use xlink_lab::Rng;
 use xlink_traces::Trace;
 use xlink_video::Video;
 

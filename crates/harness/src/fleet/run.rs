@@ -56,11 +56,9 @@ fn session_config(cfg: &FleetConfig, plan: &SessionPlan, arm_b: bool) -> Session
     let mut s = SessionConfig::short_video(scheme, plan.seed);
     // Into the default tuning's own fields: its path list is reused, so a
     // session allocates what it did before the fleet carried a tuning.
-    let TransportTuning { thresholds_ms, ack_policy, path_techs, primary_override, auto_failover } =
-        &cfg.tuning;
+    let TransportTuning { thresholds_ms, ack_policy, path_techs, primary_override } = &cfg.tuning;
     let t = &mut s.tuning;
-    (t.thresholds_ms, t.ack_policy, t.auto_failover) =
-        (*thresholds_ms, *ack_policy, *auto_failover);
+    (t.thresholds_ms, t.ack_policy) = (*thresholds_ms, *ack_policy);
     t.path_techs.clone_from(path_techs);
     t.primary_override.clone_from(primary_override);
     s.video = cfg.video.clone();
@@ -117,7 +115,7 @@ fn run_shard(cfg: &FleetConfig, pool: &TracePool, shard: u32) -> ShardResult {
     out
 }
 
-/// Run the whole fleet: the shards side by side on [`par::map`]'s workers,
+/// Run the whole fleet: the shards side by side on `par::map`'s workers,
 /// then an exact merge of the shard partials in shard order. The merged
 /// report is bit-identical for any `cfg.shards ≥ 1`, any worker count and
 /// any schedule (see `tests/fleet.rs` and the `invariants` suite).
@@ -148,7 +146,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 
 /// [`run_fleet`] with hot-path profiling: the fleet under
 /// [`prof::with_recording`], the workers' span trees grafted into the
-/// caller's by [`par::map`]. The simulation outcome is bit-identical to an
+/// caller's by `par::map`. The simulation outcome is bit-identical to an
 /// unprofiled run (the off/noop/record gate in `tests/fleet.rs`).
 pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetReport, ProfReport) {
     prof::with_recording(|| run_fleet(cfg))

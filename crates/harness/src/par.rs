@@ -4,7 +4,7 @@
 //! Populations here are sets of simulations that share nothing (fleet
 //! shards, A/B days, trace archetypes), each a pure function of its index,
 //! so running them side by side changes no result — only which core did
-//! the work. [`map`] returns results in item order whatever the worker
+//! the work. `map` returns results in item order whatever the worker
 //! count and schedule, and hands the profiler across the threads it spawns
 //! ([`prof::on_worker`], [`prof::graft`]), so a profile reads the same
 //! spans, calls and allocations as a run on one thread.
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use xlink_obs::prof;
 
-/// Threads [`map`] works `items` items on, the calling thread included:
+/// Threads `map` works `items` items on, the calling thread included:
 /// one per item up to what the host can run at once.
 pub fn workers(items: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -532,7 +532,6 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
         seed: mix(cfg.seed, 0x0e09_0e09),
         max_conns: (cfg.users * 2).max(256),
         stateless_reset: cfg.stateless_reset,
-        ..PopConfig::default()
     });
     if let Some(log) = log {
         pop.set_tracer(log.tracer("edge.pop"));

@@ -29,8 +29,6 @@ pub struct SessionConfig {
     /// Concurrent chunk requests ("the use of multiple concurrent streams
     /// allows the media player to pre-fetch video chunks").
     pub prefetch: usize,
-    /// Player tuning.
-    pub player: PlayerConfig,
     /// First-video-frame acceleration at the server (frame-priority tags).
     pub first_frame_accel: bool,
     /// Hard wall-clock limit for the session.
@@ -58,7 +56,6 @@ impl SessionConfig {
             video: Video::synth(12, 25, 1_200_000, 10.0),
             chunk_bytes: 256 * 1024,
             prefetch: 2,
-            player: PlayerConfig::default(),
             first_frame_accel: true,
             deadline: Duration::from_secs(120),
             seed,
@@ -120,7 +117,7 @@ pub struct VideoClientEndpoint {
 impl VideoClientEndpoint {
     fn new(cfg: &SessionConfig, now: Instant) -> Self {
         let mut conn = MpConnection::client(cfg.scheme, &cfg.tuning, cfg.seed, now);
-        let mut player = Player::new(cfg.video.clone(), cfg.player.clone());
+        let mut player = Player::new(cfg.video.clone(), PlayerConfig::default());
         if let Some(log) = &cfg.trace {
             conn.set_tracer(&log.tracer("client"));
             player.set_tracer(log.tracer("client.video"));

@@ -6,15 +6,15 @@
 //! and a binary outage switch; real cellular pathologies are bursty and
 //! correlated (RAN queue drains, handovers, radio fades). Each stage here
 //! is a small seeded state machine; a [`Link`](crate::Link) owns one
-//! [`Pipeline`] built from its [`Impairments`] description.
+//! `Pipeline` built from its [`Impairments`] description.
 //!
 //! Seeding discipline: the pipeline derives one independent RNG stream
 //! per stage by forking the link RNG with a per-stage label, so adding or
 //! removing one stage never perturbs the draws of another, and every run
 //! stays bit-reproducible for a given `LinkConfig`.
 
-use crate::rng::Rng;
 use xlink_clock::{Duration, Instant};
+use xlink_lab::Rng;
 
 /// One impairment stage, in the order applied: drop decisions at ingress
 /// (Gilbert–Elliott), payload mutation (corruption, duplication), then

@@ -11,9 +11,9 @@
 //! [`crate::impair`]).
 
 use crate::impair::{Impairments, LinkState, Pipeline};
-use crate::rng::Rng;
 use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
+use xlink_lab::Rng;
 use xlink_obs::{prof, Event, Tracer};
 
 /// Bytes one delivery opportunity can carry (Mahimahi's MTU).

@@ -79,9 +79,8 @@ impl Path {
         Path { up: Link::new(cfg.clone()), down: Link::new(cfg) }
     }
 
-    /// Apply a scripted [`LinkState`](crate::impair::LinkState) to both
-    /// directions.
-    pub fn set_state(&mut self, state: crate::impair::LinkState) {
+    /// Apply a scripted [`LinkState`] to both directions.
+    pub fn set_state(&mut self, state: LinkState) {
         self.up.set_state(state);
         self.down.set_state(state);
     }
@@ -157,8 +156,16 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
     }
 
     /// Script the links: one up/down/degrade schedule per listed path.
-    /// This is the only way link state changes during a run.
+    /// This is the only way link state changes during a run. Panics if a
+    /// schedule names a path the world does not have.
     pub fn with_flap_schedules(mut self, flaps: Vec<(usize, FlapSchedule)>) -> Self {
+        let paths = self.paths.len();
+        for (path, _) in &flaps {
+            assert!(
+                *path < paths,
+                "flap schedule for path {path}, but the world has {paths} paths"
+            );
+        }
         self.flaps = flaps.into_iter().map(|(p, s)| (p, s, 0)).collect();
         self
     }
@@ -177,10 +184,8 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         let mut flapped: Vec<(usize, LinkState)> = Vec::new();
         for (path, sched, idx) in &mut self.flaps {
             while let Some(step) = sched.steps().get(*idx).filter(|s| s.at <= self.now) {
-                if let Some(p) = self.paths.get_mut(*path) {
-                    p.set_state(step.state);
-                    flapped.push((*path, step.state));
-                }
+                self.paths[*path].set_state(step.state);
+                flapped.push((*path, step.state));
                 *idx += 1;
             }
         }
@@ -411,6 +416,15 @@ mod tests {
         assert!(w.server.received[0].0 >= Instant::from_millis(200));
         let (up, _) = w.paths[0].stats();
         assert!(up.is_conserved());
+    }
+
+    /// A mistyped path index must not leave the run silently fault-free.
+    #[test]
+    #[should_panic(expected = "flap schedule for path 1, but the world has 1 paths")]
+    fn flap_schedule_for_a_missing_path_is_rejected() {
+        let sched = FlapSchedule::outage(Instant::ZERO, Instant::from_millis(200));
+        let _ = World::new(blaster(1, 0, 0), blaster(0, 0, 1), vec![fast_path(0)])
+            .with_flap_schedules(vec![(1, sched)]);
     }
 
     /// An endpoint whose timer is always due: the world must call the

@@ -36,15 +36,6 @@ impl MetricsRegistry {
         self.entries.insert(name.to_string(), Metric::Counter(v));
     }
 
-    /// Add `v` to counter `name` (creates at `v`).
-    pub fn add(&mut self, name: &str, v: u64) {
-        let cur = match self.entries.get(name) {
-            Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        };
-        self.entries.insert(name.to_string(), Metric::Counter(cur + v));
-    }
-
     /// Set gauge `name` to `v` (overwrites).
     pub fn gauge(&mut self, name: &str, v: f64) {
         self.entries.insert(name.to_string(), Metric::Gauge(v));
@@ -141,8 +132,7 @@ mod tests {
     #[test]
     fn counters_and_gauges_round_trip() {
         let mut m = MetricsRegistry::new();
-        m.counter("b.total", 10);
-        m.add("b.total", 5);
+        m.counter("b.total", 15);
         m.gauge("ratio", 0.25);
         {
             let mut s = m.scope("server.path0");

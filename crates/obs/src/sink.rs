@@ -69,19 +69,12 @@ impl TraceSink for VecSink {
 pub struct RingSink {
     cap: usize,
     events: VecDeque<TraceEvent>,
-    /// Total emitted, including evicted.
-    emitted: u64,
 }
 
 impl RingSink {
     /// Ring holding at most `cap` events (`cap` ≥ 1).
     pub fn new(cap: usize) -> Self {
-        RingSink { cap: cap.max(1), events: VecDeque::new(), emitted: 0 }
-    }
-
-    /// Total events ever emitted (retained + evicted).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
+        RingSink { cap: cap.max(1), events: VecDeque::new() }
     }
 }
 
@@ -91,7 +84,6 @@ impl TraceSink for RingSink {
             self.events.pop_front();
         }
         self.events.push_back(ev);
-        self.emitted += 1;
     }
     fn snapshot(&self) -> Vec<TraceEvent> {
         self.events.iter().cloned().collect()

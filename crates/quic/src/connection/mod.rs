@@ -28,7 +28,6 @@ mod space;
 
 pub use keys::{hello_random, placeholder_dcid, Keys, Opened, ResetOracle, MAX_RESET_TOKENS};
 pub use lifecycle::{Expiry, Lifecycle, State};
-pub use liveness::LivenessConfig;
 pub use path::{AckPathPolicy, Path, PathState};
 pub use reinject::{Rank, ReinjectCandidate, ReinjectIndex, ReinjectKey, ReinjectLedger};
 pub use space::{PnSpace, SentFrame, SentFrames};
@@ -45,16 +44,19 @@ use crate::recovery::{AckOutcome, SentPacket, TimeoutOutcome, SUSPECT_AFTER_PTOS
 use crate::reset;
 use crate::rtt::RttEstimator;
 use crate::stream::{SendRange, Side, StreamMap, MAX_STREAM_SEGMENTS};
+use liveness::ACK_SILENCE;
 use xlink_clock::{Duration, Instant};
 use xlink_obs::{Event, Tracer};
+
+/// Pre-shared secret standing in for the TLS certificate chain: every
+/// endpoint of the simulation, the adversary's included, holds it.
+pub const PSK: &[u8] = b"xlink-demo-psk";
 
 /// Configuration for one endpoint.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Client or server.
     pub side: Side,
-    /// Pre-shared secret standing in for the TLS certificate chain.
-    pub psk: Vec<u8>,
     /// Our transport parameters; `enable_multipath` offers the extension.
     pub params: TransportParams,
     /// Seed for CID derivation and handshake randoms.
@@ -73,9 +75,6 @@ pub struct Config {
     pub primary: usize,
     /// ACK_MP return-path policy.
     pub ack_policy: AckPathPolicy,
-    /// Blackhole detection / automatic failover tunables (§9); the machine
-    /// runs once multipath is negotiated.
-    pub liveness: LivenessConfig,
     /// When set, CIDs advertised for extra paths carry RFC 9000 §10.3
     /// stateless-reset tokens derived from this secret, giving the peer
     /// a per-path death oracle (crash detection without PTO exhaustion).
@@ -87,14 +86,12 @@ impl Config {
     pub fn client(seed: u64) -> Self {
         Config {
             side: Side::Client,
-            psk: b"xlink-demo-psk".to_vec(),
             params: TransportParams::default(),
             seed,
             keepalive: None,
             paths: 1,
             primary: 0,
             ack_policy: AckPathPolicy::OriginalPath,
-            liveness: LivenessConfig::default(),
             reset_secret: None,
         }
     }
@@ -282,7 +279,7 @@ impl Connection {
     /// client starts the handshake on `cfg.primary`.
     pub fn new(cfg: Config, now: Instant) -> Self {
         debug_assert!(cfg.primary < cfg.paths, "the primary path is one of the paths");
-        let keys = Keys::new(cfg.side, &cfg.psk, &cfg.params, hello_random(cfg.seed));
+        let keys = Keys::new(cfg.side, PSK, &cfg.params, hello_random(cfg.seed));
         let mut cids = CidManager::new(cfg.seed);
         let local_cid = cids.issue_local().cid;
         // The primary path is implicitly validated by the handshake. Until
@@ -1054,7 +1051,6 @@ impl Connection {
         }
         // 7. Probation revalidation probes (exponential backoff; §9).
         if self.liveness_active() {
-            let lv = self.cfg.liveness;
             for i in 0..self.paths.len() {
                 let p = &mut self.paths[i];
                 let Some(pr) = p.probation.as_mut().filter(|pr| pr.next_probe_at <= now) else {
@@ -1064,7 +1060,7 @@ impl Connection {
                     continue;
                 }
                 let nonce = ((i as u64) << 32) | u64::from(pr.probes_sent);
-                pr.on_probe_sent(now, &lv);
+                pr.on_probe_sent(now);
                 // Not ack-eliciting for *our* recovery: loss of the probe
                 // is handled by the backoff schedule itself, not by PTO
                 // (which would fight the quieting backoff).
@@ -1218,7 +1214,7 @@ impl Connection {
         self.reinject.iter().flat_map(move |index| index.candidates(target))
     }
 
-    /// Copies sent [`reinject::COPY_LIFETIME`] before `now` no longer keep
+    /// Copies sent `COPY_LIFETIME` before `now` no longer keep
     /// their ranges from being copied onto the same path again.
     pub fn expire_copies(&mut self, now: Instant) {
         if let Some(index) = &mut self.reinject {
@@ -1335,7 +1331,7 @@ impl Connection {
             t = t.min(lt);
         }
         let keepalive = self.cfg.keepalive.filter(|_| self.is_established());
-        let liveness = self.liveness_active().then_some(&self.cfg.liveness);
+        let liveness = self.liveness_active();
         for p in &self.paths {
             if let Some(lt) = p.space.recovery.next_timeout(&p.rtt, mad) {
                 t = t.min(lt);
@@ -1345,12 +1341,12 @@ impl Connection {
             }
             match (liveness, p.state) {
                 // Ack-silence suspicion deadline.
-                (Some(lv), PathState::Active | PathState::Standby)
+                (true, PathState::Active | PathState::Standby)
                     if p.space.recovery.has_ack_eliciting_in_flight() =>
                 {
-                    t = t.min(p.silent_since() + lv.ack_silence);
+                    t = t.min(p.silent_since() + ACK_SILENCE);
                 }
-                (Some(_), PathState::Probation) => {
+                (true, PathState::Probation) => {
                     if let Some(pr) = &p.probation {
                         t = t.min(pr.next_probe_at);
                     }

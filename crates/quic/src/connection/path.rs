@@ -4,11 +4,12 @@
 //! revalidation. A single-path connection is the one-path case: its path
 //! is active from the start and nothing here ever moves it.
 
-use super::liveness::Probation;
+use super::liveness::{Probation, ACK_SILENCE, BLACKHOLE_AFTER_PTOS};
 use super::{Connection, PnSpace, SentFrame, MAX_PENDING_PATH_RESPONSES};
 use crate::cc::Cubic;
 use crate::cid::ConnectionId;
 use crate::frame::{Frame, PathStatusKind};
+use crate::recovery::SUSPECT_AFTER_PTOS;
 use crate::rtt::RttEstimator;
 use xlink_clock::Instant;
 use xlink_obs::Event;
@@ -278,9 +279,9 @@ impl Connection {
     }
 
     /// True when the failover machine is allowed to act: negotiated
-    /// multipath, established, and the policy switch is on.
+    /// multipath, established.
     pub(super) fn liveness_active(&self) -> bool {
-        self.cfg.liveness.enabled && self.multipath && self.is_established()
+        self.multipath && self.is_established()
     }
 
     /// The usable path with the lowest smoothed RTT.
@@ -340,7 +341,7 @@ impl Connection {
         self.requeue_path_inflight(path);
         let p = &mut self.paths[path];
         p.state = PathState::Probation;
-        p.probation = Some(Probation::start(now, &self.cfg.liveness));
+        p.probation = Some(Probation::start(now));
         p.challenge = None;
         p.probe_pending = false;
         self.stats.path_probations += 1;
@@ -398,24 +399,21 @@ impl Connection {
         if !self.liveness_active() {
             return;
         }
-        let lv = self.cfg.liveness;
         for i in 0..self.paths.len() {
             let p = &self.paths[i];
             let ptos = p.space.recovery.pto_count();
             match p.state {
                 PathState::Active | PathState::Standby => {
                     let silent = p.space.recovery.has_ack_eliciting_in_flight()
-                        && now.saturating_duration_since(p.silent_since()) >= lv.ack_silence;
-                    if ptos >= lv.suspect_after_ptos || silent {
+                        && now.saturating_duration_since(p.silent_since()) >= ACK_SILENCE;
+                    if ptos >= SUSPECT_AFTER_PTOS || silent {
                         self.suspect_path(now, i);
-                        if ptos >= lv.blackhole_after_ptos {
+                        if ptos >= BLACKHOLE_AFTER_PTOS {
                             self.enter_probation(now, i);
                         }
                     }
                 }
-                PathState::Suspect if ptos >= lv.blackhole_after_ptos => {
-                    self.enter_probation(now, i)
-                }
+                PathState::Suspect if ptos >= BLACKHOLE_AFTER_PTOS => self.enter_probation(now, i),
                 _ => {}
             }
         }

@@ -208,7 +208,7 @@ impl ReinjectIndex {
         self.refresh_around(streams, id, range, fin);
     }
 
-    /// Copies that have outlived [`COPY_LIFETIME`] no longer hold back the
+    /// Copies that have outlived `COPY_LIFETIME` no longer hold back the
     /// ranges they were made of.
     pub fn expire_copies(&mut self, streams: &StreamMap, now: Instant) {
         while let Some(key) = self.ledger.pop_expired(now, COPY_LIFETIME) {

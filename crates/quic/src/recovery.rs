@@ -38,7 +38,7 @@ pub const GRANULARITY: Duration = Duration::from_millis(1);
 pub(crate) const MAX_PTO: Duration = Duration::from_secs(2);
 /// Consecutive PTOs (without any ack progress) after which liveness
 /// detection marks a path suspect (§9). Shared by the single-path
-/// parity hook and the multipath failover machine's default config.
+/// parity hook and the multipath failover machine.
 pub(crate) const SUSPECT_AFTER_PTOS: u32 = 2;
 
 /// Metadata the connection wants back when a packet is acked or lost.

@@ -6,7 +6,7 @@
 //! into delivery opportunities by accumulating fractional quanta.
 
 use crate::Trace;
-use xlink_netsim::Rng;
+use xlink_lab::Rng;
 
 /// Convert a per-ms rate series (Mbps) into delivery opportunities.
 fn rate_to_opportunities(label: &str, rates_mbps: &[f64]) -> Trace {

@@ -16,8 +16,6 @@ use xlink::harness::experiments::attack_matrix::{attacks, VICTIMS};
 use xlink::harness::{run_attack, run_attack_traced, run_path_hijack, AttackKind, Scheme};
 use xlink::obs::TraceLog;
 use xlink::quic::ackranges::MAX_ACK_RANGES;
-use xlink::quic::connection::MAX_PENDING_PATH_RESPONSES;
-use xlink::quic::stream::MAX_STREAM_SEGMENTS;
 
 fn sweep_seeds() -> u64 {
     std::env::var("XLINK_SWEEP_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(2)
@@ -77,22 +75,12 @@ fn every_attack_terminates_cleanly() {
 }
 
 /// Peer-growable state stays under the documented §10 caps for every
-/// attack, checked through the exported `MetricsRegistry` gauges.
+/// attack.
 #[test]
 fn caps_hold_across_attacks() {
     for seed in 0..sweep_seeds() {
         for out in attacks(seed) {
-            let m = out.metrics();
             let label = format!("{}/{} seed {seed}", out.attack.label(), out.transport);
-            let ranges = m.get_gauge("adversary.peak_recv_ranges").unwrap();
-            assert!(ranges <= MAX_ACK_RANGES as f64, "{label}: recv_ranges {ranges}");
-            let pending = m.get_gauge("adversary.peak_pending_path_responses").unwrap();
-            assert!(
-                pending <= MAX_PENDING_PATH_RESPONSES as f64,
-                "{label}: pending path responses {pending}"
-            );
-            let segs = m.get_gauge("adversary.peak_stream_segments").unwrap();
-            assert!(segs <= MAX_STREAM_SEGMENTS as f64, "{label}: stream segments {segs}");
             assert!(out.peak.within_caps(), "{label}: {:?}", out.peak);
         }
     }

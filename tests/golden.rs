@@ -67,15 +67,6 @@ fn degraded_flaps() -> Vec<(usize, FlapSchedule)> {
     ]
 }
 
-fn chaos_plan(seed: u64) -> ChaosPlan {
-    ChaosPlan {
-        start_after: Duration::from_millis(300),
-        min_down: Duration::from_millis(600),
-        max_down: Duration::from_millis(2000),
-        ..ChaosPlan::new(seed)
-    }
-}
-
 const HANDOVER: (Duration, Duration) = (Duration::from_millis(400), Duration::from_secs(3));
 
 #[derive(Clone, Copy)]
@@ -105,7 +96,7 @@ fn bulk_qlog(scheme: Scheme, fault: Fault) -> u64 {
             let r = lossy().with_faults(degraded_flaps()).bulk_quic(scheme, &tuning, SIZE, 7, None);
             return fnv(format!("{r:?}").as_bytes());
         }
-        Fault::Chaos(s) => (chaos_plan(s).scenario(lossy_paths(), DEADLINE), s),
+        Fault::Chaos(s) => (ChaosPlan::new(s).scenario(lossy_paths(), DEADLINE), s),
         Fault::Handover => (handover_scenario(HANDOVER.0, HANDOVER.1, DEADLINE), 7),
     };
     let r = scenario.traced(&log).bulk_quic(scheme, &tuning, SIZE, seed, None);
