@@ -32,10 +32,11 @@ step "cargo doc: every crate, warnings are errors" \
     env RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 # Test profile (debug assertions and overflow checks on, opt-level 1): every
-# code path the suite reaches is checked. One seed per sweep here; the full
-# seed counts run in the release steps below.
-step "cargo test -q --offline (debug, one seed per sweep)" \
-    env XLINK_SWEEP_SEEDS=1 cargo test -q --offline
+# code path the suite reaches is checked, the crates' unit tests included.
+# One seed per sweep here; the full seed counts run in the release steps
+# below.
+step "cargo test -q --offline --workspace (debug, one seed per sweep)" \
+    env XLINK_SWEEP_SEEDS=1 cargo test -q --offline --workspace
 
 # Includes the golden oracle (tests/golden.rs: qlog streams, A/B and fleet
 # reports bit-identical) at the profile it was recorded in.

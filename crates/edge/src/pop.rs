@@ -800,10 +800,11 @@ impl Pop {
         let Some(b) = self.conns[slot].as_mut() else { return };
         b.conn.handle_datagram(now, payload);
         // Serve the PoP's toy origin protocol: a 16-byte little-endian
-        // `[offset | length]` request on a stream is answered with
-        // `length` bytes of the *absolute-position* pattern
-        // `(offset + i) % 251` plus FIN — byte-identical regardless of
-        // which shard serves it, and resumable at any verified offset
+        // `[offset | length]` request on a stream is answered with bytes
+        // `offset..offset + length` of the synthetic payload at phase 0
+        // (`xlink_lab::payload`, an absolute-position pattern) plus FIN,
+        // generated straight into the stream — byte-identical regardless
+        // of which shard serves it, and resumable at any verified offset
         // after a crash reconnect (the zero-byte-loss check). Every walk
         // reads the streams empty, so there is nothing to find until the
         // next stream frame arrives.
@@ -822,8 +823,10 @@ impl Pop {
                         .min(MAX_RESPONSE_BYTES);
                     st.answered = true;
                     st.buf = Vec::new();
-                    let body: Vec<u8> = (0..n).map(|i| ((off + i) % 251) as u8).collect();
-                    b.conn.stream_send(id, &body, true);
+                    let body = off..off.saturating_add(n);
+                    b.conn
+                        .streams_mut()
+                        .write_with(id, None, true, |buf| xlink_lab::payload::extend(0, body, buf));
                 }
             }
         }

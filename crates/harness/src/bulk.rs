@@ -19,7 +19,8 @@ pub struct BulkResult {
     pub download_time: Option<Duration>,
     /// Bytes received by the deadline.
     pub bytes_received: u64,
-    /// Client transport stats (always `Some`: ROADMAP item 9).
+    /// Client transport stats (always `Some`; kept an `Option` for the
+    /// ROADMAP item "finish the one yardstick", the benchmark package).
     pub client_transport: Option<TransportStats>,
     /// Server transport stats (always `Some`).
     pub server_transport: Option<TransportStats>,
@@ -37,9 +38,12 @@ struct BulkClient {
     stream: Option<u64>,
     received: u64,
     header_skipped: bool,
-    /// The response header's bytes until it is complete (the body is only
-    /// counted).
+    /// The response header's bytes until it is complete (the body is
+    /// checked and counted, not kept).
     header: Vec<u8>,
+    /// Every body byte so far is the object's: a download with a wrong
+    /// byte never completes.
+    ok: bool,
     done_at: Option<Instant>,
     /// Static QoE feedback to advertise (None = no feedback, which the
     /// server's controller treats as start-up urgency).
@@ -49,13 +53,14 @@ struct BulkClient {
 impl BulkClient {
     /// A client about to ask for `size` bytes over `conn`, advertising `qoe`.
     fn new(conn: MpConnection, size: u64, qoe: Option<QoeSignal>) -> Self {
-        let (stream, received, header_skipped, header, done_at) =
-            (None, 0, false, Vec::new(), None);
-        BulkClient { conn, size, stream, received, header_skipped, header, done_at, qoe }
+        let (stream, received, header_skipped, header, ok, done_at) =
+            (None, 0, false, Vec::new(), true, None);
+        BulkClient { conn, size, stream, received, header_skipped, header, ok, done_at, qoe }
     }
 
     /// Read what arrived of the response through the consuming read: the
-    /// header is copied until it is complete, the body only counted.
+    /// header is copied until it is complete, the body checked against the
+    /// object's bytes at the offset it continues from and counted.
     fn read_response(&mut self, now: Instant) {
         let Some(id) = self.stream else { return };
         let mut data = self.conn.stream_consume(id, usize::MAX);
@@ -66,9 +71,10 @@ impl BulkClient {
             self.header_skipped = Response::decode(&self.header).is_some();
         }
         if self.header_skipped {
+            self.ok &= MediaStore::body_matches(OBJECT, self.received, data);
             self.received += data.len() as u64;
         }
-        if self.received >= self.size && self.done_at.is_none() {
+        if self.ok && self.received >= self.size && self.done_at.is_none() {
             self.done_at = Some(now);
         }
     }
@@ -92,7 +98,7 @@ impl Endpoint for BulkClient {
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
         if self.conn.is_established() && self.stream.is_none() {
             let id = self.conn.open_stream(0);
-            let req = Request { object: "blob".into(), start: 0, end: self.size };
+            let req = Request { object: OBJECT.into(), start: 0, end: self.size };
             self.conn.stream_send(id, &req.encode(), true);
             self.stream = Some(id);
         }
@@ -165,6 +171,9 @@ impl Scenario {
     }
 }
 
+/// The one object a bulk session downloads.
+const OBJECT: &str = "blob";
+
 /// A store of one "blob": a 1-frame video sized to the request. Frame 0
 /// spans the first ~64 KB (a realistic first-frame size) so frame-priority
 /// paths are exercised even for bulk fetches.
@@ -172,7 +181,7 @@ fn blob(size: u64) -> MediaStore {
     let mut store = MediaStore::new();
     let ff = size.clamp(1, 64 * 1024);
     store
-        .insert("blob", Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]));
+        .insert(OBJECT, Video::from_frames(25, 8 * size, vec![ff, size.saturating_sub(ff).max(1)]));
     store
 }
 

@@ -158,7 +158,8 @@ mod tests {
     use super::*;
 
     /// EXPERIMENTS.md's shape criteria for the figure, and the decision
-    /// rule the MPTCP arm was folded into the engine under (ROADMAP item 8).
+    /// rule the MPTCP arm was folded into the engine under (the ROADMAP
+    /// item "One transport under every baseline").
     #[test]
     fn figure_has_the_papers_shape() {
         let rows = run(10);

@@ -3,10 +3,11 @@
 //! [`xlink_edge::Pop`] under the netsim emulator.
 //!
 //! Each honest session is a real `xlink_quic` client that passes
-//! Retry-token admission, downloads one patterned object from its
-//! backend shard, and byte-verifies every chunk — so the drain and
-//! crash experiments can assert *zero stream-byte loss*, not just "it
-//! finished". The runner supports mid-run shard drain
+//! Retry-token admission, downloads one object from its backend shard
+//! (the synthetic [`xlink_lab::payload`] at phase 0, served by the PoP's
+//! toy origin), and verifies every byte, one slice compare per arrival —
+//! so the drain and crash experiments can assert *zero stream-byte
+//! loss*, not just "it finished". The runner supports mid-run shard drain
 //! ([`PopRunConfig::drain`]), scripted shard crashes
 //! ([`PopRunConfig::crash`]), and flood mixing
 //! ([`PopRunConfig::attack`]), and reports the PoP's bounded-state
@@ -30,6 +31,7 @@ use std::collections::BTreeMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
 use xlink_edge::{classify, Classified, Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
+use xlink_lab::payload;
 use xlink_netsim::{Deadlines, Endpoint, LinkConfig, Path, Transmit, Wakeups, World};
 use xlink_obs::{prof, Event, TraceLog, Tracer};
 use xlink_quic::cid::ConnectionId;
@@ -211,6 +213,40 @@ struct Session {
 }
 
 impl Session {
+    /// Honest session `i` of the run `cfg`, before its start time.
+    fn new(cfg: &PopRunConfig, i: usize, tracer: Tracer) -> Self {
+        let zero = Instant::ZERO;
+        let mut s = Session {
+            conn: Connection::new(Config::client(0), zero),
+            addr: i % cfg.addrs,
+            start: zero + cfg.stagger * i as u32,
+            stream: None,
+            want: cfg.request_bytes,
+            received: 0,
+            ok: true,
+            done_at: None,
+            seed_base: cfg.seed,
+            salt: 0xc11e_0000 + i as u64,
+            idle_timeout: cfg.idle_timeout,
+            attempts: 0,
+            gave_up: false,
+            resets_seen: 0,
+            detects: Vec::new(),
+            pending_resume: None,
+            recoveries: Vec::new(),
+            counted_done: false,
+            tracer,
+        };
+        // Birth the connection at its own staggered start, not the
+        // world's zero: idle is receive-only, so a conn created at t=0
+        // but started late would begin life with its idle clock already
+        // part-spent.
+        let mut conn = Connection::new(s.client_config(0), s.start);
+        conn.set_tracer(s.tracer.clone());
+        s.conn = conn;
+        s
+    }
+
     fn client_config(&self, incarnation: u32) -> Config {
         let seed = if incarnation == 0 {
             mix(self.seed_base, self.salt)
@@ -246,16 +282,13 @@ impl Session {
         }
     }
 
-    /// Read and byte-verify response data against the absolute pattern,
-    /// through the consuming read.
+    /// Read response data through the consuming read and verify it
+    /// against the payload at the offset it continues from.
     fn absorb(&mut self, now: Instant) {
         let Some(id) = self.stream else { return };
-        for &b in self.conn.stream_consume(id, usize::MAX) {
-            if b != (self.received % 251) as u8 {
-                self.ok = false;
-            }
-            self.received += 1;
-        }
+        let data = self.conn.stream_consume(id, usize::MAX);
+        self.ok &= payload::matches(0, self.received, data);
+        self.received += data.len() as u64;
         if self.received >= self.want && self.done_at.is_none() {
             self.done_at = Some(now);
         }
@@ -536,39 +569,12 @@ fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
     if let Some(log) = log {
         pop.set_tracer(log.tracer("edge.pop"));
     }
-    let mut sessions = Vec::with_capacity(cfg.users);
-    for i in 0..cfg.users {
-        let tracer = log.map_or_else(Tracer::disabled, |log| log.tracer(&format!("client{i}")));
-        let mut s = Session {
-            conn: Connection::new(Config::client(0), zero),
-            addr: i % cfg.addrs,
-            start: zero + cfg.stagger * i as u32,
-            stream: None,
-            want: cfg.request_bytes,
-            received: 0,
-            ok: true,
-            done_at: None,
-            seed_base: cfg.seed,
-            salt: 0xc11e_0000 + i as u64,
-            idle_timeout: cfg.idle_timeout,
-            attempts: 0,
-            gave_up: false,
-            resets_seen: 0,
-            detects: Vec::new(),
-            pending_resume: None,
-            recoveries: Vec::new(),
-            counted_done: false,
-            tracer,
-        };
-        // Birth the connection at its own staggered start, not the
-        // world's zero: idle is receive-only, so a conn created at t=0
-        // but started late would begin life with its idle clock already
-        // part-spent.
-        let mut conn = Connection::new(s.client_config(0), s.start);
-        conn.set_tracer(s.tracer.clone());
-        s.conn = conn;
-        sessions.push(s);
-    }
+    let sessions = (0..cfg.users)
+        .map(|i| {
+            let tracer = log.map_or_else(Tracer::disabled, |log| log.tracer(&format!("client{i}")));
+            Session::new(cfg, i, tracer)
+        })
+        .collect();
     let attacker = cfg.attack.map(|(kind, budget)| EdgeAttacker::new(kind, cfg.seed, budget));
     let fleet = PopFleet::new(sessions, cfg.addrs, attacker);
     let n_paths = cfg.addrs + usize::from(cfg.attack.is_some());
@@ -672,6 +678,48 @@ mod tests {
         // Admission-on means every session ate exactly one Retry.
         assert_eq!(r.stats.rejected("no_token"), 12);
         assert_eq!(r.reconnects, 0, "no fault, no reconnects: {r:?}");
+    }
+
+    /// A session fed a wrong byte ends unverified, which is what clears
+    /// the report's `bytes_ok`. Here, once the session has asked for its
+    /// object from offset 0, its verified offset is bumped by `skew`: with
+    /// a skew of one every byte arrives one place late, the repeated byte
+    /// of a resume splice that went wrong.
+    #[test]
+    fn a_wrong_byte_leaves_the_session_unverified() {
+        for skew in [0, 1] {
+            let cfg = PopRunConfig { users: 1, addrs: 1, admission: false, ..small() };
+            let mut s = Session::new(&cfg, 0, Tracer::disabled());
+            let mut pop = Pop::new(PopConfig {
+                shards: cfg.shards.clone(),
+                admission: false,
+                ..PopConfig::default()
+            });
+            let mut now = Instant::ZERO;
+            while s.done_at.is_none() && now < Instant::from_secs(5) {
+                if s.stream.is_none() {
+                    s.drive(now);
+                    if s.stream.is_some() {
+                        s.received += skew;
+                    }
+                }
+                while let Some(d) = s.conn.poll_transmit(now) {
+                    pop.on_datagram(now, s.addr, &d);
+                }
+                while let Some(t) = Endpoint::poll_transmit(&mut pop, now) {
+                    s.conn.handle_datagram(now, &t.payload);
+                    s.absorb(now);
+                }
+                now += Duration::from_millis(5);
+                if s.conn.poll_timeout().is_some_and(|t| t <= now) {
+                    s.conn.on_timeout(now);
+                }
+                Endpoint::on_timeout(&mut pop, now);
+            }
+            assert!(s.done_at.is_some(), "skew {skew}: the download must finish");
+            assert_eq!(s.received, cfg.request_bytes + skew);
+            assert_eq!(s.ok, skew == 0, "skew {skew}");
+        }
     }
 
     #[test]

@@ -218,6 +218,12 @@ impl<T> Recovery<T> {
         ack_eliciting: bool,
         content: T,
     ) -> u64 {
+        // `oldest_unacked_time` reads the front slot as the minimum.
+        let last = self.sent.back().and_then(Option::as_ref).map(|p| p.time_sent);
+        debug_assert!(
+            last.max(self.time_of_last_ack_eliciting).is_none_or(|t| t <= now),
+            "send times go backwards"
+        );
         let pn = self.next_pn;
         self.next_pn += 1;
         if ack_eliciting {
@@ -413,9 +419,10 @@ impl<T> Recovery<T> {
     }
 
     /// Oldest unacked send time (used for persistent-congestion checks and
-    /// scheduler introspection).
+    /// scheduler introspection): the front slot's, since packets are kept
+    /// in send order and sent at non-decreasing times.
     pub fn oldest_unacked_time(&self) -> Option<Instant> {
-        self.unacked().map(|p| p.time_sent).min()
+        self.sent.front().and_then(Option::as_ref).map(|p| p.time_sent)
     }
 
     /// Drain every tracked packet (used when abandoning a path: its
@@ -646,6 +653,8 @@ mod tests {
                     let in_flight: u64 =
                         rec.unacked().filter(|p| p.in_flight).map(|p| p.size).sum();
                     prop_assert_eq!(rec.bytes_in_flight(), in_flight);
+                    let oldest = rec.unacked().map(|p| p.time_sent).min();
+                    prop_assert_eq!(rec.oldest_unacked_time(), oldest);
                 }
                 Ok(())
             },

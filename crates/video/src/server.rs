@@ -1,8 +1,9 @@
 //! The media store a CDN edge server serves video ranges from.
 //!
-//! Bodies are generated deterministically (byte at offset `o` of object
-//! `name` is a pure function of both), so clients can verify end-to-end
-//! integrity without the store shipping real media. The store also knows
+//! Bodies are generated deterministically: object `name` is the synthetic
+//! [`payload`] at the phase its name hashes to, so clients can verify
+//! end-to-end integrity without the store shipping real media, and a body
+//! is made and checked by table copy and compare. The store also knows
 //! each video's frame layout so the server endpoint can tag the first
 //! video frame's bytes with the highest frame priority (the paper's
 //! first-video-frame acceleration, §5.1).
@@ -10,9 +11,7 @@
 use crate::model::Video;
 use std::collections::HashMap;
 use std::ops::Range;
-
-/// The body byte at offset `o` mixes in `o · GOLDEN` (wrapping).
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+use xlink_lab::payload;
 
 /// A named collection of video objects.
 #[derive(Debug, Default)]
@@ -38,37 +37,28 @@ impl MediaStore {
 
     /// Deterministic body byte for `object` at absolute offset `off`.
     pub fn body_byte(object: &str, off: u64) -> u8 {
-        Self::byte_at(Self::name_hash(object), off)
+        payload::byte(Self::phase(object), off)
     }
 
     /// Append the bytes `range` of `object` to `out`, each as
-    /// [`MediaStore::body_byte`] defines it, with the name hashed once for
-    /// the whole range and the offset's product stepped by addition: a
-    /// server generates a response body straight into the stream it is
-    /// sent from. No store is consulted, so nothing is clamped.
+    /// [`MediaStore::body_byte`] defines it: a server generates a response
+    /// body straight into the stream it is sent from. No store is
+    /// consulted, so nothing is clamped.
     pub fn extend_body(object: &str, range: Range<u64>, out: &mut Vec<u8>) {
-        let name = Self::name_hash(object);
-        let mut product = range.start.wrapping_mul(GOLDEN);
-        out.extend(range.map(|_| {
-            let byte = Self::mix(name ^ product);
-            product = product.wrapping_add(GOLDEN);
-            byte
-        }));
+        payload::extend(Self::phase(object), range, out);
     }
 
-    /// FNV-1a over the object name.
-    fn name_hash(object: &str) -> u64 {
+    /// Whether `data` is the body of `object` from offset `start` on: a
+    /// client checks each piece of a response as it arrives.
+    pub fn body_matches(object: &str, start: u64, data: &[u8]) -> bool {
+        payload::matches(Self::phase(object), start, data)
+    }
+
+    /// The payload phase of an object: FNV-1a over its name.
+    fn phase(object: &str) -> u64 {
         object
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-    }
-
-    fn byte_at(name_hash: u64, off: u64) -> u8 {
-        Self::mix(name_hash ^ off.wrapping_mul(GOLDEN))
-    }
-
-    fn mix(h: u64) -> u8 {
-        ((h ^ (h >> 29)) & 0xff) as u8
     }
 
     /// The bytes of `object` a request for `start..end` gets: the range
@@ -180,6 +170,18 @@ mod tests {
         let a = s.body_range("v1", 0, 100).unwrap();
         let b = s.body_range("v1", 50, 150).unwrap();
         assert_eq!(&a[50..], &b[..50]);
+    }
+
+    #[test]
+    fn body_matches_only_the_object_at_its_offset() {
+        let body = generated(300, 2_000);
+        assert!(MediaStore::body_matches("v1", 300, &body));
+        assert!(MediaStore::body_matches("v1", 1_000, &body[700..]));
+        assert!(!MediaStore::body_matches("v1", 301, &body));
+        assert!(!MediaStore::body_matches("v2", 300, &body));
+        let mut bad = body.clone();
+        bad[1_234] ^= 0x10;
+        assert!(!MediaStore::body_matches("v1", 300, &bad));
     }
 
     #[test]
