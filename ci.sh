@@ -10,6 +10,11 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# A green run leaves `git status` as it found it: taken here, compared by
+# the last step (outside a git checkout both readings say so and agree).
+tree_status() { git status --porcelain 2>/dev/null || echo "not a git checkout"; }
+tree_at_start=$(tree_status)
+
 # Run one step: title, then the command (with `env VAR=… cmd` for
 # environment, `sh -c '…'` for redirections), and its wall time.
 step() {
@@ -138,5 +143,12 @@ xbench() {
     return $status
 }
 step "benchmark package: its tests, then each workload once (--seconds 1 --trace 0)" xbench
+
+tree_unchanged() {
+    [ "$(tree_status)" = "$tree_at_start" ] && return 0
+    printf '    git status at the start:\n%s\n    git status now:\n' "$tree_at_start"
+    tree_status; return 1
+}
+step "git status: the run left the tree as it found it" tree_unchanged
 
 echo "==> ci.sh: all green"

@@ -37,7 +37,7 @@ use xlink_core::lb::{encode_cid, ServerId};
 use xlink_netsim::{Endpoint, Transmit, Wakeups};
 use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cid::ConnectionId;
-use xlink_quic::connection::{Config, Connection, AMP_FACTOR};
+use xlink_quic::connection::{placeholder_dcid, Config, Connection, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
 
 use crate::router::{classify, Classified, EdgeRouter};
@@ -54,7 +54,8 @@ pub mod reject {
     pub const EXPIRED_TOKEN: &str = "expired_token";
     /// Token already spent once.
     pub const REPLAYED_TOKEN: &str = "replayed_token";
-    /// Sending a Retry would exceed the 3× pre-validation budget.
+    /// Sending a Retry or a stateless reset would exceed the 3×
+    /// pre-validation budget.
     pub const AMPLIFICATION: &str = "amplification";
     /// A bounded table (address accounts, Retry queue) is full.
     pub const TABLE_FULL: &str = "table_full";
@@ -622,20 +623,30 @@ impl Pop {
         // is then grinding noise and its "token" matches no client).
         let secret = self.secret_for(shard, st.epoch.saturating_sub(1));
         let dgram = reset::build_stateless_reset(secret, dcid);
+        if self.queue_unvalidated(now, addr, dgram.to_vec()) {
+            self.stats.resets_sent += 1;
+            self.tracer.emit(now, Event::StatelessReset { path: addr as u8 });
+        }
+    }
+
+    /// Queue `datagram` for `addr`, which has not proven it owns its
+    /// address, within the pre-validation amplification budget and the
+    /// queue cap: whether it was queued (a refusal is counted as a
+    /// rejection).
+    fn queue_unvalidated(&mut self, now: Instant, addr: usize, datagram: Vec<u8>) -> bool {
         let acct = self.addr_acct.entry(addr).or_default();
-        if acct.sent + dgram.len() as u64 > acct.received.saturating_mul(AMP_FACTOR) {
+        if acct.sent + datagram.len() as u64 > acct.received.saturating_mul(AMP_FACTOR) {
             self.reject(now, reject::AMPLIFICATION);
-            return;
+            return false;
         }
         if self.pending.len() >= MAX_PENDING_RETRIES {
             self.reject(now, reject::TABLE_FULL);
-            return;
+            return false;
         }
-        acct.sent += dgram.len() as u64;
-        self.pending.push_back((addr, dgram.to_vec()));
+        acct.sent += datagram.len() as u64;
+        self.pending.push_back((addr, datagram));
         self.peak_pending = self.peak_pending.max(self.pending.len());
-        self.stats.resets_sent += 1;
-        self.tracer.emit(now, Event::StatelessReset { path: addr as u8 });
+        true
     }
 
     fn reject(&mut self, now: Instant, reason: &'static str) {
@@ -654,25 +665,14 @@ impl Pop {
             dcid: scid,
             // Stand-in SCID: the client readdresses its tokened Initial
             // to this, which is the same placeholder all Initials carry.
-            scid: ConnectionId::derive(0x1317, 0),
+            scid: placeholder_dcid(),
             pn: 0,
             pn_len: 1,
             token: tok.to_vec(),
         };
-        let bytes = header.encode();
-        let acct = self.addr_acct.entry(addr).or_default();
-        if acct.sent + bytes.len() as u64 > acct.received.saturating_mul(AMP_FACTOR) {
-            self.reject(now, reject::AMPLIFICATION);
-            return;
+        if self.queue_unvalidated(now, addr, header.encode()) {
+            self.stats.retries_sent += 1;
         }
-        if self.pending.len() >= MAX_PENDING_RETRIES {
-            self.reject(now, reject::TABLE_FULL);
-            return;
-        }
-        acct.sent += bytes.len() as u64;
-        self.pending.push_back((addr, bytes));
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        self.stats.retries_sent += 1;
     }
 
     /// Admission path for an Initial whose SCID matches no connection.
@@ -1140,6 +1140,34 @@ mod tests {
         // Grind datagrams are tiny (≤ the reset size) and the grinder
         // has no byte budget: not a single reset leaves the PoP.
         assert_eq!(p.stats().resets_sent, 0);
+    }
+
+    #[test]
+    fn a_reset_waits_for_the_address_budget() {
+        let mut p = pop(true, &[1]);
+        let now = Instant::from_millis(1);
+        // A short header bigger than a reset, for a live shard's CID that
+        // no connection holds, from an address that never sent a byte of
+        // handshake: the reset would be pure amplification.
+        let mut trigger = vec![0b0100_0000u8];
+        trigger.extend_from_slice(&encode_cid(1, 0, 0x5eed).0);
+        trigger.resize(reset::RESET_DATAGRAM_LEN + 20, 0);
+        p.on_datagram(now, 7, &trigger);
+        assert_eq!(p.stats().rejected(reject::AMPLIFICATION), 1);
+        assert_eq!(p.stats().resets_sent, 0);
+        assert!(Endpoint::poll_transmit(&mut p, now).is_none(), "nothing queued");
+        // Once the address has sent an Initial (answered by a Retry), the
+        // same trigger draws a reset within its budget.
+        let mut c = Connection::new(Config::client(0x77), now);
+        let initial = c.poll_transmit(now).expect("hello");
+        p.on_datagram(now, 7, &initial);
+        assert_eq!(p.stats().retries_sent, 1);
+        assert!(Endpoint::poll_transmit(&mut p, now).is_some(), "the Retry");
+        p.on_datagram(now, 7, &trigger);
+        let t = Endpoint::poll_transmit(&mut p, now).expect("stateless reset queued");
+        assert_eq!((t.path, t.payload.len()), (7, reset::RESET_DATAGRAM_LEN));
+        assert_eq!(p.stats().resets_sent, 1);
+        assert_eq!(p.stats().rejected(reject::AMPLIFICATION), 1);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! never a panic, never unbounded state growth, never a hang past the
 //! 3×PTO draining period.
 
+use crate::bulk::bulk_pair;
+use crate::chaos::handover_paths;
 use crate::scenario::Scenario;
+use crate::transport::{App, AppEndpoint};
 use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, Scheme, TransportTuning};
@@ -22,7 +25,7 @@ use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit};
 use xlink_obs::TraceLog;
 use xlink_quic::ackranges::PnRange;
 use xlink_quic::cid::{ConnectionId, CID_LEN};
-use xlink_quic::connection::{BoundedState, PSK};
+use xlink_quic::connection::{placeholder_dcid, BoundedState, PSK};
 use xlink_quic::crypto::{derive_keys, KeyPair};
 use xlink_quic::frame::{ty, AckFrame, Frame};
 use xlink_quic::handshake::{Handshake, Hello};
@@ -156,7 +159,7 @@ impl QuicAttacker {
     fn dcid(&self) -> ConnectionId {
         // Neither victim routes on the DCID in this single-connection
         // harness, mirroring the SP stack's placeholder client DCID.
-        ConnectionId::derive(0x1317, 0)
+        placeholder_dcid()
     }
 
     fn initial_datagram(&self) -> Vec<u8> {
@@ -402,48 +405,32 @@ impl Endpoint for QuicAttacker {
     fn on_timeout(&mut self, _now: Instant) {}
 }
 
-/// The victim under attack: any scheme's [`MpConnection`] plus peak tracking
-/// of its capped state and the time it reached closed.
-pub struct VictimPeer {
-    /// The connection under attack.
-    pub conn: MpConnection,
+/// The victim under attack, over any scheme's [`MpConnection`]: peak
+/// tracking of its capped state and the time it reached closed.
+#[derive(Debug, Default)]
+pub struct Victim {
     /// Field-wise peak of its connection's `bounded_state` over the run.
     pub peak: BoundedState,
     /// When the connection first reported closed.
     pub closed_at: Option<Instant>,
 }
 
-impl VictimPeer {
-    /// Wrap a connection.
-    pub fn new(conn: MpConnection) -> Self {
-        VictimPeer { conn, peak: BoundedState::default(), closed_at: None }
-    }
-
-    fn sample(&mut self, now: Instant) {
-        self.peak = self.peak.peak(self.conn.conn().bounded_state());
-        if self.closed_at.is_none() && self.conn.conn().is_closed() {
+impl Victim {
+    fn sample(&mut self, conn: &MpConnection, now: Instant) {
+        self.peak = self.peak.peak(conn.conn().bounded_state());
+        if self.closed_at.is_none() && conn.conn().is_closed() {
             self.closed_at = Some(now);
         }
     }
 }
 
-impl Endpoint for VictimPeer {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        self.sample(now);
+impl App for Victim {
+    fn on_datagram(&mut self, conn: &mut MpConnection, now: Instant) {
+        self.sample(conn, now);
     }
 
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
-        self.sample(now);
+    fn on_timeout(&mut self, conn: &mut MpConnection, now: Instant) {
+        self.sample(conn, now);
     }
 }
 
@@ -513,37 +500,38 @@ pub fn run_attack_traced(
         Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
         Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
     ];
-    let mut world = Scenario::new(paths, ATTACK_DEADLINE).run(attacker, VictimPeer::new(victim));
+    let victim = AppEndpoint { conn: victim, app: Victim::default() };
+    let mut world = Scenario::new(paths, ATTACK_DEADLINE).run(attacker, victim);
     let end = world.now();
-    let victim = &mut world.server;
-    victim.sample(end);
+    let AppEndpoint { conn, app: victim } = &mut world.server;
+    victim.sample(conn, end);
     AdversaryOutcome {
         attack: kind,
         transport: scheme.label(),
-        close_code: victim.conn.conn().lifecycle().close_code(),
-        drained: victim.conn.conn().is_drained(),
-        closed: victim.conn.conn().is_closed(),
+        close_code: conn.conn().lifecycle().close_code(),
+        drained: conn.conn().is_drained(),
+        closed: conn.conn().is_closed(),
         time_to_close: victim.closed_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
         peak: victim.peak,
         attacker_saw_close: world.client.observed_close,
-        victim_established: victim.conn.is_established() || victim.conn.conn().is_closed(),
+        victim_established: conn.is_established() || conn.conn().is_closed(),
     }
 }
 
 /// Outcome of the multipath differential ([`run_path_hijack`]).
 #[derive(Debug, Clone, Copy)]
 pub struct HijackOutcome {
-    /// The transfer completed before the deadline.
+    /// The whole body arrived, byte-exact, before the deadline.
     pub completed: bool,
-    /// Stream bytes the server actually read.
+    /// Body bytes the client received, each checked against the object.
     pub delivered_bytes: usize,
     /// Virtual time from data start to completion (or the deadline).
     pub elapsed: Duration,
 }
 
-/// Transfer size for the hijack differential. Sized so the transfer is
+/// Download size for the hijack differential. Sized so the transfer is
 /// still in flight when the attacker appears at [`HIJACK_START`].
-const HIJACK_BODY: usize = 3 << 20;
+const HIJACK_BODY: u64 = 3 << 20;
 
 /// When the on-path attacker starts tampering (well after establishment,
 /// well before a clean transfer would finish).
@@ -594,110 +582,24 @@ impl<E: Endpoint> Endpoint for Tampered<E> {
     }
 }
 
-/// Sender side of the hijack differential: opens one stream and pushes
-/// the body as soon as the handshake completes.
-struct HijackSender {
-    conn: MpConnection,
-    sent: bool,
-}
-
-impl Endpoint for HijackSender {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now)
-    }
-
-    fn on_tick(&mut self, _now: Instant) {
-        if !self.sent && self.conn.is_established() {
-            self.sent = true;
-            let id = self.conn.open_stream(0);
-            self.conn.stream_send(id, &vec![0x42u8; HIJACK_BODY], true);
-        }
-    }
-}
-
-/// Receiver side: drains readable streams and records completion time.
-struct HijackReceiver {
-    conn: MpConnection,
-    delivered: usize,
-    done_at: Option<Instant>,
-}
-
-impl Endpoint for HijackReceiver {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        for id in self.conn.conn().streams().readable_ids() {
-            self.delivered += self.conn.stream_recv(id, 1 << 20).len();
-            if self.conn.conn().streams().is_complete(id) && self.done_at.is_none() {
-                self.done_at = Some(now);
-            }
-        }
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now)
-    }
-
-    fn is_done(&self) -> bool {
-        self.done_at.is_some()
-    }
-}
-
-/// On-path attacker differential: after clean establishment, an attacker
+/// On-path attacker differential: a 3 MiB bulk download (`bulk_pair`)
+/// over the [`handover_paths`], and after clean establishment an attacker
 /// on `attacked_path` corrupts every datagram crossing it in either
 /// direction (AEAD rejects the tampered packets, so the path turns into a
-/// blackhole). A multipath connection must finish the transfer over its
-/// honest path; a single-path connection pinned to the attacked path
-/// cannot.
+/// blackhole). A multipath connection must finish the download, byte for
+/// byte, over its honest path; a single-path connection pinned to the
+/// attacked path cannot.
 pub fn run_path_hijack(scheme: Scheme, seed: u64, attacked_path: usize) -> HijackOutcome {
-    let tuning = TransportTuning::default();
-    let from = Instant::ZERO + HIJACK_START;
-    let client = Tampered {
-        inner: HijackSender {
-            conn: MpConnection::client(scheme, &tuning, seed, Instant::ZERO),
-            sent: false,
-        },
-        path: attacked_path,
-        from,
-    };
-    let server = Tampered {
-        inner: HijackReceiver {
-            conn: MpConnection::server(scheme, &tuning, seed ^ 0x5a5a_a5a5, Instant::ZERO),
-            delivered: 0,
-            done_at: None,
-        },
-        path: attacked_path,
-        from,
-    };
-    let paths = vec![
-        Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10))),
-        Path::symmetric(LinkConfig::constant_rate(12.0, Duration::from_millis(35))),
-    ];
-    let world = Scenario::new(paths, Duration::from_secs(20)).run(client, server);
-    let receiver = &world.server.inner;
+    let (client, server) = bulk_pair(scheme, &TransportTuning::default(), HIJACK_BODY, seed, None);
+    let (path, from) = (attacked_path, Instant::ZERO + HIJACK_START);
+    let client = Tampered { inner: client, path, from };
+    let server = Tampered { inner: server, path, from };
+    let world = Scenario::new(handover_paths(), Duration::from_secs(20)).run(client, server);
+    let client = &world.client.inner.app;
     HijackOutcome {
-        completed: receiver.done_at.is_some(),
-        delivered_bytes: receiver.delivered,
-        elapsed: receiver.done_at.unwrap_or(world.now()).saturating_duration_since(Instant::ZERO),
+        completed: client.done_at.is_some(),
+        delivered_bytes: client.received as usize,
+        elapsed: client.done_at.unwrap_or(world.now()).saturating_duration_since(Instant::ZERO),
     }
 }
 
@@ -782,7 +684,7 @@ impl EdgeAttacker {
     fn initial(&self, scid: ConnectionId, token: Vec<u8>) -> Vec<u8> {
         let hdr = Header {
             ty: PacketType::Initial,
-            dcid: ConnectionId::derive(0x1317, 0),
+            dcid: placeholder_dcid(),
             scid,
             pn: 0,
             pn_len: 1,

@@ -4,11 +4,11 @@
 //! and the energy study (Fig. 14).
 
 use crate::scenario::Scenario;
-use crate::transport::TransportStats;
-use crate::video_session::VideoServerEndpoint;
+use crate::transport::{App, AppEndpoint, TransportStats};
+use crate::video_session::{VideoServer, VideoServerEndpoint};
 use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, QoeSignal, Scheme, TransportTuning};
-use xlink_netsim::{Endpoint, FlapSchedule, Path, Stats, Transmit};
+use xlink_netsim::{FlapSchedule, Path, Stats};
 use xlink_video::{MediaStore, Request, Response, Video};
 
 /// Result of one bulk download.
@@ -31,12 +31,14 @@ pub struct BulkResult {
     pub link_stats: Vec<(Stats, Stats)>,
 }
 
-/// QUIC-family bulk client.
-struct BulkClient {
-    conn: MpConnection,
+/// The bulk-download client: asks for the object once the handshake
+/// lands, advertises its pinned QoE feedback, and checks and counts the
+/// body as it arrives.
+pub(crate) struct BulkClient {
     size: u64,
     stream: Option<u64>,
-    received: u64,
+    /// Body bytes received so far.
+    pub(crate) received: u64,
     header_skipped: bool,
     /// The response header's bytes until it is complete (the body is
     /// checked and counted, not kept).
@@ -44,26 +46,29 @@ struct BulkClient {
     /// Every body byte so far is the object's: a download with a wrong
     /// byte never completes.
     ok: bool,
-    done_at: Option<Instant>,
+    /// When the whole object had arrived, byte-exact.
+    pub(crate) done_at: Option<Instant>,
     /// Static QoE feedback to advertise (None = no feedback, which the
     /// server's controller treats as start-up urgency).
     qoe: Option<QoeSignal>,
 }
 
 impl BulkClient {
-    /// A client about to ask for `size` bytes over `conn`, advertising `qoe`.
-    fn new(conn: MpConnection, size: u64, qoe: Option<QoeSignal>) -> Self {
+    /// A client about to ask for `size` bytes, advertising `qoe`.
+    fn new(size: u64, qoe: Option<QoeSignal>) -> Self {
         let (stream, received, header_skipped, header, ok, done_at) =
             (None, 0, false, Vec::new(), true, None);
-        BulkClient { conn, size, stream, received, header_skipped, header, ok, done_at, qoe }
+        BulkClient { size, stream, received, header_skipped, header, ok, done_at, qoe }
     }
+}
 
+impl App for BulkClient {
     /// Read what arrived of the response through the consuming read: the
     /// header is copied until it is complete, the body checked against the
     /// object's bytes at the offset it continues from and counted.
-    fn read_response(&mut self, now: Instant) {
+    fn on_datagram(&mut self, conn: &mut MpConnection, now: Instant) {
         let Some(id) = self.stream else { return };
-        let mut data = self.conn.stream_consume(id, usize::MAX);
+        let mut data = conn.stream_consume(id, usize::MAX);
         if !self.header_skipped && !data.is_empty() {
             let line = data.iter().position(|&b| b == b'\n').map_or(data.len(), |i| i + 1);
             self.header.extend_from_slice(&data[..line]);
@@ -78,47 +83,39 @@ impl BulkClient {
             self.done_at = Some(now);
         }
     }
-}
 
-impl Endpoint for BulkClient {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        self.read_response(now);
-    }
-
-    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
-        self.conn.handle_datagram_in_place(now, path, payload);
-        self.read_response(now);
-    }
-
-    fn recycle(&mut self, buffer: Vec<u8>) {
-        self.conn.recycle_datagram(buffer);
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        if self.conn.is_established() && self.stream.is_none() {
-            let id = self.conn.open_stream(0);
+    fn before_transmit(&mut self, conn: &mut MpConnection, _now: Instant) {
+        if conn.is_established() && self.stream.is_none() {
+            let id = conn.open_stream(0);
             let req = Request { object: OBJECT.into(), start: 0, end: self.size };
-            self.conn.stream_send(id, &req.encode(), true);
+            conn.stream_send(id, &req.encode(), true);
             self.stream = Some(id);
         }
         if let Some(q) = self.qoe {
-            self.conn.set_qoe(q);
+            conn.set_qoe(q);
         }
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
     }
 
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
+    fn is_done(&self, conn: &MpConnection) -> bool {
+        self.done_at.is_some() || conn.conn().is_closed()
     }
+}
 
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
-    }
-
-    fn is_done(&self) -> bool {
-        self.done_at.is_some() || self.conn.conn().is_closed()
-    }
+/// A bulk download of `size` bytes over `scheme`, not yet started: the
+/// client (seeded `seed`) and the one-object server (`seed ^ 0xbeef`).
+/// `qoe` is the feedback the client pins ([`Scenario::bulk_quic`]).
+pub(crate) fn bulk_pair(
+    scheme: Scheme,
+    tuning: &TransportTuning,
+    size: u64,
+    seed: u64,
+    qoe: Option<QoeSignal>,
+) -> (AppEndpoint<BulkClient>, VideoServerEndpoint) {
+    let now = Instant::ZERO;
+    let conn = MpConnection::client(scheme, tuning, seed, now);
+    let client = AppEndpoint { conn, app: BulkClient::new(size, qoe) };
+    let conn = MpConnection::server(scheme, tuning, seed ^ 0xbeef, now);
+    (client, AppEndpoint { conn, app: VideoServer::new(blob(size), true) })
 }
 
 /// Run a QUIC-family bulk download of `size` bytes: the positional
@@ -151,19 +148,17 @@ impl Scenario {
         seed: u64,
         qoe: Option<QoeSignal>,
     ) -> BulkResult {
-        let now = Instant::ZERO;
-        let mut client_conn = MpConnection::client(scheme, tuning, seed, now);
-        let mut server_conn = MpConnection::server(scheme, tuning, seed ^ 0xbeef, now);
+        let (mut client, mut server) = bulk_pair(scheme, tuning, size, seed, qoe);
         if let Some(log) = &self.trace {
-            client_conn.set_tracer(&log.tracer("client"));
-            server_conn.set_tracer(&log.tracer("server"));
+            client.conn.set_tracer(&log.tracer("client"));
+            server.conn.set_tracer(&log.tracer("server"));
         }
-        let client = BulkClient::new(client_conn, size, qoe);
-        let world = self.run(client, VideoServerEndpoint::serving(server_conn, blob(size), true));
+        let world = self.run(client, server);
+        let client = &world.client.app;
         BulkResult {
-            download_time: world.client.done_at.map(|t| t.saturating_duration_since(now)),
-            bytes_received: world.client.received,
-            client_transport: Some(TransportStats::from(&world.client.conn)),
+            download_time: client.done_at.map(|t| t.saturating_duration_since(Instant::ZERO)),
+            bytes_received: client.received,
+            client_transport: Some(world.client.transport_stats()),
             server_transport: Some(world.server.transport_stats()),
             server_bytes_per_path: world.server.bytes_per_path(),
             link_stats: world.paths.iter().map(|p| p.stats()).collect(),
@@ -273,14 +268,18 @@ mod tests {
         use xlink_netsim::World;
         use xlink_obs::prof;
         let (tuning, now, size) = (TransportTuning::default(), Instant::ZERO, 64 << 20);
-        let client =
-            BulkClient::new(MpConnection::client(Scheme::Xlink, &tuning, 1, now), size, None);
-        let server_conn = MpConnection::server(Scheme::Xlink, &tuning, 2, now);
-        let server = VideoServerEndpoint::serving(server_conn, blob(size), true);
+        let client = AppEndpoint {
+            conn: MpConnection::client(Scheme::Xlink, &tuning, 1, now),
+            app: BulkClient::new(size, None),
+        };
+        let server = AppEndpoint {
+            conn: MpConnection::server(Scheme::Xlink, &tuning, 2, now),
+            app: VideoServer::new(blob(size), true),
+        };
         let mut world = World::new(client, server, paths());
         world.run_until(Instant::from_secs(4));
-        let stored = |w: &World<BulkClient, VideoServerEndpoint>| {
-            let id = w.client.stream.expect("asked");
+        let stored = |w: &World<AppEndpoint<BulkClient>, VideoServerEndpoint>| {
+            let id = w.client.app.stream.expect("asked");
             w.client.conn.conn().streams().get(id).expect("open").recv.segments_stored()
         };
         let before = stored(&world);
@@ -288,7 +287,7 @@ mod tests {
             let _span = prof::span!("test/transfer");
             world.run_until(Instant::from_secs(8))
         });
-        assert!(world.client.done_at.is_none(), "the transfer ended in the recording");
+        assert!(world.client.app.done_at.is_none(), "the transfer ended in the recording");
         let segments = stored(&world) - before;
         let allocs = report.get("test;transfer").expect("recorded").allocs;
         assert!(segments > 1_000, "{segments} segments out of order");

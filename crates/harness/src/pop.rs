@@ -178,6 +178,22 @@ impl PopReport {
     }
 }
 
+/// The client configuration of a session's connection incarnation
+/// `incarnation`: its handshake seed mixes the run seed, the session's
+/// salt and the incarnation.
+fn client_config(seed: u64, salt: u64, idle_timeout: Option<Duration>, incarnation: u32) -> Config {
+    let mut cfg = Config::client(mix(seed, salt ^ (u64::from(incarnation) << 32)));
+    if let Some(idle) = idle_timeout {
+        cfg.params.max_idle_timeout = idle;
+        // Keep an elicitable packet on the wire: a pure receiver
+        // whose server crashed has nothing in flight, so without
+        // keep-alives the death only surfaces at the idle timeout —
+        // even with the PoP answering resets.
+        cfg.keepalive = Some(idle / 8);
+    }
+    cfg
+}
+
 /// One honest download session: a (re)connectable client that verifies
 /// the absolute-position byte pattern across connection incarnations.
 struct Session {
@@ -215,18 +231,24 @@ struct Session {
 impl Session {
     /// Honest session `i` of the run `cfg`, before its start time.
     fn new(cfg: &PopRunConfig, i: usize, tracer: Tracer) -> Self {
-        let zero = Instant::ZERO;
-        let mut s = Session {
-            conn: Connection::new(Config::client(0), zero),
+        let (salt, start) = (0xc11e_0000 + i as u64, Instant::ZERO + cfg.stagger * i as u32);
+        // Birth the connection at its own staggered start, not the
+        // world's zero: idle is receive-only, so a conn created at t=0
+        // but started late would begin life with its idle clock already
+        // part-spent.
+        let mut conn = Connection::new(client_config(cfg.seed, salt, cfg.idle_timeout, 0), start);
+        conn.set_tracer(tracer.clone());
+        Session {
+            conn,
             addr: i % cfg.addrs,
-            start: zero + cfg.stagger * i as u32,
+            start,
             stream: None,
             want: cfg.request_bytes,
             received: 0,
             ok: true,
             done_at: None,
             seed_base: cfg.seed,
-            salt: 0xc11e_0000 + i as u64,
+            salt,
             idle_timeout: cfg.idle_timeout,
             attempts: 0,
             gave_up: false,
@@ -236,33 +258,7 @@ impl Session {
             recoveries: Vec::new(),
             counted_done: false,
             tracer,
-        };
-        // Birth the connection at its own staggered start, not the
-        // world's zero: idle is receive-only, so a conn created at t=0
-        // but started late would begin life with its idle clock already
-        // part-spent.
-        let mut conn = Connection::new(s.client_config(0), s.start);
-        conn.set_tracer(s.tracer.clone());
-        s.conn = conn;
-        s
-    }
-
-    fn client_config(&self, incarnation: u32) -> Config {
-        let seed = if incarnation == 0 {
-            mix(self.seed_base, self.salt)
-        } else {
-            mix(self.seed_base, self.salt ^ (u64::from(incarnation) << 32))
-        };
-        let mut cfg = Config::client(seed);
-        if let Some(idle) = self.idle_timeout {
-            cfg.params.max_idle_timeout = idle;
-            // Keep an elicitable packet on the wire: a pure receiver
-            // whose server crashed has nothing in flight, so without
-            // keep-alives the death only surfaces at the idle timeout —
-            // even with the PoP answering resets.
-            cfg.keepalive = Some(idle / 8);
         }
-        cfg
     }
 
     /// Open the request stream once the handshake lands; on a resumed
@@ -392,7 +388,8 @@ impl PopFleet {
             }
             s.attempts += 1;
             old_cid = s.conn.local_cid();
-            let mut conn = Connection::new(s.client_config(s.attempts), now);
+            let config = client_config(s.seed_base, s.salt, s.idle_timeout, s.attempts);
+            let mut conn = Connection::new(config, now);
             conn.set_tracer(s.tracer.clone());
             s.pending_resume = Some((now, s.attempts));
             s.stream = None;

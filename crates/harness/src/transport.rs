@@ -1,6 +1,97 @@
-//! Per-session transport statistics, the same for every scheme.
+//! The one endpoint every application runs over its connection, and the
+//! per-session transport statistics, the same for every scheme.
+//!
+//! An [`App`] is what an application does over its [`MpConnection`].
+//! [`AppEndpoint`] is the one [`Endpoint`] around the pair: it opens each
+//! datagram where it lies, hands the buffer back to its sender, maps the
+//! connection's transmits and merges the two timers.
 
+use xlink_clock::Instant;
 use xlink_core::MpConnection;
+use xlink_netsim::{Endpoint, Transmit};
+
+/// What an application does over its connection. Every hook defaults to
+/// nothing.
+pub trait App {
+    /// A datagram was handled by `conn`.
+    fn on_datagram(&mut self, _conn: &mut MpConnection, _now: Instant) {}
+
+    /// `conn` is about to be asked for a datagram to send.
+    fn before_transmit(&mut self, _conn: &mut MpConnection, _now: Instant) {}
+
+    /// The application's own timer, if armed.
+    fn timeout(&self) -> Option<Instant> {
+        None
+    }
+
+    /// A timer fired and `conn` has run its own.
+    fn on_timeout(&mut self, _conn: &mut MpConnection, _now: Instant) {}
+
+    /// Once per event-loop iteration ([`Endpoint::on_tick`]).
+    fn on_tick(&mut self, _conn: &mut MpConnection, _now: Instant) {}
+
+    /// The application no longer needs the simulation to continue.
+    fn is_done(&self, _conn: &MpConnection) -> bool {
+        false
+    }
+}
+
+/// An application over its connection: the one [`Endpoint`] for every
+/// connection the harness drives.
+pub struct AppEndpoint<A> {
+    /// The transport.
+    pub conn: MpConnection,
+    /// What runs over it.
+    pub app: A,
+}
+
+impl<A> AppEndpoint<A> {
+    /// Transport statistics.
+    pub fn transport_stats(&self) -> TransportStats {
+        TransportStats::from(&self.conn)
+    }
+}
+
+impl<A: App> Endpoint for AppEndpoint<A> {
+    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
+        self.conn.handle_datagram(now, path, payload);
+        self.app.on_datagram(&mut self.conn, now);
+    }
+
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
+        self.conn.handle_datagram_in_place(now, path, payload);
+        self.app.on_datagram(&mut self.conn, now);
+    }
+
+    fn recycle(&mut self, buffer: Vec<u8>) {
+        self.conn.recycle_datagram(buffer);
+    }
+
+    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
+        self.app.before_transmit(&mut self.conn, now);
+        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
+    }
+
+    fn poll_timeout(&self) -> Option<Instant> {
+        match (self.conn.poll_timeout(), self.app.timeout()) {
+            (Some(conn), Some(app)) => Some(conn.min(app)),
+            (conn, app) => conn.or(app),
+        }
+    }
+
+    fn on_timeout(&mut self, now: Instant) {
+        self.conn.on_timeout(now);
+        self.app.on_timeout(&mut self.conn, now);
+    }
+
+    fn on_tick(&mut self, now: Instant) {
+        self.app.on_tick(&mut self.conn, now);
+    }
+
+    fn is_done(&self) -> bool {
+        self.app.is_done(&self.conn)
+    }
+}
 
 /// Unified per-session transport statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,5 +143,39 @@ impl From<&MpConnection> for TransportStats {
             spurious_losses: conn.spurious_losses(),
             handshake_retransmits: s.handshake_retransmits,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xlink_clock::Duration;
+    use xlink_core::{Scheme, TransportTuning};
+
+    /// An application whose only hook is a timer.
+    struct Alarm(Option<Instant>);
+
+    impl App for Alarm {
+        fn timeout(&self) -> Option<Instant> {
+            self.0
+        }
+    }
+
+    #[test]
+    fn poll_timeout_is_the_earlier_of_the_app_and_the_connection() {
+        let now = Instant::ZERO;
+        let conn = MpConnection::client(Scheme::Xlink, &TransportTuning::default(), 1, now);
+        let mut endpoint = AppEndpoint { conn, app: Alarm(None) };
+        assert!(endpoint.poll_transmit(now).is_some(), "the client sends its hello");
+        let conn_timer = endpoint.conn.poll_timeout().expect("the hello arms a timer");
+        // No application timer: the connection's.
+        assert_eq!(endpoint.poll_timeout(), Some(conn_timer));
+        // An earlier application timer wins, a later one does not.
+        let early = now + Duration::from_micros(1);
+        assert!(early < conn_timer);
+        endpoint.app.0 = Some(early);
+        assert_eq!(endpoint.poll_timeout(), Some(early));
+        endpoint.app.0 = Some(conn_timer + Duration::from_secs(1));
+        assert_eq!(endpoint.poll_timeout(), Some(conn_timer));
     }
 }

@@ -4,11 +4,11 @@
 //! (Fig. 2) in miniature.
 
 use crate::scenario::Scenario;
-use crate::transport::TransportStats;
+use crate::transport::{App, AppEndpoint, TransportStats};
 use std::collections::HashMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, Scheme, TransportTuning};
-use xlink_netsim::{Endpoint, Path, Transmit, World};
+use xlink_netsim::{Path, World};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
 
@@ -91,10 +91,9 @@ impl ChunkReq {
     }
 }
 
-/// The client endpoint: issues chunk requests, feeds the player, sends
-/// QoE feedback.
-pub struct VideoClientEndpoint {
-    conn: MpConnection,
+/// The video client: issues chunk requests, feeds the player, sends QoE
+/// feedback.
+pub struct VideoClient {
     chunks: Vec<xlink_video::VideoChunk>,
     max_buffer_ahead: Duration,
     fps: u64,
@@ -107,12 +106,16 @@ pub struct VideoClientEndpoint {
     /// concurrent sessions don't hold every finished body in memory.
     done: HashMap<u64, u64>,
     player: Player,
+    /// When the 50 ms tick clock last moved.
     last_tick: Instant,
     object: String,
     /// RCT per chunk (request → full body), by chunk index.
     pub chunk_rct: Vec<(u64, Duration)>,
     finished: bool,
 }
+
+/// The client endpoint: the video client over its connection.
+pub type VideoClientEndpoint = AppEndpoint<VideoClient>;
 
 impl VideoClientEndpoint {
     fn new(cfg: &SessionConfig, now: Instant) -> Self {
@@ -122,10 +125,8 @@ impl VideoClientEndpoint {
             conn.set_tracer(&log.tracer("client"));
             player.set_tracer(log.tracer("client.video"));
         }
-        let chunks = cfg.video.chunks(cfg.chunk_bytes);
-        VideoClientEndpoint {
-            conn,
-            chunks,
+        let app = VideoClient {
+            chunks: cfg.video.chunks(cfg.chunk_bytes),
             max_buffer_ahead: cfg.max_buffer_ahead,
             fps: cfg.video.fps.max(1),
             next_chunk: 0,
@@ -137,11 +138,47 @@ impl VideoClientEndpoint {
             object: "video".to_string(),
             chunk_rct: Vec::new(),
             finished: false,
-        }
+        };
+        AppEndpoint { conn, app }
     }
 
-    fn maybe_issue_requests(&mut self, now: Instant) {
-        if !self.conn.is_established() {
+    /// Player statistics.
+    pub fn player_stats(&self) -> PlayerStats {
+        self.app.player.stats()
+    }
+
+    /// Final accounting at session end.
+    pub fn finish(&mut self, now: Instant) -> PlayerStats {
+        self.app.player.finish_accounting(now)
+    }
+
+    /// Borrow the player (probes).
+    pub fn player_mut(&mut self) -> &mut Player {
+        &mut self.app.player
+    }
+
+    /// Current player buffer occupancy in bytes (Fig. 6 probe).
+    pub fn player_cached_bytes(&self) -> u64 {
+        self.app.player.cached_bytes()
+    }
+
+    /// Whether the video played to the end ([`App::is_done`] also fires on
+    /// transport close).
+    pub fn video_finished(&self) -> bool {
+        self.app.player.is_finished()
+    }
+
+    /// Per-chunk request completion times in chunk order.
+    pub fn sorted_chunk_rct(&self) -> Vec<Duration> {
+        let mut rct = self.app.chunk_rct.clone();
+        rct.sort_by_key(|&(i, _)| i);
+        rct.into_iter().map(|(_, d)| d).collect()
+    }
+}
+
+impl VideoClient {
+    fn maybe_issue_requests(&mut self, conn: &mut MpConnection, now: Instant) {
+        if !conn.is_established() {
             return;
         }
         // Bounded buffering: once enough play-time is cached, pause the
@@ -156,9 +193,9 @@ impl VideoClientEndpoint {
             // Stream priority = chunk index: earlier chunks are more
             // urgent (the paper's stream-priority ordering).
             let prio = (chunk.index.min(250)) as u8;
-            let id = self.conn.open_stream(prio);
+            let id = conn.open_stream(prio);
             let req = Request { object: self.object.clone(), start: chunk.start, end: chunk.end };
-            self.conn.stream_send(id, &req.encode(), true);
+            conn.stream_send(id, &req.encode(), true);
             self.inflight.insert(
                 id,
                 ChunkReq {
@@ -175,8 +212,8 @@ impl VideoClientEndpoint {
 
     /// Read every response stream through the consuming read (only the
     /// headers are copied), retire the completed chunks and feed the player.
-    fn drain_streams(&mut self, now: Instant) {
-        let (conn, chunk_rct, done) = (&mut self.conn, &mut self.chunk_rct, &mut self.done);
+    fn drain_streams(&mut self, conn: &mut MpConnection, now: Instant) {
+        let (chunk_rct, done) = (&mut self.chunk_rct, &mut self.done);
         self.inflight.retain(|&id, req| {
             let complete = conn.conn().streams().is_complete(id);
             let mut data = conn.stream_consume(id, usize::MAX);
@@ -222,97 +259,45 @@ impl VideoClientEndpoint {
         }
         prefix
     }
-
-    /// Player statistics.
-    pub fn player_stats(&self) -> PlayerStats {
-        self.player.stats()
-    }
-
-    /// Final accounting at session end.
-    pub fn finish(&mut self, now: Instant) -> PlayerStats {
-        self.player.finish_accounting(now)
-    }
-
-    /// Transport statistics.
-    pub fn transport_stats(&self) -> TransportStats {
-        TransportStats::from(&self.conn)
-    }
-
-    /// Borrow the player (probes).
-    pub fn player_mut(&mut self) -> &mut Player {
-        &mut self.player
-    }
-
-    /// Current player buffer occupancy in bytes (Fig. 6 probe).
-    pub fn player_cached_bytes(&self) -> u64 {
-        self.player.cached_bytes()
-    }
-
-    /// Whether the video played to the end ([`Endpoint::is_done`] also
-    /// fires on transport close).
-    pub fn video_finished(&self) -> bool {
-        self.player.is_finished()
-    }
-
-    /// Per-chunk request completion times in chunk order.
-    pub fn sorted_chunk_rct(&self) -> Vec<Duration> {
-        let mut rct = self.chunk_rct.clone();
-        rct.sort_by_key(|&(i, _)| i);
-        rct.into_iter().map(|(_, d)| d).collect()
-    }
 }
 
-impl Endpoint for VideoClientEndpoint {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        self.drain_streams(now);
+impl App for VideoClient {
+    fn on_datagram(&mut self, conn: &mut MpConnection, now: Instant) {
+        self.drain_streams(conn, now);
     }
 
-    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
-        self.conn.handle_datagram_in_place(now, path, payload);
-        self.drain_streams(now);
+    fn before_transmit(&mut self, conn: &mut MpConnection, now: Instant) {
+        self.maybe_issue_requests(conn, now);
     }
 
-    fn recycle(&mut self, buffer: Vec<u8>) {
-        self.conn.recycle_datagram(buffer);
+    fn timeout(&self) -> Option<Instant> {
+        Some(self.last_tick + TICK)
     }
 
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.maybe_issue_requests(now);
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        let tick = self.last_tick + TICK;
-        Some(self.conn.poll_timeout().map_or(tick, |t| t.min(tick)))
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
+    fn on_timeout(&mut self, _conn: &mut MpConnection, now: Instant) {
         if now >= self.last_tick + TICK {
             self.last_tick = now;
         }
     }
 
-    fn on_tick(&mut self, now: Instant) {
+    fn on_tick(&mut self, conn: &mut MpConnection, now: Instant) {
         self.player.advance(now);
         // Refresh QoE feedback (the TNET query of §5.2.1).
-        self.conn.set_qoe(self.player.qoe_signal());
+        conn.set_qoe(self.player.qoe_signal());
         if self.player.is_finished() {
             self.finished = true;
         }
     }
 
-    fn is_done(&self) -> bool {
-        self.finished || self.conn.conn().is_closed()
+    fn is_done(&self, conn: &MpConnection) -> bool {
+        self.finished || conn.conn().is_closed()
     }
 }
 
-/// The server endpoint: answers range requests from the media store,
-/// tagging first-video-frame bytes with the top frame priority when
-/// acceleration is on.
-pub struct VideoServerEndpoint {
-    conn: MpConnection,
+/// The video server: answers range requests from the media store, tagging
+/// first-video-frame bytes with the top frame priority when acceleration
+/// is on.
+pub struct VideoServer {
     store: MediaStore,
     first_frame_accel: bool,
     /// Streams already answered.
@@ -324,42 +309,28 @@ pub struct VideoServerEndpoint {
     stream_epoch: u64,
 }
 
-impl VideoServerEndpoint {
-    fn new(cfg: &SessionConfig, now: Instant) -> Self {
-        let mut store = MediaStore::new();
-        store.insert("video", cfg.video.clone());
-        let mut conn = MpConnection::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
-        if let Some(log) = &cfg.trace {
-            conn.set_tracer(&log.tracer("server"));
-        }
-        Self::serving(conn, store, cfg.first_frame_accel)
+impl VideoServer {
+    /// Serve range requests for the objects in `store` (the bulk-download
+    /// server is this with a one-object store).
+    pub(crate) fn new(store: MediaStore, first_frame_accel: bool) -> Self {
+        let (answered, buffers, stream_epoch) = (Vec::new(), HashMap::new(), 0);
+        VideoServer { store, first_frame_accel, answered, buffers, stream_epoch }
     }
+}
 
-    /// Serve range requests for the objects in `store` over `conn` (the
-    /// bulk-download server is this with a one-object store).
-    pub(crate) fn serving(conn: MpConnection, store: MediaStore, first_frame_accel: bool) -> Self {
-        VideoServerEndpoint {
-            conn,
-            store,
-            first_frame_accel,
-            answered: Vec::new(),
-            buffers: HashMap::new(),
-            stream_epoch: 0,
-        }
-    }
-
-    fn serve_requests(&mut self) {
+impl App for VideoServer {
+    fn on_datagram(&mut self, conn: &mut MpConnection, _now: Instant) {
         // Requests arrive in STREAM frames: nothing new to read before one
         // did (the acknowledgements a sending server mostly receives).
-        let epoch = self.conn.conn().streams().epoch();
+        let epoch = conn.conn().streams().epoch();
         if std::mem::replace(&mut self.stream_epoch, epoch) == epoch {
             return;
         }
-        for id in self.conn.conn().streams().readable_ids() {
+        for id in conn.conn().streams().readable_ids() {
             if self.answered.contains(&id) {
                 continue;
             }
-            let data = self.conn.stream_consume(id, usize::MAX);
+            let data = conn.stream_consume(id, usize::MAX);
             let buf = self.buffers.entry(id).or_default();
             buf.extend_from_slice(data);
             let Some(req) = Request::decode(buf) else {
@@ -369,13 +340,13 @@ impl VideoServerEndpoint {
             self.buffers.remove(&id);
             let Some(body) = self.store.clamp_range(&req.object, req.start, req.end) else {
                 let resp = Response { status: 404, body_len: 0, first_frame_end: 0 };
-                self.conn.stream_send(id, &resp.encode(), true);
+                conn.stream_send(id, &resp.encode(), true);
                 continue;
             };
             let ff_end = self.store.first_frame_end(&req.object);
             let body_len = body.end - body.start;
             let resp = Response { status: 200, body_len, first_frame_end: ff_end };
-            self.conn.stream_send(id, &resp.encode(), false);
+            conn.stream_send(id, &resp.encode(), false);
             // First-video-frame acceleration: the byte span of the first
             // frame inside this response is written at the highest frame
             // priority (paper §5.1 stream_send with position+size). The
@@ -383,7 +354,7 @@ impl VideoServerEndpoint {
             let accelerated = self.first_frame_accel && req.start < ff_end;
             let split =
                 body.start + if accelerated { (ff_end - req.start).min(body_len) } else { 0 };
-            let streams = self.conn.conn_mut().streams_mut();
+            let streams = conn.conn_mut().streams_mut();
             let object = &req.object;
             streams.write_with(id, Some(0), false, |buf| {
                 buf.reserve(body_len as usize); // room for the whole body at once
@@ -395,9 +366,24 @@ impl VideoServerEndpoint {
         }
     }
 
-    /// Transport statistics.
-    pub fn transport_stats(&self) -> TransportStats {
-        TransportStats::from(&self.conn)
+    fn is_done(&self, _conn: &MpConnection) -> bool {
+        // The server is passive: session end is the client's call.
+        true
+    }
+}
+
+/// The server endpoint: the video server over its connection.
+pub type VideoServerEndpoint = AppEndpoint<VideoServer>;
+
+impl VideoServerEndpoint {
+    fn new(cfg: &SessionConfig, now: Instant) -> Self {
+        let mut store = MediaStore::new();
+        store.insert("video", cfg.video.clone());
+        let mut conn = MpConnection::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
+        if let Some(log) = &cfg.trace {
+            conn.set_tracer(&log.tracer("server"));
+        }
+        AppEndpoint { conn, app: VideoServer::new(store, cfg.first_frame_accel) }
     }
 
     /// Per-path bytes (for energy accounting and path-usage checks).
@@ -413,39 +399,6 @@ impl VideoServerEndpoint {
     /// Per-path (bytes in flight, cwnd) snapshot — the Fig. 1 series.
     pub fn path_state(&self) -> (Vec<u64>, Vec<u64>) {
         self.conn.path_state()
-    }
-}
-
-impl Endpoint for VideoServerEndpoint {
-    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        self.conn.handle_datagram(now, path, payload);
-        self.serve_requests();
-    }
-
-    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
-        self.conn.handle_datagram_in_place(now, path, payload);
-        self.serve_requests();
-    }
-
-    fn recycle(&mut self, buffer: Vec<u8>) {
-        self.conn.recycle_datagram(buffer);
-    }
-
-    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
-    }
-
-    fn poll_timeout(&self) -> Option<Instant> {
-        self.conn.poll_timeout()
-    }
-
-    fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
-    }
-
-    fn is_done(&self) -> bool {
-        // The server is passive: session end is the client's call.
-        true
     }
 }
 

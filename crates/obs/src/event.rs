@@ -1,6 +1,6 @@
 //! The typed event vocabulary.
 //!
-//! One enum covers every layer of the stack so a single sink sees the
+//! One enum covers every layer of the stack so a single log sees the
 //! whole story of a run in time order: transport packets (quic), XLINK
 //! scheduling and re-injection (core), emulated link behaviour
 //! (netsim), and player state (video). Each event carries

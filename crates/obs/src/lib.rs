@@ -7,9 +7,9 @@
 //!   vocabulary (packet sent/acked/lost, cwnd/RTT updates, scheduler
 //!   decisions, re-injection, PATH_STATUS transitions, QoE signals,
 //!   player buffer/rebuffer/first-frame, link drops/flaps/impairment
-//!   hits) emitted through cloneable [`Tracer`] handles into a shared
-//!   [`TraceSink`], and exported as qlog-compatible JSON via the
-//!   in-tree [`json`] writer.
+//!   hits) emitted through cloneable [`Tracer`] handles into one shared
+//!   [`TraceLog`] (every event, the newest `n`, or none), and exported as
+//!   qlog-compatible JSON via the in-tree [`json`] writer.
 //! * **Metrics** ([`metrics`]): a per-run registry of named counters
 //!   and gauges (bytes re-injected vs. total — the paper's Table 5
 //!   cost ratio — spurious losses, handshake retransmits, stall time)
@@ -24,7 +24,7 @@
 //!
 //! Tracing must never change behaviour. A [`Tracer`] only *reads*
 //! state handed to [`Tracer::emit`]; it draws no randomness, arms no
-//! timers, and allocates only inside the sink. The disabled handle
+//! timers, and allocates only inside the log. The disabled handle
 //! ([`Tracer::disabled`], also `Default`) is a no-op whose `emit`
 //! compiles down to one `Option` check, so instrumented code paths are
 //! bit-identical with tracing on or off — the property the A/B
@@ -40,4 +40,4 @@ pub mod sink;
 
 pub use event::{Event, TraceEvent};
 pub use metrics::{Metric, MetricsRegistry, MetricsScope};
-pub use sink::{NoopSink, RingSink, TraceLog, TraceSink, Tracer, VecSink};
+pub use sink::{TraceLog, Tracer};

@@ -1,12 +1,12 @@
-//! Trace sinks and the handles that feed them.
+//! The trace buffer and the handles that feed it.
 //!
-//! A [`TraceLog`] owns one boxed [`TraceSink`] plus the table of
-//! interned source names. Components never see the log directly; they
-//! hold cheap cloneable [`Tracer`] handles ([`TraceLog::tracer`]) that
-//! stamp every event with the component's source id. A disabled
-//! tracer ([`Tracer::disabled`], the `Default`) is `None` inside — its
-//! `emit` is a single branch, so instrumentation has no behavioural
-//! effect when tracing is off.
+//! A [`TraceLog`] owns one event buffer, with a cap on what it holds,
+//! plus the table of interned source names. Components never see the
+//! log directly; they hold cheap cloneable [`Tracer`] handles
+//! ([`TraceLog::tracer`]) that stamp every event with the component's
+//! source id. A disabled tracer ([`Tracer::disabled`], the `Default`) is
+//! `None` inside — its `emit` is a single branch, so instrumentation has
+//! no behavioural effect when tracing is off.
 
 use crate::event::{Event, TraceEvent};
 use crate::qlog;
@@ -15,90 +15,29 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use xlink_clock::Instant;
 
-/// Where emitted events go.
-pub trait TraceSink {
-    /// Record one event.
-    fn emit(&mut self, ev: TraceEvent);
-    /// Copy out everything currently held (ring sinks return only the
-    /// retained tail).
-    fn snapshot(&self) -> Vec<TraceEvent>;
-    /// Events currently held.
-    fn len(&self) -> usize;
-    /// True when nothing is held.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Discards everything (the explicit "tracing compiled in but off"
-/// sink; behaviourally identical to a disabled tracer).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn emit(&mut self, _ev: TraceEvent) {}
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-    fn len(&self) -> usize {
-        0
-    }
-}
-
-/// Unbounded in-memory sink; keeps every event in emission order.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceSink for VecSink {
-    fn emit(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.clone()
-    }
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
-/// Bounded ring buffer: keeps the most recent `cap` events (flight
-/// recorder for long runs).
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
+struct LogInner {
     events: VecDeque<TraceEvent>,
+    /// Most events held: beyond it the oldest go first.
+    cap: usize,
+    sources: Vec<String>,
 }
 
-impl RingSink {
-    /// Ring holding at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        RingSink { cap: cap.max(1), events: VecDeque::new() }
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&mut self, ev: TraceEvent) {
+impl LogInner {
+    /// Kept out of line: inlined, the buffer push would be copied into
+    /// every [`Tracer::emit`] site, the hot paths' included.
+    #[inline(never)]
+    fn record(&mut self, ev: TraceEvent) {
+        if self.cap == 0 {
+            return;
+        }
         if self.events.len() == self.cap {
             self.events.pop_front();
         }
         self.events.push_back(ev);
     }
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.iter().cloned().collect()
-    }
-    fn len(&self) -> usize {
-        self.events.len()
-    }
 }
 
-struct LogInner {
-    sink: Box<dyn TraceSink>,
-    sources: Vec<String>,
-}
-
-/// A shared trace: one sink plus the interned source-name table.
+/// A shared trace: one event buffer plus the interned source-name table.
 ///
 /// Clone handles freely — all clones view the same log.
 #[derive(Clone)]
@@ -110,32 +49,34 @@ impl std::fmt::Debug for TraceLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("TraceLog")
-            .field("events", &inner.sink.len())
+            .field("events", &inner.events.len())
             .field("sources", &inner.sources)
             .finish()
     }
 }
 
 impl TraceLog {
-    /// Log backed by an arbitrary sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        TraceLog { inner: Rc::new(RefCell::new(LogInner { sink, sources: Vec::new() })) }
+    /// Log holding at most `cap` events, the newest.
+    fn with_cap(cap: usize) -> Self {
+        let inner = LogInner { events: VecDeque::new(), cap, sources: Vec::new() };
+        TraceLog { inner: Rc::new(RefCell::new(inner)) }
     }
 
-    /// Log that records every event ([`VecSink`]).
+    /// Log that records every event.
     pub fn recording() -> Self {
-        TraceLog::with_sink(Box::<VecSink>::default())
+        TraceLog::with_cap(usize::MAX)
     }
 
-    /// Log that keeps only the newest `cap` events ([`RingSink`]).
+    /// Log that keeps only the newest `cap` events, at least one (a flight
+    /// recorder for long runs).
     pub fn ring(cap: usize) -> Self {
-        TraceLog::with_sink(Box::new(RingSink::new(cap)))
+        TraceLog::with_cap(cap.max(1))
     }
 
-    /// Log that drops everything ([`NoopSink`]) — for A/B determinism
-    /// checks of the enabled code path.
+    /// Log that drops everything — for A/B determinism checks of the
+    /// enabled code path.
     pub fn noop() -> Self {
-        TraceLog::with_sink(Box::new(NoopSink))
+        TraceLog::with_cap(0)
     }
 
     fn intern(&self, name: &str) -> u16 {
@@ -157,7 +98,7 @@ impl TraceLog {
 
     /// Snapshot of the held events in emission order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.borrow().sink.snapshot()
+        self.inner.borrow().events.iter().cloned().collect()
     }
 
     /// Interned source names, in id order.
@@ -170,12 +111,12 @@ impl TraceLog {
         self.inner.borrow().sources.get(id as usize).cloned().unwrap_or_default()
     }
 
-    /// Events currently held by the sink.
+    /// Events currently held.
     pub fn len(&self) -> usize {
-        self.inner.borrow().sink.len()
+        self.inner.borrow().events.len()
     }
 
-    /// True when the sink holds nothing.
+    /// True when the log holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -183,7 +124,7 @@ impl TraceLog {
     /// Export the held events as a qlog-compatible JSON document.
     pub fn to_qlog(&self, title: &str) -> String {
         let inner = self.inner.borrow();
-        qlog::export(title, &inner.sources, &inner.sink.snapshot())
+        qlog::export(title, &inner.sources, &self.events())
     }
 }
 
@@ -217,7 +158,7 @@ impl Tracer {
         Tracer { state: None }
     }
 
-    /// True when events actually reach a sink.
+    /// True when events actually reach a log.
     pub fn enabled(&self) -> bool {
         self.state.is_some()
     }
@@ -226,7 +167,7 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, now: Instant, body: Event) {
         if let Some(s) = &self.state {
-            s.log.borrow_mut().sink.emit(TraceEvent { time: now, source: s.source, body });
+            s.log.borrow_mut().record(TraceEvent { time: now, source: s.source, body });
         }
     }
 

@@ -151,6 +151,8 @@ fn honest_path_survives_single_path_attack() {
             xlink.completed,
             "seed {seed}: XLINK should finish over the honest path: {xlink:?}"
         );
+        // Completion is byte-exact: the client checked every body byte.
+        assert_eq!(xlink.delivered_bytes, 3 << 20, "seed {seed}: {xlink:?}");
         let sp = run_path_hijack(Scheme::Sp { path: 0 }, seed, 0);
         assert!(!sp.completed, "seed {seed}: SP pinned to the attacked path should stall: {sp:?}");
         assert!(
