@@ -573,10 +573,6 @@ impl<E: Endpoint> Endpoint for Tampered<E> {
         self.inner.on_timeout(now)
     }
 
-    fn on_tick(&mut self, now: Instant) {
-        self.inner.on_tick(now)
-    }
-
     fn is_done(&self) -> bool {
         self.inner.is_done()
     }

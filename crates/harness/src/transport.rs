@@ -27,9 +27,6 @@ pub trait App {
     /// A timer fired and `conn` has run its own.
     fn on_timeout(&mut self, _conn: &mut MpConnection, _now: Instant) {}
 
-    /// Once per event-loop iteration ([`Endpoint::on_tick`]).
-    fn on_tick(&mut self, _conn: &mut MpConnection, _now: Instant) {}
-
     /// The application no longer needs the simulation to continue.
     fn is_done(&self, _conn: &MpConnection) -> bool {
         false
@@ -82,10 +79,6 @@ impl<A: App> Endpoint for AppEndpoint<A> {
     fn on_timeout(&mut self, now: Instant) {
         self.conn.on_timeout(now);
         self.app.on_timeout(&mut self.conn, now);
-    }
-
-    fn on_tick(&mut self, now: Instant) {
-        self.app.on_tick(&mut self.conn, now);
     }
 
     fn is_done(&self) -> bool {

@@ -267,6 +267,12 @@ impl App for VideoClient {
     }
 
     fn before_transmit(&mut self, conn: &mut MpConnection, now: Instant) {
+        self.player.advance(now);
+        // Refresh QoE feedback (the TNET query of §5.2.1).
+        conn.set_qoe(self.player.qoe_signal());
+        if self.player.is_finished() {
+            self.finished = true;
+        }
         self.maybe_issue_requests(conn, now);
     }
 
@@ -277,15 +283,6 @@ impl App for VideoClient {
     fn on_timeout(&mut self, _conn: &mut MpConnection, now: Instant) {
         if now >= self.last_tick + TICK {
             self.last_tick = now;
-        }
-    }
-
-    fn on_tick(&mut self, conn: &mut MpConnection, now: Instant) {
-        self.player.advance(now);
-        // Refresh QoE feedback (the TNET query of §5.2.1).
-        conn.set_qoe(self.player.qoe_signal());
-        if self.player.is_finished() {
-            self.finished = true;
         }
     }
 

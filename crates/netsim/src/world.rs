@@ -47,12 +47,6 @@ pub trait Endpoint {
     /// A timer fired.
     fn on_timeout(&mut self, now: Instant);
 
-    /// Called once per event-loop iteration for housekeeping (e.g. a video
-    /// player consuming frames). Default: nothing.
-    fn on_tick(&mut self, now: Instant) {
-        let _ = now;
-    }
-
     /// True when this endpoint no longer needs the simulation to continue.
     fn is_done(&self) -> bool {
         false
@@ -176,8 +170,8 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
     }
 
     /// One scheduling round at the current instant: apply flap-schedule
-    /// steps due now, deliver arrived datagrams, fire
-    /// timers, run housekeeping ticks, and drain up to 64 transmissions.
+    /// steps due now, deliver arrived datagrams, fire timers, and drain up
+    /// to 64 transmissions.
     /// Returns true if anything happened.
     fn round(&mut self) -> bool {
         // Apply flap-schedule steps due now.
@@ -220,9 +214,6 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
             self.server.on_timeout(self.now);
             activity = true;
         }
-        // Housekeeping ticks.
-        self.client.on_tick(self.now);
-        self.server.on_tick(self.now);
         // Transmissions (bounded per iteration to interleave fairly).
         for _ in 0..64 {
             let mut sent = false;
