@@ -98,7 +98,7 @@ pub fn verify(
     Ok(())
 }
 
-/// An epoch-tagged Retry-token MAC key (ROADMAP key-rotation item).
+/// An epoch-tagged Retry-token MAC key.
 ///
 /// Long-lived PoPs must rotate the token MAC key without stranding the
 /// tokens already in flight: a client that just received a Retry is about

@@ -99,18 +99,6 @@ impl StreamStat {
         self.variance().sqrt()
     }
 
-    /// Normal-approximation confidence interval for the mean at
-    /// `z` standard errors (1.96 ≈ 95%). Collapses to the mean when
-    /// fewer than two samples exist.
-    pub fn mean_ci(&self, z: f64) -> (f64, f64) {
-        let m = self.mean();
-        if self.n < 2 {
-            return (m, m);
-        }
-        let se = self.stddev() / (self.n as f64).sqrt();
-        (m - z * se, m + z * se)
-    }
-
     /// Stable 64-bit digest of the exact integer state.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -326,8 +314,6 @@ mod tests {
         assert_eq!(s.count(), 6);
         assert!((s.mean() - mean).abs() < 1e-9, "{} vs {mean}", s.mean());
         assert!((s.variance() - var).abs() < 1e-6);
-        let (lo, hi) = s.mean_ci(1.96);
-        assert!(lo < mean && mean < hi);
     }
 
     #[test]
@@ -455,6 +441,5 @@ mod tests {
         let s = StreamStat::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.mean_ci(1.96), (0.0, 0.0));
     }
 }

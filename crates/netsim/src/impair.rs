@@ -315,27 +315,9 @@ impl FlapSchedule {
         ])
     }
 
-    /// Periodic square-wave flapping: every `period` the link goes down
-    /// for `down_for`, until `until`.
-    pub fn square_wave(period: Duration, down_for: Duration, until: Instant) -> Self {
-        let mut steps = Vec::new();
-        let mut t = Instant::ZERO + period;
-        while t < until {
-            steps.push(FlapStep { at: t, state: LinkState::Down });
-            steps.push(FlapStep { at: t + down_for, state: LinkState::Up });
-            t += period;
-        }
-        FlapSchedule::new(steps)
-    }
-
     /// The scripted steps, sorted by time.
     pub fn steps(&self) -> &[FlapStep] {
         &self.steps
-    }
-
-    /// State in effect at `now` (Up before the first step).
-    pub fn state_at(&self, now: Instant) -> LinkState {
-        self.steps.iter().take_while(|s| s.at <= now).last().map_or(LinkState::Up, |s| s.state)
     }
 }
 
@@ -392,28 +374,5 @@ mod tests {
             let d = p.ship_delay();
             assert!(d > Duration::ZERO && d <= window, "d = {d}");
         }
-    }
-
-    #[test]
-    fn flap_schedule_state_lookup() {
-        let s = FlapSchedule::outage(Instant::from_millis(100), Instant::from_millis(200))
-            .step(Instant::from_millis(300), LinkState::Degraded { keep: 0.5, extra_loss: 0.1 });
-        assert_eq!(s.state_at(Instant::ZERO), LinkState::Up);
-        assert_eq!(s.state_at(Instant::from_millis(100)), LinkState::Down);
-        assert_eq!(s.state_at(Instant::from_millis(199)), LinkState::Down);
-        assert_eq!(s.state_at(Instant::from_millis(250)), LinkState::Up);
-        assert!(matches!(s.state_at(Instant::from_millis(400)), LinkState::Degraded { .. }));
-    }
-
-    #[test]
-    fn square_wave_alternates() {
-        let s = FlapSchedule::square_wave(
-            Duration::from_secs(2),
-            Duration::from_millis(500),
-            Instant::from_secs(7),
-        );
-        assert_eq!(s.steps().len(), 6); // flaps at 2,4,6 s, each with an up step
-        assert_eq!(s.state_at(Instant::from_millis(2_100)), LinkState::Down);
-        assert_eq!(s.state_at(Instant::from_millis(2_600)), LinkState::Up);
     }
 }

@@ -108,12 +108,6 @@ impl SendStream {
         self.write_with(None, |buf| buf.extend_from_slice(data))
     }
 
-    /// Append data tagged with a frame priority (the `stream_send` API
-    /// with position/size from the paper).
-    pub fn write_with_priority(&mut self, data: &[u8], priority: FramePriority) -> SendRange {
-        self.write_with(Some(priority), |buf| buf.extend_from_slice(data))
-    }
-
     /// Append what `fill` appends to the stream's buffer, tagged with a
     /// frame priority if one is given: [`SendStream::write`] for a producer
     /// that generates its bytes where they will be sent from. Returns the
@@ -485,7 +479,7 @@ mod tests {
     #[test]
     fn priority_markers() {
         let mut s = SendStream::new(u64::MAX);
-        s.write_with_priority(b"first-frame", 0);
+        s.write_with(Some(0), |buf| buf.extend_from_slice(b"first-frame"));
         s.write(b"rest of the video");
         assert_eq!(s.priority_of(0), 0);
         assert_eq!(s.priority_of(10), 0);

@@ -85,8 +85,6 @@ pub struct Player {
     /// Time the current stall began.
     stall_since: Option<Instant>,
     stats: PlayerStats,
-    /// Buffer-level samples (time, cached_bytes) for the Fig. 6 plots.
-    pub buffer_probe: Option<Vec<(Instant, u64)>>,
     /// Player lifecycle/buffer tracer (never consulted for decisions).
     tracer: Tracer,
 }
@@ -104,7 +102,6 @@ impl Player {
             last_advance: None,
             stall_since: None,
             stats: PlayerStats::default(),
-            buffer_probe: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -140,7 +137,6 @@ impl Player {
         }
         self.frames_received = frames;
         self.try_unstall(now);
-        self.record_probe(now);
     }
 
     /// Drive playback to `now` (call periodically / on ticks).
@@ -153,7 +149,6 @@ impl Player {
             PlayState::Playing => {}
         }
         if self.state != PlayState::Playing {
-            self.record_probe(now);
             return;
         }
         let last = self.last_advance.unwrap_or(now);
@@ -192,7 +187,6 @@ impl Player {
             self.last_advance = None;
             self.tracer.emit(now, Event::RebufferStart {});
         }
-        self.record_probe(now);
     }
 
     fn try_unstall(&mut self, now: Instant) {
@@ -219,13 +213,6 @@ impl Player {
                 self.last_advance = Some(now);
             }
             _ => {}
-        }
-    }
-
-    fn record_probe(&mut self, now: Instant) {
-        let cached = self.cached_bytes();
-        if let Some(probe) = &mut self.buffer_probe {
-            probe.push((now, cached));
         }
     }
 
@@ -257,11 +244,6 @@ impl Player {
     /// True once every frame has been played.
     pub fn is_finished(&self) -> bool {
         self.state == PlayState::Finished
-    }
-
-    /// True while stalled post-startup.
-    pub fn is_stalled(&self) -> bool {
-        self.state == PlayState::Stalled
     }
 
     /// Statistics (final accounting requires [`Player::finish_accounting`]
@@ -341,11 +323,9 @@ mod tests {
         p.advance(ms(100));
         p.advance(ms(500)); // buffer empty at 500ms
         p.advance(ms(700)); // still stalled
-        assert!(p.is_stalled());
         assert_eq!(p.stats().rebuffer_events, 1);
         // Refill at 900ms → stall lasted 400ms.
         p.on_bytes(ms(900), 20_000);
-        assert!(!p.is_stalled());
         assert_eq!(p.stats().rebuffer_time, Duration::from_millis(400));
         // Finish the video.
         let mut t = 900;
@@ -392,19 +372,8 @@ mod tests {
         p.on_bytes(ms(0), 2000);
         p.advance(ms(200)); // both frames played by 200ms
         p.advance(ms(350)); // stall detected (needs a full frame interval), backdated to 200ms
-        assert!(p.is_stalled());
+        assert_eq!(p.stats().rebuffer_events, 1);
         let st = p.finish_accounting(ms(1200));
         assert_eq!(st.rebuffer_time, Duration::from_millis(1000));
-    }
-
-    #[test]
-    fn buffer_probe_records_series() {
-        let mut p = Player::new(video(), PlayerConfig::default());
-        p.buffer_probe = Some(Vec::new());
-        p.on_bytes(ms(1), 3000);
-        p.on_bytes(ms(2), 6000);
-        let probe = p.buffer_probe.as_ref().unwrap();
-        assert!(probe.len() >= 2);
-        assert_eq!(probe.last().unwrap().1, 6000);
     }
 }
