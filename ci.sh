@@ -64,6 +64,10 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
     unauthenticated_bytes prop_the_borrowed_decoder crypto::
 
+step "player: advancing only at byte arrivals and next-change instants matches every millisecond (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-video --lib \
+    advancing_only_at_arrivals_and_next_changes_matches_every_millisecond
+
 step "impairment robustness sweep (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test impairments
 

@@ -70,10 +70,9 @@ impl Scenario {
     /// was run to and the world. The instants stay on the grid of `every`;
     /// the run, and the samples with it, ends early once both endpoints
     /// are done, and the world's clock ([`World::now`]) then stands at
-    /// that moment, before the last sample's instant. At a multiple of the
-    /// video client's 50 ms tick the run is [`Scenario::run`]'s to the
-    /// last byte (`tests::sampling_leaves_the_run_unchanged`); off that
-    /// grid the extra stretch ends can move a session's end.
+    /// that moment, before the last sample's instant. At any `every` the
+    /// run is [`Scenario::run`]'s to the last byte
+    /// (`tests::sampling_leaves_the_run_unchanged`).
     pub fn run_sampled<C: Endpoint, S: Endpoint>(
         self,
         client: C,
@@ -208,11 +207,8 @@ mod tests {
 
     /// [`Scenario::run_sampled`] with a sampler that looks at nothing ends
     /// where [`Scenario::run`] does, to the last byte of the result, under
-    /// every scheme, at cadences on the video client's 50 ms tick grid.
-    /// Off that grid (37 ms, 10 ms) a stretch ends on an instant with no
-    /// event, and the round run there advances the player early: the
-    /// session can be seen to end sooner, and now and then a request
-    /// leaves a millisecond earlier.
+    /// every scheme and at any cadence: a stretch that ends on an instant
+    /// with no event runs a round there that changes nothing.
     #[test]
     fn sampling_leaves_the_run_unchanged() {
         use crate::fleet::TracePool;
@@ -237,7 +233,7 @@ mod tests {
                 cfg.deadline = Duration::from_secs(40);
                 let scenario = || Scenario::new(vec![wifi.build(), lte.build()], cfg.deadline);
                 let whole = format!("{:?}", scenario().video(&cfg));
-                for every in [50, 100, 150].map(Duration::from_millis) {
+                for every in [50, 100, 150, 37, 10, 7].map(Duration::from_millis) {
                     let (client, server) = (
                         client_endpoint_for_probe(&cfg, Instant::ZERO),
                         server_endpoint_for_probe(&cfg, Instant::ZERO),

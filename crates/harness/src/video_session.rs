@@ -12,9 +12,6 @@ use xlink_netsim::{Path, World};
 use xlink_obs::{MetricsRegistry, TraceLog};
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
 
-/// How often the client refreshes QoE feedback / player state.
-const TICK: Duration = Duration::from_millis(50);
-
 /// Session configuration.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -95,8 +92,9 @@ impl ChunkReq {
 /// feedback.
 pub struct VideoClient {
     chunks: Vec<xlink_video::VideoChunk>,
-    max_buffer_ahead: Duration,
-    fps: u64,
+    /// Requests pause while this many frames are buffered:
+    /// [`SessionConfig::max_buffer_ahead`] in whole frames, rounded up.
+    pause_frames: u64,
     next_chunk: usize,
     prefetch: usize,
     /// stream id → request state.
@@ -106,12 +104,9 @@ pub struct VideoClient {
     /// concurrent sessions don't hold every finished body in memory.
     done: HashMap<u64, u64>,
     player: Player,
-    /// When the 50 ms tick clock last moved.
-    last_tick: Instant,
     object: String,
     /// RCT per chunk (request → full body), by chunk index.
     pub chunk_rct: Vec<(u64, Duration)>,
-    finished: bool,
 }
 
 /// The client endpoint: the video client over its connection.
@@ -125,19 +120,17 @@ impl VideoClientEndpoint {
             conn.set_tracer(&log.tracer("client"));
             player.set_tracer(log.tracer("client.video"));
         }
+        let frames_per_s = cfg.video.fps.max(1);
         let app = VideoClient {
             chunks: cfg.video.chunks(cfg.chunk_bytes),
-            max_buffer_ahead: cfg.max_buffer_ahead,
-            fps: cfg.video.fps.max(1),
+            pause_frames: (cfg.max_buffer_ahead.as_micros() * frames_per_s).div_ceil(1_000_000),
             next_chunk: 0,
             prefetch: cfg.prefetch.max(1),
             inflight: HashMap::new(),
             done: HashMap::new(),
             player,
-            last_tick: now,
             object: "video".to_string(),
             chunk_rct: Vec::new(),
-            finished: false,
         };
         AppEndpoint { conn, app }
     }
@@ -183,11 +176,10 @@ impl VideoClient {
         }
         // Bounded buffering: once enough play-time is cached, pause the
         // fetch pipeline until playback consumes it.
-        let buffered = Duration::from_micros(self.player.cached_frames() * 1_000_000 / self.fps);
-        if buffered >= self.max_buffer_ahead {
+        if self.player.cached_frames() >= self.pause_frames {
             return;
         }
-        while self.inflight.len() < self.prefetch && self.next_chunk < self.chunks.len() {
+        while self.wants_request() {
             let chunk = self.chunks[self.next_chunk];
             self.next_chunk += 1;
             // Stream priority = chunk index: earlier chunks are more
@@ -208,6 +200,11 @@ impl VideoClient {
                 },
             );
         }
+    }
+
+    /// A request would go out but for the buffer bound.
+    fn wants_request(&self) -> bool {
+        self.inflight.len() < self.prefetch && self.next_chunk < self.chunks.len()
     }
 
     /// Read every response stream through the consuming read (only the
@@ -270,24 +267,18 @@ impl App for VideoClient {
         self.player.advance(now);
         // Refresh QoE feedback (the TNET query of §5.2.1).
         conn.set_qoe(self.player.qoe_signal());
-        if self.player.is_finished() {
-            self.finished = true;
-        }
         self.maybe_issue_requests(conn, now);
     }
 
+    /// The next instant playback changes by itself: it ends or runs dry,
+    /// or, while the buffer bound holds requests back, drains below it.
     fn timeout(&self) -> Option<Instant> {
-        Some(self.last_tick + TICK)
-    }
-
-    fn on_timeout(&mut self, _conn: &mut MpConnection, now: Instant) {
-        if now >= self.last_tick + TICK {
-            self.last_tick = now;
-        }
+        let resume = self.player.drains_below(self.pause_frames).filter(|_| self.wants_request());
+        [self.player.next_change(), resume].into_iter().flatten().min()
     }
 
     fn is_done(&self, conn: &MpConnection) -> bool {
-        self.finished || conn.conn().is_closed()
+        self.player.is_finished() || conn.conn().is_closed()
     }
 }
 
@@ -573,6 +564,19 @@ mod tests {
         let sp_rebuffer = sp.player.rebuffer_time;
         let xl_rebuffer = xl.player.rebuffer_time;
         assert!(xl_rebuffer <= sp_rebuffer, "XLINK rebuffer {xl_rebuffer} vs SP {sp_rebuffer}");
+    }
+
+    /// The session ends the moment its last frame plays, not at some later
+    /// wake-up: playback's own deadline brings the world there.
+    #[test]
+    fn a_session_ends_when_its_last_frame_plays() {
+        for seed in 10..13 {
+            for scheme in [Scheme::Sp { path: 0 }, Scheme::Xlink, Scheme::VanillaMp] {
+                let r = run_session(&small_session(scheme, seed), good_paths());
+                assert!(r.completed, "{scheme:?}, seed {seed}");
+                assert_eq!(r.player.finished_at, Some(r.ended_at), "{scheme:?}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl Default for PlayerConfig {
 }
 
 /// Playback statistics — the paper's QoE metrics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlayerStats {
     /// Total stall time after start-up (rebuffering).
     pub rebuffer_time: Duration,
@@ -73,6 +73,8 @@ enum PlayState {
 pub struct Player {
     video: Video,
     cfg: PlayerConfig,
+    /// One frame's play time in microseconds.
+    frame_us: u64,
     /// Contiguous bytes received so far.
     bytes_received: u64,
     /// Frames fully received (derived from bytes).
@@ -92,9 +94,11 @@ pub struct Player {
 impl Player {
     /// New player for a video.
     pub fn new(video: Video, cfg: PlayerConfig) -> Self {
+        let frame_us = Duration::from_secs_f64(1.0 / video.fps as f64).as_micros().max(1);
         Player {
             video,
             cfg,
+            frame_us,
             bytes_received: 0,
             frames_received: 0,
             frames_played: 0,
@@ -152,16 +156,8 @@ impl Player {
             return;
         }
         let last = self.last_advance.unwrap_or(now);
-        let elapsed = now.saturating_duration_since(last);
-        if elapsed == Duration::ZERO {
-            return;
-        }
-        // Frames consumable in `elapsed`.
-        let frame_dur = Duration::from_secs_f64(1.0 / self.video.fps as f64);
-        if frame_dur == Duration::ZERO {
-            return;
-        }
-        let consumable = elapsed.as_micros() / frame_dur.as_micros().max(1);
+        // Frames consumable since `last`.
+        let consumable = now.saturating_duration_since(last).as_micros() / self.frame_us;
         if consumable == 0 {
             return;
         }
@@ -169,7 +165,7 @@ impl Player {
         let total_left = self.video.frame_count().saturating_sub(self.frames_played);
         let consumed = consumable.min(available).min(total_left);
         self.frames_played += consumed;
-        let play_span = Duration::from_micros(consumed * frame_dur.as_micros());
+        let play_span = Duration::from_micros(consumed * self.frame_us);
         self.stats.play_time += play_span;
         self.last_advance = Some(last + play_span);
         if self.frames_played >= self.video.frame_count() {
@@ -239,6 +235,29 @@ impl Player {
             bps: self.video.bps,
             fps: self.video.fps,
         }
+    }
+
+    /// The instant playback next changes state with no more bytes: the
+    /// last frame plays, or, one frame after the buffer ran dry, the
+    /// stall is registered (dated to when it ran dry). `None` unless
+    /// playing.
+    pub fn next_change(&self) -> Option<Instant> {
+        let left = self.video.frame_count().saturating_sub(self.frames_played);
+        let cached = self.cached_frames();
+        self.after_frames(if cached >= left { left } else { cached + 1 })
+    }
+
+    /// The instant playback with no more bytes leaves fewer than `frames`
+    /// frames buffered. `None` unless playing with at least that many.
+    pub fn drains_below(&self, frames: u64) -> Option<Instant> {
+        let over = self.cached_frames().checked_sub(frames)?;
+        self.after_frames(over + 1)
+    }
+
+    /// When `frames` more frames will have played, if playing.
+    fn after_frames(&self, frames: u64) -> Option<Instant> {
+        let last = self.last_advance.filter(|_| self.state == PlayState::Playing)?;
+        Some(last + Duration::from_micros(frames.saturating_mul(self.frame_us)))
     }
 
     /// True once every frame has been played.
@@ -324,8 +343,11 @@ mod tests {
         p.advance(ms(500)); // buffer empty at 500ms
         p.advance(ms(700)); // still stalled
         assert_eq!(p.stats().rebuffer_events, 1);
-        // Refill at 900ms → stall lasted 400ms.
+        assert_eq!(p.next_change(), None);
+        // Refill at 900ms → stall lasted 400ms; the other 15 frames play
+        // out by 2.4 s.
         p.on_bytes(ms(900), 20_000);
+        assert_eq!(p.next_change(), Some(ms(2400)));
         assert_eq!(p.stats().rebuffer_time, Duration::from_millis(400));
         // Finish the video.
         let mut t = 900;
@@ -373,7 +395,88 @@ mod tests {
         p.advance(ms(200)); // both frames played by 200ms
         p.advance(ms(350)); // stall detected (needs a full frame interval), backdated to 200ms
         assert_eq!(p.stats().rebuffer_events, 1);
+        assert_eq!(p.next_change(), None);
         let st = p.finish_accounting(ms(1200));
         assert_eq!(st.rebuffer_time, Duration::from_millis(1000));
+    }
+
+    #[test]
+    fn next_change_is_when_the_buffer_runs_dry_or_the_video_ends() {
+        let mut p = Player::new(video(), PlayerConfig { startup_frames: 2 });
+        assert_eq!(p.next_change(), None, "not playing yet");
+        // 5 frames play out by 500ms; the stall registers one frame later.
+        p.on_bytes(ms(0), 5000);
+        assert_eq!(p.next_change(), Some(ms(600)));
+        assert_eq!(p.drains_below(3), Some(ms(300)));
+        assert_eq!(p.drains_below(6), None);
+        p.advance(ms(600));
+        assert_eq!((p.stats().rebuffer_events, p.next_change()), (1, None));
+        p.on_bytes(ms(700), 20_000); // all 20 frames: the last plays at 2.2 s
+        assert_eq!(p.next_change(), Some(ms(2200)));
+        p.advance(ms(2200));
+        assert!(p.is_finished());
+        assert_eq!(p.stats().finished_at, Some(ms(2200)));
+        assert_eq!(p.next_change(), None);
+    }
+
+    /// Playback changes only when bytes arrive or at
+    /// [`Player::next_change`]: advancing at those instants alone gives
+    /// the statistics that advancing every millisecond gives, and each of
+    /// those instants changes the play state.
+    #[test]
+    fn advancing_only_at_arrivals_and_next_changes_matches_every_millisecond() {
+        use xlink_lab::prop::*;
+        // Frame sizes, fps, start-up target, then (gap µs, bytes) arrivals.
+        let case = (
+            vec_of(1u64..3000, 1..41),
+            0usize..5,
+            1u64..8,
+            vec_of((0u64..200_000, 0u64..20_000), 0..30),
+        );
+        check("player next change", case, |(sizes, fps, startup, arrivals)| {
+            let fps = [10, 24, 25, 30, 60][*fps];
+            let video = Video::from_frames(fps, 1_000_000, sizes.clone());
+            let cfg = PlayerConfig { startup_frames: *startup };
+            let mut at = Instant::ZERO;
+            let mut prefix = 0;
+            let arrivals: Vec<(Instant, u64)> = arrivals
+                .iter()
+                .map(|&(gap, bytes)| {
+                    at += Duration::from_micros(gap);
+                    prefix += bytes;
+                    (at, prefix)
+                })
+                .collect();
+            let last_frame = Duration::from_micros(1_000_000 / fps + 1);
+            let end = at + last_frame.mul_f64(sizes.len() as f64 + 2.0);
+
+            let mut sparse = Player::new(video.clone(), cfg.clone());
+            let change = |p: &mut Player, until: Instant| -> PropResult {
+                while let Some(t) = p.next_change().filter(|&t| t <= until) {
+                    let before = p.state;
+                    p.advance(t);
+                    prop_assert!(p.state != before, "nothing changed at {t}");
+                }
+                Ok(())
+            };
+            for &(at, prefix) in &arrivals {
+                change(&mut sparse, at)?;
+                sparse.on_bytes(at, prefix);
+            }
+            change(&mut sparse, end)?;
+            prop_assert_eq!(sparse.next_change(), None);
+
+            let mut dense = Player::new(video, cfg);
+            let mut t = Instant::ZERO;
+            for &(at, prefix) in arrivals.iter().chain([&(end, prefix)]) {
+                while t + Duration::from_millis(1) <= at {
+                    t += Duration::from_millis(1);
+                    dense.advance(t);
+                }
+                dense.on_bytes(at, prefix);
+            }
+            prop_assert_eq!(sparse.finish_accounting(end), dense.finish_accounting(end));
+            Ok(())
+        });
     }
 }

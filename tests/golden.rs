@@ -290,9 +290,11 @@ fn bulk_qlog_streams_are_pinned_mptcp() {
 }
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
+/// Re-recorded when the video client's 50 ms tick gave way to playback's
+/// own deadline.
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0xb9e7_9754_5cf3_968b, 0xf991_e1da_ef9b_3dfb),
-    (0x7745_1505_e607_a1d1, 0xd7ba_025c_da01_e7c3),
+    (0x73e4_d715_efec_0783, 0x608e_6ab6_540d_309f),
+    (0x527a_9cb7_c73e_beec, 0x4a4e_6104_356b_bbac),
 ];
 
 #[test]
