@@ -39,8 +39,8 @@ use xlink_obs::prof::{self, ProfReport};
 const CONCURRENCY_BIN: Duration = Duration::from_millis(100);
 
 /// How often a session's play time left is sampled into
-/// [`ArmAgg::buffer`]: a multiple of the video client's 50 ms tick, so the
-/// sampled run is exactly the unsampled one (`scenario::tests`).
+/// [`ArmAgg::buffer`]. Sampling at any cadence leaves the run exactly the
+/// unsampled one (`scenario::tests`).
 const BUFFER_SAMPLE: Duration = Duration::from_millis(100);
 
 /// Everything one shard produces; merged exactly into the fleet report.

@@ -4,7 +4,9 @@
 //! An [`App`] is what an application does over its [`MpConnection`].
 //! [`AppEndpoint`] is the one [`Endpoint`] around the pair: it opens each
 //! datagram where it lies, hands the buffer back to its sender, maps the
-//! connection's transmits and merges the two timers.
+//! connection's transmits and merges the two timers. An application, like
+//! the connection, acts only on a datagram or a timer: what changes with
+//! time alone (a player playing) is due at its [`App::timeout`].
 
 use xlink_clock::Instant;
 use xlink_core::MpConnection;

@@ -2,8 +2,9 @@
 //!
 //! A [`World`] owns a client endpoint, a server endpoint, and a set of
 //! bidirectional paths (each an uplink + downlink [`Link`] pair). It runs
-//! the classic poll loop: deliver arrived datagrams, let endpoints
-//! transmit, fire timers, then jump virtual time to the next event.
+//! the classic poll loop: deliver arrived datagrams, fire due timers, let
+//! endpoints transmit, then jump virtual time to the next event. An
+//! [`Endpoint`] acts only on a datagram or a timer.
 
 use crate::impair::{FlapSchedule, LinkState};
 use crate::link::{Link, LinkConfig, Stats};

@@ -143,7 +143,8 @@ impl Player {
         self.try_unstall(now);
     }
 
-    /// Drive playback to `now` (call periodically / on ticks).
+    /// Drive playback to `now`. With no new bytes, the state changes only
+    /// at [`Player::next_change`].
     pub fn advance(&mut self, now: Instant) {
         match self.state {
             PlayState::Finished => return,
