@@ -143,8 +143,9 @@ fn ab_digests() -> [u64; 2] {
 }
 
 /// Fleet report at 240 sessions: (digest, hash of the shard-invariant
-/// JSON prefix).
-fn fleet(shards: u32) -> (u64, u64) {
+/// JSON prefix, hash of both arms' sampled buffer histograms). The digest
+/// leaves the buffer histograms out, so they get their own hash.
+fn fleet(shards: u32) -> (u64, u64, u64) {
     let mut cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
     cfg.users_per_day = 240;
     cfg.shards = shards;
@@ -154,7 +155,8 @@ fn fleet(shards: u32) -> (u64, u64) {
     let r = run_fleet(&cfg);
     let json = r.to_json();
     let prefix = json.split("\"shards\"").next().expect("prefix");
-    (r.digest(), fnv(prefix.as_bytes()))
+    let buffer = fnv(format!("{:?}", (&r.arm_a.buffer, &r.arm_b.buffer)).as_bytes());
+    (r.digest(), fnv(prefix.as_bytes()), buffer)
 }
 
 /// Compare computed rows against the recorded table; print every
@@ -325,15 +327,21 @@ fn ab_arm_digests_are_pinned() {
 
 const FLEET: (u64, u64) = (0x2d13_5bf2_c320_0be2, 0x7f24_2b2b_4786_b059);
 
+/// The sampled buffer histograms of [`fleet`]'s run: what Fig. 10's
+/// thresholds come from.
+const FLEET_BUFFER: u64 = 0x2978_870f_6b07_15e3;
+
 #[test]
 fn fleet_report_is_pinned_for_one_and_four_shards() {
-    let mut rows = Vec::new();
+    let (mut rows, mut buffers) = (Vec::new(), Vec::new());
     for shards in [1, 4] {
-        let (digest, prefix) = fleet(shards);
+        let (digest, prefix, buffer) = fleet(shards);
         rows.push((format!("digest/{shards}"), digest, FLEET.0));
         rows.push((format!("json_prefix/{shards}"), prefix, FLEET.1));
+        buffers.push((format!("buffer/{shards}"), buffer, FLEET_BUFFER));
     }
     check("FLEET", &rows);
+    check("FLEET_BUFFER", &buffers);
 }
 
 /// 60 users x 200 KB against three shards, 2 s idle timeout: long enough
