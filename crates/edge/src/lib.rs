@@ -41,4 +41,4 @@ pub mod token;
 
 pub use pop::{reject, Pop, PopBoundedState, PopConfig, PopStats, ShardOutcome, ShardStats};
 pub use router::{classify, Classified, EdgeRouter};
-pub use token::{mint, verify, TokenError, TokenKey, TOKEN_LEN};
+pub use token::{mint, verify, TokenError, TOKEN_LEN};

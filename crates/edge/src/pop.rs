@@ -41,7 +41,7 @@ use xlink_quic::connection::{placeholder_dcid, Config, Connection, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
 
 use crate::router::{classify, Classified, EdgeRouter};
-use crate::token::{splitmix, TokenError, TokenKey};
+use crate::token::{self, splitmix, TokenError};
 use xlink_quic::reset;
 
 /// Reject reasons (also the `reason` field of [`Event::EdgeReject`]).
@@ -127,8 +127,6 @@ pub struct PopStats {
     pub shard_crashes: u64,
     /// Stateless resets queued for transmission (§10.3).
     pub resets_sent: u64,
-    /// Retry-token MAC key rotations.
-    pub token_rotations: u64,
     /// Datagrams with unparseable or inbound-Retry headers.
     pub malformed: u64,
     /// Rejected datagrams by reason (see [`reject`]).
@@ -313,8 +311,6 @@ pub struct Pop {
     /// reconnection, while a re-spend against a live shard stays a
     /// replay (same SCID hashes to the same shard).
     replay_seen: BTreeMap<u128, ServerId>,
-    /// Epoch-tagged Retry-token MAC key (current + previous verify).
-    token_key: TokenKey,
     addr_acct: BTreeMap<usize, AddrAccount>,
     /// Monotone counter feeding backend-CID entropy: admission order,
     /// so CID *values* are unique and shard-count independent.
@@ -349,7 +345,6 @@ impl Pop {
             peak_pending: 0,
             replay_order: VecDeque::new(),
             replay_seen: BTreeMap::new(),
-            token_key: TokenKey::new(TOKEN_KEY),
             addr_acct: BTreeMap::new(),
             cid_counter: 0,
             mint_counter: 0,
@@ -367,19 +362,6 @@ impl Pop {
     /// Attach a trace handle for edge events (admit/reject/drain/migrate).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Rotate the Retry-token MAC key to a fresh epoch. Tokens of the
-    /// previous epoch keep verifying (see [`TokenKey`]); older epochs
-    /// become indistinguishable from forgeries. Returns the new epoch.
-    pub fn rotate_token_key(&mut self) -> u64 {
-        self.stats.token_rotations += 1;
-        self.token_key.rotate()
-    }
-
-    /// Current Retry-token key epoch.
-    pub fn token_epoch(&self) -> u64 {
-        self.token_key.epoch()
     }
 
     /// Reset secret for `shard` under an explicit epoch.
@@ -658,7 +640,7 @@ impl Pop {
     /// amplification budget and the Retry-queue cap.
     fn queue_retry(&mut self, now: Instant, addr: usize, scid: ConnectionId) {
         let _prof = prof::span!("edge/retry");
-        let tok = self.token_key.mint(addr as u64, self.mint_counter, now);
+        let tok = token::mint(TOKEN_KEY, addr as u64, self.mint_counter, now);
         self.mint_counter += 1;
         let header = Header {
             ty: PacketType::Retry,
@@ -698,7 +680,7 @@ impl Pop {
                 self.queue_retry(now, addr, scid);
                 return;
             }
-            match self.token_key.verify(addr as u64, now, TOKEN_LIFETIME, tok) {
+            match token::verify(TOKEN_KEY, addr as u64, now, TOKEN_LIFETIME, tok) {
                 Err(TokenError::Malformed) | Err(TokenError::BadMac) => {
                     self.reject(now, reject::BAD_TOKEN);
                     return;
@@ -952,7 +934,6 @@ impl Endpoint for Pop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token;
     use xlink_core::lb::server_id;
 
     /// A toy-origin request: `len` bytes starting at `offset`.
@@ -1242,53 +1223,5 @@ mod tests {
         let mut e = Connection::new(Config::client(0xe1), now);
         p.on_datagram(now, 0, &splice(&mut e));
         assert_eq!(p.stats().admitted, 2, "post-crash re-spend is a reconnection, not a replay");
-    }
-
-    #[test]
-    fn token_rotation_mid_flood_keeps_in_flight_tokens_spendable() {
-        let mut p = pop(true, &[1, 2]);
-        let now = Instant::from_millis(1);
-        let mut a = Connection::new(Config::client(0x3a), now);
-        let hello = a.poll_transmit(now).expect("hello");
-        p.on_datagram(now, 0, &hello);
-        let retry = Endpoint::poll_transmit(&mut p, now).expect("retry");
-        let tok = retry.payload[19..].to_vec();
-        let splice = |conn: &mut Connection, tok: &[u8]| {
-            let d = conn.poll_transmit(now).expect("hello");
-            let mut out = d[..19].to_vec();
-            out.push(token::TOKEN_LEN as u8);
-            out.extend_from_slice(tok);
-            out.extend_from_slice(&d[20..]);
-            out
-        };
-        // One rotation mid-flight: the token the client is about to
-        // spend was minted under the previous epoch and must still work.
-        assert_eq!(p.rotate_token_key(), 1);
-        let mut b = Connection::new(Config::client(0x3b), now);
-        p.on_datagram(now, 0, &splice(&mut b, &tok));
-        assert_eq!(p.stats().admitted, 1, "previous-epoch token spends after one rotation");
-        // Earn a current-epoch token, rotate twice more: two epochs back
-        // is indistinguishable from a forgery.
-        let mut c = Connection::new(Config::client(0x3c), now);
-        let hello2 = c.poll_transmit(now).expect("hello");
-        p.on_datagram(now, 1, &hello2);
-        let retry2 = Endpoint::poll_transmit(&mut p, now).expect("retry");
-        let tok2 = retry2.payload[19..].to_vec();
-        p.rotate_token_key();
-        p.rotate_token_key();
-        assert_eq!(p.token_epoch(), 3);
-        let mut e = Connection::new(Config::client(0x3e), now);
-        let spliced = {
-            let d = e.poll_transmit(now).expect("hello");
-            let mut out = d[..19].to_vec();
-            out.push(token::TOKEN_LEN as u8);
-            out.extend_from_slice(&tok2);
-            out.extend_from_slice(&d[20..]);
-            out
-        };
-        p.on_datagram(now, 1, &spliced);
-        assert_eq!(p.stats().rejected(reject::BAD_TOKEN), 1);
-        assert_eq!(p.stats().admitted, 1);
-        assert_eq!(p.stats().token_rotations, 3);
     }
 }

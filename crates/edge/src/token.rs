@@ -98,72 +98,6 @@ pub fn verify(
     Ok(())
 }
 
-/// An epoch-tagged Retry-token MAC key.
-///
-/// Long-lived PoPs must rotate the token MAC key without stranding the
-/// tokens already in flight: a client that just received a Retry is about
-/// to spend a token minted seconds ago. `TokenKey` derives one MAC key
-/// per epoch from a base secret; [`TokenKey::mint`] always uses the
-/// current epoch, and [`TokenKey::verify`] accepts the current **and the
-/// immediately previous** epoch — anything older is rejected with the
-/// same [`TokenError::BadMac`] a forgery gets (an observer cannot tell
-/// "old epoch" from "forged"). One rotation is therefore always safe
-/// mid-flood; two rotations inside a token lifetime invalidate in-flight
-/// tokens by design.
-#[derive(Debug, Clone, Copy)]
-pub struct TokenKey {
-    base: u64,
-    epoch: u64,
-}
-
-impl TokenKey {
-    /// Start at epoch 0 over `base` (the configured PoP token key).
-    pub fn new(base: u64) -> Self {
-        TokenKey { base, epoch: 0 }
-    }
-
-    /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Advance to the next epoch; returns the new epoch number.
-    pub fn rotate(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch
-    }
-
-    /// Derive the MAC key for `epoch` (domain-separated from the base so
-    /// epoch keys never collide with the raw base key's token stream).
-    fn key_for(&self, epoch: u64) -> u64 {
-        splitmix(self.base ^ splitmix(epoch ^ 0xe90c_4a7e_90c4_a7e9))
-    }
-
-    /// Mint a token under the current epoch key.
-    pub fn mint(&self, addr: u64, nonce: u64, now: Instant) -> [u8; TOKEN_LEN] {
-        mint(self.key_for(self.epoch), addr, nonce, now)
-    }
-
-    /// Verify against the current epoch, then the previous one. Errors
-    /// other than [`TokenError::BadMac`] (malformed, expired) are final
-    /// on the first pass — an expired current-epoch token is expired, not
-    /// a candidate for the old key.
-    pub fn verify(
-        &self,
-        addr: u64,
-        now: Instant,
-        lifetime: Duration,
-        token: &[u8],
-    ) -> Result<(), TokenError> {
-        match verify(self.key_for(self.epoch), addr, now, lifetime, token) {
-            Err(TokenError::BadMac) if self.epoch > 0 => {
-                verify(self.key_for(self.epoch - 1), addr, now, lifetime, token)
-            }
-            r => r,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,48 +165,6 @@ mod tests {
         let tok = mint(KEY, 7, 0, now);
         assert_eq!(verify(KEY, 7, now, LIFE, &tok[..TOKEN_LEN - 1]), Err(TokenError::Malformed));
         assert_eq!(verify(KEY, 7, now, LIFE, &[]), Err(TokenError::Malformed));
-    }
-
-    #[test]
-    fn rotation_keeps_previous_epoch_valid_and_rejects_older() {
-        let now = Instant::from_millis(500);
-        let mut k = TokenKey::new(KEY);
-        let epoch0 = k.mint(42, 0, now);
-        assert_eq!(k.verify(42, now, LIFE, &epoch0), Ok(()));
-        // One rotation: the in-flight token still spends.
-        k.rotate();
-        assert_eq!(k.verify(42, now, LIFE, &epoch0), Ok(()));
-        let epoch1 = k.mint(42, 1, now);
-        assert_eq!(k.verify(42, now, LIFE, &epoch1), Ok(()));
-        // Two rotations: the epoch-0 token is indistinguishable from a
-        // forgery; the epoch-1 token is now "previous" and still good.
-        k.rotate();
-        assert_eq!(k.verify(42, now, LIFE, &epoch0), Err(TokenError::BadMac));
-        assert_eq!(k.verify(42, now, LIFE, &epoch1), Ok(()));
-    }
-
-    #[test]
-    fn epoch_keys_produce_disjoint_token_streams() {
-        let now = Instant::from_millis(500);
-        let mut k = TokenKey::new(KEY);
-        let a = k.mint(42, 0, now);
-        k.rotate();
-        let b = k.mint(42, 0, now);
-        assert_ne!(a, b, "same inputs under different epochs must differ");
-        // Epoch keys are also distinct from the raw base key's stream.
-        assert_ne!(a, mint(KEY, 42, 0, now));
-    }
-
-    #[test]
-    fn expired_previous_epoch_token_stays_expired() {
-        // An old-epoch token past its lifetime must be Expired, not
-        // resurrected by the two-key check.
-        let now = Instant::from_millis(500);
-        let mut k = TokenKey::new(KEY);
-        let tok = k.mint(42, 0, now);
-        k.rotate();
-        let late = now + LIFE + Duration::from_micros(1);
-        assert_eq!(k.verify(42, late, LIFE, &tok), Err(TokenError::Expired));
     }
 
     #[test]

@@ -406,12 +406,12 @@ fn pop_traced_cases() -> [(&'static str, PopRunConfig); 6] {
 
 /// (qlog, report) hashes of [`pop_traced_cases`].
 const POP_TRACED: [(u64, u64); 6] = [
-    (0x2d9c_ab5f_fdfa_11b4, 0x9b00_ec67_0864_e2c6),
-    (0xc5f5_156b_6071_08e9, 0x0d9b_79ac_2482_66ab),
-    (0x2cd7_fe93_00e8_85fb, 0xd953_ae23_f477_83aa),
-    (0xed9b_cd9f_02ea_0ab9, 0x95fe_8e3a_2b84_995f),
-    (0x6798_91c5_0a08_d399, 0xaa99_b03c_c73b_26bb),
-    (0xdaa6_df6f_5234_1c8c, 0x5371_a0b6_ae66_c68d),
+    (0x2d9c_ab5f_fdfa_11b4, 0x3e9f_a659_25d4_a9d5),
+    (0xc5f5_156b_6071_08e9, 0xfbe2_cb25_518b_2d0c),
+    (0x2cd7_fe93_00e8_85fb, 0x8c4c_c943_4107_3623),
+    (0xed9b_cd9f_02ea_0ab9, 0x6052_960f_39ea_160c),
+    (0x6798_91c5_0a08_d399, 0x7e9b_6309_f3bf_6d66),
+    (0xdaa6_df6f_5234_1c8c, 0x8747_4015_f92b_a5b4),
 ];
 
 #[test]
@@ -446,7 +446,7 @@ fn pop_churn(seed: u64) -> u64 {
 }
 
 /// Report hashes of [`pop_churn`] for seeds 1, 2, 3.
-const POP_CHURN: [u64; 3] = [0xcd81_037f_c10d_57cd, 0x6f5a_e58f_1b37_5ff8, 0x5976_8ebd_c197_ebb0];
+const POP_CHURN: [u64; 3] = [0x6f43_91ea_66ad_b8ae, 0xb035_60e0_3ff2_172b, 0xcf93_5e34_1ff8_4f5d];
 
 #[test]
 fn pop_churn_reports_are_pinned() {

@@ -829,44 +829,3 @@ fn reset_oracle_resists_false_positives() {
         },
     );
 }
-
-/// Token-epoch window: a Retry token minted under epoch `e` verifies
-/// under `e` and `e + 1` (one rotation is always safe mid-flood) and is
-/// indistinguishable from a forgery from `e + 2` on; expiry is judged
-/// before the old-key fallback, so an expired token stays `Expired`
-/// across a rotation rather than decaying to `BadMac`.
-#[test]
-fn token_epoch_window_is_exactly_two_epochs() {
-    use xlink::edge::{TokenError, TokenKey};
-
-    check(
-        "token_epoch_window_is_exactly_two_epochs",
-        (1u64..u64::MAX, 0u64..20, 0u64..1_000, 1u64..5_000),
-        |&(base, start_epoch, addr, life_ms)| {
-            let mut key = TokenKey::new(base);
-            for _ in 0..start_epoch {
-                key.rotate();
-            }
-            let minted = Instant::from_millis(17);
-            let life = Duration::from_millis(life_ms);
-            let tok = key.mint(addr, base ^ addr, minted);
-            prop_assert_eq!(key.verify(addr, minted, life, &tok), Ok(()));
-            key.rotate();
-            prop_assert_eq!(key.verify(addr, minted, life, &tok), Ok(()), "one rotation strands");
-            key.rotate();
-            prop_assert_eq!(key.verify(addr, minted, life, &tok), Err(TokenError::BadMac));
-            // Expired-under-current-epoch is final: no old-key retry.
-            let mut key2 = TokenKey::new(base);
-            let tok2 = key2.mint(addr, base, minted);
-            let stale = minted + life + Duration::from_millis(1);
-            prop_assert_eq!(key2.verify(addr, stale, life, &tok2), Err(TokenError::Expired));
-            key2.rotate();
-            prop_assert_eq!(
-                key2.verify(addr, stale, life, &tok2),
-                Err(TokenError::Expired),
-                "expiry decayed to BadMac after rotation"
-            );
-            Ok(())
-        },
-    );
-}
