@@ -13,6 +13,10 @@
 //! ([`PopRunConfig::attack`]), and reports the PoP's bounded-state
 //! gauges alongside population completion.
 //!
+//! A session lives on its own timers: the fleet's timer wakes it at its
+//! start time, and once it is done its connection's timers leave the
+//! fleet's deadline index, so only a datagram reaching it makes it act.
+//!
 //! ## Crash recovery
 //!
 //! When a session's connection dies — a stateless reset recognised by
@@ -32,7 +36,7 @@ use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
 use xlink_edge::{classify, Classified, Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
 use xlink_lab::payload;
-use xlink_netsim::{Deadlines, Endpoint, LinkConfig, Path, Transmit, Wakeups, World};
+use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit, Wakeups, World};
 use xlink_obs::{prof, Event, TraceLog, Tracer};
 use xlink_quic::cid::ConnectionId;
 use xlink_quic::connection::{Config, Connection};
@@ -314,15 +318,12 @@ pub struct PopFleet {
     /// The attacker's dedicated world path.
     attack_addr: usize,
     rr: usize,
-    /// Which slots may have something to send, and every session's timer
-    /// (done sessions included: their connections keep firing, e.g.
-    /// keep-alive PINGs, whenever the world calls `on_timeout`).
+    /// Which slots may have something to send, and the timers of the
+    /// sessions that are not done: a done session's connection stays
+    /// quiet until a datagram reaches it.
     wake: Wakeups,
-    /// The timers of the sessions that are not done — the only ones the
-    /// world is asked to wake up for.
-    live_timers: Deadlines,
-    /// Sessions before this one have reached their start time (starts
-    /// ascend with the slot).
+    /// Sessions before this one have started; this one's start is the
+    /// fleet's start timer (starts ascend with the slot).
     next_start: usize,
     /// Sessions that are not done.
     live: usize,
@@ -343,7 +344,6 @@ impl PopFleet {
             attack_addr: addrs,
             rr: 0,
             wake: Wakeups::default(),
-            live_timers: Deadlines::default(),
             next_start: 0,
             live: sessions.len(),
             conn_polls: 0,
@@ -401,12 +401,12 @@ impl PopFleet {
         debug_assert!(prev.is_none(), "reconnect CID collision");
     }
 
-    /// File session `slot`'s timer in both views and keep the count of
-    /// live sessions. Call after anything that can move either: an input,
-    /// a send (which arms loss timers), a reconnect.
+    /// File session `slot`'s timer, none once it is done, and keep the
+    /// count of live sessions. Call after anything that can move either:
+    /// an input, a send (which arms loss timers), a reconnect.
     fn refile(&mut self, slot: usize) {
         let s = &mut self.sessions[slot];
-        let (deadline, done) = (s.conn.poll_timeout(), s.is_done());
+        let done = s.is_done();
         if done != s.counted_done {
             s.counted_done = done;
             if done {
@@ -415,8 +415,7 @@ impl PopFleet {
                 self.live += 1;
             }
         }
-        self.wake.set_deadline(slot, deadline);
-        self.live_timers.set(slot, if done { None } else { deadline });
+        self.wake.set_deadline(slot, if done { None } else { s.conn.poll_timeout() });
     }
 
     /// Session `slot` took an input (a datagram, a fired timer, a fresh
@@ -471,12 +470,6 @@ impl Endpoint for PopFleet {
     }
 
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        // A session begins here: on the first poll at or after its start
-        // time, not at that time — nothing wakes the world for a start.
-        while self.sessions.get(self.next_start).is_some_and(|s| s.start <= now) {
-            self.wake.mark_ready(self.next_start);
-            self.next_start += 1;
-        }
         let slots = self.sessions.len() + usize::from(self.attacker.is_some());
         // Round-robin over the slots that took an input since they last
         // had nothing to send; the others would still say so.
@@ -508,10 +501,16 @@ impl Endpoint for PopFleet {
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        self.live_timers.next()
+        let start = self.sessions.get(self.next_start).map(|s| s.start);
+        [self.wake.next_deadline(), start].into_iter().flatten().min()
     }
 
     fn on_timeout(&mut self, now: Instant) {
+        // A session begins at its start time: from then on it may send.
+        while self.sessions.get(self.next_start).is_some_and(|s| s.start <= now) {
+            self.wake.mark_ready(self.next_start);
+            self.next_start += 1;
+        }
         let due = self.wake.due(now);
         for &slot in &due {
             self.sessions[slot].conn.on_timeout(now);
@@ -717,6 +716,32 @@ mod tests {
             assert_eq!(s.received, cfg.request_bytes + skew);
             assert_eq!(s.ok, skew == 0, "skew {skew}");
         }
+    }
+
+    /// A session whose start falls in a quiet stretch starts on time: the
+    /// start is a timer, not the first poll after it.
+    #[test]
+    fn a_late_session_starts_at_its_start_time() {
+        let cfg = PopRunConfig {
+            users: 2,
+            addrs: 1,
+            stagger: Duration::from_secs(5),
+            request_bytes: 5_000,
+            ..PopRunConfig::default()
+        };
+        let log = TraceLog::recording();
+        let r = run_pop_traced(&cfg, &log);
+        assert_eq!(r.completed, 2, "{r:?}");
+        let first_sent = log
+            .events()
+            .into_iter()
+            .find(|e| {
+                log.source_name(e.source).starts_with("client1")
+                    && matches!(e.body, Event::PacketSent { .. })
+            })
+            .map(|e| e.time);
+        assert_eq!(first_sent, Some(Instant::from_secs(5)));
+        assert_eq!(r.end, Duration::from_millis(5_066), "{r:?}");
     }
 
     #[test]
