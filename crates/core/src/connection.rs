@@ -280,9 +280,9 @@ impl MpConnection {
 
     /// Earliest timer deadline: the connection's, and a CM client's stall.
     pub fn poll_timeout(&self) -> Option<Instant> {
-        // A plain match on purpose: the world polls this every round, and an
-        // `into_iter().chain(..).min()` form measured 9 % slower on the
-        // benchmark's bulk_fatpipe.
+        // A plain match on purpose: the world reads this in every round and
+        // again for its next wake-up, and an `into_iter().chain(..).min()`
+        // form measured 9 % slower on the benchmark's bulk_fatpipe.
         let base = self.conn.poll_timeout();
         match self.cm_stall_deadline() {
             Some(stall) => Some(base.map_or(stall, |b| b.min(stall))),

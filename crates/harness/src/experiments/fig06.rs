@@ -72,6 +72,8 @@ fn run_one(label: &'static str, scheme: Scheme, seed: u64) -> Fig06Series {
     let every = Duration::from_millis(100);
     let scenario = Scenario::new(vec![p1, p2], cfg.deadline);
     let mut world = scenario.run_sampled(client, server, every, |t, world| {
+        let now = world.now();
+        world.client.player_mut().advance(now);
         samples.push(Fig06Sample {
             t_ms: t.as_millis(),
             buffer_bytes: world.client.player_cached_bytes(),

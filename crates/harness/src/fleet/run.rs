@@ -95,6 +95,8 @@ fn run_shard(cfg: &FleetConfig, pool: &TracePool, shard: u32) -> ShardResult {
             let world = {
                 let _prof = prof::span!("fleet/session_step");
                 scenario.run_sampled(client, server, BUFFER_SAMPLE, |_, world| {
+                    let now = world.now();
+                    world.client.player_mut().advance(now);
                     // After start-up and before the end, as Fig. 10 measures.
                     let player = world.client.player_stats();
                     if player.playback_started_at.is_some() && player.finished_at.is_none() {

@@ -72,7 +72,10 @@ impl Scenario {
     /// are done, and the world's clock ([`World::now`]) then stands at
     /// that moment, before the last sample's instant. At any `every` the
     /// run is [`Scenario::run`]'s to the last byte
-    /// (`tests::sampling_leaves_the_run_unchanged`).
+    /// (`tests::sampling_leaves_the_run_unchanged`). The world asks an
+    /// endpoint to send only after an input, so a probe brings what it
+    /// reads up to [`World::now`] itself: the video client's player is
+    /// advanced there (`player_mut().advance(now)`), as a poll used to.
     pub fn run_sampled<C: Endpoint, S: Endpoint>(
         self,
         client: C,

@@ -1,10 +1,10 @@
 //! Wake-up bookkeeping for an [`Endpoint`](crate::Endpoint) that
 //! multiplexes many connections behind one address.
 //!
-//! [`World`](crate::World) asks an endpoint for its next datagram and its
-//! earliest timer several times per round. An endpoint holding N
-//! connections that answers by asking each of them makes every round cost
-//! N, and a population run quadratic. [`Wakeups`] keeps the two answers
+//! [`World`](crate::World) reads an endpoint's earliest timer in every
+//! round and asks it for its next datagram after every input. An endpoint
+//! holding N connections that answers by asking each of them makes every
+//! round cost N, and a population run quadratic. [`Wakeups`] keeps the two answers
 //! incrementally instead, keyed by the endpoint's own slot numbers:
 //!
 //! - a **ready set** of slots that may have something to send. A slot

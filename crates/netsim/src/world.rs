@@ -4,7 +4,8 @@
 //! bidirectional paths (each an uplink + downlink [`Link`] pair). It runs
 //! the classic poll loop: deliver arrived datagrams, fire due timers, let
 //! endpoints transmit, then jump virtual time to the next event. An
-//! [`Endpoint`] acts only on a datagram or a timer.
+//! [`Endpoint`] acts only on a datagram or a timer, and the world asks it
+//! for a datagram only after such an input.
 
 use crate::impair::{FlapSchedule, LinkState};
 use crate::link::{Link, LinkConfig, Stats};
@@ -20,7 +21,10 @@ pub struct Transmit {
     pub payload: Vec<u8>,
 }
 
-/// Anything that can be driven by the simulator.
+/// Anything that can be driven by the simulator. It changes only on an
+/// input, a datagram or a fired timer, so a `None` from
+/// [`Endpoint::poll_transmit`] holds until the next one: the world asks it
+/// to send only after an input and on entry to [`World::run_until`].
 pub trait Endpoint {
     /// A datagram arrived on `path`.
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]);
@@ -86,6 +90,14 @@ impl Path {
     }
 }
 
+/// Ask `endpoint` for a datagram if it may have one; a `None` clears
+/// `ready` until its next input.
+fn poll<E: Endpoint>(endpoint: &mut E, ready: &mut bool, now: Instant) -> Option<Transmit> {
+    let tx = if *ready { endpoint.poll_transmit(now) } else { None };
+    *ready = tx.is_some();
+    tx
+}
+
 /// Rounds with activity allowed at one instant before the run is declared
 /// livelocked. A round delivers, fires or sends something, so real bursts
 /// settle in hundreds of rounds; an endpoint whose due timer is never
@@ -110,6 +122,9 @@ pub struct World<C: Endpoint, S: Endpoint> {
     path_tracers: Vec<Tracer>,
     /// Safety valve for runaway loops.
     max_iterations: u64,
+    /// The client, then the server, may have something to send: set by
+    /// an input and on entry to [`World::run_until`], cleared by a `None`.
+    ready: [bool; 2],
 }
 
 impl<C: Endpoint, S: Endpoint> World<C, S> {
@@ -123,6 +138,7 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
             flaps: Vec::new(),
             path_tracers: Vec::new(),
             max_iterations: 50_000_000,
+            ready: [true; 2],
         }
     }
 
@@ -172,7 +188,7 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
 
     /// One scheduling round at the current instant: apply flap-schedule
     /// steps due now, deliver arrived datagrams, fire timers, and drain up
-    /// to 64 transmissions.
+    /// to 64 transmissions from the endpoints that may have any.
     /// Returns true if anything happened.
     fn round(&mut self) -> bool {
         // Apply flap-schedule steps due now.
@@ -197,11 +213,13 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
                 for mut d in path.up.recv(self.now) {
                     self.server.on_datagram_in_place(self.now, i, &mut d.payload);
                     self.client.recycle(d.payload);
+                    self.ready[1] = true;
                     activity = true;
                 }
                 for mut d in path.down.recv(self.now) {
                     self.client.on_datagram_in_place(self.now, i, &mut d.payload);
                     self.server.recycle(d.payload);
+                    self.ready[0] = true;
                     activity = true;
                 }
             }
@@ -209,22 +227,24 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         // Timers.
         if self.client.poll_timeout().is_some_and(|t| t <= self.now) {
             self.client.on_timeout(self.now);
+            self.ready[0] = true;
             activity = true;
         }
         if self.server.poll_timeout().is_some_and(|t| t <= self.now) {
             self.server.on_timeout(self.now);
+            self.ready[1] = true;
             activity = true;
         }
         // Transmissions (bounded per iteration to interleave fairly).
         for _ in 0..64 {
             let mut sent = false;
-            if let Some(tx) = self.client.poll_transmit(self.now) {
+            if let Some(tx) = poll(&mut self.client, &mut self.ready[0], self.now) {
                 if let Some(p) = self.paths.get_mut(tx.path) {
                     p.up.send(self.now, tx.payload);
                 }
                 sent = true;
             }
-            if let Some(tx) = self.server.poll_transmit(self.now) {
+            if let Some(tx) = poll(&mut self.server, &mut self.ready[1], self.now) {
                 if let Some(p) = self.paths.get_mut(tx.path) {
                     p.down.send(self.now, tx.payload);
                 }
@@ -262,6 +282,8 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
     /// Run until `deadline`, both endpoints report done, or quiescence.
     /// Returns the time the loop stopped.
     pub fn run_until(&mut self, deadline: Instant) -> Instant {
+        // The caller may have changed either endpoint since the last call.
+        self.ready = [true; 2];
         let mut iterations = 0u64;
         let mut rounds_here = 0u64;
         loop {
@@ -276,16 +298,19 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
             if self.now >= deadline {
                 return self.now;
             }
-            if activity {
+            // Another round at this instant only if it has work left: an
+            // endpoint that may still send, or an event already due.
+            let next = self.next_wake();
+            if activity && (self.ready.contains(&true) || next.is_some_and(|t| t <= self.now)) {
                 rounds_here += 1;
                 if rounds_here > MAX_ROUNDS_PER_INSTANT {
                     panic!("simulation livelocked: {rounds_here} rounds at {}", self.now);
                 }
-                continue; // re-run at the same instant until quiescent
+                continue;
             }
             rounds_here = 0;
             // Jump to the next interesting time.
-            match self.next_wake() {
+            match next {
                 Some(t) if t > self.now => {
                     self.now = t.min(deadline);
                 }
@@ -439,6 +464,51 @@ mod tests {
     fn timer_that_stays_due_is_reported_as_livelock() {
         World::new(StuckTimer, blaster(0, 0, 1), vec![fast_path(1)])
             .run_until(Instant::from_secs(1));
+    }
+
+    /// Sends one datagram at each of its timers; notes when it is asked
+    /// to send and when a datagram reaches it.
+    struct Counted {
+        timers: Vec<Instant>,
+        queued: usize,
+        polls: Vec<Instant>,
+        received: Vec<Instant>,
+    }
+
+    impl Endpoint for Counted {
+        fn on_datagram(&mut self, now: Instant, _path: usize, _payload: &[u8]) {
+            self.received.push(now);
+        }
+        fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
+            self.polls.push(now);
+            self.queued = self.queued.checked_sub(1)?;
+            Some(Transmit { path: 0, payload: vec![0xaa; 100] })
+        }
+        fn poll_timeout(&self) -> Option<Instant> {
+            self.timers.first().copied()
+        }
+        fn on_timeout(&mut self, _now: Instant) {
+            self.timers.remove(0);
+            self.queued += 1;
+        }
+    }
+
+    #[test]
+    fn an_endpoint_is_asked_again_only_after_an_input() {
+        let ms = Instant::from_millis;
+        let counted = |timers| Counted { timers, queued: 0, polls: vec![], received: vec![] };
+        let mut w =
+            World::new(counted(vec![ms(5), ms(10), ms(15)]), counted(vec![]), vec![fast_path(1)]);
+        w.run_until(ms(100));
+        // The server is asked once on entry, then once in each round that
+        // delivered to it, and never at the client's timers.
+        assert_eq!(w.server.received.len(), 3);
+        let mut asked = vec![Instant::ZERO];
+        asked.extend(&w.server.received);
+        assert_eq!(w.server.polls, asked);
+        // The client is asked on entry, then at each timer until it has
+        // nothing left to send, and never at a delivery to the server.
+        assert_eq!(w.client.polls, [0, 5, 5, 10, 10, 15, 15].map(ms));
     }
 
     #[test]

@@ -293,9 +293,10 @@ fn bulk_qlog_streams_are_pinned_mptcp() {
 
 /// (qlog, result) hashes of the traced video session under XLINK and CM.
 /// Re-recorded when the video client's 50 ms tick gave way to playback's
-/// own deadline.
+/// own deadline, and XLINK's qlog when the world stopped asking an
+/// endpoint that took no input to send (two QoE snapshots fewer).
 const VIDEO_OUTAGE: [(u64, u64); 2] = [
-    (0x73e4_d715_efec_0783, 0x608e_6ab6_540d_309f),
+    (0x70db_2835_2923_922e, 0x608e_6ab6_540d_309f),
     (0x527a_9cb7_c73e_beec, 0x4a4e_6104_356b_bbac),
 ];
 
