@@ -718,8 +718,8 @@ mod tests {
         }
     }
 
-    /// A session whose start falls in a quiet stretch starts on time: the
-    /// start is a timer, not the first poll after it.
+    /// A session whose start falls in a quiet stretch starts on time: its
+    /// start is the fleet's timer.
     #[test]
     fn a_late_session_starts_at_its_start_time() {
         let cfg = PopRunConfig {

@@ -75,7 +75,7 @@ impl Scenario {
     /// (`tests::sampling_leaves_the_run_unchanged`). The world asks an
     /// endpoint to send only after an input, so a probe brings what it
     /// reads up to [`World::now`] itself: the video client's player is
-    /// advanced there (`player_mut().advance(now)`), as a poll used to.
+    /// advanced there (`player_mut().advance(now)`).
     pub fn run_sampled<C: Endpoint, S: Endpoint>(
         self,
         client: C,

@@ -9,5 +9,5 @@ pub mod world;
 
 pub use impair::{FlapSchedule, FlapStep, GilbertElliott, Impairment, Impairments, LinkState};
 pub use link::{Delivered, Link, LinkConfig, Stats, OPPORTUNITY_BYTES};
-pub use wake::{Deadlines, Wakeups};
+pub use wake::Wakeups;
 pub use world::{Endpoint, Path, Transmit, World};
