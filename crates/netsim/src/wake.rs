@@ -4,8 +4,9 @@
 //! [`World`](crate::World) reads an endpoint's earliest timer in every
 //! round and asks it for its next datagram after every input. An endpoint
 //! holding N connections that answers by asking each of them makes every
-//! round cost N, and a population run quadratic. [`Wakeups`] keeps the two answers
-//! incrementally instead, keyed by the endpoint's own slot numbers:
+//! round cost N, and a population run quadratic. [`Wakeups`] keeps the
+//! two answers incrementally instead, keyed by the endpoint's own slot
+//! numbers:
 //!
 //! - a **ready set** of slots that may have something to send. A slot
 //!   enters on any input to its connection and leaves when the connection
