@@ -1,8 +1,8 @@
 //! A deterministic CDN point of presence: one netsim [`Endpoint`]
 //! fronting a fleet of backend shards behind a CID router.
 //!
-//! Every inbound datagram is classified allocation-free
-//! ([`crate::router::classify`]) and either routed to an existing
+//! Every inbound datagram is classified by the transport's own header
+//! decoder ([`crate::router::classify`]) and either routed to an existing
 //! backend connection, put through Retry-token admission, or dropped
 //! with an accounted reason. The PoP enforces the paper-style edge
 //! robustness properties end to end:
@@ -41,7 +41,7 @@ use xlink_quic::connection::{placeholder_dcid, Config, Connection, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
 
 use crate::router::{classify, Classified, EdgeRouter};
-use crate::token::{self, splitmix, TokenError};
+use crate::token::{self, replay_key, splitmix, TokenError};
 use xlink_quic::reset;
 
 /// Reject reasons (also the `reason` field of [`Event::EdgeReject`]).
@@ -275,14 +275,6 @@ fn mix(a: u64, b: u64) -> u64 {
 
 fn cid_u64(cid: &ConnectionId) -> u64 {
     u64::from_be_bytes(cid.0)
-}
-
-/// Replay-ring key: a spent token's (nonce, MAC) pair, unique per mint.
-/// Only called on tokens that already passed `verify`.
-fn replay_key(tok: &[u8]) -> u128 {
-    let n = u64::from_be_bytes(tok[16..24].try_into().expect("8-byte slice"));
-    let m = u64::from_be_bytes(tok[24..32].try_into().expect("8-byte slice"));
-    (u128::from(n) << 64) | u128::from(m)
 }
 
 /// The PoP endpoint.
@@ -935,6 +927,7 @@ impl Endpoint for Pop {
 mod tests {
     use super::*;
     use xlink_core::lb::server_id;
+    use xlink_quic::packet::HeaderRef;
 
     /// A toy-origin request: `len` bytes starting at `offset`.
     fn req(offset: u64, len: u64) -> [u8; 16] {
@@ -942,6 +935,23 @@ mod tests {
         r[..8].copy_from_slice(&offset.to_le_bytes());
         r[8..].copy_from_slice(&len.to_le_bytes());
         r
+    }
+
+    /// The token a Retry carries.
+    fn retry_token(retry: &[u8]) -> Vec<u8> {
+        let (h, _) = HeaderRef::decode(retry).expect("a Retry");
+        assert_eq!(h.ty, PacketType::Retry);
+        h.token.to_vec()
+    }
+
+    /// `initial` with `token` spliced into its header, the sealed payload
+    /// as it was.
+    fn with_token(initial: &[u8], token: &[u8]) -> Vec<u8> {
+        let (mut h, off) = Header::decode(initial).expect("an Initial");
+        h.token = token.to_vec();
+        let mut out = h.encode();
+        out.extend_from_slice(&initial[off..]);
+        out
     }
 
     fn pop(admission: bool, shards: &[ServerId]) -> Pop {
@@ -997,6 +1007,25 @@ mod tests {
     }
 
     #[test]
+    fn an_initial_without_a_packet_number_is_malformed() {
+        let mut p = pop(true, &[1]);
+        let now = Instant::from_millis(1);
+        let mut c = Connection::new(Config::client(0x20), now);
+        let hello = c.poll_transmit(now).expect("hello");
+        // Header up to the (empty) token's length byte: 20 bytes, the
+        // packet number cut off. The backend's decoder refuses it.
+        let cut = &hello[..20];
+        assert!(Header::decode(cut).is_err());
+        p.on_datagram(now, 0, cut);
+        assert_eq!(p.stats().malformed, 1);
+        assert_eq!(p.stats().rejected(reject::NO_TOKEN), 0);
+        assert!(Endpoint::poll_transmit(&mut p, now).is_none(), "no Retry for it");
+        assert_eq!(p.stats().retries_sent, 0);
+        let state = p.bounded_state();
+        assert_eq!((state.addr_entries, state.conns), (0, 0), "no account, no connection");
+    }
+
+    #[test]
     fn retry_then_tokened_initial_admits_and_serves() {
         let mut p = pop(true, &[1, 2, 3]);
         let mut c = Connection::new(Config::client(0x51), Instant::from_millis(1));
@@ -1036,18 +1065,12 @@ mod tests {
         p.on_datagram(now, 0, &hello);
         let retry = Endpoint::poll_transmit(&mut p, now).expect("retry queued");
         assert_eq!(retry.path, 0);
-        let tok = retry.payload[19..].to_vec(); // header is 19 bytes, token is the rest
+        let tok = retry_token(&retry.payload);
         assert_eq!(tok.len(), token::TOKEN_LEN);
 
         // Splice the token into a *different* client's Initial.
-        let splice = |conn: &mut Connection| {
-            let d = conn.poll_transmit(now).expect("hello");
-            let mut out = d[..19].to_vec();
-            out.push(token::TOKEN_LEN as u8);
-            out.extend_from_slice(&tok);
-            out.extend_from_slice(&d[20..]); // skip the empty token length
-            out
-        };
+        let splice =
+            |conn: &mut Connection| with_token(&conn.poll_transmit(now).expect("hello"), &tok);
         let mut b = Connection::new(Config::client(0xb0), now);
         p.on_datagram(now, 0, &splice(&mut b));
         assert_eq!(p.stats().admitted, 1, "first spend of a valid token admits");
@@ -1060,13 +1083,9 @@ mod tests {
         let hello2 = d2.poll_transmit(now).expect("hello");
         p.on_datagram(now, 1, &hello2);
         let retry2 = Endpoint::poll_transmit(&mut p, now).expect("retry");
-        let tok2 = retry2.payload[19..].to_vec();
+        let tok2 = retry_token(&retry2.payload);
         let mut e = Connection::new(Config::client(0xe0), now);
-        let de = e.poll_transmit(now).expect("hello");
-        let mut spliced = de[..19].to_vec();
-        spliced.push(token::TOKEN_LEN as u8);
-        spliced.extend_from_slice(&tok2);
-        spliced.extend_from_slice(&de[20..]);
+        let spliced = with_token(&e.poll_transmit(now).expect("hello"), &tok2);
         p.on_datagram(now, 7, &spliced);
         assert_eq!(p.stats().rejected(reject::BAD_TOKEN), 1);
         assert_eq!(p.stats().admitted, 1);
@@ -1199,15 +1218,9 @@ mod tests {
         let hello = a.poll_transmit(now).expect("hello");
         p.on_datagram(now, 0, &hello);
         let retry = Endpoint::poll_transmit(&mut p, now).expect("retry");
-        let tok = retry.payload[19..].to_vec();
-        let splice = |conn: &mut Connection| {
-            let d = conn.poll_transmit(now).expect("hello");
-            let mut out = d[..19].to_vec();
-            out.push(token::TOKEN_LEN as u8);
-            out.extend_from_slice(&tok);
-            out.extend_from_slice(&d[20..]);
-            out
-        };
+        let tok = retry_token(&retry.payload);
+        let splice =
+            |conn: &mut Connection| with_token(&conn.poll_transmit(now).expect("hello"), &tok);
         // First spend admits and burns the token against shard 1.
         let mut b = Connection::new(Config::client(0xb1), now);
         p.on_datagram(now, 0, &splice(&mut b));

@@ -1,11 +1,10 @@
 //! The PoP's packet classifier and CID routing table.
 //!
-//! The router sits on the hot path of every datagram entering the PoP, so
-//! [`classify`] is allocation-free: it peeks at the header bytes in place
-//! (mirroring `xlink_quic::packet`'s wire format) and borrows the token
-//! instead of copying it. Full header decoding — and the per-packet
-//! allocations it implies — happens only inside the backend connection the
-//! datagram is handed to.
+//! The router sits on the hot path of every datagram entering the PoP.
+//! [`classify`] reads the header with `xlink_quic`'s one header decoder,
+//! [`HeaderRef::decode`], which borrows the token instead of copying it:
+//! the PoP and the backend connection it hands the datagram to agree on
+//! what is a header, and nothing is allocated before the token verifies.
 //!
 //! Routing is two-layered, like the paper's §6 deployment:
 //!
@@ -17,11 +16,11 @@
 
 use std::collections::BTreeMap;
 use xlink_core::lb::{server_id, LoadBalancer, ServerId};
-use xlink_quic::cid::{ConnectionId, CID_LEN};
-use xlink_quic::packet::MAX_TOKEN_LEN;
+use xlink_quic::cid::ConnectionId;
+use xlink_quic::packet::{HeaderRef, PacketType};
 
 /// What kind of datagram arrived, with just enough routing information
-/// peeked out of the header. Borrows the token from the datagram.
+/// read out of the header. Borrows the token from the datagram.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Classified<'a> {
     /// 1-RTT short header: route by DCID.
@@ -53,72 +52,22 @@ pub enum Classified<'a> {
         /// Server-chosen CID the client must readdress to.
         scid: ConnectionId,
     },
-    /// Unparseable header.
+    /// A header [`HeaderRef::decode`] refuses.
     Malformed,
 }
 
-fn read_cid(b: &[u8]) -> ConnectionId {
-    let mut cid = [0u8; CID_LEN];
-    cid.copy_from_slice(&b[..CID_LEN]);
-    ConnectionId(cid)
-}
-
-/// Peek the routing-relevant header fields without allocating. Mirrors
-/// `Header::decode` in `xlink_quic::packet` (fixed 8-byte CIDs, Initial
-/// token as varint-length-prefixed bytes).
+/// The routing-relevant header fields, read by the transport's own
+/// decoder ([`HeaderRef::decode`]), so the PoP drops exactly what a
+/// backend connection would refuse to parse.
 pub fn classify(datagram: &[u8]) -> Classified<'_> {
-    let Some(&first) = datagram.first() else {
+    let Ok((HeaderRef { ty, dcid, scid, token, .. }, _)) = HeaderRef::decode(datagram) else {
         return Classified::Malformed;
     };
-    if first & 0x40 == 0 {
-        return Classified::Malformed; // fixed bit must be set
-    }
-    if first & 0x80 == 0 {
-        // Short header: [first | dcid(8) | pn ...]
-        if datagram.len() < 1 + CID_LEN {
-            return Classified::Malformed;
-        }
-        return Classified::Short { dcid: read_cid(&datagram[1..]) };
-    }
-    // Long header: [first | dlen | dcid | slen | scid | ...]
-    let ty_bits = (first >> 4) & 0x03;
-    let mut off = 1;
-    let Some(&dlen) = datagram.get(off) else {
-        return Classified::Malformed;
-    };
-    off += 1;
-    if dlen as usize != CID_LEN || datagram.len() < off + CID_LEN + 1 {
-        return Classified::Malformed;
-    }
-    let dcid = read_cid(&datagram[off..]);
-    off += CID_LEN;
-    let slen = datagram[off];
-    off += 1;
-    if slen as usize != CID_LEN || datagram.len() < off + CID_LEN {
-        return Classified::Malformed;
-    }
-    let scid = read_cid(&datagram[off..]);
-    off += CID_LEN;
-    match ty_bits {
-        0b00 => {
-            // Initial: varint token length, then the token. Tokens are
-            // capped well under 64 bytes, so a one-byte varint suffices;
-            // longer length prefixes are malformed by construction.
-            let Some(&tlen) = datagram.get(off) else {
-                return Classified::Malformed;
-            };
-            if tlen as usize > MAX_TOKEN_LEN || tlen & 0xc0 != 0 {
-                return Classified::Malformed;
-            }
-            off += 1;
-            let Some(token) = datagram.get(off..off + tlen as usize) else {
-                return Classified::Malformed;
-            };
-            Classified::Initial { dcid, scid, token }
-        }
-        0b10 => Classified::Handshake { dcid, scid },
-        0b11 => Classified::Retry { dcid, scid },
-        _ => Classified::Malformed,
+    match ty {
+        PacketType::OneRtt => Classified::Short { dcid },
+        PacketType::Initial => Classified::Initial { dcid, scid, token },
+        PacketType::Handshake => Classified::Handshake { dcid, scid },
+        PacketType::Retry => Classified::Retry { dcid, scid },
     }
 }
 
@@ -221,7 +170,10 @@ impl EdgeRouter {
 mod tests {
     use super::*;
     use xlink_core::lb::encode_cid;
-    use xlink_quic::packet::{Header, PacketType};
+    use xlink_lab::prop::*;
+    use xlink_quic::cid::CID_LEN;
+    use xlink_quic::packet::{Header, MAX_TOKEN_LEN};
+    use xlink_quic::varint::Writer;
 
     fn cid(b: u8) -> ConnectionId {
         ConnectionId([b; CID_LEN])
@@ -279,6 +231,88 @@ mod tests {
                 (ty, got) => panic!("{ty:?} classified as {got:?}"),
             }
         }
+    }
+
+    /// `classify` is [`Header::decode`]'s verdict: `Malformed` exactly
+    /// when the decoder errs, and otherwise the same type, CIDs and token.
+    fn agrees_with_header_decode(datagram: &[u8]) -> Result<(), String> {
+        let decoded = Header::decode(datagram);
+        let want = match &decoded {
+            Err(_) => Classified::Malformed,
+            Ok((h, _)) => {
+                let (dcid, scid) = (h.dcid, h.scid);
+                match h.ty {
+                    PacketType::OneRtt => Classified::Short { dcid },
+                    PacketType::Initial => Classified::Initial { dcid, scid, token: &h.token },
+                    PacketType::Handshake => Classified::Handshake { dcid, scid },
+                    PacketType::Retry => Classified::Retry { dcid, scid },
+                }
+            }
+        };
+        prop_assert_eq!(classify(datagram), want);
+        Ok(())
+    }
+
+    /// Arbitrary bytes, and encoded headers of every type cut anywhere
+    /// (the packet number, the token, a CID, its length byte, ...).
+    #[test]
+    fn prop_classify_is_header_decode() {
+        let case = (bytes(0..48), 0u8..4, 0usize..=MAX_TOKEN_LEN, 0usize..128);
+        check("prop_classify_is_header_decode", case, |(noise, ty, token_len, cut)| {
+            agrees_with_header_decode(noise)?;
+            let ty =
+                [PacketType::Initial, PacketType::Handshake, PacketType::Retry, PacketType::OneRtt]
+                    [usize::from(*ty)];
+            let carries = matches!(ty, PacketType::Initial | PacketType::Retry);
+            let h = Header {
+                ty,
+                dcid: cid(1),
+                scid: if ty.is_long() { cid(2) } else { cid(0) },
+                pn: 0x0102,
+                pn_len: 2,
+                token: if carries { vec![7; *token_len] } else { Vec::new() },
+            };
+            let mut datagram = [h.encode(), noise.clone()].concat();
+            datagram.truncate(cut % (datagram.len() + 1));
+            agrees_with_header_decode(&datagram)
+        });
+    }
+
+    /// An Initial cut off before its packet number: the backend's decoder
+    /// refuses it, so the PoP must not answer it with a Retry.
+    #[test]
+    fn an_initial_without_a_packet_number_is_malformed() {
+        let h = Header {
+            ty: PacketType::Initial,
+            dcid: cid(1),
+            scid: cid(2),
+            pn: 0,
+            pn_len: 1,
+            token: Vec::new(),
+        };
+        let cut = &h.encode()[..20];
+        assert_eq!(classify(cut), Classified::Malformed);
+        agrees_with_header_decode(cut).unwrap();
+    }
+
+    /// RFC 9000 §16 allows a varint in more bytes than it needs: a token
+    /// length in two bytes is an Initial, as the backend reads it.
+    #[test]
+    fn a_two_byte_token_length_is_an_initial() {
+        let mut w = Writer::new();
+        w.u8(0b1100_0000); // Initial, 1-byte packet number
+        for c in [cid(1), cid(2)] {
+            w.u8(CID_LEN as u8);
+            w.bytes(&c.0);
+        }
+        w.u8(0x40); // two-byte varint: 0x40 | high bits, then 24
+        w.u8(24);
+        w.bytes(&[9; 24]);
+        w.u8(0); // packet number
+        let datagram = w.into_bytes();
+        let token = &[9u8; 24][..];
+        assert_eq!(classify(&datagram), Classified::Initial { dcid: cid(1), scid: cid(2), token });
+        agrees_with_header_decode(&datagram).unwrap();
     }
 
     #[test]

@@ -98,6 +98,14 @@ pub fn verify(
     Ok(())
 }
 
+/// Replay-ring key of a token that passed [`verify`]: its (nonce, MAC)
+/// pair, unique per mint.
+pub(crate) fn replay_key(token: &[u8]) -> u128 {
+    let n = u64::from_be_bytes(token[16..24].try_into().expect("8-byte slice"));
+    let m = u64::from_be_bytes(token[24..].try_into().expect("8-byte slice"));
+    (u128::from(n) << 64) | u128::from(m)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

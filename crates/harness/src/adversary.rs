@@ -29,7 +29,7 @@ use xlink_quic::connection::{placeholder_dcid, BoundedState, PSK};
 use xlink_quic::crypto::{derive_keys, KeyPair};
 use xlink_quic::frame::{ty, AckFrame, Frame};
 use xlink_quic::handshake::{Handshake, Hello};
-use xlink_quic::packet::{pn_decode, Header, PacketType};
+use xlink_quic::packet::{pn_decode, Header, HeaderRef, PacketType};
 use xlink_quic::params::TransportParams;
 use xlink_quic::varint::Writer;
 
@@ -347,7 +347,7 @@ impl QuicAttacker {
 
 impl Endpoint for QuicAttacker {
     fn on_datagram(&mut self, _now: Instant, path: usize, payload: &[u8]) {
-        let Ok((header, off)) = Header::decode(payload) else {
+        let Ok((header, off)) = HeaderRef::decode(payload) else {
             return;
         };
         let is_long = header.ty.is_long();
@@ -696,11 +696,11 @@ impl EdgeAttacker {
     /// Ingest a datagram the PoP sent to the attacker's address
     /// (token capture for the replay script).
     pub fn on_datagram(&mut self, payload: &[u8]) {
-        if let xlink_edge::Classified::Retry { .. } = xlink_edge::classify(payload) {
+        let Ok((header, _)) = HeaderRef::decode(payload) else { return };
+        if header.ty == PacketType::Retry {
             self.retries_seen += 1;
-            // Retry wire layout: 19 header bytes, then the raw token.
             if self.kind == EdgeAttackKind::TokenReplay && self.token.is_none() {
-                self.token = Some(payload[19..].to_vec());
+                self.token = Some(header.token.to_vec());
             }
         }
     }
@@ -734,9 +734,16 @@ impl EdgeAttacker {
                 if self.emitted >= self.budget {
                     return None;
                 }
-                let mut dg = vec![0b0100_0000u8];
-                dg.extend_from_slice(&ConnectionId::derive(self.seed ^ 0x9f1d, self.emitted).0);
-                dg.extend_from_slice(&[0; 4]);
+                let mut dg = Header {
+                    ty: PacketType::OneRtt,
+                    dcid: ConnectionId::derive(self.seed ^ 0x9f1d, self.emitted),
+                    scid: ConnectionId([0; CID_LEN]),
+                    pn: 0,
+                    pn_len: 1,
+                    token: Vec::new(),
+                }
+                .encode();
+                dg.extend_from_slice(&[0; 3]);
                 self.emitted += 1;
                 Some(dg)
             }

@@ -34,13 +34,14 @@ use crate::chaos::CrashPlan;
 use std::collections::BTreeMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
-use xlink_edge::{classify, Classified, Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
+use xlink_edge::{Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
 use xlink_lab::payload;
 use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit, Wakeups, World};
 use xlink_obs::{prof, Event, TraceLog, Tracer};
 use xlink_quic::cid::ConnectionId;
 use xlink_quic::connection::{Config, Connection};
 use xlink_quic::error::ConnectionError;
+use xlink_quic::packet::HeaderRef;
 use xlink_quic::reset;
 
 fn mix(a: u64, b: u64) -> u64 {
@@ -438,14 +439,8 @@ impl Endpoint for PopFleet {
         }
         // Everything the PoP sends a client carries that client's CID as
         // the DCID — including Retries.
-        let dcid = match classify(payload) {
-            Classified::Short { dcid }
-            | Classified::Initial { dcid, .. }
-            | Classified::Handshake { dcid, .. }
-            | Classified::Retry { dcid, .. } => dcid,
-            Classified::Malformed => return,
-        };
-        if let Some(&i) = self.by_cid.get(&dcid) {
+        let Ok((header, _)) = HeaderRef::decode(payload) else { return };
+        if let Some(&i) = self.by_cid.get(&header.dcid) {
             let s = &mut self.sessions[i];
             s.conn.handle_datagram(now, payload);
             s.absorb(now);

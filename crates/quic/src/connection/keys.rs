@@ -9,7 +9,7 @@ use crate::crypto::{derive_keys, KeyPair};
 use crate::error::TransportError;
 use crate::frame::Frame;
 use crate::handshake::{Handshake, Hello};
-use crate::packet::{pn_decode, Header, PacketBuilder, PacketType};
+use crate::packet::{pn_decode, Header, HeaderRef, PacketBuilder, PacketType};
 use crate::params::TransportParams;
 use crate::reset;
 use crate::stream::Side;
@@ -63,12 +63,13 @@ pub enum Opened {
     /// Authentic and not seen before, its packet number now recorded, and
     /// decrypted where it lies.
     Packet {
-        /// The decoded header.
-        header: Header,
+        /// The header's source CID: the peer's, on a long header.
+        scid: ConnectionId,
         /// Where in the datagram the plaintext frames now are.
         payload: Range<usize>,
     },
-    /// A Retry: no packet number, no protected payload (§17.2.5).
+    /// A Retry: no packet number, no protected payload (§17.2.5). The
+    /// one header whose token is copied: a client stores it.
     Retry(Header),
     /// Authentic, but this packet number was already received.
     Duplicate,
@@ -194,12 +195,13 @@ impl Keys {
         space: &mut PnSpace,
         nonce_path: u32,
     ) -> Option<Opened> {
-        let (header, payload_off) = Header::decode(datagram).ok()?;
+        let (header, payload_off) = HeaderRef::decode(datagram).ok()?;
         if header.ty == PacketType::Retry {
-            return Some(Opened::Retry(header));
+            return Some(Opened::Retry(header.into_owned()));
         }
-        let pn = pn_decode(header.pn, header.pn_len, space.recv.largest());
-        let keys = if header.ty.is_long() { &self.initial } else { self.one_rtt.as_ref()? };
+        let HeaderRef { ty, scid, pn, pn_len, .. } = header;
+        let pn = pn_decode(pn, pn_len, space.recv.largest());
+        let keys = if ty.is_long() { &self.initial } else { self.one_rtt.as_ref()? };
         let key = if self.side == Side::Server { &keys.client } else { &keys.server };
         let (aad, sealed) = datagram.split_at_mut(payload_off);
         // Multipath nonce: CID sequence number = path id (paper §6).
@@ -207,7 +209,7 @@ impl Keys {
         if !space.recv.insert(pn) {
             return Some(Opened::Duplicate);
         }
-        Some(Opened::Packet { header, payload: payload_off..payload_off + plain })
+        Some(Opened::Packet { scid, payload: payload_off..payload_off + plain })
     }
 
     /// Seal `packet` (begun from [`PnSpace::next_header`] of the same

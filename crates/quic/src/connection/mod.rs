@@ -626,8 +626,8 @@ impl Connection {
         // arrival path's.
         let long = datagram.first().is_some_and(|b| b & 0x80 != 0);
         let space = if long { &mut self.initial } else { &mut self.paths[path].space };
-        let (header, payload) = match self.keys.open_datagram(datagram, space, path, &self.oracle) {
-            Opened::Packet { header, payload } => (header, payload),
+        let (scid, payload) = match self.keys.open_datagram(datagram, space, path, &self.oracle) {
+            Opened::Packet { scid, payload } => (scid, payload),
             Opened::Retry(header) => return self.on_retry(now, header),
             Opened::Duplicate => return,
             Opened::Undecryptable { reset: true } => return self.on_stateless_reset(now, path),
@@ -647,10 +647,10 @@ impl Connection {
             // primary path's destination, and the implicit seq-0 peer CID,
             // so Retire Prior To bookkeeping covers it during shard drain.
             let primary = &mut self.paths[self.cfg.primary];
-            primary.dcid = header.scid;
+            primary.dcid = scid;
             if !std::mem::replace(&mut self.initial_remote_bound, true) {
                 primary.dcid_seq = 0;
-                self.cids.bind_initial_remote(header.scid);
+                self.cids.bind_initial_remote(scid);
             }
         }
         // Receiving anything valid on a validating path activates it for

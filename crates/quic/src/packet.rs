@@ -149,8 +149,37 @@ impl Header {
     }
 
     /// Decode a header from the start of a datagram. Returns the header
-    /// and the offset where the protected payload begins.
+    /// and the offset where the protected payload begins: a
+    /// [`HeaderRef::decode`] with the token copied out.
     pub fn decode(datagram: &[u8]) -> Result<(Header, usize), CodecError> {
+        HeaderRef::decode(datagram).map(|(h, off)| (h.into_owned(), off))
+    }
+}
+
+/// A decoded header whose token is borrowed from the datagram: what every
+/// receive path reads, so nothing is copied before anything authenticates.
+/// [`Header`] is the owned form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeaderRef<'a> {
+    /// Packet type.
+    pub ty: PacketType,
+    /// Destination connection ID.
+    pub dcid: ConnectionId,
+    /// Source connection ID (long headers only; zeroed for short).
+    pub scid: ConnectionId,
+    /// Truncated packet number as encoded.
+    pub pn: u64,
+    /// Number of bytes used to encode the packet number (1..=4).
+    pub pn_len: u8,
+    /// Address-validation token (see [`Header::token`]).
+    pub token: &'a [u8],
+}
+
+impl<'a> HeaderRef<'a> {
+    /// Decode a header from the start of a datagram. Returns the header
+    /// and the offset where the protected payload begins. This is the one
+    /// reader of the header wire format.
+    pub fn decode(datagram: &'a [u8]) -> Result<(HeaderRef<'a>, usize), CodecError> {
         let _prof = prof::span!("quic/packet_decode");
         let mut r = Reader::new(datagram);
         let first = r.u8()?;
@@ -158,89 +187,57 @@ impl Header {
             return Err(CodecError::InvalidHeader); // fixed bit must be set
         }
         let pn_len = (first & 0x03) + 1;
-        if first & 0x80 != 0 {
-            // Long header.
+        let (ty, dcid, scid, token) = if first & 0x80 != 0 {
             let ty = match (first >> 4) & 0x03 {
                 0b00 => PacketType::Initial,
                 0b10 => PacketType::Handshake,
                 0b11 => PacketType::Retry,
                 _ => return Err(CodecError::InvalidHeader),
             };
-            let dlen = r.u8()? as usize;
-            if dlen != CID_LEN {
-                return Err(CodecError::InvalidHeader);
-            }
-            let mut dcid = [0u8; CID_LEN];
-            dcid.copy_from_slice(r.bytes(dlen)?);
-            let slen = r.u8()? as usize;
-            if slen != CID_LEN {
-                return Err(CodecError::InvalidHeader);
-            }
-            let mut scid = [0u8; CID_LEN];
-            scid.copy_from_slice(r.bytes(slen)?);
-            if ty == PacketType::Retry {
+            // Long headers carry each CID after its length byte.
+            let mut cid = || match r.u8()? as usize {
+                CID_LEN => read_cid(&mut r),
+                _ => Err(CodecError::InvalidHeader),
+            };
+            let (dcid, scid) = (cid()?, cid()?);
+            let token = match ty {
+                PacketType::Initial => match r.varint()? {
+                    len if len > MAX_TOKEN_LEN as u64 => return Err(CodecError::InvalidHeader),
+                    len => r.bytes(len as usize)?,
+                },
                 // The token extends to the end of the datagram; there is
                 // no packet number and no protected payload.
-                let token = r.bytes(r.remaining())?.to_vec();
-                if token.len() > MAX_TOKEN_LEN {
-                    return Err(CodecError::InvalidHeader);
+                PacketType::Retry => {
+                    let token = r.rest();
+                    if token.len() > MAX_TOKEN_LEN {
+                        return Err(CodecError::InvalidHeader);
+                    }
+                    let h = HeaderRef { ty, dcid, scid, pn: 0, pn_len: 1, token };
+                    return Ok((h, datagram.len()));
                 }
-                return Ok((
-                    Header {
-                        ty,
-                        dcid: ConnectionId(dcid),
-                        scid: ConnectionId(scid),
-                        pn: 0,
-                        pn_len: 1,
-                        token,
-                    },
-                    r.position(),
-                ));
-            }
-            let token = if ty == PacketType::Initial {
-                let tlen = r.varint()? as usize;
-                if tlen > MAX_TOKEN_LEN {
-                    return Err(CodecError::InvalidHeader);
-                }
-                r.bytes(tlen)?.to_vec()
-            } else {
-                Vec::new()
+                _ => &[],
             };
-            let mut pn = 0u64;
-            for _ in 0..pn_len {
-                pn = (pn << 8) | u64::from(r.u8()?);
-            }
-            Ok((
-                Header {
-                    ty,
-                    dcid: ConnectionId(dcid),
-                    scid: ConnectionId(scid),
-                    pn,
-                    pn_len,
-                    token,
-                },
-                r.position(),
-            ))
+            (ty, dcid, scid, token)
         } else {
-            let mut dcid = [0u8; CID_LEN];
-            dcid.copy_from_slice(r.bytes(CID_LEN)?);
-            let mut pn = 0u64;
-            for _ in 0..pn_len {
-                pn = (pn << 8) | u64::from(r.u8()?);
-            }
-            Ok((
-                Header {
-                    ty: PacketType::OneRtt,
-                    dcid: ConnectionId(dcid),
-                    scid: ConnectionId([0; CID_LEN]),
-                    pn,
-                    pn_len,
-                    token: Vec::new(),
-                },
-                r.position(),
-            ))
+            let dcid = read_cid(&mut r)?;
+            (PacketType::OneRtt, dcid, ConnectionId([0; CID_LEN]), &[][..])
+        };
+        let mut pn = 0u64;
+        for _ in 0..pn_len {
+            pn = (pn << 8) | u64::from(r.u8()?);
         }
+        Ok((HeaderRef { ty, dcid, scid, pn, pn_len, token }, r.position()))
     }
+
+    /// The owned header, the token copied.
+    pub fn into_owned(self) -> Header {
+        let HeaderRef { ty, dcid, scid, pn, pn_len, token } = self;
+        Header { ty, dcid, scid, pn, pn_len, token: token.to_vec() }
+    }
+}
+
+fn read_cid(r: &mut Reader) -> Result<ConnectionId, CodecError> {
+    Ok(ConnectionId(r.bytes(CID_LEN)?.try_into().expect("CID_LEN bytes")))
 }
 
 /// One outgoing packet under construction in the buffer that becomes the
@@ -461,6 +458,62 @@ mod tests {
         assert!(Header::decode(&[0b0100_0000, 1, 2]).is_err()); // truncated
                                                                 // Long header with wrong CID length.
         assert!(Header::decode(&[0b1100_0000, 4, 1, 2, 3, 4, 8]).is_err());
+    }
+
+    /// A header of type `ty % 4` (Initial, Handshake, Retry, 1-RTT) with
+    /// a `token_len`-byte token where the type carries one.
+    fn arb_header((ty, pn_len, pn, token_len): (u8, u8, u64, usize)) -> Header {
+        use PacketType::*;
+        let ty = [Initial, Handshake, Retry, OneRtt][usize::from(ty % 4)];
+        let (pn, pn_len) = if ty == Retry { (0, 1) } else { (pn_truncate(pn, pn_len), pn_len) };
+        Header {
+            ty,
+            dcid: cid(pn as u8),
+            scid: if ty.is_long() { cid(!pn as u8) } else { cid(0) },
+            pn,
+            pn_len,
+            token: if matches!(ty, Initial | Retry) { vec![0xa5; token_len] } else { Vec::new() },
+        }
+    }
+
+    /// The one header reader on arbitrary bytes, on encoded headers with
+    /// one byte overwritten, and on every prefix of encoded headers: it
+    /// never panics (the debug profile checks overflow), agrees with
+    /// [`Header::decode`], reads back what was encoded whatever follows
+    /// it, and refuses every strict prefix of a header that ends in a
+    /// packet number rather than read a different header out of it. (A
+    /// Retry has no packet number: its token is the rest of the datagram.)
+    #[test]
+    fn prop_header_ref_decode_is_total() {
+        let fields = (0u8..4, 1u8..=4, 0u64..(1 << 32), 0usize..=MAX_TOKEN_LEN);
+        check("prop_header_ref_decode_is_total", (bytes(0..48), fields), |(noise, fields)| {
+            let h = arb_header(*fields);
+            let encoded = h.encode();
+            let mut bent = encoded.clone();
+            if let [at, value, ..] = noise[..] {
+                bent[usize::from(at) % encoded.len()] = value;
+            }
+            for datagram in [&noise[..], &bent[..]] {
+                let read = HeaderRef::decode(datagram);
+                if let Ok((_, off)) = read {
+                    prop_assert!(off <= datagram.len());
+                }
+                prop_assert_eq!(
+                    read.map(|(r, off)| (r.into_owned(), off)),
+                    Header::decode(datagram)
+                );
+            }
+            let read = |d: &[u8]| HeaderRef::decode(d).map(|(r, off)| (r.into_owned(), off));
+            prop_assert_eq!(read(&encoded), Ok((h.clone(), encoded.len())));
+            if h.ty != PacketType::Retry {
+                for cut in 0..encoded.len() {
+                    prop_assert!(read(&encoded[..cut]).is_err(), "{cut}-byte prefix read");
+                }
+                let trailed = [&encoded[..], noise].concat();
+                prop_assert_eq!(read(&trailed), Ok((h, encoded.len())));
+            }
+            Ok(())
+        });
     }
 
     #[test]
