@@ -11,7 +11,7 @@
 use crate::chaos::failover_timeline;
 use crate::scenario::{PathSpec, Scenario};
 use crate::video_session::{
-    client_endpoint_for_probe, run_session, server_endpoint_for_probe, SessionConfig, SessionResult,
+    client_endpoint_for_probe, server_endpoint_for_probe, SessionConfig, SessionResult,
 };
 use xlink_clock::{Duration, Instant};
 use xlink_core::{Scheme, WirelessTech};
@@ -134,8 +134,8 @@ pub fn wifi_outage(seed: u64) -> Vec<(Scheme, SessionResult, Vec<String>)> {
         cfg.max_buffer_ahead = Duration::from_secs(3);
         cfg.deadline = Duration::from_secs(60);
         let log = TraceLog::recording();
-        cfg.trace = Some(log.clone());
-        let r = run_session(&cfg, walk_out_paths(seed, 16_000, (3_000, 9_000)));
+        let paths = walk_out_paths(seed, 16_000, (3_000, 9_000));
+        let r = Scenario::new(paths, cfg.deadline).traced(&log).video(&cfg);
         (scheme, r, failover_timeline(&log))
     };
     [Scheme::Sp { path: 0 }, Scheme::VanillaMp, Scheme::ReinjNoQoe, Scheme::Xlink].map(walk).into()

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, Scheme, TransportTuning};
 use xlink_netsim::{Path, World};
-use xlink_obs::{MetricsRegistry, TraceLog};
+use xlink_obs::MetricsRegistry;
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
 
 /// Session configuration.
@@ -37,11 +37,6 @@ pub struct SessionConfig {
     /// an unbounded prefetch would make rebuffering impossible and the
     /// QoE feedback meaningless).
     pub max_buffer_ahead: Duration,
-    /// Optional trace log. When set, the client ("client.*"), server
-    /// ("server.*"), links ("netsim.*") and player ("client.video") all
-    /// emit events into it; when `None`, tracing is compiled out to a
-    /// single branch and the run is bit-identical.
-    pub trace: Option<TraceLog>,
 }
 
 impl SessionConfig {
@@ -57,7 +52,6 @@ impl SessionConfig {
             deadline: Duration::from_secs(120),
             seed,
             max_buffer_ahead: Duration::from_secs(5),
-            trace: None,
         }
     }
 }
@@ -114,12 +108,8 @@ pub type VideoClientEndpoint = AppEndpoint<VideoClient>;
 
 impl VideoClientEndpoint {
     fn new(cfg: &SessionConfig, now: Instant) -> Self {
-        let mut conn = MpConnection::client(cfg.scheme, &cfg.tuning, cfg.seed, now);
-        let mut player = Player::new(cfg.video.clone(), PlayerConfig::default());
-        if let Some(log) = &cfg.trace {
-            conn.set_tracer(&log.tracer("client"));
-            player.set_tracer(log.tracer("client.video"));
-        }
+        let conn = MpConnection::client(cfg.scheme, &cfg.tuning, cfg.seed, now);
+        let player = Player::new(cfg.video.clone(), PlayerConfig::default());
         let frames_per_s = cfg.video.fps.max(1);
         let app = VideoClient {
             chunks: cfg.video.chunks(cfg.chunk_bytes),
@@ -367,10 +357,7 @@ impl VideoServerEndpoint {
     fn new(cfg: &SessionConfig, now: Instant) -> Self {
         let mut store = MediaStore::new();
         store.insert("video", cfg.video.clone());
-        let mut conn = MpConnection::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
-        if let Some(log) = &cfg.trace {
-            conn.set_tracer(&log.tracer("server"));
-        }
+        let conn = MpConnection::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
         AppEndpoint { conn, app: VideoServer::new(store, cfg.first_frame_accel) }
     }
 
@@ -430,16 +417,18 @@ pub fn run_session(cfg: &SessionConfig, paths: Vec<Path>) -> SessionResult {
 }
 
 impl Scenario {
-    /// Play `cfg`'s video in this scenario. Session tracing is configured
-    /// by `cfg.trace`: when set, the links trace into it as well.
+    /// Play `cfg`'s video in this scenario. A traced scenario records the
+    /// client under `client.*`, its player under `client.video` and the
+    /// server under `server.*`.
     pub fn video(self, cfg: &SessionConfig) -> SessionResult {
-        let scenario = match &cfg.trace {
-            Some(log) => self.traced(log),
-            None => self,
-        };
-        let client = VideoClientEndpoint::new(cfg, Instant::ZERO);
-        let server = VideoServerEndpoint::new(cfg, Instant::ZERO);
-        session_result(scenario.run(client, server))
+        let mut client = VideoClientEndpoint::new(cfg, Instant::ZERO);
+        let mut server = VideoServerEndpoint::new(cfg, Instant::ZERO);
+        if let Some(log) = &self.trace {
+            client.conn.set_tracer(&log.tracer("client"));
+            client.app.player.set_tracer(log.tracer("client.video"));
+            server.conn.set_tracer(&log.tracer("server"));
+        }
+        session_result(self.run(client, server))
     }
 }
 

@@ -11,7 +11,7 @@
 
 use xlink::clock::Duration;
 use xlink::core::WirelessTech;
-use xlink::harness::{run_session, session_metrics, PathSpec, Scheme, SessionConfig};
+use xlink::harness::{session_metrics, PathSpec, Scenario, Scheme, SessionConfig};
 use xlink::obs::{Event, TraceLog};
 use xlink::traces::{hsr_onboard_wifi, subway_cellular};
 use xlink::video::Video;
@@ -42,9 +42,8 @@ fn main() {
     let mut cfg = SessionConfig::short_video(Scheme::Xlink, seed);
     cfg.video = Video::synth(10, 25, 1_000_000, 10.0);
     cfg.deadline = Duration::from_secs(60);
-    cfg.trace = Some(log.clone());
     println!("Subway ride under XLINK, fully traced\n");
-    let result = run_session(&cfg, paths(seed));
+    let result = Scenario::new(paths(seed), cfg.deadline).traced(&log).video(&cfg);
 
     let qlog = log.to_qlog("xlink subway ride");
     std::fs::write("trace_dump.qlog", &qlog).expect("write trace_dump.qlog");

@@ -110,9 +110,8 @@ fn video_outage(scheme: Scheme) -> (u64, u64) {
     let mut cfg = SessionConfig::short_video(scheme, 77);
     cfg.video = Video::synth(4, 25, 900_000, 8.0);
     cfg.deadline = DEADLINE;
-    cfg.trace = Some(log.clone());
     let at = Instant::from_millis;
-    let r = lossy().with_outage(0, at(1500), at(4000)).video(&cfg);
+    let r = lossy().with_outage(0, at(1500), at(4000)).traced(&log).video(&cfg);
     assert!(r.completed);
     (fnv(log.to_qlog("golden").as_bytes()), fnv(format!("{r:?}").as_bytes()))
 }

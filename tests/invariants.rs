@@ -243,7 +243,7 @@ fn json_nesting_round_trips() {
 /// re-injection events sum to the stats ledger byte-exactly.
 #[test]
 fn traced_sessions_satisfy_stream_invariants() {
-    use xlink::harness::{run_session, Scheme, SessionConfig};
+    use xlink::harness::{Scenario, Scheme, SessionConfig};
     use xlink::netsim::Path;
     use xlink::obs::{Event, TraceLog};
     let mut cfg_env = Config::from_env("traced_sessions_satisfy_stream_invariants");
@@ -252,14 +252,14 @@ fn traced_sessions_satisfy_stream_invariants() {
         let log = TraceLog::recording();
         let mut cfg = SessionConfig::short_video(Scheme::Xlink, seed);
         cfg.video = xlink::video::Video::synth(2, 25, 600_000, 8.0);
-        cfg.trace = Some(log.clone());
         let mk = |mbps: f64, delay_ms: u64, s: u64| {
             let mut lc = LinkConfig::constant_rate(mbps, Duration::from_millis(delay_ms));
             lc.loss = 0.015;
             lc.seed = s;
             Path::symmetric(lc)
         };
-        let r = run_session(&cfg, vec![mk(18.0, 10, seed), mk(12.0, 30, seed ^ 1)]);
+        let paths = vec![mk(18.0, 10, seed), mk(12.0, 30, seed ^ 1)];
+        let r = Scenario::new(paths, cfg.deadline).traced(&log).video(&cfg);
         let mut last = std::collections::BTreeMap::new();
         let mut sent = std::collections::BTreeSet::new();
         let mut reinjected = 0u64;

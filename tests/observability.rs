@@ -26,18 +26,18 @@ fn lossy_paths() -> Vec<Path> {
     vec![mk(18.0, 10, 0.01, 21), mk(14.0, 27, 0.01, 22)]
 }
 
-/// A session over [`lossy_paths`] with path 0 dark from 1.5 s to 4 s.
-fn run_outage_session(cfg: &SessionConfig) -> SessionResult {
-    let at = xlink::clock::Instant::from_millis;
-    Scenario::new(lossy_paths(), cfg.deadline).with_outage(0, at(1500), at(4000)).video(cfg)
-}
-
-fn session_cfg(trace: Option<TraceLog>) -> SessionConfig {
+/// A session over [`lossy_paths`] with path 0 dark from 1.5 s to 4 s,
+/// traced into `trace` when one is given.
+fn run_outage_session(trace: Option<&TraceLog>) -> SessionResult {
     let mut cfg = SessionConfig::short_video(Scheme::Xlink, 77);
     cfg.video = Video::synth(4, 25, 900_000, 8.0);
     cfg.deadline = Duration::from_secs(60);
-    cfg.trace = trace;
-    cfg
+    let at = xlink::clock::Instant::from_millis;
+    let scenario = Scenario::new(lossy_paths(), cfg.deadline).with_outage(0, at(1500), at(4000));
+    match trace {
+        Some(log) => scenario.traced(log).video(&cfg),
+        None => scenario.video(&cfg),
+    }
 }
 
 /// Everything observable about a run, as one comparable string.
@@ -56,7 +56,7 @@ fn summary(r: &SessionResult) -> String {
 
 fn traced_session() -> (TraceLog, SessionResult) {
     let log = TraceLog::recording();
-    let r = run_outage_session(&session_cfg(Some(log.clone())));
+    let r = run_outage_session(Some(&log));
     (log, r)
 }
 
@@ -65,8 +65,8 @@ fn traced_session() -> (TraceLog, SessionResult) {
 /// bit-identical in every output.
 #[test]
 fn tracing_is_behaviourally_invisible_for_video_sessions() {
-    let off = run_outage_session(&session_cfg(None));
-    let noop = run_outage_session(&session_cfg(Some(TraceLog::noop())));
+    let off = run_outage_session(None);
+    let noop = run_outage_session(Some(&TraceLog::noop()));
     let (log, rec) = traced_session();
     assert!(!log.is_empty(), "recording run must actually have captured events");
     assert_eq!(summary(&off), summary(&noop), "noop sink changed behaviour");
@@ -204,8 +204,7 @@ fn reinjection_events_match_byte_ledger() {
 /// loss/handshake/stall accounting, and serialises to valid JSON.
 #[test]
 fn session_metrics_capture_cost_and_stalls() {
-    let cfg = session_cfg(None);
-    let r = run_outage_session(&cfg);
+    let r = run_outage_session(None);
     let m = session_metrics(&r);
     assert_eq!(m.get_counter("session.completed"), Some(1));
     assert_eq!(
