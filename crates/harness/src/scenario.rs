@@ -110,10 +110,8 @@ pub const CROSS_ISP_DELAY_PCT: [[f64; 3]; 3] =
 pub struct PathSpec {
     /// Radio technology (sets the baseline one-way delay).
     pub tech: WirelessTech,
-    /// Downlink capacity trace.
-    pub down_trace: Trace,
-    /// Uplink capacity trace (usually a scaled-down copy).
-    pub up_trace: Trace,
+    /// Capacity trace, replayed in both directions.
+    pub trace: Trace,
     /// Extra one-way delay on top of the technology baseline (cross-ISP,
     /// jitter draws, …).
     pub extra_delay: Duration,
@@ -126,12 +124,11 @@ pub struct PathSpec {
 }
 
 impl PathSpec {
-    /// Path with symmetric traces and the technology's typical delay.
+    /// Path over `trace` in both directions, at the technology's typical delay.
     pub fn new(tech: WirelessTech, trace: Trace, seed: u64) -> Self {
         PathSpec {
             tech,
-            up_trace: trace.clone(),
-            down_trace: trace,
+            trace,
             extra_delay: Duration::ZERO,
             loss: 0.0,
             seed,
@@ -174,15 +171,15 @@ impl PathSpec {
     /// Materialize into a simulator path.
     pub fn build(&self) -> Path {
         let delay = self.one_way_delay();
-        let mk = |trace: &Trace, seed: u64| LinkConfig {
-            trace_ms: trace.opportunities_ms.clone(),
+        let mk = |seed: u64| LinkConfig {
+            trace_ms: self.trace.opportunities_ms.clone(),
             delay,
             queue_bytes: 384 * 1024,
             loss: self.loss,
             seed,
             impairments: self.impairments.clone(),
         };
-        Path::new(mk(&self.up_trace, self.seed), mk(&self.down_trace, self.seed ^ 0xd0))
+        Path::new(mk(self.seed), mk(self.seed ^ 0xd0))
     }
 }
 
