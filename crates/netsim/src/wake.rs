@@ -12,9 +12,9 @@
 //!   enters on any input to its connection and leaves when the connection
 //!   reports it has nothing to send — which stays true until the next
 //!   input, so nobody need ask again;
-//! - a **deadline index** ([`Deadlines`]): each slot's current timer, plus
-//!   the same timers ordered by time, so the earliest is the first entry
-//!   and the due ones are a prefix.
+//! - a **deadline index**: each slot's current timer, plus the same
+//!   timers ordered by time, so the earliest is the first entry and the
+//!   due ones are a prefix.
 //!
 //! Both hand slots back in ascending slot order (cyclically from a cursor
 //! for the ready set), which is the order a scan over all slots visits
@@ -24,55 +24,14 @@
 use std::collections::BTreeSet;
 use xlink_clock::Instant;
 
-/// Per-slot timers with an index ordered by time.
-#[derive(Debug, Default)]
-pub struct Deadlines {
-    /// Each slot's current deadline (slots beyond the end have none).
-    at: Vec<Option<Instant>>,
-    /// The same deadlines ordered by time, then slot.
-    index: BTreeSet<(Instant, usize)>,
-}
-
-impl Deadlines {
-    /// File `slot`'s timer as `deadline`, replacing whatever was filed.
-    pub fn set(&mut self, slot: usize, deadline: Option<Instant>) {
-        if slot >= self.at.len() {
-            if deadline.is_none() {
-                return;
-            }
-            self.at.resize(slot + 1, None);
-        }
-        let old = std::mem::replace(&mut self.at[slot], deadline);
-        if old == deadline {
-            return;
-        }
-        if let Some(t) = old {
-            self.index.remove(&(t, slot));
-        }
-        if let Some(t) = deadline {
-            self.index.insert((t, slot));
-        }
-    }
-
-    /// The earliest filed deadline.
-    pub fn next(&self) -> Option<Instant> {
-        self.index.first().map(|&(t, _)| t)
-    }
-
-    /// Slots whose deadline is at or before `now`, in ascending slot order.
-    pub fn due(&self, now: Instant) -> Vec<usize> {
-        let mut slots: Vec<usize> =
-            self.index.range(..=(now, usize::MAX)).map(|&(_, slot)| slot).collect();
-        slots.sort_unstable();
-        slots
-    }
-}
-
 /// The ready set and the deadline index of one multiplexing endpoint.
 #[derive(Debug, Default)]
 pub struct Wakeups {
     ready: BTreeSet<usize>,
-    timers: Deadlines,
+    /// Each slot's current deadline (slots beyond the end have none).
+    at: Vec<Option<Instant>>,
+    /// The same deadlines ordered by time, then slot.
+    index: BTreeSet<(Instant, usize)>,
 }
 
 impl Wakeups {
@@ -93,27 +52,45 @@ impl Wakeups {
         self.ready.range(from..).next().or_else(|| self.ready.first()).copied()
     }
 
-    /// File `slot`'s timer (see [`Deadlines::set`]). Call after anything
-    /// that can move it: an input, a send (which arms loss timers), a
-    /// fired timer.
+    /// File `slot`'s timer as `deadline`, replacing whatever was filed.
+    /// Call after anything that can move it: an input, a send (which arms
+    /// loss timers), a fired timer.
     pub fn set_deadline(&mut self, slot: usize, deadline: Option<Instant>) {
-        self.timers.set(slot, deadline);
+        if slot >= self.at.len() {
+            if deadline.is_none() {
+                return;
+            }
+            self.at.resize(slot + 1, None);
+        }
+        let old = std::mem::replace(&mut self.at[slot], deadline);
+        if old == deadline {
+            return;
+        }
+        if let Some(t) = old {
+            self.index.remove(&(t, slot));
+        }
+        if let Some(t) = deadline {
+            self.index.insert((t, slot));
+        }
     }
 
     /// The earliest deadline over all slots.
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.timers.next()
+        self.index.first().map(|&(t, _)| t)
     }
 
-    /// Slots due at `now`, in ascending slot order.
+    /// Slots whose deadline is at or before `now`, in ascending slot order.
     pub fn due(&self, now: Instant) -> Vec<usize> {
-        self.timers.due(now)
+        let mut slots: Vec<usize> =
+            self.index.range(..=(now, usize::MAX)).map(|&(_, slot)| slot).collect();
+        slots.sort_unstable();
+        slots
     }
 
     /// Forget `slot` entirely (its connection is gone).
     pub fn remove(&mut self, slot: usize) {
         self.ready.remove(&slot);
-        self.timers.set(slot, None);
+        self.set_deadline(slot, None);
     }
 }
 
