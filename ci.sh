@@ -57,12 +57,14 @@ step "re-injection index vs the reference scan: random programs, every target pa
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-core --lib index_matches_the_reference_scan
 
 # The borrowed frame decoder against Frame::decode on arbitrary and truncated
-# bytes, and the crypto tests, ride along: every vector kernel the host has,
-# called directly, against its scalar reference, with overflow checks on the
-# scalar Poly1305 limb arithmetic.
-step "decoder totality: unauthenticated bytes into the one receive path; the borrowed frame decoder; crypto vs scalar (debug)" \
-    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
-    unauthenticated_bytes prop_the_borrowed_decoder crypto::
+# bytes, the one header reader on arbitrary bytes and every prefix of encoded
+# headers, the PoP's classifier against Header::decode, and the crypto tests
+# ride along: every vector kernel the host has, called directly, against its
+# scalar reference, with overflow checks on the scalar Poly1305 limb
+# arithmetic.
+step "decoder totality: unauthenticated bytes into the one receive path; the borrowed frame and header decoders; the PoP classifier; crypto vs scalar (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic -p xlink-edge --lib -- \
+    unauthenticated_bytes prop_the_borrowed_decoder prop_header_ref prop_classify crypto::
 
 step "player: advancing only at byte arrivals and next-change instants matches every millisecond (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-video --lib \

@@ -7,9 +7,9 @@
 //! that edge tier, deterministic and sans-I/O like everything else in
 //! the workspace:
 //!
-//! - [`router`]: allocation-free datagram classification plus the
-//!   CID → shard routing table (exact demux first, QUIC-LB consistent
-//!   hashing for placement).
+//! - [`router`]: datagram classification by `xlink_quic`'s own header
+//!   decoder, the token borrowed, plus the CID → shard routing table
+//!   (exact demux first, QUIC-LB consistent hashing for placement).
 //! - [`token`]: stateless Retry tokens — address-bound, expiring,
 //!   HMAC-shaped — so admission control needs no per-client state.
 //! - [`pop`]: the [`pop::Pop`] netsim endpoint tying it together:

@@ -4,7 +4,7 @@
 //! [`classify`] reads the header with `xlink_quic`'s one header decoder,
 //! [`HeaderRef::decode`], which borrows the token instead of copying it:
 //! the PoP and the backend connection it hands the datagram to agree on
-//! what is a header, and nothing is allocated before the token verifies.
+//! what is a header, and neither copies a token before it verifies.
 //!
 //! Routing is two-layered, like the paper's §6 deployment:
 //!
@@ -44,8 +44,7 @@ pub enum Classified<'a> {
         /// Client's CID.
         scid: ConnectionId,
     },
-    /// A Retry. The PoP drops inbound ones (only it mints Retries); the
-    /// client fleet routes them to the session `dcid` names.
+    /// A Retry. The PoP drops inbound ones: only it mints Retries.
     Retry {
         /// Destination CID — the client CID the Retry answers.
         dcid: ConnectionId,
