@@ -37,7 +37,7 @@ use xlink_core::lb::{encode_cid, ServerId};
 use xlink_netsim::{Endpoint, Transmit, Wakeups};
 use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cid::ConnectionId;
-use xlink_quic::connection::{placeholder_dcid, Config, Connection, AMP_FACTOR};
+use xlink_quic::connection::{placeholder_dcid, BoundedState, Config, Connection, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
 
 use crate::router::{classify, Classified, EdgeRouter};
@@ -436,6 +436,12 @@ impl Pop {
             .is_some_and(|b| b.conn.is_established())
     }
 
+    /// The capped state of a client's backend connection.
+    pub fn backend_bounded_state(&self, client_scid: &ConnectionId) -> Option<BoundedState> {
+        let slot = *self.client_map.get(client_scid)?;
+        self.conns[slot].as_ref().map(|b| b.conn.bounded_state())
+    }
+
     /// Drain a shard: stop placing new connections on it and steer every
     /// live connection to a surviving shard via NEW_CONNECTION_ID with
     /// Retire Prior To. The old CIDs stay routable until each client's
@@ -797,10 +803,9 @@ impl Pop {
                         .min(MAX_RESPONSE_BYTES);
                     st.answered = true;
                     st.buf = Vec::new();
-                    let body = off..off.saturating_add(n);
-                    b.conn
-                        .streams_mut()
-                        .write_with(id, None, true, |buf| xlink_lab::payload::extend(0, body, buf));
+                    let len = off.saturating_add(n) - off;
+                    let fill = xlink_lab::payload::fill(0, off);
+                    b.conn.streams_mut().write_with(id, len, true, fill);
                 }
             }
         }
@@ -1053,6 +1058,26 @@ mod tests {
         assert_eq!(tail.len(), 60);
         assert!(tail.iter().enumerate().all(|(i, &b)| b == ((40 + i) % 251) as u8));
         assert_eq!(&body[40..], &tail[..], "resume tail must splice losslessly");
+    }
+
+    /// Once a download is acknowledged its backend holds none of its bytes:
+    /// the body was generated as it was sent and released as it was acked.
+    #[test]
+    fn a_finished_download_holds_no_send_bytes() {
+        let mut p = pop(false, &[1]);
+        let mut c = Connection::new(Config::client(0x5d), Instant::from_millis(1));
+        let scid = c.local_cid();
+        let mut now = Instant::from_millis(1);
+        pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
+        let id = c.open_stream(0);
+        c.stream_send(id, &req(0, 30_000), true);
+        pump(&mut now, &mut [(0, &mut c)], &mut p, 400);
+        let body = c.stream_recv(id, usize::MAX);
+        assert_eq!(body.len(), 30_000);
+        assert!(xlink_lab::payload::matches(0, 0, &body));
+        let state = p.backend_bounded_state(&scid).expect("a live backend");
+        assert_eq!(state.buffered_send_bytes, 0);
+        assert!(state.within_caps());
     }
 
     #[test]

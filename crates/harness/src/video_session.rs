@@ -10,6 +10,7 @@ use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, Scheme, TransportTuning};
 use xlink_netsim::{Path, World};
 use xlink_obs::MetricsRegistry;
+use xlink_quic::stream::SendRange;
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
 
 /// Session configuration.
@@ -325,22 +326,18 @@ impl App for VideoServer {
             let body_len = body.end - body.start;
             let resp = Response { status: 200, body_len, first_frame_end: ff_end };
             conn.stream_send(id, &resp.encode(), false);
-            // First-video-frame acceleration: the byte span of the first
-            // frame inside this response is written at the highest frame
-            // priority (paper §5.1 stream_send with position+size). The
-            // body is generated straight into the stream's send buffer.
-            let accelerated = self.first_frame_accel && req.start < ff_end;
-            let split =
-                body.start + if accelerated { (ff_end - req.start).min(body_len) } else { 0 };
+            // The body is generated as the stream sends it. First-video-frame
+            // acceleration: the byte span of the first frame inside this
+            // response is tagged with the highest frame priority (paper §5.1
+            // stream_send with position+size).
             let streams = conn.conn_mut().streams_mut();
-            let object = &req.object;
-            streams.write_with(id, Some(0), false, |buf| {
-                buf.reserve(body_len as usize); // room for the whole body at once
-                MediaStore::extend_body(object, body.start..split, buf)
-            });
-            streams.write_with(id, None, true, |buf| {
-                MediaStore::extend_body(object, split..body.end, buf)
-            });
+            let fill = MediaStore::body_fill(&req.object, body.start);
+            let range = streams.write_with(id, body_len, true, fill);
+            if self.first_frame_accel && req.start < ff_end {
+                let first_frame = (ff_end - req.start).min(body_len);
+                let span = SendRange { start: range.start, end: range.start + first_frame };
+                streams.set_frame_priority(id, span, 0);
+            }
         }
     }
 

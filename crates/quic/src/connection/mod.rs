@@ -162,6 +162,10 @@ pub struct BoundedState {
     pub stream_segments: usize,
     /// Buffered receive bytes (bounded by advertised flow control).
     pub buffered_recv_bytes: u64,
+    /// Bytes held by send halves: from the lowest offset each still owes
+    /// to what it generated (bounded by the bytes in flight plus one
+    /// `FILL_WINDOW` per generated body; 0 once everything is acknowledged).
+    pub buffered_send_bytes: u64,
 }
 
 impl BoundedState {
@@ -181,6 +185,7 @@ impl BoundedState {
             path_responses_dropped: self.path_responses_dropped.max(other.path_responses_dropped),
             stream_segments: self.stream_segments.max(other.stream_segments),
             buffered_recv_bytes: self.buffered_recv_bytes.max(other.buffered_recv_bytes),
+            buffered_send_bytes: self.buffered_send_bytes.max(other.buffered_send_bytes),
         }
     }
 }
@@ -372,6 +377,7 @@ impl Connection {
             path_responses_dropped: self.path_responses_dropped,
             stream_segments: self.streams.max_segments(),
             buffered_recv_bytes: self.streams.buffered_recv_bytes(),
+            buffered_send_bytes: self.streams.buffered_send_bytes(),
         }
     }
 
@@ -1224,7 +1230,10 @@ impl Connection {
 
     /// The `nth` frame of packet `pn` of `path` — `range` of stream `id` —
     /// was acknowledged, lost or drained, and the stream has been told
-    /// (`forgot`: and lost track of older acknowledgements over it).
+    /// (`forgot`: and lost track of older acknowledgements over it). The
+    /// stream lets go of what it no longer owes; with re-injection tracked,
+    /// the index knows every frame in flight, any of which may be copied
+    /// whole.
     fn on_range_gone(
         &mut self,
         (path, pn, nth): (usize, u64, usize),
@@ -1233,11 +1242,15 @@ impl Connection {
         fin: bool,
         forgot: bool,
     ) {
-        let Some(index) = &mut self.reinject else { return };
-        index.on_gone(&self.streams, (path, pn, nth), id, range, fin);
-        if forgot {
-            index.refresh_stream(&self.streams, id);
+        let mut frames_from = None;
+        if let Some(index) = &mut self.reinject {
+            index.on_gone(&self.streams, (path, pn, nth), id, range, fin);
+            if forgot {
+                index.refresh_stream(&self.streams, id);
+            }
+            frames_from = Some(index.lowest_in_flight(id));
         }
+        self.streams.release(id, frames_from);
     }
 
     /// A packet of owned frames, each described to recovery by its kind,

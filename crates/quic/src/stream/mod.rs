@@ -8,7 +8,9 @@ pub mod recv;
 pub mod send;
 
 pub use recv::{RecvState, RecvStream, MAX_STREAM_SEGMENTS};
-pub use send::{FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PRIORITY};
+pub use send::{
+    FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PRIORITY, FILL_WINDOW,
+};
 
 use crate::cc::MAX_DATAGRAM_SIZE;
 use crate::connection::{SentFrame, SentFrames};
@@ -17,6 +19,7 @@ use crate::frame::{Frame, FrameRef};
 use crate::packet::PacketBuilder;
 use crate::params::TransportParams;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Which endpoint a connection is (stream-ID allocation parity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,9 +257,9 @@ impl StreamMap {
         }
     }
 
-    /// Write `data` on a stream, tagged with a video-frame priority if one
-    /// is given (§5.1: what frame-priority re-injection accelerates);
-    /// `fin` marks the end.
+    /// Write a copy of `data` on a stream, tagged with a video-frame
+    /// priority if one is given (§5.1: what frame-priority re-injection
+    /// accelerates); `fin` marks the end.
     pub fn write(
         &mut self,
         id: u64,
@@ -264,24 +267,58 @@ impl StreamMap {
         frame_priority: Option<FramePriority>,
         fin: bool,
     ) {
-        self.write_with(id, frame_priority, fin, |buf| buf.extend_from_slice(data));
+        let send = self.send_half(id);
+        let range = send.write(data);
+        if let Some(priority) = frame_priority {
+            send.set_priority(range, priority);
+        }
+        if fin {
+            send.finish();
+        }
     }
 
-    /// [`StreamMap::write`] of what `fill` appends to the stream's send
-    /// buffer ([`SendStream::write_with`]).
+    /// Write `len` bytes on a stream that `fill` generates as they are sent
+    /// ([`SendStream::write_with`]); `fin` marks the end. Returns the byte
+    /// range they occupy.
     pub fn write_with(
         &mut self,
         id: u64,
-        frame_priority: Option<FramePriority>,
+        len: u64,
         fin: bool,
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) {
-        // Invariant: `id` came from open()/readable_ids() on this map — an
-        // application bug, never peer-reachable input.
-        let send = &mut self.streams.get_mut(&id).expect("unknown stream").send;
-        send.write_with(frame_priority, fill);
+        fill: impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static,
+    ) -> SendRange {
+        let send = self.send_half(id);
+        let range = send.write_with(len, fill);
         if fin {
             send.finish();
+        }
+        range
+    }
+
+    /// Tag `range` of what was written on a stream with a video-frame
+    /// priority (§5.1's `stream_send` with position and size).
+    pub fn set_frame_priority(&mut self, id: u64, range: SendRange, priority: FramePriority) {
+        self.send_half(id).set_priority(range, priority);
+    }
+
+    /// The send half of a stream the application writes on.
+    fn send_half(&mut self, id: u64) -> &mut SendStream {
+        // Invariant: `id` came from open()/readable_ids() on this map — an
+        // application bug, never peer-reachable input.
+        &mut self.streams.get_mut(&id).expect("unknown stream").send
+    }
+
+    /// Let stream `id` go of the bytes it no longer owes
+    /// ([`SendStream::release`]; `frames_from`: where its lowest frame in
+    /// flight starts, if the caller tracks them). Once its send half is
+    /// acknowledged and its receive half complete and read, the stream
+    /// frees its buffers.
+    pub fn release(&mut self, id: u64, frames_from: Option<u64>) {
+        let Some(s) = self.streams.get_mut(&id) else { return };
+        s.send.release(frames_from);
+        if s.send.state() == SendState::DataRecvd && s.recv.is_complete() && s.recv.readable() == 0
+        {
+            s.recv.release();
         }
     }
 
@@ -337,6 +374,13 @@ impl StreamMap {
     /// by the advertised flow-control windows).
     pub fn buffered_recv_bytes(&self) -> u64 {
         self.iter().map(|s| s.recv.buffered_bytes()).sum()
+    }
+
+    /// Bytes held by the send halves of open streams: from each one's lowest
+    /// offset still owed to the end of what it generated (§10 gauge;
+    /// bounded by the bytes in flight plus [`FILL_WINDOW`] per stream).
+    pub fn buffered_send_bytes(&self) -> u64 {
+        self.iter().map(|s| s.send.buffered_bytes()).sum()
     }
 
     /// Apply a received stream or flow-control frame; any other frame is

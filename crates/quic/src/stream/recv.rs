@@ -218,6 +218,13 @@ impl RecvStream {
         self.readable() as u64 + self.segments.values().map(|v| v.len() as u64).sum::<u64>()
     }
 
+    /// Free the buffer of a stream that is complete and fully read.
+    pub(crate) fn release(&mut self) {
+        debug_assert!(self.is_complete() && self.readable() == 0);
+        self.ready = Vec::new();
+        self.head = 0;
+    }
+
     /// Total duplicate bytes received (receiver-side redundancy metric).
     pub fn duplicate_bytes(&self) -> u64 {
         self.duplicate_bytes

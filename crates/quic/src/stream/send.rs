@@ -6,12 +6,24 @@
 //! is simply scheduled for transmission again while the original copy is
 //! still in flight.
 //!
+//! A stream holds only the bytes it may still be asked for. Those start at
+//! the lowest offset still owed: the first unacknowledged byte, or the
+//! start of the first range queued for (re)transmission if that is lower.
+//! They end where generation has got to: a body written with
+//! [`SendStream::write_with`] is generated as it is sent, at most
+//! [`FILL_WINDOW`] bytes ahead of what was taken. The acknowledged prefix
+//! is released as ACKs arrive ([`SendStream::release`]), and its room is
+//! reused for the bytes generated next, so a transfer allocates nothing
+//! once the buffer has grown to its bytes in flight.
+//!
 //! For video, ranges can carry a *frame priority* marker set through the
 //! `stream_send`-style API (paper §5.1): the application tags the byte
 //! span of the first video frame so the scheduler can re-inject it ahead
 //! of everything else in the stream.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Range;
 
 /// Priority attached to a byte range by the application (paper §5.1:
 /// "the application can set the stream data containing the first video
@@ -21,6 +33,12 @@ pub type FramePriority = u8;
 
 /// Default priority for untagged data.
 pub const DEFAULT_FRAME_PRIORITY: FramePriority = 128;
+
+/// How far a body written with [`SendStream::write_with`] is generated
+/// ahead of the bytes taken for transmission: when a take reaches past
+/// what was generated, the stream generates up to this many bytes beyond
+/// it.
+pub const FILL_WINDOW: u64 = 64 * 1024;
 
 /// A contiguous byte range scheduled for (re)transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +74,37 @@ pub enum SendState {
     ResetSent,
 }
 
+/// What generates a body: `fill(r, buf)` appends its bytes `r` to `buf`.
+type Fill = Box<dyn FnMut(Range<u64>, &mut Vec<u8>) + Send>;
+
+/// The part of a write not generated yet: stream offset `o` is byte
+/// `o - start` of what `fill` generates.
+struct Body {
+    start: u64,
+    fill: Fill,
+}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Body").field("start", &self.start).finish_non_exhaustive()
+    }
+}
+
 /// The send half of one stream.
 #[derive(Debug)]
 pub struct SendStream {
-    /// All application bytes written so far (offset 0 = first byte).
+    /// The bytes generated and not yet dropped: stream offsets from
+    /// `buf_start` on. Those below `released` are owed no more; their room
+    /// is reclaimed when bytes are appended.
     buf: Vec<u8>,
+    buf_start: u64,
+    /// Every byte below this offset is acknowledged, and none is queued or
+    /// may be copied again: the stream no longer holds them.
+    released: u64,
+    /// Bytes written by the application, generated or not.
+    written: u64,
+    /// What generates the written bytes past the end of `buf`.
+    body: Option<Body>,
     /// True once the application finished the stream.
     fin: bool,
     /// True once a frame carrying the FIN bit has been transmitted (and
@@ -68,12 +112,13 @@ pub struct SendStream {
     fin_sent: bool,
     state: SendState,
     /// Ranges queued for transmission, keyed by start offset. Invariant:
-    /// non-overlapping (enforced on insert by the owner: ranges come from
-    /// `write`, loss, or explicit re-injection of in-flight spans —
-    /// duplicates across pending/in-flight are allowed, *within* pending
-    /// they are merged).
+    /// non-overlapping and non-adjacent (merged on insert). Ranges come
+    /// from writes, loss, or explicit re-queueing of in-flight spans;
+    /// duplicates across pending/in-flight are allowed.
     pending: BTreeMap<u64, u64>,
-    /// Cumulatively acked prefix plus out-of-order acked ranges.
+    /// Cumulatively acked prefix plus out-of-order acked ranges; bytes
+    /// below `released` count as acknowledged even once the cap on their
+    /// number has forgotten them.
     acked: crate::ackranges::AckRanges,
     /// Frame priority markers: offset → (end, priority).
     priorities: BTreeMap<u64, (u64, FramePriority)>,
@@ -90,6 +135,10 @@ impl SendStream {
     pub fn new(max_data: u64) -> Self {
         SendStream {
             buf: Vec::new(),
+            buf_start: 0,
+            released: 0,
+            written: 0,
+            body: None,
             fin: false,
             fin_sent: false,
             state: SendState::Ready,
@@ -102,33 +151,94 @@ impl SendStream {
         }
     }
 
-    /// Append application data; returns the byte range it occupies.
-    /// Panics if called after `finish`.
+    /// Append a copy of application data; returns the byte range it
+    /// occupies. Panics if called after `finish`.
     pub fn write(&mut self, data: &[u8]) -> SendRange {
-        self.write_with(None, |buf| buf.extend_from_slice(data))
+        if !data.is_empty() {
+            // A copy goes behind every byte of a body written before it.
+            self.generate(self.written);
+            self.make_room(data.len());
+            self.buf.extend_from_slice(data);
+        }
+        self.append(data.len() as u64)
     }
 
-    /// Append what `fill` appends to the stream's buffer, tagged with a
-    /// frame priority if one is given: [`SendStream::write`] for a producer
-    /// that generates its bytes where they will be sent from. Returns the
-    /// byte range they occupy. Panics if it appends after `finish`.
+    /// Append `len` bytes that `fill` generates as they are sent:
+    /// `fill(r, buf)` appends bytes `r` of them (counted from the first)
+    /// to `buf`, in order, at most [`FILL_WINDOW`] bytes beyond what was
+    /// taken. Returns the byte range they occupy. Panics if called after
+    /// `finish`.
     pub fn write_with(
         &mut self,
-        priority: Option<FramePriority>,
-        fill: impl FnOnce(&mut Vec<u8>),
+        len: u64,
+        fill: impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static,
     ) -> SendRange {
-        let start = self.buf.len() as u64;
-        fill(&mut self.buf);
-        let range = SendRange { start, end: self.buf.len() as u64 };
+        if len > 0 {
+            // One body at a time: the one written before goes out in full.
+            self.generate(self.written);
+            self.body = Some(Body { start: self.written, fill: Box::new(fill) });
+        }
+        self.append(len)
+    }
+
+    /// Account `len` bytes written after the last ones and queue them.
+    fn append(&mut self, len: u64) -> SendRange {
+        let range = SendRange { start: self.written, end: self.written + len };
         if !range.is_empty() {
             assert!(!self.fin, "write after finish");
             assert_eq!(self.state, SendState::Ready);
+            self.written = range.end;
             self.queue_range(range);
-            if let Some(priority) = priority {
-                self.priorities.insert(range.start, (range.end, priority));
-            }
         }
         range
+    }
+
+    /// Generate the written bytes up to offset `to`.
+    fn generate(&mut self, to: u64) {
+        let from = self.filled();
+        if to <= from {
+            return;
+        }
+        let mut body = self.body.take().expect("written bytes past the buffer are a body's");
+        let n = (to - from) as usize;
+        self.make_room(n);
+        if self.buf.len() + n > self.buf.capacity() {
+            // Grow as a `Vec` does, doubling, but not past the body's end.
+            let most = (self.written - self.buf_start) as usize;
+            let want = (2 * self.buf.capacity()).min(most).max(self.buf.len() + n);
+            self.buf.reserve_exact(want - self.buf.len());
+        }
+        (body.fill)(from - body.start..to - body.start, &mut self.buf);
+        assert_eq!(self.filled(), to, "a body's fill appends the bytes asked for");
+        if to < self.written {
+            self.body = Some(body);
+        }
+    }
+
+    /// Before `n` bytes are appended: if they do not fit and at least as
+    /// many bytes are released as held, the held ones move to the front
+    /// instead of the buffer growing. Each byte moved is paid for by a
+    /// released one, and once the capacity is twice the most ever held,
+    /// nothing grows again.
+    fn make_room(&mut self, n: usize) {
+        let dead = (self.released - self.buf_start) as usize;
+        if self.buf.len() + n > self.buf.capacity() && 2 * dead >= self.buf.len() {
+            self.buf.drain(..dead);
+            self.buf_start = self.released;
+        }
+    }
+
+    /// End of the bytes generated so far.
+    fn filled(&self) -> u64 {
+        self.buf_start + self.buf.len() as u64
+    }
+
+    /// Tag `range` of the written bytes with a frame priority (§5.1's
+    /// `stream_send` with position and size).
+    pub fn set_priority(&mut self, range: SendRange, priority: FramePriority) {
+        if !range.is_empty() {
+            self.priorities.insert(range.start, (range.end, priority));
+        }
     }
 
     /// Mark the stream finished (FIN after the last written byte).
@@ -141,12 +251,18 @@ impl SendStream {
 
     /// Total bytes written by the application.
     pub fn len(&self) -> u64 {
-        self.buf.len() as u64
+        self.written
     }
 
     /// True if nothing was ever written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.written == 0
+    }
+
+    /// Bytes the stream holds: from the lowest offset still owed to the
+    /// end of what was generated.
+    pub fn buffered_bytes(&self) -> u64 {
+        self.filled() - self.released
     }
 
     /// True once the FIN has been set by the application.
@@ -177,18 +293,18 @@ impl SendStream {
         self.blocked_at
     }
 
-    /// Queue a range for (re)transmission, merging into `pending`.
+    /// Queue a range for (re)transmission, merging in place with the
+    /// queued ranges it overlaps or touches. Released bytes are not queued.
     pub fn queue_range(&mut self, range: SendRange) {
-        if range.is_empty() {
+        let (mut start, mut end) = (range.start.max(self.released), range.end);
+        if start >= end {
             return;
         }
-        let mut start = range.start;
-        let mut end = range.end;
-        // Merge with overlapping/adjacent existing pending ranges.
-        let overlapping: Vec<u64> =
-            self.pending.range(..=end).filter(|(_, &e)| e >= start).map(|(&s, _)| s).collect();
-        for s in overlapping {
-            let e = self.pending.remove(&s).expect("key exists");
+        while let Some((&s, &e)) = self.pending.range(..=end).next_back() {
+            if e < start {
+                break;
+            }
+            self.pending.remove(&s);
             start = start.min(s);
             end = end.max(e);
         }
@@ -222,7 +338,7 @@ impl SendStream {
     /// may be emitted (emitting it earlier would claim a final offset
     /// beyond the peer's flow-control window).
     pub fn data_fully_sent(&self) -> bool {
-        self.pending.is_empty() && self.largest_sent == self.buf.len() as u64
+        self.pending.is_empty() && self.largest_sent == self.written
     }
 
     /// Highest-urgency pending range's priority (for scheduler ordering).
@@ -244,7 +360,7 @@ impl SendStream {
     /// Take up to `max_len` bytes from the front of the pending queue for
     /// transmission, bounded by flow control. Returns the range taken and
     /// whether this transmission carries the FIN; [`SendStream::data`]
-    /// lends its bytes.
+    /// lends its bytes, generated by now.
     pub fn take_range(&mut self, max_len: usize) -> Option<(SendRange, bool)> {
         let fc_limit = self.max_data;
         let (&start, &end) = self.pending.iter().next()?;
@@ -260,8 +376,11 @@ impl SendStream {
                 self.blocked_at = Some(fc_limit);
             }
         }
+        if end_allowed > self.filled() {
+            self.generate(self.written.min(end_allowed + FILL_WINDOW));
+        }
         self.largest_sent = self.largest_sent.max(end_allowed);
-        let fin_here = self.fin && end_allowed == self.buf.len() as u64;
+        let fin_here = self.fin && end_allowed == self.written;
         if fin_here {
             self.fin_sent = true;
         }
@@ -284,11 +403,13 @@ impl SendStream {
         Some((range.start, self.data(range).to_vec(), fin))
     }
 
-    /// The written bytes of `range` (must be within written data) — for a
-    /// range just taken, or for a *re-injection*, which sends a range
-    /// again without touching pending state.
+    /// The written bytes of `range`, which the stream must still hold: a
+    /// range just taken, or one in flight that a *re-injection* sends again
+    /// without touching pending state.
     pub fn data(&self, range: SendRange) -> &[u8] {
-        &self.buf[range.start as usize..range.end as usize]
+        debug_assert!(range.start >= self.released, "released bytes were asked for");
+        let at = |offset: u64| (offset - self.buf_start) as usize;
+        &self.buf[at(range.start)..at(range.end)]
     }
 
     /// Record that a transmitted range was acknowledged. Returns true when
@@ -297,10 +418,9 @@ impl SendStream {
         if !range.is_empty() {
             self.acked.insert_range(range.start, range.end - 1);
         }
-        let all_acked = self.fin
-            && (self.buf.is_empty() || self.acked.len() == self.buf.len() as u64)
-            && (fin || self.fin_acked_implicitly());
-        if fin && self.fin && self.acked.len() == self.buf.len() as u64 {
+        let data_acked = self.acked.len() == self.written;
+        let all_acked = self.fin && data_acked && (fin || self.fin_acked_implicitly());
+        if fin && self.fin && data_acked {
             self.state = SendState::DataRecvd;
         }
         if all_acked && self.state != SendState::ResetSent {
@@ -313,10 +433,52 @@ impl SendStream {
         self.state == SendState::DataRecvd
     }
 
+    /// Release the bytes below the lowest offset still owed: below the
+    /// first range queued and, when the owner tracks the stream's frames in
+    /// flight, below where the lowest of them starts (`frames_from`;
+    /// `u64::MAX` for none) and the largest offset sent. A frame in flight
+    /// may be copied whole by a re-injection, and every byte sent that is
+    /// neither queued nor in such a frame has been acknowledged. An owner
+    /// that does not track them passes `None`, and what is released stops
+    /// at the first unacknowledged byte. A stream with nothing left to send
+    /// or generate lets its buffer go.
+    pub fn release(&mut self, frames_from: Option<u64>) {
+        let settled = match frames_from {
+            Some(start) => start.min(self.largest_sent),
+            None => match self.acked.first_ending_from(self.released) {
+                Some(r) if r.start <= self.released => r.end + 1,
+                _ => self.released,
+            },
+        };
+        let queued_from = self.pending.keys().next().map_or(u64::MAX, |&s| s);
+        let to = settled.min(queued_from).min(self.filled());
+        if to <= self.released {
+            return;
+        }
+        self.released = to;
+        if to == self.filled() {
+            self.buf_start = to;
+            if self.fin && to == self.written {
+                self.buf = Vec::new();
+                self.pending = BTreeMap::new();
+            } else {
+                self.buf.clear();
+            }
+        }
+    }
+
     /// Record that a transmitted range was lost; requeue the un-acked part.
     pub fn on_range_lost(&mut self, range: SendRange, fin: bool) {
-        for gap in subtract_ranges(range, self.acked.iter().map(|r| (r.start, r.end + 1))) {
-            self.queue_range(gap);
+        let mut at = range.start.max(self.released);
+        while at < range.end {
+            match self.acked.first_ending_from(at) {
+                Some(r) if r.start <= at => at = r.end + 1,
+                next => {
+                    let gap_end = next.map_or(range.end, |r| r.start.min(range.end));
+                    self.queue_range(SendRange { start: at, end: gap_end });
+                    at = gap_end;
+                }
+            }
         }
         if fin {
             // The FIN bit was lost with this frame; it must be resent.
@@ -328,7 +490,7 @@ impl SendStream {
     pub fn reset(&mut self) -> u64 {
         self.state = SendState::ResetSent;
         self.pending.clear();
-        self.buf.len() as u64
+        self.written
     }
 
     /// The first run of bytes at or after `from` that are in flight:
@@ -337,7 +499,7 @@ impl SendStream {
     /// re-injection may copy. Hops over the acked and the pending ranges,
     /// never byte by byte.
     pub fn in_flight_from(&self, from: u64) -> Option<SendRange> {
-        let mut start = from;
+        let mut start = from.max(self.released);
         while start < self.largest_sent {
             let acked = self.acked.first_ending_from(start);
             let queued = self.pending.range(..=start).next_back().filter(|(_, &e)| e > start);
@@ -356,36 +518,10 @@ impl SendStream {
     }
 
     /// Acked ranges the cap on their number has made the stream forget
-    /// (those bytes count as in flight again; 0 in any honest exchange).
+    /// (those bytes count as in flight again unless released).
     pub fn acked_evicted(&self) -> u64 {
         self.acked.evicted()
     }
-}
-
-/// Subtract a sorted sequence of half-open `(start, end)` intervals from
-/// `range`, returning the remaining gaps.
-fn subtract_ranges(range: SendRange, holes: impl Iterator<Item = (u64, u64)>) -> Vec<SendRange> {
-    let mut out = Vec::new();
-    let mut cursor = range.start;
-    for (hs, he) in holes {
-        if he <= cursor {
-            continue;
-        }
-        if hs >= range.end {
-            break;
-        }
-        if hs > cursor {
-            out.push(SendRange { start: cursor, end: hs.min(range.end) });
-        }
-        cursor = cursor.max(he);
-        if cursor >= range.end {
-            break;
-        }
-    }
-    if cursor < range.end {
-        out.push(SendRange { start: cursor, end: range.end });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -479,7 +615,8 @@ mod tests {
     #[test]
     fn priority_markers() {
         let mut s = SendStream::new(u64::MAX);
-        s.write_with(Some(0), |buf| buf.extend_from_slice(b"first-frame"));
+        let first = s.write(b"first-frame");
+        s.set_priority(first, 0);
         s.write(b"rest of the video");
         assert_eq!(s.priority_of(0), 0);
         assert_eq!(s.priority_of(10), 0);
@@ -600,6 +737,351 @@ mod tests {
         assert_eq!(data, b"efgh");
         assert!(fin);
         assert!(s.data_fully_sent());
+    }
+
+    /// A body generated with `payload::fill` at phase 7.
+    fn body_byte(offset: u64) -> u8 {
+        xlink_lab::payload::byte(7, offset)
+    }
+
+    #[test]
+    fn a_body_is_generated_a_window_ahead_of_what_was_taken() {
+        let mut s = SendStream::new(u64::MAX);
+        s.write(b"HEAD");
+        let len = 3 * FILL_WINDOW + 123;
+        assert_eq!(
+            s.write_with(len, xlink_lab::payload::fill(7, 0)),
+            SendRange { start: 4, end: 4 + len }
+        );
+        s.finish();
+        assert_eq!((s.len(), s.buffered_bytes()), (4 + len, 4), "nothing generated yet");
+        let mut offset = 0;
+        while let Some((range, fin)) = s.take_range(1_200) {
+            assert_eq!(range.start, offset);
+            let expected: Vec<u8> = (range.start..range.end)
+                .map(|o| if o < 4 { b"HEAD"[o as usize] } else { body_byte(o - 4) })
+                .collect();
+            assert_eq!(s.data(range), &expected[..], "at {offset}");
+            assert!(s.filled() <= range.end + FILL_WINDOW, "generated too far ahead");
+            assert_eq!(fin, range.end == s.len());
+            s.on_range_acked(range, fin);
+            s.release(None);
+            offset = range.end;
+        }
+        assert_eq!(offset, s.len());
+        assert_eq!(s.state(), SendState::DataRecvd);
+        assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0), "an acknowledged stream frees");
+    }
+
+    #[test]
+    fn a_copy_written_behind_a_body_generates_the_body_first() {
+        let mut s = SendStream::new(u64::MAX);
+        s.write_with(10, xlink_lab::payload::fill(7, 0));
+        s.write(b"tail");
+        let (_, data, _) = s.take_chunk(100).unwrap();
+        let mut expected: Vec<u8> = (0..10).map(body_byte).collect();
+        expected.extend_from_slice(b"tail");
+        assert_eq!(data, expected);
+    }
+
+    #[test]
+    fn the_acknowledged_prefix_is_released_and_its_room_reused() {
+        let mut s = SendStream::new(u64::MAX);
+        s.write_with(1 << 30, xlink_lab::payload::fill(7, 0));
+        let mut in_flight = std::collections::VecDeque::new();
+        let mut capacity = 0;
+        for round in 0..2_000 {
+            // Keep 40 packets in flight: acknowledge the oldest, send one.
+            if in_flight.len() == 40 {
+                s.on_range_acked(in_flight.pop_front().unwrap(), false);
+                s.release(None);
+            }
+            let (range, _) = s.take_range(1_200).unwrap();
+            in_flight.push_back(range);
+            assert_eq!(s.released, in_flight[0].start);
+            assert!(s.buffered_bytes() <= 40 * 1_200 + FILL_WINDOW + 1_200);
+            if round == 1_000 {
+                capacity = s.buf.capacity();
+            }
+        }
+        assert_eq!(s.buf.capacity(), capacity, "the buffer stopped growing");
+    }
+
+    /// A range declared lost, queued again, then acknowledged (the loss
+    /// was spurious) before it is sent again: it is still sent, with the
+    /// bytes written, and they are held until then.
+    #[test]
+    fn a_requeued_range_acknowledged_before_it_is_resent_is_still_sent() {
+        let mut s = SendStream::new(u64::MAX);
+        s.write(b"0123456789");
+        s.write_with(20, xlink_lab::payload::fill(7, 0));
+        s.finish();
+        let (first, _) = s.take_range(10).unwrap();
+        let (second, _) = s.take_range(100).unwrap();
+        s.on_range_lost(first, false);
+        s.on_range_acked(first, false);
+        s.on_range_acked(second, true);
+        s.release(None);
+        assert_eq!(s.released, 0, "the queued range holds the release back");
+        let (offset, data, fin) = s.take_chunk(100).unwrap();
+        assert_eq!((offset, &data[..], fin), (0, &b"0123456789"[..], false));
+        s.on_range_acked(first, false);
+        s.release(None);
+        assert_eq!((s.released, s.buffered_bytes()), (30, 0));
+        assert_eq!(s.state(), SendState::DataRecvd);
+    }
+
+    /// A frame in flight that a re-injection may copy whole keeps its bytes
+    /// even where another frame acknowledged them.
+    #[test]
+    fn a_frame_in_flight_keeps_its_bytes_for_a_copy() {
+        let mut s = SendStream::new(u64::MAX);
+        s.write(b"abcdefghij");
+        let (a, _) = s.take_range(4).unwrap(); // 0..4
+        s.on_range_lost(a, false);
+        let (wide, _) = s.take_range(100).unwrap(); // 0..10 sent again
+        s.on_range_acked(a, false); // the first transmission arrived after all
+        s.release(Some(wide.start));
+        assert_eq!(s.released, 0);
+        assert_eq!(s.data(wide), b"abcdefghij", "the wide frame may be copied");
+        // Without frames tracked only the acknowledged prefix goes.
+        s.release(None);
+        assert_eq!(s.released, 4);
+        assert_eq!(s.in_flight_from(0), Some(SendRange { start: 4, end: 10 }));
+        // No frame left in flight: everything sent was acknowledged.
+        s.on_range_acked(wide, false);
+        s.release(Some(u64::MAX));
+        assert_eq!((s.released, s.buffered_bytes()), (10, 0));
+    }
+
+    /// A stream whose first 100 bytes were acknowledged, then every other
+    /// byte: one acknowledged range each, past the cap on their number.
+    fn evicted() -> SendStream {
+        use crate::ackranges::MAX_ACK_RANGES;
+        let mut s = SendStream::new(u64::MAX);
+        let len = 100 + 2 * MAX_ACK_RANGES as u64 + 4;
+        s.write_with(len, xlink_lab::payload::fill(7, 0));
+        while s.take_range(1).is_some() {}
+        s.on_range_acked(SendRange { start: 0, end: 100 }, false);
+        s.release(None);
+        for o in (101..len).step_by(2) {
+            s.on_range_acked(SendRange { start: o, end: o + 1 }, false);
+            s.release(None);
+        }
+        assert!(s.acked_evicted() > 0);
+        s
+    }
+
+    /// Bytes below the release point stay acknowledged when the cap on
+    /// acknowledged ranges forgets the lowest ones: they are neither in
+    /// flight nor queued again.
+    #[test]
+    fn released_bytes_stay_acknowledged_when_ranges_are_evicted() {
+        let mut s = evicted();
+        let first = s.in_flight_from(0).unwrap();
+        assert!(first.start >= 100, "released bytes offered again: {first:?}");
+        s.on_range_lost(SendRange { start: 0, end: s.len() }, false);
+        assert!(*s.pending.keys().next().unwrap() >= 100, "released bytes queued again");
+    }
+
+    /// Forgotten acknowledgements stop the release at the first byte they
+    /// covered, unless the owner tracks the frames in flight: with none
+    /// left, every byte sent was acknowledged.
+    #[test]
+    fn tracked_frames_release_past_forgotten_acknowledgements() {
+        let mut s = evicted();
+        for o in (100..s.len()).step_by(2) {
+            s.on_range_acked(SendRange { start: o, end: o + 1 }, false);
+            s.release(None);
+        }
+        assert!(s.released < s.len(), "the forgotten ranges are never counted again");
+        s.release(Some(u64::MAX));
+        assert_eq!((s.released, s.buffered_bytes()), (s.len(), 0));
+    }
+
+    /// Losing frames and queueing ranges again allocates nothing once the
+    /// queue has its node (up to eleven ranges fit in it) and the buffer
+    /// its room.
+    #[test]
+    fn range_bookkeeping_allocates_nothing() {
+        use xlink_obs::prof;
+        let mut s = SendStream::new(u64::MAX);
+        s.write_with(1 << 30, xlink_lab::payload::fill(7, 0));
+        let round = |s: &mut SendStream| {
+            let frames: [SendRange; 5] = std::array::from_fn(|_| s.take_range(1_000).unwrap().0);
+            // Part of each frame arrived; the frames are lost, then the
+            // middle of the lost bytes is queued again by hand.
+            for r in &frames {
+                s.on_range_acked(SendRange { start: r.start + 300, end: r.start + 600 }, false);
+            }
+            for r in frames.iter().rev() {
+                s.on_range_lost(*r, false);
+            }
+            s.queue_range(SendRange { start: frames[1].start, end: frames[3].end });
+            while s.pending.len() > 1 {
+                s.take_range(1_000).unwrap();
+            }
+            // Everything sent again arrives.
+            s.on_range_acked(SendRange { start: frames[0].start, end: frames[4].end }, false);
+            s.release(None);
+        };
+        // Warm-up: the generated buffer grows to twice what it holds.
+        (0..100).for_each(|_| round(&mut s));
+        let (_, report) = prof::with_recording(|| {
+            let _span = prof::span!("test/ranges");
+            (0..100).for_each(|_| round(&mut s))
+        });
+        assert_eq!(report.get("test;ranges").expect("recorded").allocs, 0, "{}", report.folded());
+    }
+
+    /// One operation of [`prop_the_stream_hands_out_the_bytes_written`].
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Take up to `n` bytes for a new frame.
+        Take(usize),
+        /// Take and put back.
+        Untake(usize),
+        /// The `i`th frame in flight was acknowledged.
+        Ack(usize),
+        /// The `i`th frame in flight was lost.
+        Lose(usize),
+        /// Copy the `i`th frame in flight (re-injection).
+        Copy(usize),
+        /// Queue `start..end` again.
+        Requeue(u64, u64),
+        /// The first run in flight from an offset.
+        InFlight(u64),
+    }
+
+    /// A stream of a copied head, a generated body and maybe a copied tail,
+    /// driven by every operation the connection applies, against a model
+    /// of written bytes and acknowledgements. Every byte the stream hands
+    /// out is the byte written; it never lets go of a byte still owed (not
+    /// acknowledged, queued, or in a frame that may be copied) and, after
+    /// each acknowledgement or loss, holds nothing below the lowest one;
+    /// generation stays a window ahead of what was taken; and once all is
+    /// acknowledged the stream holds nothing.
+    #[test]
+    fn prop_the_stream_hands_out_the_bytes_written() {
+        use xlink_lab::prop::*;
+        let op = |(kind, a, b): (u8, u64, u64)| match kind {
+            0 => Op::Take(b as usize),
+            1 => Op::Untake(b as usize),
+            2 => Op::Ack(a as usize),
+            3 => Op::Lose(a as usize),
+            4 => Op::Copy(a as usize),
+            5 => Op::Requeue(a % 300_000, a % 300_000 + b),
+            _ => Op::InFlight(a % 300_000),
+        };
+        // With `tracked`, the owner knows every frame in flight, as the
+        // re-injection index does, and copies frames (a lost copy is not
+        // queued again); without, no frame is copied.
+        let layout = (0u64..64, 0u64..250_000, 0u64..3, 0u8..2);
+        let ops = vec_of((0u8..7, 0u64..1 << 20, 1u64..4_000), 0..80);
+        check("prop_the_stream_hands_out_the_bytes_written", (layout, ops), |v| {
+            let &((head, body, tail, tracked), ref ops) = v;
+            let (tracked, phase) = (tracked == 1, body % 251);
+            let mut written: Vec<u8> = (0..head).map(|o| o as u8 ^ 0x5a).collect();
+            let mut s = SendStream::new(u64::MAX);
+            s.write(&written);
+            s.write_with(body, xlink_lab::payload::fill(phase, 0));
+            written.extend((0..body).map(|o| xlink_lab::payload::byte(phase, o)));
+            // A tail written behind the body makes it generate in full.
+            let tail: Vec<u8> = (0..tail * 5).map(|o| o as u8).collect();
+            s.write(&tail);
+            written.extend_from_slice(&tail);
+            s.finish();
+            let len = written.len() as u64;
+            prop_assert_eq!(s.len(), len);
+            let window_from = if tail.is_empty() { head } else { len };
+            let mut acked = vec![false; written.len()];
+            // Frames in flight: range, FIN, a copy.
+            let mut frames: Vec<(SendRange, bool, bool)> = Vec::new();
+            let bytes = |r: SendRange| &written[r.start as usize..r.end as usize];
+            let framed = |frames: &[(SendRange, bool, bool)]| {
+                let starts = frames.iter().map(|(r, ..)| r.start).filter(|_| tracked);
+                starts.min().unwrap_or(u64::MAX)
+            };
+            let frames_from = |frames: &[(SendRange, bool, bool)]| tracked.then(|| framed(frames));
+            for op in ops.iter().copied().map(op) {
+                let mut released = false;
+                match op {
+                    Op::Take(n) => {
+                        if let Some((r, fin)) = s.take_range(n) {
+                            prop_assert_eq!(s.data(r), bytes(r));
+                            prop_assert_eq!(fin, r.end == len);
+                            frames.push((r, fin, false));
+                        }
+                    }
+                    Op::Untake(n) => {
+                        let before = s.largest_sent();
+                        if let Some((r, _)) = s.take_range(n) {
+                            s.untake(r, before);
+                        }
+                    }
+                    Op::Ack(i) | Op::Lose(i) if !frames.is_empty() => {
+                        let (r, fin, copy) = frames.swap_remove(i % frames.len());
+                        if matches!(op, Op::Ack(_)) {
+                            s.on_range_acked(r, fin);
+                            acked[r.start as usize..r.end as usize].fill(true);
+                        } else if !copy {
+                            s.on_range_lost(r, fin);
+                        }
+                        s.release(frames_from(&frames));
+                        released = true;
+                    }
+                    Op::Copy(i) if tracked && !frames.is_empty() => {
+                        let (r, fin, _) = frames[i % frames.len()];
+                        prop_assert_eq!(s.data(r), bytes(r));
+                        frames.push((r, fin, true));
+                    }
+                    Op::Requeue(start, end) => {
+                        s.queue_range(SendRange { start, end: end.min(len) })
+                    }
+                    Op::InFlight(from) => {
+                        let queued =
+                            |o: u64| s.pending.range(..=o).next_back().is_some_and(|(_, &e)| e > o);
+                        let out = |o: u64| !acked[o as usize] && !queued(o);
+                        let sent = s.largest_sent();
+                        let model = (from..sent).find(|&o| out(o)).map(|start| {
+                            let end = (start..sent).find(|&o| !out(o)).unwrap_or(sent);
+                            SendRange { start, end }
+                        });
+                        prop_assert_eq!(s.in_flight_from(from), model);
+                    }
+                    _ => {}
+                }
+                let unacked = acked.iter().position(|&a| !a).map_or(len, |o| o as u64);
+                let queued = s.pending.keys().next().copied().unwrap_or(u64::MAX);
+                let owed = unacked.min(queued).min(framed(&frames)).min(s.filled());
+                prop_assert!(s.released <= owed, "released {} past {owed}", s.released);
+                if released {
+                    prop_assert_eq!(s.released, owed);
+                }
+                let taken = s.largest_sent().max(window_from);
+                prop_assert!(s.filled() <= len.min(taken + FILL_WINDOW + 4_000));
+            }
+            // Send and acknowledge the rest: the stream ends holding nothing.
+            loop {
+                while let Some((r, fin)) = s.take_range(1_200) {
+                    prop_assert_eq!(s.data(r), bytes(r));
+                    frames.push((r, fin, false));
+                }
+                if s.fin_pending() && s.data_fully_sent() {
+                    frames.push((SendRange { start: len, end: len }, true, false));
+                    s.mark_fin_sent();
+                }
+                if frames.is_empty() {
+                    break;
+                }
+                for (r, fin, _) in frames.drain(..) {
+                    s.on_range_acked(r, fin);
+                }
+                s.release(frames_from(&frames));
+            }
+            prop_assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0));
+            Ok(())
+        });
     }
 
     #[test]

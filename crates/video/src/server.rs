@@ -48,6 +48,16 @@ impl MediaStore {
         payload::extend(Self::phase(object), range, out);
     }
 
+    /// What generates the body of `object` from offset `start` on as a
+    /// stream sends it ([`payload::fill`]): a server hands it to the
+    /// response stream instead of writing the body out.
+    pub fn body_fill(
+        object: &str,
+        start: u64,
+    ) -> impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static {
+        payload::fill(Self::phase(object), start)
+    }
+
     /// Whether `data` is the body of `object` from offset `start` on: a
     /// client checks each piece of a response as it arrives.
     pub fn body_matches(object: &str, start: u64, data: &[u8]) -> bool {
@@ -127,11 +137,11 @@ mod tests {
             let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
             assert_eq!(generated(start, end), per_byte);
         }
-        // Generated straight into a stream's send buffer the way a server
-        // answers: a header, then the body of each chunk request in two
-        // writes split at the end of the first frame (1 000 bytes here).
-        // Chunks shorter and longer than the first frame, and a last one
-        // the store clamps: every body byte is still the per-byte one.
+        // Generated by the stream that sends it, the way a server answers: a
+        // header, then the body of each chunk request, its first-frame span
+        // tagged. Chunks shorter and longer than the first frame (1 000
+        // bytes here), and a last one the store clamps: every body byte
+        // taken is still the per-byte one.
         let first_frame = s.first_frame_end("v1");
         for chunk in [700, 2_500, 4_096] {
             for start in (0..10_000).step_by(chunk) {
@@ -139,16 +149,23 @@ mod tests {
                 let split = body.start.max(first_frame.min(body.end));
                 let mut stream = SendStream::new(u64::MAX);
                 stream.write(b"200 0 1000\n");
-                let head = stream.len();
-                stream.write_with(Some(0), |buf| {
-                    MediaStore::extend_body("v1", body.start..split, buf)
-                });
-                stream.write_with(None, |buf| MediaStore::extend_body("v1", split..body.end, buf));
-                let sent = stream.data(SendRange { start: head, end: stream.len() });
+                let len = body.end - body.start;
+                let range = stream.write_with(len, MediaStore::body_fill("v1", body.start));
+                let urgent =
+                    SendRange { start: range.start, end: range.start + split - body.start };
+                stream.set_priority(urgent, 0);
+                let mut sent = Vec::new();
+                while let Some((_, data, _)) = stream.take_chunk(1_200) {
+                    sent.extend(data);
+                }
                 let per_byte: Vec<u8> =
                     body.clone().map(|o| MediaStore::body_byte("v1", o)).collect();
-                assert_eq!(sent, per_byte, "chunk {chunk} at {start}");
-                let offset = |o: u64| head + o - body.start;
+                assert_eq!(
+                    &sent[range.start as usize..],
+                    &per_byte[..],
+                    "chunk {chunk} at {start}"
+                );
+                let offset = |o: u64| range.start + o - body.start;
                 assert!((body.start..split).all(|o| stream.priority_of(offset(o)) == 0));
                 assert!((split..body.end).all(|o| stream.priority_of(offset(o)) != 0));
             }
