@@ -655,55 +655,72 @@ impl Pop {
         }
     }
 
-    /// Admission path for an Initial whose SCID matches no connection.
-    fn on_new_initial(
+    /// Admission path for an Initial of `len` bytes carrying `tok` whose
+    /// SCID matches no connection: its address account and its token.
+    /// Returns what [`Pop::admit`] takes — the replay key of the token it
+    /// spends, or `None` without token admission — unless it was refused.
+    fn admission(
         &mut self,
         now: Instant,
         addr: usize,
         scid: ConnectionId,
         tok: &[u8],
-        payload: &[u8],
-    ) {
-        let _prof = prof::span!("edge/admit");
+        len: usize,
+    ) -> Option<Option<u128>> {
         // Account pre-validation bytes (bounded table; overflow = drop).
         if !self.addr_acct.contains_key(&addr) && self.addr_acct.len() >= MAX_ADDR_ENTRIES {
             self.reject(now, reject::TABLE_FULL);
-            return;
+            return None;
         }
-        self.addr_acct.entry(addr).or_default().received += payload.len() as u64;
+        self.addr_acct.entry(addr).or_default().received += len as u64;
 
         let validated = if self.cfg.admission {
             if tok.is_empty() {
                 self.reject(now, reject::NO_TOKEN);
                 self.queue_retry(now, addr, scid);
-                return;
+                return None;
             }
             match token::verify(TOKEN_KEY, addr as u64, now, TOKEN_LIFETIME, tok) {
                 Err(TokenError::Malformed) | Err(TokenError::BadMac) => {
                     self.reject(now, reject::BAD_TOKEN);
-                    return;
+                    return None;
                 }
                 Err(TokenError::Expired) => {
                     self.reject(now, reject::EXPIRED_TOKEN);
                     self.queue_retry(now, addr, scid);
-                    return;
+                    return None;
                 }
                 Ok(()) => {
                     // Spent-check here; the token is only *burned* below,
                     // once admission actually succeeds, so a crash that
                     // wipes the admitting shard's ledger slice lets the
                     // orphaned client legitimately re-spend.
-                    if self.replay_seen.contains_key(&replay_key(tok)) {
+                    let key = replay_key(tok);
+                    if self.replay_seen.contains_key(&key) {
                         self.reject(now, reject::REPLAYED_TOKEN);
-                        return;
+                        return None;
                     }
-                    true
+                    Some(key)
                 }
             }
         } else {
-            false
+            None
         };
+        Some(validated)
+    }
 
+    /// Admit the Initial `payload` from `addr` whose SCID matches no
+    /// connection and which passed [`Pop::admission`], spending the token
+    /// with replay key `spent` if it carried one: place it on a shard,
+    /// build its backend, and hand it the datagram.
+    fn admit(
+        &mut self,
+        now: Instant,
+        addr: usize,
+        scid: ConnectionId,
+        spent: Option<u128>,
+        payload: &mut [u8],
+    ) {
         if self.live >= self.cfg.max_conns {
             self.reject(now, reject::CONN_CAP);
             return;
@@ -713,8 +730,8 @@ impl Pop {
             return;
         };
 
-        if validated {
-            let key = replay_key(tok);
+        let validated = spent.is_some();
+        if let Some(key) = spent {
             self.replay_seen.insert(key, shard);
             self.replay_order.push_back(key);
             if self.replay_order.len() > MAX_REPLAY_ENTRIES {
@@ -775,10 +792,10 @@ impl Pop {
 
     /// Hand a datagram to a backend, serve any completed requests, and
     /// sync CID issuance/retirement into the router.
-    fn forward(&mut self, now: Instant, slot: usize, payload: &[u8]) {
+    fn forward(&mut self, now: Instant, slot: usize, payload: &mut [u8]) {
         let _prof = prof::span!("edge/forward");
         let Some(b) = self.conns[slot].as_mut() else { return };
-        b.conn.handle_datagram(now, payload);
+        b.conn.handle_datagram_in_place(now, 0, payload);
         // Serve the PoP's toy origin protocol: a 16-byte little-endian
         // `[offset | length]` request on a stream is answered with bytes
         // `offset..offset + length` of the synthetic payload at phase 0
@@ -792,11 +809,11 @@ impl Pop {
             b.stream_epoch = b.conn.streams().epoch();
             for id in b.conn.streams().readable_ids() {
                 let st = b.streams.entry(id).or_default();
-                let data = b.conn.stream_recv(id, usize::MAX);
+                let data = b.conn.stream_consume(id, usize::MAX);
                 if st.answered {
                     continue;
                 }
-                st.buf.extend_from_slice(&data);
+                st.buf.extend_from_slice(data);
                 if st.buf.len() >= 16 {
                     let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
                     let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
@@ -854,6 +871,11 @@ impl Pop {
 
 impl Endpoint for Pop {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
+        // A backend opens a datagram where it lies: this one needs a copy.
+        self.on_datagram_in_place(now, path, &mut payload.to_vec());
+    }
+
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
         self.stats.datagrams_in += 1;
         match classify(payload) {
             Classified::Short { dcid } => match self.router.route(&dcid) {
@@ -868,7 +890,10 @@ impl Endpoint for Pop {
                     // Handshake continuation of an admitted connection.
                     self.forward(now, slot, payload);
                 } else {
-                    self.on_new_initial(now, path, scid, token, payload);
+                    let _prof = prof::span!("edge/admit");
+                    if let Some(spent) = self.admission(now, path, scid, token, payload.len()) {
+                        self.admit(now, path, scid, spent, payload);
+                    }
                 }
             }
             Classified::Handshake { dcid, scid } => {

@@ -429,6 +429,11 @@ impl PopFleet {
 
 impl Endpoint for PopFleet {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
+        // A session opens a datagram where it lies: this one needs a copy.
+        self.on_datagram_in_place(now, path, &mut payload.to_vec());
+    }
+
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
         let _prof = prof::span!("harness/pop_client");
         if path == self.attack_addr {
             if let Some(a) = self.attacker.as_mut() {
@@ -442,7 +447,7 @@ impl Endpoint for PopFleet {
         let Ok((header, _)) = HeaderRef::decode(payload) else { return };
         if let Some(&i) = self.by_cid.get(&header.dcid) {
             let s = &mut self.sessions[i];
-            s.conn.handle_datagram(now, payload);
+            s.conn.handle_datagram_in_place(now, 0, payload);
             s.absorb(now);
             self.note_closed(now, i);
             self.touched(i);
