@@ -163,8 +163,7 @@ pub struct BoundedState {
     /// Buffered receive bytes (bounded by advertised flow control).
     pub buffered_recv_bytes: u64,
     /// Bytes held by send halves: from the lowest offset each still owes
-    /// to what it generated (bounded by the bytes in flight plus one
-    /// `FILL_WINDOW` per generated body; 0 once everything is acknowledged).
+    /// to what it generated (0 once everything is acknowledged).
     pub buffered_send_bytes: u64,
 }
 

@@ -377,8 +377,8 @@ impl StreamMap {
     }
 
     /// Bytes held by the send halves of open streams: from each one's lowest
-    /// offset still owed to the end of what it generated (§10 gauge;
-    /// bounded by the bytes in flight plus [`FILL_WINDOW`] per stream).
+    /// offset still owed to the end of what it generated (§10 gauge; a body
+    /// is generated at most [`FILL_WINDOW`] past what was taken).
     pub fn buffered_send_bytes(&self) -> u64 {
         self.iter().map(|s| s.send.buffered_bytes()).sum()
     }

@@ -7,14 +7,15 @@
 //! still in flight.
 //!
 //! A stream holds only the bytes it may still be asked for. Those start at
-//! the lowest offset still owed: the first unacknowledged byte, or the
-//! start of the first range queued for (re)transmission if that is lower.
-//! They end where generation has got to: a body written with
-//! [`SendStream::write_with`] is generated as it is sent, at most
-//! [`FILL_WINDOW`] bytes ahead of what was taken. The acknowledged prefix
-//! is released as ACKs arrive ([`SendStream::release`]), and its room is
-//! reused for the bytes generated next, so a transfer allocates nothing
-//! once the buffer has grown to its bytes in flight.
+//! the lowest offset still owed: the first unacknowledged byte, or, if
+//! lower, the start of the first range queued for (re)transmission or of
+//! a frame in flight that a re-injection may copy whole. They end where
+//! generation has got to: a body written with [`SendStream::write_with`]
+//! is generated as it is sent, at most [`FILL_WINDOW`] bytes ahead of what
+//! was taken. The acknowledged prefix is released as ACKs arrive
+//! ([`SendStream::release`]), and its room is reused for the bytes
+//! generated next, so a transfer stops allocating once the buffer has
+//! grown to twice what it holds.
 //!
 //! For video, ranges can carry a *frame priority* marker set through the
 //! `stream_send`-style API (paper §5.1): the application tags the byte
