@@ -19,20 +19,6 @@ use xlink_obs::{prof, Event, Tracer};
 /// Bytes one delivery opportunity can carry (Mahimahi's MTU).
 pub const OPPORTUNITY_BYTES: usize = 1500;
 
-/// The first index after `from` whose opportunity is later than millisecond
-/// `within` of the loop, given that the one at `from` is not: steps doubling
-/// from `from`, then a binary search inside the last step, so the cost
-/// grows with the log of the distance moved, not of the trace.
-fn gallop(trace: &[u64], from: usize, within: u64) -> usize {
-    let (mut due, mut step) = (from, 1);
-    while due + step < trace.len() && trace[due + step] <= within {
-        due += step;
-        step *= 2;
-    }
-    let end = (due + step).min(trace.len());
-    due + 1 + trace[due + 1..end].partition_point(|&t| t <= within)
-}
-
 /// A queued packet.
 #[derive(Debug, Clone)]
 struct Queued {
@@ -351,13 +337,10 @@ impl Link {
         let (loops, within) = (now_ms / self.period_ms, now_ms % self.period_ms);
         let trace = &self.cfg.trace_ms;
         // In the cursor's own loop the cursor's opportunity and every one
-        // before it are due: search forward from it. After a wrap, search
-        // the whole trace.
-        let cursor = if loops == self.loops {
-            gallop(trace, self.cursor, within)
-        } else {
-            trace.partition_point(|&t| t <= within)
-        };
+        // before it are due: search on from it. After a wrap, search the
+        // whole trace.
+        let from = if loops == self.loops { self.cursor } else { 0 };
+        let cursor = from + trace[from..].partition_point(|&t| t <= within);
         (self.cursor, self.loops) =
             if cursor == self.cfg.trace_ms.len() { (0, loops + 1) } else { (cursor, loops) };
     }
@@ -550,23 +533,6 @@ mod tests {
                 prop_assert_eq!(jumps.stats(), walks.stats());
                 prop_assert_eq!(jumps.next_event(now), walks.next_event(now));
                 prop_assert_eq!((jumps.cursor, jumps.loops), (walks.cursor, walks.loops));
-            }
-            Ok(())
-        });
-    }
-
-    /// Searching forward from any due opportunity lands where the search
-    /// over the whole trace does, on traces of up to a few hundred entries.
-    #[test]
-    fn prop_the_forward_search_is_the_full_search() {
-        use xlink_lab::prop::*;
-        let case = (vec_of(0u64..3_000, 1..400), 0usize..400, 0u64..3_000);
-        check("prop_the_forward_search_is_the_full_search", case, |(trace, from, within)| {
-            let mut trace = trace.clone();
-            trace.sort_unstable();
-            let full = trace.partition_point(|&t| t <= *within);
-            if full > 0 {
-                prop_assert_eq!(gallop(&trace, from % full, *within), full);
             }
             Ok(())
         });
