@@ -800,7 +800,7 @@ impl Pop {
         // `[offset | length]` request on a stream is answered with bytes
         // `offset..offset + length` of the synthetic payload at phase 0
         // (`xlink_lab::payload`, an absolute-position pattern) plus FIN,
-        // generated straight into the stream — byte-identical regardless
+        // generated by the stream as it sends them — byte-identical regardless
         // of which shard serves it, and resumable at any verified offset
         // after a crash reconnect (the zero-byte-loss check). Every walk
         // reads the streams empty, so there is nothing to find until the
@@ -821,8 +821,7 @@ impl Pop {
                     st.answered = true;
                     st.buf = Vec::new();
                     let len = off.saturating_add(n) - off;
-                    let fill = xlink_lab::payload::fill(0, off);
-                    b.conn.streams_mut().write_with(id, len, true, fill);
+                    b.conn.streams_mut().write_with(id, len, true, 0, off);
                 }
             }
         }

@@ -331,8 +331,8 @@ impl App for VideoServer {
             // response is tagged with the highest frame priority (paper §5.1
             // stream_send with position+size).
             let streams = conn.conn_mut().streams_mut();
-            let fill = MediaStore::body_fill(&req.object, body.start);
-            let range = streams.write_with(id, body_len, true, fill);
+            let phase = MediaStore::phase(&req.object);
+            let range = streams.write_with(id, body_len, true, phase, body.start);
             if self.first_frame_accel && req.start < ff_end {
                 let first_frame = (ff_end - req.start).min(body_len);
                 let span = SendRange { start: range.start, end: range.start + first_frame };

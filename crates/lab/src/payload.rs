@@ -59,14 +59,6 @@ pub fn extend(phase: u64, range: Range<u64>, out: &mut Vec<u8>) {
     }
 }
 
-/// What generates the stream with `phase` from offset `start` on, piece
-/// by piece: `fill(r, out)` appends its bytes `r` (counted from `start`)
-/// to `out`. A sender hands it to the stream that sends the bytes, which
-/// generates them as it goes.
-pub fn fill(phase: u64, start: u64) -> impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static {
-    move |r, out| extend(phase, start + r.start..start + r.end, out)
-}
-
 /// Whether `data` is the stream with `phase` from offset `start` on.
 pub fn matches(phase: u64, start: u64, data: &[u8]) -> bool {
     let mut at = residue(phase, start);

@@ -19,7 +19,6 @@ use crate::frame::{Frame, FrameRef};
 use crate::packet::PacketBuilder;
 use crate::params::TransportParams;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Which endpoint a connection is (stream-ID allocation parity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,18 +276,12 @@ impl StreamMap {
         }
     }
 
-    /// Write `len` bytes on a stream that `fill` generates as they are sent
-    /// ([`SendStream::write_with`]); `fin` marks the end. Returns the byte
-    /// range they occupy.
-    pub fn write_with(
-        &mut self,
-        id: u64,
-        len: u64,
-        fin: bool,
-        fill: impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static,
-    ) -> SendRange {
+    /// Write `len` bytes of the payload with `phase` from its byte `from`
+    /// on, generated as the stream sends them ([`SendStream::write_with`]);
+    /// `fin` marks the end. Returns the byte range they occupy.
+    pub fn write_with(&mut self, id: u64, len: u64, fin: bool, phase: u64, from: u64) -> SendRange {
         let send = self.send_half(id);
-        let range = send.write_with(len, fill);
+        let range = send.write_with(len, phase, from);
         if fin {
             send.finish();
         }
@@ -316,8 +309,7 @@ impl StreamMap {
     pub fn release(&mut self, id: u64, frames_from: Option<u64>) {
         let Some(s) = self.streams.get_mut(&id) else { return };
         s.send.release(frames_from);
-        if s.send.state() == SendState::DataRecvd && s.recv.is_complete() && s.recv.readable() == 0
-        {
+        if s.send.is_acknowledged() && s.recv.is_complete() && s.recv.readable() == 0 {
             s.recv.release();
         }
     }

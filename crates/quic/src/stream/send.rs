@@ -23,8 +23,6 @@
 //! of everything else in the stream.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::ops::Range;
 
 /// Priority attached to a byte range by the application (paper §5.1:
 /// "the application can set the stream data containing the first video
@@ -75,20 +73,14 @@ pub enum SendState {
     ResetSent,
 }
 
-/// What generates a body: `fill(r, buf)` appends its bytes `r` to `buf`.
-type Fill = Box<dyn FnMut(Range<u64>, &mut Vec<u8>) + Send>;
-
-/// The part of a write not generated yet: stream offset `o` is byte
-/// `o - start` of what `fill` generates.
+/// A body written with [`SendStream::write_with`]: stream offset `o` is
+/// byte `o - start + from` of the payload with `phase`
+/// ([`xlink_lab::payload`]).
+#[derive(Debug, Clone, Copy)]
 struct Body {
     start: u64,
-    fill: Fill,
-}
-
-impl fmt::Debug for Body {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Body").field("start", &self.start).finish_non_exhaustive()
-    }
+    phase: u64,
+    from: u64,
 }
 
 /// The send half of one stream.
@@ -104,13 +96,15 @@ pub struct SendStream {
     released: u64,
     /// Bytes written by the application, generated or not.
     written: u64,
-    /// What generates the written bytes past the end of `buf`.
+    /// The body the written bytes past the end of `buf` belong to.
     body: Option<Body>,
     /// True once the application finished the stream.
     fin: bool,
     /// True once a frame carrying the FIN bit has been transmitted (and
     /// not subsequently lost).
     fin_sent: bool,
+    /// True once a frame carrying the FIN bit was acknowledged.
+    fin_acked: bool,
     state: SendState,
     /// Ranges queued for transmission, keyed by start offset. Invariant:
     /// non-overlapping and non-adjacent (merged on insert). Ranges come
@@ -142,6 +136,7 @@ impl SendStream {
             body: None,
             fin: false,
             fin_sent: false,
+            fin_acked: false,
             state: SendState::Ready,
             pending: BTreeMap::new(),
             acked: crate::ackranges::AckRanges::new(),
@@ -164,20 +159,15 @@ impl SendStream {
         self.append(data.len() as u64)
     }
 
-    /// Append `len` bytes that `fill` generates as they are sent:
-    /// `fill(r, buf)` appends bytes `r` of them (counted from the first)
-    /// to `buf`, in order, at most [`FILL_WINDOW`] bytes beyond what was
-    /// taken. Returns the byte range they occupy. Panics if called after
-    /// `finish`.
-    pub fn write_with(
-        &mut self,
-        len: u64,
-        fill: impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static,
-    ) -> SendRange {
+    /// Append `len` bytes of the payload with `phase`, from its byte
+    /// `from` on ([`xlink_lab::payload`]), generated as they are sent: at
+    /// most [`FILL_WINDOW`] bytes beyond what was taken. Returns the byte
+    /// range they occupy. Panics if called after `finish`.
+    pub fn write_with(&mut self, len: u64, phase: u64, from: u64) -> SendRange {
         if len > 0 {
             // One body at a time: the one written before goes out in full.
             self.generate(self.written);
-            self.body = Some(Body { start: self.written, fill: Box::new(fill) });
+            self.body = Some(Body { start: self.written, phase, from });
         }
         self.append(len)
     }
@@ -200,7 +190,7 @@ impl SendStream {
         if to <= from {
             return;
         }
-        let mut body = self.body.take().expect("written bytes past the buffer are a body's");
+        let body = self.body.expect("written bytes past the buffer are a body's");
         let n = (to - from) as usize;
         self.make_room(n);
         if self.buf.len() + n > self.buf.capacity() {
@@ -209,10 +199,10 @@ impl SendStream {
             let want = (2 * self.buf.capacity()).min(most).max(self.buf.len() + n);
             self.buf.reserve_exact(want - self.buf.len());
         }
-        (body.fill)(from - body.start..to - body.start, &mut self.buf);
-        assert_eq!(self.filled(), to, "a body's fill appends the bytes asked for");
-        if to < self.written {
-            self.body = Some(body);
+        let at = |offset: u64| offset - body.start + body.from;
+        xlink_lab::payload::extend(body.phase, at(from)..at(to), &mut self.buf);
+        if to == self.written {
+            self.body = None;
         }
     }
 
@@ -419,6 +409,7 @@ impl SendStream {
         if !range.is_empty() {
             self.acked.insert_range(range.start, range.end - 1);
         }
+        self.fin_acked |= fin;
         let data_acked = self.acked.len() == self.written;
         let all_acked = self.fin && data_acked && (fin || self.fin_acked_implicitly());
         if fin && self.fin && data_acked {
@@ -432,6 +423,17 @@ impl SendStream {
 
     fn fin_acked_implicitly(&self) -> bool {
         self.state == SendState::DataRecvd
+    }
+
+    /// True once the FIN and every byte written are acknowledged, in
+    /// whatever order: released bytes count, whatever the cap on
+    /// acknowledged ranges forgot of them. [`SendStream::state`] reaches
+    /// `DataRecvd` only when an acknowledged FIN finds the data complete,
+    /// and that state decides whether a FIN declared lost is sent again,
+    /// so it is left to the acknowledgements.
+    pub fn is_acknowledged(&self) -> bool {
+        let data_acked = self.released == self.written || self.acked.len() == self.written;
+        self.fin && self.fin_acked && data_acked
     }
 
     /// Release the bytes below the lowest offset still owed: below the
@@ -740,7 +742,7 @@ mod tests {
         assert!(s.data_fully_sent());
     }
 
-    /// A body generated with `payload::fill` at phase 7.
+    /// A body written at phase 7 from its byte 0.
     fn body_byte(offset: u64) -> u8 {
         xlink_lab::payload::byte(7, offset)
     }
@@ -750,10 +752,7 @@ mod tests {
         let mut s = SendStream::new(u64::MAX);
         s.write(b"HEAD");
         let len = 3 * FILL_WINDOW + 123;
-        assert_eq!(
-            s.write_with(len, xlink_lab::payload::fill(7, 0)),
-            SendRange { start: 4, end: 4 + len }
-        );
+        assert_eq!(s.write_with(len, 7, 0), SendRange { start: 4, end: 4 + len });
         s.finish();
         assert_eq!((s.len(), s.buffered_bytes()), (4 + len, 4), "nothing generated yet");
         let mut offset = 0;
@@ -777,7 +776,7 @@ mod tests {
     #[test]
     fn a_copy_written_behind_a_body_generates_the_body_first() {
         let mut s = SendStream::new(u64::MAX);
-        s.write_with(10, xlink_lab::payload::fill(7, 0));
+        s.write_with(10, 7, 0);
         s.write(b"tail");
         let (_, data, _) = s.take_chunk(100).unwrap();
         let mut expected: Vec<u8> = (0..10).map(body_byte).collect();
@@ -788,7 +787,7 @@ mod tests {
     #[test]
     fn the_acknowledged_prefix_is_released_and_its_room_reused() {
         let mut s = SendStream::new(u64::MAX);
-        s.write_with(1 << 30, xlink_lab::payload::fill(7, 0));
+        s.write_with(1 << 30, 7, 0);
         let mut in_flight = std::collections::VecDeque::new();
         let mut capacity = 0;
         for round in 0..2_000 {
@@ -815,7 +814,7 @@ mod tests {
     fn a_requeued_range_acknowledged_before_it_is_resent_is_still_sent() {
         let mut s = SendStream::new(u64::MAX);
         s.write(b"0123456789");
-        s.write_with(20, xlink_lab::payload::fill(7, 0));
+        s.write_with(20, 7, 0);
         s.finish();
         let (first, _) = s.take_range(10).unwrap();
         let (second, _) = s.take_range(100).unwrap();
@@ -861,7 +860,7 @@ mod tests {
         use crate::ackranges::MAX_ACK_RANGES;
         let mut s = SendStream::new(u64::MAX);
         let len = 100 + 2 * MAX_ACK_RANGES as u64 + 4;
-        s.write_with(len, xlink_lab::payload::fill(7, 0));
+        s.write_with(len, 7, 0);
         while s.take_range(1).is_some() {}
         s.on_range_acked(SendRange { start: 0, end: 100 }, false);
         s.release(None);
@@ -887,17 +886,38 @@ mod tests {
 
     /// Forgotten acknowledgements stop the release at the first byte they
     /// covered, unless the owner tracks the frames in flight: with none
-    /// left, every byte sent was acknowledged.
+    /// left, every byte sent was acknowledged, and the stream with it.
     #[test]
     fn tracked_frames_release_past_forgotten_acknowledgements() {
         let mut s = evicted();
-        for o in (100..s.len()).step_by(2) {
+        s.finish();
+        let len = s.len();
+        s.on_range_acked(SendRange { start: len, end: len }, true);
+        for o in (100..len).step_by(2) {
             s.on_range_acked(SendRange { start: o, end: o + 1 }, false);
             s.release(None);
         }
-        assert!(s.released < s.len(), "the forgotten ranges are never counted again");
+        assert!(s.released < len, "the forgotten ranges are never counted again");
+        assert!(!s.is_acknowledged());
         s.release(Some(u64::MAX));
-        assert_eq!((s.released, s.buffered_bytes()), (s.len(), 0));
+        assert_eq!((s.released, s.buffered_bytes()), (len, 0));
+        assert!(s.is_acknowledged());
+    }
+
+    /// The FIN acknowledged before the last data bytes: the stream is
+    /// acknowledged with them.
+    #[test]
+    fn a_fin_acknowledged_before_the_data_completes_with_it() {
+        let mut s = SendStream::new(u64::MAX);
+        s.write(b"0123456789");
+        s.finish();
+        let (head, _) = s.take_range(4).unwrap();
+        let (tail, fin) = s.take_range(100).unwrap();
+        assert!(fin);
+        s.on_range_acked(tail, true);
+        assert!(!s.is_acknowledged());
+        s.on_range_acked(head, false);
+        assert!(s.is_acknowledged());
     }
 
     /// Losing frames and queueing ranges again allocates nothing once the
@@ -907,7 +927,7 @@ mod tests {
     fn range_bookkeeping_allocates_nothing() {
         use xlink_obs::prof;
         let mut s = SendStream::new(u64::MAX);
-        s.write_with(1 << 30, xlink_lab::payload::fill(7, 0));
+        s.write_with(1 << 30, 7, 0);
         let round = |s: &mut SendStream| {
             let frames: [SendRange; 5] = std::array::from_fn(|_| s.take_range(1_000).unwrap().0);
             // Part of each frame arrived; the frames are lost, then the
@@ -961,7 +981,7 @@ mod tests {
     /// acknowledged, queued, or in a frame that may be copied) and, after
     /// each acknowledgement or loss, holds nothing below the lowest one;
     /// generation stays a window ahead of what was taken; and once all is
-    /// acknowledged the stream holds nothing.
+    /// acknowledged the stream holds nothing and knows it is acknowledged.
     #[test]
     fn prop_the_stream_hands_out_the_bytes_written() {
         use xlink_lab::prop::*;
@@ -985,7 +1005,7 @@ mod tests {
             let mut written: Vec<u8> = (0..head).map(|o| o as u8 ^ 0x5a).collect();
             let mut s = SendStream::new(u64::MAX);
             s.write(&written);
-            s.write_with(body, xlink_lab::payload::fill(phase, 0));
+            s.write_with(body, phase, 0);
             written.extend((0..body).map(|o| xlink_lab::payload::byte(phase, o)));
             // A tail written behind the body makes it generate in full.
             let tail: Vec<u8> = (0..tail * 5).map(|o| o as u8).collect();
@@ -1081,6 +1101,7 @@ mod tests {
                 s.release(frames_from(&frames));
             }
             prop_assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0));
+            prop_assert!(s.is_acknowledged());
             Ok(())
         });
     }

@@ -48,24 +48,16 @@ impl MediaStore {
         payload::extend(Self::phase(object), range, out);
     }
 
-    /// What generates the body of `object` from offset `start` on as a
-    /// stream sends it ([`payload::fill`]): a server hands it to the
-    /// response stream instead of writing the body out.
-    pub fn body_fill(
-        object: &str,
-        start: u64,
-    ) -> impl FnMut(Range<u64>, &mut Vec<u8>) + Send + 'static {
-        payload::fill(Self::phase(object), start)
-    }
-
     /// Whether `data` is the body of `object` from offset `start` on: a
     /// client checks each piece of a response as it arrives.
     pub fn body_matches(object: &str, start: u64, data: &[u8]) -> bool {
         payload::matches(Self::phase(object), start, data)
     }
 
-    /// The payload phase of an object: FNV-1a over its name.
-    fn phase(object: &str) -> u64 {
+    /// The payload phase of an object ([`payload`]): FNV-1a over its name.
+    /// A server writes a body with it, and the stream generates the body
+    /// as it sends it.
+    pub fn phase(object: &str) -> u64 {
         object
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
@@ -150,7 +142,7 @@ mod tests {
                 let mut stream = SendStream::new(u64::MAX);
                 stream.write(b"200 0 1000\n");
                 let len = body.end - body.start;
-                let range = stream.write_with(len, MediaStore::body_fill("v1", body.start));
+                let range = stream.write_with(len, MediaStore::phase("v1"), body.start);
                 let urgent =
                     SendRange { start: range.start, end: range.start + split - body.start };
                 stream.set_priority(urgent, 0);
