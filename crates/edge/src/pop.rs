@@ -37,7 +37,7 @@ use xlink_core::lb::{encode_cid, ServerId};
 use xlink_netsim::{Endpoint, Transmit, Wakeups};
 use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cid::ConnectionId;
-use xlink_quic::connection::{placeholder_dcid, BoundedState, Config, Connection, AMP_FACTOR};
+use xlink_quic::connection::{placeholder_dcid, Config, Connection, AMP_FACTOR};
 use xlink_quic::packet::{Header, PacketType};
 
 use crate::router::{classify, Classified, EdgeRouter};
@@ -318,6 +318,8 @@ pub struct Pop {
     conn_polls: u64,
     timer_fires: u64,
     tracer: Tracer,
+    /// Room a datagram lent by reference is copied into to be opened.
+    scratch: Vec<u8>,
 }
 
 impl Pop {
@@ -347,6 +349,7 @@ impl Pop {
             conn_polls: 0,
             timer_fires: 0,
             tracer: Tracer::disabled(),
+            scratch: Vec::new(),
             cfg,
         }
     }
@@ -434,12 +437,6 @@ impl Pop {
             .get(client_scid)
             .and_then(|&s| self.conns[s].as_ref())
             .is_some_and(|b| b.conn.is_established())
-    }
-
-    /// The capped state of a client's backend connection.
-    pub fn backend_bounded_state(&self, client_scid: &ConnectionId) -> Option<BoundedState> {
-        let slot = *self.client_map.get(client_scid)?;
-        self.conns[slot].as_ref().map(|b| b.conn.bounded_state())
     }
 
     /// Drain a shard: stop placing new connections on it and steer every
@@ -870,8 +867,13 @@ impl Pop {
 
 impl Endpoint for Pop {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        // A backend opens a datagram where it lies: this one needs a copy.
-        self.on_datagram_in_place(now, path, &mut payload.to_vec());
+        // A backend opens a datagram where it lies: this one is copied into
+        // room the PoP keeps for it.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(payload);
+        self.on_datagram_in_place(now, path, &mut scratch);
+        self.scratch = scratch;
     }
 
     fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
@@ -1099,7 +1101,8 @@ mod tests {
         let body = c.stream_recv(id, usize::MAX);
         assert_eq!(body.len(), 30_000);
         assert!(xlink_lab::payload::matches(0, 0, &body));
-        let state = p.backend_bounded_state(&scid).expect("a live backend");
+        let state =
+            p.conns[p.client_map[&scid]].as_ref().expect("a live backend").conn.bounded_state();
         assert_eq!(state.buffered_send_bytes, 0);
         assert!(state.within_caps());
     }

@@ -332,6 +332,8 @@ pub struct PopFleet {
     conn_polls: u64,
     /// Calls into a session's `Connection::on_timeout`.
     timer_fires: u64,
+    /// Room a datagram lent by reference is copied into to be opened.
+    scratch: Vec<u8>,
 }
 
 impl PopFleet {
@@ -349,6 +351,7 @@ impl PopFleet {
             live: sessions.len(),
             conn_polls: 0,
             timer_fires: 0,
+            scratch: Vec::new(),
             sessions,
         };
         for slot in 0..fleet.sessions.len() {
@@ -429,8 +432,13 @@ impl PopFleet {
 
 impl Endpoint for PopFleet {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
-        // A session opens a datagram where it lies: this one needs a copy.
-        self.on_datagram_in_place(now, path, &mut payload.to_vec());
+        // A session opens a datagram where it lies: this one is copied into
+        // room the fleet keeps for it.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(payload);
+        self.on_datagram_in_place(now, path, &mut scratch);
+        self.scratch = scratch;
     }
 
     fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
