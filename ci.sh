@@ -68,10 +68,10 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
 
 # The send stream against a byte model: every byte it hands out (taken or
 # copied for re-injection) is the byte written, and it never releases a
-# byte still owed. The idle link's jump against its walk rides along.
-step "send stream vs a byte model; the idle link's jump vs its walk (debug)" \
-    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic -p xlink-netsim --lib -- \
-    prop_the_stream_hands_out_the_bytes_written prop_the_idle_jump_is_the_walk
+# byte still owed.
+step "send stream vs a byte model (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib \
+    prop_the_stream_hands_out_the_bytes_written
 
 step "player: advancing only at byte arrivals and next-change instants matches every millisecond (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-video --lib \

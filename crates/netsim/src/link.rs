@@ -335,12 +335,7 @@ impl Link {
         // An opportunity at millisecond `t` is due iff `t <= now_ms`.
         let now_ms = now.as_millis();
         let (loops, within) = (now_ms / self.period_ms, now_ms % self.period_ms);
-        let trace = &self.cfg.trace_ms;
-        // In the cursor's own loop the cursor's opportunity and every one
-        // before it are due: search on from it. After a wrap, search the
-        // whole trace.
-        let from = if loops == self.loops { self.cursor } else { 0 };
-        let cursor = from + trace[from..].partition_point(|&t| t <= within);
+        let cursor = self.cfg.trace_ms.partition_point(|&t| t <= within);
         (self.cursor, self.loops) =
             if cursor == self.cfg.trace_ms.len() { (0, loops + 1) } else { (cursor, loops) };
     }
