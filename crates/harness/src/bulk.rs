@@ -238,7 +238,7 @@ mod tests {
     fn deadline_caps_a_dead_network() {
         // Paths that never deliver.
         let dead = vec![Path::symmetric(LinkConfig {
-            trace_ms: Vec::new().into(),
+            trace_ms: xlink_traces::Opportunities::default(),
             delay: Duration::ZERO,
             queue_bytes: 1000,
             loss: 0.0,

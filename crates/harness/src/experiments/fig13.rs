@@ -21,7 +21,7 @@ use xlink_clock::Duration;
 use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_netsim::Path;
 use xlink_obs::TraceLog;
-use xlink_traces::Trace;
+use xlink_traces::{Opportunities, Trace};
 
 /// Chunk size downloaded repeatedly per trace (the paper uses video-chunk
 /// sized requests; median/max are over the per-chunk times).
@@ -60,7 +60,10 @@ pub struct Fig13Row {
 fn build_paths(pair: &(Trace, Trace), start_ms: u64, seed: u64) -> Vec<Path> {
     let from = |trace: &Trace| {
         let rotated = trace.opportunities_ms.iter().map(|t| (t + TRACE_MS - start_ms) % TRACE_MS);
-        Trace::new(&trace.label, rotated.collect())
+        Trace {
+            opportunities_ms: Opportunities::from_timestamps(rotated),
+            label: trace.label.clone(),
+        }
     };
     let cellular = crate::scenario::PathSpec::new(WirelessTech::Lte, from(&pair.0), seed);
     let wifi = crate::scenario::PathSpec::new(WirelessTech::Wifi, from(&pair.1), seed + 1);

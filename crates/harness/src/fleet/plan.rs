@@ -290,10 +290,10 @@ impl TracePool {
         TracePool { wifi, lte }
     }
 
-    /// Approximate heap footprint of the pool (the fleet's trace-memory
-    /// proxy gauge).
+    /// Heap bytes the pool's opportunity counts hold (the fleet's
+    /// trace-memory gauge).
     pub fn approx_bytes(&self) -> u64 {
-        self.wifi.iter().chain(self.lte.iter()).map(|t| t.opportunities_ms.len() as u64 * 8).sum()
+        self.wifi.iter().chain(self.lte.iter()).map(|t| t.opportunities_ms.heap_bytes()).sum()
     }
 
     /// Draw the two access paths for `(day, user)`: pool archetypes plus
@@ -386,5 +386,16 @@ mod tests {
         // The fleet's own duration, where outages fall inside the trace.
         let (pool, want) = (TracePool::generate(1, 32, 30_000), generate_in_turn(1, 32, 30_000));
         assert!(pool.wifi == want.wifi && pool.lte == want.lte);
+    }
+
+    /// The fleet's default pool — 32 archetypes per technology, 30 s each —
+    /// fits in 4 MiB: two bytes per millisecond of each of its 64 traces.
+    #[test]
+    fn the_default_pool_takes_at_most_4_mib() {
+        let cfg = FleetConfig::new(Scheme::Sp { path: 0 }, Scheme::Xlink);
+        let pool = TracePool::generate(1, cfg.trace_pool, 30_000);
+        assert_eq!(pool.wifi.len() + pool.lte.len(), 64);
+        let bytes = pool.approx_bytes();
+        assert!(bytes <= 4 << 20, "the default pool takes {bytes} bytes");
     }
 }

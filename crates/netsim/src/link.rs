@@ -3,7 +3,8 @@
 //! Mahimahi (`mpshell`, the paper's Appendix B emulator) models a cellular
 //! link as a sequence of *delivery opportunities*: each trace line is a
 //! millisecond timestamp at which one MTU-sized (1500-byte) quantum of
-//! bytes may leave the queue; the trace loops forever. We reproduce that
+//! bytes may leave the queue; the trace loops forever. A link replays it
+//! as one count per millisecond ([`Opportunities`]). We reproduce that
 //! model exactly, plus a DropTail byte-bounded queue, constant one-way
 //! propagation delay, optional stochastic loss, an outage/degrade switch
 //! used by the mobility experiments, and a composable impairment pipeline
@@ -15,6 +16,7 @@ use std::collections::VecDeque;
 use xlink_clock::{Duration, Instant};
 use xlink_lab::Rng;
 use xlink_obs::{prof, Event, Tracer};
+use xlink_traces::Opportunities;
 
 /// Bytes one delivery opportunity can carry (Mahimahi's MTU).
 pub const OPPORTUNITY_BYTES: usize = 1500;
@@ -43,11 +45,10 @@ pub struct Delivered {
 /// Configuration of one direction of a path.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
-    /// Delivery-opportunity timestamps in ms (one MTU each), non-decreasing
-    /// (repeats are several opportunities in one millisecond); loops. An
+    /// Delivery opportunities per millisecond (one MTU each); loops. An
     /// empty trace means the link never delivers. Shared (`Arc`) so
     /// thousands of concurrent links can replay one trace allocation.
-    pub trace_ms: std::sync::Arc<[u64]>,
+    pub trace_ms: Opportunities,
     /// One-way propagation delay.
     pub delay: Duration,
     /// DropTail queue limit in bytes.
@@ -66,7 +67,7 @@ impl LinkConfig {
     pub fn constant_rate(mbps: f64, delay: Duration) -> Self {
         let opportunities_per_sec = (mbps * 1e6 / 8.0 / OPPORTUNITY_BYTES as f64).max(1.0);
         let n = opportunities_per_sec.round() as u64;
-        let trace_ms = (0..n).map(|i| i * 1000 / n).collect();
+        let trace_ms = Opportunities::from_timestamps((0..n).map(|i| i * 1000 / n));
         LinkConfig {
             trace_ms,
             delay,
@@ -124,8 +125,12 @@ impl Stats {
 #[derive(Debug)]
 pub struct Link {
     cfg: LinkConfig,
-    /// Trace cursor: index of the next unused opportunity.
-    cursor: usize,
+    /// Trace cursor, the next unused opportunity: the `cursor_k`-th of
+    /// millisecond `cursor_ms` of the trace in loop `loops`. It always
+    /// names a real opportunity (a non-empty trace's `cursor_ms` has more
+    /// than `cursor_k`), at `cursor_ms + loops × period_ms`.
+    cursor_ms: usize,
+    cursor_k: u16,
     /// Completed trace loops.
     loops: u64,
     queue: VecDeque<Queued>,
@@ -160,7 +165,7 @@ pub struct Link {
     /// Packets and bytes popped by `recv`.
     recv_packets: u64,
     recv_bytes: u64,
-    /// Trace duration in ms (cached).
+    /// Trace period in ms (cached; 0 for an empty trace).
     period_ms: u64,
     /// Drop/impairment event tracer (never consulted for decisions).
     tracer: Tracer,
@@ -169,13 +174,14 @@ pub struct Link {
 impl Link {
     /// Build a link from its configuration.
     pub fn new(cfg: LinkConfig) -> Self {
-        debug_assert!(cfg.trace_ms.is_sorted(), "a trace's opportunities are in time order");
-        let period_ms = cfg.trace_ms.last().map(|l| l + 1).unwrap_or(1).max(1);
+        let period_ms = cfg.trace_ms.period_ms();
+        let cursor_ms = cfg.trace_ms.next_busy_ms(0).unwrap_or(0);
         let mut rng = Rng::new(cfg.seed ^ 0x11ce);
         let pipeline = Pipeline::new(&cfg.impairments, &mut rng);
         let ctl_rng = rng.fork(0xf1a9);
         Link {
-            cursor: 0,
+            cursor_ms,
+            cursor_k: 0,
             loops: 0,
             queue: VecDeque::new(),
             queued_bytes: 0,
@@ -245,11 +251,23 @@ impl Link {
         }
     }
 
-    /// Absolute time of the opportunity at `cursor` offset from now.
-    fn opportunity_time(&self, index: usize, loops: u64) -> Instant {
-        let ms = self.cfg.trace_ms[index % self.cfg.trace_ms.len()]
-            + (loops + index as u64 / self.cfg.trace_ms.len() as u64) * self.period_ms;
-        Instant::from_millis(ms)
+    /// Absolute time of millisecond `ms` of the trace in loop `loops`.
+    fn opportunity_time(&self, ms: usize, loops: u64) -> Instant {
+        Instant::from_millis(ms as u64 + loops * self.period_ms)
+    }
+
+    /// The first opportunity at or after absolute millisecond `ms`, as
+    /// (millisecond of the trace, loop): an index, then a scan over empty
+    /// milliseconds. The trace is not empty.
+    fn first_from(&self, ms: u64) -> (usize, u64) {
+        let (loops, within) = (ms / self.period_ms, (ms % self.period_ms) as usize);
+        let trace = &self.cfg.trace_ms;
+        match trace.next_busy_ms(within) {
+            Some(at) => (at, loops),
+            None => {
+                (trace.next_busy_ms(0).expect("a non-empty trace has an opportunity"), loops + 1)
+            }
+        }
     }
 
     fn drop_packet(&mut self, len: usize) {
@@ -329,21 +347,18 @@ impl Link {
     /// Put the cursor on the first opportunity after `now` by arithmetic
     /// over the trace: the one the walk would stop at.
     fn skip_to(&mut self, now: Instant) {
-        if self.opportunity_time(self.cursor, self.loops) > now {
+        if self.opportunity_time(self.cursor_ms, self.loops) > now {
             return;
         }
         // An opportunity at millisecond `t` is due iff `t <= now_ms`.
-        let now_ms = now.as_millis();
-        let (loops, within) = (now_ms / self.period_ms, now_ms % self.period_ms);
-        let cursor = self.cfg.trace_ms.partition_point(|&t| t <= within);
-        (self.cursor, self.loops) =
-            if cursor == self.cfg.trace_ms.len() { (0, loops + 1) } else { (cursor, loops) };
+        (self.cursor_ms, self.loops) = self.first_from(now.as_millis() + 1);
+        self.cursor_k = 0;
     }
 
     /// [`Link::poll`] one opportunity at a time.
     fn walk(&mut self, now: Instant) {
         loop {
-            let opp_time = self.opportunity_time(self.cursor, self.loops);
+            let opp_time = self.opportunity_time(self.cursor_ms, self.loops);
             if opp_time > now {
                 break;
             }
@@ -387,10 +402,18 @@ impl Link {
     }
 
     fn advance_cursor(&mut self) {
-        self.cursor += 1;
-        if self.cursor >= self.cfg.trace_ms.len() {
-            self.cursor = 0;
-            self.loops += 1;
+        self.cursor_k += 1;
+        if self.cursor_k < self.cfg.trace_ms.counts()[self.cursor_ms] {
+            return;
+        }
+        self.cursor_k = 0;
+        let trace = &self.cfg.trace_ms;
+        match trace.next_busy_ms(self.cursor_ms + 1) {
+            Some(ms) => self.cursor_ms = ms,
+            None => {
+                self.cursor_ms = trace.next_busy_ms(0).expect("the cursor's millisecond is busy");
+                self.loops += 1;
+            }
         }
     }
 
@@ -412,21 +435,12 @@ impl Link {
     pub fn next_event(&self, now: Instant) -> Option<Instant> {
         let mut next: Option<Instant> = self.in_flight.front().map(|d| d.at);
         if !self.queue.is_empty() && !self.cfg.trace_ms.is_empty() {
-            // Earliest opportunity strictly after... at or after now.
-            let mut idx = self.cursor;
-            let mut loops = self.loops;
-            // The cursor may point to an opportunity in the past if poll
-            // hasn't run; compute the first opportunity >= now.
-            let mut t = self.opportunity_time(idx, loops);
-            let mut guard = 0;
-            while t < now && guard < 4 * self.cfg.trace_ms.len() + 4 {
-                idx += 1;
-                if idx >= self.cfg.trace_ms.len() {
-                    idx = 0;
-                    loops += 1;
-                }
-                t = self.opportunity_time(idx, loops);
-                guard += 1;
+            // The first opportunity at or after `now`: the cursor's, unless
+            // `poll` has not caught up with `now` yet.
+            let mut t = self.opportunity_time(self.cursor_ms, self.loops);
+            if t < now {
+                let (ms, loops) = self.first_from(now.as_micros().div_ceil(1000));
+                t = self.opportunity_time(ms, loops);
             }
             next = Some(next.map_or(t, |n: Instant| n.min(t)));
         }
@@ -441,20 +455,8 @@ impl Link {
             return 0.0;
         }
         let end_ms = now.as_millis();
-        let start_ms = end_ms.saturating_sub(window.as_millis());
-        let period = self.period_ms;
-        let mut count = 0u64;
-        // Count opportunities in [start_ms, end_ms) across loop wraps.
-        let first_loop = start_ms / period;
-        let last_loop = end_ms / period;
-        for l in first_loop..=last_loop {
-            for &t in self.cfg.trace_ms.iter() {
-                let abs = l * period + t;
-                if abs >= start_ms && abs < end_ms {
-                    count += 1;
-                }
-            }
-        }
+        let count =
+            self.cfg.trace_ms.count_between(end_ms.saturating_sub(window.as_millis()), end_ms);
         (count * OPPORTUNITY_BYTES as u64 * 8) as f64 / window.as_secs_f64() / 1e6
     }
 }
@@ -488,10 +490,8 @@ mod tests {
         let op = (0u8..9, 0u64..5_000, 1usize..4_000);
         let case = (vec_of(0u64..40, 1..12), vec_of(op, 1..80), 0u64..1_000);
         check("prop_the_idle_jump_is_the_walk", case, |(trace, ops, seed)| {
-            let mut trace = trace.clone();
-            trace.sort_unstable();
             let cfg = LinkConfig {
-                trace_ms: trace.into(),
+                trace_ms: Opportunities::from_timestamps(trace.iter().copied()),
                 delay: Duration::from_millis(3),
                 queue_bytes: 12_000,
                 loss: 0.05,
@@ -527,8 +527,59 @@ mod tests {
                 prop_assert_eq!(jumped, walked);
                 prop_assert_eq!(jumps.stats(), walks.stats());
                 prop_assert_eq!(jumps.next_event(now), walks.next_event(now));
-                prop_assert_eq!((jumps.cursor, jumps.loops), (walks.cursor, walks.loops));
+                let cursor = |l: &Link| (l.cursor_ms, l.cursor_k, l.loops);
+                prop_assert_eq!(cursor(&jumps), cursor(&walks));
             }
+            Ok(())
+        });
+    }
+
+    /// A link replays exactly the opportunities it was built from: MTU
+    /// packets queued at 0 leave at the sorted timestamps, loop after loop,
+    /// as a walk over the timestamp list gives them, however the clock is
+    /// stepped. Repeated milliseconds, leading gaps, one opportunity and
+    /// none at all are all drawn. Before each step, `next_event` (its
+    /// cursor stale) names the first opportunity at or after the new
+    /// instant; after it, the next one to ship.
+    #[test]
+    fn prop_the_link_replays_its_timestamps() {
+        use xlink_lab::prop::*;
+        let case = (vec_of(0u64..30, 0..10), 0u64..50, vec_of(1u64..40, 1..20));
+        check("prop_the_link_replays_its_timestamps", case, |(ts, lead, steps)| {
+            let mut ts: Vec<u64> = ts.iter().map(|t| t + lead).collect();
+            ts.sort_unstable();
+            let mut link = Link::new(LinkConfig {
+                trace_ms: Opportunities::from_timestamps(ts.iter().copied()),
+                delay: Duration::ZERO,
+                queue_bytes: usize::MAX,
+                loss: 0.0,
+                seed: 0,
+                impairments: Impairments::none(),
+            });
+            // The reference walk: the i-th opportunity of the looped list.
+            let period = ts.last().map_or(0, |l| l + 1);
+            let at = |i: usize| ms(ts[i % ts.len()] + (i / ts.len()) as u64 * period);
+            let packets = 4 * ts.len() + 3;
+            for _ in 0..packets {
+                link.send(Instant::ZERO, vec![0; OPPORTUNITY_BYTES]);
+            }
+            let expected: Vec<Instant> =
+                if ts.is_empty() { vec![] } else { (0..packets).map(at).collect() };
+            let (mut now, mut replayed) = (Instant::ZERO, Vec::new());
+            let end = expected.last().copied().unwrap_or(ms(100));
+            for step in steps.iter().cycle() {
+                let owed = replayed.len() < expected.len();
+                let first_from = |t| owed.then(|| (replayed.len()..).map(at).find(|&a| a >= t));
+                prop_assert_eq!(link.next_event(now), first_from(now).flatten());
+                if now > end {
+                    break;
+                }
+                now += Duration::from_micros(step * 250);
+                prop_assert_eq!(link.next_event(now), first_from(now).flatten());
+                replayed.extend(link.recv(now).map(|d| d.at));
+                prop_assert!(replayed.iter().all(|&t| t <= now));
+            }
+            prop_assert_eq!(replayed, expected);
             Ok(())
         });
     }
@@ -536,7 +587,7 @@ mod tests {
     fn simple_cfg(delay_ms: u64) -> LinkConfig {
         // One opportunity per ms → 12 Mbps.
         LinkConfig {
-            trace_ms: (0..1000).collect(),
+            trace_ms: Opportunities::from_timestamps(0..1000),
             delay: Duration::from_millis(delay_ms),
             queue_bytes: 100_000,
             loss: 0.0,
@@ -590,7 +641,7 @@ mod tests {
     fn rate_matches_trace() {
         // 12 Mbps link: 800 MTU packets drain at one per millisecond.
         let mut l = Link::new(LinkConfig {
-            trace_ms: (0..1000).collect(),
+            trace_ms: Opportunities::from_timestamps(0..1000),
             delay: Duration::ZERO,
             queue_bytes: 2_000_000,
             loss: 0.0,
@@ -609,7 +660,7 @@ mod tests {
     #[test]
     fn trace_loops() {
         let mut l = Link::new(LinkConfig {
-            trace_ms: vec![0, 500].into(),
+            trace_ms: Opportunities::from_timestamps([0, 500]),
             delay: Duration::ZERO,
             queue_bytes: 100_000,
             loss: 0.0,
@@ -627,7 +678,7 @@ mod tests {
     #[test]
     fn droptail_queue_overflows() {
         let mut l = Link::new(LinkConfig {
-            trace_ms: vec![0].into(),
+            trace_ms: Opportunities::from_timestamps([0]),
             delay: Duration::ZERO,
             queue_bytes: 3000,
             loss: 0.0,
@@ -644,7 +695,7 @@ mod tests {
     #[test]
     fn random_loss_drops_roughly_p() {
         let mut l = Link::new(LinkConfig {
-            trace_ms: (0..1000).collect(),
+            trace_ms: Opportunities::from_timestamps(0..1000),
             delay: Duration::ZERO,
             queue_bytes: usize::MAX / 2,
             loss: 0.3,
@@ -703,7 +754,7 @@ mod tests {
     #[test]
     fn empty_trace_never_delivers() {
         let mut l = Link::new(LinkConfig {
-            trace_ms: Vec::new().into(),
+            trace_ms: Opportunities::default(),
             delay: Duration::ZERO,
             queue_bytes: 1000,
             loss: 0.0,

@@ -377,7 +377,7 @@ mod tests {
 
     fn fast_path(delay_ms: u64) -> Path {
         Path::symmetric(LinkConfig {
-            trace_ms: (0..1000).collect(),
+            trace_ms: xlink_traces::Opportunities::from_timestamps(0..1000),
             delay: xlink_clock::Duration::from_millis(delay_ms),
             queue_bytes: 10_000_000,
             loss: 0.0,

@@ -5,22 +5,25 @@
 //! process (random-walk / Markov on-off / scripted outages) is converted
 //! into delivery opportunities by accumulating fractional quanta.
 
-use crate::Trace;
+use crate::{Opportunities, Trace};
 use xlink_lab::Rng;
 
 /// Convert a per-ms rate series (Mbps) into delivery opportunities.
 fn rate_to_opportunities(label: &str, rates_mbps: &[f64]) -> Trace {
     let mut acc = 0.0f64;
-    let mut ops = Vec::new();
-    for (ms, &r) in rates_mbps.iter().enumerate() {
+    let counts = rates_mbps.iter().enumerate().map(|(ms, &r)| {
         // Opportunities per ms = Mbps · 1e6 / 8 / 1500 / 1000.
         acc += (r.max(0.0) * 1e6 / 8.0 / 1500.0) / 1000.0;
+        let mut n = 0u16;
         while acc >= 1.0 {
-            ops.push(ms as u64);
+            n = n.checked_add(1).unwrap_or_else(|| {
+                panic!("more than {} opportunities in millisecond {ms}", u16::MAX)
+            });
             acc -= 1.0;
         }
-    }
-    Trace::new(label, ops)
+        n
+    });
+    Trace::new(label, Opportunities::from_counts(counts.collect()))
 }
 
 /// Bounded random-walk rate process.

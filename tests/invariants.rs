@@ -7,7 +7,7 @@ use xlink::lab::prop::*;
 use xlink::lab::rng::Rng;
 use xlink::netsim::{Impairment, Impairments, Link, LinkConfig};
 use xlink::obs::json::{parse, Value};
-use xlink::traces::{parse_mahimahi, to_mahimahi, Trace};
+use xlink::traces::{parse_mahimahi, to_mahimahi, Opportunities, Trace};
 
 /// Algorithm 1 is monotone in buffer occupancy: with everything else
 /// fixed, a larger buffer never turns re-injection ON when a smaller
@@ -53,9 +53,11 @@ fn play_time_is_min_of_estimates() {
 #[test]
 fn trace_mahimahi_roundtrip() {
     check("trace_mahimahi_roundtrip", vec_of(0u64..100_000, 0..500), |ops| {
-        let t = Trace::new("prop", ops.clone());
-        let back = parse_mahimahi("prop", &to_mahimahi(&t)).expect("parses");
-        prop_assert_eq!(back.opportunities_ms, t.opportunities_ms);
+        let t = Trace::new("prop", Opportunities::from_timestamps(ops.iter().copied()));
+        let text = to_mahimahi(&t);
+        let back = parse_mahimahi("prop", &text).expect("parses");
+        prop_assert_eq!(to_mahimahi(&back), text);
+        prop_assert_eq!(back, t);
         Ok(())
     });
 }
@@ -69,7 +71,7 @@ fn link_conserves_packets() {
         (1usize..80, 0.0f64..0.5, 2usize..64),
         |&(n, loss, queue_kb)| {
             let mut link = Link::new(LinkConfig {
-                trace_ms: (0..1000).collect(),
+                trace_ms: Opportunities::from_timestamps(0..1000),
                 delay: Duration::from_millis(5),
                 queue_bytes: queue_kb * 1024,
                 loss,
@@ -100,7 +102,7 @@ fn impaired_link_conserves_packets() {
         (1usize..120, 1u64..10_000, 0.0f64..0.4),
         |&(n, seed, dup_prob)| {
             let mut cfg = LinkConfig {
-                trace_ms: (0..1000).collect(),
+                trace_ms: Opportunities::from_timestamps(0..1000),
                 delay: Duration::from_millis(5),
                 queue_bytes: 48 * 1024,
                 loss: 0.0,
@@ -141,7 +143,7 @@ fn impaired_link_conserves_packets() {
 fn link_preserves_order_and_content() {
     check("link_preserves_order_and_content", 1usize..50, |&n| {
         let mut link = Link::new(LinkConfig {
-            trace_ms: (0..1000).collect(),
+            trace_ms: Opportunities::from_timestamps(0..1000),
             delay: Duration::from_millis(1),
             queue_bytes: 10 << 20,
             loss: 0.0,
