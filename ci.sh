@@ -73,6 +73,12 @@ step "send stream vs a byte model (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib \
     prop_the_stream_hands_out_the_bytes_written
 
+# The link against the walk its idle jump shortcuts, and against the
+# timestamps its per-millisecond counts were built from, loop after loop.
+step "trace-driven link: the idle jump vs the walk, the replay vs the timestamps (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-netsim --lib -- \
+    prop_the_idle_jump_is_the_walk prop_the_link_replays_its_timestamps
+
 step "player: advancing only at byte arrivals and next-change instants matches every millisecond (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-video --lib \
     advancing_only_at_arrivals_and_next_changes_matches_every_millisecond
