@@ -260,9 +260,14 @@ impl Link {
     /// (millisecond of the trace, loop): an index, then a scan over empty
     /// milliseconds. The trace is not empty.
     fn first_from(&self, ms: u64) -> (usize, u64) {
-        let (loops, within) = (ms / self.period_ms, (ms % self.period_ms) as usize);
+        self.first_busy((ms % self.period_ms) as usize, ms / self.period_ms)
+    }
+
+    /// The first opportunity at or after millisecond `ms` of the trace in
+    /// loop `loops`, into the next loop if this one has none left.
+    fn first_busy(&self, ms: usize, loops: u64) -> (usize, u64) {
         let trace = &self.cfg.trace_ms;
-        match trace.next_busy_ms(within) {
+        match trace.next_busy_ms(ms) {
             Some(at) => (at, loops),
             None => {
                 (trace.next_busy_ms(0).expect("a non-empty trace has an opportunity"), loops + 1)
@@ -407,14 +412,7 @@ impl Link {
             return;
         }
         self.cursor_k = 0;
-        let trace = &self.cfg.trace_ms;
-        match trace.next_busy_ms(self.cursor_ms + 1) {
-            Some(ms) => self.cursor_ms = ms,
-            None => {
-                self.cursor_ms = trace.next_busy_ms(0).expect("the cursor's millisecond is busy");
-                self.loops += 1;
-            }
-        }
+        (self.cursor_ms, self.loops) = self.first_busy(self.cursor_ms + 1, self.loops);
     }
 
     /// Pop packets that have arrived at the far end by `now`, in arrival
