@@ -38,9 +38,13 @@ step "cargo doc: every crate, warnings are errors" \
 
 # Test profile (debug assertions and overflow checks on, opt-level 1): every
 # code path the suite reaches is checked, the crates' unit tests included.
+# Here `World` also asks each endpoint that took no input since its last
+# `None` again, once a round, and fails the run if it sends: over
+# tests/golden.rs's fault matrix, and with its pinned qlogs and reports
+# unchanged, this shows that a skipped poll is invisible.
 # One seed per sweep here; the full seed counts run in the release steps
 # below.
-step "cargo test -q --offline --workspace (debug, one seed per sweep)" \
+step "cargo test -q --offline --workspace (debug, one seed per sweep; the skipped-poll check over the golden fault matrix)" \
     env XLINK_SWEEP_SEEDS=1 cargo test -q --offline --workspace
 
 # Includes the golden oracle (tests/golden.rs: qlog streams, A/B and fleet

@@ -63,11 +63,23 @@ impl BulkClient {
 }
 
 impl App for BulkClient {
-    /// Read what arrived of the response through the consuming read: the
-    /// header is copied until it is complete, the body checked against the
-    /// object's bytes at the offset it continues from and counted.
+    /// Pin the QoE feedback, ask for the object once the handshake lands,
+    /// then read what arrived of the response through the consuming read:
+    /// the header is copied until it is complete, the body checked against
+    /// the object's bytes at the offset it continues from and counted.
     fn on_datagram(&mut self, conn: &mut MpConnection, now: Instant) {
-        let Some(id) = self.stream else { return };
+        if let Some(q) = self.qoe {
+            conn.set_qoe(q);
+        }
+        let Some(id) = self.stream else {
+            if conn.is_established() {
+                let id = conn.open_stream(0);
+                let req = Request { object: OBJECT.into(), start: 0, end: self.size };
+                conn.stream_send(id, &req.encode(), true);
+                self.stream = Some(id);
+            }
+            return;
+        };
         let mut data = conn.stream_consume(id, usize::MAX);
         if !self.header_skipped && !data.is_empty() {
             let line = data.iter().position(|&b| b == b'\n').map_or(data.len(), |i| i + 1);
@@ -81,18 +93,6 @@ impl App for BulkClient {
         }
         if self.ok && self.received >= self.size && self.done_at.is_none() {
             self.done_at = Some(now);
-        }
-    }
-
-    fn before_transmit(&mut self, conn: &mut MpConnection, _now: Instant) {
-        if conn.is_established() && self.stream.is_none() {
-            let id = conn.open_stream(0);
-            let req = Request { object: OBJECT.into(), start: 0, end: self.size };
-            conn.stream_send(id, &req.encode(), true);
-            self.stream = Some(id);
-        }
-        if let Some(q) = self.qoe {
-            conn.set_qoe(q);
         }
     }
 

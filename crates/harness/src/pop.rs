@@ -266,8 +266,9 @@ impl Session {
         }
     }
 
-    /// Open the request stream once the handshake lands; on a resumed
-    /// incarnation the request starts at the verified offset.
+    /// Open the request stream once the handshake lands (a datagram
+    /// completes it); on a resumed incarnation the request starts at the
+    /// verified offset.
     fn drive(&mut self, now: Instant) {
         if self.stream.is_none() && self.conn.is_established() {
             let id = self.conn.open_stream(0);
@@ -458,6 +459,7 @@ impl Endpoint for PopFleet {
             s.conn.handle_datagram_in_place(now, 0, payload);
             s.absorb(now);
             self.note_closed(now, i);
+            self.sessions[i].drive(now);
             self.touched(i);
             return;
         }
@@ -485,7 +487,6 @@ impl Endpoint for PopFleet {
             let _prof = prof::span!("harness/pop_client_send");
             let sent = match self.sessions.get_mut(slot) {
                 Some(s) => {
-                    s.drive(now);
                     self.conn_polls += 1;
                     s.conn.poll_transmit(now).map(|d| Transmit { path: s.addr, payload: d })
                 }

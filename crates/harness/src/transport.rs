@@ -6,7 +6,8 @@
 //! datagram where it lies, hands the buffer back to its sender, maps the
 //! connection's transmits and merges the two timers. An application, like
 //! the connection, acts only on a datagram or a timer: what changes with
-//! time alone (a player playing) is due at its [`App::timeout`].
+//! time alone (a player playing) is due at its [`App::timeout`]. A poll
+//! only asks the connection.
 
 use xlink_clock::Instant;
 use xlink_core::MpConnection;
@@ -17,9 +18,6 @@ use xlink_netsim::{Endpoint, Transmit};
 pub trait App {
     /// A datagram was handled by `conn`.
     fn on_datagram(&mut self, _conn: &mut MpConnection, _now: Instant) {}
-
-    /// `conn` is about to be asked for a datagram to send.
-    fn before_transmit(&mut self, _conn: &mut MpConnection, _now: Instant) {}
 
     /// The application's own timer, if armed.
     fn timeout(&self) -> Option<Instant> {
@@ -67,7 +65,6 @@ impl<A: App> Endpoint for AppEndpoint<A> {
     }
 
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        self.app.before_transmit(&mut self.conn, now);
         self.conn.poll_transmit(now).map(|(path, payload)| Transmit { path, payload })
     }
 
@@ -172,5 +169,39 @@ mod tests {
         assert_eq!(endpoint.poll_timeout(), Some(early));
         endpoint.app.0 = Some(conn_timer + Duration::from_secs(1));
         assert_eq!(endpoint.poll_timeout(), Some(conn_timer));
+    }
+
+    /// A poll only asks: once the video client has had nothing to send, a
+    /// poll at a later instant with no input between finds nothing either,
+    /// and leaves the player and the connection's QoE snapshot (whose every
+    /// change is traced) as they were.
+    #[test]
+    fn a_skipped_poll_leaves_the_video_client_as_it_was() {
+        use crate::video_session::{client_endpoint_for_probe, server_endpoint_for_probe};
+        use crate::SessionConfig;
+        use xlink_netsim::{LinkConfig, Path, World};
+        use xlink_obs::{Event, TraceLog};
+        let mut cfg = SessionConfig::short_video(Scheme::Xlink, 3);
+        cfg.video = xlink_video::Video::synth(4, 25, 800_000, 8.0);
+        let log = TraceLog::recording();
+        let mut client = client_endpoint_for_probe(&cfg, Instant::ZERO);
+        client.conn.set_tracer(&log.tracer("client"));
+        let server = server_endpoint_for_probe(&cfg, Instant::ZERO);
+        let path = || Path::symmetric(LinkConfig::constant_rate(20.0, Duration::from_millis(10)));
+        let mut world = World::new(client, server, vec![path(), path()]);
+        // The whole video is in, and the player is playing it out.
+        let now = world.run_until(Instant::from_millis(1500));
+        let client = &mut world.client;
+        assert!(client.poll_transmit(now).is_none());
+        let snapshots = || {
+            let events = log.events();
+            events.iter().filter(|e| matches!(e.body, Event::QoeSignal { .. })).count()
+        };
+        let (stats, taken) = (client.player_stats(), snapshots());
+        assert!(stats.playback_started_at.is_some() && stats.finished_at.is_none(), "{stats:?}");
+        let later = now + Duration::from_millis(500);
+        assert!(client.poll_timeout().is_some_and(|t| t > later), "no timer is due by then");
+        assert!(client.poll_transmit(later).is_none());
+        assert_eq!((client.player_stats(), snapshots()), (stats, taken));
     }
 }

@@ -99,6 +99,8 @@ pub struct VideoClient {
     /// concurrent sessions don't hold every finished body in memory.
     done: HashMap<u64, u64>,
     player: Player,
+    /// The instant a datagram was last read, until the client acts on it.
+    read_at: Option<Instant>,
     object: String,
     /// RCT per chunk (request → full body), by chunk index.
     pub chunk_rct: Vec<(u64, Duration)>,
@@ -120,6 +122,7 @@ impl VideoClientEndpoint {
             inflight: HashMap::new(),
             done: HashMap::new(),
             player,
+            read_at: None,
             object: "video".to_string(),
             chunk_rct: Vec::new(),
         };
@@ -250,22 +253,30 @@ impl VideoClient {
 }
 
 impl App for VideoClient {
+    /// Read what arrived, and act on it at a timer due now: the world fires
+    /// timers once every datagram of the instant is in, and acting on each
+    /// would take a snapshot or ask for a chunk between two of them.
     fn on_datagram(&mut self, conn: &mut MpConnection, now: Instant) {
         self.drain_streams(conn, now);
+        self.read_at = Some(now);
     }
 
-    fn before_transmit(&mut self, conn: &mut MpConnection, now: Instant) {
-        self.player.advance(now);
-        // Refresh QoE feedback (the TNET query of §5.2.1).
-        conn.set_qoe(self.player.qoe_signal());
-        self.maybe_issue_requests(conn, now);
-    }
-
-    /// The next instant playback changes by itself: it ends or runs dry,
-    /// or, while the buffer bound holds requests back, drains below it.
+    /// What arrived was read at this instant, or playback changes by
+    /// itself: it ends or runs dry, or, while the buffer bound holds
+    /// requests back, drains below it.
     fn timeout(&self) -> Option<Instant> {
         let resume = self.player.drains_below(self.pause_frames).filter(|_| self.wants_request());
-        [self.player.next_change(), resume].into_iter().flatten().min()
+        [self.read_at, self.player.next_change(), resume].into_iter().flatten().min()
+    }
+
+    /// Play up to `now`, hand the connection the QoE snapshot its next
+    /// ACK_MP carries (the TNET query of §5.2.1), and ask for what the
+    /// buffer bound lets through.
+    fn on_timeout(&mut self, conn: &mut MpConnection, now: Instant) {
+        self.read_at = None;
+        self.player.advance(now);
+        conn.set_qoe(self.player.qoe_signal());
+        self.maybe_issue_requests(conn, now);
     }
 
     fn is_done(&self, conn: &MpConnection) -> bool {

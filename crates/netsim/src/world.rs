@@ -98,6 +98,17 @@ fn poll<E: Endpoint>(endpoint: &mut E, ready: &mut bool, now: Instant) -> Option
     tx
 }
 
+/// Trace a scripted link-state change on its path's tracer, if it has one.
+fn trace_link_state(tracer: Option<&Tracer>, now: Instant, state: LinkState) {
+    let Some(t) = tracer else { return };
+    let label = match state {
+        LinkState::Up => "up",
+        LinkState::Down => "down",
+        LinkState::Degraded { .. } => "degraded",
+    };
+    t.emit(now, Event::LinkStateChange { state: label });
+}
+
 /// Rounds with activity allowed at one instant before the run is declared
 /// livelocked. A round delivers, fires or sends something, so real bursts
 /// settle in hundreds of rounds; an endpoint whose due timer is never
@@ -154,18 +165,6 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         }
     }
 
-    fn trace_link_state(&self, path: usize, state: LinkState) {
-        let Some(t) = self.path_tracers.get(path) else {
-            return;
-        };
-        let label = match state {
-            LinkState::Up => "up",
-            LinkState::Down => "down",
-            LinkState::Degraded { .. } => "degraded",
-        };
-        t.emit(self.now, Event::LinkStateChange { state: label });
-    }
-
     /// Script the links: one up/down/degrade schedule per listed path.
     /// This is the only way link state changes during a run. Panics if a
     /// schedule names a path the world does not have.
@@ -189,19 +188,16 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
     /// One scheduling round at the current instant: apply flap-schedule
     /// steps due now, deliver arrived datagrams, fire timers, and drain up
     /// to 64 transmissions from the endpoints that may have any.
-    /// Returns true if anything happened.
+    /// Returns true if anything happened. Before transmitting, debug builds
+    /// ask each endpoint that took no input since its last `None` again.
     fn round(&mut self) -> bool {
         // Apply flap-schedule steps due now.
-        let mut flapped: Vec<(usize, LinkState)> = Vec::new();
         for (path, sched, idx) in &mut self.flaps {
             while let Some(step) = sched.steps().get(*idx).filter(|s| s.at <= self.now) {
                 self.paths[*path].set_state(step.state);
-                flapped.push((*path, step.state));
+                trace_link_state(self.path_tracers.get(*path), self.now, step.state);
                 *idx += 1;
             }
-        }
-        for (path, state) in flapped {
-            self.trace_link_state(path, state);
         }
         // Deliver arrived datagrams.
         let mut activity = false;
@@ -235,6 +231,13 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
             self.ready[1] = true;
             activity = true;
         }
+        #[cfg(debug_assertions)]
+        assert!(
+            (self.ready[0] || self.client.poll_transmit(self.now).is_none())
+                && (self.ready[1] || self.server.poll_transmit(self.now).is_none()),
+            "an endpoint sent at {} with no input since its last None",
+            self.now
+        );
         // Transmissions (bounded per iteration to interleave fairly).
         for _ in 0..64 {
             let mut sent = false;
@@ -467,20 +470,28 @@ mod tests {
     }
 
     /// Sends one datagram at each of its timers; notes when it is asked
-    /// to send and when a datagram reaches it.
+    /// to send, and whether it took an input since it last had nothing,
+    /// and when a datagram reaches it.
     struct Counted {
         timers: Vec<Instant>,
         queued: usize,
-        polls: Vec<Instant>,
+        fresh: bool,
+        polls: Vec<(Instant, bool)>,
         received: Vec<Instant>,
+    }
+
+    fn counted(timers: Vec<Instant>) -> Counted {
+        Counted { timers, queued: 0, fresh: true, polls: vec![], received: vec![] }
     }
 
     impl Endpoint for Counted {
         fn on_datagram(&mut self, now: Instant, _path: usize, _payload: &[u8]) {
             self.received.push(now);
+            self.fresh = true;
         }
         fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-            self.polls.push(now);
+            self.polls.push((now, self.fresh));
+            self.fresh = self.queued > 0;
             self.queued = self.queued.checked_sub(1)?;
             Some(Transmit { path: 0, payload: vec![0xaa; 100] })
         }
@@ -490,25 +501,58 @@ mod tests {
         fn on_timeout(&mut self, _now: Instant) {
             self.timers.remove(0);
             self.queued += 1;
+            self.fresh = true;
         }
     }
 
     #[test]
     fn an_endpoint_is_asked_again_only_after_an_input() {
         let ms = Instant::from_millis;
-        let counted = |timers| Counted { timers, queued: 0, polls: vec![], received: vec![] };
         let mut w =
             World::new(counted(vec![ms(5), ms(10), ms(15)]), counted(vec![]), vec![fast_path(1)]);
         w.run_until(ms(100));
+        // Each poll after an input; a debug build also asks in the other
+        // rounds, to check that the last `None` holds.
+        let after_input = |polls: &[(Instant, bool)]| -> Vec<Instant> {
+            assert!(cfg!(debug_assertions) || polls.iter().all(|&(_, fresh)| fresh));
+            polls.iter().filter(|&&(_, fresh)| fresh).map(|&(t, _)| t).collect()
+        };
         // The server is asked once on entry, then once in each round that
         // delivered to it, and never at the client's timers.
         assert_eq!(w.server.received.len(), 3);
         let mut asked = vec![Instant::ZERO];
         asked.extend(&w.server.received);
-        assert_eq!(w.server.polls, asked);
+        assert_eq!(after_input(&w.server.polls), asked);
         // The client is asked on entry, then at each timer until it has
         // nothing left to send, and never at a delivery to the server.
-        assert_eq!(w.client.polls, [0, 5, 5, 10, 10, 15, 15].map(ms));
+        assert_eq!(after_input(&w.client.polls), [0, 5, 5, 10, 10, 15, 15].map(ms));
+    }
+
+    /// Has a datagram from 5 ms on, but arms no timer for it: only a poll
+    /// with no input since its last `None` finds it.
+    struct Unannounced(bool);
+
+    impl Endpoint for Unannounced {
+        fn on_datagram(&mut self, _now: Instant, _path: usize, _payload: &[u8]) {}
+        fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
+            let due = !self.0 && now >= Instant::from_millis(5);
+            self.0 |= due;
+            due.then(|| Transmit { path: 0, payload: vec![0xaa; 100] })
+        }
+        fn poll_timeout(&self) -> Option<Instant> {
+            None
+        }
+        fn on_timeout(&mut self, _now: Instant) {}
+    }
+
+    /// The other endpoint's timer at 10 ms makes a round there, and a debug
+    /// world asks the quiet client too.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "an endpoint sent at 0.010000s with no input since its last None")]
+    fn a_debug_world_holds_a_skipped_endpoint_to_its_none() {
+        let server = counted(vec![Instant::from_millis(10)]);
+        World::new(Unannounced(false), server, vec![fast_path(1)]).run_until(Instant::from_secs(1));
     }
 
     #[test]
