@@ -393,11 +393,6 @@ impl Pop {
         &self.shard_stats
     }
 
-    /// Live backend connections.
-    pub fn live_conns(&self) -> usize {
-        self.live
-    }
-
     /// Capped-resource snapshot.
     pub fn bounded_state(&self) -> PopBoundedState {
         PopBoundedState {
@@ -429,14 +424,6 @@ impl Pop {
     pub fn shard_of(&self, client_scid: &ConnectionId) -> Option<ServerId> {
         let slot = *self.client_map.get(client_scid)?;
         self.conns[slot].as_ref().map(|b| b.shard)
-    }
-
-    /// True once a client's backend finished the handshake.
-    pub fn backend_established(&self, client_scid: &ConnectionId) -> bool {
-        self.client_map
-            .get(client_scid)
-            .and_then(|&s| self.conns[s].as_ref())
-            .is_some_and(|b| b.conn.is_established())
     }
 
     /// Drain a shard: stop placing new connections on it and steer every
@@ -1030,7 +1017,7 @@ mod tests {
             let d = c.poll_transmit(now).expect("client hello");
             p.on_datagram(now, i as usize, &d);
         }
-        assert_eq!(p.live_conns(), 0);
+        assert_eq!(p.bounded_state().conns, 0);
         assert_eq!(p.stats().rejected(reject::NO_TOKEN), 100);
         assert_eq!(p.stats().retries_sent, 100);
         assert!(p.bounded_state().within_caps());
@@ -1064,7 +1051,7 @@ mod tests {
         let mut now = Instant::from_millis(1);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
         assert!(c.retry_seen(), "client should have honoured a Retry");
-        assert!(c.is_established() && p.backend_established(&scid));
+        assert!(c.is_established());
         assert_eq!(p.stats().admitted, 1);
         // The server's CID encodes the shard the router placed us on.
         assert_eq!(server_id(&c.remote_cid()), p.shard_of(&scid).unwrap());
@@ -1187,7 +1174,7 @@ mod tests {
             p.on_datagram(now, 3, &d);
         }
         assert_eq!(p.stats().rejected(reject::NO_ROUTE), 500);
-        assert_eq!(p.live_conns(), 0);
+        assert_eq!(p.bounded_state().conns, 0);
         assert!(p.bounded_state().within_caps());
         // Grind datagrams are tiny (≤ the reset size) and the grinder
         // has no byte budget: not a single reset leaves the PoP.
@@ -1232,7 +1219,7 @@ mod tests {
 
         // Crash: all state gone atomically, no drain, no close frames.
         assert_eq!(p.crash_shard(now, 1), ShardOutcome::Crashed { conns: 1 });
-        assert_eq!(p.live_conns(), 0);
+        assert_eq!(p.bounded_state().conns, 0);
         assert_eq!(p.bounded_state().demux, 0);
         assert_eq!(p.crash_shard(now, 1), ShardOutcome::AlreadyInactive, "crash is idempotent");
         assert_eq!(p.drain_shard(now, 1), ShardOutcome::AlreadyInactive, "no draining the dead");

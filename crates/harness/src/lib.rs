@@ -31,7 +31,7 @@ pub use fleet::{run_fleet, run_fleet_profiled, FleetConfig, FleetReport};
 pub use pop::{run_pop, run_pop_traced, PopReport, PopRunConfig};
 pub use scenario::{PathSpec, Scenario};
 pub use transport::{App, AppEndpoint, TransportStats, REINJECTION_COST_CAP};
-pub use video_session::{run_session, session_metrics, SessionConfig, SessionResult};
+pub use video_session::{run_session, SessionConfig, SessionResult};
 pub use xlink_quic::connection::BoundedState;
 
 /// The names the repository's benchmark imports from here; every arm is an

@@ -9,7 +9,6 @@ use std::collections::HashMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::{MpConnection, Scheme, TransportTuning};
 use xlink_netsim::{Path, World};
-use xlink_obs::MetricsRegistry;
 use xlink_quic::stream::SendRange;
 use xlink_video::{MediaStore, Player, PlayerConfig, PlayerStats, Request, Response, Video};
 
@@ -457,43 +456,6 @@ pub fn session_result(mut world: World<VideoClientEndpoint, VideoServerEndpoint>
         ended_at,
         completed,
     }
-}
-
-fn transport_metrics(s: &mut xlink_obs::MetricsScope<'_>, t: &TransportStats) {
-    s.counter("bytes_sent", t.bytes_sent);
-    s.counter("stream_bytes_sent", t.stream_bytes_sent);
-    s.counter("stream_bytes_retransmitted", t.stream_bytes_retransmitted);
-    s.counter("reinjected_bytes", t.reinjected_bytes);
-    s.counter("packets_lost", t.packets_lost);
-    s.counter("spurious_losses", t.spurious_losses);
-    s.counter("handshake_retransmits", t.handshake_retransmits);
-    s.gauge("redundancy_ratio", t.redundancy_ratio());
-}
-
-/// Distil one session into the per-run metrics registry the harness
-/// serialises: the paper's cost ratio (re-injected vs. total payload
-/// bytes on the server), stall accounting, spurious losses and
-/// handshake retransmits, plus the per-path downlink byte split.
-pub fn session_metrics(r: &SessionResult) -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    m.counter("session.completed", r.completed as u64);
-    m.counter("session.ended_at_us", r.ended_at.as_micros());
-    m.counter("session.chunks", r.chunk_rct.len() as u64);
-    if let Some(ff) = r.first_frame_latency {
-        m.gauge("session.first_frame_latency_ms", ff.as_micros() as f64 / 1000.0);
-    }
-    {
-        let mut p = m.scope("client.player");
-        p.counter("stall_time_us", r.player.rebuffer_time.as_micros());
-        p.counter("rebuffer_events", r.player.rebuffer_events);
-        p.counter("play_time_us", r.player.play_time.as_micros());
-    }
-    transport_metrics(&mut m.scope("client.transport"), &r.client_transport);
-    transport_metrics(&mut m.scope("server.transport"), &r.server_transport);
-    for (path, bytes) in &r.server_bytes_per_path {
-        m.counter(&format!("server.path{path}.bytes_sent"), *bytes);
-    }
-    m
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! # xlink-obs — deterministic observability for the xlink workspace
 //!
-//! A zero-dependency tracing and metrics layer shared by every crate in
-//! the stack. Two halves:
+//! A zero-dependency tracing and profiling layer shared by every crate
+//! in the stack. Two halves:
 //!
 //! * **Event tracing** ([`event`], [`sink`], [`qlog`]): a typed event
 //!   vocabulary (packet sent/acked/lost, cwnd/RTT updates, scheduler
@@ -10,10 +10,6 @@
 //!   hits) emitted through cloneable [`Tracer`] handles into one shared
 //!   [`TraceLog`] (every event, the newest `n`, or none), and exported as
 //!   qlog-compatible JSON via the in-tree [`json`] writer.
-//! * **Metrics** ([`metrics`]): a per-run registry of named counters
-//!   and gauges (bytes re-injected vs. total — the paper's Table 5
-//!   cost ratio — spurious losses, handshake retransmits, stall time)
-//!   the harness serialises after each run.
 //! * **Profiling** ([`prof`]): a hierarchical wall-clock + allocation
 //!   profiler (`prof::span!("quic/aead_open")`) whose monotonic-clock
 //!   measurements live entirely outside the simulated clock, feeding
@@ -33,11 +29,9 @@
 pub mod event;
 pub mod json;
 pub mod ledger;
-pub mod metrics;
 pub mod prof;
 pub mod qlog;
 pub mod sink;
 
 pub use event::{Event, TraceEvent};
-pub use metrics::{Metric, MetricsRegistry, MetricsScope};
 pub use sink::{TraceLog, Tracer};

@@ -239,11 +239,6 @@ impl CidManager {
         retired
     }
 
-    /// Number of unused peer CIDs available for new paths.
-    pub fn unused_remote(&self) -> usize {
-        self.remote_unused.len()
-    }
-
     /// Take the lowest-sequence unused peer CID and bind it to a path.
     pub fn take_unused_remote(&mut self) -> Option<IssuedCid> {
         if self.remote_unused.is_empty() {
@@ -333,13 +328,12 @@ mod tests {
         assert!(m.store_remote(c1).is_empty());
         assert!(m.store_remote(c0).is_empty());
         assert!(m.store_remote(c1).is_empty()); // duplicate
-        assert_eq!(m.unused_remote(), 2);
         assert_eq!(m.take_unused_remote().unwrap().seq, 0);
         assert_eq!(m.take_unused_remote().unwrap().seq, 1);
         assert!(m.take_unused_remote().is_none());
         // a used CID is still known → re-store is a no-op
         assert!(m.store_remote(c0).is_empty());
-        assert_eq!(m.unused_remote(), 0);
+        assert!(m.take_unused_remote().is_none());
     }
 
     #[test]
@@ -369,8 +363,8 @@ mod tests {
         let retired = m.store_remote(c2);
         // Both the used seq-0 and the unused seq-1 are retired.
         assert_eq!(retired, vec![0, 1]);
-        assert_eq!(m.unused_remote(), 1);
         assert_eq!(m.take_unused_remote().unwrap().seq, 2);
+        assert!(m.take_unused_remote().is_none());
     }
 
     #[test]

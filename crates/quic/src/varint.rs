@@ -193,19 +193,6 @@ impl Writer {
     }
 }
 
-/// Encoded size in bytes of `v` as a varint.
-pub fn varint_len(v: u64) -> usize {
-    if v < 1 << 6 {
-        1
-    } else if v < 1 << 14 {
-        2
-    } else if v < 1 << 30 {
-        4
-    } else {
-        8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +201,6 @@ mod tests {
     fn roundtrip(v: u64) -> u64 {
         let mut w = Writer::new();
         w.varint(v);
-        assert_eq!(w.len(), varint_len(v));
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         let got = r.varint().unwrap();
@@ -231,14 +217,21 @@ mod tests {
 
     #[test]
     fn varint_encoded_lengths() {
-        assert_eq!(varint_len(0), 1);
-        assert_eq!(varint_len(63), 1);
-        assert_eq!(varint_len(64), 2);
-        assert_eq!(varint_len(16383), 2);
-        assert_eq!(varint_len(16384), 4);
-        assert_eq!(varint_len((1 << 30) - 1), 4);
-        assert_eq!(varint_len(1 << 30), 8);
-        assert_eq!(varint_len(VARINT_MAX), 8);
+        let edges = [
+            (0, 1),
+            (63, 1),
+            (64, 2),
+            (16383, 2),
+            (16384, 4),
+            ((1 << 30) - 1, 4),
+            (1 << 30, 8),
+            (VARINT_MAX, 8),
+        ];
+        for (v, len) in edges {
+            let mut w = Writer::new();
+            w.varint(v);
+            assert_eq!(w.len(), len, "{v}");
+        }
     }
 
     #[test]

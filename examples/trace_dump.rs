@@ -1,17 +1,16 @@
 //! Observability demo: play a short video on a subway ride with XLINK,
-//! record the full cross-layer event trace, export it as qlog JSON plus
-//! a per-run metrics file, and print an ASCII per-path timeline of
-//! cwnd / bytes-in-flight / re-injections / link outages.
+//! record the full cross-layer event trace, export it as qlog JSON, and
+//! print an ASCII per-path timeline of cwnd / bytes-in-flight /
+//! re-injections / link outages and the session's summary.
 //!
 //! ```sh
 //! cargo run --release --example trace_dump
 //! # -> trace_dump.qlog (qlog main schema, qvis-compatible)
-//! # -> trace_dump.metrics.json (flat counters/gauges)
 //! ```
 
 use xlink::clock::Duration;
 use xlink::core::WirelessTech;
-use xlink::harness::{session_metrics, PathSpec, Scenario, Scheme, SessionConfig};
+use xlink::harness::{PathSpec, Scenario, Scheme, SessionConfig};
 use xlink::obs::{Event, TraceLog};
 use xlink::traces::{hsr_onboard_wifi, subway_cellular};
 use xlink::video::Video;
@@ -47,9 +46,6 @@ fn main() {
 
     let qlog = log.to_qlog("xlink subway ride");
     std::fs::write("trace_dump.qlog", &qlog).expect("write trace_dump.qlog");
-    let metrics = session_metrics(&result);
-    std::fs::write("trace_dump.metrics.json", metrics.to_json())
-        .expect("write trace_dump.metrics.json");
 
     // Fold the server-side trace into per-path time bins. The server is
     // the data sender, so its cwnd/in-flight/re-injection series is the
@@ -138,7 +134,7 @@ fn main() {
         result.server_transport.redundancy_ratio() * 100.0
     );
     println!(
-        "trace: {} events from {} sources -> trace_dump.qlog ({} bytes), trace_dump.metrics.json",
+        "trace: {} events from {} sources -> trace_dump.qlog ({} bytes)",
         log.len(),
         log.sources().len(),
         qlog.len()
