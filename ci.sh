@@ -72,10 +72,11 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
 
 # The send stream against a byte model: every byte it hands out (taken or
 # copied for re-injection) is the byte written, and it never releases a
-# byte still owed.
-step "send stream vs a byte model (debug)" \
-    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib \
-    prop_the_stream_hands_out_the_bytes_written
+# byte still owed. The stream table against an ordered map: the same
+# streams in id order, the same ones found, the same ones refused.
+step "send stream vs a byte model; the stream table vs an ordered map (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
+    prop_the_stream_hands_out_the_bytes_written prop_the_stream_table_is_the_ordered_map
 
 # The link against the walk its idle jump shortcuts, and against the
 # timestamps its per-millisecond counts were built from, loop after loop.

@@ -24,7 +24,7 @@ pub trait App {
         None
     }
 
-    /// A timer fired and `conn` has run its own.
+    /// A timer fired, and `conn` has run its own if it was due.
     fn on_timeout(&mut self, _conn: &mut MpConnection, _now: Instant) {}
 
     /// The application no longer needs the simulation to continue.
@@ -76,7 +76,10 @@ impl<A: App> Endpoint for AppEndpoint<A> {
     }
 
     fn on_timeout(&mut self, now: Instant) {
-        self.conn.on_timeout(now);
+        // An application timer alone leaves the connection's work undue.
+        if self.conn.poll_timeout().is_some_and(|due| due <= now) {
+            self.conn.on_timeout(now);
+        }
         self.app.on_timeout(&mut self.conn, now);
     }
 

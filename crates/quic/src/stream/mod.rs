@@ -18,7 +18,6 @@ use crate::error::TransportError;
 use crate::frame::{Frame, FrameRef};
 use crate::packet::PacketBuilder;
 use crate::params::TransportParams;
-use std::collections::BTreeMap;
 
 /// Which endpoint a connection is (stream-ID allocation parity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +63,12 @@ pub struct Stream {
 #[derive(Debug)]
 pub struct StreamMap {
     side: Side,
-    streams: BTreeMap<u64, Stream>,
+    /// Every stream ever opened, ascending by [`Stream::id`] (none is ever
+    /// removed). The first takes a slot of its own: nearly every
+    /// connection has one stream, and `Vec`'s minimum capacity of 4 would
+    /// leave three 360-byte slots empty.
+    streams: Vec<Stream>,
     next_local: u64,
-    /// Largest peer-opened stream ID we've seen.
-    largest_peer_opened: Option<u64>,
     /// Connection-level flow control: how much the peer lets us send.
     pub send_max_data: u64,
     /// Total bytes we've committed to send (offsets claimed).
@@ -109,12 +110,11 @@ impl StreamMap {
     ) -> Self {
         StreamMap {
             side,
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
             next_local: match side {
                 Side::Client => 0,
                 Side::Server => 1,
             },
-            largest_peer_opened: None,
             send_max_data: peer_initial_max_data,
             send_data_used: 0,
             recv_max_data: recv_window,
@@ -143,72 +143,70 @@ impl StreamMap {
         self.side
     }
 
+    /// Where stream `id` is in the table, or where it would go.
+    fn position(&self, id: u64) -> Result<usize, usize> {
+        self.streams.binary_search_by_key(&id, |s| s.id)
+    }
+
+    /// Put a new stream with `id` at `at`, its place in id order.
+    fn insert(&mut self, at: usize, id: u64, priority: u8) -> &mut Stream {
+        if self.streams.is_empty() {
+            self.streams.reserve_exact(1);
+        }
+        let send = SendStream::new(self.peer_stream_window);
+        let recv = RecvStream::new(self.stream_recv_window);
+        self.streams.insert(at, Stream { id, send, recv, priority });
+        &mut self.streams[at]
+    }
+
     /// Open a new locally-initiated bidirectional stream.
     pub fn open(&mut self, priority: u8) -> u64 {
         let id = self.next_local;
         self.next_local += 4;
-        self.streams.insert(
-            id,
-            Stream {
-                id,
-                send: SendStream::new(self.peer_stream_window),
-                recv: RecvStream::new(self.stream_recv_window),
-                priority,
-            },
-        );
+        // Our ids only grow, but a larger peer id may already be in.
+        let at = self.position(id).expect_err("a fresh local id");
+        self.insert(at, id, priority);
         id
     }
 
     /// Get or lazily create the stream for a peer-initiated ID seen on the
     /// wire. Returns `StreamLimitError` if the peer exceeds its allowance.
+    /// Peer ids may arrive in any order: a new one is inserted in its
+    /// place, a shift that `max_streams` keeps short.
     pub fn get_or_open_peer(&mut self, id: u64) -> Result<&mut Stream, TransportError> {
-        if self.side.opened_by_us(id) {
-            return self.streams.get_mut(&id).ok_or(TransportError::StreamStateError);
+        match self.position(id) {
+            Ok(at) => Ok(&mut self.streams[at]),
+            Err(_) if self.side.opened_by_us(id) => Err(TransportError::StreamStateError),
+            Err(_) if id / 4 >= self.max_streams => Err(TransportError::StreamLimitError),
+            Err(at) => Ok(self.insert(at, id, DEFAULT_FRAME_PRIORITY)),
         }
-        if !self.streams.contains_key(&id) {
-            let index = id / 4;
-            if index >= self.max_streams {
-                return Err(TransportError::StreamLimitError);
-            }
-            self.streams.insert(
-                id,
-                Stream {
-                    id,
-                    send: SendStream::new(self.peer_stream_window),
-                    recv: RecvStream::new(self.stream_recv_window),
-                    priority: crate::stream::send::DEFAULT_FRAME_PRIORITY,
-                },
-            );
-            self.largest_peer_opened = Some(self.largest_peer_opened.map_or(id, |l| l.max(id)));
-        }
-        Ok(self.streams.get_mut(&id).expect("just inserted"))
     }
 
     /// Borrow a stream by ID.
     pub fn get(&self, id: u64) -> Option<&Stream> {
-        self.streams.get(&id)
+        self.position(id).ok().map(|at| &self.streams[at])
     }
 
     /// Mutably borrow a stream by ID.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut Stream> {
-        self.streams.get_mut(&id)
+        self.position(id).ok().map(|at| &mut self.streams[at])
     }
 
     /// Iterate all streams ascending by ID.
     pub fn iter(&self) -> impl Iterator<Item = &Stream> {
-        self.streams.values()
+        self.streams.iter()
     }
 
     /// Iterate all streams mutably, ascending by ID.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Stream> {
-        self.streams.values_mut()
+        self.streams.iter_mut()
     }
 
     /// `(priority, id)` of the streams with pending data, sorted — the
     /// transmit order XLINK's stream-priority rules require
     /// (earlier/higher-priority streams first).
     fn sendable(&mut self) -> &[(u8, u64)] {
-        let pending = self.streams.values().filter(|s| s.send.has_pending());
+        let pending = self.streams.iter().filter(|s| s.send.has_pending());
         self.sendable.clear();
         self.sendable.extend(pending.map(|s| (s.priority, s.id)));
         // Ids are unique: the unstable sort is the stable one.
@@ -298,7 +296,7 @@ impl StreamMap {
     fn send_half(&mut self, id: u64) -> &mut SendStream {
         // Invariant: `id` came from open()/readable_ids() on this map — an
         // application bug, never peer-reachable input.
-        &mut self.streams.get_mut(&id).expect("unknown stream").send
+        &mut self.get_mut(id).expect("unknown stream").send
     }
 
     /// Let stream `id` go of the bytes it no longer owes
@@ -307,7 +305,7 @@ impl StreamMap {
     /// acknowledged and its receive half complete and read, the stream
     /// frees its buffers.
     pub fn release(&mut self, id: u64, frames_from: Option<u64>) {
-        let Some(s) = self.streams.get_mut(&id) else { return };
+        let Some(s) = self.get_mut(id) else { return };
         s.send.release(frames_from);
         if s.send.is_acknowledged() && s.recv.is_complete() && s.recv.readable() == 0 {
             s.recv.release();
@@ -318,17 +316,18 @@ impl StreamMap {
     /// arrival on it (the consuming read, [`RecvStream::consume`]),
     /// queueing the flow-control updates the freed window calls for.
     pub fn consume(&mut self, id: u64, max: usize) -> &[u8] {
-        let Some(stream) = self.streams.get_mut(&id) else {
+        let Ok(at) = self.position(id) else {
             return &[];
         };
-        let read = stream.recv.consume(max).len();
-        if let Some(new_max) = stream.recv.wants_max_data_update() {
+        let recv = &mut self.streams[at].recv;
+        let read = recv.consume(max).len();
+        if let Some(new_max) = recv.wants_max_data_update() {
             self.control.push(Frame::MaxStreamData { stream_id: id, max: new_max });
         }
         if let Some(new_max) = self.wants_conn_max_data_update() {
             self.control.push(Frame::MaxData(new_max));
         }
-        self.streams[&id].recv.just_read(read)
+        self.streams[at].recv.just_read(read)
     }
 
     /// [`StreamMap::consume`], copied out.
@@ -443,7 +442,7 @@ impl StreamMap {
             let id = self.sendable[i].1;
             let conn_credit = self.conn_send_credit();
             // Invariant: sendable() only yields ids present in the map.
-            let send = &mut self.streams.get_mut(&id).expect("sendable id").send;
+            let send = &mut self.get_mut(id).expect("sendable id").send;
             // Reserve frame header overhead ~ 1+8+8+4.
             let max_payload = remaining.saturating_sub(24);
             let before_largest = send.largest_sent();
@@ -488,7 +487,7 @@ impl StreamMap {
     /// ranges; never in an honest exchange).
     pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) -> bool {
         let SentFrame::Stream { id, range, fin, .. } = frame else { return false };
-        let Some(s) = self.streams.get_mut(id) else { return false };
+        let Some(s) = self.get_mut(*id) else { return false };
         let evicted = s.send.acked_evicted();
         s.send.on_range_acked(*range, *fin);
         s.send.acked_evicted() != evicted
@@ -501,7 +500,7 @@ impl StreamMap {
     pub fn on_sent_frame_lost(&mut self, frame: SentFrame) -> u64 {
         match frame {
             SentFrame::Stream { id, range, fin, reinjected: false } => {
-                let Some(s) = self.streams.get_mut(&id) else { return 0 };
+                let Some(s) = self.get_mut(id) else { return 0 };
                 s.send.on_range_lost(range, fin);
                 return range.len();
             }
@@ -555,6 +554,76 @@ mod tests {
         assert!(s.get_or_open_peer(0).is_ok());
         assert!(s.get_or_open_peer(4).is_ok());
         assert_eq!(s.get_or_open_peer(8).err(), Some(TransportError::StreamLimitError));
+    }
+
+    /// Nearly every connection has one stream: the table holds it in a
+    /// block of exactly its size.
+    #[test]
+    fn the_first_stream_takes_one_slot() {
+        use xlink_obs::prof;
+        for side in [Side::Client, Side::Server] {
+            let mut m = map(side);
+            let (_, report) = prof::with_recording(|| {
+                let _span = prof::span!("test/open");
+                m.open(0);
+            });
+            let row = report.get("test;open").expect("recorded");
+            assert_eq!((row.allocs, row.alloc_bytes), (1, size_of::<Stream>() as u64));
+        }
+    }
+
+    /// Random sequences of local opens and peer ids (out of order,
+    /// descending runs, our own parity, past the limit) against an ordered
+    /// map: after every step the table lists the same streams in the same
+    /// order, finds each one, and refuses what the model refuses.
+    #[test]
+    fn prop_the_stream_table_is_the_ordered_map() {
+        use std::collections::BTreeMap;
+        use xlink_lab::prop::*;
+        let ops = vec_of((0u8..3, 0u64..256), 0..60);
+        check("prop_the_stream_table_is_the_ordered_map", (0u8..2, 0u64..12, ops), |v| {
+            let &(server, max_streams, ref ops) = v;
+            let side = if server == 1 { Side::Server } else { Side::Client };
+            let mut m = StreamMap::new(side, 1 << 20, 1 << 18, 1 << 20, 1 << 18, max_streams);
+            let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+            let mut next_local = if server == 1 { 1 } else { 0 };
+            for &(kind, a) in ops {
+                let peer_ids: Vec<u64> = match kind {
+                    0 => {
+                        prop_assert_eq!(m.open(a as u8), next_local);
+                        model.insert(next_local, a as u8);
+                        next_local += 4;
+                        Vec::new()
+                    }
+                    1 => vec![a % 64],
+                    _ => (0..=(a % 64) / 4).map(|k| a % 64 - 4 * k).collect(),
+                };
+                for id in peer_ids {
+                    let known = model.contains_key(&id);
+                    let want = if known {
+                        Ok(id)
+                    } else if side.opened_by_us(id) {
+                        Err(TransportError::StreamStateError)
+                    } else if id / 4 >= max_streams {
+                        Err(TransportError::StreamLimitError)
+                    } else {
+                        model.insert(id, DEFAULT_FRAME_PRIORITY);
+                        Ok(id)
+                    };
+                    prop_assert_eq!(m.get_or_open_peer(id).map(|s| s.id), want);
+                }
+                let ids: Vec<(u64, u8)> = m.iter().map(|s| (s.id, s.priority)).collect();
+                let want: Vec<(u64, u8)> = model.iter().map(|(&id, &p)| (id, p)).collect();
+                prop_assert_eq!(ids, want);
+                prop_assert!(m.iter_mut().map(|s| s.id).eq(model.keys().copied()));
+                for id in 0..next_local.max(64) + 4 {
+                    let want = model.get(&id).map(|&p| (id, p));
+                    prop_assert_eq!(m.get(id).map(|s| (s.id, s.priority)), want);
+                    prop_assert_eq!(m.get_mut(id).map(|s| s.id), want.map(|(id, _)| id));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

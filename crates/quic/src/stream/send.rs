@@ -14,8 +14,11 @@
 //! is generated as it is sent, at most [`FILL_WINDOW`] bytes ahead of what
 //! was taken. The acknowledged prefix is released as ACKs arrive
 //! ([`SendStream::release`]), and its room is reused for the bytes
-//! generated next, so a transfer stops allocating once the buffer has
-//! grown to twice what it holds.
+//! generated next, so a transfer stops allocating once the buffer's
+//! capacity is twice the most bytes it ever held. Those count the
+//! released bytes not yet moved out, not only the ones still owed: a
+//! `bulk_fatpipe` VanillaMp server reached 8.55 MB of capacity while
+//! ~2.2 MB were owed. ROADMAP item 17 bounds capacity by what is owed.
 //!
 //! For video, ranges can carry a *frame priority* marker set through the
 //! `stream_send`-style API (paper §5.1): the application tags the byte
@@ -209,8 +212,10 @@ impl SendStream {
     /// Before `n` bytes are appended: if they do not fit and at least as
     /// many bytes are released as held, the held ones move to the front
     /// instead of the buffer growing. Each byte moved is paid for by a
-    /// released one, and once the capacity is twice the most ever held,
-    /// nothing grows again.
+    /// released one, and once the capacity is twice the most bytes the
+    /// buffer ever held (released bytes not yet moved included, so up to
+    /// about four times what is owed), nothing grows again. ROADMAP item
+    /// 17 has the tighter bound.
     fn make_room(&mut self, n: usize) {
         let dead = (self.released - self.buf_start) as usize;
         if self.buf.len() + n > self.buf.capacity() && 2 * dead >= self.buf.len() {
@@ -946,7 +951,7 @@ mod tests {
             s.on_range_acked(SendRange { start: frames[0].start, end: frames[4].end }, false);
             s.release(None);
         };
-        // Warm-up: the generated buffer grows to twice what it holds.
+        // Warm-up: the generated buffer grows to its final capacity.
         (0..100).for_each(|_| round(&mut s));
         let (_, report) = prof::with_recording(|| {
             let _span = prof::span!("test/ranges");
