@@ -71,10 +71,12 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
     unauthenticated_bytes prop_the_borrowed_decoder prop_header_ref prop_classify crypto::
 
 # The send stream against a byte model: every byte it hands out (taken or
-# copied for re-injection) is the byte written, and it never releases a
-# byte still owed. The stream table against an ordered map: the same
-# streams in id order, the same ones found, the same ones refused.
-step "send stream vs a byte model; the stream table vs an ordered map (debug)" \
+# copied for re-injection) is the byte written, it never releases a byte
+# still owed, and its acknowledgement record keeps every gap (orders that
+# leave more than 256), so after every step its first byte in flight is the
+# model's. The stream table against an ordered map: the same streams in id
+# order, the same ones found, the same ones refused.
+step "send stream and its acknowledgement record vs a byte model; the stream table vs an ordered map (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
     prop_the_stream_hands_out_the_bytes_written prop_the_stream_table_is_the_ordered_map
 

@@ -290,9 +290,11 @@ impl MpConnection {
         }
     }
 
-    /// Handle a timer firing.
+    /// Handle a timer firing: the connection's, and a CM client's stall,
+    /// on which it migrates.
     pub fn on_timeout(&mut self, now: Instant) {
         self.conn.on_timeout(now);
+        self.migrate_if_stalled(now);
     }
 
     /// Produce the next (network path, datagram) to transmit. A one-path
@@ -302,7 +304,7 @@ impl MpConnection {
     /// scheduler.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
         if let Some(carrier) = self.carrier {
-            return self.poll_carried(now, carrier);
+            return self.conn.poll_transmit_on(now).map(|(_, d)| (carrier, d));
         }
         if !(self.conn.multipath_negotiated() && self.conn.is_established()) {
             return self.conn.poll_transmit_on(now);

@@ -170,8 +170,8 @@ impl MpConnection {
     /// an acknowledgement of data in flight, or for the rest of a response
     /// on a stream it opened (a download's request is long acknowledged
     /// when the path under it dies). `poll_timeout` arms exactly this
-    /// instant and `poll_transmit` migrates from exactly this instant on,
-    /// which restarts the clock — a due timer that the transmit path would
+    /// instant and `on_timeout` migrates from exactly this instant on,
+    /// which restarts the clock — a due timer that the timer path would
     /// not act on spins the world at one instant forever.
     pub(super) fn cm_stall_deadline(&self) -> Option<Instant> {
         let conn = &self.conn;
@@ -203,22 +203,16 @@ impl MpConnection {
         }
     }
 
-    /// A one-path connection's next datagram, on the network path that
-    /// carries it. A CM client whose stall clock ran out first moves to the
-    /// next network path and resets (RFC 9000 §9.4).
-    pub(super) fn poll_carried(
-        &mut self,
-        now: Instant,
-        mut carrier: usize,
-    ) -> Option<(usize, Vec<u8>)> {
+    /// A CM client whose stall clock ran out moves to the next network
+    /// path and resets (RFC 9000 §9.4).
+    pub(super) fn migrate_if_stalled(&mut self, now: Instant) {
+        let Some(from) = self.carrier else { return };
         if self.cm_stall_deadline().is_some_and(|stall| now >= stall) {
-            let from = carrier;
-            carrier = (carrier + 1) % self.num_paths.max(1);
-            self.hand_over(from, carrier);
-            self.conn.on_migrate(now, from as u8, carrier as u8);
+            let to = (from + 1) % self.num_paths.max(1);
+            self.hand_over(from, to);
+            self.conn.on_migrate(now, from as u8, to as u8);
             self.last_recv = now; // restart the stall clock
         }
-        self.conn.poll_transmit_on(now).map(|(_, d)| (carrier, d))
     }
 
     /// Per-path (network path, wire bytes sent) breakdown. A one-path

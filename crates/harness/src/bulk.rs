@@ -300,13 +300,10 @@ mod tests {
         assert!(peak < size / 3, "{peak} bytes held at the peak");
     }
 
-    /// The only allocations a two-path XLINK download makes once under way
-    /// are the out-of-order segments its client stores, one each: bytes
-    /// that arrive on the faster path ahead of those still on the slower.
-    #[test]
-    fn a_two_path_transfer_allocates_only_for_out_of_order_segments() {
-        use xlink_netsim::World;
-        use xlink_obs::prof;
+    type BulkWorld = xlink_netsim::World<AppEndpoint<BulkClient>, VideoServerEndpoint>;
+
+    /// A 64 MiB XLINK download over [`paths`].
+    fn two_path_download() -> BulkWorld {
         let (tuning, now, size) = (TransportTuning::default(), Instant::ZERO, 64 << 20);
         let client = AppEndpoint {
             conn: MpConnection::client(Scheme::Xlink, &tuning, 1, now),
@@ -316,9 +313,18 @@ mod tests {
             conn: MpConnection::server(Scheme::Xlink, &tuning, 2, now),
             app: VideoServer::new(blob(size), true),
         };
-        let mut world = World::new(client, server, paths());
+        xlink_netsim::World::new(client, server, paths())
+    }
+
+    /// The only allocations a two-path XLINK download makes once under way
+    /// are the out-of-order segments its client stores, one each: bytes
+    /// that arrive on the faster path ahead of those still on the slower.
+    #[test]
+    fn a_two_path_transfer_allocates_only_for_out_of_order_segments() {
+        use xlink_obs::prof;
+        let mut world = two_path_download();
         world.run_until(Instant::from_secs(4));
-        let stored = |w: &World<AppEndpoint<BulkClient>, VideoServerEndpoint>| {
+        let stored = |w: &BulkWorld| {
             let id = w.client.app.stream.expect("asked");
             w.client.conn.conn().streams().get(id).expect("open").recv.segments_stored()
         };
@@ -332,5 +338,35 @@ mod tests {
         let allocs = report.get("test;transfer").expect("recorded").allocs;
         assert!(segments > 1_000, "{segments} segments out of order");
         assert!(allocs <= segments, "{allocs} allocations for {segments} segments");
+    }
+
+    /// The server's record of what the client acknowledged keeps up with a
+    /// two-path download, whose acknowledgements leave thousands of gaps:
+    /// every byte the client held in order 100 ms earlier (longer than the
+    /// slower path's round trip) is acknowledged, so the server's first
+    /// byte in flight is past it. A record that forgets acknowledgements
+    /// past a cap of 256 ranges counts received bytes as in flight here
+    /// from 0.89 s on.
+    #[test]
+    fn the_first_byte_in_flight_follows_the_acknowledgements() {
+        let mut world = two_path_download();
+        // (ms, the client's bytes in order, the server's first byte in flight)
+        let mut samples = Vec::new();
+        for ms in (10..=4_000).step_by(10) {
+            world.run_until(Instant::from_millis(ms));
+            let Some(id) = world.client.app.stream else { continue };
+            let streams = (world.client.conn.conn().streams(), world.server.conn.conn().streams());
+            let (Some(client), Some(server)) = (streams.0.get(id), streams.1.get(id)) else {
+                continue;
+            };
+            let first = server.send.in_flight_from(0).map_or(u64::MAX, |r| r.start);
+            samples.push((ms, client.recv.contiguous_offset(), first));
+        }
+        for pair in samples.windows(11) {
+            let ((_, held, _), (ms, _, first)) = (pair[0], pair[10]);
+            assert!(first >= held, "at {ms} ms byte {first} is in flight; {held} were held before");
+        }
+        let (_, held, _) = samples.last().expect("sampled");
+        assert!(*held > 16 << 20, "{held} bytes arrived in order");
     }
 }

@@ -8,7 +8,7 @@
 //!   decisions, re-injection, PATH_STATUS transitions, QoE signals,
 //!   player buffer/rebuffer/first-frame, link drops/flaps/impairment
 //!   hits) emitted through cloneable [`Tracer`] handles into one shared
-//!   [`TraceLog`] (every event, the newest `n`, or none), and exported as
+//!   [`TraceLog`] (every event or none), and exported as
 //!   qlog-compatible JSON via the in-tree [`json`] writer.
 //! * **Profiling** ([`prof`]): a hierarchical wall-clock + allocation
 //!   profiler (`prof::span!("quic/aead_open")`) whose monotonic-clock

@@ -1,6 +1,6 @@
 //! The trace buffer and the handles that feed it.
 //!
-//! A [`TraceLog`] owns one event buffer, with a cap on what it holds,
+//! A [`TraceLog`] owns one event buffer, which keeps every event or none,
 //! plus the table of interned source names. Components never see the
 //! log directly; they hold cheap cloneable [`Tracer`] handles
 //! ([`TraceLog::tracer`]) that stamp every event with the component's
@@ -11,14 +11,13 @@
 use crate::event::{Event, TraceEvent};
 use crate::qlog;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use xlink_clock::Instant;
 
 struct LogInner {
-    events: VecDeque<TraceEvent>,
-    /// Most events held: beyond it the oldest go first.
-    cap: usize,
+    events: Vec<TraceEvent>,
+    /// False for a log that drops every event.
+    keep: bool,
     sources: Vec<String>,
 }
 
@@ -27,13 +26,9 @@ impl LogInner {
     /// every [`Tracer::emit`] site, the hot paths' included.
     #[inline(never)]
     fn record(&mut self, ev: TraceEvent) {
-        if self.cap == 0 {
-            return;
+        if self.keep {
+            self.events.push(ev);
         }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
     }
 }
 
@@ -56,27 +51,21 @@ impl std::fmt::Debug for TraceLog {
 }
 
 impl TraceLog {
-    /// Log holding at most `cap` events, the newest.
-    fn with_cap(cap: usize) -> Self {
-        let inner = LogInner { events: VecDeque::new(), cap, sources: Vec::new() };
+    /// Log that keeps every event (`keep`) or none.
+    fn new(keep: bool) -> Self {
+        let inner = LogInner { events: Vec::new(), keep, sources: Vec::new() };
         TraceLog { inner: Rc::new(RefCell::new(inner)) }
     }
 
     /// Log that records every event.
     pub fn recording() -> Self {
-        TraceLog::with_cap(usize::MAX)
-    }
-
-    /// Log that keeps only the newest `cap` events, at least one (a flight
-    /// recorder for long runs).
-    pub fn ring(cap: usize) -> Self {
-        TraceLog::with_cap(cap.max(1))
+        TraceLog::new(true)
     }
 
     /// Log that drops everything — for A/B determinism checks of the
     /// enabled code path.
     pub fn noop() -> Self {
-        TraceLog::with_cap(0)
+        TraceLog::new(false)
     }
 
     fn intern(&self, name: &str) -> u16 {
@@ -98,7 +87,7 @@ impl TraceLog {
 
     /// Snapshot of the held events in emission order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.borrow().events.iter().cloned().collect()
+        self.inner.borrow().events.clone()
     }
 
     /// Interned source names, in id order.
@@ -215,19 +204,6 @@ mod tests {
         assert!(evs[0].time < evs[1].time);
         // Interning is stable: same name, same id.
         assert_eq!(log.tracer("client").state.unwrap().source, evs[0].source);
-    }
-
-    #[test]
-    fn ring_sink_retains_tail() {
-        let log = TraceLog::ring(3);
-        let t = log.tracer("t");
-        for pn in 0..10u64 {
-            t.emit(Instant::from_micros(pn), Event::PacketAcked { path: 0, pn });
-        }
-        let evs = log.events();
-        assert_eq!(evs.len(), 3);
-        assert!(matches!(evs[0].body, Event::PacketAcked { pn: 7, .. }));
-        assert!(matches!(evs[2].body, Event::PacketAcked { pn: 9, .. }));
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Sets of received packet numbers, kept as coalesced inclusive ranges.
 //!
-//! Used on the receive side to build ACK / ACK_MP frames and to detect
-//! duplicate packets, and on the send side to interpret a peer's ACK
-//! ranges. Ranges are stored sorted ascending and always coalesced.
+//! Used on the receive side only: to build ACK / ACK_MP frames and to
+//! detect duplicate packets. The peer chooses the packet numbers, so the
+//! set is capped and remembers a replay floor below what it forgot. (A send
+//! stream's record of acknowledged bytes is its own, exact and uncapped:
+//! every range in it is one the stream sent.) Ranges are stored sorted
+//! ascending and always coalesced.
 
 /// Hard cap on the number of distinct ranges tracked per set (§10
 /// adversarial bound). A peer that sends packet numbers with huge gaps
@@ -87,52 +90,18 @@ impl AckRanges {
             return false; // would be evicted straight away: refuse instead
         }
         self.ranges.insert(idx, PnRange { start: pn, end: pn });
-        self.enforce_cap();
-        true
-    }
-
-    /// Evict lowest ranges until the set respects [`MAX_ACK_RANGES`],
-    /// raising the replay floor past everything forgotten.
-    fn enforce_cap(&mut self) {
-        while self.ranges.len() > MAX_ACK_RANGES {
+        if self.ranges.len() > MAX_ACK_RANGES {
+            // Evict the lowest range, raising the replay floor past it.
             let gone = self.ranges.remove(0);
             self.floor = self.floor.max(gone.end.saturating_add(1));
             self.evicted += 1;
         }
+        true
     }
 
     /// How many ranges the [`MAX_ACK_RANGES`] cap has evicted so far.
     pub fn evicted(&self) -> u64 {
         self.evicted
-    }
-
-    /// Insert an inclusive range of packet numbers, merging as needed.
-    /// Far cheaper than per-value insertion for large spans.
-    pub fn insert_range(&mut self, start: u64, end: u64) {
-        // Evicted history stays forgotten (see `insert`).
-        let start = start.max(self.floor);
-        if start > end {
-            return;
-        }
-        // Find all ranges overlapping or adjacent to [start, end]: the
-        // first index whose end+1 >= start begins the merge window.
-        let mut new_start = start;
-        let mut new_end = end;
-        let i = self.ranges.partition_point(|r| r.end.saturating_add(1) < start);
-        let mut j = i;
-        while j < self.ranges.len() && self.ranges[j].start <= end.saturating_add(1) {
-            new_start = new_start.min(self.ranges[j].start);
-            new_end = new_end.max(self.ranges[j].end);
-            j += 1;
-        }
-        self.ranges.splice(i..j, std::iter::once(PnRange { start: new_start, end: new_end }));
-        self.enforce_cap();
-    }
-
-    /// The first range that ends at or after `pn`: the one holding `pn`, or
-    /// else the next one above it.
-    pub fn first_ending_from(&self, pn: u64) -> Option<PnRange> {
-        self.ranges.get(self.ranges.partition_point(|r| r.end < pn)).copied()
     }
 
     /// True if `pn` is in the set.
@@ -291,30 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_range_merges_like_loop() {
-        let mut a = AckRanges::new();
-        let mut b = AckRanges::new();
-        for (s, e) in [(5u64, 9u64), (0, 2), (11, 15), (3, 4), (10, 10), (20, 20)] {
-            a.insert_range(s, e);
-            for v in s..=e {
-                b.insert(v);
-            }
-            assert_eq!(a, b, "after inserting {s}..={e}");
-        }
-        assert_eq!(a.range_count(), 2); // 0..=15 and 20
-    }
-
-    #[test]
-    fn insert_range_degenerate() {
-        let mut a = AckRanges::new();
-        a.insert_range(5, 4); // inverted: no-op
-        assert!(a.is_empty());
-        a.insert_range(7, 7);
-        assert!(a.contains(7));
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
     fn cap_evicts_oldest_ranges() {
         let mut s = AckRanges::new();
         for i in 0..(MAX_ACK_RANGES as u64 + 50) {
@@ -327,35 +272,6 @@ mod tests {
         assert!(!s.contains(0));
         // Retained ranges are exact: nothing in between was fabricated.
         assert!(!s.contains(15));
-    }
-
-    #[test]
-    fn cap_applies_to_insert_range() {
-        let mut s = AckRanges::new();
-        for i in 0..(MAX_ACK_RANGES as u64 * 2) {
-            s.insert_range(i * 10, i * 10 + 2);
-        }
-        assert_eq!(s.range_count(), MAX_ACK_RANGES);
-        assert_eq!(s.evicted(), MAX_ACK_RANGES as u64);
-    }
-
-    #[test]
-    fn prop_insert_range_matches_model() {
-        check("prop_insert_range_matches_model", vec_of((0u64..300, 0u64..40), 0..40), |spans| {
-            let mut a = AckRanges::new();
-            let mut model = BTreeSet::new();
-            for &(start, len) in spans {
-                a.insert_range(start, start + len);
-                for v in start..=start + len {
-                    model.insert(v);
-                }
-            }
-            prop_assert_eq!(a.len(), model.len() as u64);
-            for v in 0u64..360 {
-                prop_assert_eq!(a.contains(v), model.contains(&v), "at {}", v);
-            }
-            Ok(())
-        });
     }
 
     #[test]

@@ -886,8 +886,8 @@ impl Connection {
                     }
                     SentFrame::HandshakeDone => self.keys.done_sent = true,
                     SentFrame::Stream { id, range, fin, .. } => {
-                        let forgot = self.streams.on_sent_frame_acked(sent);
-                        self.on_range_gone((path, pkt.pn, nth), *id, *range, *fin, forgot);
+                        self.streams.on_sent_frame_acked(sent);
+                        self.on_range_gone((path, pkt.pn, nth), *id, *range, *fin);
                     }
                     _ => {}
                 }
@@ -941,7 +941,7 @@ impl Connection {
                     frame @ SentFrame::Stream { id, range, fin, .. } => {
                         self.stats.stream_bytes_retransmitted +=
                             self.streams.on_sent_frame_lost(frame);
-                        self.on_range_gone((path, pn, nth), id, range, fin, false);
+                        self.on_range_gone((path, pn, nth), id, range, fin);
                     }
                     other => drop(self.streams.on_sent_frame_lost(other)),
                 }
@@ -1228,8 +1228,7 @@ impl Connection {
     }
 
     /// The `nth` frame of packet `pn` of `path` — `range` of stream `id` —
-    /// was acknowledged, lost or drained, and the stream has been told
-    /// (`forgot`: and lost track of older acknowledgements over it). The
+    /// was acknowledged, lost or drained, and the stream has been told. The
     /// stream lets go of what it no longer owes; with re-injection tracked,
     /// the index knows every frame in flight, any of which may be copied
     /// whole.
@@ -1239,14 +1238,10 @@ impl Connection {
         id: u64,
         range: SendRange,
         fin: bool,
-        forgot: bool,
     ) {
         let mut frames_from = None;
         if let Some(index) = &mut self.reinject {
             index.on_gone(&self.streams, (path, pn, nth), id, range, fin);
-            if forgot {
-                index.refresh_stream(&self.streams, id);
-            }
             frames_from = Some(index.lowest_in_flight(id));
         }
         self.streams.release(id, frames_from);
@@ -1788,7 +1783,9 @@ mod tests {
             // An ACK for packet numbers the last path never sent must close
             // the connection, not inflate the congestion window.
             let mut set = AckRanges::new();
-            set.insert_range(900, 1000);
+            for pn in 900..=1000 {
+                set.insert(pn);
+            }
             c.on_ack(now, paths - 1, false, set.iter_descending(), Duration::ZERO);
             let violation = ConnectionError::LocallyClosed(TransportError::ProtocolViolation);
             assert_eq!(c.close_error(), Some(&violation), "{paths} paths");

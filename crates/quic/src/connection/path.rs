@@ -266,7 +266,7 @@ impl Connection {
                         if let Some(s) = self.streams.get_mut(id) {
                             s.send.on_range_lost(range, fin);
                         }
-                        self.on_range_gone((path, pkt.pn, nth), id, range, fin, false);
+                        self.on_range_gone((path, pkt.pn, nth), id, range, fin);
                     }
                     // Replies stay pinned even across a drain — the peer
                     // may still be waiting on the (possibly recovering)

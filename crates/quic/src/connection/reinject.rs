@@ -224,8 +224,7 @@ impl ReinjectIndex {
         }
     }
 
-    /// Re-evaluate every frame of stream `id` (it was reset, or forgot
-    /// acknowledgements).
+    /// Re-evaluate every frame of stream `id` (it was reset).
     pub fn refresh_stream(&mut self, streams: &StreamMap, id: u64) {
         self.refresh_window(streams, id, 0, u64::MAX);
     }

@@ -225,7 +225,9 @@ mod tests {
         let mut space = PnSpace::default();
         space.recovery.on_packet_sent(t0, 1200, true, [SentFrame::Ping].into_iter().collect());
         let mut never_sent = AckRanges::new();
-        never_sent.insert_range(0, 5);
+        for pn in 0..=5 {
+            never_sent.insert(pn);
+        }
         let ranges = never_sent.iter_descending();
         let refused = space.on_ack(t0, ranges, Duration::ZERO, &mut rtt, &mut out);
         assert_eq!(refused, Err(TransportError::ProtocolViolation));

@@ -4,6 +4,7 @@
 //! flow-control-aware packer of data packets, and what an acked or lost
 //! stream range means.
 
+mod ranges;
 pub mod recv;
 pub mod send;
 
@@ -482,15 +483,12 @@ impl StreamMap {
     }
 
     /// A sent frame was acknowledged: a stream range is delivered. Every
-    /// other kind is the connection's to interpret. Returns whether the
-    /// stream thereby forgot older acknowledgements (the cap on its acked
-    /// ranges; never in an honest exchange).
-    pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) -> bool {
-        let SentFrame::Stream { id, range, fin, .. } = frame else { return false };
-        let Some(s) = self.get_mut(*id) else { return false };
-        let evicted = s.send.acked_evicted();
-        s.send.on_range_acked(*range, *fin);
-        s.send.acked_evicted() != evicted
+    /// other kind is the connection's to interpret.
+    pub fn on_sent_frame_acked(&mut self, frame: &SentFrame) {
+        let SentFrame::Stream { id, range, fin, .. } = frame else { return };
+        if let Some(s) = self.get_mut(*id) {
+            s.send.on_range_acked(*range, *fin);
+        }
     }
 
     /// A sent frame was lost: an original stream range is pending again

@@ -752,8 +752,9 @@ fn challenged<E: Engine>(mut server: E, mp: bool) -> Vec<(Instant, Vec<u8>)> {
     drain(&mut server, now);
     now += Duration::from_millis(300);
     let mut ranges = AckRanges::new();
-    ranges.insert_range(0, 1);
-    ranges.insert(3);
+    for pn in [0, 1, 3] {
+        ranges.insert(pn);
+    }
     let ack = AckFrame::from_ranges(0, &ranges, Duration::ZERO).unwrap();
     deliver(&mut server, now, &[Frame::Ack(ack)]);
     drain(&mut server, now);
