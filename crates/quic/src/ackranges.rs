@@ -1,11 +1,13 @@
-//! Sets of received packet numbers, kept as coalesced inclusive ranges.
+//! Sets of received packet numbers, held in the crate's one coalescing
+//! range set (`ranges::RangeSet`).
 //!
 //! Used on the receive side only: to build ACK / ACK_MP frames and to
 //! detect duplicate packets. The peer chooses the packet numbers, so the
 //! set is capped and remembers a replay floor below what it forgot. (A send
-//! stream's record of acknowledged bytes is its own, exact and uncapped:
-//! every range in it is one the stream sent.) Ranges are stored sorted
-//! ascending and always coalesced.
+//! stream's record of acknowledged bytes is a `RangeSet` of its own,
+//! exact and uncapped: every range in it is one the stream sent.) Packet
+//! number `pn` is stored as the range `pn..pn + 1`, so the set's merge of
+//! ranges that touch is the coalescing of consecutive packet numbers.
 
 /// Hard cap on the number of distinct ranges tracked per set (§10
 /// adversarial bound). A peer that sends packet numbers with huge gaps
@@ -18,6 +20,8 @@
 /// in-flight window far below this.
 pub const MAX_ACK_RANGES: usize = 256;
 
+use crate::ranges::RangeSet;
+use crate::stream::SendRange;
 use xlink_obs::prof;
 
 /// An inclusive packet-number range.
@@ -29,11 +33,16 @@ pub struct PnRange {
     pub end: u64,
 }
 
+/// The packet numbers `r` holds, `r.start..r.end`, as an inclusive range.
+fn inclusive(r: SendRange) -> PnRange {
+    PnRange { start: r.start, end: r.end - 1 }
+}
+
 /// A set of packet numbers as coalesced ranges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AckRanges {
-    /// Sorted ascending, non-adjacent, non-overlapping.
-    ranges: Vec<PnRange>,
+    /// The packet numbers, at most [`MAX_ACK_RANGES`] ranges of them.
+    set: RangeSet,
     /// Ranges evicted by the [`MAX_ACK_RANGES`] cap (adversarial-load
     /// gauge; 0 in any honest exchange).
     evicted: u64,
@@ -60,40 +69,19 @@ impl AckRanges {
     /// retransmission always uses fresh packet numbers).
     pub fn insert(&mut self, pn: u64) -> bool {
         let _prof = prof::span!("quic/ackranges");
-        if pn < self.floor {
-            return false; // evicted history: treat replays as duplicates
+        if pn < self.floor || self.set.contains(pn) {
+            return false;
         }
-        // Find first range with start > pn.
-        let idx = self.ranges.partition_point(|r| r.start <= pn);
-        // Check containment in the predecessor.
-        if idx > 0 {
-            let prev = &mut self.ranges[idx - 1];
-            if pn <= prev.end {
-                return false; // duplicate
-            }
-            if pn == prev.end + 1 {
-                prev.end = pn;
-                // Maybe merge with successor.
-                if idx < self.ranges.len() && self.ranges[idx].start == pn + 1 {
-                    self.ranges[idx - 1].end = self.ranges[idx].end;
-                    self.ranges.remove(idx);
-                }
-                return true;
-            }
-        }
-        // Maybe extend the successor downward.
-        if idx < self.ranges.len() && pn + 1 == self.ranges[idx].start {
-            self.ranges[idx].start = pn;
-            return true;
-        }
-        if idx == 0 && self.ranges.len() >= MAX_ACK_RANGES {
+        let at_cap = self.set.range_count() >= MAX_ACK_RANGES;
+        if at_cap && self.set.first().is_some_and(|lowest| pn + 1 < lowest.start) {
             return false; // would be evicted straight away: refuse instead
         }
-        self.ranges.insert(idx, PnRange { start: pn, end: pn });
-        if self.ranges.len() > MAX_ACK_RANGES {
+        self.set.insert(SendRange { start: pn, end: pn + 1 });
+        if self.set.range_count() > MAX_ACK_RANGES {
             // Evict the lowest range, raising the replay floor past it.
-            let gone = self.ranges.remove(0);
-            self.floor = self.floor.max(gone.end.saturating_add(1));
+            let gone = self.set.first().expect("over the cap");
+            self.set.remove_below(gone.end);
+            self.floor = gone.end;
             self.evicted += 1;
         }
         true
@@ -104,36 +92,25 @@ impl AckRanges {
         self.evicted
     }
 
-    /// True if `pn` is in the set.
-    pub fn contains(&self, pn: u64) -> bool {
-        let idx = self.ranges.partition_point(|r| r.start <= pn);
-        idx > 0 && pn <= self.ranges[idx - 1].end
-    }
-
     /// Largest packet number seen, if any.
     pub fn largest(&self) -> Option<u64> {
-        self.ranges.last().map(|r| r.end)
+        self.set.iter().next_back().map(|r| r.end - 1)
     }
 
     /// Number of distinct ranges.
     pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// True if no packet has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.set.range_count()
     }
 
     /// Iterate ranges in *descending* order (the order ACK frames encode
     /// them: largest range first).
     pub fn iter_descending(&self) -> impl ExactSizeIterator<Item = PnRange> + Clone + '_ {
-        self.ranges.iter().rev().copied()
+        self.set.iter().rev().map(inclusive)
     }
 
     /// Iterate ranges ascending.
     pub fn iter(&self) -> impl Iterator<Item = PnRange> + '_ {
-        self.ranges.iter().copied()
+        self.set.iter().map(inclusive)
     }
 
     /// Drop state for packet numbers `<= upto` (used once the peer has
@@ -141,20 +118,7 @@ impl AckRanges {
     /// duplicates: the replay floor rises past them.
     pub fn forget_below(&mut self, upto: u64) {
         self.floor = self.floor.max(upto.saturating_add(1));
-        self.ranges.retain_mut(|r| {
-            if r.end <= upto {
-                return false;
-            }
-            if r.start <= upto {
-                r.start = upto + 1;
-            }
-            true
-        });
-    }
-
-    /// Total count of packet numbers in the set.
-    pub fn len(&self) -> u64 {
-        self.ranges.iter().map(|r| r.end - r.start + 1).sum()
+        self.set.remove_below(self.floor);
     }
 }
 
@@ -163,6 +127,11 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use xlink_lab::prop::*;
+
+    /// The packet numbers in the set, ascending.
+    fn pns(s: &AckRanges) -> Vec<u64> {
+        s.iter().flat_map(|r| r.start..=r.end).collect()
+    }
 
     #[test]
     fn insert_coalesces_adjacent() {
@@ -173,7 +142,7 @@ mod tests {
         assert!(s.insert(6)); // bridges the gap
         assert_eq!(s.range_count(), 1);
         assert_eq!(s.largest(), Some(7));
-        assert_eq!(s.len(), 3);
+        assert_eq!(pns(&s), [5, 6, 7]);
     }
 
     #[test]
@@ -198,7 +167,7 @@ mod tests {
         // pn 0 was received, evicted, and must still count as a duplicate:
         // accepting a replayed datagram (same pn, same nonce) would
         // reprocess it.
-        assert!(!s.contains(0));
+        assert!(!pns(&s).contains(&0));
         assert!(!s.insert(0));
         // A brand-new pn below the lowest retained range is refused
         // rather than admitted-and-immediately-evicted.
@@ -207,16 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_largest() {
+    fn members_and_largest() {
         let mut s = AckRanges::new();
         for pn in [10, 11, 12, 20, 0] {
             s.insert(pn);
         }
-        assert!(s.contains(0));
-        assert!(s.contains(11));
-        assert!(!s.contains(13));
-        assert!(!s.contains(19));
-        assert!(s.contains(20));
+        assert_eq!(pns(&s), [0, 10, 11, 12, 20]);
         assert_eq!(s.largest(), Some(20));
         assert_eq!(s.range_count(), 3);
     }
@@ -246,16 +211,13 @@ mod tests {
         }
         s.insert(20);
         s.forget_below(5);
-        assert!(!s.contains(5));
-        assert!(s.contains(6));
-        assert!(s.contains(20));
-        assert_eq!(s.len(), 5);
+        assert_eq!(pns(&s), [6, 7, 8, 9, 20]);
         // Forgotten is not unseen: neither the pn next to the lowest range
         // kept nor one further down is accepted again.
         assert!(!s.insert(5) && !s.insert(2));
-        assert_eq!(s.len(), 5);
+        assert_eq!(pns(&s), [6, 7, 8, 9, 20]);
         s.forget_below(100);
-        assert!(s.is_empty());
+        assert_eq!(s.iter().next(), None);
         assert!(!s.insert(20) && s.insert(101));
     }
 
@@ -268,27 +230,23 @@ mod tests {
         assert_eq!(s.range_count(), MAX_ACK_RANGES);
         assert_eq!(s.evicted(), 50);
         // Newest packet numbers survive; the oldest were forgotten.
-        assert!(s.contains((MAX_ACK_RANGES as u64 + 49) * 10));
-        assert!(!s.contains(0));
         // Retained ranges are exact: nothing in between was fabricated.
-        assert!(!s.contains(15));
+        let kept = (50..MAX_ACK_RANGES as u64 + 50).map(|i| i * 10);
+        assert_eq!(pns(&s), kept.collect::<Vec<_>>());
     }
 
     #[test]
     fn prop_matches_btreeset_model() {
-        check("prop_matches_btreeset_model", vec_of(0u64..200, 0..300), |pns| {
+        check("prop_matches_btreeset_model", vec_of(0u64..200, 0..300), |inserts| {
             let mut s = AckRanges::new();
             let mut model = BTreeSet::new();
-            for &pn in pns {
+            for &pn in inserts {
                 let fresh = s.insert(pn);
                 let model_fresh = model.insert(pn);
                 prop_assert_eq!(fresh, model_fresh);
             }
-            prop_assert_eq!(s.len(), model.len() as u64);
+            prop_assert_eq!(pns(&s), model.iter().copied().collect::<Vec<_>>());
             prop_assert_eq!(s.largest(), model.iter().next_back().copied());
-            for pn in 0u64..200 {
-                prop_assert_eq!(s.contains(pn), model.contains(&pn));
-            }
             // Invariant: sorted, coalesced, non-overlapping.
             let rs: Vec<_> = s.iter().collect();
             for w in rs.windows(2) {

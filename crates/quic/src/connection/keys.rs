@@ -317,7 +317,8 @@ mod tests {
         assert!(noise(open(&bent, &mut rx, 0, &oracle), &bent));
         let reset = reset::build_stateless_reset(9, &ConnectionId::derive(1, 0));
         assert!(noise(open(&reset, &mut rx, 0, &oracle), &reset));
-        assert_eq!(rx.recv.len(), 1, "only the authentic packet was recorded");
+        let recorded: u64 = rx.recv.iter().map(|r| r.end - r.start + 1).sum();
+        assert_eq!(recorded, 1, "only the authentic packet was recorded");
         // Armed for path 0 only.
         oracle.remember(0, reset::reset_token(9, &ConnectionId::derive(1, 0)));
         assert!(noise(open(&reset, &mut rx, 1, &oracle), &reset));

@@ -11,6 +11,7 @@ pub mod frame;
 pub mod handshake;
 pub mod packet;
 pub mod params;
+mod ranges;
 pub mod recovery;
 pub mod reset;
 pub mod rtt;

@@ -1,22 +1,22 @@
-//! Sets of stream offsets, kept as sorted, coalesced byte ranges: a send
-//! stream's queue and its record of acknowledged bytes, exact and uncapped
-//! (the peer grows neither; [`crate::ackranges::AckRanges`] is the capped
-//! set of received packet numbers).
+//! Sets of `u64`s kept as sorted, coalesced ranges with exclusive ends
+//! ([`SendRange`]), with one merging insert. A send stream's queue and its
+//! record of acknowledged bytes are such sets, exact and uncapped (the
+//! peer grows neither); [`crate::ackranges::AckRanges`] holds the received
+//! packet numbers in one, under a cap and a replay floor.
 
-use super::SendRange;
-use std::collections::VecDeque;
+use crate::stream::SendRange;
 use std::iter::once;
 use std::ops::Range;
 
-/// A set of stream offsets as ranges with exclusive ends.
+/// A set of `u64`s as ranges with exclusive ends.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RangeSet {
     /// Ascending, non-empty, neither overlapping nor touching.
-    ranges: VecDeque<SendRange>,
+    ranges: Vec<SendRange>,
 }
 
 impl RangeSet {
-    /// Add the offsets of `range`, merging with the ranges it overlaps or
+    /// Add the values of `range`, merging with the ranges it overlaps or
     /// touches.
     pub(crate) fn insert(&mut self, range: SendRange) {
         if range.is_empty() {
@@ -33,26 +33,44 @@ impl RangeSet {
         self.ranges.drain(from + 1..to);
     }
 
-    /// Drop every offset below `to`.
+    /// Drop every value below `to`.
     pub(crate) fn remove_below(&mut self, to: u64) {
         let gone = self.ranges.partition_point(|r| r.end <= to);
         self.ranges.drain(..gone);
-        if let Some(first) = self.ranges.front_mut() {
+        if let Some(first) = self.ranges.first_mut() {
             first.start = first.start.max(to);
         }
     }
 
+    /// True if `value` is in the set.
+    pub(crate) fn contains(&self, value: u64) -> bool {
+        let after = self.ranges.partition_point(|r| r.start <= value);
+        after > 0 && value < self.ranges[after - 1].end
+    }
+
     /// The lowest range.
     pub(crate) fn first(&self) -> Option<SendRange> {
-        self.ranges.front().copied()
+        self.ranges.first().copied()
+    }
+
+    /// How many ranges the set is.
+    pub(crate) fn range_count(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// The ranges, ascending.
+    pub(crate) fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = SendRange> + ExactSizeIterator + Clone + '_ {
+        self.ranges.iter().copied()
     }
 
     /// The runs of `within` the set does not hold, ascending: before,
     /// between and after the ranges that end inside it.
     pub(crate) fn gaps(&self, within: Range<u64>) -> impl Iterator<Item = SendRange> + '_ {
-        let held = self.ranges.range(self.ranges.partition_point(|r| r.end <= within.start)..);
-        let starts = once(within.start).chain(held.clone().map(|r| r.end));
-        let ends = held.map(move |r| r.start.min(within.end)).chain(once(within.end));
+        let held = &self.ranges[self.ranges.partition_point(|r| r.end <= within.start)..];
+        let starts = once(within.start).chain(held.iter().map(|r| r.end));
+        let ends = held.iter().map(move |r| r.start.min(within.end)).chain(once(within.end));
         let gaps = starts.zip(ends).take_while(move |&(start, _)| start < within.end);
         gaps.filter(|&(start, end)| start < end).map(|(start, end)| SendRange { start, end })
     }
@@ -81,8 +99,8 @@ mod tests {
         assert_eq!(s.ranges, [range(7, 15), range(20, 21)]);
     }
 
-    /// Inserts, removals below an offset and gaps against a set of
-    /// offsets; the ranges stay ascending, apart and non-empty.
+    /// Inserts, removals below an offset, membership and gaps against a
+    /// set of offsets; the ranges stay ascending, apart and non-empty.
     #[test]
     fn prop_the_set_is_its_offsets() {
         let ops = vec_of((0u8..4, 0u64..300, 0u64..40), 0..60);
@@ -107,6 +125,7 @@ mod tests {
                 prop_assert_eq!(gaps, model_gaps.collect::<Vec<_>>());
                 let every_gap = s.gaps(0..360).flat_map(|r| r.start..r.end);
                 prop_assert!(every_gap.eq((0..360).filter(|o| !model.contains(o))));
+                prop_assert!((0..360).all(|o| s.contains(o) == model.contains(&o)));
             }
             Ok(())
         });

@@ -4,7 +4,6 @@
 //! flow-control-aware packer of data packets, and what an acked or lost
 //! stream range means.
 
-mod ranges;
 pub mod recv;
 pub mod send;
 

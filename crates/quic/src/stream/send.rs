@@ -32,7 +32,7 @@
 //! span of the first video frame so the scheduler can re-inject it ahead
 //! of everything else in the stream.
 
-use super::ranges::RangeSet;
+use crate::ranges::RangeSet;
 use std::collections::BTreeMap;
 
 /// Priority attached to a byte range by the application (paper §5.1:
@@ -495,12 +495,12 @@ mod tests {
 
         /// True if the byte at `offset` is queued.
         fn queued_at(&self, offset: u64) -> bool {
-            self.pending.gaps(offset..offset + 1).next().is_none()
+            self.pending.contains(offset)
         }
 
         /// True if the byte at `offset` is acknowledged.
         fn acked_at(&self, offset: u64) -> bool {
-            self.acked.gaps(offset..offset + 1).next().is_none()
+            self.acked.contains(offset)
         }
     }
 
