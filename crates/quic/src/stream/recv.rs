@@ -1,6 +1,10 @@
 //! Receive side of a QUIC stream: out-of-order reassembly, duplicate
 //! accounting (redundant bytes from re-injection land here), flow control
 //! credit, and final-size enforcement.
+//!
+//! The stream's state ([`RecvStream::state`]) is read off what it
+//! recorded, as RFC 9000 §3.2 defines it: whether the peer reset it, the
+//! final size, the contiguous offset and the segments held beyond it.
 
 use crate::error::TransportError;
 use crate::sorted::SortedMap;
@@ -14,7 +18,8 @@ use crate::sorted::SortedMap;
 /// `FLOW_CONTROL_ERROR` and the connection closes.
 pub const MAX_STREAM_SEGMENTS: usize = 4096;
 
-/// Receive-stream states (RFC 9000 §3.2, abridged).
+/// Receive-stream states (RFC 9000 §3.2, abridged), read off the stream's
+/// records by [`RecvStream::state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvState {
     /// Receiving data.
@@ -42,9 +47,10 @@ pub struct RecvStream {
     head: usize,
     /// Highest offset received (exclusive).
     highest_recv: u64,
-    /// Final size once FIN is seen.
+    /// Final size once FIN or RESET_STREAM is seen.
     final_size: Option<u64>,
-    state: RecvState,
+    /// True once the peer reset the stream.
+    reset: bool,
     /// Bytes that arrived more than once (re-injection redundancy shows up
     /// here; the paper's "cost" metric counts these at the receiver).
     duplicate_bytes: u64,
@@ -66,7 +72,7 @@ impl RecvStream {
             head: 0,
             highest_recv: 0,
             final_size: None,
-            state: RecvState::Recv,
+            reset: false,
             duplicate_bytes: 0,
             segments_stored: 0,
             max_data: window,
@@ -91,9 +97,6 @@ impl RecvStream {
                 return Err(TransportError::FinalSizeError);
             }
             self.final_size = Some(end);
-            if self.state == RecvState::Recv {
-                self.state = RecvState::SizeKnown;
-            }
         }
         self.highest_recv = self.highest_recv.max(end);
         self.ready.drain(..self.head);
@@ -102,14 +105,6 @@ impl RecvStream {
         self.drain_contiguous();
         if self.segments.len() > MAX_STREAM_SEGMENTS {
             return Err(TransportError::FlowControlError);
-        }
-        if let Some(fs) = self.final_size {
-            if self.contiguous_offset() == fs
-                && self.segments.is_empty()
-                && matches!(self.state, RecvState::Recv | RecvState::SizeKnown)
-            {
-                self.state = RecvState::DataRecvd;
-            }
         }
         Ok(())
     }
@@ -236,14 +231,23 @@ impl RecvStream {
         self.segments_stored
     }
 
-    /// Current state.
+    /// Current state: `ResetRecvd` once the peer reset the stream, `Recv`
+    /// while the final size is unknown, `DataRecvd` once every byte below
+    /// it is contiguous (none is held beyond a gap), `SizeKnown` before.
     pub fn state(&self) -> RecvState {
-        self.state
+        match self.final_size {
+            _ if self.reset => RecvState::ResetRecvd,
+            None => RecvState::Recv,
+            Some(size) if self.contiguous_offset() == size && self.segments.is_empty() => {
+                RecvState::DataRecvd
+            }
+            Some(_) => RecvState::SizeKnown,
+        }
     }
 
     /// True once all data (and FIN) has been received.
     pub fn is_complete(&self) -> bool {
-        self.state == RecvState::DataRecvd
+        self.state() == RecvState::DataRecvd
     }
 
     /// The final size if known.
@@ -275,7 +279,7 @@ impl RecvStream {
             }
         }
         self.final_size = Some(final_size);
-        self.state = RecvState::ResetRecvd;
+        self.reset = true;
         Ok(())
     }
 }
@@ -474,6 +478,8 @@ mod tests {
         read: usize,
         duplicate: u64,
         last_run: u32,
+        final_size: Option<usize>,
+        reset: bool,
     }
 
     impl Model {
@@ -513,6 +519,15 @@ mod tests {
         fn buffered(&self) -> u64 {
             self.runs[self.read..].iter().flatten().count() as u64
         }
+
+        fn state(&self) -> RecvState {
+            match self.final_size {
+                _ if self.reset => RecvState::ResetRecvd,
+                None => RecvState::Recv,
+                Some(size) if self.contiguous() == size => RecvState::DataRecvd,
+                Some(_) => RecvState::SizeKnown,
+            }
+        }
     }
 
     fn byte(offset: usize) -> u8 {
@@ -521,18 +536,20 @@ mod tests {
 
     /// A receive stream against the byte-array model: random in-order,
     /// out-of-order, overlapping and duplicate segments (and sprays of
-    /// one-byte segments that reach the segment cap), consuming and copying
+    /// one-byte segments that reach the segment cap), FINs, resets with
+    /// final sizes that may contradict what arrived, consuming and copying
     /// reads. The bytes read, `readable`, `duplicate_bytes`,
-    /// `segment_count` and `buffered_bytes` match after every step, and
-    /// the stream refuses exactly the segment that takes the model past
-    /// [`MAX_STREAM_SEGMENTS`].
+    /// `segment_count`, `buffered_bytes`, the final size and the state
+    /// match after every step; the stream refuses exactly the segment that
+    /// takes the model past [`MAX_STREAM_SEGMENTS`], every byte past the
+    /// final size and every reset that contradicts it.
     #[test]
     fn prop_reassembly_matches_a_byte_array_model() {
-        let ops = vec_of((0u8..8, 0usize..6_000, 1usize..400), 1..60);
+        let ops = vec_of((0u8..10, 0usize..6_000, 1usize..400), 1..60);
         check("prop_reassembly_matches_a_byte_array_model", ops, |ops| {
             let (mut s, mut model) = (RecvStream::new(1 << 30), Model::default());
             for &(kind, at, len) in ops {
-                if kind == 4 {
+                if kind == 4 && model.final_size.is_none() {
                     // One-byte segments every other byte past everything
                     // received: each a segment of its own, up to the cap.
                     let (first, stored) = (model.runs.len() + 1, model.segments());
@@ -546,22 +563,45 @@ mod tests {
                         prop_assert_eq!(got, Ok(()));
                     }
                 }
+                // The FIN ends at the final size, once one is known.
+                let fin_end = model.final_size.unwrap_or(model.runs.len().max(at + len));
                 let segment = match kind {
-                    0..=2 => Some((at, len)),
-                    3 => Some((model.contiguous(), len)),
+                    0..=2 => Some((at, len, false)),
+                    3 => Some((model.contiguous(), len, false)),
+                    8 => Some((at.min(fin_end), fin_end - at.min(fin_end), true)),
                     _ => None,
                 };
-                if let Some((offset, len)) = segment {
+                if let Some((offset, len, fin)) = segment {
                     let data: Vec<u8> = (offset..offset + len).map(byte).collect();
-                    let got = s.on_data(offset as u64, &data, false);
-                    model.arrive(offset, len);
-                    if model.segments() > MAX_STREAM_SEGMENTS {
-                        prop_assert_eq!(got, Err(TransportError::FlowControlError));
-                        return Ok(());
+                    let got = s.on_data(offset as u64, &data, fin);
+                    if model.final_size.is_some_and(|size| offset + len > size) {
+                        prop_assert_eq!(got, Err(TransportError::FinalSizeError));
+                    } else {
+                        model.arrive(offset, len);
+                        if fin {
+                            model.final_size = Some(offset + len);
+                        }
+                        if model.segments() > MAX_STREAM_SEGMENTS {
+                            prop_assert_eq!(got, Err(TransportError::FlowControlError));
+                            return Ok(());
+                        }
+                        prop_assert_eq!(got, Ok(()));
                     }
-                    prop_assert_eq!(got, Ok(()));
                 }
-                if kind >= 5 {
+                if kind == 9 {
+                    // RESET_STREAM with final size `at`: refused below what
+                    // arrived or off a final size already known.
+                    let contradicts =
+                        at < model.runs.len() || model.final_size.is_some_and(|f| f != at);
+                    let got = s.on_reset(at as u64);
+                    if contradicts {
+                        prop_assert_eq!(got, Err(TransportError::FinalSizeError));
+                    } else {
+                        prop_assert_eq!(got, Ok(()));
+                        (model.final_size, model.reset) = (Some(at), true);
+                    }
+                }
+                if (5..=7).contains(&kind) {
                     let want: Vec<u8> =
                         (model.read..model.contiguous().min(model.read + len)).map(byte).collect();
                     match kind {
@@ -574,6 +614,8 @@ mod tests {
                 prop_assert_eq!(s.duplicate_bytes(), model.duplicate);
                 prop_assert_eq!(s.segment_count(), model.segments());
                 prop_assert_eq!(s.buffered_bytes(), model.buffered());
+                prop_assert_eq!(s.final_size(), model.final_size.map(|size| size as u64));
+                prop_assert_eq!(s.state(), model.state());
             }
             Ok(())
         });
