@@ -1853,6 +1853,22 @@ mod tests {
         }
     }
 
+    /// RFC 9000 §4.5: a RESET_STREAM whose final size is below bytes that
+    /// already arrived on the stream closes the connection with
+    /// FINAL_SIZE_ERROR.
+    #[test]
+    fn a_reset_below_the_bytes_received_closes_with_final_size_error() {
+        let (mut c, mut s, mut now) = established(1);
+        let id = c.open_stream(0);
+        c.stream_send(id, &[7; 100], false);
+        pump(&mut now, &mut c, &mut s);
+        assert_eq!(s.streams().get(id).map(|st| st.recv.highest_recv()), Some(100));
+        let reset = Frame::ResetStream { stream_id: id, error_code: 0, final_size: 50 };
+        let (path, d) = c.build_packet(now, 0, false, std::slice::from_ref(&reset), true);
+        s.handle_datagram_on(now, path, &d);
+        assert_eq!(s.life.close_code(), Some((0x6, false)));
+    }
+
     /// §19.16: the peer cannot retire a sequence number never issued, nor
     /// the CID its packets are currently routed by.
     #[test]

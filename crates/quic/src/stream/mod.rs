@@ -401,9 +401,11 @@ impl StreamMap {
             }
             FrameRef::Other(Frame::ResetStream { stream_id, final_size, .. }) => {
                 self.epoch += 1;
-                if let Ok(s) = self.get_or_open_peer(stream_id) {
-                    let _ = s.recv.on_reset(final_size);
-                }
+                // As for STREAM: the map's verdict, then FINAL_SIZE_ERROR
+                // for a final size that contradicts what arrived.
+                let recv =
+                    &mut self.get_or_open_peer(stream_id).map_err(|e| (e, "bad stream"))?.recv;
+                recv.on_reset(final_size).map_err(|e| (e, "reset final size"))?;
             }
             FrameRef::Other(Frame::StopSending { stream_id, .. }) => {
                 if let Some(s) = self.get_mut(stream_id) {
