@@ -81,7 +81,7 @@ impl AckRanges {
             // Evict the lowest range, raising the replay floor past it.
             let gone = self.set.first().expect("over the cap");
             self.set.remove_below(gone.end);
-            self.floor = gone.end;
+            self.floor = self.floor.max(gone.end);
             self.evicted += 1;
         }
         true

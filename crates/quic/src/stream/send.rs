@@ -11,7 +11,10 @@
 //! range in them is one the stream queued or sent itself, so neither has a
 //! cap: the acknowledged set holds at most one range per frame sent above
 //! the acknowledged prefix, and the data is all acknowledged when it is the
-//! one range from 0 to what was written.
+//! one range from 0 to what was written. The stream's state
+//! ([`SendStream::state`]) is read off these records, as RFC 9000 §3.1
+//! defines it: `DataRecvd` once the FIN and every byte are acknowledged,
+//! in whatever order, and a FIN the peer acknowledged is never sent again.
 //!
 //! A stream holds only the bytes it may still be asked for. Those start at
 //! the lowest offset still owed: the first unacknowledged byte, or, if
@@ -71,7 +74,8 @@ impl SendRange {
     }
 }
 
-/// Send-stream states (RFC 9000 §3.1, abridged).
+/// Send-stream states (RFC 9000 §3.1, abridged), read off the stream's
+/// records by [`SendStream::state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendState {
     /// Accepting writes and transmitting.
@@ -116,7 +120,8 @@ pub struct SendStream {
     fin_sent: bool,
     /// True once a frame carrying the FIN bit was acknowledged.
     fin_acked: bool,
-    state: SendState,
+    /// True once the stream was reset.
+    reset: bool,
     /// Bytes queued for transmission: from writes, loss, or explicit
     /// re-queueing of in-flight spans; they may be in flight as well.
     pending: RangeSet,
@@ -144,7 +149,7 @@ impl SendStream {
             fin: false,
             fin_sent: false,
             fin_acked: false,
-            state: SendState::Ready,
+            reset: false,
             pending: RangeSet::default(),
             acked: RangeSet::default(),
             priorities: BTreeMap::new(),
@@ -183,8 +188,7 @@ impl SendStream {
     fn append(&mut self, len: u64) -> SendRange {
         let range = SendRange { start: self.written, end: self.written + len };
         if !range.is_empty() {
-            assert!(!self.fin, "write after finish");
-            assert_eq!(self.state, SendState::Ready);
+            assert_eq!(self.state(), SendState::Ready, "write after finish or reset");
             self.written = range.end;
             self.queue_range(range);
         }
@@ -244,9 +248,6 @@ impl SendStream {
     /// Mark the stream finished (FIN after the last written byte).
     pub fn finish(&mut self) {
         self.fin = true;
-        if self.state == SendState::Ready {
-            self.state = SendState::DataSent;
-        }
     }
 
     /// Total bytes written by the application.
@@ -270,9 +271,19 @@ impl SendStream {
         self.fin
     }
 
-    /// Current state.
+    /// Current state: `ResetSent` once reset, `Ready` until finished,
+    /// `DataRecvd` once the FIN and every byte are acknowledged
+    /// ([`SendStream::is_acknowledged`]), `DataSent` before.
     pub fn state(&self) -> SendState {
-        self.state
+        if self.reset {
+            SendState::ResetSent
+        } else if !self.fin {
+            SendState::Ready
+        } else if self.is_acknowledged() {
+            SendState::DataRecvd
+        } else {
+            SendState::DataSent
+        }
     }
 
     /// Raise the peer's stream flow-control limit.
@@ -304,10 +315,12 @@ impl SendStream {
     }
 
     /// True if the FIN still needs to be (re)sent: the application
-    /// finished and the final range is not yet fully acked nor pending as
-    /// part of data (an empty-FIN still needs a frame).
+    /// finished, the stream is not reset, and no frame carrying the FIN is
+    /// in flight or acknowledged (an empty FIN still needs a frame). A FIN
+    /// the peer acknowledged is not sent again, even while data is still
+    /// unacknowledged (`DataSent`); four flags decide, no gap is searched.
     pub fn fin_pending(&self) -> bool {
-        self.fin && !self.fin_sent && self.state == SendState::DataSent
+        self.fin && !self.fin_sent && !self.fin_acked && !self.reset
     }
 
     /// Record that a frame carrying the FIN bit was transmitted.
@@ -396,30 +409,18 @@ impl SendStream {
     }
 
     /// Record that a transmitted range was acknowledged. Returns true once
-    /// the stream is `DataRecvd`: an acknowledged FIN found every byte
-    /// acknowledged.
+    /// the stream is `DataRecvd`.
     pub fn on_range_acked(&mut self, range: SendRange, fin: bool) -> bool {
         self.acked.insert(range);
         self.fin_acked |= fin;
-        if fin && self.fin && self.data_acked() {
-            self.state = SendState::DataRecvd;
-        }
-        self.state == SendState::DataRecvd
-    }
-
-    /// True once every byte written is acknowledged: the acknowledged
-    /// bytes are the one range from 0 to what was written.
-    fn data_acked(&self) -> bool {
-        self.acked.gaps(0..self.written).next().is_none()
+        self.state() == SendState::DataRecvd
     }
 
     /// True once the FIN and every byte written are acknowledged, in
-    /// whatever order. [`SendStream::state`] reaches `DataRecvd` only when
-    /// an acknowledged FIN finds the data complete, and that state decides
-    /// whether a FIN declared lost is sent again, so it is left to the
-    /// acknowledgements.
+    /// whatever order: the acknowledged bytes are the one range from 0 to
+    /// what was written.
     pub fn is_acknowledged(&self) -> bool {
-        self.fin && self.fin_acked && self.data_acked()
+        self.fin && self.fin_acked && self.acked.gaps(0..self.written).next().is_none()
     }
 
     /// Release the bytes below the lowest offset still owed: below the
@@ -466,7 +467,7 @@ impl SendStream {
 
     /// Reset the stream (sender-initiated abort).
     pub fn reset(&mut self) -> u64 {
-        self.state = SendState::ResetSent;
+        self.reset = true;
         self.pending = RangeSet::default();
         self.written
     }
@@ -841,20 +842,32 @@ mod tests {
         assert!(s.is_acknowledged());
     }
 
-    /// The FIN acknowledged before the last data bytes: the stream is
-    /// acknowledged with them.
+    /// A 2-byte stream sent as [0,1) and [1,2)+FIN, the FIN frame twice (a
+    /// re-injected copy), one FIN copy acknowledged before the data: the
+    /// stream is acknowledged, and `DataRecvd`, with the data, and the
+    /// other copy declared lost, before or after the data's
+    /// acknowledgement, queues nothing: the peer has the FIN.
     #[test]
     fn a_fin_acknowledged_before_the_data_completes_with_it() {
-        let mut s = SendStream::new(u64::MAX);
-        s.write(b"0123456789");
-        s.finish();
-        let (head, _) = s.take_range(4).unwrap();
-        let (tail, fin) = s.take_range(100).unwrap();
-        assert!(fin);
-        s.on_range_acked(tail, true);
-        assert!(!s.is_acknowledged());
-        s.on_range_acked(head, false);
-        assert!(s.is_acknowledged());
+        for lost_before_the_data in [false, true] {
+            let mut s = SendStream::new(u64::MAX);
+            s.write(b"ab");
+            s.finish();
+            let (head, _) = s.take_range(1).unwrap();
+            let (tail, fin) = s.take_range(1).unwrap();
+            assert!(fin);
+            s.on_range_acked(tail, true);
+            assert!(!s.is_acknowledged());
+            if lost_before_the_data {
+                s.on_range_lost(tail, true);
+                assert!(!s.fin_pending() && !s.has_pending());
+            }
+            assert!(s.on_range_acked(head, false));
+            assert!(s.is_acknowledged());
+            assert_eq!(s.state(), SendState::DataRecvd);
+            s.on_range_lost(tail, true);
+            assert!(!s.fin_pending() && !s.has_pending());
+        }
     }
 
     /// Losing frames and queueing ranges again allocates nothing once the
@@ -913,6 +926,9 @@ mod tests {
         /// Every other frame in flight in offset order, from the first or
         /// (`true`) the second, was acknowledged.
         AckEveryOther(bool),
+        /// The first frame in flight that carries the FIN was
+        /// acknowledged, whatever data is still out.
+        AckFin,
         /// The `i`th frame in flight was lost.
         Lose(usize),
         /// Copy the `i`th frame in flight (re-injection).
@@ -931,9 +947,12 @@ mod tests {
     /// byte still owed (not acknowledged, queued, or in a frame that may be
     /// copied) and, after each acknowledgement or loss, holds nothing below
     /// the lowest one; generation stays a window ahead of what was taken;
-    /// and once all is acknowledged the stream holds nothing and knows it
-    /// is acknowledged. Runs of small frames with every other one
-    /// acknowledged leave more than 256 gaps between acknowledgements.
+    /// its state is the model's (`DataRecvd` once the FIN and every byte
+    /// are acknowledged, in any order: the FIN frame may be acknowledged
+    /// first) and no FIN is pending once one was acknowledged; and once all
+    /// is acknowledged the stream holds nothing. Runs of small frames with
+    /// every other one acknowledged leave more than 256 gaps between
+    /// acknowledgements.
     #[test]
     fn prop_the_stream_hands_out_the_bytes_written() {
         use xlink_lab::prop::*;
@@ -946,16 +965,20 @@ mod tests {
             5 => Op::Requeue(a % 300_000, a % 300_000 + b),
             6 => Op::InFlight(a % 300_000),
             7 => Op::Take(513 + a as usize % 300, 1 + b as usize % 4),
-            _ => Op::AckEveryOther(a % 2 == 1),
+            8 => Op::AckEveryOther(a % 2 == 1),
+            _ => Op::AckFin,
         };
-        // With `tracked`, the owner knows every frame in flight, as the
-        // re-injection index does, and copies frames (a lost copy is not
-        // queued again); without, no frame is copied.
-        let layout = (0u64..64, 0u64..250_000, 0u64..3, 0u8..2);
-        let ops = vec_of((0u8..9, 0u64..1 << 20, 1u64..4_000), 0..80);
+        // With `tracked` (bit 0 of `shape`), the owner knows every frame in
+        // flight, as the re-injection index does, and copies frames (a lost
+        // copy is not queued again); without, no frame is copied. Bit 1
+        // keeps the body under 2 000 bytes, so the FIN goes out, and is
+        // acknowledged, while data is still in flight.
+        let layout = (0u64..64, 0u64..250_000, 0u64..3, 0u8..4);
+        let ops = vec_of((0u8..10, 0u64..1 << 20, 1u64..4_000), 0..80);
         check("prop_the_stream_hands_out_the_bytes_written", (layout, ops), |v| {
-            let &((head, body, tail, tracked), ref ops) = v;
-            let (tracked, phase) = (tracked == 1, body % 251);
+            let &((head, body, tail, shape), ref ops) = v;
+            let body = if shape >= 2 { body % 2_000 } else { body };
+            let (tracked, phase) = (shape % 2 == 1, body % 251);
             let mut written: Vec<u8> = (0..head).map(|o| o as u8 ^ 0x5a).collect();
             let mut s = SendStream::new(u64::MAX);
             s.write(&written);
@@ -969,7 +992,7 @@ mod tests {
             let len = written.len() as u64;
             prop_assert_eq!(s.len(), len);
             let window_from = if tail.is_empty() { head } else { len };
-            let mut acked = vec![false; written.len()];
+            let (mut acked, mut fin_acked) = (vec![false; written.len()], false);
             // Frames in flight: range, FIN, a copy.
             let mut frames: Vec<(SendRange, bool, bool)> = Vec::new();
             let bytes = |r: SendRange| &written[r.start as usize..r.end as usize];
@@ -979,6 +1002,10 @@ mod tests {
             };
             let frames_from = |frames: &[(SendRange, bool, bool)]| tracked.then(|| framed(frames));
             for op in ops.iter().copied().map(op) {
+                let op = match op {
+                    Op::AckFin => frames.iter().position(|&(_, fin, _)| fin).map_or(op, Op::Ack),
+                    _ => op,
+                };
                 let mut released = false;
                 match op {
                     Op::Take(n, size) => {
@@ -1000,6 +1027,7 @@ mod tests {
                         if matches!(op, Op::Ack(_)) {
                             s.on_range_acked(r, fin);
                             acked[r.start as usize..r.end as usize].fill(true);
+                            fin_acked |= fin;
                         } else if !copy {
                             s.on_range_lost(r, fin);
                         }
@@ -1015,6 +1043,7 @@ mod tests {
                             if ack {
                                 s.on_range_acked(r, fin);
                                 acked[r.start as usize..r.end as usize].fill(true);
+                                fin_acked |= fin;
                             }
                             !ack
                         });
@@ -1045,6 +1074,10 @@ mod tests {
                 }
                 let taken = s.largest_sent().max(window_from);
                 prop_assert!(s.filled() <= len.min(taken + FILL_WINDOW + 4_000));
+                let done = fin_acked && acked.iter().all(|&a| a);
+                let state = if done { SendState::DataRecvd } else { SendState::DataSent };
+                prop_assert_eq!(s.state(), state);
+                prop_assert!(!(fin_acked && s.fin_pending()), "an acknowledged FIN is pending");
             }
             // Send and acknowledge the rest: the stream ends holding nothing.
             loop {
@@ -1065,7 +1098,7 @@ mod tests {
                 s.release(frames_from(&frames));
             }
             prop_assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0));
-            prop_assert!(s.is_acknowledged());
+            prop_assert_eq!(s.state(), SendState::DataRecvd);
             Ok(())
         });
     }
