@@ -74,11 +74,15 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
 # copied for re-injection) is the byte written, it never releases a byte
 # still owed, and its acknowledgement record keeps every gap (orders that
 # leave more than 256), so after every step its first byte in flight is the
-# model's. The stream table against an ordered map: the same streams in id
-# order, the same ones found, the same ones refused.
-step "send stream and its acknowledgement record vs a byte model; the stream table vs an ordered map (debug)" \
+# model's, and so is its state (the FIN may be acknowledged first). The
+# receive stream against a byte array: its bytes, counters, final size and
+# state. The range set under AckRanges against a set of packet numbers. The
+# stream table against an ordered map: the same streams in id order, the
+# same ones found, the same ones refused.
+step "stream states and range sets: send and receive streams vs byte models, AckRanges vs a set; the stream table vs an ordered map (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
-    prop_the_stream_hands_out_the_bytes_written prop_the_stream_table_is_the_ordered_map
+    prop_the_stream_hands_out_the_bytes_written prop_reassembly_matches_a_byte_array_model \
+    prop_matches_btreeset_model prop_the_stream_table_is_the_ordered_map
 
 # The link against the walk its idle jump shortcuts, and against the
 # timestamps its per-millisecond counts were built from, loop after loop.

@@ -66,7 +66,7 @@ pub struct StreamMap {
     /// Every stream ever opened, ascending by [`Stream::id`] (none is ever
     /// removed). The first takes a slot of its own: nearly every
     /// connection has one stream, and `Vec`'s minimum capacity of 4 would
-    /// leave three 360-byte slots empty.
+    /// leave three 344-byte slots empty.
     streams: Vec<Stream>,
     next_local: u64,
     /// Connection-level flow control: how much the peer lets us send.
