@@ -530,8 +530,10 @@ mod tests {
 
     /// Has a datagram from 5 ms on, but arms no timer for it: only a poll
     /// with no input since its last `None` finds it.
+    #[cfg(debug_assertions)]
     struct Unannounced(bool);
 
+    #[cfg(debug_assertions)]
     impl Endpoint for Unannounced {
         fn on_datagram(&mut self, _now: Instant, _path: usize, _payload: &[u8]) {}
         fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
