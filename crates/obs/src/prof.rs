@@ -45,8 +45,11 @@
 //! ## Accounting caveats
 //!
 //! * Allocation counts are *requests to the allocator* (`alloc`,
-//!   `alloc_zeroed`, and growth via `realloc`); frees are not tracked,
-//!   so the numbers measure churn, not live footprint.
+//!   `alloc_zeroed`, and growth via `realloc`); frees do not lower
+//!   them, so the numbers measure churn, not live footprint. The bytes
+//!   held are counted apart, per thread and not per span: [`live_bytes`]
+//!   and its high-water mark [`peak_live_bytes`], which frees lower. A
+//!   worker's are its own; [`graft`] does not carry them over.
 //! * Profiler-internal bookkeeping pauses the counters, so growing the
 //!   span tree never pollutes the numbers it reports.
 //!
@@ -79,32 +82,66 @@ use std::time::Instant as WallInstant;
 // Counting allocator
 // ---------------------------------------------------------------------------
 
-/// System-allocator wrapper counting per-thread allocation requests
-/// while that thread's profiler is recording.
+/// System-allocator wrapper counting per-thread allocation requests, and
+/// the bytes they hold, while that thread's profiler is recording.
 pub struct CountingAlloc;
 
 struct AllocCounters {
     on: Cell<bool>,
     allocs: Cell<u64>,
     bytes: Cell<u64>,
+    /// Bytes allocated less bytes freed while recording: negative once
+    /// more was freed than allocated, what was allocated before included.
+    live: Cell<i64>,
+    /// The largest `live` has been.
+    peak: Cell<i64>,
 }
 
 thread_local! {
     static ALLOCS: AllocCounters = const {
-        AllocCounters { on: Cell::new(false), allocs: Cell::new(0), bytes: Cell::new(0) }
+        AllocCounters {
+            on: Cell::new(false),
+            allocs: Cell::new(0),
+            bytes: Cell::new(0),
+            live: Cell::new(0),
+            peak: Cell::new(0),
+        }
     };
 }
 
+/// One call into the allocator: a block of `old` bytes is now `new` bytes
+/// (`old` 0 for an allocation, `new` 0 for a free), and `request` says
+/// whether it counts as a request for `new` bytes.
 #[inline]
-fn note_alloc(bytes: usize) {
+fn note(request: bool, old: usize, new: usize) {
     // `try_with`: the TLS slot may already be gone during thread
     // teardown; allocations there are simply not counted.
     let _ = ALLOCS.try_with(|a| {
         if a.on.get() {
-            a.allocs.set(a.allocs.get().wrapping_add(1));
-            a.bytes.set(a.bytes.get().wrapping_add(bytes as u64));
+            if request {
+                a.allocs.set(a.allocs.get().wrapping_add(1));
+                a.bytes.set(a.bytes.get().wrapping_add(new as u64));
+            }
+            let live = a.live.get() + new as i64 - old as i64;
+            a.live.set(live);
+            a.peak.set(a.peak.get().max(live));
         }
     });
+}
+
+/// Bytes this thread allocated and has not freed, counted while it
+/// recorded ([`Mode::Record`]): an allocation adds its size, a free
+/// takes it away, a realloc counts once, as the difference. Allocations
+/// made while the thread did not record are not in it, but their frees
+/// while it does are, so the reading is a difference to take between two
+/// points of one recording, not an absolute footprint.
+pub fn live_bytes() -> i64 {
+    ALLOCS.with(|a| a.live.get())
+}
+
+/// The highest [`live_bytes`] has read on this thread.
+pub fn peak_live_bytes() -> i64 {
+    ALLOCS.with(|a| a.peak.get())
 }
 
 #[inline]
@@ -125,22 +162,22 @@ fn set_alloc_tracking(on: bool) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
+        note(true, 0, layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
+        note(true, 0, layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Growth counts as one request for the grown size; shrinks are
-        // free (they cannot be the source of churn we hunt).
-        if new_size > layout.size() {
-            note_alloc(new_size);
-        }
+        // free (they cannot be the source of churn we hunt). Either way
+        // the bytes held change once, by the difference.
+        note(new_size > layout.size(), layout.size(), new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, layout.size(), 0);
         System.dealloc(ptr, layout)
     }
 }
@@ -729,6 +766,30 @@ mod tests {
         assert!(inner.allocs >= 1, "inner saw its Vec");
         assert!(inner.alloc_bytes >= 8000, "inner bytes {}", inner.alloc_bytes);
         assert!(outer.allocs > inner.allocs, "outer includes inner plus its own");
+    }
+
+    /// The bytes held follow every call into the allocator while the
+    /// thread records: a realloc counts once, as the difference, a free
+    /// takes its block away, and the peak keeps the largest reading. Off,
+    /// nothing moves them.
+    #[test]
+    fn live_bytes_follow_allocations_reallocs_and_frees() {
+        let _g = locked();
+        let base = live_bytes();
+        drop(std::hint::black_box(Vec::<u8>::with_capacity(4096)));
+        assert_eq!(live_bytes(), base, "off: not counted");
+        let ((), _) = with_recording(|| {
+            let base = live_bytes();
+            let mut v: Vec<u8> = std::hint::black_box(Vec::with_capacity(1000));
+            assert_eq!(live_bytes() - base, 1000);
+            v.reserve_exact(3000);
+            assert_eq!(live_bytes() - base, 3000, "grown in place or moved, counted once");
+            v.shrink_to(500);
+            assert_eq!(live_bytes() - base, 500);
+            drop(v);
+            assert_eq!(live_bytes(), base);
+            assert!(peak_live_bytes() >= base + 3000);
+        });
     }
 
     #[test]
