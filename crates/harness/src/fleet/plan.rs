@@ -12,6 +12,7 @@
 
 use crate::par;
 use crate::scenario::PathSpec;
+use std::sync::{Arc, Mutex, Weak};
 use xlink_clock::{Duration, Instant};
 use xlink_core::{Scheme, TransportTuning, WirelessTech};
 use xlink_lab::Rng;
@@ -258,6 +259,13 @@ impl Archetype {
     }
 }
 
+/// The pools [`TracePool::shared`] hands out: each one a run still holds,
+/// by `(seed, size, duration_ms)`, and the last one asked for.
+struct SharedPools {
+    held: Vec<((u64, usize, u64), Weak<TracePool>)>,
+    last: Option<Arc<TracePool>>,
+}
+
 /// The shared trace library: a bounded set of Wi-Fi and LTE archetypes
 /// every user's paths are drawn from. Traces are `Arc`-backed, so 10k
 /// concurrent links replay O(pool) trace memory, not O(sessions) — the
@@ -288,6 +296,29 @@ impl TracePool {
             lte.push(l);
         }
         TracePool { wifi, lte }
+    }
+
+    /// [`TracePool::generate`] behind an `Arc`, built once per `(seed,
+    /// size, duration_ms)`: while a run holds that pool, or while it is the
+    /// last one asked for. A run repeated at one seed (a benchmark's
+    /// repetitions, a sweep over tunings) shares one pool; the process
+    /// keeps one more than its runs hold, not one per seed.
+    pub(crate) fn shared(seed: u64, size: usize, duration_ms: u64) -> Arc<TracePool> {
+        static POOLS: Mutex<SharedPools> = Mutex::new(SharedPools { held: Vec::new(), last: None });
+        let key = (seed, size, duration_ms);
+        // Held while generating: a caller asking for the same pool
+        // meanwhile waits for it instead of building its own. A generation
+        // that panicked changed nothing, so the cache is still whole.
+        let mut pools = POOLS.lock().unwrap_or_else(|e| e.into_inner());
+        let found = pools.held.iter().find(|(k, _)| *k == key).and_then(|(_, pool)| pool.upgrade());
+        let pool = found.unwrap_or_else(|| {
+            let pool = Arc::new(TracePool::generate(seed, size, duration_ms));
+            pools.held.retain(|(_, pool)| pool.strong_count() > 0);
+            pools.held.push((key, Arc::downgrade(&pool)));
+            pool
+        });
+        pools.last = Some(Arc::clone(&pool));
+        pool
     }
 
     /// Heap bytes the pool's opportunity counts hold (the fleet's
@@ -386,6 +417,18 @@ mod tests {
         // The fleet's own duration, where outages fall inside the trace.
         let (pool, want) = (TracePool::generate(1, 32, 30_000), generate_in_turn(1, 32, 30_000));
         assert!(pool.wifi == want.wifi && pool.lte == want.lte);
+    }
+
+    /// A pool asked for again is the one already built; another seed or
+    /// size builds its own, equal to what `generate` builds.
+    #[test]
+    fn a_shared_pool_is_built_once_per_seed_and_size() {
+        let (a, b) = (TracePool::shared(11, 3, 3_000), TracePool::shared(11, 3, 3_000));
+        assert!(Arc::ptr_eq(&a, &b));
+        let c = TracePool::shared(12, 3, 3_000);
+        assert!(!Arc::ptr_eq(&a, &c));
+        let want = TracePool::generate(12, 3, 3_000);
+        assert!(c.wifi == want.wifi && c.lte == want.lte);
     }
 
     /// The fleet's default pool — 32 archetypes per technology, 30 s each —

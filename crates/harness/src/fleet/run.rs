@@ -122,7 +122,7 @@ fn run_shard(cfg: &FleetConfig, pool: &TracePool, shard: u32) -> ShardResult {
 /// report is bit-identical for any `cfg.shards ≥ 1`, any worker count and
 /// any schedule (see `tests/fleet.rs` and the `invariants` suite).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let pool = TracePool::generate(cfg.seed, cfg.trace_pool, 30_000);
+    let pool = TracePool::shared(cfg.seed, cfg.trace_pool, 30_000);
     let shards = cfg.shards.max(1);
     let partials = par::map(shards as usize, |shard| run_shard(cfg, &pool, shard as u32));
     let mut arm_a = ArmAgg::default();
