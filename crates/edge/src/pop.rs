@@ -253,6 +253,23 @@ struct ReqState {
     answered: bool,
 }
 
+/// The request state of stream `id` in `requests` (ascending by id),
+/// created on first use. Nearly every connection carries one request: the
+/// first takes a slot of its own, where a B-tree's first leaf was 456 bytes.
+fn request_of(requests: &mut Vec<(u64, ReqState)>, id: u64) -> &mut ReqState {
+    let at = match requests.binary_search_by_key(&id, |&(s, _)| s) {
+        Ok(at) => at,
+        Err(at) => {
+            if requests.is_empty() {
+                requests.reserve_exact(1);
+            }
+            requests.insert(at, (id, ReqState::default()));
+            at
+        }
+    };
+    &mut requests[at].1
+}
+
 /// One backend connection slot.
 struct Backend {
     conn: Connection,
@@ -262,7 +279,8 @@ struct Backend {
     /// The client's CID: stable demux key for long headers and the
     /// rehash key for drain placement.
     client_scid: ConnectionId,
-    streams: BTreeMap<u64, ReqState>,
+    /// Request state per stream, ascending by id (`request_of`).
+    streams: Vec<(u64, ReqState)>,
     /// [`Connection::cid_epoch`] the router's routes were last synced at.
     cid_epoch: u64,
     /// [`Connection::stream_epoch`] the request streams were last read at.
@@ -769,7 +787,7 @@ impl Pop {
             shard,
             addr,
             client_scid: scid,
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
         });
         self.forward(now, slot, payload);
     }
@@ -792,7 +810,7 @@ impl Pop {
         if b.stream_epoch != b.conn.streams().epoch() {
             b.stream_epoch = b.conn.streams().epoch();
             for id in b.conn.streams().readable_ids() {
-                let st = b.streams.entry(id).or_default();
+                let st = request_of(&mut b.streams, id);
                 let data = b.conn.stream_consume(id, usize::MAX);
                 if st.answered {
                     continue;
