@@ -237,8 +237,8 @@ impl MpConnection {
         self.conn.streams_mut().write(id, data, Some(frame_priority), fin);
     }
 
-    /// Read available data from a stream, lent until the next arrival on
-    /// it ([`Connection::stream_consume`]).
+    /// Read available data from a stream, lent until the next call into
+    /// the connection ([`Connection::stream_consume`]).
     pub fn stream_consume(&mut self, id: u64, max: usize) -> &[u8] {
         self.conn.stream_consume(id, max)
     }

@@ -935,7 +935,12 @@ impl Endpoint for Pop {
                     self.rr = (slot + 1) % n;
                     return Some(Transmit { path: b.addr, payload });
                 }
-                None => self.wake.sleep(slot),
+                None => {
+                    // Quiet until its next input: a backend whose exchanges
+                    // are all finished gives back what it held for them.
+                    b.conn.release_idle();
+                    self.wake.sleep(slot);
+                }
             }
         }
         None

@@ -432,8 +432,8 @@ impl Connection {
         self.streams.write(id, data, None, fin);
     }
 
-    /// Read available bytes from a stream, lent until the next arrival on
-    /// it ([`StreamMap::consume`]).
+    /// Read available bytes from a stream, lent until the next call into
+    /// the connection ([`StreamMap::consume`]).
     pub fn stream_consume(&mut self, id: u64, max: usize) -> &[u8] {
         self.streams.consume(id, max)
     }
@@ -485,6 +485,42 @@ impl Connection {
             p.response_pending = Vec::new();
             let _ = p.space.recovery.drain_all();
         }
+    }
+
+    /// What every datagram and poll does first: free the receive buffers
+    /// the application's reads since the last entry finished, and if such
+    /// a read left every stream finished, go idle
+    /// ([`Connection::release_idle`]).
+    fn on_entry(&mut self) {
+        if self.streams.release_read() {
+            self.release_idle();
+        }
+    }
+
+    /// Give back what an idle connection holds and no longer needs. Idle
+    /// means every stream is finished: sent and acknowledged, received and
+    /// read. Then each packet-number space that tracks no packet frees its
+    /// ring, and the ACK scratch its capacity; the next packet sent or ACK
+    /// read allocates them again.
+    ///
+    /// The connection does this itself when the application's read finished
+    /// the last stream and it opened no other before the next datagram or
+    /// poll: the side that asks knows when it is done. The side that
+    /// answers cannot tell a client that is done from one about to ask
+    /// again, so an application that expects its connections to go quiet
+    /// (the edge's backends) calls this when one has nothing to send. A
+    /// server that freed them after every answer would allocate them again
+    /// at every request.
+    pub fn release_idle(&mut self) {
+        if !self.streams.all_finished() {
+            return;
+        }
+        let spaces =
+            std::iter::once(&mut self.initial).chain(self.paths.iter_mut().map(|p| &mut p.space));
+        for space in spaces {
+            space.recovery.shrink_if_empty();
+        }
+        self.ack_outcome = AckOutcome::default();
     }
 
     /// Connection migration (the CM baseline, §7.3): the one path now runs
@@ -619,6 +655,7 @@ impl Connection {
     /// read where it lies: the plaintext overwrites it, and every frame is
     /// decoded in place. What does not authenticate is left as it arrived.
     pub fn handle_datagram_in_place(&mut self, now: Instant, path: usize, datagram: &mut [u8]) {
+        self.on_entry();
         if path >= self.paths.len() {
             self.stats.packets_dropped += 1;
             return;
@@ -979,6 +1016,7 @@ impl Connection {
     /// and path validation, ACKs, PATH_RESPONSEs, revalidation probes, PTO
     /// probes and keep-alives.
     pub fn poll_control(&mut self, now: Instant) -> Option<(usize, Vec<u8>)> {
+        self.on_entry();
         let primary = self.cfg.primary;
         // §8.1 anti-amplification: an unvalidated server withholds any
         // datagram that could push sent bytes past 3× received bytes.
@@ -2035,6 +2073,55 @@ mod tests {
         assert!(sent >= 2_000 && s.stats().stream_bytes_retransmitted == 0);
         assert!(credit(&s) > granted, "no flow-control update in the run");
         assert_eq!(report.get("test;transfer").expect("recorded").allocs, 0, "{}", report.folded());
+    }
+
+    /// A finished exchange leaves nothing behind. After four requests, each
+    /// answered with 200 kB that the client reads to the end and both sides
+    /// acknowledge, no stream of either side holds a receive buffer. The
+    /// client, whose read finished its last stream, went idle by itself; the
+    /// server goes idle when asked ([`Connection::release_idle`]). Then
+    /// every packet-number space that tracks no packet holds no ring, and
+    /// the ACK scratch holds nothing. The server's spaces are all empty; the
+    /// client's 1-RTT space keeps the ACK-only packets no ACK covered.
+    #[test]
+    fn finished_exchanges_leave_no_buffer_behind() {
+        let (mut c, mut s, mut now) = established(1);
+        for n in 0..4u8 {
+            let id = c.open_stream(0);
+            c.stream_send(id, b"GET", true);
+            pump(&mut now, &mut c, &mut s);
+            assert_eq!(s.stream_recv(id, usize::MAX), b"GET");
+            s.stream_send(id, &vec![n; 200_000], true);
+            let mut got = 0;
+            while got < 200_000 {
+                pump(&mut now, &mut c, &mut s);
+                got += c.stream_consume(id, usize::MAX).len();
+            }
+            pump(&mut now, &mut c, &mut s);
+        }
+        let server_space = |s: &Connection| {
+            let r = &s.paths[0].space.recovery;
+            (r.in_flight_count(), r.capacity() > 0)
+        };
+        assert_eq!(server_space(&s), (0, true), "the server went idle by itself");
+        s.release_idle();
+        assert_eq!(server_space(&s), (0, false));
+        for (side, conn) in [("client", &c), ("server", &s)] {
+            assert_eq!(conn.streams().iter().count(), 4);
+            for st in conn.streams().iter() {
+                assert!(st.is_finished(), "{side}: stream {}", st.id);
+                assert_eq!(st.recv.capacity(), 0, "{side}: stream {} holds a buffer", st.id);
+            }
+            let spaces = std::iter::once(&conn.initial).chain(conn.paths.iter().map(|p| &p.space));
+            for (i, space) in spaces.enumerate() {
+                let r = &space.recovery;
+                if r.in_flight_count() == 0 {
+                    assert_eq!(r.capacity(), 0, "{side}: space {i} is empty and holds a ring");
+                }
+            }
+            let scratch = &conn.ack_outcome;
+            assert_eq!(scratch.acked.capacity() + scratch.lost.capacity(), 0, "{side}");
+        }
     }
 
     /// Every frame of a packet decodes before any is acted on: a STREAM

@@ -185,6 +185,22 @@ impl<T> Recovery<T> {
         }
     }
 
+    /// Give the window's capacity back if it tracks no packet: the state
+    /// an idle space stays in. The next packet sent allocates it again, so
+    /// this is for a space that went quiet, not one that empties between
+    /// two packets of a transfer.
+    pub(crate) fn shrink_if_empty(&mut self) {
+        if self.tracked == 0 {
+            self.sent = VecDeque::new();
+        }
+    }
+
+    /// Slots of the window's ring, occupied or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.sent.capacity()
+    }
+
     /// True if any ack-eliciting packet is outstanding.
     pub fn has_ack_eliciting_in_flight(&self) -> bool {
         self.ack_eliciting_in_flight > 0

@@ -53,6 +53,12 @@ impl<K: Ord, V> SortedMap<K, V> {
         self.find(key).ok().map(|i| &mut self.entries[i].1)
     }
 
+    /// Entries the map has room for without growing.
+    #[cfg(test)]
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// True if `key` is in the map.
     pub fn contains_key(&self, key: &K) -> bool {
         self.find(key).is_ok()

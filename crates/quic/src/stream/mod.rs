@@ -59,6 +59,22 @@ pub struct Stream {
     pub priority: u8,
 }
 
+impl Stream {
+    /// True once the stream has nothing left to do: its send half
+    /// acknowledged, its receive half complete and read.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.send.is_acknowledged() && self.recv.is_complete() && self.recv.readable() == 0
+    }
+}
+
+/// Free the receive buffer of a finished stream. Both events that can
+/// finish it, the last acknowledgement and the last read, ask here.
+fn release_if_finished(s: &mut Stream) {
+    if s.is_finished() {
+        s.recv.release();
+    }
+}
+
 /// Per-connection stream table and connection-level flow control.
 #[derive(Debug)]
 pub struct StreamMap {
@@ -96,6 +112,9 @@ pub struct StreamMap {
     /// `(priority, id)` of the streams [`StreamMap::pack`] visits, rebuilt
     /// by every pack in the same allocation.
     sendable: Vec<(u8, u64)>,
+    /// A read left a stream complete and read since the last
+    /// [`StreamMap::release_read`].
+    read_through: bool,
 }
 
 impl StreamMap {
@@ -127,6 +146,7 @@ impl StreamMap {
             data_blocked_at: None,
             epoch: 0,
             sendable: Vec::new(),
+            read_through: false,
         }
     }
 
@@ -307,13 +327,31 @@ impl StreamMap {
     pub fn release(&mut self, id: u64, frames_from: Option<u64>) {
         let Some(s) = self.get_mut(id) else { return };
         s.send.release(frames_from);
-        if s.send.is_acknowledged() && s.recv.is_complete() && s.recv.readable() == 0 {
-            s.recv.release();
+        release_if_finished(s);
+    }
+
+    /// Free the receive buffers that reads since the last call left
+    /// complete and read, on streams whose send half is acknowledged: the
+    /// other event that can finish a stream. A read lends the bytes it
+    /// returns, so it cannot free them itself; the connection calls this at
+    /// its next entry (a datagram, a poll). Returns whether a read had left
+    /// a stream complete and read.
+    pub(crate) fn release_read(&mut self) -> bool {
+        let read_through = std::mem::take(&mut self.read_through);
+        if read_through {
+            self.streams.iter_mut().for_each(release_if_finished);
         }
+        read_through
+    }
+
+    /// True when every stream is finished (`Stream::is_finished`), none
+    /// opened included.
+    pub(crate) fn all_finished(&self) -> bool {
+        self.streams.iter().all(Stream::is_finished)
     }
 
     /// Read up to `max` available bytes from a stream, lent until the next
-    /// arrival on it (the consuming read, [`RecvStream::consume`]),
+    /// call into the map (the consuming read, [`RecvStream::consume`]),
     /// queueing the flow-control updates the freed window calls for.
     pub fn consume(&mut self, id: u64, max: usize) -> &[u8] {
         let Ok(at) = self.position(id) else {
@@ -321,6 +359,7 @@ impl StreamMap {
         };
         let recv = &mut self.streams[at].recv;
         let read = recv.consume(max).len();
+        self.read_through |= recv.is_complete() && recv.readable() == 0;
         if let Some(new_max) = recv.wants_max_data_update() {
             self.control.push(Frame::MaxStreamData { stream_id: id, max: new_max });
         }

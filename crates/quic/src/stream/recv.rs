@@ -166,9 +166,9 @@ impl RecvStream {
     }
 
     /// Read up to `max` contiguous bytes, lent until the next arrival on
-    /// the stream: the consuming read. The bytes count as read at once,
-    /// extending the peer's flow-control credit (caller should check
-    /// [`RecvStream::wants_max_data_update`] afterwards).
+    /// the stream or its release: the consuming read. The bytes count as
+    /// read at once, extending the peer's flow-control credit (caller
+    /// should check [`RecvStream::wants_max_data_update`] afterwards).
     pub fn consume(&mut self, max: usize) -> &[u8] {
         let n = max.min(self.readable());
         self.head += n;
@@ -213,11 +213,19 @@ impl RecvStream {
         self.readable() as u64 + self.segments.values().map(|v| v.len() as u64).sum::<u64>()
     }
 
-    /// Free the buffer of a stream that is complete and fully read.
+    /// Free the buffers of a stream that is complete and fully read.
     pub(crate) fn release(&mut self) {
         debug_assert!(self.is_complete() && self.readable() == 0);
         self.ready = Vec::new();
         self.head = 0;
+        self.segments = SortedMap::default();
+    }
+
+    /// Bytes of buffer the stream holds, read or not: its contiguous bytes'
+    /// capacity and the room of its segment map.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.ready.capacity() + self.segments.capacity() * size_of::<(u64, Vec<u8>)>()
     }
 
     /// Total duplicate bytes received (receiver-side redundancy metric).
