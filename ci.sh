@@ -48,7 +48,12 @@ step "cargo test -q --offline --workspace (debug, one seed per sweep; the skippe
     env XLINK_SWEEP_SEEDS=1 cargo test -q --offline --workspace
 
 # Includes the golden oracle (tests/golden.rs: qlog streams, A/B and fleet
-# reports bit-identical) at the profile it was recorded in.
+# reports bit-identical) at the profile it was recorded in, and the memory
+# tests at the profile the benchmark measures: a finished exchange leaves
+# no buffer, ring or ACK scratch behind
+# (xlink-quic finished_exchanges_leave_no_buffer_behind), and a PoP run
+# holds at most 12 KiB per finished session by the allocator's live-byte
+# count (xlink-harness a_finished_session_holds_at_most_12_kib).
 step "whole workspace, crate unit tests and the golden oracle included (release)" \
     cargo test -q --offline --workspace --release
 
