@@ -79,7 +79,8 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
 # copied for re-injection) is the byte written, it never releases a byte
 # still owed, and its acknowledgement record keeps every gap (orders that
 # leave more than 256), so after every step its first byte in flight is the
-# model's, and so is its state (the FIN may be acknowledged first). The
+# model's, and so is its state (the FIN may be acknowledged first, and a
+# FIN frame lost after a copy of it was acknowledged is not sent again). The
 # receive stream against a byte array: its bytes, counters, final size and
 # state. The range set under AckRanges against a set of packet numbers. The
 # stream table against an ordered map: the same streams in id order, the
@@ -91,9 +92,14 @@ step "stream states and range sets: send and receive streams vs byte models, Ack
 
 # The link against the walk its idle jump shortcuts, and against the
 # timestamps its per-millisecond counts were built from, loop after loop.
-step "trace-driven link: the idle jump vs the walk, the replay vs the timestamps (debug)" \
+# The host a multiplexing endpoint keeps its members in against a scan over
+# all slots: the same datagrams from the same members in the same order,
+# the cursor across removed and reused slots, the due members, and the
+# polls and fires it counts.
+step "netsim: the link's idle jump vs the walk, its replay vs the timestamps; the member host vs a scan (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-netsim --lib -- \
-    prop_the_idle_jump_is_the_walk prop_the_link_replays_its_timestamps
+    prop_the_idle_jump_is_the_walk prop_the_link_replays_its_timestamps \
+    the_host_matches_a_naive_scan
 
 step "player: advancing only at byte arrivals and next-change instants matches every millisecond (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-video --lib \

@@ -31,10 +31,10 @@
 //!   stateless resets minted from the pre-restart epoch secret, so
 //!   clients fail over to reconnection instead of idling out.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::{encode_cid, ServerId};
-use xlink_netsim::{Endpoint, Transmit, Wakeups};
+use xlink_netsim::{Endpoint, Host, Transmit};
 use xlink_obs::{prof, Event, Tracer};
 use xlink_quic::cid::ConnectionId;
 use xlink_quic::connection::{placeholder_dcid, Config, Connection, AMP_FACTOR};
@@ -270,7 +270,7 @@ fn request_of(requests: &mut Vec<(u64, ReqState)>, id: u64) -> &mut ReqState {
     &mut requests[at].1
 }
 
-/// One backend connection slot.
+/// One backend connection: a member of the PoP's [`Host`].
 struct Backend {
     conn: Connection,
     shard: ServerId,
@@ -287,6 +287,72 @@ struct Backend {
     stream_epoch: u64,
 }
 
+impl Backend {
+    /// Serve the PoP's toy origin protocol: a 16-byte little-endian
+    /// `[offset | length]` request on a stream is answered with bytes
+    /// `offset..offset + length` of the synthetic payload at phase 0
+    /// (`xlink_lab::payload`, an absolute-position pattern) plus FIN,
+    /// generated by the stream as it sends them — byte-identical regardless
+    /// of which shard serves it, and resumable at any verified offset
+    /// after a crash reconnect (the zero-byte-loss check). Every walk
+    /// reads the streams empty, so there is nothing to find until the
+    /// next stream frame arrives.
+    fn serve(&mut self) {
+        if self.stream_epoch == self.conn.streams().epoch() {
+            return;
+        }
+        self.stream_epoch = self.conn.streams().epoch();
+        for id in self.conn.streams().readable_ids() {
+            let st = request_of(&mut self.streams, id);
+            let data = self.conn.stream_consume(id, usize::MAX);
+            if st.answered {
+                continue;
+            }
+            st.buf.extend_from_slice(data);
+            if st.buf.len() >= 16 {
+                let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
+                let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
+                    .min(MAX_RESPONSE_BYTES);
+                st.answered = true;
+                st.buf = Vec::new();
+                let len = off.saturating_add(n) - off;
+                self.conn.streams_mut().write_with(id, len, true, 0, off);
+            }
+        }
+    }
+}
+
+impl Endpoint for Backend {
+    fn on_datagram(&mut self, now: Instant, _path: usize, payload: &[u8]) {
+        self.conn.handle_datagram(now, payload);
+        self.serve();
+    }
+
+    fn on_datagram_in_place(&mut self, now: Instant, _path: usize, payload: &mut [u8]) {
+        self.conn.handle_datagram_in_place(now, 0, payload);
+        self.serve();
+    }
+
+    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
+        let _prof = prof::span!("edge/transmit");
+        let Some(payload) = self.conn.poll_transmit(now) else {
+            // Quiet until its next input: a backend whose exchanges are
+            // all finished gives back what it held for them.
+            self.conn.release_idle();
+            return None;
+        };
+        Some(Transmit { path: self.addr, payload })
+    }
+
+    fn poll_timeout(&self) -> Option<Instant> {
+        self.conn.poll_timeout()
+    }
+
+    fn on_timeout(&mut self, now: Instant) {
+        self.conn.on_timeout(now);
+    }
+}
+
 fn mix(a: u64, b: u64) -> u64 {
     splitmix(a ^ splitmix(b))
 }
@@ -301,16 +367,9 @@ pub struct Pop {
     router: EdgeRouter,
     /// Long-header demux: client SCID → slot (stable for a conn's life).
     client_map: BTreeMap<ConnectionId, usize>,
-    conns: Vec<Option<Backend>>,
-    /// Vacant entries of `conns`; admission takes the lowest.
-    free: BTreeSet<usize>,
-    /// Which backends may have something to send, and every backend's
-    /// timer: what `poll_transmit`, `poll_timeout` and `on_timeout` consult
-    /// instead of asking each connection.
-    wake: Wakeups,
-    /// Round-robin transmit cursor (slot order = admission order, which
-    /// is shard-count independent — the trace-invariance property).
-    rr: usize,
+    /// The backends, sent from round-robin in slot order: admission order,
+    /// which is shard-count independent (the trace-invariance property).
+    backends: Host<Backend>,
     /// Outbound Retry datagrams: (address, bytes).
     pending: VecDeque<(usize, Vec<u8>)>,
     peak_pending: usize,
@@ -329,15 +388,10 @@ pub struct Pop {
     /// distinct (clients behind one NAT'd address must not collide in
     /// the replay ring).
     mint_counter: u64,
-    live: usize,
     peak_live: usize,
     shard_stats: BTreeMap<ServerId, ShardStats>,
     stats: PopStats,
-    conn_polls: u64,
-    timer_fires: u64,
     tracer: Tracer,
-    /// Room a datagram lent by reference is copied into to be opened.
-    scratch: Vec<u8>,
 }
 
 impl Pop {
@@ -349,10 +403,7 @@ impl Pop {
         Pop {
             router,
             client_map: BTreeMap::new(),
-            conns: Vec::new(),
-            free: BTreeSet::new(),
-            wake: Wakeups::default(),
-            rr: 0,
+            backends: Host::default(),
             pending: VecDeque::new(),
             peak_pending: 0,
             replay_order: VecDeque::new(),
@@ -360,14 +411,10 @@ impl Pop {
             addr_acct: BTreeMap::new(),
             cid_counter: 0,
             mint_counter: 0,
-            live: 0,
             peak_live: 0,
             shard_stats,
             stats: PopStats::default(),
-            conn_polls: 0,
-            timer_fires: 0,
             tracer: Tracer::disabled(),
-            scratch: Vec::new(),
             cfg,
         }
     }
@@ -393,17 +440,15 @@ impl Pop {
         &self.stats
     }
 
-    /// Calls the PoP made into a backend's `Connection::poll_transmit`.
-    /// This and [`Pop::timer_fires`] count the runner's work, not the
-    /// simulation's: per datagram they must not grow with the number of
-    /// live connections.
+    /// Calls the PoP made into a backend's `poll_transmit`
+    /// ([`Host::conn_polls`]).
     pub fn conn_polls(&self) -> u64 {
-        self.conn_polls
+        self.backends.conn_polls()
     }
 
-    /// Calls the PoP made into a backend's `Connection::on_timeout`.
+    /// Calls the PoP made into a backend's `on_timeout`.
     pub fn timer_fires(&self) -> u64 {
-        self.timer_fires
+        self.backends.timer_fires()
     }
 
     /// Per-shard occupancy.
@@ -414,7 +459,7 @@ impl Pop {
     /// Capped-resource snapshot.
     pub fn bounded_state(&self) -> PopBoundedState {
         PopBoundedState {
-            conns: self.live,
+            conns: self.backends.len(),
             peak_conns: self.peak_live,
             max_conns: self.cfg.max_conns,
             demux: self.router.table_len(),
@@ -441,7 +486,7 @@ impl Pop {
     /// The shard currently serving a client's connection.
     pub fn shard_of(&self, client_scid: &ConnectionId) -> Option<ServerId> {
         let slot = *self.client_map.get(client_scid)?;
-        self.conns[slot].as_ref().map(|b| b.shard)
+        self.backends.get(slot).map(|b| b.shard)
     }
 
     /// Drain a shard: stop placing new connections on it and steer every
@@ -459,10 +504,9 @@ impl Pop {
         self.router.deactivate_shard(shard);
         self.shard_stats.get_mut(&shard).expect("checked above").draining = true;
         let slots: Vec<usize> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.as_ref().is_some_and(|b| b.shard == shard && !b.conn.is_closed()))
+            .backends
+            .members()
+            .filter(|(_, b)| b.shard == shard && !b.conn.is_closed())
             .map(|(i, _)| i)
             .collect();
         self.tracer.emit(now, Event::ShardDrain { shard, conns: slots.len() as u32 });
@@ -470,7 +514,7 @@ impl Pop {
         for slot in slots {
             // No survivors → nothing to steer to; the shard must finish
             // its sessions before going away.
-            let Some(scid) = self.conns[slot].as_ref().map(|b| b.client_scid) else { continue };
+            let Some(scid) = self.backends.get(slot).map(|b| b.client_scid) else { continue };
             let Some(target) = self.router.place(&scid) else { continue };
             let entropy = mix(self.cfg.seed ^ 0xc1d, self.cid_counter);
             self.cid_counter += 1;
@@ -482,11 +526,12 @@ impl Pop {
                 .cfg
                 .stateless_reset
                 .then(|| reset::reset_token(self.shard_secret(target), &cid));
-            let Some(b) = self.conns[slot].as_mut() else { continue };
+            let Some(b) = self.backends.get_mut(slot) else { continue };
             b.conn.issue_migration_cid(cid, tok);
             let from = b.shard;
             b.shard = target;
-            self.touched(slot);
+            self.backends.touch(slot);
+            self.reap(slot);
             self.router.bind(cid, slot);
             if let Some(s) = self.shard_stats.get_mut(&from) {
                 s.live = s.live.saturating_sub(1);
@@ -515,15 +560,12 @@ impl Pop {
             return ShardOutcome::AlreadyInactive;
         }
         self.router.deactivate_shard(shard);
-        let mut destroyed = 0u32;
-        for slot in 0..self.conns.len() {
-            if self.conns[slot].as_ref().is_none_or(|b| b.shard != shard) {
-                continue;
-            }
-            let b = self.conns[slot].take().expect("checked above");
-            self.vacate(slot, &b);
-            destroyed += 1;
+        let slots: Vec<usize> =
+            self.backends.members().filter(|(_, b)| b.shard == shard).map(|(i, _)| i).collect();
+        for &slot in &slots {
+            self.vacate(slot);
         }
+        let destroyed = slots.len() as u32;
         // The crashed shard's slice of the spent-token ledger dies with
         // it: its orphans' tokens become re-spendable (same SCID → same
         // placement → same shard), while every other shard's entries
@@ -723,7 +765,7 @@ impl Pop {
         spent: Option<u128>,
         payload: &mut [u8],
     ) {
-        if self.live >= self.cfg.max_conns {
+        if self.backends.len() >= self.cfg.max_conns {
             self.reject(now, reject::CONN_CAP);
             return;
         }
@@ -766,21 +808,8 @@ impl Pop {
         }
         conn.rebind_local_cid(cid);
 
-        let slot = self.free.pop_first().unwrap_or_else(|| {
-            self.conns.push(None);
-            self.conns.len() - 1
-        });
-        self.router.bind(cid, slot);
-        self.client_map.insert(scid, slot);
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        let st = self.shard_stats.entry(shard).or_default();
-        st.live += 1;
-        st.admitted += 1;
-        self.stats.admitted += 1;
-        self.tracer.emit(now, Event::EdgeAdmit { shard });
-        self.conns[slot] = Some(Backend {
-            // The route of the one CID issued so far was bound above.
+        let slot = self.backends.insert(Backend {
+            // The route of the one CID issued so far is bound below.
             cid_epoch: conn.cid_epoch(),
             stream_epoch: conn.streams().epoch(),
             conn,
@@ -789,46 +818,27 @@ impl Pop {
             client_scid: scid,
             streams: Vec::new(),
         });
+        self.router.bind(cid, slot);
+        self.client_map.insert(scid, slot);
+        self.peak_live = self.peak_live.max(self.backends.len());
+        let st = self.shard_stats.entry(shard).or_default();
+        st.live += 1;
+        st.admitted += 1;
+        self.stats.admitted += 1;
+        self.tracer.emit(now, Event::EdgeAdmit { shard });
         self.forward(now, slot, payload);
     }
 
-    /// Hand a datagram to a backend, serve any completed requests, and
-    /// sync CID issuance/retirement into the router.
+    /// Hand a datagram to a backend, which serves any completed requests,
+    /// and sync CID issuance/retirement into the router.
     fn forward(&mut self, now: Instant, slot: usize, payload: &mut [u8]) {
         let _prof = prof::span!("edge/forward");
-        let Some(b) = self.conns[slot].as_mut() else { return };
-        b.conn.handle_datagram_in_place(now, 0, payload);
-        // Serve the PoP's toy origin protocol: a 16-byte little-endian
-        // `[offset | length]` request on a stream is answered with bytes
-        // `offset..offset + length` of the synthetic payload at phase 0
-        // (`xlink_lab::payload`, an absolute-position pattern) plus FIN,
-        // generated by the stream as it sends them — byte-identical regardless
-        // of which shard serves it, and resumable at any verified offset
-        // after a crash reconnect (the zero-byte-loss check). Every walk
-        // reads the streams empty, so there is nothing to find until the
-        // next stream frame arrives.
-        if b.stream_epoch != b.conn.streams().epoch() {
-            b.stream_epoch = b.conn.streams().epoch();
-            for id in b.conn.streams().readable_ids() {
-                let st = request_of(&mut b.streams, id);
-                let data = b.conn.stream_consume(id, usize::MAX);
-                if st.answered {
-                    continue;
-                }
-                st.buf.extend_from_slice(data);
-                if st.buf.len() >= 16 {
-                    let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
-                    let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
-                        .min(MAX_RESPONSE_BYTES);
-                    st.answered = true;
-                    st.buf = Vec::new();
-                    let len = off.saturating_add(n) - off;
-                    b.conn.streams_mut().write_with(id, len, true, 0, off);
-                }
-            }
+        if !self.backends.deliver(now, slot, 0, payload) {
+            return;
         }
         // The router mirrors the connection's CID set, which moves only
         // when the client retires a CID (and is issued a spare).
+        let b = self.backends.get_mut(slot).expect("delivered to");
         if b.cid_epoch != b.conn.cid_epoch() {
             b.cid_epoch = b.conn.cid_epoch();
             for cid in b.conn.local_cids() {
@@ -838,47 +848,36 @@ impl Pop {
                 self.router.unbind(&cid);
             }
         }
-        self.touched(slot);
+        self.reap(slot);
     }
 
-    /// The backend in `slot` just took an input (a datagram, a fired
-    /// timer, an application write, a migration CID): it may have
-    /// something to send and its timer may have moved — or it has drained
-    /// and is torn down.
-    fn touched(&mut self, slot: usize) {
-        let Some(b) = self.conns[slot].as_ref() else { return };
-        if b.conn.is_drained() {
-            let b = self.conns[slot].take().expect("checked above");
-            self.vacate(slot, &b);
-            if let Some(s) = self.shard_stats.get_mut(&b.shard) {
-                s.live = s.live.saturating_sub(1);
-            }
-        } else {
-            self.wake.mark_ready(slot);
-            self.wake.set_deadline(slot, b.conn.poll_timeout());
+    /// The backend in `slot` just took an input: tear it down if it has
+    /// drained.
+    fn reap(&mut self, slot: usize) {
+        if self.backends.get(slot).is_some_and(|b| b.conn.is_drained()) {
+            self.vacate(slot);
         }
     }
 
-    /// Free everything that pointed at the backend `b` just taken out of
-    /// `slot`: routes, wake-ups, the slot itself.
-    fn vacate(&mut self, slot: usize, b: &Backend) {
+    /// Take the backend out of `slot` and free everything that pointed at
+    /// it: routes, wake-ups, the slot itself, its place on its shard.
+    fn vacate(&mut self, slot: usize) {
+        let b = self.backends.remove(slot).expect("a backend to vacate");
         self.router.unbind_slot(slot);
         self.client_map.remove(&b.client_scid);
-        self.wake.remove(slot);
-        self.free.insert(slot);
-        self.live -= 1;
+        if let Some(s) = self.shard_stats.get_mut(&b.shard) {
+            s.live = s.live.saturating_sub(1);
+        }
     }
 }
 
 impl Endpoint for Pop {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         // A backend opens a datagram where it lies: this one is copied into
-        // room the PoP keeps for it.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(payload);
-        self.on_datagram_in_place(now, path, &mut scratch);
-        self.scratch = scratch;
+        // room the host keeps for it.
+        let mut room = self.backends.room_with(payload);
+        self.on_datagram_in_place(now, path, &mut room);
+        self.backends.restore_room(room);
     }
 
     fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
@@ -920,42 +919,16 @@ impl Endpoint for Pop {
         if let Some((path, payload)) = self.pending.pop_front() {
             return Some(Transmit { path, payload });
         }
-        // Round-robin over the backends that took an input since they
-        // last said they had nothing to send; that answer holds until
-        // the next input, so the others are not asked.
-        let n = self.conns.len();
-        while let Some(slot) = self.wake.next_ready(self.rr) {
-            let _prof = prof::span!("edge/transmit");
-            let b = self.conns[slot].as_mut().expect("a ready slot holds a backend");
-            self.conn_polls += 1;
-            match b.conn.poll_transmit(now) {
-                Some(payload) => {
-                    // Sending arms the loss timers.
-                    self.wake.set_deadline(slot, b.conn.poll_timeout());
-                    self.rr = (slot + 1) % n;
-                    return Some(Transmit { path: b.addr, payload });
-                }
-                None => {
-                    // Quiet until its next input: a backend whose exchanges
-                    // are all finished gives back what it held for them.
-                    b.conn.release_idle();
-                    self.wake.sleep(slot);
-                }
-            }
-        }
-        None
+        self.backends.poll_transmit(now)
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        self.wake.next_deadline()
+        self.backends.next_deadline()
     }
 
     fn on_timeout(&mut self, now: Instant) {
-        for slot in self.wake.due(now) {
-            let b = self.conns[slot].as_mut().expect("a filed deadline belongs to a backend");
-            b.conn.on_timeout(now);
-            self.timer_fires += 1;
-            self.touched(slot);
+        for slot in self.backends.fire_due(now) {
+            self.reap(slot);
         }
     }
 
@@ -1112,7 +1085,7 @@ mod tests {
         assert_eq!(body.len(), 30_000);
         assert!(xlink_lab::payload::matches(0, 0, &body));
         let state =
-            p.conns[p.client_map[&scid]].as_ref().expect("a live backend").conn.bounded_state();
+            p.backends.get(p.client_map[&scid]).expect("a live backend").conn.bounded_state();
         assert_eq!(state.buffered_send_bytes, 0);
         assert!(state.within_caps());
     }

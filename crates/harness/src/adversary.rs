@@ -635,16 +635,16 @@ impl EdgeAttackKind {
     }
 }
 
-/// A scripted PoP flooder. Unlike [`QuicAttacker`] it is not a netsim
-/// endpoint itself — `crate::pop::PopFleet` hosts it on a dedicated
-/// address next to the honest sessions, calling [`next_datagram`] /
-/// [`on_datagram`] on its behalf.
-///
-/// [`next_datagram`]: EdgeAttacker::next_datagram
-/// [`on_datagram`]: EdgeAttacker::on_datagram
+/// A scripted PoP flooder: a netsim [`Endpoint`] with no timers that
+/// sends from its own address. `crate::pop::PopFleet` hosts it as one
+/// member beside the honest sessions, in the slot after the last one, and
+/// asks it for datagrams from the start and after each datagram reaching
+/// it, until it has none.
 pub struct EdgeAttacker {
     kind: EdgeAttackKind,
     seed: u64,
+    /// The world path it sends from.
+    addr: usize,
     budget: u64,
     emitted: u64,
     probe_sent: bool,
@@ -654,11 +654,13 @@ pub struct EdgeAttacker {
 }
 
 impl EdgeAttacker {
-    /// Build a flooder that will emit `budget` attack datagrams.
-    pub fn new(kind: EdgeAttackKind, seed: u64, budget: u64) -> Self {
+    /// Build a flooder that will emit `budget` attack datagrams from the
+    /// world path `addr`.
+    pub fn new(kind: EdgeAttackKind, seed: u64, budget: u64, addr: usize) -> Self {
         EdgeAttacker {
             kind,
             seed,
+            addr,
             budget,
             emitted: 0,
             probe_sent: false,
@@ -693,20 +695,8 @@ impl EdgeAttacker {
         dg
     }
 
-    /// Ingest a datagram the PoP sent to the attacker's address
-    /// (token capture for the replay script).
-    pub fn on_datagram(&mut self, payload: &[u8]) {
-        let Ok((header, _)) = HeaderRef::decode(payload) else { return };
-        if header.ty == PacketType::Retry {
-            self.retries_seen += 1;
-            if self.kind == EdgeAttackKind::TokenReplay && self.token.is_none() {
-                self.token = Some(header.token.to_vec());
-            }
-        }
-    }
-
-    /// Produce the next attack datagram, if the script has one ready.
-    pub fn next_datagram(&mut self) -> Option<Vec<u8>> {
+    /// The next attack datagram, if the script has one ready.
+    fn next_datagram(&mut self) -> Option<Vec<u8>> {
         match self.kind {
             EdgeAttackKind::InitialFlood => {
                 if self.emitted >= self.budget {
@@ -748,6 +738,34 @@ impl EdgeAttacker {
                 Some(dg)
             }
         }
+    }
+}
+
+impl Endpoint for EdgeAttacker {
+    /// A datagram the PoP sent to the attacker's address: a Retry's token
+    /// is captured for the replay script.
+    fn on_datagram(&mut self, _now: Instant, _path: usize, payload: &[u8]) {
+        let Ok((header, _)) = HeaderRef::decode(payload) else { return };
+        if header.ty == PacketType::Retry {
+            self.retries_seen += 1;
+            if self.kind == EdgeAttackKind::TokenReplay && self.token.is_none() {
+                self.token = Some(header.token.to_vec());
+            }
+        }
+    }
+
+    fn poll_transmit(&mut self, _now: Instant) -> Option<Transmit> {
+        self.next_datagram().map(|payload| Transmit { path: self.addr, payload })
+    }
+
+    fn poll_timeout(&self) -> Option<Instant> {
+        None
+    }
+
+    fn on_timeout(&mut self, _now: Instant) {}
+
+    fn is_done(&self) -> bool {
+        self.exhausted()
     }
 }
 

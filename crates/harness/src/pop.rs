@@ -15,7 +15,8 @@
 //!
 //! A session lives on its own timers: the fleet's timer wakes it at its
 //! start time, and once it is done its connection's timers leave the
-//! fleet's deadline index, so only a datagram reaching it makes it act.
+//! fleet's deadline index ([`xlink_netsim::Host`]), so only a datagram
+//! reaching it makes it act.
 //!
 //! ## Crash recovery
 //!
@@ -36,7 +37,7 @@ use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
 use xlink_edge::{Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
 use xlink_lab::payload;
-use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit, Wakeups, World};
+use xlink_netsim::{Endpoint, Host, LinkConfig, Path, Transmit, World};
 use xlink_obs::{prof, Event, TraceLog, Tracer};
 use xlink_quic::cid::ConnectionId;
 use xlink_quic::connection::{Config, Connection};
@@ -144,13 +145,15 @@ pub struct PopReport {
     pub recovery_times: Vec<Duration>,
     /// Virtual time when the run ended.
     pub end: Duration,
-    /// Calls into `Connection::poll_transmit` from both endpoints. This
-    /// and `timer_fires` are exact counts of what the runner did, not
-    /// simulated results (kept last so a rendering of the results can stop
-    /// before them): per PoP datagram they must not grow with the
-    /// population.
+    /// Calls into a member's `poll_transmit` by either endpoint's [`Host`],
+    /// one per ready member asked: a session, the attacker and a PoP
+    /// backend count alike, and a debug build's check of a sleeping member
+    /// does not count. This and `timer_fires` are exact counts of what the
+    /// runner did, not simulated results (kept last so a rendering of the
+    /// results can stop before them): per PoP datagram they must not grow
+    /// with the population.
     pub conn_polls: u64,
-    /// Calls into `Connection::on_timeout` from both endpoints.
+    /// Calls into a member's `on_timeout` by either endpoint's [`Host`].
     pub timer_fires: u64,
 }
 
@@ -228,8 +231,6 @@ struct Session {
     pending_resume: Option<(Instant, u32)>,
     /// (death-noticed, resumed-established) per successful reconnect.
     recoveries: Vec<(Instant, Instant)>,
-    /// [`Session::is_done`] as last counted into [`PopFleet::live`].
-    counted_done: bool,
     tracer: Tracer,
 }
 
@@ -261,7 +262,6 @@ impl Session {
             detects: Vec::new(),
             pending_resume: None,
             recoveries: Vec::new(),
-            counted_done: false,
             tracer,
         }
     }
@@ -296,158 +296,196 @@ impl Session {
         }
     }
 
-    fn is_done(&self) -> bool {
-        self.done_at.is_some() || self.gave_up || (self.conn.is_closed() && self.exhausted())
-    }
-
     fn exhausted(&self) -> bool {
         self.attempts >= MAX_RECONNECTS
+    }
+
+    /// If the connection died, record the detection and — if the object is
+    /// unfinished and budget remains — replace it with a fresh incarnation
+    /// that re-runs admission and resumes at the verified offset. Returns
+    /// the replaced connection's CID.
+    fn reconnect_if_closed(&mut self, now: Instant) -> Option<ConnectionId> {
+        if self.done_at.is_some() || self.gave_up || !self.conn.is_closed() {
+            return None;
+        }
+        self.detects.push(now);
+        if self.conn.close_error() == Some(&ConnectionError::Reset) {
+            self.resets_seen += 1;
+        }
+        if self.received >= self.want {
+            // All bytes were already verified; nothing to resume.
+            return None;
+        }
+        if self.exhausted() {
+            self.gave_up = true;
+            return None;
+        }
+        self.attempts += 1;
+        let config = client_config(self.seed_base, self.salt, self.idle_timeout, self.attempts);
+        let mut conn = Connection::new(config, now);
+        conn.set_tracer(self.tracer.clone());
+        self.pending_resume = Some((now, self.attempts));
+        self.stream = None;
+        Some(std::mem::replace(&mut self.conn, conn).local_cid())
+    }
+}
+
+/// A member of the client fleet's [`Host`]: an honest session, or the
+/// attacker.
+// Every slot but one is a session: the one attacker is boxed, and a slot
+// is no wider than a session (`a_fleet_slot_is_no_wider_than_a_session`).
+#[allow(clippy::large_enum_variant)]
+enum Client {
+    Session(Session),
+    Attacker(Box<EdgeAttacker>),
+}
+
+impl Endpoint for Client {
+    fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
+        self.on_datagram_in_place(now, path, &mut payload.to_vec());
+    }
+
+    fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
+        match self {
+            Client::Session(s) => {
+                s.conn.handle_datagram_in_place(now, 0, payload);
+                s.absorb(now);
+            }
+            Client::Attacker(a) => a.on_datagram(now, path, payload),
+        }
+    }
+
+    fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
+        let _prof = prof::span!("harness/pop_client_send");
+        match self {
+            // Quiet before its start: the fleet's start timer is its first input.
+            Client::Session(s) if now < s.start => None,
+            Client::Session(s) => {
+                s.conn.poll_transmit(now).map(|payload| Transmit { path: s.addr, payload })
+            }
+            Client::Attacker(a) => a.poll_transmit(now),
+        }
+    }
+
+    fn poll_timeout(&self) -> Option<Instant> {
+        match self {
+            Client::Session(s) => s.conn.poll_timeout(),
+            Client::Attacker(_) => None,
+        }
+    }
+
+    fn on_timeout(&mut self, now: Instant) {
+        if let Client::Session(s) = self {
+            s.conn.on_timeout(now);
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        match self {
+            Client::Session(s) => {
+                s.done_at.is_some() || s.gave_up || (s.conn.is_closed() && s.exhausted())
+            }
+            Client::Attacker(a) => a.exhausted(),
+        }
     }
 }
 
 /// The client-side endpoint: every honest session plus the optional
 /// attacker, demuxed by client CID (sessions) or address (attacker).
 ///
-/// Slot `i` is session `i`; the attacker, when there is one, is slot
-/// `sessions.len()` — its place in the round-robin transmit order.
+/// Slot `i` is session `i`; the attacker, when there is one, is the slot
+/// after the last session — its place in the round-robin transmit order.
 pub struct PopFleet {
-    sessions: Vec<Session>,
+    clients: Host<Client>,
     by_cid: BTreeMap<ConnectionId, usize>,
     /// Sessions sharing each client address, ascending: who a stateless
     /// reset arriving there is offered to.
     by_addr: Vec<Vec<usize>>,
-    attacker: Option<EdgeAttacker>,
+    /// The attacker's slot.
+    attacker: Option<usize>,
     /// The attacker's dedicated world path.
     attack_addr: usize,
-    rr: usize,
-    /// Which slots may have something to send, and the timers of the
-    /// sessions that are not done: a done session's connection stays
-    /// quiet until a datagram reaches it.
-    wake: Wakeups,
     /// Sessions before this one have started; this one's start is the
     /// fleet's start timer (starts ascend with the slot).
     next_start: usize,
-    /// Sessions that are not done.
-    live: usize,
-    /// Calls into a session's `Connection::poll_transmit`.
-    conn_polls: u64,
-    /// Calls into a session's `Connection::on_timeout`.
-    timer_fires: u64,
-    /// Room a datagram lent by reference is copied into to be opened.
-    scratch: Vec<u8>,
 }
 
 impl PopFleet {
     /// Sessions spread over `addrs` client addresses; the attacker, if
-    /// any, sends from the address after them.
-    fn new(sessions: Vec<Session>, addrs: usize, attacker: Option<EdgeAttacker>) -> Self {
+    /// any, sends from the address after them. The sessions go straight
+    /// into their slots, never all held twice.
+    fn new(
+        sessions: impl ExactSizeIterator<Item = Session>,
+        addrs: usize,
+        attacker: Option<EdgeAttacker>,
+    ) -> Self {
         let mut fleet = PopFleet {
+            clients: Host::with_capacity(sessions.len() + usize::from(attacker.is_some())),
             by_cid: BTreeMap::new(),
             by_addr: vec![Vec::new(); addrs],
-            attacker,
+            attacker: None,
             attack_addr: addrs,
-            rr: 0,
-            wake: Wakeups::default(),
             next_start: 0,
-            live: sessions.len(),
-            conn_polls: 0,
-            timer_fires: 0,
-            scratch: Vec::new(),
-            sessions,
         };
-        for slot in 0..fleet.sessions.len() {
-            let s = &fleet.sessions[slot];
-            let prev = fleet.by_cid.insert(s.conn.local_cid(), slot);
+        for s in sessions {
+            let (cid, addr) = (s.conn.local_cid(), s.addr);
+            let slot = fleet.clients.insert(Client::Session(s));
+            let prev = fleet.by_cid.insert(cid, slot);
             debug_assert!(prev.is_none(), "client CID collision");
-            fleet.by_addr[s.addr].push(slot);
-            fleet.refile(slot);
+            fleet.by_addr[addr].push(slot);
         }
-        if fleet.attacker.is_some() {
-            fleet.wake.mark_ready(fleet.sessions.len());
+        if let Some(a) = attacker {
+            let slot = fleet.clients.insert(Client::Attacker(Box::new(a)));
+            fleet.clients.touch(slot);
+            fleet.attacker = Some(slot);
         }
         fleet
     }
 
-    /// A session's connection died. Record the detection, and — if the
-    /// object is unfinished and budget remains — replace the connection
-    /// with a fresh incarnation that re-runs admission and resumes the
-    /// download at the verified offset.
-    fn note_closed(&mut self, now: Instant, slot: usize) {
-        let old_cid;
-        {
-            let s = &mut self.sessions[slot];
-            if s.done_at.is_some() || s.gave_up || !s.conn.is_closed() {
-                return;
-            }
-            s.detects.push(now);
-            if s.conn.close_error() == Some(&ConnectionError::Reset) {
-                s.resets_seen += 1;
-            }
-            if s.received >= s.want {
-                // All bytes were already verified; nothing to resume.
-                return;
-            }
-            if s.exhausted() {
-                s.gave_up = true;
-                return;
-            }
-            s.attempts += 1;
-            old_cid = s.conn.local_cid();
-            let config = client_config(s.seed_base, s.salt, s.idle_timeout, s.attempts);
-            let mut conn = Connection::new(config, now);
-            conn.set_tracer(s.tracer.clone());
-            s.pending_resume = Some((now, s.attempts));
-            s.stream = None;
-            s.conn = conn;
+    /// Session `slot`, if that slot holds one.
+    fn session(&self, slot: usize) -> Option<&Session> {
+        match self.clients.get(slot)? {
+            Client::Session(s) => Some(s),
+            Client::Attacker(_) => None,
         }
-        self.by_cid.remove(&old_cid);
-        let new_cid = self.sessions[slot].conn.local_cid();
-        let prev = self.by_cid.insert(new_cid, slot);
-        debug_assert!(prev.is_none(), "reconnect CID collision");
     }
 
-    /// File session `slot`'s timer, none once it is done, and keep the
-    /// count of live sessions. Call after anything that can move either:
-    /// an input, a send (which arms loss timers), a reconnect.
-    fn refile(&mut self, slot: usize) {
-        let s = &mut self.sessions[slot];
-        let done = s.is_done();
-        if done != s.counted_done {
-            s.counted_done = done;
-            if done {
-                self.live -= 1;
-            } else {
-                self.live += 1;
-            }
-        }
-        self.wake.set_deadline(slot, if done { None } else { s.conn.poll_timeout() });
+    /// Every session, in slot order.
+    fn sessions(&self) -> impl Iterator<Item = &Session> {
+        self.clients.members().filter_map(|(slot, _)| self.session(slot))
     }
 
-    /// Session `slot` took an input (a datagram, a fired timer, a fresh
-    /// incarnation): it may have something to send.
-    fn touched(&mut self, slot: usize) {
-        self.wake.mark_ready(slot);
-        self.refile(slot);
+    /// Session `slot` took an input. If its connection died, record the
+    /// detection, and — if the object is unfinished and budget remains —
+    /// replace the connection with a fresh incarnation that re-runs
+    /// admission and resumes the download at the verified offset. Once a
+    /// connection is up, ask for the object.
+    fn settle(&mut self, now: Instant, slot: usize) {
+        let Some(Client::Session(s)) = self.clients.get_mut(slot) else { return };
+        if let Some(old_cid) = s.reconnect_if_closed(now) {
+            self.by_cid.remove(&old_cid);
+            let prev = self.by_cid.insert(s.conn.local_cid(), slot);
+            debug_assert!(prev.is_none(), "reconnect CID collision");
+        }
+        s.drive(now);
+        self.clients.touch(slot);
     }
 }
 
 impl Endpoint for PopFleet {
     fn on_datagram(&mut self, now: Instant, path: usize, payload: &[u8]) {
         // A session opens a datagram where it lies: this one is copied into
-        // room the fleet keeps for it.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(payload);
-        self.on_datagram_in_place(now, path, &mut scratch);
-        self.scratch = scratch;
+        // room the host keeps for it.
+        let mut room = self.clients.room_with(payload);
+        self.on_datagram_in_place(now, path, &mut room);
+        self.clients.restore_room(room);
     }
 
     fn on_datagram_in_place(&mut self, now: Instant, path: usize, payload: &mut [u8]) {
         let _prof = prof::span!("harness/pop_client");
         if path == self.attack_addr {
-            if let Some(a) = self.attacker.as_mut() {
-                a.on_datagram(payload);
-                self.wake.mark_ready(self.sessions.len());
+            if let Some(slot) = self.attacker {
+                self.clients.deliver(now, slot, path, payload);
             }
             return;
         }
@@ -455,12 +493,12 @@ impl Endpoint for PopFleet {
         // the DCID — including Retries.
         let Ok((header, _)) = HeaderRef::decode(payload) else { return };
         if let Some(&i) = self.by_cid.get(&header.dcid) {
-            let s = &mut self.sessions[i];
-            s.conn.handle_datagram_in_place(now, 0, payload);
-            s.absorb(now);
-            self.note_closed(now, i);
-            self.sessions[i].drive(now);
-            self.touched(i);
+            // Handed the datagram here, not through `Host::deliver`, so that
+            // the session is re-filed once, after `settle`.
+            if let Some(client) = self.clients.get_mut(i) {
+                client.on_datagram_in_place(now, path, payload);
+            }
+            self.settle(now, i);
             return;
         }
         // No session owns that CID. A §10.3 stateless reset is built to
@@ -468,72 +506,40 @@ impl Endpoint for PopFleet {
         // real client stack, offer it to the sessions sharing the
         // arrival address; only a token-oracle match kills anything.
         if reset::plausible_reset(payload) {
+            let clients = &mut self.clients;
             let hit = self.by_addr.get(path).into_iter().flatten().copied().find(|&i| {
-                let s = &mut self.sessions[i];
+                let Some(Client::Session(s)) = clients.get_mut(i) else { return false };
                 !s.conn.is_closed() && now >= s.start && s.conn.probe_stateless_reset(now, payload)
             });
             if let Some(i) = hit {
-                self.note_closed(now, i);
-                self.touched(i);
+                self.settle(now, i);
             }
         }
     }
 
     fn poll_transmit(&mut self, now: Instant) -> Option<Transmit> {
-        let slots = self.sessions.len() + usize::from(self.attacker.is_some());
-        // Round-robin over the slots that took an input since they last
-        // had nothing to send; the others would still say so.
-        while let Some(slot) = self.wake.next_ready(self.rr) {
-            let _prof = prof::span!("harness/pop_client_send");
-            let sent = match self.sessions.get_mut(slot) {
-                Some(s) => {
-                    self.conn_polls += 1;
-                    s.conn.poll_transmit(now).map(|d| Transmit { path: s.addr, payload: d })
-                }
-                // The slot after the sessions is the attacker's.
-                None => {
-                    let datagram = self.attacker.as_mut().and_then(|a| a.next_datagram());
-                    datagram.map(|d| Transmit { path: self.attack_addr, payload: d })
-                }
-            };
-            if sent.is_some() {
-                // Sending arms a connection's loss timers.
-                if slot < self.sessions.len() {
-                    self.refile(slot);
-                }
-                self.rr = (slot + 1) % slots;
-                return sent;
-            }
-            self.wake.sleep(slot);
-        }
-        None
+        self.clients.poll_transmit(now)
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        let start = self.sessions.get(self.next_start).map(|s| s.start);
-        [self.wake.next_deadline(), start].into_iter().flatten().min()
+        let start = self.session(self.next_start).map(|s| s.start);
+        [self.clients.next_deadline(), start].into_iter().flatten().min()
     }
 
     fn on_timeout(&mut self, now: Instant) {
         // A session begins at its start time: from then on it may send.
-        while self.sessions.get(self.next_start).is_some_and(|s| s.start <= now) {
-            self.wake.mark_ready(self.next_start);
+        while self.session(self.next_start).is_some_and(|s| s.start <= now) {
+            self.clients.touch(self.next_start);
             self.next_start += 1;
         }
-        let due = self.wake.due(now);
-        for &slot in &due {
-            self.sessions[slot].conn.on_timeout(now);
-            self.timer_fires += 1;
-        }
         // Idle-timeout deaths surface here, not on a datagram.
-        for slot in due {
-            self.note_closed(now, slot);
-            self.touched(slot);
+        for slot in self.clients.fire_due(now) {
+            self.settle(now, slot);
         }
     }
 
     fn is_done(&self) -> bool {
-        self.live == 0 && self.attacker.as_ref().is_none_or(EdgeAttacker::exhausted)
+        self.clients.all_done()
     }
 }
 
@@ -585,13 +591,12 @@ fn simulate(
     if let Some(log) = log {
         pop.set_tracer(log.tracer("edge.pop"));
     }
-    let sessions = (0..cfg.users)
-        .map(|i| {
-            let tracer = log.map_or_else(Tracer::disabled, |log| log.tracer(&format!("client{i}")));
-            Session::new(cfg, i, tracer)
-        })
-        .collect();
-    let attacker = cfg.attack.map(|(kind, budget)| EdgeAttacker::new(kind, cfg.seed, budget));
+    let sessions = (0..cfg.users).map(|i| {
+        let tracer = log.map_or_else(Tracer::disabled, |log| log.tracer(&format!("client{i}")));
+        Session::new(cfg, i, tracer)
+    });
+    let attacker =
+        cfg.attack.map(|(kind, budget)| EdgeAttacker::new(kind, cfg.seed, budget, cfg.addrs));
     let fleet = PopFleet::new(sessions, cfg.addrs, attacker);
     let n_paths = cfg.addrs + usize::from(cfg.attack.is_some());
     let paths = (0..n_paths)
@@ -649,13 +654,13 @@ fn report(
     let zero = Instant::ZERO;
     let pop = &world.server;
     let fleet = &world.client;
-    let completed = fleet.sessions.iter().filter(|s| s.done_at.is_some() && s.ok).count();
+    let completed = fleet.sessions().filter(|s| s.done_at.is_some() && s.ok).count();
     // Attribute each detection to the most recent scripted crash before
     // it (detections with no preceding crash — e.g. a stray close — are
     // not part of the differential metric).
     let mut detect_times = Vec::new();
     let mut recovery_times = Vec::new();
-    for s in &fleet.sessions {
+    for s in fleet.sessions() {
         for &d in &s.detects {
             if let Some(&c) = crash_times.iter().rev().find(|&&c| c <= d) {
                 detect_times.push(d.saturating_duration_since(c));
@@ -668,24 +673,24 @@ fn report(
     PopReport {
         users: cfg.users,
         completed,
-        bytes_ok: fleet.sessions.iter().all(|s| s.ok),
+        bytes_ok: fleet.sessions().all(|s| s.ok),
         stats: pop.stats().clone(),
         bounded: pop.bounded_state(),
         amp_ok: pop.amp_ok(),
         shard_stats: pop.shard_stats().clone(),
-        attacker_retries_seen: fleet.attacker.as_ref().map_or(0, |a| a.retries_seen),
-        resets_detected: fleet.sessions.iter().map(|s| u64::from(s.resets_seen)).sum(),
-        reconnects: fleet.sessions.iter().map(|s| u64::from(s.attempts)).sum(),
-        resumed: fleet
-            .sessions
-            .iter()
-            .filter(|s| s.attempts > 0 && s.done_at.is_some() && s.ok)
-            .count() as u64,
+        attacker_retries_seen: fleet.clients.members().fold(0, |seen, (_, c)| match c {
+            Client::Attacker(a) => seen + a.retries_seen,
+            Client::Session(_) => seen,
+        }),
+        resets_detected: fleet.sessions().map(|s| u64::from(s.resets_seen)).sum(),
+        reconnects: fleet.sessions().map(|s| u64::from(s.attempts)).sum(),
+        resumed: fleet.sessions().filter(|s| s.attempts > 0 && s.done_at.is_some() && s.ok).count()
+            as u64,
         detect_times,
         recovery_times,
         end: end.saturating_duration_since(zero),
-        conn_polls: fleet.conn_polls + pop.conn_polls(),
-        timer_fires: fleet.timer_fires + pop.timer_fires(),
+        conn_polls: fleet.clients.conn_polls() + pop.conn_polls(),
+        timer_fires: fleet.clients.timer_fires() + pop.timer_fires(),
     }
 }
 
@@ -750,6 +755,13 @@ mod tests {
         }
     }
 
+    /// The fleet's slots hold sessions and one boxed attacker, and the
+    /// vacancy and the variant live in a session's unused bit patterns.
+    #[test]
+    fn a_fleet_slot_is_no_wider_than_a_session() {
+        assert_eq!(std::mem::size_of::<Option<Client>>(), std::mem::size_of::<Session>());
+    }
+
     /// A session whose start falls in a quiet stretch starts on time: its
     /// start is the fleet's timer.
     #[test]
@@ -795,7 +807,7 @@ mod tests {
         let ((held, done), _) = prof::with_recording(|| {
             let before = prof::live_bytes();
             let (world, _, _) = simulate(&cfg, None);
-            let done = world.client.sessions.iter().filter(|s| s.done_at.is_some()).count();
+            let done = world.client.sessions().filter(|s| s.done_at.is_some()).count();
             (prof::live_bytes() - before, done)
         });
         assert_eq!(done, cfg.users);

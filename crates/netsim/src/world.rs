@@ -116,6 +116,9 @@ fn trace_link_state(tracer: Option<&Tracer>, now: Instant, state: LinkState) {
 /// budget over minutes.
 const MAX_ROUNDS_PER_INSTANT: u64 = 1_000_000;
 
+/// Rounds in one [`World::run_until`] before the run is declared runaway.
+const MAX_ITERATIONS: u64 = 50_000_000;
+
 /// The simulation world.
 pub struct World<C: Endpoint, S: Endpoint> {
     /// Client endpoint.
@@ -131,8 +134,6 @@ pub struct World<C: Endpoint, S: Endpoint> {
     /// Per-path tracers for scripted link-state changes (index-aligned
     /// with `paths`; empty when tracing is off).
     path_tracers: Vec<Tracer>,
-    /// Safety valve for runaway loops.
-    max_iterations: u64,
     /// The client, then the server, may have something to send: set by
     /// an input and on entry to [`World::run_until`], cleared by a `None`.
     ready: [bool; 2],
@@ -148,7 +149,6 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
             now: Instant::ZERO,
             flaps: Vec::new(),
             path_tracers: Vec::new(),
-            max_iterations: 50_000_000,
             ready: [true; 2],
         }
     }
@@ -291,8 +291,8 @@ impl<C: Endpoint, S: Endpoint> World<C, S> {
         let mut rounds_here = 0u64;
         loop {
             iterations += 1;
-            if iterations > self.max_iterations {
-                panic!("simulation exceeded {} iterations", self.max_iterations);
+            if iterations > MAX_ITERATIONS {
+                panic!("simulation exceeded {MAX_ITERATIONS} iterations");
             }
             let activity = self.round();
             if self.client.is_done() && self.server.is_done() {

@@ -926,9 +926,15 @@ mod tests {
         /// Every other frame in flight in offset order, from the first or
         /// (`true`) the second, was acknowledged.
         AckEveryOther(bool),
-        /// The first frame in flight that carries the FIN was
-        /// acknowledged, whatever data is still out.
-        AckFin,
+        /// The first frame in flight that carries the FIN, or (`true`) the
+        /// last, was acknowledged, whatever data is still out. The last may
+        /// be a copy of the first.
+        AckFin(bool),
+        /// The first frame in flight that carries the FIN was lost: after
+        /// another FIN frame was acknowledged, the FIN is not sent again.
+        LoseFin,
+        /// Copy the first frame in flight that carries the FIN.
+        CopyFin,
         /// The `i`th frame in flight was lost.
         Lose(usize),
         /// Copy the `i`th frame in flight (re-injection).
@@ -966,7 +972,9 @@ mod tests {
             6 => Op::InFlight(a % 300_000),
             7 => Op::Take(513 + a as usize % 300, 1 + b as usize % 4),
             8 => Op::AckEveryOther(a % 2 == 1),
-            _ => Op::AckFin,
+            9 => Op::AckFin(a % 2 == 1),
+            10 => Op::LoseFin,
+            _ => Op::CopyFin,
         };
         // With `tracked` (bit 0 of `shape`), the owner knows every frame in
         // flight, as the re-injection index does, and copies frames (a lost
@@ -974,7 +982,7 @@ mod tests {
         // keeps the body under 2 000 bytes, so the FIN goes out, and is
         // acknowledged, while data is still in flight.
         let layout = (0u64..64, 0u64..250_000, 0u64..3, 0u8..4);
-        let ops = vec_of((0u8..10, 0u64..1 << 20, 1u64..4_000), 0..80);
+        let ops = vec_of((0u8..12, 0u64..1 << 20, 1u64..4_000), 0..80);
         check("prop_the_stream_hands_out_the_bytes_written", (layout, ops), |v| {
             let &((head, body, tail, shape), ref ops) = v;
             let body = if shape >= 2 { body % 2_000 } else { body };
@@ -1002,8 +1010,12 @@ mod tests {
             };
             let frames_from = |frames: &[(SendRange, bool, bool)]| tracked.then(|| framed(frames));
             for op in ops.iter().copied().map(op) {
+                let mut fins = frames.iter().enumerate().filter(|(_, f)| f.1).map(|(i, _)| i);
                 let op = match op {
-                    Op::AckFin => frames.iter().position(|&(_, fin, _)| fin).map_or(op, Op::Ack),
+                    Op::AckFin(false) => fins.next().map_or(op, Op::Ack),
+                    Op::AckFin(true) => fins.next_back().map_or(op, Op::Ack),
+                    Op::LoseFin => fins.next().map_or(op, Op::Lose),
+                    Op::CopyFin => fins.next().map_or(op, Op::Copy),
                     _ => op,
                 };
                 let mut released = false;
