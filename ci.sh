@@ -117,6 +117,8 @@ step "failover robustness sweep (8 seeds, release)" \
 step "adversary suite (8 seeds)" \
     env XLINK_SWEEP_SEEDS=8 cargo test -q --offline --test adversary
 
+# The drains and crash-restarts of the edge steps are the PoP's own fault
+# script (`PopConfig::faults`), which it applies on its timer.
 step "edge tier: 1k-user PoP floods, drain + crash-restart sweep, 8 seeds (release)" \
     env XLINK_SWEEP_SEEDS=8 XLINK_POP_USERS=1000 cargo test -q --offline --release --test edge
 
@@ -124,7 +126,7 @@ step "edge tier at scale: one 5000-user crash-restart run (wall time linear in u
     env XLINK_SWEEP_SEEDS=1 XLINK_POP_USERS=5000 cargo test -q --offline --release --test edge \
     mid_video_crash_sweep_resumes_with_zero_byte_loss
 
-step "fleet engine: 10k concurrent sessions, bit-identical across shard counts (release)" \
+step "fleet engine: 10k concurrent sessions, bit-identical across shard counts and profiler off vs record (release)" \
     env XLINK_FLEET_SESSIONS=10000 cargo test -q --offline --release --test fleet
 
 # The perf ledger. The committed files stay as .prev for perfgate; the

@@ -13,12 +13,11 @@
 //! - [`token`]: stateless Retry tokens — address-bound, expiring,
 //!   HMAC-shaped — so admission control needs no per-client state.
 //! - [`pop`]: the [`pop::Pop`] netsim endpoint tying it together:
-//!   admission, anti-amplification, bounded tables, graceful
-//!   [`pop::Pop::drain_shard`], crash faults
-//!   ([`pop::Pop::crash_shard`] / [`pop::Pop::restart_shard`] with
-//!   RFC 9000 §10.3 stateless resets for the orphaned clients), and
-//!   per-shard metrics, emitting `edge_admit` / `edge_reject` /
-//!   `shard_drain` / `conn_migrated` / `shard_crash` /
+//!   admission, anti-amplification, bounded tables, a shard-fault script
+//!   it applies on its own timer ([`pop::ShardFault`]: graceful drain,
+//!   crash, and restart with RFC 9000 §10.3 stateless resets for the
+//!   orphaned clients), and per-shard metrics, emitting `edge_admit` /
+//!   `edge_reject` / `shard_drain` / `conn_migrated` / `shard_crash` /
 //!   `stateless_reset` trace events.
 //!
 //! The invariants this crate exists to uphold (exercised in
@@ -39,6 +38,6 @@ pub mod pop;
 pub mod router;
 pub mod token;
 
-pub use pop::{reject, Pop, PopBoundedState, PopConfig, PopStats, ShardOutcome, ShardStats};
+pub use pop::{reject, Pop, PopBoundedState, PopConfig, PopStats, ShardFault, ShardStats};
 pub use router::{classify, Classified, EdgeRouter};
 pub use token::{mint, verify, TokenError, TOKEN_LEN};

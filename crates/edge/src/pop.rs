@@ -19,14 +19,18 @@
 //!   replay entries, and address accounts are all hard-capped; floods
 //!   hit the caps, not the allocator. [`Pop::bounded_state`] exposes
 //!   the gauges.
-//! - **Graceful drain** ([`Pop::drain_shard`]): live connections on a
+//!
+//! Shard faults are data: [`PopConfig::faults`] scripts them, and the PoP
+//! applies each at its instant, on its own timer, like any other input.
+//!
+//! - **Graceful drain** ([`ShardFault::Drain`]): live connections on a
 //!   draining shard are steered to survivors with NEW_CONNECTION_ID +
 //!   Retire Prior To; clients migrate mid-stream with zero stream-byte
 //!   loss, and the old routes disappear when the client's
 //!   RETIRE_CONNECTION_ID lands.
-//! - **Crash-fault tier** ([`Pop::crash_shard`]): a shard can die with
+//! - **Crash-fault tier** ([`ShardFault::Crash`]): a shard can die with
 //!   no drain window — its conn/demux/replay state is destroyed
-//!   atomically. After [`Pop::restart_shard`] the shard answers the
+//!   atomically. After [`ShardFault::Restart`] the shard answers the
 //!   orphaned clients' short-header datagrams with RFC 9000 §10.3
 //!   stateless resets minted from the pre-restart epoch secret, so
 //!   clients fail over to reconnection instead of idling out.
@@ -98,6 +102,23 @@ pub struct PopConfig {
     /// (§10.3). Off = the PTO/idle-exhaustion baseline the crash
     /// experiments compare against.
     pub stateless_reset: bool,
+    /// Shard faults at their virtual times, applied in time order and, at
+    /// one instant, in list order. Each must name one of `shards`.
+    pub faults: Vec<(Duration, ShardFault)>,
+}
+
+/// A scripted fault of one shard ([`PopConfig::faults`]). A fault that
+/// finds its shard in the wrong state (draining an inactive shard,
+/// restarting a live one) does nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardFault {
+    /// Stop placing on the shard and steer its live connections to
+    /// survivors.
+    Drain(ServerId),
+    /// Destroy the shard's state with no drain window.
+    Crash(ServerId),
+    /// Bring a crashed shard back under a fresh reset-secret epoch.
+    Restart(ServerId),
 }
 
 impl Default for PopConfig {
@@ -108,6 +129,7 @@ impl Default for PopConfig {
             seed: 1,
             max_conns: 2048,
             stateless_reset: true,
+            faults: Vec::new(),
         }
     }
 }
@@ -165,34 +187,6 @@ pub struct ShardStats {
     /// for pre-crash CIDs stay derivable (`epoch - 1`) while the new
     /// incarnation issues under a disjoint secret.
     pub epoch: u64,
-}
-
-/// Typed outcome of a shard lifecycle action ([`Pop::drain_shard`],
-/// [`Pop::crash_shard`], [`Pop::restart_shard`]). Acting on a shard in
-/// the wrong state is reported, never silently misrouted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardOutcome {
-    /// Drain applied: this many live connections were steered away.
-    Drained {
-        /// Connections migrated to surviving shards.
-        migrated: u32,
-    },
-    /// Crash applied: this many live connections were destroyed.
-    Crashed {
-        /// Connections destroyed with the shard.
-        conns: u32,
-    },
-    /// Restart applied: the shard rejoined placement under this epoch.
-    Restarted {
-        /// The shard's new reset-secret epoch.
-        epoch: u64,
-    },
-    /// The shard id is not part of this PoP.
-    UnknownShard,
-    /// The shard was already draining or crashed; nothing was done.
-    AlreadyInactive,
-    /// Restart of a shard that is not crashed; nothing was done.
-    NotCrashed,
 }
 
 /// Snapshot of every capped PoP resource, in the same spirit as the
@@ -392,12 +386,20 @@ pub struct Pop {
     shard_stats: BTreeMap<ServerId, ShardStats>,
     stats: PopStats,
     tracer: Tracer,
+    /// The scripted faults before this one have been applied.
+    next_fault: usize,
 }
 
 impl Pop {
-    /// Build a PoP over the configured shard set.
-    pub fn new(cfg: PopConfig) -> Self {
+    /// Build a PoP over the configured shard set. Panics on an empty
+    /// shard set and on a fault that names a shard outside it.
+    pub fn new(mut cfg: PopConfig) -> Self {
         assert!(!cfg.shards.is_empty(), "a PoP needs at least one shard");
+        for (at, fault) in &cfg.faults {
+            let (ShardFault::Drain(s) | ShardFault::Crash(s) | ShardFault::Restart(s)) = fault;
+            assert!(cfg.shards.contains(s), "{fault:?} at {at:?}: no such shard");
+        }
+        cfg.faults.sort_by_key(|&(at, _)| at);
         let router = EdgeRouter::new(&cfg.shards);
         let shard_stats = cfg.shards.iter().map(|&s| (s, ShardStats::default())).collect();
         Pop {
@@ -415,6 +417,7 @@ impl Pop {
             shard_stats,
             stats: PopStats::default(),
             tracer: Tracer::disabled(),
+            next_fault: 0,
             cfg,
         }
     }
@@ -493,16 +496,14 @@ impl Pop {
     /// live connection to a surviving shard via NEW_CONNECTION_ID with
     /// Retire Prior To. The old CIDs stay routable until each client's
     /// RETIRE_CONNECTION_ID lands, so in-flight packets never black-hole.
-    ///
-    /// Idempotent: draining an already-inactive (draining or crashed)
-    /// shard is a typed no-op, never a double-migration.
-    pub fn drain_shard(&mut self, now: Instant, shard: ServerId) -> ShardOutcome {
-        let Some(st) = self.shard_stats.get(&shard) else { return ShardOutcome::UnknownShard };
+    /// An inactive (draining or crashed) shard is left as it is.
+    fn drain_shard(&mut self, now: Instant, shard: ServerId) {
+        let st = self.shard_stats.get_mut(&shard).expect("a scripted shard");
         if st.draining || st.crashed {
-            return ShardOutcome::AlreadyInactive;
+            return;
         }
+        st.draining = true;
         self.router.deactivate_shard(shard);
-        self.shard_stats.get_mut(&shard).expect("checked above").draining = true;
         let slots: Vec<usize> = self
             .backends
             .members()
@@ -510,7 +511,6 @@ impl Pop {
             .map(|(i, _)| i)
             .collect();
         self.tracer.emit(now, Event::ShardDrain { shard, conns: slots.len() as u32 });
-        let mut migrated = 0u32;
         for slot in slots {
             // No survivors → nothing to steer to; the shard must finish
             // its sessions before going away.
@@ -542,10 +542,8 @@ impl Pop {
                 s.migrated_in += 1;
             }
             self.stats.migrations += 1;
-            migrated += 1;
             self.tracer.emit(now, Event::ConnMigrated { from_shard: from, to_shard: target });
         }
-        ShardOutcome::Drained { migrated }
     }
 
     /// Crash a shard: destroy every backend connection, demux route, and
@@ -553,11 +551,11 @@ impl Pop {
     /// window** — no CONNECTION_CLOSE, no migration CIDs, nothing is
     /// flushed. This is the process-kill fault the crash experiments
     /// inject; recovery is entirely the clients' problem (stateless
-    /// resets after [`Pop::restart_shard`], then reconnection).
-    pub fn crash_shard(&mut self, now: Instant, shard: ServerId) -> ShardOutcome {
-        let Some(st) = self.shard_stats.get(&shard) else { return ShardOutcome::UnknownShard };
-        if st.crashed {
-            return ShardOutcome::AlreadyInactive;
+    /// resets once the shard restarts, then reconnection). A crashed
+    /// shard is left as it is.
+    fn crash_shard(&mut self, now: Instant, shard: ServerId) {
+        if self.shard_stats.get(&shard).expect("a scripted shard").crashed {
+            return;
         }
         self.router.deactivate_shard(shard);
         let slots: Vec<usize> =
@@ -565,7 +563,6 @@ impl Pop {
         for &slot in &slots {
             self.vacate(slot);
         }
-        let destroyed = slots.len() as u32;
         // The crashed shard's slice of the spent-token ledger dies with
         // it: its orphans' tokens become re-spendable (same SCID → same
         // placement → same shard), while every other shard's entries
@@ -573,24 +570,23 @@ impl Pop {
         self.replay_seen.retain(|_, &mut s| s != shard);
         let seen = &self.replay_seen;
         self.replay_order.retain(|k| seen.contains_key(k));
-        let st = self.shard_stats.get_mut(&shard).expect("checked above");
+        let st = self.shard_stats.get_mut(&shard).expect("a scripted shard");
         st.crashed = true;
         st.draining = false;
         st.live = 0;
         self.stats.shard_crashes += 1;
-        self.tracer.emit(now, Event::ShardCrash { shard, conns: destroyed });
-        ShardOutcome::Crashed { conns: destroyed }
+        self.tracer.emit(now, Event::ShardCrash { shard, conns: slots.len() as u32 });
     }
 
     /// Restart a crashed shard: it rejoins placement under a bumped
     /// reset-secret epoch. From this point the shard answers short
     /// headers bearing its pre-crash CIDs with stateless resets minted
     /// under the *previous* epoch's secret — exactly the tokens the
-    /// orphaned clients hold.
-    pub fn restart_shard(&mut self, now: Instant, shard: ServerId) -> ShardOutcome {
-        let Some(st) = self.shard_stats.get_mut(&shard) else { return ShardOutcome::UnknownShard };
+    /// orphaned clients hold. A shard that is not crashed is left as it is.
+    fn restart_shard(&mut self, now: Instant, shard: ServerId) {
+        let st = self.shard_stats.get_mut(&shard).expect("a scripted shard");
         if !st.crashed {
-            return ShardOutcome::NotCrashed;
+            return;
         }
         st.crashed = false;
         st.draining = false;
@@ -598,19 +594,6 @@ impl Pop {
         let epoch = st.epoch;
         self.router.activate_shard(shard);
         self.tracer.emit(now, Event::ShardRestart { shard, epoch });
-        ShardOutcome::Restarted { epoch }
-    }
-
-    /// Crash-restart in one step: the kill-and-respawn fault where the
-    /// process dies and supervision brings it straight back. Returns the
-    /// crash outcome (connections destroyed); the restart epoch is
-    /// visible in [`Pop::shard_stats`].
-    pub fn crash_restart_shard(&mut self, now: Instant, shard: ServerId) -> ShardOutcome {
-        let crashed = self.crash_shard(now, shard);
-        if matches!(crashed, ShardOutcome::Crashed { .. }) {
-            self.restart_shard(now, shard);
-        }
-        crashed
     }
 
     /// Answer an unroutable short-header datagram with a stateless reset
@@ -923,12 +906,25 @@ impl Endpoint for Pop {
     }
 
     fn poll_timeout(&self) -> Option<Instant> {
-        self.backends.next_deadline()
+        let fault = self.cfg.faults.get(self.next_fault).map(|&(at, _)| Instant::ZERO + at);
+        [self.backends.next_deadline(), fault].into_iter().flatten().min()
     }
 
     fn on_timeout(&mut self, now: Instant) {
         for slot in self.backends.fire_due(now) {
             self.reap(slot);
+        }
+        // The faults due land after the backends' own timers.
+        while let Some(&(at, fault)) = self.cfg.faults.get(self.next_fault) {
+            if Instant::ZERO + at > now {
+                break;
+            }
+            self.next_fault += 1;
+            match fault {
+                ShardFault::Drain(shard) => self.drain_shard(now, shard),
+                ShardFault::Crash(shard) => self.crash_shard(now, shard),
+                ShardFault::Restart(shard) => self.restart_shard(now, shard),
+            }
         }
     }
 
@@ -941,6 +937,7 @@ impl Endpoint for Pop {
 mod tests {
     use super::*;
     use xlink_core::lb::server_id;
+    use xlink_obs::TraceLog;
     use xlink_quic::packet::HeaderRef;
 
     /// A toy-origin request: `len` bytes starting at `offset`.
@@ -969,7 +966,28 @@ mod tests {
     }
 
     fn pop(admission: bool, shards: &[ServerId]) -> Pop {
-        Pop::new(PopConfig { shards: shards.to_vec(), admission, ..PopConfig::default() })
+        scripted(admission, shards, Vec::new())
+    }
+
+    fn scripted(admission: bool, shards: &[ServerId], faults: Vec<(Duration, ShardFault)>) -> Pop {
+        Pop::new(PopConfig { shards: shards.to_vec(), admission, faults, ..PopConfig::default() })
+    }
+
+    /// What a shard fault can change: the PoP's counters and every shard's
+    /// state.
+    fn counters(p: &Pop) -> String {
+        format!("{:?} {:?}", p.stats(), p.shard_stats())
+    }
+
+    /// The shard-lifecycle events `log` recorded: (time, event).
+    fn shard_events(log: &TraceLog) -> Vec<(Instant, Event)> {
+        let lifecycle = |e: &Event| {
+            matches!(
+                e,
+                Event::ShardDrain { .. } | Event::ShardCrash { .. } | Event::ShardRestart { .. }
+            )
+        };
+        log.events().into_iter().filter(|e| lifecycle(&e.body)).map(|e| (e.time, e.body)).collect()
     }
 
     /// Drive one client against the PoP until quiescent or `rounds` out.
@@ -1128,7 +1146,7 @@ mod tests {
 
     #[test]
     fn drain_steers_live_conns_to_survivors() {
-        let mut p = pop(false, &[1, 2]);
+        let mut p = scripted(false, &[1, 2], vec![(Duration::from_secs(1), ShardFault::Drain(1))]);
         let mut a = Connection::new(Config::client(0x111), Instant::from_millis(1));
         let mut b = Connection::new(Config::client(0x222), Instant::from_millis(1));
         let (sa, sb) = (a.local_cid(), b.local_cid());
@@ -1137,12 +1155,18 @@ mod tests {
         assert!(a.is_established() && b.is_established());
         let (ha, hb) = (p.shard_of(&sa).unwrap(), p.shard_of(&sb).unwrap());
 
-        // Drain shard 1: every conn on it must move to shard 2.
+        // The scripted drain of shard 1: every conn on it must move to
+        // shard 2.
         let moved = [(sa, ha), (sb, hb)].iter().filter(|(_, h)| *h == 1).count() as u64;
-        assert_eq!(p.drain_shard(now, 1), ShardOutcome::Drained { migrated: moved as u32 });
-        assert_eq!(p.drain_shard(now, 1), ShardOutcome::AlreadyInactive, "drain is idempotent");
-        assert_eq!(p.drain_shard(now, 99), ShardOutcome::UnknownShard);
+        assert!(now < Instant::from_secs(1));
+        now = Instant::from_secs(1);
+        Endpoint::on_timeout(&mut p, now);
         assert_eq!(p.stats().migrations, moved);
+        assert_eq!(p.shard_stats()[&1].migrated_out, moved);
+        // Draining it again is no double migration.
+        let drained = counters(&p);
+        p.drain_shard(now, 1);
+        assert_eq!(counters(&p), drained, "drain is idempotent");
         pump(&mut now, &mut [(0, &mut a), (1, &mut b)], &mut p, 100);
         assert_eq!(p.shard_of(&sa), Some(if ha == 1 { 2 } else { ha }));
         assert_eq!(p.shard_of(&sb), Some(if hb == 1 { 2 } else { hb }));
@@ -1207,19 +1231,28 @@ mod tests {
 
     #[test]
     fn crash_destroys_state_and_restart_answers_with_resets() {
-        let mut p = pop(false, &[1]);
+        let faults = vec![
+            (Duration::from_secs(1), ShardFault::Crash(1)),
+            (Duration::from_secs(2), ShardFault::Restart(1)),
+        ];
+        let mut p = scripted(false, &[1], faults);
         let mut c = Connection::new(Config::client(0x71), Instant::from_millis(1));
         let mut now = Instant::from_millis(1);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
         assert!(c.is_established());
 
         // Crash: all state gone atomically, no drain, no close frames.
-        assert_eq!(p.crash_shard(now, 1), ShardOutcome::Crashed { conns: 1 });
+        assert!(now < Instant::from_secs(1));
+        now = Instant::from_secs(1);
+        Endpoint::on_timeout(&mut p, now);
+        assert_eq!((p.stats().shard_crashes, p.shard_stats()[&1].live), (1, 0));
         assert_eq!(p.bounded_state().conns, 0);
         assert_eq!(p.bounded_state().demux, 0);
-        assert_eq!(p.crash_shard(now, 1), ShardOutcome::AlreadyInactive, "crash is idempotent");
-        assert_eq!(p.drain_shard(now, 1), ShardOutcome::AlreadyInactive, "no draining the dead");
-        assert_eq!(p.crash_shard(now, 99), ShardOutcome::UnknownShard);
+        let crashed = counters(&p);
+        p.crash_shard(now, 1);
+        assert_eq!(counters(&p), crashed, "crash is idempotent");
+        p.drain_shard(now, 1);
+        assert_eq!(counters(&p), crashed, "no draining the dead");
 
         // While the shard is down it is silent: the client's datagrams
         // fall on the floor (that is what PTO exhaustion would measure).
@@ -1231,8 +1264,12 @@ mod tests {
 
         // Restart: epoch bumps, and the next orphaned short header gets
         // a stateless reset minted under the pre-crash epoch's secret.
-        assert_eq!(p.restart_shard(now, 1), ShardOutcome::Restarted { epoch: 1 });
-        assert_eq!(p.restart_shard(now, 1), ShardOutcome::NotCrashed, "restart needs a crash");
+        now = Instant::from_secs(2);
+        Endpoint::on_timeout(&mut p, now);
+        assert!(!p.shard_stats()[&1].crashed && p.shard_stats()[&1].epoch == 1);
+        let restarted = counters(&p);
+        p.restart_shard(now, 1);
+        assert_eq!(counters(&p), restarted, "restart needs a crash");
         let d2 = c.poll_transmit(now).unwrap_or(d);
         p.on_datagram(now, 0, &d2);
         let t = Endpoint::poll_transmit(&mut p, now).expect("stateless reset queued");
@@ -1246,8 +1283,10 @@ mod tests {
 
     #[test]
     fn crash_clears_only_the_dead_shards_replay_slice() {
-        let mut p = pop(true, &[1]);
         let now = Instant::from_millis(1);
+        let at = now.saturating_duration_since(Instant::ZERO);
+        let mut p =
+            scripted(true, &[1], vec![(at, ShardFault::Crash(1)), (at, ShardFault::Restart(1))]);
         // Earn a token the usual way.
         let mut a = Connection::new(Config::client(0xa1), now);
         let hello = a.poll_transmit(now).expect("hello");
@@ -1266,10 +1305,69 @@ mod tests {
         assert_eq!(p.stats().rejected(reject::REPLAYED_TOKEN), 1);
         // Crash-restart the admitting shard: its ledger slice died with
         // it, so the orphan's token is legitimately re-spendable.
-        assert!(matches!(p.crash_restart_shard(now, 1), ShardOutcome::Crashed { conns: 1 }));
-        assert_eq!(p.shard_stats()[&1].epoch, 1);
+        Endpoint::on_timeout(&mut p, now);
+        assert_eq!((p.stats().shard_crashes, p.shard_stats()[&1].epoch), (1, 1));
         let mut e = Connection::new(Config::client(0xe1), now);
         p.on_datagram(now, 0, &splice(&mut e));
         assert_eq!(p.stats().admitted, 2, "post-crash re-spend is a reconnection, not a replay");
+    }
+
+    #[test]
+    #[should_panic(expected = "no such shard")]
+    fn a_fault_naming_an_unknown_shard_panics() {
+        scripted(true, &[1, 2], vec![(Duration::from_millis(5), ShardFault::Drain(3))]);
+    }
+
+    /// The PoP's timer is due at a scripted crash, and the crash lands
+    /// there: its event carries the scripted instant, off the grid of the
+    /// client's clock included.
+    #[test]
+    fn a_scripted_crash_lands_at_its_instant() {
+        let at = Duration::from_micros(301_500);
+        let mut p = scripted(false, &[1], vec![(at, ShardFault::Crash(1))]);
+        let log = TraceLog::recording();
+        p.set_tracer(log.tracer("pop"));
+        let mut c = Connection::new(Config::client(0x31), Instant::from_millis(1));
+        let mut now = Instant::from_millis(1);
+        pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
+        assert!(c.is_established() && now < Instant::ZERO + at);
+        while let Some(t) = Endpoint::poll_timeout(&p).filter(|&t| t <= Instant::ZERO + at) {
+            Endpoint::on_timeout(&mut p, t);
+            while Endpoint::poll_transmit(&mut p, t).is_some() {}
+        }
+        let crash = Event::ShardCrash { shard: 1, conns: 1 };
+        assert_eq!(shard_events(&log), vec![(Instant::ZERO + at, crash)]);
+    }
+
+    /// Faults at one instant apply in the order the script lists them: a
+    /// restart before its crash finds nothing to restart. The script is
+    /// taken in time order, and a fault waits for its own instant.
+    #[test]
+    fn faults_at_one_instant_apply_in_script_order() {
+        let at = Duration::from_millis(40);
+        let later = (at + Duration::from_millis(1), ShardFault::Drain(2));
+        let same = [
+            (at, ShardFault::Restart(1)),
+            (at, ShardFault::Crash(1)),
+            (at, ShardFault::Crash(2)),
+            (at, ShardFault::Restart(2)),
+        ];
+        let mut p = scripted(true, &[1, 2], [&[later][..], &same].concat());
+        let log = TraceLog::recording();
+        p.set_tracer(log.tracer("pop"));
+        assert_eq!(Endpoint::poll_timeout(&p), Some(Instant::ZERO + at));
+        Endpoint::on_timeout(&mut p, Instant::ZERO + at);
+        let t = Instant::ZERO + at;
+        assert_eq!(
+            shard_events(&log),
+            vec![
+                (t, Event::ShardCrash { shard: 1, conns: 0 }),
+                (t, Event::ShardCrash { shard: 2, conns: 0 }),
+                (t, Event::ShardRestart { shard: 2, epoch: 1 }),
+            ]
+        );
+        assert!(p.shard_stats()[&1].crashed && p.shard_stats()[&1].epoch == 0);
+        assert!(!p.shard_stats()[&2].crashed && p.shard_stats()[&2].epoch == 1);
+        assert_eq!(Endpoint::poll_timeout(&p), Some(Instant::ZERO + later.0));
     }
 }

@@ -11,12 +11,14 @@
 //!
 //! A [`CrashPlan`] is the edge-tier sibling: instead of links going
 //! dark, PoP *shards* die — state destroyed, no drain — and optionally
-//! come back. It scripts `Pop::crash_shard` / `Pop::restart_shard`
-//! calls for `run_pop` (see `harness::pop`).
+//! come back. It expands into the PoP's own fault script
+//! ([`CrashPlan::faults`]), which `run_pop` (see `harness::pop`) builds
+//! the PoP with.
 
 use crate::scenario::Scenario;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
+use xlink_edge::ShardFault;
 use xlink_lab::Rng;
 use xlink_netsim::{FlapSchedule, FlapStep, LinkConfig, LinkState, Path};
 use xlink_obs::TraceLog;
@@ -110,6 +112,14 @@ impl CrashPlan {
     /// is what the trace-invariance experiments script.
     pub fn total_outage(at: Duration, shards: &[ServerId], down: Duration) -> Self {
         CrashPlan { crashes: shards.iter().map(|&s| (at, s)).collect(), restart_after: Some(down) }
+    }
+
+    /// The plan as PoP faults: each crash, followed by its restart.
+    pub fn faults(&self) -> impl Iterator<Item = (Duration, ShardFault)> + '_ {
+        self.crashes.iter().flat_map(|&(at, shard)| {
+            let restart = self.restart_after.map(|down| (at + down, ShardFault::Restart(shard)));
+            [Some((at, ShardFault::Crash(shard))), restart].into_iter().flatten()
+        })
     }
 }
 
@@ -209,6 +219,30 @@ mod tests {
             vec![(Duration::from_millis(300), 1), (Duration::from_millis(300), 2)]
         );
         assert_eq!(total.restart_after, Some(Duration::from_millis(80)));
+        // As the PoP's script: each crash followed by its restart, which
+        // the PoP takes in time order, stably, so at one instant the
+        // shards go down, and later come back, in the plan's order.
+        let (down, up) = (Duration::from_millis(300), Duration::from_millis(380));
+        let script = [
+            (down, ShardFault::Crash(1)),
+            (up, ShardFault::Restart(1)),
+            (down, ShardFault::Crash(2)),
+            (up, ShardFault::Restart(2)),
+        ];
+        assert_eq!(total.faults().collect::<Vec<_>>(), script);
+        let mut pop = xlink_edge::Pop::new(xlink_edge::PopConfig {
+            shards: vec![1, 2],
+            faults: script.to_vec(),
+            ..xlink_edge::PopConfig::default()
+        });
+        use xlink_netsim::Endpoint;
+        let states = |pop: &xlink_edge::Pop| {
+            pop.shard_stats().values().map(|s| (s.crashed, s.epoch)).collect::<Vec<_>>()
+        };
+        pop.on_timeout(Instant::ZERO + down);
+        assert_eq!(states(&pop), [(true, 0), (true, 0)]);
+        pop.on_timeout(Instant::ZERO + up);
+        assert_eq!(states(&pop), [(false, 1), (false, 1)]);
     }
 
     #[test]

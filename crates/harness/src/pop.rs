@@ -7,11 +7,11 @@
 //! (the synthetic [`xlink_lab::payload`] at phase 0, served by the PoP's
 //! toy origin), and verifies every byte, one slice compare per arrival —
 //! so the drain and crash experiments can assert *zero stream-byte
-//! loss*, not just "it finished". The runner supports mid-run shard drain
-//! ([`PopRunConfig::drain`]), scripted shard crashes
-//! ([`PopRunConfig::crash`]), and flood mixing
-//! ([`PopRunConfig::attack`]), and reports the PoP's bounded-state
-//! gauges alongside population completion.
+//! loss*, not just "it finished". A shard drain ([`PopRunConfig::drain`])
+//! and crashes ([`PopRunConfig::crash`]) become the PoP's fault script,
+//! which it applies on its own timer; an attack ([`PopRunConfig::attack`])
+//! mixes in a flood. The report holds the PoP's bounded-state gauges
+//! alongside population completion.
 //!
 //! A session lives on its own timers: the fleet's timer wakes it at its
 //! start time, and once it is done its connection's timers leave the
@@ -32,10 +32,11 @@
 
 use crate::adversary::{EdgeAttackKind, EdgeAttacker};
 use crate::chaos::CrashPlan;
+use crate::scenario::Scenario;
 use std::collections::BTreeMap;
 use xlink_clock::{Duration, Instant};
 use xlink_core::lb::ServerId;
-use xlink_edge::{Pop, PopBoundedState, PopConfig, PopStats, ShardStats};
+use xlink_edge::{Pop, PopBoundedState, PopConfig, PopStats, ShardFault, ShardStats};
 use xlink_lab::payload;
 use xlink_netsim::{Endpoint, Host, LinkConfig, Path, Transmit, World};
 use xlink_obs::{prof, Event, TraceLog, Tracer};
@@ -545,20 +546,13 @@ impl Endpoint for PopFleet {
 
 /// Run an honest fleet (plus optional attack) against a PoP.
 pub fn run_pop(cfg: &PopRunConfig) -> PopReport {
-    run_pop_full(cfg, None)
+    report(cfg, &simulate(cfg, None))
 }
 
 /// [`run_pop`] with tracing: PoP edge events under `edge.pop`, each
 /// session under `client<i>`, links under `netsim.*`.
 pub fn run_pop_traced(cfg: &PopRunConfig, log: &TraceLog) -> PopReport {
-    run_pop_full(cfg, Some(log))
-}
-
-/// A scheduled PoP fault.
-enum Fault {
-    Drain(ServerId),
-    Crash(ServerId),
-    Restart(ServerId),
+    report(cfg, &simulate(cfg, Some(log)))
 }
 
 /// Reconnection budget per session after its connection dies.
@@ -567,26 +561,19 @@ const MAX_RECONNECTS: u32 = 3;
 /// Per-path one-way delay.
 const LINK_DELAY: Duration = Duration::from_millis(10);
 
-fn run_pop_full(cfg: &PopRunConfig, log: Option<&TraceLog>) -> PopReport {
-    let (world, crash_times, end) = simulate(cfg, log);
-    report(cfg, &world, &crash_times, end)
-}
-
-/// Run the fleet against the PoP to the deadline, or until every session
-/// is done; returns the world as it stands then, the instants of the
-/// scripted crashes and the time the run ended.
-fn simulate(
-    cfg: &PopRunConfig,
-    log: Option<&TraceLog>,
-) -> (World<PopFleet, Pop>, Vec<Instant>, Instant) {
+/// Run the fleet against a PoP scripted with the run's drain and crashes,
+/// to the deadline or until every session is done; returns the world as it
+/// stands then.
+fn simulate(cfg: &PopRunConfig, log: Option<&TraceLog>) -> World<PopFleet, Pop> {
     assert!(cfg.addrs > 0 && !cfg.shards.is_empty());
-    let zero = Instant::ZERO;
+    let drain = cfg.drain.map(|(at, shard)| (at, ShardFault::Drain(shard)));
     let mut pop = Pop::new(PopConfig {
         shards: cfg.shards.clone(),
         admission: cfg.admission,
         seed: mix(cfg.seed, 0x0e09_0e09),
         max_conns: (cfg.users * 2).max(256),
         stateless_reset: cfg.stateless_reset,
+        faults: drain.into_iter().chain(cfg.crash.iter().flat_map(CrashPlan::faults)).collect(),
     });
     if let Some(log) = log {
         pop.set_tracer(log.tracer("edge.pop"));
@@ -602,62 +589,30 @@ fn simulate(
     let paths = (0..n_paths)
         .map(|_| Path::symmetric(LinkConfig::constant_rate(cfg.link_mbps, LINK_DELAY)))
         .collect();
-    let mut world = World::new(fleet, pop, paths);
-    if let Some(log) = log {
-        world.set_tracer(log);
+    let scenario = Scenario::new(paths, cfg.deadline);
+    match log {
+        Some(log) => scenario.traced(log).run(fleet, pop),
+        None => scenario.run(fleet, pop),
     }
-
-    // Time-ordered fault schedule: drains, crashes, and restarts run at
-    // their scripted virtual times (stable order on ties).
-    let mut faults: Vec<(Duration, Fault)> = Vec::new();
-    if let Some((at, shard)) = cfg.drain {
-        faults.push((at, Fault::Drain(shard)));
-    }
-    let mut crash_times: Vec<Instant> = Vec::new();
-    if let Some(plan) = &cfg.crash {
-        for &(at, shard) in &plan.crashes {
-            faults.push((at, Fault::Crash(shard)));
-            if let Some(down) = plan.restart_after {
-                faults.push((at + down, Fault::Restart(shard)));
-            }
-        }
-    }
-    faults.sort_by_key(|&(at, _)| at);
-    for (at, fault) in faults {
-        world.run_until(zero + at);
-        let now = world.now();
-        match fault {
-            Fault::Drain(shard) => {
-                world.server.drain_shard(now, shard);
-            }
-            Fault::Crash(shard) => {
-                world.server.crash_shard(now, shard);
-                crash_times.push(now);
-            }
-            Fault::Restart(shard) => {
-                world.server.restart_shard(now, shard);
-            }
-        }
-    }
-    let end = world.run_until(zero + cfg.deadline);
-    (world, crash_times, end)
 }
 
-/// What a run left in `world` by `end`, with its scripted crashes at
-/// `crash_times`.
-fn report(
-    cfg: &PopRunConfig,
-    world: &World<PopFleet, Pop>,
-    crash_times: &[Instant],
-    end: Instant,
-) -> PopReport {
+/// What a run left in `world`.
+fn report(cfg: &PopRunConfig, world: &World<PopFleet, Pop>) -> PopReport {
     let zero = Instant::ZERO;
     let pop = &world.server;
     let fleet = &world.client;
     let completed = fleet.sessions().filter(|s| s.done_at.is_some() && s.ok).count();
     // Attribute each detection to the most recent scripted crash before
     // it (detections with no preceding crash — e.g. a stray close — are
-    // not part of the differential metric).
+    // not part of the differential metric). The world visits every timer
+    // instant up to where it stopped, the PoP's faults included, so the
+    // crashes applied are the scripted ones up to `world.now()`.
+    let end = world.now().saturating_duration_since(zero);
+    let mut crash_times: Vec<Instant> = (cfg.crash.iter().flat_map(|plan| &plan.crashes))
+        .filter(|&&(at, _)| at <= end)
+        .map(|&(at, _)| zero + at)
+        .collect();
+    crash_times.sort();
     let mut detect_times = Vec::new();
     let mut recovery_times = Vec::new();
     for s in fleet.sessions() {
@@ -688,7 +643,7 @@ fn report(
             as u64,
         detect_times,
         recovery_times,
-        end: end.saturating_duration_since(zero),
+        end: world.now().saturating_duration_since(zero),
         conn_polls: fleet.clients.conn_polls() + pop.conn_polls(),
         timer_fires: fleet.clients.timer_fires() + pop.timer_fires(),
     }
@@ -806,7 +761,7 @@ mod tests {
         };
         let ((held, done), _) = prof::with_recording(|| {
             let before = prof::live_bytes();
-            let (world, _, _) = simulate(&cfg, None);
+            let world = simulate(&cfg, None);
             let done = world.client.sessions().filter(|s| s.done_at.is_some()).count();
             (prof::live_bytes() - before, done)
         });
@@ -815,19 +770,52 @@ mod tests {
         assert!(per_session <= 12 << 10, "{per_session} bytes held per finished session");
     }
 
+    /// A drain inside the downloads moves sessions that still have bytes
+    /// to come, and each finishes byte-exact on the survivor.
     #[test]
     fn mid_run_drain_loses_no_bytes() {
-        let cfg = PopRunConfig {
-            drain: Some((Duration::from_millis(300), 1)),
-            request_bytes: 200_000,
-            ..small()
-        };
-        let r = run_pop(&cfg);
+        let at = Duration::from_millis(100);
+        let cfg = PopRunConfig { drain: Some((at, 1)), request_bytes: 200_000, ..small() };
+        let world = simulate(&cfg, None);
+        let r = report(&cfg, &world);
         assert_eq!(r.completed, 12, "{r:?}");
         assert!(r.bytes_ok, "drain corrupted a stream: {r:?}");
         let drained = r.shard_stats[&1];
         assert!(drained.draining && drained.live == 0, "{drained:?}");
         assert_eq!(r.stats.migrations, drained.migrated_out);
+        // Admission placed these sessions on shard 1; the drain moved each.
+        let router = xlink_edge::EdgeRouter::new(&cfg.shards);
+        let moved: Vec<&Session> = (world.client.sessions())
+            .filter(|s| router.place(&s.conn.local_cid()) == Some(1))
+            .collect();
+        assert_eq!(moved.len() as u64, r.stats.migrations);
+        for s in &moved {
+            assert_eq!(world.server.shard_of(&s.conn.local_cid()), Some(2));
+            assert!(s.ok && s.received == cfg.request_bytes);
+        }
+        let mid_download =
+            moved.iter().filter(|s| s.done_at.is_some_and(|t| t > Instant::ZERO + at));
+        assert!(mid_download.count() > 0, "the drain moved no session mid-download: {r:?}");
+    }
+
+    /// A fault scripted after every session is done is never applied.
+    #[test]
+    fn a_fault_after_the_run_is_never_applied() {
+        let late = Duration::from_secs(5);
+        let cfg = PopRunConfig {
+            drain: Some((late, 1)),
+            crash: Some(CrashPlan::single(late, 2, None)),
+            ..small()
+        };
+        let log = TraceLog::recording();
+        let r = run_pop_traced(&cfg, &log);
+        assert_eq!(r.completed, 12, "{r:?}");
+        assert!(r.end < late, "{r:?}");
+        assert_eq!((r.stats.migrations, r.stats.shard_crashes), (0, 0), "{r:?}");
+        assert!(r.shard_stats.values().all(|s| !s.draining && !s.crashed), "{r:?}");
+        let lifecycle =
+            |e: &Event| matches!(e, Event::ShardDrain { .. } | Event::ShardCrash { .. });
+        assert!(!log.events().iter().any(|e| lifecycle(&e.body)), "a fault landed");
     }
 
     #[test]

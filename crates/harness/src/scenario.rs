@@ -2,13 +2,12 @@
 //! simulation: paths, scripted link faults, a deadline and an optional
 //! trace log, with one [`Scenario::run`] that builds, scripts, traces and
 //! drives the [`World`] ([`Scenario::run_sampled`] is the same run, looked
-//! at every so often: `tests::sampling_leaves_the_run_unchanged`). Bulk downloads (`bulk.rs`), video sessions
-//! (`video_session.rs`), the adversary runs (`adversary.rs`) and the
-//! sampling experiments (Fig. 1, 6, 10) are thin functions on top of it;
-//! chaos plans and the handover script (`chaos.rs`) only *build*
-//! scenarios. The one other builder of a `World` is `pop.rs`, which
-//! injects PoP faults (shard drain, crash, restart) into the server
-//! endpoint between two stretches of one run.
+//! at every so often: `tests::sampling_leaves_the_run_unchanged`). Bulk
+//! downloads (`bulk.rs`), video sessions (`video_session.rs`), the
+//! adversary runs (`adversary.rs`), the fleet-vs-PoP runs (`pop.rs`, whose
+//! PoP applies its own shard faults) and the sampling experiments (Fig. 1,
+//! 6, 10) are thin functions on top of it; chaos plans and the handover
+//! script (`chaos.rs`) only *build* scenarios.
 //!
 //! The rest of the module turns (technology, trace, quality) descriptions
 //! into simulator paths, including the cross-ISP delay inflation of

@@ -212,9 +212,7 @@ pub enum Event {
         /// Live connections on the shard at drain start.
         conns: u32,
     },
-    /// A connection migrated between shards (drain steering), or — at
-    /// the client — followed a retire-prior-to onto a fresh CID (both
-    /// shard ids are 0 in the client-side event).
+    /// The edge steered a connection from one shard to another (drain).
     ConnMigrated {
         /// Shard the connection left.
         from_shard: u16,
@@ -235,6 +233,15 @@ pub enum Event {
         shard: u16,
         /// The shard's new reset-secret epoch.
         epoch: u64,
+    },
+    /// The peer's Retire Prior To (say, a PoP draining the shard behind
+    /// it) retired a path's destination CID, and the path moved onto the
+    /// peer's lowest-sequence unused CID.
+    DcidSwitched {
+        /// Path whose destination CID changed.
+        path: u8,
+        /// Sequence number of the CID the path now uses.
+        seq: u64,
     },
     /// A stateless reset matched the token oracle (RFC 9000 §10.3): the
     /// peer has lost all state for this connection.
@@ -287,6 +294,7 @@ impl Event {
             | HandshakeSent { .. }
             | HandshakeComplete { .. }
             | ConnectionClosed { .. }
+            | DcidSwitched { .. }
             | StatelessReset { .. } => "transport",
             SchedulerDecision { .. }
             | Reinjection { .. }
@@ -342,6 +350,7 @@ impl Event {
             ConnMigrated { .. } => "conn_migrated",
             ShardCrash { .. } => "shard_crash",
             ShardRestart { .. } => "shard_restart",
+            DcidSwitched { .. } => "dcid_switched",
             StatelessReset { .. } => "stateless_reset",
             SessionResumed { .. } => "session_resumed",
             FirstFrame {} => "first_frame",
@@ -367,6 +376,7 @@ impl Event {
             | PathStatusChange { path, .. }
             | PathSuspected { path, .. }
             | PathRevalidated { path, .. }
+            | DcidSwitched { path, .. }
             | StatelessReset { path } => Some(*path),
             // A failover is attributed to the path traffic left.
             PathFailover { from, .. } => Some(*from),
@@ -470,6 +480,10 @@ impl Event {
             ShardRestart { shard, epoch } => {
                 w.field_u64("shard", u64::from(*shard));
                 w.field_u64("epoch", *epoch);
+            }
+            DcidSwitched { path, seq } => {
+                w.field_u64("path", u64::from(*path));
+                w.field_u64("seq", *seq);
             }
             StatelessReset { path } => w.field_u64("path", u64::from(*path)),
             SessionResumed { attempt, offset } => {

@@ -31,15 +31,11 @@
 //! It draws no randomness, arms no simulated timers, and never feeds a
 //! value back into transport or scheduler logic — so enabling it
 //! cannot change any simulation outcome. `tests/fleet.rs` enforces
-//! this with an off/noop/recording A/B bit-determinism gate at fleet
-//! scale.
+//! this with an off/recording A/B bit-determinism gate at fleet scale.
 //!
 //! ## Modes
 //!
 //! * [`Mode::Off`] (default): a span is one thread-local mode check.
-//! * [`Mode::Noop`]: the guard path runs (including a monotonic clock
-//!   read) but nothing is aggregated — the A/B middle rung proving the
-//!   instrumented path itself is side-effect free.
 //! * [`Mode::Record`]: full tree aggregation plus alloc accounting.
 //!
 //! ## Accounting caveats
@@ -222,9 +218,6 @@ pub enum Mode {
     /// Spans compile to a single mode check (the production default).
     #[default]
     Off,
-    /// The guard path runs (one monotonic clock read) but nothing is
-    /// recorded — the A/B determinism middle rung.
-    Noop,
     /// Full span-tree aggregation plus allocation accounting.
     Record,
 }
@@ -320,12 +313,6 @@ impl Drop for SpanGuard {
 pub fn span_interned(name: &'static str, cache: &AtomicU32) -> SpanGuard {
     PROF.with(|p| match p.mode.get() {
         Mode::Off => SpanGuard { active: false },
-        Mode::Noop => {
-            // Pay the clock read so the instrumented path is exercised,
-            // then drop the value: records nothing, perturbs nothing.
-            std::hint::black_box(WallInstant::now());
-            SpanGuard { active: false }
-        }
         Mode::Record => {
             pause_alloc_tracking();
             let id = intern_cached(name, cache);
@@ -713,18 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn noop_mode_records_nothing_but_runs() {
-        let _g = locked();
-        set_mode(Mode::Noop);
-        {
-            let _s = span!("test/noop");
-            spin(10);
-        }
-        assert!(take_report().rows.is_empty());
-        set_mode(Mode::Off);
-    }
-
-    #[test]
     fn record_builds_nested_tree() {
         let _g = locked();
         let ((), r) = with_recording(|| {
@@ -964,17 +939,14 @@ mod tests {
     #[test]
     fn workers_of_a_caller_that_does_not_record_record_nothing() {
         let _g = locked();
-        for caller in [Mode::Off, Mode::Noop] {
-            set_mode(caller);
-            let worker = worker_profile(mode(), || {
-                assert_ne!(mode(), Mode::Record);
-                handoff_work();
-            });
-            assert!(worker.nodes.is_empty() && worker.allocs == 0 && worker.alloc_bytes == 0);
-            graft(worker);
-            assert!(take_report().rows.is_empty());
-        }
         set_mode(Mode::Off);
+        let worker = worker_profile(mode(), || {
+            assert_ne!(mode(), Mode::Record);
+            handoff_work();
+        });
+        assert!(worker.nodes.is_empty() && worker.allocs == 0 && worker.alloc_bytes == 0);
+        graft(worker);
+        assert!(take_report().rows.is_empty());
         // Nor does a recording thread take anything from such a worker.
         let worker = worker_profile(Mode::Off, handoff_work);
         let ((), r) = with_recording(|| graft(worker));

@@ -1,7 +1,7 @@
 //! The trace buffer and the handles that feed it.
 //!
-//! A [`TraceLog`] owns one event buffer, which keeps every event or none,
-//! plus the table of interned source names. Components never see the
+//! A [`TraceLog`] owns one event buffer, which keeps every event, plus the
+//! table of interned source names. Components never see the
 //! log directly; they hold cheap cloneable [`Tracer`] handles
 //! ([`TraceLog::tracer`]) that stamp every event with the component's
 //! source id. A disabled tracer ([`Tracer::disabled`], the `Default`) is
@@ -16,8 +16,6 @@ use xlink_clock::Instant;
 
 struct LogInner {
     events: Vec<TraceEvent>,
-    /// False for a log that drops every event.
-    keep: bool,
     sources: Vec<String>,
 }
 
@@ -26,9 +24,7 @@ impl LogInner {
     /// every [`Tracer::emit`] site, the hot paths' included.
     #[inline(never)]
     fn record(&mut self, ev: TraceEvent) {
-        if self.keep {
-            self.events.push(ev);
-        }
+        self.events.push(ev);
     }
 }
 
@@ -51,21 +47,10 @@ impl std::fmt::Debug for TraceLog {
 }
 
 impl TraceLog {
-    /// Log that keeps every event (`keep`) or none.
-    fn new(keep: bool) -> Self {
-        let inner = LogInner { events: Vec::new(), keep, sources: Vec::new() };
-        TraceLog { inner: Rc::new(RefCell::new(inner)) }
-    }
-
     /// Log that records every event.
     pub fn recording() -> Self {
-        TraceLog::new(true)
-    }
-
-    /// Log that drops everything — for A/B determinism checks of the
-    /// enabled code path.
-    pub fn noop() -> Self {
-        TraceLog::new(false)
+        let inner = LogInner { events: Vec::new(), sources: Vec::new() };
+        TraceLog { inner: Rc::new(RefCell::new(inner)) }
     }
 
     fn intern(&self, name: &str) -> u16 {
@@ -204,14 +189,5 @@ mod tests {
         assert!(evs[0].time < evs[1].time);
         // Interning is stable: same name, same id.
         assert_eq!(log.tracer("client").state.unwrap().source, evs[0].source);
-    }
-
-    #[test]
-    fn noop_log_accepts_and_drops() {
-        let log = TraceLog::noop();
-        let t = log.tracer("t");
-        assert!(t.enabled());
-        t.emit(Instant::ZERO, Event::FirstFrame {});
-        assert!(log.is_empty());
     }
 }

@@ -800,10 +800,12 @@ impl Connection {
                 }
                 // A destination CID retired out from under a path (shard
                 // drain): migrate onto the lowest-sequence unused peer CID.
-                for p in self.paths.iter_mut().filter(|p| retired.contains(&p.dcid_seq)) {
+                let paths = self.paths.iter_mut().enumerate();
+                for (path, p) in paths.filter(|(_, p)| retired.contains(&p.dcid_seq)) {
                     if let Some(next) = self.cids.take_unused_remote() {
                         (p.dcid, p.dcid_seq) = (next.cid, next.seq);
-                        self.tracer.emit(now, Event::ConnMigrated { from_shard: 0, to_shard: 0 });
+                        let (path, seq) = (path as u8, next.seq);
+                        self.tracer.emit(now, Event::DcidSwitched { path, seq });
                     }
                 }
             }

@@ -78,11 +78,6 @@ impl RttEstimator {
         }
     }
 
-    /// True once at least one sample has been taken.
-    pub fn has_samples(&self) -> bool {
-        self.smoothed.is_some()
-    }
-
     /// Probe timeout per RFC 9002 §6.2.1: smoothed + max(4·var, 1ms) + max_ack_delay.
     pub fn pto(&self, max_ack_delay: Duration) -> Duration {
         self.smoothed() + (self.var * 4).max(Duration::from_millis(1)) + max_ack_delay
@@ -97,6 +92,13 @@ impl RttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RttEstimator {
+        /// True once at least one sample has been taken.
+        pub(crate) fn has_samples(&self) -> bool {
+            self.smoothed.is_some()
+        }
+    }
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)

@@ -52,15 +52,6 @@ impl Trace {
         self.opportunities_ms.period_ms()
     }
 
-    /// Average rate in Mbps over the whole trace.
-    pub fn mean_rate_mbps(&self) -> f64 {
-        let d = self.duration_ms();
-        if d == 0 {
-            return 0.0;
-        }
-        (self.opportunities_ms.len() as f64 * 1500.0 * 8.0) / (d as f64 / 1000.0) / 1e6
-    }
-
     /// Rate in Mbps within [start_ms, end_ms) of the trace as recorded
     /// (not looped: past its end the rate is zero).
     pub fn rate_mbps_between(&self, start_ms: u64, end_ms: u64) -> f64 {
@@ -87,6 +78,17 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// Average rate in Mbps over the whole trace.
+        pub(crate) fn mean_rate_mbps(&self) -> f64 {
+            let d = self.duration_ms();
+            if d == 0 {
+                return 0.0;
+            }
+            (self.opportunities_ms.len() as f64 * 1500.0 * 8.0) / (d as f64 / 1000.0) / 1e6
+        }
+    }
 
     fn trace(label: &str, ms: impl IntoIterator<Item = u64>) -> Trace {
         Trace::new(label, Opportunities::from_timestamps(ms))

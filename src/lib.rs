@@ -30,8 +30,8 @@
 //!   paper table/figure.
 //! * [`lab`] (`xlink-lab`) — deterministic lab tooling: seeded RNG,
 //!   property-testing harness, shared statistics.
-//! * [`obs`] (`xlink-obs`) — deterministic qlog-style event tracing and
-//!   the per-run metrics registry (see DESIGN.md §8).
+//! * [`obs`] (`xlink-obs`) — deterministic qlog-style event tracing, the
+//!   hot-path profiler and the perf ledger (see DESIGN.md §8, §12).
 //!
 //! ## Quickstart
 //!

@@ -21,7 +21,7 @@
 use xlink::clock::{Duration, Instant};
 use xlink::core::QoeSignal;
 use xlink::core::{MpConfig, MpConnection, Scheme, TransportTuning, WirelessTech};
-use xlink::edge::{Pop, PopConfig, ShardOutcome};
+use xlink::edge::{EdgeRouter, Pop, PopConfig, ShardFault};
 use xlink::harness::adversary::{AttackKind, QuicAttacker};
 use xlink::lab::prop::*;
 use xlink::netsim::Endpoint;
@@ -886,15 +886,22 @@ struct EdgeOutcome {
 }
 
 /// One client through `edge::Pop` (two shards, Retry admission): admitted
-/// by echoing the Retry token; 200 KB requested; at 60 ms its shard is
-/// drained (NEW_CONNECTION_ID + Retire Prior To) and it follows; once it has
-/// the body it goes quiet, only keep-alives flowing; 300 ms later its new
-/// shard is crash-restarted, and the next keep-alive is answered with a
-/// stateless reset.
+/// by echoing the Retry token; 200 KB requested; at 60 ms the PoP's script
+/// drains its shard (NEW_CONNECTION_ID + Retire Prior To) and it follows;
+/// once it has the body it goes quiet, only keep-alives flowing; 300 ms
+/// later (at 440 ms) the script crash-restarts its new shard, and the next
+/// keep-alive is answered with a stateless reset.
 fn through_the_pop<C: EdgeClient>() -> EdgeOutcome {
     const BYTES: u64 = 200_000;
     let mut client = C::edge_client(0x51);
-    let mut pop = Pop::new(PopConfig { shards: vec![1, 2], ..PopConfig::default() });
+    let first = EdgeRouter::new(&[1, 2]).place(&client.cids().0).expect("a shard");
+    let (second, ms) = (3 - first, Duration::from_millis);
+    let faults = vec![
+        (ms(60), ShardFault::Drain(first)),
+        (ms(440), ShardFault::Crash(second)),
+        (ms(440), ShardFault::Restart(second)),
+    ];
+    let mut pop = Pop::new(PopConfig { shards: vec![1, 2], faults, ..PopConfig::default() });
     let log = TraceLog::recording();
     client.trace(&log.tracer("client"));
     pop.set_tracer(log.tracer("pop"));
@@ -909,10 +916,10 @@ fn through_the_pop<C: EdgeClient>() -> EdgeOutcome {
         wire: Vec::new(),
         events: Vec::new(),
     };
-    let (mut stream, mut got, mut drained, mut crashed) = (None, 0u64, false, false);
+    let (mut stream, mut got) = (None, 0u64);
     let mut first_route = None;
     let mut link = Link::new(&mut client, &mut pop, clean);
-    link.run(Instant::ZERO + Duration::from_secs(5), |c, pop, now| {
+    link.run(Instant::ZERO + Duration::from_secs(5), |c, _, now| {
         if stream.is_none() && c.life().is_established() {
             out.established_at = Some(now);
             first_route = Some(c.cids().1);
@@ -930,19 +937,8 @@ fn through_the_pop<C: EdgeClient>() -> EdgeOutcome {
                 out.completed_at = Some(now);
             }
         }
-        let serving = pop.shard_of(&c.cids().0);
-        if !drained && now >= Instant::from_millis(60) {
-            drained = true;
-            let outcome = pop.drain_shard(now, serving.expect("admitted by now"));
-            assert_eq!(outcome, ShardOutcome::Drained { migrated: 1 });
-        }
         if out.migrated_at.is_none() && first_route.is_some_and(|cid| cid != c.cids().1) {
             out.migrated_at = Some(now);
-        }
-        if !crashed && out.completed_at.is_some_and(|t| now >= t + Duration::from_millis(300)) {
-            crashed = true;
-            let outcome = pop.crash_restart_shard(now, serving.expect("still served"));
-            assert_eq!(outcome, ShardOutcome::Crashed { conns: 1 });
         }
         out.closed_at = out.closed_at.or(c.life().is_closed().then_some(now));
         false
@@ -967,9 +963,19 @@ fn retry_drain_and_stateless_reset_through_the_pop() {
     assert_eq!(sp.migrated_at, at(80));
     assert!(sp.events.iter().any(|(t, source, e)| {
         (*t, &source[..]) == (Instant::from_millis(80), "client.quic")
-            && matches!(e, Event::ConnMigrated { .. })
+            && matches!(e, Event::DcidSwitched { path: 0, seq: 1 })
     }));
     assert_eq!(sp.completed_at, at(140));
+    // The PoP's script drains the client's shard at 60 ms and crashes the
+    // one it moved to at 440 ms: one connection each time.
+    let faults: Vec<_> = (sp.events.iter())
+        .filter_map(|(t, _, e)| match e {
+            Event::ShardDrain { conns, .. } => Some((Some(*t), "drain", *conns)),
+            Event::ShardCrash { conns, .. } => Some((Some(*t), "crash", *conns)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(faults, [(at(60), "drain", 1), (at(440), "crash", 1)]);
     // Row 14: keep-alives after every 250 ms of silence; the one at 390 ms
     // is answered, the shard crashes at 440 ms, the one at 660 ms draws the
     // stateless reset. Row 13: that kills the connection the instant it

@@ -60,16 +60,13 @@ fn traced_session() -> (TraceLog, SessionResult) {
     (log, r)
 }
 
-/// The A/B bit-determinism gate: a session with tracing disabled, with
-/// an attached-but-discarding sink, and with full recording must be
-/// bit-identical in every output.
+/// The A/B bit-determinism gate: a session with tracing disabled and
+/// with full recording must be bit-identical in every output.
 #[test]
 fn tracing_is_behaviourally_invisible_for_video_sessions() {
     let off = run_outage_session(None);
-    let noop = run_outage_session(Some(&TraceLog::noop()));
     let (log, rec) = traced_session();
     assert!(!log.is_empty(), "recording run must actually have captured events");
-    assert_eq!(summary(&off), summary(&noop), "noop sink changed behaviour");
     assert_eq!(summary(&off), summary(&rec), "recording sink changed behaviour");
 }
 
@@ -202,8 +199,8 @@ fn reinjection_events_match_byte_ledger() {
 
 /// Profiling composes with tracing without perturbing either: the full
 /// traced event stream (every event, byte for byte via qlog) and the
-/// session outcome are identical whether the profiler is off, in noop
-/// mode (timestamps taken, nothing recorded), or fully recording.
+/// session outcome are identical whether the profiler is off or fully
+/// recording.
 #[test]
 fn profiling_leaves_traced_event_stream_bit_identical() {
     use xlink::obs::prof;
@@ -216,17 +213,12 @@ fn profiling_leaves_traced_event_stream_bit_identical() {
     prof::set_mode(prof::Mode::Off);
     let (qlog_off, sum_off) = run();
 
-    prof::set_mode(prof::Mode::Noop);
-    let (qlog_noop, sum_noop) = run();
-
     prof::set_mode(prof::Mode::Record);
     let (qlog_rec, sum_rec) = run();
     let profile = prof::take_report();
     prof::set_mode(prof::Mode::Off);
 
-    assert_eq!(sum_off, sum_noop, "noop profiling changed session behaviour");
     assert_eq!(sum_off, sum_rec, "recording profiler changed session behaviour");
-    assert_eq!(qlog_off, qlog_noop, "noop profiling changed the traced event stream");
     assert_eq!(qlog_off, qlog_rec, "recording profiler changed the traced event stream");
     for layer in ["netsim;link_delivery", "quic;aead_", "core;sched_decide"] {
         assert!(
@@ -237,10 +229,13 @@ fn profiling_leaves_traced_event_stream_bit_identical() {
 }
 
 /// The edge tier under the same A/B gate: a fleet-vs-PoP run (drain and
-/// flood included) with tracing disabled, noop, and recording must
-/// produce a bit-identical report — and the recorded qlog must carry
-/// well-formed `edge`-category events from the `edge.pop` source
-/// alongside the per-client quic events.
+/// flood included) with tracing disabled and recording must produce a
+/// bit-identical report — and the recorded qlog must carry well-formed
+/// `edge`-category events from the `edge.pop` source alongside the
+/// per-client quic events. The drain lands inside the downloads: a
+/// client it moved went on acknowledging data more than a round trip
+/// (20 ms) after following it, where a client with its object has only
+/// its old CID to retire, at the instant it follows.
 #[test]
 fn tracing_is_behaviourally_invisible_for_edge_pop_runs() {
     use xlink::harness::{run_pop, run_pop_traced, EdgeAttackKind, PopRunConfig};
@@ -249,17 +244,28 @@ fn tracing_is_behaviourally_invisible_for_edge_pop_runs() {
         users: 12,
         addrs: 4,
         request_bytes: 30_000,
-        drain: Some((Duration::from_millis(120), 2)),
+        drain: Some((Duration::from_millis(50), 2)),
         attack: Some((EdgeAttackKind::InitialFlood, 40)),
         ..PopRunConfig::default()
     };
     let off = run_pop(&cfg);
-    let noop = run_pop_traced(&cfg, &TraceLog::noop());
     let log = TraceLog::recording();
     let rec = run_pop_traced(&cfg, &log);
     assert!(!log.is_empty(), "recording run captured nothing");
-    assert_eq!(format!("{off:?}"), format!("{noop:?}"), "noop sink changed an edge run");
     assert_eq!(format!("{off:?}"), format!("{rec:?}"), "recording sink changed an edge run");
+    assert!(rec.stats.migrations > 0 && rec.completed == cfg.users && rec.bytes_ok, "{rec:?}");
+    let recorded = log.events();
+    let followed = recorded.iter().filter(|e| {
+        log.source_name(e.source).starts_with("client")
+            && matches!(e.body, Event::DcidSwitched { .. })
+    });
+    let mid_download = followed.filter(|m| {
+        let later = m.time + Duration::from_millis(20);
+        recorded.iter().any(|e| {
+            e.source == m.source && e.time > later && matches!(e.body, Event::PacketSent { .. })
+        })
+    });
+    assert!(mid_download.count() > 0, "the drain moved no client mid-download");
 
     let doc = parse(&log.to_qlog("edge-pop")).expect("qlog must parse");
     let events = qlog_events(&doc);
