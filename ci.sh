@@ -52,8 +52,8 @@ step "cargo test -q --offline --workspace (debug, one seed per sweep; the skippe
 # tests at the profile the benchmark measures: a finished exchange leaves
 # no buffer, ring or ACK scratch behind
 # (xlink-quic finished_exchanges_leave_no_buffer_behind), and a PoP run
-# holds at most 12 KiB per finished session by the allocator's live-byte
-# count (xlink-harness a_finished_session_holds_at_most_12_kib).
+# holds at most 11 KiB per finished session by the allocator's live-byte
+# count (xlink-harness a_finished_session_holds_at_most_11_kib).
 step "whole workspace, crate unit tests and the golden oracle included (release)" \
     cargo test -q --offline --workspace --release
 
@@ -84,7 +84,9 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
 # receive stream against a byte array: its bytes, counters, final size and
 # state. The range set under AckRanges against a set of packet numbers. The
 # stream table against an ordered map: the same streams in id order, the
-# same ones found, the same ones refused.
+# same ones found, the same ones refused (unidirectional ids included), and
+# next_request hands out the lowest complete, unread stream the peer opened,
+# each once.
 step "stream states and range sets: send and receive streams vs byte models, AckRanges vs a set; the stream table vs an ordered map (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
     prop_the_stream_hands_out_the_bytes_written prop_reassembly_matches_a_byte_array_model \

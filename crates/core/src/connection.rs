@@ -223,20 +223,6 @@ impl MpConnection {
         self.conn.stream_send(id, data, fin);
     }
 
-    /// The paper's `stream_send` API with video-frame priority: tags the
-    /// byte span so frame-priority re-injection can accelerate it (§5.1,
-    /// "position and size parameters that indicate the video frame's
-    /// relative location").
-    pub fn stream_send_with_frame_priority(
-        &mut self,
-        id: u64,
-        data: &[u8],
-        frame_priority: u8,
-        fin: bool,
-    ) {
-        self.conn.streams_mut().write(id, data, Some(frame_priority), fin);
-    }
-
     /// Read available data from a stream, lent until the next call into
     /// the connection ([`Connection::stream_consume`]).
     pub fn stream_consume(&mut self, id: u64, max: usize) -> &[u8] {
@@ -745,7 +731,8 @@ mod tests {
         pump(&mut now, &mut c, &mut s);
         let id = s.open_stream(0);
         // Server-initiated push with a tagged first frame.
-        s.stream_send_with_frame_priority(id, &vec![9u8; 3000], 0, false);
+        let range = s.conn.streams_mut().write(id, &vec![9u8; 3000], false);
+        s.conn.streams_mut().set_frame_priority(id, range, 0);
         s.stream_send(id, &vec![8u8; 3000], true);
         pump(&mut now, &mut c, &mut s);
         let got = c.stream_recv(id, usize::MAX);

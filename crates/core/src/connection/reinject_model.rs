@@ -200,7 +200,9 @@ impl Bench {
         let end = if to_server { &mut self.server } else { &mut self.client };
         end.handle_datagram(self.now, path, &datagram);
         // The client reads, so that flow control does not end the program.
-        for id in self.client.conn.streams().readable_ids() {
+        let streams = self.client.conn.streams().iter();
+        let readable = streams.filter(|s| s.recv.readable() > 0 || s.recv.is_complete());
+        for id in readable.map(|s| s.id).collect::<Vec<_>>() {
             self.client.stream_recv(id, usize::MAX);
         }
     }
@@ -231,12 +233,11 @@ impl Bench {
                 if writable(&self.server, id) {
                     let data = vec![kind; 1 + (b * 97 % 12_000) as usize];
                     match a % 3 {
-                        0 => self.server.stream_send_with_frame_priority(
-                            id,
-                            &data,
-                            (b % 2) as u8 * 64,
-                            false,
-                        ),
+                        0 => {
+                            let streams = self.server.conn.streams_mut();
+                            let range = streams.write(id, &data, false);
+                            streams.set_frame_priority(id, range, (b % 2) as u8 * 64);
+                        }
                         _ => self.server.stream_send(id, &data, false),
                     }
                 }

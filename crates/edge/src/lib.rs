@@ -38,6 +38,9 @@ pub mod pop;
 pub mod router;
 pub mod token;
 
-pub use pop::{reject, Pop, PopBoundedState, PopConfig, PopStats, ShardFault, ShardStats};
+pub use pop::{
+    decode_request, encode_request, reject, Pop, PopBoundedState, PopConfig, PopStats, ShardFault,
+    ShardStats,
+};
 pub use router::{classify, Classified, EdgeRouter};
 pub use token::{mint, verify, TokenError, TOKEN_LEN};

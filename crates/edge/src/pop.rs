@@ -240,28 +240,18 @@ struct AddrAccount {
     sent: u64,
 }
 
-/// Per-stream request state on a backend connection.
-#[derive(Debug, Default)]
-struct ReqState {
-    buf: Vec<u8>,
-    answered: bool,
+/// A request of the PoP's toy origin protocol for bytes
+/// `offset..offset + len` of the payload: 16 bytes, `[offset | length]`,
+/// both little endian.
+pub fn encode_request(offset: u64, len: u64) -> [u8; 16] {
+    ((u128::from(len) << 64) | u128::from(offset)).to_le_bytes()
 }
 
-/// The request state of stream `id` in `requests` (ascending by id),
-/// created on first use. Nearly every connection carries one request: the
-/// first takes a slot of its own, where a B-tree's first leaf was 456 bytes.
-fn request_of(requests: &mut Vec<(u64, ReqState)>, id: u64) -> &mut ReqState {
-    let at = match requests.binary_search_by_key(&id, |&(s, _)| s) {
-        Ok(at) => at,
-        Err(at) => {
-            if requests.is_empty() {
-                requests.reserve_exact(1);
-            }
-            requests.insert(at, (id, ReqState::default()));
-            at
-        }
-    };
-    &mut requests[at].1
+/// The `(offset, length)` a whole request asks for ([`encode_request`]);
+/// `None` unless it is exactly 16 bytes.
+pub fn decode_request(request: &[u8]) -> Option<(u64, u64)> {
+    let request = u128::from_le_bytes(request.try_into().ok()?);
+    Some((request as u64, (request >> 64) as u64))
 }
 
 /// One backend connection: a member of the PoP's [`Host`].
@@ -273,45 +263,27 @@ struct Backend {
     /// The client's CID: stable demux key for long headers and the
     /// rehash key for drain placement.
     client_scid: ConnectionId,
-    /// Request state per stream, ascending by id (`request_of`).
-    streams: Vec<(u64, ReqState)>,
     /// [`Connection::cid_epoch`] the router's routes were last synced at.
     cid_epoch: u64,
-    /// [`Connection::stream_epoch`] the request streams were last read at.
-    stream_epoch: u64,
 }
 
 impl Backend {
-    /// Serve the PoP's toy origin protocol: a 16-byte little-endian
-    /// `[offset | length]` request on a stream is answered with bytes
-    /// `offset..offset + length` of the synthetic payload at phase 0
-    /// (`xlink_lab::payload`, an absolute-position pattern) plus FIN,
-    /// generated by the stream as it sends them — byte-identical regardless
-    /// of which shard serves it, and resumable at any verified offset
-    /// after a crash reconnect (the zero-byte-loss check). Every walk
-    /// reads the streams empty, so there is nothing to find until the
-    /// next stream frame arrives.
+    /// Serve the PoP's toy origin protocol: each request
+    /// ([`decode_request`]), read whole once its stream is complete
+    /// ([`StreamMap::next_request`](xlink_quic::stream::StreamMap::next_request)),
+    /// is answered with bytes `offset..offset + length` of the synthetic
+    /// payload at phase 0 (`xlink_lab::payload`, an absolute-position
+    /// pattern) plus FIN, generated by the stream as it sends them —
+    /// byte-identical regardless of which shard serves it, and resumable at
+    /// any verified offset after a crash reconnect (the zero-byte-loss
+    /// check). A request that is not 16 bytes is never answered.
     fn serve(&mut self) {
-        if self.stream_epoch == self.conn.streams().epoch() {
-            return;
-        }
-        self.stream_epoch = self.conn.streams().epoch();
-        for id in self.conn.streams().readable_ids() {
-            let st = request_of(&mut self.streams, id);
-            let data = self.conn.stream_consume(id, usize::MAX);
-            if st.answered {
+        while let Some(id) = self.conn.streams_mut().next_request() {
+            let Some((off, n)) = decode_request(self.conn.stream_consume(id, usize::MAX)) else {
                 continue;
-            }
-            st.buf.extend_from_slice(data);
-            if st.buf.len() >= 16 {
-                let off = u64::from_le_bytes(st.buf[..8].try_into().expect("8-byte slice"));
-                let n = u64::from_le_bytes(st.buf[8..16].try_into().expect("8-byte slice"))
-                    .min(MAX_RESPONSE_BYTES);
-                st.answered = true;
-                st.buf = Vec::new();
-                let len = off.saturating_add(n) - off;
-                self.conn.streams_mut().write_with(id, len, true, 0, off);
-            }
+            };
+            let len = off.saturating_add(n.min(MAX_RESPONSE_BYTES)) - off;
+            self.conn.streams_mut().write_with(id, len, true, 0, off);
         }
     }
 }
@@ -794,12 +766,10 @@ impl Pop {
         let slot = self.backends.insert(Backend {
             // The route of the one CID issued so far is bound below.
             cid_epoch: conn.cid_epoch(),
-            stream_epoch: conn.streams().epoch(),
             conn,
             shard,
             addr,
             client_scid: scid,
-            streams: Vec::new(),
         });
         self.router.bind(cid, slot);
         self.client_map.insert(scid, slot);
@@ -940,14 +910,6 @@ mod tests {
     use xlink_obs::TraceLog;
     use xlink_quic::packet::HeaderRef;
 
-    /// A toy-origin request: `len` bytes starting at `offset`.
-    fn req(offset: u64, len: u64) -> [u8; 16] {
-        let mut r = [0u8; 16];
-        r[..8].copy_from_slice(&offset.to_le_bytes());
-        r[8..].copy_from_slice(&len.to_le_bytes());
-        r
-    }
-
     /// The token a Retry carries.
     fn retry_token(retry: &[u8]) -> Vec<u8> {
         let (h, _) = HeaderRef::decode(retry).expect("a Retry");
@@ -1071,7 +1033,7 @@ mod tests {
         assert_eq!(server_id(&c.remote_cid()), p.shard_of(&scid).unwrap());
         // Request 100 bytes; the PoP answers with the fixed pattern.
         let id = c.open_stream(0);
-        c.stream_send(id, &req(0, 100), true);
+        c.stream_send(id, &encode_request(0, 100), true);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 200);
         let body = c.stream_recv(id, usize::MAX);
         assert_eq!(body.len(), 100);
@@ -1079,7 +1041,7 @@ mod tests {
         // A resumed request serves the same absolute positions: bytes
         // [40, 100) of the object, not a restarted pattern.
         let id2 = c.open_stream(0);
-        c.stream_send(id2, &req(40, 60), true);
+        c.stream_send(id2, &encode_request(40, 60), true);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 200);
         let tail = c.stream_recv(id2, usize::MAX);
         assert_eq!(tail.len(), 60);
@@ -1097,7 +1059,7 @@ mod tests {
         let mut now = Instant::from_millis(1);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
         let id = c.open_stream(0);
-        c.stream_send(id, &req(0, 30_000), true);
+        c.stream_send(id, &encode_request(0, 30_000), true);
         pump(&mut now, &mut [(0, &mut c)], &mut p, 400);
         let body = c.stream_recv(id, usize::MAX);
         assert_eq!(body.len(), 30_000);
@@ -1106,6 +1068,59 @@ mod tests {
             p.backends.get(p.client_map[&scid]).expect("a live backend").conn.bounded_state();
         assert_eq!(state.buffered_send_bytes, 0);
         assert!(state.within_caps());
+    }
+
+    /// A request split over two datagrams is answered once, in the
+    /// datagram that completes it, whichever half arrives first.
+    #[test]
+    fn a_split_request_is_answered_once_when_it_completes() {
+        for reverse in [false, true] {
+            let mut p = pop(false, &[1]);
+            let mut c = Connection::new(Config::client(0x5e), Instant::from_millis(1));
+            let scid = c.local_cid();
+            let mut now = Instant::from_millis(1);
+            pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
+            let id = c.open_stream(0);
+            let request = encode_request(0, 100);
+            c.stream_send(id, &request[..8], false);
+            let first = c.poll_transmit(now).expect("the first half");
+            c.stream_send(id, &request[8..], true);
+            let second = c.poll_transmit(now).expect("the second half");
+            let (a, b) = if reverse { (second, first) } else { (first, second) };
+            let slot = p.client_map[&scid];
+            let written = |p: &Pop| {
+                let backend = p.backends.get(slot).expect("a live backend");
+                backend.conn.streams().get(id).map_or(0, |s| s.send.len())
+            };
+            p.on_datagram(now, 0, &a);
+            assert_eq!(written(&p), 0, "reverse {reverse}: answered half a request");
+            p.on_datagram(now, 0, &b);
+            assert_eq!(written(&p), 100, "reverse {reverse}: not answered once whole");
+            pump(&mut now, &mut [(0, &mut c)], &mut p, 200);
+            assert_eq!(written(&p), 100, "reverse {reverse}: answered again");
+            let body = c.stream_recv(id, usize::MAX);
+            assert!(body.len() == 100 && xlink_lab::payload::matches(0, 0, &body));
+            assert!(c.streams().is_complete(id));
+        }
+    }
+
+    /// A request stream whose FIN never comes is never answered, however
+    /// many bytes it holds: the backend reads none of them out.
+    #[test]
+    fn a_request_without_its_fin_is_never_answered() {
+        let mut p = pop(false, &[1]);
+        let mut c = Connection::new(Config::client(0x5f), Instant::from_millis(1));
+        let scid = c.local_cid();
+        let mut now = Instant::from_millis(1);
+        pump(&mut now, &mut [(0, &mut c)], &mut p, 50);
+        let id = c.open_stream(0);
+        c.stream_send(id, &encode_request(0, 100), false);
+        pump(&mut now, &mut [(0, &mut c)], &mut p, 200);
+        assert!(c.stream_recv(id, usize::MAX).is_empty(), "answered");
+        let backend = p.backends.get(p.client_map[&scid]).expect("a live backend");
+        let stream = backend.conn.streams().get(id).expect("the request stream");
+        assert_eq!(stream.send.len(), 0, "answered");
+        assert_eq!(stream.recv.readable(), 16, "the request was read out");
     }
 
     #[test]
@@ -1175,9 +1190,9 @@ mod tests {
         assert_ne!(server_id(&a.remote_cid()), 1);
         assert_ne!(server_id(&b.remote_cid()), 1);
         let ida = a.open_stream(0);
-        a.stream_send(ida, &req(0, 64), true);
+        a.stream_send(ida, &encode_request(0, 64), true);
         let idb = b.open_stream(0);
-        b.stream_send(idb, &req(0, 64), true);
+        b.stream_send(idb, &encode_request(0, 64), true);
         pump(&mut now, &mut [(0, &mut a), (1, &mut b)], &mut p, 200);
         assert_eq!(a.stream_recv(ida, usize::MAX).len(), 64, "post-drain serve a");
         assert_eq!(b.stream_recv(idb, usize::MAX).len(), 64, "post-drain serve b");
@@ -1257,7 +1272,7 @@ mod tests {
         // While the shard is down it is silent: the client's datagrams
         // fall on the floor (that is what PTO exhaustion would measure).
         let id = c.open_stream(0);
-        c.stream_send(id, &req(0, 32), true);
+        c.stream_send(id, &encode_request(0, 32), true);
         let d = c.poll_transmit(now).expect("short packet");
         p.on_datagram(now, 0, &d);
         assert!(Endpoint::poll_transmit(&mut p, now).is_none(), "crashed shard answers nothing");

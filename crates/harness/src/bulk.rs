@@ -160,7 +160,7 @@ impl Scenario {
             bytes_received: client.received,
             client_transport: Some(world.client.transport_stats()),
             server_transport: Some(world.server.transport_stats()),
-            server_bytes_per_path: world.server.bytes_per_path(),
+            server_bytes_per_path: world.server.conn.bytes_per_path(),
             link_stats: world.paths.iter().map(|p| p.stats()).collect(),
         }
     }

@@ -51,7 +51,7 @@ pub fn run(seed: u64) -> Fig01Result {
     let window = Duration::from_millis(100);
     let scenario = Scenario::new(vec![wifi.build(), lte.build()], cfg.deadline);
     scenario.run_sampled(client, server, window, |t, world| {
-        let (inflight, cwnd) = world.server.path_state();
+        let (inflight, cwnd) = world.server.conn.path_state();
         for (path, samples) in [&mut samples_wifi, &mut samples_lte].into_iter().enumerate() {
             samples.push(DynSample {
                 t_ms: t.as_millis(),

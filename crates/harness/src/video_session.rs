@@ -283,50 +283,30 @@ impl App for VideoClient {
     }
 }
 
-/// The video server: answers range requests from the media store, tagging
-/// first-video-frame bytes with the top frame priority when acceleration
-/// is on.
+/// The video server: answers range requests from the media store, each
+/// read whole once its stream is complete
+/// ([`StreamMap::next_request`](xlink_quic::stream::StreamMap::next_request)),
+/// tagging first-video-frame bytes with the top frame priority when
+/// acceleration is on. A request that does not decode is never answered.
 pub struct VideoServer {
     store: MediaStore,
     first_frame_accel: bool,
-    /// Streams already answered.
-    answered: Vec<u64>,
-    /// Request reassembly buffers per stream.
-    buffers: HashMap<u64, Vec<u8>>,
-    /// The stream epoch requests were last looked for at: what they read
-    /// changes only when it moves.
-    stream_epoch: u64,
 }
 
 impl VideoServer {
     /// Serve range requests for the objects in `store` (the bulk-download
     /// server is this with a one-object store).
     pub(crate) fn new(store: MediaStore, first_frame_accel: bool) -> Self {
-        let (answered, buffers, stream_epoch) = (Vec::new(), HashMap::new(), 0);
-        VideoServer { store, first_frame_accel, answered, buffers, stream_epoch }
+        VideoServer { store, first_frame_accel }
     }
 }
 
 impl App for VideoServer {
     fn on_datagram(&mut self, conn: &mut MpConnection, _now: Instant) {
-        // Requests arrive in STREAM frames: nothing new to read before one
-        // did (the acknowledgements a sending server mostly receives).
-        let epoch = conn.conn().streams().epoch();
-        if std::mem::replace(&mut self.stream_epoch, epoch) == epoch {
-            return;
-        }
-        for id in conn.conn().streams().readable_ids() {
-            if self.answered.contains(&id) {
-                continue;
-            }
-            let data = conn.stream_consume(id, usize::MAX);
-            let buf = self.buffers.entry(id).or_default();
-            buf.extend_from_slice(data);
-            let Some(req) = Request::decode(buf) else {
+        while let Some(id) = conn.conn_mut().streams_mut().next_request() {
+            let Some(req) = Request::decode(conn.stream_consume(id, usize::MAX)) else {
                 continue;
             };
-            self.answered.push(id);
-            self.buffers.remove(&id);
             let Some(body) = self.store.clamp_range(&req.object, req.start, req.end) else {
                 let resp = Response { status: 404, body_len: 0, first_frame_end: 0 };
                 conn.stream_send(id, &resp.encode(), true);
@@ -366,21 +346,6 @@ impl VideoServerEndpoint {
         store.insert("video", cfg.video.clone());
         let conn = MpConnection::server(cfg.scheme, &cfg.tuning, cfg.seed ^ 0xf00d, now);
         AppEndpoint { conn, app: VideoServer::new(store, cfg.first_frame_accel) }
-    }
-
-    /// Per-path bytes (for energy accounting and path-usage checks).
-    pub fn bytes_per_path(&self) -> Vec<(usize, u64)> {
-        self.conn.bytes_per_path()
-    }
-
-    /// Whether re-injection is currently enabled (Fig. 6 probe).
-    pub fn reinjection_enabled(&self) -> bool {
-        self.conn.conn().multipath_negotiated() && self.conn.reinjection_enabled()
-    }
-
-    /// Per-path (bytes in flight, cwnd) snapshot — the Fig. 1 series.
-    pub fn path_state(&self) -> (Vec<u64>, Vec<u64>) {
-        self.conn.path_state()
     }
 }
 
@@ -452,7 +417,7 @@ pub fn session_result(mut world: World<VideoClientEndpoint, VideoServerEndpoint>
         player,
         client_transport: world.client.transport_stats(),
         server_transport: world.server.transport_stats(),
-        server_bytes_per_path: world.server.bytes_per_path(),
+        server_bytes_per_path: world.server.conn.bytes_per_path(),
         ended_at,
         completed,
     }
@@ -461,7 +426,7 @@ pub fn session_result(mut world: World<VideoClientEndpoint, VideoServerEndpoint>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xlink_netsim::LinkConfig;
+    use xlink_netsim::{Endpoint, LinkConfig};
 
     fn good_paths() -> Vec<Path> {
         vec![
@@ -475,6 +440,63 @@ mod tests {
         cfg.video = Video::synth(4, 25, 800_000, 8.0);
         cfg.deadline = Duration::from_secs(60);
         cfg
+    }
+
+    /// Shuttle datagrams between a bare client connection and the video
+    /// server for 2 s, firing due timers every 5 ms.
+    fn shuttle(now: &mut Instant, c: &mut MpConnection, s: &mut VideoServerEndpoint) {
+        for _ in 0..400 {
+            while let Some((path, d)) = c.poll_transmit(*now) {
+                s.on_datagram(*now, path, &d);
+            }
+            while let Some(t) = Endpoint::poll_transmit(s, *now) {
+                c.handle_datagram(*now, t.path, &t.payload);
+            }
+            *now += Duration::from_millis(5);
+            if c.poll_timeout().is_some_and(|t| t <= *now) {
+                c.on_timeout(*now);
+            }
+            if Endpoint::poll_timeout(s).is_some_and(|t| t <= *now) {
+                Endpoint::on_timeout(s, *now);
+            }
+        }
+    }
+
+    /// A request split over two datagrams is answered once, in the
+    /// datagram that completes it, whichever half arrives first.
+    #[test]
+    fn a_split_request_is_answered_once_when_it_completes() {
+        let cfg = small_session(Scheme::Sp { path: 0 }, 3);
+        for reverse in [false, true] {
+            let mut now = Instant::ZERO;
+            let mut c = MpConnection::client(cfg.scheme, &cfg.tuning, cfg.seed, now);
+            let mut s = VideoServerEndpoint::new(&cfg, now);
+            shuttle(&mut now, &mut c, &mut s);
+            assert!(c.is_established());
+            let id = c.open_stream(0);
+            let request = Request { object: "video".into(), start: 0, end: 1_000 }.encode();
+            let (head, tail) = request.split_at(request.len() / 2);
+            c.stream_send(id, head, false);
+            let first = c.poll_transmit(now).expect("the first half");
+            c.stream_send(id, tail, true);
+            let second = c.poll_transmit(now).expect("the second half");
+            let (a, b) = if reverse { (second, first) } else { (first, second) };
+            let written = |s: &VideoServerEndpoint| {
+                s.conn.conn().streams().get(id).map_or(0, |st| st.send.len())
+            };
+            s.on_datagram(now, a.0, &a.1);
+            assert_eq!(written(&s), 0, "reverse {reverse}: answered half a request");
+            s.on_datagram(now, b.0, &b.1);
+            let answer = written(&s);
+            assert!(answer > 0, "reverse {reverse}: not answered once whole");
+            shuttle(&mut now, &mut c, &mut s);
+            assert_eq!(written(&s), answer, "reverse {reverse}: answered again");
+            let response = c.stream_recv(id, usize::MAX);
+            let (header, at) = Response::decode(&response).expect("a response");
+            assert_eq!(header.status, 200);
+            assert_eq!((response.len() - at) as u64, header.body_len);
+            assert_eq!(response.len() as u64, answer);
+        }
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl Connection {
 
     /// Write data on a stream; `fin` marks the end.
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
-        self.streams.write(id, data, None, fin);
+        self.streams.write(id, data, fin);
     }
 
     /// Read available bytes from a stream, lent until the next call into
@@ -2127,9 +2127,10 @@ mod tests {
     }
 
     /// Every frame of a packet decodes before any is acted on: a STREAM
-    /// frame followed by a malformed one closes the connection with
-    /// FRAME_ENCODING_ERROR and applies nothing, neither the stream's bytes
-    /// nor its flow control.
+    /// frame that would complete a request, followed by a malformed one,
+    /// closes the connection with FRAME_ENCODING_ERROR and applies nothing:
+    /// not the stream's bytes, not its FIN (no request is handed out), not
+    /// its flow control.
     #[test]
     fn a_malformed_frame_anywhere_applies_nothing_of_its_packet() {
         for junk in [&[0x3f][..], &[0x40], &[0x0a, 0x00], &[0x1a, 1, 2]] {
@@ -2140,19 +2141,20 @@ mod tests {
             let state = |s: &Connection| {
                 let map = s.streams();
                 let recv = &map.get(id).expect("opened by the client").recv;
-                let stream = (recv.readable(), recv.highest_recv(), recv.buffered_bytes());
-                (stream, map.recv_data_used, map.recv_max_data, map.epoch(), map.control.len())
+                let stream = (recv.readable(), recv.buffered_bytes(), recv.final_size());
+                (stream, map.recv_data_used, map.recv_max_data, map.control.len())
             };
             let before = state(&s);
-            assert_eq!(before.0, (5, 5, 5));
+            assert_eq!(before.0, (5, 5, None));
             let mut packet = c.packet(0, false);
-            Frame::encode_stream(packet.frames(), id, 5, b" world", false);
+            Frame::encode_stream(packet.frames(), id, 5, b" world", true);
             packet.frames().bytes(junk);
             let (path, d) = c.finish_packet(now, 0, packet, SentFrames::default(), true);
             s.handle_datagram_on(now, path, &d);
             let closed = ConnectionError::LocallyClosed(TransportError::FrameEncodingError);
             assert_eq!(s.close_error(), Some(&closed), "junk {junk:?}");
             assert_eq!(state(&s), before, "junk {junk:?}: the STREAM frame was applied");
+            assert_eq!(s.streams_mut().next_request(), None, "junk {junk:?}: a request completed");
         }
     }
 

@@ -107,8 +107,9 @@ pub struct StreamMap {
     pub control: Vec<Frame>,
     /// The connection-level send limit a DATA_BLOCKED was last sent for.
     data_blocked_at: Option<u64>,
-    /// Bumped whenever a STREAM or RESET_STREAM frame arrives.
-    epoch: u64,
+    /// A STREAM frame completed a peer's stream since
+    /// [`StreamMap::next_request`] last found none.
+    request_ready: bool,
     /// `(priority, id)` of the streams [`StreamMap::pack`] visits, rebuilt
     /// by every pack in the same allocation.
     sendable: Vec<(u8, u64)>,
@@ -144,7 +145,7 @@ impl StreamMap {
             max_streams,
             control: Vec::new(),
             data_blocked_at: None,
-            epoch: 0,
+            request_ready: false,
             sendable: Vec::new(),
             read_through: false,
         }
@@ -190,13 +191,16 @@ impl StreamMap {
     }
 
     /// Get or lazily create the stream for a peer-initiated ID seen on the
-    /// wire. Returns `StreamLimitError` if the peer exceeds its allowance.
-    /// Peer ids may arrive in any order: a new one is inserted in its
-    /// place, a shift that `max_streams` keeps short.
+    /// wire. Returns `StreamLimitError` if the peer exceeds its allowance:
+    /// `max_streams` bidirectional streams and no unidirectional one (none
+    /// is advertised, so the limit is 0; RFC 9000 §4.6). Peer ids may
+    /// arrive in any order: a new one is inserted in its place, a shift
+    /// that `max_streams` keeps short.
     pub fn get_or_open_peer(&mut self, id: u64) -> Result<&mut Stream, TransportError> {
         match self.position(id) {
             Ok(at) => Ok(&mut self.streams[at]),
             Err(_) if self.side.opened_by_us(id) => Err(TransportError::StreamStateError),
+            Err(_) if id & 0x2 != 0 => Err(TransportError::StreamLimitError),
             Err(_) if id / 4 >= self.max_streams => Err(TransportError::StreamLimitError),
             Err(at) => Ok(self.insert(at, id, DEFAULT_FRAME_PRIORITY)),
         }
@@ -274,24 +278,15 @@ impl StreamMap {
         }
     }
 
-    /// Write a copy of `data` on a stream, tagged with a video-frame
-    /// priority if one is given (§5.1: what frame-priority re-injection
-    /// accelerates); `fin` marks the end.
-    pub fn write(
-        &mut self,
-        id: u64,
-        data: &[u8],
-        frame_priority: Option<FramePriority>,
-        fin: bool,
-    ) {
+    /// Write a copy of `data` on a stream; `fin` marks the end. Returns the
+    /// byte range it occupies.
+    pub fn write(&mut self, id: u64, data: &[u8], fin: bool) -> SendRange {
         let send = self.send_half(id);
         let range = send.write(data);
-        if let Some(priority) = frame_priority {
-            send.set_priority(range, priority);
-        }
         if fin {
             send.finish();
         }
+        range
     }
 
     /// Write `len` bytes of the payload with `phase` from its byte `from`
@@ -314,7 +309,7 @@ impl StreamMap {
 
     /// The send half of a stream the application writes on.
     fn send_half(&mut self, id: u64) -> &mut SendStream {
-        // Invariant: `id` came from open()/readable_ids() on this map — an
+        // Invariant: `id` came from open()/next_request() on this map — an
         // application bug, never peer-reachable input.
         &mut self.get_mut(id).expect("unknown stream").send
     }
@@ -369,29 +364,27 @@ impl StreamMap {
         self.streams[at].recv.just_read(read)
     }
 
-    /// [`StreamMap::consume`], copied out.
-    pub fn read(&mut self, id: u64, max: usize) -> Vec<u8> {
-        self.consume(id, max).to_vec()
-    }
-
-    /// Streams with readable data or a completed FIN.
-    pub fn readable_ids(&self) -> Vec<u64> {
-        self.iter()
-            .filter(|s| s.recv.readable() > 0 || s.recv.is_complete())
-            .map(|s| s.id)
-            .collect()
+    /// The lowest-id stream the peer opened whose receive side is complete
+    /// (FIN and every byte in) and not yet read: a request, written whole
+    /// with its FIN, to be read whole. One with no bytes is never handed
+    /// out. O(1) unless a STREAM frame completed a peer's stream.
+    pub fn next_request(&mut self) -> Option<u64> {
+        if !self.request_ready {
+            return None;
+        }
+        let side = self.side;
+        let request = self
+            .streams
+            .iter()
+            .find(|s| !side.opened_by_us(s.id) && s.recv.is_complete() && s.recv.readable() > 0);
+        let id = request.map(|s| s.id);
+        self.request_ready = id.is_some();
+        id
     }
 
     /// True once a stream's receive side is complete.
     pub fn is_complete(&self, id: u64) -> bool {
         self.get(id).is_some_and(|s| s.recv.is_complete())
-    }
-
-    /// Monotone count of STREAM and RESET_STREAM frames received: what
-    /// [`StreamMap::readable_ids`] and [`StreamMap::read`] return changes
-    /// only when this moves or the application reads.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Largest out-of-order segment count over open streams (§10 gauge;
@@ -418,7 +411,6 @@ impl StreamMap {
     pub fn on_frame(&mut self, frame: FrameRef<'_>) -> Result<(), (TransportError, &'static str)> {
         match frame {
             FrameRef::Stream { stream_id, offset, data, fin } => {
-                self.epoch += 1;
                 // The map's verdict propagates: STREAM_LIMIT_ERROR for
                 // exhaustion, STREAM_STATE_ERROR for frames on streams we
                 // never opened.
@@ -427,19 +419,27 @@ impl StreamMap {
                 let prev_high = recv.highest_recv();
                 recv.on_data(offset, data, fin).map_err(|e| (e, "stream data"))?;
                 let new_high = recv.highest_recv();
+                let completes_request = recv.is_complete() && !self.side.opened_by_us(stream_id);
+                self.request_ready |= completes_request;
                 if new_high > prev_high {
                     self.on_conn_data_received(new_high - prev_high)
                         .map_err(|e| (e, "conn flow control"))?;
                 }
             }
             FrameRef::Other(Frame::MaxData(v)) => self.on_max_data(v),
+            // About our sending on a stream of ours never opened (RFC 9000
+            // §19.5, §19.10); one of the peer's not yet open is ignored.
+            FrameRef::Other(
+                Frame::MaxStreamData { stream_id, .. } | Frame::StopSending { stream_id, .. },
+            ) if self.side.opened_by_us(stream_id) && self.get(stream_id).is_none() => {
+                return Err((TransportError::StreamStateError, "unopened stream"));
+            }
             FrameRef::Other(Frame::MaxStreamData { stream_id, max }) => {
                 if let Some(s) = self.get_mut(stream_id) {
                     s.send.set_max_data(max);
                 }
             }
             FrameRef::Other(Frame::ResetStream { stream_id, final_size, .. }) => {
-                self.epoch += 1;
                 // As for STREAM: the map's verdict, then FINAL_SIZE_ERROR
                 // for a final size that contradicts what arrived.
                 let recv =
@@ -610,45 +610,116 @@ mod tests {
         }
     }
 
-    /// Random sequences of local opens and peer ids (out of order,
-    /// descending runs, our own parity, past the limit) against an ordered
-    /// map: after every step the table lists the same streams in the same
-    /// order, finds each one, and refuses what the model refuses.
+    /// RFC 9000's rules for a frame that names a stream the table does not
+    /// hold, one row per clause, at a server: its peer's first
+    /// unidirectional id is 2, its own first stream 1. Each closes the
+    /// connection with its code and opens nothing.
+    #[test]
+    fn frames_naming_impossible_streams_close_with_the_rfc_code() {
+        use TransportError::{StreamLimitError, StreamStateError};
+        let rows = [
+            // §4.6: no unidirectional limit is advertised, so it is 0.
+            (FrameRef::Stream { stream_id: 2, offset: 0, data: b"x", fin: true }, StreamLimitError),
+            (
+                FrameRef::Other(Frame::ResetStream { stream_id: 2, error_code: 0, final_size: 1 }),
+                StreamLimitError,
+            ),
+            // §19.5 and §19.10: a locally-initiated stream never opened.
+            (FrameRef::Other(Frame::StopSending { stream_id: 1, error_code: 0 }), StreamStateError),
+            (
+                FrameRef::Other(Frame::MaxStreamData { stream_id: 1, max: 1 << 20 }),
+                StreamStateError,
+            ),
+        ];
+        for (frame, code) in rows {
+            let mut m = map(Side::Server);
+            let row = format!("{frame:?}");
+            assert_eq!(m.on_frame(frame).map_err(|(e, _)| e), Err(code), "{row}");
+            assert_eq!(m.iter().count(), 0, "{row} opened a stream");
+        }
+    }
+
+    /// Random sequences of local opens, peer ids (out of order, descending
+    /// runs, our own parity, unidirectional, past the limit) and the two
+    /// halves of a 2-byte request arriving in either order, against an
+    /// ordered map: after every step the table lists the same streams in
+    /// the same order, finds each one, and refuses what the model refuses;
+    /// and `next_request` hands out the lowest complete, unread stream the
+    /// peer opened, each once (read whole when handed out).
     #[test]
     fn prop_the_stream_table_is_the_ordered_map() {
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         use xlink_lab::prop::*;
-        let ops = vec_of((0u8..3, 0u64..256), 0..60);
+        const REQUEST: [u8; 2] = [7, 9];
+        let ops = vec_of((0u8..6, 0u64..256), 0..60);
         check("prop_the_stream_table_is_the_ordered_map", (0u8..2, 0u64..12, ops), |v| {
             let &(server, max_streams, ref ops) = v;
             let side = if server == 1 { Side::Server } else { Side::Client };
             let mut m = StreamMap::new(side, 1 << 20, 1 << 18, 1 << 20, 1 << 18, max_streams);
             let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+            // The request halves each stream holds (bit 0 the first byte,
+            // bit 1 the second with the FIN), and the streams read.
+            let (mut arrived, mut read) = (BTreeMap::<u64, u8>::new(), BTreeSet::new());
             let mut next_local = if server == 1 { 1 } else { 0 };
+            let verdict = |model: &BTreeMap<u64, u8>, id: u64| {
+                if model.contains_key(&id) {
+                    Ok(())
+                } else if side.opened_by_us(id) {
+                    Err(TransportError::StreamStateError)
+                } else if id % 4 >= 2 || id / 4 >= max_streams {
+                    Err(TransportError::StreamLimitError)
+                } else {
+                    Ok(())
+                }
+            };
             for &(kind, a) in ops {
-                let peer_ids: Vec<u64> = match kind {
+                match kind {
                     0 => {
                         prop_assert_eq!(m.open(a as u8), next_local);
                         model.insert(next_local, a as u8);
                         next_local += 4;
-                        Vec::new()
                     }
-                    1 => vec![a % 64],
-                    _ => (0..=(a % 64) / 4).map(|k| a % 64 - 4 * k).collect(),
-                };
-                for id in peer_ids {
-                    let known = model.contains_key(&id);
-                    let want = if known {
-                        Ok(id)
-                    } else if side.opened_by_us(id) {
-                        Err(TransportError::StreamStateError)
-                    } else if id / 4 >= max_streams {
-                        Err(TransportError::StreamLimitError)
-                    } else {
-                        model.insert(id, DEFAULT_FRAME_PRIORITY);
-                        Ok(id)
-                    };
-                    prop_assert_eq!(m.get_or_open_peer(id).map(|s| s.id), want);
+                    1 | 2 => {
+                        let peer_ids: Vec<u64> = match kind {
+                            1 => vec![a % 64],
+                            _ => (0..=(a % 64) / 4).map(|k| a % 64 - 4 * k).collect(),
+                        };
+                        for id in peer_ids {
+                            let want = verdict(&model, id).map(|()| {
+                                model.entry(id).or_insert(DEFAULT_FRAME_PRIORITY);
+                                id
+                            });
+                            prop_assert_eq!(m.get_or_open_peer(id).map(|s| s.id), want);
+                        }
+                    }
+                    3 | 4 => {
+                        let (id, half) = (a % 64, usize::from(kind - 3));
+                        let data = &REQUEST[half..half + 1];
+                        let frame = FrameRef::Stream {
+                            stream_id: id,
+                            offset: half as u64,
+                            data,
+                            fin: half == 1,
+                        };
+                        let want = verdict(&model, id);
+                        if want.is_ok() {
+                            model.entry(id).or_insert(DEFAULT_FRAME_PRIORITY);
+                            *arrived.entry(id).or_default() |= 1 << half;
+                        }
+                        prop_assert_eq!(m.on_frame(frame).map_err(|(e, _)| e), want);
+                    }
+                    _ => {
+                        let mut complete = arrived.iter().filter(|&(_, &halves)| halves == 3);
+                        let want = complete
+                            .find(|&(id, _)| !side.opened_by_us(*id) && !read.contains(id))
+                            .map(|(&id, _)| id);
+                        let got = m.next_request();
+                        prop_assert_eq!(got, want);
+                        if let Some(id) = got {
+                            prop_assert_eq!(m.consume(id, usize::MAX), &REQUEST[..]);
+                            read.insert(id);
+                        }
+                    }
                 }
                 let ids: Vec<(u64, u8)> = m.iter().map(|s| (s.id, s.priority)).collect();
                 let want: Vec<(u64, u8)> = model.iter().map(|(&id, &p)| (id, p)).collect();

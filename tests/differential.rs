@@ -21,7 +21,7 @@
 use xlink::clock::{Duration, Instant};
 use xlink::core::QoeSignal;
 use xlink::core::{MpConfig, MpConnection, Scheme, TransportTuning, WirelessTech};
-use xlink::edge::{EdgeRouter, Pop, PopConfig, ShardFault};
+use xlink::edge::{encode_request, EdgeRouter, Pop, PopConfig, ShardFault};
 use xlink::harness::adversary::{AttackKind, QuicAttacker};
 use xlink::lab::prop::*;
 use xlink::netsim::Endpoint;
@@ -334,29 +334,28 @@ fn transfer<E: Engine>(pair: (E, E), loss: Loss, then: Then, horizon: Duration) 
     link.run(Instant::ZERO + horizon, |c, s, now| {
         if get.is_none() && c.life().is_established() {
             let id = c.streams().open(0);
-            c.streams().write(id, b"GET /body", None, true);
+            c.streams().write(id, b"GET /body", true);
             get = Some(id);
         }
-        for id in s.streams().readable_ids() {
-            if s.streams().is_complete(id) {
-                match &s.streams().read(id, usize::MAX)[..] {
-                    b"GET /body" => s.streams().write(id, &body(), None, true),
-                    b"PING" => s.streams().write(id, b"PONG", None, true),
-                    _ => {}
-                }
-            }
+        while let Some(id) = s.streams().next_request() {
+            let response = match s.streams().consume(id, usize::MAX) {
+                b"GET /body" => body(),
+                b"PING" => b"PONG".to_vec(),
+                _ => continue,
+            };
+            s.streams().write(id, &response, true);
         }
         if let Some(id) = get {
-            out.delivered.extend(c.streams().read(id, usize::MAX));
+            out.delivered.extend(c.streams().consume(id, usize::MAX));
             if !out.complete && c.streams().is_complete(id) {
                 (out.complete, out.finished_at) = (true, Some(now));
                 let id = c.streams().open(0);
-                c.streams().write(id, b"PING", None, true);
+                c.streams().write(id, b"PING", true);
                 ping = Some(id);
             }
         }
         if let Some(id) = ping.filter(|&id| c.streams().is_complete(id)) {
-            if out.followed_up_at.is_none() && c.streams().read(id, usize::MAX) == b"PONG" {
+            if out.followed_up_at.is_none() && c.streams().consume(id, usize::MAX) == b"PONG" {
                 out.followed_up_at = Some(now);
                 if then == Then::Close {
                     c.close(TransportError::NoError);
@@ -924,12 +923,11 @@ fn through_the_pop<C: EdgeClient>() -> EdgeOutcome {
             out.established_at = Some(now);
             first_route = Some(c.cids().1);
             let id = c.streams().open(0);
-            let request = [0u64.to_le_bytes(), BYTES.to_le_bytes()].concat();
-            c.streams().write(id, &request, None, true);
+            c.streams().write(id, &encode_request(0, BYTES), true);
             stream = Some(id);
         }
         if let Some(id) = stream {
-            for b in c.streams().read(id, usize::MAX) {
+            for &b in c.streams().consume(id, usize::MAX) {
                 assert_eq!(b, (got % 251) as u8, "byte {got} of the pattern");
                 got += 1;
             }
