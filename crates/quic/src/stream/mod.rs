@@ -715,6 +715,9 @@ mod tests {
                             .map(|(&id, _)| id);
                         let got = m.next_request();
                         prop_assert_eq!(got, want);
+                        // Found none: the next call is O(1) until a STREAM
+                        // frame completes a peer's stream.
+                        prop_assert_eq!(m.request_ready, got.is_some());
                         if let Some(id) = got {
                             prop_assert_eq!(m.consume(id, usize::MAX), &REQUEST[..]);
                             read.insert(id);
