@@ -25,8 +25,8 @@ use xlink_netsim::{Endpoint, LinkConfig, Path, Transmit};
 use xlink_obs::TraceLog;
 use xlink_quic::ackranges::PnRange;
 use xlink_quic::cid::{ConnectionId, CID_LEN};
-use xlink_quic::connection::{placeholder_dcid, BoundedState, PSK};
-use xlink_quic::crypto::{derive_keys, KeyPair};
+use xlink_quic::connection::{placeholder_dcid, BoundedState, INITIAL_KEYS, PSK};
+use xlink_quic::crypto::KeyPair;
 use xlink_quic::frame::{ty, AckFrame, Frame};
 use xlink_quic::handshake::{Handshake, Hello};
 use xlink_quic::packet::{pn_decode, Header, HeaderRef, PacketType};
@@ -109,7 +109,7 @@ pub struct QuicAttacker {
     /// nonces).
     mp: bool,
     hs: Handshake,
-    initial_keys: KeyPair,
+    initial_keys: &'static KeyPair,
     keys: Option<KeyPair>,
     hello_sent: bool,
     /// Pre-encoded attack datagrams, drained one per poll.
@@ -137,7 +137,7 @@ impl QuicAttacker {
             kind,
             mp,
             hs: Handshake::new(true, PSK, random, params),
-            initial_keys: derive_keys(PSK, &[0x11; 16], &[0x22; 16]),
+            initial_keys: &INITIAL_KEYS,
             keys: None,
             hello_sent: false,
             queue: VecDeque::new(),

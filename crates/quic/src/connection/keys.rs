@@ -4,6 +4,7 @@
 //! stateless-reset oracle that gets the datagrams no key opens.
 
 use super::space::{PnSpace, SentFrames};
+use super::PSK;
 use crate::cid::ConnectionId;
 use crate::crypto::{derive_keys, KeyPair};
 use crate::error::TransportError;
@@ -14,6 +15,7 @@ use crate::params::TransportParams;
 use crate::reset;
 use crate::stream::Side;
 use std::ops::Range;
+use std::sync::LazyLock;
 use xlink_clock::Instant;
 use xlink_obs::{Event, Tracer};
 
@@ -97,6 +99,11 @@ pub fn placeholder_dcid() -> ConnectionId {
     ConnectionId::derive(0x1317, 0)
 }
 
+/// The Initial packets' keys: derived from [`PSK`] and two fixed salts
+/// alone, so the same for every connection, and derived once per process.
+pub static INITIAL_KEYS: LazyLock<KeyPair> =
+    LazyLock::new(|| derive_keys(PSK, &[0x11; 16], &[0x22; 16]));
+
 /// Handshake progress and packet-protection keys of one endpoint.
 #[derive(Debug)]
 pub struct Keys {
@@ -108,25 +115,23 @@ pub struct Keys {
     hello_sends: u32,
     /// Servers: HANDSHAKE_DONE is out and not known lost.
     pub done_sent: bool,
-    /// Keys for Initial packets (derived from the PSK alone).
-    initial: KeyPair,
+    /// Keys for Initial packets: [`INITIAL_KEYS`].
+    initial: &'static KeyPair,
     /// 1-RTT keys (post-handshake).
     one_rtt: Option<KeyPair>,
 }
 
 impl Keys {
-    /// An endpoint about to handshake under `psk`, offering `params` in a
-    /// hello carrying `random`; Initials are protected by keys derived
-    /// from `psk` and two fixed salts alone.
-    pub fn new(side: Side, psk: &[u8], params: &TransportParams, random: [u8; 16]) -> Self {
-        let initial = derive_keys(psk, &[0x11; 16], &[0x22; 16]);
+    /// An endpoint about to handshake under [`PSK`], offering `params` in a
+    /// hello carrying `random`; Initials are protected by [`INITIAL_KEYS`].
+    pub fn new(side: Side, params: &TransportParams, random: [u8; 16]) -> Self {
         Keys {
             side,
-            handshake: Handshake::new(side == Side::Client, psk, random, params.clone()),
+            handshake: Handshake::new(side == Side::Client, PSK, random, params.clone()),
             hello_sent: false,
             hello_sends: 0,
             done_sent: false,
-            initial,
+            initial: &INITIAL_KEYS,
             one_rtt: None,
         }
     }
@@ -201,7 +206,7 @@ impl Keys {
         }
         let HeaderRef { ty, scid, pn, pn_len, .. } = header;
         let pn = pn_decode(pn, pn_len, space.recv.largest());
-        let keys = if ty.is_long() { &self.initial } else { self.one_rtt.as_ref()? };
+        let keys = if ty.is_long() { self.initial } else { self.one_rtt.as_ref()? };
         let key = if self.side == Side::Server { &keys.client } else { &keys.server };
         let (aad, sealed) = datagram.split_at_mut(payload_off);
         // Multipath nonce: CID sequence number = path id (paper §6).
@@ -226,7 +231,7 @@ impl Keys {
         tracer: &Tracer,
     ) -> Vec<u8> {
         let keys = if packet.is_long() {
-            &self.initial
+            self.initial
         } else {
             // Invariant: every 1-RTT send site is gated on the handshake
             // having completed; no peer input reaches here before.
@@ -250,7 +255,7 @@ mod tests {
     use super::*;
 
     fn keys(side: Side) -> Keys {
-        Keys::new(side, b"psk", &TransportParams::default(), [7; 16])
+        Keys::new(side, &TransportParams::default(), [7; 16])
     }
 
     fn initial(from: &Keys, space: &mut PnSpace, frames: &[Frame]) -> Vec<u8> {

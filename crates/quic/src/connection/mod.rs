@@ -26,7 +26,9 @@ mod path;
 mod reinject;
 mod space;
 
-pub use keys::{hello_random, placeholder_dcid, Keys, Opened, ResetOracle, MAX_RESET_TOKENS};
+pub use keys::{
+    hello_random, placeholder_dcid, Keys, Opened, ResetOracle, INITIAL_KEYS, MAX_RESET_TOKENS,
+};
 pub use lifecycle::{Expiry, Lifecycle, State};
 pub use path::{AckPathPolicy, Path, PathState};
 pub use reinject::{Rank, ReinjectCandidate, ReinjectIndex, ReinjectKey, ReinjectLedger};
@@ -283,7 +285,7 @@ impl Connection {
     /// client starts the handshake on `cfg.primary`.
     pub fn new(cfg: Config, now: Instant) -> Self {
         debug_assert!(cfg.primary < cfg.paths, "the primary path is one of the paths");
-        let keys = Keys::new(cfg.side, PSK, &cfg.params, hello_random(cfg.seed));
+        let keys = Keys::new(cfg.side, &cfg.params, hello_random(cfg.seed));
         let mut cids = CidManager::new(cfg.seed);
         let local_cid = cids.issue_local().cid;
         // The primary path is implicitly validated by the handshake. Until
@@ -829,6 +831,10 @@ impl Connection {
             // pinned to the arrival path (RFC 9000 §8.2.2).
             FrameRef::Other(Frame::PathChallenge(data)) => self.pin_response(arrival_path, data),
             FrameRef::Other(Frame::PathResponse(data)) => self.on_path_response(now, data),
+            // §19.20: only a server sends HANDSHAKE_DONE.
+            FrameRef::Other(Frame::HandshakeDone) if self.cfg.side == Side::Server => {
+                self.close(TransportError::ProtocolViolation, "HANDSHAKE_DONE from a client")
+            }
             FrameRef::ConnectionClose { error_code, .. } => {
                 // §10.2: a peer-initiated close moves us to draining —
                 // stay silent and expire 3×PTO from now.
@@ -2155,6 +2161,31 @@ mod tests {
             assert_eq!(s.close_error(), Some(&closed), "junk {junk:?}");
             assert_eq!(state(&s), before, "junk {junk:?}: the STREAM frame was applied");
             assert_eq!(s.streams_mut().next_request(), None, "junk {junk:?}: a request completed");
+        }
+    }
+
+    /// RFC 9000's "MUST close" rules on frames that decode, one row per
+    /// clause: each frame sent client → server in a 1-RTT packet over an
+    /// established pair closes the server with the clause's code. The
+    /// largest MAX_STREAMS allowed does not.
+    #[test]
+    fn frames_a_client_may_not_send_close_with_the_rfc_code() {
+        use TransportError::{FrameEncodingError, ProtocolViolation};
+        let rows = [
+            // §19.20: a server receiving HANDSHAKE_DONE.
+            (Frame::HandshakeDone, Some(ProtocolViolation)),
+            // §19.11: a stream limit above 2^60.
+            (Frame::MaxStreams((1 << 60) + 1), Some(FrameEncodingError)),
+            (Frame::MaxStreams(1 << 60), None),
+        ];
+        for (frame, code) in rows {
+            let (mut c, mut s, now) = established(1);
+            let mut packet = c.packet(0, false);
+            frame.encode(packet.frames());
+            let (path, d) = c.finish_packet(now, 0, packet, SentFrames::default(), true);
+            s.handle_datagram_on(now, path, &d);
+            let closed = code.map(ConnectionError::LocallyClosed);
+            assert_eq!(s.close_error(), closed.as_ref(), "{frame:?}");
         }
     }
 

@@ -2,23 +2,25 @@
 //!
 //! The real XLINK deployment derives packet-protection keys from the TLS
 //! 1.3 handshake. Our simplified handshake (see `crate::handshake`)
-//! derives them with an HKDF-style extract/expand built on a ChaCha20-based
-//! PRF: certificate logic is orthogonal to multipath transport behaviour,
-//! while key separation per direction and the 1-RTT message flow are
-//! preserved (documented substitution in DESIGN.md).
+//! derives them with an HKDF-style extract/expand built on an AES-256
+//! counter-mode PRF: certificate logic is orthogonal to multipath
+//! transport behaviour, while key separation per direction and the 1-RTT
+//! message flow are preserved (documented substitution in DESIGN.md).
 
 use super::aead::AeadKey;
-use super::chacha;
 
-/// Pseudo-random function: one ChaCha20 block keyed by `key`, with the
-/// label and counter folded into the nonce.
-fn prf(key: &[u8; 32], label: &[u8], counter: u8) -> [u8; 64] {
+/// Pseudo-random function: two blocks of AES-256 in counter mode under
+/// `key` (the payload keystream of AES-256-GCM, whose tag is dropped), with
+/// the label and counter folded into the 96-bit IV.
+fn prf(key: &[u8; 32], label: &[u8], counter: u8) -> [u8; 32] {
     let mut nonce = [0u8; 12];
     for (i, b) in label.iter().enumerate() {
         nonce[i % 12] ^= b.rotate_left((i / 12) as u32);
     }
     nonce[11] ^= counter;
-    chacha::block(key, u32::from(counter), &nonce)
+    let mut out = [0u8; 32];
+    super::seal(key, &nonce, &[], &mut out);
+    out
 }
 
 /// Extract a 32-byte pseudo-random key from input keying material.
@@ -30,8 +32,7 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
         for (k, b) in key.iter_mut().zip(chunk.iter()) {
             *k ^= b;
         }
-        let block = prf(&key, b"xlink extract", i as u8);
-        state.copy_from_slice(&block[..32]);
+        state = prf(&key, b"xlink extract", i as u8);
     }
     state
 }
@@ -59,9 +60,9 @@ pub struct KeyPair {
 /// Derive both directions' keys from the pre-shared secret and the two
 /// hello randoms (mirrors the TLS key schedule's role).
 pub fn derive_keys(psk: &[u8], client_random: &[u8; 16], server_random: &[u8; 16]) -> KeyPair {
-    let mut ikm = Vec::with_capacity(psk.len() + 32);
-    ikm.extend_from_slice(client_random);
-    ikm.extend_from_slice(server_random);
+    let mut ikm = [0u8; 32];
+    ikm[..16].copy_from_slice(client_random);
+    ikm[16..].copy_from_slice(server_random);
     let prk = extract(psk, &ikm);
     let ck: [u8; 32] = expand(&prk, b"client key");
     let civ: [u8; 12] = expand(&prk, b"client iv");
@@ -132,7 +133,7 @@ mod tests {
     fn longest_expansion_ends_on_counter_255() {
         let prk = extract(b"s", b"i");
         let out: [u8; 255 * 32] = expand(&prk, b"l");
-        assert_eq!(&out[..32], &prf(&prk, b"l", 1)[..32]);
-        assert_eq!(&out[254 * 32..], &prf(&prk, b"l", 255)[..32]);
+        assert_eq!(out[..32], prf(&prk, b"l", 1));
+        assert_eq!(out[254 * 32..], prf(&prk, b"l", 255));
     }
 }

@@ -264,7 +264,11 @@ impl<'a> FrameRef<'a> {
             ty::MAX_STREAM_DATA => {
                 Frame::MaxStreamData { stream_id: r.varint()?, max: r.varint()? }
             }
-            ty::MAX_STREAMS_BIDI => Frame::MaxStreams(r.varint()?),
+            // §19.11: a limit above 2^60 would allow stream ids past 2^62 - 1.
+            ty::MAX_STREAMS_BIDI => match r.varint()? {
+                n if n > 1 << 60 => return Err(CodecError::InvalidValue),
+                n => Frame::MaxStreams(n),
+            },
             ty::DATA_BLOCKED => Frame::DataBlocked(r.varint()?),
             ty::STREAM_DATA_BLOCKED => {
                 Frame::StreamDataBlocked { stream_id: r.varint()?, limit: r.varint()? }

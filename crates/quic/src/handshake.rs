@@ -67,7 +67,7 @@ impl Hello {
 #[derive(Debug)]
 pub struct Handshake {
     is_client: bool,
-    psk: Vec<u8>,
+    psk: &'static [u8],
     local: Hello,
     remote: Option<Hello>,
     done: bool,
@@ -75,10 +75,15 @@ pub struct Handshake {
 
 impl Handshake {
     /// Start a handshake. `random` should be drawn from the endpoint's RNG.
-    pub fn new(is_client: bool, psk: &[u8], random: [u8; 16], params: TransportParams) -> Self {
+    pub fn new(
+        is_client: bool,
+        psk: &'static [u8],
+        random: [u8; 16],
+        params: TransportParams,
+    ) -> Self {
         Handshake {
             is_client,
-            psk: psk.to_vec(),
+            psk,
             local: Hello { from_client: is_client, random, params },
             remote: None,
             done: false,
@@ -102,7 +107,7 @@ impl Handshake {
         };
         self.remote = Some(hello);
         self.done = true;
-        Ok(derive_keys(&self.psk, &cr, &sr))
+        Ok(derive_keys(self.psk, &cr, &sr))
     }
 
     /// True once keys have been derived.
