@@ -68,10 +68,9 @@ step "re-injection index vs the reference scan: random programs, every target pa
 # The borrowed frame decoder against Frame::decode on arbitrary and truncated
 # bytes, the one header reader on arbitrary bytes and every prefix of encoded
 # headers, the PoP's classifier against Header::decode, and the crypto tests
-# ride along: every vector kernel the host has, called directly, against its
-# scalar reference, with overflow checks on the scalar Poly1305 limb
-# arithmetic.
-step "decoder totality: unauthenticated bytes into the one receive path; the borrowed frame and header decoders; the PoP classifier; crypto vs scalar (debug)" \
+# ride along: every AES/GHASH path vs the portable reference (each vector
+# kernel the host has, called directly), with overflow checks on.
+step "decoder totality: unauthenticated bytes into the one receive path; the borrowed frame and header decoders; the PoP classifier; crypto vs portable (debug)" \
     env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic -p xlink-edge --lib -- \
     unauthenticated_bytes prop_the_borrowed_decoder prop_header_ref prop_classify crypto::
 
@@ -139,8 +138,8 @@ cp BENCH_fleet.json BENCH_fleet.json.prev
 # One profiled run feeds both files: its fleet_gate row (wall time and rates
 # at this population) opens BENCH_fleet.json, the spans and the per-packet
 # counters are BENCH_prof.json. prof_dump's first stderr line names the
-# workers, the cores kept busy and the AEAD kernels (crypto::kernel); the
-# advisory timings compare only across runs on the same kernels.
+# workers, the cores kept busy and the AEAD kernel (crypto::kernel); the
+# advisory timings compare only across runs on the same kernel.
 step "hot-path profile at 10k sessions, recording BENCH_prof.json + the fleet gate row" \
     sh -ec 'XLINK_FLEET_SESSIONS=10000 cargo run -q --release --offline --example prof_dump -- \
         --json > target/prof_dump.rows

@@ -15,9 +15,9 @@
 //!
 //! A top-10 span table always goes to stderr for humans, under a line that
 //! says how many worker threads the shards ran on, how many cores the
-//! recorded spans kept busy and which AEAD kernels ran
+//! recorded spans kept busy and which AEAD kernel ran
 //! (`xlink::quic::crypto::kernel`; timings are comparable only under the
-//! same ones).
+//! same one).
 //!
 //! ```sh
 //! cargo run --release --example prof_dump

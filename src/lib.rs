@@ -14,7 +14,7 @@
 //!   path selection, and QUIC-LB CID routing.
 //! * [`quic`] (`xlink-quic`) — QUIC and its multipath extension in one
 //!   connection engine (paths, ACK_MP, failover, Retry, CID migration), on
-//!   frames, packets, ChaCha20-Poly1305 packet protection with the multipath
+//!   frames, packets, AES-256-GCM packet protection with the multipath
 //!   nonce, streams, loss recovery, Cubic congestion control.
 //! * [`netsim`] (`xlink-netsim`) — the Mahimahi-semantics trace-driven
 //!   network emulator the controlled experiments run on.
