@@ -155,7 +155,7 @@ impl Gcm {
     /// product with `acc` is added last: only it waits for the step before.
     #[inline]
     #[target_feature(enable = "aes,pclmulqdq,ssse3")]
-    pub fn fold(&self, acc: __m128i, blocks: &[__m128i]) -> __m128i {
+    fn fold(&self, acc: __m128i, blocks: &[__m128i]) -> __m128i {
         let n = blocks.len();
         let mut sum = [_mm_setzero_si128(); 3];
         for (x, h) in blocks[1..].iter().zip(self.h[..n - 1].iter().rev()) {
