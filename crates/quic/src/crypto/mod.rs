@@ -79,7 +79,7 @@ mod tests {
     use super::*;
 
     /// Decode a hex dump (whitespace ignored).
-    pub fn hex(s: &str) -> Vec<u8> {
+    fn hex(s: &str) -> Vec<u8> {
         let digits: Vec<u8> = s
             .bytes()
             .filter(u8::is_ascii_hexdigit)
