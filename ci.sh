@@ -75,21 +75,25 @@ step "decoder totality: unauthenticated bytes into the one receive path; the bor
     unauthenticated_bytes prop_the_borrowed_decoder prop_header_ref prop_classify crypto::
 
 # The send stream against a byte model: every byte it hands out (taken or
-# copied for re-injection) is the byte written, it never releases a byte
-# still owed, and its acknowledgement record keeps every gap (orders that
-# leave more than 256), so after every step its first byte in flight is the
-# model's, and so is its state (the FIN may be acknowledged first, and a
-# FIN frame lost after a copy of it was acknowledged is not sent again). The
-# receive stream against a byte array: its bytes, counters, final size and
-# state. The range set under AckRanges against a set of packet numbers. The
-# stream table against an ordered map: the same streams in id order, the
-# same ones found, the same ones refused (unidirectional ids included), and
-# next_request hands out the lowest complete, unread stream the peer opened,
-# each once.
-step "stream states and range sets: send and receive streams vs byte models, AckRanges vs a set; the stream table vs an ordered map (debug)" \
-    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic --lib -- \
-    prop_the_stream_hands_out_the_bytes_written prop_reassembly_matches_a_byte_array_model \
-    prop_matches_btreeset_model prop_the_stream_table_is_the_ordered_map
+# copied for re-injection, a copy only where the index would offer one) is
+# the byte written, a body's lent from the payload table. It has no release
+# point and no fill window: it holds the bytes written with `write` until it
+# is acknowledged and nothing is queued, and nothing after. Its
+# acknowledgement record keeps every gap (orders that leave more than 256),
+# so after every step its first byte in flight is the model's, and so is its
+# state (the FIN may be acknowledged first, and a FIN frame lost after a copy
+# of it was acknowledged is not sent again). The payload table's slices
+# against the per-byte payload. The receive stream against a byte array: its
+# bytes, counters, final size and state. The range set under AckRanges
+# against a set of packet numbers. The stream table against an ordered map:
+# the same streams in id order, the same ones found, the same ones refused
+# (unidirectional ids included), and next_request hands out the lowest
+# complete, unread stream the peer opened, each once.
+step "stream states and range sets: send and receive streams vs byte models, payload slices vs bytes, AckRanges vs a set; the stream table vs an ordered map (debug)" \
+    env XLINK_PROP_CASES=2000 cargo test -q --offline -p xlink-quic -p xlink-lab --lib -- \
+    prop_the_stream_hands_out_the_bytes_written prop_parts_is_the_per_byte_payload \
+    prop_reassembly_matches_a_byte_array_model prop_matches_btreeset_model \
+    prop_the_stream_table_is_the_ordered_map
 
 # The link against the walk its idle jump shortcuts, and against the
 # timestamps its per-millisecond counts were built from, loop after loop.

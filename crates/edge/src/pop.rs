@@ -283,7 +283,7 @@ impl Backend {
                 continue;
             };
             let len = off.saturating_add(n.min(MAX_RESPONSE_BYTES)) - off;
-            self.conn.streams_mut().write_with(id, len, true, 0, off);
+            self.conn.streams_mut().write_with(id, len, 0, off);
         }
     }
 }

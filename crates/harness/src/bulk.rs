@@ -260,44 +260,40 @@ mod tests {
         assert!(r.download_time.is_none());
     }
 
-    /// A server generates a bulk body as it sends it and lets go of what
-    /// is acknowledged: through a 16 MB single-path download over a link
-    /// that loses nothing, its send buffer never holds more than its bytes
-    /// in flight plus one fill window.
+    /// A server keeps no body bytes: through a 16 MB single-path download
+    /// over a link that loses nothing, its send stream holds the response
+    /// head at most.
     #[test]
-    fn a_bulk_server_holds_its_bytes_in_flight_plus_one_fill_window() {
+    fn a_bulk_server_holds_only_its_response_head() {
         use xlink_netsim::{LinkConfig, World};
-        use xlink_quic::stream::FILL_WINDOW;
         let (tuning, now, size) = (TransportTuning::default(), Instant::ZERO, 16 << 20);
+        let store = blob(size);
+        let first_frame_end = store.first_frame_end(OBJECT);
+        let head = Response { status: 200, body_len: size, first_frame_end }.encode().len() as u64;
         let client = AppEndpoint {
             conn: MpConnection::client(Scheme::Sp { path: 0 }, &tuning, 1, now),
             app: BulkClient::new(size, None),
         };
         let server = AppEndpoint {
             conn: MpConnection::server(Scheme::Sp { path: 0 }, &tuning, 2, now),
-            app: VideoServer::new(blob(size), true),
+            app: VideoServer::new(store, true),
         };
         let mut link = LinkConfig::constant_rate(50.0, Duration::from_millis(10));
         link.queue_bytes = 64 << 20;
         let mut world = World::new(client, server, vec![Path::symmetric(link)]);
-        let mut peak = 0;
-        for ms in 1..=10_000 {
+        let held = |w: &World<_, VideoServerEndpoint>| {
+            w.server.conn.conn().bounded_state().buffered_send_bytes
+        };
+        let (mut ms, mut peak) = (0, 0);
+        while world.client.app.done_at.is_none() && ms < 10_000 {
+            ms += 1;
             world.run_until(Instant::from_millis(ms));
-            let held = world.server.conn.conn().bounded_state().buffered_send_bytes;
-            let in_flight: u64 = world.server.conn.path_state().0.iter().sum();
-            assert!(
-                held <= in_flight + FILL_WINDOW,
-                "{held} held, {in_flight} in flight at {ms} ms"
-            );
-            peak = peak.max(held);
-            if world.client.app.done_at.is_some() {
-                break;
-            }
+            assert!(held(&world) <= head, "{} held at {ms} ms, a {head}-byte head", held(&world));
+            peak = peak.max(held(&world));
         }
         assert!(world.client.app.done_at.is_some(), "the download finished");
         assert_eq!(world.server.transport_stats().packets_lost, 0);
-        // What is in flight is bounded by the client's flow-control window.
-        assert!(peak < size / 3, "{peak} bytes held at the peak");
+        assert_eq!(peak, head, "the head is held until it is acknowledged");
     }
 
     type BulkWorld = xlink_netsim::World<AppEndpoint<BulkClient>, VideoServerEndpoint>;

@@ -322,7 +322,7 @@ impl App for VideoServer {
             // stream_send with position+size).
             let streams = conn.conn_mut().streams_mut();
             let phase = MediaStore::phase(&req.object);
-            let range = streams.write_with(id, body_len, true, phase, body.start);
+            let range = streams.write_with(id, body_len, phase, body.start);
             if self.first_frame_accel && req.start < ff_end {
                 let first_frame = (ff_end - req.start).min(body_len);
                 let span = SendRange { start: range.start, end: range.start + first_frame };

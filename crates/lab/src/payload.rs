@@ -3,9 +3,10 @@
 //!
 //! The PoP's toy origin serves it at phase 0 and its clients check it; the
 //! media store serves each object at the phase its name hashes to. A
-//! producer appends ([`extend`]) and a checker compares ([`matches()`])
-//! whole slices of one `const` table, so generating or verifying a body
-//! costs a `memcpy` / `memcmp`, not a division per byte.
+//! producer lends ([`parts`]) or appends ([`extend`]) and a checker
+//! compares ([`matches()`]) whole slices of one `const` table, so sending
+//! or verifying a body costs a `memcpy` / `memcmp`, not a division per
+//! byte.
 //!
 //! The period is prime, so no power-of-two stride (a packet size, a chunk
 //! size) lines up with it, and any splice that repeats or skips a byte
@@ -44,19 +45,27 @@ pub fn byte(phase: u64, offset: u64) -> u8 {
     residue(phase, offset) as u8
 }
 
+/// Bytes `range` of the stream with `phase`, lent in slices of one `const`
+/// table (for any lifetime the caller needs): a range of at most 4 016
+/// bytes is one slice.
+pub fn parts<'a>(phase: u64, range: Range<u64>) -> impl Iterator<Item = &'a [u8]> + Clone {
+    let mut left = usize::try_from(range.end.saturating_sub(range.start))
+        .expect("a payload range fits in memory");
+    let mut at = residue(phase, range.start);
+    std::iter::from_fn(move || {
+        let n = left.min(SPAN);
+        let part = (n > 0).then(|| &TABLE[at..at + n])?;
+        at = (at + n) % PERIOD as usize;
+        left -= n;
+        Some(part)
+    })
+}
+
 /// Append bytes `range` of the stream with `phase` to `out`, reserving
 /// room for all of them first.
 pub fn extend(phase: u64, range: Range<u64>, out: &mut Vec<u8>) {
-    let mut left = usize::try_from(range.end.saturating_sub(range.start))
-        .expect("a payload range fits in memory");
-    out.reserve(left);
-    let mut at = residue(phase, range.start);
-    while left > 0 {
-        let n = left.min(SPAN);
-        out.extend_from_slice(&TABLE[at..at + n]);
-        at = (at + n) % PERIOD as usize;
-        left -= n;
-    }
+    out.reserve(range.end.saturating_sub(range.start) as usize);
+    parts(phase, range).for_each(|part| out.extend_from_slice(part));
 }
 
 /// Whether `data` is the stream with `phase` from offset `start` on.
@@ -120,6 +129,39 @@ mod tests {
             extend(9, start..start + len, &mut out);
             assert_eq!(out, per_byte(9, start, len), "from {start}");
         }
+    }
+
+    /// `parts` against `byte` at random phases, starts (up to the last
+    /// offsets a `u64` range reaches) and lengths (up to three table
+    /// slices): the slices are the payload's bytes in order, each at most
+    /// one table slice long, and a range that fits one slice is one.
+    #[test]
+    fn prop_parts_is_the_per_byte_payload() {
+        use crate::prop::*;
+        let start = (0u8..3, 0u64..1 << 40);
+        check(
+            "prop_parts_is_the_per_byte_payload",
+            (0u64..1 << 20, start, 0u64..3 * 4_016 + 300),
+            |v| {
+                let &(phase, (at, start), len) = v;
+                let start = match at {
+                    0 => start % 600,
+                    1 => start,
+                    _ => u64::MAX - start % 20_000,
+                };
+                let range = start..start.saturating_add(len);
+                let parts: Vec<&[u8]> = parts(phase, range.clone()).collect();
+                crate::prop_assert!(parts.iter().all(|p| !p.is_empty() && p.len() <= SPAN));
+                if range.end - range.start <= SPAN as u64 {
+                    crate::prop_assert!(parts.len() <= 1, "{} slices", parts.len());
+                }
+                crate::prop_assert_eq!(
+                    parts.concat(),
+                    per_byte(phase, start, range.end - range.start)
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -746,6 +746,14 @@ impl Connection {
     /// space (`initial`) or the path's own.
     fn on_frame(&mut self, now: Instant, arrival_path: usize, initial: bool, frame: FrameRef<'_>) {
         match frame {
+            // §12.4 Table 3: an Initial packet carries PADDING, PING, ACK,
+            // CRYPTO and CONNECTION_CLOSE, nothing else.
+            FrameRef::Stream { .. } | FrameRef::AckMp(_) if initial => {
+                self.close(TransportError::ProtocolViolation, "frame not allowed in Initial")
+            }
+            FrameRef::Other(ref f) if initial && !matches!(f, Frame::Padding(_) | Frame::Ping) => {
+                self.close(TransportError::ProtocolViolation, "frame not allowed in Initial")
+            }
             FrameRef::Crypto { data, .. } => match self.keys.on_peer_hello(data) {
                 Ok(true) => self.on_handshake_complete(now),
                 // A retransmitted hello: the Initial space's own PTO and
@@ -1210,8 +1218,8 @@ impl Connection {
     }
 
     /// A datagram of copies, on `path`, of stream ranges in flight on other
-    /// paths (multipath re-injection): each range goes out again as it
-    /// stands in the stream's send buffer, marked so that its loss is not
+    /// paths (multipath re-injection): each range goes out again as the
+    /// stream lends it (`SendStream::data`), marked so that its loss is not
     /// retransmitted — the original, or another copy, still covers it. The
     /// caller sizes the ranges to the path's budget.
     pub fn send_copies(
@@ -1275,9 +1283,8 @@ impl Connection {
 
     /// The `nth` frame of packet `pn` of `path` — `range` of stream `id` —
     /// was acknowledged, lost or drained, and the stream has been told. The
-    /// stream lets go of what it no longer owes; with re-injection tracked,
-    /// the index knows every frame in flight, any of which may be copied
-    /// whole.
+    /// index, if tracked, re-evaluates the frames around it, and the stream
+    /// lets go of what it holds once nothing can ask for it again.
     fn on_range_gone(
         &mut self,
         (path, pn, nth): (usize, u64, usize),
@@ -1285,12 +1292,10 @@ impl Connection {
         range: SendRange,
         fin: bool,
     ) {
-        let mut frames_from = None;
         if let Some(index) = &mut self.reinject {
             index.on_gone(&self.streams, (path, pn, nth), id, range, fin);
-            frames_from = Some(index.lowest_in_flight(id));
         }
-        self.streams.release(id, frames_from);
+        self.streams.release(id);
     }
 
     /// A packet of owned frames, each described to recovery by its kind,
@@ -2153,7 +2158,7 @@ mod tests {
             let before = state(&s);
             assert_eq!(before.0, (5, 5, None));
             let mut packet = c.packet(0, false);
-            Frame::encode_stream(packet.frames(), id, 5, b" world", true);
+            Frame::encode_stream(packet.frames(), id, 5, [&b" world"[..]], true);
             packet.frames().bytes(junk);
             let (path, d) = c.finish_packet(now, 0, packet, SentFrames::default(), true);
             s.handle_datagram_on(now, path, &d);
@@ -2165,27 +2170,40 @@ mod tests {
     }
 
     /// RFC 9000's "MUST close" rules on frames that decode, one row per
-    /// clause: each frame sent client → server in a 1-RTT packet over an
-    /// established pair closes the server with the clause's code. The
-    /// largest MAX_STREAMS allowed does not.
+    /// clause: each frame sent client → server over an established pair, in
+    /// a 1-RTT packet or (`initial`) an Initial one, closes the server with
+    /// the clause's code. The largest MAX_STREAMS allowed, and an ACK in an
+    /// Initial packet, do not.
     #[test]
     fn frames_a_client_may_not_send_close_with_the_rfc_code() {
         use TransportError::{FrameEncodingError, ProtocolViolation};
+        let stream = Frame::Stream { stream_id: 0, offset: 0, data: b"abc".to_vec(), fin: false };
+        let mut first = AckRanges::new();
+        first.insert(0);
+        let ack = Frame::Ack(AckFrame::from_ranges(0, &first, Duration::ZERO).unwrap());
         let rows = [
             // §19.20: a server receiving HANDSHAKE_DONE.
-            (Frame::HandshakeDone, Some(ProtocolViolation)),
+            (Frame::HandshakeDone, false, Some(ProtocolViolation)),
             // §19.11: a stream limit above 2^60.
-            (Frame::MaxStreams((1 << 60) + 1), Some(FrameEncodingError)),
-            (Frame::MaxStreams(1 << 60), None),
+            (Frame::MaxStreams((1 << 60) + 1), false, Some(FrameEncodingError)),
+            (Frame::MaxStreams(1 << 60), false, None),
+            // §12.4 Table 3: an Initial packet carries PADDING, PING, ACK,
+            // CRYPTO and CONNECTION_CLOSE only.
+            (stream, true, Some(ProtocolViolation)),
+            (Frame::MaxData(1 << 30), true, Some(ProtocolViolation)),
+            (Frame::Ping, true, None),
+            (ack, true, None),
         ];
-        for (frame, code) in rows {
+        for (frame, initial, code) in rows {
             let (mut c, mut s, now) = established(1);
-            let mut packet = c.packet(0, false);
+            let mut packet = c.packet(0, initial);
             frame.encode(packet.frames());
             let (path, d) = c.finish_packet(now, 0, packet, SentFrames::default(), true);
             s.handle_datagram_on(now, path, &d);
             let closed = code.map(ConnectionError::LocallyClosed);
-            assert_eq!(s.close_error(), closed.as_ref(), "{frame:?}");
+            assert_eq!(s.close_error(), closed.as_ref(), "{frame:?} in Initial: {initial}");
+            let delivered = s.streams().get(0).map_or(0, |st| st.recv.readable());
+            assert_eq!(delivered, 0, "{frame:?} in Initial: {initial}");
         }
     }
 

@@ -208,14 +208,6 @@ impl ReinjectIndex {
         self.refresh_around(streams, id, range, fin);
     }
 
-    /// Where the lowest frame of stream `id` in flight starts (`u64::MAX`
-    /// for none): a copy of it is sent whole, so the stream keeps the
-    /// bytes from there on.
-    pub fn lowest_in_flight(&self, id: u64) -> u64 {
-        let first = self.frames.range(FrameAt::floor(id, 0)..).next();
-        first.filter(|(at, _)| at.stream == id).map_or(u64::MAX, |(at, _)| at.start)
-    }
-
     /// Copies that have outlived `COPY_LIFETIME` no longer hold back the
     /// ranges they were made of.
     pub fn expire_copies(&mut self, streams: &StreamMap, now: Instant) {

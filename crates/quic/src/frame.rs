@@ -494,7 +494,7 @@ impl Frame {
                 w.varint_bytes(data);
             }
             Frame::Stream { stream_id, offset, data, fin } => {
-                Frame::encode_stream(w, *stream_id, *offset, data, *fin)
+                Frame::encode_stream(w, *stream_id, *offset, [&data[..]], *fin)
             }
             Frame::MaxData(v) => {
                 w.varint(ty::MAX_DATA);
@@ -553,10 +553,15 @@ impl Frame {
         }
     }
 
-    /// Encode a STREAM frame whose payload is borrowed — what
-    /// `Frame::Stream { .. }.encode(w)` writes, for senders that copy
-    /// straight out of the stream's buffer.
-    pub fn encode_stream(w: &mut Writer, stream_id: u64, offset: u64, data: &[u8], fin: bool) {
+    /// Encode a STREAM frame whose payload is borrowed in parts, written
+    /// one behind the other — what `Frame::Stream { .. }.encode(w)` writes,
+    /// for senders that copy straight out of a stream
+    /// ([`SendStream::data`](crate::stream::SendStream::data)).
+    pub fn encode_stream<'a, I>(w: &mut Writer, stream_id: u64, offset: u64, data: I, fin: bool)
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: Clone,
+    {
         // Always use explicit offset + length; set FIN bit as needed.
         let mut t = ty::STREAM_BASE | 0x04 /*OFF*/ | 0x02 /*LEN*/;
         if fin {
@@ -565,7 +570,9 @@ impl Frame {
         w.varint(t);
         w.varint(stream_id);
         w.varint(offset);
-        w.varint_bytes(data);
+        let parts = data.into_iter();
+        w.varint(parts.clone().map(|part| part.len() as u64).sum());
+        parts.for_each(|part| w.bytes(part));
     }
 
     /// Encode an ACK — an ACK_MP of `path_id` if there is one, carrying

@@ -8,9 +8,7 @@ pub mod recv;
 pub mod send;
 
 pub use recv::{RecvState, RecvStream, MAX_STREAM_SEGMENTS};
-pub use send::{
-    FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PRIORITY, FILL_WINDOW,
-};
+pub use send::{FramePriority, SendRange, SendState, SendStream, DEFAULT_FRAME_PRIORITY};
 
 use crate::cc::MAX_DATAGRAM_SIZE;
 use crate::connection::{SentFrame, SentFrames};
@@ -82,7 +80,7 @@ pub struct StreamMap {
     /// Every stream ever opened, ascending by [`Stream::id`] (none is ever
     /// removed). The first takes a slot of its own: nearly every
     /// connection has one stream, and `Vec`'s minimum capacity of 4 would
-    /// leave three 344-byte slots empty.
+    /// leave three 328-byte slots empty.
     streams: Vec<Stream>,
     next_local: u64,
     /// Connection-level flow control: how much the peer lets us send.
@@ -290,15 +288,11 @@ impl StreamMap {
     }
 
     /// Write `len` bytes of the payload with `phase` from its byte `from`
-    /// on, generated as the stream sends them ([`SendStream::write_with`]);
-    /// `fin` marks the end. Returns the byte range they occupy.
-    pub fn write_with(&mut self, id: u64, len: u64, fin: bool, phase: u64, from: u64) -> SendRange {
-        let send = self.send_half(id);
-        let range = send.write_with(len, phase, from);
-        if fin {
-            send.finish();
-        }
-        range
+    /// on as a stream's body, its last write ([`SendStream::write_with`]:
+    /// lent from the payload's table as they are sent, never held).
+    /// Returns the byte range they occupy.
+    pub fn write_with(&mut self, id: u64, len: u64, phase: u64, from: u64) -> SendRange {
+        self.send_half(id).write_with(len, phase, from)
     }
 
     /// Tag `range` of what was written on a stream with a video-frame
@@ -314,14 +308,13 @@ impl StreamMap {
         &mut self.get_mut(id).expect("unknown stream").send
     }
 
-    /// Let stream `id` go of the bytes it no longer owes
-    /// ([`SendStream::release`]; `frames_from`: where its lowest frame in
-    /// flight starts, if the caller tracks them). Once its send half is
-    /// acknowledged and its receive half complete and read, the stream
-    /// frees its buffers.
-    pub fn release(&mut self, id: u64, frames_from: Option<u64>) {
+    /// A frame of stream `id` left flight: once its send half is
+    /// acknowledged and nothing is queued, it lets its written bytes go
+    /// ([`SendStream::release`]), and once its receive half is complete and
+    /// read as well, the stream frees its receive buffer.
+    pub fn release(&mut self, id: u64) {
         let Some(s) = self.get_mut(id) else { return };
-        s.send.release(frames_from);
+        s.send.release();
         release_if_finished(s);
     }
 
@@ -399,9 +392,9 @@ impl StreamMap {
         self.iter().map(|s| s.recv.buffered_bytes()).sum()
     }
 
-    /// Bytes held by the send halves of open streams: from each one's lowest
-    /// offset still owed to the end of what it generated (§10 gauge; a body
-    /// is generated at most [`FILL_WINDOW`] past what was taken).
+    /// Bytes held by the send halves of open streams: those written with
+    /// [`SendStream::write`] on streams not yet acknowledged (§10 gauge; a
+    /// body is never held).
     pub fn buffered_send_bytes(&self) -> u64 {
         self.iter().map(|s| s.send.buffered_bytes()).sum()
     }
@@ -427,11 +420,15 @@ impl StreamMap {
                 }
             }
             FrameRef::Other(Frame::MaxData(v)) => self.on_max_data(v),
-            // About our sending on a stream of ours never opened (RFC 9000
-            // §19.5, §19.10); one of the peer's not yet open is ignored.
+            // About our sending on a stream of ours never opened, or on one
+            // the peer opened unidirectional, receive-only for us (RFC 9000
+            // §19.5, §19.10); a bidirectional one of the peer's not yet open
+            // is ignored.
             FrameRef::Other(
                 Frame::MaxStreamData { stream_id, .. } | Frame::StopSending { stream_id, .. },
-            ) if self.side.opened_by_us(stream_id) && self.get(stream_id).is_none() => {
+            ) if self.get(stream_id).is_none()
+                && (self.side.opened_by_us(stream_id) || stream_id & 0x2 != 0) =>
+            {
                 return Err((TransportError::StreamStateError, "unopened stream"));
             }
             FrameRef::Other(Frame::MaxStreamData { stream_id, max }) => {
@@ -492,7 +489,7 @@ impl StreamMap {
                 // sent; a flow-control-blocked stream must wait.
                 if send.fin_pending() && send.data_fully_sent() {
                     let range = SendRange { start: send.len(), end: send.len() };
-                    Frame::encode_stream(packet.frames(), id, range.start, &[], true);
+                    Frame::encode_stream(packet.frames(), id, range.start, [], true);
                     sent.push(SentFrame::Stream { id, range, fin: true, reinjected: false });
                     send.mark_fin_sent();
                 }
@@ -511,8 +508,8 @@ impl StreamMap {
                 }
                 break;
             }
-            // The payload goes from the stream's buffer straight into the
-            // datagram.
+            // The payload goes from the stream's buffer or the payload
+            // table straight into the datagram.
             Frame::encode_stream(packet.frames(), id, range.start, send.data(range), fin);
             self.consume_conn_credit(new_bytes);
             first_time += new_bytes;
@@ -624,10 +621,16 @@ mod tests {
                 FrameRef::Other(Frame::ResetStream { stream_id: 2, error_code: 0, final_size: 1 }),
                 StreamLimitError,
             ),
-            // §19.5 and §19.10: a locally-initiated stream never opened.
+            // §19.5 and §19.10: a locally-initiated stream never opened,
+            // and one the peer opened unidirectional, receive-only here.
             (FrameRef::Other(Frame::StopSending { stream_id: 1, error_code: 0 }), StreamStateError),
             (
                 FrameRef::Other(Frame::MaxStreamData { stream_id: 1, max: 1 << 20 }),
+                StreamStateError,
+            ),
+            (FrameRef::Other(Frame::StopSending { stream_id: 2, error_code: 0 }), StreamStateError),
+            (
+                FrameRef::Other(Frame::MaxStreamData { stream_id: 2, max: 1 << 20 }),
                 StreamStateError,
             ),
         ];

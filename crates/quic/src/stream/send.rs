@@ -1,10 +1,10 @@
 //! Send side of a QUIC stream.
 //!
-//! Buffers application data, hands out byte ranges to the packetizer, and
-//! accepts range-level ack/loss/retransmission signals. Re-injection (the
-//! XLINK mechanism) reuses the same range bookkeeping: a re-injected range
-//! is simply scheduled for transmission again while the original copy is
-//! still in flight.
+//! Records what the application wrote, hands out byte ranges to the
+//! packetizer, and accepts range-level ack/loss/retransmission signals.
+//! Re-injection (the XLINK mechanism) reuses the same range bookkeeping: a
+//! re-injected range is simply sent again while the original copy is still
+//! in flight.
 //!
 //! The stream keeps two exact sets of byte ranges (`RangeSet`): the bytes
 //! queued for (re)transmission and the bytes the peer acknowledged. Every
@@ -16,19 +16,14 @@
 //! defines it: `DataRecvd` once the FIN and every byte are acknowledged,
 //! in whatever order, and a FIN the peer acknowledged is never sent again.
 //!
-//! A stream holds only the bytes it may still be asked for. Those start at
-//! the lowest offset still owed: the first unacknowledged byte, or, if
-//! lower, the start of the first range queued for (re)transmission or of
-//! a frame in flight that a re-injection may copy whole. They end where
-//! generation has got to: a body written with [`SendStream::write_with`]
-//! is generated as it is sent, at most [`FILL_WINDOW`] bytes ahead of what
-//! was taken. The acknowledged prefix is released as ACKs arrive
-//! ([`SendStream::release`]), and its room is reused for the bytes
-//! generated next, so a transfer stops allocating once the buffer's
-//! capacity is twice the most bytes it ever held. Those count the
-//! released bytes not yet moved out, not only the ones still owed: a
-//! `bulk_fatpipe` VanillaMp server reached 8.55 MB of capacity while
-//! ~2.2 MB were owed. ROADMAP item 17 bounds capacity by what is owed.
+//! A stream keeps no body bytes. Bytes written with [`SendStream::write`]
+//! (a request, a response head) are copied into one `Vec`. A body written
+//! with [`SendStream::write_with`], the stream's last write, is kept as
+//! which payload bytes it is, and [`SendStream::data`] lends them from the
+//! payload's `const` table ([`xlink_lab::payload::parts`]). So one call
+//! serves a first send and a re-injected copy of any range, and the `Vec`
+//! is all a stream holds, until it is acknowledged and nothing is queued
+//! ([`SendStream::release`]).
 //!
 //! For video, ranges can carry a *frame priority* marker set through the
 //! `stream_send`-style API (paper §5.1): the application tags the byte
@@ -46,12 +41,6 @@ pub type FramePriority = u8;
 
 /// Default priority for untagged data.
 pub const DEFAULT_FRAME_PRIORITY: FramePriority = 128;
-
-/// How far a body written with [`SendStream::write_with`] is generated
-/// ahead of the bytes taken for transmission: when a take reaches past
-/// what was generated, the stream generates up to this many bytes beyond
-/// it.
-pub const FILL_WINDOW: u64 = 64 * 1024;
 
 /// A contiguous byte range scheduled for (re)transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +79,7 @@ pub enum SendState {
 
 /// A body written with [`SendStream::write_with`]: stream offset `o` is
 /// byte `o - start + from` of the payload with `phase`
-/// ([`xlink_lab::payload`]).
+/// ([`xlink_lab::payload`]), up to what was written.
 #[derive(Debug, Clone, Copy)]
 struct Body {
     start: u64,
@@ -101,17 +90,12 @@ struct Body {
 /// The send half of one stream.
 #[derive(Debug)]
 pub struct SendStream {
-    /// The bytes generated and not yet dropped: stream offsets from
-    /// `buf_start` on. Those below `released` are owed no more; their room
-    /// is reclaimed when bytes are appended.
+    /// The bytes written with `write`: stream offsets from 0 to the body,
+    /// or to what was written. Dropped by [`SendStream::release`].
     buf: Vec<u8>,
-    buf_start: u64,
-    /// Every byte below this offset is acknowledged, and none is queued or
-    /// may be copied again: the stream no longer holds them.
-    released: u64,
-    /// Bytes written by the application, generated or not.
+    /// Bytes written by the application.
     written: u64,
-    /// The body the written bytes past the end of `buf` belong to.
+    /// The body the written bytes past the end of `buf` are.
     body: Option<Body>,
     /// True once the application finished the stream.
     fin: bool,
@@ -122,8 +106,8 @@ pub struct SendStream {
     fin_acked: bool,
     /// True once the stream was reset.
     reset: bool,
-    /// Bytes queued for transmission: from writes, loss, or explicit
-    /// re-queueing of in-flight spans; they may be in flight as well.
+    /// Bytes queued for transmission: from writes, loss, or a take put
+    /// back; they may be in flight as well.
     pending: RangeSet,
     /// Every byte the peer acknowledged, exactly.
     acked: RangeSet,
@@ -142,8 +126,6 @@ impl SendStream {
     pub fn new(max_data: u64) -> Self {
         SendStream {
             buf: Vec::new(),
-            buf_start: 0,
-            released: 0,
             written: 0,
             body: None,
             fin: false,
@@ -160,28 +142,23 @@ impl SendStream {
     }
 
     /// Append a copy of application data; returns the byte range it
-    /// occupies. Panics if called after `finish`.
+    /// occupies. Panics if called after `finish` or a body.
     pub fn write(&mut self, data: &[u8]) -> SendRange {
-        if !data.is_empty() {
-            // A copy goes behind every byte of a body written before it.
-            self.generate(self.written);
-            self.make_room(data.len());
-            self.buf.extend_from_slice(data);
-        }
-        self.append(data.len() as u64)
+        let range = self.append(data.len() as u64);
+        self.buf.extend_from_slice(data);
+        range
     }
 
     /// Append `len` bytes of the payload with `phase`, from its byte
-    /// `from` on ([`xlink_lab::payload`]), generated as they are sent: at
-    /// most [`FILL_WINDOW`] bytes beyond what was taken. Returns the byte
-    /// range they occupy. Panics if called after `finish`.
+    /// `from` on ([`xlink_lab::payload`]), and finish the stream: a body is
+    /// its last write. Its bytes are never held; [`SendStream::data`] lends
+    /// them from the payload's table. Returns the byte range they occupy.
+    /// Panics if called after `finish`.
     pub fn write_with(&mut self, len: u64, phase: u64, from: u64) -> SendRange {
-        if len > 0 {
-            // One body at a time: the one written before goes out in full.
-            self.generate(self.written);
-            self.body = Some(Body { start: self.written, phase, from });
-        }
-        self.append(len)
+        let range = self.append(len);
+        self.body = Some(Body { start: range.start, phase, from });
+        self.fin = true;
+        range
     }
 
     /// Account `len` bytes written after the last ones and queue them.
@@ -193,48 +170,6 @@ impl SendStream {
             self.queue_range(range);
         }
         range
-    }
-
-    /// Generate the written bytes up to offset `to`.
-    fn generate(&mut self, to: u64) {
-        let from = self.filled();
-        if to <= from {
-            return;
-        }
-        let body = self.body.expect("written bytes past the buffer are a body's");
-        let n = (to - from) as usize;
-        self.make_room(n);
-        if self.buf.len() + n > self.buf.capacity() {
-            // Grow as a `Vec` does, doubling, but not past the body's end.
-            let most = (self.written - self.buf_start) as usize;
-            let want = (2 * self.buf.capacity()).min(most).max(self.buf.len() + n);
-            self.buf.reserve_exact(want - self.buf.len());
-        }
-        let at = |offset: u64| offset - body.start + body.from;
-        xlink_lab::payload::extend(body.phase, at(from)..at(to), &mut self.buf);
-        if to == self.written {
-            self.body = None;
-        }
-    }
-
-    /// Before `n` bytes are appended: if they do not fit and at least as
-    /// many bytes are released as held, the held ones move to the front
-    /// instead of the buffer growing. Each byte moved is paid for by a
-    /// released one, and once the capacity is twice the most bytes the
-    /// buffer ever held (released bytes not yet moved included, so up to
-    /// about four times what is owed), nothing grows again. ROADMAP item
-    /// 17 has the tighter bound.
-    fn make_room(&mut self, n: usize) {
-        let dead = (self.released - self.buf_start) as usize;
-        if self.buf.len() + n > self.buf.capacity() && 2 * dead >= self.buf.len() {
-            self.buf.drain(..dead);
-            self.buf_start = self.released;
-        }
-    }
-
-    /// End of the bytes generated so far.
-    fn filled(&self) -> u64 {
-        self.buf_start + self.buf.len() as u64
     }
 
     /// Tag `range` of the written bytes with a frame priority (§5.1's
@@ -260,10 +195,10 @@ impl SendStream {
         self.written == 0
     }
 
-    /// Bytes the stream holds: from the lowest offset still owed to the
-    /// end of what was generated.
+    /// Bytes the stream holds: those written with
+    /// [`SendStream::write`], until [`SendStream::release`].
     pub fn buffered_bytes(&self) -> u64 {
-        self.filled() - self.released
+        self.buf.len() as u64
     }
 
     /// True once the FIN has been set by the application.
@@ -304,9 +239,9 @@ impl SendStream {
         self.blocked_at
     }
 
-    /// Queue a range for (re)transmission. Released bytes are not queued.
-    pub fn queue_range(&mut self, range: SendRange) {
-        self.pending.insert(SendRange { start: range.start.max(self.released), end: range.end });
+    /// Queue a range for (re)transmission.
+    fn queue_range(&mut self, range: SendRange) {
+        self.pending.insert(range);
     }
 
     /// True if any byte is queued for transmission.
@@ -359,7 +294,7 @@ impl SendStream {
     /// Take up to `max_len` bytes from the front of the pending queue for
     /// transmission, bounded by flow control. Returns the range taken and
     /// whether this transmission carries the FIN; [`SendStream::data`]
-    /// lends its bytes, generated by now.
+    /// lends its bytes.
     pub fn take_range(&mut self, max_len: usize) -> Option<(SendRange, bool)> {
         let fc_limit = self.max_data;
         let SendRange { start, end } = self.pending.first()?;
@@ -371,9 +306,6 @@ impl SendStream {
         self.pending.remove_below(end_allowed);
         if end_allowed < end && end_allowed == fc_limit {
             self.blocked_at = Some(fc_limit);
-        }
-        if end_allowed > self.filled() {
-            self.generate(self.written.min(end_allowed + FILL_WINDOW));
         }
         self.largest_sent = self.largest_sent.max(end_allowed);
         let fin_here = self.fin && end_allowed == self.written;
@@ -396,16 +328,28 @@ impl SendStream {
     /// and the FIN flag.
     pub fn take_chunk(&mut self, max_len: usize) -> Option<(u64, Vec<u8>, bool)> {
         let (range, fin) = self.take_range(max_len)?;
-        Some((range.start, self.data(range).to_vec(), fin))
+        let mut bytes = Vec::with_capacity(range.len() as usize);
+        self.data(range).for_each(|part| bytes.extend_from_slice(part));
+        Some((range.start, bytes, fin))
     }
 
-    /// The written bytes of `range`, which the stream must still hold: a
-    /// range just taken, or one in flight that a *re-injection* sends again
-    /// without touching pending state.
-    pub fn data(&self, range: SendRange) -> &[u8] {
-        debug_assert!(range.start >= self.released, "released bytes were asked for");
-        let at = |offset: u64| (offset - self.buf_start) as usize;
-        &self.buf[at(range.start)..at(range.end)]
+    /// The written bytes of `range`, lent in parts: those written with
+    /// [`SendStream::write`] from the stream's `Vec`, then the body's from
+    /// the payload table, at most 4 016 bytes a part. `range` is one just
+    /// taken, or one in flight that a *re-injection* sends again without
+    /// touching pending state. Panics if `range` holds written bytes and
+    /// the stream let them go ([`SendStream::release`]).
+    pub fn data(&self, range: SendRange) -> impl Iterator<Item = &[u8]> + Clone + '_ {
+        // Only a range with written bytes lends a slice of the `Vec`, which
+        // may be gone.
+        let head_end = range.end.min(self.body.map_or(self.written, |b| b.start));
+        let head =
+            (range.start < head_end).then(|| &self.buf[range.start as usize..head_end as usize]);
+        let body = self.body.filter(|b| range.end > b.start).map(|b| {
+            let at = |offset: u64| offset - b.start + b.from;
+            xlink_lab::payload::parts(b.phase, at(range.start.max(b.start))..at(range.end))
+        });
+        head.into_iter().chain(body.into_iter().flatten())
     }
 
     /// Record that a transmitted range was acknowledged. Returns true once
@@ -423,40 +367,21 @@ impl SendStream {
         self.fin && self.fin_acked && self.acked.gaps(0..self.written).next().is_none()
     }
 
-    /// Release the bytes below the lowest offset still owed: below the
-    /// first range queued and, when the owner tracks the stream's frames in
-    /// flight, below where the lowest of them starts (`frames_from`;
-    /// `u64::MAX` for none) and the largest offset sent. A frame in flight
-    /// may be copied whole by a re-injection, and every byte sent that is
-    /// neither queued nor in such a frame has been acknowledged. An owner
-    /// that does not track them passes `None`, and what is released stops
-    /// at the first unacknowledged byte. A stream with nothing left to send
-    /// or generate lets its buffer go.
-    pub fn release(&mut self, frames_from: Option<u64>) {
-        let settled = match frames_from {
-            Some(start) => start.min(self.largest_sent),
-            None => self.acked.gaps(self.released..u64::MAX).next().map_or(u64::MAX, |r| r.start),
-        };
-        let queued_from = self.pending.first().map_or(u64::MAX, |r| r.start);
-        let to = settled.min(queued_from).min(self.filled());
-        if to <= self.released {
-            return;
-        }
-        self.released = to;
-        if to == self.filled() {
-            self.buf_start = to;
-            if self.fin && to == self.written {
-                self.buf = Vec::new();
-                self.pending = RangeSet::default();
-            } else {
-                self.buf.clear();
-            }
+    /// Let the written bytes go once nothing can ask for them again: the
+    /// stream is acknowledged and nothing is queued. A range queued again
+    /// before its acknowledgement is still sent, so it holds them until it
+    /// has left. Asked at every frame that leaves flight: acknowledged,
+    /// lost or drained.
+    pub fn release(&mut self) {
+        if self.is_acknowledged() && self.pending.first().is_none() {
+            self.buf = Vec::new();
+            self.pending = RangeSet::default();
         }
     }
 
     /// Record that a transmitted range was lost; requeue the un-acked part.
     pub fn on_range_lost(&mut self, range: SendRange, fin: bool) {
-        for unacked in self.acked.gaps(range.start.max(self.released)..range.end) {
+        for unacked in self.acked.gaps(range.start..range.end) {
             self.pending.insert(unacked);
         }
         if fin {
@@ -477,7 +402,7 @@ impl SendStream {
     /// queued — the stream-level view of the paper's `unacked_q`, what
     /// re-injection may copy. Found range by range, never byte by byte.
     pub fn in_flight_from(&self, from: u64) -> Option<SendRange> {
-        let mut unacked = self.acked.gaps(from.max(self.released)..self.largest_sent);
+        let mut unacked = self.acked.gaps(from..self.largest_sent);
         unacked.find_map(|run| self.pending.gaps(run.start..run.end).next())
     }
 }
@@ -502,6 +427,11 @@ mod tests {
         /// True if the byte at `offset` is acknowledged.
         fn acked_at(&self, offset: u64) -> bool {
             self.acked.contains(offset)
+        }
+
+        /// The bytes [`SendStream::data`] lends for `range`, in one piece.
+        fn bytes(&self, range: SendRange) -> Vec<u8> {
+            self.data(range).collect::<Vec<_>>().concat()
         }
     }
 
@@ -614,7 +544,7 @@ mod tests {
         let mut s = SendStream::new(u64::MAX);
         s.write(b"abcdef");
         let _ = s.take_chunk(100);
-        assert_eq!(s.data(SendRange { start: 2, end: 5 }), b"cde");
+        assert_eq!(s.bytes(SendRange { start: 2, end: 5 }), b"cde");
         // Copying does not consume pending or change state.
         assert!(s.unacked_in_flight().len() == 1);
     }
@@ -705,130 +635,136 @@ mod tests {
         xlink_lab::payload::byte(7, offset)
     }
 
+    /// A 37-byte head and a body of three table spans and more, from byte
+    /// 1 000 of its payload: `data` is the written bytes at every range
+    /// between offsets around the head's end and one, two and three 4 016
+    /// byte spans past it, in a slice of the head if it has head bytes and
+    /// as few table slices as the body's bytes need; and a range inside the
+    /// body is still lent once the stream let its head go.
     #[test]
-    fn a_body_is_generated_a_window_ahead_of_what_was_taken() {
+    fn data_is_the_bytes_written_across_the_head_and_the_table_spans() {
+        let head: Vec<u8> = (0..37u8).map(|b| b ^ 0x5a).collect();
+        let mut s = SendStream::new(u64::MAX);
+        s.write(&head);
+        let len = 3 * 4_016 + 500;
+        assert_eq!(s.write_with(len, 7, 1_000), SendRange { start: 37, end: 37 + len });
+        let mut written = head.clone();
+        written.extend((0..len).map(|o| body_byte(1_000 + o)));
+        let mut edges = vec![0, 1, 36, 37, 38, 37 + len - 1, 37 + len];
+        for k in 1..=3 {
+            edges.extend([35, 36, 37, 38, 39].map(|o| o + k * 4_016));
+        }
+        for &a in &edges {
+            for &b in edges.iter().filter(|&&b| b >= a) {
+                let r = SendRange { start: a, end: b };
+                assert_eq!(s.bytes(r), &written[a as usize..b as usize], "{a}..{b}");
+                let body = b.max(37) - a.max(37);
+                let parts = usize::from(a < b.min(37)) + body.div_ceil(4_016) as usize;
+                assert_eq!(s.data(r).count(), parts, "{a}..{b}");
+            }
+        }
+        let all = SendRange { start: 0, end: 37 + len };
+        while let Some((r, fin)) = s.take_range(1_200) {
+            s.on_range_acked(r, fin);
+        }
+        s.release();
+        assert!(s.is_acknowledged());
+        assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0), "an acknowledged stream frees");
+        let body = SendRange { start: 37, end: all.end };
+        assert_eq!(s.bytes(body), &written[37..]);
+        assert_eq!(s.bytes(SendRange { start: all.end, end: all.end }), b"");
+    }
+
+    #[test]
+    #[should_panic(expected = "write after finish")]
+    fn a_write_after_a_body_panics() {
         let mut s = SendStream::new(u64::MAX);
         s.write(b"HEAD");
-        let len = 3 * FILL_WINDOW + 123;
-        assert_eq!(s.write_with(len, 7, 0), SendRange { start: 4, end: 4 + len });
-        s.finish();
-        assert_eq!((s.len(), s.buffered_bytes()), (4 + len, 4), "nothing generated yet");
-        let mut offset = 0;
-        while let Some((range, fin)) = s.take_range(1_200) {
-            assert_eq!(range.start, offset);
-            let expected: Vec<u8> = (range.start..range.end)
-                .map(|o| if o < 4 { b"HEAD"[o as usize] } else { body_byte(o - 4) })
-                .collect();
-            assert_eq!(s.data(range), &expected[..], "at {offset}");
-            assert!(s.filled() <= range.end + FILL_WINDOW, "generated too far ahead");
-            assert_eq!(fin, range.end == s.len());
-            s.on_range_acked(range, fin);
-            s.release(None);
-            offset = range.end;
-        }
-        assert_eq!(offset, s.len());
-        assert_eq!(s.state(), SendState::DataRecvd);
-        assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0), "an acknowledged stream frees");
-    }
-
-    #[test]
-    fn a_copy_written_behind_a_body_generates_the_body_first() {
-        let mut s = SendStream::new(u64::MAX);
         s.write_with(10, 7, 0);
+        assert_eq!(s.state(), SendState::DataSent, "a body finishes the stream");
         s.write(b"tail");
-        let (_, data, _) = s.take_chunk(100).unwrap();
-        let mut expected: Vec<u8> = (0..10).map(body_byte).collect();
-        expected.extend_from_slice(b"tail");
-        assert_eq!(data, expected);
     }
 
+    /// A 16 MiB body, sent in 1 200-byte frames into one reused packet
+    /// buffer with 64 frames in flight and acknowledged in order, allocates
+    /// nothing after its first frame (sent and acknowledged at once): its
+    /// bytes are never held, so nothing grows with what is in flight.
     #[test]
-    fn the_acknowledged_prefix_is_released_and_its_room_reused() {
+    fn a_body_sent_and_acknowledged_allocates_nothing_after_the_first_frame() {
+        use xlink_obs::prof;
         let mut s = SendStream::new(u64::MAX);
-        s.write_with(1 << 30, 7, 0);
-        let mut in_flight = std::collections::VecDeque::new();
-        let mut capacity = 0;
-        for round in 0..2_000 {
-            // Keep 40 packets in flight: acknowledge the oldest, send one.
-            if in_flight.len() == 40 {
-                s.on_range_acked(in_flight.pop_front().unwrap(), false);
-                s.release(None);
+        s.write_with(16 << 20, 7, 0);
+        let (mut packet, mut in_flight) = (Vec::with_capacity(1_200), Vec::with_capacity(65));
+        let mut send = |s: &mut SendStream, window: usize| {
+            if let Some((r, fin)) = s.take_range(1_200) {
+                packet.clear();
+                s.data(r).for_each(|part| packet.extend_from_slice(part));
+                assert_eq!(packet.len() as u64, r.len());
+                in_flight.insert(0, (r, fin));
             }
-            let (range, _) = s.take_range(1_200).unwrap();
-            in_flight.push_back(range);
-            assert_eq!(s.released, in_flight[0].start);
-            assert!(s.buffered_bytes() <= 40 * 1_200 + FILL_WINDOW + 1_200);
-            if round == 1_000 {
-                capacity = s.buf.capacity();
+            if in_flight.len() > window || s.data_fully_sent() {
+                let (r, fin) = in_flight.pop()?;
+                s.on_range_acked(r, fin);
+                s.release();
             }
-        }
-        assert_eq!(s.buf.capacity(), capacity, "the buffer stopped growing");
+            Some(())
+        };
+        send(&mut s, 0).expect("a first frame");
+        let (_, report) = prof::with_recording(|| {
+            let _span = prof::span!("test/body");
+            while send(&mut s, 64).is_some() {}
+        });
+        let row = report.get("test;body").expect("recorded");
+        assert_eq!((row.allocs, row.alloc_bytes), (0, 0), "{}", report.folded());
+        assert_eq!(s.state(), SendState::DataRecvd);
     }
 
     /// A range declared lost, queued again, then acknowledged (the loss
     /// was spurious) before it is sent again: it is still sent, with the
-    /// bytes written, and they are held until then.
+    /// bytes written, and the stream holds them until that copy has left,
+    /// acknowledged or lost.
     #[test]
     fn a_requeued_range_acknowledged_before_it_is_resent_is_still_sent() {
-        let mut s = SendStream::new(u64::MAX);
-        s.write(b"0123456789");
-        s.write_with(20, 7, 0);
-        s.finish();
-        let (first, _) = s.take_range(10).unwrap();
-        let (second, _) = s.take_range(100).unwrap();
-        s.on_range_lost(first, false);
-        s.on_range_acked(first, false);
-        s.on_range_acked(second, true);
-        s.release(None);
-        assert_eq!(s.released, 0, "the queued range holds the release back");
-        let (offset, data, fin) = s.take_chunk(100).unwrap();
-        assert_eq!((offset, &data[..], fin), (0, &b"0123456789"[..], false));
-        s.on_range_acked(first, false);
-        s.release(None);
-        assert_eq!((s.released, s.buffered_bytes()), (30, 0));
-        assert_eq!(s.state(), SendState::DataRecvd);
-    }
-
-    /// A frame in flight that a re-injection may copy whole keeps its bytes
-    /// even where another frame acknowledged them.
-    #[test]
-    fn a_frame_in_flight_keeps_its_bytes_for_a_copy() {
-        let mut s = SendStream::new(u64::MAX);
-        s.write(b"abcdefghij");
-        let (a, _) = s.take_range(4).unwrap(); // 0..4
-        s.on_range_lost(a, false);
-        let (wide, _) = s.take_range(100).unwrap(); // 0..10 sent again
-        s.on_range_acked(a, false); // the first transmission arrived after all
-        s.release(Some(wide.start));
-        assert_eq!(s.released, 0);
-        assert_eq!(s.data(wide), b"abcdefghij", "the wide frame may be copied");
-        // Without frames tracked only the acknowledged prefix goes.
-        s.release(None);
-        assert_eq!(s.released, 4);
-        assert_eq!(s.in_flight_from(0), Some(SendRange { start: 4, end: 10 }));
-        // No frame left in flight: everything sent was acknowledged.
-        s.on_range_acked(wide, false);
-        s.release(Some(u64::MAX));
-        assert_eq!((s.released, s.buffered_bytes()), (10, 0));
+        for resent_lost in [false, true] {
+            let mut s = SendStream::new(u64::MAX);
+            s.write(b"0123456789");
+            s.write_with(20, 7, 0);
+            let (first, _) = s.take_range(10).unwrap();
+            let (second, _) = s.take_range(100).unwrap();
+            s.on_range_lost(first, false);
+            s.on_range_acked(first, false);
+            s.on_range_acked(second, true);
+            s.release();
+            assert!(s.is_acknowledged());
+            assert_eq!(s.buffered_bytes(), 10, "the queued range holds the head");
+            let (offset, data, fin) = s.take_chunk(100).unwrap();
+            assert_eq!((offset, &data[..], fin), (0, &b"0123456789"[..], false));
+            if resent_lost {
+                s.on_range_lost(first, false);
+                assert!(!s.has_pending(), "acknowledged bytes are not queued again");
+            } else {
+                s.on_range_acked(first, false);
+            }
+            s.release();
+            assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0));
+            assert_eq!(s.state(), SendState::DataRecvd);
+        }
     }
 
     /// Acknowledgements that leave a gap after every other byte are all
     /// kept, however many: the gaps stay in flight, a loss queues exactly
-    /// them again, the release stops at the first, and once they are sent
-    /// again and acknowledged the stream is.
+    /// them again, and once they are sent again and acknowledged the
+    /// stream is.
     #[test]
     fn every_gap_between_acknowledgements_is_kept() {
         let mut s = SendStream::new(u64::MAX);
         let len = 100 + 2 * 1_000;
         s.write_with(len, 7, 0);
-        s.finish();
         while s.take_range(1).is_some() {}
         s.on_range_acked(SendRange { start: 0, end: 100 }, false);
         for o in (101..len).step_by(2) {
             s.on_range_acked(SendRange { start: o, end: o + 1 }, o + 1 == len);
-            s.release(None);
         }
-        assert_eq!(s.released, 100);
         let gaps = (100..len).step_by(2).map(|o| SendRange { start: o, end: o + 1 });
         assert_eq!(s.unacked_in_flight(), gaps.collect::<Vec<_>>());
         s.on_range_lost(SendRange { start: 0, end: len }, false);
@@ -837,8 +773,6 @@ mod tests {
             assert!(!s.is_acknowledged());
             s.on_range_acked(r, false);
         }
-        s.release(None);
-        assert_eq!((s.released, s.buffered_bytes()), (len, 0));
         assert!(s.is_acknowledged());
     }
 
@@ -871,7 +805,7 @@ mod tests {
     }
 
     /// Losing frames and queueing ranges again allocates nothing once the
-    /// range sets and the buffer have their room.
+    /// range sets have their room.
     #[test]
     fn range_bookkeeping_allocates_nothing() {
         use xlink_obs::prof;
@@ -893,9 +827,9 @@ mod tests {
             }
             // Everything sent again arrives.
             s.on_range_acked(SendRange { start: frames[0].start, end: frames[4].end }, false);
-            s.release(None);
+            s.release();
         };
-        // Warm-up: the generated buffer grows to its final capacity.
+        // Warm-up: the range sets grow to their final capacity.
         (0..100).for_each(|_| round(&mut s));
         let (_, report) = prof::with_recording(|| {
             let _span = prof::span!("test/ranges");
@@ -939,26 +873,29 @@ mod tests {
         Lose(usize),
         /// Copy the `i`th frame in flight (re-injection).
         Copy(usize),
-        /// Queue `start..end` again.
+        /// Queue `len` bytes from an offset (taken modulo the stream's length
+        /// plus one) again.
         Requeue(u64, u64),
         /// The first run in flight from an offset.
         InFlight(u64),
     }
 
-    /// A stream of a copied head, a generated body and maybe a copied tail,
-    /// driven by every operation the connection applies, against a model
-    /// of written bytes and acknowledgements. Every byte the stream hands
-    /// out is the byte written; after every step its first run in flight
-    /// from the release point is the model's, and it never lets go of a
-    /// byte still owed (not acknowledged, queued, or in a frame that may be
-    /// copied) and, after each acknowledgement or loss, holds nothing below
-    /// the lowest one; generation stays a window ahead of what was taken;
-    /// its state is the model's (`DataRecvd` once the FIN and every byte
-    /// are acknowledged, in any order: the FIN frame may be acknowledged
-    /// first) and no FIN is pending once one was acknowledged; and once all
-    /// is acknowledged the stream holds nothing. Runs of small frames with
-    /// every other one acknowledged leave more than 256 gaps between
-    /// acknowledgements.
+    /// A stream of a copied head and a body, driven by every operation the
+    /// connection applies, against a model of written bytes and
+    /// acknowledgements. Every byte the stream hands out, taken or copied,
+    /// is the byte written. A frame is copied only when the re-injection
+    /// index would offer it: one with a byte still in flight or a FIN still
+    /// to send, or an empty one (which lends no byte), so never a written
+    /// byte of an acknowledged stream. The stream is asked to let go at
+    /// every frame that leaves flight, acknowledged or lost, as the
+    /// connection asks. After every step its first run in flight is the
+    /// model's; it holds the head until it is acknowledged and nothing is
+    /// queued, and nothing after; its state is the model's (`DataRecvd`
+    /// once the FIN and every byte are acknowledged, in any order: the FIN
+    /// frame may be acknowledged first); and no FIN is pending once one was
+    /// acknowledged. Once all is acknowledged the stream holds nothing.
+    /// Runs of small frames with every other one acknowledged leave more
+    /// than 256 gaps between acknowledgements.
     #[test]
     fn prop_the_stream_hands_out_the_bytes_written() {
         use xlink_lab::prop::*;
@@ -968,7 +905,7 @@ mod tests {
             2 => Op::Ack(a as usize),
             3 => Op::Lose(a as usize),
             4 => Op::Copy(a as usize),
-            5 => Op::Requeue(a % 300_000, a % 300_000 + b),
+            5 => Op::Requeue(a, b),
             6 => Op::InFlight(a % 300_000),
             7 => Op::Take(513 + a as usize % 300, 1 + b as usize % 4),
             8 => Op::AckEveryOther(a % 2 == 1),
@@ -976,39 +913,27 @@ mod tests {
             10 => Op::LoseFin,
             _ => Op::CopyFin,
         };
-        // With `tracked` (bit 0 of `shape`), the owner knows every frame in
-        // flight, as the re-injection index does, and copies frames (a lost
-        // copy is not queued again); without, no frame is copied. Bit 1
-        // keeps the body under 2 000 bytes, so the FIN goes out, and is
-        // acknowledged, while data is still in flight.
-        let layout = (0u64..64, 0u64..250_000, 0u64..3, 0u8..4);
+        // `small` keeps the body under 2 000 bytes, so the FIN goes out,
+        // and is acknowledged, while data is still in flight.
+        let layout = (0u64..64, 0u64..250_000, any_bool());
         let ops = vec_of((0u8..12, 0u64..1 << 20, 1u64..4_000), 0..80);
         check("prop_the_stream_hands_out_the_bytes_written", (layout, ops), |v| {
-            let &((head, body, tail, shape), ref ops) = v;
-            let body = if shape >= 2 { body % 2_000 } else { body };
-            let (tracked, phase) = (shape % 2 == 1, body % 251);
+            let &((head, body, small), ref ops) = v;
+            let body = if small { body % 2_000 } else { body };
+            let phase = body % 251;
             let mut written: Vec<u8> = (0..head).map(|o| o as u8 ^ 0x5a).collect();
             let mut s = SendStream::new(u64::MAX);
             s.write(&written);
             s.write_with(body, phase, 0);
             written.extend((0..body).map(|o| xlink_lab::payload::byte(phase, o)));
-            // A tail written behind the body makes it generate in full.
-            let tail: Vec<u8> = (0..tail * 5).map(|o| o as u8).collect();
-            s.write(&tail);
-            written.extend_from_slice(&tail);
-            s.finish();
             let len = written.len() as u64;
             prop_assert_eq!(s.len(), len);
-            let window_from = if tail.is_empty() { head } else { len };
             let (mut acked, mut fin_acked) = (vec![false; written.len()], false);
+            // The stream was acknowledged, nothing queued, as a frame left.
+            let mut freed = false;
             // Frames in flight: range, FIN, a copy.
             let mut frames: Vec<(SendRange, bool, bool)> = Vec::new();
             let bytes = |r: SendRange| &written[r.start as usize..r.end as usize];
-            let framed = |frames: &[(SendRange, bool, bool)]| {
-                let starts = frames.iter().map(|(r, ..)| r.start).filter(|_| tracked);
-                starts.min().unwrap_or(u64::MAX)
-            };
-            let frames_from = |frames: &[(SendRange, bool, bool)]| tracked.then(|| framed(frames));
             for op in ops.iter().copied().map(op) {
                 let mut fins = frames.iter().enumerate().filter(|(_, f)| f.1).map(|(i, _)| i);
                 let op = match op {
@@ -1018,12 +943,12 @@ mod tests {
                     Op::CopyFin => fins.next().map_or(op, Op::Copy),
                     _ => op,
                 };
-                let mut released = false;
+                let mut gone = false;
                 match op {
                     Op::Take(n, size) => {
                         for _ in 0..n {
                             let Some((r, fin)) = s.take_range(size) else { break };
-                            prop_assert_eq!(s.data(r), bytes(r));
+                            prop_assert_eq!(s.bytes(r), bytes(r));
                             prop_assert_eq!(fin, r.end == len);
                             frames.push((r, fin, false));
                         }
@@ -1043,8 +968,7 @@ mod tests {
                         } else if !copy {
                             s.on_range_lost(r, fin);
                         }
-                        s.release(frames_from(&frames));
-                        released = true;
+                        gone = true;
                     }
                     Op::AckEveryOther(second) if !frames.is_empty() => {
                         frames.sort_by_key(|&(r, ..)| (r.start, r.end));
@@ -1059,34 +983,32 @@ mod tests {
                             }
                             !ack
                         });
-                        s.release(frames_from(&frames));
-                        released = true;
+                        gone = true;
                     }
-                    Op::Copy(i) if tracked && !frames.is_empty() => {
+                    Op::Copy(i) if !frames.is_empty() => {
                         let (r, fin, _) = frames[i % frames.len()];
-                        prop_assert_eq!(s.data(r), bytes(r));
-                        frames.push((r, fin, true));
+                        let in_flight = s.in_flight_from(r.start).is_some_and(|f| f.start < r.end);
+                        if r.is_empty() || in_flight || (fin && s.fin_pending()) {
+                            prop_assert_eq!(s.bytes(r), bytes(r));
+                            frames.push((r, fin, true));
+                        }
                     }
-                    Op::Requeue(start, end) => {
-                        s.queue_range(SendRange { start, end: end.min(len) })
+                    Op::Requeue(from, n) if !freed => {
+                        let start = from % (len + 1);
+                        s.queue_range(SendRange { start, end: (start + n).min(len) })
                     }
                     Op::InFlight(from) => {
                         prop_assert_eq!(s.in_flight_from(from), in_flight(&s, &acked, from));
                     }
                     _ => {}
                 }
-                let from = s.released;
-                prop_assert_eq!(s.in_flight_from(from), in_flight(&s, &acked, from));
-                let unacked = acked.iter().position(|&a| !a).map_or(len, |o| o as u64);
-                let queued = s.pending.first().map_or(u64::MAX, |r| r.start);
-                let owed = unacked.min(queued).min(framed(&frames)).min(s.filled());
-                prop_assert!(s.released <= owed, "released {} past {owed}", s.released);
-                if released {
-                    prop_assert_eq!(s.released, owed);
-                }
-                let taken = s.largest_sent().max(window_from);
-                prop_assert!(s.filled() <= len.min(taken + FILL_WINDOW + 4_000));
                 let done = fin_acked && acked.iter().all(|&a| a);
+                if gone {
+                    freed |= done && !s.has_pending();
+                    s.release();
+                }
+                prop_assert_eq!(s.in_flight_from(0), in_flight(&s, &acked, 0));
+                prop_assert_eq!(s.buffered_bytes(), if freed { 0 } else { head });
                 let state = if done { SendState::DataRecvd } else { SendState::DataSent };
                 prop_assert_eq!(s.state(), state);
                 prop_assert!(!(fin_acked && s.fin_pending()), "an acknowledged FIN is pending");
@@ -1094,7 +1016,7 @@ mod tests {
             // Send and acknowledge the rest: the stream ends holding nothing.
             loop {
                 while let Some((r, fin)) = s.take_range(1_200) {
-                    prop_assert_eq!(s.data(r), bytes(r));
+                    prop_assert_eq!(s.bytes(r), bytes(r));
                     frames.push((r, fin, false));
                 }
                 if s.fin_pending() && s.data_fully_sent() {
@@ -1106,8 +1028,8 @@ mod tests {
                 }
                 for (r, fin, _) in frames.drain(..) {
                     s.on_range_acked(r, fin);
+                    s.release();
                 }
-                s.release(frames_from(&frames));
             }
             prop_assert_eq!((s.buffered_bytes(), s.buf.capacity()), (0, 0));
             prop_assert_eq!(s.state(), SendState::DataRecvd);
