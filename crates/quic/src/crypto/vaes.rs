@@ -29,7 +29,12 @@ fn store(b: &mut [u8; 64], x: __m512i) {
 #[target_feature(enable = "vaes,vpclmulqdq,avx512f,avx512bw,aes,pclmulqdq,ssse3")]
 fn ctr(gcm: &Gcm, n: u32, data: &mut [u8]) {
     let (steps, rest) = data.as_chunks_mut::<STEP>();
-    let rk = gcm.rk.map(|k| _mm512_broadcast_i32x4(k));
+    // A loop, not `map`: a closure does not inherit the target features,
+    // and left out of line each broadcast became a call.
+    let mut rk = [_mm512_setzero_si512(); 15];
+    for (r, &k) in rk.iter_mut().zip(&gcm.rk) {
+        *r = _mm512_broadcast_i32x4(k);
+    }
     let swap = _mm512_broadcast_i32x4(aesni::load(&aesni::CTR_SWAP));
     let four = _mm512_maskz_set1_epi32(0x8888, 4);
     let lanes = _mm512_set_epi32(3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0);
