@@ -40,7 +40,7 @@ fn residue(phase: u64, offset: u64) -> usize {
 }
 
 /// The payload byte at `offset` of a stream with `phase`: the definition
-/// [`extend`] and [`matches()`] agree with.
+/// [`parts`], [`extend`] and [`matches()`] agree with.
 pub fn byte(phase: u64, offset: u64) -> u8 {
     residue(phase, offset) as u8
 }
@@ -64,8 +64,9 @@ pub fn parts<'a>(phase: u64, range: Range<u64>) -> impl Iterator<Item = &'a [u8]
 /// Append bytes `range` of the stream with `phase` to `out`, reserving
 /// room for all of them first.
 pub fn extend(phase: u64, range: Range<u64>, out: &mut Vec<u8>) {
-    out.reserve(range.end.saturating_sub(range.start) as usize);
-    parts(phase, range).for_each(|part| out.extend_from_slice(part));
+    let parts = parts(phase, range);
+    out.reserve(parts.clone().map(<[u8]>::len).sum());
+    parts.for_each(|part| out.extend_from_slice(part));
 }
 
 /// Whether `data` is the stream with `phase` from offset `start` on.

@@ -164,8 +164,9 @@ pub struct BoundedState {
     pub stream_segments: usize,
     /// Buffered receive bytes (bounded by advertised flow control).
     pub buffered_recv_bytes: u64,
-    /// Bytes held by send halves: from the lowest offset each still owes
-    /// to what it generated (0 once everything is acknowledged).
+    /// Bytes held by send halves: those written with `write` (a request,
+    /// a response head; a body is never held), until each stream is
+    /// acknowledged with nothing queued.
     pub buffered_send_bytes: u64,
 }
 
