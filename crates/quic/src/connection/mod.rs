@@ -749,10 +749,10 @@ impl Connection {
         match frame {
             // §12.4 Table 3: an Initial packet carries PADDING, PING, ACK,
             // CRYPTO and CONNECTION_CLOSE, nothing else.
-            FrameRef::Stream { .. } | FrameRef::AckMp(_) if initial => {
-                self.close(TransportError::ProtocolViolation, "frame not allowed in Initial")
-            }
-            FrameRef::Other(ref f) if initial && !matches!(f, Frame::Padding(_) | Frame::Ping) => {
+            FrameRef::Stream { .. } | FrameRef::AckMp(_) | FrameRef::Other(_)
+                if initial
+                    && !matches!(frame, FrameRef::Other(Frame::Padding(_) | Frame::Ping)) =>
+            {
                 self.close(TransportError::ProtocolViolation, "frame not allowed in Initial")
             }
             FrameRef::Crypto { data, .. } => match self.keys.on_peer_hello(data) {

@@ -288,8 +288,7 @@ impl StreamMap {
     }
 
     /// Write `len` bytes of the payload with `phase` from its byte `from`
-    /// on as a stream's body, its last write ([`SendStream::write_with`]:
-    /// lent from the payload's table as they are sent, never held).
+    /// on as a stream's body, its last write ([`SendStream::write_with`]).
     /// Returns the byte range they occupy.
     pub fn write_with(&mut self, id: u64, len: u64, phase: u64, from: u64) -> SendRange {
         self.send_half(id).write_with(len, phase, from)

@@ -167,7 +167,7 @@ impl SendStream {
         if !range.is_empty() {
             assert_eq!(self.state(), SendState::Ready, "write after finish or reset");
             self.written = range.end;
-            self.queue_range(range);
+            self.pending.insert(range);
         }
         range
     }
@@ -237,11 +237,6 @@ impl SendStream {
     /// Offset at which we are blocked by flow control, if we are.
     pub fn blocked_at(&self) -> Option<u64> {
         self.blocked_at
-    }
-
-    /// Queue a range for (re)transmission.
-    fn queue_range(&mut self, range: SendRange) {
-        self.pending.insert(range);
     }
 
     /// True if any byte is queued for transmission.
@@ -320,7 +315,7 @@ impl SendStream {
     /// was before the take, so the bytes still count as never sent when
     /// connection flow control is applied to them on the next attempt.
     pub fn untake(&mut self, range: SendRange, largest_sent_before: u64) {
-        self.queue_range(range);
+        self.pending.insert(range);
         self.largest_sent = largest_sent_before;
     }
 
@@ -550,13 +545,13 @@ mod tests {
     }
 
     #[test]
-    fn queue_range_merges_overlaps() {
+    fn queued_ranges_merge() {
         let mut s = SendStream::new(u64::MAX);
         s.write(b"0123456789");
         let _ = s.take_chunk(100);
-        s.queue_range(SendRange { start: 1, end: 3 });
-        s.queue_range(SendRange { start: 2, end: 6 });
-        s.queue_range(SendRange { start: 6, end: 7 });
+        s.pending.insert(SendRange { start: 1, end: 3 });
+        s.pending.insert(SendRange { start: 2, end: 6 });
+        s.pending.insert(SendRange { start: 6, end: 7 });
         let (off, data, _) = s.take_chunk(100).unwrap();
         assert_eq!((off, data.len()), (1, 6)); // merged 1..7
     }
@@ -586,7 +581,7 @@ mod tests {
                             s.on_range_lost(SendRange { start, end }, false);
                         }
                         _ => {
-                            s.queue_range(SendRange { start, end });
+                            s.pending.insert(SendRange { start, end });
                         }
                     }
                 }
@@ -821,7 +816,7 @@ mod tests {
             for r in frames.iter().rev() {
                 s.on_range_lost(*r, false);
             }
-            s.queue_range(SendRange { start: frames[1].start, end: frames[3].end });
+            s.pending.insert(SendRange { start: frames[1].start, end: frames[3].end });
             while s.pending.first().is_some_and(|r| r.end < s.len()) {
                 s.take_range(1_000).unwrap();
             }
@@ -995,7 +990,7 @@ mod tests {
                     }
                     Op::Requeue(from, n) if !freed => {
                         let start = from % (len + 1);
-                        s.queue_range(SendRange { start, end: (start + n).min(len) })
+                        s.pending.insert(SendRange { start, end: (start + n).min(len) })
                     }
                     Op::InFlight(from) => {
                         prop_assert_eq!(s.in_flight_from(from), in_flight(&s, &acked, from));
