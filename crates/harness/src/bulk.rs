@@ -281,15 +281,15 @@ mod tests {
         let mut link = LinkConfig::constant_rate(50.0, Duration::from_millis(10));
         link.queue_bytes = 64 << 20;
         let mut world = World::new(client, server, vec![Path::symmetric(link)]);
-        let held = |w: &World<_, VideoServerEndpoint>| {
-            w.server.conn.conn().bounded_state().buffered_send_bytes
-        };
-        let (mut ms, mut peak) = (0, 0);
-        while world.client.app.done_at.is_none() && ms < 10_000 {
-            ms += 1;
+        let mut peak = 0;
+        for ms in 1..=10_000 {
             world.run_until(Instant::from_millis(ms));
-            assert!(held(&world) <= head, "{} held at {ms} ms, a {head}-byte head", held(&world));
-            peak = peak.max(held(&world));
+            let held = world.server.conn.conn().bounded_state().buffered_send_bytes;
+            assert!(held <= head, "{held} held at {ms} ms, a {head}-byte head");
+            peak = peak.max(held);
+            if world.client.app.done_at.is_some() {
+                break;
+            }
         }
         assert!(world.client.app.done_at.is_some(), "the download finished");
         assert_eq!(world.server.transport_stats().packets_lost, 0);

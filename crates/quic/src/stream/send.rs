@@ -95,7 +95,7 @@ pub struct SendStream {
     buf: Vec<u8>,
     /// Bytes written by the application.
     written: u64,
-    /// The body the written bytes past the end of `buf` are.
+    /// The body: the written bytes past the end of `buf`.
     body: Option<Body>,
     /// True once the application finished the stream.
     fin: bool,
