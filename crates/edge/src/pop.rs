@@ -273,7 +273,7 @@ impl Backend {
     /// ([`StreamMap::next_request`](xlink_quic::stream::StreamMap::next_request)),
     /// is answered with bytes `offset..offset + length` of the synthetic
     /// payload at phase 0 (`xlink_lab::payload`, an absolute-position
-    /// pattern) plus FIN, generated by the stream as it sends them —
+    /// pattern) plus FIN, lent by the stream from the payload table —
     /// byte-identical regardless of which shard serves it, and resumable at
     /// any verified offset after a crash reconnect (the zero-byte-loss
     /// check). A request that is not 16 bytes is never answered.
@@ -1050,7 +1050,7 @@ mod tests {
     }
 
     /// Once a download is acknowledged its backend holds none of its bytes:
-    /// the body was generated as it was sent and released as it was acked.
+    /// the body is lent from the payload table as it is sent, never held.
     #[test]
     fn a_finished_download_holds_no_send_bytes() {
         let mut p = pop(false, &[1]);

@@ -316,10 +316,10 @@ impl App for VideoServer {
             let body_len = body.end - body.start;
             let resp = Response { status: 200, body_len, first_frame_end: ff_end };
             conn.stream_send(id, &resp.encode(), false);
-            // The body is generated as the stream sends it. First-video-frame
-            // acceleration: the byte span of the first frame inside this
-            // response is tagged with the highest frame priority (paper §5.1
-            // stream_send with position+size).
+            // The stream lends the body from the payload table as it sends
+            // it. First-video-frame acceleration: the byte span of the first
+            // frame inside this response is tagged with the highest frame
+            // priority (paper §5.1 stream_send with position+size).
             let streams = conn.conn_mut().streams_mut();
             let phase = MediaStore::phase(&req.object);
             let range = streams.write_with(id, body_len, phase, body.start);

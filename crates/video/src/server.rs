@@ -41,9 +41,8 @@ impl MediaStore {
     }
 
     /// Append the bytes `range` of `object` to `out`, each as
-    /// [`MediaStore::body_byte`] defines it: a server generates a response
-    /// body straight into the stream it is sent from. No store is
-    /// consulted, so nothing is clamped.
+    /// [`MediaStore::body_byte`] defines it. No store is consulted, so
+    /// nothing is clamped.
     pub fn extend_body(object: &str, range: Range<u64>, out: &mut Vec<u8>) {
         payload::extend(Self::phase(object), range, out);
     }
@@ -55,8 +54,8 @@ impl MediaStore {
     }
 
     /// The payload phase of an object ([`payload`]): FNV-1a over its name.
-    /// A server writes a body with it, and the stream generates the body
-    /// as it sends it.
+    /// A server writes a body with it, and the stream lends the body from
+    /// the payload table as it sends it.
     pub fn phase(object: &str) -> u64 {
         object
             .bytes()
@@ -129,7 +128,7 @@ mod tests {
             let per_byte: Vec<u8> = (start..end).map(|o| MediaStore::body_byte("v1", o)).collect();
             assert_eq!(generated(start, end), per_byte);
         }
-        // Generated by the stream that sends it, the way a server answers: a
+        // Lent by the stream that sends it, the way a server answers: a
         // header, then the body of each chunk request, its first-frame span
         // tagged. Chunks shorter and longer than the first frame (1 000
         // bytes here), and a last one the store clamps: every body byte
